@@ -171,12 +171,14 @@ impl IndexCache {
 
     /// Inserts (or refreshes) `key`. Fills ride existing read batches, so
     /// this never touches the fabric; it may evict one cold entry to stay
-    /// within capacity. With `capacity == 0` this is a no-op.
-    pub fn insert(&mut self, key: Vec<u8>, entry: CacheEntry) {
+    /// within capacity. With `capacity == 0` this is a no-op. The key is
+    /// copied only when it is not cached yet: refreshing a present key
+    /// (every committed UPDATE of a hot key) allocates nothing.
+    pub fn insert(&mut self, key: &[u8], entry: CacheEntry) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(slot) = self.map.get_mut(&key) {
+        if let Some(slot) = self.map.get_mut(key) {
             slot.entry = entry;
             slot.referenced = true;
             return;
@@ -185,7 +187,7 @@ impl IndexCache {
             self.evict_one();
         }
         self.map.insert(
-            key,
+            key.to_vec(),
             Slot {
                 entry,
                 referenced: true,
@@ -293,7 +295,7 @@ mod tests {
     fn bound_holds_under_churn() {
         let mut c = IndexCache::new(8, None);
         for i in 0..1000 {
-            c.insert(key(i), entry(i as u64));
+            c.insert(&key(i), entry(i as u64));
             assert!(c.len() <= 8, "cache exceeded bound at insert {i}");
         }
         assert_eq!(c.len(), 8);
@@ -302,7 +304,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let mut c = IndexCache::new(0, None);
-        c.insert(key(1), entry(1));
+        c.insert(&key(1), entry(1));
         assert!(c.is_empty());
         assert!(c.get(&key(1)).is_none());
     }
@@ -311,7 +313,7 @@ mod tests {
     fn clock_gives_referenced_entries_a_second_chance() {
         let mut c = IndexCache::new(4, None);
         for i in 0..4 {
-            c.insert(key(i), entry(i as u64));
+            c.insert(&key(i), entry(i as u64));
         }
         // Keep key(1) hot through heavy churn. (key(0) sits exactly where
         // the clock hand starts, and CLOCK's first all-referenced sweep
@@ -320,7 +322,7 @@ mod tests {
         // demonstrated on a key that is not the initial hand position.)
         for i in 4..20 {
             assert!(c.get(&key(1)).is_some(), "hot key evicted at round {i}");
-            c.insert(key(i), entry(i as u64));
+            c.insert(&key(i), entry(i as u64));
         }
         assert!(c.contains(&key(1)), "hot key should survive the churn");
     }
@@ -330,7 +332,7 @@ mod tests {
         let run = || {
             let mut c = IndexCache::new(4, None);
             for i in 0..32 {
-                c.insert(key(i), entry(i as u64));
+                c.insert(&key(i), entry(i as u64));
             }
             c.map.keys().cloned().collect::<Vec<_>>()
         };
@@ -341,11 +343,11 @@ mod tests {
     fn counters_track_hits_misses_evictions_invalidations() {
         let reg = Registry::new();
         let mut c = IndexCache::new(2, Some(&reg));
-        c.insert(key(0), entry(0));
-        c.insert(key(1), entry(1));
+        c.insert(&key(0), entry(0));
+        c.insert(&key(1), entry(1));
         assert!(c.get(&key(0)).is_some());
         assert!(c.get(&key(9)).is_none());
-        c.insert(key(2), entry(2)); // evicts one
+        c.insert(&key(2), entry(2)); // evicts one
         assert!(c.invalidate(&key(2)));
         assert!(!c.invalidate(&key(2))); // absent: not counted
         c.purge(|_, _| true);
@@ -361,7 +363,7 @@ mod tests {
     fn peek_refreshes_recency_without_counting() {
         let reg = Registry::new();
         let mut c = IndexCache::new(2, Some(&reg));
-        c.insert(key(0), entry(0));
+        c.insert(&key(0), entry(0));
         assert!(c.peek(&key(0)).is_some());
         assert!(c.peek(&key(5)).is_none());
         let snap = reg.snapshot();
@@ -373,11 +375,11 @@ mod tests {
     fn shrinking_capacity_evicts_down() {
         let mut c = IndexCache::new(8, None);
         for i in 0..8 {
-            c.insert(key(i), entry(i as u64));
+            c.insert(&key(i), entry(i as u64));
         }
         c.set_capacity(3);
         assert_eq!(c.len(), 3);
-        c.insert(key(100), entry(100));
+        c.insert(&key(100), entry(100));
         assert_eq!(c.len(), 3);
     }
 }

@@ -733,7 +733,7 @@ impl AcesoClient {
             let v = self.read_and_verify(slot.atomic, slot.meta, key).await?;
             if let Some(val) = v {
                 self.cache.insert(
-                    key.to_vec(),
+                    key,
                     CacheEntry {
                         slot_addr: entry.slot_addr,
                         atomic: slot.atomic,
@@ -837,7 +837,7 @@ impl AcesoClient {
             if let Some(val) = val {
                 if self.tuning.use_cache {
                     self.cache.insert(
-                        key.to_vec(),
+                        key,
                         CacheEntry {
                             slot_addr: cand.addr,
                             atomic: cand.atomic,
@@ -1403,7 +1403,7 @@ impl AcesoClient {
         }
         if self.tuning.use_cache {
             self.cache.insert(
-                key.to_vec(),
+                key,
                 CacheEntry {
                     slot_addr,
                     atomic: new_atomic,
@@ -1535,7 +1535,7 @@ impl AcesoClient {
             wm?;
         }
         self.cache.insert(
-            key.to_vec(),
+            key,
             CacheEntry {
                 slot_addr: entry.slot_addr,
                 atomic: new_atomic,
@@ -1578,6 +1578,7 @@ impl AcesoClient {
         self.dm.settle().await;
         let place = place?;
         let (buf, delta) = Self::encode_kv(&place, sv, key, value, tombstone);
+        let delta = delta.as_deref().unwrap_or(&buf);
 
         self.maybe_crash(CrashPoint::BeforeKvWrite)?;
         let crash = self.crash_point;
@@ -1597,7 +1598,7 @@ impl AcesoClient {
                 }
                 if !defer {
                     for (dcol, doff) in place.deltas {
-                        self.write_block(dm, dcol, doff, &delta)?;
+                        self.write_block(dm, dcol, doff, delta)?;
                     }
                 }
                 if crash == Some(CrashPoint::BeforeCommit) {
@@ -1621,7 +1622,7 @@ impl AcesoClient {
             // Mutation: the batch omitted the delta copies; hold them for
             // the post-commit flush.
             for (dcol, doff) in place.deltas {
-                self.deferred_deltas.push((dcol, doff, delta.clone()));
+                self.deferred_deltas.push((dcol, doff, delta.to_vec()));
             }
         }
 
@@ -1680,7 +1681,7 @@ impl AcesoClient {
         }
         if self.tuning.use_cache {
             self.cache.insert(
-                key.to_vec(),
+                key,
                 CacheEntry {
                     slot_addr,
                     atomic: new_atomic,
@@ -1736,7 +1737,7 @@ impl AcesoClient {
         wm?;
         if self.tuning.use_cache {
             self.cache.insert(
-                key.to_vec(),
+                key,
                 CacheEntry {
                     slot_addr: target,
                     atomic: new_atomic,
@@ -1770,6 +1771,7 @@ impl AcesoClient {
         revalidate: Option<(&RemoteIndex, GlobalAddr)>,
     ) -> Result<Option<aceso_index::SlotRef>> {
         let (buf, delta) = Self::encode_kv(place, sv, key, value, tombstone);
+        let delta = delta.as_deref().unwrap_or(&buf);
         self.maybe_crash(CrashPoint::BeforeKvWrite)?;
         let crash = self.crash_point;
         let defer = self.mutation == Some(ModelMutation::ReorderDeltaPastCommit);
@@ -1799,7 +1801,7 @@ impl AcesoClient {
                 }
                 if !defer {
                     for (dcol, doff) in place.deltas {
-                        self.write_block(dm, dcol, doff, &delta)?;
+                        self.write_block(dm, dcol, doff, delta)?;
                     }
                 }
                 if crash == Some(CrashPoint::BeforeCommit) {
@@ -1825,7 +1827,7 @@ impl AcesoClient {
             // Mutation: the batch omitted the delta copies; hold them for
             // the post-commit flush.
             for (dcol, doff) in place.deltas {
-                self.deferred_deltas.push((dcol, doff, delta.clone()));
+                self.deferred_deltas.push((dcol, doff, delta.to_vec()));
             }
         }
         match slot_read {
@@ -1895,23 +1897,24 @@ impl AcesoClient {
     }
 
     /// Encodes the slot image and its XOR delta against the slot's old
-    /// contents (shared by every write batch).
+    /// contents (shared by every write batch). The delta of a slot with no
+    /// old image is the image itself and is returned as `None`.
     fn encode_kv(
         place: &SlotPlace,
         sv: u64,
         key: &[u8],
         value: &[u8],
         tombstone: bool,
-    ) -> (Vec<u8>, Vec<u8>) {
-        let old: &[u8] = place.old_slot.as_deref().unwrap_or(&[]);
-        let old_wv = if old.is_empty() { 0 } else { old[0] };
-        let wv = kv::next_write_version(old_wv);
+    ) -> (Vec<u8>, Option<Vec<u8>>) {
+        let old = place.old_slot.as_deref();
+        let wv = kv::next_write_version(old.map_or(0, |old| old[0]));
         let mut buf = vec![0u8; place.slot_bytes];
         kv::encode(&mut buf, wv, sv, key, value, tombstone);
-        let mut delta = buf.clone();
-        if !old.is_empty() {
+        let delta = old.map(|old| {
+            let mut delta = buf.clone();
             xor_into(&mut delta, old);
-        }
+            delta
+        });
         (buf, delta)
     }
 
@@ -2023,6 +2026,10 @@ impl AcesoClient {
                 if ob.next < ob.fill_order.len() {
                     break;
                 }
+                // Closing folds and frees the block's DELTA blocks: the
+                // delta fix-ups of an earlier lost race must land first,
+                // or parity keeps the image they were meant to cancel.
+                self.flush_invals()?;
                 let ob = self.blocks.remove(&class).unwrap();
                 self.close_block(ob)?;
             } else {

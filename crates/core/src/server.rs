@@ -195,22 +195,23 @@ impl MnServer {
         *self.migration.lock() = ctx;
     }
 
-    /// Applies a block-area write to the local region and, while a
-    /// migration is in flight, to the same offset on the target region
+    /// Zeroes a block-area range in the local region and, while a
+    /// migration is in flight, at the same offset on the target region
     /// (dual-write: neither side may go stale before the publish).
-    fn mig_write(&self, off: u64, bytes: &[u8]) {
-        self.node.region.write(off, bytes).expect("block write");
-        if let Some(ctx) = self.migration.lock().as_ref() {
-            ctx.target.region.write(off, bytes).expect("target write");
-        }
-    }
-
-    /// Like [`mig_write`](Self::mig_write) for zeroing.
     fn mig_zero(&self, off: u64, len: usize) {
         self.node.region.zero(off, len).expect("block zero");
         if let Some(ctx) = self.migration.lock().as_ref() {
             ctx.target.region.zero(off, len).expect("target zero");
         }
+    }
+
+    /// Copies `[off, off + len)` of the local region to the same offset on
+    /// the migration target, region to region.
+    fn copy_to(&self, target: &MemoryNode, off: u64, len: usize) {
+        target
+            .region
+            .copy_from(off, &self.node.region, off, len)
+            .expect("migration copy");
     }
 
     /// Persists a record to the local Meta Area and replicates it to the
@@ -546,21 +547,29 @@ impl MnServer {
             "delta must be local to the parity holder"
         );
         let bs = self.map.blocks.block_size as usize;
-        let delta = self.node.region.read_vec(doff, bs).expect("delta read");
         let poff = self.map.blocks.block_offset(pid);
-        // During a migration the parity primary may already live on the
-        // target node (post-`MigrateParity`); read content from wherever
-        // clients currently read it, write the result to both sides.
-        let parity_src = {
-            let g = self.migration.lock();
-            match g.as_ref() {
-                Some(ctx) if ctx.parity_moved => Arc::clone(&ctx.target),
-                _ => Arc::clone(&self.node),
+        // Fold the DELTA block into the PARITY block where it lies. During
+        // a migration the parity primary may already live on the target
+        // node (post-`MigrateParity`): fold into the side clients
+        // currently read, then copy the result to the other, so neither
+        // goes stale before the publish.
+        let local = &self.node.region;
+        match self.migration.lock().as_ref() {
+            None => local.xor_from(poff, local, doff, bs).expect("parity fold"),
+            Some(ctx) => {
+                let (primary, other) = if ctx.parity_moved {
+                    (&ctx.target.region, local)
+                } else {
+                    (local, &ctx.target.region)
+                };
+                primary
+                    .xor_from(poff, local, doff, bs)
+                    .expect("parity fold");
+                other
+                    .copy_from(poff, primary, poff, bs)
+                    .expect("parity copy");
             }
-        };
-        let mut parity = parity_src.region.read_vec(poff, bs).expect("parity read");
-        aceso_erasure::XCode::fold_delta(&mut parity, &delta).expect("delta length");
-        self.mig_write(poff, &parity);
+        }
 
         let delta_id = self.map.blocks.locate(doff).expect("delta offset").0;
         {
@@ -638,8 +647,7 @@ impl MnServer {
             return ServerResp::Err("no migration in progress".into());
         };
         for &(off, len) in ranges {
-            let bytes = self.node.region.read_vec(off, len).expect("source read");
-            ctx.target.region.write(off, &bytes).expect("target write");
+            self.copy_to(&ctx.target, off, len);
         }
         ServerResp::Ok
     }
@@ -692,8 +700,7 @@ impl MnServer {
                         continue;
                     }
                 }
-                let bytes = self.node.region.read_vec(poff, bs).expect("parity read");
-                target.region.write(poff, &bytes).expect("parity write");
+                self.copy_to(&target, poff, bs);
             }
         }
         if let Some(ctx) = self.migration.lock().as_mut() {
@@ -713,9 +720,7 @@ impl MnServer {
             let Some(ctx) = g.as_ref() else {
                 return ServerResp::Err("no migration in progress".into());
             };
-            let len = self.map.blocks.block_base as usize;
-            let bytes = self.node.region.read_vec(0, len).expect("index+meta read");
-            ctx.target.region.write(0, &bytes).expect("index+meta write");
+            self.copy_to(&ctx.target, 0, self.map.blocks.block_base as usize);
         }
         self.alive.store(false, Ordering::Release);
         ServerResp::Ok

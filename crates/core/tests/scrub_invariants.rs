@@ -98,3 +98,42 @@ fn scrub_clean_after_mn_recovery() {
     assert!(r.parity_ok > 0);
     store.shutdown();
 }
+
+/// Two clients taking turns on the same hot keys lose commit races often
+/// (a cached slot is stale once the other client has updated the key). A
+/// lost race queues the loser's invalidation stamp with its two delta
+/// fix-ups; when the loser sat in the last slot of its block, the redo's
+/// slot allocation must not close that block — folding and freeing its
+/// DELTA blocks — before the fix-ups have landed, or parity keeps the
+/// image they were meant to cancel.
+#[test]
+fn scrub_clean_after_lost_commit_races() {
+    const KEYS: usize = 50;
+    const OPS: usize = 3_000;
+    let store = small();
+    let mut clients = [store.client().unwrap(), store.client().unwrap()];
+    let key = |k: usize| format!("race-{k}").into_bytes();
+    let value = |op: usize| vec![(op % 251) as u8 + 1; 900];
+    for k in 0..KEYS {
+        clients[0].insert(&key(k), &value(k)).unwrap();
+    }
+    // Seeded key choice: whether a turn finds its cache stale (two slots
+    // used) or fresh (one) varies, so lost races reach every slot position.
+    let mut last = [0usize; KEYS];
+    let mut x = 0xace50u64;
+    for op in 0..OPS {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let k = (x >> 33) as usize % KEYS;
+        clients[op % 2].update(&key(k), &value(op)).unwrap();
+        last[k] = op;
+    }
+    let r = scrub(&store).unwrap();
+    assert!(r.is_clean(), "{r:?}");
+    for (k, &op) in last.iter().enumerate() {
+        let want = if op == 0 { value(k) } else { value(op) };
+        assert_eq!(clients[0].search(&key(k)).unwrap(), Some(want), "key {k}");
+    }
+    store.shutdown();
+}

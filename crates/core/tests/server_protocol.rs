@@ -144,53 +144,101 @@ fn alloc_data_then_delta_then_encode() {
     store.shutdown();
 }
 
+/// The in-place fold must leave exactly what `XCode::fold_delta` computes
+/// on copies, free the DELTA block zeroed, and stay idempotent — alone and
+/// on both sides of a migration, whichever side holds the parity primary.
 #[test]
-fn encode_delta_is_idempotent() {
-    let store = store();
-    let ServerResp::DataAllocated { array, row, .. } = rpc(
-        &store,
-        1,
-        ServerReq::AllocData {
-            cli_id: 1,
-            slot_len64: 4,
-        },
-    ) else {
-        panic!()
-    };
-    let xcode = aceso_erasure::XCode::new(5).unwrap();
-    let ((prow, pcol), _) = xcode.parity_cells_for(row, 1);
-    rpc(
-        &store,
-        pcol,
-        ServerReq::AllocDelta {
-            cli_id: 1,
-            slot_len64: 4,
+fn encode_delta_folds_in_place_like_fold_delta() {
+    use aceso_core::server::MigrationCtx;
+    use aceso_rdma::GlobalAddr;
+
+    for parity_moved in [None, Some(false), Some(true)] {
+        let store = store();
+        let bs = store.map.blocks.block_size as usize;
+        let ServerResp::DataAllocated { array, row, .. } = rpc(
+            &store,
+            2,
+            ServerReq::AllocData {
+                cli_id: 7,
+                slot_len64: 16,
+            },
+        ) else {
+            panic!("alloc failed")
+        };
+        let ((prow, pcol), _) = aceso_erasure::XCode::new(5)
+            .unwrap()
+            .parity_cells_for(row, 2);
+        let ServerResp::DeltaAllocated { block: dblock } = rpc(
+            &store,
+            pcol,
+            ServerReq::AllocDelta {
+                cli_id: 7,
+                slot_len64: 16,
+                array,
+                row,
+                parity_row: prow,
+            },
+        ) else {
+            panic!("delta alloc failed")
+        };
+        let doff = store.map.blocks.block_offset(dblock);
+        let poff = store
+            .map
+            .blocks
+            .block_offset(store.map.blocks.cell_block_id(array, prow));
+
+        // A parity block that already holds other rows, and a full delta.
+        let parity: Vec<u8> = (0..bs).map(|i| (i * 7 + 1) as u8).collect();
+        let delta: Vec<u8> = (0..bs).map(|i| (i * 13 + 5) as u8).collect();
+        let server = store.server(pcol);
+        let local = &server.node.region;
+        local.write(poff, &parity).unwrap();
+        local.write(doff, &delta).unwrap();
+        let target = parity_moved.map(|moved| {
+            let target = store.cluster.add_node(store.map.region_len);
+            // Only the primary's parity counts; the other side is stale.
+            let (primary, other) = if moved {
+                (&target.region, local)
+            } else {
+                (local, &target.region)
+            };
+            primary.write(poff, &parity).unwrap();
+            other.write(poff, &vec![0x5A; bs]).unwrap();
+            server.set_migration(Some(MigrationCtx {
+                target: Arc::clone(&target),
+                parity_moved: moved,
+            }));
+            target
+        });
+
+        let mut want = parity.clone();
+        aceso_erasure::XCode::fold_delta(&mut want, &delta).unwrap();
+        let encode = ServerReq::EncodeDelta {
             array,
             row,
             parity_row: prow,
-        },
-    );
-    // Encoding twice must not double-apply the delta.
-    rpc(
-        &store,
-        pcol,
-        ServerReq::EncodeDelta {
-            array,
-            row,
-            parity_row: prow,
-        },
-    );
-    let resp = rpc(
-        &store,
-        pcol,
-        ServerReq::EncodeDelta {
-            array,
-            row,
-            parity_row: prow,
-        },
-    );
-    assert!(matches!(resp, ServerResp::Ok));
-    store.shutdown();
+        };
+        // The second request is the retry of a lost reply.
+        for attempt in 0..2 {
+            assert!(matches!(rpc(&store, pcol, encode.clone()), ServerResp::Ok));
+            let sides = std::iter::once(local).chain(target.as_ref().map(|t| &t.region));
+            for (side, region) in sides.enumerate() {
+                let ctx = format!("moved {parity_moved:?} attempt {attempt} side {side}");
+                assert_eq!(region.read_vec(poff, bs).unwrap(), want, "parity, {ctx}");
+                assert_eq!(
+                    region.read_vec(doff, bs).unwrap(),
+                    vec![0u8; bs],
+                    "delta, {ctx}"
+                );
+            }
+        }
+        // Clients read the folded parity through the fabric as well.
+        let dm = store.cluster.background_client();
+        let addr = GlobalAddr::new(store.directory().node_of(pcol), poff);
+        assert_eq!(dm.read_vec(addr, bs).unwrap(), want);
+        server.set_migration(None);
+        store.shutdown();
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use crate::addr::NodeId;
 use crate::cost::CostModel;
 use crate::error::{RdmaError, Result};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, PlanSlot};
 use crate::master::Master;
 use crate::region::Region;
 use crate::stats::VerbCounters;
@@ -11,7 +11,7 @@ use crate::trace::{TraceEvent, TraceOp, TraceSink};
 use crate::verbs::DmClient;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One epoch fence: accesses overlapping `[start, start + len)` require a
 /// client placement epoch of at least `min_epoch`.
@@ -35,7 +35,7 @@ pub struct MemoryNode {
     pub background: VerbCounters,
     /// Node-side fault plan: intercepts every verb targeting this node,
     /// from any client (see [`crate::FaultPlan`]).
-    fault: Mutex<Option<Arc<FaultPlan>>>,
+    fault: PlanSlot,
     /// Placement-epoch fences over byte ranges (see
     /// [`MemoryNode::install_fence`]).
     fences: Mutex<Vec<EpochFence>>,
@@ -52,7 +52,7 @@ impl MemoryNode {
             alive: AtomicBool::new(true),
             traffic: VerbCounters::new(),
             background: VerbCounters::new(),
-            fault: Mutex::new(None),
+            fault: PlanSlot::default(),
             fences: Mutex::new(Vec::new()),
             fenced: AtomicBool::new(false),
         }
@@ -73,17 +73,19 @@ impl MemoryNode {
 
     /// Installs a fault plan intercepting all verbs to this node.
     pub fn install_fault_plan(&self, plan: Arc<FaultPlan>) {
-        *self.fault.lock() = Some(plan);
+        self.fault.set(Some(plan));
     }
 
     /// Removes the node's fault plan, if any.
     pub fn clear_fault_plan(&self) {
-        *self.fault.lock() = None;
+        self.fault.set(None);
     }
 
-    /// The currently installed fault plan, if any.
+    /// The currently installed fault plan, if any. Single relaxed load
+    /// when none is installed.
+    #[inline]
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.fault.lock().clone()
+        self.fault.get()
     }
 
     /// Installs a placement-epoch fence over `[start, start + len)`:
@@ -151,6 +153,62 @@ impl Default for ClusterConfig {
     }
 }
 
+/// Nodes per [`NodeTable`] chunk.
+const TABLE_CHUNK: usize = 256;
+
+/// Append-only table of every node ever added, indexed by [`NodeId`].
+///
+/// Slots are set once, in id order, and never cleared, so a lookup is two
+/// acquire loads — no lock, no reference count — and hands out a plain
+/// reference that lives as long as the cluster. Chunks are allocated on
+/// first use; the table spans the whole `u16` id space.
+struct NodeTable {
+    chunks: Box<[OnceLock<NodeChunk>]>,
+    /// Number of nodes added; the lock serialises appends.
+    len: Mutex<usize>,
+}
+
+type NodeChunk = Box<[OnceLock<Arc<MemoryNode>>]>;
+
+impl NodeTable {
+    fn new() -> Self {
+        let chunks = (u16::MAX as usize + 1) / TABLE_CHUNK;
+        NodeTable {
+            chunks: (0..chunks).map(|_| OnceLock::new()).collect(),
+            len: Mutex::new(0),
+        }
+    }
+
+    fn get(&self, id: NodeId) -> Option<&Arc<MemoryNode>> {
+        let i = id.0 as usize;
+        self.chunks[i / TABLE_CHUNK].get()?[i % TABLE_CHUNK].get()
+    }
+
+    fn len(&self) -> usize {
+        *self.len.lock()
+    }
+
+    /// Appends the node `make` builds for the next free id.
+    fn push(&self, make: impl FnOnce(NodeId) -> MemoryNode) -> Arc<MemoryNode> {
+        let mut len = self.len.lock();
+        let id = u16::try_from(*len).expect("node ids are 16 bits");
+        let node = Arc::new(make(NodeId(id)));
+        let chunk = self.chunks[*len / TABLE_CHUNK]
+            .get_or_init(|| (0..TABLE_CHUNK).map(|_| OnceLock::new()).collect());
+        assert!(
+            chunk[*len % TABLE_CHUNK].set(Arc::clone(&node)).is_ok(),
+            "node slot {id} set twice"
+        );
+        *len += 1;
+        node
+    }
+
+    /// Every node, in id order.
+    fn iter(&self) -> impl Iterator<Item = &Arc<MemoryNode>> {
+        (0..self.len()).map(|i| self.get(NodeId(i as u16)).expect("slot below len is set"))
+    }
+}
+
 /// A cluster: the memory pool, the master, and the cost model.
 ///
 /// The cluster is the root object of a simulation. Memory nodes are appended,
@@ -158,7 +216,7 @@ impl Default for ClusterConfig {
 /// loudly) and its replacement gets a fresh id, matching the paper's model of
 /// "start a new server on an idle MN".
 pub struct Cluster {
-    nodes: RwLock<Vec<Arc<MemoryNode>>>,
+    nodes: NodeTable,
     /// The reliable master providing the membership service.
     pub master: Arc<Master>,
     /// The NIC cost model shared by all performance reports.
@@ -177,14 +235,13 @@ impl Cluster {
     /// Builds a cluster with `config.num_mns` fresh memory nodes.
     pub fn new(config: ClusterConfig) -> Arc<Self> {
         let master = Arc::new(Master::new());
-        let nodes: Vec<Arc<MemoryNode>> = (0..config.num_mns)
-            .map(|i| Arc::new(MemoryNode::new(NodeId(i as u16), config.region_len)))
-            .collect();
-        for n in &nodes {
+        let nodes = NodeTable::new();
+        for _ in 0..config.num_mns {
+            let n = nodes.push(|id| MemoryNode::new(id, config.region_len));
             master.register(n.id);
         }
         Arc::new(Cluster {
-            nodes: RwLock::new(nodes),
+            nodes,
             master,
             cost: config.cost,
             trace: RwLock::new(None),
@@ -249,32 +306,37 @@ impl Cluster {
     /// Most callers want [`Cluster::node`], which additionally checks
     /// liveness; this accessor exists for recovery tooling and tests.
     pub fn node_any(&self, id: NodeId) -> Option<Arc<MemoryNode>> {
-        self.nodes.read().get(id.0 as usize).cloned()
+        self.nodes.get(id).cloned()
     }
 
     /// Returns the node handle for `id` if it is alive.
     pub fn node(&self, id: NodeId) -> Result<Arc<MemoryNode>> {
-        let n = self.node_any(id).ok_or(RdmaError::NodeUnreachable(id))?;
-        if n.is_alive() {
-            Ok(n)
-        } else {
-            Err(RdmaError::NodeUnreachable(id))
-        }
+        self.node_ref(id).map(Arc::clone)
+    }
+
+    /// [`Cluster::node`] without the reference count: what every verb
+    /// resolves its target through.
+    #[inline]
+    pub(crate) fn node_ref(&self, id: NodeId) -> Result<&Arc<MemoryNode>> {
+        self.nodes
+            .get(id)
+            .filter(|n| n.is_alive())
+            .ok_or(RdmaError::NodeUnreachable(id))
     }
 
     /// All node handles, including crashed ones, in id order.
     pub fn nodes(&self) -> Vec<Arc<MemoryNode>> {
-        self.nodes.read().clone()
+        self.nodes.iter().cloned().collect()
     }
 
     /// Number of nodes ever added.
     pub fn len(&self) -> usize {
-        self.nodes.read().len()
+        self.nodes.len()
     }
 
     /// Returns `true` if the cluster has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.read().is_empty()
+        self.len() == 0
     }
 
     /// Injects a fail-stop crash of `id`: verbs start failing and the master
@@ -313,12 +375,8 @@ impl Cluster {
 
     /// Adds a fresh memory node (the recovery target) and returns its handle.
     pub fn add_node(&self, region_len: usize) -> Arc<MemoryNode> {
-        let mut g = self.nodes.write();
-        let id = NodeId(g.len() as u16);
-        let n = Arc::new(MemoryNode::new(id, region_len));
-        g.push(Arc::clone(&n));
-        drop(g);
-        self.master.register(id);
+        let n = self.nodes.push(|id| MemoryNode::new(id, region_len));
+        self.master.register(n.id);
         n
     }
 
@@ -335,7 +393,7 @@ impl Cluster {
 
     /// Resets all per-node traffic counters (start of a measurement phase).
     pub fn reset_traffic(&self) {
-        for n in self.nodes.read().iter() {
+        for n in self.nodes.iter() {
             n.traffic.reset();
             n.background.reset();
         }

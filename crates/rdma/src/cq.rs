@@ -38,7 +38,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, Waker};
 
 /// Completion state shared between a [`Completion`] future and the CQ.
 #[derive(Default)]
@@ -245,13 +245,6 @@ impl Future for Completion {
     }
 }
 
-/// Waker used by [`block_on`]: wakes are irrelevant because the loop polls
-/// again after every clock advance.
-struct NoopWake;
-impl Wake for NoopWake {
-    fn wake(self: Arc<Self>) {}
-}
-
 /// Runs a future to completion on the current thread, driving `cq`'s
 /// virtual clock whenever the future suspends.
 ///
@@ -275,9 +268,9 @@ impl Wake for NoopWake {
 /// assert_eq!(block_on(None, async { 7 }), 7);
 /// ```
 pub fn block_on<F: Future>(cq: Option<Arc<SimCq>>, fut: F) -> F::Output {
-    let mut fut = Box::pin(fut);
-    let waker = Waker::from(Arc::new(NoopWake));
-    let mut cx = Context::from_waker(&waker);
+    let mut fut = std::pin::pin!(fut);
+    // Wakes are irrelevant: the loop polls again after every clock advance.
+    let mut cx = Context::from_waker(Waker::noop());
     loop {
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(v) => return v,

@@ -23,7 +23,7 @@
 
 use crate::addr::NodeId;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -299,6 +299,34 @@ impl FaultPlan {
     /// implementations).
     pub fn apply_delay(micros: u64) {
         std::thread::sleep(Duration::from_micros(micros));
+    }
+}
+
+/// Where a client or a node keeps its installed [`FaultPlan`]: a locked
+/// handle behind an armed flag, so a verb pays one relaxed load — no lock,
+/// no reference count — while nothing is installed.
+#[derive(Default)]
+pub(crate) struct PlanSlot {
+    plan: Mutex<Option<Arc<FaultPlan>>>,
+    /// Mirrors `plan.is_some()`; written under the lock.
+    armed: AtomicBool,
+}
+
+impl PlanSlot {
+    /// Installs `plan` (`None` clears the slot).
+    pub(crate) fn set(&self, plan: Option<Arc<FaultPlan>>) {
+        let mut g = self.plan.lock();
+        self.armed.store(plan.is_some(), Ordering::Release);
+        *g = plan;
+    }
+
+    /// The installed plan, if any.
+    #[inline]
+    pub(crate) fn get(&self) -> Option<Arc<FaultPlan>> {
+        if !self.armed.load(Ordering::Relaxed) {
+            return None;
+        }
+        self.plan.lock().clone()
     }
 }
 

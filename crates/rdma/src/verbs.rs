@@ -20,7 +20,7 @@ use crate::addr::{GlobalAddr, NodeId};
 use crate::cluster::{Cluster, MemoryNode};
 use crate::cq::SimCq;
 use crate::error::{RdmaError, Result};
-use crate::fault::{FaultAction, FaultPlan, FaultSite, VerbKind};
+use crate::fault::{FaultAction, FaultPlan, FaultSite, PlanSlot, VerbKind};
 use crate::rpc::RpcClient;
 use crate::stats::{OpKind, OpRecord, OpStats, VerbCounters};
 use crate::trace::{TraceEvent, TraceOp};
@@ -69,6 +69,16 @@ struct Accrual {
     batch_first: bool,
 }
 
+/// Everything a verb updates, behind the client's one lock: a verb takes
+/// it once for the op profile and the latency accrual together.
+#[derive(Default)]
+struct Session {
+    op: CurOp,
+    accr: Accrual,
+    /// Attached completion queue, if this client runs in async mode.
+    cq: Option<Arc<SimCq>>,
+}
+
 /// Marker type returned by [`DmClient::batch`] scopes; exists so the closure
 /// signature documents that verbs inside share one round trip.
 pub struct WriteBatch;
@@ -83,14 +93,10 @@ pub struct DmClient {
     background: bool,
     counters: Arc<VerbCounters>,
     ops: Mutex<OpStats>,
-    cur: Mutex<CurOp>,
-    fault: Mutex<Option<Arc<FaultPlan>>>,
-    /// Attached completion queue, if this client runs in async mode.
-    cq: Mutex<Option<Arc<SimCq>>>,
-    /// Fast-path flag mirroring `cq.is_some()`.
+    session: Mutex<Session>,
+    fault: PlanSlot,
+    /// Fast-path flag mirroring `session.cq.is_some()`.
     cq_on: AtomicBool,
-    /// Latency accrued since the last [`DmClient::settle`].
-    accr: Mutex<Accrual>,
     /// Dense per-cluster id identifying this client in verb traces.
     trace_id: u32,
     /// Per-client event sequence number for the trace stream.
@@ -110,11 +116,9 @@ impl DmClient {
             background,
             counters: Arc::new(VerbCounters::new()),
             ops: Mutex::new(OpStats::new()),
-            cur: Mutex::new(CurOp::default()),
-            fault: Mutex::new(None),
-            cq: Mutex::new(None),
+            session: Mutex::new(Session::default()),
+            fault: PlanSlot::default(),
             cq_on: AtomicBool::new(false),
-            accr: Mutex::new(Accrual::default()),
             trace_id,
             trace_seq: AtomicU64::new(0),
             placement_epoch: AtomicU64::new(u64::MAX),
@@ -200,18 +204,19 @@ impl DmClient {
 
     /// Installs a fault plan intercepting every verb this client issues.
     pub fn install_fault_plan(&self, plan: Arc<FaultPlan>) {
-        *self.fault.lock() = Some(plan);
+        self.fault.set(Some(plan));
     }
 
     /// Removes this client's fault plan, if any.
     pub fn clear_fault_plan(&self) {
-        *self.fault.lock() = None;
+        self.fault.set(None);
     }
 
     /// Consults the client-side then the node-side fault plan for one verb.
     /// `Ok(true)` means "execute the verb, then fail-stop the target node"
     /// ([`FaultAction::KillNode`]); delays are served inline; `Fail`
     /// surfaces as [`RdmaError::Injected`] before the memory is touched.
+    /// Two relaxed loads while neither plan is installed.
     fn intercept(&self, node: &MemoryNode, kind: VerbKind, offset: u64, len: usize) -> Result<bool> {
         let site = FaultSite {
             kind,
@@ -220,7 +225,7 @@ impl DmClient {
             len,
         };
         let mut kill_after = false;
-        let plans = [self.fault.lock().clone(), node.fault_plan()];
+        let plans = [self.fault.get(), node.fault_plan()];
         for plan in plans.into_iter().flatten() {
             match plan.intercept(site) {
                 None => {}
@@ -247,8 +252,17 @@ impl DmClient {
         &self.counters
     }
 
-    fn node(&self, id: NodeId) -> Result<Arc<MemoryNode>> {
-        self.cluster.node(id)
+    fn node(&self, id: NodeId) -> Result<&MemoryNode> {
+        self.cluster.node_ref(id).map(Arc::as_ref)
+    }
+
+    /// The per-node counters this client's traffic is charged to.
+    fn node_counters<'a>(&self, node: &'a MemoryNode) -> &'a VerbCounters {
+        if self.background {
+            &node.background
+        } else {
+            &node.traffic
+        }
     }
 
     fn account(&self, node: &MemoryNode, class: VerbClass, rd: usize, wr: usize) {
@@ -256,7 +270,8 @@ impl DmClient {
         // ordered release edge and never rides inside a batch.
         let batchable = !matches!(class, VerbClass::Cas);
         let in_batch = {
-            let mut cur = self.cur.lock();
+            let mut s = self.session.lock();
+            let cur = &mut s.op;
             let in_batch = cur.batch_depth > 0;
             if cur.active {
                 cur.verbs += 1;
@@ -280,27 +295,25 @@ impl DmClient {
                     cur.rtts += 1;
                 }
             }
+            if self.cq_on.load(Ordering::Relaxed) {
+                self.accrue_verb(&mut s.accr, in_batch, batchable, rd + wr);
+            }
             in_batch
         };
-        let node_ctr = if self.background {
-            &node.background
-        } else {
-            &node.traffic
-        };
-        for ctr in [node_ctr, self.counters.as_ref()] {
-            match class {
-                VerbClass::Read => ctr.reads.fetch_add(1, Ordering::Relaxed),
-                VerbClass::Write => ctr.writes.fetch_add(1, Ordering::Relaxed),
-                VerbClass::Cas => ctr.cas.fetch_add(1, Ordering::Relaxed),
-                VerbClass::Faa => ctr.faa.fetch_add(1, Ordering::Relaxed),
+        for ctr in [self.node_counters(node), self.counters.as_ref()] {
+            let verbs = match class {
+                VerbClass::Read => &ctr.reads,
+                VerbClass::Write => &ctr.writes,
+                VerbClass::Cas => &ctr.cas,
+                VerbClass::Faa => &ctr.faa,
             };
-            ctr.read_bytes.fetch_add(rd as u64, Ordering::Relaxed);
-            ctr.write_bytes.fetch_add(wr as u64, Ordering::Relaxed);
+            verbs.fetch_add(1, Ordering::Relaxed);
+            add_nonzero(&ctr.read_bytes, rd);
+            add_nonzero(&ctr.write_bytes, wr);
             if in_batch && batchable {
                 ctr.batched.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.accrue_verb(in_batch, batchable, rd + wr);
     }
 
     /// Accrues one verb's modeled latency toward the next
@@ -308,13 +321,8 @@ impl DmClient {
     /// accounting: an unbatched verb (or the first of a doorbell batch)
     /// costs a full round trip, a chained batchable verb costs only the
     /// posting tax, and every verb pays its wire bytes.
-    #[inline]
-    fn accrue_verb(&self, in_batch: bool, batchable: bool, bytes: usize) {
-        if !self.cq_on.load(Ordering::Relaxed) {
-            return;
-        }
+    fn accrue_verb(&self, a: &mut Accrual, in_batch: bool, batchable: bool, bytes: usize) {
         let cost = &self.cluster.cost;
-        let mut a = self.accr.lock();
         let base = if in_batch {
             if a.batch_first {
                 a.batch_first = false;
@@ -332,25 +340,36 @@ impl DmClient {
         a.us += base + bytes as f64 / cost.node_bw * 1e6;
     }
 
-    /// Accrues one RPC round trip toward the next [`DmClient::settle`].
-    #[inline]
-    fn accrue_rpc(&self, bytes: usize) {
-        if !self.cq_on.load(Ordering::Relaxed) {
-            return;
+    /// Accounts one RPC of `req_bytes` out and `resp_bytes` back: node and
+    /// client counters, the op profile, and the round trip owed to the
+    /// completion queue.
+    fn account_rpc(&self, node: &MemoryNode, req_bytes: usize, resp_bytes: usize) {
+        for ctr in [self.node_counters(node), self.counters.as_ref()] {
+            ctr.rpcs.fetch_add(1, Ordering::Relaxed);
+            add_nonzero(&ctr.write_bytes, req_bytes);
+            add_nonzero(&ctr.read_bytes, resp_bytes);
         }
-        let cost = &self.cluster.cost;
-        self.accr.lock().us += cost.rpc_rtt_us + bytes as f64 / cost.node_bw * 1e6;
+        let mut s = self.session.lock();
+        if s.op.active {
+            s.op.rpcs += 1;
+            s.op.write_bytes = s.op.write_bytes.saturating_add(req_bytes as u32);
+            s.op.read_bytes = s.op.read_bytes.saturating_add(resp_bytes as u32);
+        }
+        if self.cq_on.load(Ordering::Relaxed) {
+            let cost = &self.cluster.cost;
+            s.accr.us += cost.rpc_rtt_us + (req_bytes + resp_bytes) as f64 / cost.node_bw * 1e6;
+        }
     }
 
     /// `RDMA_READ`: reads `dst.len()` bytes at `addr`.
     pub fn read(&self, addr: GlobalAddr, dst: &mut [u8]) -> Result<()> {
         let node = self.node(addr.node)?;
-        self.check_fence(&node, addr.offset, dst.len())?;
-        let kill = self.intercept(&node, VerbKind::Read, addr.offset, dst.len())?;
+        self.check_fence(node, addr.offset, dst.len())?;
+        let kill = self.intercept(node, VerbKind::Read, addr.offset, dst.len())?;
         node.region.read(addr.offset, dst)?;
-        self.account(&node, VerbClass::Read, dst.len(), 0);
+        self.account(node, VerbClass::Read, dst.len(), 0);
         self.trace(node.id, TraceOp::Read, addr.offset, dst.len());
-        self.kill_after(&node, kill);
+        self.kill_after(node, kill);
         Ok(())
     }
 
@@ -364,24 +383,24 @@ impl DmClient {
     /// Atomically loads the 8-byte word at `addr` (an 8 B `RDMA_READ`).
     pub fn read_u64(&self, addr: GlobalAddr) -> Result<u64> {
         let node = self.node(addr.node)?;
-        self.check_fence(&node, addr.offset, 8)?;
-        let kill = self.intercept(&node, VerbKind::Read, addr.offset, 8)?;
+        self.check_fence(node, addr.offset, 8)?;
+        let kill = self.intercept(node, VerbKind::Read, addr.offset, 8)?;
         let v = node.region.load64(addr.offset)?;
-        self.account(&node, VerbClass::Read, 8, 0);
+        self.account(node, VerbClass::Read, 8, 0);
         self.trace(node.id, TraceOp::Read, addr.offset, 8);
-        self.kill_after(&node, kill);
+        self.kill_after(node, kill);
         Ok(v)
     }
 
     /// `RDMA_WRITE`: writes `src` at `addr`.
     pub fn write(&self, addr: GlobalAddr, src: &[u8]) -> Result<()> {
         let node = self.node(addr.node)?;
-        self.check_fence(&node, addr.offset, src.len())?;
-        let kill = self.intercept(&node, VerbKind::Write, addr.offset, src.len())?;
+        self.check_fence(node, addr.offset, src.len())?;
+        let kill = self.intercept(node, VerbKind::Write, addr.offset, src.len())?;
         node.region.write(addr.offset, src)?;
-        self.account(&node, VerbClass::Write, 0, src.len());
+        self.account(node, VerbClass::Write, 0, src.len());
         self.trace(node.id, TraceOp::Write, addr.offset, src.len());
-        self.kill_after(&node, kill);
+        self.kill_after(node, kill);
         Ok(())
     }
 
@@ -399,11 +418,11 @@ impl DmClient {
     /// iff it equals `expected`.
     pub fn cas(&self, addr: GlobalAddr, expected: u64, new: u64) -> Result<u64> {
         let node = self.node(addr.node)?;
-        self.check_atomic_target(&node, VerbKind::Cas, addr.offset)?;
-        self.check_fence(&node, addr.offset, 8)?;
-        let kill = self.intercept(&node, VerbKind::Cas, addr.offset, 8)?;
+        self.check_atomic_target(node, VerbKind::Cas, addr.offset)?;
+        self.check_fence(node, addr.offset, 8)?;
+        let kill = self.intercept(node, VerbKind::Cas, addr.offset, 8)?;
         let prev = node.region.cas64(addr.offset, expected, new)?;
-        self.account(&node, VerbClass::Cas, 8, 8);
+        self.account(node, VerbClass::Cas, 8, 8);
         self.trace(
             node.id,
             TraceOp::Cas {
@@ -412,20 +431,20 @@ impl DmClient {
             addr.offset,
             8,
         );
-        self.kill_after(&node, kill);
+        self.kill_after(node, kill);
         Ok(prev)
     }
 
     /// `RDMA_FAA` on the 8-byte word at `addr`; returns the pre-add value.
     pub fn faa(&self, addr: GlobalAddr, delta: u64) -> Result<u64> {
         let node = self.node(addr.node)?;
-        self.check_atomic_target(&node, VerbKind::Faa, addr.offset)?;
-        self.check_fence(&node, addr.offset, 8)?;
-        let kill = self.intercept(&node, VerbKind::Faa, addr.offset, 8)?;
+        self.check_atomic_target(node, VerbKind::Faa, addr.offset)?;
+        self.check_fence(node, addr.offset, 8)?;
+        let kill = self.intercept(node, VerbKind::Faa, addr.offset, 8)?;
         let prev = node.region.faa64(addr.offset, delta)?;
-        self.account(&node, VerbClass::Faa, 8, 8);
+        self.account(node, VerbClass::Faa, 8, 8);
         self.trace(node.id, TraceOp::Faa, addr.offset, 8);
-        self.kill_after(&node, kill);
+        self.kill_after(node, kill);
         Ok(prev)
     }
 
@@ -464,27 +483,21 @@ impl DmClient {
     /// assert_eq!((record.batches, record.batched_verbs), (1, 2));
     /// ```
     pub fn batch<R>(&self, f: impl FnOnce(&Self) -> R) -> R {
-        let outermost = {
-            let mut cur = self.cur.lock();
-            cur.batch_depth += 1;
-            if cur.batch_depth == 1 {
-                cur.batch_rtt_counted = false;
-                cur.batch_verbs = 0;
+        {
+            let mut s = self.session.lock();
+            s.op.batch_depth += 1;
+            if s.op.batch_depth == 1 {
+                s.op.batch_rtt_counted = false;
+                s.op.batch_verbs = 0;
+                s.accr.batch_first = self.cq_on.load(Ordering::Relaxed);
             }
-            cur.batch_depth == 1
-        };
-        if outermost && self.cq_on.load(Ordering::Relaxed) {
-            self.accr.lock().batch_first = true;
         }
         let r = f(self);
-        let closed = {
-            let mut cur = self.cur.lock();
-            cur.batch_depth -= 1;
-            cur.batch_depth == 0
-        };
-        if closed && self.cq_on.load(Ordering::Relaxed) {
+        let mut s = self.session.lock();
+        s.op.batch_depth -= 1;
+        if s.op.batch_depth == 0 {
             // An empty batch posts nothing; drop the unconsumed marker.
-            self.accr.lock().batch_first = false;
+            s.accr.batch_first = false;
         }
         r
     }
@@ -503,31 +516,11 @@ impl DmClient {
     ) -> Result<Resp> {
         const RESP_BYTES: usize = 256;
         let node = self.node(node_id)?;
-        let kill = self.intercept(&node, VerbKind::Rpc, 0, req_bytes)?;
+        let kill = self.intercept(node, VerbKind::Rpc, 0, req_bytes)?;
         let resp = rpc.call(req)?;
         self.trace(node.id, TraceOp::Rpc, 0, req_bytes);
-        self.kill_after(&node, kill);
-        let node_ctr = if self.background {
-            &node.background
-        } else {
-            &node.traffic
-        };
-        for ctr in [node_ctr, self.counters.as_ref()] {
-            ctr.rpcs.fetch_add(1, Ordering::Relaxed);
-            ctr.write_bytes
-                .fetch_add(req_bytes as u64, Ordering::Relaxed);
-            ctr.read_bytes
-                .fetch_add(RESP_BYTES as u64, Ordering::Relaxed);
-        }
-        {
-            let mut cur = self.cur.lock();
-            if cur.active {
-                cur.rpcs += 1;
-                cur.write_bytes = cur.write_bytes.saturating_add(req_bytes as u32);
-                cur.read_bytes = cur.read_bytes.saturating_add(RESP_BYTES as u32);
-            }
-        }
-        self.accrue_rpc(req_bytes + RESP_BYTES);
+        self.kill_after(node, kill);
+        self.account_rpc(node, req_bytes, RESP_BYTES);
         Ok(resp)
     }
 
@@ -541,28 +534,11 @@ impl DmClient {
         req_bytes: usize,
     ) -> Result<()> {
         let node = self.node(node_id)?;
-        let kill = self.intercept(&node, VerbKind::Rpc, 0, req_bytes)?;
+        let kill = self.intercept(node, VerbKind::Rpc, 0, req_bytes)?;
         rpc.cast(req)?;
         self.trace(node.id, TraceOp::Rpc, 0, req_bytes);
-        self.kill_after(&node, kill);
-        let node_ctr = if self.background {
-            &node.background
-        } else {
-            &node.traffic
-        };
-        for ctr in [node_ctr, self.counters.as_ref()] {
-            ctr.rpcs.fetch_add(1, Ordering::Relaxed);
-            ctr.write_bytes
-                .fetch_add(req_bytes as u64, Ordering::Relaxed);
-        }
-        {
-            let mut cur = self.cur.lock();
-            if cur.active {
-                cur.rpcs += 1;
-                cur.write_bytes = cur.write_bytes.saturating_add(req_bytes as u32);
-            }
-        }
-        self.accrue_rpc(req_bytes);
+        self.kill_after(node, kill);
+        self.account_rpc(node, req_bytes, 0);
         Ok(())
     }
 
@@ -572,17 +548,19 @@ impl DmClient {
     /// of being treated as blocking time. Many clients on one executor
     /// thread share one CQ.
     pub fn attach_cq(&self, cq: Arc<SimCq>) {
-        *self.accr.lock() = Accrual::default();
-        *self.cq.lock() = Some(cq);
+        let mut s = self.session.lock();
+        s.accr = Accrual::default();
+        s.cq = Some(cq);
         self.cq_on.store(true, Ordering::Release);
     }
 
     /// Detaches the completion queue, returning to blocking accounting.
     /// Any unsettled accrual is dropped.
     pub fn detach_cq(&self) {
+        let mut s = self.session.lock();
         self.cq_on.store(false, Ordering::Release);
-        *self.cq.lock() = None;
-        *self.accr.lock() = Accrual::default();
+        s.cq = None;
+        s.accr = Accrual::default();
     }
 
     /// The attached completion queue, if any.
@@ -590,7 +568,7 @@ impl DmClient {
         if !self.cq_on.load(Ordering::Acquire) {
             return None;
         }
-        self.cq.lock().clone()
+        self.session.lock().cq.clone()
     }
 
     /// Suspends until the virtual clock covers all latency accrued since
@@ -607,11 +585,14 @@ impl DmClient {
         if !self.cq_on.load(Ordering::Acquire) {
             return;
         }
-        let us = std::mem::take(&mut self.accr.lock().us);
-        if us <= 0.0 {
-            return;
-        }
-        let cq = self.cq.lock().clone();
+        let (us, cq) = {
+            let mut s = self.session.lock();
+            let us = std::mem::take(&mut s.accr.us);
+            if us <= 0.0 {
+                return;
+            }
+            (us, s.cq.clone())
+        };
         if let Some(cq) = cq {
             cq.complete_in_tagged(us, self.trace_id).await;
         }
@@ -627,7 +608,7 @@ impl DmClient {
             return;
         }
         if self.cq_on.load(Ordering::Relaxed) {
-            self.accr.lock().us += us as f64;
+            self.session.lock().accr.us += us as f64;
         } else {
             std::thread::sleep(std::time::Duration::from_micros(us));
         }
@@ -635,8 +616,7 @@ impl DmClient {
 
     /// Starts profiling a KV operation.
     pub fn begin_op(&self) {
-        let mut cur = self.cur.lock();
-        *cur = CurOp {
+        self.session.lock().op = CurOp {
             active: true,
             ..CurOp::default()
         };
@@ -644,9 +624,9 @@ impl DmClient {
 
     /// Notes a commit retry (CAS conflict) for the current operation.
     pub fn note_retry(&self) {
-        let mut cur = self.cur.lock();
-        if cur.active {
-            cur.retries += 1;
+        let mut s = self.session.lock();
+        if s.op.active {
+            s.op.retries += 1;
         }
     }
 
@@ -656,7 +636,7 @@ impl DmClient {
     /// the owning span; `None` if no operation was active.
     pub fn end_op(&self, kind: OpKind) -> Option<OpRecord> {
         let rec = {
-            let mut cur = self.cur.lock();
+            let cur = &mut self.session.lock().op;
             if !cur.active {
                 return None;
             }
@@ -682,7 +662,7 @@ impl DmClient {
 
     /// Abandons the current operation without recording it (failure paths).
     pub fn abort_op(&self) {
-        self.cur.lock().active = false;
+        self.session.lock().op.active = false;
     }
 
     /// Takes all accumulated operation records, leaving the store empty.
@@ -694,6 +674,14 @@ impl DmClient {
     pub fn reset_stats(&self) {
         self.counters.reset();
         self.ops.lock().reset();
+    }
+}
+
+/// Adds `n` to a counter, skipping the atomic when there is nothing to add.
+#[inline]
+fn add_nonzero(counter: &AtomicU64, n: usize) {
+    if n > 0 {
+        counter.fetch_add(n as u64, Ordering::Relaxed);
     }
 }
 
