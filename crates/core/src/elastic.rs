@@ -43,7 +43,7 @@ use crate::server::{MigrationCtx, MnServer};
 use crate::store::AcesoStore;
 use crate::{Result, StoreError};
 use aceso_blockalloc::CellKind;
-use aceso_rdma::{rpc_channel, MemoryNode, NodeId};
+use aceso_rdma::{MemoryNode, NodeId};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -367,7 +367,7 @@ impl Migration {
         self.from
             .install_fence(0, self.store.map.region_len, fence_epoch);
         to.install_fence(0, self.store.map.region_len, fence_epoch);
-        // Copy Index + Meta areas and stop the old server's loop.
+        // Copy Index + Meta areas and stop the old server.
         self.rpc(ServerReq::MigrateFinish, 16)?.expect_ok()?;
         // Hand the authoritative server state over (records, free lists,
         // reuse backups, checkpoint state, replicas held for peers).
@@ -382,15 +382,10 @@ impl Migration {
         );
         old.set_migration(None);
         // Republish the column on the target.
-        let (rpc_client, rpc_server) = rpc_channel();
-        self.store.directory().replace(self.col, to.id, rpc_client);
-        self.store.set_server(self.col, Arc::clone(&server));
-        {
-            let d = Arc::clone(self.store.directory());
-            let dm = self.store.cluster.background_client();
-            self.store
-                .spawn_thread(std::thread::spawn(move || server.run(rpc_server, dm, d)));
-        }
+        self.store
+            .directory()
+            .publish(&server, self.store.cluster.background_client());
+        self.store.set_server(self.col, server);
         self.placement().finish();
         self.store.degraded.lock().retain(|c| *c != self.col);
         Ok(())

@@ -90,8 +90,8 @@ pub enum ServerReq {
         from_column: usize,
         /// Which block.
         block: BlockId,
-        /// Serialized record.
-        bytes: Vec<u8>,
+        /// Serialized record, shared with the sender's other replica.
+        bytes: std::sync::Arc<[u8]>,
     },
     /// Recovery: fetch everything this server replicates for `of_column`.
     GetMetaReplica {

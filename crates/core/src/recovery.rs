@@ -19,7 +19,7 @@ use aceso_blockalloc::{Allocator, BlockId, BlockRecord, CellKind, Role};
 use aceso_erasure::xor_into;
 use aceso_index::slot::slot_version;
 use aceso_index::{fingerprint, route_hash, SlotAtomic, SlotMeta};
-use aceso_rdma::{rpc_channel, DmClient, GlobalAddr};
+use aceso_rdma::{DmClient, GlobalAddr};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -352,15 +352,8 @@ pub fn recover_mn_with(
     report.scan_kv_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // ---- Publish: functionality is back (degraded reads). --------------
-    let (rpc_client, rpc_server) = rpc_channel();
-    dir.replace(col, node.id, rpc_client);
+    dir.publish(&server, store.cluster.background_client());
     store.set_server(col, Arc::clone(&server));
-    {
-        let s = Arc::clone(&server);
-        let d = Arc::clone(dir);
-        let dm2 = store.cluster.background_client();
-        store.spawn_thread(std::thread::spawn(move || s.run(rpc_server, dm2, d)));
-    }
     // Our left neighbour replicates into us: ask it to resend everything.
     let lcol = (col + n - 1) % n;
     let _ = dm.rpc(
@@ -903,7 +896,7 @@ fn scan_and_reapply(
         let fp = fingerprint(&key);
         let mut applied = false;
         let mut first_empty: Option<u64> = None;
-        let mut unverified: Option<u64> = None;
+        let mut unverified: Vec<u64> = Vec::new();
         'groups: for (g, c) in layout.buckets_for(&key) {
             for s in 0..aceso_index::layout::COMBINED_SLOTS {
                 let off = layout.slot_offset(g, c, s);
@@ -925,7 +918,9 @@ fn scan_and_reapply(
                 let Some(slot_key) = slot_key else {
                     // Unreadable target (an old block not restored until
                     // the Block tier): re-check once contents are back.
-                    unverified.get_or_insert(off);
+                    // Every such match, not just the first — another key
+                    // with this fingerprint may sit in front of ours.
+                    unverified.push(off);
                     continue;
                 };
                 if slot_key != key {
@@ -942,13 +937,11 @@ fn scan_and_reapply(
         if !applied {
             if let Some(off) = first_empty {
                 write_slot(region, off, fp, b.packed, b.sv, b.class);
-                if let Some(stale_off) = unverified {
-                    dups.push(UnverifiedDup {
-                        key,
-                        stale_off,
-                        new_sv: b.sv,
-                    });
-                }
+                dups.extend(unverified.into_iter().map(|stale_off| UnverifiedDup {
+                    key: key.clone(),
+                    stale_off,
+                    new_sv: b.sv,
+                }));
             }
         }
     }

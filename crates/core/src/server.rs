@@ -4,19 +4,22 @@
 //! Each MN runs one server handling space allocation, index checkpointing
 //! and erasure coding. The paper dedicates four MN CPU cores to RPC
 //! serving, erasure coding, checkpoint sending and checkpoint receiving;
-//! here one thread executes all four roles but *meters* them separately
-//! ([`BusyMeters`]), which is what Table 3 reports.
+//! here the server owns no thread at all: its endpoint
+//! ([`aceso_rdma::rpc`]) runs [`MnServer::handle`] on the calling thread
+//! under the endpoint's execution lock, so one server's handlers never
+//! overlap, and the four roles are *metered* separately ([`BusyMeters`]),
+//! which is what Table 3 reports.
 
 use crate::ckpt::{CkptReceiver, CkptReport, CkptSender};
 use crate::config::{pack_col, unpack_col, MemoryMap};
 use crate::proto::{ServerReq, ServerResp};
 use aceso_blockalloc::{Allocator, Bitmap, BlockId, BlockRecord, CellKind, Role};
 use aceso_index::RemoteIndex;
-use aceso_rdma::{DmClient, GlobalAddr, MemoryNode, NodeId, RpcClient, RpcServer};
+use aceso_rdma::{Cluster, DmClient, GlobalAddr, MemoryNode, NodeId, RpcClient, RpcHandler};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Column → (physical node, RPC endpoint) map, shared by clients, servers
@@ -26,11 +29,20 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// Creates a directory over the initial column assignment.
-    pub fn new(cols: Vec<(NodeId, RpcClient<ServerReq, ServerResp>)>) -> Self {
-        Directory {
-            inner: RwLock::new(cols),
-        }
+    /// Creates the directory of a launched group: one endpoint per server,
+    /// in column order, each with a background fabric client of its own.
+    pub fn serving(servers: &[Arc<MnServer>], cluster: &Arc<Cluster>) -> Arc<Self> {
+        Arc::new_cyclic(|dir| Directory {
+            inner: RwLock::new(
+                servers
+                    .iter()
+                    .map(|s| {
+                        let dm = cluster.background_client();
+                        (s.node.id, s.endpoint(dm, Weak::clone(dir)))
+                    })
+                    .collect(),
+            ),
+        })
     }
 
     /// Number of columns.
@@ -53,11 +65,40 @@ impl Directory {
         self.inner.read()[col].1.clone()
     }
 
-    /// Replaces a column's node + endpoint (recovery publishing step).
-    pub fn replace(&self, col: usize, node: NodeId, rpc: RpcClient<ServerReq, ServerResp>) {
-        self.inner.write()[col] = (node, rpc);
+    /// Points `server`'s column at its node and a fresh endpoint for it
+    /// (the publishing step of recovery and of an elastic move).
+    pub fn publish(self: &Arc<Self>, server: &Arc<MnServer>, dm: DmClient) {
+        let row = (server.node.id, server.endpoint(dm, Arc::downgrade(self)));
+        self.inner.write()[server.column] = row;
     }
 }
+
+/// What a column's endpoint runs: the server, its background fabric client
+/// and the directory it reaches its neighbours through. The directory is
+/// held weakly — it owns the endpoints, so a strong handle would keep
+/// store, directory, endpoints and servers alive in a cycle.
+struct Served {
+    server: Arc<MnServer>,
+    dm: DmClient,
+    dir: Weak<Directory>,
+}
+
+impl RpcHandler<ServerReq, ServerResp> for Served {
+    fn alive(&self) -> bool {
+        self.server.alive.load(Ordering::Acquire) && self.server.node.is_alive()
+    }
+
+    fn handle(&self, req: ServerReq) -> ServerResp {
+        match self.dir.upgrade() {
+            Some(dir) => self.server.handle(req, &self.dm, &dir),
+            None => ServerResp::Err("store is gone".into()),
+        }
+    }
+}
+
+/// One column's replicated Meta Area records: block → serialized record,
+/// the buffer shared with the sender and its other replica holder.
+pub type RecordReplicas = HashMap<BlockId, Arc<[u8]>>;
 
 /// Wall-clock busy time per logical MN core (paper Table 3).
 #[derive(Default)]
@@ -113,7 +154,7 @@ pub struct MigrationCtx {
     pub parity_moved: bool,
 }
 
-/// State of one MN server, shared between its thread, the store and the
+/// State of one MN server, shared between its endpoint, the store and the
 /// recovery orchestrator.
 pub struct MnServer {
     /// The column this server serves.
@@ -136,7 +177,7 @@ pub struct MnServer {
     /// Checkpoints held for other columns (receiver side).
     pub received: Mutex<HashMap<usize, CkptReceiver>>,
     /// Meta-Area replicas held for other columns.
-    pub meta_replicas: Mutex<HashMap<usize, HashMap<BlockId, Vec<u8>>>>,
+    pub meta_replicas: Mutex<HashMap<usize, RecordReplicas>>,
     /// Logical-core busy meters.
     pub meters: BusyMeters,
     /// Reclamation trigger: obsolete ratio threshold.
@@ -183,6 +224,20 @@ impl MnServer {
         Arc::new(s)
     }
 
+    /// Creates an endpoint that serves this server's requests on the
+    /// caller's thread; `dm` is the server's background fabric client.
+    fn endpoint(
+        self: &Arc<Self>,
+        dm: DmClient,
+        dir: Weak<Directory>,
+    ) -> RpcClient<ServerReq, ServerResp> {
+        RpcClient::serve(Served {
+            server: Arc::clone(self),
+            dm,
+            dir,
+        })
+    }
+
     /// Right-neighbour column (checkpoint + meta replica target).
     pub fn neighbour(&self) -> usize {
         (self.column + 1) % self.map.blocks.n
@@ -219,7 +274,13 @@ impl MnServer {
     /// copies are required to match the coding group's two-failure
     /// tolerance).
     fn persist_record(&self, dm: &DmClient, dir: &Directory, id: BlockId) {
-        let bytes = self.records.lock()[id as usize].encode();
+        let bytes = self.records.lock()[id as usize].encode().into();
+        self.persist_encoded(dm, dir, id, bytes);
+    }
+
+    /// [`MnServer::persist_record`] for a record the caller has already
+    /// serialized; the Meta Area and both replicas share the one buffer.
+    fn persist_encoded(&self, dm: &DmClient, dir: &Directory, id: BlockId, bytes: Arc<[u8]>) {
         self.node
             .region
             .write(self.map.blocks.record_offset(id), &bytes)
@@ -232,7 +293,7 @@ impl MnServer {
                 ServerReq::ReplicateRecord {
                     from_column: self.column,
                     block: id,
-                    bytes: bytes.clone(),
+                    bytes: Arc::clone(&bytes),
                 },
                 aceso_blockalloc::RECORD_BYTES as usize,
             );
@@ -241,9 +302,9 @@ impl MnServer {
 
     /// Handles one request. `dm` is this server's background fabric client.
     ///
-    /// The single server thread plays all four of the paper's MN cores;
-    /// time spent in erasure coding or checkpoint work is metered to those
-    /// roles and *excluded* from the RPC-serving meter.
+    /// The endpoint's execution lock plays all four of the paper's MN
+    /// cores; time spent in erasure coding or checkpoint work is metered to
+    /// those roles and *excluded* from the RPC-serving meter.
     pub fn handle(&self, req: ServerReq, dm: &DmClient, dir: &Directory) -> ServerResp {
         let t0 = Instant::now();
         let mut role_time = Duration::ZERO;
@@ -362,7 +423,7 @@ impl MnServer {
                     .meta_replicas
                     .lock()
                     .get(&of_column)
-                    .map(|m| m.iter().map(|(k, v)| (*k, v.clone())).collect())
+                    .map(|m| m.iter().map(|(k, v)| (*k, v.to_vec())).collect())
                     .unwrap_or_default(),
             },
             ServerReq::GetCheckpoint { of_column } => {
@@ -616,13 +677,14 @@ impl MnServer {
         // free space below threshold.
         let free_ratio = self.alloc.lock().free_data_ratio();
         for block in &touched {
-            let (ratio_ok, filled) = {
+            let (ratio_ok, filled, bytes) = {
                 let recs = self.records.lock();
                 let rec = &recs[*block as usize];
                 let slots = rec.slots(self.map.blocks.block_size).max(1);
                 (
                     rec.bitmap.count_ones() as f64 / slots as f64 >= self.reclaim_obsolete,
                     rec.index_version != 0,
+                    rec.encode().into(),
                 )
             };
             // Reuse is suppressed while the column migrates: reclamation
@@ -632,15 +694,15 @@ impl MnServer {
             {
                 self.alloc.lock().push_reuse_candidate(*block);
             }
-            self.persist_record(dm, dir, *block);
+            self.persist_encoded(dm, dir, *block, bytes);
         }
         ServerResp::Ok
     }
 
-    /// Copies block-area byte ranges onto the migration target. Running in
-    /// the server thread serializes the copy against every other
-    /// server-side mutation; concurrent *client* writes are excluded by
-    /// the epoch fences the migrator installs first.
+    /// Copies block-area byte ranges onto the migration target. Running
+    /// under the endpoint's execution lock serializes the copy against
+    /// every other server-side mutation; concurrent *client* writes are
+    /// excluded by the epoch fences the migrator installs first.
     fn handle_migrate_batch(&self, ranges: &[(u64, usize)]) -> ServerResp {
         let g = self.migration.lock();
         let Some(ctx) = g.as_ref() else {
@@ -763,25 +825,5 @@ impl MnServer {
             apply_xor_us,
             index_version: iv,
         })
-    }
-
-    /// The server thread body: serve RPCs until killed or shut down.
-    pub fn run(
-        self: Arc<Self>,
-        rpc: RpcServer<ServerReq, ServerResp>,
-        dm: DmClient,
-        dir: Arc<Directory>,
-    ) {
-        while self.alive.load(Ordering::Acquire) && self.node.is_alive() {
-            match rpc.recv_timeout(Duration::from_millis(20)) {
-                Ok(env) => {
-                    let (req, responder) = env.into_parts();
-                    let resp = self.handle(req, &dm, &dir);
-                    responder.send(resp);
-                }
-                Err(aceso_rdma::RdmaError::RpcTimeout) => continue,
-                Err(_) => break,
-            }
-        }
     }
 }

@@ -10,7 +10,7 @@ use crate::server::{Directory, MnServer};
 use crate::{Result, StoreError};
 use aceso_blockalloc::Role;
 use aceso_obs::Obs;
-use aceso_rdma::{rpc_channel, Cluster, ClusterConfig, DmClient};
+use aceso_rdma::{Cluster, ClusterConfig, DmClient};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -46,7 +46,8 @@ pub struct AcesoStore {
     pub map: MemoryMap,
     dir: Arc<Directory>,
     servers: Mutex<Vec<Arc<MnServer>>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// The optional auto-checkpoint loop: the only thread a store starts.
+    ckpt_thread: Mutex<Option<JoinHandle<()>>>,
     next_cli: AtomicU32,
     running: Arc<AtomicBool>,
     ctl: DmClient,
@@ -76,30 +77,21 @@ impl AcesoStore {
             region_len: map.region_len,
             cost: cfg.cost,
         });
-        let mut servers = Vec::new();
-        let mut rpc_servers = Vec::new();
-        let mut dir_rows = Vec::new();
-        for (col, node) in cluster.nodes().into_iter().enumerate() {
-            let (rpc_client, rpc_server) = rpc_channel::<ServerReq, ServerResp>();
-            let server = MnServer::new(
-                col,
-                node,
-                map,
-                cfg.reclaim_obsolete_ratio,
-                cfg.reclaim_free_ratio,
-            );
-            dir_rows.push((server.node.id, rpc_client));
-            rpc_servers.push(rpc_server);
-            servers.push(server);
-        }
-        let dir = Arc::new(Directory::new(dir_rows));
-        let mut threads = Vec::new();
-        for (server, rpc_server) in servers.iter().zip(rpc_servers) {
-            let s = Arc::clone(server);
-            let d = Arc::clone(&dir);
-            let dm = cluster.background_client();
-            threads.push(std::thread::spawn(move || s.run(rpc_server, dm, d)));
-        }
+        let servers: Vec<_> = cluster
+            .nodes()
+            .into_iter()
+            .enumerate()
+            .map(|(col, node)| {
+                MnServer::new(
+                    col,
+                    node,
+                    map,
+                    cfg.reclaim_obsolete_ratio,
+                    cfg.reclaim_free_ratio,
+                )
+            })
+            .collect();
+        let dir = Directory::serving(&servers, &cluster);
         let store = Arc::new(AcesoStore {
             ctl: cluster.background_client(),
             placement: Arc::new(PlacementMap::new(cluster.master.view().epoch)),
@@ -108,7 +100,7 @@ impl AcesoStore {
             map,
             dir,
             servers: Mutex::new(servers),
-            threads: Mutex::new(threads),
+            ckpt_thread: Mutex::new(None),
             next_cli: AtomicU32::new(1),
             running: Arc::new(AtomicBool::new(true)),
             pending_parity: Mutex::new(Vec::new()),
@@ -119,7 +111,7 @@ impl AcesoStore {
             let weak = Arc::downgrade(&store);
             let running = Arc::clone(&store.running);
             let interval = std::time::Duration::from_millis(cfg.ckpt_interval_ms.max(1));
-            store.threads.lock().push(std::thread::spawn(move || {
+            *store.ckpt_thread.lock() = Some(std::thread::spawn(move || {
                 while running.load(Ordering::Acquire) {
                     std::thread::sleep(interval);
                     let Some(store) = weak.upgrade() else { break };
@@ -204,10 +196,6 @@ impl AcesoStore {
 
     pub(crate) fn set_server(&self, col: usize, server: Arc<MnServer>) {
         self.servers.lock()[col] = server;
-    }
-
-    pub(crate) fn spawn_thread(&self, t: JoinHandle<()>) {
-        self.threads.lock().push(t);
     }
 
     pub(crate) fn ctl_dm(&self) -> &DmClient {
@@ -302,15 +290,15 @@ impl AcesoStore {
         usage
     }
 
-    /// Stops background threads and servers; the memory pool itself remains
-    /// readable for post-mortem inspection.
+    /// Stops the servers and the auto-checkpoint loop; the memory pool
+    /// itself remains readable for post-mortem inspection.
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::Release);
         for s in self.servers.lock().iter() {
             s.alive.store(false, Ordering::Release);
         }
-        let threads: Vec<_> = self.threads.lock().drain(..).collect();
-        for t in threads {
+        let ckpt_thread = self.ckpt_thread.lock().take();
+        if let Some(t) = ckpt_thread {
             let _ = t.join();
         }
     }

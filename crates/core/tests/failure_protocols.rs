@@ -422,3 +422,98 @@ fn two_crashed_clients_recover() {
     assert_eq!(rb.search(b"two-b").unwrap().as_deref(), Some(&b"vb"[..]));
     store.shutdown();
 }
+
+/// One seeded history for defect 2 of `benchmark/README.md`: updates land
+/// *after* the last checkpoint round, an MN dies, `recover_mn` brings it
+/// back, and every key must read back at the model's version with a clean
+/// scrub — once per column, on a store small enough that reclamation
+/// reuses blocks along the way. Returns what went wrong.
+fn resurfacing_history(seed: u64) -> Vec<String> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const KEYS: u32 = 12_000;
+    let value = |k: u32, version: u32| format!("k{k}-v{version}-{}", "x".repeat(40)).into_bytes();
+    let key = |k: u32| format!("dup-{seed:x}-{k}").into_bytes();
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let store = small();
+    let mut versions = vec![0u32; KEYS as usize];
+    let mut loader = store.client().unwrap();
+    for k in 0..KEYS {
+        loader.insert(&key(k), &value(k, 0)).unwrap();
+    }
+    loader.close_open_blocks().unwrap();
+    drop(loader);
+    // The history writes more slots than the Block Area holds, so it only
+    // completes because reclamation hands obsolete blocks out again.
+    let slots_per_block = {
+        let server = store.server(0);
+        let recs = server.records.lock();
+        let data = recs.iter().find(|r| r.role == aceso_blockalloc::Role::Data);
+        data.expect("a loaded block")
+            .slots(store.map.blocks.block_size) as u64
+    };
+    let n = store.cfg.num_mns as u64;
+    let capacity = store.cfg.num_arrays * (n - 2) * n * slots_per_block;
+    assert!(u64::from(KEYS) * (1 + n) > capacity, "no reclamation");
+
+    let mut errors = Vec::new();
+    for col in 0..store.cfg.num_mns {
+        // A burst before the round and one after it: the second is what
+        // the checkpoint does not know and the block scan must reapply.
+        for after_round in [false, true] {
+            let mut writer = store.client().unwrap();
+            for _ in 0..KEYS / 2 {
+                let k = rng.gen_range(0..KEYS);
+                versions[k as usize] += 1;
+                writer
+                    .update(&key(k), &value(k, versions[k as usize]))
+                    .unwrap();
+            }
+            writer.flush_bitmaps().unwrap();
+            writer.close_open_blocks().unwrap();
+            if !after_round {
+                store.checkpoint_tick().unwrap();
+            }
+        }
+        assert!(store.kill_mn(col));
+        recover_mn(&store, col).unwrap();
+
+        let mut reader = store.client().unwrap();
+        for k in 0..KEYS {
+            let want = value(k, versions[k as usize]);
+            match reader.search(&key(k)) {
+                Ok(Some(got)) if got == want => {}
+                other => errors.push(format!(
+                    "column {col}: key {k} at version {} read back as {:?}",
+                    versions[k as usize],
+                    other
+                        .map(|v| v
+                            .map(|v| String::from_utf8_lossy(&v[..v.len().min(16)]).into_owned()))
+                )),
+            }
+        }
+        let report = aceso_core::scrub(&store).unwrap();
+        if !report.is_clean() {
+            errors.push(format!("column {col}: scrub {:?}", report.mismatches));
+        }
+    }
+    store.shutdown();
+    errors
+}
+
+/// `recover_mn` must not resurface a key's previous version (defect 2 of
+/// `benchmark/README.md`): `scan_and_reapply` used to remember only the
+/// *first* fingerprint match it could not verify, so with two such
+/// matches in a key's buckets the stale slot survived beside the fresh
+/// one.
+#[test]
+fn recover_mn_does_not_resurface_previous_versions() {
+    // Both seeds fail at the parent of the fix (one stale key each, found
+    // in a search of seeds 0..12; 0..40 are clean with the fix).
+    for seed in [6, 9] {
+        let errors = resurfacing_history(seed);
+        assert!(errors.is_empty(), "seed {seed}: {errors:#?}");
+    }
+}

@@ -4,7 +4,8 @@
 use aceso_blockalloc::{BlockRecord, Role};
 use aceso_core::config::unpack_col;
 use aceso_core::proto::{ServerReq, ServerResp};
-use aceso_core::{AcesoConfig, AcesoStore};
+use aceso_core::{AcesoConfig, AcesoStore, StoreError};
+use aceso_rdma::{FaultAction, FaultPlan, FaultRule, RdmaError, VerbKind};
 use std::sync::Arc;
 
 fn store() -> Arc<AcesoStore> {
@@ -302,22 +303,27 @@ fn meta_replication_lands_on_two_neighbours() {
     ) else {
         panic!()
     };
-    // Replication is asynchronous (fire-and-forget cast): give the server
-    // threads a moment to drain.
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    // Replication is a fire-and-forget cast, but an idle neighbour's
+    // endpoint handles it in place: the replicas are there by the time
+    // the `AllocData` call has returned. Looked up in the neighbours'
+    // state, not over RPC — a call would drain their inboxes first.
     for neighbour in [4usize, 0] {
-        let ServerResp::MetaReplica { records } = rpc(
-            &store,
-            neighbour,
-            ServerReq::GetMetaReplica { of_column: 3 },
-        ) else {
-            panic!()
-        };
-        assert!(
-            records.iter().any(|(id, _)| *id == block),
-            "column {neighbour} should replicate column 3's record for block {block}"
-        );
+        let server = store.server(neighbour);
+        let replicas = server.meta_replicas.lock();
+        let bytes = replicas.get(&3).and_then(|m| m.get(&block));
+        let bytes = bytes.unwrap_or_else(|| {
+            panic!("column {neighbour} should replicate column 3's record for block {block}")
+        });
+        let rec = BlockRecord::decode(bytes, store.map.blocks.block_size);
+        assert_eq!((rec.role, rec.cli_id), (Role::Data, 2));
     }
+    // And recovery's fetch serves the same bytes.
+    let ServerResp::MetaReplica { records } =
+        rpc(&store, 4, ServerReq::GetMetaReplica { of_column: 3 })
+    else {
+        panic!()
+    };
+    assert!(records.iter().any(|(id, _)| *id == block));
     store.shutdown();
 }
 
@@ -358,5 +364,54 @@ fn query_client_blocks_filters_by_owner_and_fill() {
         panic!()
     };
     assert!(list.is_empty());
+    store.shutdown();
+}
+
+/// An MN that dies between two RPCs of a client's block close: the RPC
+/// that reached it ran to completion, the next one to that column fails
+/// with `NodeUnreachable` (the error the chaos cells write a blocked
+/// client off on), and the dead server's endpoint answers `RpcClosed`
+/// without running its handler.
+#[test]
+fn kill_between_rpcs_of_a_close_surfaces_as_node_unreachable() {
+    let store = store();
+    let mut client = store.client().unwrap();
+    client.insert(b"closing", b"value").unwrap();
+    // The close's first RPC is `DataFilled` to the open block's column:
+    // it executes, then that node fail-stops. The two `EncodeDelta`s go to
+    // other columns; the tail-slot `BitmapFlush` goes back to the dead one.
+    client
+        .dm
+        .install_fault_plan(FaultPlan::with_rules(vec![FaultRule::new(
+            FaultAction::KillNode,
+        )
+        .on_kind(VerbKind::Rpc)]));
+    let err = client.close_open_blocks().unwrap_err();
+    let StoreError::Rdma(RdmaError::NodeUnreachable(dead)) = err else {
+        panic!("unexpected error: {err}");
+    };
+    let col = (0..store.cfg.num_mns)
+        .find(|&c| store.directory().node_of(c) == dead)
+        .expect("a column of the group died");
+
+    let server = store.server(col);
+    let filled = server
+        .records
+        .lock()
+        .iter()
+        .any(|r| r.role == Role::Data && r.cli_id == client.id() && r.index_version != 0);
+    assert!(filled, "DataFilled must have run before the kill");
+
+    let busy = server.meters.snapshot();
+    let endpoint = store.directory().rpc_of(col);
+    assert!(matches!(
+        endpoint.call(ServerReq::ListDataBlocks),
+        Err(RdmaError::RpcClosed)
+    ));
+    assert_eq!(
+        server.meters.snapshot(),
+        busy,
+        "a dead server ran a handler"
+    );
     store.shutdown();
 }

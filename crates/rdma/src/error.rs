@@ -42,10 +42,8 @@ pub enum RdmaError {
         /// The misaligned byte offset.
         offset: u64,
     },
-    /// The RPC server side has shut down.
+    /// The RPC endpoint's server (or its node) is dead.
     RpcClosed,
-    /// The RPC call timed out (used by lease/membership machinery).
-    RpcTimeout,
     /// An installed [`crate::FaultPlan`] failed this verb. Unlike
     /// `NodeUnreachable` (which clients retry across recovery), an injected
     /// failure propagates, standing in for a client that crashed at this
@@ -87,7 +85,6 @@ impl fmt::Display for RdmaError {
                 write!(f, "{verb} on {node} targets misaligned word {offset:#x}")
             }
             RdmaError::RpcClosed => write!(f, "rpc endpoint closed"),
-            RdmaError::RpcTimeout => write!(f, "rpc timed out"),
             RdmaError::Injected { verb, node } => {
                 write!(f, "injected fault on {verb} to {node}")
             }

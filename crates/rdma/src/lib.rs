@@ -18,8 +18,8 @@
 //! The crate additionally provides the surrounding datacenter scaffolding the
 //! paper assumes: a [`cluster::Cluster`] of memory nodes, a lease-based
 //! [`master::Master`] membership service that notifies clients of fail-stop
-//! crashes, failure injection, and a typed RPC transport standing in for
-//! RDMA UD send/recv.
+//! crashes, failure injection, and typed caller-runs RPC endpoints standing in
+//! for RDMA UD send/recv.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,8 +45,7 @@ pub use error::{RdmaError, Result};
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultSite, FiredFault, VerbKind};
 pub use master::{FailureEvent, Master, MembershipView};
 pub use region::Region;
-pub use rpc::rpc_channel;
-pub use rpc::{Responder, RpcClient, RpcServer};
+pub use rpc::{RpcClient, RpcHandler};
 pub use stats::{OpKind, OpRecord, OpStats, VerbCounters};
 pub use trace::{TraceEvent, TraceOp, TraceSink, VecSink};
 pub use verbs::{DmClient, WriteBatch};

@@ -6,9 +6,9 @@
 //! (state-machine replication) is out of scope, as in the paper.
 
 use crate::addr::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// A membership change broadcast to subscribers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -114,7 +114,7 @@ impl Master {
     /// Events that occurred before the subscription are not replayed; callers
     /// should reconcile against [`Master::view`] after subscribing.
     pub fn subscribe(&self) -> Receiver<FailureEvent> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.inner.lock().subscribers.push(tx);
         rx
     }

@@ -17,10 +17,11 @@
 //!   so any READ overlapping a sync word acquires that word's clock — this
 //!   is exactly how clients observe a committed slot before dereferencing
 //!   it.
-//! * **RPC request/reply.** Each node's server thread handles RPCs
-//!   serially; an RPC verb acquires+releases a per-node sync variable
-//!   (orders block hand-offs: the old owner's `DataFilled` precedes the
-//!   next owner's `AllocData`).
+//! * **RPC request/reply.** Each node's server handles RPCs serially
+//!   (under its endpoint's execution lock, on the caller's thread); an
+//!   RPC verb acquires+releases a per-node sync variable (orders block
+//!   hand-offs: the old owner's `DataFilled` precedes the next owner's
+//!   `AllocData`).
 //! * **Recovery barriers.** A [`TraceOp::Barrier`] event joins every known
 //!   client clock into a global barrier clock and back — the harness emits
 //!   one at phase boundaries (crash → recovery → verification), where the

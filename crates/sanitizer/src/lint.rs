@@ -15,7 +15,9 @@
 //!   `ElasticStep` migrator boundary has kill coverage in the
 //!   `chaos elastic` axis, and every `.settle().await` suspension point
 //!   in the async client is inventoried in the model checker's step
-//!   table (so `chaos explore` never silently under-explores).
+//!   table (so `chaos explore` never silently under-explores), and the
+//!   store and the fabric start no thread beyond the two inventoried
+//!   sites (MN servers run on their callers' threads).
 //!
 //! The `#[test]`s at the bottom make `cargo test` the lint driver; `chaos
 //! analyze` runs [`run_all`] too so the CI line exercises them.
@@ -442,6 +444,76 @@ pub fn lint_settle_coverage() -> Vec<String> {
     v
 }
 
+/// The only places non-test code of `crates/core/src` and
+/// `crates/rdma/src` may start a thread: `(file, pattern, occurrences)`.
+const THREAD_SITES: &[(&str, &str, usize)] = &[
+    // The optional auto-checkpoint loop.
+    ("crates/core/src/store.rs", "thread::spawn", 1),
+    // Recovery's scoped block readers (joined before the call returns).
+    ("crates/core/src/recovery.rs", "thread::scope", 1),
+];
+
+/// Thread-starting calls outside comments in the non-test part of `src`
+/// (everything before its `#[cfg(test)]` module), as `(pattern, count)`.
+fn thread_starts(src: &str) -> Vec<(&'static str, usize)> {
+    let code = src.split("#[cfg(test)]").next().unwrap_or(src);
+    ["thread::spawn", "thread::scope", "thread::Builder"]
+        .into_iter()
+        .map(|pat| {
+            let n = code
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .map(|l| l.matches(pat).count())
+                .sum();
+            (pat, n)
+        })
+        .filter(|&(_, n)| n != 0)
+        .collect()
+}
+
+/// Source lint: the store and the fabric stay thread-free. MN servers are
+/// caller-runs endpoints (`aceso_rdma::rpc`), so what a store does is a
+/// function of its driver's schedule; a `thread::spawn` creeping back
+/// into `crates/core/src` or `crates/rdma/src` would make cast delivery,
+/// chaos reports and host timings depend on the OS scheduler again. Only
+/// the sites in `THREAD_SITES` are allowed.
+pub fn lint_thread_free() -> Vec<String> {
+    let mut v = Vec::new();
+    for dir in ["crates/core/src", "crates/rdma/src"] {
+        let entries = match std::fs::read_dir(workspace_root().join(dir)) {
+            Ok(e) => e,
+            Err(e) => {
+                v.push(format!("source lint cannot list {dir}: {e}"));
+                continue;
+            }
+        };
+        let mut files: Vec<String> = entries
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|f| f.ends_with(".rs"))
+            .collect();
+        files.sort();
+        for file in files {
+            let rel = format!("{dir}/{file}");
+            let Some(src) = read_source(&mut v, &rel) else {
+                continue;
+            };
+            for (pat, n) in thread_starts(&src) {
+                let allowed = THREAD_SITES
+                    .iter()
+                    .find(|(f, p, _)| *f == rel && *p == pat)
+                    .map_or(0, |s| s.2);
+                if n > allowed {
+                    v.push(format!(
+                        "{rel} starts threads: {n} x `{pat}` in non-test code, {allowed} allowed \
+                         (MN servers run on the caller's thread; see aceso_rdma::rpc)"
+                    ));
+                }
+            }
+        }
+    }
+    v
+}
+
 /// Runs every lint; empty result = the protocol invariants hold.
 pub fn run_all() -> Vec<String> {
     let mut v = Vec::new();
@@ -454,6 +526,7 @@ pub fn run_all() -> Vec<String> {
     v.extend(lint_remote_index_literals());
     v.extend(lint_elastic_steps());
     v.extend(lint_settle_coverage());
+    v.extend(lint_thread_free());
     v
 }
 
@@ -504,6 +577,24 @@ mod tests {
     #[test]
     fn settle_sites_are_inventoried() {
         assert_eq!(lint_settle_coverage(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn store_and_fabric_start_no_threads() {
+        assert_eq!(lint_thread_free(), Vec::<String>::new());
+    }
+
+    /// The thread scanner skips comments and the test module.
+    #[test]
+    fn thread_scanner_reads_non_test_code_only() {
+        let src = "// std::thread::spawn in a comment\n\
+                   fn a() { std::thread::spawn(|| ()); thread::scope(|_| ()); }\n\
+                   #[cfg(test)]\n\
+                   mod tests { fn b() { std::thread::spawn(|| ()); } }\n";
+        assert_eq!(
+            thread_starts(src),
+            vec![("thread::spawn", 1), ("thread::scope", 1)]
+        );
     }
 
     /// The tokenizer handles both single-line and multi-line table rows.
