@@ -131,7 +131,6 @@ pub fn fig13(scale: BenchScale) -> FigureOutput {
         "Factor analysis (Mops): ORIGIN → +SLOT → +CKPT → +CACHE\nstep    |  UPDATE |  SEARCH\n",
     );
     let value_cache = ClientTuning {
-        use_cache: true,
         cache_slot_addr: false,
         ..ClientTuning::default()
     };

@@ -160,15 +160,12 @@ pub fn unpack_col(packed: u64) -> (usize, u64) {
 /// Per-client feature switches, used by the factor analysis (Figure 13).
 #[derive(Clone, Copy, Debug)]
 pub struct ClientTuning {
-    /// Keep a local index cache at all.
-    pub use_cache: bool,
     /// Cache the slot *address* in addition to its value, enabling the
     /// validate-by-reread fast path (§3.5.1, the `+CACHE` step).
     pub cache_slot_addr: bool,
     /// Bound on the per-client index cache (entries). Eviction is CLOCK /
     /// second-chance over a deterministic BTreeMap (see
-    /// [`crate::cache::IndexCache`]); 0 disables caching even when
-    /// `use_cache` is set.
+    /// [`crate::cache::IndexCache`]); 0 disables caching altogether.
     pub cache_capacity: usize,
     /// Commit retry budget before reporting `RetriesExhausted`.
     pub max_retries: usize,
@@ -181,7 +178,6 @@ pub struct ClientTuning {
 impl Default for ClientTuning {
     fn default() -> Self {
         ClientTuning {
-            use_cache: true,
             cache_slot_addr: true,
             cache_capacity: 4096,
             max_retries: 10_000,

@@ -73,7 +73,7 @@ fn cache_stays_bounded_under_churn() {
 /// deferred into the redo batch. An injected fault fails the redo batch
 /// at its first invalidation write, and a second injected fault fails
 /// the end-of-op `flush_invals` drain too. Both paths used to drop the
-/// taken queue (`write_kv`/`redo_pipelined` restored it only on epoch
+/// taken queue (the write batches restored it only on epoch
 /// fences; `flush_invals` never restored it) — the orphan then stayed a
 /// decodable, valid-versioned KV forever. With the queue restored, the
 /// next successful batch carries the stamps for free.

@@ -306,7 +306,6 @@ fn auto_checkpoint_loop() {
 fn value_only_cache_is_correct() {
     let store = small();
     let tuning = ClientTuning {
-        use_cache: true,
         cache_slot_addr: false,
         ..ClientTuning::default()
     };
@@ -327,8 +326,7 @@ fn value_only_cache_is_correct() {
 fn no_cache_tuning_is_correct() {
     let store = small();
     let tuning = ClientTuning {
-        use_cache: false,
-        cache_slot_addr: false,
+        cache_capacity: 0,
         ..ClientTuning::default()
     };
     let mut c = store.client_with(tuning).unwrap();
@@ -336,6 +334,7 @@ fn no_cache_tuning_is_correct() {
     assert_eq!(c.search(b"nc").unwrap().as_deref(), Some(&b"v1"[..]));
     c.update(b"nc", b"v2").unwrap();
     assert_eq!(c.search(b"nc").unwrap().as_deref(), Some(&b"v2"[..]));
+    assert_eq!(c.cache_len(), 0, "capacity 0 must never fill");
     store.shutdown();
 }
 

@@ -42,5 +42,5 @@ pub mod wgl;
 pub use exec::{run, CrashSpec, RunResult};
 pub use explore::{explore, ExploreStats, ScenarioReport, Violation};
 pub use scenario::{baseline_scenarios, model_config, mutation_scenarios, Scenario, ScriptOp};
-pub use step_table::{check_step_table, count_settle_sites, STEP_TABLE};
+pub use step_table::{check_step_table, STEP_TABLE};
 pub use wgl::{check_key, KeyOp, KeyOpKind};

@@ -1,119 +1,66 @@
 //! The explorer's step table: every suspension point of the async client.
 //!
 //! The bounded checker's scheduling granularity is `DmClient::settle` —
-//! each `.settle().await` in `aceso-core/src/client.rs` is one point
+//! each `.settle().await` under `aceso-core/src/client/` is one point
 //! where a coroutine client suspends at a fabric round trip, i.e. one
 //! place the explorer can reorder deliveries or inject a crash. This
 //! table pins the full inventory, per client function, so the explored
 //! step space is an explicit reviewed artifact: adding or removing a
 //! suspension point without updating the table fails
 //! [`check_step_table`] (run by `chaos explore --ci`) *and* the
-//! sanitizer's mirror lint (`aceso-san::lint::lint_settle_coverage`,
-//! run by `chaos analyze --ci`), which parses this file from source.
+//! sanitizer's lint (`aceso-san::lint::lint_settle_coverage`, run by
+//! `chaos analyze --ci`), which parses this file from source. Both go
+//! through the sanitizer's one scanner
+//! (`aceso_san::lint::check_settle_table`), which walks every module file
+//! of the client.
 
-/// `(function, settle_sites, what suspends there)` for every function in
-/// `crates/core/src/client.rs` containing a `.settle().await`.
+/// `(function, settle_sites, what suspends there)` for every function
+/// under `crates/core/src/client/` containing a `.settle().await`.
 pub const STEP_TABLE: &[(&str, usize, &str)] = &[
-    ("classify_kv_read", 1, "degraded-read classification fetch"),
-    ("commit_insert", 4, "bucket read, kv write, commit CAS, dup unwind"),
+    // mod.rs — the API wrappers and the write retry loop.
+    ("delete_async", 1, "latency an early exit left unsettled (error path, backoff)"),
+    ("insert_async", 1, "latency an early exit left unsettled (error path, backoff)"),
+    ("search_async", 1, "latency an early exit left unsettled (error path, backoff)"),
+    ("update_async", 1, "latency an early exit left unsettled (error path, backoff)"),
+    ("upsert", 1, "trailing flush of invalidations no write batch carried"),
+    // locate.rs — key to slot.
+    ("locate_slot", 2, "cached-slot re-read; two-bucket scan"),
+    ("verify_kv", 2, "candidate KV read; parity-chain reconstruction"),
+    // commit.rs — the commit machine.
     (
-        "commit_update",
-        9,
-        "meta lock probe loop, rollover lock CAS, in-place write, commit CAS",
+        "commit",
+        3,
+        "Meta unlock CAS; Meta length write; bitmap-flush RPC when due",
     ),
+    ("enter_bracket", 2, "lock probe slot read (x50); Meta lock CAS"),
     (
-        "commit_update_pipelined",
+        "publish",
         4,
-        "speculative kv write, commit CAS, speculation-lost refetch",
+        "slot reservation (block open/close RPCs); pre-NotFound invalidation flush;          commit CAS; in-bracket invalidation flush after a lost CAS",
     ),
-    ("delete_async", 1, "tombstone commit round trip"),
-    ("fetch_kv_degraded", 1, "parity-decode sibling reads"),
-    ("flush_deferred_deltas", 1, "deferred delta write batch"),
-    ("insert_async", 1, "slot readback verify"),
-    ("locate_slot", 2, "bucket group read, stale-route retry"),
-    ("read_and_verify", 1, "kv block read"),
-    ("redo_pipelined", 6, "pipelined redo: refetch, kv write, commit CAS"),
-    ("search_async", 1, "bucket + kv read"),
-    ("search_candidates", 1, "candidate slot reads"),
-    ("search_query", 1, "query round trip"),
-    ("search_value_cache", 1, "cached-value revalidation read"),
-    ("search_via_cache", 1, "cached-slot revalidation read"),
-    ("unwind_fenced_place", 1, "fence rollback write"),
-    ("update_async", 1, "slot readback verify"),
-    ("upsert", 1, "insert-or-update dispatch read"),
-    ("verify_kv", 2, "kv reread, checksum refetch"),
-    ("write_kv", 1, "kv + delta write batch"),
+    (
+        "write_batch",
+        1,
+        "piggyback read + queued invalidations + KV + 2 delta writes",
+    ),
+    ("flush_deferred_deltas", 1, "mutation-held delta write batch"),
+    ("unwind_fenced_place", 1, "fence rollback write batch"),
+    // search.rs — the read path.
+    ("search_via_cache", 1, "cached KV read + slot re-read batch"),
+    ("search_value_cache", 1, "cached KV read + two-bucket scan batch"),
+    ("search_query", 1, "two-bucket scan"),
+    ("search_candidates", 1, "batched candidate KV reads"),
+    ("read_and_verify", 1, "candidate KV read"),
+    ("classify_kv_read", 1, "full-length re-read of a truncated KV"),
+    ("fetch_kv_degraded", 1, "parity-chain reconstruction"),
 ];
 
-/// Scans `crates/core/src/client.rs` and reports every drift between the
-/// real `.settle().await` sites and [`STEP_TABLE`]: a function added,
-/// removed, or whose site count changed. Empty = the explored step space
-/// matches the code.
+/// Scans the client source and reports every drift between the real
+/// `.settle().await` sites and [`STEP_TABLE`]: a function added, removed,
+/// or whose site count changed. Empty = the explored step space matches
+/// the code.
 pub fn check_step_table() -> Vec<String> {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../core/src/client.rs"
-    );
-    let src = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => return vec![format!("step table: cannot read {path}: {e}")],
-    };
-    let actual = count_settle_sites(&src);
-    let mut problems = Vec::new();
-    for &(name, sites, _) in STEP_TABLE {
-        match actual.get(name) {
-            None => problems.push(format!(
-                "step table: `{name}` listed with {sites} sites but has no .settle().await"
-            )),
-            Some(&n) if n != sites => problems.push(format!(
-                "step table: `{name}` lists {sites} sites, source has {n}"
-            )),
-            Some(_) => {}
-        }
-    }
-    for (name, n) in &actual {
-        if !STEP_TABLE.iter().any(|&(t, _, _)| t == *name) {
-            problems.push(format!(
-                "step table: `{name}` has {n} .settle().await site(s) but is not in STEP_TABLE"
-            ));
-        }
-    }
-    problems
-}
-
-/// Counts `.settle().await` occurrences per enclosing `fn` in client
-/// source text. Line-based, like the sanitizer's lints: a line declaring
-/// `fn name(` switches the current function.
-pub fn count_settle_sites(src: &str) -> std::collections::BTreeMap<String, usize> {
-    let mut counts = std::collections::BTreeMap::new();
-    let mut cur: Option<String> = None;
-    for line in src.lines() {
-        let t = line.trim_start();
-        if let Some(name) = fn_decl_name(t) {
-            cur = Some(name);
-        }
-        if line.contains(".settle().await") {
-            let name = cur.clone().unwrap_or_else(|| "<toplevel>".to_string());
-            *counts.entry(name).or_insert(0) += 1;
-        }
-    }
-    counts
-}
-
-/// `Some(name)` when the trimmed line declares a function.
-fn fn_decl_name(t: &str) -> Option<String> {
-    let mut rest = t;
-    for prefix in ["pub(crate) ", "pub ", "async "] {
-        rest = rest.strip_prefix(prefix).unwrap_or(rest);
-    }
-    // A second pass picks up `pub async fn`.
-    rest = rest.strip_prefix("async ").unwrap_or(rest);
-    let rest = rest.strip_prefix("fn ")?;
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    (!name.is_empty()).then_some(name)
+    aceso_san::lint::check_settle_table(STEP_TABLE.iter().map(|&(name, sites, _)| (name, sites)))
 }
 
 #[cfg(test)]
@@ -126,27 +73,6 @@ mod tests {
     fn step_table_matches_source() {
         let problems = check_step_table();
         assert!(problems.is_empty(), "{problems:#?}");
-    }
-
-    /// The scanner attributes sites to the right functions.
-    #[test]
-    fn scanner_attributes_sites() {
-        let src = "\
-impl Foo {
-    pub async fn alpha(&self) {
-        self.dm.settle().await;
-        self.dm.settle().await;
-    }
-    fn beta() {}
-    async fn gamma(&self) {
-        self.dm.settle().await;
-    }
-}
-";
-        let counts = count_settle_sites(src);
-        assert_eq!(counts.get("alpha"), Some(&2));
-        assert_eq!(counts.get("beta"), None);
-        assert_eq!(counts.get("gamma"), Some(&1));
     }
 
     /// Every table entry names a distinct function (no duplicate rows).

@@ -52,6 +52,35 @@ fn read_source(violations: &mut Vec<String>, rel: &str) -> Option<String> {
     }
 }
 
+/// Reads every `.rs` file directly under `dir` as `(workspace-relative
+/// path, source)`, in file-name order.
+fn read_sources(violations: &mut Vec<String>, dir: &str) -> Vec<(String, String)> {
+    let entries = match std::fs::read_dir(workspace_root().join(dir)) {
+        Ok(e) => e,
+        Err(e) => {
+            violations.push(format!("source lint cannot list {dir}: {e}"));
+            return Vec::new();
+        }
+    };
+    let mut files: Vec<String> = entries
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|f| f.ends_with(".rs"))
+        .collect();
+    files.sort();
+    files
+        .into_iter()
+        .filter_map(|file| {
+            let rel = format!("{dir}/{file}");
+            let src = read_source(violations, &rel)?;
+            Some((rel, src))
+        })
+        .collect()
+}
+
+/// The async client: one module per layer, all of them scanned by the
+/// crash-point and settle-site lints.
+const CLIENT_DIR: &str = "crates/core/src/client";
+
 /// Index layout: constants mutually consistent, every atomic word aligned.
 pub fn lint_index_layout() -> Vec<String> {
     let mut v = Vec::new();
@@ -207,21 +236,23 @@ pub fn lint_pack48() -> Vec<String> {
     v
 }
 
-/// Source lint: every `CrashPoint` variant declared in `core/client.rs`
-/// must appear in `CrashPoint::ALL` and be wired to at least one protocol
-/// site (a `maybe_crash`/comparison use beyond the declaration itself).
+/// Source lint: every `CrashPoint` variant declared in the client
+/// (`core/client/mod.rs`) must appear in `CrashPoint::ALL` and be wired to
+/// at least one protocol site in some client module (a
+/// `maybe_crash`/comparison use beyond the declaration itself).
 pub fn lint_crash_points() -> Vec<String> {
     let mut v = Vec::new();
-    let Some(src) = read_source(&mut v, "crates/core/src/client.rs") else {
-        return v;
-    };
+    let src: String = read_sources(&mut v, CLIENT_DIR)
+        .into_iter()
+        .map(|(_, src)| src)
+        .collect();
     // Parse the enum declaration's variant names.
     let Some(decl) = src
         .split("pub enum CrashPoint {")
         .nth(1)
         .and_then(|rest| rest.split('}').next())
     else {
-        v.push("cannot find `pub enum CrashPoint` in core/client.rs".into());
+        v.push(format!("cannot find `pub enum CrashPoint` under {CLIENT_DIR}"));
         return v;
     };
     let variants: Vec<&str> = decl
@@ -243,7 +274,7 @@ pub fn lint_crash_points() -> Vec<String> {
         let uses = src.matches(qualified.as_str()).count();
         if uses < 3 {
             v.push(format!(
-                "{qualified} has {uses} uses in client.rs; expected ALL + Display + a protocol site"
+                "{qualified} has {uses} uses under {CLIENT_DIR}; expected ALL + Display + a protocol site"
             ));
         }
     }
@@ -332,16 +363,19 @@ pub fn lint_elastic_steps() -> Vec<String> {
 }
 
 /// Counts `.settle().await` occurrences per enclosing `fn` in client
-/// source (line-based, mirroring `aceso-model`'s scanner).
+/// source. Line-based: a line declaring `fn name(` switches the current
+/// function; comment lines are skipped.
 fn settle_sites_per_fn(src: &str) -> Vec<(String, usize)> {
     let mut counts: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
     let mut cur: Option<String> = None;
     for line in src.lines() {
         let mut t = line.trim_start();
-        for prefix in ["pub(crate) ", "pub ", "async "] {
+        if t.starts_with("//") {
+            continue;
+        }
+        for prefix in ["pub(crate) ", "pub(super) ", "pub ", "async "] {
             t = t.strip_prefix(prefix).unwrap_or(t);
         }
-        t = t.strip_prefix("async ").unwrap_or(t);
         if let Some(rest) = t.strip_prefix("fn ") {
             let name: String = rest
                 .chars()
@@ -359,14 +393,61 @@ fn settle_sites_per_fn(src: &str) -> Vec<(String, usize)> {
     counts.into_iter().collect()
 }
 
+/// Checks a `(function, settle_sites)` inventory against the real
+/// `.settle().await` sites of the async client — every `.rs` file under
+/// `crates/core/src/client/` — and reports every drift: a function
+/// missing from the inventory, listed but gone, or whose exact site count
+/// differs. The one scanner behind both [`lint_settle_coverage`] and the
+/// model checker's `check_step_table`.
+pub fn check_settle_table<'a>(table: impl IntoIterator<Item = (&'a str, usize)>) -> Vec<String> {
+    let mut v = Vec::new();
+    let mut actual: Vec<(String, usize, String)> = Vec::new();
+    for (rel, src) in read_sources(&mut v, CLIENT_DIR) {
+        for (name, sites) in settle_sites_per_fn(&src) {
+            // Rows are keyed by bare function name: it must name one place.
+            if let Some((_, _, other)) = actual.iter().find(|(n, _, _)| *n == name) {
+                v.push(format!(
+                    "`{name}` suspends in both {other} and {rel}; STEP_TABLE keys rows by function name"
+                ));
+            }
+            actual.push((name, sites, rel.clone()));
+        }
+    }
+    let table: Vec<(&str, usize)> = table.into_iter().collect();
+    for (name, sites, rel) in &actual {
+        match table.iter().find(|(n, _)| n == name) {
+            None => v.push(format!(
+                "`{name}` ({rel}) has {sites} .settle().await site(s) but no STEP_TABLE row"
+            )),
+            Some((_, listed)) if listed != sites => v.push(format!(
+                "`{name}` ({rel}) has {sites} .settle().await site(s) but STEP_TABLE lists {listed}"
+            )),
+            Some(_) => {}
+        }
+    }
+    for (name, listed) in &table {
+        if !actual.iter().any(|(n, _, _)| n == name) {
+            v.push(format!(
+                "STEP_TABLE lists `{name}` ({listed} sites) but {CLIENT_DIR} has no such suspension point"
+            ));
+        }
+    }
+    v
+}
+
 /// Parses `(name, count)` rows out of the model crate's `STEP_TABLE`
 /// source text: quoted strings and integer literals appear in strict
 /// `(fn, sites, label)` order, so tokenizing and chunking by row is
-/// layout-insensitive.
+/// layout-insensitive. Comment lines between rows are skipped.
 fn parse_step_table(block: &str) -> Vec<(String, usize)> {
     let mut strings: Vec<String> = Vec::new();
     let mut ints: Vec<usize> = Vec::new();
-    let mut chars = block.chars().peekable();
+    let rows: String = block
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .flat_map(|l| l.chars().chain(std::iter::once('\n')))
+        .collect();
+    let mut chars = rows.chars().peekable();
     while let Some(c) = chars.next() {
         if c == '"' {
             let mut s = String::new();
@@ -407,9 +488,6 @@ fn parse_step_table(block: &str) -> Vec<(String, usize)> {
 /// without building the explorer.
 pub fn lint_settle_coverage() -> Vec<String> {
     let mut v = Vec::new();
-    let Some(client_src) = read_source(&mut v, "crates/core/src/client.rs") else {
-        return v;
-    };
     let Some(model_src) = read_source(&mut v, "crates/model/src/step_table.rs") else {
         return v;
     };
@@ -422,25 +500,9 @@ pub fn lint_settle_coverage() -> Vec<String> {
         return v;
     };
     let table = parse_step_table(block);
-    let actual = settle_sites_per_fn(&client_src);
-    for (name, sites) in &actual {
-        match table.iter().find(|(n, _)| n == name) {
-            None => v.push(format!(
-                "`{name}` has {sites} .settle().await site(s) but no STEP_TABLE row"
-            )),
-            Some((_, listed)) if listed != sites => v.push(format!(
-                "`{name}` has {sites} .settle().await site(s) but STEP_TABLE lists {listed}"
-            )),
-            Some(_) => {}
-        }
-    }
-    for (name, listed) in &table {
-        if !actual.iter().any(|(n, _)| n == name) {
-            v.push(format!(
-                "STEP_TABLE lists `{name}` ({listed} sites) but client.rs has no such suspension point"
-            ));
-        }
-    }
+    v.extend(check_settle_table(
+        table.iter().map(|(name, sites)| (name.as_str(), *sites)),
+    ));
     v
 }
 
@@ -479,24 +541,8 @@ fn thread_starts(src: &str) -> Vec<(&'static str, usize)> {
 /// the sites in `THREAD_SITES` are allowed.
 pub fn lint_thread_free() -> Vec<String> {
     let mut v = Vec::new();
-    for dir in ["crates/core/src", "crates/rdma/src"] {
-        let entries = match std::fs::read_dir(workspace_root().join(dir)) {
-            Ok(e) => e,
-            Err(e) => {
-                v.push(format!("source lint cannot list {dir}: {e}"));
-                continue;
-            }
-        };
-        let mut files: Vec<String> = entries
-            .filter_map(|e| e.ok()?.file_name().into_string().ok())
-            .filter(|f| f.ends_with(".rs"))
-            .collect();
-        files.sort();
-        for file in files {
-            let rel = format!("{dir}/{file}");
-            let Some(src) = read_source(&mut v, &rel) else {
-                continue;
-            };
+    for dir in ["crates/core/src", CLIENT_DIR, "crates/rdma/src"] {
+        for (rel, src) in read_sources(&mut v, dir) {
             for (pat, n) in thread_starts(&src) {
                 let allowed = THREAD_SITES
                     .iter()
@@ -602,15 +648,16 @@ mod tests {
     fn step_table_parser_reads_rows() {
         let block = r#"
             ("upsert", 1, "route"),
+            // file2.rs: "a comment" between rows
             (
-                "commit_update",
+                "commit",
                 9,
                 "long label, with commas",
             ),
         "#;
         assert_eq!(
             parse_step_table(block),
-            vec![("upsert".to_string(), 1), ("commit_update".to_string(), 9)]
+            vec![("upsert".to_string(), 1), ("commit".to_string(), 9)]
         );
     }
 
@@ -621,7 +668,8 @@ mod tests {
                    \x20   self.dm.settle().await?;\n\
                    }\n\
                    fn beta() {}\n\
-                   async fn gamma(&self) {\n\
+                   // a comment naming .settle().await is not a site\n\
+                   pub(super) async fn gamma(&self) {\n\
                    \x20   a.settle().await;\n\
                    \x20   b.settle().await;\n\
                    }\n";
