@@ -1,7 +1,7 @@
 //! `chaos analyze` — the happens-before race detector driven over the
 //! executions the harness already produces.
 //!
-//! Five stages, all seeded from one master seed:
+//! Four stages, all seeded from one master seed:
 //!
 //! 1. **Traced sweep** — every cell of the (CI or full) crash matrix runs
 //!    under a fresh [`aceso_san::Detector`], with the identical per-cell
@@ -11,190 +11,99 @@
 //!    interleave a Zipfian 50/50 read/update mix; the detector checks that
 //!    every cross-client handoff is ordered by a commit CAS, lock CAS,
 //!    FAA, RPC, or barrier edge.
-//! 3. **Runtime-axis trace** — both [`crate::rt_axis`] kills rerun under
-//!    the detector: coroutine clients interleave at *round-trip*
-//!    granularity on one OS thread, so per-client trace ids must survive
-//!    the interleaving for the happens-before graph to stay sound.
-//! 4. **Elastic-axis trace** — a representative slice of the
-//!    kill-mid-rebalance matrix ([`crate::elastic_axis`]) reruns under the
-//!    detector: client verbs interleave with the migrator's fence installs
-//!    and copy RPCs, so every cross-epoch handoff (stale write → fence
-//!    bounce → refreshed write) must be RPC- or barrier-ordered.
-//! 5. **Backends-axis trace** — a slice of the per-engine crash matrix
-//!    ([`crate::backends_axis`]) reruns under the detector, one cell per
-//!    [`aceso_engines::EngineKind`]: the replication engines' commit
-//!    protocols (write-then-CAS publication, doorbell-batched 1-RTT
-//!    commits) must order every cross-client handoff just as Aceso's do,
-//!    including across a torn write and its reconcile pass.
-//! 6. **Cache-axis trace** — a slice of the stale-index-cache matrix
-//!    ([`crate::cache_axis`]) reruns under the detector: a node (or the
-//!    client) dies between cache fill and use, so the hot-cache fast
-//!    path's revalidating slot re-reads must be ordered against the
-//!    recovery stream that rebuilt the memory they land on.
-//! 7. **Liveness + lints** — the mutation self-tests
+//! 3. **Axis slices** — every other axis' [`Axis::traced`] slice reruns
+//!    under the detector (each slice's doc says what it is there to
+//!    order): the runtime axis' round-trip-granular interleavings, the
+//!    elastic migrator's fence/copy stream against client verbs, every
+//!    engine's commit protocol across a fault, and the hot-cache fast
+//!    path's revalidating re-reads against the recovery stream.
+//! 4. **Liveness + lints** — the mutation self-tests
 //!    ([`aceso_san::selftest`]) prove each ordering edge is actually
 //!    checked (a weakened edge must produce a report), and the static
 //!    protocol lints ([`aceso_san::lint`]) check layout constants and
 //!    `CrashPoint` wiring.
 //!
-//! The run is clean only when all seven stages are: zero races, zero
+//! The run is clean only when all four stages are: zero races, zero
 //! detector violations, every self-test live, zero lint findings — and the
 //! traced cells still hold their invariants.
 
-use crate::backends_axis::{
-    run_backends_cell_with_sink, BackendCell, BackendFault, BackendOp,
-};
-use crate::cache_axis::{run_cache_cell_with_sink, CacheCell, CacheKill, CacheOp};
+use crate::axis::{cell_seeds, chaos_config, run_cell, Axis, Ctx};
 use crate::cell::Cell;
-use crate::elastic_axis::{run_elastic_cell_with_sink, ElasticBoundary, ElasticCell, ElasticKill};
-use crate::rt_axis::{run_rt_cell_with_sink, RtKill};
-use crate::runner::{chaos_config, run_cell_with_sink};
-use crate::sweep::cell_seeds;
+use crate::sweep::Sweep;
 use aceso_core::AcesoStore;
-use aceso_engines::EngineKind;
 use aceso_index::IndexWord;
-use aceso_rdma::TraceSink;
 use aceso_san::{lint, selftest, Annotator, Detector, SelftestOutcome};
 use aceso_workloads::ycsb::YcsbKind;
 use aceso_workloads::{value_for, Op, YcsbWorkload};
 use std::sync::Arc;
 
-/// Detector findings for one traced matrix cell.
+/// Detector findings for one traced execution (a cell of any axis, or
+/// the YCSB interleaving).
 #[derive(Clone, Debug)]
-pub struct CellTrace {
-    /// The cell that ran.
-    pub cell: Cell,
-    /// Its (sweep-identical) seed.
+pub struct Trace {
+    /// What ran: a sweep cell id, `"<axis> <cell id>"`, or the workload.
+    pub label: String,
+    /// The seed it ran under.
     pub seed: u64,
+    /// The axis' facts for the report line (ends in `", "` if non-empty).
+    pub note: String,
+    /// Events the detector processed.
+    pub events: u64,
     /// Rendered races the detector reported.
     pub races: Vec<String>,
     /// Detector violations (misaligned atomics seen in the trace).
     pub detector_violations: Vec<String>,
-    /// Invariant violations from the cell run itself.
+    /// Invariant violations (or store errors) from the run itself.
     pub cell_violations: Vec<String>,
-    /// Events the detector processed.
-    pub events: u64,
 }
 
-impl CellTrace {
-    /// `true` when the cell raced nowhere and held its invariants.
-    pub fn ok(&self) -> bool {
-        self.races.is_empty() && self.detector_violations.is_empty() && self.cell_violations.is_empty()
+impl Trace {
+    fn of(
+        det: &Detector,
+        label: String,
+        seed: u64,
+        note: String,
+        cell_violations: Vec<String>,
+    ) -> Self {
+        Trace {
+            label,
+            seed,
+            note,
+            events: det.events(),
+            races: det.races().iter().map(|r| r.to_string()).collect(),
+            detector_violations: det.violations(),
+            cell_violations,
+        }
     }
-}
 
-/// Detector findings for the multi-client YCSB trace.
-#[derive(Clone, Debug)]
-pub struct YcsbTrace {
-    /// Logical clients interleaved.
-    pub clients: usize,
-    /// Operations executed.
-    pub ops: usize,
-    /// Events the detector processed.
-    pub events: u64,
-    /// Rendered races the detector reported.
-    pub races: Vec<String>,
-    /// Store errors the trace hit (a clean trace has none).
-    pub errors: Vec<String>,
-}
-
-/// Detector findings for one traced runtime-axis cell (N coroutine
-/// clients multiplexed on one executor thread, killed mid-suspension).
-#[derive(Clone, Debug)]
-pub struct RtTrace {
-    /// The kill the cell armed.
-    pub kill: RtKill,
-    /// Tasks multiplexed on the executor thread.
-    pub tasks: usize,
-    /// Tasks still mid-op when the fault fired.
-    pub inflight_at_fault: usize,
-    /// Events the detector processed.
-    pub events: u64,
-    /// Rendered races the detector reported.
-    pub races: Vec<String>,
-    /// Detector violations (misaligned atomics seen in the trace).
-    pub detector_violations: Vec<String>,
-    /// Invariant violations from the cell run itself.
-    pub cell_violations: Vec<String>,
-}
-
-impl RtTrace {
-    /// `true` when the cell raced nowhere and held its invariants.
+    /// `true` when the execution raced nowhere and held its invariants.
     pub fn ok(&self) -> bool {
-        self.races.is_empty() && self.detector_violations.is_empty() && self.cell_violations.is_empty()
+        self.races.is_empty()
+            && self.detector_violations.is_empty()
+            && self.cell_violations.is_empty()
     }
-}
 
-/// Detector findings for one traced elastic-axis cell (a node or client
-/// dies at a migrator step boundary under live traffic).
-#[derive(Clone, Debug)]
-pub struct ElasticTrace {
-    /// The cell that ran.
-    pub cell: ElasticCell,
-    /// Client ops that committed while the migration was in flight.
-    pub committed_ops: usize,
-    /// Events the detector processed.
-    pub events: u64,
-    /// Rendered races the detector reported.
-    pub races: Vec<String>,
-    /// Detector violations (misaligned atomics seen in the trace).
-    pub detector_violations: Vec<String>,
-    /// Invariant violations from the cell run itself.
-    pub cell_violations: Vec<String>,
-}
-
-impl ElasticTrace {
-    /// `true` when the cell raced nowhere and held its invariants.
-    pub fn ok(&self) -> bool {
-        self.races.is_empty() && self.detector_violations.is_empty() && self.cell_violations.is_empty()
+    fn findings(&self, indent: &str) -> String {
+        let group = |kind: &str, items: &[String]| -> String {
+            items
+                .iter()
+                .map(|i| format!("{indent}{kind}: {i}\n"))
+                .collect()
+        };
+        group("race", &self.races)
+            + &group("detector", &self.detector_violations)
+            + &group("invariant", &self.cell_violations)
     }
-}
 
-/// Detector findings for one traced backends-axis cell (the shared crash
-/// script against one [`aceso_core::FtEngine`] implementation).
-#[derive(Clone, Debug)]
-pub struct BackendsTrace {
-    /// The cell that ran.
-    pub cell: BackendCell,
-    /// Events the detector processed.
-    pub events: u64,
-    /// Rendered races the detector reported.
-    pub races: Vec<String>,
-    /// Detector violations (misaligned atomics seen in the trace).
-    pub detector_violations: Vec<String>,
-    /// Invariant violations from the cell run itself.
-    pub cell_violations: Vec<String>,
-}
-
-impl BackendsTrace {
-    /// `true` when the cell raced nowhere and held its invariants.
-    pub fn ok(&self) -> bool {
-        self.races.is_empty() && self.detector_violations.is_empty() && self.cell_violations.is_empty()
-    }
-}
-
-/// Detector findings for one traced cache-axis cell (a node or client
-/// dies between cache fill and use).
-#[derive(Clone, Debug)]
-pub struct CacheTrace {
-    /// The cell that ran.
-    pub cell: CacheCell,
-    /// Cache entries the sweep client held when the kill landed.
-    pub warm_entries: usize,
-    /// Events the detector processed.
-    pub events: u64,
-    /// Rendered races the detector reported.
-    pub races: Vec<String>,
-    /// Detector violations (misaligned atomics seen in the trace).
-    pub detector_violations: Vec<String>,
-    /// Invariant violations from the cell run itself.
-    pub cell_violations: Vec<String>,
-}
-
-impl CacheTrace {
-    /// `true` when the cell raced nowhere and held its invariants.
-    pub fn ok(&self) -> bool {
-        self.races.is_empty() && self.detector_violations.is_empty() && self.cell_violations.is_empty()
+    fn line(&self) -> String {
+        format!(
+            "  {}: {}{} events, {} races\n{}",
+            self.label,
+            self.note,
+            self.events,
+            self.races.len(),
+            self.findings("    ")
+        )
     }
 }
 
@@ -204,17 +113,11 @@ pub struct AnalyzeReport {
     /// The master seed.
     pub seed: u64,
     /// Per-cell detector findings, in sweep order.
-    pub cells: Vec<CellTrace>,
+    pub cells: Vec<Trace>,
     /// The YCSB-A trace findings.
-    pub ycsb: YcsbTrace,
-    /// The runtime-axis trace findings (one per [`RtKill`]).
-    pub rt: Vec<RtTrace>,
-    /// The elastic-axis trace findings (one per traced cell).
-    pub elastic: Vec<ElasticTrace>,
-    /// The backends-axis trace findings (one per traced cell).
-    pub backends: Vec<BackendsTrace>,
-    /// The cache-axis trace findings (one per traced cell).
-    pub cache: Vec<CacheTrace>,
+    pub ycsb: Trace,
+    /// The other axes' traced slices, in axis order.
+    pub slices: Vec<Trace>,
     /// Mutation self-test outcomes (detector liveness proof).
     pub selftests: Vec<SelftestOutcome>,
     /// Static protocol lint findings.
@@ -224,20 +127,14 @@ pub struct AnalyzeReport {
 impl AnalyzeReport {
     /// `true` when every stage came back clean.
     pub fn clean(&self) -> bool {
-        self.cells.iter().all(CellTrace::ok)
-            && self.ycsb.races.is_empty()
-            && self.ycsb.errors.is_empty()
-            && self.rt.iter().all(RtTrace::ok)
-            && self.elastic.iter().all(ElasticTrace::ok)
-            && self.backends.iter().all(BackendsTrace::ok)
-            && self.cache.iter().all(CacheTrace::ok)
+        let mut traces = self.cells.iter().chain([&self.ycsb]).chain(&self.slices);
+        traces.all(Trace::ok)
             && self.selftests.iter().all(SelftestOutcome::ok)
             && self.lint_violations.is_empty()
     }
 
     /// Renders the analyze report.
     pub fn render(&self) -> String {
-        let mut s = String::new();
         let cell_events: u64 = self.cells.iter().map(|c| c.events).sum();
         let racy = self.cells.iter().filter(|c| !c.races.is_empty()).count();
         let broken = self
@@ -245,111 +142,20 @@ impl AnalyzeReport {
             .iter()
             .filter(|c| !c.cell_violations.is_empty() || !c.detector_violations.is_empty())
             .count();
-        s.push_str(&format!(
+        let mut s = format!(
             "analyze report: seed {:#x}\n  sweep: {} cells traced, {} events, {} racy cells, {} otherwise-violating cells\n",
             self.seed,
             self.cells.len(),
             cell_events,
             racy,
             broken
-        ));
+        );
         for c in self.cells.iter().filter(|c| !c.ok()) {
-            s.push_str(&format!("    cell {} (seed {:#x}):\n", c.cell, c.seed));
-            for r in &c.races {
-                s.push_str(&format!("      race: {r}\n"));
-            }
-            for v in &c.detector_violations {
-                s.push_str(&format!("      detector: {v}\n"));
-            }
-            for v in &c.cell_violations {
-                s.push_str(&format!("      invariant: {v}\n"));
-            }
+            s.push_str(&format!("    cell {} (seed {:#x}):\n", c.label, c.seed));
+            s.push_str(&c.findings("      "));
         }
-        s.push_str(&format!(
-            "  {}: {} clients, {} ops, {} events, {} races\n",
-            YcsbKind::A.name(),
-            self.ycsb.clients,
-            self.ycsb.ops,
-            self.ycsb.events,
-            self.ycsb.races.len()
-        ));
-        for r in &self.ycsb.races {
-            s.push_str(&format!("    race: {r}\n"));
-        }
-        for e in &self.ycsb.errors {
-            s.push_str(&format!("    error: {e}\n"));
-        }
-        for t in &self.rt {
-            s.push_str(&format!(
-                "  rt {}: {} tasks (one thread), {} in flight at fault, {} events, {} races\n",
-                t.kill.label(),
-                t.tasks,
-                t.inflight_at_fault,
-                t.events,
-                t.races.len()
-            ));
-            for r in &t.races {
-                s.push_str(&format!("    race: {r}\n"));
-            }
-            for v in &t.detector_violations {
-                s.push_str(&format!("    detector: {v}\n"));
-            }
-            for v in &t.cell_violations {
-                s.push_str(&format!("    invariant: {v}\n"));
-            }
-        }
-        for t in &self.elastic {
-            s.push_str(&format!(
-                "  elastic {}: {} ops under migration, {} events, {} races\n",
-                t.cell,
-                t.committed_ops,
-                t.events,
-                t.races.len()
-            ));
-            for r in &t.races {
-                s.push_str(&format!("    race: {r}\n"));
-            }
-            for v in &t.detector_violations {
-                s.push_str(&format!("    detector: {v}\n"));
-            }
-            for v in &t.cell_violations {
-                s.push_str(&format!("    invariant: {v}\n"));
-            }
-        }
-        for t in &self.backends {
-            s.push_str(&format!(
-                "  backends {}: {} events, {} races\n",
-                t.cell,
-                t.events,
-                t.races.len()
-            ));
-            for r in &t.races {
-                s.push_str(&format!("    race: {r}\n"));
-            }
-            for v in &t.detector_violations {
-                s.push_str(&format!("    detector: {v}\n"));
-            }
-            for v in &t.cell_violations {
-                s.push_str(&format!("    invariant: {v}\n"));
-            }
-        }
-        for t in &self.cache {
-            s.push_str(&format!(
-                "  cache {}: {} warm entries at kill, {} events, {} races\n",
-                t.cell,
-                t.warm_entries,
-                t.events,
-                t.races.len()
-            ));
-            for r in &t.races {
-                s.push_str(&format!("    race: {r}\n"));
-            }
-            for v in &t.detector_violations {
-                s.push_str(&format!("    detector: {v}\n"));
-            }
-            for v in &t.cell_violations {
-                s.push_str(&format!("    invariant: {v}\n"));
-            }
+        for t in [&self.ycsb].into_iter().chain(&self.slices) {
+            s.push_str(&t.line());
         }
         s.push_str("  detector liveness (mutation self-tests):\n");
         for t in &self.selftests {
@@ -390,12 +196,17 @@ impl AnalyzeReport {
 fn annotator() -> Annotator {
     let map = chaos_config().memory_map();
     Box::new(move |_node, off| match map.index.classify_word(off) {
-        IndexWord::Atomic { group, slot } => Some(format!("index slot Atomic word g{group}/s{slot}")),
+        IndexWord::Atomic { group, slot } => {
+            Some(format!("index slot Atomic word g{group}/s{slot}"))
+        }
         IndexWord::Meta { group, slot } => Some(format!("index slot Meta word g{group}/s{slot}")),
         IndexWord::IndexVersion => Some("Index Version word".into()),
         IndexWord::OutsideIndex => {
             if let Some((id, rel)) = map.blocks.locate(off) {
-                Some(format!("block {id} +{rel:#x} ({:?})", map.blocks.kind_of(id)))
+                Some(format!(
+                    "block {id} +{rel:#x} ({:?})",
+                    map.blocks.kind_of(id)
+                ))
             } else if off >= map.blocks.meta_base
                 && off < map.blocks.meta_base + map.blocks.meta_size()
             {
@@ -407,34 +218,40 @@ fn annotator() -> Annotator {
     })
 }
 
-/// Runs every cell under a fresh detector with sweep-identical seeds.
+/// Runs each `(cell, seed)` of axis `A` under a fresh detector.
 /// `progress` is called after each cell (CLI verbosity hook).
-pub fn analyze_cells(
-    cells: &[Cell],
-    seed: u64,
-    mut progress: impl FnMut(&CellTrace),
-) -> Vec<CellTrace> {
-    let seeds = cell_seeds(seed, cells.len());
-    cells
-        .iter()
-        .zip(seeds)
-        .map(|(cell, cell_seed)| {
-            let det = Arc::new(Detector::with_annotator(annotator()));
-            let sink: Arc<dyn TraceSink> = det.clone();
-            let out = run_cell_with_sink(cell, cell_seed, Some(sink));
-            let trace = CellTrace {
-                cell: *cell,
-                seed: cell_seed,
-                races: det.races().iter().map(|r| r.to_string()).collect(),
-                detector_violations: det.violations(),
-                cell_violations: out.violations,
-                events: det.events(),
-            };
-            progress(&trace);
-            trace
-        })
-        .collect()
+pub fn trace_cells<A: Axis>(
+    cells: impl IntoIterator<Item = (A::Cell, u64)>,
+    mut progress: impl FnMut(&Trace),
+) -> Vec<Trace> {
+    let traced = cells.into_iter().map(|(cell, seed)| {
+        let det = Arc::new(if A::annotated(cell) {
+            Detector::with_annotator(annotator())
+        } else {
+            Detector::new()
+        });
+        let out = run_cell::<A>(cell, seed, Some(det.clone()));
+        let note = A::traced_note(&out);
+        let trace = Trace::of(&det, cell.to_string(), seed, note, out.violations);
+        progress(&trace);
+        trace
+    });
+    traced.collect()
 }
+
+/// Axis `A`'s traced slice, every cell under the master seed.
+pub fn trace_slice<A: Axis>(seed: u64) -> Vec<Trace> {
+    let mut traces = trace_cells::<A>(A::traced().into_iter().map(|c| (c, seed)), |_| {});
+    for t in &mut traces {
+        t.label = format!("{} {}", A::NAME, t.label);
+    }
+    traces
+}
+
+const YCSB_CLIENTS: usize = 4;
+const YCSB_KEYS: u64 = 200;
+const YCSB_OPS: usize = 2000;
+const YCSB_VALUE_LEN: usize = 64;
 
 /// Four logical clients interleaving YCSB-A over one store, traced.
 ///
@@ -444,53 +261,34 @@ pub fn analyze_cells(
 /// cross-client handoff still has to be justified by a happens-before
 /// edge. The keyspace and op count are sized to stay well inside fresh
 /// blocks (no reclamation) and inside the CI time budget.
-pub fn analyze_ycsb(seed: u64) -> YcsbTrace {
-    const CLIENTS: usize = 4;
-    const KEYS: u64 = 200;
-    const OPS: usize = 2000;
-    const VALUE_LEN: usize = 64;
-
+pub fn analyze_ycsb(seed: u64) -> Trace {
     let det = Arc::new(Detector::with_annotator(annotator()));
-    let mut trace = YcsbTrace {
-        clients: CLIENTS,
-        ops: 0,
-        events: 0,
-        races: Vec::new(),
-        errors: Vec::new(),
-    };
-    let store = match AcesoStore::launch(chaos_config()) {
-        Ok(s) => s,
-        Err(e) => {
-            trace.errors.push(format!("launch: {e}"));
-            return trace;
-        }
-    };
+    let mut ops = 0;
+    let errors = run_ycsb(&det, seed, &mut ops).unwrap_or_else(|e| vec![e]);
+    let note = format!("{YCSB_CLIENTS} clients, {ops} ops, ");
+    Trace::of(&det, YcsbKind::A.name().to_string(), seed, note, errors)
+}
+
+/// The store errors the interleaving hit (a clean trace has none); `Err`
+/// is a setup failure.
+fn run_ycsb(det: &Arc<Detector>, seed: u64, ops: &mut usize) -> Result<Vec<String>, String> {
+    let store = AcesoStore::launch(chaos_config()).ctx("launch")?;
     store.cluster.install_trace_sink(det.clone());
-
-    let mut clients = Vec::with_capacity(CLIENTS);
-    for _ in 0..CLIENTS {
-        match store.client() {
-            Ok(c) => clients.push(c),
-            Err(e) => {
-                trace.errors.push(format!("client: {e}"));
-                return trace;
-            }
-        }
-    }
-
-    for key in YcsbWorkload::preload_keys(KEYS) {
-        if let Err(e) = clients[0].insert(&key, &value_for(&key, 0, VALUE_LEN)) {
-            trace.errors.push(format!("preload: {e}"));
-            return trace;
-        }
+    let mut clients = (0..YCSB_CLIENTS)
+        .map(|_| store.client().ctx("client"))
+        .collect::<Result<Vec<_>, _>>()?;
+    for key in YcsbWorkload::preload_keys(YCSB_KEYS) {
+        let val = value_for(&key, 0, YCSB_VALUE_LEN);
+        clients[0].insert(&key, &val).ctx("preload")?;
     }
     store.cluster.trace_barrier();
 
-    let mut streams: Vec<YcsbWorkload> = (0..CLIENTS)
-        .map(|i| YcsbWorkload::new(YcsbKind::A, KEYS, 0.99, VALUE_LEN, i as u32, seed))
+    let mut errors = Vec::new();
+    let mut streams: Vec<YcsbWorkload> = (0..YCSB_CLIENTS)
+        .map(|i| YcsbWorkload::new(YcsbKind::A, YCSB_KEYS, 0.99, YCSB_VALUE_LEN, i as u32, seed))
         .collect();
-    for opno in 0..OPS {
-        let i = opno % CLIENTS;
+    for opno in 0..YCSB_OPS {
+        let i = opno % YCSB_CLIENTS;
         let req = streams[i].next().expect("ycsb streams are infinite");
         let val = value_for(&req.key, opno as u64, req.value_len);
         let res = match req.op {
@@ -500,197 +298,26 @@ pub fn analyze_ycsb(seed: u64) -> YcsbTrace {
             Op::Delete => clients[i].delete(&req.key).map(|_| ()),
         };
         if let Err(e) = res {
-            trace.errors.push(format!("op {opno} ({:?}): {e}", req.op));
-            if trace.errors.len() >= 8 {
+            errors.push(format!("op {opno} ({:?}): {e}", req.op));
+            if errors.len() >= 8 {
                 break;
             }
         }
-        trace.ops += 1;
+        *ops += 1;
     }
-
     store.cluster.trace_barrier();
     store.shutdown();
-    trace.races = det.races().iter().map(|r| r.to_string()).collect();
-    trace
-        .errors
-        .extend(det.violations().iter().map(|v| format!("detector: {v}")));
-    trace.events = det.events();
-    trace
+    Ok(errors)
 }
 
-/// Both runtime-axis cells, traced: the kill lands while several
-/// coroutine clients are suspended mid-op on one executor thread, and
-/// the detector must still order every cross-client handoff — the
-/// per-client trace ids have to survive the interleaving.
-pub fn analyze_rt(seed: u64) -> Vec<RtTrace> {
-    [RtKill::Mn, RtKill::Cn]
-        .into_iter()
-        .map(|kill| {
-            let det = Arc::new(Detector::with_annotator(annotator()));
-            let sink: Arc<dyn TraceSink> = det.clone();
-            let out = run_rt_cell_with_sink(kill, seed, Some(sink));
-            RtTrace {
-                kill,
-                tasks: out.tasks,
-                inflight_at_fault: out.inflight_at_fault,
-                events: det.events(),
-                races: det.races().iter().map(|r| r.to_string()).collect(),
-                detector_violations: det.violations(),
-                cell_violations: out.violations,
-            }
-        })
-        .collect()
-}
-
-/// A representative slice of the elastic axis, traced: the abort path
-/// (join target dies mid-copy), the rebuild path (drain source dies at
-/// announce), and a CN crash at the publish handover. Client verbs
-/// interleave with the migrator's fence installs and copy RPCs; the
-/// detector must order every stale-write → fence-bounce → refreshed-write
-/// handoff.
-pub fn analyze_elastic(seed: u64) -> Vec<ElasticTrace> {
-    [
-        ElasticCell {
-            kill: ElasticKill::JoinMn,
-            boundary: ElasticBoundary::Copy,
-        },
-        ElasticCell {
-            kill: ElasticKill::DrainMn,
-            boundary: ElasticBoundary::Announce,
-        },
-        ElasticCell {
-            kill: ElasticKill::Cn,
-            boundary: ElasticBoundary::Publish,
-        },
-    ]
-    .into_iter()
-    .map(|cell| {
-        let det = Arc::new(Detector::with_annotator(annotator()));
-        let sink: Arc<dyn TraceSink> = det.clone();
-        let out = run_elastic_cell_with_sink(&cell, seed, Some(sink));
-        ElasticTrace {
-            cell,
-            committed_ops: out.committed_ops,
-            events: det.events(),
-            races: det.races().iter().map(|r| r.to_string()).collect(),
-            detector_violations: det.violations(),
-            cell_violations: out.violations,
-        }
-    })
-    .collect()
-}
-
-/// A per-engine slice of the backends axis, traced: one cell per engine
-/// kind, chosen so each strategy's commit protocol is exercised across a
-/// fault — Aceso through the seam (a home-node kill mid-update), FUSEE's
-/// write-then-CAS replication across a torn client write plus its
-/// reconcile pass, and SWARM's doorbell-batched commit across both fault
-/// kinds. Aceso cells keep the memory-map annotator; the replication
-/// engines have their own layouts, so their detectors run unannotated.
-pub fn analyze_backends(seed: u64) -> Vec<BackendsTrace> {
-    [
-        BackendCell {
-            engine: EngineKind::Aceso,
-            op: BackendOp::Update,
-            fault: BackendFault::KillMn,
-            skip: 0,
-        },
-        BackendCell {
-            engine: EngineKind::Fusee,
-            op: BackendOp::Update,
-            fault: BackendFault::CrashCn,
-            skip: 0,
-        },
-        BackendCell {
-            engine: EngineKind::Swarm,
-            op: BackendOp::Update,
-            fault: BackendFault::CrashCn,
-            skip: 2,
-        },
-        BackendCell {
-            engine: EngineKind::Swarm,
-            op: BackendOp::Insert,
-            fault: BackendFault::KillMn,
-            skip: 0,
-        },
-    ]
-    .into_iter()
-    .map(|cell| {
-        let det = if cell.engine == EngineKind::Aceso {
-            Arc::new(Detector::with_annotator(annotator()))
-        } else {
-            Arc::new(Detector::new())
-        };
-        let sink: Arc<dyn TraceSink> = det.clone();
-        let out = run_backends_cell_with_sink(&cell, seed, Some(sink));
-        BackendsTrace {
-            cell,
-            events: det.events(),
-            races: det.races().iter().map(|r| r.to_string()).collect(),
-            detector_violations: det.violations(),
-            cell_violations: out.violations,
-        }
-    })
-    .collect()
-}
-
-/// A representative slice of the cache axis, traced: the stale-cache
-/// SEARCH fast path, the stale-cache UPDATE speculation, and the hot-cache
-/// CN crash. The kill lands between cache fill and use, so the detector
-/// must order the sweeper's revalidating slot re-reads against the
-/// recovery stream that rebuilt (or repaired) the memory they land on.
-pub fn analyze_cache(seed: u64) -> Vec<CacheTrace> {
-    [
-        CacheCell {
-            kill: CacheKill::Mn,
-            op: CacheOp::Search,
-        },
-        CacheCell {
-            kill: CacheKill::Mn,
-            op: CacheOp::Update,
-        },
-        CacheCell {
-            kill: CacheKill::Cn,
-            op: CacheOp::Update,
-        },
-    ]
-    .into_iter()
-    .map(|cell| {
-        let det = Arc::new(Detector::with_annotator(annotator()));
-        let sink: Arc<dyn TraceSink> = det.clone();
-        let out = run_cache_cell_with_sink(&cell, seed, Some(sink));
-        CacheTrace {
-            cell,
-            warm_entries: out.warm_entries,
-            events: det.events(),
-            races: det.races().iter().map(|r| r.to_string()).collect(),
-            detector_violations: det.violations(),
-            cell_violations: out.violations,
-        }
-    })
-    .collect()
-}
-
-/// Runs all seven stages.
-pub fn analyze(
-    cells: &[Cell],
-    seed: u64,
-    progress: impl FnMut(&CellTrace),
-) -> AnalyzeReport {
-    let cell_traces = analyze_cells(cells, seed, progress);
-    let ycsb = analyze_ycsb(seed);
-    let rt = analyze_rt(seed);
-    let elastic = analyze_elastic(seed);
-    let backends = analyze_backends(seed);
-    let cache = analyze_cache(seed);
+/// Runs all four stages. `progress` follows the traced sweep.
+pub fn analyze(cells: &[Cell], seed: u64, progress: impl FnMut(&Trace)) -> AnalyzeReport {
+    let seeds = cell_seeds(seed, cells.len());
     AnalyzeReport {
         seed,
-        cells: cell_traces,
-        ycsb,
-        rt,
-        elastic,
-        backends,
-        cache,
+        cells: trace_cells::<Sweep>(cells.iter().copied().zip(seeds), progress),
+        ycsb: analyze_ycsb(seed),
+        slices: crate::each_axis!(trace_slice(seed)).concat(),
         selftests: selftest::run_all(),
         lint_violations: lint::run_all(),
     }
@@ -702,105 +329,47 @@ mod tests {
     use crate::cell::{InjectionSite, KillTiming, OpType, ReclaimState};
     use aceso_core::client::CrashPoint;
 
+    fn assert_traced(traces: &[Trace]) {
+        for t in traces {
+            assert!(t.ok(), "{}: {}", t.label, t.findings(""));
+            assert!(t.events > 100, "{}: only {} events", t.label, t.events);
+        }
+    }
+
     /// One quiet cell and one crashing cell, both traced: no races, and
     /// the detector actually saw the execution.
     #[test]
     fn traced_cells_are_race_free_and_nonempty() {
+        let cell = |op, site| Cell {
+            op,
+            site,
+            kill: KillTiming::None,
+            reclaim: ReclaimState::Fresh,
+        };
         let cells = [
-            Cell {
-                op: OpType::Update,
-                site: InjectionSite::None,
-                kill: KillTiming::None,
-                reclaim: ReclaimState::Fresh,
-            },
-            Cell {
-                op: OpType::Insert,
-                site: InjectionSite::Client(CrashPoint::BeforeCommit),
-                kill: KillTiming::None,
-                reclaim: ReclaimState::Fresh,
-            },
+            cell(OpType::Update, InjectionSite::None),
+            cell(
+                OpType::Insert,
+                InjectionSite::Client(CrashPoint::BeforeCommit),
+            ),
         ];
-        for t in analyze_cells(&cells, 41, |_| {}) {
-            assert!(t.ok(), "cell {}: races {:?}, violations {:?}/{:?}", t.cell, t.races, t.detector_violations, t.cell_violations);
-            assert!(t.events > 100, "cell {}: only {} events traced", t.cell, t.events);
-        }
+        let seeds = cell_seeds(41, cells.len());
+        assert_traced(&trace_cells::<Sweep>(cells.into_iter().zip(seeds), |_| {}));
     }
 
-    /// Both runtime-axis kills trace race-free: the detector orders
-    /// every handoff even though the clients interleave at round-trip
-    /// granularity on one thread, and the cell invariants hold.
+    /// Every axis' traced slice is race-free and holds its invariants:
+    /// the detector orders every handoff although coroutine clients
+    /// interleave at round-trip granularity on one thread (rt), the
+    /// migrator's fence/copy stream interleaves with client verbs
+    /// (elastic), FUSEE's write-then-CAS replication and SWARM's
+    /// doorbell-batched commit cross torn writes and node kills
+    /// (backends), and the hot cache revalidates against rebuilt memory
+    /// (cache).
     #[test]
-    fn rt_traces_are_race_free() {
-        for t in analyze_rt(crate::DEFAULT_SEED) {
-            assert!(
-                t.ok(),
-                "rt {}: races {:?}, violations {:?}/{:?}",
-                t.kill.label(),
-                t.races,
-                t.detector_violations,
-                t.cell_violations
-            );
-            assert!(t.events > 100, "rt {}: only {} events", t.kill.label(), t.events);
-            assert!(t.inflight_at_fault >= 2);
-        }
-    }
-
-    /// The traced elastic slice is race-free: the migrator's fence/copy
-    /// stream interleaved with client verbs produces no unordered
-    /// conflicting accesses, and the cells hold their invariants.
-    #[test]
-    fn elastic_traces_are_race_free() {
-        for t in analyze_elastic(crate::DEFAULT_SEED) {
-            assert!(
-                t.ok(),
-                "elastic {}: races {:?}, violations {:?}/{:?}",
-                t.cell,
-                t.races,
-                t.detector_violations,
-                t.cell_violations
-            );
-            assert!(t.events > 100, "elastic {}: only {} events", t.cell, t.events);
-            assert!(t.committed_ops > 0, "elastic {}: no ops committed", t.cell);
-        }
-    }
-
-    /// The traced backends slice is race-free on every engine: FUSEE's
-    /// write-then-CAS replication and SWARM's doorbell-batched commit
-    /// order every cross-client handoff across torn writes and node
-    /// kills, just like Aceso's native protocol.
-    #[test]
-    fn backends_traces_are_race_free() {
-        for t in analyze_backends(crate::DEFAULT_SEED) {
-            assert!(
-                t.ok(),
-                "backends {}: races {:?}, violations {:?}/{:?}",
-                t.cell,
-                t.races,
-                t.detector_violations,
-                t.cell_violations
-            );
-            assert!(t.events > 100, "backends {}: only {} events", t.cell, t.events);
-        }
-    }
-
-    /// The traced cache slice is race-free: the kill between cache fill
-    /// and use, the recovery stream, and the hot-cache revalidation reads
-    /// produce no unordered conflicting accesses, and every cell holds
-    /// the no-stale-read-after-recovery invariant.
-    #[test]
-    fn cache_traces_are_race_free() {
-        for t in analyze_cache(crate::DEFAULT_SEED) {
-            assert!(
-                t.ok(),
-                "cache {}: races {:?}, violations {:?}/{:?}",
-                t.cell,
-                t.races,
-                t.detector_violations,
-                t.cell_violations
-            );
-            assert!(t.events > 100, "cache {}: only {} events", t.cell, t.events);
-            assert!(t.warm_entries > 0, "cache {}: cache never warm", t.cell);
-        }
+    fn traced_slices_are_race_free() {
+        let slices = crate::each_axis!(trace_slice(crate::DEFAULT_SEED)).concat();
+        assert_eq!(slices.len(), 2 + 3 + 4 + 3);
+        assert_traced(&slices);
     }
 
     /// The multi-client YCSB-A interleaving is race-free and replays
@@ -808,11 +377,9 @@ mod tests {
     #[test]
     fn ycsb_trace_is_race_free_and_deterministic() {
         let a = analyze_ycsb(7);
-        assert!(a.races.is_empty(), "{:?}", a.races);
-        assert!(a.errors.is_empty(), "{:?}", a.errors);
-        assert_eq!(a.ops, 2000);
+        assert!(a.ok(), "{}", a.findings(""));
+        assert_eq!(a.note, "4 clients, 2000 ops, ");
         assert!(a.events > 1000, "only {} events traced", a.events);
-        let b = analyze_ycsb(7);
-        assert_eq!(a.events, b.events);
+        assert_eq!(a.events, analyze_ycsb(7).events);
     }
 }

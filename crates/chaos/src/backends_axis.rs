@@ -32,26 +32,21 @@
 //! baseline) and then reconcile, since their `recover_client` rolls
 //! run-ahead backups onto the primary's commit state.
 //!
-//! Post-conditions are strategy-blind: oracle agreement with a commit
-//! ambiguity window on the target key, no phantom keys, a probe write on
-//! the interrupted key (liveness), the engine's own [`FtEngine::check`]
-//! (parity scrub for Aceso, replica agreement for the replicated
-//! engines), and a populated space report.
+//! Post-conditions are strategy-blind: [`oracle_agreement`] with a commit
+//! ambiguity window on the target key and a phantom key that must stay
+//! absent, [`probe_liveness`] on the target, the engine's own
+//! [`FtEngine::check`] (parity scrub for Aceso, replica agreement for the
+//! replicated engines), and a populated space report.
 
-use crate::runner::{chaos_config, fmt_key, fmt_state, gen_value};
-use crate::sweep::cell_seeds;
-use aceso_core::{AcesoEngine, AcesoStore, ClientTuning, FtEngine, FtError};
+use crate::axis::{fail_fast, fmt_key, gen_value, key, launch_store, Axis, Ctx, Out, Sink};
+use crate::invariants::{oracle_agreement, preload, probe_liveness, Oracle};
+use aceso_core::{AcesoEngine, FtEngine, FtError};
 use aceso_engines::{launch, EngineKind};
-use aceso_rdma::{FaultAction, FaultPlan, FaultRule, TraceSink};
+use aceso_rdma::{FaultAction, FaultPlan, FaultRule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Pre-op and intended post-op value of the interrupted key — the two
-/// states the commit ambiguity window allows (`None` = key absent).
-type AmbiguityWindow = (Option<Vec<u8>>, Option<Vec<u8>>);
 
 /// Preloaded keys per cell (small: one op is under test, not throughput).
 const KEYS: usize = 24;
@@ -69,16 +64,6 @@ pub enum BackendFault {
     KillMn,
 }
 
-impl BackendFault {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            BackendFault::CrashCn => "crash-cn",
-            BackendFault::KillMn => "kill-mn",
-        }
-    }
-}
-
 /// The operation under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendOp {
@@ -88,17 +73,6 @@ pub enum BackendOp {
     Update,
     /// Delete a preloaded key.
     Delete,
-}
-
-impl BackendOp {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            BackendOp::Insert => "insert",
-            BackendOp::Update => "update",
-            BackendOp::Delete => "delete",
-        }
-    }
 }
 
 /// One cell of the backends matrix.
@@ -114,48 +88,29 @@ pub struct BackendCell {
     pub skip: u64,
 }
 
-impl core::fmt::Display for BackendCell {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "{}/{}/{}/after{}",
-            self.engine,
-            self.op.label(),
-            self.fault.label(),
-            self.skip
-        )
+impl fmt::Display for BackendCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fault = match self.fault {
+            BackendFault::CrashCn => "crash-cn",
+            BackendFault::KillMn => "kill-mn",
+        };
+        let op = format!("{:?}", self.op).to_lowercase();
+        write!(f, "{}/{op}/{fault}/after{}", self.engine, self.skip)
     }
 }
 
-/// The full matrix, engine-major: 3 engines × 3 ops × 2 faults × 3 skips.
-pub fn backends_matrix() -> Vec<BackendCell> {
-    let mut cells = Vec::with_capacity(54);
-    for engine in EngineKind::ALL {
-        for op in [BackendOp::Insert, BackendOp::Update, BackendOp::Delete] {
-            for fault in [BackendFault::CrashCn, BackendFault::KillMn] {
-                for skip in SKIPS {
-                    cells.push(BackendCell {
-                        engine,
-                        op,
-                        fault,
-                        skip,
-                    });
-                }
-            }
-        }
+const fn cell(engine: EngineKind, op: BackendOp, fault: BackendFault, skip: u64) -> BackendCell {
+    BackendCell {
+        engine,
+        op,
+        fault,
+        skip,
     }
-    cells
 }
 
-/// What one backends cell run observed.
-#[derive(Clone, Debug)]
-pub struct BackendOutcome {
-    /// The cell that ran.
-    pub cell: BackendCell,
-    /// The seed its schedule was derived from.
-    pub seed: u64,
-    /// Invariant violations (empty = the cell passed).
-    pub violations: Vec<String>,
+/// What one backends cell observes besides its violations.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct BackendFacts {
     /// Whether the armed fault fired on a victim verb (mid-op).
     pub fired_at_verb: bool,
     /// Whether the MN kill fell back to a direct boundary kill.
@@ -166,177 +121,170 @@ pub struct BackendOutcome {
     pub recovered_cols: usize,
     /// Bytes moved by column recovery (modeled).
     pub recovery_bytes: u64,
-    /// Wall-clock cost of the cell.
-    pub duration_ms: u128,
 }
 
-impl BackendOutcome {
-    /// `true` when every invariant held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
+/// The per-engine axis (`chaos backends`).
+pub struct Backends;
 
-fn backend_key(j: usize) -> Vec<u8> {
-    format!("bk-{j:02}").into_bytes()
-}
+impl Axis for Backends {
+    type Cell = BackendCell;
+    type Facts = BackendFacts;
+    const NAME: &'static str = "backends";
+    const CELLS_ARE: &'static str = "per-engine crash cells";
+    const CLEAN: &'static str = "every engine held its invariants across the shared crash matrix";
 
-/// Launches the cell's engine. Aceso runs on the chaos geometry with the
-/// fail-fast client tuning every chaos axis uses (a blocked op costs
-/// milliseconds, not the default ten-second index wait); the replication
-/// engines fail fast by construction (verb errors propagate immediately).
-fn launch_backend(kind: EngineKind) -> Result<Box<dyn FtEngine>, String> {
-    match kind {
-        EngineKind::Aceso => {
-            let store = AcesoStore::launch(chaos_config()).map_err(|e| format!("launch: {e}"))?;
-            let tuning = ClientTuning {
-                max_retries: 40,
-                index_wait_ms: 5,
-                ..ClientTuning::default()
-            };
-            Ok(Box::new(AcesoEngine::with_tuning(store, tuning)))
+    /// Engine-major: 3 engines × 3 ops × 2 faults × 3 skips.
+    fn cells() -> Vec<BackendCell> {
+        let mut cells = Vec::new();
+        for engine in EngineKind::ALL {
+            for op in [BackendOp::Insert, BackendOp::Update, BackendOp::Delete] {
+                for fault in [BackendFault::CrashCn, BackendFault::KillMn] {
+                    cells.extend(SKIPS.map(|skip| cell(engine, op, fault, skip)));
+                }
+            }
         }
-        _ => launch(kind).map_err(|e| format!("launch: {e}")),
+        cells
+    }
+
+    /// One slice per strategy's commit protocol across a fault: Aceso
+    /// through the seam (a home-node kill mid-update), FUSEE's
+    /// write-then-CAS replication across a torn client write plus its
+    /// reconcile pass, and SWARM's doorbell-batched commit across both
+    /// fault kinds.
+    fn traced() -> Vec<BackendCell> {
+        use {BackendFault::*, BackendOp::*, EngineKind::*};
+        vec![
+            cell(Aceso, Update, KillMn, 0),
+            cell(Fusee, Update, CrashCn, 0),
+            cell(Swarm, Update, CrashCn, 2),
+            cell(Swarm, Insert, KillMn, 0),
+        ]
+    }
+
+    fn run(cell: BackendCell, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
+        run(cell, seed, sink, out)
+    }
+
+    fn summary(o: &[Out<Self>]) -> String {
+        let count = |f: fn(&BackendFacts) -> bool| o.iter().filter(|o| f(&o.facts)).count();
+        let mut s = format!(
+            "{} mid-op faults, {} clients written off, {} fallback kills, {} columns recovered",
+            count(|f| f.fired_at_verb),
+            count(|f| f.written_off),
+            count(|f| f.fallback_kill),
+            o.iter().map(|o| o.facts.recovered_cols).sum::<usize>()
+        );
+        for kind in EngineKind::ALL {
+            let of_kind = o.iter().filter(|o| o.cell.engine == kind);
+            let clean = of_kind.clone().filter(|o| o.ok()).count();
+            s.push_str(&format!(
+                "\n  {kind}: {clean}/{} cells clean",
+                of_kind.count()
+            ));
+        }
+        s
+    }
+
+    /// The replication engines have their own layouts, so their race
+    /// reports run unannotated.
+    fn annotated(cell: BackendCell) -> bool {
+        cell.engine == EngineKind::Aceso
     }
 }
 
-/// Runs one backends cell.
-pub fn run_backends_cell(cell: &BackendCell, seed: u64) -> BackendOutcome {
-    run_backends_cell_with_sink(cell, seed, None)
-}
-
-/// [`run_backends_cell`] with a [`TraceSink`] installed for the duration,
-/// so the race detector observes the engine's verb stream across the
-/// fault and the recovery barriers.
-pub fn run_backends_cell_with_sink(
-    cell: &BackendCell,
-    seed: u64,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> BackendOutcome {
-    let start = Instant::now();
-    let mut out = BackendOutcome {
-        cell: *cell,
-        seed,
-        violations: Vec::new(),
-        fired_at_verb: false,
-        fallback_kill: false,
-        written_off: false,
-        recovered_cols: 0,
-        recovery_bytes: 0,
-        duration_ms: 0,
-    };
-    if let Err(e) = run_backends_cell_inner(cell, seed, &mut out, sink) {
-        out.violations.push(format!("harness: {e}"));
+/// Launches the cell's engine with `sink` on its cluster. Aceso runs on
+/// the chaos geometry with the fail-fast client tuning every chaos axis
+/// uses; the replication engines fail fast by construction (verb errors
+/// propagate immediately).
+fn launch_backend(kind: EngineKind, sink: Sink) -> Result<Box<dyn FtEngine>, String> {
+    if kind == EngineKind::Aceso {
+        return Ok(Box::new(AcesoEngine::with_tuning(
+            launch_store(sink)?,
+            fail_fast(),
+        )));
     }
-    out.duration_ms = start.elapsed().as_millis();
-    out
-}
-
-#[allow(clippy::too_many_lines)]
-fn run_backends_cell_inner(
-    cell: &BackendCell,
-    seed: u64,
-    out: &mut BackendOutcome,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let eng = launch_backend(cell.engine)?;
+    let eng = launch(kind).ctx("launch")?;
     if let Some(s) = sink {
         eng.cluster().install_trace_sink(s);
     }
+    Ok(eng)
+}
+
+fn run(cell: BackendCell, seed: u64, sink: Sink, out: &mut Out<Backends>) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let eng = launch_backend(cell.engine, sink)?;
 
     // ---- Preload ---------------------------------------------------------
-    let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let mut oracle = Oracle::default();
     {
-        let mut loader = eng.client().map_err(|e| format!("loader: {e}"))?;
-        for j in 0..KEYS {
-            let k = backend_key(j);
-            let v = gen_value(&mut rng, b'A');
-            loader
-                .insert(&k, &v)
-                .map_err(|e| format!("preload {}: {e}", fmt_key(&k)))?;
-            oracle.insert(k, v);
-        }
-        loader.quiesce().map_err(|e| format!("preload quiesce: {e}"))?;
+        let mut loader = eng.client().ctx("loader")?;
+        let keys = (0..KEYS).map(|j| key("bk", j));
+        preload(&mut loader, &mut oracle, &mut rng, keys)?;
+        loader.quiesce().ctx("preload quiesce")?;
     }
     for _ in 0..2 {
-        eng.tick().map_err(|e| format!("tick: {e}"))?;
+        eng.tick().ctx("tick")?;
     }
     eng.cluster().trace_barrier();
 
     // ---- Arm the fault and run the target op -----------------------------
     let target = match cell.op {
         BackendOp::Insert => b"bk-new".to_vec(),
-        _ => backend_key(rng.gen_range(0..KEYS)),
+        _ => key("bk", rng.gen_range(0..KEYS)),
     };
     let home = eng.home_col(&target);
     let victim_node = eng.node_of(home);
 
-    let mut victim = eng.client().map_err(|e| format!("victim: {e}"))?;
+    let mut victim = eng.client().ctx("victim")?;
     let rule = match cell.fault {
-        BackendFault::CrashCn => FaultRule::new(FaultAction::Fail).after(cell.skip),
-        BackendFault::KillMn => FaultRule::new(FaultAction::KillNode)
-            .on_node(victim_node)
-            .after(cell.skip),
+        BackendFault::CrashCn => FaultRule::new(FaultAction::Fail),
+        BackendFault::KillMn => FaultRule::new(FaultAction::KillNode).on_node(victim_node),
     };
-    let plan = FaultPlan::with_rules(vec![rule]);
+    let plan = FaultPlan::with_rules(vec![rule.after(cell.skip)]);
     victim.install_fault_plan(Arc::clone(&plan));
 
-    let prev = oracle.get(&target).cloned();
     let val = gen_value(&mut rng, b'T');
-    let intended = match cell.op {
-        BackendOp::Delete => None,
-        _ => Some(val.clone()),
-    };
-    let res: Result<(), FtError> = match cell.op {
-        BackendOp::Insert => victim.insert(&target, &val),
-        BackendOp::Update => victim.update(&target, &val),
-        BackendOp::Delete => match victim.delete(&target) {
-            Ok(existed) => {
+    let (res, intended) = match cell.op {
+        BackendOp::Insert => (victim.insert(&target, &val), Some(val)),
+        BackendOp::Update => (victim.update(&target, &val), Some(val)),
+        BackendOp::Delete => {
+            let res = victim.delete(&target).map(|existed| {
                 if !existed {
-                    out.violations
-                        .push(format!("delete of preloaded {} found nothing", fmt_key(&target)));
+                    out.violations.push(format!(
+                        "delete of preloaded {} found nothing",
+                        fmt_key(&target)
+                    ));
                 }
-                Ok(())
-            }
-            Err(e) => Err(e),
-        },
+            });
+            (res, None)
+        }
     };
-    out.fired_at_verb = plan.fired_count() > 0;
+    out.facts.fired_at_verb = plan.fired_count() > 0;
 
-    // The commit ambiguity window of the interrupted op: pre-op state vs
-    // intended post-op state. `None` = the op committed cleanly.
-    let mut window: Option<AmbiguityWindow> = None;
-    match res {
-        Ok(()) => {
-            match &intended {
-                Some(v) => oracle.insert(target.clone(), v.clone()),
-                None => oracle.remove(&target),
-            };
+    match (res, cell.fault) {
+        (Ok(()), _) => oracle.commit(&target, intended),
+        // Under the MN kill the home node died under the op and nobody
+        // has recovered yet: written off as crashed-while-blocked.
+        (Err(FtError::Crashed(_)), BackendFault::CrashCn)
+        | (Err(FtError::Unreachable(_)), BackendFault::KillMn) => {
+            oracle.interrupt(&target, intended);
+            out.facts.written_off = true;
         }
-        Err(FtError::Crashed(_)) if cell.fault == BackendFault::CrashCn => {
-            window = Some((prev.clone(), intended.clone()));
-            out.written_off = true;
-        }
-        Err(FtError::Unreachable(_)) if cell.fault == BackendFault::KillMn => {
-            // The home node died under the op and nobody has recovered
-            // yet: written off as crashed-while-blocked.
-            window = Some((prev.clone(), intended.clone()));
-            out.written_off = true;
-        }
-        Err(e) => out
-            .violations
-            .push(format!("target op on {}: unexpected error: {e}", fmt_key(&target))),
+        (Err(e), _) => out.violations.push(format!(
+            "target op on {}: unexpected error: {e}",
+            fmt_key(&target)
+        )),
     }
 
     // The skip can exceed the op's verb count to the victim node: fall
     // back to a direct kill at the op boundary so the cell still tests
     // column-loss recovery (now with no torn op).
     if cell.fault == BackendFault::KillMn && eng.cluster().node(victim_node).is_ok() {
-        out.fallback_kill = true;
+        out.facts.fallback_kill = true;
         if !eng.kill_column(home) {
-            out.violations
-                .push(format!("fallback kill of col {home} reported node already dead"));
+            out.violations.push(format!(
+                "fallback kill of col {home} reported node already dead"
+            ));
         }
     }
     let victim_id = victim.id();
@@ -351,102 +299,42 @@ fn run_backends_cell_inner(
     // between tiers, and the detector needs the handoff edge (the column
     // copy is plain unpublished writes the next stage then reads).
     let cn_first = cell.engine == EngineKind::Aceso;
-    if out.written_off && cn_first {
-        eng.recover_client(victim_id)
-            .map_err(|e| format!("recover_client: {e}"))?;
+    if out.facts.written_off && cn_first {
+        eng.recover_client(victim_id).ctx("recover_client")?;
         eng.cluster().trace_barrier();
     }
     for col in 0..eng.columns() {
         if eng.cluster().node(eng.node_of(col)).is_err() {
             let s = eng
                 .recover_column(col)
-                .map_err(|e| format!("recover_column {col}: {e}"))?;
-            out.recovered_cols += 1;
-            out.recovery_bytes += s.bytes;
+                .ctx(&format!("recover_column {col}"))?;
+            out.facts.recovered_cols += 1;
+            out.facts.recovery_bytes += s.bytes;
         }
     }
-    if out.recovered_cols > 0 {
+    if out.facts.recovered_cols > 0 {
         eng.cluster().trace_barrier();
     }
-    if out.written_off && !cn_first {
-        eng.recover_client(victim_id)
-            .map_err(|e| format!("recover_client: {e}"))?;
+    if out.facts.written_off && !cn_first {
+        eng.recover_client(victim_id).ctx("recover_client")?;
     }
     eng.cluster().trace_barrier();
 
     // ---- Invariants ------------------------------------------------------
-    let mut sweep = eng.client().map_err(|e| format!("sweep client: {e}"))?;
+    // No lost acks, no phantom key, no abandoned lock or wedged slot on
+    // the interrupted key.
+    let mut sweep = eng.client().ctx("sweep client")?;
+    oracle_agreement(
+        &mut sweep,
+        &oracle,
+        &[&target, b"bk-phantom"],
+        &mut out.violations,
+    );
+    probe_liveness(&mut sweep, &target, &mut rng, &mut out.violations);
 
-    // 1. Oracle agreement (no lost acks: every acknowledged value reads
-    //    back), with the ambiguity window on the target key.
-    let got = sweep
-        .search(&target)
-        .map_err(|e| format!("target search: {e}"))?;
-    let target_ok = match &window {
-        Some((pre, post)) => got == *pre || got == *post,
-        None => got == oracle.get(&target).cloned(),
-    };
-    if !target_ok {
-        let (pre, post) = window.clone().unwrap_or_else(|| {
-            let w = oracle.get(&target).cloned();
-            (w.clone(), w)
-        });
-        out.violations.push(format!(
-            "target {} outside ambiguity window: got {} allowed {} | {}",
-            fmt_key(&target),
-            fmt_state(&got),
-            fmt_state(&pre),
-            fmt_state(&post)
-        ));
-    }
-    for (k, v) in oracle.iter().filter(|(k, _)| **k != target) {
-        match sweep.search(k) {
-            Ok(got) if got.as_ref() == Some(v) => {}
-            Ok(got) => out.violations.push(format!(
-                "oracle mismatch on {}: got {} want {}",
-                fmt_key(k),
-                fmt_state(&got),
-                fmt_state(&Some(v.clone()))
-            )),
-            Err(e) => out
-                .violations
-                .push(format!("oracle search {}: {e}", fmt_key(k))),
-        }
-    }
-
-    // 2. No phantom keys materialized by the fault or the recovery.
-    match sweep.search(b"bk-phantom") {
-        Ok(None) => {}
-        Ok(got) => out
-            .violations
-            .push(format!("phantom key readable: {}", fmt_state(&got))),
-        Err(e) => out.violations.push(format!("phantom search: {e}")),
-    }
-
-    // 3. Liveness on the interrupted key: a probe write must get through
-    //    (no abandoned lock, no wedged slot) and read back.
-    let probe = gen_value(&mut rng, b'P');
-    match sweep.insert(&target, &probe) {
-        Ok(()) => match sweep.search(&target) {
-            Ok(Some(got)) if got == probe => {}
-            Ok(got) => out.violations.push(format!(
-                "probe readback mismatch on {}: got {}",
-                fmt_key(&target),
-                fmt_state(&got)
-            )),
-            Err(e) => out
-                .violations
-                .push(format!("probe readback {}: {e}", fmt_key(&target))),
-        },
-        Err(e) => out.violations.push(format!(
-            "probe insert on {} blocked: {e}",
-            fmt_key(&target)
-        )),
-    }
-
-    // 4. The engine's own integrity check (parity scrub / replica
-    //    agreement), after a quiesce so buffered client state is flushed.
-    sweep.quiesce().map_err(|e| format!("sweep quiesce: {e}"))?;
+    // The engine's own integrity check (parity scrub / replica
+    // agreement), after a quiesce so buffered client state is flushed.
+    sweep.quiesce().ctx("sweep quiesce")?;
     drop(sweep);
     eng.cluster().trace_barrier();
     match eng.check() {
@@ -454,7 +342,7 @@ fn run_backends_cell_inner(
         Err(e) => out.violations.push(format!("check: {e}")),
     }
 
-    // 5. Space accounting stays populated across the fault.
+    // Space accounting stays populated across the fault.
     let sp = eng.space();
     if sp.valid == 0 || sp.redundancy == 0 {
         out.violations
@@ -462,7 +350,7 @@ fn run_backends_cell_inner(
     }
 
     // Accounting sanity on the injection machinery itself.
-    if out.fired_at_verb && plan.fired().is_empty() {
+    if out.facts.fired_at_verb && plan.fired().is_empty() {
         out.violations.push("fired count and log disagree".into());
     }
 
@@ -470,94 +358,23 @@ fn run_backends_cell_inner(
     Ok(())
 }
 
-/// Everything one `chaos backends` run produced.
-#[derive(Clone, Debug)]
-pub struct BackendsReportCli {
-    /// The master seed (per-cell seeds derive from it).
-    pub seed: u64,
-    /// Per-cell outcomes, in matrix order.
-    pub outcomes: Vec<BackendOutcome>,
-}
-
-impl BackendsReportCli {
-    /// `true` when every cell held every invariant.
-    pub fn clean(&self) -> bool {
-        self.outcomes.iter().all(BackendOutcome::ok)
-    }
-
-    /// Renders the run summary.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let failed = self.outcomes.iter().filter(|o| !o.ok()).count();
-        let fired = self.outcomes.iter().filter(|o| o.fired_at_verb).count();
-        let written_off = self.outcomes.iter().filter(|o| o.written_off).count();
-        let fallback = self.outcomes.iter().filter(|o| o.fallback_kill).count();
-        let recovered: usize = self.outcomes.iter().map(|o| o.recovered_cols).sum();
-        s.push_str(&format!(
-            "backends report: seed {:#x}\n  {} cells, {} failed, {} mid-op faults, {} clients written off, {} fallback kills, {} columns recovered\n",
-            self.seed,
-            self.outcomes.len(),
-            failed,
-            fired,
-            written_off,
-            fallback,
-            recovered
-        ));
-        for kind in EngineKind::ALL {
-            let of_kind: Vec<_> = self
-                .outcomes
-                .iter()
-                .filter(|o| o.cell.engine == kind)
-                .collect();
-            let bad = of_kind.iter().filter(|o| !o.ok()).count();
-            s.push_str(&format!(
-                "  {kind}: {}/{} cells clean\n",
-                of_kind.len() - bad,
-                of_kind.len()
-            ));
-        }
-        for o in self.outcomes.iter().filter(|o| !o.ok()) {
-            s.push_str(&format!("  cell {} (seed {:#x}):\n", o.cell, o.seed));
-            for v in &o.violations {
-                s.push_str(&format!("    - {v}\n"));
-            }
-        }
-        s.push_str(if self.clean() {
-            "  every engine held its invariants across the shared crash matrix\n"
-        } else {
-            "  BACKENDS AXIS FOUND PROBLEMS (see above)\n"
-        });
-        s
-    }
-}
-
-/// Runs the full matrix with per-cell seeds derived from `seed`.
-/// `progress` is called after each cell (CLI verbosity hook).
-pub fn run_backends_matrix(
-    seed: u64,
-    mut progress: impl FnMut(&BackendOutcome),
-) -> BackendsReportCli {
-    let cells = backends_matrix();
-    let seeds = cell_seeds(seed, cells.len());
-    let outcomes = cells
-        .iter()
-        .zip(seeds)
-        .map(|(cell, cell_seed)| {
-            let out = run_backends_cell(cell, cell_seed);
-            progress(&out);
-            out
-        })
-        .collect();
-    BackendsReportCli { seed, outcomes }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::axis::run_cell;
+
+    fn on_every_engine(op: BackendOp, fault: BackendFault, skip: u64, check: fn(&Out<Backends>)) {
+        for engine in EngineKind::ALL {
+            let cell = cell(engine, op, fault, skip);
+            let out = run_cell::<Backends>(cell, crate::DEFAULT_SEED, None);
+            assert!(out.ok(), "{cell}: {:?}", out.violations);
+            check(&out);
+        }
+    }
 
     #[test]
     fn matrix_shape_covers_every_engine() {
-        let cells = backends_matrix();
+        let cells = Backends::cells();
         assert_eq!(cells.len(), 54);
         for kind in EngineKind::ALL {
             assert_eq!(cells.iter().filter(|c| c.engine == kind).count(), 18);
@@ -568,69 +385,34 @@ mod tests {
     /// engine behind the seam.
     #[test]
     fn crash_cn_update_holds_on_every_engine() {
-        for engine in EngineKind::ALL {
-            let cell = BackendCell {
-                engine,
-                op: BackendOp::Update,
-                fault: BackendFault::CrashCn,
-                skip: 0,
-            };
-            let out = run_backends_cell(&cell, crate::DEFAULT_SEED);
-            assert!(out.ok(), "{cell}: {:?}", out.violations);
-            assert!(out.fired_at_verb, "{cell}: fault never fired");
-            assert!(out.written_off, "{cell}: victim not written off");
-        }
+        on_every_engine(BackendOp::Update, BackendFault::CrashCn, 0, |out| {
+            assert!(out.facts.fired_at_verb, "{}: fault never fired", out.cell);
+            assert!(
+                out.facts.written_off,
+                "{}: victim not written off",
+                out.cell
+            );
+        });
     }
 
     /// Killing the home node mid-insert forces degraded service and a
     /// column rebuild on every engine.
     #[test]
     fn kill_mn_insert_recovers_on_every_engine() {
-        for engine in EngineKind::ALL {
-            let cell = BackendCell {
-                engine,
-                op: BackendOp::Insert,
-                fault: BackendFault::KillMn,
-                skip: 0,
-            };
-            let out = run_backends_cell(&cell, crate::DEFAULT_SEED);
-            assert!(out.ok(), "{cell}: {:?}", out.violations);
-            assert_eq!(out.recovered_cols, 1, "{cell}: column not rebuilt");
-            assert!(out.recovery_bytes > 0, "{cell}: empty recovery");
-        }
+        on_every_engine(BackendOp::Insert, BackendFault::KillMn, 0, |out| {
+            assert_eq!(
+                out.facts.recovered_cols, 1,
+                "{}: column not rebuilt",
+                out.cell
+            );
+            assert!(out.facts.recovery_bytes > 0, "{}: empty recovery", out.cell);
+        });
     }
 
     /// A deep-skip delete crash still converges (the fault may or may not
     /// fire depending on the engine's verb count — both paths must hold).
     #[test]
     fn deep_skip_delete_holds_on_every_engine() {
-        for engine in EngineKind::ALL {
-            let cell = BackendCell {
-                engine,
-                op: BackendOp::Delete,
-                fault: BackendFault::CrashCn,
-                skip: 5,
-            };
-            let out = run_backends_cell(&cell, crate::DEFAULT_SEED);
-            assert!(out.ok(), "{cell}: {:?}", out.violations);
-        }
-    }
-
-    /// Same seed, same schedule, same outcome.
-    #[test]
-    fn backends_cell_is_deterministic() {
-        let cell = BackendCell {
-            engine: EngineKind::Swarm,
-            op: BackendOp::Update,
-            fault: BackendFault::KillMn,
-            skip: 2,
-        };
-        let a = run_backends_cell(&cell, 99);
-        let b = run_backends_cell(&cell, 99);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.fired_at_verb, b.fired_at_verb);
-        assert_eq!(a.written_off, b.written_off);
-        assert_eq!(a.recovered_cols, b.recovered_cols);
-        assert_eq!(a.recovery_bytes, b.recovery_bytes);
+        on_every_engine(BackendOp::Delete, BackendFault::CrashCn, 5, |_| {});
     }
 }

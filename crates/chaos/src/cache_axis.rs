@@ -19,9 +19,8 @@
 //!   [`CrashPoint::BeforeCommit`] mid-mutation and CN recovery repairs
 //!   its in-flight op.
 //!
-//! Post-conditions are the matrix invariants (oracle agreement with an
-//! ambiguity window on the interrupted key, meta-lock liveness,
-//! Index-Version monotonicity, parity scrub) plus the axis-defining one:
+//! Post-conditions are [`crate::invariants::judge_store`] (with an
+//! ambiguity window on the interrupted key) plus the axis-defining one:
 //!
 //! * **No stale read after recovery** — a *second* client whose cache
 //!   was filled before the kill and never touched again until recovery
@@ -30,24 +29,19 @@
 //!   return exactly the oracle value (the entry must revalidate or
 //!   invalidate, never serve the pre-recovery image).
 
-use crate::runner::{chaos_config, fmt_key, fmt_state, gen_value};
-use crate::sweep::cell_seeds;
+use crate::axis::{
+    cut_of, fail_fast, fmt_key, gen_value, key, launch_store, Axis, Ctx, Cut, Out, Sink,
+};
+use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
 use aceso_core::client::CrashPoint;
-use aceso_core::{recover_cn, recover_mn, scrub, AcesoStore, ClientTuning, StoreError};
+use aceso_core::{recover_cn, recover_mn, StoreError};
 use aceso_index::route_hash;
-use aceso_rdma::{RdmaError, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Instant;
+use std::fmt;
 
 /// Preloaded keys (every one cached by both clients before the kill).
 const KEYS: usize = 24;
-
-/// A commit ambiguity window: (pre-op state, intended post-op state) of
-/// the interrupted key — either side may legitimately survive recovery.
-type AmbiguityWindow = (Option<Vec<u8>>, Option<Vec<u8>>);
 
 /// Which participant dies between cache fill and use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,16 +50,6 @@ pub enum CacheKill {
     Mn,
     /// Crash the hot-cache client at a protocol crash point mid-op.
     Cn,
-}
-
-impl CacheKill {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CacheKill::Mn => "kill-mn",
-            CacheKill::Cn => "crash-cn",
-        }
-    }
 }
 
 /// The cache-consulting operation run through the stale entry.
@@ -79,23 +63,6 @@ pub enum CacheOp {
     Delete,
 }
 
-impl CacheOp {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CacheOp::Search => "search",
-            CacheOp::Update => "update",
-            CacheOp::Delete => "delete",
-        }
-    }
-
-    /// Whether the op mutates (and therefore opens an ambiguity window
-    /// when interrupted).
-    fn mutates(&self) -> bool {
-        !matches!(self, CacheOp::Search)
-    }
-}
-
 /// One cell of the cache matrix: a kill in the fill→use window × the op
 /// that then consumes the stale entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,249 +73,188 @@ pub struct CacheCell {
     pub op: CacheOp,
 }
 
-impl core::fmt::Display for CacheCell {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}@{}", self.kill.label(), self.op.label())
+impl fmt::Display for CacheCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kill = match self.kill {
+            CacheKill::Mn => "kill-mn",
+            CacheKill::Cn => "crash-cn",
+        };
+        write!(f, "{kill}@{}", format!("{:?}", self.op).to_lowercase())
     }
 }
 
-/// The full matrix. CN crash points live in the commit path, so the CN
-/// kill pairs only with the mutating ops.
-pub fn cache_matrix() -> Vec<CacheCell> {
-    let mut cells = Vec::with_capacity(5);
-    for op in [CacheOp::Search, CacheOp::Update, CacheOp::Delete] {
-        cells.push(CacheCell { kill: CacheKill::Mn, op });
-    }
-    for op in [CacheOp::Update, CacheOp::Delete] {
-        cells.push(CacheCell { kill: CacheKill::Cn, op });
-    }
-    cells
-}
-
-/// What one cache cell run observed.
-#[derive(Clone, Debug)]
-pub struct CacheOutcome {
-    /// The cell that ran.
-    pub cell: CacheCell,
-    /// The seed its schedule was derived from.
-    pub seed: u64,
+/// What one cache cell observes besides its violations.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CacheFacts {
     /// The killed (MN cells) or target (CN cells) index column.
     pub col: usize,
-    /// Invariant violations (empty = the cell passed).
-    pub violations: Vec<String>,
     /// Entries the sweep client held when the kill landed.
     pub warm_entries: usize,
     /// Whether the victim client's op was interrupted by the fault.
     pub interrupted: bool,
-    /// Wall-clock cost of the cell.
-    pub duration_ms: u128,
 }
 
-impl CacheOutcome {
-    /// `true` when every invariant held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+/// The stale-index-cache axis (`chaos cache`, appended to `sweep --ci`).
+pub struct Cache;
+
+impl Axis for Cache {
+    type Cell = CacheCell;
+    type Facts = CacheFacts;
+    const NAME: &'static str = "cache";
+    const CELLS_ARE: &'static str = "stale-cache cells";
+    const CLEAN: &'static str = "no stale read survived any fill-kill-recover-use window";
+
+    /// CN crash points live in the commit path, so the CN kill pairs only
+    /// with the mutating ops.
+    fn cells() -> Vec<CacheCell> {
+        let cell = |kill, op| CacheCell { kill, op };
+        vec![
+            cell(CacheKill::Mn, CacheOp::Search),
+            cell(CacheKill::Mn, CacheOp::Update),
+            cell(CacheKill::Mn, CacheOp::Delete),
+            cell(CacheKill::Cn, CacheOp::Update),
+            cell(CacheKill::Cn, CacheOp::Delete),
+        ]
+    }
+
+    /// The stale-cache SEARCH fast path, the stale-cache UPDATE
+    /// speculation, and the hot-cache CN crash: the detector must order
+    /// the sweeper's revalidating slot re-reads against the recovery
+    /// stream that rebuilt (or repaired) the memory they land on.
+    fn traced() -> Vec<CacheCell> {
+        let cells = Self::cells();
+        vec![cells[0], cells[1], cells[3]]
+    }
+
+    fn run(cell: CacheCell, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
+        run(cell, seed, sink, out)
+    }
+
+    fn summary(o: &[Out<Self>]) -> String {
+        format!(
+            "{} interrupted ops, {} warm entries at kill time",
+            o.iter().filter(|o| o.facts.interrupted).count(),
+            o.iter().map(|o| o.facts.warm_entries).sum::<usize>()
+        )
+    }
+
+    fn traced_note(out: &Out<Self>) -> String {
+        format!("{} warm entries at kill, ", out.facts.warm_entries)
     }
 }
 
-fn traffic_key(j: usize) -> Vec<u8> {
-    format!("ck-{j:02}").into_bytes()
-}
-
-/// Runs one cache cell.
-pub fn run_cache_cell(cell: &CacheCell, seed: u64) -> CacheOutcome {
-    run_cache_cell_with_sink(cell, seed, None)
-}
-
-/// [`run_cache_cell`] with a [`TraceSink`] installed for the duration, so
-/// the race detector observes the cached fast-path verbs interleaved with
-/// the kill and the recovery stream.
-pub fn run_cache_cell_with_sink(
-    cell: &CacheCell,
-    seed: u64,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> CacheOutcome {
-    let start = Instant::now();
-    let mut out = CacheOutcome {
-        cell: *cell,
-        seed,
-        col: 0,
-        violations: Vec::new(),
-        warm_entries: 0,
-        interrupted: false,
-        duration_ms: 0,
-    };
-    if let Err(e) = run_cache_cell_inner(cell, seed, &mut out, sink) {
-        out.violations.push(format!("harness: {e}"));
-    }
-    out.duration_ms = start.elapsed().as_millis();
-    out
-}
-
-#[allow(clippy::too_many_lines)]
-fn run_cache_cell_inner(
-    cell: &CacheCell,
-    seed: u64,
-    out: &mut CacheOutcome,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> Result<(), String> {
+fn run(cell: CacheCell, seed: u64, sink: Sink, out: &mut Out<Cache>) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let store = AcesoStore::launch(chaos_config()).map_err(|e| format!("launch: {e}"))?;
-    if let Some(s) = sink {
-        store.cluster.install_trace_sink(s);
-    }
-    let n = store.cfg.num_mns;
+    let store = launch_store(sink)?;
 
     // ---- Preload ---------------------------------------------------------
-    let keys: Vec<Vec<u8>> = (0..KEYS).map(traffic_key).collect();
-    let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let keys: Vec<Vec<u8>> = (0..KEYS).map(|j| key("ck", j)).collect();
+    let mut oracle = Oracle::default();
     {
-        let mut loader = store.client().map_err(|e| format!("loader: {e}"))?;
-        for k in &keys {
-            let v = gen_value(&mut rng, b'A');
-            loader
-                .insert(k, &v)
-                .map_err(|e| format!("preload {}: {e}", fmt_key(k)))?;
-            oracle.insert(k.clone(), v);
-        }
-        loader
-            .close_open_blocks()
-            .map_err(|e| format!("preload close: {e}"))?;
+        let mut loader = store.client().ctx("loader")?;
+        preload(&mut loader, &mut oracle, &mut rng, keys.iter().cloned())?;
+        loader.close_open_blocks().ctx("preload close")?;
     }
-    store.cluster.trace_barrier();
-    for _ in 0..2 {
-        store.checkpoint_tick().map_err(|e| format!("ckpt: {e}"))?;
-    }
-    store.cluster.trace_barrier();
-    let iv_of = |store: &Arc<AcesoStore>, col: usize| {
-        let s = store.server(col);
-        s.index.local_index_version(&s.node.region)
-    };
-    let iv_pre: Vec<u64> = (0..n).map(|c| iv_of(&store, c)).collect();
+    let iv = checkpoint_twice(&store)?;
 
     // ---- Cache fill ------------------------------------------------------
-    // Two hot-cache clients, fail-fast tuned like the matrix. `victim`
-    // runs the op through its stale entry; `sweeper` stays idle across
-    // the kill and performs the no-stale-read sweep after recovery.
-    let tuning = ClientTuning {
-        max_retries: 40,
-        index_wait_ms: 5,
-        ..ClientTuning::default()
-    };
-    let mut victim = store
-        .client_with(tuning)
-        .map_err(|e| format!("victim client: {e}"))?;
-    let mut sweeper = store
-        .client_with(tuning)
-        .map_err(|e| format!("sweeper client: {e}"))?;
+    // Two hot-cache clients. `victim` runs the op through its stale entry;
+    // `sweeper` stays idle across the kill and performs the no-stale-read
+    // sweep after recovery.
+    let mut victim = store.client_with(fail_fast()).ctx("victim client")?;
+    let mut sweeper = store.client_with(fail_fast()).ctx("sweeper client")?;
     for k in &keys {
         for (who, cli) in [("victim", &mut victim), ("sweeper", &mut sweeper)] {
             match cli.search(k) {
-                Ok(got) if got.as_ref() == oracle.get(k) => {}
-                Ok(got) => out.violations.push(format!(
-                    "{who} fill search({}) returned {} want {}",
-                    fmt_key(k),
-                    fmt_state(&got),
-                    fmt_state(&oracle.get(k).cloned())
-                )),
+                Ok(got) => {
+                    oracle.observe(k, got, &format!("{who} fill mismatch"), &mut out.violations)
+                }
                 Err(e) => out
                     .violations
                     .push(format!("{who} fill search({}): {e}", fmt_key(k))),
             }
         }
     }
-    out.warm_entries = sweeper.cache_len();
-    if out.warm_entries == 0 {
+    out.facts.warm_entries = sweeper.cache_len();
+    if out.facts.warm_entries == 0 {
         out.violations.push("sweeper cache never filled".into());
     }
-    let victim_id = victim.id();
 
     // The target key's index column is the MN victim, so both clients
     // hold a cached slot address that dies under them.
     let target = keys[rng.gen_range(0..KEYS)].clone();
-    let col = (route_hash(&target) % n as u64) as usize;
-    out.col = col;
+    let col = (route_hash(&target) % store.cfg.num_mns as u64) as usize;
+    out.facts.col = col;
 
     // ---- Kill between fill and use ---------------------------------------
     store.cluster.trace_barrier();
-    if cell.kill == CacheKill::Mn && !store.kill_mn(col) {
-        out.violations.push(format!("kill of col {col} found it already dead"));
-    }
-    if cell.kill == CacheKill::Cn {
-        victim.crash_point = Some(CrashPoint::BeforeCommit);
-    }
+    let expected = match cell.kill {
+        CacheKill::Mn => {
+            if !store.kill_mn(col) {
+                out.violations
+                    .push(format!("kill of col {col} found it already dead"));
+            }
+            Cut::Blocked
+        }
+        CacheKill::Cn => {
+            victim.crash_point = Some(CrashPoint::BeforeCommit);
+            Cut::Crash
+        }
+    };
     store.cluster.trace_barrier();
 
     // ---- The op through the stale entry ----------------------------------
-    let prev = oracle.get(&target).cloned();
-    let intended: Option<Option<Vec<u8>>> = match cell.op {
-        CacheOp::Search => None,
-        CacheOp::Update => Some(Some(gen_value(&mut rng, b'U'))),
-        CacheOp::Delete => Some(None),
-    };
-    let res: Result<(), StoreError> = match cell.op {
-        CacheOp::Search => victim.search(&target).map(|got| {
-            // A successful read against the dead column (degraded path)
-            // must already be stale-free.
-            if got != prev {
-                out.violations.push(format!(
-                    "degraded search({}) returned {} want {}",
-                    fmt_key(&target),
-                    fmt_state(&got),
-                    fmt_state(&prev)
-                ));
-            }
-        }),
-        CacheOp::Update => {
-            let v = intended.clone().flatten().expect("update has a value");
-            victim.update(&target, &v)
+    let (res, intended): (Result<(), StoreError>, _) = match cell.op {
+        // A successful read against the dead column (degraded path) must
+        // already be stale-free.
+        CacheOp::Search => {
+            let res = victim.search(&target).map(|got| {
+                oracle.observe(
+                    &target,
+                    got,
+                    "degraded search mismatch",
+                    &mut out.violations,
+                );
+            });
+            (res, oracle.get(&target))
         }
-        CacheOp::Delete => victim.delete(&target).map(|_| ()),
+        CacheOp::Update => {
+            let v = gen_value(&mut rng, b'U');
+            (victim.update(&target, &v), Some(v))
+        }
+        CacheOp::Delete => (victim.delete(&target).map(|_| ()), None),
     };
-    // The commit ambiguity window of the target key: pre-op vs intended
-    // post-op states, open only while an interrupted mutation is pending.
-    let mut window: Option<AmbiguityWindow> = None;
     match res {
         Ok(()) => {
-            if let Some(post) = intended {
-                match post {
-                    Some(v) => oracle.insert(target.clone(), v),
-                    None => oracle.remove(&target),
-                };
-            }
+            oracle.commit(&target, intended);
             if cell.kill == CacheKill::Cn {
                 out.violations.push("CN crash point never fired".into());
             }
         }
-        Err(StoreError::Shutdown) if cell.kill == CacheKill::Cn => {
-            out.interrupted = true;
-            window = Some((prev.clone(), intended.clone().flatten()));
+        // Under the MN kill the victim died under the op and nobody has
+        // recovered yet: written off as crashed-while-blocked, like the
+        // matrix does.
+        Err(e) if cut_of(&e) == Some(expected) => {
+            out.facts.interrupted = true;
+            oracle.interrupt(&target, intended);
         }
-        Err(StoreError::Rdma(RdmaError::NodeUnreachable(_))) | Err(StoreError::RetriesExhausted)
-            if cell.kill == CacheKill::Mn =>
-        {
-            // The victim died under the op and nobody has recovered yet:
-            // written off as crashed-while-blocked, like the matrix does.
-            out.interrupted = true;
-            if cell.op.mutates() {
-                window = Some((prev.clone(), intended.clone().flatten()));
-            }
-        }
-        Err(e) => out
-            .violations
-            .push(format!("op {} on {}: unexpected error: {e}", cell.op.label(), fmt_key(&target))),
+        Err(e) => out.violations.push(format!(
+            "op {:?} on {}: unexpected error: {e}",
+            cell.op,
+            fmt_key(&target)
+        )),
     }
+    let victim_id = victim.id();
     drop(victim);
 
     // ---- Tiered recovery -------------------------------------------------
     store.cluster.trace_barrier();
-    if out.interrupted {
-        let mut revived = store.client_with_id(victim_id);
-        recover_cn(&store, &mut revived).map_err(|e| format!("recover_cn: {e}"))?;
+    if out.facts.interrupted {
+        recover_cn(&store, &mut store.client_with_id(victim_id)).ctx("recover_cn")?;
         store.cluster.trace_barrier();
     }
     if store.cluster.node(store.directory().node_of(col)).is_err() {
-        recover_mn(&store, col).map_err(|e| format!("recover_mn: {e}"))?;
+        recover_mn(&store, col).ctx("recover_mn")?;
         store.cluster.trace_barrier();
     }
 
@@ -356,36 +262,11 @@ fn run_cache_cell_inner(
     // The axis-defining check: the sweeper's cache was filled before the
     // kill and is consulted for the first time now. Every entry on the
     // recovered column points at pre-recovery memory; each read must
-    // revalidate or invalidate it — never serve the old image.
+    // revalidate or invalidate it — never serve the old image. A read of
+    // the interrupted key pins its collapsed state for the checks below.
     for k in &keys {
-        let want = oracle.get(k).cloned();
         match sweeper.search(k) {
-            Ok(got) => {
-                let ok = if *k == target {
-                    match &window {
-                        Some((pre, post)) => got == *pre || got == *post,
-                        None => got == want,
-                    }
-                } else {
-                    got == want
-                };
-                if !ok {
-                    out.violations.push(format!(
-                        "stale read after recovery on {}: got {} want {}",
-                        fmt_key(k),
-                        fmt_state(&got),
-                        fmt_state(&want)
-                    ));
-                } else if *k == target && window.is_some() {
-                    // The read pinned the interrupted key's collapsed
-                    // state; later checks compare against it exactly.
-                    match &got {
-                        Some(v) => oracle.insert(k.clone(), v.clone()),
-                        None => oracle.remove(k),
-                    };
-                    window = None;
-                }
-            }
+            Ok(got) => oracle.observe(k, got, "stale read after recovery", &mut out.violations),
             Err(e) => out
                 .violations
                 .push(format!("post-recovery search {}: {e}", fmt_key(k))),
@@ -396,142 +277,35 @@ fn run_cache_cell_inner(
             .push("sweeper cache empty after the sweep (caching disabled?)".into());
     }
 
-    // ---- Matrix invariants -----------------------------------------------
-    let mut fresh = store.client().map_err(|e| format!("fresh client: {e}"))?;
-
-    // 1. Oracle agreement through a cold cache (double-checks the sweep).
-    for k in &keys {
-        let want = oracle.get(k).cloned();
-        match fresh.search(k) {
-            Ok(got) if got == want => {}
-            Ok(got) => out.violations.push(format!(
-                "oracle mismatch on {}: got {} want {}",
-                fmt_key(k),
-                fmt_state(&got),
-                fmt_state(&want)
-            )),
-            Err(e) => out
-                .violations
-                .push(format!("oracle search {}: {e}", fmt_key(k))),
-        }
-    }
-
-    // 2. Meta-lock liveness on the interrupted key: a probe write must get
-    //    through (breaking any lock the written-off client abandoned).
-    if out.interrupted {
-        let probe = gen_value(&mut rng, b'P');
-        match fresh.insert(&target, &probe) {
-            Ok(()) => match fresh.search(&target) {
-                Ok(Some(got)) if got == probe => {}
-                Ok(got) => out.violations.push(format!(
-                    "probe readback mismatch on {}: got {}",
-                    fmt_key(&target),
-                    fmt_state(&got)
-                )),
-                Err(e) => out
-                    .violations
-                    .push(format!("probe readback {}: {e}", fmt_key(&target))),
-            },
-            Err(e) => out.violations.push(format!(
-                "probe insert on {} blocked (stale meta lock?): {e}",
-                fmt_key(&target)
-            )),
-        }
-    }
-
-    // 3. Index-Version monotonicity across kill + recovery.
-    for (c, pre) in iv_pre.iter().enumerate() {
-        let post = iv_of(&store, c);
-        if post < *pre {
-            out.violations
-                .push(format!("index version regressed on col {c}: {pre} -> {post}"));
-        }
-    }
-
-    // 4. Parity-stripe consistency after recovery.
-    if let Err(e) = fresh.flush_bitmaps() {
-        out.violations.push(format!("final flush: {e}"));
-    }
-    store.cluster.trace_barrier();
-    match scrub(&store) {
-        Ok(r) if r.is_clean() => {}
-        Ok(r) => out.violations.push(format!("scrub dirty: {r:?}")),
-        Err(e) => out.violations.push(format!("scrub: {e}")),
-    }
-    let degraded = store.degraded_columns();
-    if !degraded.is_empty() {
-        out.violations
-            .push(format!("degraded windows left open: {degraded:?}"));
-    }
-
+    // ---- Matrix invariants (the cold-cache sweep double-checks the hot one)
+    let probes = if out.facts.interrupted {
+        vec![target.clone()]
+    } else {
+        Vec::new()
+    };
+    judge_store(
+        &store,
+        &oracle,
+        &[&target],
+        &probes,
+        &iv,
+        &mut rng,
+        &mut out.violations,
+    )?;
     store.shutdown();
     Ok(())
-}
-
-/// Everything one `chaos cache` run produced.
-#[derive(Clone, Debug)]
-pub struct CacheReportCli {
-    /// The master seed (per-cell seeds derive from it).
-    pub seed: u64,
-    /// Per-cell outcomes, in matrix order.
-    pub outcomes: Vec<CacheOutcome>,
-}
-
-impl CacheReportCli {
-    /// `true` when every cell held every invariant.
-    pub fn clean(&self) -> bool {
-        self.outcomes.iter().all(CacheOutcome::ok)
-    }
-
-    /// Renders the run summary.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let failed = self.outcomes.iter().filter(|o| !o.ok()).count();
-        let interrupted = self.outcomes.iter().filter(|o| o.interrupted).count();
-        let warm: usize = self.outcomes.iter().map(|o| o.warm_entries).sum();
-        s.push_str(&format!(
-            "cache report: seed {:#x}\n  {} cells, {} failed, {} interrupted ops, {} warm entries at kill time\n",
-            self.seed,
-            self.outcomes.len(),
-            failed,
-            interrupted,
-            warm
-        ));
-        for o in self.outcomes.iter().filter(|o| !o.ok()) {
-            s.push_str(&format!("  cell {} (seed {:#x}, col {}):\n", o.cell, o.seed, o.col));
-            for v in &o.violations {
-                s.push_str(&format!("    - {v}\n"));
-            }
-        }
-        s.push_str(if self.clean() {
-            "  no stale read survived any fill-kill-recover-use window\n"
-        } else {
-            "  CACHE AXIS FOUND PROBLEMS (see above)\n"
-        });
-        s
-    }
-}
-
-/// Runs the full matrix with per-cell seeds derived from `seed`.
-/// `progress` is called after each cell (CLI verbosity hook).
-pub fn run_cache_matrix(seed: u64, mut progress: impl FnMut(&CacheOutcome)) -> CacheReportCli {
-    let cells = cache_matrix();
-    let seeds = cell_seeds(seed, cells.len());
-    let outcomes = cells
-        .iter()
-        .zip(seeds)
-        .map(|(cell, cell_seed)| {
-            let out = run_cache_cell(cell, cell_seed);
-            progress(&out);
-            out
-        })
-        .collect();
-    CacheReportCli { seed, outcomes }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::axis::{run_cell, run_matrix};
+
+    fn run(kill: CacheKill, op: CacheOp) -> Out<Cache> {
+        let out = run_cell::<Cache>(CacheCell { kill, op }, crate::DEFAULT_SEED, None);
+        assert!(out.ok(), "{:?}", out.violations);
+        out
+    }
 
     /// The index column of a cached key dies between fill and use: the
     /// hot-cache SEARCH either degrades correctly or fails fast, MN
@@ -539,13 +313,8 @@ mod tests {
     /// nothing stale afterwards.
     #[test]
     fn mn_killed_between_fill_and_use_serves_no_stale_search() {
-        let cell = CacheCell {
-            kill: CacheKill::Mn,
-            op: CacheOp::Search,
-        };
-        let out = run_cache_cell(&cell, crate::DEFAULT_SEED);
-        assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.warm_entries > 0, "cache was never hot");
+        let out = run(CacheKill::Mn, CacheOp::Search);
+        assert!(out.facts.warm_entries > 0, "cache was never hot");
     }
 
     /// Same window, but the stale entry feeds an UPDATE speculation: the
@@ -553,12 +322,7 @@ mod tests {
     /// post-recovery sweep sees exactly one of its two allowed states.
     #[test]
     fn mn_killed_before_update_recovers_clean() {
-        let cell = CacheCell {
-            kill: CacheKill::Mn,
-            op: CacheOp::Update,
-        };
-        let out = run_cache_cell(&cell, crate::DEFAULT_SEED);
-        assert!(out.ok(), "{:?}", out.violations);
+        run(CacheKill::Mn, CacheOp::Update);
     }
 
     /// A client with a hot cache crashes at the commit crash point; CN
@@ -566,36 +330,19 @@ mod tests {
     /// client reads nothing stale.
     #[test]
     fn cn_crash_with_hot_cache_recovers_clean() {
-        let cell = CacheCell {
-            kill: CacheKill::Cn,
-            op: CacheOp::Update,
-        };
-        let out = run_cache_cell(&cell, crate::DEFAULT_SEED);
-        assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.interrupted, "the crash point must interrupt the op");
+        let out = run(CacheKill::Cn, CacheOp::Update);
+        assert!(
+            out.facts.interrupted,
+            "the crash point must interrupt the op"
+        );
     }
 
     /// The whole matrix holds its invariants under the default seed (the
     /// profile `chaos sweep --ci` runs).
     #[test]
     fn cache_matrix_is_clean() {
-        let report = run_cache_matrix(crate::DEFAULT_SEED, |_| {});
-        assert!(report.clean(), "{}", report.render());
+        let report = run_matrix::<Cache>(&Cache::cells(), crate::DEFAULT_SEED, |_| {});
+        assert!(report.clean(), "{}", report.render(false));
         assert_eq!(report.outcomes.len(), 5);
-    }
-
-    /// Same seed, same schedule, same outcome.
-    #[test]
-    fn cache_cell_is_deterministic() {
-        let cell = CacheCell {
-            kill: CacheKill::Mn,
-            op: CacheOp::Delete,
-        };
-        let a = run_cache_cell(&cell, 77);
-        let b = run_cache_cell(&cell, 77);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.col, b.col);
-        assert_eq!(a.warm_entries, b.warm_entries);
-        assert_eq!(a.interrupted, b.interrupted);
     }
 }

@@ -176,67 +176,15 @@ pub struct Cell {
     pub reclaim: ReclaimState,
 }
 
-impl Cell {
-    /// Stable human-readable id, e.g. `update/verb-write-0/at-verb-1/aged`.
-    pub fn id(&self) -> String {
-        format!("{}/{}/{}/{}", self.op, self.site, self.kill, self.reclaim)
-    }
-
-    /// Parses an id produced by [`Cell::id`] (the `chaos cell` replay
-    /// subcommand takes these verbatim from a sweep's counterexamples).
-    pub fn parse(id: &str) -> Option<Cell> {
-        let parts: Vec<&str> = id.split('/').collect();
-        let [op, site, kill, reclaim] = parts.as_slice() else {
-            return None;
-        };
-        let op = OpType::ALL.into_iter().find(|o| o.to_string() == *op)?;
-        let site = if *site == "none" {
-            InjectionSite::None
-        } else if let Some(cp) = site.strip_prefix("client-") {
-            InjectionSite::Client(CrashPoint::ALL.into_iter().find(|c| c.to_string() == cp)?)
-        } else if let Some(rest) = site.strip_prefix("verb-") {
-            let (kind, skip) = rest.rsplit_once('-')?;
-            let kind = [
-                VerbKind::Read,
-                VerbKind::Write,
-                VerbKind::Cas,
-                VerbKind::Faa,
-                VerbKind::Rpc,
-            ]
-            .into_iter()
-            .find(|k| k.to_string() == kind)?;
-            InjectionSite::Verb {
-                kind,
-                skip: skip.parse().ok()?,
-            }
-        } else {
-            return None;
-        };
-        let kill = match *kill {
-            "none" => KillTiming::None,
-            "before-op" => KillTiming::BeforeOp,
-            "degraded" => KillTiming::BeforeOpDegraded,
-            other => KillTiming::AtVerb {
-                skip: other.strip_prefix("at-verb-")?.parse().ok()?,
-            },
-        };
-        let reclaim = match *reclaim {
-            "fresh" => ReclaimState::Fresh,
-            "aged" => ReclaimState::Aged,
-            _ => return None,
-        };
-        Some(Cell {
-            op,
-            site,
-            kill,
-            reclaim,
-        })
-    }
-}
-
+/// The stable human-readable id, e.g. `update/verb-write-0/at-verb-1/aged`
+/// (`chaos cell` resolves it back through the full matrix).
 impl fmt::Display for Cell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.id())
+        write!(
+            f,
+            "{}/{}/{}/{}",
+            self.op, self.site, self.kill, self.reclaim
+        )
     }
 }
 
@@ -280,13 +228,7 @@ mod tests {
 
     #[test]
     fn matrix_dimensions() {
-        let m = full_matrix();
-        assert_eq!(m.len(), 5 * 12 * 5 * 2);
-        // Cell ids are unique.
-        let mut ids: Vec<String> = m.iter().map(Cell::id).collect();
-        ids.sort();
-        ids.dedup();
-        assert_eq!(ids.len(), m.len());
+        assert_eq!(full_matrix().len(), 5 * 12 * 5 * 2);
     }
 
     /// Every client crash point is exercised by the matrix — the runtime
@@ -302,15 +244,6 @@ mod tests {
                 "CrashPoint::{cp:?} missing from the crash matrix"
             );
         }
-    }
-
-    #[test]
-    fn ids_round_trip_through_parse() {
-        for cell in full_matrix() {
-            assert_eq!(Cell::parse(&cell.id()), Some(cell), "{}", cell.id());
-        }
-        assert_eq!(Cell::parse("update/verb-write-0/at-verb-1"), None);
-        assert_eq!(Cell::parse("nope/none/none/fresh"), None);
     }
 
     #[test]

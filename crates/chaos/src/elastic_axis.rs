@@ -31,27 +31,29 @@
 //! does not (a stale snapshot never writes the join target before its
 //! first fence bounce; nothing addresses a retired source post-publish).
 //!
-//! Post-conditions are the matrix invariants (oracle agreement with
-//! per-key ambiguity windows, meta-lock liveness, Index-Version
-//! monotonicity, parity scrub) plus two elastic ones:
+//! Post-conditions are [`crate::invariants::judge_store`] (with per-key
+//! ambiguity windows, through a *fresh* client whose snapshot excludes
+//! retired nodes) plus two elastic ones:
 //!
 //! 1. **Placement-epoch monotonicity** — the placement epoch strictly
 //!    increases at every migrator step and never decreases across aborts
 //!    or recovery.
 //! 2. **No KV readable only via a retired column** — every node on the
 //!    placement snapshot's `retired` list is dead, no directory entry
-//!    serves one, and a fresh client can still read the entire oracle.
+//!    serves one, and the fresh client's oracle sweep still reads
+//!    everything.
 
-use crate::runner::{chaos_config, fmt_key, fmt_state, gen_value};
-use crate::sweep::cell_seeds;
+use crate::axis::{
+    cut_of, fail_fast, fmt_key, gen_value, key, launch_store, Axis, Ctx, Cut, Out, Sink,
+};
+use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
 use aceso_core::client::CrashPoint;
-use aceso_core::{recover_cn, recover_mn, scrub, AcesoClient, AcesoStore, ClientTuning, ElasticStep, StoreError};
-use aceso_rdma::{FaultAction, FaultPlan, FaultRule, RdmaError, TraceSink};
+use aceso_core::{recover_cn, recover_mn, AcesoClient, ElasticStep};
+use aceso_rdma::{FaultAction, FaultPlan, FaultRule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Preloaded keys the traffic windows draw from.
 const KEYS: usize = 24;
@@ -70,21 +72,11 @@ pub enum ElasticKill {
     Cn,
 }
 
-impl ElasticKill {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ElasticKill::JoinMn => "kill-join-mn",
-            ElasticKill::DrainMn => "kill-drain-mn",
-            ElasticKill::Cn => "crash-cn",
-        }
-    }
-}
-
-/// The migrator step boundary the fault lands on. The fault fires in the
-/// traffic window immediately *after* the named step completes (for
-/// `Copy`, after the first copy batch — some placement groups moved,
-/// some not).
+/// The migrator step boundary the fault lands on, in step order (the
+/// discriminant is the [`FaultPlan`] phase of the boundary's traffic
+/// window). The fault fires in the window immediately *after* the named
+/// step completes (for `Copy`, after the first copy batch — some
+/// placement groups moved, some not).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ElasticBoundary {
     /// After the target joined and dual-write was armed.
@@ -100,48 +92,15 @@ pub enum ElasticBoundary {
 }
 
 impl ElasticBoundary {
-    /// All five boundaries in step order.
-    pub fn all() -> [ElasticBoundary; 5] {
-        [
-            ElasticBoundary::Announce,
-            ElasticBoundary::Copy,
-            ElasticBoundary::Reencode,
-            ElasticBoundary::Publish,
-            ElasticBoundary::Free,
-        ]
-    }
-
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ElasticBoundary::Announce => "announce",
-            ElasticBoundary::Copy => "copy",
-            ElasticBoundary::Reencode => "reencode",
-            ElasticBoundary::Publish => "publish",
-            ElasticBoundary::Free => "free",
+    /// The boundary window a completed migrator step opens.
+    fn of(step: ElasticStep) -> Self {
+        match step {
+            ElasticStep::Announce => ElasticBoundary::Announce,
+            ElasticStep::CopyBatch(_) => ElasticBoundary::Copy,
+            ElasticStep::Reencode => ElasticBoundary::Reencode,
+            ElasticStep::Publish => ElasticBoundary::Publish,
+            ElasticStep::Free | ElasticStep::Done => ElasticBoundary::Free,
         }
-    }
-
-    /// The [`FaultPlan`] phase of this boundary's traffic window.
-    fn phase(&self) -> u32 {
-        match self {
-            ElasticBoundary::Announce => 0,
-            ElasticBoundary::Copy => 1,
-            ElasticBoundary::Reencode => 2,
-            ElasticBoundary::Publish => 3,
-            ElasticBoundary::Free => 4,
-        }
-    }
-}
-
-/// The boundary window a completed migrator step opens.
-fn boundary_of(step: ElasticStep) -> ElasticBoundary {
-    match step {
-        ElasticStep::Announce => ElasticBoundary::Announce,
-        ElasticStep::CopyBatch(_) => ElasticBoundary::Copy,
-        ElasticStep::Reencode => ElasticBoundary::Reencode,
-        ElasticStep::Publish => ElasticBoundary::Publish,
-        ElasticStep::Free | ElasticStep::Done => ElasticBoundary::Free,
     }
 }
 
@@ -154,34 +113,26 @@ pub struct ElasticCell {
     pub boundary: ElasticBoundary,
 }
 
-impl core::fmt::Display for ElasticCell {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}@{}", self.kill.label(), self.boundary.label())
+impl fmt::Display for ElasticCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kill = match self.kill {
+            ElasticKill::JoinMn => "kill-join-mn",
+            ElasticKill::DrainMn => "kill-drain-mn",
+            ElasticKill::Cn => "crash-cn",
+        };
+        write!(
+            f,
+            "{kill}@{}",
+            format!("{:?}", self.boundary).to_lowercase()
+        )
     }
 }
 
-/// The full 15-cell matrix, in kill-major order.
-pub fn elastic_matrix() -> Vec<ElasticCell> {
-    let mut cells = Vec::with_capacity(15);
-    for kill in [ElasticKill::JoinMn, ElasticKill::DrainMn, ElasticKill::Cn] {
-        for boundary in ElasticBoundary::all() {
-            cells.push(ElasticCell { kill, boundary });
-        }
-    }
-    cells
-}
-
-/// What one elastic cell run observed.
-#[derive(Clone, Debug)]
-pub struct ElasticOutcome {
-    /// The cell that ran.
-    pub cell: ElasticCell,
-    /// The seed its schedule was derived from.
-    pub seed: u64,
+/// What one elastic cell observes besides its violations.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ElasticFacts {
     /// The column that was migrated.
     pub col: usize,
-    /// Invariant violations (empty = the cell passed).
-    pub violations: Vec<String>,
     /// Whether the MN kill fired on a traffic-client verb (mid-op) rather
     /// than by the direct fallback.
     pub kill_fired_at_verb: bool,
@@ -191,162 +142,111 @@ pub struct ElasticOutcome {
     pub committed_ops: usize,
     /// The placement epoch recorded after each migrator step.
     pub epochs: Vec<u64>,
-    /// Wall-clock cost of the cell.
-    pub duration_ms: u128,
 }
 
-impl ElasticOutcome {
-    /// `true` when every invariant held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+/// The kill-mid-rebalance axis (`chaos elastic`).
+pub struct Elastic;
+
+impl Axis for Elastic {
+    type Cell = ElasticCell;
+    type Facts = ElasticFacts;
+    const NAME: &'static str = "elastic";
+    const CELLS_ARE: &'static str = "kill-mid-rebalance cells";
+    const CLEAN: &'static str = "every kill-mid-rebalance cell held its invariants";
+
+    /// Kill-major: 3 kills × 5 boundaries.
+    fn cells() -> Vec<ElasticCell> {
+        use ElasticBoundary::{Announce, Copy, Free, Publish, Reencode};
+        let mut cells = Vec::new();
+        for kill in [ElasticKill::JoinMn, ElasticKill::DrainMn, ElasticKill::Cn] {
+            for boundary in [Announce, Copy, Reencode, Publish, Free] {
+                cells.push(ElasticCell { kill, boundary });
+            }
+        }
+        cells
+    }
+
+    /// The abort path (join target dies mid-copy), the rebuild path
+    /// (drain source dies at announce), and a CN crash at the publish
+    /// handover: client verbs interleave with the migrator's fence
+    /// installs and copy RPCs, and the detector must order every
+    /// stale-write → fence-bounce → refreshed-write handoff.
+    fn traced() -> Vec<ElasticCell> {
+        let cell = |kill, boundary| ElasticCell { kill, boundary };
+        vec![
+            cell(ElasticKill::JoinMn, ElasticBoundary::Copy),
+            cell(ElasticKill::DrainMn, ElasticBoundary::Announce),
+            cell(ElasticKill::Cn, ElasticBoundary::Publish),
+        ]
+    }
+
+    fn run(cell: ElasticCell, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
+        run(cell, seed, sink, out)
+    }
+
+    fn summary(o: &[Out<Self>]) -> String {
+        format!(
+            "{} committed ops under migration, {} mid-op verb kills, {} aborts",
+            o.iter().map(|o| o.facts.committed_ops).sum::<usize>(),
+            o.iter().filter(|o| o.facts.kill_fired_at_verb).count(),
+            o.iter().filter(|o| o.facts.aborted).count()
+        )
+    }
+
+    fn traced_note(out: &Out<Self>) -> String {
+        format!("{} ops under migration, ", out.facts.committed_ops)
     }
 }
-
-/// The commit ambiguity window of one interrupted op.
-type Window = (Option<Vec<u8>>, Option<Vec<u8>>);
 
 /// Shared traffic bookkeeping across the boundary windows.
 #[derive(Default)]
 struct Live {
-    /// Exact predicted store state outside the ambiguity windows.
-    oracle: BTreeMap<Vec<u8>, Vec<u8>>,
-    /// Per-key windows of interrupted ops: pre-op vs intended post-op.
-    windows: BTreeMap<Vec<u8>, Window>,
-    /// Client ids written off as crashed or blocked mid-op.
-    crashed: Vec<u32>,
+    /// Predicted store state, with a window per interrupted op.
+    oracle: Oracle,
     /// Ops that committed while the migration was in flight.
     committed: usize,
 }
 
-fn traffic_key(j: usize) -> Vec<u8> {
-    format!("ek-{j:02}").into_bytes()
-}
-
-/// What faults are armed for a traffic window.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Armed {
-    /// Quiet window: every op must succeed.
-    None,
-    /// A phase-gated MN kill may fire mid-op.
-    MnKill,
-    /// The client's crash point is armed.
-    CnCrash,
-}
-
-/// Runs one elastic cell.
-pub fn run_elastic_cell(cell: &ElasticCell, seed: u64) -> ElasticOutcome {
-    run_elastic_cell_with_sink(cell, seed, None)
-}
-
-/// [`run_elastic_cell`] with a [`TraceSink`] installed for the duration,
-/// so the race detector observes the client verbs interleaved with the
-/// migrator's fence/copy RPC stream.
-pub fn run_elastic_cell_with_sink(
-    cell: &ElasticCell,
-    seed: u64,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> ElasticOutcome {
-    let start = Instant::now();
-    let mut out = ElasticOutcome {
-        cell: *cell,
-        seed,
-        col: 0,
-        violations: Vec::new(),
-        kill_fired_at_verb: false,
-        aborted: false,
-        committed_ops: 0,
-        epochs: Vec::new(),
-        duration_ms: 0,
-    };
-    if let Err(e) = run_elastic_cell_inner(cell, seed, &mut out, sink) {
-        out.violations.push(format!("harness: {e}"));
-    }
-    out.duration_ms = start.elapsed().as_millis();
-    out
-}
-
 /// One traffic window: `OPS_PER_WINDOW` updates/searches against the
-/// preloaded keys. Returns `true` when the window's op was interrupted by
-/// an armed fault (the interrupted client is written off in `live`).
+/// preloaded keys. `armed` is the cut the window's fault (if any) may
+/// cause; returns `true` when it did (the caller writes the client off).
 fn run_window(
     client: &mut AcesoClient,
     rng: &mut StdRng,
     live: &mut Live,
     violations: &mut Vec<String>,
-    armed: Armed,
+    armed: Option<Cut>,
 ) -> bool {
     for opno in 0..OPS_PER_WINDOW {
-        let key = traffic_key(rng.gen_range(0..KEYS));
-        let prev = live.oracle.get(&key).cloned();
-        let window = live.windows.get(&key).cloned();
+        let key = key("ek", rng.gen_range(0..KEYS));
         // Mutation-heavy mix: reads every third op exercise the
-        // mid-migration (possibly degraded/mirrored) read path.
-        let (res, intended): (Result<(), StoreError>, Option<Vec<u8>>) = if opno % 3 == 2 {
-            match client.search(&key) {
-                Ok(got) => {
-                    match &window {
-                        // An earlier interrupted op left this key
-                        // ambiguous; the read pins its collapsed state.
-                        Some((pre, post)) => {
-                            if got != *pre && got != *post {
-                                violations.push(format!(
-                                    "key {} outside ambiguity window: got {} allowed {} | {}",
-                                    fmt_key(&key),
-                                    fmt_state(&got),
-                                    fmt_state(pre),
-                                    fmt_state(post)
-                                ));
-                            }
-                            live.windows.remove(&key);
-                            match &got {
-                                Some(v) => live.oracle.insert(key.clone(), v.clone()),
-                                None => live.oracle.remove(&key),
-                            };
-                        }
-                        None => {
-                            if got != prev {
-                                violations.push(format!(
-                                    "search({}) returned {} want {}",
-                                    fmt_key(&key),
-                                    fmt_state(&got),
-                                    fmt_state(&prev)
-                                ));
-                            }
-                        }
-                    }
-                    (Ok(()), None)
-                }
-                Err(e) => (Err(e), None),
-            }
-        } else {
-            let val = gen_value(rng, b'T');
-            (client.update(&key, &val), Some(val))
+        // mid-migration (possibly degraded/mirrored) read path, and pin
+        // the state of a key an earlier interrupted op left ambiguous.
+        let write = (opno % 3 != 2).then(|| gen_value(rng, b'T'));
+        let res = match &write {
+            Some(val) => client.update(&key, val),
+            None => client.search(&key).map(|got| {
+                live.oracle
+                    .observe(&key, got, "search mismatch", violations)
+            }),
         };
         match res {
             Ok(()) => {
-                if let Some(v) = intended {
-                    live.oracle.insert(key.clone(), v);
-                    live.windows.remove(&key);
+                if write.is_some() {
+                    live.oracle.commit(&key, write);
                 }
                 live.committed += 1;
             }
-            Err(StoreError::Shutdown) if armed == Armed::CnCrash => {
-                live.windows.insert(key, (prev, intended));
-                live.crashed.push(client.id());
-                return true;
-            }
-            Err(StoreError::Rdma(RdmaError::NodeUnreachable(_)))
-            | Err(StoreError::RetriesExhausted)
-                if armed == Armed::MnKill =>
-            {
-                // The victim died under the op and nobody has recovered
-                // yet: written off as crashed-while-blocked.
-                live.windows.insert(key, (prev, intended));
-                live.crashed.push(client.id());
+            Err(e) if armed.is_some() && cut_of(&e) == armed => {
+                let intended = write.or_else(|| live.oracle.get(&key));
+                live.oracle.interrupt(&key, intended);
                 return true;
             }
             Err(e) => {
-                violations.push(format!("op {opno} on {}: unexpected error: {e}", fmt_key(&key)));
+                violations.push(format!(
+                    "op {opno} on {}: unexpected error: {e}",
+                    fmt_key(&key)
+                ));
                 return false;
             }
         }
@@ -355,71 +255,39 @@ fn run_window(
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_elastic_cell_inner(
-    cell: &ElasticCell,
-    seed: u64,
-    out: &mut ElasticOutcome,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> Result<(), String> {
+fn run(cell: ElasticCell, seed: u64, sink: Sink, out: &mut Out<Elastic>) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let store = AcesoStore::launch(chaos_config()).map_err(|e| format!("launch: {e}"))?;
-    if let Some(s) = sink {
-        store.cluster.install_trace_sink(s);
-    }
+    let store = launch_store(sink)?;
     let n = store.cfg.num_mns;
 
     // ---- Preload ---------------------------------------------------------
     let mut live = Live::default();
     {
-        let mut loader = store.client().map_err(|e| format!("loader: {e}"))?;
-        for j in 0..KEYS {
-            let k = traffic_key(j);
-            let v = gen_value(&mut rng, b'A');
-            loader
-                .insert(&k, &v)
-                .map_err(|e| format!("preload {}: {e}", fmt_key(&k)))?;
-            live.oracle.insert(k, v);
-        }
+        let mut loader = store.client().ctx("loader")?;
+        let keys = (0..KEYS).map(|j| key("ek", j));
+        preload(&mut loader, &mut live.oracle, &mut rng, keys)?;
         // Close (= erasure-code) the open blocks so the copy batches and
         // the parity re-encode have coded stripes to move.
-        loader
-            .close_open_blocks()
-            .map_err(|e| format!("preload close: {e}"))?;
+        loader.close_open_blocks().ctx("preload close")?;
     }
-    store.cluster.trace_barrier();
-    for _ in 0..2 {
-        store.checkpoint_tick().map_err(|e| format!("ckpt: {e}"))?;
-    }
-    store.cluster.trace_barrier();
-    let iv_of = |store: &Arc<AcesoStore>, col: usize| {
-        let s = store.server(col);
-        s.index.local_index_version(&s.node.region)
-    };
-    let iv_pre: Vec<u64> = (0..n).map(|c| iv_of(&store, c)).collect();
+    let iv = checkpoint_twice(&store)?;
 
     // ---- Start the migration ---------------------------------------------
     let col = rng.gen_range(0..n);
-    out.col = col;
+    out.facts.col = col;
     let mut mig = match cell.kill {
         ElasticKill::DrainMn => store.begin_drain(col),
         _ => store.begin_join(col),
     }
-    .map_err(|e| format!("begin migration: {e}"))?;
+    .ctx("begin migration")?;
     let from = mig.from_node();
 
-    // Fail-fast tuning like the matrix: a blocked op costs milliseconds.
     // The client predates the announce, so it carries a pre-migration
     // placement snapshot into the first windows (the stale-client path).
-    let tuning = ClientTuning {
-        max_retries: 40,
-        index_wait_ms: 5,
-        ..ClientTuning::default()
-    };
-    let mut client = store
-        .client_with(tuning)
-        .map_err(|e| format!("client: {e}"))?;
+    let mut client = store.client_with(fail_fast()).ctx("client")?;
 
     let mut plan: Option<Arc<FaultPlan>> = None;
+    let mut victim = from;
     let mut prev_epoch = store.placement().epoch();
     let mut handled = false;
     let mut copy_seen = false;
@@ -445,39 +313,36 @@ fn run_elastic_cell_inner(
             ));
         }
         prev_epoch = epoch;
-        out.epochs.push(epoch);
+        out.facts.epochs.push(epoch);
 
         // The MN kill is armed right after the announce (the join target's
         // id exists from here on), phase-gated to the chosen boundary.
         if step == ElasticStep::Announce && cell.kill != ElasticKill::Cn {
-            let victim = match cell.kill {
-                ElasticKill::JoinMn => mig.to_node().expect("announced"),
-                _ => from,
-            };
+            if cell.kill == ElasticKill::JoinMn {
+                victim = mig.to_node().expect("announced");
+            }
             let p = FaultPlan::with_rules(vec![FaultRule::new(FaultAction::KillNode)
                 .on_node(victim)
-                .in_phase(cell.boundary.phase())]);
+                .in_phase(cell.boundary as u32)]);
             client.dm.install_fault_plan(Arc::clone(&p));
             plan = Some(p);
         }
-        let window = boundary_of(step);
+        let window = ElasticBoundary::of(step);
         if let Some(p) = &plan {
-            p.set_phase(window.phase());
+            p.set_phase(window as u32);
         }
 
         // The kill lands in the first window of its boundary (for Copy:
         // after the first batch, with groups split between the sides).
         let first_of_window = window != ElasticBoundary::Copy || !copy_seen;
-        if window == ElasticBoundary::Copy {
-            copy_seen = true;
-        }
+        copy_seen |= window == ElasticBoundary::Copy;
         let at_kill = !handled && window == cell.boundary && first_of_window;
         let armed = match (at_kill, cell.kill) {
-            (false, _) => Armed::None,
-            (true, ElasticKill::Cn) => Armed::CnCrash,
-            (true, _) => Armed::MnKill,
+            (false, _) => None,
+            (true, ElasticKill::Cn) => Some(Cut::Crash),
+            (true, _) => Some(Cut::Blocked),
         };
-        if armed == Armed::CnCrash {
+        if armed == Some(Cut::Crash) {
             client.crash_point = Some(CrashPoint::BeforeCommit);
         }
 
@@ -487,182 +352,97 @@ fn run_elastic_cell_inner(
             continue;
         }
         handled = true;
-        match cell.kill {
-            ElasticKill::Cn => {
-                if !interrupted {
-                    out.violations.push("CN crash point never fired".into());
-                } else {
-                    // CN consistency recovery runs with the migration (and
-                    // its dual-write mirror) still in flight.
-                    let cli_id = *live.crashed.last().expect("crashed recorded");
-                    store.cluster.trace_barrier();
-                    let mut revived = store.client_with_id(cli_id);
-                    recover_cn(&store, &mut revived)
-                        .map_err(|e| format!("recover_cn: {e}"))?;
-                    store.cluster.trace_barrier();
-                }
-                client = store
-                    .client_with(tuning)
-                    .map_err(|e| format!("post-crash client: {e}"))?;
+        if cell.kill == ElasticKill::Cn {
+            if !interrupted {
+                out.violations.push("CN crash point never fired".into());
             }
-            ElasticKill::JoinMn | ElasticKill::DrainMn => {
-                let victim = match cell.kill {
-                    ElasticKill::JoinMn => mig.to_node().expect("announced"),
-                    _ => from,
+        } else {
+            out.facts.kill_fired_at_verb = plan
+                .as_ref()
+                .is_some_and(|p| p.fired().iter().any(|f| f.action == FaultAction::KillNode));
+            // Post-publish the source holds nothing: a traffic verb
+            // addressed to it means a client resolved through a retired
+            // column.
+            let retired_source = cell.kill == ElasticKill::DrainMn
+                && matches!(
+                    cell.boundary,
+                    ElasticBoundary::Publish | ElasticBoundary::Free
+                );
+            if retired_source && out.facts.kill_fired_at_verb {
+                out.violations
+                    .push("client verb reached the retired source post-publish".into());
+            }
+            if !out.facts.kill_fired_at_verb {
+                // The client never addressed the victim in this window
+                // (stale snapshot, or a retired source): kill directly at
+                // the boundary. Killing through the directory keeps the
+                // server's liveness flag in sync when the victim is the
+                // column's serving node.
+                let was_alive = if store.directory().node_of(col) == victim {
+                    store.kill_mn(col)
+                } else {
+                    store.cluster.kill_node(victim)
                 };
-                out.kill_fired_at_verb = plan
-                    .as_ref()
-                    .is_some_and(|p| p.fired().iter().any(|f| f.action == FaultAction::KillNode));
-                // Post-publish the source holds nothing: a traffic verb
-                // addressed to it means a client resolved through a
-                // retired column.
-                let retired_source = cell.kill == ElasticKill::DrainMn
-                    && matches!(cell.boundary, ElasticBoundary::Publish | ElasticBoundary::Free);
-                if retired_source && out.kill_fired_at_verb {
+                // Only an already-drained source may ignore the kill.
+                let drained_source =
+                    cell.kill == ElasticKill::DrainMn && cell.boundary == ElasticBoundary::Free;
+                if !(was_alive || drained_source) {
                     out.violations
-                        .push("client verb reached the retired source post-publish".into());
+                        .push(format!("kill of {victim:?} reported node already dead"));
                 }
-                if !out.kill_fired_at_verb {
-                    // The client never addressed the victim in this window
-                    // (stale snapshot, or a retired source): kill directly
-                    // at the boundary. Killing through the directory keeps
-                    // the server's liveness flag in sync when the victim
-                    // is the column's serving node.
-                    let serves_col = store.directory().node_of(col) == victim;
-                    let was_alive = if serves_col {
-                        store.kill_mn(col)
-                    } else {
-                        store.cluster.kill_node(victim)
-                    };
-                    // Only an already-drained source may ignore the kill.
-                    let drained_source = cell.kill == ElasticKill::DrainMn
-                        && cell.boundary == ElasticBoundary::Free;
-                    if !(was_alive || drained_source) {
-                        out.violations
-                            .push(format!("kill of {victim:?} reported node already dead"));
-                    }
-                }
-                // ---- Tiered response ------------------------------------
-                // Pre-publish: abort first (placement reverts to the
-                // directory, the half-filled target retires, the fences
-                // drop) so CN repair does not dual-write into a dead
-                // mirror. Then CN consistency, then MN recovery.
-                if !mig.published() {
-                    mig.abort();
-                    out.aborted = true;
-                }
-                store.cluster.trace_barrier();
-                if interrupted {
-                    let cli_id = *live.crashed.last().expect("crashed recorded");
-                    let mut revived = store.client_with_id(cli_id);
-                    recover_cn(&store, &mut revived)
-                        .map_err(|e| format!("recover_cn: {e}"))?;
-                    store.cluster.trace_barrier();
-                }
-                let col_dead = store
-                    .cluster
-                    .node(store.directory().node_of(col))
-                    .is_err();
-                if col_dead {
-                    recover_mn(&store, col).map_err(|e| format!("recover_mn: {e}"))?;
-                    store.cluster.trace_barrier();
-                }
-                client = store
-                    .client_with(tuning)
-                    .map_err(|e| format!("post-kill client: {e}"))?;
+            }
+            // Pre-publish: abort first (placement reverts to the
+            // directory, the half-filled target retires, the fences drop)
+            // so CN repair does not dual-write into a dead mirror.
+            if !mig.published() {
+                mig.abort();
+                out.facts.aborted = true;
             }
         }
+        // ---- Tiered response: CN consistency, then MN recovery. A CN
+        // crash is repaired with the migration (and its dual-write
+        // mirror) still in flight.
+        store.cluster.trace_barrier();
+        if interrupted {
+            recover_cn(&store, &mut store.client_with_id(client.id())).ctx("recover_cn")?;
+            store.cluster.trace_barrier();
+        }
+        if store.cluster.node(store.directory().node_of(col)).is_err() {
+            recover_mn(&store, col).ctx("recover_mn")?;
+            store.cluster.trace_barrier();
+        }
+        client = store.client_with(fail_fast()).ctx("post-fault client")?;
     }
 
     // ---- Post-fault liveness ---------------------------------------------
     // One quiet window after the migration completed (or aborted): every
     // op must succeed against the settled membership.
-    run_window(&mut client, &mut rng, &mut live, &mut out.violations, Armed::None);
+    run_window(&mut client, &mut rng, &mut live, &mut out.violations, None);
     drop(client);
     store.cluster.trace_barrier();
 
-    out.committed_ops = live.committed;
+    out.facts.committed_ops = live.committed;
     if live.committed == 0 {
         out.violations
             .push("no client op committed during the migration".into());
     }
 
     // ---- Invariants ------------------------------------------------------
-    let mut sweep = store.client().map_err(|e| format!("sweep client: {e}"))?;
+    // The fresh client's oracle sweep doubles as the readability half of
+    // elastic invariant 2: a KV whose only copy sat on a retired column
+    // cannot read back.
+    let probes: Vec<Vec<u8>> = live.oracle.windows.keys().cloned().collect();
+    judge_store(
+        &store,
+        &live.oracle,
+        &[],
+        &probes,
+        &iv,
+        &mut rng,
+        &mut out.violations,
+    )?;
 
-    // 1. Oracle agreement through a *fresh* client (its snapshot excludes
-    //    retired nodes), with ambiguity windows on interrupted keys. This
-    //    doubles as the readability half of elastic invariant 2: a KV
-    //    whose only copy sat on a retired column cannot read back.
-    for (k, v) in &live.oracle {
-        match sweep.search(k) {
-            Ok(got) => {
-                let ok = match live.windows.get(k) {
-                    Some((pre, post)) => got == *pre || got == *post,
-                    None => got.as_ref() == Some(v),
-                };
-                if !ok {
-                    out.violations.push(format!(
-                        "oracle mismatch on {}: got {} want {}",
-                        fmt_key(k),
-                        fmt_state(&got),
-                        fmt_state(&Some(v.clone()))
-                    ));
-                }
-            }
-            Err(e) => out
-                .violations
-                .push(format!("oracle search {}: {e}", fmt_key(k))),
-        }
-    }
-
-    // 2. Meta-lock liveness on every interrupted key: a probe write must
-    //    get through (breaking any lock a crashed client abandoned).
-    let probe_keys: Vec<Vec<u8>> = live.windows.keys().cloned().collect();
-    for k in &probe_keys {
-        let probe = gen_value(&mut rng, b'P');
-        match sweep.insert(k, &probe) {
-            Ok(()) => match sweep.search(k) {
-                Ok(Some(got)) if got == probe => {}
-                Ok(got) => out.violations.push(format!(
-                    "probe readback mismatch on {}: got {}",
-                    fmt_key(k),
-                    fmt_state(&got)
-                )),
-                Err(e) => out
-                    .violations
-                    .push(format!("probe readback {}: {e}", fmt_key(k))),
-            },
-            Err(e) => out.violations.push(format!(
-                "probe insert on {} blocked (stale meta lock?): {e}",
-                fmt_key(k)
-            )),
-        }
-    }
-
-    // 3. Index-Version monotonicity across the migration + kill +
-    //    recovery. Columns are stable across migrations (the directory
-    //    re-homes them), so the pre/post comparison is per-column.
-    for (c, pre) in iv_pre.iter().enumerate() {
-        let post = iv_of(&store, c);
-        if post < *pre {
-            out.violations
-                .push(format!("index version regressed on col {c}: {pre} -> {post}"));
-        }
-    }
-
-    // 4. Parity-stripe consistency after the move (and any recovery).
-    if let Err(e) = sweep.flush_bitmaps() {
-        out.violations.push(format!("final flush: {e}"));
-    }
-    store.cluster.trace_barrier();
-    match scrub(&store) {
-        Ok(r) if r.is_clean() => {}
-        Ok(r) => out.violations.push(format!("scrub dirty: {r:?}")),
-        Err(e) => out.violations.push(format!("scrub: {e}")),
-    }
-
-    // 5. Placement-epoch monotonicity across the whole cell.
+    // Elastic invariant 1 (after): no epoch regression across recovery.
     let final_epoch = store.placement().epoch();
     if final_epoch < prev_epoch {
         out.violations.push(format!(
@@ -670,26 +450,24 @@ fn run_elastic_cell_inner(
         ));
     }
 
-    // 6. No KV readable only via a retired column: every retired node is
-    //    dead, no directory entry serves one, and the migration closed.
-    //    (Invariant 1's fresh-client sweep proved the oracle survives
-    //    without them.)
+    // Elastic invariant 2: every retired node is dead, no directory entry
+    // serves one, and the migration closed.
     let snap = store.placement().snapshot();
     if snap.migration.is_some() {
-        out.violations.push("migration left open on the placement map".into());
+        out.violations
+            .push("migration left open on the placement map".into());
     }
     for &r in &snap.retired {
         if store.cluster.node(r).is_ok() {
-            out.violations.push(format!("retired node {r:?} still alive"));
+            out.violations
+                .push(format!("retired node {r:?} still alive"));
         }
-        for c in 0..n {
-            if store.directory().node_of(c) == r {
-                out.violations
-                    .push(format!("directory serves col {c} from retired node {r:?}"));
-            }
+        for c in (0..n).filter(|&c| store.directory().node_of(c) == r) {
+            out.violations
+                .push(format!("directory serves col {c} from retired node {r:?}"));
         }
     }
-    if out.aborted {
+    if out.facts.aborted {
         if snap.retired.contains(&from) {
             out.violations
                 .push("aborted migration retired its source".into());
@@ -698,121 +476,49 @@ fn run_elastic_cell_inner(
         out.violations
             .push("completed migration did not retire its source".into());
     }
-    let degraded = store.degraded_columns();
-    if !degraded.is_empty() {
-        out.violations
-            .push(format!("degraded windows left open: {degraded:?}"));
-    }
 
     store.shutdown();
     Ok(())
 }
 
-/// Everything one `chaos elastic` run produced.
-#[derive(Clone, Debug)]
-pub struct ElasticReportCli {
-    /// The master seed (per-cell seeds derive from it).
-    pub seed: u64,
-    /// Per-cell outcomes, in matrix order.
-    pub outcomes: Vec<ElasticOutcome>,
-}
-
-impl ElasticReportCli {
-    /// `true` when every cell held every invariant.
-    pub fn clean(&self) -> bool {
-        self.outcomes.iter().all(ElasticOutcome::ok)
-    }
-
-    /// Renders the run summary.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let failed = self.outcomes.iter().filter(|o| !o.ok()).count();
-        let committed: usize = self.outcomes.iter().map(|o| o.committed_ops).sum();
-        let verb_kills = self.outcomes.iter().filter(|o| o.kill_fired_at_verb).count();
-        let aborts = self.outcomes.iter().filter(|o| o.aborted).count();
-        s.push_str(&format!(
-            "elastic report: seed {:#x}\n  {} cells, {} failed, {} committed ops under migration, {} mid-op verb kills, {} aborts\n",
-            self.seed,
-            self.outcomes.len(),
-            failed,
-            committed,
-            verb_kills,
-            aborts
-        ));
-        for o in self.outcomes.iter().filter(|o| !o.ok()) {
-            s.push_str(&format!("  cell {} (seed {:#x}, col {}):\n", o.cell, o.seed, o.col));
-            for v in &o.violations {
-                s.push_str(&format!("    - {v}\n"));
-            }
-        }
-        s.push_str(if self.clean() {
-            "  every kill-mid-rebalance cell held its invariants\n"
-        } else {
-            "  ELASTIC AXIS FOUND PROBLEMS (see above)\n"
-        });
-        s
-    }
-}
-
-/// Runs the full 15-cell matrix with per-cell seeds derived from `seed`.
-/// `progress` is called after each cell (CLI verbosity hook).
-pub fn run_elastic_matrix(seed: u64, mut progress: impl FnMut(&ElasticOutcome)) -> ElasticReportCli {
-    let cells = elastic_matrix();
-    let seeds = cell_seeds(seed, cells.len());
-    let outcomes = cells
-        .iter()
-        .zip(seeds)
-        .map(|(cell, cell_seed)| {
-            let out = run_elastic_cell(cell, cell_seed);
-            progress(&out);
-            out
-        })
-        .collect();
-    ElasticReportCli { seed, outcomes }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::axis::run_cell;
+
+    fn run(kill: ElasticKill, boundary: ElasticBoundary) -> Out<Elastic> {
+        let cell = ElasticCell { kill, boundary };
+        let out = run_cell::<Elastic>(cell, crate::DEFAULT_SEED, None);
+        assert!(out.ok(), "{cell}: {:?}", out.violations);
+        out
+    }
 
     /// The joining node dies right after the first copy batch: the
     /// migration aborts, nothing needs recovery, and all invariants hold.
     #[test]
     fn join_target_killed_mid_copy_aborts_clean() {
-        let cell = ElasticCell {
-            kill: ElasticKill::JoinMn,
-            boundary: ElasticBoundary::Copy,
-        };
-        let out = run_elastic_cell(&cell, crate::DEFAULT_SEED);
-        assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.aborted);
-        assert!(out.committed_ops > 0);
+        let out = run(ElasticKill::JoinMn, ElasticBoundary::Copy);
+        assert!(out.facts.aborted);
+        assert!(out.facts.committed_ops > 0);
     }
 
     /// The draining source dies at the announce boundary: abort + ordinary
     /// MN recovery rebuild the column.
     #[test]
     fn drain_source_killed_at_announce_recovers() {
-        let cell = ElasticCell {
-            kill: ElasticKill::DrainMn,
-            boundary: ElasticBoundary::Announce,
-        };
-        let out = run_elastic_cell(&cell, crate::DEFAULT_SEED);
-        assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.aborted);
+        assert!(
+            run(ElasticKill::DrainMn, ElasticBoundary::Announce)
+                .facts
+                .aborted
+        );
     }
 
     /// A client crash at the publish boundary: CN recovery runs against
     /// the just-republished column and the migration still completes.
     #[test]
     fn cn_crash_at_publish_completes_migration() {
-        let cell = ElasticCell {
-            kill: ElasticKill::Cn,
-            boundary: ElasticBoundary::Publish,
-        };
-        let out = run_elastic_cell(&cell, crate::DEFAULT_SEED);
-        assert!(out.ok(), "{:?}", out.violations);
-        assert!(!out.aborted, "CN crashes never abort the migration");
+        let out = run(ElasticKill::Cn, ElasticBoundary::Publish);
+        assert!(!out.facts.aborted, "CN crashes never abort the migration");
     }
 
     /// Post-publish the drained source must receive no client verbs: the
@@ -821,29 +527,12 @@ mod tests {
     #[test]
     fn retired_source_receives_no_client_verbs() {
         for boundary in [ElasticBoundary::Publish, ElasticBoundary::Free] {
-            let cell = ElasticCell {
-                kill: ElasticKill::DrainMn,
-                boundary,
-            };
-            let out = run_elastic_cell(&cell, crate::DEFAULT_SEED);
-            assert!(out.ok(), "{}: {:?}", cell, out.violations);
-            assert!(!out.kill_fired_at_verb, "{cell}: verb reached retired source");
-            assert!(!out.aborted);
+            let out = run(ElasticKill::DrainMn, boundary);
+            assert!(
+                !out.facts.kill_fired_at_verb,
+                "{boundary:?}: verb reached retired source"
+            );
+            assert!(!out.facts.aborted);
         }
-    }
-
-    /// Same seed, same schedule, same outcome.
-    #[test]
-    fn elastic_cell_is_deterministic() {
-        let cell = ElasticCell {
-            kill: ElasticKill::JoinMn,
-            boundary: ElasticBoundary::Reencode,
-        };
-        let a = run_elastic_cell(&cell, 77);
-        let b = run_elastic_cell(&cell, 77);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.epochs, b.epochs);
-        assert_eq!(a.committed_ops, b.committed_ops);
-        assert_eq!(a.kill_fired_at_verb, b.kill_fired_at_verb);
     }
 }

@@ -8,7 +8,7 @@
 //! once — the failure mode the paper's client coroutines (§4.1) add on
 //! top of the plain crash matrix.
 //!
-//! Two kills:
+//! Two cells:
 //!
 //! * [`RtKill::Mn`] — a memory node dies at a fixed completion-queue
 //!   step (so the kill lands between polls, with every in-flight task
@@ -20,23 +20,21 @@
 //!
 //! Every task owns a disjoint key range, so the shared oracle stays
 //! exact under interleaving; tasks interrupted mid-op contribute a
-//! per-key commit ambiguity window instead. Post-conditions are the
-//! matrix invariants (oracle agreement, meta-lock liveness on every
-//! interrupted key, Index-Version monotonicity, parity scrub) — see
-//! [`crate::runner`].
+//! per-key commit ambiguity window instead. Post-conditions are
+//! [`crate::invariants::judge_store`], probing every interrupted key.
 
-use crate::runner::{chaos_config, fmt_key, fmt_state, gen_value};
+use crate::axis::{cut_of, fail_fast, gen_value, key, launch_store, Axis, Ctx, Cut, Out, Sink};
+use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
 use aceso_core::client::CrashPoint;
-use aceso_core::{recover_cn, recover_mn, scrub, AcesoStore, ClientTuning, StoreError};
-use aceso_rdma::{RdmaError, SimCq, TraceSink};
+use aceso_core::{recover_cn, recover_mn};
+use aceso_rdma::SimCq;
 use aceso_rt::Executor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Coroutine tasks multiplexed on the one executor thread.
 pub const RT_TASKS: usize = 6;
@@ -48,7 +46,7 @@ const OPS_PER_TASK: usize = 6;
 /// tasks are still mid-stream, late enough that commits are in flight.
 const MN_KILL_STEP: u64 = 48;
 
-/// Which side of the fabric dies under the runtime.
+/// Which side of the fabric dies under the runtime (the axis' cell).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RtKill {
     /// Kill a memory node between executor polls.
@@ -57,53 +55,71 @@ pub enum RtKill {
     Cn,
 }
 
-impl RtKill {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
+impl fmt::Display for RtKill {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
             RtKill::Mn => "kill-mn",
             RtKill::Cn => "crash-cn",
-        }
+        })
     }
 }
 
-/// What one runtime-axis run observed.
-#[derive(Clone, Debug)]
-pub struct RtOutcome {
-    /// The kill that was armed.
-    pub kill: RtKill,
-    /// The seed the schedule was derived from.
-    pub seed: u64,
-    /// Tasks spawned on the executor.
-    pub tasks: usize,
+/// What one runtime cell observes besides its violations.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RtFacts {
     /// Tasks still mid-op when the fault fired (must be > 1).
     pub inflight_at_fault: usize,
     /// Tasks written off as crashed or blocked.
     pub crashed_tasks: usize,
-    /// Invariant violations (empty = the run passed).
-    pub violations: Vec<String>,
-    /// Wall-clock cost of the run.
-    pub duration_ms: u128,
 }
 
-impl RtOutcome {
-    /// `true` when every invariant held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+/// The coroutine-runtime axis (`chaos rt`).
+pub struct Rt;
+
+impl Axis for Rt {
+    type Cell = RtKill;
+    type Facts = RtFacts;
+    const NAME: &'static str = "rt";
+    const CELLS_ARE: &'static str = "kill-under-runtime cells";
+    const CLEAN: &'static str = "every kill under the coroutine runtime held its invariants";
+
+    fn cells() -> Vec<RtKill> {
+        vec![RtKill::Mn, RtKill::Cn]
+    }
+
+    /// Both cells: coroutine clients interleave at *round-trip*
+    /// granularity on one OS thread, so per-client trace ids must survive
+    /// the interleaving for the happens-before graph to stay sound.
+    fn traced() -> Vec<RtKill> {
+        Self::cells()
+    }
+
+    fn run(kill: RtKill, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
+        run(kill, seed, sink, out)
+    }
+
+    fn summary(o: &[Out<Self>]) -> String {
+        format!(
+            "{RT_TASKS} tasks per cell on one executor thread, {} in flight at fault, {} written off",
+            o.iter().map(|o| o.facts.inflight_at_fault).sum::<usize>(),
+            o.iter().map(|o| o.facts.crashed_tasks).sum::<usize>()
+        )
+    }
+
+    fn traced_note(out: &Out<Self>) -> String {
+        format!(
+            "{RT_TASKS} tasks (one thread), {} in flight at fault, ",
+            out.facts.inflight_at_fault
+        )
     }
 }
-
-/// The commit ambiguity window of one interrupted op: the key may read
-/// back as either its pre-op or its intended post-op state.
-type Window = (Vec<u8>, Option<Vec<u8>>, Option<Vec<u8>>);
 
 /// State the tasks share through the single-threaded executor.
 #[derive(Default)]
 struct SharedState {
-    /// Exact predicted store state (tasks own disjoint keys).
-    oracle: BTreeMap<Vec<u8>, Vec<u8>>,
-    /// Per-key commit ambiguity windows: (key, pre-op, intended post-op).
-    ambiguous: Vec<Window>,
+    /// Predicted store state (tasks own disjoint keys), with a window per
+    /// interrupted op.
+    oracle: Oracle,
     /// Client ids of tasks written off as crashed/blocked.
     crashed: Vec<u32>,
     /// Violations observed while the tasks ran.
@@ -114,104 +130,38 @@ struct SharedState {
     inflight_at_fault: Option<usize>,
 }
 
-/// Runs one runtime-axis cell.
-pub fn run_rt_cell(kill: RtKill, seed: u64) -> RtOutcome {
-    run_rt_cell_with_sink(kill, seed, None)
-}
-
-/// [`run_rt_cell`] with a [`TraceSink`] installed for the duration, so
-/// the race detector observes the interleaved per-client verb streams
-/// (each task has its own DM client and trace id).
-pub fn run_rt_cell_with_sink(
-    kill: RtKill,
-    seed: u64,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> RtOutcome {
-    let start = Instant::now();
-    let mut out = RtOutcome {
-        kill,
-        seed,
-        tasks: RT_TASKS,
-        inflight_at_fault: 0,
-        crashed_tasks: 0,
-        violations: Vec::new(),
-        duration_ms: 0,
-    };
-    if let Err(e) = run_rt_cell_inner(kill, seed, &mut out, sink) {
-        out.violations.push(format!("harness: {e}"));
+impl SharedState {
+    fn sample_inflight(&mut self) {
+        let inflight = RT_TASKS - self.finished;
+        self.inflight_at_fault.get_or_insert(inflight);
     }
-    out.duration_ms = start.elapsed().as_millis();
-    out
 }
 
-fn task_key(task: usize, j: usize) -> Vec<u8> {
-    format!("rt-{task}-{j:02}").into_bytes()
-}
-
-fn run_rt_cell_inner(
-    kill: RtKill,
-    seed: u64,
-    out: &mut RtOutcome,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> Result<(), String> {
+fn run(kill: RtKill, seed: u64, sink: Sink, out: &mut Out<Rt>) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let store = AcesoStore::launch(chaos_config()).map_err(|e| format!("launch: {e}"))?;
-    if let Some(s) = sink {
-        store.cluster.install_trace_sink(s);
-    }
-    let n = store.cfg.num_mns;
+    let store = launch_store(sink)?;
 
     // ---- Preload ---------------------------------------------------------
     let shared = Rc::new(RefCell::new(SharedState::default()));
     {
-        let mut loader = store.client().map_err(|e| format!("loader: {e}"))?;
-        let mut st = shared.borrow_mut();
-        for t in 0..RT_TASKS {
-            for j in 0..KEYS_PER_TASK {
-                let k = task_key(t, j);
-                let v = gen_value(&mut rng, b'A');
-                loader
-                    .insert(&k, &v)
-                    .map_err(|e| format!("preload {}: {e}", fmt_key(&k)))?;
-                st.oracle.insert(k, v);
-            }
-        }
-        loader
-            .close_open_blocks()
-            .map_err(|e| format!("preload close: {e}"))?;
+        let mut loader = store.client().ctx("loader")?;
+        let keys = (0..RT_TASKS)
+            .flat_map(|t| (0..KEYS_PER_TASK).map(move |j| key(format_args!("rt-{t}"), j)));
+        preload(&mut loader, &mut shared.borrow_mut().oracle, &mut rng, keys)?;
+        loader.close_open_blocks().ctx("preload close")?;
     }
-    store.cluster.trace_barrier();
-
-    // Two checkpoint rounds so every column has a restorable checkpoint
-    // and a non-trivial Index Version to regress from.
-    for _ in 0..2 {
-        store.checkpoint_tick().map_err(|e| format!("ckpt: {e}"))?;
-    }
-    store.cluster.trace_barrier();
-    let iv_of = |store: &Arc<AcesoStore>, col: usize| {
-        let s = store.server(col);
-        s.index.local_index_version(&s.node.region)
-    };
-    let iv_pre: Vec<u64> = (0..n).map(|c| iv_of(&store, c)).collect();
+    let iv = checkpoint_twice(&store)?;
 
     // ---- Spawn the coroutine clients -------------------------------------
-    // Same fail-fast tuning as the matrix runner: a blocked op costs the
-    // run milliseconds, not the production grace window — and the sleeps
-    // run inline on the executor thread, so they must stay short.
-    let tuning = ClientTuning {
-        max_retries: 40,
-        index_wait_ms: 5,
-        ..ClientTuning::default()
-    };
-    let kill_col = rng.gen_range(0..n);
+    // Fail-fast tuning matters doubly here: the retry sleeps run inline on
+    // the executor thread, so they must stay short.
+    let kill_col = rng.gen_range(0..store.cfg.num_mns);
     let mn_kill_planned = kill == RtKill::Mn;
 
     let cq = Arc::new(SimCq::new());
     let mut exec = Executor::new();
     for t in 0..RT_TASKS {
-        let mut client = store
-            .client_with(tuning)
-            .map_err(|e| format!("client {t}: {e}"))?;
+        let mut client = store.client_with(fail_fast()).ctx(&format!("client {t}"))?;
         client.dm.attach_cq(Arc::clone(&cq));
         if kill == RtKill::Cn && t == 0 {
             client.crash_point = Some(CrashPoint::BeforeCommit);
@@ -219,67 +169,44 @@ fn run_rt_cell_inner(
         let shared = Rc::clone(&shared);
         let mut task_rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9e37_79b9));
         exec.spawn(async move {
-            let cli_id = client.id();
             for opno in 0..OPS_PER_TASK {
-                let j = task_rng.gen_range(0..KEYS_PER_TASK);
-                let key = task_key(t, j);
-                let prev = shared.borrow().oracle.get(&key).cloned();
+                let key = key(format_args!("rt-{t}"), task_rng.gen_range(0..KEYS_PER_TASK));
                 // Even ops mutate (so the CN crash point fires early),
                 // odd ops read back through the full search path.
-                let (res, intended) = if opno % 2 == 0 {
-                    let val = gen_value(&mut task_rng, b'0' + t as u8);
-                    (client.update_async(&key, &val).await, Some(val))
-                } else {
-                    match client.search_async(&key).await {
-                        Ok(got) => {
-                            if got != prev {
-                                shared.borrow_mut().violations.push(format!(
-                                    "task {t}: search({}) returned {} want {}",
-                                    fmt_key(&key),
-                                    fmt_state(&got),
-                                    fmt_state(&prev)
-                                ));
-                            }
-                            (Ok(()), prev.clone())
-                        }
-                        Err(e) => (Err(e), prev.clone()),
-                    }
+                let write = (opno % 2 == 0).then(|| gen_value(&mut task_rng, b'0' + t as u8));
+                let res = match &write {
+                    Some(val) => client.update_async(&key, val).await,
+                    None => client.search_async(&key).await.map(|got| {
+                        let st = &mut *shared.borrow_mut();
+                        let complaint = format!("task {t}: search mismatch");
+                        st.oracle.observe(&key, got, &complaint, &mut st.violations);
+                    }),
                 };
-                match res {
+                let st = &mut *shared.borrow_mut();
+                match res.map_err(|e| (cut_of(&e), e)) {
                     Ok(()) => {
-                        if let Some(v) = &intended {
-                            shared.borrow_mut().oracle.insert(key, v.clone());
+                        if write.is_some() {
+                            st.oracle.commit(&key, write);
                         }
+                        continue;
                     }
-                    Err(StoreError::Shutdown) => {
-                        // The armed crash point fired mid-commit.
-                        let mut st = shared.borrow_mut();
-                        st.ambiguous.push((key, prev, intended));
-                        st.crashed.push(cli_id);
-                        let inflight = RT_TASKS - st.finished;
-                        st.inflight_at_fault.get_or_insert(inflight);
-                        break;
+                    // The armed crash point fired mid-commit — or the MN
+                    // died under the op and nobody recovers it until the
+                    // executor drains: written off as crashed-while-
+                    // blocked, like the matrix runner.
+                    Err((Some(cut), _)) if cut == Cut::Crash || mn_kill_planned => {
+                        if cut == Cut::Crash {
+                            st.sample_inflight();
+                        }
+                        let intended = write.or_else(|| st.oracle.get(&key));
+                        st.oracle.interrupt(&key, intended);
+                        st.crashed.push(client.id());
                     }
-                    Err(StoreError::Rdma(RdmaError::NodeUnreachable(_)))
-                    | Err(StoreError::RetriesExhausted)
-                        if mn_kill_planned =>
-                    {
-                        // The MN died under the op and nobody recovers it
-                        // until the executor drains: written off as
-                        // crashed-while-blocked, like the matrix runner.
-                        let mut st = shared.borrow_mut();
-                        st.ambiguous.push((key, prev, intended));
-                        st.crashed.push(cli_id);
-                        break;
-                    }
-                    Err(e) => {
-                        shared
-                            .borrow_mut()
-                            .violations
-                            .push(format!("task {t} op {opno}: unexpected error: {e}"));
-                        break;
-                    }
+                    Err((_, e)) => st
+                        .violations
+                        .push(format!("task {t} op {opno}: unexpected error: {e}")),
                 }
+                break;
             }
             client.dm.detach_cq();
             shared.borrow_mut().finished += 1;
@@ -292,23 +219,15 @@ fn run_rt_cell_inner(
     // window the MN kill must land in.
     let mut steps = 0u64;
     let mut mn_killed = false;
-    let stuck = {
-        let store = Arc::clone(&store);
-        let shared = Rc::clone(&shared);
-        exec.run_until_idle(|| {
-            let advanced = cq.advance_next();
-            if advanced {
-                steps += 1;
-                if mn_kill_planned && steps == MN_KILL_STEP && !mn_killed {
-                    mn_killed = store.kill_mn(kill_col);
-                    let mut st = shared.borrow_mut();
-                    let inflight = RT_TASKS - st.finished;
-                    st.inflight_at_fault.get_or_insert(inflight);
-                }
-            }
-            advanced
-        })
-    };
+    let stuck = exec.run_until_idle(|| {
+        let advanced = cq.advance_next();
+        steps += u64::from(advanced);
+        if advanced && mn_kill_planned && steps == MN_KILL_STEP {
+            mn_killed = store.kill_mn(kill_col);
+            shared.borrow_mut().sample_inflight();
+        }
+        advanced
+    });
     if stuck != 0 {
         out.violations
             .push(format!("executor wedged with {stuck} tasks in flight"));
@@ -320,32 +239,24 @@ fn run_rt_cell_inner(
     }
     store.cluster.trace_barrier();
 
-    let (oracle, ambiguous, crashed) = {
-        let mut st = shared.borrow_mut();
-        out.inflight_at_fault = st.inflight_at_fault.unwrap_or(0);
-        out.violations.append(&mut st.violations);
-        (
-            std::mem::take(&mut st.oracle),
-            std::mem::take(&mut st.ambiguous),
-            std::mem::take(&mut st.crashed),
-        )
-    };
-    out.crashed_tasks = crashed.len();
-    if out.inflight_at_fault < 2 {
+    let st = shared.take();
+    out.violations.extend(st.violations);
+    out.facts.inflight_at_fault = st.inflight_at_fault.unwrap_or(0);
+    out.facts.crashed_tasks = st.crashed.len();
+    if out.facts.inflight_at_fault < 2 {
         out.violations.push(format!(
             "fault fired with {} tasks in flight (need > 1 suspended mid-op)",
-            out.inflight_at_fault
+            out.facts.inflight_at_fault
         ));
     }
-    if kill == RtKill::Cn && crashed.is_empty() {
-        out.violations
-            .push("CN crash point never fired".to_string());
+    if kill == RtKill::Cn && st.crashed.is_empty() {
+        out.violations.push("CN crash point never fired".into());
     }
 
     // ---- Tiered recovery (§3.4: CN consistency first, then MN) -----------
-    for cli_id in &crashed {
-        let mut revived = store.client_with_id(*cli_id);
-        recover_cn(&store, &mut revived).map_err(|e| format!("recover_cn({cli_id}): {e}"))?;
+    for cli_id in &st.crashed {
+        recover_cn(&store, &mut store.client_with_id(*cli_id))
+            .ctx(&format!("recover_cn({cli_id})"))?;
         // Each CN repair is its own membership-service epoch: the service
         // fences one crashed client's rollback before admitting the next,
         // so consecutive repairs (which share parity stripes) are
@@ -353,85 +264,21 @@ fn run_rt_cell_inner(
         store.cluster.trace_barrier();
     }
     if mn_killed {
-        recover_mn(&store, kill_col).map_err(|e| format!("recover_mn: {e}"))?;
+        recover_mn(&store, kill_col).ctx("recover_mn")?;
     }
     store.cluster.trace_barrier();
 
     // ---- Invariants ------------------------------------------------------
-    let mut sweep = store.client().map_err(|e| format!("sweep client: {e}"))?;
-    let mut windows: BTreeMap<&[u8], [&Option<Vec<u8>>; 2]> = BTreeMap::new();
-    for (k, pre, post) in &ambiguous {
-        windows.insert(k.as_slice(), [pre, post]);
-    }
-
-    // 1. Oracle agreement, with per-task ambiguity windows on every key
-    //    whose op was interrupted.
-    for (k, v) in &oracle {
-        match sweep.search(k) {
-            Ok(got) => {
-                let allowed: Vec<Option<Vec<u8>>> = match windows.get(k.as_slice()) {
-                    Some([pre, post]) => vec![(*pre).clone(), (*post).clone()],
-                    None => vec![Some(v.clone())],
-                };
-                if !allowed.contains(&got) {
-                    out.violations.push(format!(
-                        "key {} outside ambiguity window: got {} allowed {}",
-                        fmt_key(k),
-                        fmt_state(&got),
-                        allowed.iter().map(fmt_state).collect::<Vec<_>>().join(" | ")
-                    ));
-                }
-            }
-            Err(e) => out
-                .violations
-                .push(format!("oracle search {}: {e}", fmt_key(k))),
-        }
-    }
-
-    // 2. Meta-lock liveness on every interrupted key: a probe write must
-    //    get through (breaking any lock a crashed task abandoned).
-    for (k, _, _) in &ambiguous {
-        let probe = gen_value(&mut rng, b'P');
-        match sweep.insert(k, &probe) {
-            Ok(()) => match sweep.search(k) {
-                Ok(Some(got)) if got == probe => {}
-                Ok(got) => out.violations.push(format!(
-                    "probe readback mismatch on {}: got {}",
-                    fmt_key(k),
-                    fmt_state(&got)
-                )),
-                Err(e) => out
-                    .violations
-                    .push(format!("probe readback {}: {e}", fmt_key(k))),
-            },
-            Err(e) => out.violations.push(format!(
-                "probe insert on {} blocked (stale meta lock?): {e}",
-                fmt_key(k)
-            )),
-        }
-    }
-
-    // 3. Index-Version monotonicity across kill + recovery.
-    for (col, pre) in iv_pre.iter().enumerate() {
-        let post = iv_of(&store, col);
-        if post < *pre {
-            out.violations.push(format!(
-                "index version regressed on col {col}: {pre} -> {post}"
-            ));
-        }
-    }
-
-    // 4. Parity-stripe consistency after full recovery.
-    if let Err(e) = sweep.flush_bitmaps() {
-        out.violations.push(format!("final flush: {e}"));
-    }
-    store.cluster.trace_barrier();
-    match scrub(&store) {
-        Ok(r) if r.is_clean() => {}
-        Ok(r) => out.violations.push(format!("scrub dirty: {r:?}")),
-        Err(e) => out.violations.push(format!("scrub: {e}")),
-    }
-
+    let probes: Vec<Vec<u8>> = st.oracle.windows.keys().cloned().collect();
+    judge_store(
+        &store,
+        &st.oracle,
+        &[],
+        &probes,
+        &iv,
+        &mut rng,
+        &mut out.violations,
+    )?;
     store.shutdown();
     Ok(())
 }
@@ -439,33 +286,24 @@ fn run_rt_cell_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::axis::run_cell;
 
     /// The MN dies between polls with several tasks suspended mid-op;
     /// every invariant holds after tiered recovery.
     #[test]
     fn mn_kill_under_runtime_passes() {
-        let out = run_rt_cell(RtKill::Mn, crate::DEFAULT_SEED);
+        let out = run_cell::<Rt>(RtKill::Mn, crate::DEFAULT_SEED, None);
         assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.inflight_at_fault >= 2, "{:?}", out.inflight_at_fault);
+        assert!(out.facts.inflight_at_fault >= 2, "{:?}", out.facts);
     }
 
     /// One task's client crashes at a protocol crash point while its
     /// siblings keep running on the same executor thread.
     #[test]
     fn cn_crash_under_runtime_passes() {
-        let out = run_rt_cell(RtKill::Cn, crate::DEFAULT_SEED);
+        let out = run_cell::<Rt>(RtKill::Cn, crate::DEFAULT_SEED, None);
         assert!(out.ok(), "{:?}", out.violations);
-        assert_eq!(out.crashed_tasks, 1);
-        assert!(out.inflight_at_fault >= 2, "{:?}", out.inflight_at_fault);
-    }
-
-    /// Same seed, same schedule, same outcome.
-    #[test]
-    fn rt_cell_is_deterministic() {
-        let a = run_rt_cell(RtKill::Mn, 77);
-        let b = run_rt_cell(RtKill::Mn, 77);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.inflight_at_fault, b.inflight_at_fault);
-        assert_eq!(a.crashed_tasks, b.crashed_tasks);
+        assert_eq!(out.facts.crashed_tasks, 1);
+        assert!(out.facts.inflight_at_fault >= 2, "{:?}", out.facts);
     }
 }

@@ -1,64 +1,33 @@
-//! Executes one crash-matrix cell against a live store and checks the
-//! post-conditions.
+//! The crash-matrix cell script: one [`Cell`] against a live store.
 //!
-//! Each cell runs the same script: launch a store, preload it (optionally
-//! ageing it into a reclamation-relevant state), arm the cell's injection
-//! and kill, run the operation, drive tiered recovery, then check four
-//! invariants:
-//!
-//! 1. **Oracle agreement** — every surviving key reads back exactly the
-//!    value a `HashMap` oracle predicts; the injected key may be in either
-//!    its pre-op or intended post-op state (the commit protocol's allowed
-//!    ambiguity window), never anything else.
-//! 2. **Meta-lock liveness** — a probe INSERT on the injected key must
-//!    succeed (breaking any lock the crashed client abandoned) and read
-//!    back.
-//! 3. **Index-Version monotonicity** — no column's Index Version moves
-//!    backwards across kill + recovery.
-//! 4. **Parity consistency** — [`aceso_core::scrub()`] reports every
-//!    parity equation and delta pair clean after full recovery.
+//! Every cell runs the same script: launch a store, preload it
+//! (optionally ageing it into a reclamation-relevant state), arm the
+//! cell's injection and kill, run the operation, drive tiered recovery,
+//! then judge the store with [`crate::invariants::judge_store`]. The
+//! injected key may be in either its pre-op or intended post-op state;
+//! it is always probed for meta-lock liveness.
 
+use crate::axis::{
+    cut_of, fail_fast, fmt_key, gen_value, launch_store, take_ms, Ctx, Cut, Out, Sink,
+};
 use crate::cell::{Cell, InjectionSite, KillTiming, OpType, ReclaimState};
+use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
+use crate::sweep::Sweep;
 use aceso_core::client::CrashPoint;
 use aceso_core::config::unpack_col;
-use aceso_core::{
-    recover_cn, recover_mn, recover_mn_with, scrub, AcesoClient, AcesoConfig, AcesoStore,
-    ClientTuning, StoreError,
-};
+use aceso_core::{recover_cn, recover_mn, recover_mn_with, AcesoStore, StoreError};
 use aceso_index::{fingerprint, route_hash, RemoteIndex};
-use aceso_rdma::{FaultAction, FaultPlan, FaultRule, RdmaError, TraceSink};
+use aceso_rdma::{FaultAction, FaultPlan, FaultRule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Store configuration for matrix cells: the `small()` topology shrunk
-/// (fewer/smaller blocks, fewer index groups) so a full launch → preload →
-/// crash → recover → scrub cycle stays well under a second.
-pub fn chaos_config() -> AcesoConfig {
-    AcesoConfig {
-        block_size: 16 << 10,
-        num_arrays: 4,
-        num_delta: 12,
-        index_groups: 128,
-        bitmap_flush_every: 16,
-        ..AcesoConfig::small()
-    }
-}
-
-/// Human-readable labels of the four invariant classes, indexed like
-/// [`CellPhases::invariants_ms`].
-pub const INVARIANT_CLASSES: [&str; 4] = [
-    "oracle-agreement",
-    "meta-lock-liveness",
-    "iv-monotonicity",
-    "parity-scrub",
-];
-
 /// Wall-clock breakdown of one cell run, summed by the sweep summary so
 /// slow invariant checks are visible without profiling.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Default)]
 pub struct CellPhases {
     /// Store launch, preload, and optional ageing.
     pub setup_ms: f64,
@@ -69,87 +38,47 @@ pub struct CellPhases {
     pub op_ms: f64,
     /// Post-crash tiered recovery (CN consistency, then MN tiers).
     pub recovery_ms: f64,
-    /// Per-invariant-class check time, indexed by [`INVARIANT_CLASSES`].
-    pub invariants_ms: [f64; 4],
+    /// Per-invariant check time, indexed like
+    /// [`crate::invariants::INVARIANT_CLASSES`].
+    pub invariants_ms: [f64; 5],
 }
 
-/// What one cell run observed.
-#[derive(Clone, Debug)]
-pub struct CellOutcome {
-    /// The cell that ran.
-    pub cell: Cell,
-    /// The seed its schedule was derived from.
-    pub seed: u64,
-    /// Invariant violations (empty = the cell passed).
-    pub violations: Vec<String>,
+/// Wall-clock is never evidence that two runs diverged.
+impl PartialEq for CellPhases {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for CellPhases {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let judge: f64 = self.invariants_ms.iter().sum();
+        write!(
+            f,
+            "setup {:.1} + ckpt {:.1} + op {:.1} + recovery {:.1} + judge {judge:.1} ms",
+            self.setup_ms, self.ckpt_ms, self.op_ms, self.recovery_ms
+        )
+    }
+}
+
+/// What a crash-matrix cell observes besides its violations.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SweepFacts {
     /// Whether the armed injection actually fired.
     pub injection_fired: bool,
     /// Whether the home MN actually died.
     pub mn_killed: bool,
     /// Whether the client crashed (or was written off as blocked) mid-op.
     pub client_crashed: bool,
-    /// Wall-clock cost of the cell.
-    pub duration_ms: u128,
-    /// Where that wall-clock went.
+    /// Where the cell's wall-clock went.
     pub phases: CellPhases,
 }
 
-impl CellOutcome {
-    /// `true` when every invariant held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Runs one cell. Infrastructure failures (launch, preload, recovery
-/// errors) are reported as violations too: a cell that cannot even set up
-/// is a finding, not a skip.
-pub fn run_cell(cell: &Cell, seed: u64) -> CellOutcome {
-    run_cell_with_sink(cell, seed, None)
-}
-
-/// [`run_cell`] with a [`TraceSink`] installed on the store's cluster for
-/// the duration of the cell, so a race detector observes every verb the
-/// schedule issues. The runner marks its phase boundaries (preload done,
-/// checkpoints done, crash quiesced, recovery done, pre-scrub) with
-/// [`aceso_rdma::Cluster::trace_barrier`] — the membership-service
-/// quiescence points Aceso's recovery protocol (§3.4) relies on. Barriers
-/// are no-ops when no sink is installed, so `run_cell` pays nothing.
-pub fn run_cell_with_sink(
-    cell: &Cell,
-    seed: u64,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> CellOutcome {
-    let start = Instant::now();
-    let mut out = CellOutcome {
-        cell: *cell,
-        seed,
-        violations: Vec::new(),
-        injection_fired: false,
-        mn_killed: false,
-        client_crashed: false,
-        duration_ms: 0,
-        phases: CellPhases::default(),
-    };
-    if let Err(e) = run_cell_inner(cell, seed, &mut out, sink) {
-        out.violations.push(format!("harness: {e}"));
-    }
-    out.duration_ms = start.elapsed().as_millis();
-    out
-}
-
-/// Deterministic value generator: length and bytes come from the cell's
-/// seeded RNG, the first byte tags the generation for readable mismatches.
-pub(crate) fn gen_value(rng: &mut StdRng, tag: u8) -> Vec<u8> {
-    let len = rng.gen_range(24usize..96);
-    let mut v = vec![0u8; len];
-    rng.fill_bytes(&mut v);
-    v[0] = tag;
-    v
-}
-
-pub(crate) fn fmt_key(k: &[u8]) -> String {
-    String::from_utf8_lossy(k).into_owned()
+fn numbered(
+    prefix: &'static str,
+    js: impl Iterator<Item = usize>,
+) -> impl Iterator<Item = Vec<u8>> {
+    js.map(move |j| format!("{prefix}-{j:03}").into_bytes())
 }
 
 /// Brute-forces two keys with equal fingerprint, equal home column, and
@@ -160,13 +89,16 @@ pub(crate) fn fmt_key(k: &[u8]) -> String {
 fn collision_twins(store: &Arc<AcesoStore>) -> Result<(Vec<u8>, Vec<u8>), String> {
     let layout = store.map.index;
     let n = store.cfg.num_mns as u64;
-    let coord = |k: &[u8]| (fingerprint(k), route_hash(k) % n, layout.buckets_for(k)[0].0);
+    let coord = |k: &[u8]| {
+        (
+            fingerprint(k),
+            route_hash(k) % n,
+            layout.buckets_for(k)[0].0,
+        )
+    };
     let mut seen: BTreeMap<(u8, u64, u64), Vec<u8>> = BTreeMap::new();
-    for i in 0..36 {
-        seen.insert(coord(format!("key-{i:03}").as_bytes()), Vec::new());
-    }
-    for i in 0..12 {
-        seen.insert(coord(format!("aged-{i:03}").as_bytes()), Vec::new());
+    for k in numbered("key", 0..36).chain(numbered("aged", 0..12)) {
+        seen.insert(coord(&k), Vec::new());
     }
     for i in 0..100_000u32 {
         let k = format!("twin-{i:05}").into_bytes();
@@ -188,90 +120,39 @@ fn twin_kv_col(store: &Arc<AcesoStore>, key: &[u8]) -> Result<usize, String> {
     let col = (route_hash(key) % store.cfg.num_mns as u64) as usize;
     let index = RemoteIndex::new(store.directory().node_of(col), store.map.index);
     let dm = store.cluster.background_client();
-    let scan = index
-        .scan(&dm, key, fingerprint(key))
-        .map_err(|e| format!("twin scan: {e}"))?;
+    let scan = index.scan(&dm, key, fingerprint(key)).ctx("twin scan")?;
     let slot = scan.matches.first().ok_or("twin slot missing from index")?;
     Ok(unpack_col(slot.atomic.addr48).0)
 }
 
-pub(crate) fn fmt_state(s: &Option<Vec<u8>>) -> String {
-    match s {
-        None => "absent".into(),
-        Some(v) => format!("{}…[{}]", fmt_key(&v[..v.len().min(8)]), v.len()),
-    }
-}
-
-/// Milliseconds since `t`, resetting `t` to now (phase-clock helper).
-fn take_ms(t: &mut Instant) -> f64 {
-    let e = t.elapsed().as_secs_f64() * 1e3;
-    *t = Instant::now();
-    e
-}
-
-fn run_cell_inner(
-    cell: &Cell,
-    seed: u64,
-    out: &mut CellOutcome,
-    sink: Option<Arc<dyn TraceSink>>,
-) -> Result<(), String> {
+/// The script. The runner marks its phase boundaries (preload done,
+/// checkpoints done, crash quiesced, recovery done, pre-scrub) with
+/// [`aceso_rdma::Cluster::trace_barrier`] — the membership-service
+/// quiescence points Aceso's recovery protocol (§3.4) relies on. Barriers
+/// are no-ops when no sink is installed.
+#[allow(clippy::too_many_lines)]
+pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Result<(), String> {
     let mut clock = Instant::now();
     let mut rng = StdRng::seed_from_u64(seed);
-    let store = AcesoStore::launch(chaos_config()).map_err(|e| format!("launch: {e}"))?;
-    if let Some(s) = sink {
-        store.cluster.install_trace_sink(s);
-    }
+    let store = launch_store(sink)?;
     let n = store.cfg.num_mns;
-
-    // The op client fails fast when a column dies so a blocked operation
-    // costs a cell milliseconds, not the production 10 s grace window.
-    // Budgets multiply: every commit retry re-enters the index wait, so
-    // a blocked op costs at most ~max_retries × index_wait_ms.
-    let tuning = ClientTuning {
-        max_retries: 40,
-        index_wait_ms: 5,
-        ..ClientTuning::default()
-    };
-    let mut client = store
-        .client_with(tuning)
-        .map_err(|e| format!("client: {e}"))?;
+    let mut client = store.client_with(fail_fast()).ctx("client")?;
 
     // ---- Preload ---------------------------------------------------------
-    let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-    let preload = |client: &mut AcesoClient,
-                       oracle: &mut BTreeMap<Vec<u8>, Vec<u8>>,
-                       rng: &mut StdRng,
-                       prefix: &str,
-                       count: usize|
-     -> Result<(), String> {
-        for i in 0..count {
-            let k = format!("{prefix}-{i:03}").into_bytes();
-            let v = gen_value(rng, b'A');
-            client
-                .insert(&k, &v)
-                .map_err(|e| format!("preload {}: {e}", fmt_key(&k)))?;
-            oracle.insert(k, v);
-        }
-        Ok(())
-    };
+    let mut oracle = Oracle::default();
     match cell.reclaim {
-        ReclaimState::Fresh => preload(&mut client, &mut oracle, &mut rng, "key", 24)?,
+        ReclaimState::Fresh => preload(&mut client, &mut oracle, &mut rng, numbered("key", 0..24))?,
         ReclaimState::Aged => {
-            preload(&mut client, &mut oracle, &mut rng, "key", 36)?;
-            client
-                .close_open_blocks()
-                .map_err(|e| format!("preload close: {e}"))?;
-            for i in (0..36).step_by(3) {
-                let k = format!("key-{i:03}").into_bytes();
+            preload(&mut client, &mut oracle, &mut rng, numbered("key", 0..36))?;
+            client.close_open_blocks().ctx("preload close")?;
+            for k in numbered("key", (0..36).step_by(3)) {
                 client
                     .delete(&k)
-                    .map_err(|e| format!("preload delete {}: {e}", fmt_key(&k)))?;
-                oracle.remove(&k);
+                    .ctx(&format!("preload delete {}", fmt_key(&k)))?;
+                oracle.commit(&k, None);
             }
-            client
-                .flush_bitmaps()
-                .map_err(|e| format!("preload flush: {e}"))?;
-            preload(&mut client, &mut oracle, &mut rng, "aged", 12)?;
+            client.flush_bitmaps().ctx("preload flush")?;
+            preload(&mut client, &mut oracle, &mut rng, numbered("aged", 0..12))?;
         }
     }
     // Colliding-fingerprint cells plant the twin pair from a throwaway
@@ -279,51 +160,30 @@ fn run_cell_inner(
     // scan past the earlier twin instead of short-circuiting on its cache.
     let twins = if cell.op == OpType::SearchCollide {
         let (a, b) = collision_twins(&store)?;
-        let mut planter = store.client().map_err(|e| format!("planter: {e}"))?;
-        for k in [&a, &b] {
-            let v = gen_value(&mut rng, b'A');
-            planter
-                .insert(k, &v)
-                .map_err(|e| format!("plant twin {}: {e}", fmt_key(k)))?;
-            oracle.insert(k.clone(), v);
-        }
+        let mut planter = store.client().ctx("planter")?;
+        preload(&mut planter, &mut oracle, &mut rng, [a.clone(), b.clone()])?;
         // Close (= erasure-code) every open block before the checkpoint
         // rounds: the index-tier-only window loses closed, checkpointed
         // blocks, while open blocks — and every closed block sharing a
         // stripe array with one — are reconstructed during the Index
         // tier, which would leave nothing degraded to read.
-        planter
-            .close_open_blocks()
-            .map_err(|e| format!("plant close: {e}"))?;
-        client
-            .close_open_blocks()
-            .map_err(|e| format!("preload close: {e}"))?;
+        planter.close_open_blocks().ctx("plant close")?;
+        client.close_open_blocks().ctx("preload close")?;
         Some((a, b))
     } else {
         None
     };
-    store.cluster.trace_barrier();
-    out.phases.setup_ms = take_ms(&mut clock);
+    out.facts.phases.setup_ms = take_ms(&mut clock);
 
-    // Two checkpoint rounds so every column has a restorable checkpoint
-    // and a non-trivial Index Version to regress from.
-    for _ in 0..2 {
-        store.checkpoint_tick().map_err(|e| format!("ckpt: {e}"))?;
-    }
-    store.cluster.trace_barrier();
-    let iv_of = |store: &Arc<AcesoStore>, col: usize| {
-        let s = store.server(col);
-        s.index.local_index_version(&s.node.region)
-    };
-    let iv_pre: Vec<u64> = (0..n).map(|c| iv_of(&store, c)).collect();
-    out.phases.ckpt_ms = take_ms(&mut clock);
+    let iv = checkpoint_twice(&store)?;
+    out.facts.phases.ckpt_ms = take_ms(&mut clock);
 
     // ---- Arm the cell ----------------------------------------------------
     let op_key: Vec<u8> = match (cell.op, &twins) {
         (OpType::Insert, _) => b"probe-new".to_vec(),
         (OpType::SearchCollide, Some((_, b))) => b.clone(),
         _ => {
-            let keys: Vec<&Vec<u8>> = oracle.keys().collect();
+            let keys: Vec<&Vec<u8>> = oracle.state.keys().collect();
             keys[rng.gen_range(0..keys.len())].clone()
         }
     };
@@ -339,23 +199,19 @@ fn run_cell_inner(
     };
     let home_node = store.directory().node_of(home_col);
 
-    match cell.kill {
-        KillTiming::BeforeOp => {
-            if !store.kill_mn(home_col) {
-                out.violations.push("kill_mn reported node already dead".into());
-            }
-            out.mn_killed = true;
-            recover_mn(&store, home_col).map_err(|e| format!("recover_mn(pre): {e}"))?;
+    if matches!(
+        cell.kill,
+        KillTiming::BeforeOp | KillTiming::BeforeOpDegraded
+    ) {
+        if !store.kill_mn(home_col) {
+            out.violations
+                .push("kill_mn reported node already dead".into());
         }
-        KillTiming::BeforeOpDegraded => {
-            if !store.kill_mn(home_col) {
-                out.violations.push("kill_mn reported node already dead".into());
-            }
-            out.mn_killed = true;
-            recover_mn_with(&store, home_col, false)
-                .map_err(|e| format!("recover_mn(index tier): {e}"))?;
-        }
-        KillTiming::None | KillTiming::AtVerb { .. } => {}
+        out.facts.mn_killed = true;
+        // `BeforeOpDegraded` recovers the Index tier only: the op runs
+        // degraded, with old blocks still lost.
+        recover_mn_with(&store, home_col, cell.kill == KillTiming::BeforeOp)
+            .ctx("recover_mn(pre)")?;
     }
     store.cluster.trace_barrier();
 
@@ -370,10 +226,8 @@ fn run_cell_inner(
                 .after(skip),
         );
     }
-    let plan = (!rules.is_empty()).then(|| FaultPlan::with_rules(rules));
-    if let Some(p) = &plan {
-        client.dm.install_fault_plan(Arc::clone(p));
-    }
+    let plan = FaultPlan::with_rules(rules);
+    client.dm.install_fault_plan(Arc::clone(&plan));
     if let InjectionSite::Client(cp) = cell.site {
         client.crash_point = Some(cp);
     }
@@ -385,101 +239,50 @@ fn run_cell_inner(
     let needs_rollover = cell.site == InjectionSite::Client(CrashPoint::WhileMetaLocked)
         && matches!(cell.op, OpType::Insert | OpType::Update | OpType::Delete);
     let attempts = if needs_rollover { 300 } else { 1 };
-    let kill_planned = cell.kill != KillTiming::None;
-
-    // The commit ambiguity window: (pre-op state, intended post-op state).
-    type Window = (Option<Vec<u8>>, Option<Vec<u8>>);
-    let mut ambiguous: Option<Window> = None;
-    let mut crashed_at_point = false;
-    let mut crashed_at_verb = false;
-    let mut blocked = false;
-
-    for attempt in 0..attempts {
-        let prev = oracle.get(&op_key).cloned();
-        let (res, intended): (Result<(), StoreError>, Option<Vec<u8>>) = match cell.op {
+    let mut cut = None;
+    for _ in 0..attempts {
+        let prev = oracle.get(&op_key);
+        let (res, intended): (Result<(), StoreError>, _) = match cell.op {
             OpType::Insert => (client.insert(&op_key, &new_val), Some(new_val.clone())),
             OpType::Update => (client.update(&op_key, &new_val), Some(new_val.clone())),
-            OpType::Delete => {
-                if needs_rollover && prev.is_none() {
-                    // Alternate with re-inserts so every delete has a live
-                    // target while the version climbs toward rollover.
-                    (client.insert(&op_key, &new_val), Some(new_val.clone()))
-                } else {
-                    (client.delete(&op_key).map(|_| ()), None)
-                }
+            // Alternate with re-inserts so every delete has a live target
+            // while the version climbs toward rollover.
+            OpType::Delete if needs_rollover && prev.is_none() => {
+                (client.insert(&op_key, &new_val), Some(new_val.clone()))
             }
-            OpType::Search | OpType::SearchCollide => match client.search(&op_key) {
-                Ok(got) => {
-                    if got != prev {
-                        out.violations.push(format!(
-                            "search({}) returned {} want {}",
-                            fmt_key(&op_key),
-                            fmt_state(&got),
-                            fmt_state(&prev)
-                        ));
-                    }
-                    (Ok(()), prev.clone())
-                }
-                Err(e) => (Err(e), prev.clone()),
-            },
+            OpType::Delete => (client.delete(&op_key).map(|_| ()), None),
+            OpType::Search | OpType::SearchCollide => {
+                let res = client.search(&op_key).map(|got| {
+                    oracle.observe(&op_key, got, "search mismatch", &mut out.violations);
+                });
+                (res, prev)
+            }
         };
         match res {
-            Ok(()) => {
-                match &intended {
-                    Some(v) => oracle.insert(op_key.clone(), v.clone()),
-                    None => oracle.remove(&op_key),
-                };
-                if !needs_rollover && attempt + 1 == attempts {
-                    break;
-                }
-            }
-            Err(StoreError::Shutdown) => {
-                crashed_at_point = true;
-                ambiguous = Some((prev, intended));
-                break;
-            }
-            Err(StoreError::Rdma(RdmaError::Injected { .. })) => {
-                crashed_at_verb = true;
-                ambiguous = Some((prev, intended));
-                break;
-            }
-            Err(StoreError::Rdma(RdmaError::NodeUnreachable(_)))
-            | Err(StoreError::RetriesExhausted)
-                if kill_planned =>
-            {
-                // The home MN died under the op and nobody has recovered it
-                // yet: the client is written off as crashed-while-blocked.
-                blocked = true;
-                ambiguous = Some((prev, intended));
-                break;
-            }
+            Ok(()) => oracle.commit(&op_key, intended),
             Err(e) => {
-                out.violations
-                    .push(format!("{} op: unexpected error: {e}", cell.op));
+                cut = cut_of(&e).filter(|c| *c == Cut::Crash || cell.kill != KillTiming::None);
+                match cut {
+                    Some(_) => oracle.interrupt(&op_key, intended),
+                    None => out
+                        .violations
+                        .push(format!("{} op: unexpected error: {e}", cell.op)),
+                }
                 break;
             }
         }
     }
 
-    let crashed = crashed_at_point || crashed_at_verb || blocked;
-    out.client_crashed = crashed;
-    let kill_fired_at_verb = plan.as_ref().is_some_and(|p| {
-        p.fired()
-            .iter()
-            .any(|f| f.action == FaultAction::KillNode)
-    });
-    if kill_fired_at_verb {
-        out.mn_killed = true;
-    }
-    out.injection_fired = match cell.site {
+    let fired = |action| plan.fired().iter().any(|f| f.action == action);
+    let kill_fired_at_verb = fired(FaultAction::KillNode);
+    out.facts.client_crashed = cut.is_some();
+    out.facts.mn_killed |= kill_fired_at_verb;
+    out.facts.injection_fired = match cell.site {
         InjectionSite::None => false,
-        InjectionSite::Client(_) => crashed_at_point,
-        InjectionSite::Verb { .. } => plan
-            .as_ref()
-            .is_some_and(|p| p.fired().iter().any(|f| f.action == FaultAction::Fail)),
+        InjectionSite::Client(_) => cut == Some(Cut::Crash),
+        InjectionSite::Verb { .. } => fired(FaultAction::Fail),
     };
-
-    out.phases.op_ms = take_ms(&mut clock);
+    out.facts.phases.op_ms = take_ms(&mut clock);
 
     // ---- Tiered recovery (§3.4: CN consistency first, then MN) -----------
     // The crash is quiesced before recovery begins (the membership service
@@ -488,156 +291,58 @@ fn run_cell_inner(
     let cli_id = client.id();
     drop(client);
     store.cluster.trace_barrier();
-    if crashed {
-        let mut revived = store.client_with_id(cli_id);
-        recover_cn(&store, &mut revived).map_err(|e| format!("recover_cn: {e}"))?;
+    if cut.is_some() {
+        recover_cn(&store, &mut store.client_with_id(cli_id)).ctx("recover_cn")?;
     }
     if kill_fired_at_verb {
-        recover_mn(&store, home_col).map_err(|e| format!("recover_mn: {e}"))?;
+        recover_mn(&store, home_col).ctx("recover_mn")?;
     }
     if cell.kill == KillTiming::BeforeOpDegraded {
         // The op ran against an index-only replacement; finish the Block
         // tier so the parity invariant is checkable.
-        recover_mn_with(&store, home_col, true)
-            .map_err(|e| format!("recover_mn(block tier): {e}"))?;
+        recover_mn_with(&store, home_col, true).ctx("recover_mn(block tier)")?;
     }
     store.cluster.trace_barrier();
-    out.phases.recovery_ms = take_ms(&mut clock);
+    out.facts.phases.recovery_ms = take_ms(&mut clock);
 
-    // ---- Invariants -------------------------------------------------------
-    let mut sweep = store.client().map_err(|e| format!("sweep client: {e}"))?;
-
-    // 1. Oracle agreement, with the ambiguity window on the injected key.
-    for (k, v) in &oracle {
-        if *k == op_key {
-            continue;
-        }
-        match sweep.search(k) {
-            Ok(Some(got)) if got == *v => {}
-            Ok(got) => out.violations.push(format!(
-                "oracle mismatch on {}: got {} want {}",
-                fmt_key(k),
-                fmt_state(&got),
-                fmt_state(&Some(v.clone()))
-            )),
-            Err(e) => out
-                .violations
-                .push(format!("oracle search {}: {e}", fmt_key(k))),
-        }
-    }
-    match sweep.search(&op_key) {
-        Ok(got) => {
-            let allowed: Vec<Option<Vec<u8>>> = match &ambiguous {
-                Some((pre, post)) => vec![pre.clone(), post.clone()],
-                None => vec![oracle.get(&op_key).cloned()],
-            };
-            if !allowed.contains(&got) {
-                out.violations.push(format!(
-                    "op key {} outside ambiguity window: got {} allowed {}",
-                    fmt_key(&op_key),
-                    fmt_state(&got),
-                    allowed
-                        .iter()
-                        .map(fmt_state)
-                        .collect::<Vec<_>>()
-                        .join(" | ")
-                ));
-            }
-        }
-        Err(e) => out
-            .violations
-            .push(format!("op key search {}: {e}", fmt_key(&op_key))),
-    }
-    match sweep.search(b"never-inserted-key") {
-        Ok(None) => {}
-        Ok(got) => out
-            .violations
-            .push(format!("phantom key materialized: {}", fmt_state(&got))),
-        Err(e) => out.violations.push(format!("phantom key search: {e}")),
-    }
-    out.phases.invariants_ms[0] = take_ms(&mut clock);
-
-    // 2. Meta-lock liveness: a probe write on the injected key must get
-    // through (breaking any lock the crashed client abandoned).
-    let probe = gen_value(&mut rng, b'P');
-    match sweep.insert(&op_key, &probe) {
-        Ok(()) => match sweep.search(&op_key) {
-            Ok(Some(got)) if got == probe => {}
-            Ok(got) => out.violations.push(format!(
-                "probe readback mismatch: got {}",
-                fmt_state(&got)
-            )),
-            Err(e) => out.violations.push(format!("probe readback: {e}")),
-        },
-        Err(e) => out
-            .violations
-            .push(format!("probe insert blocked (stale meta lock?): {e}")),
-    }
-    out.phases.invariants_ms[1] = take_ms(&mut clock);
-
-    // 3. Index-Version monotonicity across kill + recovery.
-    for (col, pre) in iv_pre.iter().enumerate() {
-        let post = iv_of(&store, col);
-        if post < *pre {
-            out.violations.push(format!(
-                "index version regressed on col {col}: {pre} -> {post}"
-            ));
-        }
-    }
-    out.phases.invariants_ms[2] = take_ms(&mut clock);
-
-    // 4. Parity-stripe consistency after full recovery.
-    if let Err(e) = sweep.flush_bitmaps() {
-        out.violations.push(format!("final flush: {e}"));
-    }
-    store.cluster.trace_barrier();
-    match scrub(&store) {
-        Ok(r) if r.is_clean() => {}
-        Ok(r) => out.violations.push(format!("scrub dirty: {r:?}")),
-        Err(e) => out.violations.push(format!("scrub: {e}")),
-    }
-    out.phases.invariants_ms[3] = take_ms(&mut clock);
-
+    // ---- Invariants ------------------------------------------------------
+    out.facts.phases.invariants_ms = judge_store(
+        &store,
+        &oracle,
+        &[&op_key, b"never-inserted-key"],
+        std::slice::from_ref(&op_key),
+        &iv,
+        &mut rng,
+        &mut out.violations,
+    )?;
     store.shutdown();
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::cell::{Cell, InjectionSite, KillTiming, OpType, ReclaimState};
-    use aceso_rdma::VerbKind;
+    use crate::axis::{find_cell, run_cell, Out};
+    use crate::sweep::Sweep;
+
+    fn run(id: &str, seed: u64) -> Out<Sweep> {
+        let out = run_cell::<Sweep>(find_cell::<Sweep>(id).expect(id), seed, None);
+        assert!(out.ok(), "{id}: {:?}", out.violations);
+        out
+    }
 
     #[test]
     fn quiet_cell_passes() {
-        let cell = Cell {
-            op: OpType::Update,
-            site: InjectionSite::None,
-            kill: KillTiming::None,
-            reclaim: ReclaimState::Fresh,
-        };
-        let out = run_cell(&cell, 11);
-        assert!(out.ok(), "{:?}", out.violations);
-        assert!(!out.injection_fired);
-        assert!(!out.mn_killed);
-        assert!(!out.client_crashed);
+        let out = run("update/none/none/fresh", 11);
+        assert!(!out.facts.injection_fired);
+        assert!(!out.facts.mn_killed);
+        assert!(!out.facts.client_crashed);
     }
 
     #[test]
     fn verb_fault_crashes_client_and_recovers() {
-        let cell = Cell {
-            op: OpType::Update,
-            site: InjectionSite::Verb {
-                kind: VerbKind::Write,
-                skip: 0,
-            },
-            kill: KillTiming::None,
-            reclaim: ReclaimState::Fresh,
-        };
-        let out = run_cell(&cell, 12);
-        assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.injection_fired);
-        assert!(out.client_crashed);
+        let out = run("update/verb-write-0/none/fresh", 12);
+        assert!(out.facts.injection_fired);
+        assert!(out.facts.client_crashed);
     }
 
     /// The degraded colliding-fingerprint cell (§3.4.1): the earlier
@@ -647,44 +352,13 @@ mod tests {
     /// twin's SEARCH return "absent".
     #[test]
     fn degraded_collision_cell_passes() {
-        let cell = Cell {
-            op: OpType::SearchCollide,
-            site: InjectionSite::None,
-            kill: KillTiming::BeforeOpDegraded,
-            reclaim: ReclaimState::Fresh,
-        };
-        let out = run_cell(&cell, 5);
-        assert!(out.ok(), "{:?}", out.violations);
-        assert!(out.mn_killed);
+        assert!(run("search-collide/none/degraded/fresh", 5).facts.mn_killed);
     }
 
     /// The same twin pair with the column healthy: the collision is
     /// classified off the direct read path.
     #[test]
     fn healthy_collision_cell_passes() {
-        let cell = Cell {
-            op: OpType::SearchCollide,
-            site: InjectionSite::None,
-            kill: KillTiming::None,
-            reclaim: ReclaimState::Aged,
-        };
-        let out = run_cell(&cell, 6);
-        assert!(out.ok(), "{:?}", out.violations);
-        assert!(!out.mn_killed);
-    }
-
-    #[test]
-    fn same_seed_reproduces_identical_outcome() {
-        let cell = Cell {
-            op: OpType::Delete,
-            site: InjectionSite::Client(aceso_core::client::CrashPoint::BeforeCommit),
-            kill: KillTiming::None,
-            reclaim: ReclaimState::Aged,
-        };
-        let a = run_cell(&cell, 99);
-        let b = run_cell(&cell, 99);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.injection_fired, b.injection_fired);
-        assert_eq!(a.client_crashed, b.client_crashed);
+        assert!(!run("search-collide/none/none/aged", 6).facts.mn_killed);
     }
 }

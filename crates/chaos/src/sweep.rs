@@ -1,247 +1,140 @@
-//! Matrix sweeps, seeded soak schedules, counterexample minimization,
-//! and the coverage report.
+//! The crash-matrix axis: (operation × injection site × MN-kill timing ×
+//! reclamation state), with a coverage report, phase timers, a
+//! counterexample minimizer, and seeded soak schedules.
 
+use crate::axis::{run_cell, Axis, Out, Report, Sink};
 use crate::cell::{full_matrix, Cell, InjectionSite, KillTiming, ReclaimState};
-use crate::runner::{run_cell, CellOutcome, INVARIANT_CLASSES};
+use crate::invariants::INVARIANT_CLASSES;
+use crate::runner::{self, SweepFacts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// A minimized counterexample: the original failing cell, the smallest
-/// still-failing simplification of it, and that simplification's
-/// violations.
-#[derive(Clone, Debug)]
-pub struct Counterexample {
-    /// The cell the sweep caught.
-    pub original: Cell,
-    /// The simplest variant that still violates an invariant.
-    pub minimized: Cell,
-    /// The minimized variant's violations.
-    pub violations: Vec<String>,
-    /// The seed reproducing both.
-    pub seed: u64,
-}
+/// The crash-matrix axis (`chaos sweep`, `soak`, and bare `cell` ids).
+pub struct Sweep;
 
-/// Everything a sweep or soak produced.
-#[derive(Clone, Debug)]
-pub struct SweepReport {
-    /// The master seed the schedule derived from.
-    pub seed: u64,
-    /// Per-cell outcomes, in execution order.
-    pub outcomes: Vec<CellOutcome>,
-    /// Minimized counterexamples for the first few violating cells.
-    pub counterexamples: Vec<Counterexample>,
-}
+impl Axis for Sweep {
+    type Cell = Cell;
+    type Facts = SweepFacts;
+    const NAME: &'static str = "sweep";
+    const CELLS_ARE: &'static str = "cells";
+    const CLEAN: &'static str = "all invariants held in every explored cell";
 
-impl SweepReport {
-    /// Number of cells with at least one violation.
-    pub fn violating_cells(&self) -> usize {
-        self.outcomes.iter().filter(|o| !o.ok()).count()
+    fn cells() -> Vec<Cell> {
+        full_matrix()
     }
 
-    /// `true` when every cell passed.
-    pub fn clean(&self) -> bool {
-        self.violating_cells() == 0
+    /// `chaos analyze` traces the sweep's own schedule (the CI subset or
+    /// the full matrix, with sweep-identical seeds), not a fixed slice.
+    fn traced() -> Vec<Cell> {
+        Vec::new()
     }
 
-    /// Renders the coverage report: per-axis explored-cell counts, how
-    /// often armed faults actually fired, violations, and minimized
-    /// counterexamples.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let total = self.outcomes.len();
-        let fired = self.outcomes.iter().filter(|o| o.injection_fired).count();
-        let killed = self.outcomes.iter().filter(|o| o.mn_killed).count();
-        let crashed = self.outcomes.iter().filter(|o| o.client_crashed).count();
-        let ms: u128 = self.outcomes.iter().map(|o| o.duration_ms).sum();
-        s.push_str(&format!(
-            "chaos report: {total} cells, seed {:#x}, {:.1}s\n",
-            self.seed,
-            ms as f64 / 1000.0
-        ));
-        s.push_str(&format!(
-            "  injections fired: {fired}   MNs killed: {killed}   clients crashed: {crashed}\n"
-        ));
+    fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
+        runner::run(cell, seed, sink, out)
+    }
 
-        let mut axis = |title: &str, key: &dyn Fn(&CellOutcome) -> String| {
+    fn summary(o: &[Out<Self>]) -> String {
+        let count = |f: fn(&SweepFacts) -> bool| o.iter().filter(|o| f(&o.facts)).count();
+        format!(
+            "injections fired: {}   MNs killed: {}   clients crashed: {}",
+            count(|f| f.injection_fired),
+            count(|f| f.mn_killed),
+            count(|f| f.client_crashed)
+        )
+    }
+
+    /// The coverage report: per-axis explored-cell counts, how often armed
+    /// faults actually fired, and (wall-clock, so stdout only) where the
+    /// time went.
+    fn head(report: &Report<Self>, wall_clock: bool) -> String {
+        let o = &report.outcomes;
+        let mut s = format!("chaos report: {} cells, seed {:#x}", o.len(), report.seed);
+        if wall_clock {
+            let ms: u128 = o.iter().map(|o| o.duration_ms).sum();
+            s.push_str(&format!(", {:.1}s", ms as f64 / 1000.0));
+        }
+        s.push_str(&format!("\n  {}\n", Self::summary(o)));
+
+        let mut axis = |title: &str, key: fn(&Cell) -> String| {
             let mut counts: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-            for o in &self.outcomes {
-                let e = counts.entry(key(o)).or_default();
+            for o in o {
+                let e = counts.entry(key(&o.cell)).or_default();
                 e.0 += 1;
-                if !o.ok() {
-                    e.1 += 1;
-                }
+                e.1 += usize::from(!o.ok());
             }
             s.push_str(&format!("  coverage by {title}:\n"));
             for (k, (run, bad)) in counts {
-                if bad == 0 {
-                    s.push_str(&format!("    {k:<24} {run:>4} cells\n"));
-                } else {
-                    s.push_str(&format!("    {k:<24} {run:>4} cells  {bad} VIOLATING\n"));
+                s.push_str(&format!("    {k:<24} {run:>4} cells"));
+                if bad > 0 {
+                    s.push_str(&format!("  {bad} VIOLATING"));
                 }
+                s.push('\n');
             }
         };
-        axis("operation", &|o| o.cell.op.to_string());
-        axis("injection site", &|o| o.cell.site.to_string());
-        axis("kill timing", &|o| o.cell.kill.to_string());
-        axis("reclaim state", &|o| o.cell.reclaim.to_string());
+        axis("operation", |c| c.op.to_string());
+        axis("injection site", |c| c.site.to_string());
+        axis("kill timing", |c| c.kill.to_string());
+        axis("reclaim state", |c| c.reclaim.to_string());
 
-        let sum = |f: &dyn Fn(&CellOutcome) -> f64| -> f64 { self.outcomes.iter().map(f).sum() };
-        s.push_str(&format!(
-            "  phase wall-time: setup {:.1}s  ckpt {:.1}s  op {:.1}s  recovery {:.1}s\n",
-            sum(&|o| o.phases.setup_ms) / 1e3,
-            sum(&|o| o.phases.ckpt_ms) / 1e3,
-            sum(&|o| o.phases.op_ms) / 1e3,
-            sum(&|o| o.phases.recovery_ms) / 1e3,
-        ));
-        s.push_str("  invariant check wall-time:\n");
-        for (i, name) in INVARIANT_CLASSES.iter().enumerate() {
+        if wall_clock {
+            let sum = |f: &dyn Fn(&runner::CellPhases) -> f64| -> f64 {
+                o.iter().map(|o| f(&o.facts.phases)).sum()
+            };
             s.push_str(&format!(
-                "    {name:<24} {:>8.1} ms\n",
-                sum(&|o| o.phases.invariants_ms[i])
+                "  phase wall-time: setup {:.1}s  ckpt {:.1}s  op {:.1}s  recovery {:.1}s\n",
+                sum(&|p| p.setup_ms) / 1e3,
+                sum(&|p| p.ckpt_ms) / 1e3,
+                sum(&|p| p.op_ms) / 1e3,
+                sum(&|p| p.recovery_ms) / 1e3,
             ));
-        }
-
-        let bad = self.violating_cells();
-        if bad == 0 {
-            s.push_str("  all invariants held in every explored cell\n");
-        } else {
-            s.push_str(&format!("  INVARIANT VIOLATIONS in {bad} cells:\n"));
-            for o in self.outcomes.iter().filter(|o| !o.ok()) {
-                s.push_str(&format!("    cell {} (seed {:#x}):\n", o.cell, o.seed));
-                for v in &o.violations {
-                    s.push_str(&format!("      - {v}\n"));
-                }
-            }
-            for cx in &self.counterexamples {
+            s.push_str("  invariant check wall-time:\n");
+            for (i, name) in INVARIANT_CLASSES.iter().enumerate() {
                 s.push_str(&format!(
-                    "  minimized counterexample: {} (from {}, seed {:#x}):\n",
-                    cx.minimized, cx.original, cx.seed
+                    "    {name:<24} {:>8.1} ms\n",
+                    sum(&|p| p.invariants_ms[i])
                 ));
-                for v in &cx.violations {
-                    s.push_str(&format!("      - {v}\n"));
-                }
             }
         }
         s
     }
-}
 
-/// Per-cell seeds are drawn from one master stream so the whole schedule
-/// replays from a single number. Shared with [`crate::analyze`] so
-/// `analyze` traces the very same schedules `sweep` runs.
-pub(crate) fn cell_seeds(seed: u64, count: usize) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count).map(|_| rng.next_u64()).collect()
-}
-
-/// Runs `cells` in order, each with a seed derived from `seed`.
-/// `progress` is called after every cell (CLI verbosity hook).
-pub fn sweep(cells: &[Cell], seed: u64, mut progress: impl FnMut(&CellOutcome)) -> SweepReport {
-    let seeds = cell_seeds(seed, cells.len());
-    let mut outcomes = Vec::with_capacity(cells.len());
-    for (cell, cell_seed) in cells.iter().zip(seeds) {
-        let out = run_cell(cell, cell_seed);
-        progress(&out);
-        outcomes.push(out);
-    }
-    let counterexamples = minimize_failures(&outcomes);
-    SweepReport {
-        seed,
-        outcomes,
-        counterexamples,
+    /// Drop the ageing, then the injection, then the kill.
+    fn simplify(cell: Cell) -> Vec<Cell> {
+        let candidates = [
+            Cell {
+                reclaim: ReclaimState::Fresh,
+                ..cell
+            },
+            Cell {
+                site: InjectionSite::None,
+                ..cell
+            },
+            Cell {
+                kill: KillTiming::None,
+                ..cell
+            },
+        ];
+        candidates.into_iter().filter(|c| *c != cell).collect()
     }
 }
 
 /// Runs seeded random cells from the full matrix until `duration` elapses
 /// (at least one cell always runs).
-pub fn soak(
-    seed: u64,
-    duration: Duration,
-    mut progress: impl FnMut(&CellOutcome),
-) -> SweepReport {
+pub fn soak(seed: u64, duration: Duration, mut progress: impl FnMut(&Out<Sweep>)) -> Report<Sweep> {
     let matrix = full_matrix();
     let mut rng = StdRng::seed_from_u64(seed);
     let deadline = Instant::now() + duration;
     let mut outcomes = Vec::new();
     loop {
         let cell = matrix[rng.gen_range(0..matrix.len())];
-        let cell_seed = rng.next_u64();
-        let out = run_cell(&cell, cell_seed);
+        let out = run_cell::<Sweep>(cell, rng.next_u64(), None);
         progress(&out);
         outcomes.push(out);
         if Instant::now() >= deadline {
             break;
         }
     }
-    let counterexamples = minimize_failures(&outcomes);
-    SweepReport {
-        seed,
-        outcomes,
-        counterexamples,
-    }
-}
-
-/// Greedily simplifies the first few violating cells: drop the ageing,
-/// then the injection, then the kill — keeping each simplification only
-/// if the cell still fails. The result is the smallest schedule a
-/// developer has to reason about.
-fn minimize_failures(outcomes: &[CellOutcome]) -> Vec<Counterexample> {
-    const MAX_MINIMIZED: usize = 3;
-    let mut cxs = Vec::new();
-    for o in outcomes.iter().filter(|o| !o.ok()).take(MAX_MINIMIZED) {
-        let mut current = o.cell;
-        let mut violations = o.violations.clone();
-        loop {
-            let candidates = [
-                Cell {
-                    reclaim: ReclaimState::Fresh,
-                    ..current
-                },
-                Cell {
-                    site: InjectionSite::None,
-                    ..current
-                },
-                Cell {
-                    kill: KillTiming::None,
-                    ..current
-                },
-            ];
-            let mut progressed = false;
-            for cand in candidates {
-                if cand == current {
-                    continue;
-                }
-                let rerun = run_cell(&cand, o.seed);
-                if !rerun.ok() {
-                    current = cand;
-                    violations = rerun.violations;
-                    progressed = true;
-                    break;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        cxs.push(Counterexample {
-            original: o.cell,
-            minimized: current,
-            violations,
-            seed: o.seed,
-        });
-    }
-    cxs
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cell_seeds_are_stable() {
-        assert_eq!(cell_seeds(5, 4), cell_seeds(5, 4));
-        assert_ne!(cell_seeds(5, 4), cell_seeds(6, 4));
-    }
+    Report::new(seed, outcomes)
 }

@@ -2,21 +2,15 @@
 //! the CI matrix must run clean, reproduce identically, and actually
 //! exercise the fault machinery (kills, injections, client crashes).
 
-use aceso_chaos::{ci_matrix, sweep, Cell, KillTiming, DEFAULT_SEED};
+use aceso_chaos::cell::{ci_matrix, Cell, KillTiming};
+use aceso_chaos::runner::SweepFacts;
+use aceso_chaos::{run_matrix, Report, Sweep, DEFAULT_SEED};
 
-fn outcome_fingerprint(report: &aceso_chaos::SweepReport) -> Vec<(String, Vec<String>, bool, bool, bool)> {
+fn outcome_fingerprint(report: &Report<Sweep>) -> Vec<(String, &Vec<String>, &SweepFacts)> {
     report
         .outcomes
         .iter()
-        .map(|o| {
-            (
-                o.cell.id(),
-                o.violations.clone(),
-                o.injection_fired,
-                o.mn_killed,
-                o.client_crashed,
-            )
-        })
+        .map(|o| (o.cell.to_string(), &o.violations, &o.facts))
         .collect()
 }
 
@@ -33,22 +27,27 @@ fn ci_slice_is_clean_and_deterministic() {
         );
     }
 
-    let a = sweep(&cells, DEFAULT_SEED, |_| {});
+    let a = run_matrix::<Sweep>(&cells, DEFAULT_SEED, |_| {});
     assert!(
         a.clean(),
         "smoke slice violated invariants:\n{}",
-        a.render()
+        a.render(true)
     );
 
     // Same seed, same cells: bit-identical schedules and outcomes.
-    let b = sweep(&cells, DEFAULT_SEED, |_| {});
+    let b = run_matrix::<Sweep>(&cells, DEFAULT_SEED, |_| {});
     assert_eq!(outcome_fingerprint(&a), outcome_fingerprint(&b));
 
     // The slice must exercise the machinery, not just quiet cells.
-    assert!(a.outcomes.iter().any(|o| o.mn_killed), "no MN ever killed");
+    assert!(
+        a.outcomes.iter().any(|o| o.facts.mn_killed),
+        "no MN ever killed"
+    );
 
-    // The report renders a coverage section and the explored-cell count.
-    let rendered = a.render();
+    // The report renders a coverage section and the explored-cell count;
+    // only the stdout form carries wall-clock lines.
+    let rendered = a.render(true);
     assert!(rendered.contains("chaos report"));
     assert!(rendered.contains(&format!("{} cells", cells.len())));
+    assert!(rendered.contains("wall-time") && !a.render(false).contains("wall-time"));
 }

@@ -17,7 +17,8 @@
 
 use crate::scenario::{client_letter, key_bytes, key_name, model_config, Scenario, ScriptOp};
 use crate::wgl::{check_key, render_history, KeyOp, KeyOpKind};
-use aceso_core::{recover_cn, recover_mn, scrub, AcesoStore, ClientTuning, StoreError};
+use crate::invariants::{parity_scrub, IvWatch};
+use aceso_core::{recover_cn, recover_mn, AcesoStore, ClientTuning, StoreError};
 use aceso_index::route_hash;
 use aceso_rdma::{SimCq, TraceEvent, TraceSink};
 use aceso_rt::Executor;
@@ -216,11 +217,7 @@ fn run_inner(
         store.checkpoint_tick().map_err(|e| format!("ckpt: {e}"))?;
     }
     store.cluster.trace_barrier();
-    let iv_of = |store: &Arc<AcesoStore>, col: usize| {
-        let s = store.server(col);
-        s.index.local_index_version(&s.node.region)
-    };
-    let iv_pre: Vec<u64> = (0..n).map(|c| iv_of(&store, c)).collect();
+    let iv = IvWatch::capture(&store);
 
     // ---- Spawn the scripted coroutine clients ----------------------------
     let tuning = ClientTuning {
@@ -489,26 +486,9 @@ fn run_inner(
         }
     }
 
-    // ---- Oracle 3: Index-Version monotonicity ----------------------------
-    for (col, pre) in iv_pre.iter().enumerate() {
-        let post = iv_of(&store, col);
-        if post < *pre {
-            out.violations.push(format!(
-                "index version regressed on col {col}: {pre} -> {post}"
-            ));
-        }
-    }
-
-    // ---- Oracle 4: parity-stripe consistency -----------------------------
-    if let Err(e) = verifier.flush_bitmaps() {
-        out.violations.push(format!("final flush: {e}"));
-    }
-    store.cluster.trace_barrier();
-    match scrub(&store) {
-        Ok(r) if r.is_clean() => {}
-        Ok(r) => out.violations.push(format!("scrub dirty: {r:?}")),
-        Err(e) => out.violations.push(format!("scrub: {e}")),
-    }
+    // ---- Oracles 3 and 4: iv-monotonicity, parity-scrub ------------------
+    iv.check(&store, &mut out.violations);
+    parity_scrub(&store, &mut verifier, &mut out.violations);
 
     store.shutdown();
     Ok(())
