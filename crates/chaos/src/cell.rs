@@ -30,16 +30,26 @@ pub enum OpType {
     /// past the twin (a collision, §3.4.1) instead of misreading it as a
     /// tombstone when its block is degraded or unreachable.
     SearchCollide,
+    /// UPDATE of a preloaded key from a client that never touched it —
+    /// empty index cache, no open block — with the kill axis aimed at the
+    /// column holding the key's *KV block*. The write batch of a cold
+    /// UPDATE carries the identity read of its one fingerprint candidate:
+    /// a degraded kill makes that read unreadable (one refuted
+    /// speculation, then the verified path through reconstruction), and
+    /// the verb and client sites cut the speculative batch between its
+    /// identity read, KV, deltas and CAS.
+    UpdateCold,
 }
 
 impl OpType {
     /// All operations, in protocol order.
-    pub const ALL: [OpType; 5] = [
+    pub const ALL: [OpType; 6] = [
         OpType::Insert,
         OpType::Update,
         OpType::Delete,
         OpType::Search,
         OpType::SearchCollide,
+        OpType::UpdateCold,
     ];
 }
 
@@ -51,6 +61,7 @@ impl fmt::Display for OpType {
             OpType::Delete => "delete",
             OpType::Search => "search",
             OpType::SearchCollide => "search-collide",
+            OpType::UpdateCold => "update-cold",
         })
     }
 }
@@ -228,7 +239,7 @@ mod tests {
 
     #[test]
     fn matrix_dimensions() {
-        assert_eq!(full_matrix().len(), 5 * 12 * 5 * 2);
+        assert_eq!(full_matrix().len(), 6 * 12 * 5 * 2);
     }
 
     /// Every client crash point is exercised by the matrix — the runtime

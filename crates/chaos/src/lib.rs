@@ -18,7 +18,7 @@
 //! `results/chaos/<name>.txt`, the pinned tier-1 baseline):
 //!
 //! * [`Sweep`] — (operation × injection site × MN-kill timing ×
-//!   reclamation state), 600 cells; `--ci` is a seeded 120-cell subset
+//!   reclamation state), 720 cells; `--ci` is a seeded 120-cell subset
 //!   plus the cache axis. `chaos soak --seconds N` draws random cells of
 //!   it until a deadline.
 //! * [`Rt`] — kill a memory node (or crash one client) while several

@@ -20,7 +20,6 @@ use aceso_index::{fingerprint, route_hash, RemoteIndex};
 use aceso_rdma::{FaultAction, FaultPlan, FaultRule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,6 +69,8 @@ pub struct SweepFacts {
     pub mn_killed: bool,
     /// Whether the client crashed (or was written off as blocked) mid-op.
     pub client_crashed: bool,
+    /// Commit retries of the op, if it ran to completion.
+    pub op_retries: u32,
     /// Where the cell's wall-clock went.
     pub phases: CellPhases,
 }
@@ -81,47 +82,31 @@ fn numbered(
     js.map(move |j| format!("{prefix}-{j:03}").into_bytes())
 }
 
-/// Brute-forces two keys with equal fingerprint, equal home column, and
-/// equal primary bucket group, so a SEARCH of the second must step past
-/// the first's slot in the candidate scan (a true fp collision, not a
-/// synthetic one). Coordinates already taken by preload keys are skipped,
-/// leaving the shared bucket holding exactly the two twins.
+/// Two keys with equal fingerprint, equal home column, and equal primary
+/// bucket group ([`aceso_index::IndexLayout::first_twins`]), so a SEARCH of
+/// the second must step past the first's slot in the candidate scan (a
+/// true fp collision, not a synthetic one). Coordinates already taken by
+/// preload keys are skipped, leaving the shared bucket holding exactly the
+/// two twins.
 fn collision_twins(store: &Arc<AcesoStore>) -> Result<(Vec<u8>, Vec<u8>), String> {
-    let layout = store.map.index;
+    let preload = numbered("key", 0..36).chain(numbered("aged", 0..12));
+    let candidates = (0..100_000u32).map(|i| format!("twin-{i:05}").into_bytes());
     let n = store.cfg.num_mns as u64;
-    let coord = |k: &[u8]| {
-        (
-            fingerprint(k),
-            route_hash(k) % n,
-            layout.buckets_for(k)[0].0,
-        )
-    };
-    let mut seen: BTreeMap<(u8, u64, u64), Vec<u8>> = BTreeMap::new();
-    for k in numbered("key", 0..36).chain(numbered("aged", 0..12)) {
-        seen.insert(coord(&k), Vec::new());
-    }
-    for i in 0..100_000u32 {
-        let k = format!("twin-{i:05}").into_bytes();
-        if let Some(prev) = seen.get(&coord(&k)) {
-            if !prev.is_empty() {
-                return Ok((prev.clone(), k)); // Empty sentinel = preload coordinate.
-            }
-        } else {
-            seen.insert(coord(&k), k);
-        }
-    }
-    Err("no colliding twin pair in 100k candidates".into())
+    (store.map.index.first_twins(n, preload, candidates))
+        .ok_or_else(|| "no colliding twin pair in 100k candidates".into())
 }
 
-/// Column holding the KV block of twin `key`. The twin pair excludes
-/// preload coordinates and the earlier twin is inserted first, so the
-/// first fingerprint match in its bucket is the twin itself.
-fn twin_kv_col(store: &Arc<AcesoStore>, key: &[u8]) -> Result<usize, String> {
+/// Column holding the KV block of `key`, taken from the first fingerprint
+/// match in its buckets. For the earlier twin that is the twin itself
+/// (the pair excludes preload coordinates and it is inserted first); for a
+/// preload key a colliding neighbour in front of it would only mis-aim
+/// the kill, not unsettle the cell.
+fn kv_col(store: &Arc<AcesoStore>, key: &[u8]) -> Result<usize, String> {
     let col = (route_hash(key) % store.cfg.num_mns as u64) as usize;
     let index = RemoteIndex::new(store.directory().node_of(col), store.map.index);
     let dm = store.cluster.background_client();
-    let scan = index.scan(&dm, key, fingerprint(key)).ctx("twin scan")?;
-    let slot = scan.matches.first().ok_or("twin slot missing from index")?;
+    let scan = index.scan(&dm, key, fingerprint(key)).ctx("kv scan")?;
+    let slot = scan.matches.first().ok_or("slot missing from index")?;
     Ok(unpack_col(slot.atomic.addr48).0)
 }
 
@@ -173,6 +158,12 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     } else {
         None
     };
+    if cell.op == OpType::UpdateCold {
+        // Closed for the same reason, then the op client is swapped for
+        // one that has seen nothing: empty index cache, no open block.
+        client.close_open_blocks().ctx("preload close")?;
+        client = store.client_with(fail_fast()).ctx("cold client")?;
+    }
     out.facts.phases.setup_ms = take_ms(&mut clock);
 
     let iv = checkpoint_twice(&store)?;
@@ -192,9 +183,12 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     // collision cells it aims at the column holding the *earlier* twin's
     // KV block, so degraded kills turn that candidate into a
     // reconstructed read that must classify as a collision, not a
-    // tombstone.
+    // tombstone; for the cold-update cells at the column holding the op
+    // key's own KV block, so they make the batch's identity read
+    // unreadable.
     let home_col = match &twins {
-        Some((a, _)) => twin_kv_col(&store, a)?,
+        Some((a, _)) => kv_col(&store, a)?,
+        None if cell.op == OpType::UpdateCold => kv_col(&store, &op_key)?,
         None => (route_hash(&op_key) % n as u64) as usize,
     };
     let home_node = store.directory().node_of(home_col);
@@ -237,14 +231,16 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     // cells repeat the mutation until the version wraps and the crash
     // fires (a SEARCH never takes the lock and legitimately survives).
     let needs_rollover = cell.site == InjectionSite::Client(CrashPoint::WhileMetaLocked)
-        && matches!(cell.op, OpType::Insert | OpType::Update | OpType::Delete);
+        && !matches!(cell.op, OpType::Search | OpType::SearchCollide);
     let attempts = if needs_rollover { 300 } else { 1 };
     let mut cut = None;
     for _ in 0..attempts {
         let prev = oracle.get(&op_key);
         let (res, intended): (Result<(), StoreError>, _) = match cell.op {
             OpType::Insert => (client.insert(&op_key, &new_val), Some(new_val.clone())),
-            OpType::Update => (client.update(&op_key, &new_val), Some(new_val.clone())),
+            OpType::Update | OpType::UpdateCold => {
+                (client.update(&op_key, &new_val), Some(new_val.clone()))
+            }
             // Alternate with re-inserts so every delete has a live target
             // while the version climbs toward rollover.
             OpType::Delete if needs_rollover && prev.is_none() => {
@@ -259,7 +255,11 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
             }
         };
         match res {
-            Ok(()) => oracle.commit(&op_key, intended),
+            Ok(()) => {
+                oracle.commit(&op_key, intended);
+                let ops = client.dm.take_ops();
+                out.facts.op_retries = ops.records.last().map_or(0, |r| r.retries);
+            }
             Err(e) => {
                 cut = cut_of(&e).filter(|c| *c == Cut::Crash || cell.kill != KillTiming::None);
                 match cut {
@@ -282,6 +282,18 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
         InjectionSite::Client(_) => cut == Some(Cut::Crash),
         InjectionSite::Verb { .. } => fired(FaultAction::Fail),
     };
+    // An op speculates on an unverified candidate at most once. Where no
+    // fault can strike mid-op, a cold UPDATE's only legitimate retry is
+    // that one refuted speculation (the identity read of a degraded cell);
+    // a second would mean it is re-posted against a column that cannot
+    // answer it.
+    let quiet = cell.site == InjectionSite::None && !matches!(cell.kill, KillTiming::AtVerb { .. });
+    if cell.op == OpType::UpdateCold && quiet && out.facts.op_retries > 1 {
+        out.violations.push(format!(
+            "cold update retried {} times with no fault mid-op: speculated more than once",
+            out.facts.op_retries
+        ));
+    }
     out.facts.phases.op_ms = take_ms(&mut clock);
 
     // ---- Tiered recovery (§3.4: CN consistency first, then MN) -----------
@@ -293,6 +305,9 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     store.cluster.trace_barrier();
     if cut.is_some() {
         recover_cn(&store, &mut store.client_with_id(cli_id)).ctx("recover_cn")?;
+        // CN consistency completes before any column is rebuilt: the
+        // block tier reads the very slots `recover_cn` repaired.
+        store.cluster.trace_barrier();
     }
     if kill_fired_at_verb {
         recover_mn(&store, home_col).ctx("recover_mn")?;
@@ -360,5 +375,17 @@ mod tests {
     #[test]
     fn healthy_collision_cell_passes() {
         assert!(!run("search-collide/none/none/aged", 6).facts.mn_killed);
+    }
+
+    /// The degraded cold-update cell: the key's KV block is lost, so the
+    /// identity read in the speculative batch comes back unwritten — one
+    /// refuted speculation, then the verified path commits. Healthy, the
+    /// same op commits on its first try.
+    #[test]
+    fn cold_update_cells_speculate_at_most_once() {
+        let degraded = run("update-cold/none/degraded/fresh", 7);
+        assert!(degraded.facts.mn_killed && !degraded.facts.client_crashed);
+        assert_eq!(degraded.facts.op_retries, 1);
+        assert_eq!(run("update-cold/none/none/fresh", 7).facts.op_retries, 0);
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! ```text
 //!   resolve ──┬─ cache hit ───────────▶ Attempt{RevalidateSlot}   (speculation)
-//!             ├─ re-read / scan ──────▶ Attempt{None}             (fallback state)
+//!             ├─ one fp candidate ────▶ Attempt{VerifyKvIdentity} (cold UPDATE/DELETE)
+//!             ├─ verified candidate ──▶ Attempt{None}             (fallback state)
 //!             └─ absent, empty slot ──▶ Attempt{None}, words = 0  (INSERT)
 //!
 //!   commit(Attempt):
@@ -25,8 +26,11 @@
 //! ```
 //!
 //! Round trips per path (open block in place, same size class): cache hit
-//! 2 (batch, CAS); lost speculation 3 (lost batch, redo batch, CAS);
-//! fallback `locate` + 2; version rollover `locate` + 4 (lock CAS, batch,
+//! 2 (batch, CAS); lost speculation 3 (lost batch, redo batch, CAS); cold
+//! UPDATE/DELETE scan + 2 (the one candidate's identity read rides in the
+//! batch); fallback state — several candidates, or the retry after a
+//! refuted speculation — scan + one KV read per candidate + 2; INSERT
+//! scan + 2 + Meta write; version rollover `locate` + 4 (lock CAS, batch,
 //! CAS, unlock CAS). `crates/core/tests/commit_shapes.rs` pins them.
 //!
 //! A `Retry` sends the caller back through `resolve`; a `Redo` re-enters
@@ -88,9 +92,10 @@ pub(super) enum Piggyback {
     /// The expected words come from the cache: re-read the slot as the
     /// first verb of the batch and commit only if they still hold (§3.5.1).
     RevalidateSlot,
-    /// The expected words come from a lost revalidation, so they are fresh
-    /// and pin the next slot version — only whether the KV they point at is
-    /// this key's, and live, is unknown: read it in the batch.
+    /// The expected words are fresh — a lost revalidation's re-read, or the
+    /// one fingerprint candidate of a cold UPDATE/DELETE's scan — and pin
+    /// the next slot version; only whether the KV they point at is this
+    /// key's, and live, is unknown: read it in the batch.
     VerifyKvIdentity,
 }
 
@@ -291,13 +296,17 @@ impl AcesoClient {
                     Some(Ok(CommitOutcome::Retry))
                 }
             }
+            // Mutation: commit on the candidate whatever its KV holds.
+            Rider::Kv(_) if self.mutation == Some(ModelMutation::SkipIdentityJudge) => None,
             Rider::Kv(buf) => match buf.as_deref().and_then(kv::decode) {
                 Some(d) if d.key == op.key && !d.is_invalidated() => {
                     // Concurrent delete won: surface it.
                     (d.tombstone && !op.allow_insert).then_some(Err(StoreError::NotFound))
                 }
-                // Collision, invalidated KV, or unreadable bytes: back off
-                // to `resolve`, which verifies via reconstruction.
+                // Collision, invalidated KV, or unreadable bytes (a lost
+                // block, a length the stale `len64` truncated): back off to
+                // `resolve`, which verifies first — re-reading by the KV's
+                // own header, or via reconstruction.
                 _ => Some(Ok(CommitOutcome::Retry)),
             },
         };
@@ -391,7 +400,7 @@ impl AcesoClient {
                 }
                 Piggyback::VerifyKvIdentity => {
                     let (col, off) = unpack_col(att.slot.atomic.addr48);
-                    let hint = (att.slot.meta.len64.max(4) as usize) * 64;
+                    let hint = kv::read_hint(att.slot.meta.len64);
                     rider = Ok(Rider::Kv(dm.read_vec(self.addr(col, off), hint).ok()));
                 }
             }

@@ -8,17 +8,23 @@
 //! * a usable cache entry resolves without touching the fabric; its words
 //!   are unconfirmed, so the attempt piggybacks the slot re-read on the
 //!   write batch ([`Piggyback::RevalidateSlot`], §3.5.1);
-//! * otherwise the slot is re-read through the cached address, or found by
-//!   a bucket scan plus KV identity reads, and the attempt carries fresh
-//!   words and no piggyback — the machine's fallback state;
+//! * otherwise the slot is re-read through the cached address or found by
+//!   a bucket scan, which yields fresh words and fingerprint candidates. An
+//!   UPDATE/DELETE left with exactly one candidate does not spend a round
+//!   trip proving the candidate is its key: the KV identity read rides in
+//!   the write batch ([`Piggyback::VerifyKvIdentity`]) and the commit
+//!   machine judges it before the CAS — a cold write is scan + 2;
+//! * the fallback state — two or more candidates, an INSERT (a lone match
+//!   for an absent key is a collision by construction), a locked or
+//!   `ver = 0xFF` slot, or the retry after a refuted speculation — reads
+//!   each candidate's KV first ([`AcesoClient::verify_kv`], with
+//!   parity-chain reconstruction) and the attempt carries no piggyback;
 //! * an absent key resolves to the first empty slot of its buckets with
 //!   all-zero expected words: INSERT is the same commit as UPDATE.
 
 use super::commit::{Attempt, Piggyback, WriteOp};
 use super::{AcesoClient, RetryPolicy};
 use crate::cache::CacheEntry;
-use crate::config::unpack_col;
-use crate::kv;
 use crate::{Result, StoreError};
 use aceso_index::{route_hash, RemoteIndex, SlotRef};
 use aceso_rdma::{DmClient, GlobalAddr, RdmaError};
@@ -27,6 +33,8 @@ use aceso_rdma::{DmClient, GlobalAddr, RdmaError};
 enum Located {
     /// The key's slot and whether its KV is a tombstone.
     Existing(SlotRef, bool),
+    /// The one slot carrying the key's fingerprint, its KV not read yet.
+    Candidate(SlotRef),
     /// No slot; the empty slots of the key's buckets.
     Absent(Vec<GlobalAddr>),
 }
@@ -37,9 +45,10 @@ impl AcesoClient {
         RemoteIndex::new(self.dir.node_of(col), self.map.index)
     }
 
-    /// Resolves the first [`Attempt`] of one commit try (cache first, then
-    /// re-read or scan + verify).
-    pub(super) async fn resolve(&mut self, op: &WriteOp<'_>) -> Result<Attempt> {
+    /// Resolves the [`Attempt`] of one commit try (cache first, then
+    /// re-read or scan). `speculate` allows an unverified lone candidate;
+    /// the retry loop grants it once per op.
+    pub(super) async fn resolve(&mut self, op: &WriteOp<'_>, speculate: bool) -> Result<Attempt> {
         // Re-resolve the index partition each try: the column may have
         // moved to a replacement MN mid-recovery.
         let index = self.index_of(op.key);
@@ -53,19 +62,22 @@ impl AcesoClient {
             };
             (slot, Piggyback::RevalidateSlot)
         } else {
-            let slot = match self.locate_slot(&index, op).await? {
+            match self.locate_slot(&index, op, speculate).await? {
                 // UPDATE/DELETE of a deleted or absent key.
                 Located::Existing(_, true) | Located::Absent(_) if !op.allow_insert => {
                     return Err(StoreError::NotFound);
                 }
-                Located::Existing(slot, _) => slot,
-                Located::Absent(empties) => SlotRef {
-                    addr: *empties.first().ok_or(StoreError::IndexFull)?,
-                    atomic: Default::default(),
-                    meta: Default::default(),
-                },
-            };
-            (slot, Piggyback::None)
+                Located::Existing(slot, _) => (slot, Piggyback::None),
+                Located::Candidate(slot) => (slot, Piggyback::VerifyKvIdentity),
+                Located::Absent(empties) => {
+                    let slot = SlotRef {
+                        addr: *empties.first().ok_or(StoreError::IndexFull)?,
+                        atomic: Default::default(),
+                        meta: Default::default(),
+                    };
+                    (slot, Piggyback::None)
+                }
+            }
         };
         Ok(Attempt {
             index,
@@ -92,8 +104,21 @@ impl AcesoClient {
         Some(e)
     }
 
-    async fn locate_slot(&mut self, index: &RemoteIndex, op: &WriteOp<'_>) -> Result<Located> {
+    async fn locate_slot(
+        &mut self,
+        index: &RemoteIndex,
+        op: &WriteOp<'_>,
+        speculate: bool,
+    ) -> Result<Located> {
         let (key, fp) = (op.key, op.fp);
+        // Whether a lone fingerprint candidate may go to the commit machine
+        // unverified. Not for INSERT: its key is usually absent, so a lone
+        // match is a collision by construction. Not on a locked or
+        // rolling-over slot: the bracket's extra CASes would be spent
+        // before the batch could refute the candidate.
+        let lone = |s: &SlotRef| {
+            speculate && !op.allow_insert && !s.meta.is_locked() && s.atomic.ver != 0xFF
+        };
         if self.tuning.cache_slot_addr {
             // `peek`: the lookup was already counted by `pipelined_entry`.
             if let Some(e) = self.cache.peek(key) {
@@ -104,9 +129,12 @@ impl AcesoClient {
                     // Unchanged since we cached it: the tombstone state is
                     // known without touching the KV.
                     Ok(s) if s.atomic == e.atomic => return Ok(Located::Existing(s, e.tombstone)),
-                    // Same slot, new KV: verify it is still our key.
+                    // Same slot, new KV: is it still our key?
                     Ok(s) if !s.atomic.is_empty() && s.atomic.fp == fp => {
-                        if let Some((true, tomb)) = self.verify_kv(&s, key).await? {
+                        if lone(&s) {
+                            return Ok(Located::Candidate(s));
+                        }
+                        if let Some(tomb) = self.verify_kv(&s, key).await? {
                             return Ok(Located::Existing(s, tomb));
                         }
                     }
@@ -118,36 +146,25 @@ impl AcesoClient {
         let scan = self.with_index_retry(|dm| index.scan(dm, key, fp));
         self.dm.settle().await;
         let scan = scan?;
+        if let [cand] = scan.matches[..] {
+            if lone(&cand) {
+                return Ok(Located::Candidate(cand));
+            }
+        }
         for cand in &scan.matches {
-            if let Some((true, tomb)) = self.verify_kv(cand, key).await? {
+            if let Some(tomb) = self.verify_kv(cand, key).await? {
                 return Ok(Located::Existing(*cand, tomb));
             }
         }
         Ok(Located::Absent(scan.empties))
     }
 
-    /// Reads the KV a slot points at; returns `Some((key_matches,
-    /// is_tombstone))`, or `None` when the KV is unreadable even via
-    /// reconstruction.
-    async fn verify_kv(&mut self, slot: &SlotRef, key: &[u8]) -> Result<Option<(bool, bool)>> {
-        let (col, off) = unpack_col(slot.atomic.addr48);
-        let hint = (slot.meta.len64.max(4) as usize) * 64;
-        let read = self.dm.read_vec(self.addr(col, off), hint);
-        self.dm.settle().await;
-        let direct = match read {
-            Ok(buf) => kv::decode(&buf).map(|d| (d.key == key, d.tombstone)),
-            Err(RdmaError::NodeUnreachable(_)) => None,
-            Err(e) => return Err(e.into()),
-        };
-        if direct.is_some() {
-            return Ok(direct);
-        }
-        // Unrecovered or unreachable block: reconstruct the range.
-        let rebuilt = self.reconstruct_range(col, off, hint);
-        self.dm.settle().await;
-        Ok(rebuilt
-            .ok()
-            .and_then(|b| kv::decode(&b).map(|d| (d.key == key, d.tombstone))))
+    /// Reads the KV a slot points at, through SEARCH's classifier (stale
+    /// advisory length, unrecovered or unreachable block): `Some(is it a
+    /// tombstone)` if the KV is this key's, `None` for a collision.
+    async fn verify_kv(&mut self, slot: &SlotRef, key: &[u8]) -> Result<Option<bool>> {
+        let found = self.read_and_verify(slot.atomic, slot.meta, key).await?;
+        Ok(found.map(|value| value.is_none()))
     }
 
     /// Retries an index operation across a short recovery window: verbs to

@@ -41,7 +41,7 @@ use aceso_index::route_hash;
 use aceso_obs::{Counter, Histogram, Obs, Registry};
 use aceso_rdma::{Cluster, DmClient, GlobalAddr, NodeId, OpKind, OpRecord, RdmaError};
 use alloc::OpenBlock;
-use commit::{CommitOutcome, WriteOp};
+use commit::{CommitOutcome, Piggyback, WriteOp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -115,6 +115,10 @@ pub enum ModelMutation {
     /// writers give up instead (§3.2.2 remark 2 removed), so a crash
     /// while locked wedges the slot forever.
     SkipLockBreak,
+    /// Take the KV identity read that rides in a write batch as "our key,
+    /// live" without looking at it. That judgement is the only thing
+    /// between a fingerprint collision and a commit on another key's slot.
+    SkipIdentityJudge,
 }
 
 impl core::fmt::Display for ModelMutation {
@@ -123,6 +127,7 @@ impl core::fmt::Display for ModelMutation {
             ModelMutation::SkipCommitCas => "skip-commit-cas",
             ModelMutation::ReorderDeltaPastCommit => "reorder-delta-past-commit",
             ModelMutation::SkipLockBreak => "skip-lock-break",
+            ModelMutation::SkipIdentityJudge => "skip-identity-judge",
         };
         f.write_str(s)
     }
@@ -651,12 +656,19 @@ impl AcesoClient {
         let mut policy = RetryPolicy::new(self.tuning.max_retries);
         // The attempt a lost speculation seeded, if any.
         let mut redo = None;
+        // Whether a write batch of this op already carried the identity
+        // read of an unverified candidate. One is all an op gets: if it was
+        // refuted or unreadable, the next try verifies first — with
+        // parity-chain reconstruction — so a degraded KV column cannot spin
+        // the retry budget on speculative batches.
+        let mut speculated = false;
         loop {
             let outcome = async {
                 let att = match redo.take() {
                     Some(att) => att,
-                    None => self.resolve(op).await?,
+                    None => self.resolve(op, !speculated).await?,
                 };
+                speculated |= att.piggyback == Piggyback::VerifyKvIdentity;
                 self.commit(op, att).await
             }
             .await;

@@ -10,7 +10,7 @@
 use super::AcesoClient;
 use crate::cache::CacheEntry;
 use crate::config::unpack_col;
-use crate::kv;
+use crate::kv::{self, KvRead};
 use crate::proto::{ServerReq, ServerResp};
 use crate::{Result, StoreError};
 use aceso_blockalloc::{BlockRecord, CellKind};
@@ -22,6 +22,17 @@ use aceso_rdma::RdmaError;
 /// key (fingerprint collision, keep scanning); `Some(None)` — a tombstone;
 /// `Some(Some(v))` — a live value.
 type Candidate = Option<Option<Vec<u8>>>;
+
+/// The value a decoded KV holds; `None` for a tombstone.
+fn value_of(d: kv::DecodedKv<'_>) -> Option<Vec<u8>> {
+    (!d.tombstone).then(|| d.value.to_vec())
+}
+
+/// The [`Candidate`] a decoded KV amounts to for a lookup of `key`: a KV
+/// of another key, or one that lost its commit race, is a collision.
+fn candidate_of(d: kv::DecodedKv<'_>, key: &[u8]) -> Candidate {
+    (d.key == key && !d.is_invalidated()).then(|| value_of(d))
+}
 
 impl AcesoClient {
     pub(super) async fn search_inner(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
@@ -69,7 +80,7 @@ impl AcesoClient {
         if slot.atomic == entry.atomic {
             let value = match kv_buf {
                 Ok(buf) => match kv::decode(&buf) {
-                    Some(d) if d.key == key => self.value_of(d),
+                    Some(d) if d.key == key => Some(value_of(d)),
                     _ => self.fetch_kv_degraded(kv_col, kv_off, len, key).await?,
                 },
                 Err(_) => self.fetch_kv_degraded(kv_col, kv_off, len, key).await?,
@@ -136,7 +147,7 @@ impl AcesoClient {
                 if let Ok(buf) = &kv_buf {
                     if let Some(d) = kv::decode(buf) {
                         if d.key == key {
-                            return Ok(Some(self.value_of(d).and_then(|v| v)));
+                            return Ok(Some(value_of(d)));
                         }
                     }
                 }
@@ -175,7 +186,7 @@ impl AcesoClient {
             self.dm.batch(|dm| {
                 for cand in &candidates {
                     let (col, off) = unpack_col(cand.atomic.addr48);
-                    let hint = (cand.meta.len64.max(4) as usize) * 64;
+                    let hint = kv::read_hint(cand.meta.len64);
                     let r = dm.read_vec(self.addr(col, off), hint);
                     reads.push((col, off, hint, r));
                 }
@@ -209,28 +220,31 @@ impl AcesoClient {
     }
 
     /// Reads the KV a slot points at and verifies the key.
-    async fn read_and_verify(
+    pub(super) async fn read_and_verify(
         &mut self,
         atomic: SlotAtomic,
         meta: SlotMeta,
         key: &[u8],
     ) -> Result<Candidate> {
         let (col, off) = unpack_col(atomic.addr48);
-        let hint = (meta.len64.max(4) as usize) * 64;
+        let hint = kv::read_hint(meta.len64);
         let read = self.dm.read_vec(self.addr(col, off), hint);
         self.dm.settle().await;
         self.classify_kv_read(read, col, off, hint, key).await
     }
 
     /// Classifies one candidate KV read (possibly prefetched in a doorbell
-    /// batch) into a [`Candidate`].
+    /// batch) into a [`Candidate`]. SEARCH and the write path's fallback
+    /// identity check (`locate::verify_kv`) both end here.
     ///
     /// Only two situations route to the X-Code degraded reconstruct: an
     /// unreachable node, and a slot that reads back *unwritten* (write
     /// version 0 — a zeroed, not-yet-recovered block on a replacement MN).
-    /// Every other decode failure on a healthy node is content that simply
-    /// is not this key's live KV — a stale or colliding slot — and must be
-    /// reported as a collision (`None`) so the candidate scan continues.
+    /// A read the stale advisory length truncated is retried at the size
+    /// the KV's own header names. Every other decode failure on a healthy
+    /// node is content that simply is not this key's live KV — a stale or
+    /// colliding slot — and must be reported as a collision (`None`) so the
+    /// candidate scan continues.
     async fn classify_kv_read(
         &mut self,
         read: aceso_rdma::Result<Vec<u8>>,
@@ -239,56 +253,22 @@ impl AcesoClient {
         hint: usize,
         key: &[u8],
     ) -> Result<Candidate> {
-        match read {
-            Ok(buf) => {
-                if let Some(d) = kv::decode(&buf) {
-                    if d.key != key {
-                        return Ok(None);
-                    }
-                    if d.is_invalidated() {
-                        return Ok(None);
-                    }
-                    return Ok(Some(self.value_of(d).and_then(|v| v)));
-                }
-                if buf.is_empty() || buf[0] == 0 {
-                    // Unwritten bytes on a reachable node: an unrecovered
-                    // block on a replacement MN → degraded read.
-                    return self.fetch_kv_degraded(col, off, hint, key).await;
-                }
-                // Truncated read (stale len64)? Retry with the header's own
-                // sizes, but only if the header is plausible: a valid write
-                // version, a length that really exceeds the hint, and a
-                // size class that exists. Anything else is stale/foreign
-                // content, i.e. a collision — not a degraded block.
-                if buf.len() >= kv::KV_HEADER && buf[0] <= 2 {
-                    let klen = u16::from_le_bytes(buf[2..4].try_into().unwrap()) as usize;
-                    let vlen = u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize;
-                    let need = kv::KV_HEADER + klen + vlen + 1;
-                    if need > hint && need <= (u8::MAX as usize) * 64 {
-                        if let Ok(class) = kv::class_for(klen, vlen) {
-                            let full = self.dm.read_vec(self.addr(col, off), class as usize * 64);
-                            self.dm.settle().await;
-                            let full = full?;
-                            if let Some(d) = kv::decode(&full) {
-                                if d.key == key && !d.is_invalidated() {
-                                    return Ok(Some(self.value_of(d).and_then(|v| v)));
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(None)
+        let buf = match read {
+            Ok(buf) => buf,
+            Err(RdmaError::NodeUnreachable(_)) => {
+                return self.fetch_kv_degraded(col, off, hint, key).await
             }
-            Err(RdmaError::NodeUnreachable(_)) => self.fetch_kv_degraded(col, off, hint, key).await,
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn value_of(&self, d: kv::DecodedKv<'_>) -> Option<Option<Vec<u8>>> {
-        if d.tombstone {
-            Some(None)
-        } else {
-            Some(Some(d.value.to_vec()))
+            Err(e) => return Err(e.into()),
+        };
+        match kv::classify(&buf) {
+            KvRead::Whole(d) => Ok(candidate_of(d, key)),
+            KvRead::Unwritten => self.fetch_kv_degraded(col, off, hint, key).await,
+            KvRead::Truncated(len) => {
+                let full = self.dm.read_vec(self.addr(col, off), len);
+                self.dm.settle().await;
+                Ok(kv::decode(&full?).and_then(|d| candidate_of(d, key)))
+            }
+            KvRead::Foreign => Ok(None),
         }
     }
 
@@ -308,11 +288,7 @@ impl AcesoClient {
         }
         let buf = self.reconstruct_range(col, off, len);
         self.dm.settle().await;
-        let buf = buf?;
-        match kv::decode(&buf) {
-            Some(d) if d.key == key && !d.is_invalidated() => Ok(self.value_of(d)),
-            _ => Ok(None),
-        }
+        Ok(kv::decode(&buf?).and_then(|d| candidate_of(d, key)))
     }
 
     /// Range-limited X-Code reconstruction:

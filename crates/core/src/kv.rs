@@ -121,6 +121,54 @@ pub fn decode(buf: &[u8]) -> Option<DecodedKv<'_>> {
     })
 }
 
+/// Bytes to fetch for a KV whose index slot advertises `len64` size units.
+///
+/// The Meta word's length is advisory: it is written one round trip after
+/// the commit CAS (and never, if the writer crashes in between), so an
+/// INSERT's is 0 and a grown UPDATE's is the old class until then. Readers
+/// over-fetch small KVs and [`classify`] what came back.
+pub fn read_hint(len64: u8) -> usize {
+    len64.max(4) as usize * 64
+}
+
+/// What the bytes read at a KV's address by an advisory length hold.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum KvRead<'a> {
+    /// A complete KV pair.
+    Whole(DecodedKv<'a>),
+    /// A plausible header — valid write version, a size class that exists —
+    /// whose own lengths need this many bytes, more than were read: the
+    /// advisory length was stale. Re-read at this size.
+    Truncated(usize),
+    /// Never written (write version 0): a zeroed, not-yet-recovered block
+    /// on a replacement MN.
+    Unwritten,
+    /// Torn, stale or foreign content: not a live KV pair.
+    Foreign,
+}
+
+/// Classifies a KV read of `read_hint(len64)` bytes — the one judgement of
+/// "the advisory length lied" that SEARCH, the write path's identity check
+/// and recovery's key probe share.
+pub fn classify(buf: &[u8]) -> KvRead<'_> {
+    if let Some(d) = decode(buf) {
+        return KvRead::Whole(d);
+    }
+    if buf.first().is_none_or(|&wv| wv == 0) {
+        return KvRead::Unwritten;
+    }
+    if buf.len() >= KV_HEADER && buf[0] <= 2 {
+        let key_len = u16::from_le_bytes(buf[2..4].try_into().unwrap()) as usize;
+        let val_len = u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize;
+        if let Ok(class) = class_for(key_len, val_len) {
+            if class as usize * 64 > buf.len() {
+                return KvRead::Truncated(class as usize * 64);
+            }
+        }
+    }
+    KvRead::Foreign
+}
+
 /// Whether a slot buffer is *completely* written (header/trailer agree and
 /// are non-zero). Used on raw delta slots too, where field decoding is
 /// meaningless.
@@ -209,6 +257,32 @@ mod tests {
         encode(&mut buf, 1, 1, b"abc", b"xy", false);
         buf[4..8].copy_from_slice(&1000u32.to_le_bytes()); // Lie about val_len.
         assert!(decode(&buf).is_none());
+    }
+
+    #[test]
+    fn classify_tells_a_stale_length_from_foreign_bytes() {
+        let value = vec![7u8; 991];
+        let class = class_for(3, value.len()).unwrap() as usize;
+        let mut buf = vec![0u8; class * 64];
+        encode(&mut buf, 1, 9, b"key", &value, false);
+        assert!(matches!(classify(&buf), KvRead::Whole(d) if d.value == value));
+        // Read by the hint of a Meta word that was never refreshed.
+        assert_eq!(
+            classify(&buf[..read_hint(0)]),
+            KvRead::Truncated(class * 64)
+        );
+        assert_eq!(classify(&[0u8; 256]), KvRead::Unwritten);
+        assert_eq!(classify(&[]), KvRead::Unwritten);
+        // A torn trailer, a bad write version, lengths no class can hold.
+        let mut torn = buf.clone();
+        torn[class * 64 - 1] = 2;
+        assert_eq!(classify(&torn), KvRead::Foreign);
+        let mut bad = buf[..256].to_vec();
+        bad[0] = 3;
+        assert_eq!(classify(&bad), KvRead::Foreign);
+        let mut huge = buf[..256].to_vec();
+        huge[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(classify(&huge), KvRead::Foreign);
     }
 
     #[test]

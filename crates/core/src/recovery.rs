@@ -962,13 +962,21 @@ fn write_slot(region: &aceso_rdma::Region, off: u64, fp: u8, packed: u64, sv: u6
     region.store64(off + 8, meta.encode()).expect("slot write");
 }
 
+/// The key of the KV a restored slot points at. The slot's `len64` is as
+/// advisory here as on the client paths — a checkpoint can capture a slot
+/// between its commit CAS and its Meta write, and a writer that dies there
+/// never writes it — so a truncated read is retried at the size the KV's
+/// own header names. (Today such a KV sits in a block the scan covers, so
+/// the callers' `key_at` map answers first; this read must not depend on
+/// that.)
 fn read_key_at(store: &Arc<AcesoStore>, packed: u64, len64: u8) -> Option<Vec<u8>> {
     let (c, off) = unpack_col(packed);
     let dm = store.ctl_dm();
-    let len = (len64.max(4) as usize) * 64;
-    let buf = dm
-        .read_vec(GlobalAddr::new(store.directory().node_of(c), off), len)
-        .ok()?;
+    let addr = GlobalAddr::new(store.directory().node_of(c), off);
+    let mut buf = dm.read_vec(addr, kv::read_hint(len64)).ok()?;
+    if let kv::KvRead::Truncated(len) = kv::classify(&buf) {
+        buf = dm.read_vec(addr, len).ok()?;
+    }
     kv::decode(&buf).map(|d| d.key.to_vec())
 }
 

@@ -11,13 +11,27 @@
 //! move: a refactor of the commit path is judged by this file, not only by
 //! the diffed baselines.
 //!
+//! One shape moved on purpose, by a protocol change and not a refactor:
+//! `cold_update` was `(4, 7, 1, 3)` — scan, KV identity read, write batch,
+//! CAS — until a cold UPDATE/DELETE with exactly one fingerprint candidate
+//! began to carry that identity read *inside* its write batch
+//! (`Piggyback::VerifyKvIdentity`, the state a lost speculation already
+//! used). Same seven verbs, one round trip fewer, one verb more in the
+//! batch: `(3, 7, 1, 4)`. The `cold_*` shapes after it pin the edges of
+//! that rule: which writes keep the verified path, what a refuted identity
+//! read costs, and that an op speculates at most once.
+//!
 //! Each measured op runs with its open block already allocated and the
 //! obsolete-bit buffer empty, so no allocation or bitmap-flush RPC rides
 //! along (`rpcs == 0` is asserted).
 
-use aceso_core::{AcesoClient, AcesoConfig, AcesoStore, StoreError};
-use aceso_rdma::{FaultAction, FaultPlan, FaultRule, OpRecord, VerbKind};
+use aceso_core::config::unpack_col;
+use aceso_core::{recover_mn_with, scrub, AcesoClient, AcesoConfig, AcesoStore, StoreError};
+use aceso_index::{fingerprint, route_hash, RemoteIndex};
+use aceso_rdma::{FaultAction, FaultPlan, FaultRule, OpRecord, SimCq, VerbKind};
+use std::future::Future;
 use std::sync::Arc;
+use std::task::{Context, Waker};
 
 /// `(rtts, verbs, cas, batch_max)`.
 type Shape = (u32, u32, u32, u32);
@@ -34,14 +48,20 @@ fn primed(store: &Arc<AcesoStore>, tag: &str, value: &[u8]) -> AcesoClient {
 }
 
 /// Runs `op` as the only profiled operation of `c` and returns its record.
-fn measure<T>(c: &mut AcesoClient, op: impl FnOnce(&mut AcesoClient) -> T) -> (T, OpRecord) {
+fn profile<T>(c: &mut AcesoClient, op: impl FnOnce(&mut AcesoClient) -> T) -> (T, OpRecord) {
     c.flush_bitmaps().unwrap();
     c.dm.take_ops();
     let out = op(c);
     let recs = c.dm.take_ops().records;
     assert_eq!(recs.len(), 1, "exactly one op must have been recorded");
-    assert_eq!(recs[0].rpcs, 0, "a shape must not include an MN RPC");
     (out, recs[0])
+}
+
+/// [`profile`] for a healthy store: no RPC may ride along.
+fn measure<T>(c: &mut AcesoClient, op: impl FnOnce(&mut AcesoClient) -> T) -> (T, OpRecord) {
+    let (out, rec) = profile(c, op);
+    assert_eq!(rec.rpcs, 0, "a shape must not include an MN RPC");
+    (out, rec)
 }
 
 fn shape(r: &OpRecord) -> Shape {
@@ -62,8 +82,8 @@ fn cold_insert() {
     store.shutdown();
 }
 
-/// UPDATE without a cache entry: bucket scan, KV identity read, write
-/// batch, commit CAS.
+/// UPDATE without a cache entry, one fingerprint candidate: bucket scan,
+/// write batch led by the candidate's KV identity read, commit CAS.
 #[test]
 fn cold_update() {
     let store = launch();
@@ -72,7 +92,183 @@ fn cold_update() {
     a.insert(b"shape-key", V).unwrap();
     let (r, rec) = measure(&mut b, |c| c.update(b"shape-key", V));
     r.unwrap();
-    assert_eq!(shape(&rec), (4, 7, 1, 3));
+    assert_eq!(shape(&rec), (3, 7, 1, 4));
+    assert_eq!(b.search(b"shape-key").unwrap().as_deref(), Some(V));
+    store.shutdown();
+}
+
+/// DELETE without a cache entry: the cold UPDATE shape.
+#[test]
+fn cold_delete() {
+    let store = launch();
+    let mut a = primed(&store, "a", V);
+    let mut b = primed(&store, "b", b"");
+    a.insert(b"shape-key", V).unwrap();
+    let (existed, rec) = measure(&mut b, |c| c.delete(b"shape-key"));
+    assert!(existed.unwrap());
+    assert_eq!(shape(&rec), (3, 7, 1, 4));
+    assert_eq!(a.search(b"shape-key").unwrap(), None);
+    store.shutdown();
+}
+
+/// Two keys with one fingerprint, one index column and one first bucket
+/// group: the second INSERT lands in the slot after the first's, and each
+/// key's scan sees both.
+fn twins(store: &Arc<AcesoStore>) -> (Vec<u8>, Vec<u8>) {
+    let candidates = (0u32..).map(|i| format!("twin-{i:05}").into_bytes());
+    (store.map.index)
+        .first_twins(store.cfg.num_mns as u64, None, candidates)
+        .unwrap()
+}
+
+/// UPDATE without a cache entry, two fingerprint candidates: nothing
+/// singles one out, so the verified path stays — bucket scan, one KV
+/// identity read per candidate up to ours, write batch, commit CAS.
+#[test]
+fn cold_update_two_candidates() {
+    let store = launch();
+    let (first, second) = twins(&store);
+    let mut a = primed(&store, "a", V);
+    let mut b = primed(&store, "b", V);
+    a.insert(&first, b"first").unwrap();
+    a.insert(&second, b"second").unwrap();
+    let (r, rec) = measure(&mut b, |c| c.update(&second, V));
+    r.unwrap();
+    assert_eq!(shape(&rec), (5, 8, 1, 3));
+    assert_eq!(a.search(&first).unwrap().as_deref(), Some(&b"first"[..]));
+    assert_eq!(a.search(&second).unwrap().as_deref(), Some(V));
+    store.shutdown();
+}
+
+/// UPDATE/DELETE of a deleted key without a cache entry: the batch's
+/// identity read finds the tombstone, the speculative KV and its deltas
+/// are retired in a trailing three-write flush before the call returns,
+/// `NotFound`. (The profiled op is the DELETE: a failed UPDATE records no
+/// profile.)
+#[test]
+fn cold_update_of_deleted_key() {
+    let store = launch();
+    let mut a = primed(&store, "a", b"");
+    let mut b = primed(&store, "b", b"");
+    a.insert(b"shape-key", V).unwrap();
+    assert!(a.delete(b"shape-key").unwrap());
+    let (existed, rec) = measure(&mut b, |c| c.delete(b"shape-key"));
+    assert!(!existed.unwrap());
+    assert_eq!(shape(&rec), (3, 9, 0, 4));
+    let mut c = primed(&store, "c", V);
+    assert!(matches!(
+        c.update(b"shape-key", V),
+        Err(StoreError::NotFound)
+    ));
+    assert_eq!(c.search(b"shape-key").unwrap(), None);
+    assert!(scrub(&store).unwrap().is_clean());
+    store.shutdown();
+}
+
+/// UPDATE/DELETE of an absent key whose only fingerprint match is another
+/// key's slot: the identity read refutes the speculation, the retry
+/// verifies the candidate first and finds nothing of ours — `NotFound`,
+/// the speculative KV retired by the trailing flush, the neighbour
+/// untouched. (Profiled as the DELETE, as above.)
+#[test]
+fn cold_update_of_absent_key_with_colliding_neighbour() {
+    let store = launch();
+    let (neighbour, absent) = twins(&store);
+    let mut a = primed(&store, "a", V);
+    let mut b = primed(&store, "b", b"");
+    a.insert(&neighbour, b"neighbour").unwrap();
+    let (existed, rec) = measure(&mut b, |c| c.delete(&absent));
+    assert!(!existed.unwrap());
+    assert_eq!(shape(&rec), (5, 12, 0, 4));
+    assert_eq!(rec.retries, 1);
+    assert!(matches!(a.update(&absent, V), Err(StoreError::NotFound)));
+    for c in [&mut a, &mut b] {
+        assert_eq!(
+            c.search(&neighbour).unwrap().as_deref(),
+            Some(&b"neighbour"[..])
+        );
+        assert_eq!(c.search(&absent).unwrap(), None);
+    }
+    assert!(scrub(&store).unwrap().is_clean());
+    store.shutdown();
+}
+
+/// UPDATE without a cache entry while the candidate's KV block is lost
+/// (its column killed, only the Index tier recovered): the batch's
+/// identity read comes back unwritten, and the one retry verifies through
+/// parity-chain reconstruction before it writes — exactly one speculative
+/// batch is posted, the op commits.
+#[test]
+fn cold_update_with_unreadable_candidate() {
+    let store = launch();
+    let key = b"shape-key";
+    let mut a = primed(&store, "a", V);
+    a.insert(key, V).unwrap();
+    // Only closed, checkpointed blocks stay lost across the Index tier.
+    a.close_open_blocks().unwrap();
+    for _ in 0..2 {
+        store.checkpoint_tick().unwrap();
+    }
+    let index_col = (route_hash(key) % store.cfg.num_mns as u64) as usize;
+    let index = RemoteIndex::new(store.directory().node_of(index_col), store.map.index);
+    let dm = store.cluster.background_client();
+    let slot = index.scan(&dm, key, fingerprint(key)).unwrap().matches[0];
+    let (kv_col, _) = unpack_col(slot.atomic.addr48);
+    assert!(store.kill_mn(kv_col));
+    recover_mn_with(&store, kv_col, false).unwrap();
+
+    let mut b = primed(&store, "b", V);
+    let (r, rec) = profile(&mut b, |c| c.update(key, b"degraded"));
+    r.unwrap();
+    assert_eq!(rec.retries, 1, "one refuted speculation, then verified");
+    assert_eq!(rec.batches, 4, "scan, speculative batch, scan, write batch");
+    assert!(rec.rpcs > 0, "the retry must have reconstructed the KV");
+    assert_eq!(rec.cas, 1);
+
+    recover_mn_with(&store, kv_col, true).unwrap();
+    let mut c = store.client().unwrap();
+    assert_eq!(c.search(key).unwrap().as_deref(), Some(&b"degraded"[..]));
+    assert!(scrub(&store).unwrap().is_clean());
+    store.shutdown();
+}
+
+/// An op speculates on an unverified candidate at most once. A cold
+/// UPDATE's identity read succeeds but its commit CAS loses to a writer
+/// that slipped in between the batch and the CAS; the second try must take
+/// the verified path — its write batch carries the first try's three
+/// invalidation stamps and no piggybacked read.
+#[test]
+fn speculates_once_per_op() {
+    let store = launch();
+    let mut a = primed(&store, "a", V);
+    let mut b = primed(&store, "b", V);
+    a.insert(b"shape-key", V).unwrap();
+    b.flush_bitmaps().unwrap();
+    b.dm.take_ops();
+    let cq = Arc::new(SimCq::new());
+    b.dm.attach_cq(Arc::clone(&cq));
+    {
+        let mut op = std::pin::pin!(b.update_async(b"shape-key", b"cold"));
+        let mut cx = Context::from_waker(Waker::noop());
+        // Suspension 1: the bucket scan. Suspension 2: the write batch,
+        // identity read included — its verbs have executed, the CAS has
+        // not been posted.
+        for _ in 0..2 {
+            assert!(op.as_mut().poll(&mut cx).is_pending());
+            assert!(cq.advance_next());
+        }
+        a.update(b"shape-key", b"racer").unwrap();
+        aceso_rdma::cq::block_on(Some(Arc::clone(&cq)), op).unwrap();
+    }
+    b.dm.detach_cq();
+    let rec = b.dm.take_ops().records[0];
+    assert_eq!(rec.retries, 1);
+    // scan, batch, lost CAS │ scan, identity read, batch, CAS.
+    assert_eq!(shape(&rec), (7, 17, 2, 6));
+    assert_eq!(
+        a.search(b"shape-key").unwrap().as_deref(),
+        Some(&b"cold"[..])
+    );
     store.shutdown();
 }
 

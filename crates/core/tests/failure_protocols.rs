@@ -4,8 +4,8 @@
 
 use aceso_core::client::CrashPoint;
 use aceso_core::{
-    recover_cn, recover_mixed, recover_mn, recover_mn_with, AcesoConfig, AcesoStore, ClientTuning,
-    StoreError,
+    recover_cn, recover_mixed, recover_mn, recover_mn_with, AcesoClient, AcesoConfig, AcesoStore,
+    ClientTuning, StoreError,
 };
 use std::sync::Arc;
 
@@ -420,6 +420,61 @@ fn two_crashed_clients_recover() {
     assert_eq!(ra.search(b"two-a").unwrap().as_deref(), Some(&b"va"[..]));
     assert_eq!(rb.search(b"two-b").unwrap().as_deref(), Some(&b"vb"[..]));
     store.shutdown();
+}
+
+/// A slot's Meta length is advisory: it is written one round trip after
+/// the commit CAS, and never if the writer dies in between
+/// (`CrashPoint::AfterCommit`) — `recover_cn` does not touch Meta words.
+/// `grow` commits a 991-byte value whose slot still advertises the length
+/// of what was there before (nothing, or a one-unit KV), so a read by that
+/// length is truncated. SEARCH always re-read at the header's own size;
+/// a cold UPDATE/DELETE used to skip the candidate and report `NotFound`
+/// for a live key.
+fn cold_writes_find_key_with_stale_len64(key: &[u8], grow: impl Fn(&mut AcesoClient, &[u8])) {
+    let big = vec![0xB1u8; 991];
+    let history = || {
+        let store = small();
+        let mut w = store.client().unwrap();
+        grow(&mut w, &big);
+        let id = w.id();
+        drop(w);
+        recover_cn(&store, &mut store.client_with_id(id)).unwrap();
+        let mut r = store.client().unwrap();
+        assert_eq!(r.search(key).unwrap().as_deref(), Some(&big[..]));
+        (store, r)
+    };
+    // UPDATE and DELETE each get a history of their own: a committed
+    // UPDATE refreshes `len64`.
+    let (store, mut r) = history();
+    store.client().unwrap().update(key, b"after").unwrap();
+    assert_eq!(r.search(key).unwrap().as_deref(), Some(&b"after"[..]));
+    store.shutdown();
+
+    let (store, mut r) = history();
+    assert!(store.client().unwrap().delete(key).unwrap());
+    assert_eq!(r.search(key).unwrap(), None);
+    assert!(aceso_core::scrub(&store).unwrap().is_clean());
+    store.shutdown();
+}
+
+/// INSERT died after its commit CAS: `len64` is still 0.
+#[test]
+fn cold_write_finds_a_key_whose_insert_never_wrote_len64() {
+    cold_writes_find_key_with_stale_len64(b"stale-len-ins", |w, big| {
+        w.crash_point = Some(CrashPoint::AfterCommit);
+        assert!(w.insert(b"stale-len-ins", big).is_err());
+    });
+}
+
+/// An UPDATE that grows the size class died after its commit CAS: `len64`
+/// still names the one-unit class of the value it replaced.
+#[test]
+fn cold_write_finds_a_key_whose_growing_update_never_wrote_len64() {
+    cold_writes_find_key_with_stale_len64(b"stale-len-upd", |w, big| {
+        w.insert(b"stale-len-upd", b"small").unwrap();
+        w.crash_point = Some(CrashPoint::AfterCommit);
+        assert!(w.update(b"stale-len-upd", big).is_err());
+    });
 }
 
 /// One seeded history for defect 2 of `benchmark/README.md`: updates land

@@ -14,8 +14,9 @@
 //! combined 0 spans bytes `[0, 256)` of the group, combined 1 spans
 //! `[128, 384)`. Each is contiguous, so reading one costs one `RDMA_READ`.
 
-use crate::hash::hash_pair;
+use crate::hash::{fingerprint, hash_pair, route_hash};
 use crate::slot::SLOT_BYTES;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Slots per bucket.
 pub const BUCKET_SLOTS: u64 = 8;
@@ -92,6 +93,30 @@ impl IndexLayout {
     pub fn buckets_for(&self, key: &[u8]) -> [(u64, u64); 2] {
         let (h1, h2) = hash_pair(key);
         [(h1 % self.num_groups, 0), (h2 % self.num_groups, 1)]
+    }
+
+    /// The first two of `keys` that are *twins* on an index of
+    /// `partitions` partitions with this layout: one fingerprint, one
+    /// partition, one first bucket group, so each is a fingerprint
+    /// candidate in the other's bucket scan and only a KV read tells them
+    /// apart. Keys that collide with one of `taken` are passed over, which
+    /// leaves the pair's bucket to the pair. Scaffolding for the tests and
+    /// fault cells that need a true collision rather than a synthetic one.
+    pub fn first_twins(
+        &self,
+        partitions: u64,
+        taken: impl IntoIterator<Item = Vec<u8>>,
+        keys: impl IntoIterator<Item = Vec<u8>>,
+    ) -> Option<(Vec<u8>, Vec<u8>)> {
+        let coord = |k: &[u8]| {
+            let group = self.buckets_for(k)[0].0;
+            (fingerprint(k), route_hash(k) % partitions, group)
+        };
+        let taken: BTreeSet<_> = taken.into_iter().map(|k| coord(&k)).collect();
+        let mut seen = BTreeMap::new();
+        keys.into_iter()
+            .filter(|k| !taken.contains(&coord(k)))
+            .find_map(|k| seen.insert(coord(&k), k.clone()).map(|first| (first, k)))
     }
 
     /// Whether `offset` (region byte offset) lies inside a slot's Atomic
@@ -192,6 +217,21 @@ mod tests {
                 assert!(c < 2);
             }
         }
+    }
+
+    #[test]
+    fn first_twins_collide_and_avoid_taken_coordinates() {
+        let l = IndexLayout::new(0, 32);
+        let keys = |prefix: &'static str| (0u32..).map(move |i| format!("{prefix}{i}").into_bytes());
+        let coord = |k: &[u8]| (fingerprint(k), route_hash(k) % 3, l.buckets_for(k)[0].0);
+        let (a, b) = l.first_twins(3, None, keys("t")).unwrap();
+        assert_ne!(a, b);
+        assert_eq!(coord(&a), coord(&b));
+        // With the pair's own coordinate taken, the next pair is another one.
+        let (c, d) = l.first_twins(3, Some(a.clone()), keys("t")).unwrap();
+        assert_eq!(coord(&c), coord(&d));
+        assert_ne!(coord(&c), coord(&a));
+        assert_eq!(l.first_twins(3, None, keys("t").take(2)), None);
     }
 
     #[test]

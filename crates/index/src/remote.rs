@@ -7,7 +7,7 @@
 //! additionally gets zero-cost local accessors used by checkpointing and
 //! recovery.
 
-use crate::layout::{IndexLayout, COMBINED_BYTES, COMBINED_SLOTS};
+use crate::layout::{IndexLayout, BUCKET_SLOTS, COMBINED_BYTES, COMBINED_SLOTS};
 use crate::slot::{SlotAtomic, SlotMeta, SLOT_BYTES};
 use aceso_rdma::{DmClient, GlobalAddr, NodeId, Region, Result};
 
@@ -58,32 +58,42 @@ impl RemoteIndex {
     /// `RDMA_READ`s) and classifies their slots.
     pub fn scan(&self, dm: &DmClient, key: &[u8], fp: u8) -> Result<BucketScan> {
         let coords = self.layout.buckets_for(key);
-        let mut bufs: [Vec<u8>; 2] = [Vec::new(), Vec::new()];
+        let mut bufs = [[0u8; COMBINED_BYTES as usize]; 2];
         dm.batch(|dm| -> Result<()> {
-            for (i, &(g, c)) in coords.iter().enumerate() {
+            for (buf, &(g, c)) in bufs.iter_mut().zip(&coords) {
                 let off = self.layout.combined_offset(g, c);
-                bufs[i] = dm.read_vec(GlobalAddr::new(self.node, off), COMBINED_BYTES as usize)?;
+                dm.read(GlobalAddr::new(self.node, off), buf)?;
             }
             Ok(())
         })?;
 
-        let mut scan = BucketScan::default();
-        let mut seen = Vec::with_capacity(4);
-        for (i, &(g, c)) in coords.iter().enumerate() {
-            for s in 0..COMBINED_SLOTS {
-                let off = self.layout.slot_offset(g, c, s);
-                if seen.contains(&off) {
-                    continue; // Shared overflow bucket when both hashes hit one group.
-                }
-                seen.push(off);
-                let b = &bufs[i][(s * SLOT_BYTES) as usize..((s + 1) * SLOT_BYTES) as usize];
-                let atomic = SlotAtomic::decode(u64::from_le_bytes(b[..8].try_into().unwrap()));
-                let meta = SlotMeta::decode(u64::from_le_bytes(b[8..].try_into().unwrap()));
-                let addr = GlobalAddr::new(self.node, off);
-                if atomic.is_empty() {
+        // The buckets share slots only when both hashes pick one group, and
+        // then exactly its overflow bucket: slots 8..16 of combined 0 are
+        // slots 0..8 of combined 1.
+        let shared = if coords[0].0 == coords[1].0 {
+            BUCKET_SLOTS
+        } else {
+            0
+        };
+        let mut scan = BucketScan {
+            matches: Vec::new(),
+            empties: Vec::with_capacity(2 * COMBINED_SLOTS as usize),
+        };
+        for (buf, (&(g, c), first)) in bufs.iter().zip(coords.iter().zip([0, shared])) {
+            for s in first..COMBINED_SLOTS {
+                let b = &buf[(s * SLOT_BYTES) as usize..][..SLOT_BYTES as usize];
+                // Most slots are empty or another key's: tell from the raw
+                // Atomic word (0 = empty, top byte = fingerprint).
+                let word = u64::from_le_bytes(b[..8].try_into().unwrap());
+                let addr = GlobalAddr::new(self.node, self.layout.slot_offset(g, c, s));
+                if word == 0 {
                     scan.empties.push(addr);
-                } else if atomic.fp == fp {
-                    scan.matches.push(SlotRef { addr, atomic, meta });
+                } else if (word >> 56) as u8 == fp {
+                    scan.matches.push(SlotRef {
+                        addr,
+                        atomic: SlotAtomic::decode(word),
+                        meta: SlotMeta::decode(u64::from_le_bytes(b[8..].try_into().unwrap())),
+                    });
                 }
             }
         }
@@ -216,6 +226,7 @@ mod tests {
     use super::*;
     use crate::hash::fingerprint;
     use aceso_rdma::{Cluster, ClusterConfig, CostModel};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn setup() -> (Arc<Cluster>, RemoteIndex) {
@@ -226,6 +237,91 @@ mod tests {
         });
         let idx = RemoteIndex::new(NodeId(0), IndexLayout::new(0, 64));
         (cluster, idx)
+    }
+
+    /// The scan loop this module used before it read into stack buffers and
+    /// tested raw words — two `read_vec`s, a `seen` list deduplicating slot
+    /// offsets, every slot decoded — kept as the reference the scan is
+    /// checked against.
+    fn ref_scan(idx: &RemoteIndex, dm: &DmClient, key: &[u8], fp: u8) -> BucketScan {
+        let coords = idx.layout.buckets_for(key);
+        let bufs = coords.map(|(g, c)| {
+            let off = idx.layout.combined_offset(g, c);
+            dm.read_vec(GlobalAddr::new(idx.node, off), COMBINED_BYTES as usize)
+                .unwrap()
+        });
+        let mut scan = BucketScan::default();
+        let mut seen = Vec::new();
+        for (i, &(g, c)) in coords.iter().enumerate() {
+            for s in 0..COMBINED_SLOTS {
+                let off = idx.layout.slot_offset(g, c, s);
+                if seen.contains(&off) {
+                    continue;
+                }
+                seen.push(off);
+                let b = &bufs[i][(s * SLOT_BYTES) as usize..((s + 1) * SLOT_BYTES) as usize];
+                let atomic = SlotAtomic::decode(u64::from_le_bytes(b[..8].try_into().unwrap()));
+                let meta = SlotMeta::decode(u64::from_le_bytes(b[8..].try_into().unwrap()));
+                let addr = GlobalAddr::new(idx.node, off);
+                if atomic.is_empty() {
+                    scan.empties.push(addr);
+                } else if atomic.fp == fp {
+                    scan.matches.push(SlotRef { addr, atomic, meta });
+                }
+            }
+        }
+        scan
+    }
+
+    fn same_scan(a: &BucketScan, b: &BucketScan) -> bool {
+        let words = |m: &SlotRef| (m.addr, m.atomic, m.meta);
+        a.empties == b.empties && a.matches.iter().map(words).eq(b.matches.iter().map(words))
+    }
+
+    proptest! {
+        /// Same slots, same order as the reference loop, over an index
+        /// filled at random with a handful of fingerprints — on a layout
+        /// with many groups, and on one with two, where every other key's
+        /// hashes share a group and the buckets overlap on its overflow
+        /// bucket.
+        #[test]
+        fn scan_matches_reference_loop(
+            groups in prop_oneof![Just(2u64), Just(64u64)],
+            fill in proptest::collection::vec(
+                (0u64..64, 0u64..24, 1u8..5, 1u64..1000, any::<u64>()),
+                0..200,
+            ),
+            key: u32,
+            fp in 0u8..5,
+        ) {
+            let (c, _) = setup();
+            let idx = RemoteIndex::new(NodeId(0), IndexLayout::new(0, groups));
+            let region = &c.node(NodeId(0)).unwrap().region;
+            for (g, s, slot_fp, addr48, meta) in fill {
+                let off = idx.slot_addr(g % groups, s).offset;
+                let atomic = SlotAtomic { fp: slot_fp, addr48, ver: 1 };
+                region.store64(off, atomic.encode()).unwrap();
+                region.store64(off + 8, meta).unwrap();
+            }
+            let dm = c.client();
+            let key = key.to_le_bytes();
+            let got = idx.scan(&dm, &key, fp).unwrap();
+            prop_assert!(same_scan(&got, &ref_scan(&idx, &dm, &key, fp)));
+        }
+    }
+
+    /// The shared-group case really occurs in the property above: with two
+    /// groups, about half of all keys hash both buckets into one.
+    #[test]
+    fn two_group_layout_shares_groups() {
+        let l = IndexLayout::new(0, 2);
+        let shared = (0..100u32)
+            .filter(|k| {
+                let [a, b] = l.buckets_for(&k.to_le_bytes());
+                a.0 == b.0
+            })
+            .count();
+        assert!((20..80).contains(&shared), "{shared}");
     }
 
     #[test]

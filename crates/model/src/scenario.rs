@@ -8,6 +8,7 @@
 //! rollover).
 
 use aceso_core::{AcesoConfig, ModelMutation};
+use std::sync::OnceLock;
 
 /// One scripted client operation over a scenario key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,16 +63,39 @@ pub struct Scenario {
 }
 
 /// Number of distinct keys scenarios may use.
-pub const NUM_KEYS: usize = 3;
+pub const NUM_KEYS: usize = 5;
+
+/// Scenario keys 3 and 4 are *twins*: one fingerprint, one index column
+/// and one first bucket group under [`model_config`], so each is a
+/// fingerprint candidate in the other's bucket scan — the collision only
+/// a KV identity read can tell apart.
+pub const TWINS: [usize; 2] = [3, 4];
+
+/// The first colliding pair among `mc-t0`, `mc-t1`, ….
+fn twin_keys() -> &'static (Vec<u8>, Vec<u8>) {
+    static KEYS: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let cfg = model_config();
+        let candidates = (0u32..).map(|i| format!("mc-t{i}").into_bytes());
+        (cfg.memory_map().index)
+            .first_twins(cfg.num_mns as u64, None, candidates)
+            .expect("the key space is unbounded")
+    })
+}
 
 /// The byte name of scenario key `k`.
 pub fn key_bytes(k: usize) -> Vec<u8> {
-    format!("mc-k{k}").into_bytes()
+    let (first, second) = twin_keys();
+    match TWINS.iter().position(|&t| t == k) {
+        Some(0) => first.clone(),
+        Some(_) => second.clone(),
+        None => format!("mc-k{k}").into_bytes(),
+    }
 }
 
 /// Human label of scenario key `k`.
 pub fn key_name(k: usize) -> String {
-    format!("mc-k{k}")
+    String::from_utf8_lossy(&key_bytes(k)).into_owned()
 }
 
 /// Client letter for reports (task 0 = "A").
@@ -185,6 +209,23 @@ pub fn mutation_scenarios() -> Vec<Scenario> {
             probe_mutation: true,
             depth: 14,
             max_executions: 2500,
+        },
+        // Commit on a lone fingerprint candidate without judging the KV
+        // identity read that rode in the write batch: a cold update of an
+        // absent key lands on its twin's slot and the twin — preloaded,
+        // never deleted — reads back absent.
+        Scenario {
+            name: "mut-skip-identity-judge",
+            clients: vec![
+                vec![ScriptOp::Update(TWINS[1])],
+                vec![ScriptOp::Search(TWINS[0])],
+            ],
+            preload: vec![0, 1, TWINS[0]],
+            warmup_updates: 0,
+            mutation: Some(ModelMutation::SkipIdentityJudge),
+            probe_mutation: false,
+            depth: 4,
+            max_executions: 1200,
         },
     ]
 }

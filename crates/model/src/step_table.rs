@@ -24,8 +24,10 @@ pub const STEP_TABLE: &[(&str, usize, &str)] = &[
     ("update_async", 1, "latency an early exit left unsettled (error path, backoff)"),
     ("upsert", 1, "trailing flush of invalidations no write batch carried"),
     // locate.rs — key to slot.
+    // A lone candidate of an UPDATE/DELETE leaves here unverified (its KV
+    // identity read rides in `write_batch`); `verify_kv`, the fallback
+    // state, suspends inside search.rs's `read_and_verify`.
     ("locate_slot", 2, "cached-slot re-read; two-bucket scan"),
-    ("verify_kv", 2, "candidate KV read; parity-chain reconstruction"),
     // commit.rs — the commit machine.
     (
         "commit",
@@ -41,7 +43,7 @@ pub const STEP_TABLE: &[(&str, usize, &str)] = &[
     (
         "write_batch",
         1,
-        "piggyback read + queued invalidations + KV + 2 delta writes",
+        "piggyback read (slot revalidation or KV identity) + queued invalidations + KV + 2 delta writes",
     ),
     ("flush_deferred_deltas", 1, "mutation-held delta write batch"),
     ("unwind_fenced_place", 1, "fence rollback write batch"),
@@ -50,8 +52,16 @@ pub const STEP_TABLE: &[(&str, usize, &str)] = &[
     ("search_value_cache", 1, "cached KV read + two-bucket scan batch"),
     ("search_query", 1, "two-bucket scan"),
     ("search_candidates", 1, "batched candidate KV reads"),
-    ("read_and_verify", 1, "candidate KV read"),
-    ("classify_kv_read", 1, "full-length re-read of a truncated KV"),
+    (
+        "read_and_verify",
+        1,
+        "candidate KV read (SEARCH, and the write path's verify_kv)",
+    ),
+    (
+        "classify_kv_read",
+        1,
+        "re-read of a KV its stale advisory length truncated",
+    ),
     ("fetch_kv_degraded", 1, "parity-chain reconstruction"),
 ];
 
