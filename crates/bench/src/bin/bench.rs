@@ -1,6 +1,9 @@
-//! `bench quick` — the CI-sized benchmark slice.
+//! `bench` — every benchmark entry point of the repo: the CI-diffed
+//! slices (`quick`, `table3`, `skew`, `clients`, `elastic`; see `usage`)
+//! and the paper's tables and figures (`bench fig`, one
+//! [`aceso_bench::figs::FIGURES`] table).
 //!
-//! Runs a deterministic YCSB-A slice (four logical clients, round-robin
+//! `bench quick` runs a deterministic YCSB-A slice (four logical clients, round-robin
 //! in one thread, like `chaos analyze`'s traced workload) followed by one
 //! MN crash + tiered recovery, with an [`aceso_obs::Registry`] recorder
 //! installed so the run doubles as an end-to-end test of the
@@ -14,6 +17,8 @@
 //! [`aceso_core::RecoveryReport`]. Two runs with the same seed therefore
 //! produce byte-identical files — CI diffs them.
 
+use aceso_bench::figs::{Figure, FIGURES};
+use aceso_bench::BenchScale;
 use aceso_core::{recover_mn, AcesoConfig, AcesoStore};
 use aceso_obs::{JsonWriter, Obs, Registry, Snapshot};
 use aceso_rdma::{OpKind, PhaseMeasurement, SimCq};
@@ -62,14 +67,71 @@ fn usage() -> ! {
          Runs the three-way fault-tolerance head-to-head (aceso vs\n\
          fusee vs swarm, plus r=2 budget rows) through the FtEngine\n\
          seam; writes the table to results/table3.txt (or --out).\n\
-         The output is a pure function of the seed — CI diffs it."
+         The output is a pure function of the seed — CI diffs it.\n\
+         \n\
+         usage: bench fig [--scale quick|default|big] [--out DIR] (<name>... | --all)\n\
+         \n\
+         Regenerates the paper's tables and figures; each is printed and\n\
+         written to <DIR>/<name>.txt (default results/).\n\
+         names: {}",
+        figure_names()
     );
     std::process::exit(2);
+}
+
+fn figure_names() -> String {
+    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+    names.join(" ")
+}
+
+/// `bench fig`: runs the named entries of [`FIGURES`] (all with `--all`).
+fn run_figures(args: &[String]) {
+    let mut scale = BenchScale::default();
+    let mut out_dir = String::from("results");
+    let mut wanted: Vec<&Figure> = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--scale" => {
+                scale = it
+                    .next()
+                    .and_then(|v| BenchScale::named(v))
+                    .unwrap_or_else(|| usage());
+            }
+            "--out" => out_dir = it.next().unwrap_or_else(|| usage()).clone(),
+            "--all" => wanted = FIGURES.iter().collect(),
+            name => match FIGURES.iter().find(|(n, _)| *n == name) {
+                Some(fig) => wanted.push(fig),
+                None => {
+                    eprintln!("unknown experiment: {name}\nnames: {}", figure_names());
+                    std::process::exit(2);
+                }
+            },
+        }
+    }
+    if wanted.is_empty() {
+        usage();
+    }
+    std::fs::create_dir_all(&out_dir).expect("create results dir");
+    for (name, run) in wanted {
+        let t = std::time::Instant::now();
+        let out = run(scale);
+        out.print();
+        eprintln!("[{name} took {:.1}s]", t.elapsed().as_secs_f64());
+        std::fs::write(
+            format!("{out_dir}/{name}.txt"),
+            format!("===== {} =====\n{}", out.id, out.text),
+        )
+        .expect("write result");
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str);
+    if cmd == Some("fig") {
+        return run_figures(&args[1..]);
+    }
     let mut json = false;
     let mut seed = DEFAULT_SEED;
     let mut out = match cmd {

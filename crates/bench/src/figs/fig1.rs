@@ -6,10 +6,12 @@
 //!     checkpoints of growing size: reads lose bandwidth.
 
 use crate::figs::FigureOutput;
-use crate::harness::{self, BenchScale};
-use aceso_core::AcesoStore;
-use aceso_fusee::{FuseeConfig, FuseeStore};
-use aceso_workloads::{MicroWorkload, Op};
+use crate::harness::{self, BenchScale, System};
+use aceso_core::ClientTuning;
+use aceso_engines::substrate::ReplConfig;
+use aceso_workloads::Op;
+
+const OPS: [Op; 4] = [Op::Insert, Op::Update, Op::Search, Op::Delete];
 
 /// Figure 1(a): replica-count sweep on FUSEE.
 pub fn fig1a(scale: BenchScale) -> FigureOutput {
@@ -21,36 +23,12 @@ pub fn fig1a(scale: BenchScale) -> FigureOutput {
     );
     for r in 1..=3usize {
         let mut row = format!("{r:8} |");
-        for op in [Op::Insert, Op::Update, Op::Search, Op::Delete] {
-            let scale = BenchScale {
-                warmup: if matches!(op, Op::Insert | Op::Delete) {
-                    0
-                } else {
-                    scale.warmup
-                },
-                ..scale
-            };
-            let cfg = FuseeConfig {
+        for op in OPS {
+            let sys = System::fusee(ReplConfig {
                 replicas: r,
                 ..harness::bench_fusee_config()
-            };
-            let store = FuseeStore::launch(cfg);
-            // SEARCH/UPDATE/DELETE phases operate on preloaded keys.
-            if op != Op::Insert {
-                for t in 0..scale.threads as u32 {
-                    harness::preload_fusee(
-                        &store,
-                        MicroWorkload::new(t, op, scale.keys, scale.value_len).preload_keys(),
-                        scale.value_len,
-                    );
-                }
-            }
-            // INSERT phases use fresh keys (thread ids shifted past the
-            // preloaded range), the others hit the preloaded keys.
-            let phase = harness::fusee_phase(&store, scale, |t| {
-                let base = if op == Op::Insert { t + 100 } else { t };
-                MicroWorkload::new(base, op, scale.keys, scale.value_len)
             });
+            let phase = harness::micro_phase(&sys, scale, op, |_| vec![]);
             let rep = phase.report();
             let avg_cas: f64 = phase.m.records.iter().map(|x| x.cas as f64).sum::<f64>()
                 / phase.m.records.len().max(1) as f64;
@@ -75,32 +53,12 @@ pub fn fig1b(scale: BenchScale) -> FigureOutput {
         // Synthetic interference: `ckpt_mb` MiB per 500 ms on each node.
         let rate = (ckpt_mb << 20) as f64 / 0.5;
         let mut row = format!("{ckpt_mb:6} MB |");
-        for op in [Op::Insert, Op::Update, Op::Search, Op::Delete] {
-            let scale = BenchScale {
-                warmup: if matches!(op, Op::Insert | Op::Delete) {
-                    0
-                } else {
-                    scale.warmup
-                },
-                ..scale
-            };
-            let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-            if op != Op::Insert {
-                for t in 0..scale.threads as u32 {
-                    harness::preload_aceso(
-                        &store,
-                        MicroWorkload::new(t, op, scale.keys, scale.value_len).preload_keys(),
-                        scale.value_len,
-                    );
-                }
-            }
-            let bg = harness::uniform_bg(store.cfg.num_mns, rate);
-            let phase = harness::aceso_phase(&store, scale, bg, |t| {
-                let base = if op == Op::Insert { t + 100 } else { t };
-                MicroWorkload::new(base, op, scale.keys, scale.value_len)
+        for op in OPS {
+            let sys = System::aceso(harness::bench_aceso_config(), ClientTuning::default());
+            let phase = harness::micro_phase(&sys, scale, op, |s| {
+                harness::uniform_bg(s.eng().columns(), rate)
             });
             row.push_str(&format!(" {:7.2} |", phase.report().mops));
-            store.shutdown();
         }
         text.push_str(&row);
         text.push('\n');

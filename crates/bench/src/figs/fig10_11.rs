@@ -2,39 +2,27 @@
 //! (paper §4.3).
 
 use crate::figs::FigureOutput;
-use crate::harness::{self, BenchScale};
-use aceso_core::AcesoStore;
-use aceso_fusee::FuseeStore;
+use crate::harness::{self, BenchScale, System};
+use aceso_workloads::twitter::TwitterWorkload;
 use aceso_workloads::ycsb::YcsbKind;
-use aceso_workloads::{TwitterCluster, YcsbWorkload};
+use aceso_workloads::{Request, TwitterCluster, YcsbWorkload};
 
 const THETA: f64 = 0.99;
 
-fn run_pair<F, G, WA, WF>(scale: BenchScale, make_aceso: F, make_fusee: G) -> (f64, f64)
-where
-    WA: Iterator<Item = aceso_workloads::Request> + Send + 'static,
-    WF: Iterator<Item = aceso_workloads::Request> + Send + 'static,
-    F: Fn(u32) -> WA,
-    G: Fn(u32) -> WF,
-{
-    let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-    harness::preload_aceso(
-        &store,
-        YcsbWorkload::preload_keys(scale.keys),
-        scale.value_len,
-    );
-    let bg = harness::ckpt_bg_rate(&store, store.cfg.ckpt_interval_ms);
-    let a = harness::aceso_phase(&store, scale, bg, make_aceso);
-    store.shutdown();
-
-    let fstore = FuseeStore::launch(harness::bench_fusee_config());
-    harness::preload_fusee(
-        &fstore,
-        YcsbWorkload::preload_keys(scale.keys),
-        scale.value_len,
-    );
-    let f = harness::fusee_phase(&fstore, scale, make_fusee);
-    (a.report().mops, f.report().mops)
+/// Mops of `(aceso, fusee)` on the same per-client streams over a
+/// preloaded YCSB keyspace; Aceso pays live checkpoint interference.
+pub fn run_pair<W: Iterator<Item = Request>>(
+    scale: BenchScale,
+    make_stream: impl Fn(u32) -> W,
+) -> (f64, f64) {
+    let [a, f] = System::pair().map(|sys| {
+        sys.preload(YcsbWorkload::preload_keys(scale.keys), scale.value_len);
+        let bg = sys.ckpt_bg();
+        harness::phase(sys.eng(), scale, bg, &make_stream)
+            .report()
+            .mops
+    });
+    (a, f)
 }
 
 /// Figure 10: YCSB A/B/C/D throughput.
@@ -43,11 +31,9 @@ pub fn fig10(scale: BenchScale) -> FigureOutput {
         "YCSB throughput (Mops), Zipfian θ=0.99\nworkload |   Aceso |   FUSEE | ratio\n",
     );
     for kind in YcsbKind::ALL {
-        let (a, f) = run_pair(
-            scale,
-            |t| YcsbWorkload::new(kind, scale.keys, THETA, scale.value_len, t, 42),
-            |t| YcsbWorkload::new(kind, scale.keys, THETA, scale.value_len, t, 42),
-        );
+        let (a, f) = run_pair(scale, |t| {
+            YcsbWorkload::new(kind, scale.keys, THETA, scale.value_len, t, 42)
+        });
         text.push_str(&format!(
             "{:8} | {:7.2} | {:7.2} | {:4.2}x\n",
             kind.name(),
@@ -68,29 +54,9 @@ pub fn fig11(scale: BenchScale) -> FigureOutput {
         "Twitter-trace throughput (Mops), synthetic cluster mixes\ncluster   |   Aceso |   FUSEE | ratio\n",
     );
     for cluster in TwitterCluster::ALL {
-        let (a, f) = run_pair(
-            scale,
-            |t| {
-                aceso_workloads::twitter::TwitterWorkload::new(
-                    cluster,
-                    scale.keys,
-                    THETA,
-                    scale.value_len,
-                    t,
-                    42,
-                )
-            },
-            |t| {
-                aceso_workloads::twitter::TwitterWorkload::new(
-                    cluster,
-                    scale.keys,
-                    THETA,
-                    scale.value_len,
-                    t,
-                    42,
-                )
-            },
-        );
+        let (a, f) = run_pair(scale, |t| {
+            TwitterWorkload::new(cluster, scale.keys, THETA, scale.value_len, t, 42)
+        });
         text.push_str(&format!(
             "{:9} | {:7.2} | {:7.2} | {:4.2}x\n",
             cluster.name(),

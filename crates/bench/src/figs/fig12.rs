@@ -3,60 +3,37 @@
 
 use crate::figs::FigureOutput;
 use crate::fmt_bytes;
-use crate::harness::{self, BenchScale};
-use aceso_core::AcesoStore;
-use aceso_fusee::FuseeStore;
-use aceso_workloads::{value_for, MicroWorkload, Op};
+use crate::harness::{BenchScale, System};
+use aceso_workloads::{MicroWorkload, Op};
 
-/// Runs the bulk-write memory accounting.
+/// Runs the bulk-write memory accounting: the same data into both
+/// systems, then each engine's own space report.
 pub fn fig12(scale: BenchScale) -> FigureOutput {
-    // Aceso: bulk insert, then measure the Block Area.
-    let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-    let mut client = store.client().unwrap();
-    for req in
-        MicroWorkload::new(0, Op::Insert, scale.keys, scale.value_len).take(scale.keys as usize)
-    {
-        client
-            .insert(&req.key, &value_for(&req.key, 0, req.value_len))
-            .unwrap();
-    }
-    client.flush_bitmaps().unwrap();
-    client.close_open_blocks().unwrap();
-    let usage = store.memory_usage();
-    store.shutdown();
-
-    // FUSEE: same data, r-way replicated.
-    let fstore = FuseeStore::launch(harness::bench_fusee_config());
-    let mut fclient = fstore.client();
-    let mut fusee_valid = 0u64;
-    for req in
-        MicroWorkload::new(0, Op::Insert, scale.keys, scale.value_len).take(scale.keys as usize)
-    {
-        fclient
-            .insert(&req.key, &value_for(&req.key, 0, req.value_len))
-            .unwrap();
-        fusee_valid += ((8 + req.key.len() + req.value_len).div_ceil(64) * 64) as u64;
-    }
-    let fusee_redundancy = fusee_valid * (fstore.cfg.replicas as u64 - 1);
-
-    let aceso_total = usage.total();
-    let fusee_total = fusee_valid + fusee_redundancy;
+    let [aceso, fusee] = System::pair().map(|sys| {
+        let keys = MicroWorkload::new(0, Op::Insert, scale.keys, scale.value_len)
+            .take(scale.keys as usize)
+            .map(|req| req.key);
+        sys.preload(keys, scale.value_len);
+        sys.eng().space()
+    });
+    let row = |name: &str, sp: &aceso_core::SpaceReport| {
+        format!(
+            "{name:<6} | {:>10} | {:>11} | {:>10} | {:>10}\n",
+            fmt_bytes(sp.valid),
+            fmt_bytes(sp.redundancy),
+            fmt_bytes(sp.delta),
+            fmt_bytes(sp.total()),
+        )
+    };
     let text = format!(
         "Memory distribution after writing {} KVs of ~1 KB\n\
          system |      Valid |  Redundancy |      Delta |      Total\n\
-         Aceso  | {:>10} | {:>11} | {:>10} | {:>10}\n\
-         FUSEE  | {:>10} | {:>11} | {:>10} | {:>10}\n\
+         {}{}\
          Aceso saves {:.0}% total space vs FUSEE\n",
         scale.keys,
-        fmt_bytes(usage.valid),
-        fmt_bytes(usage.redundancy),
-        fmt_bytes(usage.delta),
-        fmt_bytes(aceso_total),
-        fmt_bytes(fusee_valid),
-        fmt_bytes(fusee_redundancy),
-        fmt_bytes(0),
-        fmt_bytes(fusee_total),
-        (1.0 - aceso_total as f64 / fusee_total as f64) * 100.0,
+        row("Aceso", &aceso),
+        row("FUSEE", &fusee),
+        (1.0 - aceso.total() as f64 / fusee.total() as f64) * 100.0,
     );
     FigureOutput {
         id: "Figure 12",

@@ -8,27 +8,23 @@
 
 use crate::figs::FigureOutput;
 use crate::harness::{self, BenchScale};
-use aceso_core::{recover_mn_with, AcesoConfig, AcesoStore};
+use aceso_core::{recover_mn_with, AcesoConfig, AcesoEngine, AcesoStore};
 use aceso_workloads::{MicroWorkload, Op};
+use std::sync::Arc;
 
-fn search_phase(store: &std::sync::Arc<AcesoStore>, scale: BenchScale) -> f64 {
-    let phase = harness::aceso_phase(store, scale, vec![], |t| {
-        MicroWorkload::new(t, Op::Search, scale.keys, scale.value_len)
+/// Mops of one warm micro phase of `op` over the preloaded keys.
+fn micro_mops(store: &Arc<AcesoStore>, scale: BenchScale, op: Op) -> f64 {
+    let eng = AcesoEngine::new(Arc::clone(store));
+    let phase = harness::phase(&eng, scale, vec![], |t| {
+        MicroWorkload::new(t, op, scale.keys, scale.value_len)
     });
     phase.report().mops
 }
 
 /// Degraded SEARCH vs normal SEARCH.
 pub fn degraded_search(scale: BenchScale) -> (f64, f64) {
-    let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-    for t in 0..scale.threads as u32 {
-        harness::preload_aceso(
-            &store,
-            MicroWorkload::new(t, Op::Search, scale.keys, scale.value_len).preload_keys(),
-            scale.value_len,
-        );
-    }
-    let normal = search_phase(&store, scale);
+    let store = harness::preloaded_aceso(harness::bench_aceso_config(), scale);
+    let normal = micro_mops(&store, scale, Op::Search);
 
     // Two rounds so the preloaded blocks are strictly *older* than the
     // checkpoint and stay lost after Index-tier-only recovery.
@@ -36,7 +32,7 @@ pub fn degraded_search(scale: BenchScale) -> (f64, f64) {
     store.checkpoint_tick().unwrap();
     store.kill_mn(1);
     recover_mn_with(&store, 1, false).unwrap(); // Index tier only.
-    let degraded = search_phase(&store, scale);
+    let degraded = micro_mops(&store, scale, Op::Search);
     store.shutdown();
     (normal, degraded)
 }
@@ -44,18 +40,8 @@ pub fn degraded_search(scale: BenchScale) -> (f64, f64) {
 /// Space-reclaimed UPDATE vs normal UPDATE.
 pub fn reclaimed_update(scale: BenchScale) -> (f64, f64) {
     // Normal: plenty of space, no reclamation.
-    let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-    for t in 0..scale.threads as u32 {
-        harness::preload_aceso(
-            &store,
-            MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len).preload_keys(),
-            scale.value_len,
-        );
-    }
-    let phase = harness::aceso_phase(&store, scale, vec![], |t| {
-        MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len)
-    });
-    let normal = phase.report().mops;
+    let store = harness::preloaded_aceso(harness::bench_aceso_config(), scale);
+    let normal = micro_mops(&store, scale, Op::Update);
     store.shutdown();
 
     // Special: a pool small enough that updates run on reclaimed blocks.
@@ -63,28 +49,15 @@ pub fn reclaimed_update(scale: BenchScale) -> (f64, f64) {
     let bytes_needed = scale.keys * kv_class;
     let cfg = harness::bench_aceso_config();
     let arrays = (bytes_needed * 3 / 2 / (cfg.block_size * 3)).max(2);
-    let store = AcesoStore::launch(AcesoConfig {
+    let reclaiming = AcesoConfig {
         num_arrays: arrays,
         reclaim_free_ratio: 1.1, // Reclaim aggressively.
         ..cfg
-    })
-    .unwrap();
-    for t in 0..scale.threads as u32 {
-        harness::preload_aceso(
-            &store,
-            MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len).preload_keys(),
-            scale.value_len,
-        );
-    }
+    };
+    let store = harness::preloaded_aceso(reclaiming, scale);
     // Warm up through one full overwrite cycle so reclamation kicks in.
-    let warm = harness::aceso_phase(&store, scale, vec![], |t| {
-        MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len)
-    });
-    drop(warm);
-    let phase = harness::aceso_phase(&store, scale, vec![], |t| {
-        MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len)
-    });
-    let special = phase.report().mops;
+    micro_mops(&store, scale, Op::Update);
+    let special = micro_mops(&store, scale, Op::Update);
     store.shutdown();
     (normal, special)
 }

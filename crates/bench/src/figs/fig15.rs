@@ -1,11 +1,10 @@
 //! Figure 15 — throughput as the UPDATE:SEARCH ratio sweeps 0% → 100%
 //! (paper §4.5).
 
+use crate::figs::fig10_11::run_pair;
 use crate::figs::FigureOutput;
-use crate::harness::{self, BenchScale};
-use aceso_core::AcesoStore;
-use aceso_fusee::FuseeStore;
-use aceso_workloads::{MixedWorkload, OpMix, YcsbWorkload};
+use crate::harness::BenchScale;
+use aceso_workloads::{MixedWorkload, OpMix};
 
 /// Runs the update-ratio sweep.
 pub fn fig15(scale: BenchScale) -> FigureOutput {
@@ -19,32 +18,10 @@ pub fn fig15(scale: BenchScale) -> FigureOutput {
             insert: 0.0,
             delete: 0.0,
         };
-        let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-        harness::preload_aceso(
-            &store,
-            YcsbWorkload::preload_keys(scale.keys),
-            scale.value_len,
-        );
-        let bg = harness::ckpt_bg_rate(&store, store.cfg.ckpt_interval_ms);
-        let a = harness::aceso_phase(&store, scale, bg, |t| {
+        let (a, f) = run_pair(scale, |t| {
             MixedWorkload::new(mix, scale.keys, 0.99, scale.value_len, t, 42)
         });
-        store.shutdown();
-
-        let fstore = FuseeStore::launch(harness::bench_fusee_config());
-        harness::preload_fusee(
-            &fstore,
-            YcsbWorkload::preload_keys(scale.keys),
-            scale.value_len,
-        );
-        let f = harness::fusee_phase(&fstore, scale, |t| {
-            MixedWorkload::new(mix, scale.keys, 0.99, scale.value_len, t, 42)
-        });
-        text.push_str(&format!(
-            "{pct:6}% | {:7.2} | {:7.2}\n",
-            a.report().mops,
-            f.report().mops
-        ));
+        text.push_str(&format!("{pct:6}% | {:7.2} | {:7.2}\n", a, f));
     }
     FigureOutput {
         id: "Figure 15",

@@ -8,8 +8,8 @@
 //!   intervals leave more post-checkpoint KVs to scan in the Index tier.
 
 use crate::figs::FigureOutput;
-use crate::harness::{self, BenchScale};
-use aceso_core::{recover_mn, AcesoConfig, AcesoStore, RecoveryReport};
+use crate::harness::{self, BenchScale, System};
+use aceso_core::{recover_mn, AcesoConfig, AcesoStore, ClientTuning, RecoveryReport};
 use aceso_workloads::{MicroWorkload, Op};
 use std::sync::Arc;
 
@@ -93,20 +93,13 @@ pub fn fig17(scale: BenchScale) -> FigureOutput {
     for interval_ms in [100u64, 250, 500, 1000, 5000] {
         let mut row = format!("{interval_ms:5} ms |");
         for op in [Op::Update, Op::Search] {
-            let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-            for t in 0..scale.threads as u32 {
-                harness::preload_aceso(
-                    &store,
-                    MicroWorkload::new(t, op, scale.keys, scale.value_len).preload_keys(),
-                    scale.value_len,
-                );
-            }
-            let bg = harness::ckpt_bg_rate(&store, interval_ms);
-            let phase = harness::aceso_phase(&store, scale, bg, |t| {
-                MicroWorkload::new(t, op, scale.keys, scale.value_len)
-            });
+            let cfg = AcesoConfig {
+                ckpt_interval_ms: interval_ms,
+                ..harness::bench_aceso_config()
+            };
+            let sys = System::aceso(cfg, ClientTuning::default());
+            let phase = harness::micro_phase(&sys, scale, op, System::ckpt_bg);
             row.push_str(&format!(" {:7.2} |", phase.report().mops));
-            store.shutdown();
         }
         text.push_str(&row);
         text.push('\n');

@@ -8,6 +8,7 @@
 
 use crate::figs::FigureOutput;
 use crate::fmt_bytes;
+use crate::harness::BenchScale;
 use aceso_core::ckpt::{CkptReceiver, CkptSender};
 
 fn synth_index(bytes: usize, seed: u64) -> Vec<u8> {
@@ -41,10 +42,11 @@ fn dirty_slots(index: &mut [u8], count: usize, seed: u64) {
     }
 }
 
-/// Runs the index-size sweep. Sizes are scaled to the harness machine; the
-/// per-step times scale linearly with size exactly as in the paper.
-pub fn fig19(full_scale: bool) -> FigureOutput {
-    let sizes_mb: &[usize] = if full_scale {
+/// Runs the index-size sweep. Sizes are scaled to the harness machine
+/// (the paper's range from `--scale big` up); the per-step times scale
+/// linearly with size exactly as in the paper.
+pub fn fig19(scale: BenchScale) -> FigureOutput {
+    let sizes_mb: &[usize] = if scale.keys >= 100_000 {
         &[64, 128, 256, 512, 1024, 2048]
     } else {
         &[16, 32, 64, 128, 256]

@@ -7,8 +7,9 @@
 
 use crate::figs::FigureOutput;
 use crate::harness::{self, BenchScale};
-use aceso_core::{recover_mn, AcesoConfig, AcesoStore};
+use aceso_core::{recover_mn, AcesoConfig, AcesoEngine};
 use aceso_workloads::{MicroWorkload, Op};
+use std::sync::Arc;
 
 fn cfg_for_block_size(bs: u64, keys: u64, value_len: usize) -> AcesoConfig {
     let base = harness::bench_aceso_config();
@@ -28,16 +29,10 @@ pub fn fig20(scale: BenchScale) -> FigureOutput {
     let mut text = String::from("Block-size sweep\nblock    | UPDATE Mops | index recovery (ms)\n");
     for bs_kb in [16u64, 64, 256, 1024, 4096] {
         let bs = bs_kb << 10;
-        let store =
-            AcesoStore::launch(cfg_for_block_size(bs, scale.keys, scale.value_len)).unwrap();
-        for t in 0..scale.threads as u32 {
-            harness::preload_aceso(
-                &store,
-                MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len).preload_keys(),
-                scale.value_len,
-            );
-        }
-        let mut phase = harness::aceso_phase(&store, scale, vec![], |t| {
+        let cfg = cfg_for_block_size(bs, scale.keys, scale.value_len);
+        let store = harness::preloaded_aceso(cfg, scale);
+        let eng = AcesoEngine::new(Arc::clone(&store));
+        let mut phase = harness::phase(&eng, scale, vec![], |t| {
             MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len)
         });
         phase.uniformize();

@@ -2,11 +2,9 @@
 //! Aceso vs FUSEE, for INSERT / UPDATE / SEARCH / DELETE (paper §4.2).
 
 use crate::figs::FigureOutput;
-use crate::harness::{self, BenchScale, Phase};
-use aceso_core::AcesoStore;
-use aceso_fusee::FuseeStore;
+use crate::harness::{self, BenchScale, Phase, System};
 use aceso_rdma::OpKind;
-use aceso_workloads::{MicroWorkload, Op};
+use aceso_workloads::Op;
 
 fn op_kind(op: Op) -> OpKind {
     match op {
@@ -18,55 +16,17 @@ fn op_kind(op: Op) -> OpKind {
 }
 
 /// Runs one micro phase per op type for both systems; returns
-/// `(aceso, fusee)` phases per op.
+/// `(aceso, fusee)` phases per op. Aceso runs with live checkpoint
+/// interference at the default interval.
 pub fn micro_phases(scale: BenchScale) -> Vec<(Op, Phase, Phase)> {
-    let mut out = Vec::new();
-    for op in [Op::Insert, Op::Update, Op::Search, Op::Delete] {
-        // One-shot ops (INSERT of fresh keys, DELETE) measure cold; UPDATE
-        // and SEARCH measure warm steady state like the paper.
-        let scale = BenchScale {
-            warmup: if matches!(op, Op::Insert | Op::Delete) {
-                0
-            } else {
-                scale.warmup
-            },
-            ..scale
-        };
-        // Aceso, with live checkpoint interference at the default 500 ms.
-        let store = AcesoStore::launch(harness::bench_aceso_config()).unwrap();
-        if op != Op::Insert {
-            for t in 0..scale.threads as u32 {
-                harness::preload_aceso(
-                    &store,
-                    MicroWorkload::new(t, op, scale.keys, scale.value_len).preload_keys(),
-                    scale.value_len,
-                );
-            }
-        }
-        let bg = harness::ckpt_bg_rate(&store, store.cfg.ckpt_interval_ms);
-        let aceso = harness::aceso_phase(&store, scale, bg, |t| {
-            let base = if op == Op::Insert { t + 100 } else { t };
-            MicroWorkload::new(base, op, scale.keys, scale.value_len)
-        });
-        store.shutdown();
-
-        let fstore = FuseeStore::launch(harness::bench_fusee_config());
-        if op != Op::Insert {
-            for t in 0..scale.threads as u32 {
-                harness::preload_fusee(
-                    &fstore,
-                    MicroWorkload::new(t, op, scale.keys, scale.value_len).preload_keys(),
-                    scale.value_len,
-                );
-            }
-        }
-        let fusee = harness::fusee_phase(&fstore, scale, |t| {
-            let base = if op == Op::Insert { t + 100 } else { t };
-            MicroWorkload::new(base, op, scale.keys, scale.value_len)
-        });
-        out.push((op, aceso, fusee));
-    }
-    out
+    [Op::Insert, Op::Update, Op::Search, Op::Delete]
+        .into_iter()
+        .map(|op| {
+            let [aceso, fusee] =
+                System::pair().map(|sys| harness::micro_phase(&sys, scale, op, |s| s.ckpt_bg()));
+            (op, aceso, fusee)
+        })
+        .collect()
 }
 
 /// Figure 8: throughput with coefficients normalized to FUSEE.

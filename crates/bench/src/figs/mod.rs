@@ -1,6 +1,6 @@
-//! One module per paper table/figure. Each `run()` prints the same rows or
-//! series the paper reports and returns the formatted text so the
-//! `figures` binary can also persist it under `results/`.
+//! One module per paper table/figure. Each entry of [`FIGURES`] renders
+//! the same rows or series the paper reports and returns the formatted
+//! text, which `bench fig` prints and persists under `results/`.
 
 pub mod ablation;
 pub mod fig1;
@@ -15,6 +15,36 @@ pub mod fig20;
 pub mod fig8_9;
 pub mod mn_cpu;
 pub mod table2;
+
+use crate::harness::BenchScale;
+
+/// One experiment: its CLI name and the function that renders it.
+pub type Figure = (&'static str, fn(BenchScale) -> FigureOutput);
+
+/// Every experiment `bench fig` can run, by CLI name, in `--all` order.
+/// (The paper's Table 3 head-to-head is `bench table3`, which is CI-diffed;
+/// `mn_cpu` is the wall-clock §4.4 utilization table.)
+pub const FIGURES: &[Figure] = &[
+    ("fig1a", fig1::fig1a),
+    ("fig1b", fig1::fig1b),
+    ("fig8", fig8_9::fig8),
+    ("fig9", fig8_9::fig9),
+    ("fig10", fig10_11::fig10),
+    ("fig11", fig10_11::fig11),
+    ("fig12", fig12::fig12),
+    ("fig13", fig13::fig13),
+    ("fig14", fig14::fig14),
+    ("fig15", fig15::fig15),
+    ("fig16", fig16_18::fig16),
+    ("fig17", fig16_18::fig17),
+    ("fig18", fig16_18::fig18),
+    ("fig19", fig19::fig19),
+    ("fig20", fig20::fig20),
+    ("table2", table2::table2),
+    ("mn_cpu", mn_cpu::mn_cpu),
+    ("ablation_ckpt", ablation::ablation_ckpt),
+    ("ablation_recovery", ablation::ablation_recovery),
+];
 
 /// A rendered experiment: a title plus the table body.
 pub struct FigureOutput {

@@ -1,26 +1,35 @@
-//! Phase runner: drive real clients, collect the verb profile, report
-//! through the cost model.
+//! Phase runner: drive logical clients through the engine seam, collect
+//! the verb profile, report through the cost model.
+//!
+//! The runner is thread-free: [`BenchScale::threads`] logical clients take
+//! turns on the calling thread, one request per client per turn, warm-up
+//! and measured alike (the way `bench quick` drives its four). What a
+//! phase measures is therefore a function of its streams, not of the OS
+//! scheduler — two runs print the same digits — and it needs nothing from
+//! an engine beyond `&dyn FtEngine`.
 
-use aceso_core::{AcesoConfig, AcesoStore, StoreError};
-use aceso_fusee::{FuseeConfig, FuseeStore};
-use aceso_rdma::{CostModel, OpKind, OpRecord, PhaseMeasurement};
-use aceso_workloads::{value_for, Op, Request};
+use aceso_core::{AcesoConfig, AcesoEngine, AcesoStore, ClientTuning, FtClient, FtEngine, FtError};
+use aceso_engines::substrate::ReplConfig;
+use aceso_engines::FuseeEngine;
+use aceso_rdma::{CostModel, OpKind, PhaseMeasurement};
+use aceso_workloads::{value_for, MicroWorkload, Op, Request};
 use std::sync::Arc;
 
 /// Sizing knobs for a benchmark phase.
 #[derive(Clone, Copy, Debug)]
 pub struct BenchScale {
-    /// Real driver threads (the 1-core CI default keeps this small; the
-    /// verb *profile* per op is what matters, not wall-clock parallelism).
+    /// Logical clients: each has its own engine client and request stream
+    /// and they take turns on one thread (the verb *profile* per op is
+    /// what matters, not wall-clock parallelism).
     pub threads: usize,
     /// Simulated client count fed to the cost model's closed-loop bound
     /// (the paper runs 184 clients on 23 CNs).
     pub sim_clients: usize,
     /// Preloaded key count.
     pub keys: u64,
-    /// Total measured operations across all threads.
+    /// Total measured operations across all logical clients.
     pub ops: usize,
-    /// Per-thread warm-up operations executed (and discarded) before
+    /// Per-client warm-up operations executed (and discarded) before
     /// measurement, so caches and open blocks reach steady state — the
     /// paper measures steady-state throughput. Set to 0 for INSERT/DELETE
     /// phases, whose semantics are one-shot per key.
@@ -55,6 +64,26 @@ impl BenchScale {
             value_len: 200,
         }
     }
+
+    /// The scale `bench fig --scale <name>` selects: `quick`, `default`
+    /// or `big`.
+    pub fn named(name: &str) -> Option<Self> {
+        let sized = |n: u64| BenchScale {
+            keys: n,
+            ops: n as usize,
+            warmup: n as usize,
+            ..BenchScale::default()
+        };
+        match name {
+            "quick" => Some(BenchScale {
+                ops: 6_000,
+                ..sized(4_000)
+            }),
+            "default" => Some(BenchScale::default()),
+            "big" => Some(sized(100_000)),
+            _ => None,
+        }
+    }
 }
 
 /// The measured outcome of a phase, ready for the cost model.
@@ -74,8 +103,8 @@ impl Phase {
     /// Replaces per-node demand with the across-node average.
     ///
     /// The paper's 184 clients place their open blocks i.i.d. across MNs,
-    /// so per-node block-write load is near-uniform; a handful of driver
-    /// threads parks each open block on one node for thousands of ops,
+    /// so per-node block-write load is near-uniform; a handful of logical
+    /// clients parks each open block on one node for thousands of ops,
     /// which would misattribute that lumpiness to the system. Used by the
     /// block-size sweep (Figure 20), where the artifact is largest.
     pub fn uniformize(&mut self) {
@@ -122,43 +151,98 @@ pub fn bench_aceso_config() -> AcesoConfig {
 }
 
 /// FUSEE configuration of matching capacity.
-pub fn bench_fusee_config() -> FuseeConfig {
-    FuseeConfig {
+pub fn bench_fusee_config() -> ReplConfig {
+    ReplConfig {
         index_groups: 4096,
         block_size: 256 << 10,
         blocks_per_mn: 1600,
-        ..FuseeConfig::small()
+        ..ReplConfig::small()
     }
 }
 
-fn apply_aceso(client: &mut aceso_core::AcesoClient, req: &Request) {
-    let r = match req.op {
-        Op::Insert => client
-            .insert(&req.key, &value_for(&req.key, 0, req.value_len))
-            .map(|_| ()),
-        Op::Update => {
-            match client.update(&req.key, &value_for(&req.key, 1, req.value_len)) {
-                // A deleted or never-loaded key under a synthetic mix:
-                // count as an upsert, like YCSB's read-modify-write.
-                Err(StoreError::NotFound) => client
-                    .insert(&req.key, &value_for(&req.key, 1, req.value_len))
-                    .map(|_| ()),
-                other => other,
-            }
-        }
-        Op::Search => client.search(&req.key).map(|_| ()),
-        Op::Delete => client.delete(&req.key).map(|_| ()),
-    };
-    r.expect("workload op failed");
+/// One launched system under test: the seam every phase drives plus, for
+/// Aceso, the concrete store — bulk loading must `close_open_blocks`
+/// (which `FtClient::quiesce` does not do) and the checkpoint background
+/// rate is read off a real round. Shuts the engine down on drop.
+pub struct System {
+    eng: Box<dyn FtEngine>,
+    aceso: Option<Arc<AcesoStore>>,
 }
 
-fn apply_fusee(client: &mut aceso_fusee::FuseeClient, req: &Request) {
-    let r = match req.op {
-        Op::Insert => client.insert(&req.key, &value_for(&req.key, 0, req.value_len)),
-        Op::Update => match client.update(&req.key, &value_for(&req.key, 1, req.value_len)) {
-            Err(aceso_fusee::FuseeError::NotFound) => {
-                client.insert(&req.key, &value_for(&req.key, 1, req.value_len))
+impl System {
+    /// Aceso at `cfg`, every client minted with `tuning`.
+    pub fn aceso(cfg: AcesoConfig, tuning: ClientTuning) -> Self {
+        let store = AcesoStore::launch(cfg).expect("launch");
+        System {
+            eng: Box::new(AcesoEngine::with_tuning(Arc::clone(&store), tuning)),
+            aceso: Some(store),
+        }
+    }
+
+    /// The FUSEE baseline at `cfg`.
+    pub fn fusee(cfg: ReplConfig) -> Self {
+        System {
+            eng: Box::new(FuseeEngine::launch(cfg)),
+            aceso: None,
+        }
+    }
+
+    /// Both systems of a two-system figure at the bench configurations,
+    /// Aceso first.
+    pub fn pair() -> [Self; 2] {
+        [
+            Self::aceso(bench_aceso_config(), ClientTuning::default()),
+            Self::fusee(bench_fusee_config()),
+        ]
+    }
+
+    /// The engine seam.
+    pub fn eng(&self) -> &dyn FtEngine {
+        self.eng.as_ref()
+    }
+
+    /// Bulk-loads `keys` (version-0 values of `value_len` bytes) from one
+    /// fresh client.
+    pub fn preload(&self, keys: impl Iterator<Item = Vec<u8>>, value_len: usize) {
+        match &self.aceso {
+            Some(store) => preload_aceso(store, keys, value_len),
+            None => {
+                let mut client = self.eng.client().expect("client");
+                for key in keys {
+                    client
+                        .insert(&key, &value_for(&key, 0, value_len))
+                        .expect("preload");
+                }
             }
+        }
+    }
+
+    /// Per-node background byte rate of checkpointing at the store's
+    /// configured interval under the current index state
+    /// ([`ckpt_bg_rate`]); empty for a system that does not checkpoint.
+    pub fn ckpt_bg(&self) -> Vec<f64> {
+        match &self.aceso {
+            Some(store) => ckpt_bg_rate(store, store.cfg.ckpt_interval_ms),
+            None => Vec::new(),
+        }
+    }
+}
+
+impl Drop for System {
+    fn drop(&mut self) {
+        self.eng.shutdown();
+    }
+}
+
+/// Applies one workload request.
+pub fn apply(client: &mut dyn FtClient, req: &Request) {
+    let value = |version| value_for(&req.key, version, req.value_len);
+    let r = match req.op {
+        Op::Insert => client.insert(&req.key, &value(0)),
+        Op::Update => match client.update(&req.key, &value(1)) {
+            // A deleted or never-loaded key under a synthetic mix: count
+            // as an upsert, like YCSB's read-modify-write.
+            Err(FtError::NotFound) => client.insert(&req.key, &value(1)),
             other => other,
         },
         Op::Search => client.search(&req.key).map(|_| ()),
@@ -167,7 +251,8 @@ fn apply_fusee(client: &mut aceso_fusee::FuseeClient, req: &Request) {
     r.expect("workload op failed");
 }
 
-/// Preloads keys into Aceso from several threads.
+/// Preloads keys into Aceso and closes the loader's open blocks, so the
+/// measured phase starts from sealed, parity-covered blocks.
 pub fn preload_aceso(
     store: &Arc<AcesoStore>,
     keys: impl Iterator<Item = Vec<u8>>,
@@ -182,72 +267,55 @@ pub fn preload_aceso(
     client.close_open_blocks().expect("close");
 }
 
-/// Preloads keys into FUSEE.
-pub fn preload_fusee(
-    store: &Arc<FuseeStore>,
-    keys: impl Iterator<Item = Vec<u8>>,
-    value_len: usize,
-) {
-    let mut client = store.client();
-    for key in keys {
-        client
-            .insert(&key, &value_for(&key, 0, value_len))
-            .expect("preload");
+/// Launches Aceso at `cfg` with every logical client's micro keys loaded
+/// (for figures that go on to kill, recover or reclaim on the store).
+pub fn preloaded_aceso(cfg: AcesoConfig, scale: BenchScale) -> Arc<AcesoStore> {
+    let store = AcesoStore::launch(cfg).expect("launch");
+    for t in 0..scale.threads as u32 {
+        let keys = MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len);
+        preload_aceso(&store, keys.preload_keys(), scale.value_len);
+    }
+    store
+}
+
+/// `n` turns: one request per logical client per turn.
+fn turns<W: Iterator<Item = Request>>(lanes: &mut [(Box<dyn FtClient>, W)], n: usize) {
+    for _ in 0..n {
+        for (client, stream) in lanes.iter_mut() {
+            if let Some(req) = stream.next() {
+                apply(client.as_mut(), &req);
+            }
+        }
     }
 }
 
-/// Runs a measured phase against Aceso.
+/// Runs a measured phase against any engine.
 ///
-/// `make_stream(thread_id)` builds each thread's request stream;
+/// `make_stream(client_id)` builds each logical client's request stream;
 /// `bg_bytes_per_sec` is the per-node background traffic rate (checkpoint
 /// transmission) to charge against NIC bandwidth.
-pub fn aceso_phase<W, F>(
-    store: &Arc<AcesoStore>,
+pub fn phase<W: Iterator<Item = Request>>(
+    eng: &dyn FtEngine,
     scale: BenchScale,
     bg_bytes_per_sec: Vec<f64>,
-    make_stream: F,
-) -> Phase
-where
-    W: Iterator<Item = Request> + Send + 'static,
-    F: Fn(u32) -> W,
-{
-    let per_thread = scale.ops / scale.threads;
-    let warmup = scale.warmup;
-    let barrier = Arc::new(std::sync::Barrier::new(scale.threads));
-    let cluster = Arc::clone(&store.cluster);
-    let handles: Vec<_> = (0..scale.threads as u32)
-        .map(|t| {
-            let stream = make_stream(t);
-            let store = Arc::clone(store);
-            let barrier = Arc::clone(&barrier);
-            let cluster = Arc::clone(&cluster);
-            std::thread::spawn(move || {
-                let mut client = store.client().expect("client");
-                let mut stream = stream;
-                for req in (&mut stream).take(warmup) {
-                    apply_aceso(&mut client, &req);
-                }
-                if barrier.wait().is_leader() {
-                    cluster.reset_traffic();
-                }
-                barrier.wait();
-                client.dm.reset_stats();
-                let mut recs: Vec<OpRecord> = Vec::with_capacity(per_thread);
-                for req in stream.take(per_thread) {
-                    apply_aceso(&mut client, &req);
-                }
-                let _ = client.flush_bitmaps();
-                recs.extend(client.dm.take_ops().records);
-                recs
-            })
-        })
+    make_stream: impl Fn(u32) -> W,
+) -> Phase {
+    let mut lanes: Vec<(Box<dyn FtClient>, W)> = (0..scale.threads as u32)
+        .map(|t| (eng.client().expect("client"), make_stream(t)))
         .collect();
-    let mut records = Vec::with_capacity(scale.ops);
-    for h in handles {
-        records.extend(h.join().expect("phase thread"));
+    turns(&mut lanes, scale.warmup);
+    eng.cluster().reset_traffic();
+    for (client, _) in &mut lanes {
+        client.reset_stats();
     }
-    let node_fg: Vec<_> = store
-        .cluster
+    turns(&mut lanes, scale.ops / scale.threads);
+    let mut records = Vec::with_capacity(scale.ops);
+    for (client, _) in &mut lanes {
+        let _ = client.quiesce();
+        records.extend(client.take_ops().records);
+    }
+    let node_fg: Vec<_> = eng
+        .cluster()
         .nodes()
         .iter()
         .map(|n| n.traffic.snapshot())
@@ -262,64 +330,40 @@ where
             records,
             pipeline_depth: None,
         },
-        cost: store.cfg.cost,
+        cost: eng.cluster().cost,
     }
 }
 
-/// Runs a measured phase against the FUSEE baseline.
-pub fn fusee_phase<W, F>(store: &Arc<FuseeStore>, scale: BenchScale, make_stream: F) -> Phase
-where
-    W: Iterator<Item = Request> + Send + 'static,
-    F: Fn(u32) -> W,
-{
-    let per_thread = scale.ops / scale.threads;
-    let warmup = scale.warmup;
-    let barrier = Arc::new(std::sync::Barrier::new(scale.threads));
-    let cluster = Arc::clone(&store.cluster);
-    let handles: Vec<_> = (0..scale.threads as u32)
-        .map(|t| {
-            let mut stream = make_stream(t);
-            let store = Arc::clone(store);
-            let barrier = Arc::clone(&barrier);
-            let cluster = Arc::clone(&cluster);
-            std::thread::spawn(move || {
-                let mut client = store.client();
-                for req in (&mut stream).take(warmup) {
-                    apply_fusee(&mut client, &req);
-                }
-                if barrier.wait().is_leader() {
-                    cluster.reset_traffic();
-                }
-                barrier.wait();
-                client.dm.reset_stats();
-                for req in stream.take(per_thread) {
-                    apply_fusee(&mut client, &req);
-                }
-                client.dm.take_ops().records
-            })
-        })
-        .collect();
-    let mut records = Vec::with_capacity(scale.ops);
-    for h in handles {
-        records.extend(h.join().expect("phase thread"));
-    }
-    let node_fg: Vec<_> = store
-        .cluster
-        .nodes()
-        .iter()
-        .map(|n| n.traffic.snapshot())
-        .collect();
-    let bg = vec![0.0; node_fg.len()];
-    Phase {
-        m: PhaseMeasurement {
-            n_clients: scale.sim_clients,
-            node_fg,
-            bg_bytes_per_sec: bg,
-            records,
-            pipeline_depth: None,
+/// One microbenchmark phase of `op` on a fresh system: every logical
+/// client's keys are preloaded unless the phase INSERTs them (fresh keys,
+/// client ids shifted past the preloaded range), one-shot ops (INSERT,
+/// DELETE) measure cold while UPDATE and SEARCH measure warm steady state
+/// like the paper, and `bg` is sampled after the preload.
+pub fn micro_phase(
+    sys: &System,
+    scale: BenchScale,
+    op: Op,
+    bg: impl FnOnce(&System) -> Vec<f64>,
+) -> Phase {
+    let scale = BenchScale {
+        warmup: if matches!(op, Op::Insert | Op::Delete) {
+            0
+        } else {
+            scale.warmup
         },
-        cost: store.cfg.cost,
-    }
+        ..scale
+    };
+    let stream = |t| MicroWorkload::new(t, op, scale.keys, scale.value_len);
+    let shift = if op == Op::Insert {
+        100
+    } else {
+        for t in 0..scale.threads as u32 {
+            sys.preload(stream(t).preload_keys(), scale.value_len);
+        }
+        0
+    };
+    let bg = bg(sys);
+    phase(sys.eng(), scale, bg, |t| stream(t + shift))
 }
 
 /// Measures the sustained checkpoint traffic rate per node under the
@@ -345,63 +389,59 @@ pub fn uniform_bg(n: usize, bytes_per_sec: f64) -> Vec<f64> {
     vec![bytes_per_sec; n]
 }
 
-/// Discards measured verbs of the warm-up and keeps the phase honest: call
-/// between preload and measurement.
-pub fn reset_all(store: &Arc<AcesoStore>) {
-    store.cluster.reset_traffic();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aceso_workloads::{MicroWorkload, Op};
+    use aceso_engines::{launch, EngineKind};
 
-    #[test]
-    fn aceso_phase_produces_profile() {
-        let mut cfg = AcesoConfig::small();
-        cfg.index_groups = 1024;
-        let store = AcesoStore::launch(cfg).unwrap();
+    fn tiny_update_phase(kind: EngineKind) -> Phase {
+        let eng = launch(kind).unwrap();
         let scale = BenchScale::tiny();
+        let stream = |t| MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len);
+        let mut loader = eng.client().unwrap();
         for t in 0..scale.threads as u32 {
-            preload_aceso(
-                &store,
-                MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len).preload_keys(),
-                scale.value_len,
-            );
+            for key in stream(t).preload_keys() {
+                loader
+                    .insert(&key, &value_for(&key, 0, scale.value_len))
+                    .unwrap();
+            }
         }
-        let phase = aceso_phase(&store, scale, vec![], |t| {
-            MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len)
-        });
-        assert_eq!(
-            phase.m.records.len(),
-            scale.ops / scale.threads * scale.threads
-        );
-        let rep = phase.report();
-        assert!(rep.mops > 0.0);
-        // Updates must cost exactly one CAS each in Aceso.
-        let avg_cas: f64 = phase.m.records.iter().map(|r| r.cas as f64).sum::<f64>()
-            / phase.m.records.len() as f64;
-        assert!((1.0..1.2).contains(&avg_cas), "avg cas {avg_cas}");
-        store.shutdown();
+        let phase = phase(eng.as_ref(), scale, vec![], stream);
+        eng.shutdown();
+        phase
     }
 
     #[test]
-    fn fusee_phase_costs_more_cas() {
-        let store = FuseeStore::launch(FuseeConfig::small());
-        let scale = BenchScale::tiny();
-        for t in 0..scale.threads as u32 {
-            preload_fusee(
-                &store,
-                MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len).preload_keys(),
-                scale.value_len,
+    fn phase_produces_each_engines_profile() {
+        for kind in EngineKind::ALL {
+            let phase = tiny_update_phase(kind);
+            let scale = BenchScale::tiny();
+            assert_eq!(
+                phase.m.records.len(),
+                scale.ops / scale.threads * scale.threads
             );
+            assert!(phase.report().mops > 0.0);
+            let avg_cas: f64 = phase.m.records.iter().map(|r| r.cas as f64).sum::<f64>()
+                / phase.m.records.len() as f64;
+            match kind {
+                // Updates must cost exactly one CAS each in Aceso.
+                EngineKind::Aceso => assert!((1.0..1.2).contains(&avg_cas), "avg cas {avg_cas}"),
+                _ => assert!(avg_cas >= 3.0, "[{kind}] r=3 needs ≥3 CAS, got {avg_cas}"),
+            }
         }
-        let phase = fusee_phase(&store, scale, |t| {
-            MicroWorkload::new(t, Op::Update, scale.keys, scale.value_len)
-        });
-        let avg_cas: f64 = phase.m.records.iter().map(|r| r.cas as f64).sum::<f64>()
-            / phase.m.records.len() as f64;
-        assert!(avg_cas >= 3.0, "r=3 needs ≥3 CAS, got {avg_cas}");
+    }
+
+    #[test]
+    fn phase_is_a_pure_function_of_the_seed() {
+        for kind in EngineKind::ALL {
+            let (a, b) = (tiny_update_phase(kind), tiny_update_phase(kind));
+            assert_eq!(
+                format!("{:?}", a.m.records),
+                format!("{:?}", b.m.records),
+                "[{kind}] records"
+            );
+            assert_eq!(a.m.node_fg, b.m.node_fg, "[{kind}] node_fg");
+        }
     }
 
     #[test]

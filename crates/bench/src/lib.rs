@@ -1,10 +1,12 @@
-//! Benchmark harness shared by the `figures` binary and the Criterion
-//! kernels.
+//! Benchmark harness behind the `bench` binary: the CI-diffed slices and
+//! the paper's tables and figures.
 //!
 //! Every performance figure follows the same recipe:
 //!
-//! 1. run a *real* multi-client phase against the store (all protocol code
-//!    executes, contention and retries happen for real),
+//! 1. run a *real* multi-client phase against an engine through the
+//!    `FtEngine` seam (all protocol code executes, contention and retries
+//!    happen for real; the clients are logical and take turns on one
+//!    thread, so the phase is a pure function of its streams),
 //! 2. collect the measured verb profile (per-node demand + per-op records),
 //! 3. feed it to the calibrated NIC cost model
 //!    ([`aceso_rdma::CostModel`]), which converts it into the

@@ -27,9 +27,8 @@
 //! and `results/table3.txt` is diffed byte-for-byte in CI.
 
 use aceso_core::FtEngine;
-use aceso_engines::swarm::SwarmConfig;
+use aceso_engines::substrate::ReplConfig;
 use aceso_engines::{launch, EngineKind, FuseeEngine, SwarmEngine};
-use aceso_fusee::FuseeConfig;
 use aceso_rdma::{Bottleneck, CostModel, OpKind, PhaseMeasurement};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -158,24 +157,6 @@ fn run_engine(label: String, eng: Box<dyn FtEngine>, seed: u64) -> Table3Row {
     row
 }
 
-/// Builds a replication engine at replication factor `r` on the same
-/// matched geometry [`launch`] uses for r=3.
-fn replication_at(kind: EngineKind, r: usize) -> Box<dyn FtEngine> {
-    match kind {
-        EngineKind::Fusee => Box::new(FuseeEngine::launch(FuseeConfig {
-            index_groups: 128,
-            replicas: r,
-            ..FuseeConfig::small()
-        })),
-        EngineKind::Swarm => Box::new(SwarmEngine::launch(SwarmConfig {
-            index_groups: 128,
-            replicas: r,
-            ..SwarmConfig::small()
-        })),
-        EngineKind::Aceso => unreachable!("aceso has no replication factor"),
-    }
-}
-
 /// Runs the five-variant head-to-head.
 pub fn table3_slice(seed: u64) -> Table3Slice {
     let mut rows = Vec::new();
@@ -185,13 +166,18 @@ pub fn table3_slice(seed: u64) -> Table3Slice {
         rows.push(run_engine(kind.to_string(), eng, seed));
     }
     // Equal-ish memory budget: replication dropped to r=2 (one survivable
-    // failure, vs two for the rows above).
-    for kind in [EngineKind::Fusee, EngineKind::Swarm] {
-        rows.push(run_engine(
-            format!("{kind} r=2"),
-            replication_at(kind, 2),
-            seed,
-        ));
+    // failure, vs two for the rows above) on the same matched geometry.
+    let r2 = ReplConfig {
+        index_groups: 128,
+        replicas: 2,
+        ..ReplConfig::small()
+    };
+    let budget: [(&str, Box<dyn FtEngine>); 2] = [
+        ("fusee r=2", Box::new(FuseeEngine::launch(r2.clone()))),
+        ("swarm r=2", Box::new(SwarmEngine::launch(r2))),
+    ];
+    for (label, eng) in budget {
+        rows.push(run_engine(label.into(), eng, seed));
     }
     Table3Slice { seed, rows }
 }

@@ -18,14 +18,14 @@
 //! | Engine | Crate | Strategy |
 //! |---|---|---|
 //! | `aceso` | this crate ([`AcesoEngine`]) | delta-append + XOR parity + tiered recovery |
-//! | `fusee` | `aceso-fusee` | replicated index + replicated KV blocks (FUSEE) |
+//! | `fusee` | `aceso-engines` | replicated index + replicated KV blocks (FUSEE) |
 //! | `swarm` | `aceso-engines` | in-place replication, 1-RTT doorbell write path (SWARM) |
 //!
 //! The traits are deliberately narrow: they cover exactly what the
 //! three-way Table 3 bench (`bench table3`) and the per-backend crash
 //! matrix (`chaos backends`) exercise, not every capability of every
-//! engine. Engine-specific surfaces (Aceso's elastic membership, FUSEE's
-//! cache controls) stay on the concrete types.
+//! engine. Engine-specific surfaces (Aceso's elastic membership, the
+//! replication clients' retry budget) stay on the concrete types.
 
 use crate::recovery::recover_cn;
 use crate::store::AcesoStore;

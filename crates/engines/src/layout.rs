@@ -1,4 +1,5 @@
-//! FUSEE's index layout: original RACE hashing with 8-byte slots.
+//! The replicated index layout both replication engines share: FUSEE's
+//! original RACE hashing with 8-byte slots.
 //!
 //! Slot value: `fp:8 | len:8 | addr:48` where `addr` is the KV offset in
 //! 64 B units and `len` the KV size class in 64 B units. The bucket-group
@@ -59,6 +60,12 @@ impl Slot8 {
     /// KV byte offset.
     pub fn offset(&self) -> u64 {
         (self.0 & ((1 << 48) - 1)) * 64
+    }
+
+    /// Bytes to read for the record this slot points at: its size class,
+    /// with class 0 read as one 64 B unit.
+    pub fn record_len(&self) -> usize {
+        (self.len_class().max(1) * 64) as usize
     }
 }
 

@@ -10,8 +10,14 @@
 //! | Kind | Engine | Strategy |
 //! |---|---|---|
 //! | [`EngineKind::Aceso`] | `aceso_core::AcesoEngine` | delta-append + XOR parity + tiered recovery |
-//! | [`EngineKind::Fusee`] | [`FuseeEngine`] | FUSEE: replicated index + replicated KV blocks |
+//! | [`EngineKind::Fusee`] | [`FuseeEngine`] | FUSEE: replicated index + replicated KV blocks ([`fusee`]) |
 //! | [`EngineKind::Swarm`] | [`SwarmEngine`] | SWARM-style in-place replication, 1-RTT writes ([`swarm`]) |
+//!
+//! The two replication engines are one store, one client and one adapter
+//! ([`substrate`], [`ReplEngine`]) parameterized by a write protocol
+//! ([`substrate::Protocol`]): they share the replicated RACE index
+//! ([`layout`]), column recovery, the agreement and space walks, and differ
+//! only in their record format and what they do after the bucket scan.
 //!
 //! The [`launch`] factory builds any of the three at matched laptop-scale
 //! geometry (5 memory nodes; replication factor 3 against Aceso's
@@ -35,16 +41,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fusee;
+pub mod layout;
+pub mod substrate;
 pub mod swarm;
 
 use aceso_core::{
     AcesoConfig, AcesoEngine, FtClient, FtEngine, FtError, FtResult, RecoverySummary, SpaceReport,
 };
-use aceso_fusee::{FuseeClient, FuseeConfig, FuseeError, FuseeStore};
 use aceso_rdma::{Cluster, FaultPlan, NodeId, OpStats, RdmaError};
+use fusee::Fusee;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use swarm::{SwarmClient, SwarmConfig, SwarmError, SwarmStore};
+use substrate::{Protocol, ReplClient, ReplConfig, ReplError, ReplStore};
+use swarm::Swarm;
 
 /// The three strategies behind the seam.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,100 +104,85 @@ impl core::fmt::Display for EngineKind {
 /// 5 memory nodes everywhere, replication factor 3 for the replication
 /// engines (equal two-failure tolerance with Aceso's two-parity X-Code).
 pub fn launch(kind: EngineKind) -> FtResult<Box<dyn FtEngine>> {
-    match kind {
-        EngineKind::Aceso => {
-            let cfg = AcesoConfig {
-                index_groups: 128,
-                ..AcesoConfig::small()
-            };
-            Ok(Box::new(AcesoEngine::launch(cfg)?))
-        }
-        EngineKind::Fusee => {
-            let cfg = FuseeConfig {
-                index_groups: 128,
-                ..FuseeConfig::small()
-            };
-            Ok(Box::new(FuseeEngine::launch(cfg)))
-        }
-        EngineKind::Swarm => {
-            let cfg = SwarmConfig {
-                index_groups: 128,
-                ..SwarmConfig::small()
-            };
-            Ok(Box::new(SwarmEngine::launch(cfg)))
+    let repl = ReplConfig {
+        index_groups: 128,
+        ..ReplConfig::small()
+    };
+    Ok(match kind {
+        EngineKind::Aceso => Box::new(AcesoEngine::launch(AcesoConfig {
+            index_groups: 128,
+            ..AcesoConfig::small()
+        })?),
+        EngineKind::Fusee => Box::new(FuseeEngine::launch(repl)),
+        EngineKind::Swarm => Box::new(SwarmEngine::launch(repl)),
+    })
+}
+
+impl From<ReplError> for FtError {
+    fn from(e: ReplError) -> Self {
+        match e {
+            ReplError::Rdma(RdmaError::Injected { .. }) => FtError::Crashed(format!("{e:?}")),
+            ReplError::Rdma(RdmaError::NodeUnreachable(_)) | ReplError::RetriesExhausted => {
+                FtError::Unreachable(format!("{e:?}"))
+            }
+            ReplError::NotFound => FtError::NotFound,
+            other => FtError::Other(format!("{other:?}")),
         }
     }
 }
 
-fn map_fusee(e: FuseeError) -> FtError {
-    match e {
-        FuseeError::Rdma(RdmaError::Injected { .. }) => FtError::Crashed(format!("{e:?}")),
-        FuseeError::Rdma(RdmaError::NodeUnreachable(_)) => FtError::Unreachable(format!("{e:?}")),
-        FuseeError::RetriesExhausted => FtError::Unreachable(format!("{e:?}")),
-        FuseeError::NotFound => FtError::NotFound,
-        other => FtError::Other(format!("{other:?}")),
-    }
-}
-
-fn map_swarm(e: SwarmError) -> FtError {
-    match e {
-        SwarmError::Rdma(RdmaError::Injected { .. }) => FtError::Crashed(format!("{e:?}")),
-        SwarmError::Rdma(RdmaError::NodeUnreachable(_)) => FtError::Unreachable(format!("{e:?}")),
-        SwarmError::RetriesExhausted => FtError::Unreachable(format!("{e:?}")),
-        SwarmError::NotFound => FtError::NotFound,
-        other => FtError::Other(format!("{other:?}")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FUSEE behind the seam.
-// ---------------------------------------------------------------------------
-
-/// [`FtEngine`] adapter over the FUSEE baseline store.
+/// [`FtEngine`] adapter over a replicated store ([`substrate::ReplStore`]).
 ///
-/// Client-crash recovery maps to [`FuseeStore::reconcile_replicas`]: the
-/// partition primary is the commit point, so reconciliation rolls
-/// run-ahead backups back and restores CAS liveness for later writers.
-pub struct FuseeEngine {
-    store: Arc<FuseeStore>,
+/// Client-crash recovery maps to the protocol's own repair step
+/// ([`Protocol::repair`]): FUSEE rolls run-ahead backups back to the
+/// partition primary (its commit point), restoring CAS liveness for later
+/// writers; SWARM converges torn cells on the highest committed image and
+/// rolls back never-committed index slots.
+pub struct ReplEngine<P: Protocol> {
+    store: Arc<ReplStore<P>>,
     next_client: AtomicU32,
 }
 
-impl FuseeEngine {
-    /// Launches a FUSEE store with `cfg` behind the seam.
-    pub fn launch(cfg: FuseeConfig) -> Self {
-        FuseeEngine {
-            store: FuseeStore::launch(cfg),
+/// FUSEE full replication behind the seam.
+pub type FuseeEngine = ReplEngine<Fusee>;
+/// SWARM-style in-place replication behind the seam.
+pub type SwarmEngine = ReplEngine<Swarm>;
+
+impl<P: Protocol> ReplEngine<P> {
+    /// Launches a replicated store with `cfg` behind the seam.
+    pub fn launch(cfg: ReplConfig) -> Self {
+        ReplEngine {
+            store: ReplStore::launch(cfg),
             next_client: AtomicU32::new(0),
         }
     }
 
-    /// The wrapped store, for FUSEE-specific surfaces the seam omits.
-    pub fn store(&self) -> &Arc<FuseeStore> {
+    /// The wrapped store, for surfaces the seam omits.
+    pub fn store(&self) -> &Arc<ReplStore<P>> {
         &self.store
     }
 }
 
-struct FuseeFtClient {
-    inner: FuseeClient,
+struct ReplFtClient<P: Protocol> {
+    inner: ReplClient<P>,
     id: u32,
 }
 
-impl FtClient for FuseeFtClient {
+impl<P: Protocol> FtClient for ReplFtClient<P> {
     fn insert(&mut self, key: &[u8], value: &[u8]) -> FtResult<()> {
-        self.inner.insert(key, value).map_err(map_fusee)
+        Ok(self.inner.insert(key, value)?)
     }
 
     fn update(&mut self, key: &[u8], value: &[u8]) -> FtResult<()> {
-        self.inner.update(key, value).map_err(map_fusee)
+        Ok(self.inner.update(key, value)?)
     }
 
     fn search(&mut self, key: &[u8]) -> FtResult<Option<Vec<u8>>> {
-        self.inner.search(key).map_err(map_fusee)
+        Ok(self.inner.search(key)?)
     }
 
     fn delete(&mut self, key: &[u8]) -> FtResult<bool> {
-        self.inner.delete(key).map_err(map_fusee)
+        Ok(self.inner.delete(key)?)
     }
 
     fn id(&self) -> u32 {
@@ -211,13 +206,13 @@ impl FtClient for FuseeFtClient {
     }
 }
 
-impl FtEngine for FuseeEngine {
+impl<P: Protocol> FtEngine for ReplEngine<P> {
     fn kind(&self) -> &'static str {
-        "fusee"
+        P::NAME
     }
 
     fn client(&self) -> FtResult<Box<dyn FtClient>> {
-        Ok(Box::new(FuseeFtClient {
+        Ok(Box::new(ReplFtClient {
             inner: self.store.client(),
             id: self.next_client.fetch_add(1, Ordering::Relaxed),
         }))
@@ -236,7 +231,7 @@ impl FtEngine for FuseeEngine {
     }
 
     fn recover_column(&self, col: usize) -> FtResult<RecoverySummary> {
-        let r = self.store.recover_mn(col).map_err(map_fusee)?;
+        let r = self.store.recover_mn(col)?;
         Ok(RecoverySummary {
             net_ms: r.net_ms,
             bytes: r.index_bytes + r.block_bytes,
@@ -245,140 +240,7 @@ impl FtEngine for FuseeEngine {
     }
 
     fn recover_client(&self, _id: u32) -> FtResult<()> {
-        self.store.reconcile_replicas().map_err(map_fusee)?;
-        Ok(())
-    }
-
-    fn check(&self) -> FtResult<Vec<String>> {
-        Ok(self.store.replica_agreement())
-    }
-
-    fn space(&self) -> SpaceReport {
-        let u = self.store.memory_usage();
-        SpaceReport {
-            valid: u.valid,
-            redundancy: u.redundancy,
-            delta: 0,
-            allocated: u.allocated,
-        }
-    }
-
-    fn cluster(&self) -> &Arc<Cluster> {
-        &self.store.cluster
-    }
-
-    fn shutdown(&self) {
-        // No background threads.
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SWARM behind the seam.
-// ---------------------------------------------------------------------------
-
-/// [`FtEngine`] adapter over the SWARM-style store ([`swarm`]).
-///
-/// Client-crash recovery maps to [`SwarmStore::reconcile`]: torn cells
-/// converge on the highest committed image and never-committed index slots
-/// are rolled back.
-pub struct SwarmEngine {
-    store: Arc<SwarmStore>,
-    next_client: AtomicU32,
-}
-
-impl SwarmEngine {
-    /// Launches a SWARM store with `cfg` behind the seam.
-    pub fn launch(cfg: SwarmConfig) -> Self {
-        SwarmEngine {
-            store: SwarmStore::launch(cfg),
-            next_client: AtomicU32::new(0),
-        }
-    }
-
-    /// The wrapped store, for SWARM-specific surfaces the seam omits.
-    pub fn store(&self) -> &Arc<SwarmStore> {
-        &self.store
-    }
-}
-
-struct SwarmFtClient {
-    inner: SwarmClient,
-    id: u32,
-}
-
-impl FtClient for SwarmFtClient {
-    fn insert(&mut self, key: &[u8], value: &[u8]) -> FtResult<()> {
-        self.inner.insert(key, value).map_err(map_swarm)
-    }
-
-    fn update(&mut self, key: &[u8], value: &[u8]) -> FtResult<()> {
-        self.inner.update(key, value).map_err(map_swarm)
-    }
-
-    fn search(&mut self, key: &[u8]) -> FtResult<Option<Vec<u8>>> {
-        self.inner.search(key).map_err(map_swarm)
-    }
-
-    fn delete(&mut self, key: &[u8]) -> FtResult<bool> {
-        self.inner.delete(key).map_err(map_swarm)
-    }
-
-    fn id(&self) -> u32 {
-        self.id
-    }
-
-    fn quiesce(&mut self) -> FtResult<()> {
-        Ok(())
-    }
-
-    fn install_fault_plan(&mut self, plan: Arc<FaultPlan>) {
-        self.inner.dm.install_fault_plan(plan);
-    }
-
-    fn take_ops(&mut self) -> OpStats {
-        self.inner.dm.take_ops()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.dm.reset_stats();
-    }
-}
-
-impl FtEngine for SwarmEngine {
-    fn kind(&self) -> &'static str {
-        "swarm"
-    }
-
-    fn client(&self) -> FtResult<Box<dyn FtClient>> {
-        Ok(Box::new(SwarmFtClient {
-            inner: self.store.client(),
-            id: self.next_client.fetch_add(1, Ordering::Relaxed),
-        }))
-    }
-
-    fn columns(&self) -> usize {
-        self.store.cfg.num_mns
-    }
-
-    fn node_of(&self, col: usize) -> NodeId {
-        self.store.node_of(col)
-    }
-
-    fn kill_column(&self, col: usize) -> bool {
-        self.store.kill_mn(col)
-    }
-
-    fn recover_column(&self, col: usize) -> FtResult<RecoverySummary> {
-        let r = self.store.recover_mn(col).map_err(map_swarm)?;
-        Ok(RecoverySummary {
-            net_ms: r.net_ms,
-            bytes: r.index_bytes + r.block_bytes,
-            kvs: r.slots,
-        })
-    }
-
-    fn recover_client(&self, _id: u32) -> FtResult<()> {
-        self.store.reconcile().map_err(map_swarm)?;
+        self.store.repair()?;
         Ok(())
     }
 
@@ -420,14 +282,13 @@ mod tests {
 
     #[test]
     fn error_classes_map_uniformly() {
-        assert_eq!(map_fusee(FuseeError::NotFound), FtError::NotFound);
-        assert_eq!(map_swarm(SwarmError::NotFound), FtError::NotFound);
+        assert_eq!(FtError::from(ReplError::NotFound), FtError::NotFound);
         assert!(matches!(
-            map_fusee(FuseeError::RetriesExhausted),
+            FtError::from(ReplError::RetriesExhausted),
             FtError::Unreachable(_)
         ));
         assert!(matches!(
-            map_swarm(SwarmError::OutOfBlocks),
+            FtError::from(ReplError::OutOfBlocks),
             FtError::Other(_)
         ));
     }

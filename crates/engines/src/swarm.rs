@@ -13,12 +13,11 @@
 //!   stamp, and commit word all agree.
 //! * An UPDATE whose client cache knows the cell posts one doorbell batch:
 //!   `r` payload-image writes (stamped `v+1`) plus `r` commit CASes
-//!   (`v → v+1`) — **one round trip end to end** (see
-//!   [`SwarmClient::update`]).
+//!   (`v → v+1`) — **one round trip end to end** (the example below).
 //! * INSERT/DELETE fold their index-slot CASes into the same batch, paying
 //!   only the preceding bucket scan as a second round trip.
 //! * Torn states left by a crashed writer are repaired by
-//!   [`SwarmStore::reconcile`]: the highest *committed* replica image wins
+//!   [`Protocol::repair`]: the highest *committed* replica image wins
 //!   and is rewritten everywhere; index slots that point at never-committed
 //!   cells are rolled back.
 //!
@@ -32,74 +31,30 @@
 //! in hardware.
 //!
 //! The index is the same replicated RACE layout as the FUSEE baseline
-//! (reused from [`aceso_fusee::layout`]); what changes is everything after
-//! the bucket scan.
+//! ([`crate::layout`]) and everything that is not a write protocol is the
+//! shared [`crate::substrate`]; what changes is everything after the
+//! bucket scan.
+//!
+//! ```
+//! use aceso_engines::substrate::ReplConfig;
+//! use aceso_engines::swarm::SwarmStore;
+//!
+//! let store = SwarmStore::launch(ReplConfig::small());
+//! let mut c = store.client();
+//! c.insert(b"hot", b"aaaaaaaa").unwrap();
+//! c.dm.take_ops();
+//!
+//! c.update(b"hot", b"bbbbbbbb").unwrap();
+//! let rec = c.dm.take_ops().records.pop().unwrap();
+//! assert_eq!(rec.rtts, 1, "replicated commit in one round trip");
+//! assert_eq!(rec.cas, 3, "one commit CAS per replica, folded in");
+//! assert_eq!(rec.batches, 1, "a single doorbell batch");
+//! ```
 
-use aceso_fusee::layout::{FuseeLayout, Slot8, SlotPos};
-use aceso_index::{fingerprint, route_hash};
-use aceso_rdma::{
-    Cluster, ClusterConfig, CostModel, DmClient, GlobalAddr, NodeId, OpKind, RdmaError,
-};
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Errors from the SWARM engine.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SwarmError {
-    /// Fabric failure.
-    Rdma(RdmaError),
-    /// Key absent on UPDATE/DELETE.
-    NotFound,
-    /// No free slot in the key's buckets.
-    IndexFull,
-    /// Out of cell blocks.
-    OutOfBlocks,
-    /// Retry budget exhausted.
-    RetriesExhausted,
-    /// `recover_mn` called on a column whose node is still alive.
-    ColumnAlive,
-}
-
-impl From<RdmaError> for SwarmError {
-    fn from(e: RdmaError) -> Self {
-        SwarmError::Rdma(e)
-    }
-}
-
-/// Result alias.
-pub type Result<T> = core::result::Result<T, SwarmError>;
-
-/// SWARM engine configuration.
-#[derive(Clone, Debug)]
-pub struct SwarmConfig {
-    /// Number of memory nodes.
-    pub num_mns: usize,
-    /// Replication factor.
-    pub replicas: usize,
-    /// Index bucket groups per partition.
-    pub index_groups: u64,
-    /// Cell block size in bytes.
-    pub block_size: u64,
-    /// Cell blocks per MN.
-    pub blocks_per_mn: u64,
-    /// NIC cost model.
-    pub cost: CostModel,
-}
-
-impl SwarmConfig {
-    /// Laptop-scale defaults mirroring `FuseeConfig::small`.
-    pub fn small() -> Self {
-        SwarmConfig {
-            num_mns: 5,
-            replicas: 3,
-            index_groups: 512,
-            block_size: 64 << 10,
-            blocks_per_mn: 48,
-            cost: CostModel::default(),
-        }
-    }
-}
+use crate::layout::{Slot8, SlotPos};
+use crate::substrate::{live_slots, Protocol, ReplClient, ReplError, ReplStore, Result};
+use aceso_index::fingerprint;
+use aceso_rdma::{GlobalAddr, RdmaError};
 
 /// Payload header: `stamp(u64) | total(u32) | klen(u16) | pad(u16)`.
 const PAY_HDR: usize = 16;
@@ -108,201 +63,29 @@ const PAY_TRAILER: usize = 8;
 /// Commit-version word preceding the payload.
 const VER_WORD: usize = 8;
 
-/// One replicated block allocation (cf. the FUSEE allocator): block `id`
-/// claimed on every column in `cols`.
-#[derive(Clone, Debug)]
-struct BlockSet {
-    id: u64,
-    cols: Vec<usize>,
-}
-
-struct CentralAlloc {
-    next_block: Vec<u64>,
-    sets: Vec<BlockSet>,
-}
+/// The SWARM-style protocol (marker type for [`ReplStore`] /
+/// [`ReplClient`]).
+pub struct Swarm;
 
 /// The SWARM-style store: replicated RACE index plus in-place replicated
 /// cells.
-pub struct SwarmStore {
-    /// The memory pool.
-    pub cluster: Arc<Cluster>,
-    /// Configuration.
-    pub cfg: SwarmConfig,
-    /// Index/block geometry (shared with the FUSEE baseline).
-    pub layout: FuseeLayout,
-    alloc: Mutex<CentralAlloc>,
-    /// Column → node directory (columns outlive nodes across recovery).
-    nodes: RwLock<Vec<NodeId>>,
-}
+pub type SwarmStore = ReplStore<Swarm>;
+/// A SWARM client.
+pub type SwarmClient = ReplClient<Swarm>;
 
-/// What one column recovery moved (see [`SwarmStore::recover_mn`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SwarmRecovery {
-    /// Index-area bytes transferred.
-    pub index_bytes: u64,
-    /// Cell-block bytes transferred.
-    pub block_bytes: u64,
-    /// Blocks re-replicated.
-    pub blocks: usize,
-    /// Live index slots re-hosted.
-    pub slots: usize,
-    /// Copy verbs issued.
-    pub verbs: u64,
-    /// Modeled network milliseconds (deterministic).
-    pub net_ms: f64,
-}
+impl Protocol for Swarm {
+    const NAME: &'static str = "swarm";
+    /// The commit word and both stamps exist only for the replication
+    /// protocol.
+    const CELL_OVERHEAD: u64 = (VER_WORD + 8 + PAY_TRAILER) as u64;
+    type Cached = CachedCell;
 
-/// Space accounting snapshot (see [`SwarmStore::memory_usage`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SwarmUsage {
-    /// Live KV bytes (header + key + value), counted once.
-    pub valid: u64,
-    /// Fault-tolerance bytes: the `r − 1` extra copies plus the per-cell
-    /// commit word and stamps on all `r` replicas.
-    pub redundancy: u64,
-    /// Primary share of allocated block bytes.
-    pub allocated: u64,
-}
-
-impl SwarmStore {
-    /// Launches the engine over `cfg.num_mns` memory nodes.
-    pub fn launch(cfg: SwarmConfig) -> Arc<Self> {
-        let layout = FuseeLayout::new(
-            cfg.num_mns as u64,
-            cfg.index_groups,
-            cfg.block_size,
-            cfg.blocks_per_mn,
-        );
-        let cluster = Cluster::new(ClusterConfig {
-            num_mns: cfg.num_mns,
-            region_len: layout.region_len(),
-            cost: cfg.cost,
-        });
-        Arc::new(SwarmStore {
-            cluster,
-            alloc: Mutex::new(CentralAlloc {
-                next_block: vec![0; cfg.num_mns],
-                sets: Vec::new(),
-            }),
-            nodes: RwLock::new((0..cfg.num_mns).map(|c| NodeId(c as u16)).collect()),
-            layout,
-            cfg,
-        })
+    fn live_bytes(cell: &[u8]) -> u64 {
+        8 + u32::from_le_bytes(cell[16..20].try_into().expect("4 bytes")) as u64
     }
 
-    /// Creates a client.
-    pub fn client(self: &Arc<Self>) -> SwarmClient {
-        SwarmClient {
-            dm: self.cluster.client(),
-            store: Arc::clone(self),
-            open: HashMap::new(),
-            free_cells: HashMap::new(),
-            cache: HashMap::new(),
-            max_retries: 10_000,
-        }
-    }
-
-    /// The node currently hosting column `col`.
-    pub fn node_of(&self, col: usize) -> NodeId {
-        self.nodes.read()[col]
-    }
-
-    /// Whether column `col`'s node is alive.
-    pub fn col_alive(&self, col: usize) -> bool {
-        self.cluster.node(self.node_of(col)).is_ok()
-    }
-
-    /// The replica columns for a key: primary first.
-    pub fn replica_cols(&self, key: &[u8]) -> Vec<usize> {
-        let n = self.cfg.num_mns;
-        let p = (route_hash(key) % n as u64) as usize;
-        (0..self.cfg.replicas).map(|i| (p + i) % n).collect()
-    }
-
-    /// Columns hosting index partition `p`: primary (= `p`) first.
-    pub fn partition_cols(&self, p: usize) -> Vec<usize> {
-        let n = self.cfg.num_mns;
-        (0..self.cfg.replicas).map(|i| (p + i) % n).collect()
-    }
-
-    /// Fail-stops the node hosting `col`. Returns `false` if already dead.
-    pub fn kill_mn(&self, col: usize) -> bool {
-        self.cluster.kill_node(self.node_of(col))
-    }
-
-    fn alloc_block_set(&self, cols: &[usize]) -> Result<u64> {
-        let mut a = self.alloc.lock();
-        let id = cols.iter().map(|&c| a.next_block[c]).max().unwrap();
-        if id >= self.cfg.blocks_per_mn {
-            return Err(SwarmError::OutOfBlocks);
-        }
-        for &c in cols {
-            a.next_block[c] = id + 1;
-        }
-        a.sets.push(BlockSet {
-            id,
-            cols: cols.to_vec(),
-        });
-        Ok(id)
-    }
-
-    /// Recovers column `col` onto a fresh node by copying every index
-    /// partition area and cell block the column hosted from surviving
-    /// replicas, then republishing the column directory. `net_ms` is
-    /// modeled (deterministic), like the FUSEE and Aceso recovery paths.
-    pub fn recover_mn(self: &Arc<Self>, col: usize) -> Result<SwarmRecovery> {
-        if self.col_alive(col) {
-            return Err(SwarmError::ColumnAlive);
-        }
-        let replacement = self.cluster.add_node(self.layout.region_len());
-        let dm = self.cluster.background_client();
-        let mut rep = SwarmRecovery::default();
-        let area = self.layout.area_size() as usize;
-        for p in 0..self.cfg.num_mns {
-            let hosting = self.partition_cols(p);
-            if !hosting.contains(&col) {
-                continue;
-            }
-            let src = *hosting
-                .iter()
-                .find(|&&c| c != col && self.col_alive(c))
-                .ok_or(SwarmError::Rdma(RdmaError::NodeUnreachable(
-                    self.node_of(col),
-                )))?;
-            let base = self.layout.area_base(p);
-            let bytes = dm.read_vec(GlobalAddr::new(self.node_of(src), base), area)?;
-            for w in bytes.chunks_exact(8) {
-                if !Slot8::from_raw(u64::from_le_bytes(w.try_into().unwrap())).is_empty() {
-                    rep.slots += 1;
-                }
-            }
-            dm.write(GlobalAddr::new(replacement.id, base), &bytes)?;
-            rep.index_bytes += 2 * area as u64;
-            rep.verbs += 2;
-        }
-        let sets: Vec<BlockSet> = self.alloc.lock().sets.clone();
-        for set in sets.iter().filter(|s| s.cols.contains(&col)) {
-            let src = *set
-                .cols
-                .iter()
-                .find(|&&c| c != col && self.col_alive(c))
-                .ok_or(SwarmError::Rdma(RdmaError::NodeUnreachable(
-                    self.node_of(col),
-                )))?;
-            let off = self.layout.block_offset(set.id);
-            let bytes = dm.read_vec(
-                GlobalAddr::new(self.node_of(src), off),
-                self.cfg.block_size as usize,
-            )?;
-            dm.write(GlobalAddr::new(replacement.id, off), &bytes)?;
-            rep.block_bytes += 2 * self.cfg.block_size;
-            rep.blocks += 1;
-            rep.verbs += 2;
-        }
-        self.nodes.write()[col] = replacement.id;
-        rep.net_ms = (rep.index_bytes + rep.block_bytes) as f64 / self.cfg.cost.node_bw * 1e3
-            + rep.verbs as f64 * self.cfg.cost.rtt_us * 1e-3;
-        Ok(rep)
+    fn committed(cell: &[u8]) -> bool {
+        committed_version(cell).is_some()
     }
 
     /// Repairs torn cells and index divergence left by a crashed writer.
@@ -314,32 +97,24 @@ impl SwarmStore {
     /// committed image anywhere (a crash before any commit CAS landed) is
     /// rolled back to empty on all replicas. Backup index areas are then
     /// re-aligned to the partition primary. Returns the number of repairs.
-    pub fn reconcile(self: &Arc<Self>) -> Result<usize> {
-        let dm = self.cluster.background_client();
-        let area = self.layout.area_size() as usize;
+    fn repair(store: &SwarmStore) -> Result<usize> {
+        let dm = store.cluster.background_client();
+        let area = store.layout.area_size() as usize;
         let mut repaired = 0usize;
-        for p in 0..self.cfg.num_mns {
-            let hosting = self.partition_cols(p);
-            let live: Vec<usize> = hosting
-                .iter()
-                .copied()
-                .filter(|&c| self.col_alive(c))
-                .collect();
+        for p in 0..store.cfg.num_mns {
+            let live = store.live_cols(p);
             let Some(&first) = live.first() else { continue };
-            let base = self.layout.area_base(p);
-            let mut pbytes = dm.read_vec(GlobalAddr::new(self.node_of(first), base), area)?;
-            for i in 0..area / 8 {
-                let w = &pbytes[i * 8..i * 8 + 8];
-                let slot = Slot8::from_raw(u64::from_le_bytes(w.try_into().unwrap()));
-                if slot.is_empty() {
-                    continue;
-                }
-                let len = (slot.len_class().max(1) * 64) as usize;
+            let base = store.layout.area_base(p);
+            let mut pbytes = dm.read_vec(GlobalAddr::new(store.node_of(first), base), area)?;
+            let slots: Vec<(usize, Slot8)> = live_slots(&pbytes).collect();
+            for (i, slot) in slots {
                 // Read the cell image on every live replica.
                 let mut images: Vec<(usize, Vec<u8>)> = Vec::new();
                 for &c in &live {
-                    let bytes =
-                        dm.read_vec(GlobalAddr::new(self.node_of(c), slot.offset()), len)?;
+                    let bytes = dm.read_vec(
+                        GlobalAddr::new(store.node_of(c), slot.offset()),
+                        slot.record_len(),
+                    )?;
                     images.push((c, bytes));
                 }
                 let best = images
@@ -351,7 +126,7 @@ impl SwarmStore {
                         for (c, bytes) in &images {
                             if bytes != &image {
                                 dm.write(
-                                    GlobalAddr::new(self.node_of(*c), slot.offset()),
+                                    GlobalAddr::new(store.node_of(*c), slot.offset()),
                                     &image,
                                 )?;
                                 repaired += 1;
@@ -364,7 +139,7 @@ impl SwarmStore {
                         // pass below doesn't resurrect it on backups).
                         for &c in &live {
                             dm.write(
-                                GlobalAddr::new(self.node_of(c), base + i as u64 * 8),
+                                GlobalAddr::new(store.node_of(c), base + i as u64 * 8),
                                 &0u64.to_le_bytes(),
                             )?;
                         }
@@ -373,126 +148,31 @@ impl SwarmStore {
                     }
                 }
             }
-            // Align backup index areas with the partition primary.
-            for &b in &live[1..] {
-                let node = self.node_of(b);
-                let bbytes = dm.read_vec(GlobalAddr::new(node, base), area)?;
-                for (i, (pw, bw)) in pbytes
-                    .chunks_exact(8)
-                    .zip(bbytes.chunks_exact(8))
-                    .enumerate()
-                {
-                    if pw != bw {
-                        dm.write(GlobalAddr::new(node, base + i as u64 * 8), pw)?;
-                        repaired += 1;
-                    }
-                }
-            }
+            repaired += store.align_backups(&dm, p, &pbytes, &live[1..])?;
         }
         Ok(repaired)
     }
 
-    /// Replica-agreement check: every live index slot must point at a
-    /// *committed* cell whose image is byte-identical on every live
-    /// replica, and backup index areas must equal their partition primary.
-    /// Forensic (direct region reads). Returns violations.
-    pub fn replica_agreement(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let area = self.layout.area_size() as usize;
-        for p in 0..self.cfg.num_mns {
-            let hosting = self.partition_cols(p);
-            let live: Vec<usize> = hosting
-                .iter()
-                .copied()
-                .filter(|&c| self.col_alive(c))
-                .collect();
-            let Some(&first) = live.first() else { continue };
-            let read = |c: usize, off: u64, len: usize| {
-                self.cluster
-                    .node(self.node_of(c))
-                    .ok()
-                    .and_then(|n| n.region.read_vec(off, len).ok())
-            };
-            let Some(pbytes) = read(first, self.layout.area_base(p), area) else {
-                continue;
-            };
-            for &c in &live[1..] {
-                if read(c, self.layout.area_base(p), area).as_ref() != Some(&pbytes) {
-                    v.push(format!("partition {p}: index replica on col {c} diverges"));
-                }
-            }
-            for (i, w) in pbytes.chunks_exact(8).enumerate() {
-                let slot = Slot8::from_raw(u64::from_le_bytes(w.try_into().unwrap()));
-                if slot.is_empty() {
-                    continue;
-                }
-                let len = (slot.len_class().max(1) * 64) as usize;
-                let Some(primary_cell) = read(first, slot.offset(), len) else {
-                    continue;
-                };
-                if committed_version(&primary_cell).is_none() {
-                    v.push(format!(
-                        "partition {p} slot {i}: referenced cell at {:#x} not committed",
-                        slot.offset()
-                    ));
-                }
-                for &c in &live[1..] {
-                    if read(c, slot.offset(), len).as_ref() != Some(&primary_cell) {
-                        v.push(format!(
-                            "partition {p} slot {i}: cell copy on col {c} diverges at {:#x}",
-                            slot.offset()
-                        ));
-                    }
-                }
-            }
-        }
-        v
+    /// SEARCH: bucket scan on the primary (degraded: first live backup),
+    /// then one read per candidate cell, validated by the commit stamps.
+    fn search(c: &mut SwarmClient, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        c.search_inner(key)
     }
 
-    /// Space accounting for the Table 3 memory-overhead comparison.
-    /// `valid` normalizes to the same 8-byte-header-plus-payload count the
-    /// other engines use; the commit word and both stamps are charged to
-    /// `redundancy` on all `r` replicas (they exist only for the
-    /// replication protocol). Forensic and deterministic.
-    pub fn memory_usage(&self) -> SwarmUsage {
-        let mut u = SwarmUsage::default();
-        let r = self.cfg.replicas as u64;
-        let area = self.layout.area_size() as usize;
-        let mut cells = 0u64;
-        for p in 0..self.cfg.num_mns {
-            let Some(&col) = self
-                .partition_cols(p)
-                .iter()
-                .find(|&&c| self.col_alive(c))
-            else {
-                continue;
-            };
-            let Ok(node) = self.cluster.node(self.node_of(col)) else {
-                continue;
-            };
-            let Ok(bytes) = node.region.read_vec(self.layout.area_base(p), area) else {
-                continue;
-            };
-            for w in bytes.chunks_exact(8) {
-                let slot = Slot8::from_raw(u64::from_le_bytes(w.try_into().unwrap()));
-                if slot.is_empty() {
-                    continue;
-                }
-                let Ok(hdr) = node
-                    .region
-                    .read_vec(slot.offset() + VER_WORD as u64 + 8, 4)
-                else {
-                    continue;
-                };
-                let total = u32::from_le_bytes(hdr.try_into().unwrap()) as u64;
-                u.valid += 8 + total;
-                cells += 1;
-            }
-        }
-        u.redundancy =
-            u.valid * (r - 1) + cells * r * (VER_WORD + 8 + PAY_TRAILER) as u64;
-        u.allocated = self.alloc.lock().sets.len() as u64 * self.cfg.block_size;
-        u
+    /// INSERT (upsert) and UPDATE. A new key pays one scan round trip,
+    /// then commits cell images, commit CASes, and index-slot CASes in
+    /// **one** doorbell batch. An UPDATE with a warm cache (offset, class,
+    /// version) and an unchanged size class is the 1-RTT path: the whole
+    /// operation is a single doorbell batch of `r` stamped payload writes
+    /// plus `r` commit CASes, no index traffic.
+    fn write(c: &mut SwarmClient, key: &[u8], value: &[u8], allow_insert: bool) -> Result<()> {
+        c.write(key, value, allow_insert)
+    }
+
+    /// DELETE: CASes the key's index slot to empty on every replica in one
+    /// doorbell batch and recycles the cell.
+    fn delete(c: &mut SwarmClient, key: &[u8]) -> Result<bool> {
+        c.delete_inner(key)
     }
 }
 
@@ -520,17 +200,10 @@ fn committed_version(cell: &[u8]) -> Option<u64> {
     (trailer == ver).then_some(ver)
 }
 
-#[derive(Clone, Copy)]
-struct OpenBlock {
-    block: u64,
-    next_cell: u64,
-    cells: u64,
-}
-
 /// Client-side knowledge of a key's cell: where it lives, how big, and the
 /// last commit version observed — everything the 1-RTT path needs.
 #[derive(Clone, Copy)]
-struct CachedCell {
+pub struct CachedCell {
     /// Cell byte offset (commit word).
     offset: u64,
     /// Whole-cell bytes (commit word + payload class).
@@ -539,28 +212,7 @@ struct CachedCell {
     ver: u64,
 }
 
-/// A SWARM client.
-pub struct SwarmClient {
-    /// The fabric endpoint (benches read its profiles).
-    pub dm: DmClient,
-    store: Arc<SwarmStore>,
-    /// Open block per (primary column, cell class).
-    open: HashMap<(usize, u32), OpenBlock>,
-    /// Reclaimed cells per (primary column, cell class), with the version
-    /// the cell was at when freed (versions are per-cell monotonic even
-    /// across reuse, so a stale reader can never mistake a reused cell for
-    /// its old tenant).
-    free_cells: HashMap<(usize, u32), Vec<(u64, u64)>>,
-    cache: HashMap<Vec<u8>, CachedCell>,
-    /// Commit retry budget.
-    pub max_retries: usize,
-}
-
 impl SwarmClient {
-    fn node_of(&self, col: usize) -> NodeId {
-        self.store.node_of(col)
-    }
-
     /// Cell class (bytes) for a key/value pair: commit word + stamped
     /// payload, rounded to 64 B so `Slot8` can address it.
     fn cell_class(key: &[u8], value: &[u8]) -> u32 {
@@ -590,54 +242,11 @@ impl SwarmClient {
         (&body[..klen] == key).then_some(&body[klen..])
     }
 
-    fn alloc_cell(&mut self, cols: &[usize], class: u32) -> Result<(u64, u64)> {
-        let pkey = (cols[0], class);
-        if let Some(list) = self.free_cells.get_mut(&pkey) {
-            if let Some(entry) = list.pop() {
-                return Ok(entry);
-            }
-        }
-        loop {
-            if let Some(ob) = self.open.get_mut(&pkey) {
-                if ob.next_cell < ob.cells {
-                    let off =
-                        self.store.layout.block_offset(ob.block) + ob.next_cell * class as u64;
-                    ob.next_cell += 1;
-                    return Ok((off, 0));
-                }
-                self.open.remove(&pkey);
-            }
-            let block = self.store.alloc_block_set(cols)?;
-            self.open.insert(
-                pkey,
-                OpenBlock {
-                    block,
-                    next_cell: 0,
-                    cells: self.store.cfg.block_size / class as u64,
-                },
-            );
-        }
-    }
-
-    /// SEARCH: bucket scan on the primary (degraded: first live backup),
-    /// then one read per candidate cell, validated by the commit stamps.
-    pub fn search(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.dm.begin_op();
-        let r = self.search_inner(key);
-        match &r {
-            Ok(_) => {
-                self.dm.end_op(OpKind::Search);
-            }
-            Err(_) => self.dm.abort_op(),
-        }
-        r
-    }
-
     fn search_inner(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let cols = self.store.replica_cols(key);
         for (i, &c) in cols.iter().enumerate() {
             match self.search_on(c, cols[0], key) {
-                Err(SwarmError::Rdma(RdmaError::NodeUnreachable(_)))
+                Err(ReplError::Rdma(RdmaError::NodeUnreachable(_)))
                     if i + 1 < cols.len() =>
                 {
                     continue; // Degraded: next replica answers the scan.
@@ -653,7 +262,7 @@ impl SwarmClient {
         let layout = self.store.layout;
         let scan = layout.scan(&self.dm, self.node_of(col), partition, key, fp)?;
         for s in &scan.matches {
-            let len = ((s.slot.len_class().max(1)) * 64) as usize;
+            let len = s.slot.record_len();
             let cell = self
                 .dm
                 .read_vec(GlobalAddr::new(self.node_of(col), s.slot.offset()), len)?;
@@ -672,68 +281,6 @@ impl SwarmClient {
         Ok(None)
     }
 
-    /// INSERT (upsert): a new key pays one scan round trip, then commits
-    /// cell images, commit CASes, and index-slot CASes in **one** doorbell
-    /// batch.
-    pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.dm.begin_op();
-        let r = self.write(key, value, true);
-        match &r {
-            Ok(_) => {
-                self.dm.end_op(OpKind::Insert);
-            }
-            Err(_) => self.dm.abort_op(),
-        }
-        r
-    }
-
-    /// UPDATE of an existing key — the 1-RTT path.
-    ///
-    /// With a warm cache (offset, class, version) and an unchanged size
-    /// class, the whole operation is a single doorbell batch: `r` stamped
-    /// payload writes plus `r` commit CASes. One round trip, no index
-    /// traffic.
-    ///
-    /// ```
-    /// use aceso_engines::swarm::{SwarmConfig, SwarmStore};
-    ///
-    /// let store = SwarmStore::launch(SwarmConfig::small());
-    /// let mut c = store.client();
-    /// c.insert(b"hot", b"aaaaaaaa").unwrap();
-    /// c.dm.take_ops();
-    ///
-    /// c.update(b"hot", b"bbbbbbbb").unwrap();
-    /// let rec = c.dm.take_ops().records.pop().unwrap();
-    /// assert_eq!(rec.rtts, 1, "replicated commit in one round trip");
-    /// assert_eq!(rec.cas, 3, "one commit CAS per replica, folded in");
-    /// assert_eq!(rec.batches, 1, "a single doorbell batch");
-    /// ```
-    pub fn update(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.dm.begin_op();
-        let r = self.write(key, value, false);
-        match &r {
-            Ok(_) => {
-                self.dm.end_op(OpKind::Update);
-            }
-            Err(_) => self.dm.abort_op(),
-        }
-        r
-    }
-
-    /// DELETE: CASes the key's index slot to empty on every replica in one
-    /// doorbell batch and recycles the cell.
-    pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        self.dm.begin_op();
-        let r = self.delete_inner(key);
-        match &r {
-            Ok(_) => {
-                self.dm.end_op(OpKind::Delete);
-            }
-            Err(_) => self.dm.abort_op(),
-        }
-        r
-    }
-
     fn delete_inner(&mut self, key: &[u8]) -> Result<bool> {
         let cols = self.store.replica_cols(key);
         let fp = fingerprint(key);
@@ -742,7 +289,7 @@ impl SwarmClient {
             let scan = layout.scan(&self.dm, self.node_of(cols[0]), cols[0], key, fp)?;
             let mut target: Option<(SlotPos, Slot8, u64)> = None;
             for s in &scan.matches {
-                let len = ((s.slot.len_class().max(1)) * 64) as usize;
+                let len = s.slot.record_len();
                 let cell = self
                     .dm
                     .read_vec(GlobalAddr::new(self.node_of(cols[0]), s.slot.offset()), len)?;
@@ -763,7 +310,7 @@ impl SwarmClient {
                     match dm.cas(addr, slot.raw(), Slot8::EMPTY.raw()) {
                         Ok(prev) if prev == slot.raw() => {}
                         Ok(_) => {
-                            res = Err(SwarmError::RetriesExhausted); // Sentinel: retry.
+                            res = Err(ReplError::RetriesExhausted); // Sentinel: retry.
                             return;
                         }
                         Err(e) => {
@@ -776,14 +323,10 @@ impl SwarmClient {
             match res {
                 Ok(done) => {
                     self.cache.remove(key);
-                    let class = ((slot.len_class().max(1)) * 64) as u32;
-                    self.free_cells
-                        .entry((cols[0], class))
-                        .or_default()
-                        .push((slot.offset(), ver));
+                    self.free_slot(cols[0], slot, ver);
                     return Ok(done);
                 }
-                Err(SwarmError::RetriesExhausted) => {
+                Err(ReplError::RetriesExhausted) => {
                     self.dm.note_retry();
                     self.reconcile_key(&cols, pos, key)?;
                     continue;
@@ -791,7 +334,7 @@ impl SwarmClient {
                 Err(e) => return Err(e),
             }
         }
-        Err(SwarmError::RetriesExhausted)
+        Err(ReplError::RetriesExhausted)
     }
 
     /// The shared write path. `allow_insert` distinguishes INSERT from
@@ -885,9 +428,9 @@ impl SwarmClient {
         let layout = self.store.layout;
         for _ in 0..self.max_retries {
             let scan = layout.scan(&self.dm, self.node_of(cols[0]), cols[0], key, fp)?;
-            let mut existing: Option<(aceso_fusee::layout::SlotPos, Slot8, u64)> = None;
+            let mut existing: Option<(SlotPos, Slot8, u64)> = None;
             for s in &scan.matches {
-                let len = ((s.slot.len_class().max(1)) * 64) as usize;
+                let len = s.slot.record_len();
                 let cell = self
                     .dm
                     .read_vec(GlobalAddr::new(self.node_of(cols[0]), s.slot.offset()), len)?;
@@ -897,11 +440,11 @@ impl SwarmClient {
                 }
             }
             if existing.is_none() && !allow_insert {
-                return Err(SwarmError::NotFound);
+                return Err(ReplError::NotFound);
             }
 
             if let Some((_, slot, ver)) = existing {
-                let elen = ((slot.len_class().max(1)) * 64) as u32;
+                let elen = slot.record_len() as u32;
                 if elen == class {
                     // Same class: in-place against the freshly-read version.
                     let cached = CachedCell {
@@ -918,14 +461,14 @@ impl SwarmClient {
 
             // New (or re-classed) cell: images + commit CAS + slot CAS in
             // one doorbell batch.
-            let (off, base_ver) = self.alloc_cell(&cols, class)?;
+            let (off, base_ver) = self.alloc_slot(&cols, class)?;
             let image = Self::encode_payload(class, base_ver + 1, key, value);
             let new_slot = Slot8::new(fp, off, class as u64 / 64);
             let (pos, old_slot) = match existing {
                 Some((pos, slot, _)) => (pos, slot),
                 None => {
                     let Some(pos) = scan.empties.first().copied() else {
-                        return Err(SwarmError::IndexFull);
+                        return Err(ReplError::IndexFull);
                     };
                     (pos, Slot8::EMPTY)
                 }
@@ -973,11 +516,7 @@ impl SwarmClient {
             match res {
                 Ok(true) => {
                     if let Some((_, slot, ver)) = existing {
-                        let eclass = ((slot.len_class().max(1)) * 64) as u32;
-                        self.free_cells
-                            .entry((cols[0], eclass))
-                            .or_default()
-                            .push((slot.offset(), ver));
+                        self.free_slot(cols[0], slot, ver);
                     }
                     self.cache.insert(
                         key.to_vec(),
@@ -997,7 +536,7 @@ impl SwarmClient {
                 Err(e) => return Err(e),
             }
         }
-        Err(SwarmError::RetriesExhausted)
+        Err(ReplError::RetriesExhausted)
     }
 
     /// After a lost race on `pos`, converge the slot and its cell on the
@@ -1012,7 +551,7 @@ impl SwarmClient {
         }
         let slot = Slot8::from_raw(u64::from_le_bytes(praw.try_into().unwrap()));
         if !slot.is_empty() && slot.fp() == fingerprint(key) {
-            let len = ((slot.len_class().max(1)) * 64) as usize;
+            let len = slot.record_len();
             self.reconcile_cell(cols, slot.offset(), len)?;
         }
         Ok(())
@@ -1035,25 +574,11 @@ impl SwarmClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::substrate::ReplConfig;
+    use std::sync::Arc;
 
     fn store() -> Arc<SwarmStore> {
-        SwarmStore::launch(SwarmConfig::small())
-    }
-
-    #[test]
-    fn crud_roundtrip() {
-        let s = store();
-        let mut c = s.client();
-        c.insert(b"k1", b"v1").unwrap();
-        assert_eq!(c.search(b"k1").unwrap().as_deref(), Some(&b"v1"[..]));
-        c.update(b"k1", b"v2").unwrap();
-        assert_eq!(c.search(b"k1").unwrap().as_deref(), Some(&b"v2"[..]));
-        assert!(c.delete(b"k1").unwrap());
-        assert_eq!(c.search(b"k1").unwrap(), None);
-        assert!(!c.delete(b"k1").unwrap());
-        assert_eq!(c.update(b"k1", b"x"), Err(SwarmError::NotFound));
-        c.insert(b"k1", b"v3").unwrap();
-        assert_eq!(c.search(b"k1").unwrap().as_deref(), Some(&b"v3"[..]));
+        SwarmStore::launch(ReplConfig::small())
     }
 
     #[test]
@@ -1096,72 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn many_keys_roundtrip() {
-        let s = store();
-        let mut c = s.client();
-        for i in 0..1000u32 {
-            let k = format!("sk-{i}");
-            c.insert(k.as_bytes(), k.as_bytes()).unwrap();
-        }
-        for i in (0..1000u32).step_by(37) {
-            let k = format!("sk-{i}");
-            assert_eq!(
-                c.search(k.as_bytes()).unwrap().as_deref(),
-                Some(k.as_bytes())
-            );
-        }
-        assert!(s.replica_agreement().is_empty());
-    }
-
-    #[test]
-    fn degraded_search_served_by_backup() {
-        let s = store();
-        let mut c = s.client();
-        for i in 0..40u32 {
-            let k = format!("sd-{i:02}");
-            c.insert(k.as_bytes(), k.as_bytes()).unwrap();
-        }
-        let victim = s.replica_cols(b"sd-00")[0];
-        assert!(s.kill_mn(victim));
-        let mut cold = s.client();
-        for i in 0..40u32 {
-            let k = format!("sd-{i:02}");
-            assert_eq!(
-                cold.search(k.as_bytes()).unwrap().as_deref(),
-                Some(k.as_bytes()),
-                "{k} unreadable with col {victim} down"
-            );
-        }
-    }
-
-    #[test]
-    fn recover_mn_restores_column() {
-        let s = store();
-        let mut c = s.client();
-        for i in 0..200u32 {
-            let k = format!("sr-{i:03}");
-            c.insert(k.as_bytes(), format!("val-{i}").as_bytes()).unwrap();
-        }
-        let victim = s.replica_cols(b"sr-000")[0];
-        let old = s.node_of(victim);
-        assert!(s.kill_mn(victim));
-        let rep = s.recover_mn(victim).unwrap();
-        assert!(rep.blocks > 0 && rep.index_bytes > 0 && rep.net_ms > 0.0);
-        assert_ne!(s.node_of(victim), old);
-        let mut fresh = s.client();
-        for i in 0..200u32 {
-            let k = format!("sr-{i:03}");
-            assert_eq!(
-                fresh.search(k.as_bytes()).unwrap().as_deref(),
-                Some(format!("val-{i}").as_bytes())
-            );
-        }
-        fresh.update(b"sr-000", b"post-recovery").unwrap();
-        assert!(s.replica_agreement().is_empty());
-        assert_eq!(s.recover_mn(victim), Err(SwarmError::ColumnAlive));
-    }
-
-    #[test]
     fn reconcile_repairs_torn_write() {
         let s = store();
         let mut c = s.client();
@@ -1179,7 +638,7 @@ mod tests {
             !s.replica_agreement().is_empty(),
             "divergence must be visible before repair"
         );
-        assert!(s.reconcile().unwrap() > 0);
+        assert!(s.repair().unwrap() > 0);
         assert!(s.replica_agreement().is_empty());
         // The committed value survived (the torn image never committed).
         let mut fresh = s.client();
@@ -1215,26 +674,10 @@ mod tests {
             v.iter().any(|m| m.contains("not committed")),
             "uncommitted referent not flagged: {v:?}"
         );
-        assert!(s.reconcile().unwrap() > 0);
+        assert!(s.repair().unwrap() > 0);
         assert!(s.replica_agreement().is_empty());
         let mut fresh = s.client();
         assert_eq!(fresh.search(b"ghost-key").unwrap(), None);
-    }
-
-    #[test]
-    fn memory_usage_reports_replication_overhead() {
-        let s = store();
-        let mut c = s.client();
-        for i in 0..64u32 {
-            c.insert(format!("sm-{i:03}").as_bytes(), &[9u8; 100]).unwrap();
-        }
-        let u = s.memory_usage();
-        assert!(u.valid > 64 * 100);
-        assert!(
-            u.redundancy > u.valid * 2,
-            "r=3 copies plus stamp overhead"
-        );
-        assert!(u.allocated > 0);
     }
 
     #[test]

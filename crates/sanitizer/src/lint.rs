@@ -4,7 +4,7 @@
 //! flavours:
 //!
 //! * **Layout lints** probe the real layout types (`index::layout`,
-//!   `blockalloc::layout`, `fusee::layout`, `core::config::memory_map`)
+//!   `blockalloc::layout`, `engines::layout`, `core::config::memory_map`)
 //!   and check alignment and mutual consistency: every word a protocol
 //!   CASes or FAAs is 8-byte aligned, the three index geometries agree,
 //!   and the per-MN memory map has no overlapping areas.
@@ -16,8 +16,9 @@
 //!   `chaos elastic` axis, and every `.settle().await` suspension point
 //!   in the async client is inventoried in the model checker's step
 //!   table (so `chaos explore` never silently under-explores), and the
-//!   store and the fabric start no thread beyond the two inventoried
-//!   sites (MN servers run on their callers' threads).
+//!   store, the fabric, the replication engines and the bench harness
+//!   start no thread beyond the two inventoried sites (MN servers run on
+//!   their callers' threads).
 //!
 //! The `#[test]`s at the bottom make `cargo test` the lint driver; `chaos
 //! analyze` runs [`run_all`] too so the CI line exercises them.
@@ -25,7 +26,7 @@
 use aceso_blockalloc::{BlockId, BlockLayout, CellKind};
 use aceso_core::client::CrashPoint;
 use aceso_core::config::AcesoConfig;
-use aceso_fusee::layout::FuseeLayout;
+use aceso_engines::layout::FuseeLayout;
 use aceso_index::layout::{
     BUCKET_BYTES, BUCKET_SLOTS, COMBINED_BYTES, COMBINED_SLOTS, GROUP_BUCKETS, GROUP_BYTES,
 };
@@ -506,13 +507,24 @@ pub fn lint_settle_coverage() -> Vec<String> {
     v
 }
 
-/// The only places non-test code of `crates/core/src` and
-/// `crates/rdma/src` may start a thread: `(file, pattern, occurrences)`.
+/// The only places non-test code of [`THREAD_FREE_DIRS`] may start a
+/// thread: `(file, pattern, occurrences)`.
 const THREAD_SITES: &[(&str, &str, usize)] = &[
     // The optional auto-checkpoint loop.
     ("crates/core/src/store.rs", "thread::spawn", 1),
     // Recovery's scoped block readers (joined before the call returns).
     ("crates/core/src/recovery.rs", "thread::scope", 1),
+];
+
+/// The directories [`lint_thread_free`] walks.
+const THREAD_FREE_DIRS: &[&str] = &[
+    "crates/core/src",
+    CLIENT_DIR,
+    "crates/rdma/src",
+    "crates/engines/src",
+    "crates/bench/src",
+    "crates/bench/src/bin",
+    "crates/bench/src/figs",
 ];
 
 /// Thread-starting calls outside comments in the non-test part of `src`
@@ -533,15 +545,18 @@ fn thread_starts(src: &str) -> Vec<(&'static str, usize)> {
         .collect()
 }
 
-/// Source lint: the store and the fabric stay thread-free. MN servers are
-/// caller-runs endpoints (`aceso_rdma::rpc`), so what a store does is a
-/// function of its driver's schedule; a `thread::spawn` creeping back
-/// into `crates/core/src` or `crates/rdma/src` would make cast delivery,
-/// chaos reports and host timings depend on the OS scheduler again. Only
-/// the sites in `THREAD_SITES` are allowed.
+/// Source lint: the store, the fabric, the replication engines and the
+/// bench harness stay thread-free. MN servers are caller-runs endpoints
+/// (`aceso_rdma::rpc`), so what a store does is a function of its
+/// driver's schedule; a `thread::spawn` creeping back into
+/// `crates/core/src` or `crates/rdma/src` would make cast delivery, chaos
+/// reports and host timings depend on the OS scheduler again, and one in
+/// `crates/engines/src` or `crates/bench/src` would do the same to every
+/// figure (`bench fig` output is a pure function of the seed). Only the
+/// sites in `THREAD_SITES` are allowed.
 pub fn lint_thread_free() -> Vec<String> {
     let mut v = Vec::new();
-    for dir in ["crates/core/src", CLIENT_DIR, "crates/rdma/src"] {
+    for dir in THREAD_FREE_DIRS {
         for (rel, src) in read_sources(&mut v, dir) {
             for (pat, n) in thread_starts(&src) {
                 let allowed = THREAD_SITES

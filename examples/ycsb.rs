@@ -6,7 +6,8 @@
 //! ```
 
 use aceso::core::{AcesoConfig, AcesoStore};
-use aceso::fusee::{FuseeConfig, FuseeStore};
+use aceso::engines::substrate::ReplConfig;
+use aceso::fusee::FuseeStore;
 use aceso::workloads::ycsb::YcsbKind;
 use aceso::workloads::{value_for, Op, YcsbWorkload};
 use aceso_rdma::PhaseMeasurement;
@@ -72,11 +73,11 @@ fn main() {
         store.shutdown();
 
         // --- FUSEE ---
-        let fstore = FuseeStore::launch(FuseeConfig {
+        let fstore = FuseeStore::launch(ReplConfig {
             index_groups: 2048,
             block_size: 256 << 10,
             blocks_per_mn: 1024,
-            ..FuseeConfig::small()
+            ..ReplConfig::small()
         });
         let mut fclient = fstore.client();
         for key in YcsbWorkload::preload_keys(keys) {

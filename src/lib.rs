@@ -24,8 +24,9 @@
 pub use aceso_blockalloc as blockalloc;
 pub use aceso_codec as codec;
 pub use aceso_core as core;
+pub use aceso_engines as engines;
+pub use aceso_engines::fusee;
 pub use aceso_erasure as erasure;
-pub use aceso_fusee as fusee;
 pub use aceso_index as index;
 pub use aceso_obs as obs;
 pub use aceso_rdma as rdma;

@@ -3,7 +3,8 @@
 //! roof, including Aceso-vs-FUSEE semantic equivalence.
 
 use aceso::core::{recover_mn, AcesoConfig, AcesoStore};
-use aceso::fusee::{FuseeConfig, FuseeStore};
+use aceso::engines::substrate::ReplConfig;
+use aceso::fusee::FuseeStore;
 use aceso::workloads::ycsb::YcsbKind;
 use aceso::workloads::{value_for, Op, TwitterCluster, YcsbWorkload};
 use std::collections::HashMap;
@@ -20,7 +21,7 @@ fn ycsb_a_agrees_with_oracle_and_fusee() {
     let keys = 300u64;
     let vlen = 120usize;
     let astore = aceso();
-    let fstore = FuseeStore::launch(FuseeConfig::small());
+    let fstore = FuseeStore::launch(ReplConfig::small());
     let mut ac = astore.client().unwrap();
     let mut fc = fstore.client();
     let mut oracle: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
