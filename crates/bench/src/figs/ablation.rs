@@ -1,18 +1,12 @@
-//! Ablations of Aceso's design choices, beyond the paper's own figures.
-//!
-//! * **Checkpoint scheme** — what differential checkpointing and
-//!   compression each buy (§3.2.1 motivates both; this quantifies them):
-//!   bytes on the wire per round for (full, full+LZ, differential,
-//!   differential+LZ).
-//! * **Recovery parallelism** — the paper's §4.5 future work
-//!   ("distributing coding stripe recovery tasks across multiple CNs,
-//!   similar to RAMCloud"): Block-tier recovery time vs worker count.
+//! Ablation of one of Aceso's design choices, beyond the paper's own
+//! figures: the **checkpoint scheme** — what differential checkpointing
+//! and compression each buy (§3.2.1 motivates both; this quantifies them):
+//! bytes on the wire per round for (full, full+LZ, differential,
+//! differential+LZ).
 
 use crate::figs::FigureOutput;
 use crate::fmt_bytes;
-use crate::harness::{self, BenchScale};
-use aceso_core::{recover_mn, AcesoConfig, AcesoStore};
-use aceso_workloads::{MicroWorkload, Op};
+use crate::harness::BenchScale;
 
 /// Checkpoint-scheme ablation over a synthetic 64 MB index round.
 pub fn ablation_ckpt(_scale: BenchScale) -> FigureOutput {
@@ -59,52 +53,6 @@ pub fn ablation_ckpt(_scale: BenchScale) -> FigureOutput {
     );
     FigureOutput {
         id: "Ablation: checkpoint scheme",
-        text,
-    }
-}
-
-/// Recovery-parallelism ablation: Block-tier recovery time vs workers.
-pub fn ablation_recovery(scale: BenchScale) -> FigureOutput {
-    let mut text = String::from(
-        "MN recovery vs parallel recovery workers (RAMCloud-style)\n\
-         The network component scales with the read fan-in; the compute\n\
-         component is this machine's single-core XOR time (it would also\n\
-         drop with real parallel CNs; this box has one core).\n\
-         workers | block-tier network (ms) | block-tier compute (ms)\n",
-    );
-    for workers in [1usize, 2, 4] {
-        let cfg = AcesoConfig {
-            recovery_workers: workers,
-            num_arrays: 96,
-            num_delta: 96,
-            ..harness::bench_aceso_config()
-        };
-        let store = AcesoStore::launch(cfg).unwrap();
-        let mut client = store.client().unwrap();
-        for req in
-            MicroWorkload::new(0, Op::Insert, scale.keys, scale.value_len).take(scale.keys as usize)
-        {
-            client
-                .insert(
-                    &req.key,
-                    &aceso_workloads::value_for(&req.key, 0, req.value_len),
-                )
-                .unwrap();
-        }
-        client.close_open_blocks().unwrap();
-        store.checkpoint_tick().unwrap();
-        store.checkpoint_tick().unwrap();
-        store.kill_mn(2);
-        let r = recover_mn(&store, 2).unwrap();
-        text.push_str(&format!(
-            "{workers:7} | {:23.2} | {:22.1}\n",
-            r.old_lblock_net_ms, r.old_lblock_cpu_ms,
-        ));
-        store.shutdown();
-    }
-    text.push_str("(modeled transfer divides by the read fan-in, capped at the n−1 source NICs)\n");
-    FigureOutput {
-        id: "Ablation: recovery parallelism",
         text,
     }
 }

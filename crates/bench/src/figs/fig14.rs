@@ -8,7 +8,7 @@
 
 use crate::figs::FigureOutput;
 use crate::harness::{self, BenchScale};
-use aceso_core::{recover_mn_with, AcesoConfig, AcesoEngine, AcesoStore};
+use aceso_core::{AcesoConfig, AcesoEngine, AcesoStore, RecoveryTier};
 use aceso_workloads::{MicroWorkload, Op};
 use std::sync::Arc;
 
@@ -31,7 +31,9 @@ pub fn degraded_search(scale: BenchScale) -> (f64, f64) {
     store.checkpoint_tick().unwrap();
     store.checkpoint_tick().unwrap();
     store.kill_mn(1);
-    recover_mn_with(&store, 1, false).unwrap(); // Index tier only.
+    // Held between its Index and Block tiers: old blocks stay lost.
+    let mut recovery = store.begin_recovery(1).unwrap();
+    recovery.run_to(RecoveryTier::Block).unwrap();
     let degraded = micro_mops(&store, scale, Op::Search);
     store.shutdown();
     (normal, degraded)

@@ -43,7 +43,6 @@ pub const FIGURES: &[Figure] = &[
     ("table2", table2::table2),
     ("mn_cpu", mn_cpu::mn_cpu),
     ("ablation_ckpt", ablation::ablation_ckpt),
-    ("ablation_recovery", ablation::ablation_recovery),
 ];
 
 /// A rendered experiment: a title plus the table body.

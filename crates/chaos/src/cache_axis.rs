@@ -34,7 +34,7 @@ use crate::axis::{
 };
 use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
 use aceso_core::client::CrashPoint;
-use aceso_core::{recover_cn, recover_mn, StoreError};
+use aceso_core::StoreError;
 use aceso_index::route_hash;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -248,15 +248,11 @@ fn run(cell: CacheCell, seed: u64, sink: Sink, out: &mut Out<Cache>) -> Result<(
     drop(victim);
 
     // ---- Tiered recovery -------------------------------------------------
-    store.cluster.trace_barrier();
-    if out.facts.interrupted {
-        recover_cn(&store, &mut store.client_with_id(victim_id)).ctx("recover_cn")?;
-        store.cluster.trace_barrier();
-    }
-    if store.cluster.node(store.directory().node_of(col)).is_err() {
-        recover_mn(&store, col).ctx("recover_mn")?;
-        store.cluster.trace_barrier();
-    }
+    let crashed = out.facts.interrupted.then_some(victim_id);
+    let dead = (!store.col_alive(col)).then_some(col);
+    store
+        .recover(crashed.as_slice(), dead.as_slice())
+        .ctx("recover")?;
 
     // ---- No stale read after recovery ------------------------------------
     // The axis-defining check: the sweeper's cache was filled before the

@@ -48,7 +48,7 @@ use crate::axis::{
 };
 use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
 use aceso_core::client::CrashPoint;
-use aceso_core::{recover_cn, recover_mn, AcesoClient, ElasticStep};
+use aceso_core::{AcesoClient, ElasticStep};
 use aceso_rdma::{FaultAction, FaultPlan, FaultRule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -402,15 +402,11 @@ fn run(cell: ElasticCell, seed: u64, sink: Sink, out: &mut Out<Elastic>) -> Resu
         // ---- Tiered response: CN consistency, then MN recovery. A CN
         // crash is repaired with the migration (and its dual-write
         // mirror) still in flight.
-        store.cluster.trace_barrier();
-        if interrupted {
-            recover_cn(&store, &mut store.client_with_id(client.id())).ctx("recover_cn")?;
-            store.cluster.trace_barrier();
-        }
-        if store.cluster.node(store.directory().node_of(col)).is_err() {
-            recover_mn(&store, col).ctx("recover_mn")?;
-            store.cluster.trace_barrier();
-        }
+        let crashed = interrupted.then_some(client.id());
+        let dead = (!store.col_alive(col)).then_some(col);
+        store
+            .recover(crashed.as_slice(), dead.as_slice())
+            .ctx("recover")?;
         client = store.client_with(fail_fast()).ctx("post-fault client")?;
     }
 

@@ -26,7 +26,6 @@
 use crate::axis::{cut_of, fail_fast, gen_value, key, launch_store, Axis, Ctx, Cut, Out, Sink};
 use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
 use aceso_core::client::CrashPoint;
-use aceso_core::{recover_cn, recover_mn};
 use aceso_rdma::SimCq;
 use aceso_rt::Executor;
 use rand::rngs::StdRng;
@@ -237,7 +236,6 @@ fn run(kill: RtKill, seed: u64, sink: Sink, out: &mut Out<Rt>) -> Result<(), Str
             "MN kill never fired (run drained in {steps} < {MN_KILL_STEP} CQ steps)"
         ));
     }
-    store.cluster.trace_barrier();
 
     let st = shared.take();
     out.violations.extend(st.violations);
@@ -254,19 +252,8 @@ fn run(kill: RtKill, seed: u64, sink: Sink, out: &mut Out<Rt>) -> Result<(), Str
     }
 
     // ---- Tiered recovery (§3.4: CN consistency first, then MN) -----------
-    for cli_id in &st.crashed {
-        recover_cn(&store, &mut store.client_with_id(*cli_id))
-            .ctx(&format!("recover_cn({cli_id})"))?;
-        // Each CN repair is its own membership-service epoch: the service
-        // fences one crashed client's rollback before admitting the next,
-        // so consecutive repairs (which share parity stripes) are
-        // barrier-ordered in the verb trace.
-        store.cluster.trace_barrier();
-    }
-    if mn_killed {
-        recover_mn(&store, kill_col).ctx("recover_mn")?;
-    }
-    store.cluster.trace_barrier();
+    let dead = mn_killed.then_some(kill_col);
+    store.recover(&st.crashed, dead.as_slice()).ctx("recover")?;
 
     // ---- Invariants ------------------------------------------------------
     let probes: Vec<Vec<u8>> = st.oracle.windows.keys().cloned().collect();

@@ -15,7 +15,7 @@ use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
 use crate::sweep::Sweep;
 use aceso_core::client::CrashPoint;
 use aceso_core::config::unpack_col;
-use aceso_core::{recover_cn, recover_mn, recover_mn_with, AcesoStore, StoreError};
+use aceso_core::{AcesoStore, RecoveryTier, StoreError};
 use aceso_index::{fingerprint, route_hash, RemoteIndex};
 use aceso_rdma::{FaultAction, FaultPlan, FaultRule};
 use rand::rngs::StdRng;
@@ -193,6 +193,10 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     };
     let home_node = store.directory().node_of(home_col);
 
+    // `BeforeOp` recovers the column in full; `BeforeOpDegraded` holds the
+    // recovery between its Index and Block tiers: the op runs degraded,
+    // with old blocks still lost.
+    let mut held = None;
     if matches!(
         cell.kill,
         KillTiming::BeforeOp | KillTiming::BeforeOpDegraded
@@ -202,10 +206,15 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
                 .push("kill_mn reported node already dead".into());
         }
         out.facts.mn_killed = true;
-        // `BeforeOpDegraded` recovers the Index tier only: the op runs
-        // degraded, with old blocks still lost.
-        recover_mn_with(&store, home_col, cell.kill == KillTiming::BeforeOp)
-            .ctx("recover_mn(pre)")?;
+        let mut recovery = store.begin_recovery(home_col).ctx("recover_mn(pre)")?;
+        if cell.kill == KillTiming::BeforeOp {
+            recovery.run().ctx("recover_mn(pre)")?;
+        } else {
+            recovery
+                .run_to(RecoveryTier::Block)
+                .ctx("recover_mn(pre)")?;
+            held = Some(recovery);
+        }
     }
     store.cluster.trace_barrier();
 
@@ -300,24 +309,18 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     // The crash is quiesced before recovery begins (the membership service
     // fences the failed epoch), and recovery completes before the sweep:
     // both are barrier edges in the verb trace.
-    let cli_id = client.id();
+    let crashed = cut.map(|_| client.id());
+    let dead = kill_fired_at_verb.then_some(home_col);
     drop(client);
-    store.cluster.trace_barrier();
-    if cut.is_some() {
-        recover_cn(&store, &mut store.client_with_id(cli_id)).ctx("recover_cn")?;
-        // CN consistency completes before any column is rebuilt: the
-        // block tier reads the very slots `recover_cn` repaired.
+    store
+        .recover(crashed.as_slice(), dead.as_slice())
+        .ctx("recover")?;
+    if let Some(mut recovery) = held {
+        // The op ran against an index-only replacement; finish the Block
+        // and Parity tiers so the parity invariant is checkable.
+        recovery.run().ctx("recover_mn(block tier)")?;
         store.cluster.trace_barrier();
     }
-    if kill_fired_at_verb {
-        recover_mn(&store, home_col).ctx("recover_mn")?;
-    }
-    if cell.kill == KillTiming::BeforeOpDegraded {
-        // The op ran against an index-only replacement; finish the Block
-        // tier so the parity invariant is checkable.
-        recover_mn_with(&store, home_col, true).ctx("recover_mn(block tier)")?;
-    }
-    store.cluster.trace_barrier();
     out.facts.phases.recovery_ms = take_ms(&mut clock);
 
     // ---- Invariants ------------------------------------------------------

@@ -6,7 +6,7 @@ use aceso_chaos::axis::chaos_config;
 use aceso_chaos::invariants::{
     judge_store, no_open_degraded_window, oracle_agreement, parity_scrub, IvWatch, Oracle,
 };
-use aceso_core::{recover_mn_with, AcesoStore};
+use aceso_core::{AcesoStore, RecoveryTier};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -141,7 +141,8 @@ fn one_flipped_parity_word_is_a_dirty_scrub() {
 fn index_tier_only_recovery_leaves_a_degraded_window_open() {
     let (store, _, _) = settled();
     assert!(store.kill_mn(2));
-    recover_mn_with(&store, 2, false).expect("index tier");
+    let mut held = store.begin_recovery(2).expect("replacement");
+    held.run_to(RecoveryTier::Block).expect("index tier");
     let mut violations = Vec::new();
     no_open_degraded_window(&store, &mut violations);
     only(&violations, "degraded windows left open: [2]");

@@ -46,13 +46,6 @@ pub struct AcesoConfig {
     /// how much data each rebalance batch copies while client traffic
     /// continues against the rest.
     pub elastic_groups: usize,
-    /// Parallel recovery workers for stripe reconstruction. The paper
-    /// leaves "distributing coding stripe recovery tasks across multiple
-    /// CNs, similar to RAMCloud" as future work (§4.5); this implements
-    /// it: stripe arrays are sharded across workers, each with its own
-    /// fabric endpoint, and the modeled transfer time divides by the
-    /// effective fan-in (capped at the `n−1` source NICs).
-    pub recovery_workers: usize,
     /// NIC cost model for performance reports.
     pub cost: CostModel,
 }
@@ -73,7 +66,6 @@ impl AcesoConfig {
             ckpt_interval_ms: 500,
             auto_checkpoint: false,
             elastic_groups: 4,
-            recovery_workers: 1,
             cost: CostModel::default(),
         }
     }

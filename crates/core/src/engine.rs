@@ -361,8 +361,7 @@ impl FtEngine for AcesoEngine {
     }
 
     fn recover_client(&self, id: u32) -> FtResult<()> {
-        let mut revived = self.store.client_with_id(id);
-        recover_cn(&self.store, &mut revived).map_err(FtError::from)?;
+        recover_cn(&self.store, id).map_err(FtError::from)?;
         Ok(())
     }
 

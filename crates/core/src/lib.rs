@@ -39,6 +39,7 @@ pub mod recovery;
 pub mod scrub;
 pub mod server;
 pub mod store;
+mod stripe;
 
 pub use cache::{CacheEntry, IndexCache};
 pub use client::{AcesoClient, ModelMutation};
@@ -47,7 +48,7 @@ pub use elastic::{ElasticReport, ElasticStep, Migration};
 pub use engine::{AcesoEngine, FtClient, FtEngine, FtError, FtResult, RecoverySummary, SpaceReport};
 pub use placement::{ElasticKind, MigrationView, PlacementMap, PlacementSnapshot};
 pub use recovery::{
-    recover_cn, recover_mixed, recover_mn, recover_mn_with, CnRecoveryReport, RecoveryReport,
+    recover_cn, recover_mn, CnRecoveryReport, Recovery, RecoveryReport, RecoveryTier,
 };
 pub use scrub::{scrub, ScrubReport};
 pub use store::{AcesoStore, MemoryUsage};
@@ -70,6 +71,14 @@ pub enum StoreError {
     RetriesExhausted,
     /// The store is shutting down.
     Shutdown,
+    /// [`AcesoStore::begin_recovery`] of a column whose node is alive.
+    ColumnAlive(usize),
+    /// Recovery cannot decode: `lost` columns are down and the coding
+    /// group tolerates two.
+    TooManyColumnsLost {
+        /// Columns currently down.
+        lost: usize,
+    },
 }
 
 impl From<aceso_rdma::RdmaError> for StoreError {
@@ -88,6 +97,10 @@ impl core::fmt::Display for StoreError {
             StoreError::TooLarge => write!(f, "kv exceeds size envelope"),
             StoreError::RetriesExhausted => write!(f, "commit retries exhausted"),
             StoreError::Shutdown => write!(f, "store shut down"),
+            StoreError::ColumnAlive(col) => write!(f, "column {col} is alive, nothing to recover"),
+            StoreError::TooManyColumnsLost { lost } => {
+                write!(f, "{lost} columns lost, X-Code recovers at most 2")
+            }
         }
     }
 }

@@ -1,25 +1,32 @@
-//! Failure handling: tiered MN recovery, CN crash recovery, mixed crashes
-//! (paper §3.4).
+//! Failure handling: tiered MN recovery as a resumable tier machine, CN
+//! crash recovery, and the one choreography that orders them (paper §3.4).
 //!
 //! MN recovery restores areas in criticality order — Meta, then Index, then
-//! Block — publishing the replacement to clients as soon as the Index tier
-//! completes, which is when write requests regain full performance and
-//! reads continue degraded (§3.4.1). Stage timing combines *modeled*
-//! network transfer (the simulated NIC's bandwidth over the bytes actually
-//! moved) with *measured* compute (XOR decode, KV scanning), and the report
-//! mirrors the columns of the paper's Table 2.
+//! Block, then the parity rebuild — publishing the replacement to clients
+//! as soon as the Index tier completes, which is when write requests regain
+//! full performance and reads continue degraded (§3.4.1). A [`Recovery`]
+//! is that order as an explicit machine in the shape of
+//! [`crate::Migration`]: one owner, one cursor ([`RecoveryTier`]), every
+//! tier run on the caller's thread by [`Recovery::step`]. Holding the
+//! handle between `Index` and `Block` *is* the degraded window; stepping it
+//! again resumes on the published replacement. Stage timing combines
+//! *modeled* network transfer (the simulated NIC's bandwidth over the bytes
+//! actually moved) with *measured* compute (XOR decode, KV scanning), and
+//! the report mirrors the columns of the paper's Table 2.
 
 use crate::config::{pack_col, unpack_col};
 use crate::kv;
 use crate::proto::{ServerReq, ServerResp};
 use crate::server::MnServer;
 use crate::store::AcesoStore;
+use crate::stripe::StripeBook;
 use crate::{Result, StoreError};
 use aceso_blockalloc::{Allocator, BlockId, BlockRecord, CellKind, Role};
+use aceso_erasure::xor::is_zero;
 use aceso_erasure::xor_into;
 use aceso_index::slot::slot_version;
 use aceso_index::{fingerprint, route_hash, SlotAtomic, SlotMeta};
-use aceso_rdma::{DmClient, GlobalAddr};
+use aceso_rdma::{CostModel, DmClient, GlobalAddr};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -126,315 +133,484 @@ struct ScannedBlock {
     slot_len64: u8,
 }
 
-/// Recovers the failed column `col` onto a fresh memory node, returning the
-/// per-stage timing report. The replacement is published to clients as soon
-/// as the Index tier completes.
-pub fn recover_mn(store: &Arc<AcesoStore>, col: usize) -> Result<RecoveryReport> {
-    recover_mn_with(store, col, true)
+/// Data cells recovered for *other* dead columns while decoding this one,
+/// keyed `(array, row, col)`: their KVs are scanned without a second decode.
+type OtherCells = HashMap<(u64, usize, usize), Vec<u8>>;
+
+/// One tier of MN recovery (§3.4.1), in the order [`Recovery::step`] runs
+/// them.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum RecoveryTier {
+    /// Restore the Meta Area from a surviving replica and rebuild the free
+    /// lists.
+    Meta,
+    /// Restore the checkpoint, decode and read the blocks newer than it and
+    /// reapply their KVs to the index — then publish: from the end of this
+    /// tier the column answers RPCs and verbs, reads of old blocks degraded.
+    Index,
+    /// Decode the old local blocks and settle the duplicate checks the
+    /// Index scan had to defer.
+    Block,
+    /// Rebuild the PARITY cells and delta copies of every column waiting
+    /// for it (deferred while any column is down), closing their degraded
+    /// windows.
+    Parity,
+    /// Nothing left to do.
+    Done,
 }
 
-/// Like [`recover_mn`] but optionally stopping after the Index tier
-/// (`block_tier = false`), leaving old blocks lost — the state in which the
-/// paper measures degraded SEARCH (§4.4). Old blocks can be recovered later
-/// by a second call with `block_tier = true`.
-pub fn recover_mn_with(
-    store: &Arc<AcesoStore>,
+/// One MN recovery in flight. Drive it with [`Recovery::step`] (client
+/// traffic, kills and other recoveries may run between tiers),
+/// [`Recovery::run_to`] or [`Recovery::run`] (everything that is left).
+///
+/// Before the publish the replacement node is this handle's alone: an
+/// error or a drop retires it unused and leaves the column dead, ready for
+/// a fresh [`AcesoStore::begin_recovery`]. After the publish a dropped
+/// handle leaves the column serving and degraded; the way on is
+/// `kill_mn(col)` and a fresh recovery — which is also what happens when
+/// the replacement itself dies between `Index` and `Block`.
+pub struct Recovery {
+    store: Arc<AcesoStore>,
     col: usize,
-    block_tier: bool,
-) -> Result<RecoveryReport> {
-    let cost = store.cfg.cost;
-    let map = store.map;
-    let n = store.cfg.num_mns;
-    let bs = map.blocks.block_size;
-    let dm = store.cluster.background_client();
-    let dir = store.directory();
-    let mut report = RecoveryReport::default();
+    /// The replacement's server state; its node is unpublished until the
+    /// end of the Index tier.
+    server: Arc<MnServer>,
+    dm: DmClient,
+    tier: RecoveryTier,
+    report: RecoveryReport,
+    /// Arrays the Index tier decoded (they hold a block newer than the
+    /// checkpoint); the Block tier decodes the rest.
+    new_arrays: BTreeSet<u64>,
+    /// The stripe array of each old local block: lost until the Block tier.
+    local_old: Vec<u64>,
+    /// fp-matches the Index scan could not verify, re-checked once the
+    /// Block tier has made their targets readable.
+    deferred: Vec<UnverifiedDup>,
+}
 
-    // Start the replacement node + server (unpublished yet).
-    let node = store.cluster.add_node(map.region_len);
-    let server = MnServer::new(
-        col,
-        Arc::clone(&node),
-        map,
-        store.cfg.reclaim_obsolete_ratio,
-        store.cfg.reclaim_free_ratio,
-    );
+/// Column failures X-Code decodes through (and Meta replicas cover).
+const TOLERATED_LOSSES: usize = 2;
 
-    let alive = |c: usize| store.cluster.node(dir.node_of(c)).is_ok();
+/// The typed reason a recovery cannot decode: how many columns are down.
+fn too_many_lost(store: &AcesoStore) -> StoreError {
+    StoreError::TooManyColumnsLost {
+        lost: store.lost_columns(),
+    }
+}
 
-    // ---- Tier 1: Meta Area --------------------------------------------
+impl AcesoStore {
+    /// Starts recovering the failed column `col` onto a fresh memory node.
+    /// Refused while the column is alive and when more columns are down
+    /// than the coding group tolerates; nothing is restored until the first
+    /// [`Recovery::step`].
+    pub fn begin_recovery(self: &Arc<Self>, col: usize) -> Result<Recovery> {
+        if self.col_alive(col) {
+            return Err(StoreError::ColumnAlive(col));
+        }
+        if self.lost_columns() > TOLERATED_LOSSES {
+            return Err(too_many_lost(self));
+        }
+        let node = self.cluster.add_node(self.map.region_len);
+        Ok(Recovery {
+            server: MnServer::new(
+                col,
+                node,
+                self.map,
+                self.cfg.reclaim_obsolete_ratio,
+                self.cfg.reclaim_free_ratio,
+            ),
+            dm: self.cluster.background_client(),
+            store: Arc::clone(self),
+            col,
+            tier: RecoveryTier::Meta,
+            report: RecoveryReport::default(),
+            new_arrays: BTreeSet::new(),
+            local_old: Vec::new(),
+            deferred: Vec::new(),
+        })
+    }
+
+    /// The failure-handling choreography (§3.4.3), in the one order that is
+    /// safe: every crashed client's consistency first (the Block tier reads
+    /// the very slots CN recovery repairs), then every dead column. Each
+    /// repair is its own membership-service epoch — the service fences one
+    /// before admitting the next — so each is followed by a barrier edge in
+    /// the verb trace, and one precedes the first: the crash is quiesced
+    /// before recovery begins.
+    pub fn recover(
+        self: &Arc<Self>,
+        crashed: &[u32],
+        dead: &[usize],
+    ) -> Result<Vec<RecoveryReport>> {
+        self.cluster.trace_barrier();
+        for &cli_id in crashed {
+            recover_cn(self, cli_id)?;
+            self.cluster.trace_barrier();
+        }
+        let mut reports = Vec::with_capacity(dead.len());
+        for &col in dead {
+            reports.push(recover_mn(self, col)?);
+            self.cluster.trace_barrier();
+        }
+        Ok(reports)
+    }
+}
+
+/// Recovers the failed column `col` onto a fresh memory node, returning the
+/// per-stage timing report: [`AcesoStore::begin_recovery`] run to the end.
+pub fn recover_mn(store: &Arc<AcesoStore>, col: usize) -> Result<RecoveryReport> {
+    store.begin_recovery(col)?.run()
+}
+
+impl Recovery {
+    /// The tier the next [`Recovery::step`] will run.
+    pub fn tier(&self) -> RecoveryTier {
+        self.tier
+    }
+
+    /// The stages measured so far.
+    pub fn report(&self) -> RecoveryReport {
+        self.report
+    }
+
+    /// Runs the next tier and reports which one it was;
+    /// [`RecoveryTier::Done`] once nothing is left. An error before the
+    /// publish retires the replacement (every later step fails on its
+    /// unreachable node); one after it leaves the cursor where it was, so
+    /// the tier can be retried once its cause — say a second dead column —
+    /// is gone.
+    pub fn step(&mut self) -> Result<RecoveryTier> {
+        let tier = self.tier;
+        let run: fn(&mut Self) -> Result<()> = match tier {
+            RecoveryTier::Meta => Self::tier_meta,
+            RecoveryTier::Index => Self::tier_index,
+            RecoveryTier::Block => Self::tier_block,
+            RecoveryTier::Parity => Self::tier_parity,
+            RecoveryTier::Done => return Ok(tier),
+        };
+        // The replacement may itself have died (or been retired) since the
+        // last step; a stale handle must not touch the column again.
+        let alive = self.store.cluster.node(self.server.node.id);
+        let ran = alive.map_err(StoreError::from).and_then(|_| run(self));
+        if ran.is_err() {
+            self.retire_unpublished();
+        }
+        ran.map(|()| tier)
+    }
+
+    /// Runs the tiers before `until`, leaving the cursor there: holding the
+    /// handle at [`RecoveryTier::Block`] is the degraded window.
+    pub fn run_to(&mut self, until: RecoveryTier) -> Result<RecoveryReport> {
+        while self.tier < until {
+            self.step()?;
+        }
+        Ok(self.report)
+    }
+
+    /// Runs every remaining tier.
+    pub fn run(&mut self) -> Result<RecoveryReport> {
+        self.run_to(RecoveryTier::Done)
+    }
+
+    /// Before the publish nothing references the replacement: retire it (a
+    /// drain, not a failure — nothing was lost with it).
+    fn retire_unpublished(&self) {
+        if self.tier <= RecoveryTier::Index {
+            self.store.cluster.drain_node(self.server.node.id);
+        }
+    }
+
+    // ---- Tier 1: Meta Area ------------------------------------------------
     // The Meta Area is replicated on the next two columns; use whichever
     // survives (two simultaneous failures leave at least one).
-    let t = Instant::now();
-    let records = fetch_meta_replica(store, &dm, col)?;
-    let mut meta_bytes = 0usize;
-    {
-        let mut recs = server.records.lock();
-        for (id, bytes) in &records {
-            meta_bytes += bytes.len();
-            node.region
-                .write(map.blocks.record_offset(*id), bytes)
-                .expect("meta restore");
-            recs[*id as usize] = BlockRecord::decode(bytes, bs);
-            // Block contents are not restored yet.
-            if matches!(recs[*id as usize].role, Role::Data | Role::Parity) {
-                recs[*id as usize].valid = false;
-            }
-        }
-        let role_of = |id: BlockId| recs[id as usize].role as u8;
-        *server.alloc.lock() = Allocator::rebuild(map.blocks, role_of);
-    }
-    report.meta_bytes = meta_bytes as u64;
-    report.meta_net_ms = cost.transfer_secs(meta_bytes as u64) * 1e3;
-    report.read_meta_ms = t.elapsed().as_secs_f64() * 1e3 + report.meta_net_ms;
-
-    // ---- Tier 2: Index Area ---------------------------------------------
-    // The checkpoint lives on the right neighbour only (paper Figure 3).
-    // If that neighbour crashed too, fall back to an empty checkpoint with
-    // Index Version 0 — every block then counts as "new" and the index is
-    // rebuilt from a full scan (slower, still correct).
-    let t = Instant::now();
-    let ncol = (col + 1) % n;
-    let ckpt_resp = if alive(ncol) {
-        dm.rpc(
-            dir.node_of(ncol),
-            &dir.rpc_of(ncol),
-            ServerReq::GetCheckpoint { of_column: col },
-            32,
-        )
-        .ok()
-    } else {
-        None
-    };
-    let (ckpt, ckpt_iv) = match ckpt_resp {
-        Some(ServerResp::Checkpoint {
-            data,
-            index_version,
-        }) => (data, index_version),
-        _ => (vec![0u8; (map.index.num_groups * 384) as usize], 0),
-    };
-    server.index.restore(&node.region, &ckpt);
-    server
-        .index
-        .local_set_index_version(&node.region, ckpt_iv + 1);
-    server.sender.lock().rebase(ckpt.clone());
-    report.ckpt_bytes = ckpt.len() as u64;
-    report.ckpt_net_ms = cost.transfer_secs(ckpt.len() as u64) * 1e3;
-    report.read_ckpt_ms = t.elapsed().as_secs_f64() * 1e3 + report.ckpt_net_ms;
-
-    // Classify data blocks everywhere: "new" = Index Version 0 or ≥ ckpt.
-    let is_new = |iv: u64| iv == 0 || iv >= ckpt_iv;
-    let mut remote_new: Vec<(usize, BlockId, BlockRecord)> = Vec::new();
-    let mut dead_new: Vec<(usize, BlockId, BlockRecord)> = Vec::new();
-    let mut local_new: Vec<(BlockId, BlockRecord)> = Vec::new();
-    let mut local_old: Vec<(BlockId, BlockRecord)> = Vec::new();
-    let mut arrays_in_use: BTreeSet<u64> = BTreeSet::new();
-    for c in 0..n {
-        if c == col {
-            continue;
-        }
-        if alive(c) {
-            let resp = dm.rpc(
-                dir.node_of(c),
-                &dir.rpc_of(c),
-                ServerReq::ListDataBlocks,
-                16,
-            )?;
-            let ServerResp::Records { list } = resp else {
-                continue;
-            };
-            for (id, bytes) in list {
-                let rec = BlockRecord::decode(&bytes, bs);
-                arrays_in_use.insert(rec.stripe_array);
-                if is_new(rec.index_version) {
-                    remote_new.push((c, id, rec));
+    fn tier_meta(&mut self) -> Result<()> {
+        let map = self.store.map;
+        let bs = map.blocks.block_size;
+        let t = Instant::now();
+        let records = fetch_meta_replica(&self.store, &self.dm, self.col)?;
+        let mut meta_bytes = 0u64;
+        {
+            let mut recs = self.server.records.lock();
+            for (id, bytes) in &records {
+                meta_bytes += bytes.len() as u64;
+                let region = &self.server.node.region;
+                region.write(map.blocks.record_offset(*id), bytes)?;
+                let rec = &mut recs[*id as usize];
+                *rec = BlockRecord::decode(bytes, bs);
+                // Block contents are not restored yet.
+                if matches!(rec.role, Role::Data | Role::Parity) {
+                    rec.valid = false;
                 }
             }
-        } else {
-            // A second failed column: its records come from its replica and
-            // its new blocks must be reconstructed to be scanned.
-            for (id, bytes) in fetch_meta_replica(store, &dm, c)? {
-                let rec = BlockRecord::decode(&bytes, bs);
-                if rec.role != Role::Data {
-                    continue;
-                }
-                arrays_in_use.insert(rec.stripe_array);
-                if is_new(rec.index_version) {
-                    dead_new.push((c, id, rec));
-                }
-            }
+            let role_of = |id: BlockId| recs[id as usize].role as u8;
+            *self.server.alloc.lock() = Allocator::rebuild(map.blocks, role_of);
         }
-    }
-    {
-        let recs = server.records.lock();
-        for (id, rec) in recs.iter().enumerate() {
-            if rec.role == Role::Data {
-                arrays_in_use.insert(rec.stripe_array);
-                if is_new(rec.index_version) {
-                    local_new.push((id as BlockId, rec.clone()));
-                } else {
-                    local_old.push((id as BlockId, rec.clone()));
-                }
-            }
-        }
+        let r = &mut self.report;
+        r.meta_bytes = meta_bytes;
+        r.meta_net_ms = self.store.cfg.cost.transfer_secs(meta_bytes) * 1e3;
+        r.read_meta_ms = t.elapsed().as_secs_f64() * 1e3 + r.meta_net_ms;
+        self.tier = RecoveryTier::Index;
+        Ok(())
     }
 
-    // Reconstruct new local blocks (stripe-at-a-time X-Code decode). Cells
-    // of *other* dead columns recovered along the way are kept for the KV
-    // scan below.
-    let t = Instant::now();
-    let mut new_arrays: BTreeSet<u64> = local_new.iter().map(|(_, r)| r.stripe_array).collect();
-    new_arrays.extend(dead_new.iter().map(|(_, _, r)| r.stripe_array));
-    let (net_bytes, net_ops, mut others) =
-        reconstruct_arrays_parallel(store, &server, col, &new_arrays)?;
-    report.lblock_count = local_new.len();
-    report.lblock_net_bytes = net_bytes;
-    report.lblock_net_ops = net_ops;
-    report.lblock_net_ms = modeled_transfer_ms(store, net_bytes, net_ops);
-    report.recover_lblock_ms = t.elapsed().as_secs_f64() * 1e3 + report.lblock_net_ms;
+    // ---- Tier 2: Index Area, then publish ---------------------------------
+    fn tier_index(&mut self) -> Result<()> {
+        let store = Arc::clone(&self.store);
+        let server = Arc::clone(&self.server);
+        let (dm, col) = (&self.dm, self.col);
+        let (map, cost, n) = (store.map, store.cfg.cost, store.cfg.num_mns);
+        let bs = map.blocks.block_size;
+        let dir = store.directory();
 
-    // Read new remote blocks.
-    let t = Instant::now();
-    let mut scanned: Vec<ScannedBlock> = Vec::new();
-    let mut rbytes = 0u64;
-    for (c, id, rec) in &remote_new {
-        let bytes = dm.read_vec(
-            GlobalAddr::new(dir.node_of(*c), map.blocks.block_offset(*id)),
-            bs as usize,
-        )?;
-        rbytes += bs;
-        scanned.push(ScannedBlock {
-            col: *c,
-            block: *id,
-            bytes,
-            slot_len64: rec.slot_len64,
-        });
-    }
-    report.rblock_count = remote_new.len();
-    report.rblock_net_bytes = rbytes;
-    report.rblock_net_ms =
-        (rbytes as f64 / cost.node_bw + remote_new.len() as f64 * cost.rtt_us * 1e-6) * 1e3;
-    report.read_rblock_ms = t.elapsed().as_secs_f64() * 1e3 + report.rblock_net_ms;
-
-    // Include the reconstructed local new blocks in the scan set.
-    for (id, rec) in &local_new {
-        let bytes = node
-            .region
-            .read_vec(map.blocks.block_offset(*id), bs as usize)
-            .expect("reconstructed block");
-        scanned.push(ScannedBlock {
-            col,
-            block: *id,
-            bytes,
-            slot_len64: rec.slot_len64,
-        });
-    }
-    // And the other dead columns' new blocks recovered during decoding.
-    for (c, id, rec) in &dead_new {
-        let CellKind::Data { array, row } = map.blocks.kind_of(*id) else {
-            continue;
+        // The checkpoint lives on the right neighbour only (paper Figure 3).
+        // If that neighbour crashed too, fall back to an empty checkpoint
+        // with Index Version 0 — every block then counts as "new" and the
+        // index is rebuilt from a full scan (slower, still correct).
+        let t = Instant::now();
+        let ncol = (col + 1) % n;
+        let req = ServerReq::GetCheckpoint { of_column: col };
+        let (ckpt, ckpt_iv) = match dm.rpc(dir.node_of(ncol), &dir.rpc_of(ncol), req, 32) {
+            Ok(ServerResp::Checkpoint {
+                data,
+                index_version,
+            }) => (data, index_version),
+            _ => (vec![0u8; (map.index.num_groups * 384) as usize], 0),
         };
-        if let Some(bytes) = others.remove(&(array, row, *c)) {
+        server.index.restore(&server.node.region, &ckpt);
+        server
+            .index
+            .local_set_index_version(&server.node.region, ckpt_iv + 1);
+        let r = &mut self.report;
+        r.ckpt_bytes = ckpt.len() as u64;
+        r.ckpt_net_ms = cost.transfer_secs(r.ckpt_bytes) * 1e3;
+        server.sender.lock().rebase(ckpt);
+        r.read_ckpt_ms = t.elapsed().as_secs_f64() * 1e3 + r.ckpt_net_ms;
+
+        // Classify data blocks everywhere: "new" = Index Version 0 or ≥ ckpt.
+        let is_new = |iv: u64| iv == 0 || iv >= ckpt_iv;
+        let mut remote_new: Vec<(usize, BlockId, u8)> = Vec::new();
+        let mut dead_new: Vec<(usize, BlockId, BlockRecord)> = Vec::new();
+        let mut local_new: Vec<(BlockId, BlockRecord)> = Vec::new();
+        for c in (0..n).filter(|&c| c != col) {
+            if store.col_alive(c) {
+                let (node, rpc) = (dir.node_of(c), dir.rpc_of(c));
+                let ServerResp::Records { list } =
+                    dm.rpc(node, &rpc, ServerReq::ListDataBlocks, 16)?
+                else {
+                    continue;
+                };
+                for (id, bytes) in list {
+                    let rec = BlockRecord::decode(&bytes, bs);
+                    if is_new(rec.index_version) {
+                        remote_new.push((c, id, rec.slot_len64));
+                    }
+                }
+            } else {
+                // A second failed column: its records come from its replica
+                // and its new blocks must be reconstructed to be scanned.
+                for (id, bytes) in fetch_meta_replica(&store, dm, c)? {
+                    let rec = BlockRecord::decode(&bytes, bs);
+                    if rec.role == Role::Data && is_new(rec.index_version) {
+                        dead_new.push((c, id, rec));
+                    }
+                }
+            }
+        }
+        for (id, rec) in server.records.lock().iter().enumerate() {
+            if rec.role != Role::Data {
+                continue;
+            }
+            if is_new(rec.index_version) {
+                local_new.push((id as BlockId, rec.clone()));
+            } else {
+                self.local_old.push(rec.stripe_array);
+            }
+        }
+
+        // Reconstruct new local blocks (stripe-at-a-time X-Code decode).
+        // Cells of *other* dead columns recovered along the way are kept
+        // for the KV scan below.
+        let t = Instant::now();
+        self.new_arrays = local_new.iter().map(|(_, r)| r.stripe_array).collect();
+        self.new_arrays
+            .extend(dead_new.iter().map(|(_, _, r)| r.stripe_array));
+        let mut others = OtherCells::new();
+        let (net_bytes, net_ops) =
+            decode_arrays(&store, &server, dm, &self.new_arrays, &mut others)?;
+        r.lblock_count = local_new.len();
+        r.lblock_net_bytes = net_bytes;
+        r.lblock_net_ops = net_ops;
+        r.lblock_net_ms = modeled_transfer_ms(&cost, net_bytes, net_ops);
+        r.recover_lblock_ms = t.elapsed().as_secs_f64() * 1e3 + r.lblock_net_ms;
+
+        // Read new remote blocks.
+        let t = Instant::now();
+        let mut scanned: Vec<ScannedBlock> = Vec::new();
+        for &(c, block, slot_len64) in &remote_new {
+            let addr = GlobalAddr::new(dir.node_of(c), map.blocks.block_offset(block));
+            let bytes = dm.read_vec(addr, bs as usize)?;
             scanned.push(ScannedBlock {
-                col: *c,
-                block: *id,
+                col: c,
+                block,
                 bytes,
+                slot_len64,
+            });
+        }
+        r.rblock_count = remote_new.len();
+        r.rblock_net_bytes = bs * remote_new.len() as u64;
+        r.rblock_net_ms = modeled_transfer_ms(&cost, r.rblock_net_bytes, remote_new.len() as u64);
+        r.read_rblock_ms = t.elapsed().as_secs_f64() * 1e3 + r.rblock_net_ms;
+
+        // Include the reconstructed local new blocks in the scan set, and
+        // the other dead columns' new blocks recovered during decoding.
+        for (id, rec) in &local_new {
+            let region = &server.node.region;
+            scanned.push(ScannedBlock {
+                col,
+                block: *id,
+                bytes: region.read_vec(map.blocks.block_offset(*id), bs as usize)?,
                 slot_len64: rec.slot_len64,
             });
         }
-    }
-
-    // Scan KV pairs and reapply the freshest ones to the restored index.
-    let t = Instant::now();
-    let (kv_count, deferred) = scan_and_reapply(store, &server, col, &scanned)?;
-    report.kv_count = kv_count;
-    report.scan_bytes = scanned.iter().map(|sb| sb.bytes.len() as u64).sum();
-    report.scan_kv_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // ---- Publish: functionality is back (degraded reads). --------------
-    dir.publish(&server, store.cluster.background_client());
-    store.set_server(col, Arc::clone(&server));
-    // Our left neighbour replicates into us: ask it to resend everything.
-    let lcol = (col + n - 1) % n;
-    let _ = dm.rpc(
-        dir.node_of(lcol),
-        &dir.rpc_of(lcol),
-        ServerReq::ResetReplication,
-        16,
-    );
-
-    // The replacement now serves reads, but parity cells and delta copies
-    // hosted on this column are still zeroed until the rebuild below runs.
-    // Flag the window so CN recovery knows not to trust delta bytes here.
-    store.degraded.lock().push(col);
-
-    // ---- Tier 3: old local blocks. --------------------------------------
-    if !block_tier {
-        record_recovery_obs(&store.obs(), &report);
-        return Ok(report);
-    }
-    let t = Instant::now();
-    let old_arrays: BTreeSet<u64> = local_old
-        .iter()
-        .map(|(_, r)| r.stripe_array)
-        .filter(|a| !new_arrays.contains(a))
-        .collect();
-    let (net_bytes, net_ops, _) = reconstruct_arrays_parallel(store, &server, col, &old_arrays)?;
-    report.old_lblock_count = local_old.len();
-    report.old_lblock_cpu_ms = t.elapsed().as_secs_f64() * 1e3;
-    report.old_lblock_net_ms = modeled_transfer_ms(store, net_bytes, net_ops);
-    report.recover_old_lblock_ms = report.old_lblock_cpu_ms + report.old_lblock_net_ms;
-
-    // Resolve the fp-matches the index scan could not verify while old
-    // block contents were missing. A checkpoint entry pointing into an
-    // old block is unreadable during the Index tier, so a fresher scanned
-    // KV for the same key was reapplied into a second slot; now that old
-    // blocks are restored, confirm and clear the stale duplicate —
-    // otherwise a search can probe it first and resurface the pre-crash
-    // value of a key that was updated in the degraded window.
-    for d in &deferred {
-        let atomic = SlotAtomic::decode(node.region.load64(d.stale_off).expect("slot"));
-        if atomic.is_empty() {
-            continue;
-        }
-        let meta = SlotMeta::decode(node.region.load64(d.stale_off + 8).expect("slot"));
-        if read_key_at(store, atomic.addr48, meta.len64).as_deref() == Some(d.key.as_slice())
-            && slot_version(meta.epoch & !1, atomic.ver) < d.new_sv
-        {
-            node.region.store64(d.stale_off, 0).expect("slot clear");
-            node.region.store64(d.stale_off + 8, 0).expect("slot clear");
-        }
-    }
-
-    // ---- Background: parity cells + delta blocks of failed columns. -----
-    // With multiple concurrent failures, parity needs peers' recovered
-    // data, so the rebuild is deferred until the last column comes back.
-    let t = Instant::now();
-    store.pending_parity.lock().push(col);
-    let all_alive = (0..n).all(alive);
-    if all_alive {
-        let cols: Vec<usize> = store.pending_parity.lock().drain(..).collect();
-        let mut net_bytes = 0u64;
-        for &pc in &cols {
-            let srv = store.server(pc);
-            for &array in &arrays_in_use {
-                net_bytes += rebuild_parity_and_deltas(store, &srv, &dm, pc, array)?;
+        for (c, id, rec) in &dead_new {
+            let CellKind::Data { array, row } = map.blocks.kind_of(*id) else {
+                continue;
+            };
+            if let Some(bytes) = others.remove(&(array, row, *c)) {
+                scanned.push(ScannedBlock {
+                    col: *c,
+                    block: *id,
+                    bytes,
+                    slot_len64: rec.slot_len64,
+                });
             }
         }
-        report.parity_net_bytes = net_bytes;
-        report.parity_net_ms = (net_bytes as f64 / cost.node_bw) * 1e3;
-        report.parity_ms = t.elapsed().as_secs_f64() * 1e3 + report.parity_net_ms;
-        // Exactly the columns whose parity and delta copies were rebuilt
-        // above are whole again. Clearing the *whole* list here would also
-        // drop columns degraded by someone else — an index-tier-only
-        // recovery still waiting for its block tier, or an in-flight
-        // elastic migration — and make recovery trust their delta bytes
-        // too early.
-        store.degraded.lock().retain(|c| !cols.contains(c));
+
+        // Scan KV pairs and reapply the freshest ones to the restored index.
+        let t = Instant::now();
+        let (kv_count, deferred) = scan_and_reapply(&store, &server, col, &scanned)?;
+        self.deferred = deferred;
+        r.kv_count = kv_count;
+        r.scan_bytes = scanned.iter().map(|sb| sb.bytes.len() as u64).sum();
+        r.scan_kv_ms = t.elapsed().as_secs_f64() * 1e3;
+
+        // ---- Publish: functionality is back (degraded reads). ------------
+        dir.publish(&server, store.cluster.background_client());
+        store.set_server(col, server);
+        // Our left neighbour replicates into us: ask it to resend
+        // everything (best effort — a dead neighbour resends when it is
+        // recovered itself).
+        let lcol = (col + n - 1) % n;
+        let _ = dm.rpc(
+            dir.node_of(lcol),
+            &dir.rpc_of(lcol),
+            ServerReq::ResetReplication,
+            16,
+        );
+        // The replacement now serves reads, but parity cells and delta
+        // copies hosted on this column are still zeroed until the Parity
+        // tier runs. Flag the window so nobody trusts delta bytes here (a
+        // column re-killed inside its window is flagged already).
+        let mut degraded = store.degraded.lock();
+        if !degraded.contains(&col) {
+            degraded.push(col);
+        }
+        drop(degraded);
+        self.tier = RecoveryTier::Block;
+        Ok(())
     }
 
-    record_recovery_obs(&store.obs(), &report);
-    Ok(report)
+    // ---- Tier 3: old local blocks -----------------------------------------
+    fn tier_block(&mut self) -> Result<()> {
+        let t = Instant::now();
+        let old_arrays: BTreeSet<u64> = self
+            .local_old
+            .iter()
+            .copied()
+            .filter(|a| !self.new_arrays.contains(a))
+            .collect();
+        let (net_bytes, net_ops) = decode_arrays(
+            &self.store,
+            &self.server,
+            &self.dm,
+            &old_arrays,
+            &mut OtherCells::new(),
+        )?;
+        let r = &mut self.report;
+        r.old_lblock_count = self.local_old.len();
+        r.old_lblock_cpu_ms = t.elapsed().as_secs_f64() * 1e3;
+        r.old_lblock_net_ms = modeled_transfer_ms(&self.store.cfg.cost, net_bytes, net_ops);
+        r.recover_old_lblock_ms = r.old_lblock_cpu_ms + r.old_lblock_net_ms;
+
+        // Resolve the fp-matches the index scan could not verify while old
+        // block contents were missing. A checkpoint entry pointing into an
+        // old block is unreadable during the Index tier, so a fresher
+        // scanned KV for the same key was reapplied into a second slot; now
+        // that old blocks are restored, confirm and clear the stale
+        // duplicate — otherwise a search can probe it first and resurface
+        // the pre-crash value of a key that was updated in the degraded
+        // window.
+        let region = &self.server.node.region;
+        for d in &self.deferred {
+            let atomic = SlotAtomic::decode(region.load64(d.stale_off)?);
+            if atomic.is_empty() {
+                continue;
+            }
+            let meta = SlotMeta::decode(region.load64(d.stale_off + 8)?);
+            if read_key_at(&self.store, atomic.addr48, meta.len64).as_deref() == Some(&d.key[..])
+                && slot_version(meta.epoch & !1, atomic.ver) < d.new_sv
+            {
+                region.store64(d.stale_off, 0)?;
+                region.store64(d.stale_off + 8, 0)?;
+            }
+        }
+        self.deferred.clear();
+        self.tier = RecoveryTier::Parity;
+        Ok(())
+    }
+
+    // ---- Tier 4: parity cells + delta blocks ------------------------------
+    // With multiple concurrent failures, parity needs peers' recovered
+    // data, so the rebuild is deferred until the last column comes back —
+    // whose Parity tier then serves every column waiting.
+    fn tier_parity(&mut self) -> Result<()> {
+        let store = &self.store;
+        let t = Instant::now();
+        let cols: Vec<usize> = {
+            let mut pending = store.pending_parity.lock();
+            if !pending.contains(&self.col) {
+                pending.push(self.col);
+            }
+            pending.clone()
+        };
+        if (0..store.cfg.num_mns).all(|c| store.col_alive(c)) {
+            let mut net_bytes = 0u64;
+            for &pc in &cols {
+                net_bytes += rebuild_parity_and_deltas(store, &store.server(pc), &self.dm)?;
+            }
+            let r = &mut self.report;
+            r.parity_net_bytes = net_bytes;
+            r.parity_net_ms = (net_bytes as f64 / store.cfg.cost.node_bw) * 1e3;
+            r.parity_ms = t.elapsed().as_secs_f64() * 1e3 + r.parity_net_ms;
+            // Exactly the columns whose parity and delta copies were rebuilt
+            // above are whole again. Clearing the *whole* list here would
+            // also drop columns degraded by someone else — a recovery held
+            // between its Index and Block tiers, or an in-flight elastic
+            // migration — and make recovery trust their delta bytes too
+            // early.
+            store.pending_parity.lock().retain(|c| !cols.contains(c));
+            store.degraded.lock().retain(|c| !cols.contains(c));
+        }
+        record_recovery_obs(&store.obs(), &self.report);
+        self.tier = RecoveryTier::Done;
+        Ok(())
+    }
+}
+
+impl Drop for Recovery {
+    fn drop(&mut self) {
+        self.retire_unpublished();
+    }
 }
 
 /// Records a finished recovery's phase timings and counters into the
@@ -464,202 +640,116 @@ fn record_recovery_obs(obs: &aceso_obs::Obs, r: &RecoveryReport) {
     }
 }
 
-/// Modeled network time for a recovery stage: bytes at line rate plus one
-/// round trip per read, divided by the effective read fan-in when several
-/// recovery workers pull stripes concurrently (RAMCloud-style distributed
-/// recovery, the paper's §4.5 future work). The fan-in caps at the `n−1`
-/// surviving source NICs.
-fn modeled_transfer_ms(store: &Arc<AcesoStore>, net_bytes: u64, net_ops: u64) -> f64 {
-    let cost = store.cfg.cost;
-    let fan_in = store.cfg.recovery_workers.clamp(1, store.cfg.num_mns - 1) as f64;
-    (net_bytes as f64 / cost.node_bw + net_ops as f64 * cost.rtt_us * 1e-6) / fan_in * 1e3
-}
-
-/// Shards stripe arrays across `recovery_workers` threads, each with its
-/// own fabric endpoint, reconstructing the failed column's cells of every
-/// array. Returns summed network demand and the recovered other-column
-/// cell contents.
-#[allow(clippy::type_complexity)]
-fn reconstruct_arrays_parallel(
-    store: &Arc<AcesoStore>,
-    server: &Arc<MnServer>,
-    col: usize,
-    arrays: &BTreeSet<u64>,
-) -> Result<(u64, u64, HashMap<(u64, usize, usize), Vec<u8>>)> {
-    let workers = store.cfg.recovery_workers.max(1).min(arrays.len().max(1));
-    let list: Vec<u64> = arrays.iter().copied().collect();
-    let mut net_bytes = 0u64;
-    let mut net_ops = 0u64;
-    let mut others: HashMap<(u64, usize, usize), Vec<u8>> = HashMap::new();
-    let results: Vec<Result<Vec<(u64, u64, u64, HashMap<(usize, usize), Vec<u8>>)>>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let shard: Vec<u64> = list.iter().copied().skip(w).step_by(workers).collect();
-                    let store = Arc::clone(store);
-                    let server = Arc::clone(server);
-                    scope.spawn(move || {
-                        let dm = store.cluster.background_client();
-                        let mut out = Vec::with_capacity(shard.len());
-                        for array in shard {
-                            let (nb, no, o) =
-                                reconstruct_failed_column(&store, &server, &dm, col, array, true)?;
-                            out.push((array, nb, no, o));
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker"))
-                .collect()
-        });
-    for r in results {
-        for (array, nb, no, o) in r? {
-            net_bytes += nb;
-            net_ops += no;
-            for ((row, c), bytes) in o {
-                others.insert((array, row, c), bytes);
-            }
-        }
-    }
-    Ok((net_bytes, net_ops, others))
+/// Modeled network time of a block-read stage: bytes at line rate plus one
+/// round trip per read, one reader. (The overlap the paper gets from
+/// reading stripes in parallel belongs on the CQ clock, where it would be
+/// measured instead of assumed.)
+fn modeled_transfer_ms(cost: &CostModel, net_bytes: u64, net_ops: u64) -> f64 {
+    (net_bytes as f64 / cost.node_bw + net_ops as f64 * cost.rtt_us * 1e-6) * 1e3
 }
 
 /// Fetches the failed column's Meta Area replica from whichever of its two
 /// replica holders survives.
 fn fetch_meta_replica(
-    store: &Arc<AcesoStore>,
+    store: &AcesoStore,
     dm: &DmClient,
     col: usize,
 ) -> Result<Vec<(BlockId, Vec<u8>)>> {
     let n = store.cfg.num_mns;
     let dir = store.directory();
     for ncol in [(col + 1) % n, (col + 2) % n] {
-        if store.cluster.node(dir.node_of(ncol)).is_err() {
-            continue;
-        }
-        match dm.rpc(
-            dir.node_of(ncol),
-            &dir.rpc_of(ncol),
-            ServerReq::GetMetaReplica { of_column: col },
-            32,
-        ) {
-            Ok(ServerResp::MetaReplica { records }) if !records.is_empty() => return Ok(records),
-            Ok(ServerResp::MetaReplica { records }) => return Ok(records),
-            _ => continue,
+        let req = ServerReq::GetMetaReplica { of_column: col };
+        if let Ok(ServerResp::MetaReplica { records }) =
+            dm.rpc(dir.node_of(ncol), &dir.rpc_of(ncol), req, 32)
+        {
+            return Ok(records);
         }
     }
-    Err(StoreError::NotFound)
+    Err(too_many_lost(store))
 }
 
-/// Reconstructs every cell of `col` in stripe `array` onto the new node's
-/// region via full-stripe X-Code decode (handles one or two failed
-/// columns). Returns `(network bytes read, read ops, other-column
-/// contents)`: the last element holds the *current* contents of data cells
-/// recovered for other dead columns, keyed `(row, col)`, so the caller can
-/// scan their KVs without a second decode.
-#[allow(clippy::type_complexity)]
-fn reconstruct_failed_column(
-    store: &Arc<AcesoStore>,
-    server: &Arc<MnServer>,
+/// Decodes `server`'s column in every array of `arrays`, all from one
+/// stripe book. Returns the summed network demand `(bytes, read ops)`.
+fn decode_arrays(
+    store: &AcesoStore,
+    server: &MnServer,
     dm: &DmClient,
-    col: usize,
+    arrays: &BTreeSet<u64>,
+    others: &mut OtherCells,
+) -> Result<(u64, u64)> {
+    let book = StripeBook::fetch(store, dm, arrays.iter().copied(), Some(server));
+    let mut spare = std::mem::take(&mut *store.decode_scratch.lock());
+    let (mut net_bytes, mut net_ops) = (0, 0);
+    for &array in arrays {
+        let (nb, no) = decode_column(store, server, dm, &book, array, others, &mut spare)?;
+        net_bytes += nb;
+        net_ops += no;
+    }
+    spare.truncate(store.cfg.num_mns * store.cfg.num_mns);
+    *store.decode_scratch.lock() = spare;
+    Ok((net_bytes, net_ops))
+}
+
+/// Reconstructs every data cell of `server`'s column in stripe `array` onto
+/// its region via full-stripe X-Code decode (handles one or two failed
+/// columns). Returns `(network bytes read, read ops)`; the *current*
+/// contents of data cells recovered for other dead columns go to `others`.
+/// Cells are read into the block-sized buffers of `spare` while they last,
+/// and every buffer the decode is done with goes back there.
+fn decode_column(
+    store: &AcesoStore,
+    server: &MnServer,
+    dm: &DmClient,
+    book: &StripeBook,
     array: u64,
-    data_only: bool,
-) -> Result<(u64, u64, HashMap<(usize, usize), Vec<u8>>)> {
+    others: &mut OtherCells,
+    spare: &mut Vec<Vec<u8>>,
+) -> Result<(u64, u64)> {
     let map = store.map;
     let n = store.cfg.num_mns;
     let bs = map.blocks.block_size as usize;
     let dir = store.directory();
-    let xcode = aceso_erasure::XCode::new(n).expect("prime n");
-
-    // Gather parity records per column (xor_map + delta addrs).
-    let mut parity_recs: HashMap<(usize, usize), BlockRecord> = HashMap::new();
-    for c in 0..n {
-        for prow in [n - 2, n - 1] {
-            let pid = map.blocks.cell_block_id(array, prow);
-            let rec = if c == col {
-                server.records.lock()[pid as usize].clone()
-            } else {
-                match dm.rpc(
-                    dir.node_of(c),
-                    &dir.rpc_of(c),
-                    ServerReq::GetRecord { block: pid },
-                    16,
-                ) {
-                    Ok(ServerResp::Record { bytes }) => BlockRecord::decode(&bytes, bs as u64),
-                    _ => BlockRecord::free(),
-                }
-            };
-            parity_recs.insert((c, prow), rec);
-        }
-    }
-
-    // Delta content per data cell (row, col), from any trustworthy copy.
-    // A copy hosted on the column being recovered is lost by definition,
-    // and one hosted on a column still in its degraded window reads back
-    // as zeros (re-materialized only by the parity rebuild) — a read of
-    // either would "succeed" with garbage once a replacement is serving.
-    let degraded: Vec<usize> = store.degraded.lock().clone();
-    let delta_of = |row: usize, c: usize| -> Option<Vec<u8>> {
-        let (diag, anti) = xcode.parity_cells_for(row, c);
-        for (prow, pcol) in [diag, anti] {
-            let Some(prec) = parity_recs.get(&(pcol, prow)) else {
-                continue;
-            };
-            let packed = prec.delta_addr[row];
-            if packed == 0 {
-                continue;
-            }
-            let (dcol, doff) = unpack_col(packed);
-            if dcol == col || degraded.contains(&dcol) {
-                continue;
-            }
-            if let Ok(bytes) = dm.read_vec(GlobalAddr::new(dir.node_of(dcol), doff), bs) {
-                return Some(bytes);
-            }
-        }
-        None
+    let col = server.column;
+    let read = |c: usize, off: u64| dm.read_vec(GlobalAddr::new(dir.node_of(c), off), bs);
+    // A data cell's pending delta, from the first trustworthy copy that
+    // answers: one hosted on the column being recovered is lost by
+    // definition, and one on a column in its degraded window would
+    // "succeed" with zeros.
+    let delta_of = |r: usize, c: usize| {
+        book.delta_copies(array, r, c)
+            .filter(|&(dc, _)| book.trusted(dc))
+            .find_map(|(dc, off)| read(dc, off).ok())
     };
 
     // Build the encoded-view stripe.
-    let mut net_bytes = 0u64;
-    let mut net_ops = 0u64;
+    let (mut net_bytes, mut net_ops) = (0u64, 0u64);
     let mut stripe: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; n]; n];
-    let mut deltas: HashMap<(usize, usize), Vec<u8>> = HashMap::new();
     for (r, stripe_row) in stripe.iter_mut().enumerate() {
         for (c, stripe_cell) in stripe_row.iter_mut().enumerate() {
             if c == col {
                 continue; // The failed column: to be reconstructed.
             }
-            let id = map.blocks.cell_block_id(array, r);
-            let off = map.blocks.block_offset(id);
-            let Ok(mut bytes) = dm.read_vec(GlobalAddr::new(dir.node_of(c), off), bs) else {
+            let off = map.blocks.block_offset(map.blocks.cell_block_id(array, r));
+            let mut bytes = spare.pop().unwrap_or_else(|| vec![0u8; bs]);
+            let cell = GlobalAddr::new(dir.node_of(c), off);
+            if dm.read(cell, &mut bytes).is_err() {
+                spare.push(bytes);
                 continue; // Second failed column: leave as erased.
-            };
+            }
             net_bytes += bs as u64;
             net_ops += 1;
             if r < n - 2 {
                 // Encoded view of a data cell: C ⊕ pending delta. Unencoded
                 // cells (xor_map bit clear) contribute zero to parity.
-                let (diag, _) = xcode.parity_cells_for(r, c);
-                let enc = parity_recs
-                    .get(&(diag.1, diag.0))
-                    .map(|p| p.xor_map & (1 << r) != 0)
-                    .unwrap_or(false);
-                if let Some(d) = delta_of(r, c) {
+                let delta = delta_of(r, c);
+                if delta.is_some() {
                     net_bytes += bs as u64;
                     net_ops += 1;
-                    if enc {
-                        xor_into(&mut bytes, &d);
-                    } else {
-                        bytes = vec![0u8; bs];
-                    }
-                    deltas.insert((r, c), d);
-                } else if !enc {
-                    bytes = vec![0u8; bs];
+                }
+                match (book.encoded(array, r, c), delta) {
+                    (true, Some(d)) => xor_into(&mut bytes, &d),
+                    (true, None) => {}
+                    (false, _) => bytes.fill(0),
                 }
             }
             *stripe_cell = Some(bytes);
@@ -670,152 +760,105 @@ fn reconstruct_failed_column(
         .flat_map(|r| (0..n).map(move |c| (r, c)))
         .filter(|&(r, c)| stripe[r][c].is_none())
         .collect();
-    xcode
+    book.xcode
         .reconstruct(&mut stripe)
-        .map_err(|_| StoreError::NotFound)?;
+        .map_err(|_| too_many_lost(store))?;
+    let mut decoded = |r: usize, c: usize| stripe[r][c].take().ok_or_else(|| too_many_lost(store));
 
     // Write the failed column's cells back: data cells get C = E ⊕ delta.
-    let rows: Vec<usize> = if data_only {
-        (0..n - 2).collect()
-    } else {
-        (0..n).collect()
-    };
-    for r in rows {
+    for r in 0..n - 2 {
         let id = map.blocks.cell_block_id(array, r);
-        {
-            let recs = server.records.lock();
-            let rec = &recs[id as usize];
-            if rec.role == Role::Free {
-                continue; // Never allocated: nothing to restore.
-            }
+        if server.records.lock()[id as usize].role == Role::Free {
+            continue; // Never allocated: nothing to restore.
         }
-        let mut content = stripe[r][col].clone().expect("reconstructed");
-        if r < n - 2 {
-            if let Some(d) = delta_of(r, col) {
-                net_bytes += bs as u64;
-                net_ops += 1;
-                xor_into(&mut content, &d);
-            }
+        let mut content = decoded(r, col)?;
+        if let Some(d) = delta_of(r, col) {
+            net_bytes += bs as u64;
+            net_ops += 1;
+            xor_into(&mut content, &d);
         }
-        server
-            .node
-            .region
-            .write(map.blocks.block_offset(id), &content)
-            .expect("restore block");
+        let region = &server.node.region;
+        region.write(map.blocks.block_offset(id), &content)?;
         server.records.lock()[id as usize].valid = true;
+        spare.push(content);
     }
 
     // Current contents of data cells recovered for *other* dead columns.
-    let mut others = HashMap::new();
     for (r, c) in erased {
         if c == col || r >= n - 2 {
             continue;
         }
-        let mut content = stripe[r][c].clone().expect("reconstructed");
+        let mut content = decoded(r, c)?;
         if let Some(d) = delta_of(r, c) {
             xor_into(&mut content, &d);
         }
-        others.insert((r, c), content);
+        others.insert((array, r, c), content);
     }
-    Ok((net_bytes, net_ops, others))
+    spare.extend(stripe.into_iter().flatten().flatten());
+    Ok((net_bytes, net_ops))
 }
 
-/// Recomputes the failed column's PARITY cells and re-materializes its
-/// DELTA blocks from the surviving copies. Returns network bytes read.
-fn rebuild_parity_and_deltas(
-    store: &Arc<AcesoStore>,
-    server: &Arc<MnServer>,
-    dm: &DmClient,
-    col: usize,
-    array: u64,
-) -> Result<u64> {
+/// Recomputes the PARITY cells of `server`'s column and re-materializes
+/// its DELTA blocks from the surviving copies. Returns network bytes read.
+fn rebuild_parity_and_deltas(store: &AcesoStore, server: &MnServer, dm: &DmClient) -> Result<u64> {
     let map = store.map;
-    let n = store.cfg.num_mns;
     let bs = map.blocks.block_size as usize;
     let dir = store.directory();
-    let xcode = aceso_erasure::XCode::new(n).expect("prime n");
+    let (col, region) = (server.column, &server.node.region);
+    let read = |c: usize, off: u64| dm.read_vec(GlobalAddr::new(dir.node_of(c), off), bs);
+    let arrays: BTreeSet<u64> = {
+        let recs = server.records.lock();
+        let parity = recs.iter().filter(|r| r.role == Role::Parity);
+        parity.map(|r| r.stripe_array).collect()
+    };
+    let book = StripeBook::fetch(store, dm, arrays.iter().copied(), None);
+    let equations = book.xcode.equations();
     let mut net = 0u64;
 
-    for prow in [n - 2, n - 1] {
-        let pid = map.blocks.cell_block_id(array, prow);
-        let (xor_map, delta_addrs, allocated) = {
-            let recs = server.records.lock();
-            let rec = &recs[pid as usize];
-            (rec.xor_map, rec.delta_addr, rec.role == Role::Parity)
-        };
-        if !allocated {
-            continue;
-        }
-        let eq = xcode
-            .equations()
-            .into_iter()
-            .find(|e| e.parity_row == prow && e.parity_col == col)
-            .expect("own parity equation");
-        let mut parity = vec![0u8; bs];
-        for &(r, c) in &eq.data {
-            // An unencoded cell (xor_map bit clear) contributes zero to the
-            // parity equation, but its pending delta copy must still be
-            // re-materialized below: for open cells the two delta replicas
-            // ARE the redundancy, and leaving the lost copy stale would
-            // silently drop to one replica until the block encodes.
-            let encoded = xor_map & (1 << r) != 0;
-            if encoded {
-                // Encoded content of the covered cell: C ⊕ pending delta.
-                let did = map.blocks.cell_block_id(array, r);
-                let cbuf = dm.read_vec(
-                    GlobalAddr::new(dir.node_of(c), map.blocks.block_offset(did)),
-                    bs,
-                )?;
-                net += bs as u64;
-                xor_into(&mut parity, &cbuf);
-            }
-            if delta_addrs[r] != 0 {
-                // This cell has a pending delta whose copy on our column was
-                // lost; fetch the surviving copy on the cell's other parity
-                // column and re-materialize ours.
-                let (odiag, oanti) = xcode.parity_cells_for(r, c);
-                let other = if (odiag.1, odiag.0) == (col, prow) {
-                    oanti
-                } else {
-                    odiag
-                };
-                let other_rec = match dm.rpc(
-                    dir.node_of(other.1),
-                    &dir.rpc_of(other.1),
-                    ServerReq::GetRecord {
-                        block: map.blocks.cell_block_id(array, other.0),
-                    },
-                    16,
-                ) {
-                    Ok(ServerResp::Record { bytes }) => BlockRecord::decode(&bytes, bs as u64),
-                    _ => BlockRecord::free(),
-                };
-                if other_rec.delta_addr[r] != 0 {
-                    let (dc, doff) = unpack_col(other_rec.delta_addr[r]);
-                    let dbuf = dm.read_vec(GlobalAddr::new(dir.node_of(dc), doff), bs)?;
+    for &array in &arrays {
+        for eq in equations.iter().filter(|eq| eq.parity_col == col) {
+            let Some(prec) = book.parity(array, eq.parity_row, col) else {
+                continue; // Never allocated: nothing encoded yet.
+            };
+            let mut parity = vec![0u8; bs];
+            for &(r, c) in &eq.data {
+                // An unencoded cell (xor_map bit clear) contributes zero to
+                // the parity equation, but its pending delta copy must
+                // still be re-materialized below: for open cells the two
+                // delta replicas ARE the redundancy, and leaving the lost
+                // copy stale would silently drop to one replica until the
+                // block encodes.
+                let encoded = prec.xor_map & (1 << r) != 0;
+                if encoded {
+                    // Encoded content of the covered cell: C ⊕ pending delta.
+                    let did = map.blocks.cell_block_id(array, r);
+                    xor_into(&mut parity, &read(c, map.blocks.block_offset(did))?);
+                    net += bs as u64;
+                }
+                if prec.delta_addr[r] == 0 {
+                    continue;
+                }
+                // This cell has a pending delta whose copy on our column
+                // was lost; fetch the surviving copy on the cell's other
+                // parity column and re-materialize ours.
+                let (_, own_off) = unpack_col(prec.delta_addr[r]);
+                let other = book.delta_copies(array, r, c).find(|&(dc, _)| dc != col);
+                if let Some((dc, doff)) = other {
+                    let dbuf = read(dc, doff)?;
                     net += bs as u64;
                     if encoded {
                         xor_into(&mut parity, &dbuf);
                     }
-                    // Re-materialize our local delta copy.
-                    let (dcol_old, doff_old) = unpack_col(delta_addrs[r]);
-                    debug_assert_eq!(dcol_old, col);
-                    server
-                        .node
-                        .region
-                        .write(doff_old, &dbuf)
-                        .expect("delta restore");
-                    let did_local = map.blocks.locate(doff_old).expect("delta offset").0;
-                    server.records.lock()[did_local as usize].valid = true;
+                    region.write(own_off, &dbuf)?;
+                    if let Some((delta_id, _)) = map.blocks.locate(own_off) {
+                        server.records.lock()[delta_id as usize].valid = true;
+                    }
                 }
             }
+            let pid = map.blocks.cell_block_id(array, eq.parity_row);
+            region.write(map.blocks.block_offset(pid), &parity)?;
+            server.records.lock()[pid as usize].valid = true;
         }
-        server
-            .node
-            .region
-            .write(map.blocks.block_offset(pid), &parity)
-            .expect("parity restore");
-        server.records.lock()[pid as usize].valid = true;
     }
     Ok(net)
 }
@@ -838,8 +881,8 @@ struct UnverifiedDup {
 /// index of `col` (§3.2.2–§3.2.3). Returns the number of KVs scanned plus
 /// the fp-matches that must be re-checked after the Block tier.
 fn scan_and_reapply(
-    store: &Arc<AcesoStore>,
-    server: &Arc<MnServer>,
+    store: &AcesoStore,
+    server: &MnServer,
     col: usize,
     scanned: &[ScannedBlock],
 ) -> Result<(usize, Vec<UnverifiedDup>)> {
@@ -900,8 +943,8 @@ fn scan_and_reapply(
         'groups: for (g, c) in layout.buckets_for(&key) {
             for s in 0..aceso_index::layout::COMBINED_SLOTS {
                 let off = layout.slot_offset(g, c, s);
-                let atomic = SlotAtomic::decode(region.load64(off).expect("slot"));
-                let meta = SlotMeta::decode(region.load64(off + 8).expect("slot"));
+                let atomic = SlotAtomic::decode(region.load64(off)?);
+                let meta = SlotMeta::decode(region.load64(off + 8)?);
                 if atomic.is_empty() {
                     first_empty.get_or_insert(off);
                     continue;
@@ -928,7 +971,7 @@ fn scan_and_reapply(
                 }
                 let current_sv = slot_version(meta.epoch & !1, atomic.ver);
                 if b.sv > current_sv {
-                    write_slot(region, off, fp, b.packed, b.sv, b.class);
+                    write_slot(region, off, fp, b.packed, b.sv, b.class)?;
                 }
                 applied = true;
                 break 'groups;
@@ -936,7 +979,7 @@ fn scan_and_reapply(
         }
         if !applied {
             if let Some(off) = first_empty {
-                write_slot(region, off, fp, b.packed, b.sv, b.class);
+                write_slot(region, off, fp, b.packed, b.sv, b.class)?;
                 dups.extend(unverified.into_iter().map(|stale_off| UnverifiedDup {
                     key: key.clone(),
                     stale_off,
@@ -948,7 +991,14 @@ fn scan_and_reapply(
     Ok((kv_count, dups))
 }
 
-fn write_slot(region: &aceso_rdma::Region, off: u64, fp: u8, packed: u64, sv: u64, class: u8) {
+fn write_slot(
+    region: &aceso_rdma::Region,
+    off: u64,
+    fp: u8,
+    packed: u64,
+    sv: u64,
+    class: u8,
+) -> Result<()> {
     let atomic = SlotAtomic {
         fp,
         addr48: packed,
@@ -958,8 +1008,8 @@ fn write_slot(region: &aceso_rdma::Region, off: u64, fp: u8, packed: u64, sv: u6
         len64: class,
         epoch: (sv >> 8) << 1,
     };
-    region.store64(off, atomic.encode()).expect("slot write");
-    region.store64(off + 8, meta.encode()).expect("slot write");
+    region.store64(off, atomic.encode())?;
+    Ok(region.store64(off + 8, meta.encode())?)
 }
 
 /// The key of the KV a restored slot points at. The slot's `len64` is as
@@ -969,7 +1019,7 @@ fn write_slot(region: &aceso_rdma::Region, off: u64, fp: u8, packed: u64, sv: u6
 /// own header names. (Today such a KV sits in a block the scan covers, so
 /// the callers' `key_at` map answers first; this read must not depend on
 /// that.)
-fn read_key_at(store: &Arc<AcesoStore>, packed: u64, len64: u8) -> Option<Vec<u8>> {
+fn read_key_at(store: &AcesoStore, packed: u64, len64: u8) -> Option<Vec<u8>> {
     let (c, off) = unpack_col(packed);
     let dm = store.ctl_dm();
     let addr = GlobalAddr::new(store.directory().node_of(c), off);
@@ -980,19 +1030,14 @@ fn read_key_at(store: &Arc<AcesoStore>, packed: u64, len64: u8) -> Option<Vec<u8
     kv::decode(&buf).map(|d| d.key.to_vec())
 }
 
-/// Recovers a crashed client's unfilled blocks to a consistent state and
-/// releases them (§3.4.2). Call on a fresh client created with
-/// [`AcesoStore::client_with_id`] using the crashed client's id.
-pub fn recover_cn(
-    store: &Arc<AcesoStore>,
-    client: &mut crate::AcesoClient,
-) -> Result<CnRecoveryReport> {
+/// Recovers the unfilled blocks of crashed client `cli_id` to a consistent
+/// state (§3.4.2): every torn slot is rolled back, every fully written one
+/// kept.
+pub fn recover_cn(store: &Arc<AcesoStore>, cli_id: u32) -> Result<CnRecoveryReport> {
     let map = store.map;
-    let n = store.cfg.num_mns;
     let bs = map.blocks.block_size as usize;
     let dir = store.directory();
     let dm = store.cluster.background_client();
-    let xcode = aceso_erasure::XCode::new(n).expect("prime n");
     let mut report = CnRecoveryReport::default();
     // Repair writes must land everywhere a client write would: the
     // placement primary plus the dual-write mirror while a migration is
@@ -1009,135 +1054,87 @@ pub fn recover_cn(
         Ok(())
     };
 
-    for col in 0..n {
-        let Ok(resp) = dm.rpc(
-            dir.node_of(col),
-            &dir.rpc_of(col),
-            ServerReq::QueryClientBlocks {
-                cli_id: client.id(),
-            },
-            16,
-        ) else {
-            continue; // Dead column: its blocks are handled by MN recovery.
-        };
-        let ServerResp::Records { list } = resp else {
+    // The client's unfilled DATA blocks on every reachable column (a dead
+    // column's are handled by its MN recovery).
+    let mut blocks: Vec<(usize, BlockId, u8, u64, usize)> = Vec::new();
+    for col in 0..store.cfg.num_mns {
+        let req = ServerReq::QueryClientBlocks { cli_id };
+        let Ok(ServerResp::Records { list }) = dm.rpc(dir.node_of(col), &dir.rpc_of(col), req, 16)
+        else {
             continue;
         };
         for (id, bytes) in list {
             let rec = BlockRecord::decode(&bytes, bs as u64);
-            if rec.role != Role::Data || rec.slot_len64 == 0 {
-                continue;
-            }
-            let CellKind::Data { array, row } = map.blocks.kind_of(id) else {
-                continue;
-            };
-            report.blocks_checked += 1;
-            let slot_bytes = rec.slot_len64 as usize * 64;
-            let slots = bs / slot_bytes;
-            let block_off = map.blocks.block_offset(id);
-            let block = dm.read_vec(GlobalAddr::new(dir.node_of(col), block_off), bs)?;
-            // Old contents: the server's backup for reused blocks, zeros
-            // for fresh ones.
-            let old = match dm.rpc(
-                dir.node_of(col),
-                &dir.rpc_of(col),
-                ServerReq::GetOldCopy { block: id },
-                16,
-            )? {
-                ServerResp::OldCopy { bytes: Some(b) } => b,
-                _ => vec![0u8; bs],
-            };
-            // Fetch both delta blocks. Copies hosted on a column still in
-            // its degraded window read back as zeros (the replacement
-            // re-materializes them only in the parity rebuild); trusting
-            // those bytes would classify every committed slot as torn and
-            // the "repair" would zero the surviving copy too. Judge
-            // consistency from trustworthy copies only. Exception: a
-            // column degraded because it is mid-migration is byte-fresh
-            // (the dual-write mirror keeps the source current), and its
-            // copy must also take part in the repair — skipping it would
-            // zero one copy of a torn delta but not the other.
-            let mig_col = pl.migration.as_ref().map(|m| m.col);
-            let degraded: Vec<usize> = store.degraded.lock().clone();
-            let (diag, anti) = xcode.parity_cells_for(row, col);
-            let mut dinfo: Vec<(usize, u64, Vec<u8>)> = Vec::new();
-            let mut skipped_degraded = false;
-            for (prow, pcol) in [diag, anti] {
-                let pid = map.blocks.cell_block_id(array, prow);
-                let Ok(ServerResp::Record { bytes }) = dm.rpc(
-                    dir.node_of(pcol),
-                    &dir.rpc_of(pcol),
-                    ServerReq::GetRecord { block: pid },
-                    16,
-                ) else {
-                    continue;
-                };
-                let prec = BlockRecord::decode(&bytes, bs as u64);
-                if prec.delta_addr[row] == 0 {
-                    continue;
-                }
-                let (dc, doff) = unpack_col(prec.delta_addr[row]);
-                if degraded.contains(&dc) && Some(dc) != mig_col {
-                    skipped_degraded = true;
-                    continue;
-                }
-                if let Ok(dbuf) = dm.read_vec(GlobalAddr::new(dir.node_of(dc), doff), bs) {
-                    dinfo.push((dc, doff, dbuf));
-                }
-            }
-            if dinfo.is_empty() && skipped_degraded {
-                // No trustworthy copy left to judge against: defer this
-                // block to the column's block-tier recovery.
-                continue;
-            }
-
-            for s in 0..slots {
-                let range = s * slot_bytes..(s + 1) * slot_bytes;
-                let kv_slot = &block[range.clone()];
-                let old_slot = &old[range.clone()];
-                if kv_slot == old_slot && dinfo.iter().all(|(_, _, d)| is_zero(&d[range.clone()])) {
-                    continue; // Untouched slot.
-                }
-                // Expected delta for a fully-written slot: old ⊕ new.
-                let mut expect = kv_slot.to_vec();
-                xor_into(&mut expect, old_slot);
-                let consistent = kv::is_complete(kv_slot)
-                    && !dinfo.is_empty()
-                    && dinfo.iter().all(|(_, _, d)| d[range.clone()] == expect[..]);
-                if consistent {
-                    report.slots_kept += 1;
-                    continue;
-                }
-                // Torn: roll back to the old contents, zero the deltas.
-                report.slots_repaired += 1;
-                write_repaired(col, block_off + (s * slot_bytes) as u64, old_slot)?;
-                let zeros = vec![0u8; slot_bytes];
-                for (dc, doff, _) in &dinfo {
-                    let _ = write_repaired(*dc, doff + (s * slot_bytes) as u64, &zeros);
+            if let (Role::Data, CellKind::Data { array, row }) = (rec.role, map.blocks.kind_of(id))
+            {
+                if rec.slot_len64 != 0 {
+                    blocks.push((col, id, rec.slot_len64, array, row));
                 }
             }
         }
     }
+    let arrays: BTreeSet<u64> = blocks.iter().map(|&(_, _, _, array, _)| array).collect();
+    let book = StripeBook::fetch(store, &dm, arrays, None);
+
+    for (col, id, slot_len64, array, row) in blocks {
+        report.blocks_checked += 1;
+        let slot_bytes = slot_len64 as usize * 64;
+        let block_off = map.blocks.block_offset(id);
+        let block = dm.read_vec(GlobalAddr::new(dir.node_of(col), block_off), bs)?;
+        // Old contents: the server's backup for reused blocks, zeros for
+        // fresh ones.
+        let req = ServerReq::GetOldCopy { block: id };
+        let old = match dm.rpc(dir.node_of(col), &dir.rpc_of(col), req, 16)? {
+            ServerResp::OldCopy { bytes: Some(b) } => b,
+            _ => vec![0u8; bs],
+        };
+        // Fetch both delta blocks — the trustworthy ones. A copy hosted on
+        // a column still in its degraded window reads back as zeros;
+        // trusting it would classify every committed slot as torn and the
+        // "repair" would zero the surviving copy too. (A column degraded
+        // only because it is mid-migration is byte-fresh, and its copy
+        // must take part in the repair — skipping it would zero one copy
+        // of a torn delta but not the other; the book knows.)
+        let mut dinfo: Vec<(usize, u64, Vec<u8>)> = Vec::new();
+        let mut skipped_degraded = false;
+        for (dc, doff) in book.delta_copies(array, row, col) {
+            if !book.trusted(dc) {
+                skipped_degraded = true;
+            } else if let Ok(dbuf) = dm.read_vec(GlobalAddr::new(dir.node_of(dc), doff), bs) {
+                dinfo.push((dc, doff, dbuf));
+            }
+        }
+        if dinfo.is_empty() && skipped_degraded {
+            // No trustworthy copy left to judge against: defer this block
+            // to the column's block-tier recovery.
+            continue;
+        }
+
+        for s in 0..bs / slot_bytes {
+            let range = s * slot_bytes..(s + 1) * slot_bytes;
+            let kv_slot = &block[range.clone()];
+            let old_slot = &old[range.clone()];
+            if kv_slot == old_slot && dinfo.iter().all(|(_, _, d)| is_zero(&d[range.clone()])) {
+                continue; // Untouched slot.
+            }
+            // Expected delta for a fully-written slot: old ⊕ new.
+            let mut expect = kv_slot.to_vec();
+            xor_into(&mut expect, old_slot);
+            let consistent = kv::is_complete(kv_slot)
+                && !dinfo.is_empty()
+                && dinfo.iter().all(|(_, _, d)| d[range.clone()] == expect[..]);
+            if consistent {
+                report.slots_kept += 1;
+                continue;
+            }
+            // Torn: roll back to the old contents, zero the deltas.
+            report.slots_repaired += 1;
+            write_repaired(col, block_off + (s * slot_bytes) as u64, old_slot)?;
+            let zeros = vec![0u8; slot_bytes];
+            for (dc, doff, _) in &dinfo {
+                let _ = write_repaired(*dc, doff + (s * slot_bytes) as u64, &zeros);
+            }
+        }
+    }
     Ok(report)
-}
-
-fn is_zero(buf: &[u8]) -> bool {
-    buf.iter().all(|&b| b == 0)
-}
-
-/// Mixed crashes (§3.4.3): restore client consistency on the surviving MNs
-/// first, then recover the crashed MNs.
-pub fn recover_mixed(
-    store: &Arc<AcesoStore>,
-    failed_cols: &[usize],
-    crashed_clients: &mut [&mut crate::AcesoClient],
-) -> Result<Vec<RecoveryReport>> {
-    for client in crashed_clients.iter_mut() {
-        recover_cn(store, client)?;
-    }
-    let mut reports = Vec::new();
-    for &col in failed_cols {
-        reports.push(recover_mn(store, col)?);
-    }
-    Ok(reports)
 }

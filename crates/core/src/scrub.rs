@@ -20,11 +20,12 @@
 use crate::config::unpack_col;
 use crate::proto::{ServerReq, ServerResp};
 use crate::store::AcesoStore;
+use crate::stripe::StripeBook;
 use crate::Result;
-use aceso_blockalloc::{BlockRecord, Role};
-use aceso_erasure::{xor_into, XCode};
+use aceso_blockalloc::BlockRecord;
+use aceso_erasure::xor_into;
 use aceso_rdma::GlobalAddr;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Outcome of one scrub pass.
@@ -60,12 +61,12 @@ pub fn scrub(store: &Arc<AcesoStore>) -> Result<ScrubReport> {
     let bs = map.blocks.block_size as usize;
     let dir = store.directory();
     let dm = store.cluster.background_client();
-    let xcode = XCode::new(n).expect("prime n");
     let mut report = ScrubReport::default();
 
-    // Collect parity records and the set of arrays in use.
+    // The arrays in use, from every column — and only then their parity
+    // records, also from every column: an array's parity can sit on a
+    // column lower than all of its data blocks.
     let mut arrays: BTreeSet<u64> = BTreeSet::new();
-    let mut parity_recs: HashMap<(u64, usize, usize), BlockRecord> = HashMap::new();
     for c in 0..n {
         let resp = dm.rpc(
             dir.node_of(c),
@@ -74,50 +75,24 @@ pub fn scrub(store: &Arc<AcesoStore>) -> Result<ScrubReport> {
             16,
         )?;
         if let ServerResp::Records { list } = resp {
-            for (_, bytes) in list {
-                let rec = BlockRecord::decode(&bytes, bs as u64);
-                arrays.insert(rec.stripe_array);
-            }
-        }
-        for &array in &arrays {
-            for prow in [n - 2, n - 1] {
-                let pid = map.blocks.cell_block_id(array, prow);
-                if let Ok(ServerResp::Record { bytes }) = dm.rpc(
-                    dir.node_of(c),
-                    &dir.rpc_of(c),
-                    ServerReq::GetRecord { block: pid },
-                    16,
-                ) {
-                    let rec = BlockRecord::decode(&bytes, bs as u64);
-                    if rec.role == Role::Parity {
-                        parity_recs.insert((array, c, prow), rec);
-                    }
-                }
-            }
+            let recs = list.iter().map(|(_, b)| BlockRecord::decode(b, bs as u64));
+            arrays.extend(recs.map(|rec| rec.stripe_array));
         }
     }
+    let book = StripeBook::fetch(store, &dm, arrays.iter().copied(), None);
 
     let read_block = |col: usize, off: u64| -> Result<Vec<u8>> {
         Ok(dm.read_vec(GlobalAddr::new(dir.node_of(col), off), bs)?)
     };
 
+    let equations = book.xcode.equations();
     for &array in &arrays {
         report.arrays_checked += 1;
         // Delta-copy agreement per data cell.
         for r in 0..n - 2 {
             for c in 0..n {
-                let ((drow, dcol), (arow, acol)) = xcode.parity_cells_for(r, c);
-                let d1 = parity_recs
-                    .get(&(array, dcol, drow))
-                    .map(|p| p.delta_addr[r])
-                    .unwrap_or(0);
-                let d2 = parity_recs
-                    .get(&(array, acol, arow))
-                    .map(|p| p.delta_addr[r])
-                    .unwrap_or(0);
-                if d1 != 0 && d2 != 0 {
-                    let (c1, o1) = unpack_col(d1);
-                    let (c2, o2) = unpack_col(d2);
+                let mut copies = book.delta_copies(array, r, c);
+                if let (Some((c1, o1)), Some((c2, o2))) = (copies.next(), copies.next()) {
                     let b1 = read_block(c1, o1)?;
                     let b2 = read_block(c2, o2)?;
                     if b1 != b2 {
@@ -132,9 +107,9 @@ pub fn scrub(store: &Arc<AcesoStore>) -> Result<ScrubReport> {
                 }
             }
         }
-        // Parity equations.
-        for eq in xcode.equations() {
-            let Some(prec) = parity_recs.get(&(array, eq.parity_col, eq.parity_row)) else {
+        // Parity equations, each against its own PARITY record.
+        for eq in &equations {
+            let Some(prec) = book.parity(array, eq.parity_row, eq.parity_col) else {
                 continue; // Parity never allocated: nothing encoded yet.
             };
             let pid = map.blocks.cell_block_id(array, eq.parity_row);

@@ -58,6 +58,11 @@ pub struct AcesoStore {
     /// re-materialized (the degraded window between the Index tier and the
     /// parity rebuild). CN recovery must not trust delta bytes hosted here.
     pub(crate) degraded: Mutex<Vec<usize>>,
+    /// Block-sized buffers the last stripe decode read its cells into, at
+    /// most one stripe's worth (`n²`), kept for the next one: a fresh
+    /// buffer costs a page fault per 4 KB, which on a small store is most
+    /// of a recovery's Index tier.
+    pub(crate) decode_scratch: Mutex<Vec<Vec<u8>>>,
     /// Observability handle. Off by default; [`AcesoStore::install_recorder`]
     /// turns it on for clients created afterwards and for recovery/scrub/
     /// checkpoint instrumentation.
@@ -105,6 +110,7 @@ impl AcesoStore {
             running: Arc::new(AtomicBool::new(true)),
             pending_parity: Mutex::new(Vec::new()),
             degraded: Mutex::new(Vec::new()),
+            decode_scratch: Mutex::new(Vec::new()),
             obs: Mutex::new(Obs::off()),
         });
         if cfg.auto_checkpoint {
@@ -189,6 +195,16 @@ impl AcesoStore {
         &self.dir
     }
 
+    /// Whether the node currently serving `col` is reachable.
+    pub fn col_alive(&self, col: usize) -> bool {
+        self.cluster.node(self.dir.node_of(col)).is_ok()
+    }
+
+    /// How many columns are down right now.
+    pub(crate) fn lost_columns(&self) -> usize {
+        (0..self.dir.len()).filter(|&c| !self.col_alive(c)).count()
+    }
+
     /// The server state of `col` (stats, recovery orchestration).
     pub fn server(&self, col: usize) -> Arc<MnServer> {
         Arc::clone(&self.servers.lock()[col])
@@ -209,7 +225,7 @@ impl AcesoStore {
         let mut reports = Vec::with_capacity(n);
         for col in 0..n {
             let node = self.dir.node_of(col);
-            if self.cluster.node(node).is_err() {
+            if !self.col_alive(col) {
                 continue; // Crashed column: skipped until recovered.
             }
             if let Ok(ServerResp::CkptDone { report }) =

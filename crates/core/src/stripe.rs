@@ -1,0 +1,129 @@
+//! The stripe book: what the PARITY records say about a stripe's cells.
+//!
+//! Everything that walks redundancy — [`crate::scrub()`], recovery's stripe
+//! decode, the parity rebuild and CN recovery — needs the same facts about
+//! a data cell `(array, r, c)`, and all of them live in the records of the
+//! two PARITY cells covering it (§3.3.2's bookkeeping). The book fetches
+//! those records once, for *every* column of the arrays asked for, and
+//! answers three questions:
+//!
+//! 1. [`encoded`](StripeBook::encoded) — is the cell folded into parity
+//!    (its encoded view is `content ⊕ pending delta`), or unencoded (it
+//!    contributes zero)?
+//! 2. [`delta_copies`](StripeBook::delta_copies) — where are the cell's
+//!    registered delta copies?
+//! 3. [`trusted`](StripeBook::trusted) — may bytes hosted on that column be
+//!    believed right now?
+//!
+//! The client's range-limited chain read (`client/search.rs`) reads one
+//! record per degraded SEARCH and stays on its own.
+
+use crate::config::unpack_col;
+use crate::proto::{ServerReq, ServerResp};
+use crate::server::MnServer;
+use crate::store::AcesoStore;
+use aceso_blockalloc::{BlockRecord, Role};
+use aceso_erasure::XCode;
+use aceso_rdma::DmClient;
+use std::collections::HashMap;
+
+/// The PARITY records of a set of stripe arrays, across all columns.
+pub(crate) struct StripeBook {
+    /// The coding group's geometry.
+    pub xcode: XCode,
+    /// `(array, parity row, parity col)` → record, allocated cells only.
+    parity: HashMap<(u64, usize, usize), BlockRecord>,
+    untrusted: Vec<usize>,
+}
+
+impl StripeBook {
+    /// Reads both PARITY records of every column for each of `arrays`.
+    /// `local` is a replacement server mid-recovery: its records are read
+    /// in place (it answers no RPC before it is published) and bytes hosted
+    /// on its column are not trusted. An unreachable column contributes no
+    /// record — its cells read as unencoded, delta-less, like unallocated
+    /// parity.
+    pub fn fetch(
+        store: &AcesoStore,
+        dm: &DmClient,
+        arrays: impl IntoIterator<Item = u64>,
+        local: Option<&MnServer>,
+    ) -> Self {
+        let n = store.cfg.num_mns;
+        let (dir, blocks) = (store.directory(), store.map.blocks);
+        let mut parity = HashMap::new();
+        for array in arrays {
+            for prow in [n - 2, n - 1] {
+                let pid = blocks.cell_block_id(array, prow);
+                for c in 0..n {
+                    let rec = match local {
+                        Some(s) if s.column == c => s.records.lock()[pid as usize].clone(),
+                        _ => {
+                            let req = ServerReq::GetRecord { block: pid };
+                            match dm.rpc(dir.node_of(c), &dir.rpc_of(c), req, 16) {
+                                Ok(ServerResp::Record { bytes }) => {
+                                    BlockRecord::decode(&bytes, blocks.block_size)
+                                }
+                                _ => continue,
+                            }
+                        }
+                    };
+                    if rec.role == Role::Parity {
+                        parity.insert((array, prow, c), rec);
+                    }
+                }
+            }
+        }
+        // A column in a degraded window serves zeros where its delta copies
+        // were (the parity rebuild re-materializes them) — except one that
+        // is degraded only because it is mid-migration: the dual-write
+        // mirror keeps the source byte-fresh.
+        let migrating = store
+            .placement()
+            .snapshot()
+            .migration
+            .as_ref()
+            .map(|m| m.col);
+        let mut untrusted = store.degraded_columns();
+        untrusted.retain(|c| Some(*c) != migrating);
+        untrusted.extend(local.map(|s| s.column));
+        StripeBook {
+            // `AcesoConfig::memory_map` validated the geometry at launch.
+            xcode: XCode::new(n).expect("prime n, checked at launch"),
+            parity,
+            untrusted,
+        }
+    }
+
+    /// The record of PARITY cell `(prow, pcol)`, if it is allocated.
+    pub fn parity(&self, array: u64, prow: usize, pcol: usize) -> Option<&BlockRecord> {
+        self.parity.get(&(array, prow, pcol))
+    }
+
+    /// Whether data cell `(r, c)` is folded into its parity.
+    pub fn encoded(&self, array: u64, r: usize, c: usize) -> bool {
+        let ((prow, pcol), _) = self.xcode.parity_cells_for(r, c);
+        self.parity(array, prow, pcol)
+            .is_some_and(|p| p.xor_map & (1 << r) != 0)
+    }
+
+    /// `(host column, region offset)` of each registered delta copy of data
+    /// cell `(r, c)`: the diagonal parity's first, then the anti-diagonal's.
+    pub fn delta_copies(
+        &self,
+        array: u64,
+        r: usize,
+        c: usize,
+    ) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (diag, anti) = self.xcode.parity_cells_for(r, c);
+        [diag, anti].into_iter().filter_map(move |(prow, pcol)| {
+            let packed = self.parity(array, prow, pcol)?.delta_addr[r];
+            (packed != 0).then(|| unpack_col(packed))
+        })
+    }
+
+    /// Whether delta bytes hosted on `col` may be believed.
+    pub fn trusted(&self, col: usize) -> bool {
+        !self.untrusted.contains(&col)
+    }
+}

@@ -26,7 +26,7 @@
 //! along (`rpcs == 0` is asserted).
 
 use aceso_core::config::unpack_col;
-use aceso_core::{recover_mn_with, scrub, AcesoClient, AcesoConfig, AcesoStore, StoreError};
+use aceso_core::{scrub, AcesoClient, AcesoConfig, AcesoStore, RecoveryTier, StoreError};
 use aceso_index::{fingerprint, route_hash, RemoteIndex};
 use aceso_rdma::{FaultAction, FaultPlan, FaultRule, OpRecord, SimCq, VerbKind};
 use std::future::Future;
@@ -215,7 +215,8 @@ fn cold_update_with_unreadable_candidate() {
     let slot = index.scan(&dm, key, fingerprint(key)).unwrap().matches[0];
     let (kv_col, _) = unpack_col(slot.atomic.addr48);
     assert!(store.kill_mn(kv_col));
-    recover_mn_with(&store, kv_col, false).unwrap();
+    let mut recovery = store.begin_recovery(kv_col).unwrap();
+    recovery.run_to(RecoveryTier::Block).unwrap();
 
     let mut b = primed(&store, "b", V);
     let (r, rec) = profile(&mut b, |c| c.update(key, b"degraded"));
@@ -225,7 +226,7 @@ fn cold_update_with_unreadable_candidate() {
     assert!(rec.rpcs > 0, "the retry must have reconstructed the KV");
     assert_eq!(rec.cas, 1);
 
-    recover_mn_with(&store, kv_col, true).unwrap();
+    recovery.run().unwrap();
     let mut c = store.client().unwrap();
     assert_eq!(c.search(key).unwrap().as_deref(), Some(&b"degraded"[..]));
     assert!(scrub(&store).unwrap().is_clean());

@@ -2,9 +2,7 @@
 //! re-encoding, stale-placement clients, aborts, and the per-column
 //! degraded-window bookkeeping shared with recovery.
 
-use aceso_core::{
-    recover_mn, recover_mn_with, AcesoConfig, AcesoStore, ElasticKind, ElasticStep,
-};
+use aceso_core::{recover_mn, AcesoConfig, AcesoStore, ElasticKind, ElasticStep, RecoveryTier};
 use std::sync::Arc;
 
 fn launch() -> Arc<AcesoStore> {
@@ -226,8 +224,8 @@ fn abort_mid_copy_is_clean() {
 }
 
 /// Satellite regression: finishing one recovery must not clear *other*
-/// columns' degraded windows. An index-tier-only recovery of column 1 is
-/// still degraded while a full recovery of column 2 completes.
+/// columns' degraded windows. A recovery of column 1 held after its Index
+/// tier is still degraded while a full recovery of column 2 completes.
 #[test]
 fn overlapping_recoveries_keep_foreign_degraded_windows() {
     let store = launch();
@@ -236,7 +234,8 @@ fn overlapping_recoveries_keep_foreign_degraded_windows() {
     // Column 1: index tier only — its old blocks stay lost, the column
     // must remain flagged degraded.
     store.kill_mn(1);
-    recover_mn_with(&store, 1, false).unwrap();
+    let mut held = store.begin_recovery(1).unwrap();
+    held.run_to(RecoveryTier::Block).unwrap();
     assert!(store.degraded_columns().contains(&1));
 
     // Column 2: full recovery. With every column alive again it rebuilds
@@ -252,7 +251,7 @@ fn overlapping_recoveries_keep_foreign_degraded_windows() {
     assert!(!degraded.contains(&2), "column 2 finished: {degraded:?}");
 
     // Completing column 1's block tier closes the remaining window.
-    recover_mn_with(&store, 1, true).unwrap();
+    held.run().unwrap();
     assert!(!store.degraded_columns().contains(&1));
     store.shutdown();
 }

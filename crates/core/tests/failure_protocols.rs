@@ -4,8 +4,8 @@
 
 use aceso_core::client::CrashPoint;
 use aceso_core::{
-    recover_cn, recover_mixed, recover_mn, recover_mn_with, AcesoClient, AcesoConfig, AcesoStore,
-    ClientTuning, StoreError,
+    recover_cn, recover_mn, scrub, AcesoClient, AcesoConfig, AcesoStore, ClientTuning,
+    RecoveryTier, StoreError,
 };
 use std::sync::Arc;
 
@@ -155,8 +155,8 @@ fn broken_holder_torn_kv_not_resurrected() {
 
     // Revive the holder: recovery must retire the torn KV (Slot Version
     // invalidation), leaving the breaker's value in place.
+    recover_cn(&store, aid).unwrap();
     let mut revived = store.client_with_id(aid);
-    recover_cn(&store, &mut revived).unwrap();
     assert_eq!(revived.search(key).unwrap().as_deref(), Some(&b"vb"[..]));
     let mut fresh = store.client().unwrap();
     assert_eq!(fresh.search(key).unwrap().as_deref(), Some(&b"vb"[..]));
@@ -180,9 +180,9 @@ fn mixed_cn_and_mn_crash() {
     drop(c);
 
     store.kill_mn(3);
-    let mut revived = store.client_with_id(cli_id);
-    let reports = recover_mixed(&store, &[3], &mut [&mut revived]).unwrap();
+    let reports = store.recover(&[cli_id], &[3]).unwrap();
     assert_eq!(reports.len(), 1);
+    let mut revived = store.client_with_id(cli_id);
 
     for i in (0..400u32).step_by(23) {
         let key = format!("mx-{i}");
@@ -194,37 +194,61 @@ fn mixed_cn_and_mn_crash() {
     store.shutdown();
 }
 
-/// Index-tier-only recovery leaves old blocks lost; a fresh client must
-/// still read everything via degraded SEARCH, and a later Block-tier pass
-/// restores normal reads.
-#[test]
-fn degraded_then_full_recovery() {
+/// A store with closed, checkpointed blocks on every column: killing a
+/// column leaves old blocks that stay lost until the Block tier.
+fn aged(tag: &str) -> (Arc<AcesoStore>, Vec<Vec<u8>>, Vec<u8>) {
     let store = small();
     let mut c = store.client().unwrap();
     // ~1 KB values so the data spans many blocks across all five columns.
     let val = vec![0x5Au8; 900];
-    for i in 0..300u32 {
-        let key = format!("dg2-{i}");
-        c.insert(key.as_bytes(), &val).unwrap();
+    let keys: Vec<Vec<u8>> = (0..300u32)
+        .map(|i| format!("{tag}-{i}").into_bytes())
+        .collect();
+    for key in &keys {
+        c.insert(key, &val).unwrap();
     }
     c.close_open_blocks().unwrap();
     store.checkpoint_tick().unwrap();
     store.checkpoint_tick().unwrap();
-    store.kill_mn(2);
-    let r = recover_mn_with(&store, 2, false).unwrap();
-    assert!(r.old_lblock_count == 0 || r.recover_old_lblock_ms == 0.0);
+    (store, keys, val)
+}
 
-    // Degraded reads: every key, fresh client (no stale cache).
+fn live_nodes(store: &AcesoStore) -> usize {
+    let nodes = store.cluster.nodes();
+    nodes.iter().filter(|n| n.is_alive()).count()
+}
+
+fn read_back(store: &Arc<AcesoStore>, keys: &[Vec<u8>], val: &[u8]) -> AcesoClient {
     let mut fresh = store.client().unwrap();
-    for i in 0..300u32 {
-        let key = format!("dg2-{i}");
+    for key in keys {
+        let got = fresh.search(key).unwrap();
         assert_eq!(
-            fresh.search(key.as_bytes()).unwrap().as_deref(),
-            Some(&val[..]),
-            "degraded {key}"
+            got.as_deref(),
+            Some(val),
+            "{}",
+            String::from_utf8_lossy(key)
         );
     }
+    fresh
+}
 
+/// A recovery held after its Index tier leaves old blocks lost; a fresh
+/// client must still read everything via degraded SEARCH, and stepping the
+/// same handle on restores normal reads — on the same replacement, with
+/// the Meta replica and the checkpoint fetched once.
+#[test]
+fn degraded_then_full_recovery() {
+    let (store, keys, val) = aged("dg2");
+    store.kill_mn(2);
+    let mut recovery = store.begin_recovery(2).unwrap();
+    recovery.run_to(RecoveryTier::Block).unwrap();
+    let at_index = recovery.report();
+    assert_eq!(at_index.old_lblock_count, 0);
+    assert_eq!(at_index.recover_old_lblock_ms, 0.0);
+    let replacement = store.directory().node_of(2);
+
+    // Degraded reads: every key, fresh client (no stale cache).
+    let fresh = read_back(&store, &keys, &val);
     // Degraded reads cost more verbs than normal ones.
     let profile = fresh.dm.take_ops();
     let avg_verbs: f64 =
@@ -233,6 +257,214 @@ fn degraded_then_full_recovery() {
         avg_verbs > 3.0,
         "degraded searches should read parity chains: {avg_verbs}"
     );
+
+    let done = recovery.run().unwrap();
+    assert!(done.old_lblock_count > 0 && done.parity_net_bytes > 0);
+    // Resumed, not re-run: same node, one node added, Meta and Index
+    // stages untouched since the publish.
+    assert_eq!(store.directory().node_of(2), replacement);
+    assert_eq!((live_nodes(&store), store.cluster.len()), (5, 6));
+    assert_eq!(done.read_meta_ms, at_index.read_meta_ms);
+    assert_eq!(done.read_ckpt_ms, at_index.read_ckpt_ms);
+    assert_eq!(done.scan_kv_ms, at_index.scan_kv_ms);
+    assert!(store.degraded_columns().is_empty());
+    read_back(&store, &keys, &val);
+    assert!(scrub(&store).unwrap().is_clean());
+    store.shutdown();
+}
+
+/// `step()` visits the tiers in order, and the column answers RPCs and
+/// verbs exactly from the end of `Index`.
+#[test]
+fn tiers_run_in_order_and_publish_after_index() {
+    use aceso_core::proto::ServerReq;
+    use RecoveryTier::{Block, Done, Index, Meta, Parity};
+
+    let (store, keys, val) = aged("ord");
+    let col = 1;
+    store.kill_mn(col);
+    let dm = store.cluster.background_client();
+    let answers = || {
+        let dir = store.directory();
+        let req = ServerReq::ListDataBlocks;
+        dm.rpc(dir.node_of(col), &dir.rpc_of(col), req, 16).is_ok()
+    };
+    let mut recovery = store.begin_recovery(col).unwrap();
+    for (tier, next, serving) in [
+        (Meta, Index, false),
+        (Index, Block, true),
+        (Block, Parity, true),
+        (Parity, Done, true),
+        (Done, Done, true),
+    ] {
+        assert_eq!(recovery.tier(), tier);
+        assert_eq!(recovery.step().unwrap(), tier);
+        assert_eq!(recovery.tier(), next);
+        assert_eq!(
+            (answers(), store.col_alive(col)),
+            (serving, serving),
+            "{tier:?}"
+        );
+    }
+    read_back(&store, &keys, &val);
+    assert!(scrub(&store).unwrap().is_clean());
+    store.shutdown();
+}
+
+/// A recovery held across client traffic and then run to the end leaves
+/// what one `recover_mn` leaves on a twin store: the same deterministic
+/// report, the same node count, everything readable, a clean scrub.
+#[test]
+fn held_recovery_matches_one_shot_on_a_twin() {
+    let (one_shot, keys, val) = aged("twin");
+    one_shot.kill_mn(3);
+    let want = recover_mn(&one_shot, 3).unwrap();
+
+    let (held, _, _) = aged("twin");
+    held.kill_mn(3);
+    let mut recovery = held.begin_recovery(3).unwrap();
+    recovery.run_to(RecoveryTier::Block).unwrap();
+    read_back(&held, &keys, &val);
+    let got = recovery.run().unwrap();
+
+    let deterministic = |r: &aceso_core::RecoveryReport| {
+        (
+            [r.meta_bytes, r.ckpt_bytes, r.scan_bytes],
+            [
+                r.lblock_net_bytes,
+                r.lblock_net_ops,
+                r.rblock_net_bytes,
+                r.parity_net_bytes,
+            ],
+            [
+                r.lblock_count,
+                r.rblock_count,
+                r.kv_count,
+                r.old_lblock_count,
+            ],
+            [
+                r.meta_net_ms,
+                r.ckpt_net_ms,
+                r.lblock_net_ms,
+                r.rblock_net_ms,
+            ],
+            [r.old_lblock_net_ms, r.parity_net_ms],
+        )
+    };
+    assert_eq!(deterministic(&got), deterministic(&want));
+    for store in [&one_shot, &held] {
+        assert_eq!((live_nodes(store), store.cluster.len()), (5, 6));
+        read_back(store, &keys, &val);
+        assert!(scrub(store).unwrap().is_clean());
+        store.shutdown();
+    }
+}
+
+/// Dropped before the publish, a recovery leaves the column dead and no
+/// orphan node behind; a fresh one completes.
+#[test]
+fn recovery_dropped_after_meta_leaves_no_orphan() {
+    let (store, keys, val) = aged("drop-meta");
+    store.kill_mn(0);
+    let mut recovery = store.begin_recovery(0).unwrap();
+    assert_eq!(recovery.step().unwrap(), RecoveryTier::Meta);
+    assert_eq!(live_nodes(&store), 5, "the replacement, unpublished");
+    drop(recovery);
+    assert!(!store.col_alive(0));
+    assert_eq!(live_nodes(&store), 4);
+
+    recover_mn(&store, 0).unwrap();
+    assert_eq!(live_nodes(&store), 5);
+    read_back(&store, &keys, &val);
+    assert!(scrub(&store).unwrap().is_clean());
+    store.shutdown();
+}
+
+/// After the publish a stale or dropped handle leaves the index-only
+/// state — serving, degraded — and the way on is `kill_mn` plus a fresh
+/// recovery, which is also what "the replacement died between `Index` and
+/// `Block`" looks like.
+#[test]
+fn recovery_abandoned_after_index_is_finished_by_a_fresh_one() {
+    let (store, keys, val) = aged("drop-index");
+    let col = 4;
+    store.kill_mn(col);
+
+    // The replacement dies under a held handle: its next step fails typed.
+    let mut stale = store.begin_recovery(col).unwrap();
+    stale.run_to(RecoveryTier::Block).unwrap();
+    let replacement = store.directory().node_of(col);
+    assert!(store.kill_mn(col));
+    assert_eq!(
+        stale.step().unwrap_err(),
+        StoreError::Rdma(aceso_rdma::RdmaError::NodeUnreachable(replacement))
+    );
+    assert_eq!(stale.tier(), RecoveryTier::Block);
+
+    // A second one is dropped after its Index tier: today's index-only
+    // state, which only a kill hands back to recovery.
+    let mut dropped = store.begin_recovery(col).unwrap();
+    dropped.run_to(RecoveryTier::Block).unwrap();
+    drop(dropped);
+    assert!(store.col_alive(col));
+    assert_eq!(store.degraded_columns(), [col]);
+    read_back(&store, &keys, &val);
+    assert_eq!(
+        store.begin_recovery(col).err(),
+        Some(StoreError::ColumnAlive(col))
+    );
+
+    assert!(store.kill_mn(col));
+    recover_mn(&store, col).unwrap();
+    assert!(store.degraded_columns().is_empty());
+    assert_eq!(live_nodes(&store), 5);
+    read_back(&store, &keys, &val);
+    assert!(scrub(&store).unwrap().is_clean());
+    store.shutdown();
+}
+
+/// A recovery that cannot complete leaves no live node behind and says
+/// why. (`recover_mn` used to add the replacement first and return
+/// `NotFound`: one live orphan per call, 2 → 3 → 4 below.)
+#[test]
+fn failed_recovery_leaks_no_node_and_says_why() {
+    use aceso_rdma::{FaultAction, FaultPlan, FaultRule, RdmaError};
+
+    // Three of five columns lost: refused up front, typed.
+    let (store, _, _) = aged("lost3");
+    for col in [0, 2, 4] {
+        store.kill_mn(col);
+    }
+    for _ in 0..2 {
+        assert_eq!(
+            recover_mn(&store, 0).unwrap_err(),
+            StoreError::TooManyColumnsLost { lost: 3 }
+        );
+        assert_eq!((live_nodes(&store), store.cluster.len()), (2, 5));
+    }
+    store.shutdown();
+
+    // A survivor that stops answering mid-recovery: the half-restored
+    // replacement is retired, and recovery succeeds once it is back.
+    let (store, keys, val) = aged("flaky");
+    store.kill_mn(0);
+    let flaky = store.cluster.node(store.directory().node_of(3)).unwrap();
+    let always = FaultRule::new(FaultAction::Fail).fires(u64::MAX);
+    flaky.install_fault_plan(FaultPlan::with_rules(vec![always]));
+    for attempt in 1..=2 {
+        let err = recover_mn(&store, 0).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Rdma(RdmaError::Injected { .. })),
+            "{err:?}"
+        );
+        assert_eq!((live_nodes(&store), store.cluster.len()), (4, 5 + attempt));
+        assert!(!store.col_alive(0));
+    }
+    flaky.clear_fault_plan();
+    recover_mn(&store, 0).unwrap();
+    assert_eq!(live_nodes(&store), 5);
+    read_back(&store, &keys, &val);
+    assert!(scrub(&store).unwrap().is_clean());
     store.shutdown();
 }
 
@@ -391,8 +623,7 @@ fn cn_recovery_of_clean_client() {
     }
     let id = c.id();
     drop(c);
-    let mut revived = store.client_with_id(id);
-    let r = recover_cn(&store, &mut revived).unwrap();
+    let r = recover_cn(&store, id).unwrap();
     assert_eq!(r.slots_repaired, 0);
     assert!(r.slots_kept > 0);
     store.shutdown();
@@ -413,10 +644,10 @@ fn two_crashed_clients_recover() {
     assert!(b.update(b"two-b", b"xb").is_err());
     drop((a, b));
 
+    recover_cn(&store, ida).unwrap();
+    recover_cn(&store, idb).unwrap();
     let mut ra = store.client_with_id(ida);
     let mut rb = store.client_with_id(idb);
-    recover_cn(&store, &mut ra).unwrap();
-    recover_cn(&store, &mut rb).unwrap();
     assert_eq!(ra.search(b"two-a").unwrap().as_deref(), Some(&b"va"[..]));
     assert_eq!(rb.search(b"two-b").unwrap().as_deref(), Some(&b"vb"[..]));
     store.shutdown();
@@ -438,7 +669,7 @@ fn cold_writes_find_key_with_stale_len64(key: &[u8], grow: impl Fn(&mut AcesoCli
         grow(&mut w, &big);
         let id = w.id();
         drop(w);
-        recover_cn(&store, &mut store.client_with_id(id)).unwrap();
+        recover_cn(&store, id).unwrap();
         let mut r = store.client().unwrap();
         assert_eq!(r.search(key).unwrap().as_deref(), Some(&big[..]));
         (store, r)
@@ -453,7 +684,7 @@ fn cold_writes_find_key_with_stale_len64(key: &[u8], grow: impl Fn(&mut AcesoCli
     let (store, mut r) = history();
     assert!(store.client().unwrap().delete(key).unwrap());
     assert_eq!(r.search(key).unwrap(), None);
-    assert!(aceso_core::scrub(&store).unwrap().is_clean());
+    assert!(scrub(&store).unwrap().is_clean());
     store.shutdown();
 }
 
@@ -548,7 +779,7 @@ fn resurfacing_history(seed: u64) -> Vec<String> {
                 )),
             }
         }
-        let report = aceso_core::scrub(&store).unwrap();
+        let report = scrub(&store).unwrap();
         if !report.is_clean() {
             errors.push(format!("column {col}: scrub {:?}", report.mismatches));
         }

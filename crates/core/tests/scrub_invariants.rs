@@ -2,6 +2,7 @@
 //! parity equation must hold and every delta pair must agree — i.e. the
 //! store is always decodable without actually failing a node.
 
+use aceso_blockalloc::Role;
 use aceso_core::{recover_mn, scrub, AcesoConfig, AcesoStore};
 use std::sync::Arc;
 
@@ -135,5 +136,77 @@ fn scrub_clean_after_lost_commit_races() {
         let want = if op == 0 { value(k) } else { value(op) };
         assert_eq!(clients[0].search(&key(k)).unwrap(), Some(want), "key {k}");
     }
+    store.shutdown();
+}
+
+/// The store of the two tests below: 120 × 900 B inserts and 60 updates on
+/// `AcesoConfig::small()`, blocks closed — six allocated PARITY cells, two
+/// of them on columns *lower* than every data block of their array.
+fn sparse_arrays() -> Arc<AcesoStore> {
+    let store = small();
+    let mut c = store.client().unwrap();
+    for i in 0..120u32 {
+        c.insert(format!("sp-{i}").as_bytes(), &[0x5A; 900])
+            .unwrap();
+    }
+    for i in 0..60u32 {
+        c.update(format!("sp-{i}").as_bytes(), &[0xA5; 900])
+            .unwrap();
+    }
+    c.close_open_blocks().unwrap();
+    store
+}
+
+/// `(column, block id, stripe array)` of every allocated PARITY cell.
+fn parity_cells(store: &AcesoStore) -> Vec<(usize, u32, u64)> {
+    let mut cells = Vec::new();
+    for col in 0..store.cfg.num_mns {
+        let server = store.server(col);
+        let recs = server.records.lock();
+        for (id, rec) in recs.iter().enumerate() {
+            if rec.role == Role::Parity {
+                cells.push((col, id as u32, rec.stripe_array));
+            }
+        }
+    }
+    cells
+}
+
+/// Every allocated parity equation is checked, wherever its PARITY cell
+/// sits. (The scrubber used to fetch a column's parity records only for
+/// the arrays it had already seen on columns ≤ it: 4 of these 6.)
+#[test]
+fn scrub_checks_every_allocated_parity_equation() {
+    let store = sparse_arrays();
+    let allocated = parity_cells(&store).len();
+    assert!(allocated > 0);
+    let r = scrub(&store).unwrap();
+    assert!(r.is_clean(), "{r:?}");
+    assert_eq!(r.parity_ok + r.parity_mismatch, allocated, "{r:?}");
+    store.shutdown();
+}
+
+/// A flipped word in a PARITY cell that sits on a column lower than every
+/// data block of its array is reported, like any other.
+#[test]
+fn scrub_reports_a_flipped_word_below_its_arrays_data() {
+    let store = sparse_arrays();
+    let lowest_data_col = |array: u64| {
+        (0..store.cfg.num_mns).find(|&col| {
+            let server = store.server(col);
+            let recs = server.records.lock();
+            recs.iter()
+                .any(|r| r.role == Role::Data && r.stripe_array == array)
+        })
+    };
+    let (col, id, _) = parity_cells(&store)
+        .into_iter()
+        .find(|&(col, _, array)| lowest_data_col(array).is_some_and(|c| col < c))
+        .expect("a PARITY cell below its array's data");
+    let region = &store.server(col).node.region;
+    let off = store.map.blocks.block_offset(id);
+    region.store64(off, !region.load64(off).unwrap()).unwrap();
+    let r = scrub(&store).unwrap();
+    assert_eq!(r.parity_mismatch, 1, "{r:?}");
     store.shutdown();
 }

@@ -326,7 +326,7 @@ fn cn_crash_before_commit_rolls_back() {
     drop(c);
 
     let mut revived = store.client_with_id(cli_id);
-    let report = recover_cn(&store, &mut revived).unwrap();
+    let report = recover_cn(&store, cli_id).unwrap();
     assert!(report.blocks_checked > 0);
     // The committed value survives; the torn write never surfaces.
     assert_eq!(
@@ -351,7 +351,7 @@ fn cn_crash_after_kv_only_write_rolls_back() {
     drop(c);
 
     let mut revived = store.client_with_id(cli_id);
-    let report = recover_cn(&store, &mut revived).unwrap();
+    let report = recover_cn(&store, cli_id).unwrap();
     assert!(
         report.slots_repaired > 0,
         "the torn slot must be rolled back"

@@ -1,10 +1,11 @@
 //! The store starts no thread of its own: MN servers are caller-runs
-//! endpoints, so launch, traffic, a kill, `recover_mn` and an elastic
-//! join + drain all leave the process's thread count where it was. Alone
-//! in its test binary so that no neighbouring test's threads are counted.
+//! endpoints and recovery is a tier machine on the caller's thread, so
+//! launch, traffic, a kill, every recovery tier and an elastic join +
+//! drain all leave the process's thread count where it was. Alone in its
+//! test binary so that no neighbouring test's threads are counted.
 #![cfg(target_os = "linux")]
 
-use aceso_core::{recover_mn, AcesoConfig, AcesoStore};
+use aceso_core::{AcesoConfig, AcesoStore, RecoveryTier};
 
 fn threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").unwrap();
@@ -32,9 +33,14 @@ fn store_without_auto_checkpoint_starts_no_thread() {
 
     assert!(store.kill_mn(2));
     assert_eq!(threads(), before, "kill_mn");
-    // Recovery's scoped block readers are joined before it returns.
-    recover_mn(&store, 2).unwrap();
-    assert_eq!(threads(), before, "recover_mn");
+    let mut recovery = store.begin_recovery(2).unwrap();
+    loop {
+        let tier = recovery.step().unwrap();
+        assert_eq!(threads(), before, "recovery tier {tier:?}");
+        if tier == RecoveryTier::Done {
+            break;
+        }
+    }
 
     store.begin_join(1).unwrap().run().unwrap();
     store.begin_drain(3).unwrap().run().unwrap();

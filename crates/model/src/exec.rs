@@ -18,7 +18,7 @@
 use crate::scenario::{client_letter, key_bytes, key_name, model_config, Scenario, ScriptOp};
 use crate::wgl::{check_key, render_history, KeyOp, KeyOpKind};
 use crate::invariants::{parity_scrub, IvWatch};
-use aceso_core::{recover_cn, recover_mn, AcesoStore, ClientTuning, StoreError};
+use aceso_core::{AcesoStore, ClientTuning, StoreError};
 use aceso_index::route_hash;
 use aceso_rdma::{SimCq, TraceEvent, TraceSink};
 use aceso_rt::Executor;
@@ -381,7 +381,6 @@ fn run_inner(
         out.violations
             .push(format!("executor wedged with {stuck} tasks in flight"));
     }
-    store.cluster.trace_barrier();
 
     // ---- Tiered recovery (CN consistency first, then MN) -----------------
     let crashed: Vec<u32> = {
@@ -392,15 +391,10 @@ fn run_inner(
         ids.dedup();
         ids
     };
-    for cli_id in &crashed {
-        let mut revived = store.client_with_id(*cli_id);
-        recover_cn(&store, &mut revived).map_err(|e| format!("recover_cn({cli_id}): {e}"))?;
-        store.cluster.trace_barrier();
-    }
-    if mn_killed {
-        recover_mn(&store, victim_col).map_err(|e| format!("recover_mn: {e}"))?;
-    }
-    store.cluster.trace_barrier();
+    let dead = mn_killed.then_some(victim_col);
+    store
+        .recover(&crashed, dead.as_slice())
+        .map_err(|e| format!("recover: {e}"))?;
 
     // ---- Oracle 1: linearizability of the recorded history ---------------
     let touched: BTreeSet<usize> = scenario

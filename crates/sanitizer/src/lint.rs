@@ -512,8 +512,6 @@ pub fn lint_settle_coverage() -> Vec<String> {
 const THREAD_SITES: &[(&str, &str, usize)] = &[
     // The optional auto-checkpoint loop.
     ("crates/core/src/store.rs", "thread::spawn", 1),
-    // Recovery's scoped block readers (joined before the call returns).
-    ("crates/core/src/recovery.rs", "thread::scope", 1),
 ];
 
 /// The directories [`lint_thread_free`] walks.

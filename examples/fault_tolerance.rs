@@ -79,7 +79,7 @@ fn main() {
     drop(client);
 
     let mut revived = store.client_with_id(cli_id);
-    let cn = recover_cn(&store, &mut revived).expect("cn recovery");
+    let cn = recover_cn(&store, cli_id).expect("cn recovery");
     println!(
         "  CN recovery: {} blocks checked, {} torn slots rolled back, {} kept",
         cn.blocks_checked, cn.slots_repaired, cn.slots_kept
