@@ -12,19 +12,25 @@ use aceso_core::{AcesoConfig, AcesoEngine, AcesoStore, RecoveryTier};
 use aceso_workloads::{MicroWorkload, Op};
 use std::sync::Arc;
 
-/// Mops of one warm micro phase of `op` over the preloaded keys.
-fn micro_mops(store: &Arc<AcesoStore>, scale: BenchScale, op: Op) -> f64 {
+/// `(Mops, modeled p50 in µs)` of one micro phase.
+type Point = (f64, f64);
+
+/// One warm micro phase of `op` over the preloaded keys.
+fn micro(store: &Arc<AcesoStore>, scale: BenchScale, op: Op) -> Point {
     let eng = AcesoEngine::new(Arc::clone(store));
     let phase = harness::phase(&eng, scale, vec![], |t| {
         MicroWorkload::new(t, op, scale.keys, scale.value_len)
     });
-    phase.report().mops
+    (
+        phase.report().mops,
+        phase.cost.latency(&phase.m, None).p50_us,
+    )
 }
 
 /// Degraded SEARCH vs normal SEARCH.
-pub fn degraded_search(scale: BenchScale) -> (f64, f64) {
+pub fn degraded_search(scale: BenchScale) -> (Point, Point) {
     let store = harness::preloaded_aceso(harness::bench_aceso_config(), scale);
-    let normal = micro_mops(&store, scale, Op::Search);
+    let normal = micro(&store, scale, Op::Search);
 
     // Two rounds so the preloaded blocks are strictly *older* than the
     // checkpoint and stay lost after Index-tier-only recovery.
@@ -34,16 +40,16 @@ pub fn degraded_search(scale: BenchScale) -> (f64, f64) {
     // Held between its Index and Block tiers: old blocks stay lost.
     let mut recovery = store.begin_recovery(1).unwrap();
     recovery.run_to(RecoveryTier::Block).unwrap();
-    let degraded = micro_mops(&store, scale, Op::Search);
+    let degraded = micro(&store, scale, Op::Search);
     store.shutdown();
     (normal, degraded)
 }
 
 /// Space-reclaimed UPDATE vs normal UPDATE.
-pub fn reclaimed_update(scale: BenchScale) -> (f64, f64) {
+pub fn reclaimed_update(scale: BenchScale) -> (Point, Point) {
     // Normal: plenty of space, no reclamation.
     let store = harness::preloaded_aceso(harness::bench_aceso_config(), scale);
-    let normal = micro_mops(&store, scale, Op::Update);
+    let normal = micro(&store, scale, Op::Update);
     store.shutdown();
 
     // Special: a pool small enough that updates run on reclaimed blocks.
@@ -58,26 +64,27 @@ pub fn reclaimed_update(scale: BenchScale) -> (f64, f64) {
     };
     let store = harness::preloaded_aceso(reclaiming, scale);
     // Warm up through one full overwrite cycle so reclamation kicks in.
-    micro_mops(&store, scale, Op::Update);
-    let special = micro_mops(&store, scale, Op::Update);
+    micro(&store, scale, Op::Update);
+    let special = micro(&store, scale, Op::Update);
     store.shutdown();
     (normal, special)
 }
 
-/// Renders both panels.
+/// Renders both panels: throughput is what the paper plots; the modeled
+/// p50 beside it is what a bandwidth-bound Mops figure cannot show.
 pub fn fig14(scale: BenchScale) -> FigureOutput {
-    let (sn, sd) = degraded_search(scale);
-    let (un, ur) = reclaimed_update(scale);
-    let text = format!(
-        "Degraded SEARCH:  normal {:6.2} Mops | degraded {:6.2} Mops | ratio {:4.2}x\n\
-         Reclaimed UPDATE: normal {:6.2} Mops | reclaimed {:5.2} Mops | ratio {:4.2}x\n",
-        sn,
-        sd,
-        sd / sn,
-        un,
-        ur,
-        ur / un,
-    );
+    let row = |label: &str, special: &str, (n, s): (Point, Point)| {
+        format!(
+            "{label:<17} normal {:6.2} Mops p50 {:6.2} us | {special:<9} {:6.2} Mops p50 {:6.2} us | ratio {:4.2}x\n",
+            n.0,
+            n.1,
+            s.0,
+            s.1,
+            s.0 / n.0,
+        )
+    };
+    let mut text = row("Degraded SEARCH:", "degraded", degraded_search(scale));
+    text += &row("Reclaimed UPDATE:", "reclaimed", reclaimed_update(scale));
     FigureOutput {
         id: "Figure 14",
         text,

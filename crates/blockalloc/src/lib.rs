@@ -27,4 +27,4 @@ pub mod record;
 pub use allocator::Allocator;
 pub use bitmap::Bitmap;
 pub use layout::{BlockId, BlockLayout, CellKind};
-pub use record::{BlockRecord, Role, RECORD_BYTES};
+pub use record::{BlockRecord, Role, RECORD_BYTES, RECORD_HEAD_BYTES};

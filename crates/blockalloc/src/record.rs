@@ -30,6 +30,10 @@ use crate::bitmap::Bitmap;
 
 /// Serialized record size in bytes.
 pub const RECORD_BYTES: u64 = 1280;
+/// Length of the record *head*: everything up to and including Delta Addr.
+/// A degraded SEARCH reads exactly these bytes of a parity block's record
+/// with a one-sided READ (see [`BlockRecord::decode_head`]).
+pub const RECORD_HEAD_BYTES: usize = 160;
 /// Byte offset of the Free Bitmap inside a record.
 const BITMAP_OFF: usize = 256;
 /// Maximum KV slots per block (bitmap width).
@@ -135,6 +139,24 @@ impl BlockRecord {
         b
     }
 
+    /// Decodes `(xor_map, delta_addr)` from the first
+    /// [`RECORD_HEAD_BYTES`] of a serialized record — all a reader of one
+    /// parity chain needs to know which cells to fold.
+    ///
+    /// Clients read these bytes straight out of the Meta Area, so the
+    /// region's copy must agree with the server's in-memory record on both
+    /// fields after every handler; the only field of a record allowed to
+    /// differ between the two is `valid` (recovery clears and sets it in
+    /// memory without persisting).
+    pub fn decode_head(bytes: &[u8]) -> (u16, [u64; MAX_POSITIONS]) {
+        assert!(bytes.len() >= RECORD_HEAD_BYTES);
+        let mut delta_addr = [0u64; MAX_POSITIONS];
+        for (a, word) in delta_addr.iter_mut().zip(bytes[32..].chunks_exact(8)) {
+            *a = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        }
+        (u16::from_le_bytes([bytes[24], bytes[25]]), delta_addr)
+    }
+
     /// Deserializes from record bytes; `block_size` fixes the bitmap width.
     pub fn decode(bytes: &[u8], block_size: u64) -> Self {
         assert!(bytes.len() >= RECORD_BYTES as usize);
@@ -144,10 +166,7 @@ impl BlockRecord {
         } else {
             (block_size / (slot_len64 as u64 * 64)) as usize
         };
-        let mut delta_addr = [0u64; MAX_POSITIONS];
-        for (k, a) in delta_addr.iter_mut().enumerate() {
-            *a = u64::from_le_bytes(bytes[32 + k * 8..40 + k * 8].try_into().unwrap());
-        }
+        let (xor_map, delta_addr) = Self::decode_head(bytes);
         BlockRecord {
             role: Role::from_u8(bytes[0]),
             valid: bytes[1] != 0,
@@ -156,7 +175,7 @@ impl BlockRecord {
             cli_id: u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
             index_version: u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
             stripe_array: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
-            xor_map: u16::from_le_bytes(bytes[24..26].try_into().unwrap()),
+            xor_map,
             delta_addr,
             bitmap: Bitmap::from_bytes(slots.min(MAX_SLOTS), &bytes[BITMAP_OFF..]),
         }
@@ -193,7 +212,13 @@ mod tests {
         r.xor_map = 0b101;
         r.delta_addr[0] = 0xABCD;
         r.delta_addr[2] = 0x1234;
-        let d = BlockRecord::decode(&r.encode(), 2 << 20);
+        let bytes = r.encode();
+        assert_eq!(
+            BlockRecord::decode_head(&bytes[..RECORD_HEAD_BYTES]),
+            (r.xor_map, r.delta_addr),
+            "the head alone carries XOR Map and Delta Addr"
+        );
+        let d = BlockRecord::decode(&bytes, 2 << 20);
         assert_eq!(d.role, Role::Parity);
         assert_eq!(d.xor_map, 0b101);
         assert_eq!(d.delta_addr[0], 0xABCD);

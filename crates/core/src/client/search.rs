@@ -11,9 +11,8 @@ use super::AcesoClient;
 use crate::cache::CacheEntry;
 use crate::config::unpack_col;
 use crate::kv::{self, KvRead};
-use crate::proto::{ServerReq, ServerResp};
 use crate::{Result, StoreError};
-use aceso_blockalloc::{BlockRecord, CellKind};
+use aceso_blockalloc::{BlockRecord, CellKind, RECORD_HEAD_BYTES};
 use aceso_erasure::xor_into;
 use aceso_index::{fingerprint, RemoteIndex, SlotAtomic, SlotMeta};
 use aceso_rdma::RdmaError;
@@ -274,8 +273,16 @@ impl AcesoClient {
 
     // ---- Degraded SEARCH (§3.4.1) ----------------------------------------
 
-    /// Reconstructs the slot-range bytes of a KV whose block is unavailable,
-    /// by XORing the same byte range of one parity chain (plus deltas).
+    /// Reconstructs the slot-range bytes of a KV whose block is unavailable
+    /// by XORing the same byte range of one X-Code parity chain,
+    /// `C_t = P ⊕ ⊕_{k≠t, encoded}(C_k ⊕ D_k) ⊕ D_t` — the diagonal chain,
+    /// or the anti-diagonal one if a cell the first needs is unreachable.
+    ///
+    /// All one-sided: [`Self::read_chain`] posts the chain as one doorbell,
+    /// and only a chain with a DELTA block registered (the target's block is
+    /// still open, or an encoded cell is being overwritten) costs a second
+    /// one. SEARCH, the write path's `verify_kv` and the retry after a
+    /// refuted identity read all reconstruct through here.
     async fn fetch_kv_degraded(
         &mut self,
         col: usize,
@@ -286,85 +293,94 @@ impl AcesoClient {
         if let Some(m) = &self.metrics {
             m.degraded_reads.inc();
         }
-        let buf = self.reconstruct_range(col, off, len);
-        self.dm.settle().await;
-        Ok(kv::decode(&buf?).and_then(|d| candidate_of(d, key)))
-    }
-
-    /// Range-limited X-Code reconstruction:
-    /// `C_t = P ⊕ ⊕_{k≠t, encoded}(C_k ⊕ D_k) ⊕ D_t` over one chain.
-    pub(super) fn reconstruct_range(
-        &mut self,
-        col: usize,
-        off: u64,
-        len: usize,
-    ) -> Result<Vec<u8>> {
         let (block, within) = self.map.blocks.locate(off).ok_or(StoreError::NotFound)?;
         let CellKind::Data { array, row } = self.map.blocks.kind_of(block) else {
             return Err(StoreError::NotFound);
         };
         let (diag, anti) = self.xcode.parity_cells_for(row, col);
         let mut last_err = StoreError::NotFound;
-        for (prow, pcol) in [diag, anti] {
-            match self.reconstruct_via_chain(array, row, prow, pcol, within, len) {
-                Ok(buf) => return Ok(buf),
+        for parity in [diag, anti] {
+            let chain = self.read_chain(array, row, parity, within, len);
+            self.dm.settle().await;
+            let folded = chain.and_then(|(acc, deltas)| self.fold_deltas(acc, &deltas, within));
+            self.dm.settle().await; // Nothing to wait for unless DELTA reads were posted.
+            match folded {
+                Ok(buf) => return Ok(kv::decode(&buf).and_then(|d| candidate_of(d, key))),
                 Err(e) => last_err = e,
             }
         }
         Err(last_err)
     }
 
-    fn reconstruct_via_chain(
-        &mut self,
+    /// Posts one chain's doorbell: the head of the parity block's record
+    /// (XOR Map and Delta Addr, which every handler persists into the Meta
+    /// Area), the parity range, and the same range of every other data
+    /// cell. Returns the XOR of what the head says is encoded, and the DELTA
+    /// blocks still to fold in.
+    ///
+    /// The cells are read before the head is known, so a cell the head rules
+    /// out (not encoded yet) is read and discarded — and only such a cell
+    /// may have been unreachable.
+    fn read_chain(
+        &self,
         array: u64,
         row: usize,
-        parity_row: usize,
-        parity_col: usize,
+        (parity_row, parity_col): (usize, usize),
         within: u64,
         len: usize,
-    ) -> Result<Vec<u8>> {
-        let pid = self.map.blocks.cell_block_id(array, parity_row);
-        let resp = self.rpc(parity_col, ServerReq::GetRecord { block: pid }, 16)?;
-        let ServerResp::Record { bytes } = resp else {
-            return Err(StoreError::NotFound);
-        };
-        let prec = BlockRecord::decode(&bytes, self.map.blocks.block_size);
-
-        let eq = self
-            .xcode
-            .equations()
-            .into_iter()
-            .find(|e| e.parity_row == parity_row && e.parity_col == parity_col)
-            .expect("chain equation exists");
-
-        let mut acc = vec![0u8; len];
-        let target_encoded = prec.xor_map & (1 << row) != 0;
-        if target_encoded {
-            let poff = self.map.blocks.block_offset(pid) + within;
-            let p = self.dm.read_vec(self.addr(parity_col, poff), len)?;
-            xor_into(&mut acc, &p);
-            for &(r, c) in &eq.data {
-                if r == row {
-                    continue;
-                }
-                if prec.xor_map & (1 << r) != 0 {
-                    let cid = self.map.blocks.cell_block_id(array, r);
-                    let coff = self.map.blocks.block_offset(cid) + within;
-                    let cbuf = self.dm.read_vec(self.addr(c, coff), len)?;
-                    xor_into(&mut acc, &cbuf);
-                    if prec.delta_addr[r] != 0 {
-                        let (dc, doff) = unpack_col(prec.delta_addr[r]);
-                        let dbuf = self.dm.read_vec(self.addr(dc, doff + within), len)?;
-                        xor_into(&mut acc, &dbuf);
-                    }
+    ) -> Result<(Vec<u8>, Vec<u64>)> {
+        let blocks = self.map.blocks;
+        let eq = self.xcode.chain(parity_row, parity_col);
+        let pid = blocks.cell_block_id(array, parity_row);
+        let range_of = |col, id| self.addr(col, blocks.block_offset(id) + within);
+        // One landing buffer, `parity | other cells | head`: the fold
+        // accumulates in place and is the buffer's first `len` bytes.
+        let mut buf = vec![0u8; eq.data.len() * len + RECORD_HEAD_BYTES];
+        let (cells, head) = buf.split_at_mut(eq.data.len() * len);
+        let (acc, others) = cells.split_at_mut(len);
+        let siblings = || eq.data.iter().filter(|&&(r, _)| r != row);
+        let reads: Vec<aceso_rdma::Result<()>> = self.dm.batch(|dm| {
+            dm.read(self.addr(parity_col, blocks.record_offset(pid)), head)?;
+            dm.read(range_of(parity_col, pid), acc)?;
+            let cells = siblings().zip(others.chunks_mut(len));
+            let read = cells
+                .map(|(&(r, c), cell)| dm.read(range_of(c, blocks.cell_block_id(array, r)), cell));
+            Ok::<_, RdmaError>(read.collect())
+        })?;
+        let (xor_map, delta_addr) = BlockRecord::decode_head(head);
+        let mut deltas = vec![delta_addr[row]];
+        if xor_map & (1 << row) == 0 {
+            acc.fill(0); // Not encoded yet: the target is its DELTA block alone.
+        } else {
+            for ((&(r, _), cell), read) in siblings().zip(others.chunks(len)).zip(reads) {
+                if xor_map & (1 << r) != 0 {
+                    read?;
+                    xor_into(acc, cell);
+                    deltas.push(delta_addr[r]);
                 }
             }
         }
-        if prec.delta_addr[row] != 0 {
-            let (dc, doff) = unpack_col(prec.delta_addr[row]);
-            let dbuf = self.dm.read_vec(self.addr(dc, doff + within), len)?;
-            xor_into(&mut acc, &dbuf);
+        deltas.retain(|&d| d != 0);
+        buf.truncate(len);
+        Ok((buf, deltas))
+    }
+
+    /// The chain's second doorbell, posted only when DELTA blocks are
+    /// registered: XORs the range of each into `acc`.
+    fn fold_deltas(&self, mut acc: Vec<u8>, deltas: &[u64], within: u64) -> Result<Vec<u8>> {
+        if deltas.is_empty() {
+            return Ok(acc);
         }
+        let len = acc.len();
+        let mut bufs = vec![0u8; deltas.len() * len];
+        self.dm.batch(|dm| {
+            let mut reads = deltas.iter().zip(bufs.chunks_mut(len));
+            reads.try_for_each(|(&d, buf)| {
+                let (dcol, doff) = unpack_col(d);
+                dm.read(self.addr(dcol, doff + within), buf)
+            })
+        })?;
+        bufs.chunks(len).for_each(|d| xor_into(&mut acc, d));
         Ok(acc)
     }
 }

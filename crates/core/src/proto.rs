@@ -52,7 +52,9 @@ pub enum ServerReq {
         /// Per-block obsolete slot indices.
         updates: Vec<(BlockId, Vec<u32>)>,
     },
-    /// Fetch one block's metadata record bytes.
+    /// Fetch one block's metadata record bytes (the stripe book's read; a
+    /// degraded SEARCH reads a parity record's head from the Meta Area
+    /// one-sided instead).
     GetRecord {
         /// Which block.
         block: BlockId,

@@ -812,11 +812,11 @@ fn rebuild_parity_and_deltas(store: &AcesoStore, server: &MnServer, dm: &DmClien
         parity.map(|r| r.stripe_array).collect()
     };
     let book = StripeBook::fetch(store, dm, arrays.iter().copied(), None);
-    let equations = book.xcode.equations();
+    let xcode = &book.xcode;
     let mut net = 0u64;
 
     for &array in &arrays {
-        for eq in equations.iter().filter(|eq| eq.parity_col == col) {
+        for eq in [xcode.diag_row(), xcode.anti_row()].map(|prow| xcode.chain(prow, col)) {
             let Some(prec) = book.parity(array, eq.parity_row, col) else {
                 continue; // Never allocated: nothing encoded yet.
             };

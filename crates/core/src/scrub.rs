@@ -85,7 +85,6 @@ pub fn scrub(store: &Arc<AcesoStore>) -> Result<ScrubReport> {
         Ok(dm.read_vec(GlobalAddr::new(dir.node_of(col), off), bs)?)
     };
 
-    let equations = book.xcode.equations();
     for &array in &arrays {
         report.arrays_checked += 1;
         // Delta-copy agreement per data cell.
@@ -108,7 +107,7 @@ pub fn scrub(store: &Arc<AcesoStore>) -> Result<ScrubReport> {
             }
         }
         // Parity equations, each against its own PARITY record.
-        for eq in &equations {
+        for eq in book.xcode.equations() {
             let Some(prec) = book.parity(array, eq.parity_row, eq.parity_col) else {
                 continue; // Parity never allocated: nothing encoded yet.
             };

@@ -15,8 +15,8 @@
 //! 3. [`trusted`](StripeBook::trusted) — may bytes hosted on that column be
 //!    believed right now?
 //!
-//! The client's range-limited chain read (`client/search.rs`) reads one
-//! record per degraded SEARCH and stays on its own.
+//! The client's range-limited chain read (`client/search.rs`) is not a
+//! book user: it reads one record *head* per degraded SEARCH, one-sided.
 
 use crate::config::unpack_col;
 use crate::proto::{ServerReq, ServerResp};

@@ -21,6 +21,15 @@
 //! that rule: which writes keep the verified path, what a refuted identity
 //! read costs, and that an op speculates at most once.
 //!
+//! A second shape moved with the read path, not the write path:
+//! `cold_update_with_unreadable_candidate` was 4 batches and one RPC — the
+//! retry's reconstruction asked the parity MN for its block record
+//! (`GetRecord`) and then read the parity chain one verb per round trip.
+//! A degraded read is now one-sided: the record's head, the parity range
+//! and the chain's other cells go out as one doorbell, so the same op is
+//! 5 batches and `rpcs == 0`; that the retry reconstructed is read off
+//! `client.search.degraded`. `read_shapes.rs` pins the read path itself.
+//!
 //! Each measured op runs with its open block already allocated and the
 //! obsolete-bit buffer empty, so no allocation or bitmap-flush RPC rides
 //! along (`rpcs == 0` is asserted).
@@ -47,21 +56,16 @@ fn primed(store: &Arc<AcesoStore>, tag: &str, value: &[u8]) -> AcesoClient {
     c
 }
 
-/// Runs `op` as the only profiled operation of `c` and returns its record.
-fn profile<T>(c: &mut AcesoClient, op: impl FnOnce(&mut AcesoClient) -> T) -> (T, OpRecord) {
+/// Runs `op` as the only profiled operation of `c` and returns its record;
+/// no RPC may ride along.
+fn measure<T>(c: &mut AcesoClient, op: impl FnOnce(&mut AcesoClient) -> T) -> (T, OpRecord) {
     c.flush_bitmaps().unwrap();
     c.dm.take_ops();
     let out = op(c);
     let recs = c.dm.take_ops().records;
     assert_eq!(recs.len(), 1, "exactly one op must have been recorded");
+    assert_eq!(recs[0].rpcs, 0, "a shape must not include an MN RPC");
     (out, recs[0])
-}
-
-/// [`profile`] for a healthy store: no RPC may ride along.
-fn measure<T>(c: &mut AcesoClient, op: impl FnOnce(&mut AcesoClient) -> T) -> (T, OpRecord) {
-    let (out, rec) = profile(c, op);
-    assert_eq!(rec.rpcs, 0, "a shape must not include an MN RPC");
-    (out, rec)
 }
 
 fn shape(r: &OpRecord) -> Shape {
@@ -196,11 +200,13 @@ fn cold_update_of_absent_key_with_colliding_neighbour() {
 /// UPDATE without a cache entry while the candidate's KV block is lost
 /// (its column killed, only the Index tier recovered): the batch's
 /// identity read comes back unwritten, and the one retry verifies through
-/// parity-chain reconstruction before it writes — exactly one speculative
-/// batch is posted, the op commits.
+/// parity-chain reconstruction — one more doorbell, no MN CPU — before it
+/// writes: exactly one speculative batch is posted, the op commits.
 #[test]
 fn cold_update_with_unreadable_candidate() {
     let store = launch();
+    let reg = aceso_obs::Registry::new();
+    store.install_recorder(Arc::clone(&reg));
     let key = b"shape-key";
     let mut a = primed(&store, "a", V);
     a.insert(key, V).unwrap();
@@ -219,11 +225,20 @@ fn cold_update_with_unreadable_candidate() {
     recovery.run_to(RecoveryTier::Block).unwrap();
 
     let mut b = primed(&store, "b", V);
-    let (r, rec) = profile(&mut b, |c| c.update(key, b"degraded"));
+    let degraded = reg.counter("client.search.degraded");
+    let before = degraded.get();
+    let (r, rec) = measure(&mut b, |c| c.update(key, b"degraded"));
     r.unwrap();
     assert_eq!(rec.retries, 1, "one refuted speculation, then verified");
-    assert_eq!(rec.batches, 4, "scan, speculative batch, scan, write batch");
-    assert!(rec.rpcs > 0, "the retry must have reconstructed the KV");
+    assert_eq!(
+        rec.batches, 5,
+        "scan, speculative batch, scan, parity-chain doorbell, write batch"
+    );
+    assert_eq!(
+        degraded.get() - before,
+        1,
+        "the retry must have reconstructed the KV"
+    );
     assert_eq!(rec.cas, 1);
 
     recovery.run().unwrap();

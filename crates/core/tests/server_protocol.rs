@@ -1,10 +1,11 @@
 //! Direct tests of the MN server's RPC protocol: allocation, delta
 //! registration, offline encoding, bitmap flushes and replication.
 
-use aceso_blockalloc::{BlockRecord, Role};
+use aceso_blockalloc::{BlockId, BlockRecord, Role, RECORD_HEAD_BYTES};
 use aceso_core::config::unpack_col;
+use aceso_core::elastic::ElasticStep;
 use aceso_core::proto::{ServerReq, ServerResp};
-use aceso_core::{AcesoConfig, AcesoStore, StoreError};
+use aceso_core::{AcesoConfig, AcesoStore, RecoveryTier, StoreError};
 use aceso_rdma::{FaultAction, FaultPlan, FaultRule, RdmaError, VerbKind};
 use std::sync::Arc;
 
@@ -413,5 +414,84 @@ fn kill_between_rpcs_of_a_close_surfaces_as_node_unreachable() {
         busy,
         "a dead server ran a handler"
     );
+    store.shutdown();
+}
+
+/// Every column's Meta Area must carry the `(xor_map, delta_addr)` its
+/// server holds in memory: a degraded SEARCH reads a parity record's head
+/// out of the region with a one-sided READ and never asks the server.
+fn assert_record_heads_agree(store: &Arc<AcesoStore>, when: &str) {
+    let blocks = store.map.blocks;
+    for col in 0..store.cfg.num_mns {
+        let server = store.server(col);
+        let mut head = [0u8; RECORD_HEAD_BYTES];
+        for (id, rec) in server.records.lock().iter().enumerate() {
+            let off = blocks.record_offset(id as BlockId);
+            server.node.region.read(off, &mut head).unwrap();
+            assert_eq!(
+                BlockRecord::decode_head(&head),
+                (rec.xor_map, rec.delta_addr),
+                "{when}: column {col} block {id} ({:?})",
+                rec.role
+            );
+        }
+    }
+}
+
+/// The invariant behind the one-sided head read, after every handler and
+/// state hand-over that touches a parity record: `AllocDelta`,
+/// `EncodeDelta`, a reused `AllocData` (a DELTA registered against an
+/// already-encoded row), recovery's Meta tier, and `MigrateFinish`.
+#[test]
+fn region_record_heads_track_the_servers_records() {
+    let cfg = AcesoConfig {
+        num_arrays: 2,
+        reclaim_free_ratio: 1.1, // Always allowed to reclaim.
+        ..AcesoConfig::small()
+    };
+    let store = AcesoStore::launch(cfg).unwrap();
+    let mut c = store.client().unwrap();
+    let key = |i: u32| format!("head-{i}").into_bytes();
+    let round = |c: &mut aceso_core::AcesoClient, v: u8| {
+        for i in 0..500 {
+            c.update(&key(i), &[v; 180]).unwrap();
+        }
+        c.flush_bitmaps().unwrap();
+    };
+    for i in 0..500 {
+        c.insert(&key(i), &[0; 180]).unwrap();
+    }
+    assert_record_heads_agree(&store, "open blocks (AllocDelta)");
+    let mut reused = false;
+    for v in 1..=20 {
+        round(&mut c, v);
+        reused |= (0..store.cfg.num_mns).any(|col| {
+            let server = store.server(col);
+            let recs = server.records.lock();
+            let open =
+                |r: &BlockRecord| (0..3).any(|k| r.xor_map & (1 << k) != 0 && r.delta_addr[k] != 0);
+            recs.iter().any(open)
+        });
+        assert_record_heads_agree(&store, "updates (EncodeDelta, reused AllocData)");
+    }
+    assert!(reused, "the rounds must have caught a reused block open");
+
+    c.close_open_blocks().unwrap();
+    store.checkpoint_tick().unwrap();
+    assert!(store.kill_mn(1));
+    let mut recovery = store.begin_recovery(1).unwrap();
+    recovery.run_to(RecoveryTier::Block).unwrap();
+    assert_record_heads_agree(&store, "index-only replacement (Meta tier)");
+    round(&mut c, 21);
+    recovery.run().unwrap();
+    assert_record_heads_agree(&store, "recovered");
+
+    let mut join = store.begin_join(3).unwrap();
+    while join.step().unwrap() != ElasticStep::Done {
+        round(&mut c, 22);
+        assert_record_heads_agree(&store, "mid-migration / MigrateFinish");
+    }
+    assert_eq!(c.search(&key(7)).unwrap().unwrap(), vec![22u8; 180]);
+    assert!(aceso_core::scrub(&store).unwrap().is_clean());
     store.shutdown();
 }

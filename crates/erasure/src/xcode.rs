@@ -28,9 +28,12 @@ use crate::xor::xor_into;
 use crate::CodeError;
 
 /// An X-Code instance over a prime `n ≥ 3`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct XCode {
     n: usize,
+    /// The `2n` parity equations, built once: column `i`'s diagonal at
+    /// `2i`, its anti-diagonal at `2i + 1`.
+    equations: Vec<Equation>,
 }
 
 /// A stripe's two parity rows `(diagonal, anti-diagonal)`, each `n` cells.
@@ -69,7 +72,22 @@ impl XCode {
                 "x-code needs prime n ≥ 3, got {n}"
             )));
         }
-        Ok(XCode { n })
+        let mut equations = Vec::with_capacity(2 * n);
+        for i in 0..n {
+            equations.push(Equation {
+                parity_row: n - 2,
+                parity_col: i,
+                data: (0..n - 2).map(|k| (k, (i + k + 2) % n)).collect(),
+            });
+            equations.push(Equation {
+                parity_row: n - 1,
+                parity_col: i,
+                data: (0..n - 2)
+                    .map(|k| (k, (i + n - ((k + 2) % n)) % n))
+                    .collect(),
+            });
+        }
+        Ok(XCode { n, equations })
     }
 
     /// Array dimension (columns = memory nodes).
@@ -106,24 +124,15 @@ impl XCode {
     }
 
     /// All `2n` parity equations of the array.
-    pub fn equations(&self) -> Vec<Equation> {
-        let n = self.n;
-        let mut eqs = Vec::with_capacity(2 * n);
-        for i in 0..n {
-            eqs.push(Equation {
-                parity_row: self.diag_row(),
-                parity_col: i,
-                data: (0..n - 2).map(|k| (k, (i + k + 2) % n)).collect(),
-            });
-            eqs.push(Equation {
-                parity_row: self.anti_row(),
-                parity_col: i,
-                data: (0..n - 2)
-                    .map(|k| (k, (i + n - ((k + 2) % n)) % n))
-                    .collect(),
-            });
-        }
-        eqs
+    pub fn equations(&self) -> &[Equation] {
+        &self.equations
+    }
+
+    /// The equation (chain) whose parity cell is `(parity_row, parity_col)`,
+    /// as [`XCode::parity_cells_for`] names it.
+    pub fn chain(&self, parity_row: usize, parity_col: usize) -> &Equation {
+        debug_assert!(parity_row >= self.diag_row() && parity_row < self.n && parity_col < self.n);
+        &self.equations[2 * parity_col + (parity_row - self.diag_row())]
     }
 
     /// Encodes a full stripe: computes both parity rows from the data rows.
@@ -267,13 +276,8 @@ impl XCode {
                 self.n
             )));
         }
-        let eq = self
-            .equations()
-            .into_iter()
-            .find(|e| e.parity_row == parity_row && e.parity_col == parity_col)
-            .expect("parity cell has an equation");
         let mut acc: Option<Vec<u8>> = None;
-        for (r, c) in eq.data {
+        for &(r, c) in &self.chain(parity_row, parity_col).data {
             let cell = fetch(r, c).ok_or(CodeError::Unsolvable)?;
             match &mut acc {
                 None => acc = Some(cell),
@@ -320,12 +324,7 @@ impl XCode {
             let Some(mut acc) = fetch(prow, pcol) else {
                 continue;
             };
-            let eq = self
-                .equations()
-                .into_iter()
-                .find(|e| e.parity_row == prow && e.parity_col == pcol)
-                .expect("parity cell has an equation");
-            for (r, c) in eq.data {
+            for &(r, c) in &self.chain(prow, pcol).data {
                 if (r, c) == (row, col) {
                     continue;
                 }
@@ -417,6 +416,7 @@ mod tests {
                     }
                 }
                 assert_eq!(eq.data.len(), n - 2);
+                assert!(std::ptr::eq(code.chain(eq.parity_row, eq.parity_col), eq));
             }
         }
     }

@@ -23,7 +23,7 @@ fn every_data_cell_covered_exactly_twice() {
             } else {
                 &mut anti_count
             };
-            for cell in eq.data {
+            for &cell in &eq.data {
                 *m.entry(cell).or_insert(0) += 1;
             }
         }

@@ -62,7 +62,11 @@ pub const STEP_TABLE: &[(&str, usize, &str)] = &[
         1,
         "re-read of a KV its stale advisory length truncated",
     ),
-    ("fetch_kv_degraded", 1, "parity-chain reconstruction"),
+    (
+        "fetch_kv_degraded",
+        2,
+        "parity-chain doorbell (record head + parity + cells); DELTA-block doorbell",
+    ),
 ];
 
 /// Scans the client source and reports every drift between the real
