@@ -26,7 +26,8 @@ use aceso_erasure::xor::is_zero;
 use aceso_erasure::xor_into;
 use aceso_index::slot::slot_version;
 use aceso_index::{fingerprint, route_hash, SlotAtomic, SlotMeta};
-use aceso_rdma::{CostModel, DmClient, GlobalAddr};
+use aceso_rdma::{CostModel, DmClient, GlobalAddr, NodeId};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,11 +64,12 @@ pub struct RecoveryReport {
     pub lblock_net_ops: u64,
     /// Modeled network share of [`recover_lblock_ms`](Self::recover_lblock_ms).
     pub lblock_net_ms: f64,
-    /// Reading new remote blocks from alive MNs (ms).
+    /// Reading the new remote blocks the decode did not land (ms).
     pub read_rblock_ms: f64,
-    /// Number of new remote blocks read.
+    /// Number of new remote blocks scanned.
     pub rblock_count: usize,
-    /// Bytes of new remote blocks read (deterministic).
+    /// Bytes of new remote blocks fetched for the scan — those no decode
+    /// chain had landed already (deterministic).
     pub rblock_net_bytes: u64,
     /// Modeled network share of [`read_rblock_ms`](Self::read_rblock_ms).
     pub rblock_net_ms: f64,
@@ -81,7 +83,11 @@ pub struct RecoveryReport {
     pub recover_old_lblock_ms: f64,
     /// Block-tier compute component (decode XOR; machine-dependent).
     pub old_lblock_cpu_ms: f64,
-    /// Block-tier modeled network component (scales with recovery fan-in).
+    /// Network bytes read while decoding old local blocks (deterministic).
+    pub old_lblock_net_bytes: u64,
+    /// Network read ops issued while decoding old local blocks.
+    pub old_lblock_net_ops: u64,
+    /// Block-tier modeled network component.
     pub old_lblock_net_ms: f64,
     /// Number of old local blocks reconstructed.
     pub old_lblock_count: usize,
@@ -133,9 +139,10 @@ struct ScannedBlock {
     slot_len64: u8,
 }
 
-/// Data cells recovered for *other* dead columns while decoding this one,
-/// keyed `(array, row, col)`: their KVs are scanned without a second decode.
-type OtherCells = HashMap<(u64, usize, usize), Vec<u8>>;
+/// DATA cells a decode left in hand, keyed `(row, col)` of their array:
+/// survivors' as they landed off the wire, lost ones as decoded. The Index
+/// tier scans its new blocks out of here instead of fetching them again.
+type Cells = HashMap<(usize, usize), Vec<u8>>;
 
 /// One tier of MN recovery (§3.4.1), in the order [`Recovery::step`] runs
 /// them.
@@ -427,28 +434,47 @@ impl Recovery {
             }
         }
 
-        // Reconstruct new local blocks (stripe-at-a-time X-Code decode).
-        // Cells of *other* dead columns recovered along the way are kept
-        // for the KV scan below.
+        // Reconstruct new local blocks, one planned decode per array. Every
+        // data cell a decode touched stays in hand for the KV scan below:
+        // survivors as landed, this column's and other dead columns' as
+        // decoded.
         let t = Instant::now();
         self.new_arrays = local_new.iter().map(|(_, r)| r.stripe_array).collect();
         self.new_arrays
             .extend(dead_new.iter().map(|(_, _, r)| r.stripe_array));
-        let mut others = OtherCells::new();
-        let (net_bytes, net_ops) =
-            decode_arrays(&store, &server, dm, &self.new_arrays, &mut others)?;
+        let arrays = self.new_arrays.iter().copied();
+        let book = StripeBook::fetch(&store, dm, arrays, Some(&server));
+        let mut net = Reads::default();
+        let mut in_hand: HashMap<u64, Cells> = HashMap::new();
+        for &array in &self.new_arrays {
+            let cells = decode_column(&store, &server, dm, &book, array, true, &mut net)?;
+            in_hand.insert(array, cells);
+        }
         r.lblock_count = local_new.len();
-        r.lblock_net_bytes = net_bytes;
-        r.lblock_net_ops = net_ops;
-        r.lblock_net_ms = modeled_transfer_ms(&cost, net_bytes, net_ops);
+        r.lblock_net_bytes = net.bytes;
+        r.lblock_net_ops = net.ops;
+        r.lblock_net_ms = modeled_transfer_ms(&cost, net);
         r.recover_lblock_ms = t.elapsed().as_secs_f64() * 1e3 + r.lblock_net_ms;
 
-        // Read new remote blocks.
+        // Read the new remote blocks no decode landed, and collect the scan
+        // set: remote, then local, then other dead columns' new blocks.
         let t = Instant::now();
+        let mut net = Reads::default();
+        let local = local_new.iter().map(|(id, rec)| (col, *id, rec.slot_len64));
+        let dead = dead_new
+            .iter()
+            .map(|(c, id, rec)| (*c, *id, rec.slot_len64));
         let mut scanned: Vec<ScannedBlock> = Vec::new();
-        for &(c, block, slot_len64) in &remote_new {
-            let addr = GlobalAddr::new(dir.node_of(c), map.blocks.block_offset(block));
-            let bytes = dm.read_vec(addr, bs as usize)?;
+        for (c, block, slot_len64) in remote_new.iter().copied().chain(local).chain(dead) {
+            let CellKind::Data { array, row } = map.blocks.kind_of(block) else {
+                continue;
+            };
+            let landed = in_hand.get_mut(&array).and_then(|a| a.remove(&(row, c)));
+            let offset = map.blocks.block_offset(block);
+            let bytes = match landed {
+                Some(bytes) => bytes,
+                None => net.read(dm, dir.node_of(c), offset, bs as usize)?,
+            };
             scanned.push(ScannedBlock {
                 col: c,
                 block,
@@ -456,35 +482,11 @@ impl Recovery {
                 slot_len64,
             });
         }
+        drop(in_hand); // What is left are old blocks: landed, not scanned.
         r.rblock_count = remote_new.len();
-        r.rblock_net_bytes = bs * remote_new.len() as u64;
-        r.rblock_net_ms = modeled_transfer_ms(&cost, r.rblock_net_bytes, remote_new.len() as u64);
+        r.rblock_net_bytes = net.bytes;
+        r.rblock_net_ms = modeled_transfer_ms(&cost, net);
         r.read_rblock_ms = t.elapsed().as_secs_f64() * 1e3 + r.rblock_net_ms;
-
-        // Include the reconstructed local new blocks in the scan set, and
-        // the other dead columns' new blocks recovered during decoding.
-        for (id, rec) in &local_new {
-            let region = &server.node.region;
-            scanned.push(ScannedBlock {
-                col,
-                block: *id,
-                bytes: region.read_vec(map.blocks.block_offset(*id), bs as usize)?,
-                slot_len64: rec.slot_len64,
-            });
-        }
-        for (c, id, rec) in &dead_new {
-            let CellKind::Data { array, row } = map.blocks.kind_of(*id) else {
-                continue;
-            };
-            if let Some(bytes) = others.remove(&(array, row, *c)) {
-                scanned.push(ScannedBlock {
-                    col: *c,
-                    block: *id,
-                    bytes,
-                    slot_len64: rec.slot_len64,
-                });
-            }
-        }
 
         // Scan KV pairs and reapply the freshest ones to the restored index.
         let t = Instant::now();
@@ -529,17 +531,18 @@ impl Recovery {
             .copied()
             .filter(|a| !self.new_arrays.contains(a))
             .collect();
-        let (net_bytes, net_ops) = decode_arrays(
-            &self.store,
-            &self.server,
-            &self.dm,
-            &old_arrays,
-            &mut OtherCells::new(),
-        )?;
+        let (store, server, dm) = (&self.store, &self.server, &self.dm);
+        let book = StripeBook::fetch(store, dm, old_arrays.iter().copied(), Some(server));
+        let mut net = Reads::default();
+        for &array in &old_arrays {
+            decode_column(store, server, dm, &book, array, false, &mut net)?;
+        }
         let r = &mut self.report;
         r.old_lblock_count = self.local_old.len();
+        r.old_lblock_net_bytes = net.bytes;
+        r.old_lblock_net_ops = net.ops;
         r.old_lblock_cpu_ms = t.elapsed().as_secs_f64() * 1e3;
-        r.old_lblock_net_ms = modeled_transfer_ms(&self.store.cfg.cost, net_bytes, net_ops);
+        r.old_lblock_net_ms = modeled_transfer_ms(&self.store.cfg.cost, net);
         r.recover_old_lblock_ms = r.old_lblock_cpu_ms + r.old_lblock_net_ms;
 
         // Resolve the fp-matches the index scan could not verify while old
@@ -615,6 +618,8 @@ impl Drop for Recovery {
 
 /// Records a finished recovery's phase timings and counters into the
 /// store's observability handle (no-op when no recorder is installed).
+/// `recovery.net_bytes` is what moved before and after the Block tier, whose
+/// reads are [`RecoveryReport::old_lblock_net_bytes`] and not in it.
 /// Span names follow the tier order: `recovery.meta.us`,
 /// `recovery.index.us`, `recovery.block.us`, `recovery.parity.us`.
 fn record_recovery_obs(obs: &aceso_obs::Obs, r: &RecoveryReport) {
@@ -640,12 +645,29 @@ fn record_recovery_obs(obs: &aceso_obs::Obs, r: &RecoveryReport) {
     }
 }
 
+/// Block reads a recovery stage put on the wire.
+#[derive(Clone, Copy, Default)]
+struct Reads {
+    bytes: u64,
+    ops: u64,
+}
+
+impl Reads {
+    /// Reads `len` bytes at `off` of `node`, counting them.
+    fn read(&mut self, dm: &DmClient, node: NodeId, off: u64, len: usize) -> Result<Vec<u8>> {
+        let buf = dm.read_vec(GlobalAddr::new(node, off), len)?;
+        self.bytes += len as u64;
+        self.ops += 1;
+        Ok(buf)
+    }
+}
+
 /// Modeled network time of a block-read stage: bytes at line rate plus one
 /// round trip per read, one reader. (The overlap the paper gets from
 /// reading stripes in parallel belongs on the CQ clock, where it would be
 /// measured instead of assumed.)
-fn modeled_transfer_ms(cost: &CostModel, net_bytes: u64, net_ops: u64) -> f64 {
-    (net_bytes as f64 / cost.node_bw + net_ops as f64 * cost.rtt_us * 1e-6) * 1e3
+fn modeled_transfer_ms(cost: &CostModel, net: Reads) -> f64 {
+    (net.bytes as f64 / cost.node_bw + net.ops as f64 * cost.rtt_us * 1e-6) * 1e3
 }
 
 /// Fetches the failed column's Meta Area replica from whichever of its two
@@ -668,134 +690,81 @@ fn fetch_meta_replica(
     Err(too_many_lost(store))
 }
 
-/// Decodes `server`'s column in every array of `arrays`, all from one
-/// stripe book. Returns the summed network demand `(bytes, read ops)`.
-fn decode_arrays(
-    store: &AcesoStore,
-    server: &MnServer,
-    dm: &DmClient,
-    arrays: &BTreeSet<u64>,
-    others: &mut OtherCells,
-) -> Result<(u64, u64)> {
-    let book = StripeBook::fetch(store, dm, arrays.iter().copied(), Some(server));
-    let mut spare = std::mem::take(&mut *store.decode_scratch.lock());
-    let (mut net_bytes, mut net_ops) = (0, 0);
-    for &array in arrays {
-        let (nb, no) = decode_column(store, server, dm, &book, array, others, &mut spare)?;
-        net_bytes += nb;
-        net_ops += no;
-    }
-    spare.truncate(store.cfg.num_mns * store.cfg.num_mns);
-    *store.decode_scratch.lock() = spare;
-    Ok((net_bytes, net_ops))
-}
-
-/// Reconstructs every data cell of `server`'s column in stripe `array` onto
-/// its region via full-stripe X-Code decode (handles one or two failed
-/// columns). Returns `(network bytes read, read ops)`; the *current*
-/// contents of data cells recovered for other dead columns go to `others`.
-/// Cells are read into the block-sized buffers of `spare` while they last,
-/// and every buffer the decode is done with goes back there.
+/// Restores every allocated data cell of `server`'s column in stripe `array`
+/// onto its region by planned X-Code decode, and with `others` decodes the
+/// data cells of every other dead column too. With one column down a lost
+/// cell costs its one chain; with two the plan is the full peel.
+///
+/// Ruled out of the plan: dead columns, the column being recovered, and
+/// PARITY cells hosted where [`StripeBook::trusted`] says bytes are not to
+/// be believed (zeros until that column's parity rebuild). Each step folds
+/// by the record of *its own* chain's parity cell — a block close is two
+/// `EncodeDelta`s, and between them the two records disagree:
+/// `C_t = P ⊕ ⊕_{k≠t, folded}(C_k ⊕ D_k) ⊕ D_t`, and a target the record
+/// has not folded in is its delta copy alone. Steps XOR into an accumulator
+/// of their own, so the returned cells are the blocks' current contents.
 fn decode_column(
     store: &AcesoStore,
     server: &MnServer,
     dm: &DmClient,
     book: &StripeBook,
     array: u64,
-    others: &mut OtherCells,
-    spare: &mut Vec<Vec<u8>>,
-) -> Result<(u64, u64)> {
-    let map = store.map;
+    others: bool,
+    net: &mut Reads,
+) -> Result<Cells> {
+    let blocks = store.map.blocks;
     let n = store.cfg.num_mns;
-    let bs = map.blocks.block_size as usize;
+    let bs = blocks.block_size as usize;
     let dir = store.directory();
     let col = server.column;
-    let read = |c: usize, off: u64| dm.read_vec(GlobalAddr::new(dir.node_of(c), off), bs);
-    // A data cell's pending delta, from the first trustworthy copy that
-    // answers: one hosted on the column being recovered is lost by
-    // definition, and one on a column in its degraded window would
-    // "succeed" with zeros.
-    let delta_of = |r: usize, c: usize| {
-        book.delta_copies(array, r, c)
-            .filter(|&(dc, _)| book.trusted(dc))
-            .find_map(|(dc, off)| read(dc, off).ok())
+    let offset_of = |r: usize| blocks.block_offset(blocks.cell_block_id(array, r));
+    let dead: Vec<bool> = (0..n).map(|c| c == col || !store.col_alive(c)).collect();
+    let own: Vec<usize> = {
+        let recs = server.records.lock();
+        let role_of = |r: usize| recs[blocks.cell_block_id(array, r) as usize].role;
+        (0..n - 2).filter(|&r| role_of(r) != Role::Free).collect()
     };
+    let other_dead = (0..n).filter(|&c| others && c != col && dead[c]);
+    let wanted = own.iter().map(|&r| (r, col));
+    let wanted = wanted.chain(other_dead.flat_map(|c| (0..n - 2).map(move |r| (r, c))));
+    let ruled_out = |r: usize, c: usize| dead[c] || (r >= n - 2 && !book.trusted(c));
+    let plan = book.xcode.plan(ruled_out, wanted);
 
-    // Build the encoded-view stripe.
-    let (mut net_bytes, mut net_ops) = (0u64, 0u64);
-    let mut stripe: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; n]; n];
-    for (r, stripe_row) in stripe.iter_mut().enumerate() {
-        for (c, stripe_cell) in stripe_row.iter_mut().enumerate() {
-            if c == col {
-                continue; // The failed column: to be reconstructed.
-            }
-            let off = map.blocks.block_offset(map.blocks.cell_block_id(array, r));
-            let mut bytes = spare.pop().unwrap_or_else(|| vec![0u8; bs]);
-            let cell = GlobalAddr::new(dir.node_of(c), off);
-            if dm.read(cell, &mut bytes).is_err() {
-                spare.push(bytes);
-                continue; // Second failed column: leave as erased.
-            }
-            net_bytes += bs as u64;
-            net_ops += 1;
-            if r < n - 2 {
-                // Encoded view of a data cell: C ⊕ pending delta. Unencoded
-                // cells (xor_map bit clear) contribute zero to parity.
-                let delta = delta_of(r, c);
-                if delta.is_some() {
-                    net_bytes += bs as u64;
-                    net_ops += 1;
-                }
-                match (book.encoded(array, r, c), delta) {
-                    (true, Some(d)) => xor_into(&mut bytes, &d),
-                    (true, None) => {}
-                    (false, _) => bytes.fill(0),
-                }
-            }
-            *stripe_cell = Some(bytes);
+    let mut cells = Cells::new();
+    for step in plan.map_err(|_| too_many_lost(store))? {
+        let (prow, pcol) = step.parity;
+        let prec = book.parity(array, prow, pcol);
+        let folded = |r: usize| prec.is_some_and(|p| p.xor_map & (1 << r) != 0);
+        let delta = |r: usize| prec.map_or(0, |p| p.delta_addr[r]);
+        let target_folded = folded(step.target.0);
+        let mut acc = match target_folded {
+            true => net.read(dm, dir.node_of(pcol), offset_of(prow), bs)?,
+            false => vec![0u8; bs],
+        };
+        let mut deltas = vec![delta(step.target.0)];
+        let chain = book.xcode.chain(prow, pcol).data.iter();
+        let others = chain.filter(|&&(r, c)| target_folded && (r, c) != step.target && folded(r));
+        for &(r, c) in others {
+            let cell = match cells.entry((r, c)) {
+                Entry::Occupied(landed) => landed.into_mut(),
+                Entry::Vacant(v) => v.insert(net.read(dm, dir.node_of(c), offset_of(r), bs)?),
+            };
+            xor_into(&mut acc, cell);
+            deltas.push(delta(r));
         }
+        for (dc, doff) in deltas.into_iter().filter(|&d| d != 0).map(unpack_col) {
+            xor_into(&mut acc, &net.read(dm, dir.node_of(dc), doff, bs)?);
+        }
+        cells.insert(step.target, acc);
     }
-    // Remember which cells were erased before decoding.
-    let erased: Vec<(usize, usize)> = (0..n)
-        .flat_map(|r| (0..n).map(move |c| (r, c)))
-        .filter(|&(r, c)| stripe[r][c].is_none())
-        .collect();
-    book.xcode
-        .reconstruct(&mut stripe)
-        .map_err(|_| too_many_lost(store))?;
-    let mut decoded = |r: usize, c: usize| stripe[r][c].take().ok_or_else(|| too_many_lost(store));
 
-    // Write the failed column's cells back: data cells get C = E ⊕ delta.
-    for r in 0..n - 2 {
-        let id = map.blocks.cell_block_id(array, r);
-        if server.records.lock()[id as usize].role == Role::Free {
-            continue; // Never allocated: nothing to restore.
-        }
-        let mut content = decoded(r, col)?;
-        if let Some(d) = delta_of(r, col) {
-            net_bytes += bs as u64;
-            net_ops += 1;
-            xor_into(&mut content, &d);
-        }
-        let region = &server.node.region;
-        region.write(map.blocks.block_offset(id), &content)?;
+    for r in own {
+        let id = blocks.cell_block_id(array, r);
+        let content = cells.get(&(r, col)).ok_or_else(|| too_many_lost(store))?;
+        server.node.region.write(blocks.block_offset(id), content)?;
         server.records.lock()[id as usize].valid = true;
-        spare.push(content);
     }
-
-    // Current contents of data cells recovered for *other* dead columns.
-    for (r, c) in erased {
-        if c == col || r >= n - 2 {
-            continue;
-        }
-        let mut content = decoded(r, c)?;
-        if let Some(d) = delta_of(r, c) {
-            xor_into(&mut content, &d);
-        }
-        others.insert((array, r, c), content);
-    }
-    spare.extend(stripe.into_iter().flatten().flatten());
-    Ok((net_bytes, net_ops))
+    Ok(cells)
 }
 
 /// Recomputes the PARITY cells of `server`'s column and re-materializes

@@ -58,11 +58,6 @@ pub struct AcesoStore {
     /// re-materialized (the degraded window between the Index tier and the
     /// parity rebuild). CN recovery must not trust delta bytes hosted here.
     pub(crate) degraded: Mutex<Vec<usize>>,
-    /// Block-sized buffers the last stripe decode read its cells into, at
-    /// most one stripe's worth (`n²`), kept for the next one: a fresh
-    /// buffer costs a page fault per 4 KB, which on a small store is most
-    /// of a recovery's Index tier.
-    pub(crate) decode_scratch: Mutex<Vec<Vec<u8>>>,
     /// Observability handle. Off by default; [`AcesoStore::install_recorder`]
     /// turns it on for clients created afterwards and for recovery/scrub/
     /// checkpoint instrumentation.
@@ -110,7 +105,6 @@ impl AcesoStore {
             running: Arc::new(AtomicBool::new(true)),
             pending_parity: Mutex::new(Vec::new()),
             degraded: Mutex::new(Vec::new()),
-            decode_scratch: Mutex::new(Vec::new()),
             obs: Mutex::new(Obs::off()),
         });
         if cfg.auto_checkpoint {

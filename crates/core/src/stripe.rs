@@ -1,19 +1,21 @@
 //! The stripe book: what the PARITY records say about a stripe's cells.
 //!
-//! Everything that walks redundancy — [`crate::scrub()`], recovery's stripe
+//! Everything that walks redundancy — [`crate::scrub()`], recovery's planned
 //! decode, the parity rebuild and CN recovery — needs the same facts about
 //! a data cell `(array, r, c)`, and all of them live in the records of the
 //! two PARITY cells covering it (§3.3.2's bookkeeping). The book fetches
 //! those records once, for *every* column of the arrays asked for, and
 //! answers three questions:
 //!
-//! 1. [`encoded`](StripeBook::encoded) — is the cell folded into parity
-//!    (its encoded view is `content ⊕ pending delta`), or unencoded (it
-//!    contributes zero)?
+//! 1. [`parity`](StripeBook::parity) — one chain's record: which of its
+//!    cells are folded in (encoded view `content ⊕ pending delta`; an
+//!    unfolded cell contributes zero) and which have a delta registered.
+//!    A block close is two `EncodeDelta` RPCs, so a cell's two records may
+//!    disagree; whoever folds a chain asks *that chain's* record.
 //! 2. [`delta_copies`](StripeBook::delta_copies) — where are the cell's
 //!    registered delta copies?
-//! 3. [`trusted`](StripeBook::trusted) — may bytes hosted on that column be
-//!    believed right now?
+//! 3. [`trusted`](StripeBook::trusted) — may bytes hosted on that column —
+//!    delta copies, PARITY cells — be believed right now?
 //!
 //! The client's range-limited chain read (`client/search.rs`) is not a
 //! book user: it reads one record *head* per degraded SEARCH, one-sided.
@@ -100,13 +102,6 @@ impl StripeBook {
         self.parity.get(&(array, prow, pcol))
     }
 
-    /// Whether data cell `(r, c)` is folded into its parity.
-    pub fn encoded(&self, array: u64, r: usize, c: usize) -> bool {
-        let ((prow, pcol), _) = self.xcode.parity_cells_for(r, c);
-        self.parity(array, prow, pcol)
-            .is_some_and(|p| p.xor_map & (1 << r) != 0)
-    }
-
     /// `(host column, region offset)` of each registered delta copy of data
     /// cell `(r, c)`: the diagonal parity's first, then the anti-diagonal's.
     pub fn delta_copies(
@@ -122,7 +117,9 @@ impl StripeBook {
         })
     }
 
-    /// Whether delta bytes hosted on `col` may be believed.
+    /// Whether delta and PARITY bytes hosted on `col` may be believed (DATA
+    /// cells are read regardless — ROADMAP item 1's "restored" fact is what
+    /// will rule those out, through the decode plan's `unavailable` input).
     pub fn trusted(&self, col: usize) -> bool {
         !self.untrusted.contains(&col)
     }

@@ -468,6 +468,139 @@ fn failed_recovery_leaks_no_node_and_says_why() {
     store.shutdown();
 }
 
+/// What [`half_closed`] leaves behind.
+struct HalfClosed {
+    store: Arc<AcesoStore>,
+    /// The dead writer.
+    cli_id: u32,
+    /// The half-closed block's column.
+    col: usize,
+    /// What every key holds.
+    kvs: Vec<(Vec<u8>, Vec<u8>)>,
+}
+
+/// A store whose one writer died *between the two `EncodeDelta` RPCs* of a
+/// block close: the block's cell is folded into its diagonal parity and
+/// still delta-pending in its anti-diagonal one, so the two PARITY records
+/// covering it disagree about it. `churn` first rewrites every key until
+/// fresh blocks run out, so the half-closed block is a *reused* one (folded
+/// in both parities, the pending delta carrying old ⊕ new).
+fn half_closed(churn: bool) -> HalfClosed {
+    use aceso_blockalloc::{CellKind, Role};
+    use aceso_rdma::{FaultAction, FaultPlan, FaultRule, VerbKind};
+
+    let store = AcesoStore::launch(AcesoConfig {
+        num_arrays: 2,
+        reclaim_free_ratio: 1.1, // Always allowed to reclaim.
+        ..AcesoConfig::small()
+    })
+    .unwrap();
+    let mut w = store.client().unwrap();
+    let kv = |i: u32, round: u32| {
+        let key = format!("hc-{i}").into_bytes();
+        (key, vec![(i + round) as u8; 900])
+    };
+    // Three full rows of array 0 and a bit: every chain has allocated cells.
+    let keys = if churn { 300 } else { 1000 };
+    for i in 0..keys {
+        let (k, v) = kv(i, 1);
+        w.insert(&k, &v).unwrap();
+    }
+    for round in (0..if churn { 10 } else { 0 }).rev() {
+        for i in 0..keys {
+            let (k, v) = kv(i, round + 1);
+            w.update(&k, &v).unwrap();
+        }
+        w.flush_bitmaps().unwrap();
+    }
+    // `DataFilled` and the diagonal `EncodeDelta` go through; the
+    // anti-diagonal one and everything after it never leave the client.
+    let dying = FaultRule::new(FaultAction::Fail).on_kind(VerbKind::Rpc);
+    w.dm.install_fault_plan(FaultPlan::with_rules(vec![dying.after(2).fires(u64::MAX)]));
+    assert!(w.close_open_blocks().is_err());
+    let cli_id = w.id();
+    drop(w);
+
+    let xcode = aceso_erasure::XCode::new(store.cfg.num_mns).unwrap();
+    let record_of = |col: usize, row: usize, array: u64| {
+        let id = store.map.blocks.cell_block_id(array, row);
+        store.server(col).records.lock()[id as usize].clone()
+    };
+    let mut found = None;
+    for col in 0..store.cfg.num_mns {
+        for (id, rec) in store.server(col).records.lock().iter().enumerate() {
+            let CellKind::Data { array, row } = store.map.blocks.kind_of(id as u32) else {
+                continue;
+            };
+            if rec.role != Role::Data || rec.cli_id != cli_id {
+                continue;
+            }
+            let (diag, anti) = xcode.parity_cells_for(row, col);
+            let (diag, anti) = (
+                record_of(diag.1, diag.0, array),
+                record_of(anti.1, anti.0, array),
+            );
+            if diag.delta_addr[row] == 0 && anti.delta_addr[row] != 0 {
+                assert!(diag.xor_map & (1 << row) != 0, "diagonal fold ran");
+                assert_eq!(
+                    anti.xor_map & (1 << row) != 0,
+                    churn,
+                    "reused ⇔ already folded"
+                );
+                assert!(found.replace(col).is_none(), "one half-closed block");
+            }
+        }
+    }
+    let col = found.expect("the close died between its two EncodeDeltas");
+    HalfClosed {
+        store,
+        cli_id,
+        col,
+        kvs: (0..keys).map(|i| kv(i, 1)).collect(),
+    }
+}
+
+/// The half-closed block's column dies, or a column whose lost cells share
+/// a chain with it; with and without the dead writer's CN recovery first.
+/// Recovery must fold every chain by that chain's own PARITY record — the
+/// diagonal record alone calls the cell folded with nothing pending, the
+/// anti-diagonal alone calls it unfolded (fresh) or pending (reused) —
+/// and leave every key readable and every parity equation intact.
+#[test]
+fn a_close_cut_between_its_two_encode_deltas_survives_an_mn_loss() {
+    for churn in [false, true] {
+        for cn_first in [false, true] {
+            for victim_off in 0..5 {
+                let HalfClosed {
+                    store,
+                    cli_id,
+                    col,
+                    kvs,
+                } = half_closed(churn);
+                let victim = (col + victim_off) % store.cfg.num_mns;
+                let crashed = if cn_first { vec![cli_id] } else { vec![] };
+                assert!(store.kill_mn(victim));
+                store.recover(&crashed, &[victim]).unwrap();
+                let what =
+                    format!("churn {churn}, cn first {cn_first}, block on {col}, lost {victim}");
+                let mut reader = store.client().unwrap();
+                for (k, v) in &kvs {
+                    let got = reader.search(k).unwrap();
+                    assert_eq!(
+                        got.as_deref(),
+                        Some(&v[..]),
+                        "{what}: {}",
+                        String::from_utf8_lossy(k)
+                    );
+                }
+                let report = scrub(&store).unwrap();
+                assert!(report.is_clean(), "{what}: {:?}", report.mismatches);
+                store.shutdown();
+            }
+        }
+    }
+}
+
 /// Checkpoint rounds running concurrently with committing writers must
 /// never capture a torn slot (Atomic/Meta words are snapshotted whole).
 #[test]

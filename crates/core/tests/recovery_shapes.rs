@@ -1,0 +1,371 @@
+//! The block-read contract of MN recovery, one assertion per shape —
+//! `commit_shapes.rs` / `read_shapes.rs` for `crates/core/src/recovery.rs`.
+//!
+//! Every recovery number the repo prints (`sim_recover_index_ms`,
+//! `BENCH_PR4.json`'s `recovery` block, table 3's rebuild columns) is
+//! arithmetic on the blocks a recovery moved, so the tuple pinned per shape
+//! is those blocks, straight from the [`RecoveryReport`]:
+//! `(decode reads, decode blocks' worth of bytes, rblocks scanned, rblocks
+//! fetched, Block-tier reads)` — Index-tier decode (`lblock_net_*`), the new
+//! remote blocks the KV scan covers and how many of them had to cross the
+//! wire for it (`rblock_*`), and the Block tier's decode
+//! (`old_lblock_net_ops`).
+//!
+//! The contract: a lost block costs the cells of its one X-Code chain that
+//! the chain's own PARITY record says are folded in — `n − 2` reads when
+//! every block is closed, fewer when siblings are open or free, one delta
+//! read and no chain when the lost block itself is fresh and open — and no
+//! surviving block crosses the wire twice: a remote new block a chain landed
+//! is scanned from that buffer. Two columns down leaves no choice (MDS): the
+//! full peel over every surviving cell. Before the planned decode every
+//! array cost every surviving cell, `(n − 1) · n` reads, whatever was
+//! allocated, encoded or wanted, and every new remote block was fetched
+//! again for the scan; those numbers stand beside each shape as `was`.
+//!
+//! Every shape is read back key by key against a healthy twin store built
+//! by the same script, and `scrub` must find every parity equation intact.
+
+use aceso_blockalloc::{CellKind, Role};
+use aceso_core::{
+    recover_mn, scrub, AcesoClient, AcesoConfig, AcesoStore, RecoveryReport, RecoveryTier,
+};
+use aceso_erasure::XCode;
+use std::sync::Arc;
+
+/// `(decode reads, decode blocks, rblocks scanned, rblocks fetched,
+/// Block-tier reads)`, bytes in units of one block.
+type Shape = (u64, u64, usize, u64, u64);
+
+fn shape(store: &AcesoStore, r: &RecoveryReport) -> Shape {
+    let bs = store.map.blocks.block_size;
+    assert_eq!(r.lblock_net_bytes % bs, 0);
+    assert_eq!(r.old_lblock_net_bytes, r.old_lblock_net_ops * bs);
+    (
+        r.lblock_net_ops,
+        r.lblock_net_bytes / bs,
+        r.rblock_count,
+        r.rblock_net_bytes / bs,
+        r.old_lblock_net_ops,
+    )
+}
+
+fn key(i: u32) -> Vec<u8> {
+    format!("recovery-shape-{i:05}").into_bytes()
+}
+
+/// A 1 KB-class value: 64 slots to a block of [`AcesoConfig::small`].
+fn value(i: u32) -> Vec<u8> {
+    vec![(i % 251) as u8 + 1; 950]
+}
+
+/// Keys that fill one stripe array of an `n`-column group, 64 to a block.
+fn array_keys(n: u32) -> u32 {
+    (n - 2) * n * 64
+}
+
+fn launch(n: usize) -> Arc<AcesoStore> {
+    AcesoStore::launch(AcesoConfig {
+        num_mns: n,
+        ..AcesoConfig::small()
+    })
+    .unwrap()
+}
+
+/// A store and its one writer after `keys` inserts; the writer's last block
+/// stays open unless `close`.
+fn written(n: usize, keys: u32, close: bool) -> (Arc<AcesoStore>, AcesoClient) {
+    let store = launch(n);
+    let mut w = store.client().unwrap();
+    for i in 0..keys {
+        w.insert(&key(i), &value(i)).unwrap();
+    }
+    if close {
+        w.close_open_blocks().unwrap();
+    }
+    (store, w)
+}
+
+/// Every one of `keys` reads the same on both stores, and the recovered
+/// one's redundancy is whole.
+fn same_as_twin(store: &Arc<AcesoStore>, twin: &Arc<AcesoStore>, keys: u32) {
+    let (mut got, mut want) = (store.client().unwrap(), twin.client().unwrap());
+    for i in 0..keys {
+        let healthy = want.search(&key(i)).unwrap();
+        assert_eq!(healthy, Some(value(i)), "twin lost key {i}");
+        assert_eq!(got.search(&key(i)).unwrap(), healthy, "key {i}");
+    }
+    let report = scrub(store).unwrap();
+    assert!(report.is_clean(), "{:?}", report.mismatches);
+    assert!(report.parity_ok > 0);
+}
+
+/// What one column's loss must cost, read off the live store's PARITY
+/// records before the kill — one chain per allocated lost cell, by the
+/// chain's own record: a folded cell costs its parity, every other folded
+/// cell of the chain and each delta the record registers for them or for
+/// it; an unfolded one costs its registered delta alone. (Holds while no
+/// chain shares a cell with another, i.e. while every chain is a diagonal:
+/// one column down, no parity ruled out.)
+fn one_chain_per_lost_cell(store: &AcesoStore, col: usize) -> u64 {
+    let blocks = store.map.blocks;
+    let xcode = XCode::new(store.cfg.num_mns).unwrap();
+    let mut reads = 0;
+    for array in 0..store.cfg.num_arrays {
+        for row in data_rows(store, col, array) {
+            let ((prow, pcol), _) = xcode.parity_cells_for(row, col);
+            let pid = blocks.cell_block_id(array, prow) as usize;
+            let prec = store.server(pcol).records.lock()[pid].clone();
+            let folded = |r: usize| prec.role == Role::Parity && prec.xor_map & (1 << r) != 0;
+            let delta = |r: usize| (prec.role == Role::Parity && prec.delta_addr[r] != 0) as u64;
+            reads += delta(row);
+            if folded(row) {
+                let others = xcode
+                    .chain(prow, pcol)
+                    .data
+                    .iter()
+                    .filter(|&&(r, _)| r != row);
+                let others = others.filter(|&&(r, _)| folded(r));
+                reads += 1 + others.map(|&(r, _)| 1 + delta(r)).sum::<u64>();
+            }
+        }
+    }
+    reads
+}
+
+/// The rows of `col` holding a DATA block in `array`.
+fn data_rows(store: &AcesoStore, col: usize, array: u64) -> Vec<usize> {
+    let server = store.server(col);
+    let recs = server.records.lock();
+    let rows = 0..store.cfg.num_mns - 2;
+    rows.filter(|&r| recs[store.map.blocks.cell_block_id(array, r) as usize].role == Role::Data)
+        .collect()
+}
+
+/// Where key `i`'s KV lives: `(column, array, row)`.
+fn home(store: &Arc<AcesoStore>, i: u32) -> (usize, u64, usize) {
+    use aceso_index::{fingerprint, route_hash, RemoteIndex};
+    let key = key(i);
+    let index_col = (route_hash(&key) % store.cfg.num_mns as u64) as usize;
+    let index = RemoteIndex::new(store.directory().node_of(index_col), store.map.index);
+    let scan = index
+        .scan(&store.cluster.background_client(), &key, fingerprint(&key))
+        .unwrap();
+    let (col, off) = aceso_core::config::unpack_col(scan.matches[0].atomic.addr48);
+    let (block, _) = store.map.blocks.locate(off).unwrap();
+    let CellKind::Data { array, row } = store.map.blocks.kind_of(block) else {
+        panic!("key {i} is not in a DATA block");
+    };
+    (col, array, row)
+}
+
+/// Kills `col` on the first store of the pair, recovers it in one go, checks
+/// the outcome against the twin, and returns what the recovery read.
+fn lose(pair: &[(Arc<AcesoStore>, AcesoClient); 2], col: usize, keys: u32) -> Shape {
+    let (store, twin) = (&pair[0].0, &pair[1].0);
+    let expect = one_chain_per_lost_cell(store, col);
+    assert!(store.kill_mn(col));
+    let report = recover_mn(store, col).unwrap();
+    let got = shape(store, &report);
+    assert_eq!(
+        got.0 + got.4,
+        expect,
+        "one chain per lost cell, by its own record"
+    );
+    same_as_twin(store, twin, keys);
+    got
+}
+
+/// Every block closed, none checkpointed: all of them are *new*, the Index
+/// tier decodes the column's three and scans the other twelve — six of
+/// which its three chains already landed. Was `(20, 20, 12, 12, 0)`: 32
+/// block reads where 15 do.
+#[test]
+fn all_closed_n5() {
+    let keys = array_keys(5);
+    let pair = [written(5, keys, true), written(5, keys, true)];
+    assert_eq!(lose(&pair, 1, keys), (9, 9, 12, 6, 0));
+}
+
+/// The same after two checkpoints: every block is *old*, nothing is decoded
+/// or scanned before the publish, and the Block tier pays the nine reads.
+/// Was `(0, 0, 0, 0, 20)`.
+#[test]
+fn all_closed_and_checkpointed_n5() {
+    let keys = array_keys(5);
+    let pair = [written(5, keys, true), written(5, keys, true)];
+    for (store, _) in &pair {
+        store.checkpoint_tick().unwrap();
+        store.checkpoint_tick().unwrap();
+    }
+    assert_eq!(lose(&pair, 3, keys), (0, 0, 0, 0, 9));
+}
+
+/// Seven columns, five data rows: `(n − 2)² = 25` decode reads, and 20 of
+/// the 30 remote blocks come to the scan from the chains. Was
+/// `(42, 42, 30, 30, 0)`.
+#[test]
+fn all_closed_n7() {
+    let keys = array_keys(7);
+    let pair = [written(7, keys, true), written(7, keys, true)];
+    assert_eq!(lose(&pair, 4, keys), (25, 25, 30, 10, 0));
+}
+
+/// The lost block is fresh and still open: nothing of it is in parity, its
+/// delta copy *is* the block. One read, no chain. (Array 0 is old and costs
+/// the Block tier its nine.) Was `(21, 21, 0, 0, 20)`.
+#[test]
+fn lost_cell_in_a_fresh_open_block() {
+    let keys = array_keys(5);
+    let pair = [written(5, keys, true), written(5, keys, true)];
+    let mut pair = pair;
+    for (store, w) in &mut pair {
+        store.checkpoint_tick().unwrap();
+        store.checkpoint_tick().unwrap();
+        for i in keys..keys + 8 {
+            w.insert(&key(i), &value(i)).unwrap();
+        }
+    }
+    let (col, array, _) = home(&pair[0].0, keys);
+    assert_eq!(array, 1, "the open block starts a new array");
+    assert_eq!(lose(&pair, col, keys + 8), (1, 1, 0, 0, 9));
+}
+
+/// A *surviving* member of a lost cell's chain is fresh and open: the
+/// chain's record says it is not folded in, so it is not read for the
+/// decode (it is new, so the scan fetches it). Eight decode reads, and the
+/// chains land five of the twelve remote blocks. Was `(21, 21, 12, 12, 0)`
+/// — the open cell and its delta read, then zero-filled.
+#[test]
+fn unfolded_cell_on_a_surviving_chain_member() {
+    let keys = array_keys(5) - 8;
+    let pair = [written(5, keys, false), written(5, keys, false)];
+    let store = &pair[0].0;
+    let (open_col, array, open_row) = home(store, keys - 1);
+    assert_eq!(array, 0);
+    let xcode = XCode::new(5).unwrap();
+    let ((prow, pcol), _) = xcode.parity_cells_for(open_row, open_col);
+    let sibling = xcode
+        .chain(prow, pcol)
+        .data
+        .iter()
+        .find(|&&(r, _)| r != open_row);
+    let &(_, lost) = sibling.unwrap();
+    assert_eq!(lose(&pair, lost, keys), (8, 8, 12, 7, 0));
+}
+
+/// Array 1 holds row 0 only: a lost cell there has a chain of *free* cells,
+/// which cost nothing — its parity cell alone. Ten decode reads for two
+/// arrays. Was `(40, 40, 16, 16, 0)`.
+#[test]
+fn free_cells_cost_nothing() {
+    let keys = array_keys(5) + 5 * 64;
+    let pair = [written(5, keys, true), written(5, keys, true)];
+    let store = &pair[0].0;
+    for c in 0..5 {
+        assert_eq!(data_rows(store, c, 1), [0]);
+    }
+    assert_eq!(lose(&pair, 2, keys), (10, 10, 16, 10, 0));
+}
+
+/// Keys rewritten by [`churned`].
+const CHURN_KEYS: u32 = 300;
+
+/// A store of two stripe arrays whose one writer has rewritten its keys
+/// until fresh blocks ran out: it ends on a *reused* block, held open, and
+/// every key holds [`value`] again.
+fn churned() -> (Arc<AcesoStore>, AcesoClient) {
+    let store = AcesoStore::launch(AcesoConfig {
+        num_arrays: 2,
+        reclaim_free_ratio: 1.1, // Always allowed to reclaim.
+        ..AcesoConfig::small()
+    })
+    .unwrap();
+    let mut w = store.client().unwrap();
+    for i in 0..CHURN_KEYS {
+        w.insert(&key(i), &value(i + 1)).unwrap();
+    }
+    for round in (0..10).rev() {
+        for i in 0..CHURN_KEYS {
+            w.update(&key(i), &value(i + round)).unwrap();
+        }
+        w.flush_bitmaps().unwrap();
+    }
+    (store, w)
+}
+
+/// The lost block is a *reused* one its writer holds open: its row is
+/// folded in — with what the block held before — and a delta carries
+/// old ⊕ new. Parity, the chain's cells and the delta all fold: four reads
+/// for that cell, three for each of the column's other five. Was
+/// `(41, 41, 24, 24, 0)`.
+#[test]
+fn lost_cell_in_a_reused_open_block() {
+    let pair = [churned(), churned()];
+    let store = &pair[0].0;
+    let xcode = XCode::new(5).unwrap();
+    let reused_open = |col: usize| {
+        (0..2u64).any(|array| {
+            data_rows(store, col, array).into_iter().any(|row| {
+                let ((prow, pcol), _) = xcode.parity_cells_for(row, col);
+                let pid = store.map.blocks.cell_block_id(array, prow) as usize;
+                let prec = store.server(pcol).records.lock()[pid].clone();
+                prec.xor_map & (1 << row) != 0 && prec.delta_addr[row] != 0
+            })
+        })
+    };
+    let col = (0..5)
+        .find(|&c| reused_open(c))
+        .expect("the writer ends on a reused block");
+    assert_eq!(lose(&pair, col, CHURN_KEYS), (19, 19, 24, 12, 0));
+}
+
+/// Two columns down at once. The first recovery has next to no choice
+/// (MDS): the full peel over the three surviving columns — every cell but
+/// `(2, 2)`, whose two parities both sit on dead columns, so no live chain
+/// passes through it. The eight remote new blocks the peel landed are
+/// scanned as landed (the ninth, `(2, 2)`, is fetched for the scan), the
+/// second dead column's three as decoded. Was `(15, 15, 9, 9, 0)`. The
+/// second recovery has one column down and the first one's PARITY cells
+/// ruled out until the deferred parity rebuild: one chain per lost cell, an
+/// anti-diagonal where the diagonal's parity sits on the first column —
+/// sharing a cell with a diagonal, hence eight reads, not nine. Was
+/// `(20, 20, 12, 12, 0)` *and wrong*: the full peel took the first column's
+/// zeroed parity for data, and key 0 read back absent.
+#[test]
+fn second_column_dead() {
+    let keys = array_keys(5);
+    let pair = [written(5, keys, true), written(5, keys, true)];
+    let (store, twin) = (&pair[0].0, &pair[1].0);
+    assert!(store.kill_mn(1) && store.kill_mn(3));
+    let first = recover_mn(store, 1).unwrap();
+    assert_eq!(shape(store, &first), (14, 14, 9, 1, 0));
+    assert_eq!(first.lblock_count, 3);
+    let second = recover_mn(store, 3).unwrap();
+    assert_eq!(shape(store, &second), (8, 8, 12, 7, 0));
+    same_as_twin(store, twin, keys);
+}
+
+/// Column 3 dies inside column 1's index-only window: column 1 answers
+/// reads, its DATA blocks are restored (all were new), its PARITY cells are
+/// zeros until its Parity tier. Cell `(0, 3)`'s diagonal parity sits on
+/// column 1 — that chain is never chosen, the anti-diagonal serves it. Was
+/// `(20, 20, 12, 12, 0)`, right only because the peel happened to solve
+/// `(0, 3)` through another equation first.
+#[test]
+fn second_column_killed_in_the_first_ones_index_only_window() {
+    let keys = array_keys(5);
+    let pair = [written(5, keys, true), written(5, keys, true)];
+    let (store, twin) = (&pair[0].0, &pair[1].0);
+    let ((_, shy), _) = XCode::new(5).unwrap().parity_cells_for(0, 3);
+    assert_eq!(shy, 1);
+    assert!(store.kill_mn(1));
+    let mut held = store.begin_recovery(1).unwrap();
+    held.run_to(RecoveryTier::Block).unwrap();
+    assert_eq!(store.degraded_columns(), [1]);
+    assert!(store.kill_mn(3));
+    let second = recover_mn(store, 3).unwrap();
+    assert_eq!(shape(store, &second), (8, 8, 12, 7, 0));
+    held.run().unwrap();
+    assert!(store.degraded_columns().is_empty());
+    same_as_twin(store, twin, keys);
+}

@@ -17,12 +17,14 @@
 //! 2 MB memory blocks (§3.3.1): every MN stores both DATA and PARITY
 //! blocks, and X-Code's two-erasure tolerance matches 3-way replication.
 //!
-//! Decoding is implemented as *peeling*: repeatedly find a parity equation
-//! with exactly one erased cell and solve it by XOR. For any pattern of at
-//! most two erased columns, peeling provably completes (it walks the
-//! classical zig-zag chains); it also opportunistically handles many
-//! sub-column erasure patterns, which Aceso's degraded SEARCH exploits to
-//! recover a single block without touching full columns.
+//! Decoding is *planned peeling*: [`XCode::plan`] walks the geometry alone
+//! — which cells are unavailable, which are wanted — and returns the ordered
+//! [`Step`]s, each "XOR the other cells of this chain to get that one". For
+//! any pattern of at most two lost columns the plan completes (it walks the
+//! classical zig-zag chains), and nothing has to be fetched that no step
+//! names: one lost column costs one chain per wanted cell. Aceso's recovery
+//! executes plans over remote blocks, [`XCode::reconstruct`] over a stripe in
+//! memory; the degraded SEARCH folds a single chain's byte range itself.
 
 use crate::xor::xor_into;
 use crate::CodeError;
@@ -62,6 +64,18 @@ pub struct Equation {
     pub parity_col: usize,
     /// Data cells `(row, col)` covered by the equation.
     pub data: Vec<(usize, usize)>,
+}
+
+/// One step of a planned decode: the XOR of every *other* cell of the chain
+/// whose parity cell is `parity` (that cell included, unless it is the
+/// target) is `target`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Step {
+    /// The chain's parity cell `(row, col)`, as [`XCode::chain`] takes it.
+    pub parity: (usize, usize),
+    /// The cell the step yields: a data cell of the chain, or `parity`
+    /// itself (a re-encode).
+    pub target: (usize, usize),
 }
 
 impl XCode {
@@ -165,7 +179,83 @@ impl XCode {
         Ok((diag, anti))
     }
 
-    /// Reconstructs every erased (`None`) cell of a stripe in place.
+    /// Plans a decode from geometry alone: the ordered [`Step`]s that yield
+    /// every `wanted` cell `unavailable(row, col)` rules out, each step using
+    /// only available cells and targets of earlier steps. Wanted cells that
+    /// are available need no step. Chains are tried diagonals first, so with
+    /// one column lost each wanted data cell costs its diagonal chain and
+    /// nothing else; steps no wanted cell depends on are dropped.
+    /// [`CodeError::Unsolvable`] if a wanted cell cannot be peeled — always
+    /// the case for a data cell once more than two whole columns are lost.
+    pub fn plan(
+        &self,
+        unavailable: impl Fn(usize, usize) -> bool,
+        wanted: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Result<Vec<Step>, CodeError> {
+        let n = self.n;
+        let mut lost: Vec<bool> = (0..n * n).map(|i| unavailable(i / n, i % n)).collect();
+        // Peel: a chain with its parity cell in hand and exactly one lost
+        // data cell yields that cell.
+        let mut peel: Vec<Step> = Vec::new();
+        let by_kind = |kind| self.equations.iter().skip(kind).step_by(2);
+        while let Some(step) = by_kind(0).chain(by_kind(1)).find_map(|eq| {
+            let mut missing = eq.data.iter().filter(|&&(r, c)| lost[r * n + c]);
+            match (
+                lost[eq.parity_row * n + eq.parity_col],
+                missing.next(),
+                missing.next(),
+            ) {
+                (false, Some(&target), None) => Some(Step {
+                    parity: (eq.parity_row, eq.parity_col),
+                    target,
+                }),
+                _ => None,
+            }
+        }) {
+            lost[step.target.0 * n + step.target.1] = false;
+            peel.push(step);
+        }
+        // Keep what the wanted cells depend on, walking the peel backwards;
+        // a wanted parity cell is re-encoded from its chain's data, last.
+        let mut need = vec![false; n * n];
+        let mut steps: Vec<Step> = Vec::new();
+        for (r, c) in wanted {
+            if !unavailable(r, c) || std::mem::replace(&mut need[r * n + c], true) {
+                continue;
+            }
+            if r >= n - 2 {
+                let reencode = Step {
+                    parity: (r, c),
+                    target: (r, c),
+                };
+                self.sources(reencode)
+                    .for_each(|(r, c)| need[r * n + c] = true);
+                steps.push(reencode);
+            }
+        }
+        for step in peel.into_iter().rev() {
+            if need[step.target.0 * n + step.target.1] {
+                self.sources(step).for_each(|(r, c)| need[r * n + c] = true);
+                steps.push(step);
+            }
+        }
+        if (0..(n - 2) * n).any(|i| need[i] && lost[i]) {
+            return Err(CodeError::Unsolvable);
+        }
+        steps.reverse();
+        Ok(steps)
+    }
+
+    /// The cells a step XORs: its chain's parity and data cells, minus the
+    /// target.
+    pub fn sources(&self, step: Step) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let eq = self.chain(step.parity.0, step.parity.1);
+        let cells = std::iter::once(step.parity).chain(eq.data.iter().copied());
+        cells.filter(move |&cell| cell != step.target)
+    }
+
+    /// Reconstructs every erased (`None`) cell of a stripe in place: plans
+    /// for all of them, then executes the steps.
     ///
     /// `stripe[row][col]`; rows `0..n-2` data, row `n-2` diagonal parity,
     /// row `n-1` anti-diagonal parity. Succeeds for any pattern of erasures
@@ -183,72 +273,19 @@ impl XCode {
         if stripe.iter().flatten().flatten().any(|c| c.len() != len) {
             return Err(CodeError::LengthMismatch);
         }
-        let erased_cols: std::collections::BTreeSet<usize> = stripe
-            .iter()
-            .flat_map(|row| {
-                row.iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.is_none())
-                    .map(|(j, _)| j)
-            })
-            .collect();
-        if erased_cols.len() > 2 {
-            // More than two columns touched: may still be peelable (e.g.
-            // scattered single cells), so do not reject outright — but full
-            // column losses beyond two will fail below with Unsolvable.
-        }
-
-        // Peeling over data cells. Live equations: parity cell present.
-        // Each equation tracks its current RHS (parity ⊕ known data) and the
-        // set of still-unknown data cells in its support.
-        struct Live {
-            rhs: Vec<u8>,
-            unknowns: Vec<(usize, usize)>,
-        }
-        let mut live: Vec<Live> = Vec::new();
-        for eq in self.equations() {
-            let Some(p) = stripe[eq.parity_row][eq.parity_col].clone() else {
-                continue;
-            };
-            let mut rhs = p;
-            let mut unknowns = Vec::new();
-            for &(r, c) in &eq.data {
-                match &stripe[r][c] {
-                    Some(cell) => xor_into(&mut rhs, cell),
-                    None => unknowns.push((r, c)),
+        let erased = |r: usize, c: usize| stripe[r][c].is_none();
+        let all = (0..n * n).map(|i| (i / n, i % n));
+        for step in self.plan(erased, all)? {
+            let mut acc: Option<Vec<u8>> = None;
+            for (r, c) in self.sources(step) {
+                // The plan names only cells in hand or already yielded.
+                let cell = stripe[r][c].as_ref().ok_or(CodeError::Unsolvable)?;
+                match &mut acc {
+                    None => acc = Some(cell.clone()),
+                    Some(acc) => xor_into(acc, cell),
                 }
             }
-            live.push(Live { rhs, unknowns });
-        }
-
-        // Peel: keep solving equations with exactly one unknown.
-        while let Some(idx) = live.iter().position(|e| e.unknowns.len() == 1) {
-            let e = live.swap_remove(idx);
-            let (r, c) = e.unknowns[0];
-            let value = e.rhs;
-            // Substitute into the remaining equations.
-            for other in &mut live {
-                if let Some(pos) = other.unknowns.iter().position(|&u| u == (r, c)) {
-                    other.unknowns.swap_remove(pos);
-                    xor_into(&mut other.rhs, &value);
-                }
-            }
-            stripe[r][c] = Some(value);
-        }
-
-        // All data recovered? Then recompute any erased parity cells.
-        let data_missing = stripe[..n - 2].iter().flatten().any(|c| c.is_none());
-        if data_missing {
-            return Err(CodeError::Unsolvable);
-        }
-        for eq in self.equations() {
-            if stripe[eq.parity_row][eq.parity_col].is_none() {
-                let mut p = vec![0u8; len];
-                for &(r, c) in &eq.data {
-                    xor_into(&mut p, stripe[r][c].as_ref().unwrap());
-                }
-                stripe[eq.parity_row][eq.parity_col] = Some(p);
-            }
+            stripe[step.target.0][step.target.1] = acc;
         }
         Ok(())
     }
@@ -303,44 +340,6 @@ impl XCode {
         }
         xor_into(parity, delta);
         Ok(())
-    }
-
-    /// Reconstructs a single data cell `(row, col)` from one parity chain,
-    /// reading only the `n − 1` surviving cells of that chain.
-    ///
-    /// This is the paper's "just one XOR operation involving all DATA,
-    /// DELTA, and PARITY blocks" fast path used by degraded SEARCH. The
-    /// `fetch` callback supplies surviving cells; it is called once per
-    /// chain member. Tries the diagonal chain first, then the
-    /// anti-diagonal.
-    pub fn reconstruct_cell(
-        &self,
-        row: usize,
-        col: usize,
-        mut fetch: impl FnMut(usize, usize) -> Option<Vec<u8>>,
-    ) -> Result<Vec<u8>, CodeError> {
-        let (diag, anti) = self.parity_cells_for(row, col);
-        'chain: for (prow, pcol) in [diag, anti] {
-            let Some(mut acc) = fetch(prow, pcol) else {
-                continue;
-            };
-            for &(r, c) in &self.chain(prow, pcol).data {
-                if (r, c) == (row, col) {
-                    continue;
-                }
-                match fetch(r, c) {
-                    Some(cell) => {
-                        if cell.len() != acc.len() {
-                            return Err(CodeError::LengthMismatch);
-                        }
-                        xor_into(&mut acc, &cell);
-                    }
-                    None => continue 'chain,
-                }
-            }
-            return Ok(acc);
-        }
-        Err(CodeError::Unsolvable)
     }
 }
 
@@ -464,43 +463,6 @@ mod tests {
             row[2] = None;
         }
         assert!(XCode::new(5).unwrap().reconstruct(&mut s).is_err());
-    }
-
-    #[test]
-    fn single_cell_fast_path() {
-        let n = 5;
-        let full = stripe_for(n, 64, 42);
-        let code = XCode::new(n).unwrap();
-        for k in 0..n - 2 {
-            for j in 0..n {
-                let got = code
-                    .reconstruct_cell(k, j, |r, c| {
-                        if (r, c) == (k, j) {
-                            None
-                        } else {
-                            full[r][c].clone()
-                        }
-                    })
-                    .unwrap();
-                assert_eq!(&got, full[k][j].as_ref().unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn single_cell_fast_path_with_dead_column() {
-        // The cell's whole column is dead plus nothing else: still one chain.
-        let n = 5;
-        let full = stripe_for(n, 64, 5);
-        let code = XCode::new(n).unwrap();
-        for k in 0..n - 2 {
-            for j in 0..n {
-                let got = code
-                    .reconstruct_cell(k, j, |r, c| if c == j { None } else { full[r][c].clone() })
-                    .unwrap();
-                assert_eq!(&got, full[k][j].as_ref().unwrap(), "k={k} j={j}");
-            }
-        }
     }
 
     #[test]
