@@ -12,6 +12,7 @@ use crate::config::{pack_col, unpack_col};
 use crate::proto::{ServerReq, ServerResp};
 use crate::{Result, StoreError};
 use aceso_blockalloc::BlockId;
+use aceso_index::SlotAtomic;
 use std::collections::BTreeMap;
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -188,13 +189,8 @@ impl AcesoClient {
             // Mark the never-written tail slots obsolete so reclamation can
             // reuse them later.
             let ob = self.blocks.remove(&c).unwrap();
-            let unwritten: Vec<u32> = ob.fill_order[ob.next..].to_vec();
-            if !unwritten.is_empty() {
-                self.pending_bits
-                    .entry((ob.col, ob.block))
-                    .or_default()
-                    .extend(unwritten);
-                self.pending_count += 1;
+            for &slot in &ob.fill_order[ob.next..] {
+                self.note_obsolete(ob.col, ob.block, (slot as usize * ob.slot_bytes) as u64);
             }
             self.close_block(ob)?;
         }
@@ -216,12 +212,15 @@ impl AcesoClient {
         }
     }
 
-    /// Buffers one obsolete-slot bit for the next bitmap flush.
-    fn note_obsolete(&mut self, col: usize, block: BlockId, slot: u32) {
+    /// Buffers one obsolete KV for the next bitmap flush, named by the 64 B
+    /// unit it starts at: the block's slot size — which turns a unit into a
+    /// bitmap bit — is the server's record's to know, not an advisory
+    /// `len64`'s to guess.
+    fn note_obsolete(&mut self, col: usize, block: BlockId, within: u64) {
         self.pending_bits
             .entry((col, block))
             .or_default()
-            .push(slot);
+            .push((within / 64) as u32);
         self.pending_count += 1;
     }
 
@@ -233,19 +232,18 @@ impl AcesoClient {
             .blocks
             .locate(place.kv_off)
             .expect("kv in block area");
-        let slot = (within / place.slot_bytes as u64) as u32;
-        self.note_obsolete(place.col, place.block, slot);
+        self.note_obsolete(place.col, place.block, within);
     }
 
     /// Marks the KV a committed write replaced obsolete, for delta-based
     /// reclamation.
-    pub(super) fn mark_obsolete(&mut self, packed: u64, len64: u8) {
-        if len64 == 0 {
-            return; // Stale advisory length: skip (bounded leak).
+    pub(super) fn mark_obsolete(&mut self, replaced: SlotAtomic) {
+        if replaced.is_empty() {
+            return; // An INSERT into an empty slot replaced nothing.
         }
-        let (col, off) = unpack_col(packed);
+        let (col, off) = unpack_col(replaced.addr48);
         if let Some((block, within)) = self.map.blocks.locate(off) {
-            self.note_obsolete(col, block, (within / (len64 as u64 * 64)) as u32);
+            self.note_obsolete(col, block, within);
         }
     }
 

@@ -19,7 +19,8 @@
 //!     batch    [piggyback read] ∥ queued invalidations ∥ KV ∥ delta ×2
 //!     judge    RevalidateSlot:   words unchanged?  else Redo{VerifyKvIdentity}
 //!                                                  or  Retry (locked, 0xFF, other fp)
-//!              VerifyKvIdentity: our key, live?    else Retry │ NotFound
+//!              VerifyKvIdentity: `kv::identity` of header + key:
+//!                                our key, live?    else Retry │ NotFound
 //!     CAS      Atomic word: expected ─▶ new        else Retry (lost race)
 //!     unlock   bracket only — and on every error exit except a simulated crash
 //!     epilogue obsolete mark, Meta length refresh, cache fill, bitmap flush
@@ -31,7 +32,10 @@
 //! batch); fallback state — several candidates, or the retry after a
 //! refuted speculation — scan + one KV read per candidate + 2; INSERT
 //! scan + 2 + Meta write; version rollover `locate` + 4 (lock CAS, batch,
-//! CAS, unlock CAS). `crates/core/tests/commit_shapes.rs` pins them.
+//! CAS, unlock CAS). `crates/core/tests/commit_shapes.rs` pins them, and
+//! the bytes each reads: the identity read is `kv::identity_len(key)` bytes
+//! — the header and the key, not the pair the batch is about to replace —
+//! and never looks at the advisory `len64`.
 //!
 //! A `Retry` sends the caller back through `resolve`; a `Redo` re-enters
 //! [`AcesoClient::commit`] directly, seeded with the fresh slot words the
@@ -41,7 +45,7 @@ use super::alloc::SlotPlace;
 use super::{AcesoClient, CrashPoint, ModelMutation};
 use crate::cache::CacheEntry;
 use crate::config::unpack_col;
-use crate::kv::{self, INVALID_SLOT_VERSION, SLOT_VER_OFF};
+use crate::kv::{self, Identity, INVALID_SLOT_VERSION, SLOT_VER_OFF};
 use crate::{Result, StoreError};
 use aceso_erasure::xor_into;
 use aceso_index::slot::slot_version;
@@ -95,7 +99,7 @@ pub(super) enum Piggyback {
     /// The expected words are fresh — a lost revalidation's re-read, or the
     /// one fingerprint candidate of a cold UPDATE/DELETE's scan — and pin
     /// the next slot version; only whether the KV they point at is this
-    /// key's, and live, is unknown: read it in the batch.
+    /// key's, and live, is unknown: read its header and key in the batch.
     VerifyKvIdentity,
 }
 
@@ -125,8 +129,8 @@ type Bracket = (SlotMeta, SlotMeta);
 enum Rider {
     None,
     Slot(SlotRef),
-    /// The KV bytes, or `None` if unreadable (treated like a collision).
-    Kv(Option<Vec<u8>>),
+    /// Whose KV the candidate points at; an unreadable one is `Unwritten`.
+    Kv(Identity),
 }
 
 impl AcesoClient {
@@ -162,7 +166,7 @@ impl AcesoClient {
         // Committed. Mark the overwritten KV obsolete for delta-based
         // reclamation, and refresh the advisory length if the size class
         // changed (an INSERT always does: an empty slot's is 0).
-        self.mark_obsolete(att.slot.atomic.addr48, meta.len64);
+        self.mark_obsolete(att.slot.atomic);
         let new_meta = SlotMeta {
             len64: op.class,
             epoch: commit_epoch,
@@ -298,17 +302,14 @@ impl AcesoClient {
             }
             // Mutation: commit on the candidate whatever its KV holds.
             Rider::Kv(_) if self.mutation == Some(ModelMutation::SkipIdentityJudge) => None,
-            Rider::Kv(buf) => match buf.as_deref().and_then(kv::decode) {
-                Some(d) if d.key == op.key && !d.is_invalidated() => {
-                    // Concurrent delete won: surface it.
-                    (d.tombstone && !op.allow_insert).then_some(Err(StoreError::NotFound))
-                }
-                // Collision, invalidated KV, or unreadable bytes (a lost
-                // block, a length the stale `len64` truncated): back off to
-                // `resolve`, which verifies first — re-reading by the KV's
-                // own header, or via reconstruction.
-                _ => Some(Ok(CommitOutcome::Retry)),
-            },
+            // A tombstone: a concurrent delete won, surface it.
+            Rider::Kv(Identity::Ours { tombstone }) => {
+                (tombstone && !op.allow_insert).then_some(Err(StoreError::NotFound))
+            }
+            // Collision, invalidated KV, or a lost block: back off to
+            // `resolve`, which verifies first — via reconstruction if the
+            // block is still gone.
+            Rider::Kv(Identity::Foreign | Identity::Unwritten) => Some(Ok(CommitOutcome::Retry)),
         };
         if let Some(outcome) = refuted {
             // Any mutation-held delta writes still belong to the retired
@@ -400,8 +401,9 @@ impl AcesoClient {
                 }
                 Piggyback::VerifyKvIdentity => {
                     let (col, off) = unpack_col(att.slot.atomic.addr48);
-                    let hint = kv::read_hint(att.slot.meta.len64);
-                    rider = Ok(Rider::Kv(dm.read_vec(self.addr(col, off), hint).ok()));
+                    let prefix = dm.read_vec(self.addr(col, off), kv::identity_len(op.key));
+                    let id = prefix.map_or(Identity::Unwritten, |p| kv::identity(&p, op.key));
+                    rider = Ok(Rider::Kv(id));
                 }
             }
             for (col, off, bytes) in &invals {

@@ -17,14 +17,18 @@
 //! * the fallback state — two or more candidates, an INSERT (a lone match
 //!   for an absent key is a collision by construction), a locked or
 //!   `ver = 0xFF` slot, or the retry after a refuted speculation — reads
-//!   each candidate's KV first ([`AcesoClient::verify_kv`], with
-//!   parity-chain reconstruction) and the attempt carries no piggyback;
+//!   each candidate's identity first ([`AcesoClient::verify_kv`]: header +
+//!   key, reconstructed through the parity chain if the block is lost — the
+//!   same judgement, [`crate::kv::identity`], the batched read gets) and
+//!   the attempt carries no piggyback;
 //! * an absent key resolves to the first empty slot of its buckets with
 //!   all-zero expected words: INSERT is the same commit as UPDATE.
 
 use super::commit::{Attempt, Piggyback, WriteOp};
 use super::{AcesoClient, RetryPolicy};
 use crate::cache::CacheEntry;
+use crate::config::unpack_col;
+use crate::kv::{self, Identity};
 use crate::{Result, StoreError};
 use aceso_index::{route_hash, RemoteIndex, SlotRef};
 use aceso_rdma::{DmClient, GlobalAddr, RdmaError};
@@ -159,12 +163,27 @@ impl AcesoClient {
         Ok(Located::Absent(scan.empties))
     }
 
-    /// Reads the KV a slot points at, through SEARCH's classifier (stale
-    /// advisory length, unrecovered or unreachable block): `Some(is it a
-    /// tombstone)` if the KV is this key's, `None` for a collision.
+    /// Reads the identity prefix of the KV a slot points at — through the
+    /// parity chain if its node is unreachable or its block not restored
+    /// yet: `Some(is it a tombstone)` if the KV is this key's, `None` for a
+    /// collision.
     async fn verify_kv(&mut self, slot: &SlotRef, key: &[u8]) -> Result<Option<bool>> {
-        let found = self.read_and_verify(slot.atomic, slot.meta, key).await?;
-        Ok(found.map(|value| value.is_none()))
+        let (col, off) = unpack_col(slot.atomic.addr48);
+        let len = kv::identity_len(key);
+        let read = self.dm.read_vec(self.addr(col, off), len);
+        self.dm.settle().await;
+        let mut id = match read {
+            Ok(prefix) => kv::identity(&prefix, key),
+            Err(RdmaError::NodeUnreachable(_)) => Identity::Unwritten,
+            Err(e) => return Err(e.into()),
+        };
+        if id == Identity::Unwritten {
+            id = kv::identity(&self.reconstruct(col, off, len).await?, key);
+        }
+        Ok(match id {
+            Identity::Ours { tombstone } => Some(tombstone),
+            Identity::Foreign | Identity::Unwritten => None,
+        })
     }
 
     /// Retries an index operation across a short recovery window: verbs to

@@ -6,6 +6,12 @@
 //! When the block's MN is down (or a replacement MN has not rebuilt the
 //! block yet) the needed slot range is reconstructed from one X-Code parity
 //! chain (§3.4.1).
+//!
+//! SEARCH is the one reader that wants the value, so it alone fetches by
+//! the advisory length (`kv::read_hint`, `kv::classify`, the truncated
+//! re-read). The write path asks only whose KV a slot holds and reads
+//! `kv::identity_len` bytes — of the block, or through this module's
+//! chain reader, [`AcesoClient::reconstruct`], which serves any byte range.
 
 use super::AcesoClient;
 use crate::cache::CacheEntry;
@@ -31,6 +37,11 @@ fn value_of(d: kv::DecodedKv<'_>) -> Option<Vec<u8>> {
 /// of another key, or one that lost its commit race, is a collision.
 fn candidate_of(d: kv::DecodedKv<'_>, key: &[u8]) -> Candidate {
     (d.key == key && !d.is_invalidated()).then(|| value_of(d))
+}
+
+/// SEARCH's judgement of a slot's bytes it has all of: decode them.
+fn whole(buf: &[u8], key: &[u8]) -> Candidate {
+    kv::decode(buf).and_then(|d| candidate_of(d, key))
 }
 
 impl AcesoClient {
@@ -77,12 +88,9 @@ impl AcesoClient {
             return Ok(None);
         };
         if slot.atomic == entry.atomic {
-            let value = match kv_buf {
-                Ok(buf) => match kv::decode(&buf) {
-                    Some(d) if d.key == key => Some(value_of(d)),
-                    _ => self.fetch_kv_degraded(kv_col, kv_off, len, key).await?,
-                },
-                Err(_) => self.fetch_kv_degraded(kv_col, kv_off, len, key).await?,
+            let value = match kv_buf.as_deref().ok().and_then(kv::decode) {
+                Some(d) if d.key == key => Some(value_of(d)),
+                _ => whole(&self.reconstruct(kv_col, kv_off, len).await?, key),
             };
             match value {
                 Some(v) => return Ok(Some(v)),
@@ -150,7 +158,7 @@ impl AcesoClient {
                         }
                     }
                 }
-                if let Some(v) = self.fetch_kv_degraded(kv_col, kv_off, len, key).await? {
+                if let Some(v) = whole(&self.reconstruct(kv_col, kv_off, len).await?, key) {
                     return Ok(Some(v));
                 }
                 // Collision on the degraded fetch: the cached address holds
@@ -219,7 +227,7 @@ impl AcesoClient {
     }
 
     /// Reads the KV a slot points at and verifies the key.
-    pub(super) async fn read_and_verify(
+    async fn read_and_verify(
         &mut self,
         atomic: SlotAtomic,
         meta: SlotMeta,
@@ -233,8 +241,7 @@ impl AcesoClient {
     }
 
     /// Classifies one candidate KV read (possibly prefetched in a doorbell
-    /// batch) into a [`Candidate`]. SEARCH and the write path's fallback
-    /// identity check (`locate::verify_kv`) both end here.
+    /// batch) into SEARCH's [`Candidate`].
     ///
     /// Only two situations route to the X-Code degraded reconstruct: an
     /// unreachable node, and a slot that reads back *unwritten* (write
@@ -255,17 +262,17 @@ impl AcesoClient {
         let buf = match read {
             Ok(buf) => buf,
             Err(RdmaError::NodeUnreachable(_)) => {
-                return self.fetch_kv_degraded(col, off, hint, key).await
+                return Ok(whole(&self.reconstruct(col, off, hint).await?, key))
             }
             Err(e) => return Err(e.into()),
         };
         match kv::classify(&buf) {
             KvRead::Whole(d) => Ok(candidate_of(d, key)),
-            KvRead::Unwritten => self.fetch_kv_degraded(col, off, hint, key).await,
+            KvRead::Unwritten => Ok(whole(&self.reconstruct(col, off, hint).await?, key)),
             KvRead::Truncated(len) => {
                 let full = self.dm.read_vec(self.addr(col, off), len);
                 self.dm.settle().await;
-                Ok(kv::decode(&full?).and_then(|d| candidate_of(d, key)))
+                Ok(whole(&full?, key))
             }
             KvRead::Foreign => Ok(None),
         }
@@ -273,23 +280,24 @@ impl AcesoClient {
 
     // ---- Degraded SEARCH (§3.4.1) ----------------------------------------
 
-    /// Reconstructs the slot-range bytes of a KV whose block is unavailable
-    /// by XORing the same byte range of one X-Code parity chain,
+    /// Reconstructs `len` bytes at `off` of a block that is unavailable by
+    /// XORing the same byte range of one X-Code parity chain,
     /// `C_t = P ⊕ ⊕_{k≠t, encoded}(C_k ⊕ D_k) ⊕ D_t` — the diagonal chain,
     /// or the anti-diagonal one if a cell the first needs is unreachable.
     ///
     /// All one-sided: [`Self::read_chain`] posts the chain as one doorbell,
     /// and only a chain with a DELTA block registered (the target's block is
     /// still open, or an encoded cell is being overwritten) costs a second
-    /// one. SEARCH, the write path's `verify_kv` and the retry after a
-    /// refuted identity read all reconstruct through here.
-    async fn fetch_kv_degraded(
+    /// one. The range is the caller's: SEARCH reconstructs a whole slot and
+    /// decodes it, the write path's `locate::verify_kv` reconstructs the
+    /// `kv::identity_len` prefix and judges that — same chain reader, cell
+    /// reads as short as the question.
+    pub(super) async fn reconstruct(
         &mut self,
         col: usize,
         off: u64,
         len: usize,
-        key: &[u8],
-    ) -> Result<Candidate> {
+    ) -> Result<Vec<u8>> {
         if let Some(m) = &self.metrics {
             m.degraded_reads.inc();
         }
@@ -305,7 +313,7 @@ impl AcesoClient {
             let folded = chain.and_then(|(acc, deltas)| self.fold_deltas(acc, &deltas, within));
             self.dm.settle().await; // Nothing to wait for unless DELTA reads were posted.
             match folded {
-                Ok(buf) => return Ok(kv::decode(&buf).and_then(|d| candidate_of(d, key))),
+                Ok(buf) => return Ok(buf),
                 Err(e) => last_err = e,
             }
         }

@@ -121,17 +121,68 @@ pub fn decode(buf: &[u8]) -> Option<DecodedKv<'_>> {
     })
 }
 
-/// Bytes to fetch for a KV whose index slot advertises `len64` size units.
+/// Whose KV a slot holds, as far as its first [`identity_len`] bytes tell.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Identity {
+    /// The key's KV: a value, or a DELETE tombstone.
+    Ours {
+        /// DELETE tombstone?
+        tombstone: bool,
+    },
+    /// Someone else's: another key length, other key bytes, a KV that lost
+    /// its commit race (Slot Version = −1), a write version no writer uses.
+    Foreign,
+    /// Never written (write version 0): a lost block, or a zeroed,
+    /// not-yet-restored one on a replacement MN.
+    Unwritten,
+}
+
+/// Bytes an identity read of `key` fetches: the header and the key.
+pub fn identity_len(key: &[u8]) -> usize {
+    KV_HEADER + key.len()
+}
+
+/// Judges the first [`identity_len`]`(key)` bytes of a slot: is the KV
+/// `key`'s, and live? This is all a write asks of the KV it is about to
+/// replace, and all recovery asks of the KV a restored slot points at — the
+/// value and the trailer stay where they are. No trailer is needed because
+/// the index only ever points at a KV whose commit CAS followed its
+/// completed write batch (DESIGN.md "Identity reads").
+pub fn identity(prefix: &[u8], key: &[u8]) -> Identity {
+    let wv = prefix.first().copied().unwrap_or(0);
+    if wv == 0 {
+        return Identity::Unwritten;
+    }
+    let len = identity_len(key);
+    if wv > 2 || prefix.len() < len {
+        return Identity::Foreign;
+    }
+    let key_len = u16::from_le_bytes(prefix[2..4].try_into().unwrap()) as usize;
+    let slot_version = u64::from_le_bytes(prefix[8..16].try_into().unwrap());
+    if key_len != key.len()
+        || &prefix[KV_HEADER..len] != key
+        || slot_version == INVALID_SLOT_VERSION
+    {
+        return Identity::Foreign;
+    }
+    Identity::Ours {
+        tombstone: prefix[1] & 1 == 1,
+    }
+}
+
+/// Bytes SEARCH fetches for a KV whose index slot advertises `len64` size
+/// units. (Only SEARCH: it wants the value. An identity read asks
+/// [`identity`] with [`identity_len`] bytes and never looks at `len64`.)
 ///
 /// The Meta word's length is advisory: it is written one round trip after
 /// the commit CAS (and never, if the writer crashes in between), so an
-/// INSERT's is 0 and a grown UPDATE's is the old class until then. Readers
-/// over-fetch small KVs and [`classify`] what came back.
+/// INSERT's is 0 and a grown UPDATE's is the old class until then. SEARCH
+/// over-fetches small KVs and [`classify`] says what came back.
 pub fn read_hint(len64: u8) -> usize {
     len64.max(4) as usize * 64
 }
 
-/// What the bytes read at a KV's address by an advisory length hold.
+/// What the bytes SEARCH read at a KV's address by an advisory length hold.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum KvRead<'a> {
     /// A complete KV pair.
@@ -147,9 +198,8 @@ pub enum KvRead<'a> {
     Foreign,
 }
 
-/// Classifies a KV read of `read_hint(len64)` bytes — the one judgement of
-/// "the advisory length lied" that SEARCH, the write path's identity check
-/// and recovery's key probe share.
+/// Classifies a KV read of `read_hint(len64)` bytes — SEARCH's judgement of
+/// "the advisory length lied".
 pub fn classify(buf: &[u8]) -> KvRead<'_> {
     if let Some(d) = decode(buf) {
         return KvRead::Whole(d);
@@ -283,6 +333,59 @@ mod tests {
         let mut huge = buf[..256].to_vec();
         huge[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(classify(&huge), KvRead::Foreign);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Over random pairs, `identity` on the prefix agrees with `decode`
+        /// on the whole slot on everything it reports, and tells the
+        /// stored key from its strict prefixes and extensions.
+        #[test]
+        fn identity_agrees_with_decode(
+            key in proptest::collection::vec(any::<u8>(), 1..40),
+            value in proptest::collection::vec(any::<u8>(), 0..300),
+            tombstone: bool,
+            wv in 1u8..3,
+            invalidated: bool,
+        ) {
+            let sv = if invalidated { INVALID_SLOT_VERSION } else { 0x0123_4567 };
+            let mut slot = vec![0u8; class_for(key.len(), value.len()).unwrap() as usize * 64];
+            encode(&mut slot, wv, sv, &key, &value, tombstone);
+            let d = decode(&slot).unwrap();
+            let want = if d.key == key && !d.is_invalidated() {
+                Identity::Ours { tombstone: d.tombstone }
+            } else {
+                Identity::Foreign
+            };
+            prop_assert_eq!(identity(&slot[..identity_len(&key)], &key), want);
+            // Over-fetched is fine, under-fetched is never ours.
+            prop_assert_eq!(identity(&slot, &key), want);
+            prop_assert_eq!(identity(&slot[..identity_len(&key) - 1], &key), Identity::Foreign);
+
+            let shorter = &key[..key.len() - 1];
+            let longer = [&key[..], &b"x"[..]].concat();
+            prop_assert_eq!(identity(&slot[..identity_len(shorter)], shorter), Identity::Foreign);
+            prop_assert_eq!(identity(&slot[..identity_len(&longer)], &longer), Identity::Foreign);
+        }
+    }
+
+    #[test]
+    fn identity_of_unwritten_and_unused_write_versions() {
+        assert_eq!(
+            identity(&[0u8; 32], b"sixteen-byte-key"),
+            Identity::Unwritten
+        );
+        assert_eq!(identity(&[], b"key"), Identity::Unwritten);
+        let mut slot = vec![0u8; 64];
+        encode(&mut slot, 2, 7, b"key", b"v", false);
+        let live = Identity::Ours { tombstone: false };
+        assert_eq!(identity(&slot[..identity_len(b"key")], b"key"), live);
+        slot[0] = 3;
+        assert_eq!(
+            identity(&slot[..identity_len(b"key")], b"key"),
+            Identity::Foreign
+        );
     }
 
     #[test]

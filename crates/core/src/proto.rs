@@ -47,9 +47,11 @@ pub enum ServerReq {
         /// This MN's parity row.
         parity_row: usize,
     },
-    /// Bulk obsolete-bit flush: `(block, set-bit indices)`.
+    /// Bulk obsolete-bit flush: `(block, obsolete KVs)`, each KV named by
+    /// the 64 B unit of the block it starts at. The server turns a unit
+    /// into a bitmap bit with the block record's own `slot_len64`.
     BitmapFlush {
-        /// Per-block obsolete slot indices.
+        /// Per-block first units of obsolete KVs.
         updates: Vec<(BlockId, Vec<u32>)>,
     },
     /// Fetch one block's metadata record bytes (the stripe book's read; a

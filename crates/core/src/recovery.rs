@@ -560,7 +560,7 @@ impl Recovery {
                 continue;
             }
             let meta = SlotMeta::decode(region.load64(d.stale_off + 8)?);
-            if read_key_at(&self.store, atomic.addr48, meta.len64).as_deref() == Some(&d.key[..])
+            if holds_key(&self.store, atomic.addr48, &d.key) == Some(true)
                 && slot_version(meta.epoch & !1, atomic.ver) < d.new_sv
             {
                 region.store64(d.stale_off, 0)?;
@@ -923,11 +923,11 @@ fn scan_and_reapply(
                 }
                 // Verify the slot is really this key's: prefer the scanned
                 // side map, fall back to reading the pointed KV.
-                let slot_key = key_at
-                    .get(&atomic.addr48)
-                    .cloned()
-                    .or_else(|| read_key_at(store, atomic.addr48, meta.len64));
-                let Some(slot_key) = slot_key else {
+                let ours = match key_at.get(&atomic.addr48) {
+                    Some(slot_key) => Some(*slot_key == key),
+                    None => holds_key(store, atomic.addr48, &key),
+                };
+                let Some(ours) = ours else {
                     // Unreadable target (an old block not restored until
                     // the Block tier): re-check once contents are back.
                     // Every such match, not just the first — another key
@@ -935,7 +935,7 @@ fn scan_and_reapply(
                     unverified.push(off);
                     continue;
                 };
-                if slot_key != key {
+                if !ours {
                     continue;
                 }
                 let current_sv = slot_version(meta.epoch & !1, atomic.ver);
@@ -981,22 +981,20 @@ fn write_slot(
     Ok(region.store64(off + 8, meta.encode())?)
 }
 
-/// The key of the KV a restored slot points at. The slot's `len64` is as
-/// advisory here as on the client paths — a checkpoint can capture a slot
-/// between its commit CAS and its Meta write, and a writer that dies there
-/// never writes it — so a truncated read is retried at the size the KV's
-/// own header names. (Today such a KV sits in a block the scan covers, so
-/// the callers' `key_at` map answers first; this read must not depend on
-/// that.)
-fn read_key_at(store: &AcesoStore, packed: u64, len64: u8) -> Option<Vec<u8>> {
+/// Whether the KV a restored slot points at is `key`'s — an identity read
+/// of header + key, which the slot's advisory `len64` (a checkpoint can
+/// capture a slot between its commit CAS and its Meta write) has no say in.
+/// `None` if the KV is unreadable or its block not restored yet. (Today
+/// such a KV sits in a block the scan covers, so the callers' `key_at` map
+/// answers first; this read must not depend on that.)
+fn holds_key(store: &AcesoStore, packed: u64, key: &[u8]) -> Option<bool> {
     let (c, off) = unpack_col(packed);
-    let dm = store.ctl_dm();
     let addr = GlobalAddr::new(store.directory().node_of(c), off);
-    let mut buf = dm.read_vec(addr, kv::read_hint(len64)).ok()?;
-    if let kv::KvRead::Truncated(len) = kv::classify(&buf) {
-        buf = dm.read_vec(addr, len).ok()?;
+    let prefix = store.ctl_dm().read_vec(addr, kv::identity_len(key)).ok()?;
+    match kv::identity(&prefix, key) {
+        kv::Identity::Unwritten => None,
+        id => Some(matches!(id, kv::Identity::Ours { .. })),
     }
-    kv::decode(&buf).map(|d| d.key.to_vec())
 }
 
 /// Recovers the unfilled blocks of crashed client `cli_id` to a consistent

@@ -658,16 +658,19 @@ impl MnServer {
         let mut touched = Vec::new();
         {
             let mut recs = self.records.lock();
-            for (block, slots) in updates {
+            for (block, units) in updates {
                 let Some(rec) = recs.get_mut(block as usize) else {
                     continue;
                 };
-                if rec.role != Role::Data {
+                if rec.role != Role::Data || rec.slot_len64 == 0 {
                     continue;
                 }
-                for s in slots {
-                    if (s as usize) < rec.bitmap.len() {
-                        rec.bitmap.set(s as usize, true);
+                // A unit is a bit by this record's slot size, never by the
+                // client's idea of the KV's length.
+                for unit in units {
+                    let slot = (unit / rec.slot_len64 as u32) as usize;
+                    if slot < rec.bitmap.len() {
+                        rec.bitmap.set(slot, true);
                     }
                 }
                 touched.push(block);

@@ -4,12 +4,12 @@
 //! Every shape below is one route through the client's commit machine
 //! (`crates/core/src/client/commit.rs`): which read rides in the write
 //! batch, whether a Meta lock brackets it, what the epilogue adds. The
-//! tuple pinned per shape is `(rtts, verbs, cas, batch_max)` straight from
-//! the op's [`OpRecord`] — the same record the cost model and the repo
-//! benchmark's `rtts_per_op` are computed from. The numbers were recorded
-//! on the four-function write path this machine replaced and must not
-//! move: a refactor of the commit path is judged by this file, not only by
-//! the diffed baselines.
+//! tuple pinned per shape is `(rtts, verbs, cas, batch_max, read_bytes)`
+//! straight from the op's [`OpRecord`] — the same record the cost model and
+//! the repo benchmark's `rtts_per_op` and `wire_bytes_per_op` are computed
+//! from. The first four were recorded on the four-function write path this
+//! machine replaced and must not move: a refactor of the commit path is
+//! judged by this file, not only by the diffed baselines.
 //!
 //! One shape moved on purpose, by a protocol change and not a refactor:
 //! `cold_update` was `(4, 7, 1, 3)` — scan, KV identity read, write batch,
@@ -30,20 +30,48 @@
 //! 5 batches and `rpcs == 0`; that the retry reconstructed is read off
 //! `client.search.degraded`. `read_shapes.rs` pins the read path itself.
 //!
+//! The fifth moved once, with no verb added, dropped or reordered: a read
+//! that asks only "is this slot's KV my key, and live?" fetches header +
+//! key (`kv::identity_len`, 25 B for these 9-byte keys) where it fetched
+//! `read_hint(len64)` (256 B for these one-unit pairs; the whole pair at
+//! any size). Read bytes per shape, before → after:
+//!
+//! ```text
+//! cold_update, cold_delete                              776 →   545
+//! cold_update_two_candidates                          1 032 →   572
+//! cold_update_of_deleted_key                            768 →   537
+//! cold_update_of_absent_key_with_colliding_neighbour  1 536 → 1 076
+//! speculates_once_per_op                              1 552 → 1 090
+//! lost_speculation_redo (the redo batch's rider)        280 →    49
+//! redo_finds_tombstone  (the same)                      272 →    41
+//! cold_update_with_unreadable_candidate               2 472 → 1 317
+//! ```
+//!
+//! `cold_update_on_stale_len64` is the one shape whose round trips moved
+//! with it, `(7, 17, 1, 6, 2 568)` with one retry → `(3, 7, 1, 4, 545)`
+//! with none: the identity read no longer looks at the advisory length, so
+//! a Meta word a dead writer left small stops costing a refuted
+//! speculation. Every shape without an identity read — `cold_insert`,
+//! `warm_cache_hit_update`, `tombstone_hit_is_not_found`,
+//! `size_class_change`, the rollover pair — pins the bytes it always had.
+//!
 //! Each measured op runs with its open block already allocated and the
 //! obsolete-bit buffer empty, so no allocation or bitmap-flush RPC rides
 //! along (`rpcs == 0` is asserted).
 
+use aceso_core::client::CrashPoint;
 use aceso_core::config::unpack_col;
-use aceso_core::{scrub, AcesoClient, AcesoConfig, AcesoStore, RecoveryTier, StoreError};
+use aceso_core::{
+    recover_cn, scrub, AcesoClient, AcesoConfig, AcesoStore, RecoveryTier, StoreError,
+};
 use aceso_index::{fingerprint, route_hash, RemoteIndex};
 use aceso_rdma::{FaultAction, FaultPlan, FaultRule, OpRecord, SimCq, VerbKind};
 use std::future::Future;
 use std::sync::Arc;
 use std::task::{Context, Waker};
 
-/// `(rtts, verbs, cas, batch_max)`.
-type Shape = (u32, u32, u32, u32);
+/// `(rtts, verbs, cas, batch_max, read_bytes)`.
+type Shape = (u32, u32, u32, u32, u32);
 
 fn launch() -> Arc<AcesoStore> {
     AcesoStore::launch(AcesoConfig::small()).unwrap()
@@ -69,7 +97,7 @@ fn measure<T>(c: &mut AcesoClient, op: impl FnOnce(&mut AcesoClient) -> T) -> (T
 }
 
 fn shape(r: &OpRecord) -> Shape {
-    (r.rtts, r.verbs, r.cas, r.batch_max)
+    (r.rtts, r.verbs, r.cas, r.batch_max, r.read_bytes)
 }
 
 const V: &[u8] = b"value-of-class-one";
@@ -82,7 +110,7 @@ fn cold_insert() {
     let mut a = primed(&store, "a", V);
     let (r, rec) = measure(&mut a, |c| c.insert(b"shape-key", V));
     r.unwrap();
-    assert_eq!(shape(&rec), (4, 7, 1, 3));
+    assert_eq!(shape(&rec), (4, 7, 1, 3, 520));
     store.shutdown();
 }
 
@@ -96,7 +124,7 @@ fn cold_update() {
     a.insert(b"shape-key", V).unwrap();
     let (r, rec) = measure(&mut b, |c| c.update(b"shape-key", V));
     r.unwrap();
-    assert_eq!(shape(&rec), (3, 7, 1, 4));
+    assert_eq!(shape(&rec), (3, 7, 1, 4, 545));
     assert_eq!(b.search(b"shape-key").unwrap().as_deref(), Some(V));
     store.shutdown();
 }
@@ -110,7 +138,7 @@ fn cold_delete() {
     a.insert(b"shape-key", V).unwrap();
     let (existed, rec) = measure(&mut b, |c| c.delete(b"shape-key"));
     assert!(existed.unwrap());
-    assert_eq!(shape(&rec), (3, 7, 1, 4));
+    assert_eq!(shape(&rec), (3, 7, 1, 4, 545));
     assert_eq!(a.search(b"shape-key").unwrap(), None);
     store.shutdown();
 }
@@ -138,7 +166,7 @@ fn cold_update_two_candidates() {
     a.insert(&second, b"second").unwrap();
     let (r, rec) = measure(&mut b, |c| c.update(&second, V));
     r.unwrap();
-    assert_eq!(shape(&rec), (5, 8, 1, 3));
+    assert_eq!(shape(&rec), (5, 8, 1, 3, 572));
     assert_eq!(a.search(&first).unwrap().as_deref(), Some(&b"first"[..]));
     assert_eq!(a.search(&second).unwrap().as_deref(), Some(V));
     store.shutdown();
@@ -158,7 +186,7 @@ fn cold_update_of_deleted_key() {
     assert!(a.delete(b"shape-key").unwrap());
     let (existed, rec) = measure(&mut b, |c| c.delete(b"shape-key"));
     assert!(!existed.unwrap());
-    assert_eq!(shape(&rec), (3, 9, 0, 4));
+    assert_eq!(shape(&rec), (3, 9, 0, 4, 537));
     let mut c = primed(&store, "c", V);
     assert!(matches!(
         c.update(b"shape-key", V),
@@ -183,7 +211,7 @@ fn cold_update_of_absent_key_with_colliding_neighbour() {
     a.insert(&neighbour, b"neighbour").unwrap();
     let (existed, rec) = measure(&mut b, |c| c.delete(&absent));
     assert!(!existed.unwrap());
-    assert_eq!(shape(&rec), (5, 12, 0, 4));
+    assert_eq!(shape(&rec), (5, 12, 0, 4, 1076));
     assert_eq!(rec.retries, 1);
     assert!(matches!(a.update(&absent, V), Err(StoreError::NotFound)));
     for c in [&mut a, &mut b] {
@@ -193,6 +221,34 @@ fn cold_update_of_absent_key_with_colliding_neighbour() {
         );
         assert_eq!(c.search(&absent).unwrap(), None);
     }
+    assert!(scrub(&store).unwrap().is_clean());
+    store.shutdown();
+}
+
+/// UPDATE without a cache entry of a key whose Meta word advertises one
+/// unit for a sixteen-unit KV (the growing UPDATE before it died between
+/// its commit CAS and its Meta write): the identity read is header + key
+/// wherever the KV ends, so this is the plain cold shape. (When the read
+/// was `read_hint(len64)` bytes it came back truncated: a refuted
+/// speculation, a second scan and a verified re-read.)
+#[test]
+fn cold_update_on_stale_len64() {
+    let store = launch();
+    let big = vec![7u8; 991];
+    let mut w = primed(&store, "w", &big);
+    w.insert(b"shape-key", V).unwrap();
+    w.crash_point = Some(CrashPoint::AfterCommit);
+    assert!(w.update(b"shape-key", &big).is_err());
+    let id = w.id();
+    drop(w);
+    recover_cn(&store, id).unwrap();
+
+    let mut b = primed(&store, "b", V);
+    let (r, rec) = measure(&mut b, |c| c.update(b"shape-key", V));
+    r.unwrap();
+    assert_eq!(rec.retries, 0);
+    assert_eq!(shape(&rec), (3, 7, 1, 4, 545));
+    assert_eq!(b.search(b"shape-key").unwrap().as_deref(), Some(V));
     assert!(scrub(&store).unwrap().is_clean());
     store.shutdown();
 }
@@ -240,6 +296,11 @@ fn cold_update_with_unreadable_candidate() {
         "the retry must have reconstructed the KV"
     );
     assert_eq!(rec.cas, 1);
+    // Two scans (512 each), the CAS return (8), the chain's record head
+    // (160) — and five reads of the KV's range, header + key each (25 B;
+    // 256 B when they fetched the slot): the speculative rider, the
+    // retry's own, and the chain doorbell's parity range and two cells.
+    assert_eq!(rec.read_bytes, 2 * 512 + 8 + 160 + 5 * 25);
 
     recovery.run().unwrap();
     let mut c = store.client().unwrap();
@@ -280,7 +341,7 @@ fn speculates_once_per_op() {
     let rec = b.dm.take_ops().records[0];
     assert_eq!(rec.retries, 1);
     // scan, batch, lost CAS │ scan, identity read, batch, CAS.
-    assert_eq!(shape(&rec), (7, 17, 2, 6));
+    assert_eq!(shape(&rec), (7, 17, 2, 6, 1090));
     assert_eq!(
         a.search(b"shape-key").unwrap().as_deref(),
         Some(&b"cold"[..])
@@ -297,7 +358,7 @@ fn warm_cache_hit_update() {
     a.insert(b"shape-key", V).unwrap();
     let (r, rec) = measure(&mut a, |c| c.update(b"shape-key", V));
     r.unwrap();
-    assert_eq!(shape(&rec), (2, 5, 1, 4));
+    assert_eq!(shape(&rec), (2, 5, 1, 4, 24));
     store.shutdown();
 }
 
@@ -313,7 +374,7 @@ fn lost_speculation_redo() {
     b.update(b"shape-key", V).unwrap();
     let (r, rec) = measure(&mut a, |c| c.update(b"shape-key", V));
     r.unwrap();
-    assert_eq!(shape(&rec), (3, 12, 1, 7));
+    assert_eq!(shape(&rec), (3, 12, 1, 7, 49));
     assert_eq!(a.search(b"shape-key").unwrap().as_deref(), Some(V));
     store.shutdown();
 }
@@ -328,7 +389,7 @@ fn tombstone_hit_is_not_found() {
     assert!(a.delete(b"shape-key").unwrap());
     let (existed, rec) = measure(&mut a, |c| c.delete(b"shape-key"));
     assert!(!existed.unwrap());
-    assert_eq!(shape(&rec), (1, 1, 0, 0));
+    assert_eq!(shape(&rec), (1, 1, 0, 0, 16));
     assert!(matches!(
         a.update(b"shape-key", V),
         Err(StoreError::NotFound)
@@ -348,7 +409,7 @@ fn redo_finds_tombstone() {
     assert!(b.delete(b"shape-key").unwrap());
     let (existed, rec) = measure(&mut a, |c| c.delete(b"shape-key"));
     assert!(!existed.unwrap());
-    assert_eq!(shape(&rec), (3, 14, 0, 7));
+    assert_eq!(shape(&rec), (3, 14, 0, 7, 41));
     store.shutdown();
 }
 
@@ -363,7 +424,7 @@ fn size_class_change() {
     a.insert(b"shape-key", V).unwrap();
     let (r, rec) = measure(&mut a, |c| c.update(b"shape-key", &big));
     r.unwrap();
-    assert_eq!(shape(&rec), (3, 6, 1, 4));
+    assert_eq!(shape(&rec), (3, 6, 1, 4, 24));
     store.shutdown();
 }
 
@@ -384,11 +445,11 @@ fn version_rollover() {
     wind_to_rollover(&mut a, b"shape-key");
     let (r, rec) = measure(&mut a, |c| c.update(b"shape-key", V));
     r.unwrap();
-    assert_eq!(shape(&rec), (5, 7, 3, 3));
+    assert_eq!(shape(&rec), (5, 7, 3, 3, 40));
     // The epoch moved on, so the next update is the plain warm shape.
     let (r, rec) = measure(&mut a, |c| c.update(b"shape-key", V));
     r.unwrap();
-    assert_eq!(shape(&rec), (2, 5, 1, 4));
+    assert_eq!(shape(&rec), (2, 5, 1, 4, 24));
     store.shutdown();
 }
 
@@ -420,7 +481,7 @@ fn failed_rollover_commit_releases_the_meta_lock() {
     r.unwrap();
     assert_eq!(
         shape(&rec),
-        (5, 7, 3, 3),
+        (5, 7, 3, 3, 40),
         "the plain rollover shape: no probe loop, no lock break"
     );
     assert_eq!(

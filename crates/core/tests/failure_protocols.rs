@@ -841,6 +841,188 @@ fn cold_write_finds_a_key_whose_growing_update_never_wrote_len64() {
     });
 }
 
+/// Where `key`'s committed KV sits — `(column, block, bytes into the
+/// block)` — read off the index the way a cold client would.
+fn kv_place(store: &Arc<AcesoStore>, key: &[u8]) -> (usize, aceso_blockalloc::BlockId, u64) {
+    use aceso_core::config::unpack_col;
+    use aceso_core::kv::{self, Identity};
+    use aceso_index::{fingerprint, route_hash, RemoteIndex};
+    use aceso_rdma::GlobalAddr;
+
+    let dir = store.directory();
+    let dm = store.cluster.background_client();
+    let index_col = (route_hash(key) % store.cfg.num_mns as u64) as usize;
+    let index = RemoteIndex::new(dir.node_of(index_col), store.map.index);
+    let scan = index.scan(&dm, key, fingerprint(key)).unwrap();
+    let mut places = scan.matches.iter().map(|m| unpack_col(m.atomic.addr48));
+    let ours = |&(col, off): &(usize, u64)| {
+        let addr = GlobalAddr::new(dir.node_of(col), off);
+        let prefix = dm.read_vec(addr, kv::identity_len(key)).unwrap();
+        kv::identity(&prefix, key) != Identity::Foreign
+    };
+    let (col, off) = places.find(ours).expect("key is indexed");
+    let (block, within) = store.map.blocks.locate(off).unwrap();
+    (col, block, within)
+}
+
+/// The obsolete bits the server holds for a block.
+fn obsolete_bits(
+    store: &Arc<AcesoStore>,
+    col: usize,
+    block: aceso_blockalloc::BlockId,
+) -> Vec<usize> {
+    let server = store.server(col);
+    let recs = server.records.lock();
+    recs[block as usize].bitmap.ones().collect()
+}
+
+/// An INSERT of a class-16 pair died after its commit CAS (`len64` still
+/// 0), in slot 1 of its block. The UPDATE that replaces it must report
+/// that slot obsolete: the slot number is the block record's to compute
+/// from where the KV starts, whatever the Meta word says. (It used to be
+/// skipped — a slot never reclaimed.)
+#[test]
+fn update_marks_the_slot_of_a_kv_whose_insert_never_wrote_len64() {
+    let store = small();
+    let big = vec![0xB1u8; 991];
+    let mut w = store.client().unwrap();
+    w.insert(b"obs-neighbour", &big).unwrap();
+    w.crash_point = Some(CrashPoint::AfterCommit);
+    assert!(w.insert(b"obs-key", &big).is_err());
+    let id = w.id();
+    drop(w);
+    recover_cn(&store, id).unwrap();
+    let (col, block, within) = kv_place(&store, b"obs-key");
+    assert_eq!(within, 1024);
+
+    let mut u = store.client().unwrap();
+    u.update(b"obs-key", b"after").unwrap();
+    u.flush_bitmaps().unwrap();
+    assert_eq!(obsolete_bits(&store, col, block), [1]);
+    store.shutdown();
+}
+
+/// The growing twin, on a reused block whose slot 16 still holds a live
+/// key. `len64` says one unit, the replaced KV sits 1024 bytes into a
+/// class-16 block: dividing by the advisory length named slot 16 — a live
+/// key's — instead of slot 1, and the block's next reuse handed that key's
+/// bytes to a new writer.
+#[test]
+fn update_marks_the_slot_of_a_kv_whose_growing_update_never_wrote_len64() {
+    use aceso_core::proto::ServerReq;
+
+    let store = AcesoStore::launch(AcesoConfig {
+        num_arrays: 1,
+        reclaim_free_ratio: 1.1,
+        ..AcesoConfig::small()
+    })
+    .unwrap();
+    let big = |tag: u8| vec![tag; 991];
+    let fill = |i: usize| format!("fill-{i:02}").into_bytes();
+    let pad = |i: usize| format!("pad-{i:03}").into_bytes();
+
+    // One class-16 block, 64 slots, closed; then all of it but slots
+    // 16..24 overwritten elsewhere: a reuse candidate with live keys in it.
+    let mut loader = store.client().unwrap();
+    for i in 0..64 {
+        loader.insert(&fill(i), &big(1)).unwrap();
+    }
+    loader.close_open_blocks().unwrap();
+    let (col, block, within) = kv_place(&store, &fill(16));
+    assert_eq!(within, 16 * 1024);
+    let mut w = store.client().unwrap();
+    w.insert(b"obs-key", b"small").unwrap();
+    let mut u = store.client().unwrap();
+    for i in (0..16).chain(24..64) {
+        u.update(&fill(i), &big(2)).unwrap();
+    }
+    u.flush_bitmaps().unwrap();
+    assert_eq!(obsolete_bits(&store, col, block).len(), 56);
+    // Use up every fresh block, so the next class-16 block is that one.
+    let mut padder = store.client().unwrap();
+    let mut pads = 0;
+    let fresh = |c| store.server(c).alloc.lock().free_data_ratio();
+    while (0..store.cfg.num_mns).any(|c| fresh(c) > 0.0) {
+        padder.insert(&pad(pads), &big(3)).unwrap();
+        pads += 1;
+    }
+
+    // The writer takes the block over: slot 0, then the growing UPDATE
+    // into slot 1, dead between its commit CAS and its Meta write.
+    w.insert(b"obs-neighbour", &big(4)).unwrap();
+    w.crash_point = Some(CrashPoint::AfterCommit);
+    assert!(w.update(b"obs-key", &big(5)).is_err());
+    let id = w.id();
+    drop(w);
+    recover_cn(&store, id).unwrap();
+    assert_eq!(kv_place(&store, b"obs-key"), (col, block, 1024));
+
+    u.update(b"obs-key", &big(6)).unwrap();
+    u.flush_bitmaps().unwrap();
+    assert_eq!(obsolete_bits(&store, col, block), [1]);
+
+    // Fill the dead writer's block the way its own close would have — the
+    // never-written tail reported obsolete, `DataFilled`, both folds — and
+    // the block is a reuse candidate again.
+    let rpc = |c: usize, req: ServerReq| {
+        let (dir, dm) = (store.directory(), store.cluster.background_client());
+        dm.rpc(dir.node_of(c), &dir.rpc_of(c), req, 64)
+            .unwrap()
+            .expect_ok()
+            .unwrap()
+    };
+    rpc(col, ServerReq::DataFilled { block });
+    let tail: Vec<u32> = (2..16).chain(24..64).map(|slot| slot * 16).collect();
+    rpc(
+        col,
+        ServerReq::BitmapFlush {
+            updates: vec![(block, tail)],
+        },
+    );
+    let aceso_blockalloc::CellKind::Data { array, row } = store.map.blocks.kind_of(block) else {
+        panic!("a data block")
+    };
+    let (diag, anti) = aceso_erasure::XCode::new(store.cfg.num_mns)
+        .unwrap()
+        .parity_cells_for(row, col);
+    for (parity_row, parity_col) in [diag, anti] {
+        rpc(
+            parity_col,
+            ServerReq::EncodeDelta {
+                array,
+                row,
+                parity_row,
+            },
+        );
+    }
+    // The padder's next block is this one: 55 free slots, none of them a
+    // live key's. (Strided, so no pad block turns reclaimable first.)
+    let owner = || store.server(col).records.lock()[block as usize].cli_id;
+    let mut updates = (0..).map(|i| pad(i * 61 % pads));
+    while owner() != padder.id() {
+        padder.update(&updates.next().unwrap(), &big(7)).unwrap();
+    }
+    for key in updates.take(54) {
+        padder.update(&key, &big(7)).unwrap();
+        assert_eq!(kv_place(&store, &key).1, block);
+    }
+
+    // Every key reads back, by the tag its last writer filled it with.
+    let mut r = store.client().unwrap();
+    let mut tag_of = |key: &[u8]| r.search(key).unwrap().map(|v| (v.len(), v[0]));
+    for i in 0..64 {
+        let want = if (16..24).contains(&i) { 1 } else { 2 };
+        assert_eq!(tag_of(&fill(i)), Some((991, want)), "fill-{i}");
+    }
+    assert_eq!(tag_of(b"obs-neighbour"), Some((991, 4)));
+    assert_eq!(tag_of(b"obs-key"), Some((991, 6)));
+    for i in 0..pads {
+        assert!(matches!(tag_of(&pad(i)), Some((991, 3 | 7))), "pad-{i}");
+    }
+    assert!(scrub(&store).unwrap().is_clean());
+    store.shutdown();
+}
+
 /// One seeded history for defect 2 of `benchmark/README.md`: updates land
 /// *after* the last checkpoint round, an MN dies, `recover_mn` brings it
 /// back, and every key must read back at the model's version with a clean

@@ -25,9 +25,13 @@ pub const STEP_TABLE: &[(&str, usize, &str)] = &[
     ("upsert", 1, "trailing flush of invalidations no write batch carried"),
     // locate.rs — key to slot.
     // A lone candidate of an UPDATE/DELETE leaves here unverified (its KV
-    // identity read rides in `write_batch`); `verify_kv`, the fallback
-    // state, suspends inside search.rs's `read_and_verify`.
+    // identity read rides in `write_batch`).
     ("locate_slot", 2, "cached-slot re-read; two-bucket scan"),
+    (
+        "verify_kv",
+        1,
+        "the fallback state's identity read of one candidate (degraded: search.rs's reconstruct)",
+    ),
     // commit.rs — the commit machine.
     (
         "commit",
@@ -52,18 +56,14 @@ pub const STEP_TABLE: &[(&str, usize, &str)] = &[
     ("search_value_cache", 1, "cached KV read + two-bucket scan batch"),
     ("search_query", 1, "two-bucket scan"),
     ("search_candidates", 1, "batched candidate KV reads"),
-    (
-        "read_and_verify",
-        1,
-        "candidate KV read (SEARCH, and the write path's verify_kv)",
-    ),
+    ("read_and_verify", 1, "SEARCH's candidate KV read"),
     (
         "classify_kv_read",
         1,
         "re-read of a KV its stale advisory length truncated",
     ),
     (
-        "fetch_kv_degraded",
+        "reconstruct",
         2,
         "parity-chain doorbell (record head + parity + cells); DELTA-block doorbell",
     ),
