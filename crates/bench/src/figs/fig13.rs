@@ -13,20 +13,24 @@
 //!   buckets.
 
 use crate::figs::FigureOutput;
-use crate::harness::{self, BenchScale, System};
-use aceso_core::ClientTuning;
+use crate::harness::{self, BenchScale, Phase, System};
+use aceso_core::{AcesoConfig, ClientTuning};
 use aceso_engines::substrate::ReplConfig;
 use aceso_workloads::Op;
 
-/// Runs the four factor steps for UPDATE and SEARCH.
-pub fn fig13(scale: BenchScale) -> FigureOutput {
-    let mut text = String::from(
-        "Factor analysis (Mops): ORIGIN → +SLOT → +CKPT → +CACHE\nstep    |  UPDATE |  SEARCH\n",
-    );
+/// The four factor steps from `fusee` to `aceso`, each `(name, UPDATE
+/// phase, SEARCH phase)` on the hot stream ([`harness::hot_phase`]): the
+/// cyclic micro sweep never hits a bounded cache, so it would show `+CACHE`
+/// as a no-op at any scale whose keys outnumber the cache's entries.
+pub fn factor_steps(
+    scale: BenchScale,
+    aceso: AcesoConfig,
+    fusee: ReplConfig,
+) -> Vec<(&'static str, Phase, Phase)> {
     let fusee = |wide_slots| {
         System::fusee(ReplConfig {
             wide_slots,
-            ..harness::bench_fusee_config()
+            ..fusee.clone()
         })
     };
     let aceso = |cache_slot_addr| {
@@ -34,7 +38,7 @@ pub fn fig13(scale: BenchScale) -> FigureOutput {
             cache_slot_addr,
             ..ClientTuning::default()
         };
-        System::aceso(harness::bench_aceso_config(), tuning)
+        System::aceso(aceso.clone(), tuning)
     };
     let steps: [(&str, &dyn Fn() -> System); 4] = [
         ("ORIGIN", &|| fusee(false)),
@@ -42,12 +46,25 @@ pub fn fig13(scale: BenchScale) -> FigureOutput {
         ("+CKPT", &|| aceso(false)),
         ("+CACHE", &|| aceso(true)),
     ];
-    for (name, launch) in steps {
-        let [update, search] = [Op::Update, Op::Search].map(|op| {
-            harness::micro_phase(&launch(), scale, op, System::ckpt_bg)
-                .report()
-                .mops
-        });
+    steps
+        .into_iter()
+        .map(|(name, launch)| {
+            let [update, search] =
+                [Op::Update, Op::Search].map(|op| harness::hot_phase(&launch(), scale, op));
+            (name, update, search)
+        })
+        .collect()
+}
+
+/// Runs the four factor steps for UPDATE and SEARCH.
+pub fn fig13(scale: BenchScale) -> FigureOutput {
+    let mut text = String::from(
+        "Factor analysis (Mops), Zipfian θ=0.99: ORIGIN → +SLOT → +CKPT → +CACHE\n\
+         step    |  UPDATE |  SEARCH\n",
+    );
+    let (aceso, fusee) = (harness::bench_aceso_config(), harness::bench_fusee_config());
+    for (name, update, search) in factor_steps(scale, aceso, fusee) {
+        let (update, search) = (update.report().mops, search.report().mops);
         text.push_str(&format!("{name:7} | {update:7.2} | {search:7.2}\n"));
     }
     FigureOutput {

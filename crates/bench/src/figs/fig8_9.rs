@@ -15,16 +15,23 @@ fn op_kind(op: Op) -> OpKind {
     }
 }
 
-/// Runs one micro phase per op type for both systems; returns
-/// `(aceso, fusee)` phases per op. Aceso runs with live checkpoint
-/// interference at the default interval.
-pub fn micro_phases(scale: BenchScale) -> Vec<(Op, Phase, Phase)> {
-    [Op::Insert, Op::Update, Op::Search, Op::Delete]
-        .into_iter()
-        .map(|op| {
-            let [aceso, fusee] =
-                System::pair().map(|sys| harness::micro_phase(&sys, scale, op, |s| s.ckpt_bg()));
-            (op, aceso, fusee)
+/// Runs one micro phase per op type for both systems — the cyclic sweep,
+/// cold for any cache once a client's keys outnumber its entries — then
+/// UPDATE and SEARCH again on the hot stream ([`harness::hot_phase`]);
+/// returns `(row label, op, aceso, fusee)` per row. Aceso runs with live
+/// checkpoint interference at the default interval.
+pub fn micro_phases(scale: BenchScale) -> Vec<(String, Op, Phase, Phase)> {
+    let cold = [Op::Insert, Op::Update, Op::Search, Op::Delete].map(|op| (op, false));
+    let hot = [Op::Update, Op::Search].map(|op| (op, true));
+    cold.into_iter()
+        .chain(hot)
+        .map(|(op, hot)| {
+            let [aceso, fusee] = System::pair().map(|sys| match hot {
+                false => harness::micro_phase(&sys, scale, op, |s| s.ckpt_bg()),
+                true => harness::hot_phase(&sys, scale, op),
+            });
+            let stream = if hot { " (hot)" } else { "" };
+            (format!("{}{stream}", op_kind(op).name()), op, aceso, fusee)
         })
         .collect()
 }
@@ -32,9 +39,10 @@ pub fn micro_phases(scale: BenchScale) -> Vec<(Op, Phase, Phase)> {
 /// Figure 8: throughput with coefficients normalized to FUSEE.
 pub fn fig8(scale: BenchScale) -> FigureOutput {
     let mut text = String::from(
-        "Microbenchmark throughput (Mops)\nop      |   Aceso |   FUSEE | Aceso/FUSEE\n",
+        "Microbenchmark throughput (Mops): cyclic sweep, then Zipfian θ=0.99 (hot)\n\
+         op           |   Aceso |   FUSEE | Aceso/FUSEE\n",
     );
-    for (op, a, f) in micro_phases(scale) {
+    for (label, _, a, f) in micro_phases(scale) {
         let (ar, fr) = (a.report(), f.report());
         let prof = |p: &Phase| {
             let n = p.m.records.len().max(1) as f64;
@@ -55,8 +63,7 @@ pub fn fig8(scale: BenchScale) -> FigureOutput {
             )
         };
         text.push_str(&format!(
-            "{:7} | {:7.2} | {:7.2} | {:10.2}x   [aceso {} @{} | fusee {} @{}]\n",
-            op_kind(op).name(),
+            "{label:12} | {:7.2} | {:7.2} | {:10.2}x   [aceso {} @{} | fusee {} @{}]\n",
             ar.mops,
             fr.mops,
             ar.mops / fr.mops,
@@ -75,13 +82,13 @@ pub fn fig8(scale: BenchScale) -> FigureOutput {
 /// Figure 9: P50/P99 latencies.
 pub fn fig9(scale: BenchScale) -> FigureOutput {
     let mut text = String::from(
-        "Microbenchmark latency (µs)\nop      | Aceso P50 | Aceso P99 | FUSEE P50 | FUSEE P99\n",
+        "Microbenchmark latency (µs): cyclic sweep, then Zipfian θ=0.99 (hot)\n\
+         op           | Aceso P50 | Aceso P99 | FUSEE P50 | FUSEE P99\n",
     );
-    for (op, a, f) in micro_phases(scale) {
+    for (label, op, a, f) in micro_phases(scale) {
         let (al, fl) = (a.latency_for(op_kind(op)), f.latency_for(op_kind(op)));
         text.push_str(&format!(
-            "{:7} | {:9.1} | {:9.1} | {:9.1} | {:9.1}\n",
-            op_kind(op).name(),
+            "{label:12} | {:9.1} | {:9.1} | {:9.1} | {:9.1}\n",
             al.p50_us,
             al.p99_us,
             fl.p50_us,

@@ -12,7 +12,7 @@ use aceso_core::{AcesoConfig, AcesoEngine, AcesoStore, ClientTuning, FtClient, F
 use aceso_engines::substrate::ReplConfig;
 use aceso_engines::FuseeEngine;
 use aceso_rdma::{CostModel, OpKind, PhaseMeasurement};
-use aceso_workloads::{value_for, MicroWorkload, Op, Request};
+use aceso_workloads::{value_for, MicroWorkload, MixedWorkload, Op, OpMix, Request, YcsbWorkload};
 use std::sync::Arc;
 
 /// Sizing knobs for a benchmark phase.
@@ -364,6 +364,29 @@ pub fn micro_phase(
     };
     let bg = bg(sys);
     phase(sys.eng(), scale, bg, |t| stream(t + shift))
+}
+
+/// One phase over the preloaded YCSB keyspace on a fresh system, Aceso
+/// paying live checkpoint interference: the macro figures' runner.
+pub fn ycsb_phase<W: Iterator<Item = Request>>(
+    sys: &System,
+    scale: BenchScale,
+    make_stream: impl Fn(u32) -> W,
+) -> Phase {
+    sys.preload(YcsbWorkload::preload_keys(scale.keys), scale.value_len);
+    let bg = sys.ckpt_bg();
+    phase(sys.eng(), scale, bg, make_stream)
+}
+
+/// [`micro_phase`]'s warm sibling: `op` alone, every logical client
+/// drawing from the YCSB keyspace Zipfian θ = 0.99 (Figure 15's stream at
+/// one op) — a stream a bounded cache can hit, which a cyclic sweep of
+/// more keys than the cache holds never does. Clients share the keys, so
+/// two UPDATEs of a hot key can meet.
+pub fn hot_phase(sys: &System, scale: BenchScale, op: Op) -> Phase {
+    ycsb_phase(sys, scale, |t| {
+        MixedWorkload::new(OpMix::only(op), scale.keys, 0.99, scale.value_len, t, 42)
+    })
 }
 
 /// Measures the sustained checkpoint traffic rate per node under the

@@ -28,8 +28,8 @@
 //! replica while the primary is down, and the repair of commits torn by a
 //! client crash ([`Protocol::repair`]).
 
-use crate::layout::{self, Slot8};
-use crate::substrate::{Protocol, ReplClient, ReplError, ReplStore, Result};
+use crate::layout::Slot8;
+use crate::substrate::{Cell, Judged, Protocol, ReplClient, ReplError, ReplStore, Result};
 use aceso_index::fingerprint;
 use aceso_rdma::{GlobalAddr, RdmaError};
 
@@ -45,7 +45,6 @@ impl Protocol for Fusee {
     const NAME: &'static str = "fusee";
     /// A FUSEE record is header + key + value and nothing else.
     const CELL_OVERHEAD: u64 = 0;
-    type Cached = CachedKv;
 
     fn live_bytes(record: &[u8]) -> u64 {
         KV_HDR as u64 + u32::from_le_bytes(record[0..4].try_into().expect("4 bytes")) as u64
@@ -55,6 +54,15 @@ impl Protocol for Fusee {
     /// before it, so every referenced image is committed.
     fn committed(_record: &[u8]) -> bool {
         true
+    }
+
+    /// A zero-length value is DELETE's tombstone; FUSEE tags nothing.
+    fn judge<'a>(record: &'a [u8], key: &[u8]) -> Judged<'a> {
+        match decode_kv(record, key) {
+            None => Judged::Foreign,
+            Some([]) => Judged::Tombstone,
+            Some(value) => Judged::Ours(value, 0),
+        }
     }
 
     /// Repairs commits torn by a crashed client (§2.4's failure window in
@@ -87,7 +95,10 @@ impl Protocol for Fusee {
     /// replica column, so the backup answers the same scan.
     fn search(c: &mut FuseeClient, key: &[u8]) -> Result<Option<Vec<u8>>> {
         match c.search_primary(key) {
-            Err(ReplError::Rdma(RdmaError::NodeUnreachable(_))) => c.search_degraded(key),
+            Err(ReplError::Rdma(RdmaError::NodeUnreachable(_))) => {
+                let cols = c.store.replica_cols(key);
+                Ok(c.locate_replica(&cols[1..], cols[0], key)?.into_value())
+            }
             r => r,
         }
     }
@@ -101,7 +112,7 @@ impl Protocol for Fusee {
     fn delete(c: &mut FuseeClient, key: &[u8]) -> Result<bool> {
         match c.write(key, b"", false) {
             Ok(()) => {
-                c.cache.remove(key);
+                c.cache.invalidate(key);
                 Ok(true)
             }
             Err(ReplError::NotFound) => Ok(false),
@@ -110,17 +121,24 @@ impl Protocol for Fusee {
     }
 }
 
-/// What FUSEE's value cache remembers about a key: where its KV is, not
-/// which slot pointed there.
-#[derive(Clone, Copy)]
-pub struct CachedKv {
-    /// Primary-copy offset of the KV.
-    offset: u64,
-    len: u32,
-}
-
 /// KV record header: `len(u32) | key_len(u16) | pad(u16)`, then key, value.
 const KV_HDR: usize = 8;
+
+/// The value of a record image, if the image is `key`'s.
+fn decode_kv<'a>(buf: &'a [u8], key: &[u8]) -> Option<&'a [u8]> {
+    if buf.len() < KV_HDR {
+        return None;
+    }
+    let total = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
+    let klen = u16::from_le_bytes(buf[4..6].try_into().unwrap()) as usize;
+    if klen > total || KV_HDR + total > buf.len() {
+        return None;
+    }
+    if &buf[KV_HDR..KV_HDR + klen] != key {
+        return None;
+    }
+    Some(&buf[KV_HDR + klen..KV_HDR + total])
+}
 
 impl FuseeClient {
     fn encode_kv(key: &[u8], value: &[u8]) -> Vec<u8> {
@@ -133,160 +151,55 @@ impl FuseeClient {
         buf
     }
 
-    fn decode_kv<'a>(buf: &'a [u8], key: &[u8]) -> Option<&'a [u8]> {
-        if buf.len() < KV_HDR {
-            return None;
-        }
-        let total = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        let klen = u16::from_le_bytes(buf[4..6].try_into().unwrap()) as usize;
-        if klen > total || KV_HDR + total > buf.len() {
-            return None;
-        }
-        if &buf[KV_HDR..KV_HDR + klen] != key {
-            return None;
-        }
-        Some(&buf[KV_HDR + klen..KV_HDR + total])
-    }
-
-    /// Degraded SEARCH: walk the backup replicas in order and serve the
-    /// scan + KV read from the first one that answers.
-    fn search_degraded(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let cols = self.store.replica_cols(key);
-        let fp = fingerprint(key);
-        let layout = self.store.layout;
-        let mut last = ReplError::Rdma(RdmaError::NodeUnreachable(self.node_of(cols[0])));
-        for &c in &cols[1..] {
-            let scan = match layout.scan(&self.dm, self.node_of(c), cols[0], key, fp) {
-                Ok(s) => s,
-                Err(e) => {
-                    last = e.into();
-                    continue;
-                }
-            };
-            for s in &scan.matches {
-                if let Some(v) = self.read_candidate(c, s.slot, key)? {
-                    return Ok(Some(v));
-                }
-            }
-            return Ok(None);
-        }
-        Err(last)
-    }
-
     fn search_primary(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let cols = self.store.replica_cols(key);
-        let fp = fingerprint(key);
-        let layout = self.store.layout;
-        let primary = self.node_of(cols[0]);
-
-        if let Some(c) = self.cache.get(key).copied() {
-            // FUSEE's value cache: it knows where the KV is but not which
-            // slot pointed there, so validation re-reads the key's buckets
-            // (cf. §3.5.1).
-            let mut kv = Err(RdmaError::RpcClosed);
-            let mut scan = Err(RdmaError::RpcClosed);
-            self.dm.batch(|dm| {
-                kv = dm.read_vec(GlobalAddr::new(primary, c.offset), c.len as usize);
-                scan = layout.scan(dm, primary, cols[0], key, fp);
-            });
-            let (kv, scan) = (kv?, scan?);
-            if scan.matches.iter().any(|s| s.slot.offset() == c.offset) {
-                // Tombstones (empty value) read as absent.
-                return Ok(Self::decode_kv(&kv, key)
-                    .filter(|v| !v.is_empty())
-                    .map(|v| v.to_vec()));
-            }
-            self.cache.remove(key);
-            // Stale: chase the fresh slots.
-            for s in &scan.matches {
-                if let Some(v) = self.read_candidate(cols[0], s.slot, key)? {
-                    return Ok(Some(v));
-                }
-            }
-            return Ok(None);
+        let Some(c) = self.cache.get(key) else {
+            return Ok(self.locate(cols[0], cols[0], key)?.into_value());
+        };
+        // FUSEE's value cache: it knows where the KV is but not which
+        // slot pointed there, so validation re-reads the key's buckets
+        // (cf. §3.5.1) — in the KV read's own doorbell.
+        let (layout, primary) = (self.store.layout, self.node_of(cols[0]));
+        let (kv, scan) = self.dm.batch(|dm| {
+            let kv = dm.read_vec(GlobalAddr::new(primary, c.offset), c.len as usize);
+            (kv, layout.scan(dm, primary, cols[0], key, fingerprint(key)))
+        });
+        let (kv, scan) = (kv?, scan?);
+        if scan.matches.iter().any(|s| s.slot.offset() == c.offset) {
+            // Tombstones (empty value) read as absent.
+            return Ok(decode_kv(&kv, key)
+                .filter(|v| !v.is_empty())
+                .map(|v| v.to_vec()));
         }
-        let scan = layout.scan(&self.dm, primary, cols[0], key, fp)?;
-        for s in &scan.matches {
-            if let Some(v) = self.read_candidate(cols[0], s.slot, key)? {
-                return Ok(Some(v));
-            }
-        }
-        Ok(None)
-    }
-
-    fn read_candidate(&mut self, pcol: usize, slot: Slot8, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let len = slot.record_len();
-        let buf = self
-            .dm
-            .read_vec(GlobalAddr::new(self.node_of(pcol), slot.offset()), len)?;
-        match Self::decode_kv(&buf, key) {
-            // A tombstone is the key's own slot, so no later candidate can
-            // match: report absent (and never cache it).
-            Some([]) => Ok(None),
-            Some(v) => {
-                self.cache.insert(
-                    key.to_vec(),
-                    CachedKv {
-                        offset: slot.offset(),
-                        len: len as u32,
-                    },
-                );
-                Ok(Some(v.to_vec()))
-            }
-            None => Ok(None),
-        }
+        // Stale: chase the fresh slots of the scan already in hand.
+        Ok(self.resolve(cols[0], scan, key)?.into_value())
     }
 
     /// The replicated write path: write `r` KV copies, then CAS the backup
     /// index slots, then the primary slot (the commit point).
     fn write(&mut self, key: &[u8], value: &[u8], allow_insert: bool) -> Result<()> {
         let cols = self.store.replica_cols(key);
-        let fp = fingerprint(key);
-        let layout = self.store.layout;
         let kv = Self::encode_kv(key, value);
         let class = kv.len() as u32;
 
         for _ in 0..self.max_retries {
-            // Read the primary buckets to find the slot (or a free one).
-            let scan = layout.scan(&self.dm, self.node_of(cols[0]), cols[0], key, fp)?;
-            let mut existing: Option<layout::Found> = None;
-            for s in &scan.matches {
-                let buf = self.dm.read_vec(
-                    GlobalAddr::new(self.node_of(cols[0]), s.slot.offset()),
-                    s.slot.record_len(),
-                )?;
-                if let Some(v) = Self::decode_kv(&buf, key) {
-                    // A tombstone's slot is reused for the CAS, but the key
-                    // is logically absent: UPDATE (and DELETE) of it fail.
-                    if v.is_empty() && !allow_insert {
-                        return Err(ReplError::NotFound);
-                    }
-                    existing = Some(*s);
-                    break;
-                }
-            }
-            if existing.is_none() && !allow_insert {
+            // Read the primary buckets to find the slot (or a free one). A
+            // tombstone's slot is reused for the CAS, but the key is
+            // logically absent: UPDATE (and DELETE) of it fail.
+            let found = self.locate(cols[0], cols[0], key)?;
+            if found.live.is_none() && !allow_insert {
                 return Err(ReplError::NotFound);
             }
 
             // Allocate and write the r KV copies (one doorbell batch).
             let (off, _) = self.alloc_slot(&cols, class)?;
-            let mut res: Result<()> = Ok(());
-            self.dm.batch(|dm| {
-                for &c in &cols {
-                    if let Err(e) = dm.write(GlobalAddr::new(self.node_of(c), off), &kv) {
-                        res = Err(e.into());
-                        return;
-                    }
-                }
-            });
-            res?;
+            self.dm.batch(|_| self.write_replicas(&cols, off, &kv))?;
 
-            let new_slot = Slot8::new(fp, off, class as u64 / 64);
-            let (slot_pos, old_slot) = match existing {
+            let new_slot = Slot8::new(fingerprint(key), off, class as u64 / 64);
+            let (slot_pos, old_slot) = match found.slot {
                 Some(f) => (f.pos, f.slot),
                 None => {
-                    let Some(pos) = scan.empties.first().copied() else {
+                    let Some(pos) = found.scan.empties.first().copied() else {
                         return Err(ReplError::IndexFull);
                     };
                     (pos, Slot8::EMPTY)
@@ -294,37 +207,19 @@ impl FuseeClient {
             };
 
             // CAS the backups first, then the primary (commit point).
-            let mut conflict = false;
-            for &c in cols.iter().skip(1) {
-                let addr = layout.slot_addr(self.node_of(c), slot_pos);
-                let prev = self.dm.cas(addr, old_slot.raw(), new_slot.raw())?;
-                if prev != old_slot.raw() {
-                    conflict = true;
-                    break;
-                }
-            }
-            if conflict {
-                self.dm.note_retry();
-                continue;
-            }
-            let paddr = layout.slot_addr(self.node_of(cols[0]), slot_pos);
-            let prev = self.dm.cas(paddr, old_slot.raw(), new_slot.raw())?;
-            if prev != old_slot.raw() {
+            let swap = (old_slot.raw(), new_slot.raw());
+            if !(self.cas_replicas(&cols[1..], slot_pos.offset, swap)?
+                && self.cas_replicas(&cols[..1], slot_pos.offset, swap)?)
+            {
                 self.dm.note_retry();
                 continue;
             }
             // Success: the old KV slot is directly reusable (no parity to
             // maintain — the baseline's reclamation advantage, §2.5).
-            if let Some(f) = existing {
+            if let Some(f) = found.slot {
                 self.free_slot(cols[0], f.slot, 0);
             }
-            self.cache.insert(
-                key.to_vec(),
-                CachedKv {
-                    offset: off,
-                    len: class,
-                },
-            );
+            self.cache.insert(key, Cell { offset: off, len: class, tag: 0 });
             return Ok(());
         }
         Err(ReplError::RetriesExhausted)
@@ -348,6 +243,49 @@ mod tests {
         assert_eq!(c.update(b"nope", b"x"), Err(ReplError::NotFound));
     }
 
+    /// The cached SEARCH, verb for verb: the KV read and the validating
+    /// re-read of the key's two buckets in one doorbell.
+    #[test]
+    fn cached_search_is_one_round_trip() {
+        let s = store();
+        let mut c = s.client();
+        c.insert(b"hotkey", b"aaaaaaaa").unwrap();
+        c.dm.take_ops();
+        assert_eq!(c.search(b"hotkey").unwrap().as_deref(), Some(&b"aaaaaaaa"[..]));
+        let ops = c.dm.take_ops();
+        let rec = ops.records.last().unwrap();
+        assert_eq!(rec.rtts, 1, "cached search must be 1 RTT");
+        assert_eq!(rec.verbs, 3, "KV read ∥ two bucket reads");
+        assert_eq!((rec.batches, rec.batch_max), (1, 3), "single doorbell batch");
+    }
+
+    /// A tombstone is the key's own slot, so no later fingerprint match can
+    /// be the key's: the walk stops there instead of reading them all.
+    #[test]
+    fn tombstone_ends_the_candidate_walk() {
+        let s = store();
+        let mut c = s.client();
+        c.insert(b"gone", b"v").unwrap();
+        c.insert(b"other", b"w").unwrap();
+        let other = c.cache.peek(b"other").unwrap();
+        assert!(c.delete(b"gone").unwrap());
+        let (cols, fp) = (s.replica_cols(b"gone"), fingerprint(b"gone"));
+        let mut scan = s
+            .layout
+            .scan(&c.dm, s.node_of(cols[0]), cols[0], b"gone", fp)
+            .unwrap();
+        let decoy = Slot8::new(fp, other.offset, other.len as u64 / 64);
+        scan.matches.push(crate::layout::Found {
+            slot: decoy,
+            ..scan.matches[0]
+        });
+        let reads = c.dm.counters().snapshot().reads;
+        let found = c.resolve(cols[0], scan, b"gone").unwrap();
+        assert!(found.slot.is_some() && found.live.is_none());
+        assert_eq!(c.dm.counters().snapshot().reads - reads, 1);
+        assert_eq!(c.search(b"gone").unwrap(), None);
+    }
+
     #[test]
     fn kv_pairs_are_replicated() {
         let s = store();
@@ -355,7 +293,7 @@ mod tests {
         c.insert(b"replicated", b"payload").unwrap();
         let cols = s.replica_cols(b"replicated");
         assert_eq!(cols.len(), 3);
-        let cached = c.cache.get(&b"replicated"[..]).copied().unwrap();
+        let cached = c.cache.peek(b"replicated").unwrap();
         let mut copies = Vec::new();
         for &col in &cols {
             let node = s.cluster.node(aceso_rdma::NodeId(col as u16)).unwrap();
@@ -442,7 +380,7 @@ mod tests {
         assert!(s.replica_agreement().is_empty());
         // Corrupt one KV copy on a backup column.
         let cols = s.replica_cols(b"agree-key");
-        let cached = c.cache.get(&b"agree-key"[..]).copied().unwrap();
+        let cached = c.cache.peek(b"agree-key").unwrap();
         let backup = s.cluster.node(s.node_of(cols[1])).unwrap();
         backup.region.write(cached.offset + 10, b"XX").unwrap();
         let v = s.replica_agreement();
@@ -457,12 +395,12 @@ mod tests {
         let s = store();
         let mut c = s.client();
         c.insert(b"reuse-me!!", b"0123456789").unwrap();
-        let before = c.cache.get(&b"reuse-me!!"[..]).copied().unwrap();
+        let before = c.cache.peek(b"reuse-me!!").unwrap();
         c.update(b"reuse-me!!", b"9876543210").unwrap();
         // The first slot is on the free list; the next same-class write
         // overwrites it in place (no parity to maintain).
         c.insert(b"newcomer!!", b"aaaaaaaaaa").unwrap();
-        let after = c.cache.get(&b"newcomer!!"[..]).copied().unwrap();
+        let after = c.cache.peek(b"newcomer!!").unwrap();
         assert_eq!(before.offset, after.offset);
     }
 }

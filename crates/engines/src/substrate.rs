@@ -9,15 +9,19 @@
 //! configuration, the error, the store (column directory, block-set
 //! allocator, `kill_mn`, [`ReplStore::recover_mn`], the
 //! align-backups-to-primary pass, the agreement walk, the space walk), the
-//! client's slot allocator and the op bracket.
+//! client's slot allocator, its bounded per-key cache, the scan → read →
+//! judge walk that finds a key's record (`ReplClient::locate`) and the
+//! op bracket.
 //!
-//! A protocol enters through [`Protocol`] only: three facts about its
+//! A protocol enters through [`Protocol`] only: four facts about its
 //! record format (live bytes, per-cell redundancy bytes, "is this image
-//! committed"), its own repair step, and its search/write/delete bodies.
-//! Nothing in this module branches on which protocol it serves.
+//! committed", "is this image my key's"), its own repair step, and its
+//! search/write/delete bodies. Nothing in this module branches on which
+//! protocol it serves.
 
-use crate::layout::{FuseeLayout, Slot8};
-use aceso_index::route_hash;
+use crate::layout::{Found, FuseeLayout, Scan, Slot8};
+use aceso_core::{ClientTuning, IndexCache};
+use aceso_index::{fingerprint, route_hash};
 use aceso_rdma::{
     Cluster, ClusterConfig, CostModel, DmClient, GlobalAddr, NodeId, OpKind, RdmaError,
 };
@@ -96,14 +100,14 @@ pub trait Protocol: Sized + Send + Sync + 'static {
     /// Bytes per record, per replica, that exist only for the protocol
     /// (commit words, stamps) — charged to redundancy by the space walk.
     const CELL_OVERHEAD: u64;
-    /// What a client remembers about a key between operations.
-    type Cached: Copy;
 
     /// Live bytes of a record image, normalized across engines to an
     /// 8-byte header plus key plus value.
     fn live_bytes(record: &[u8]) -> u64;
     /// Whether a record image referenced from the index is committed.
     fn committed(record: &[u8]) -> bool;
+    /// Whether a record image a fingerprint match points at is `key`'s.
+    fn judge<'a>(record: &'a [u8], key: &[u8]) -> Judged<'a>;
     /// Repairs what a crashed client left torn; returns the repair count.
     fn repair(store: &ReplStore<Self>) -> Result<usize>;
     /// SEARCH body (inside the op bracket).
@@ -112,6 +116,49 @@ pub trait Protocol: Sized + Send + Sync + 'static {
     fn write(c: &mut ReplClient<Self>, key: &[u8], value: &[u8], allow_insert: bool) -> Result<()>;
     /// DELETE body; `Ok(false)` = the key was absent.
     fn delete(c: &mut ReplClient<Self>, key: &[u8]) -> Result<bool>;
+}
+
+/// A [`Protocol`]'s judgement of one record image against a key — the
+/// three answers `aceso_core::kv::identity` gives for an Aceso slot.
+pub enum Judged<'a> {
+    /// The key's live record: its value and the tag it was committed under.
+    Ours(&'a [u8], u64),
+    /// The key's own record, deleted: no other candidate can be the key's.
+    Tombstone,
+    /// Another key's record, or no committed record at all.
+    Foreign,
+}
+
+/// What a client remembers about a key between operations: where its
+/// record is, not which slot pointed there — so a cached op still
+/// validates against the fabric (FUSEE re-reads the buckets, SWARM's commit
+/// CAS compares the tag).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Cell {
+    /// Byte offset of the record, the same on every replica column.
+    pub offset: u64,
+    /// Bytes of the record's size class.
+    pub len: u32,
+    /// The protocol's tag: SWARM's commit version, FUSEE's 0 — what
+    /// `alloc_slot` / `free_slot` carry.
+    pub tag: u64,
+}
+
+/// What [`ReplClient::locate`] found in a key's buckets.
+pub(crate) struct Located {
+    /// The bucket scan (its empties are where an INSERT lands).
+    pub scan: Scan,
+    /// The key's own slot, live or tombstoned.
+    pub slot: Option<Found>,
+    /// The live value under `slot`, with its tag.
+    pub live: Option<(Vec<u8>, u64)>,
+}
+
+impl Located {
+    /// What a SEARCH answers.
+    pub fn into_value(self) -> Option<Vec<u8>> {
+        self.live.map(|(value, _)| value)
+    }
 }
 
 /// One replicated block allocation: block `id` claimed on every column in
@@ -215,14 +262,14 @@ impl<P: Protocol> ReplStore<P> {
         })
     }
 
-    /// Creates a client.
+    /// Creates a client, its cache bounded like an Aceso client's.
     pub fn client(self: &Arc<Self>) -> ReplClient<P> {
         ReplClient {
             dm: self.cluster.client(),
             store: Arc::clone(self),
             open: HashMap::new(),
             free: HashMap::new(),
-            cache: HashMap::new(),
+            cache: IndexCache::new(ClientTuning::default().cache_capacity, None),
             max_retries: 10_000,
         }
     }
@@ -477,7 +524,7 @@ struct OpenBlock {
 }
 
 /// A client of a replicated store: the fabric endpoint, the record-slot
-/// allocator and the op bracket, with the protocol's per-key cache.
+/// allocator, the per-key cache and the op bracket.
 pub struct ReplClient<P: Protocol> {
     /// The fabric endpoint (benches read its profiles).
     pub dm: DmClient,
@@ -488,7 +535,10 @@ pub struct ReplClient<P: Protocol> {
     /// the tag its protocol freed it under: obsolete slots are overwritten
     /// directly — replication's cheap reclamation (§2.5).
     free: HashMap<(usize, u32), Vec<(u64, u64)>>,
-    pub(crate) cache: HashMap<Vec<u8>, P::Cached>,
+    /// Where each recently touched key's record is: Aceso's bounded CLOCK
+    /// cache at Aceso's default capacity, so the engines compare at equal
+    /// client memory.
+    pub(crate) cache: IndexCache<Cell>,
     /// Commit retry budget.
     pub max_retries: usize,
 }
@@ -535,6 +585,93 @@ impl<P: Protocol> ReplClient<P> {
             .entry((primary, slot.record_len() as u32))
             .or_default()
             .push((slot.offset(), tag));
+    }
+
+    /// Posts `image` at `offset` on each of `cols` — records and index
+    /// words live at identical offsets on every replica column. Inside a
+    /// [`DmClient::batch`] the writes share its doorbell.
+    pub(crate) fn write_replicas(&self, cols: &[usize], offset: u64, image: &[u8]) -> Result<()> {
+        for &c in cols {
+            self.dm
+                .write(GlobalAddr::new(self.node_of(c), offset), image)?;
+        }
+        Ok(())
+    }
+
+    /// Posts the CAS `old → new` at `offset` on each of `cols`, stopping
+    /// with `Ok(false)` at the first replica that held another word.
+    pub(crate) fn cas_replicas(
+        &self,
+        cols: &[usize],
+        offset: u64,
+        (old, new): (u64, u64),
+    ) -> Result<bool> {
+        for &c in cols {
+            let at = GlobalAddr::new(self.node_of(c), offset);
+            if self.dm.cas(at, old, new)? != old {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The engines' half of what `client/locate.rs` is for Aceso: scans
+    /// `key`'s buckets in `partition`'s area on `col`, then
+    /// [`Self::resolve`]s the candidates.
+    pub(crate) fn locate(&mut self, col: usize, partition: usize, key: &[u8]) -> Result<Located> {
+        let node = self.node_of(col);
+        let scan = self
+            .store
+            .layout
+            .scan(&self.dm, node, partition, key, fingerprint(key))?;
+        self.resolve(col, scan, key)
+    }
+
+    /// [`Self::locate`] on the first of `cols` that answers: while a column
+    /// is down (killed, not yet recovered) the next replica serves the same
+    /// scan *degraded* — `partition`'s index area and the records live at
+    /// identical offsets on every replica column.
+    pub(crate) fn locate_replica(
+        &mut self,
+        cols: &[usize],
+        partition: usize,
+        key: &[u8],
+    ) -> Result<Located> {
+        let mut down = ReplError::Rdma(RdmaError::NodeUnreachable(self.node_of(partition)));
+        for &c in cols {
+            match self.locate(c, partition, key) {
+                Err(e @ ReplError::Rdma(RdmaError::NodeUnreachable(_))) => down = e,
+                r => return r,
+            }
+        }
+        Err(down)
+    }
+
+    /// Reads `scan`'s candidates on `col` in bucket order until the
+    /// protocol judges one `key`'s own, and leaves the cache agreeing with
+    /// what it read: a live record is remembered, anything else forgets
+    /// the key.
+    pub(crate) fn resolve(&mut self, col: usize, scan: Scan, key: &[u8]) -> Result<Located> {
+        let (mut slot, mut live) = (None, None);
+        for s in &scan.matches {
+            let at = GlobalAddr::new(self.node_of(col), s.slot.offset());
+            let image = self.dm.read_vec(at, s.slot.record_len())?;
+            match P::judge(&image, key) {
+                Judged::Foreign => continue,
+                Judged::Tombstone => {}
+                Judged::Ours(value, tag) => {
+                    let len = image.len() as u32;
+                    self.cache.insert(key, Cell { offset: s.slot.offset(), len, tag });
+                    live = Some((value.to_vec(), tag));
+                }
+            }
+            slot = Some(*s);
+            break;
+        }
+        if live.is_none() {
+            self.cache.invalidate(key);
+        }
+        Ok(Located { scan, slot, live })
     }
 
     /// The op bracket: a body that returns `Ok` is recorded as one `kind`
@@ -695,6 +832,85 @@ mod tests {
     fn failed_recover_mn_leaks_no_node() {
         failed_recovery_leaks_nothing::<Fusee>();
         failed_recovery_leaks_nothing::<Swarm>();
+    }
+
+    /// A client whose cache holds 8 keys, with `keys` (10× that) loaded
+    /// through it.
+    fn churned<P: Protocol>(keys: u32) -> (Arc<ReplStore<P>>, ReplClient<P>) {
+        let s = ReplStore::<P>::launch(ReplConfig::small());
+        let mut c = s.client();
+        assert_eq!(c.cache.capacity(), ClientTuning::default().cache_capacity);
+        c.cache.set_capacity(8);
+        for i in 0..keys {
+            let k = format!("key-{i:04}");
+            c.insert(k.as_bytes(), format!("val-{i}").as_bytes())
+                .unwrap();
+            assert!(c.cache.len() <= 8, "[{}] bound broken at {i}", P::NAME);
+        }
+        assert_eq!(c.cache.len(), 8, "[{}]", P::NAME);
+        (s, c)
+    }
+
+    /// An evicted key costs a `locate` — the bucket scan, then the record —
+    /// which reads the latest value back and remembers the key again.
+    fn evicted_key_relocates<P: Protocol>() {
+        let (s, mut c) = churned::<P>(80);
+        assert_reads_back(&mut c, (0..80).step_by(7));
+        assert!(c.cache.len() <= 8, "[{}] reads must respect the bound", P::NAME);
+        let evicted = (0..80u32)
+            .map(|i| format!("key-{i:04}").into_bytes())
+            .filter(|k| !c.cache.contains(k))
+            .take(2)
+            .collect::<Vec<_>>();
+        let [searched, updated] = &evicted[..] else {
+            panic!("[{}] 80 keys through 8 entries evict most", P::NAME)
+        };
+        let mut other = s.client();
+        other.update(searched, b"latest").unwrap();
+        c.dm.take_ops();
+        assert_eq!(c.search(searched).unwrap().as_deref(), Some(&b"latest"[..]));
+        c.update(updated, b"mine").unwrap();
+        for rec in c.dm.take_ops().records {
+            assert!(rec.rtts >= 2, "[{}] {:?} skipped the scan", P::NAME, rec.kind);
+        }
+        assert!(c.cache.contains(searched) && c.cache.contains(updated));
+        assert_eq!(other.search(updated).unwrap().as_deref(), Some(&b"mine"[..]));
+        assert!(s.replica_agreement().is_empty(), "[{}]", P::NAME);
+    }
+
+    #[test]
+    fn cache_is_bounded_and_evicted_keys_relocate() {
+        evicted_key_relocates::<Fusee>();
+        evicted_key_relocates::<Swarm>();
+    }
+
+    /// An entry made stale by another client's same-class update is never
+    /// served: SEARCH chases the fresh record, UPDATE falls back and commits
+    /// — with the cache at 8 entries and under churn, as at any capacity.
+    fn stale_entry_falls_back<P: Protocol>() {
+        let (s, mut b) = churned::<P>(80);
+        let mut a = s.client();
+        for round in 0..3u32 {
+            assert!(b.search(b"key-0003").unwrap().is_some()); // b remembers the key…
+            let theirs = format!("val-{round}");
+            a.update(b"key-0003", theirs.as_bytes()).unwrap(); // …a moves it on.
+            if round % 2 == 0 {
+                let got = b.search(b"key-0003").unwrap();
+                assert_eq!(got.as_deref(), Some(theirs.as_bytes()), "[{}]", P::NAME);
+            }
+            let mine = format!("VAL-{round}");
+            b.update(b"key-0003", mine.as_bytes()).unwrap();
+            let got = a.search(b"key-0003").unwrap();
+            assert_eq!(got.as_deref(), Some(mine.as_bytes()), "[{}]", P::NAME);
+            assert!(b.cache.len() <= 8);
+        }
+        assert!(s.replica_agreement().is_empty(), "[{}]", P::NAME);
+    }
+
+    #[test]
+    fn stale_entries_fall_back_at_capacity_8() {
+        stale_entry_falls_back::<Fusee>();
+        stale_entry_falls_back::<Swarm>();
     }
 
     fn space_accounting<P: Protocol>() {

@@ -52,9 +52,11 @@
 //! ```
 
 use crate::layout::{Slot8, SlotPos};
-use crate::substrate::{live_slots, Protocol, ReplClient, ReplError, ReplStore, Result};
+use crate::substrate::{
+    live_slots, Cell, Judged, Protocol, ReplClient, ReplError, ReplStore, Result,
+};
 use aceso_index::fingerprint;
-use aceso_rdma::{GlobalAddr, RdmaError};
+use aceso_rdma::GlobalAddr;
 
 /// Payload header: `stamp(u64) | total(u32) | klen(u16) | pad(u16)`.
 const PAY_HDR: usize = 16;
@@ -78,7 +80,6 @@ impl Protocol for Swarm {
     /// The commit word and both stamps exist only for the replication
     /// protocol.
     const CELL_OVERHEAD: u64 = (VER_WORD + 8 + PAY_TRAILER) as u64;
-    type Cached = CachedCell;
 
     fn live_bytes(cell: &[u8]) -> u64 {
         8 + u32::from_le_bytes(cell[16..20].try_into().expect("4 bytes")) as u64
@@ -86,6 +87,22 @@ impl Protocol for Swarm {
 
     fn committed(cell: &[u8]) -> bool {
         committed_version(cell).is_some()
+    }
+
+    /// A cell is `key`'s when it is committed and holds `key`; its tag is
+    /// the commit version. DELETE empties the slot, so no cell is a
+    /// tombstone.
+    fn judge<'a>(cell: &'a [u8], key: &[u8]) -> Judged<'a> {
+        let Some(ver) = committed_version(cell) else {
+            return Judged::Foreign;
+        };
+        let total = u32::from_le_bytes(cell[16..20].try_into().unwrap()) as usize;
+        let klen = u16::from_le_bytes(cell[20..22].try_into().unwrap()) as usize;
+        let body = &cell[VER_WORD + PAY_HDR..VER_WORD + PAY_HDR + total];
+        match &body[..klen] == key {
+            true => Judged::Ours(&body[klen..], ver),
+            false => Judged::Foreign,
+        }
     }
 
     /// Repairs torn cells and index divergence left by a crashed writer.
@@ -156,7 +173,8 @@ impl Protocol for Swarm {
     /// SEARCH: bucket scan on the primary (degraded: first live backup),
     /// then one read per candidate cell, validated by the commit stamps.
     fn search(c: &mut SwarmClient, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        c.search_inner(key)
+        let cols = c.store.replica_cols(key);
+        Ok(c.locate_replica(&cols, cols[0], key)?.into_value())
     }
 
     /// INSERT (upsert) and UPDATE. A new key pays one scan round trip,
@@ -200,18 +218,6 @@ fn committed_version(cell: &[u8]) -> Option<u64> {
     (trailer == ver).then_some(ver)
 }
 
-/// Client-side knowledge of a key's cell: where it lives, how big, and the
-/// last commit version observed — everything the 1-RTT path needs.
-#[derive(Clone, Copy)]
-pub struct CachedCell {
-    /// Cell byte offset (commit word).
-    offset: u64,
-    /// Whole-cell bytes (commit word + payload class).
-    len: u32,
-    /// Last observed committed version.
-    ver: u64,
-}
-
 impl SwarmClient {
     /// Cell class (bytes) for a key/value pair: commit word + stamped
     /// payload, rounded to 64 B so `Slot8` can address it.
@@ -232,107 +238,23 @@ impl SwarmClient {
         buf
     }
 
-    /// Decodes a committed cell image for `key`. `None` when the cell is
-    /// uncommitted, torn, or holds a different key.
-    fn decode_cell<'a>(cell: &'a [u8], key: &[u8]) -> Option<&'a [u8]> {
-        committed_version(cell)?;
-        let total = u32::from_le_bytes(cell[16..20].try_into().unwrap()) as usize;
-        let klen = u16::from_le_bytes(cell[20..22].try_into().unwrap()) as usize;
-        let body = &cell[VER_WORD + PAY_HDR..VER_WORD + PAY_HDR + total];
-        (&body[..klen] == key).then_some(&body[klen..])
-    }
-
-    fn search_inner(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let cols = self.store.replica_cols(key);
-        for (i, &c) in cols.iter().enumerate() {
-            match self.search_on(c, cols[0], key) {
-                Err(ReplError::Rdma(RdmaError::NodeUnreachable(_)))
-                    if i + 1 < cols.len() =>
-                {
-                    continue; // Degraded: next replica answers the scan.
-                }
-                r => return r,
-            }
-        }
-        unreachable!("replica loop always returns on the last column")
-    }
-
-    fn search_on(&mut self, col: usize, partition: usize, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let fp = fingerprint(key);
-        let layout = self.store.layout;
-        let scan = layout.scan(&self.dm, self.node_of(col), partition, key, fp)?;
-        for s in &scan.matches {
-            let len = s.slot.record_len();
-            let cell = self
-                .dm
-                .read_vec(GlobalAddr::new(self.node_of(col), s.slot.offset()), len)?;
-            if let Some(v) = Self::decode_cell(&cell, key) {
-                self.cache.insert(
-                    key.to_vec(),
-                    CachedCell {
-                        offset: s.slot.offset(),
-                        len: len as u32,
-                        ver: committed_version(&cell).unwrap(),
-                    },
-                );
-                return Ok(Some(v.to_vec()));
-            }
-        }
-        Ok(None)
-    }
-
     fn delete_inner(&mut self, key: &[u8]) -> Result<bool> {
         let cols = self.store.replica_cols(key);
-        let fp = fingerprint(key);
-        let layout = self.store.layout;
         for _ in 0..self.max_retries {
-            let scan = layout.scan(&self.dm, self.node_of(cols[0]), cols[0], key, fp)?;
-            let mut target: Option<(SlotPos, Slot8, u64)> = None;
-            for s in &scan.matches {
-                let len = s.slot.record_len();
-                let cell = self
-                    .dm
-                    .read_vec(GlobalAddr::new(self.node_of(cols[0]), s.slot.offset()), len)?;
-                if Self::decode_cell(&cell, key).is_some() {
-                    target = Some((s.pos, s.slot, committed_version(&cell).unwrap()));
-                    break;
-                }
-            }
-            let Some((pos, slot, ver)) = target else {
-                self.cache.remove(key);
+            let found = self.locate(cols[0], cols[0], key)?;
+            let (Some(f), Some((_, ver))) = (found.slot, found.live) else {
                 return Ok(false);
             };
+            let (pos, slot) = (f.pos, f.slot);
             // One doorbell batch: CAS the slot empty on every replica.
-            let mut res: Result<bool> = Ok(true);
-            self.dm.batch(|dm| {
-                for &c in &cols {
-                    let addr = layout.slot_addr(self.node_of(c), pos);
-                    match dm.cas(addr, slot.raw(), Slot8::EMPTY.raw()) {
-                        Ok(prev) if prev == slot.raw() => {}
-                        Ok(_) => {
-                            res = Err(ReplError::RetriesExhausted); // Sentinel: retry.
-                            return;
-                        }
-                        Err(e) => {
-                            res = Err(e.into());
-                            return;
-                        }
-                    }
-                }
-            });
-            match res {
-                Ok(done) => {
-                    self.cache.remove(key);
-                    self.free_slot(cols[0], slot, ver);
-                    return Ok(done);
-                }
-                Err(ReplError::RetriesExhausted) => {
-                    self.dm.note_retry();
-                    self.reconcile_key(&cols, pos, key)?;
-                    continue;
-                }
-                Err(e) => return Err(e),
+            let swap = (slot.raw(), Slot8::EMPTY.raw());
+            if self.dm.batch(|_| self.cas_replicas(&cols, pos.offset, swap))? {
+                self.cache.invalidate(key);
+                self.free_slot(cols[0], slot, ver);
+                return Ok(true);
             }
+            self.dm.note_retry();
+            self.reconcile_key(&cols, pos, key)?;
         }
         Err(ReplError::RetriesExhausted)
     }
@@ -344,15 +266,11 @@ impl SwarmClient {
         let class = Self::cell_class(key, value);
 
         // Fast path: cached cell, same class → 1 RTT in-place commit.
-        if let Some(c) = self.cache.get(key).copied() {
-            if c.len == class {
-                match self.commit_in_place(&cols, c, key, value)? {
-                    true => return Ok(()),
-                    false => {
-                        self.cache.remove(key);
-                    }
-                }
+        if let Some(c) = self.cache.get(key).filter(|c| c.len == class) {
+            if self.commit_in_place(&cols, c, key, value)? {
+                return Ok(());
             }
+            self.cache.invalidate(key);
         }
         self.write_slow(key, value, allow_insert, class)
     }
@@ -362,56 +280,24 @@ impl SwarmClient {
     fn commit_in_place(
         &mut self,
         cols: &[usize],
-        cell: CachedCell,
+        cell: Cell,
         key: &[u8],
         value: &[u8],
     ) -> Result<bool> {
-        let image = Self::encode_payload(cell.len, cell.ver + 1, key, value);
-        let mut res: Result<bool> = Ok(true);
-        self.dm.batch(|dm| {
-            for &c in cols {
-                let node = self.store.node_of(c);
-                if let Err(e) = dm.write(GlobalAddr::new(node, cell.offset + VER_WORD as u64), &image)
-                {
-                    res = Err(e.into());
-                    return;
-                }
-            }
-            for &c in cols {
-                let node = self.store.node_of(c);
-                match dm.cas(
-                    GlobalAddr::new(node, cell.offset),
-                    cell.ver,
-                    cell.ver + 1,
-                ) {
-                    Ok(prev) if prev == cell.ver => {}
-                    Ok(_) => {
-                        res = Ok(false);
-                        return;
-                    }
-                    Err(e) => {
-                        res = Err(e.into());
-                        return;
-                    }
-                }
-            }
-        });
-        if let Ok(true) = res {
-            self.cache.insert(
-                key.to_vec(),
-                CachedCell {
-                    ver: cell.ver + 1,
-                    ..cell
-                },
-            );
-        }
-        if let Ok(false) = res {
+        let image = Self::encode_payload(cell.len, cell.tag + 1, key, value);
+        let committed = self.dm.batch(|_| {
+            self.write_replicas(cols, cell.offset + VER_WORD as u64, &image)?;
+            self.cas_replicas(cols, cell.offset, (cell.tag, cell.tag + 1))
+        })?;
+        if committed {
+            self.cache.insert(key, Cell { tag: cell.tag + 1, ..cell });
+        } else {
             // Lost a race (or stale cache): converge replicas on the
             // primary's committed image before anyone retries.
             self.dm.note_retry();
             self.reconcile_cell(cols, cell.offset, cell.len as usize)?;
         }
-        res
+        Ok(committed)
     }
 
     /// Slow path: scan, place the value (reusing the existing cell when the
@@ -424,117 +310,56 @@ impl SwarmClient {
         class: u32,
     ) -> Result<()> {
         let cols = self.store.replica_cols(key);
-        let fp = fingerprint(key);
-        let layout = self.store.layout;
         for _ in 0..self.max_retries {
-            let scan = layout.scan(&self.dm, self.node_of(cols[0]), cols[0], key, fp)?;
-            let mut existing: Option<(SlotPos, Slot8, u64)> = None;
-            for s in &scan.matches {
-                let len = s.slot.record_len();
-                let cell = self
-                    .dm
-                    .read_vec(GlobalAddr::new(self.node_of(cols[0]), s.slot.offset()), len)?;
-                if Self::decode_cell(&cell, key).is_some() {
-                    existing = Some((s.pos, s.slot, committed_version(&cell).unwrap()));
-                    break;
-                }
-            }
+            let found = self.locate(cols[0], cols[0], key)?;
+            let existing = found.slot.zip(found.live).map(|(f, (_, ver))| (f, ver));
             if existing.is_none() && !allow_insert {
                 return Err(ReplError::NotFound);
             }
 
-            if let Some((_, slot, ver)) = existing {
-                let elen = slot.record_len() as u32;
-                if elen == class {
-                    // Same class: in-place against the freshly-read version.
-                    let cached = CachedCell {
-                        offset: slot.offset(),
-                        len: class,
-                        ver,
-                    };
-                    if self.commit_in_place(&cols, cached, key, value)? {
-                        return Ok(());
-                    }
-                    continue; // commit_in_place already noted the retry.
+            if let Some((f, tag)) = existing.filter(|(f, _)| f.slot.record_len() as u32 == class) {
+                // Same class: in-place against the freshly-read version.
+                let cell = Cell {
+                    offset: f.slot.offset(),
+                    len: class,
+                    tag,
+                };
+                if self.commit_in_place(&cols, cell, key, value)? {
+                    return Ok(());
                 }
+                continue; // commit_in_place already noted the retry.
             }
 
             // New (or re-classed) cell: images + commit CAS + slot CAS in
             // one doorbell batch.
             let (off, base_ver) = self.alloc_slot(&cols, class)?;
             let image = Self::encode_payload(class, base_ver + 1, key, value);
-            let new_slot = Slot8::new(fp, off, class as u64 / 64);
+            let new_slot = Slot8::new(fingerprint(key), off, class as u64 / 64);
             let (pos, old_slot) = match existing {
-                Some((pos, slot, _)) => (pos, slot),
+                Some((f, _)) => (f.pos, f.slot),
                 None => {
-                    let Some(pos) = scan.empties.first().copied() else {
+                    let Some(pos) = found.scan.empties.first().copied() else {
                         return Err(ReplError::IndexFull);
                     };
                     (pos, Slot8::EMPTY)
                 }
             };
-            let mut res: Result<bool> = Ok(true);
-            self.dm.batch(|dm| {
-                for &c in &cols {
-                    let node = self.store.node_of(c);
-                    if let Err(e) =
-                        dm.write(GlobalAddr::new(node, off + VER_WORD as u64), &image)
-                    {
-                        res = Err(e.into());
-                        return;
-                    }
+            let swap = (old_slot.raw(), new_slot.raw());
+            let committed = self.dm.batch(|_| -> Result<bool> {
+                self.write_replicas(&cols, off + VER_WORD as u64, &image)?;
+                Ok(self.cas_replicas(&cols, off, (base_ver, base_ver + 1))?
+                    && self.cas_replicas(&cols, pos.offset, swap)?)
+            })?;
+            if committed {
+                if let Some((f, ver)) = existing {
+                    self.free_slot(cols[0], f.slot, ver);
                 }
-                for &c in &cols {
-                    let node = self.store.node_of(c);
-                    match dm.cas(GlobalAddr::new(node, off), base_ver, base_ver + 1) {
-                        Ok(prev) if prev == base_ver => {}
-                        Ok(_) => {
-                            res = Ok(false);
-                            return;
-                        }
-                        Err(e) => {
-                            res = Err(e.into());
-                            return;
-                        }
-                    }
-                }
-                for &c in &cols {
-                    let addr = layout.slot_addr(self.store.node_of(c), pos);
-                    match dm.cas(addr, old_slot.raw(), new_slot.raw()) {
-                        Ok(prev) if prev == old_slot.raw() => {}
-                        Ok(_) => {
-                            res = Ok(false);
-                            return;
-                        }
-                        Err(e) => {
-                            res = Err(e.into());
-                            return;
-                        }
-                    }
-                }
-            });
-            match res {
-                Ok(true) => {
-                    if let Some((_, slot, ver)) = existing {
-                        self.free_slot(cols[0], slot, ver);
-                    }
-                    self.cache.insert(
-                        key.to_vec(),
-                        CachedCell {
-                            offset: off,
-                            len: class,
-                            ver: base_ver + 1,
-                        },
-                    );
-                    return Ok(());
-                }
-                Ok(false) => {
-                    self.dm.note_retry();
-                    self.reconcile_key(&cols, pos, key)?;
-                    continue;
-                }
-                Err(e) => return Err(e),
+                let tag = base_ver + 1;
+                self.cache.insert(key, Cell { offset: off, len: class, tag });
+                return Ok(());
             }
+            self.dm.note_retry();
+            self.reconcile_key(&cols, pos, key)?;
         }
         Err(ReplError::RetriesExhausted)
     }
@@ -545,10 +370,7 @@ impl SwarmClient {
         let praw = self
             .dm
             .read_vec(GlobalAddr::new(self.node_of(cols[0]), pos.offset), 8)?;
-        for &c in &cols[1..] {
-            self.dm
-                .write(GlobalAddr::new(self.node_of(c), pos.offset), &praw)?;
-        }
+        self.write_replicas(&cols[1..], pos.offset, &praw)?;
         let slot = Slot8::from_raw(u64::from_le_bytes(praw.try_into().unwrap()));
         if !slot.is_empty() && slot.fp() == fingerprint(key) {
             let len = slot.record_len();
@@ -563,11 +385,7 @@ impl SwarmClient {
         let image = self
             .dm
             .read_vec(GlobalAddr::new(self.node_of(cols[0]), offset), len)?;
-        for &c in &cols[1..] {
-            self.dm
-                .write(GlobalAddr::new(self.node_of(c), offset), &image)?;
-        }
-        Ok(())
+        self.write_replicas(&cols[1..], offset, &image)
     }
 }
 
@@ -595,16 +413,39 @@ mod tests {
         assert_eq!(rec.batches, 1, "single doorbell batch");
     }
 
+    /// The 1-RTT path through an entry another client's same-class update
+    /// made stale: the commit CAS refuses the old version, the writer
+    /// reconciles, falls back to the scan and commits on the fresh one.
+    #[test]
+    fn stale_cached_update_falls_back_and_commits() {
+        let s = store();
+        let (mut a, mut b) = (s.client(), s.client());
+        b.cache.set_capacity(8);
+        a.insert(b"hotkey", b"aaaaaaaa").unwrap();
+        assert!(b.search(b"hotkey").unwrap().is_some());
+        let stale = b.cache.peek(b"hotkey").unwrap();
+        a.update(b"hotkey", b"bbbbbbbb").unwrap();
+        b.dm.take_ops();
+        b.update(b"hotkey", b"cccccccc").unwrap();
+        let rec = b.dm.take_ops().records.pop().unwrap();
+        assert_eq!(rec.retries, 1, "the stale version must lose its CAS once");
+        assert!(rec.rtts > 1, "and the retry pays the scan");
+        let fresh = b.cache.peek(b"hotkey").unwrap();
+        assert_eq!((fresh.offset, fresh.tag), (stale.offset, stale.tag + 2));
+        assert_eq!(a.search(b"hotkey").unwrap().as_deref(), Some(&b"cccccccc"[..]));
+        assert!(s.replica_agreement().is_empty());
+    }
+
     #[test]
     fn updates_replicate_in_place() {
         let s = store();
         let mut c = s.client();
         c.insert(b"inplace", b"before!!").unwrap();
-        let cached = c.cache.get(&b"inplace"[..]).copied().unwrap();
+        let cached = c.cache.peek(b"inplace").unwrap();
         c.update(b"inplace", b"after!!!").unwrap();
-        let after = c.cache.get(&b"inplace"[..]).copied().unwrap();
+        let after = c.cache.peek(b"inplace").unwrap();
         assert_eq!(cached.offset, after.offset, "update must not move the cell");
-        assert_eq!(after.ver, cached.ver + 1);
+        assert_eq!(after.tag, cached.tag + 1);
         let cols = s.replica_cols(b"inplace");
         let mut copies = Vec::new();
         for &col in &cols {
@@ -625,12 +466,12 @@ mod tests {
         let s = store();
         let mut c = s.client();
         c.insert(b"torn", b"committed").unwrap();
-        let cached = c.cache.get(&b"torn"[..]).copied().unwrap();
+        let cached = c.cache.peek(b"torn").unwrap();
         // Simulate a writer that died after writing one replica's payload
         // image (stamped ver+1) but before any commit CAS landed.
         let cols = s.replica_cols(b"torn");
         let node = s.cluster.node(s.node_of(cols[1])).unwrap();
-        let image = SwarmClient::encode_payload(cached.len, cached.ver + 1, b"torn", b"torn-val!");
+        let image = SwarmClient::encode_payload(cached.len, cached.tag + 1, b"torn", b"torn-val!");
         node.region
             .write(cached.offset + VER_WORD as u64, &image)
             .unwrap();
@@ -685,7 +526,7 @@ mod tests {
         let s = store();
         let mut c = s.client();
         c.insert(b"reuse-key!", b"0123456789").unwrap();
-        let first = c.cache.get(&b"reuse-key!"[..]).copied().unwrap();
+        let first = c.cache.peek(b"reuse-key!").unwrap();
         c.update(b"reuse-key!", b"9876543210").unwrap();
         assert!(c.delete(b"reuse-key!").unwrap());
         // Find a second key in the same placement group (free lists are
@@ -698,9 +539,9 @@ mod tests {
         // Same class ⇒ the freed cell is reused, and its version continues
         // past the old tenant's instead of restarting at 1.
         c.insert(newcomer.as_bytes(), b"aaaaaaaaaa").unwrap();
-        let reused = c.cache.get(newcomer.as_bytes()).copied().unwrap();
+        let reused = c.cache.peek(newcomer.as_bytes()).unwrap();
         assert_eq!(first.offset, reused.offset);
-        assert!(reused.ver > first.ver);
+        assert!(reused.tag > first.tag);
         assert!(s.replica_agreement().is_empty());
     }
 }

@@ -58,9 +58,11 @@ pub fn key_bytes(id: u64) -> Vec<u8> {
     format!("user{id:012}").into_bytes()
 }
 
-/// Renders a per-client-unique microbenchmark key.
+/// Renders a per-client-unique microbenchmark key: 16 B like
+/// [`key_bytes`], so a micro pair and a YCSB pair of one value length fall
+/// in the same size class in every engine.
 pub fn micro_key(client: u32, seq: u64) -> Vec<u8> {
-    format!("cli{client:04}-{seq:012}").into_bytes()
+    format!("c{client:04}-{seq:010}").into_bytes()
 }
 
 /// Deterministic value bytes for a key at a given version (tests verify
@@ -232,6 +234,15 @@ mod tests {
             assert_ne!(x.key, y.key);
             assert_eq!(x.op, Op::Update);
         }
+    }
+
+    #[test]
+    fn micro_and_ycsb_keys_are_16_bytes() {
+        for (client, seq) in [(0, 0), (7, 19_999), (1_000, 99_999), (9_999, 9_999_999_999)] {
+            assert_eq!(micro_key(client, seq).len(), 16);
+        }
+        assert_eq!(key_bytes(0).len(), 16);
+        assert_eq!(key_bytes(999_999_999_999).len(), 16);
     }
 
     #[test]
