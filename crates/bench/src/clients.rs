@@ -8,7 +8,8 @@
 //! thread) generalized until the modeled NIC saturates.
 //!
 //! For each point the sweep measures the *achieved* overlap depth
-//! `busy/now` on the virtual CQ clock and feeds it to the cost model as
+//! (fabric wait over virtual time, [`harness::Overlap::depth`]) and feeds
+//! it to the cost model as
 //! [`aceso_rdma::PhaseMeasurement::pipeline_depth`]: the client-bound
 //! throughput term then reflects real overlap instead of the calibrated
 //! pipelining constant. The knee of the curve is the first point where
@@ -18,12 +19,12 @@
 //! Everything is counted or virtual-clocked, so the sweep output is a
 //! pure function of the seed.
 
+use crate::harness;
 use aceso_core::{AcesoConfig, AcesoStore, StoreError};
-use aceso_rdma::{Bottleneck, PhaseMeasurement, SimCq};
+use aceso_rdma::Bottleneck;
 use aceso_rt::Executor;
 use aceso_workloads::ycsb::YcsbKind;
-use aceso_workloads::{value_for, Op, YcsbWorkload};
-use std::sync::Arc;
+use aceso_workloads::YcsbWorkload;
 
 /// Keys preloaded per sweep point (zipfian 0.99 over these).
 const KEYS: u64 = 1024;
@@ -38,12 +39,8 @@ const MAX_TASKS: usize = 1024;
 pub struct SweepRow {
     /// Concurrent client tasks multiplexed on the thread.
     pub tasks: usize,
-    /// Peak simultaneously-in-flight ops the executor observed.
-    pub peak_inflight: usize,
-    /// Measured overlap depth (`busy_us / now_us` on the virtual CQ).
-    pub depth: f64,
-    /// Virtual microseconds the point spanned.
-    pub virtual_us: f64,
+    /// The overlap the tasks achieved on the shared virtual CQ.
+    pub overlap: harness::Overlap,
     /// Modeled throughput with the measured depth.
     pub mops: f64,
     /// What bound the throughput.
@@ -77,91 +74,40 @@ fn sweep_point(seed: u64, tasks: usize) -> SweepRow {
         ..AcesoConfig::small()
     })
     .expect("launch");
-    let mut loader = store.client().expect("client");
-    for key in YcsbWorkload::preload_keys(KEYS) {
-        loader
-            .insert(&key, &value_for(&key, 0, VALUE_LEN))
-            .expect("preload");
-    }
-    loader.close_open_blocks().expect("close");
-    store.cluster.reset_traffic();
+    harness::preload_aceso(&store, YcsbWorkload::preload_keys(KEYS), VALUE_LEN);
 
-    let cq = Arc::new(SimCq::new());
-    let mut exec = Executor::new();
-    // Records come back through a shared cell: each task deposits its
-    // client's measured ops when it finishes.
-    let sink: std::rc::Rc<std::cell::RefCell<Vec<aceso_rdma::OpRecord>>> =
-        std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    for t in 0..tasks {
-        let mut client = store.client().expect("client");
-        client.dm.reset_stats();
-        client.dm.attach_cq(Arc::clone(&cq));
-        let mut stream =
-            YcsbWorkload::new(YcsbKind::A, KEYS, 0.99, VALUE_LEN, t as u32, seed);
-        let sink = std::rc::Rc::clone(&sink);
-        exec.spawn(async move {
-            for opno in 0..OPS_PER_TASK {
-                let req = stream.next().expect("ycsb streams are infinite");
-                let val = value_for(&req.key, opno as u64, req.value_len);
-                let res = match req.op {
-                    Op::Search => client.search_async(&req.key).await.map(|_| ()),
-                    Op::Update => client.update_async(&req.key, &val).await,
-                    Op::Insert => client.insert_async(&req.key, &val).await,
-                    Op::Delete => client.delete_async(&req.key).await.map(|_| ()),
-                };
-                match res {
-                    Ok(()) => {}
-                    // Hot-key pile-ups at large C can exhaust the commit
-                    // retry budget; that is contention, not a bug — count
-                    // the op as attempted and move on.
-                    Err(StoreError::RetriesExhausted) => {}
-                    Err(e) => panic!("task {t} op {opno} ({:?}): {e}", req.op),
-                }
-            }
-            client.dm.detach_cq();
-            sink.borrow_mut().extend(client.dm.take_ops().records);
-        });
-    }
-    let stuck = exec.run_until_idle(|| cq.advance_next());
-    assert_eq!(stuck, 0, "sweep point wedged with {stuck} tasks in flight");
-
-    let depth = if cq.now_us() > 0.0 {
-        cq.busy_us() / cq.now_us()
-    } else {
-        0.0
-    };
-    let node_fg: Vec<_> = store
-        .cluster
-        .nodes()
-        .iter()
-        .map(|n| n.traffic.snapshot())
+    let lanes = (0..tasks)
+        .map(|t| {
+            let stream = YcsbWorkload::new(YcsbKind::A, KEYS, 0.99, VALUE_LEN, t as u32, seed);
+            (store.client().expect("client"), stream)
+        })
         .collect();
-    let bg = vec![0.0; node_fg.len()];
-    let records = std::rc::Rc::try_unwrap(sink)
-        .expect("all tasks done")
-        .into_inner();
-    let m = PhaseMeasurement {
-        n_clients: 1, // One OS thread; overlap comes from measured depth.
-        node_fg,
-        bg_bytes_per_sec: bg,
-        records,
-        pipeline_depth: Some(depth),
-    };
-    let cost = store.cfg.cost;
-    let rep = cost.report(&m);
-    let lat = cost.latency(&m, None);
-    let row = SweepRow {
+    let (window, overlap) = harness::coro_window(
+        &store.cluster,
+        Executor::new(),
+        lanes,
+        OPS_PER_TASK,
+        |t, opno, req, r| match r {
+            // Hot-key pile-ups at large C can exhaust the commit retry
+            // budget; that is contention, not a bug — count the op as
+            // attempted and move on.
+            Ok(()) | Err(StoreError::RetriesExhausted) => {}
+            Err(e) => panic!("task {t} op {opno} ({:?}): {e}", req.op),
+        },
+    );
+    // One OS thread; overlap comes from the measured depth.
+    let phase = window.measured(1, vec![], Some(overlap.depth));
+    let rep = phase.report();
+    let lat = phase.cost.latency(&phase.m, None);
+    store.shutdown();
+    SweepRow {
         tasks,
-        peak_inflight: exec.peak_inflight(),
-        depth,
-        virtual_us: cq.now_us(),
+        overlap,
         mops: rep.mops,
         bottleneck: rep.bottleneck,
         p50_us: lat.p50_us,
         p99_us: lat.p99_us,
-    };
-    store.shutdown();
-    row
+    }
 }
 
 /// Sweeps doubling client counts until the modeled NIC binds (and at
@@ -198,9 +144,9 @@ impl ClientsSweep {
             s.push_str(&format!(
                 "{:5} | {:8} | {:6.1} | {:8.0} | {:6.2} | {:<11} | {:6.1} | {:6.1}\n",
                 r.tasks,
-                r.peak_inflight,
-                r.depth,
-                r.virtual_us,
+                r.overlap.peak_inflight,
+                r.overlap.depth,
+                r.overlap.virtual_us,
                 r.mops,
                 r.bottleneck.label(),
                 r.p50_us,
@@ -228,9 +174,10 @@ mod tests {
     fn sweep_point_overlaps_ops() {
         let row = sweep_point(0xace50, 64);
         assert_eq!(row.tasks, 64);
-        assert_eq!(row.peak_inflight, 64);
-        assert!(row.depth > 8.0, "depth {} too shallow", row.depth);
-        assert!(row.mops > 0.0 && row.virtual_us > 0.0);
+        assert_eq!(row.overlap.peak_inflight, 64);
+        let depth = row.overlap.depth;
+        assert!(depth > 8.0, "depth {depth} too shallow");
+        assert!(row.mops > 0.0 && row.overlap.virtual_us > 0.0);
     }
 
     /// Acceptance floor: one OS thread sustains ≥ 256 concurrent
@@ -238,12 +185,9 @@ mod tests {
     #[test]
     fn one_thread_sustains_256_inflight_ops() {
         let row = sweep_point(0xace50, 256);
-        assert!(
-            row.peak_inflight >= 256,
-            "peak inflight {} < 256",
-            row.peak_inflight
-        );
-        assert!(row.depth > 64.0, "overlap depth {} too shallow", row.depth);
+        let (peak_inflight, depth) = (row.overlap.peak_inflight, row.overlap.depth);
+        assert!(peak_inflight >= 256, "peak inflight {peak_inflight} < 256");
+        assert!(depth > 64.0, "overlap depth {depth} too shallow");
     }
 
     /// The same seed reproduces the same point bit-for-bit.
@@ -251,9 +195,9 @@ mod tests {
     fn sweep_point_is_deterministic() {
         let a = sweep_point(0xace50, 16);
         let b = sweep_point(0xace50, 16);
-        assert_eq!(a.depth.to_bits(), b.depth.to_bits());
+        assert_eq!(a.overlap.depth.to_bits(), b.overlap.depth.to_bits());
         assert_eq!(a.mops.to_bits(), b.mops.to_bits());
-        assert_eq!(a.virtual_us.to_bits(), b.virtual_us.to_bits());
+        assert_eq!(a.overlap.virtual_us.to_bits(), b.overlap.virtual_us.to_bits());
         assert_eq!(a.bottleneck, b.bottleneck);
     }
 }

@@ -12,11 +12,14 @@
 //! Every number is counted or modeled (wall-clock stays out), so the
 //! rendered table is a pure function of the seed.
 
-use aceso_core::{scrub, AcesoConfig, AcesoStore, ElasticStep, StoreError};
+use crate::harness;
+use aceso_core::{
+    scrub, AcesoConfig, AcesoEngine, AcesoStore, ElasticKind, ElasticStep, FtClient, FtError,
+    StoreError,
+};
 use aceso_obs::Registry;
-use aceso_rdma::PhaseMeasurement;
 use aceso_workloads::ycsb::YcsbKind;
-use aceso_workloads::{value_for, Op, YcsbWorkload};
+use aceso_workloads::YcsbWorkload;
 use std::sync::Arc;
 
 /// Logical clients driven round-robin in one thread.
@@ -27,28 +30,8 @@ const KEYS: u64 = 160;
 const WINDOW_OPS: usize = 120;
 /// Value payload size.
 const VALUE_LEN: usize = 64;
-/// Simulated closed-loop client count fed to the cost model.
-const SIM_CLIENTS: usize = 184;
 /// Column migrated onto the fresh node.
 const MIG_COL: usize = 1;
-
-/// Whether the measured migration was a join or a drain.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    /// A fresh node joins and takes over the migrated column.
-    Join,
-    /// The migrated column is evacuated off its node before retirement.
-    Drain,
-}
-
-impl Kind {
-    fn label(self) -> &'static str {
-        match self {
-            Kind::Join => "join",
-            Kind::Drain => "drain",
-        }
-    }
-}
 
 /// One inter-step traffic window.
 pub struct WindowRow {
@@ -66,7 +49,7 @@ pub struct WindowRow {
 /// One full migration measured window by window.
 pub struct ElasticPhase {
     /// Join or drain.
-    pub kind: Kind,
+    pub kind: ElasticKind,
     /// One row per window, in step order.
     pub rows: Vec<WindowRow>,
     /// `elastic.batches` — copy batches the migrator executed.
@@ -85,125 +68,77 @@ pub struct ElasticSlice {
     pub phases: Vec<ElasticPhase>,
 }
 
-/// Runs `WINDOW_OPS` round-robin ops and measures the window.
+/// Runs `WINDOW_OPS` round-robin ops, continuing at op number `*opno`,
+/// and measures the window.
 fn run_window(
-    store: &Arc<AcesoStore>,
-    clients: &mut [aceso_core::AcesoClient],
+    store: &AcesoStore,
+    clients: &mut [Box<dyn FtClient>],
     streams: &mut [YcsbWorkload],
     opno: &mut usize,
     step: String,
 ) -> WindowRow {
-    store.cluster.reset_traffic();
-    for c in clients.iter() {
-        c.dm.reset_stats();
-    }
+    let ops = *opno..*opno + WINDOW_OPS;
+    *opno = ops.end;
     let (mut committed, mut attempted) = (0usize, 0usize);
-    for _ in 0..WINDOW_OPS {
-        let i = *opno % CLIENTS;
-        let req = streams[i].next().expect("ycsb streams are infinite");
-        let val = value_for(&req.key, *opno as u64, req.value_len);
-        *opno += 1;
-        attempted += 1;
-        let res = match req.op {
-            Op::Search => clients[i].search(&req.key).map(|_| ()),
-            Op::Update => clients[i].update(&req.key, &val),
-            Op::Insert => clients[i].insert(&req.key, &val),
-            Op::Delete => clients[i].delete(&req.key).map(|_| ()),
-        };
-        match res {
-            Ok(()) => committed += 1,
-            // A fence storm right at a step boundary can exhaust one
-            // op's commit budget; that is backpressure, not corruption —
-            // the scrub below proves the store stayed intact.
-            Err(StoreError::RetriesExhausted) => {}
-            Err(e) => panic!("window '{step}' op ({:?}): {e}", req.op),
-        }
-    }
-    let mut records = Vec::with_capacity(WINDOW_OPS);
-    for c in clients.iter_mut() {
-        records.extend(c.dm.take_ops().records);
-    }
-    let node_fg: Vec<_> = store
-        .cluster
-        .nodes()
-        .iter()
-        .map(|n| n.traffic.snapshot())
-        .collect();
-    let bg = vec![0.0; node_fg.len()];
-    let m = PhaseMeasurement {
-        n_clients: SIM_CLIENTS,
-        node_fg,
-        bg_bytes_per_sec: bg,
-        records,
-        pipeline_depth: None,
-    };
-    let mops = store.cfg.cost.report(&m).mops;
+    let window = harness::window(&store.cluster, clients, |clients| {
+        harness::turns(clients, streams, ops, |opno, c, req| {
+            attempted += 1;
+            match harness::dispatch(c, &req, opno as u64) {
+                Ok(()) => committed += 1,
+                // A fence storm right at a step boundary can exhaust one
+                // op's commit budget; that is backpressure, not corruption —
+                // the scrub below proves the store stayed intact. Only that
+                // error: the seam also maps a `NodeUnreachable` verb to
+                // `Unreachable`, and a client that lets one escape after
+                // the free step retired the source node must panic here.
+                Err(e) if e == FtError::from(StoreError::RetriesExhausted) => {}
+                Err(e) => panic!("window '{step}' op ({:?}): {e}", req.op),
+            }
+        })
+    });
     WindowRow {
         step,
         committed,
         attempted,
-        mops,
+        mops: window
+            .measured(harness::SIM_CLIENTS, vec![], None)
+            .report()
+            .mops,
     }
 }
 
 /// Measures one migration kind end to end.
-pub(crate) fn run_phase(seed: u64, kind: Kind) -> ElasticPhase {
+pub(crate) fn run_phase(seed: u64, kind: ElasticKind) -> ElasticPhase {
     let store = AcesoStore::launch(AcesoConfig::small()).expect("launch");
-    let mut loader = store.client().expect("client");
-    for key in YcsbWorkload::preload_keys(KEYS) {
-        loader
-            .insert(&key, &value_for(&key, 0, VALUE_LEN))
-            .expect("preload");
-    }
-    loader.close_open_blocks().expect("close");
+    harness::preload_aceso(&store, YcsbWorkload::preload_keys(KEYS), VALUE_LEN);
 
     let registry = Registry::new();
     store.install_recorder(Arc::clone(&registry));
-    let mut clients: Vec<_> = (0..CLIENTS)
-        .map(|_| store.client().expect("client"))
-        .collect();
+    let mut clients = harness::clients(&AcesoEngine::new(Arc::clone(&store)), CLIENTS);
     let mut streams: Vec<YcsbWorkload> = (0..CLIENTS)
         .map(|i| YcsbWorkload::new(YcsbKind::A, KEYS, 0.99, VALUE_LEN, i as u32, seed))
         .collect();
     let mut opno = 0usize;
 
-    let mut rows = vec![run_window(
-        &store,
-        &mut clients,
-        &mut streams,
-        &mut opno,
-        "baseline".into(),
-    )];
+    let mut window = |step: String| run_window(&store, &mut clients, &mut streams, &mut opno, step);
+    let mut rows = vec![window("baseline".into())];
     let mut mig = match kind {
-        Kind::Join => store.begin_join(MIG_COL).expect("begin join"),
-        Kind::Drain => store.begin_drain(MIG_COL).expect("begin drain"),
+        ElasticKind::Join => store.begin_join(MIG_COL).expect("begin join"),
+        ElasticKind::Drain => store.begin_drain(MIG_COL).expect("begin drain"),
     };
     loop {
         let step = mig.step().expect("migrator step");
         if step == ElasticStep::Done {
             break;
         }
-        rows.push(run_window(
-            &store,
-            &mut clients,
-            &mut streams,
-            &mut opno,
-            step.to_string(),
-        ));
+        rows.push(window(step.to_string()));
     }
     for c in &mut clients {
-        c.flush_bitmaps().expect("flush");
+        c.quiesce().expect("flush");
     }
     let scrub_clean = scrub(&store).expect("scrub").is_clean();
-    let counter = |name: &str| -> u64 {
-        registry
-            .snapshot()
-            .counters
-            .iter()
-            .find(|(n, _)| n.as_str() == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
+    let snap = registry.snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let phase = ElasticPhase {
         kind,
         rows,
@@ -220,7 +155,9 @@ pub(crate) fn run_phase(seed: u64, kind: Kind) -> ElasticPhase {
 pub fn elastic_slice(seed: u64) -> ElasticSlice {
     ElasticSlice {
         seed,
-        phases: vec![run_phase(seed, Kind::Join), run_phase(seed, Kind::Drain)],
+        phases: [ElasticKind::Join, ElasticKind::Drain]
+            .map(|kind| run_phase(seed, kind))
+            .into(),
     }
 }
 
@@ -237,7 +174,7 @@ impl ElasticSlice {
             for r in &p.rows {
                 s.push_str(&format!(
                     "{:<5} | {:<12} | {:9} | {:9} | {:5.2}\n",
-                    p.kind.label(),
+                    p.kind.to_string(),
                     r.step,
                     r.committed,
                     r.attempted,
@@ -246,7 +183,7 @@ impl ElasticSlice {
             }
             s.push_str(&format!(
                 "{}: {} copy batches, {} blocks moved, scrub {}\n",
-                p.kind.label(),
+                p.kind,
                 p.batches,
                 p.blocks_moved,
                 if p.scrub_clean { "clean" } else { "DIRTY" },
@@ -268,7 +205,7 @@ mod tests {
         let slice = elastic_slice(0xace50);
         assert_eq!(slice.phases.len(), 2);
         for p in &slice.phases {
-            assert!(p.scrub_clean, "{} phase left the store dirty", p.kind.label());
+            assert!(p.scrub_clean, "{} phase left the store dirty", p.kind);
             assert!(p.batches > 0 && p.blocks_moved > 0);
             // baseline + announce + copy batches + reencode + publish + free.
             assert!(p.rows.len() >= 5, "only {} windows", p.rows.len());
@@ -276,7 +213,7 @@ mod tests {
                 assert!(
                     r.committed > 0,
                     "{} window '{}' committed no ops ({} attempted)",
-                    p.kind.label(),
+                    p.kind,
                     r.step,
                     r.attempted
                 );
@@ -288,8 +225,8 @@ mod tests {
     /// The same seed reproduces the same join phase bit for bit.
     #[test]
     fn phase_is_deterministic() {
-        let a = run_phase(0xace50, Kind::Join);
-        let b = run_phase(0xace50, Kind::Join);
+        let a = run_phase(0xace50, ElasticKind::Join);
+        let b = run_phase(0xace50, ElasticKind::Join);
         assert_eq!(a.rows.len(), b.rows.len());
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
             assert_eq!(ra.step, rb.step);

@@ -30,8 +30,7 @@ pub fn fig1a(scale: BenchScale) -> FigureOutput {
             });
             let phase = harness::micro_phase(&sys, scale, op, |_| vec![]);
             let rep = phase.report();
-            let avg_cas: f64 = phase.m.records.iter().map(|x| x.cas as f64).sum::<f64>()
-                / phase.m.records.len().max(1) as f64;
+            let avg_cas = phase.mean(None, |x| x.cas);
             row.push_str(&format!(" {:7.2} | {:4.2} cas |", rep.mops, avg_cas));
         }
         text.push_str(&row);
@@ -55,9 +54,7 @@ pub fn fig1b(scale: BenchScale) -> FigureOutput {
         let mut row = format!("{ckpt_mb:6} MB |");
         for op in OPS {
             let sys = System::aceso(harness::bench_aceso_config(), ClientTuning::default());
-            let phase = harness::micro_phase(&sys, scale, op, |s| {
-                harness::uniform_bg(s.eng().columns(), rate)
-            });
+            let phase = harness::micro_phase(&sys, scale, op, |s| vec![rate; s.eng().columns()]);
             row.push_str(&format!(" {:7.2} |", phase.report().mops));
         }
         text.push_str(&row);

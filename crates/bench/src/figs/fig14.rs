@@ -8,8 +8,8 @@
 
 use crate::figs::FigureOutput;
 use crate::harness::{self, BenchScale};
-use aceso_core::{kv, AcesoConfig, AcesoEngine, AcesoStore, RecoveryTier};
-use aceso_workloads::{micro_key, MicroWorkload, Op};
+use aceso_core::{AcesoConfig, AcesoEngine, AcesoStore, RecoveryTier};
+use aceso_workloads::{MicroWorkload, Op};
 use std::sync::Arc;
 
 /// `(Mops, modeled p50 in µs)` of one micro phase.
@@ -53,9 +53,7 @@ pub fn reclaimed_update(scale: BenchScale) -> (Point, Point) {
     store.shutdown();
 
     // Special: a pool small enough that updates run on reclaimed blocks.
-    let key_len = micro_key(0, 0).len();
-    let kv_class = kv::class_for(key_len, scale.value_len).expect("bench KV fits a class");
-    let bytes_needed = scale.keys * kv_class as u64 * 64;
+    let bytes_needed = scale.keys * harness::slot_bytes(scale.value_len);
     let cfg = harness::bench_aceso_config();
     let arrays = (bytes_needed * 3 / 2 / (cfg.block_size * 3)).max(2);
     let reclaiming = AcesoConfig {

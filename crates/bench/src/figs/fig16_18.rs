@@ -6,17 +6,20 @@
 //! * Fig 17: foreground throughput vs checkpoint interval.
 //! * Fig 18: recovery time per area vs checkpoint interval: longer
 //!   intervals leave more post-checkpoint KVs to scan in the Index tier.
+//!
+//! Recovery times are the modeled network milliseconds of
+//! [`RecoveryReport`]'s `*_net_ms` fields (what `bench quick` prints for
+//! its recovery), never the host clock.
 
 use crate::figs::FigureOutput;
 use crate::harness::{self, BenchScale, System};
 use aceso_core::{recover_mn, AcesoConfig, AcesoStore, ClientTuning, RecoveryReport};
-use aceso_workloads::{MicroWorkload, Op};
+use aceso_workloads::{value_for, MicroWorkload, Op};
 use std::sync::Arc;
 
 fn store_with_capacity(keys: u64, value_len: usize) -> Arc<AcesoStore> {
     let cfg = harness::bench_aceso_config();
-    let kv_class = (16 + 17 + value_len + 1).div_ceil(64) as u64 * 64;
-    let need = keys * kv_class * 2;
+    let need = keys * harness::slot_bytes(value_len) * 2;
     let arrays = (need / (cfg.block_size * 3) + 8).max(cfg.num_arrays);
     AcesoStore::launch(AcesoConfig {
         num_arrays: arrays,
@@ -31,54 +34,46 @@ fn store_with_capacity(keys: u64, value_len: usize) -> Arc<AcesoStore> {
 fn crash_and_recover(keys: u64, post_keys: u64, value_len: usize) -> RecoveryReport {
     let store = store_with_capacity(keys + post_keys, value_len);
     let mut client = store.client().unwrap();
-    for req in MicroWorkload::new(0, Op::Insert, keys, value_len).take(keys as usize) {
-        client
-            .insert(
-                &req.key,
-                &aceso_workloads::value_for(&req.key, 0, req.value_len),
-            )
-            .unwrap();
-    }
-    client.close_open_blocks().unwrap();
+    let mut load = |stream_id: u32, n: u64| {
+        for req in MicroWorkload::new(stream_id, Op::Insert, n, value_len).take(n as usize) {
+            let value = value_for(&req.key, 0, req.value_len);
+            client.insert(&req.key, &value).unwrap();
+        }
+        client.close_open_blocks().unwrap();
+    };
+    load(0, keys);
     // Two rounds: the preloaded blocks become strictly older than the
     // checkpoint (the Block tier's work), only `post_keys` stay "new".
     store.checkpoint_tick().unwrap();
     store.checkpoint_tick().unwrap();
-    for req in MicroWorkload::new(1000, Op::Insert, post_keys, value_len).take(post_keys as usize) {
-        client
-            .insert(
-                &req.key,
-                &aceso_workloads::value_for(&req.key, 0, req.value_len),
-            )
-            .unwrap();
-    }
-    client.close_open_blocks().unwrap();
+    load(1000, post_keys);
     store.kill_mn(2);
     let report = recover_mn(&store, 2).unwrap();
     store.shutdown();
     report
 }
 
-/// Public wrapper for Table 2's use of the same crash/recover setup.
-pub fn crash_and_recover_public(keys: u64, post_keys: u64, value_len: usize) -> RecoveryReport {
-    crash_and_recover(keys, post_keys, value_len)
+/// `Meta | Index | Block | Total` of one recovery, modeled network ms.
+fn tier_cells(r: &RecoveryReport) -> String {
+    format!(
+        "{:6.3} | {:6.3} | {:7.3} | {:7.3}",
+        r.meta_net_ms,
+        r.index_tier_net_ms() - r.meta_net_ms,
+        r.old_lblock_net_ms,
+        r.index_tier_net_ms() + r.old_lblock_net_ms,
+    )
 }
 
 /// Figure 16: lost-data-size sweep.
 pub fn fig16(scale: BenchScale) -> FigureOutput {
     let mut text = String::from(
-        "MN recovery time (ms) vs lost data size\nkeys     |  Meta |  Index |  Block |  Total\n",
+        "MN recovery time (modeled network ms) vs lost data size\n\
+         keys     |   Meta |  Index |   Block |   Total\n",
     );
     for mult in [1u64, 2, 4, 8] {
         let keys = scale.keys * mult / 4;
         let r = crash_and_recover(keys, keys / 20, scale.value_len);
-        text.push_str(&format!(
-            "{keys:8} | {:5.1} | {:6.1} | {:6.1} | {:6.1}\n",
-            r.read_meta_ms,
-            r.read_ckpt_ms + r.recover_lblock_ms + r.read_rblock_ms + r.scan_kv_ms,
-            r.recover_old_lblock_ms,
-            r.total_ms(),
-        ));
+        text.push_str(&format!("{keys:8} | {}\n", tier_cells(&r)));
     }
     FigureOutput {
         id: "Figure 16",
@@ -117,7 +112,8 @@ pub fn fig17(scale: BenchScale) -> FigureOutput {
 /// so the 500 ms point matches Figure 16's shape.
 pub fn fig18(scale: BenchScale) -> FigureOutput {
     let mut text = String::from(
-        "MN recovery time (ms) vs checkpoint interval\ninterval |  Meta |  Index |  Block |  Total\n",
+        "MN recovery time (modeled network ms) vs checkpoint interval\n\
+         interval |   Meta |  Index |   Block |   Total | KVs scanned\n",
     );
     let keys = scale.keys;
     for interval_ms in [100u64, 250, 500, 1000, 5000] {
@@ -125,11 +121,9 @@ pub fn fig18(scale: BenchScale) -> FigureOutput {
         let post = (keys as f64 * interval_ms as f64 / 5000.0) as u64;
         let r = crash_and_recover(keys, post.max(16), scale.value_len);
         text.push_str(&format!(
-            "{interval_ms:5} ms | {:5.1} | {:6.1} | {:6.1} | {:6.1}\n",
-            r.read_meta_ms,
-            r.read_ckpt_ms + r.recover_lblock_ms + r.read_rblock_ms + r.scan_kv_ms,
-            r.recover_old_lblock_ms,
-            r.total_ms(),
+            "{interval_ms:5} ms | {} | {:11}\n",
+            tier_cells(&r),
+            r.kv_count,
         ));
     }
     FigureOutput {

@@ -1,6 +1,8 @@
 //! Figure 19 — differential checkpointing vs index size (paper §4.5):
-//! compressed delta size and per-step time (Copy&XOR, Compress,
-//! Decompress, XOR) for one checkpoint round.
+//! the compressed delta one checkpoint round puts on the wire. (The
+//! paper's per-step times — Copy&XOR, Compress, Decompress, XOR — are
+//! host quantities: the repo benchmark's `ckpt.{copy_xor,compress,
+//! decompress,apply_xor}_ms` measure them.)
 //!
 //! The index is synthesized directly (populated to load factor 0.75, then
 //! a bounded set of slots dirtied, as one 500 ms window of updates would),
@@ -9,7 +11,7 @@
 use crate::figs::FigureOutput;
 use crate::fmt_bytes;
 use crate::harness::BenchScale;
-use aceso_core::ckpt::{CkptReceiver, CkptSender};
+use aceso_core::ckpt::CkptSender;
 
 fn synth_index(bytes: usize, seed: u64) -> Vec<u8> {
     // 75% of 16 B slots populated with plausible slot words.
@@ -43,8 +45,7 @@ fn dirty_slots(index: &mut [u8], count: usize, seed: u64) {
 }
 
 /// Runs the index-size sweep. Sizes are scaled to the harness machine
-/// (the paper's range from `--scale big` up); the per-step times scale
-/// linearly with size exactly as in the paper.
+/// (the paper's range from `--scale big` up).
 pub fn fig19(scale: BenchScale) -> FigureOutput {
     let sizes_mb: &[usize] = if scale.keys >= 100_000 {
         &[64, 128, 256, 512, 1024, 2048]
@@ -56,28 +57,21 @@ pub fn fig19(scale: BenchScale) -> FigureOutput {
     let dirty = 2_000_000usize;
     let mut text = String::from(
         "Differential checkpointing vs index size (one round)\n\
-         index   | ckpt size | Copy&XOR | Compress | Decompr. |    XOR\n",
+         index   | ckpt size\n",
     );
     for &mb in sizes_mb {
         let bytes = mb << 20;
         let mut index = synth_index(bytes, 7);
         let mut tx = CkptSender::new(bytes);
-        let mut rx = CkptReceiver::new(bytes);
         // Round 1 establishes the baseline (full index).
-        let (c0, r0, _, _) = tx.round(index.clone());
-        rx.apply(&c0, r0, 1).unwrap();
+        tx.round(index.clone());
         // Round 2 is the measured differential round.
         dirty_slots(&mut index, dirty, 99);
-        let (compressed, raw, copy_xor_us, compress_us) = tx.round(index.clone());
-        let (decompress_us, xor_us) = rx.apply(&compressed, raw, 2).unwrap();
+        let (compressed, ..) = tx.round(index.clone());
         text.push_str(&format!(
-            "{:4} MB | {:>9} | {:6.1} ms | {:6.1} ms | {:6.1} ms | {:5.1} ms\n",
+            "{:4} MB | {:>9}\n",
             mb,
             fmt_bytes(compressed.len() as u64),
-            copy_xor_us / 1e3,
-            compress_us / 1e3,
-            decompress_us / 1e3,
-            xor_us / 1e3,
         ));
     }
     FigureOutput {

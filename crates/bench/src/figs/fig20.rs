@@ -13,8 +13,7 @@ use std::sync::Arc;
 
 fn cfg_for_block_size(bs: u64, keys: u64, value_len: usize) -> AcesoConfig {
     let base = harness::bench_aceso_config();
-    let kv_class = (16 + 17 + value_len + 1).div_ceil(64) as u64 * 64;
-    let need = keys * kv_class * 3;
+    let need = keys * harness::slot_bytes(value_len) * 3;
     let arrays = (need / (bs * 3) + 8).max(4);
     AcesoConfig {
         block_size: bs,
@@ -26,7 +25,9 @@ fn cfg_for_block_size(bs: u64, keys: u64, value_len: usize) -> AcesoConfig {
 
 /// Runs the block-size sweep.
 pub fn fig20(scale: BenchScale) -> FigureOutput {
-    let mut text = String::from("Block-size sweep\nblock    | UPDATE Mops | index recovery (ms)\n");
+    let mut text = String::from(
+        "Block-size sweep\nblock    | UPDATE Mops | index recovery (modeled network ms)\n",
+    );
     for bs_kb in [16u64, 64, 256, 1024, 4096] {
         let bs = bs_kb << 10;
         let cfg = cfg_for_block_size(bs, scale.keys, scale.value_len);
@@ -42,9 +43,9 @@ pub fn fig20(scale: BenchScale) -> FigureOutput {
         store.kill_mn(3);
         let r = recover_mn(&store, 3).unwrap();
         text.push_str(&format!(
-            "{bs_kb:5} KB | {:11.2} | {:8.1}\n",
+            "{bs_kb:5} KB | {:11.2} | {:8.3}\n",
             mops,
-            r.index_tier_ms()
+            r.index_tier_net_ms()
         ));
         store.shutdown();
     }

@@ -45,21 +45,12 @@ pub fn fig8(scale: BenchScale) -> FigureOutput {
     for (label, _, a, f) in micro_phases(scale) {
         let (ar, fr) = (a.report(), f.report());
         let prof = |p: &Phase| {
-            let n = p.m.records.len().max(1) as f64;
-            let (v, c, b, r) = p.m.records.iter().fold((0u64, 0u64, 0u64, 0u64), |acc, x| {
-                (
-                    acc.0 + x.verbs as u64,
-                    acc.1 + x.cas as u64,
-                    acc.2 + x.read_bytes as u64 + x.write_bytes as u64,
-                    acc.3 + x.rtts as u64,
-                )
-            });
             format!(
                 "verbs {:.1} cas {:.1} bytes {:.0} rtts {:.1}",
-                v as f64 / n,
-                c as f64 / n,
-                b as f64 / n,
-                r as f64 / n
+                p.mean(None, |x| x.verbs),
+                p.mean(None, |x| x.cas),
+                p.mean(None, |x| x.read_bytes + x.write_bytes),
+                p.mean(None, |x| x.rtts),
             )
         };
         text.push_str(&format!(

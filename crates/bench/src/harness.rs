@@ -1,19 +1,41 @@
-//! Phase runner: drive logical clients through the engine seam, collect
-//! the verb profile, report through the cost model.
+//! The measured window and the phase runner built on it: drive logical
+//! clients, collect the verb profile, report through the cost model.
 //!
-//! The runner is thread-free: [`BenchScale::threads`] logical clients take
-//! turns on the calling thread, one request per client per turn, warm-up
-//! and measured alike (the way `bench quick` drives its four). What a
-//! phase measures is therefore a function of its streams, not of the OS
-//! scheduler — two runs print the same digits — and it needs nothing from
-//! an engine beyond `&dyn FtEngine`.
+//! This file is the crate's one definition of "measure". A **window**
+//! resets the cluster's traffic and the clients' stats, runs a **drive**,
+//! and returns the per-op records plus the per-node demand ([`Window`]);
+//! the **report** step ([`Window::measured`]) adds what the cost model
+//! must be told — simulated client count, background rate, pipeline
+//! depth — and yields the [`Phase`] around the one `PhaseMeasurement`
+//! literal. Two drives exist:
+//! [`window`] runs blocking clients behind `&mut dyn FtClient` (any
+//! engine), usually round-robin through [`turns`]; [`coro_window`] runs
+//! one `AcesoClient` task per stream on one executor over one virtual
+//! completion queue and also yields the [`Overlap`] it achieved. Both are
+//! thread-free — what a window measures is a function of its streams, not
+//! of the OS scheduler, so two runs print the same digits. Every CI slice
+//! and, through [`phase`], every figure measures here.
 
-use aceso_core::{AcesoConfig, AcesoEngine, AcesoStore, ClientTuning, FtClient, FtEngine, FtError};
+use aceso_core::{
+    kv, AcesoClient, AcesoConfig, AcesoEngine, AcesoStore, ClientTuning, FtClient, FtEngine,
+    FtError, FtResult, StoreError,
+};
 use aceso_engines::substrate::ReplConfig;
 use aceso_engines::FuseeEngine;
-use aceso_rdma::{CostModel, OpKind, PhaseMeasurement};
-use aceso_workloads::{value_for, MicroWorkload, MixedWorkload, Op, OpMix, Request, YcsbWorkload};
+use aceso_rdma::stats::VerbSnapshot;
+use aceso_rdma::{Cluster, CostModel, OpKind, OpRecord, PhaseMeasurement, SimCq};
+use aceso_rt::Executor;
+use aceso_workloads::{
+    micro_key, value_for, MicroWorkload, MixedWorkload, Op, OpMix, Request, YcsbWorkload,
+};
+use std::cell::RefCell;
+use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
+
+/// Simulated closed-loop client count fed to the cost model: the paper
+/// runs 184 clients on 23 CNs.
+pub const SIM_CLIENTS: usize = 184;
 
 /// Sizing knobs for a benchmark phase.
 #[derive(Clone, Copy, Debug)]
@@ -22,8 +44,7 @@ pub struct BenchScale {
     /// and they take turns on one thread (the verb *profile* per op is
     /// what matters, not wall-clock parallelism).
     pub threads: usize,
-    /// Simulated client count fed to the cost model's closed-loop bound
-    /// (the paper runs 184 clients on 23 CNs).
+    /// Simulated client count fed to the cost model's closed-loop bound.
     pub sim_clients: usize,
     /// Preloaded key count.
     pub keys: u64,
@@ -43,7 +64,7 @@ impl Default for BenchScale {
     fn default() -> Self {
         BenchScale {
             threads: 2,
-            sim_clients: 184,
+            sim_clients: SIM_CLIENTS,
             keys: 20_000,
             ops: 20_000,
             warmup: 20_000,
@@ -86,11 +107,11 @@ impl BenchScale {
     }
 }
 
-/// The measured outcome of a phase, ready for the cost model.
+/// The measured outcome of a window, ready for the cost model.
 pub struct Phase {
     /// Cost-model input.
     pub m: PhaseMeasurement,
-    /// The model that produced the cluster.
+    /// The measured cluster's model.
     pub cost: CostModel,
 }
 
@@ -131,8 +152,15 @@ impl Phase {
         }
     }
 
-    /// Throughput restricted to one op kind: the phase's overall operating
-    /// point scaled by the kind's share of operations.
+    /// Mean of `f` over the records of `kind` (of every kind with `None`).
+    pub fn mean(&self, kind: Option<OpKind>, f: impl Fn(&OpRecord) -> u32) -> f64 {
+        let of_kind = |r: &&OpRecord| kind.is_none_or(|k| r.kind == k);
+        let (n, sum) = (self.m.records.iter().filter(of_kind))
+            .fold((0u64, 0u64), |(n, sum), r| (n + 1, sum + f(r) as u64));
+        sum as f64 / n.max(1) as f64
+    }
+
+    /// Modeled latency percentiles of one op kind's records.
     pub fn latency_for(&self, kind: OpKind) -> aceso_rdma::LatencyReport {
         self.cost.latency(&self.m, Some(kind))
     }
@@ -148,6 +176,14 @@ pub fn bench_aceso_config() -> AcesoConfig {
         block_size: 256 << 10,
         ..AcesoConfig::small()
     }
+}
+
+/// Bytes of the slot class a bench pair of `value_len` lands in. Micro and
+/// YCSB keys are one length (`aceso-workloads` pins it), so one class
+/// serves every sizing computation.
+pub fn slot_bytes(value_len: usize) -> u64 {
+    let class = kv::class_for(micro_key(0, 0).len(), value_len).expect("bench KV fits a class");
+    class as u64 * 64
 }
 
 /// FUSEE configuration of matching capacity.
@@ -234,19 +270,204 @@ impl Drop for System {
     }
 }
 
-/// Applies one workload request.
-pub fn apply(client: &mut dyn FtClient, req: &Request) {
-    let value = |version| value_for(&req.key, version, req.value_len);
-    let r = match req.op {
-        Op::Insert => client.insert(&req.key, &value(0)),
-        Op::Update => match client.update(&req.key, &value(1)) {
-            // A deleted or never-loaded key under a synthetic mix: count
-            // as an upsert, like YCSB's read-modify-write.
-            Err(FtError::NotFound) => client.insert(&req.key, &value(1)),
-            other => other,
-        },
+/// What one measured window saw.
+pub struct Window {
+    /// Every client's per-op fabric records.
+    pub records: Vec<OpRecord>,
+    /// Foreground verb demand at each node.
+    pub node_fg: Vec<VerbSnapshot>,
+    /// The cluster's cost model.
+    cost: CostModel,
+}
+
+impl Window {
+    /// The report step: the window as cost-model input for `n_clients`
+    /// closed-loop clients, against `bg_bytes_per_sec` of background
+    /// traffic per node (zero where the vector is short) and at
+    /// `pipeline_depth` (`None` = the model's calibrated constant).
+    pub fn measured(
+        self,
+        n_clients: usize,
+        mut bg_bytes_per_sec: Vec<f64>,
+        pipeline_depth: Option<f64>,
+    ) -> Phase {
+        bg_bytes_per_sec.resize(self.node_fg.len(), 0.0);
+        Phase {
+            m: PhaseMeasurement {
+                n_clients,
+                node_fg: self.node_fg,
+                bg_bytes_per_sec,
+                records: self.records,
+                pipeline_depth,
+            },
+            cost: self.cost,
+        }
+    }
+}
+
+/// Traffic reset → `drive` (which hands back its clients' records) →
+/// per-node demand snapshot.
+fn measure<T>(cluster: &Cluster, drive: impl FnOnce() -> (Vec<OpRecord>, T)) -> (Window, T) {
+    cluster.reset_traffic();
+    let (records, out) = drive();
+    let node_fg = cluster
+        .nodes()
+        .iter()
+        .map(|n| n.traffic.snapshot())
+        .collect();
+    let cost = cluster.cost;
+    let window = Window {
+        records,
+        node_fg,
+        cost,
+    };
+    (window, out)
+}
+
+/// Mints `n` clients of `eng`.
+pub fn clients(eng: &dyn FtEngine, n: usize) -> Vec<Box<dyn FtClient>> {
+    (0..n).map(|_| eng.client().expect("client")).collect()
+}
+
+/// One measured window over blocking clients: whatever `drive` does with
+/// them between the reset and the collection (a caller that wants its
+/// clients' buffered state on the wire inside the window quiesces them at
+/// the end of its drive).
+pub fn window(
+    cluster: &Cluster,
+    clients: &mut [Box<dyn FtClient>],
+    drive: impl FnOnce(&mut [Box<dyn FtClient>]),
+) -> Window {
+    let collect = || {
+        for c in clients.iter_mut() {
+            c.reset_stats();
+        }
+        drive(clients);
+        let records = clients
+            .iter_mut()
+            .flat_map(|c| c.take_ops().records)
+            .collect();
+        (records, ())
+    };
+    measure(cluster, collect).0
+}
+
+/// The round-robin drive: op number `n` of `ops` goes to client
+/// `n % clients.len()`, which draws its stream's next request and hands it
+/// to `each` (an exhausted stream skips its turn).
+pub fn turns<W: Iterator<Item = Request>>(
+    clients: &mut [Box<dyn FtClient>],
+    streams: &mut [W],
+    ops: Range<usize>,
+    mut each: impl FnMut(usize, &mut dyn FtClient, Request),
+) {
+    for opno in ops {
+        let i = opno % clients.len();
+        if let Some(req) = streams[i].next() {
+            each(opno, clients[i].as_mut(), req);
+        }
+    }
+}
+
+/// Overlap a coroutine drive achieved on its virtual completion queue.
+#[derive(Clone, Copy, Debug)]
+pub struct Overlap {
+    /// Mean ops in flight: modeled fabric wait over the virtual time spanned.
+    pub depth: f64,
+    /// Virtual microseconds the window spanned.
+    pub virtual_us: f64,
+    /// Peak simultaneously in-flight ops the executor observed.
+    pub peak_inflight: usize,
+}
+
+/// One measured window over coroutine clients: each `(client, stream)` is
+/// a task on `exec` issuing its stream's first `ops_per_task` requests
+/// (value version = the task's own op number), all suspended round trips
+/// sharing one virtual completion queue, run until idle. `settle(task,
+/// opno, request, result)` is the caller's error policy.
+pub fn coro_window<W: Iterator<Item = Request> + 'static>(
+    cluster: &Cluster,
+    mut exec: Executor,
+    tasks: Vec<(AcesoClient, W)>,
+    ops_per_task: usize,
+    settle: fn(usize, usize, &Request, Result<(), StoreError>),
+) -> (Window, Overlap) {
+    measure(cluster, || {
+        let cq = Arc::new(SimCq::new());
+        // Each task deposits its client's records when it finishes: the
+        // latency model draws per record position, so completion order is
+        // part of what a sweep point pins.
+        let sink = Rc::new(RefCell::new(Vec::new()));
+        for (t, (mut client, stream)) in tasks.into_iter().enumerate() {
+            client.dm.reset_stats();
+            client.dm.attach_cq(Arc::clone(&cq));
+            let sink = Rc::clone(&sink);
+            exec.spawn(async move {
+                for (opno, req) in stream.take(ops_per_task).enumerate() {
+                    let r = dispatch_async(&mut client, &req, opno as u64).await;
+                    settle(t, opno, &req, r);
+                }
+                client.dm.detach_cq();
+                sink.borrow_mut().extend(client.dm.take_ops().records);
+            });
+        }
+        let stuck = exec.run_until_idle(|| cq.advance_next());
+        assert_eq!(
+            stuck, 0,
+            "coroutine window wedged with {stuck} tasks in flight"
+        );
+        let virtual_us = cq.now_us();
+        let overlap = Overlap {
+            depth: if virtual_us > 0.0 {
+                cq.busy_us() / virtual_us
+            } else {
+                0.0
+            },
+            virtual_us,
+            peak_inflight: exec.peak_inflight(),
+        };
+        let records = Rc::try_unwrap(sink).expect("all tasks done").into_inner();
+        (records, overlap)
+    })
+}
+
+/// Issues one workload request on a blocking client, writing
+/// `value_for(key, version)`; the outcome is the caller's to judge.
+pub fn dispatch(client: &mut dyn FtClient, req: &Request, version: u64) -> FtResult<()> {
+    let value = || value_for(&req.key, version, req.value_len);
+    match req.op {
+        Op::Insert => client.insert(&req.key, &value()),
+        Op::Update => client.update(&req.key, &value()),
         Op::Search => client.search(&req.key).map(|_| ()),
         Op::Delete => client.delete(&req.key).map(|_| ()),
+    }
+}
+
+/// [`dispatch`] on a coroutine client: suspends at every round trip.
+async fn dispatch_async(
+    client: &mut AcesoClient,
+    req: &Request,
+    version: u64,
+) -> Result<(), StoreError> {
+    let value = || value_for(&req.key, version, req.value_len);
+    match req.op {
+        Op::Insert => client.insert_async(&req.key, &value()).await,
+        Op::Update => client.update_async(&req.key, &value()).await,
+        Op::Search => client.search_async(&req.key).await.map(|_| ()),
+        Op::Delete => client.delete_async(&req.key).await.map(|_| ()),
+    }
+}
+
+/// Applies one workload request the way the figures do: INSERT writes
+/// version 0, everything else version 1, and any failure is a bug.
+pub fn apply(client: &mut dyn FtClient, req: &Request) {
+    let r = match dispatch(client, req, (req.op != Op::Insert) as u64) {
+        // A deleted or never-loaded key under a synthetic mix: count
+        // as an upsert, like YCSB's read-modify-write.
+        Err(FtError::NotFound) if req.op == Op::Update => {
+            client.insert(&req.key, &value_for(&req.key, 1, req.value_len))
+        }
+        other => other,
     };
     r.expect("workload op failed");
 }
@@ -278,18 +499,9 @@ pub fn preloaded_aceso(cfg: AcesoConfig, scale: BenchScale) -> Arc<AcesoStore> {
     store
 }
 
-/// `n` turns: one request per logical client per turn.
-fn turns<W: Iterator<Item = Request>>(lanes: &mut [(Box<dyn FtClient>, W)], n: usize) {
-    for _ in 0..n {
-        for (client, stream) in lanes.iter_mut() {
-            if let Some(req) = stream.next() {
-                apply(client.as_mut(), &req);
-            }
-        }
-    }
-}
-
-/// Runs a measured phase against any engine.
+/// Runs a measured phase against any engine: [`BenchScale::threads`]
+/// logical clients take turns, one request per client per turn, warm-up
+/// and measured alike.
 ///
 /// `make_stream(client_id)` builds each logical client's request stream;
 /// `bg_bytes_per_sec` is the per-node background traffic rate (checkpoint
@@ -300,38 +512,22 @@ pub fn phase<W: Iterator<Item = Request>>(
     bg_bytes_per_sec: Vec<f64>,
     make_stream: impl Fn(u32) -> W,
 ) -> Phase {
-    let mut lanes: Vec<(Box<dyn FtClient>, W)> = (0..scale.threads as u32)
-        .map(|t| (eng.client().expect("client"), make_stream(t)))
-        .collect();
-    turns(&mut lanes, scale.warmup);
-    eng.cluster().reset_traffic();
-    for (client, _) in &mut lanes {
-        client.reset_stats();
-    }
-    turns(&mut lanes, scale.ops / scale.threads);
-    let mut records = Vec::with_capacity(scale.ops);
-    for (client, _) in &mut lanes {
-        let _ = client.quiesce();
-        records.extend(client.take_ops().records);
-    }
-    let node_fg: Vec<_> = eng
-        .cluster()
-        .nodes()
-        .iter()
-        .map(|n| n.traffic.snapshot())
-        .collect();
-    let mut bg = bg_bytes_per_sec;
-    bg.resize(node_fg.len(), 0.0);
-    Phase {
-        m: PhaseMeasurement {
-            n_clients: scale.sim_clients,
-            node_fg,
-            bg_bytes_per_sec: bg,
-            records,
-            pipeline_depth: None,
-        },
-        cost: eng.cluster().cost,
-    }
+    let n = scale.threads;
+    let mut clients = clients(eng, n);
+    let mut streams: Vec<W> = (0..n as u32).map(make_stream).collect();
+    let mut run = |clients: &mut [Box<dyn FtClient>], turns_each: usize| {
+        turns(clients, &mut streams, 0..turns_each * n, |_, c, req| {
+            apply(c, &req)
+        })
+    };
+    run(&mut clients, scale.warmup);
+    let w = window(eng.cluster(), &mut clients, |clients| {
+        run(clients, scale.ops / n);
+        for c in clients {
+            let _ = c.quiesce();
+        }
+    });
+    w.measured(scale.sim_clients, bg_bytes_per_sec, None)
 }
 
 /// One microbenchmark phase of `op` on a fresh system: every logical
@@ -406,12 +602,6 @@ pub fn ckpt_bg_rate(store: &Arc<AcesoStore>, interval_ms: u64) -> Vec<f64> {
     bg
 }
 
-/// Sums a background byte rate uniformly over the first `n` nodes
-/// (synthetic interference for Figure 1b).
-pub fn uniform_bg(n: usize, bytes_per_sec: f64) -> Vec<f64> {
-    vec![bytes_per_sec; n]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,8 +634,7 @@ mod tests {
                 scale.ops / scale.threads * scale.threads
             );
             assert!(phase.report().mops > 0.0);
-            let avg_cas: f64 = phase.m.records.iter().map(|r| r.cas as f64).sum::<f64>()
-                / phase.m.records.len() as f64;
+            let avg_cas = phase.mean(None, |r| r.cas);
             match kind {
                 // Updates must cost exactly one CAS each in Aceso.
                 EngineKind::Aceso => assert!((1.0..1.2).contains(&avg_cas), "avg cas {avg_cas}"),
@@ -465,6 +654,50 @@ mod tests {
             );
             assert_eq!(a.m.node_fg, b.m.node_fg, "[{kind}] node_fg");
         }
+    }
+
+    /// The property that lets one window serve both drives: the same
+    /// seeded YCSB-A stream costs the same verbs op for op whether one
+    /// blocking client or one coroutine task issues it.
+    #[test]
+    fn both_drives_record_the_same_ops() {
+        use aceso_workloads::ycsb::YcsbKind;
+        const OPS: usize = 300;
+        let launch = || {
+            let store = AcesoStore::launch(AcesoConfig::small()).unwrap();
+            preload_aceso(&store, YcsbWorkload::preload_keys(200), 64);
+            store
+        };
+        let stream = || YcsbWorkload::new(YcsbKind::A, 200, 0.99, 64, 0, 0xace50);
+
+        let store = launch();
+        let mut clients = clients(&AcesoEngine::new(Arc::clone(&store)), 1);
+        let blocking = window(&store.cluster, &mut clients, |clients| {
+            turns(clients, &mut [stream()], 0..OPS, |opno, c, req| {
+                dispatch(c, &req, opno as u64).unwrap()
+            })
+        });
+        store.shutdown();
+
+        let store = launch();
+        let (coro, overlap) = coro_window(
+            &store.cluster,
+            Executor::new(),
+            vec![(store.client().unwrap(), stream())],
+            OPS,
+            |_, _, _, r| r.unwrap(),
+        );
+        store.shutdown();
+
+        assert_eq!(overlap.peak_inflight, 1);
+        assert_eq!(blocking.records.len(), OPS);
+        assert_eq!(coro.records.len(), OPS);
+        for (n, (b, c)) in blocking.records.iter().zip(&coro.records).enumerate() {
+            // `OpRecord`'s Debug prints every field: kind, rtts, verbs,
+            // cas, rpcs, read/write bytes, retries and the batch shape.
+            assert_eq!(format!("{b:?}"), format!("{c:?}"), "op {n}");
+        }
+        assert_eq!(blocking.node_fg, coro.node_fg);
     }
 
     #[test]

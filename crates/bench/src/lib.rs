@@ -22,24 +22,80 @@ pub mod clients;
 pub mod elastic;
 pub mod figs;
 pub mod harness;
+pub mod quick;
 pub mod skew;
 pub mod table3;
 
-pub use clients::{clients_sweep, ClientsSweep, SweepRow};
-pub use elastic::{elastic_slice, ElasticPhase, ElasticSlice};
 pub use harness::{BenchScale, Phase};
-pub use skew::{skew_sweep, SkewRow, SkewSweep};
-pub use table3::{table3_slice, Table3Row, Table3Slice};
 
-/// Formats a Mops number for tables.
-pub fn fmt_mops(x: f64) -> String {
-    format!("{x:7.2}")
+/// One CI slice `bench <name>` can run.
+pub struct Slice {
+    /// CLI name.
+    pub name: &'static str,
+    /// Default output path.
+    pub out: &'static str,
+    /// One-paragraph help.
+    pub about: &'static str,
+    /// The flag without which the file is not written (`quick`'s `--json`);
+    /// `None` writes it on every run.
+    pub write_flag: Option<&'static str>,
+    /// The run, from a seed to `(table printed, file body)`; both are pure
+    /// functions of the seed.
+    pub run: fn(u64) -> (String, String),
 }
 
-/// Formats microseconds for tables.
-pub fn fmt_us(x: f64) -> String {
-    format!("{x:7.1}")
+/// A slice whose file is the table it prints.
+fn text(table: String) -> (String, String) {
+    (table.clone(), table)
 }
+
+/// Every slice, in `usage` order.
+pub const SLICES: &[Slice] = &[
+    Slice {
+        name: "quick",
+        out: "BENCH_PR4.json",
+        about: "Runs the deterministic YCSB-A slice + one MN-crash recovery and \
+                prints the metrics snapshot; the file (modeled/counted values \
+                only) is written only with --json.",
+        write_flag: Some("--json"),
+        run: |seed| {
+            let q = quick::run_quick(seed);
+            (q.render(), q.to_json())
+        },
+    },
+    Slice {
+        name: "clients",
+        out: "results/clients.txt",
+        about: "Sweeps coroutine clients per OS thread (doubling from 1) until \
+                the modeled NIC binds.",
+        write_flag: None,
+        run: |seed| text(clients::clients_sweep(seed).render()),
+    },
+    Slice {
+        name: "elastic",
+        out: "results/elastic.txt",
+        about: "Measures client throughput between every step of an online join \
+                and drain migration.",
+        write_flag: None,
+        run: |seed| text(elastic::elastic_slice(seed).render()),
+    },
+    Slice {
+        name: "skew",
+        out: "results/skew.txt",
+        about: "Sweeps the Zipfian skew of a read-only slice over the bounded \
+                client index cache.",
+        write_flag: None,
+        run: |seed| text(skew::skew_sweep(seed).render()),
+    },
+    Slice {
+        name: "table3",
+        out: "results/table3.txt",
+        about: "Runs the three-way fault-tolerance head-to-head (aceso vs fusee \
+                vs swarm, plus r=2 budget rows) through the FtEngine seam.",
+        write_flag: None,
+        run: |seed| text(table3::table3_slice(seed).render()),
+    },
+];
 
 /// Formats bytes in a human unit.
 pub fn fmt_bytes(x: u64) -> String {

@@ -20,11 +20,12 @@
 //!   READ, so the hot-key acceptance bound is
 //!   `p50(θ ≥ 0.99) ≤ 1.2 × single-READ`.
 
-use aceso_core::{kv, AcesoConfig, AcesoStore, ClientTuning};
+use crate::harness;
+use aceso_core::{AcesoConfig, AcesoEngine, AcesoStore, ClientTuning};
 use aceso_obs::Registry;
-use aceso_rdma::{OpKind, PhaseMeasurement};
+use aceso_rdma::{CostModel, OpKind};
 use aceso_workloads::ycsb::YcsbKind;
-use aceso_workloads::{value_for, Op, YcsbWorkload};
+use aceso_workloads::{Op, YcsbWorkload};
 use std::sync::Arc;
 
 /// Preloaded keyspace per point (Zipfian over these).
@@ -74,91 +75,47 @@ pub struct SkewSweep {
 /// The uncontended modeled latency of one slot READ: base RTT plus the
 /// slot's wire bytes. This is what a cache-hit SEARCH costs when the
 /// queueing term is negligible.
-fn single_read_us(cfg: &AcesoConfig, slot_bytes: u32) -> f64 {
-    cfg.cost.rtt_us + slot_bytes as f64 / cfg.cost.node_bw * 1e6
+fn single_read_us(cost: &CostModel) -> f64 {
+    cost.rtt_us + harness::slot_bytes(VALUE_LEN) as f64 / cost.node_bw * 1e6
 }
 
 /// Runs one read-only slice at skew `theta`.
 fn skew_point(seed: u64, theta: f64) -> SkewRow {
-    let cfg = AcesoConfig::small();
-    let cost = cfg.cost;
-    let store = AcesoStore::launch(cfg).expect("launch");
-
-    let mut loader = store.client().expect("client");
-    for key in YcsbWorkload::preload_keys(KEYS) {
-        loader
-            .insert(&key, &value_for(&key, 0, VALUE_LEN))
-            .expect("preload");
-    }
-    loader.close_open_blocks().expect("close");
+    let store = AcesoStore::launch(AcesoConfig::small()).expect("launch");
+    harness::preload_aceso(&store, YcsbWorkload::preload_keys(KEYS), VALUE_LEN);
 
     // Clients are created after the recorder install so their
     // `client.cache.*` counters land in this point's registry.
     let registry = Registry::new();
     store.install_recorder(Arc::clone(&registry));
-    let mut clients = Vec::with_capacity(CLIENTS);
-    for _ in 0..CLIENTS {
-        clients.push(
-            store
-                .client_with(ClientTuning {
-                    cache_capacity: CACHE_CAP,
-                    ..ClientTuning::default()
-                })
-                .expect("client"),
-        );
-    }
-
-    store.cluster.reset_traffic();
-    for c in &clients {
-        c.dm.reset_stats();
-    }
+    let tuning = ClientTuning {
+        cache_capacity: CACHE_CAP,
+        ..ClientTuning::default()
+    };
+    let eng = AcesoEngine::with_tuning(Arc::clone(&store), tuning);
+    let mut clients = harness::clients(&eng, CLIENTS);
     let mut streams: Vec<YcsbWorkload> = (0..CLIENTS)
         .map(|i| YcsbWorkload::new(YcsbKind::C, KEYS, theta, VALUE_LEN, i as u32, seed))
         .collect();
-    for opno in 0..OPS {
-        let i = opno % CLIENTS;
-        let req = streams[i].next().expect("ycsb streams are infinite");
-        match req.op {
-            Op::Search => {
-                clients[i]
-                    .search(&req.key)
-                    .unwrap_or_else(|e| panic!("op {opno}: {e}"))
-                    .expect("preloaded key vanished");
-            }
-            other => panic!("YCSB-C emitted a non-read op: {other:?}"),
-        }
-    }
-
-    let mut records = Vec::with_capacity(OPS);
-    for c in &mut clients {
-        records.extend(c.dm.take_ops().records);
-    }
-    let node_fg: Vec<_> = store
-        .cluster
-        .nodes()
-        .iter()
-        .map(|n| n.traffic.snapshot())
-        .collect();
-    let bg = vec![0.0; node_fg.len()];
-    let m = PhaseMeasurement {
-        n_clients: CLIENTS,
-        node_fg,
-        bg_bytes_per_sec: bg,
-        records,
-        // The slice really is sequential (round-robin, one op in flight),
-        // so the closed-loop bound uses the measured depth 1 instead of
-        // the calibrated pipelining constant — the sweep reports cache
-        // latency at low load, not saturation throughput.
-        pipeline_depth: Some(1.0),
-    };
-    let search_p50_us = cost.latency(&m, Some(OpKind::Search)).p50_us;
+    let window = harness::window(&store.cluster, &mut clients, |clients| {
+        harness::turns(clients, &mut streams, 0..OPS, |opno, c, req| {
+            assert_eq!(req.op, Op::Search, "YCSB-C emitted a non-read op");
+            c.search(&req.key)
+                .unwrap_or_else(|e| panic!("op {opno}: {e}"))
+                .expect("preloaded key vanished");
+        })
+    });
+    // The slice really is sequential (round-robin, one op in flight), so
+    // the closed-loop bound uses the measured depth 1 instead of the
+    // calibrated pipelining constant — the sweep reports cache latency at
+    // low load, not saturation throughput.
+    let phase = window.measured(CLIENTS, vec![], Some(1.0));
+    let search_p50_us = phase.latency_for(OpKind::Search).p50_us;
 
     let snap = registry.snapshot();
     let ctr = |name: &str| snap.counter(name).unwrap_or(0);
     let (hits, misses) = (ctr("client.cache.hits"), ctr("client.cache.misses"));
     let looked = (hits + misses).max(1);
-    let slot_bytes =
-        kv::class_for(req_key_len(), VALUE_LEN).expect("bench kv fits") as u32 * 64;
     let row = SkewRow {
         theta,
         hits,
@@ -167,25 +124,17 @@ fn skew_point(seed: u64, theta: f64) -> SkewRow {
         invalidations: ctr("client.cache.invalidations"),
         hit_rate: hits as f64 / looked as f64,
         search_p50_us,
-        ratio: search_p50_us / single_read_us(&store.cfg, slot_bytes),
+        ratio: search_p50_us / single_read_us(&phase.cost),
     };
     store.shutdown();
     row
 }
 
-/// Byte length of the sweep's preloaded keys (all `key_bytes` ids share
-/// one length, so one slot class covers the whole keyspace).
-fn req_key_len() -> usize {
-    YcsbWorkload::preload_keys(1).next().expect("one key").len()
-}
-
 /// Runs the full θ sweep.
 pub fn skew_sweep(seed: u64) -> SkewSweep {
-    let cfg = AcesoConfig::small();
-    let slot_bytes = kv::class_for(req_key_len(), VALUE_LEN).expect("bench kv fits") as u32 * 64;
     SkewSweep {
         seed,
-        single_read_us: single_read_us(&cfg, slot_bytes),
+        single_read_us: single_read_us(&AcesoConfig::small().cost),
         rows: THETAS.iter().map(|&t| skew_point(seed, t)).collect(),
     }
 }

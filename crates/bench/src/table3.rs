@@ -26,10 +26,11 @@
 //! milliseconds), so the rendered table is a pure function of the seed
 //! and `results/table3.txt` is diffed byte-for-byte in CI.
 
+use crate::harness::{self, SIM_CLIENTS};
 use aceso_core::FtEngine;
 use aceso_engines::substrate::ReplConfig;
 use aceso_engines::{launch, EngineKind, FuseeEngine, SwarmEngine};
-use aceso_rdma::{Bottleneck, CostModel, OpKind, PhaseMeasurement};
+use aceso_rdma::{Bottleneck, CostModel, OpKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,9 +40,6 @@ const KEYS: usize = 3000;
 const VALUE_LEN: usize = 128;
 /// Measured ops (alternating update / search over random preloaded keys).
 const OPS: usize = 2000;
-/// Modeled concurrent clients fed to the cost model — the same fleet size
-/// as `bench quick`, so Mops here reads on the same scale.
-const SIM_CLIENTS: usize = 184;
 
 /// One engine variant of the head-to-head.
 pub struct Table3Row {
@@ -95,40 +93,22 @@ fn run_engine(label: String, eng: Box<dyn FtEngine>, seed: u64) -> Table3Row {
 
     // Measured window: updates and searches over random preloaded keys,
     // counted from a clean slate.
-    eng.cluster().reset_traffic();
-    c.reset_stats();
-    for opno in 0..OPS {
-        let key = &keys[rng.gen_range(0..KEYS)];
-        if opno % 2 == 0 {
-            let mut val = [0u8; VALUE_LEN];
-            val[0] = opno as u8;
-            c.update(key, &val).expect("measured update");
-        } else {
-            c.search(key).expect("measured search");
+    let window = harness::window(eng.cluster(), std::slice::from_mut(&mut c), |c| {
+        for opno in 0..OPS {
+            let key = &keys[rng.gen_range(0..KEYS)];
+            if opno % 2 == 0 {
+                let mut val = [0u8; VALUE_LEN];
+                val[0] = opno as u8;
+                c[0].update(key, &val).expect("measured update");
+            } else {
+                c[0].search(key).expect("measured search");
+            }
         }
-    }
-    let ops = c.take_ops();
-    let mean = |kind: OpKind, f: &dyn Fn(&aceso_rdma::OpRecord) -> u32| -> f64 {
-        let recs: Vec<_> = ops.records.iter().filter(|r| r.kind == kind).collect();
-        recs.iter().map(|r| f(r) as u64).sum::<u64>() as f64 / recs.len() as f64
-    };
-    let node_fg: Vec<_> = eng
-        .cluster()
-        .nodes()
-        .iter()
-        .map(|n| n.traffic.snapshot())
-        .collect();
-    let bg = vec![0.0; node_fg.len()];
-    let m = PhaseMeasurement {
-        n_clients: SIM_CLIENTS,
-        node_fg,
-        bg_bytes_per_sec: bg,
-        records: ops.records.clone(),
-        pipeline_depth: None,
-    };
+    });
+    let phase = window.measured(SIM_CLIENTS, vec![], None);
     // Every engine config in this slice carries the default NIC model, so
     // one shared instance keeps the throughput column apples-to-apples.
-    let rep = CostModel::default().report(&m);
+    let rep = CostModel::default().report(&phase.m);
 
     let space = eng.space();
 
@@ -143,9 +123,9 @@ fn run_engine(label: String, eng: Box<dyn FtEngine>, seed: u64) -> Table3Row {
 
     let row = Table3Row {
         label,
-        update_rtts: mean(OpKind::Update, &|r| r.rtts),
-        update_verbs: mean(OpKind::Update, &|r| r.verbs),
-        search_rtts: mean(OpKind::Search, &|r| r.rtts),
+        update_rtts: phase.mean(Some(OpKind::Update), |r| r.rtts),
+        update_verbs: phase.mean(Some(OpKind::Update), |r| r.verbs),
+        search_rtts: phase.mean(Some(OpKind::Search), |r| r.rtts),
         mops: rep.mops,
         bottleneck: rep.bottleneck,
         overhead: space.overhead_factor(),

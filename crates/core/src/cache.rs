@@ -226,13 +226,6 @@ impl<E: Copy> IndexCache<E> {
         }
     }
 
-    /// Drops everything without touching the invalidation counter (tuning
-    /// switch-off / factor analysis, not a protocol event).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.hand = None;
-    }
-
     /// Evicts exactly one entry by the CLOCK sweep: advance the hand in
     /// key order (wrapping), clear reference bits as second chances, and
     /// remove the first unreferenced entry met. Terminates within two laps

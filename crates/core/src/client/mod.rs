@@ -589,11 +589,6 @@ impl AcesoClient {
         r
     }
 
-    /// Drops the local index cache (tests and factor analysis).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Starts the wall-clock span for one API call; `None` keeps the
     /// uninstrumented fast path (no clock read).
     fn op_span(&self, kind: OpKind) -> Option<aceso_obs::HistTimer> {

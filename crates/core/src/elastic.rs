@@ -28,9 +28,9 @@
 //!    ([`ServerReq::MigrateFinish`]), hand the server state over, replace
 //!    the directory entry and close the migration (the source node joins
 //!    the snapshot's `retired` list, purging stale client caches).
-//! 5. **Free** — drain the source node (membership epoch bump via
-//!    [`aceso_rdma::FailureEvent::NodeDrained`], not a failure) and drop
-//!    its fences.
+//! 5. **Free** — retire the source node (its address goes dead; not a
+//!    failure: nothing references it any more), drop its fences and bump
+//!    the placement epoch.
 //!
 //! Aborting before the publish is always safe: the dual-write mirror kept
 //! the source byte-fresh, so clearing the migration makes the directory
@@ -392,10 +392,10 @@ impl Migration {
     }
 
     fn step_free(&mut self) {
-        // A drain, not a failure: subscribers see `NodeDrained` and start
-        // no recovery. Fences die with the node (verbs now fail with
-        // `NodeUnreachable`, which every client path already handles).
-        self.store.cluster.drain_node(self.from.id);
+        // A drain, not a failure: the column moved first, so nothing is
+        // lost and nobody recovers. Fences die with the node (verbs now
+        // fail with `NodeUnreachable`, which every client path handles).
+        self.store.cluster.kill_node(self.from.id);
         self.from.clear_fences();
         self.placement().bump();
     }
@@ -420,7 +420,7 @@ impl Migration {
         self.store.degraded.lock().retain(|c| *c != self.col);
         if let Some(to) = self.to.take() {
             // The half-filled target never served anything: retire it.
-            self.store.cluster.drain_node(to.id);
+            self.store.cluster.kill_node(to.id);
         }
         self.report.aborts += 1;
         self.obs_add("elastic.aborts", 1);

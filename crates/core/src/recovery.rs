@@ -323,7 +323,7 @@ impl Recovery {
     /// drain, not a failure — nothing was lost with it).
     fn retire_unpublished(&self) {
         if self.tier <= RecoveryTier::Index {
-            self.store.cluster.drain_node(self.server.node.id);
+            self.store.cluster.kill_node(self.server.node.id);
         }
     }
 

@@ -94,7 +94,7 @@ impl AcesoStore {
         let dir = Directory::serving(&servers, &cluster);
         let store = Arc::new(AcesoStore {
             ctl: cluster.background_client(),
-            placement: Arc::new(PlacementMap::new(cluster.master.view().epoch)),
+            placement: Arc::new(PlacementMap::new(cluster.len() as u64)),
             cluster,
             cfg: cfg.clone(),
             map,

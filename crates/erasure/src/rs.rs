@@ -74,21 +74,6 @@ impl ReedSolomon {
         Ok(ReedSolomon { k, m, coef })
     }
 
-    /// Number of data shards.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
-    /// Number of parity shards.
-    pub fn parity_shards(&self) -> usize {
-        self.m
-    }
-
-    /// The parity coefficient for (parity row `i`, data column `j`).
-    pub fn coefficient(&self, i: usize, j: usize) -> u8 {
-        self.coef[i][j]
-    }
-
     /// Encodes `k` equal-length data shards into `m` parity shards.
     pub fn encode(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, CodeError> {
         if data.len() != self.k {

@@ -22,13 +22,6 @@ pub struct SlotRef {
     pub meta: SlotMeta,
 }
 
-impl SlotRef {
-    /// Global address of the slot's Meta word.
-    pub fn meta_addr(&self) -> GlobalAddr {
-        self.addr.add(8)
-    }
-}
-
 /// Result of scanning a key's two combined buckets.
 #[derive(Clone, Debug, Default)]
 pub struct BucketScan {

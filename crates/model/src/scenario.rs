@@ -62,9 +62,6 @@ pub struct Scenario {
     pub max_executions: usize,
 }
 
-/// Number of distinct keys scenarios may use.
-pub const NUM_KEYS: usize = 5;
-
 /// Scenario keys 3 and 4 are *twins*: one fingerprint, one index column
 /// and one first bucket group under [`model_config`], so each is a
 /// fingerprint candidate in the other's bucket scan — the collision only

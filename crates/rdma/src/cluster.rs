@@ -1,10 +1,9 @@
-//! The memory pool: a cluster of memory nodes plus the master.
+//! The memory pool: a cluster of memory nodes.
 
 use crate::addr::NodeId;
 use crate::cost::CostModel;
 use crate::error::{RdmaError, Result};
 use crate::fault::{FaultPlan, PlanSlot};
-use crate::master::Master;
 use crate::region::Region;
 use crate::stats::VerbCounters;
 use crate::trace::{TraceEvent, TraceOp, TraceSink};
@@ -209,7 +208,7 @@ impl NodeTable {
     }
 }
 
-/// A cluster: the memory pool, the master, and the cost model.
+/// A cluster: the memory pool and the cost model.
 ///
 /// The cluster is the root object of a simulation. Memory nodes are appended,
 /// never removed — a crashed node keeps its slot (so stale [`NodeId`]s fail
@@ -217,8 +216,6 @@ impl NodeTable {
 /// "start a new server on an idle MN".
 pub struct Cluster {
     nodes: NodeTable,
-    /// The reliable master providing the membership service.
-    pub master: Arc<Master>,
     /// The NIC cost model shared by all performance reports.
     pub cost: CostModel,
     /// Installed verb-trace sink, if any (see [`crate::TraceSink`]).
@@ -234,15 +231,12 @@ pub struct Cluster {
 impl Cluster {
     /// Builds a cluster with `config.num_mns` fresh memory nodes.
     pub fn new(config: ClusterConfig) -> Arc<Self> {
-        let master = Arc::new(Master::new());
         let nodes = NodeTable::new();
         for _ in 0..config.num_mns {
-            let n = nodes.push(|id| MemoryNode::new(id, config.region_len));
-            master.register(n.id);
+            nodes.push(|id| MemoryNode::new(id, config.region_len));
         }
         Arc::new(Cluster {
             nodes,
-            master,
             cost: config.cost,
             trace: RwLock::new(None),
             trace_on: AtomicBool::new(false),
@@ -339,45 +333,22 @@ impl Cluster {
         self.len() == 0
     }
 
-    /// Injects a fail-stop crash of `id`: verbs start failing and the master
-    /// broadcasts the failure to subscribers.
+    /// Injects a fail-stop crash of `id`: verbs to it start failing, which
+    /// is how clients learn of it. Also how a node is retired after a
+    /// planned drain or an abandoned replacement — to the fabric a retired
+    /// address is a dead one; what makes it planned is that the caller
+    /// moved everything that referenced the node first.
     ///
-    /// Idempotent: returns whether the node was alive, and only the first
-    /// kill notifies the master, so chaos schedules that double-kill a node
-    /// are well-defined (the second kill is a no-op returning `false`).
+    /// Idempotent: returns whether the node was alive, so chaos schedules
+    /// that double-kill a node are well-defined (the second kill is a no-op
+    /// returning `false`).
     pub fn kill_node(&self, id: NodeId) -> bool {
-        let Some(n) = self.node_any(id) else {
-            return false;
-        };
-        let was_alive = n.kill();
-        if was_alive {
-            self.master.mark_failed(id);
-        }
-        was_alive
-    }
-
-    /// Retires `id` after a completed drain: verbs start failing exactly
-    /// like a crash (fail-stop of the *address*, not the data — the
-    /// migrator moved the contents first), but the master broadcasts
-    /// [`crate::FailureEvent::NodeDrained`] instead of a failure so
-    /// subscribers do not start recovery. Idempotent like
-    /// [`Cluster::kill_node`].
-    pub fn drain_node(&self, id: NodeId) -> bool {
-        let Some(n) = self.node_any(id) else {
-            return false;
-        };
-        let was_alive = n.kill();
-        if was_alive {
-            self.master.mark_drained(id);
-        }
-        was_alive
+        self.node_any(id).is_some_and(|n| n.kill())
     }
 
     /// Adds a fresh memory node (the recovery target) and returns its handle.
     pub fn add_node(&self, region_len: usize) -> Arc<MemoryNode> {
-        let n = self.nodes.push(|id| MemoryNode::new(id, region_len));
-        self.master.register(n.id);
-        n
+        self.nodes.push(|id| MemoryNode::new(id, region_len))
     }
 
     /// Creates a foreground client handle (a compute-node thread).
@@ -421,7 +392,6 @@ mod tests {
             c.node(NodeId(2)),
             Err(RdmaError::NodeUnreachable(NodeId(2)))
         ));
-        assert!(!c.master.is_alive(NodeId(2)));
         // The handle is still reachable for forensic access.
         assert!(c.node_any(NodeId(2)).is_some());
     }
@@ -434,9 +404,15 @@ mod tests {
             cost: CostModel::default(),
         });
         c.kill_node(NodeId(0));
+        c.kill_node(NodeId(0)); // Well-defined no-op.
         let n = c.add_node(4096);
-        assert_eq!(n.id, NodeId(2));
-        assert!(c.master.is_alive(NodeId(2)));
+        // Appended ids never reuse a crashed slot.
+        assert_eq!((n.id, c.add_node(4096).id), (NodeId(2), NodeId(3)));
+        assert_eq!(c.len(), 4);
+        // The replacement accepts verbs; the dead node keeps failing.
+        let cl = c.client();
+        cl.write(crate::GlobalAddr::new(NodeId(2), 0), &[1u8; 8]).unwrap();
+        assert!(cl.write(crate::GlobalAddr::new(NodeId(0), 0), &[1u8; 8]).is_err());
     }
 
     #[test]
@@ -457,22 +433,6 @@ mod tests {
         assert_eq!(n.fence_required(250, 8), None);
         n.clear_fences();
         assert_eq!(n.fence_required(120, 8), None);
-    }
-
-    #[test]
-    fn drain_kills_verbs_but_signals_planned_removal() {
-        use crate::master::FailureEvent;
-        let c = Cluster::new(ClusterConfig {
-            num_mns: 2,
-            region_len: 4096,
-            cost: CostModel::default(),
-        });
-        let rx = c.master.subscribe();
-        assert!(c.drain_node(NodeId(1)));
-        assert!(!c.drain_node(NodeId(1)));
-        assert!(c.node(NodeId(1)).is_err());
-        assert!(!c.master.is_alive(NodeId(1)));
-        assert_eq!(rx.recv().unwrap(), FailureEvent::NodeDrained(NodeId(1)));
     }
 
     #[test]

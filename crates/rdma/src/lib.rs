@@ -16,10 +16,9 @@
 //!    bound, bandwidth bound, client round-trip bound).
 //!
 //! The crate additionally provides the surrounding datacenter scaffolding the
-//! paper assumes: a [`cluster::Cluster`] of memory nodes, a lease-based
-//! [`master::Master`] membership service that notifies clients of fail-stop
-//! crashes, failure injection, and typed caller-runs RPC endpoints standing in
-//! for RDMA UD send/recv.
+//! paper assumes: a [`cluster::Cluster`] of memory nodes with fail-stop
+//! failure injection (a client learns of a crash from a failing verb), and
+//! typed caller-runs RPC endpoints standing in for RDMA UD send/recv.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +29,6 @@ pub mod cost;
 pub mod cq;
 pub mod error;
 pub mod fault;
-pub mod master;
 pub mod region;
 pub mod rpc;
 pub mod stats;
@@ -43,9 +41,8 @@ pub use cost::{Bottleneck, CostModel, LatencyReport, PhaseMeasurement, PhaseRepo
 pub use cq::{block_on, Completion, SimCq};
 pub use error::{RdmaError, Result};
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultSite, FiredFault, VerbKind};
-pub use master::{FailureEvent, Master, MembershipView};
 pub use region::Region;
 pub use rpc::{RpcClient, RpcHandler};
 pub use stats::{OpKind, OpRecord, OpStats, VerbCounters};
 pub use trace::{TraceEvent, TraceOp, TraceSink, VecSink};
-pub use verbs::{DmClient, WriteBatch};
+pub use verbs::DmClient;

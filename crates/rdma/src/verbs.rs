@@ -79,10 +79,6 @@ struct Session {
     cq: Option<Arc<SimCq>>,
 }
 
-/// Marker type returned by [`DmClient::batch`] scopes; exists so the closure
-/// signature documents that verbs inside share one round trip.
-pub struct WriteBatch;
-
 /// A client endpoint on the simulated fabric.
 ///
 /// One `DmClient` belongs to one thread of execution (it is `Sync` only for
@@ -920,7 +916,6 @@ mod tests {
         cl.write(a, &[1u8; 8]).unwrap(); // verb 0: passes
         cl.write(a.add(8), &[2u8; 8]).unwrap(); // verb 1: lands, then node dies
         assert!(c.node(NodeId(1)).is_err());
-        assert!(!c.master.is_alive(NodeId(1)));
         // The killing write did execute (forensic read of the dead region).
         let dead = c.node_any(NodeId(1)).unwrap();
         let mut buf = [0u8; 8];

@@ -17,7 +17,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod trace;
 pub mod twitter;
 pub mod ycsb;
 pub mod zipf;
