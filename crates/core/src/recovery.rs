@@ -30,7 +30,7 @@ use aceso_rdma::{CostModel, DmClient, GlobalAddr, NodeId};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Stage-by-stage MN recovery breakdown (paper Table 2).
 ///
@@ -73,7 +73,9 @@ pub struct RecoveryReport {
     pub rblock_net_bytes: u64,
     /// Modeled network share of [`read_rblock_ms`](Self::read_rblock_ms).
     pub rblock_net_ms: f64,
-    /// Scanning KV pairs of new blocks and reapplying slots (ms).
+    /// Scanning KV pairs of new blocks and reapplying slots (ms). A block is
+    /// scanned as soon as it lands, inside the decode or the remote reads,
+    /// and that time is counted here, not in their `*_ms`.
     pub scan_kv_ms: f64,
     /// KV pairs scanned.
     pub kv_count: usize,
@@ -132,17 +134,8 @@ pub struct CnRecoveryReport {
     pub slots_kept: usize,
 }
 
-struct ScannedBlock {
-    col: usize,
-    block: BlockId,
-    bytes: Vec<u8>,
-    slot_len64: u8,
-}
-
-/// DATA cells a decode left in hand, keyed `(row, col)` of their array:
-/// survivors' as they landed off the wire, lost ones as decoded. The Index
-/// tier scans its new blocks out of here instead of fetching them again.
-type Cells = HashMap<(usize, usize), Vec<u8>>;
+/// A new DATA block the Index tier scans: `(column, offset, slot_len64)`.
+type NewBlock = (usize, u64, u8);
 
 /// One tier of MN recovery (§3.4.1), in the order [`Recovery::step`] runs
 /// them.
@@ -193,6 +186,8 @@ pub struct Recovery {
     /// fp-matches the Index scan could not verify, re-checked once the
     /// Block tier has made their targets readable.
     deferred: Vec<UnverifiedDup>,
+    /// The block buffers every tier reads into.
+    bufs: BlockBufs,
 }
 
 /// Column failures X-Code decodes through (and Meta replicas cover).
@@ -234,6 +229,10 @@ impl AcesoStore {
             new_arrays: BTreeSet::new(),
             local_old: Vec::new(),
             deferred: Vec::new(),
+            bufs: BlockBufs {
+                block_size: self.map.blocks.block_size as usize,
+                ..BlockBufs::default()
+            },
         })
     }
 
@@ -300,6 +299,7 @@ impl Recovery {
         let alive = self.store.cluster.node(self.server.node.id);
         let ran = alive.map_err(StoreError::from).and_then(|_| run(self));
         if ran.is_err() {
+            self.bufs.stage_reads(); // A failed tier's reads count nowhere.
             self.retire_unpublished();
         }
         ran.map(|()| tier)
@@ -434,67 +434,74 @@ impl Recovery {
             }
         }
 
-        // Reconstruct new local blocks, one planned decode per array. Every
-        // data cell a decode touched stays in hand for the KV scan below:
-        // survivors as landed, this column's and other dead columns' as
-        // decoded.
+        // The scan set, ranked in visiting order: remote, then local, then
+        // other dead columns' new blocks.
+        let local = local_new.iter().map(|(id, rec)| (col, *id, rec.slot_len64));
+        let dead = dead_new
+            .iter()
+            .map(|(c, id, rec)| (*c, *id, rec.slot_len64));
+        let mut new_blocks: Vec<NewBlock> = Vec::new();
+        let mut rank_of: HashMap<(u64, (usize, usize)), usize> = HashMap::new();
+        for (c, block, slot_len64) in remote_new.iter().copied().chain(local).chain(dead) {
+            if let CellKind::Data { array, row } = map.blocks.kind_of(block) {
+                rank_of.insert((array, (row, c)), new_blocks.len());
+                new_blocks.push((c, map.blocks.block_offset(block), slot_len64));
+            }
+        }
+        let mut scan = Scan {
+            n: n as u64,
+            col,
+            ..Scan::default()
+        };
+
+        // Reconstruct new local blocks, one planned decode per array, and
+        // scan each new block a decode left in hand — survivors as landed,
+        // this column's and other dead columns' as decoded.
         let t = Instant::now();
         self.new_arrays = local_new.iter().map(|(_, r)| r.stripe_array).collect();
         self.new_arrays
             .extend(dead_new.iter().map(|(_, _, r)| r.stripe_array));
         let arrays = self.new_arrays.iter().copied();
         let book = StripeBook::fetch(&store, dm, arrays, Some(&server));
-        let mut net = Reads::default();
-        let mut in_hand: HashMap<u64, Cells> = HashMap::new();
         for &array in &self.new_arrays {
-            let cells = decode_column(&store, &server, dm, &book, array, true, &mut net)?;
-            in_hand.insert(array, cells);
+            let bufs = &mut self.bufs;
+            let scan_new = |cell, bytes: &[u8]| {
+                if let Some(rank) = rank_of.remove(&(array, cell)) {
+                    scan.block(rank, new_blocks[rank], bytes);
+                }
+            };
+            decode_column(&store, &server, dm, &book, array, true, bufs, scan_new)?;
         }
+        let net = self.bufs.stage_reads();
         r.lblock_count = local_new.len();
         r.lblock_net_bytes = net.bytes;
         r.lblock_net_ops = net.ops;
         r.lblock_net_ms = modeled_transfer_ms(&cost, net);
-        r.recover_lblock_ms = t.elapsed().as_secs_f64() * 1e3 + r.lblock_net_ms;
+        r.recover_lblock_ms = (t.elapsed() - scan.busy).as_secs_f64() * 1e3 + r.lblock_net_ms;
 
-        // Read the new remote blocks no decode landed, and collect the scan
-        // set: remote, then local, then other dead columns' new blocks.
-        let t = Instant::now();
-        let mut net = Reads::default();
-        let local = local_new.iter().map(|(id, rec)| (col, *id, rec.slot_len64));
-        let dead = dead_new
-            .iter()
-            .map(|(c, id, rec)| (*c, *id, rec.slot_len64));
-        let mut scanned: Vec<ScannedBlock> = Vec::new();
-        for (c, block, slot_len64) in remote_new.iter().copied().chain(local).chain(dead) {
-            let CellKind::Data { array, row } = map.blocks.kind_of(block) else {
-                continue;
-            };
-            let landed = in_hand.get_mut(&array).and_then(|a| a.remove(&(row, c)));
-            let offset = map.blocks.block_offset(block);
-            let bytes = match landed {
-                Some(bytes) => bytes,
-                None => net.read(dm, dir.node_of(c), offset, bs as usize)?,
-            };
-            scanned.push(ScannedBlock {
-                col: c,
-                block,
-                bytes,
-                slot_len64,
-            });
+        // Fetch and scan the new blocks no decode landed, in rank order: the
+        // reads go out in the order the sequential walk issued them.
+        let (t, busy) = (Instant::now(), scan.busy);
+        let mut rest: Vec<usize> = rank_of.into_values().collect();
+        rest.sort_unstable();
+        for rank in rest {
+            let (c, offset, _) = new_blocks[rank];
+            let bytes = self.bufs.read(dm, dir.node_of(c), offset)?;
+            scan.block(rank, new_blocks[rank], &bytes);
+            self.bufs.put(bytes);
         }
-        drop(in_hand); // What is left are old blocks: landed, not scanned.
+        let net = self.bufs.stage_reads();
         r.rblock_count = remote_new.len();
         r.rblock_net_bytes = net.bytes;
         r.rblock_net_ms = modeled_transfer_ms(&cost, net);
-        r.read_rblock_ms = t.elapsed().as_secs_f64() * 1e3 + r.rblock_net_ms;
+        r.read_rblock_ms = (t.elapsed() + busy - scan.busy).as_secs_f64() * 1e3 + r.rblock_net_ms;
 
-        // Scan KV pairs and reapply the freshest ones to the restored index.
+        // Reapply the freshest KV per key to the restored index.
         let t = Instant::now();
-        let (kv_count, deferred) = scan_and_reapply(&store, &server, col, &scanned)?;
-        self.deferred = deferred;
-        r.kv_count = kv_count;
-        r.scan_bytes = scanned.iter().map(|sb| sb.bytes.len() as u64).sum();
-        r.scan_kv_ms = t.elapsed().as_secs_f64() * 1e3;
+        (r.kv_count, r.scan_bytes) = (scan.kv_count, scan.bytes);
+        let busy = scan.busy;
+        self.deferred = scan.reapply(&store, &server)?;
+        r.scan_kv_ms = (busy + t.elapsed()).as_secs_f64() * 1e3;
 
         // ---- Publish: functionality is back (degraded reads). ------------
         dir.publish(&server, store.cluster.background_client());
@@ -533,10 +540,11 @@ impl Recovery {
             .collect();
         let (store, server, dm) = (&self.store, &self.server, &self.dm);
         let book = StripeBook::fetch(store, dm, old_arrays.iter().copied(), Some(server));
-        let mut net = Reads::default();
+        let bufs = &mut self.bufs;
         for &array in &old_arrays {
-            decode_column(store, server, dm, &book, array, false, &mut net)?;
+            decode_column(store, server, dm, &book, array, false, bufs, |_, _| {})?;
         }
+        let net = self.bufs.stage_reads();
         let r = &mut self.report;
         r.old_lblock_count = self.local_old.len();
         r.old_lblock_net_bytes = net.bytes;
@@ -587,10 +595,10 @@ impl Recovery {
             pending.clone()
         };
         if (0..store.cfg.num_mns).all(|c| store.col_alive(c)) {
-            let mut net_bytes = 0u64;
             for &pc in &cols {
-                net_bytes += rebuild_parity_and_deltas(store, &store.server(pc), &self.dm)?;
+                rebuild_parity_and_deltas(store, &store.server(pc), &self.dm, &mut self.bufs)?;
             }
+            let net_bytes = self.bufs.stage_reads().bytes;
             let r = &mut self.report;
             r.parity_net_bytes = net_bytes;
             r.parity_net_ms = (net_bytes as f64 / store.cfg.cost.node_bw) * 1e3;
@@ -652,13 +660,45 @@ struct Reads {
     ops: u64,
 }
 
-impl Reads {
-    /// Reads `len` bytes at `off` of `node`, counting them.
-    fn read(&mut self, dm: &DmClient, node: NodeId, off: u64, len: usize) -> Result<Vec<u8>> {
-        let buf = dm.read_vec(GlobalAddr::new(node, off), len)?;
-        self.bytes += len as u64;
-        self.ops += 1;
+/// The block-sized buffers a recovery reads and decodes into, recycled from
+/// block to block — a tier faults in a handful, not one per block it reads
+/// — and the reads put on the wire since the stage began.
+#[derive(Default)]
+struct BlockBufs {
+    block_size: usize,
+    free: Vec<Vec<u8>>,
+    net: Reads,
+}
+
+impl BlockBufs {
+    fn take(&mut self) -> Vec<u8> {
+        self.free.pop().unwrap_or_else(|| vec![0; self.block_size])
+    }
+
+    /// A recycled buffer, all zeros.
+    fn zeroed(&mut self) -> Vec<u8> {
+        let mut buf = self.take();
+        buf.fill(0);
+        buf
+    }
+
+    /// Reads the block at `off` of `node` into a recycled buffer, counting it.
+    fn read(&mut self, dm: &DmClient, node: NodeId, off: u64) -> Result<Vec<u8>> {
+        let mut buf = self.take();
+        dm.read(GlobalAddr::new(node, off), &mut buf)?;
+        self.net.bytes += buf.len() as u64;
+        self.net.ops += 1;
         Ok(buf)
+    }
+
+    /// Hands a buffer back for the next read.
+    fn put(&mut self, buf: Vec<u8>) {
+        self.free.push(buf);
+    }
+
+    /// The reads since the last call: one stage's.
+    fn stage_reads(&mut self) -> Reads {
+        std::mem::take(&mut self.net)
     }
 }
 
@@ -702,7 +742,10 @@ fn fetch_meta_replica(
 /// `EncodeDelta`s, and between them the two records disagree:
 /// `C_t = P ⊕ ⊕_{k≠t, folded}(C_k ⊕ D_k) ⊕ D_t`, and a target the record
 /// has not folded in is its delta copy alone. Steps XOR into an accumulator
-/// of their own, so the returned cells are the blocks' current contents.
+/// of their own, so every DATA cell left in hand — survivors as landed, lost
+/// ones as decoded — is a block's current content: each goes to `visit` as
+/// `(row, col)` and its buffer back to `bufs`.
+#[allow(clippy::too_many_arguments)]
 fn decode_column(
     store: &AcesoStore,
     server: &MnServer,
@@ -710,11 +753,11 @@ fn decode_column(
     book: &StripeBook,
     array: u64,
     others: bool,
-    net: &mut Reads,
-) -> Result<Cells> {
+    bufs: &mut BlockBufs,
+    mut visit: impl FnMut((usize, usize), &[u8]),
+) -> Result<()> {
     let blocks = store.map.blocks;
     let n = store.cfg.num_mns;
-    let bs = blocks.block_size as usize;
     let dir = store.directory();
     let col = server.column;
     let offset_of = |r: usize| blocks.block_offset(blocks.cell_block_id(array, r));
@@ -730,7 +773,7 @@ fn decode_column(
     let ruled_out = |r: usize, c: usize| dead[c] || (r >= n - 2 && !book.trusted(c));
     let plan = book.xcode.plan(ruled_out, wanted);
 
-    let mut cells = Cells::new();
+    let mut cells: HashMap<(usize, usize), Vec<u8>> = HashMap::new();
     for step in plan.map_err(|_| too_many_lost(store))? {
         let (prow, pcol) = step.parity;
         let prec = book.parity(array, prow, pcol);
@@ -738,8 +781,8 @@ fn decode_column(
         let delta = |r: usize| prec.map_or(0, |p| p.delta_addr[r]);
         let target_folded = folded(step.target.0);
         let mut acc = match target_folded {
-            true => net.read(dm, dir.node_of(pcol), offset_of(prow), bs)?,
-            false => vec![0u8; bs],
+            true => bufs.read(dm, dir.node_of(pcol), offset_of(prow))?,
+            false => bufs.zeroed(),
         };
         let mut deltas = vec![delta(step.target.0)];
         let chain = book.xcode.chain(prow, pcol).data.iter();
@@ -747,13 +790,15 @@ fn decode_column(
         for &(r, c) in others {
             let cell = match cells.entry((r, c)) {
                 Entry::Occupied(landed) => landed.into_mut(),
-                Entry::Vacant(v) => v.insert(net.read(dm, dir.node_of(c), offset_of(r), bs)?),
+                Entry::Vacant(v) => v.insert(bufs.read(dm, dir.node_of(c), offset_of(r))?),
             };
             xor_into(&mut acc, cell);
             deltas.push(delta(r));
         }
         for (dc, doff) in deltas.into_iter().filter(|&d| d != 0).map(unpack_col) {
-            xor_into(&mut acc, &net.read(dm, dir.node_of(dc), doff, bs)?);
+            let copy = bufs.read(dm, dir.node_of(dc), doff)?;
+            xor_into(&mut acc, &copy);
+            bufs.put(copy);
         }
         cells.insert(step.target, acc);
     }
@@ -764,17 +809,24 @@ fn decode_column(
         server.node.region.write(blocks.block_offset(id), content)?;
         server.records.lock()[id as usize].valid = true;
     }
-    Ok(cells)
+    for (cell, buf) in cells {
+        visit(cell, &buf);
+        bufs.put(buf);
+    }
+    Ok(())
 }
 
 /// Recomputes the PARITY cells of `server`'s column and re-materializes
-/// its DELTA blocks from the surviving copies. Returns network bytes read.
-fn rebuild_parity_and_deltas(store: &AcesoStore, server: &MnServer, dm: &DmClient) -> Result<u64> {
+/// its DELTA blocks from the surviving copies, reading into `bufs`.
+fn rebuild_parity_and_deltas(
+    store: &AcesoStore,
+    server: &MnServer,
+    dm: &DmClient,
+    bufs: &mut BlockBufs,
+) -> Result<()> {
     let map = store.map;
-    let bs = map.blocks.block_size as usize;
     let dir = store.directory();
     let (col, region) = (server.column, &server.node.region);
-    let read = |c: usize, off: u64| dm.read_vec(GlobalAddr::new(dir.node_of(c), off), bs);
     let arrays: BTreeSet<u64> = {
         let recs = server.records.lock();
         let parity = recs.iter().filter(|r| r.role == Role::Parity);
@@ -782,14 +834,13 @@ fn rebuild_parity_and_deltas(store: &AcesoStore, server: &MnServer, dm: &DmClien
     };
     let book = StripeBook::fetch(store, dm, arrays.iter().copied(), None);
     let xcode = &book.xcode;
-    let mut net = 0u64;
 
     for &array in &arrays {
         for eq in [xcode.diag_row(), xcode.anti_row()].map(|prow| xcode.chain(prow, col)) {
             let Some(prec) = book.parity(array, eq.parity_row, col) else {
                 continue; // Never allocated: nothing encoded yet.
             };
-            let mut parity = vec![0u8; bs];
+            let mut parity = bufs.zeroed();
             for &(r, c) in &eq.data {
                 // An unencoded cell (xor_map bit clear) contributes zero to
                 // the parity equation, but its pending delta copy must
@@ -801,8 +852,9 @@ fn rebuild_parity_and_deltas(store: &AcesoStore, server: &MnServer, dm: &DmClien
                 if encoded {
                     // Encoded content of the covered cell: C ⊕ pending delta.
                     let did = map.blocks.cell_block_id(array, r);
-                    xor_into(&mut parity, &read(c, map.blocks.block_offset(did))?);
-                    net += bs as u64;
+                    let cell = bufs.read(dm, dir.node_of(c), map.blocks.block_offset(did))?;
+                    xor_into(&mut parity, &cell);
+                    bufs.put(cell);
                 }
                 if prec.delta_addr[r] == 0 {
                     continue;
@@ -813,12 +865,12 @@ fn rebuild_parity_and_deltas(store: &AcesoStore, server: &MnServer, dm: &DmClien
                 let (_, own_off) = unpack_col(prec.delta_addr[r]);
                 let other = book.delta_copies(array, r, c).find(|&(dc, _)| dc != col);
                 if let Some((dc, doff)) = other {
-                    let dbuf = read(dc, doff)?;
-                    net += bs as u64;
+                    let dbuf = bufs.read(dm, dir.node_of(dc), doff)?;
                     if encoded {
                         xor_into(&mut parity, &dbuf);
                     }
                     region.write(own_off, &dbuf)?;
+                    bufs.put(dbuf);
                     if let Some((delta_id, _)) = map.blocks.locate(own_off) {
                         server.records.lock()[delta_id as usize].valid = true;
                     }
@@ -826,10 +878,11 @@ fn rebuild_parity_and_deltas(store: &AcesoStore, server: &MnServer, dm: &DmClien
             }
             let pid = map.blocks.cell_block_id(array, eq.parity_row);
             region.write(map.blocks.block_offset(pid), &parity)?;
+            bufs.put(parity);
             server.records.lock()[pid as usize].valid = true;
         }
     }
-    Ok(net)
+    Ok(())
 }
 
 /// An fp-matching index slot the scan could not verify (its pointer
@@ -846,118 +899,122 @@ struct UnverifiedDup {
     new_sv: u64,
 }
 
-/// Scans new blocks and reapplies the freshest KV per slot to the restored
-/// index of `col` (§3.2.2–§3.2.3). Returns the number of KVs scanned plus
-/// the fp-matches that must be re-checked after the Block tier.
-fn scan_and_reapply(
-    store: &AcesoStore,
-    server: &MnServer,
+/// The Index tier's KV scan (§3.2.2–§3.2.3): fed each new block as its
+/// bytes land, in any order ([`Scan::block`]), then [`Scan::reapply`]'d to
+/// the restored index once. Per key the winner is the KV with the largest
+/// `(slot version, rank, slot)`, where `rank` is the block's place in the
+/// visiting order remote → local → other dead columns (within each, by
+/// column and block): the KV a walk in that order keeping the last of equal
+/// slot versions would pick, whatever order the blocks arrive in.
+#[derive(Default)]
+struct Scan {
+    /// Only keys with `route_hash % n == col` are indexed on this column.
+    n: u64,
     col: usize,
-    scanned: &[ScannedBlock],
-) -> Result<(usize, Vec<UnverifiedDup>)> {
-    let map = store.map;
-    let n = store.cfg.num_mns as u64;
-    let bs = map.blocks.block_size;
-    let mut kv_count = 0usize;
+    /// Per key, its freshest KV so far: `(slot version, rank, slot, packed
+    /// address, slot_len64)` — the first three decide, and `(rank, slot)` is
+    /// one KV's.
+    best: BTreeMap<Vec<u8>, (u64, usize, usize, u64, u8)>,
+    /// Each scanned live KV's address → its key, or `None` for a key indexed
+    /// on another column: never the key a slot here is checked for.
+    key_at: HashMap<u64, Option<Vec<u8>>>,
+    kv_count: usize,
+    bytes: u64,
+    /// Host time spent in [`Scan::block`].
+    busy: Duration,
+}
 
-    // Best recent KV per key, plus an addr→key side map for slot checks.
-    struct Best {
-        sv: u64,
-        packed: u64,
-        class: u8,
-    }
-    let mut best: BTreeMap<Vec<u8>, Best> = BTreeMap::new();
-    let mut key_at: HashMap<u64, Vec<u8>> = HashMap::new();
-    for sb in scanned {
-        if sb.slot_len64 == 0 {
-            continue;
-        }
-        let slot_bytes = sb.slot_len64 as usize * 64;
-        let slots = (bs as usize) / slot_bytes;
-        for s in 0..slots {
-            let buf = &sb.bytes[s * slot_bytes..(s + 1) * slot_bytes];
-            let Some(d) = kv::decode(buf) else { continue };
-            kv_count += 1;
+impl Scan {
+    /// Scans the KVs of one new block, `rank`-th in the visiting order.
+    fn block(&mut self, rank: usize, (c, base, slot_len64): NewBlock, bytes: &[u8]) {
+        let t = Instant::now();
+        self.bytes += bytes.len() as u64;
+        let slot_bytes = slot_len64 as usize * 64;
+        let slots = (slot_bytes > 0).then(|| bytes.chunks_exact(slot_bytes));
+        for (s, slot) in slots.into_iter().flatten().enumerate() {
+            let Some(d) = kv::decode(slot) else { continue };
+            self.kv_count += 1;
             if d.is_invalidated() {
                 continue;
             }
-            let off = map.blocks.block_offset(sb.block) + (s * slot_bytes) as u64;
-            let packed = pack_col(sb.col, off);
-            key_at.insert(packed, d.key.to_vec());
-            if route_hash(d.key) % n != col as u64 {
+            let packed = pack_col(c, base + (s * slot_bytes) as u64);
+            let ours = route_hash(d.key) % self.n == self.col as u64;
+            self.key_at.insert(packed, ours.then(|| d.key.to_vec()));
+            if !ours {
                 continue;
             }
-            let e = best.entry(d.key.to_vec()).or_insert(Best {
-                sv: 0,
-                packed,
-                class: sb.slot_len64,
-            });
-            if d.slot_version >= e.sv {
-                e.sv = d.slot_version;
-                e.packed = packed;
-                e.class = sb.slot_len64;
+            let kv = (d.slot_version, rank, s, packed, slot_len64);
+            match self.best.get_mut(d.key) {
+                Some(best) if *best > kv => {}
+                Some(best) => *best = kv,
+                None => drop(self.best.insert(d.key.to_vec(), kv)),
             }
         }
+        self.busy += t.elapsed();
     }
 
-    // Reapply into the restored index (all local region writes).
-    let region = &server.node.region;
-    let layout = map.index;
-    let mut dups: Vec<UnverifiedDup> = Vec::new();
-    for (key, b) in best {
-        let fp = fingerprint(&key);
-        let mut applied = false;
-        let mut first_empty: Option<u64> = None;
-        let mut unverified: Vec<u64> = Vec::new();
-        'groups: for (g, c) in layout.buckets_for(&key) {
-            for s in 0..aceso_index::layout::COMBINED_SLOTS {
-                let off = layout.slot_offset(g, c, s);
-                let atomic = SlotAtomic::decode(region.load64(off)?);
-                let meta = SlotMeta::decode(region.load64(off + 8)?);
-                if atomic.is_empty() {
-                    first_empty.get_or_insert(off);
-                    continue;
+    /// Reapplies the freshest KV per key to the restored index of `server`
+    /// (all local region writes), in key order. Returns the fp-matches that
+    /// must be re-checked after the Block tier.
+    fn reapply(self, store: &AcesoStore, server: &MnServer) -> Result<Vec<UnverifiedDup>> {
+        let region = &server.node.region;
+        let layout = store.map.index;
+        let mut dups: Vec<UnverifiedDup> = Vec::new();
+        for (key, (sv, _, _, packed, class)) in self.best {
+            let fp = fingerprint(&key);
+            let mut applied = false;
+            let mut first_empty: Option<u64> = None;
+            let mut unverified: Vec<u64> = Vec::new();
+            'groups: for (g, c) in layout.buckets_for(&key) {
+                for s in 0..aceso_index::layout::COMBINED_SLOTS {
+                    let off = layout.slot_offset(g, c, s);
+                    let atomic = SlotAtomic::decode(region.load64(off)?);
+                    let meta = SlotMeta::decode(region.load64(off + 8)?);
+                    if atomic.is_empty() {
+                        first_empty.get_or_insert(off);
+                        continue;
+                    }
+                    if atomic.fp != fp {
+                        continue;
+                    }
+                    // Verify the slot is really this key's: prefer the scanned
+                    // side map, fall back to reading the pointed KV.
+                    let ours = match self.key_at.get(&atomic.addr48) {
+                        Some(slot_key) => Some(slot_key.as_deref() == Some(&key[..])),
+                        None => holds_key(store, atomic.addr48, &key),
+                    };
+                    let Some(ours) = ours else {
+                        // Unreadable target (an old block not restored until
+                        // the Block tier): re-check once contents are back.
+                        // Every such match, not just the first — another key
+                        // with this fingerprint may sit in front of ours.
+                        unverified.push(off);
+                        continue;
+                    };
+                    if !ours {
+                        continue;
+                    }
+                    let current_sv = slot_version(meta.epoch & !1, atomic.ver);
+                    if sv > current_sv {
+                        write_slot(region, off, fp, packed, sv, class)?;
+                    }
+                    applied = true;
+                    break 'groups;
                 }
-                if atomic.fp != fp {
-                    continue;
+            }
+            if !applied {
+                if let Some(off) = first_empty {
+                    write_slot(region, off, fp, packed, sv, class)?;
+                    dups.extend(unverified.into_iter().map(|stale_off| UnverifiedDup {
+                        key: key.clone(),
+                        stale_off,
+                        new_sv: sv,
+                    }));
                 }
-                // Verify the slot is really this key's: prefer the scanned
-                // side map, fall back to reading the pointed KV.
-                let ours = match key_at.get(&atomic.addr48) {
-                    Some(slot_key) => Some(*slot_key == key),
-                    None => holds_key(store, atomic.addr48, &key),
-                };
-                let Some(ours) = ours else {
-                    // Unreadable target (an old block not restored until
-                    // the Block tier): re-check once contents are back.
-                    // Every such match, not just the first — another key
-                    // with this fingerprint may sit in front of ours.
-                    unverified.push(off);
-                    continue;
-                };
-                if !ours {
-                    continue;
-                }
-                let current_sv = slot_version(meta.epoch & !1, atomic.ver);
-                if b.sv > current_sv {
-                    write_slot(region, off, fp, b.packed, b.sv, b.class)?;
-                }
-                applied = true;
-                break 'groups;
             }
         }
-        if !applied {
-            if let Some(off) = first_empty {
-                write_slot(region, off, fp, b.packed, b.sv, b.class)?;
-                dups.extend(unverified.into_iter().map(|stale_off| UnverifiedDup {
-                    key: key.clone(),
-                    stale_off,
-                    new_sv: b.sv,
-                }));
-            }
-        }
+        Ok(dups)
     }
-    Ok((kv_count, dups))
 }
 
 fn write_slot(
@@ -1104,4 +1161,95 @@ pub fn recover_cn(store: &Arc<AcesoStore>, cli_id: u32) -> Result<CnRecoveryRepo
         }
     }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A 64 KB block of 1 KB slots (class 16) holding `(slot, key, slot version)`.
+    fn block_of(kvs: &[(usize, &[u8], u64)]) -> Vec<u8> {
+        let mut bytes = vec![0u8; 64 << 10];
+        for &(s, key, sv) in kvs {
+            kv::encode(
+                &mut bytes[s * 1024..(s + 1) * 1024],
+                1,
+                sv,
+                key,
+                b"v",
+                false,
+            );
+        }
+        bytes
+    }
+
+    /// The reference: blocks walked in rank order, slots in order, a KV
+    /// taking its key over when its slot version is `>=` the pick's.
+    fn walk(col: usize, set: &[(NewBlock, Vec<u8>)]) -> BTreeMap<Vec<u8>, u64> {
+        let mut pick: BTreeMap<Vec<u8>, (u64, u64)> = BTreeMap::new();
+        for &((c, base, class), ref bytes) in set {
+            let slot_bytes = class as usize * 64;
+            for (s, slot) in bytes.chunks_exact(slot_bytes).enumerate() {
+                let Some(d) = kv::decode(slot) else { continue };
+                if d.is_invalidated() || route_hash(d.key) % 5 != col as u64 {
+                    continue;
+                }
+                let packed = pack_col(c, base + (s * slot_bytes) as u64);
+                let e = pick.entry(d.key.to_vec()).or_insert((0, packed));
+                if d.slot_version >= e.0 {
+                    *e = (d.slot_version, packed);
+                }
+            }
+        }
+        pick.into_iter()
+            .map(|(k, (_, packed))| (k, packed))
+            .collect()
+    }
+
+    /// Blocks fed to the scan in any order pick the KV the sequential walk
+    /// picks — also for a key with two equal slot versions in blocks of
+    /// different rank, where the later rank wins though its slot is lower.
+    #[test]
+    fn scan_winner_does_not_depend_on_arrival_order() {
+        let col = 0;
+        let named = |i: u32| format!("scan-{i}").into_bytes();
+        let ours: Vec<Vec<u8>> = (0..)
+            .map(named)
+            .filter(|k| route_hash(k) % 5 == col as u64)
+            .take(2)
+            .collect();
+        let foreign = (0..)
+            .map(named)
+            .find(|k| route_hash(k) % 5 != col as u64)
+            .unwrap();
+        let (tied, plain) = (&ours[0][..], &ours[1][..]);
+        let (a, b, c) = (10 << 16, 20 << 16, 30 << 16);
+        let set: Vec<(NewBlock, Vec<u8>)> = vec![
+            (
+                (1, a, 16),
+                block_of(&[(5, tied, 9), (0, plain, 3), (2, &foreign, 4)]),
+            ),
+            ((2, b, 16), block_of(&[(7, plain, 6), (3, tied, 8)])),
+            ((0, c, 16), block_of(&[(1, tied, 9), (4, plain, 2)])),
+        ];
+        let want = walk(col, &set);
+        assert_eq!(want[tied], pack_col(0, c + 1024));
+        assert_eq!(want[plain], pack_col(2, b + 7 * 1024));
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            let mut scan = Scan {
+                n: 5,
+                col,
+                ..Scan::default()
+            };
+            for rank in order {
+                scan.block(rank, set[rank].0, &set[rank].1);
+            }
+            let got: BTreeMap<Vec<u8>, u64> =
+                scan.best.iter().map(|(k, b)| (k.clone(), b.3)).collect();
+            assert_eq!(got, want, "arrival order {order:?}");
+            assert_eq!(scan.kv_count, 7);
+            // The foreign KV is known to be someone else's, bytes unkept.
+            assert_eq!(scan.key_at.get(&pack_col(1, a + 2 * 1024)), Some(&None));
+        }
+    }
 }

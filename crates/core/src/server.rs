@@ -17,7 +17,7 @@ use aceso_blockalloc::{Allocator, Bitmap, BlockId, BlockRecord, CellKind, Role};
 use aceso_index::RemoteIndex;
 use aceso_rdma::{Cluster, DmClient, GlobalAddr, MemoryNode, NodeId, RpcClient, RpcHandler};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -97,8 +97,9 @@ impl RpcHandler<ServerReq, ServerResp> for Served {
 }
 
 /// One column's replicated Meta Area records: block → serialized record,
-/// the buffer shared with the sender and its other replica holder.
-pub type RecordReplicas = HashMap<BlockId, Arc<[u8]>>;
+/// the buffer shared with the sender and its other replica holder. Ordered,
+/// so `GetMetaReplica` lists blocks in the same order in every process.
+pub type RecordReplicas = BTreeMap<BlockId, Arc<[u8]>>;
 
 /// Wall-clock busy time per logical MN core (paper Table 3).
 #[derive(Default)]

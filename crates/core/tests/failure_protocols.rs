@@ -1104,7 +1104,7 @@ fn resurfacing_history(seed: u64) -> Vec<String> {
 }
 
 /// `recover_mn` must not resurface a key's previous version (defect 2 of
-/// `benchmark/README.md`): `scan_and_reapply` used to remember only the
+/// `benchmark/README.md`): the Index tier's reapply used to remember only the
 /// *first* fingerprint match it could not verify, so with two such
 /// matches in a key's buckets the stale slot survived beside the fresh
 /// one.
@@ -1116,4 +1116,42 @@ fn recover_mn_does_not_resurface_previous_versions() {
         let errors = resurfacing_history(seed);
         assert!(errors.is_empty(), "seed {seed}: {errors:#?}");
     }
+}
+
+/// Two columns down, the second one's new blocks reach the Index tier's
+/// scan in the order its Meta replica lists them, and that order settles a
+/// tie between equal slot versions. Eight clients write the next version of
+/// one key, each into a fresh block of column `other`, and die before their
+/// commit CAS: eight complete KVs at one slot version. The same history on
+/// two stores must rebuild the same Index Area, byte for byte — with the
+/// replica a `HashMap` each store listed it in an order of its own.
+#[test]
+fn two_failure_index_rebuild_is_the_same_in_every_store() {
+    let (col, other) = (0usize, 3u32);
+    let key = (0..)
+        .map(|i| format!("tie-{i}").into_bytes())
+        .find(|k| aceso_index::route_hash(k) % 5 == col as u64)
+        .unwrap();
+    let rebuilt = || {
+        let store = small();
+        store.client().unwrap().insert(&key, b"v0").unwrap();
+        // A client opens its first block on column `id % 5`.
+        for id in (1000..).filter(|id| id % 5 == other).take(8) {
+            let mut c = store.client_with_id(id);
+            c.crash_point = Some(CrashPoint::BeforeCommit);
+            assert!(c.update(&key, format!("orphan-{id}").as_bytes()).is_err());
+        }
+        assert!(store.kill_mn(col) && store.kill_mn(other as usize));
+        let report = recover_mn(&store, col).unwrap();
+        assert!(report.kv_count >= 9, "{report:?}");
+        let index = store.map.index;
+        let region = &store.server(col).node.region;
+        let bytes = region.read_vec(index.base, index.size_bytes() as usize);
+        store.shutdown();
+        bytes.unwrap()
+    };
+    assert!(
+        rebuilt() == rebuilt(),
+        "two stores rebuilt different indexes"
+    );
 }

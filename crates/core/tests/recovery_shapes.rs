@@ -6,10 +6,12 @@
 //! arithmetic on the blocks a recovery moved, so the tuple pinned per shape
 //! is those blocks, straight from the [`RecoveryReport`]:
 //! `(decode reads, decode blocks' worth of bytes, rblocks scanned, rblocks
-//! fetched, Block-tier reads)` — Index-tier decode (`lblock_net_*`), the new
-//! remote blocks the KV scan covers and how many of them had to cross the
-//! wire for it (`rblock_*`), and the Block tier's decode
-//! (`old_lblock_net_ops`).
+//! fetched, Block-tier reads, KVs scanned, blocks scanned)` — Index-tier
+//! decode (`lblock_net_*`), the new remote blocks the KV scan covers and how
+//! many of them had to cross the wire for it (`rblock_*`), the Block tier's
+//! decode (`old_lblock_net_ops`), and what the Index tier's KV scan read
+//! (`kv_count`, `scan_bytes`: every new block, remote, local and other dead
+//! columns', once).
 //!
 //! The contract: a lost block costs the cells of its one X-Code chain that
 //! the chain's own PARITY record says are folded in — `n − 2` reads when
@@ -20,7 +22,9 @@
 //! full peel over every surviving cell. Before the planned decode every
 //! array cost every surviving cell, `(n − 1) · n` reads, whatever was
 //! allocated, encoded or wanted, and every new remote block was fetched
-//! again for the scan; those numbers stand beside each shape as `was`.
+//! again for the scan; those numbers stand beside each shape as `was` (the
+//! first five fields). The scan's two fields did not move when the Index
+//! tier began scanning each block as it lands instead of after all of them.
 //!
 //! Every shape is read back key by key against a healthy twin store built
 //! by the same script, and `scrub` must find every parity equation intact.
@@ -33,19 +37,23 @@ use aceso_erasure::XCode;
 use std::sync::Arc;
 
 /// `(decode reads, decode blocks, rblocks scanned, rblocks fetched,
-/// Block-tier reads)`, bytes in units of one block.
-type Shape = (u64, u64, usize, u64, u64);
+/// Block-tier reads, KVs scanned, blocks scanned)`, bytes in units of one
+/// block.
+type Shape = (u64, u64, usize, u64, u64, usize, u64);
 
 fn shape(store: &AcesoStore, r: &RecoveryReport) -> Shape {
     let bs = store.map.blocks.block_size;
     assert_eq!(r.lblock_net_bytes % bs, 0);
     assert_eq!(r.old_lblock_net_bytes, r.old_lblock_net_ops * bs);
+    assert_eq!(r.scan_bytes % bs, 0);
     (
         r.lblock_net_ops,
         r.lblock_net_bytes / bs,
         r.rblock_count,
         r.rblock_net_bytes / bs,
         r.old_lblock_net_ops,
+        r.kv_count,
+        r.scan_bytes / bs,
     )
 }
 
@@ -183,7 +191,7 @@ fn lose(pair: &[(Arc<AcesoStore>, AcesoClient); 2], col: usize, keys: u32) -> Sh
 fn all_closed_n5() {
     let keys = array_keys(5);
     let pair = [written(5, keys, true), written(5, keys, true)];
-    assert_eq!(lose(&pair, 1, keys), (9, 9, 12, 6, 0));
+    assert_eq!(lose(&pair, 1, keys), (9, 9, 12, 6, 0, 960, 15));
 }
 
 /// The same after two checkpoints: every block is *old*, nothing is decoded
@@ -197,7 +205,7 @@ fn all_closed_and_checkpointed_n5() {
         store.checkpoint_tick().unwrap();
         store.checkpoint_tick().unwrap();
     }
-    assert_eq!(lose(&pair, 3, keys), (0, 0, 0, 0, 9));
+    assert_eq!(lose(&pair, 3, keys), (0, 0, 0, 0, 9, 0, 0));
 }
 
 /// Seven columns, five data rows: `(n − 2)² = 25` decode reads, and 20 of
@@ -207,7 +215,7 @@ fn all_closed_and_checkpointed_n5() {
 fn all_closed_n7() {
     let keys = array_keys(7);
     let pair = [written(7, keys, true), written(7, keys, true)];
-    assert_eq!(lose(&pair, 4, keys), (25, 25, 30, 10, 0));
+    assert_eq!(lose(&pair, 4, keys), (25, 25, 30, 10, 0, 2240, 35));
 }
 
 /// The lost block is fresh and still open: nothing of it is in parity, its
@@ -227,7 +235,7 @@ fn lost_cell_in_a_fresh_open_block() {
     }
     let (col, array, _) = home(&pair[0].0, keys);
     assert_eq!(array, 1, "the open block starts a new array");
-    assert_eq!(lose(&pair, col, keys + 8), (1, 1, 0, 0, 9));
+    assert_eq!(lose(&pair, col, keys + 8), (1, 1, 0, 0, 9, 8, 1));
 }
 
 /// A *surviving* member of a lost cell's chain is fresh and open: the
@@ -250,7 +258,7 @@ fn unfolded_cell_on_a_surviving_chain_member() {
         .iter()
         .find(|&&(r, _)| r != open_row);
     let &(_, lost) = sibling.unwrap();
-    assert_eq!(lose(&pair, lost, keys), (8, 8, 12, 7, 0));
+    assert_eq!(lose(&pair, lost, keys), (8, 8, 12, 7, 0, 952, 15));
 }
 
 /// Array 1 holds row 0 only: a lost cell there has a chain of *free* cells,
@@ -264,7 +272,7 @@ fn free_cells_cost_nothing() {
     for c in 0..5 {
         assert_eq!(data_rows(store, c, 1), [0]);
     }
-    assert_eq!(lose(&pair, 2, keys), (10, 10, 16, 10, 0));
+    assert_eq!(lose(&pair, 2, keys), (10, 10, 16, 10, 0, 1280, 20));
 }
 
 /// Keys rewritten by [`churned`].
@@ -316,7 +324,7 @@ fn lost_cell_in_a_reused_open_block() {
     let col = (0..5)
         .find(|&c| reused_open(c))
         .expect("the writer ends on a reused block");
-    assert_eq!(lose(&pair, col, CHURN_KEYS), (19, 19, 24, 12, 0));
+    assert_eq!(lose(&pair, col, CHURN_KEYS), (19, 19, 24, 12, 0, 1920, 30));
 }
 
 /// Two columns down at once. The first recovery has next to no choice
@@ -338,10 +346,10 @@ fn second_column_dead() {
     let (store, twin) = (&pair[0].0, &pair[1].0);
     assert!(store.kill_mn(1) && store.kill_mn(3));
     let first = recover_mn(store, 1).unwrap();
-    assert_eq!(shape(store, &first), (14, 14, 9, 1, 0));
+    assert_eq!(shape(store, &first), (14, 14, 9, 1, 0, 960, 15));
     assert_eq!(first.lblock_count, 3);
     let second = recover_mn(store, 3).unwrap();
-    assert_eq!(shape(store, &second), (8, 8, 12, 7, 0));
+    assert_eq!(shape(store, &second), (8, 8, 12, 7, 0, 960, 15));
     same_as_twin(store, twin, keys);
 }
 
@@ -364,7 +372,7 @@ fn second_column_killed_in_the_first_ones_index_only_window() {
     assert_eq!(store.degraded_columns(), [1]);
     assert!(store.kill_mn(3));
     let second = recover_mn(store, 3).unwrap();
-    assert_eq!(shape(store, &second), (8, 8, 12, 7, 0));
+    assert_eq!(shape(store, &second), (8, 8, 12, 7, 0, 960, 15));
     held.run().unwrap();
     assert!(store.degraded_columns().is_empty());
     same_as_twin(store, twin, keys);
