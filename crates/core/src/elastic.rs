@@ -282,7 +282,7 @@ impl Migration {
     fn step_announce(&mut self) -> Result<()> {
         // Membership first: the join is visible (and epoch-bumped) before
         // any placement change references the new node.
-        let to = self.store.cluster.add_node(self.store.map.region_len);
+        let to = self.store.cluster.add_node();
         // Server-side dual-write from here on: allocation zeroing, delta
         // encoding and reclamation all land on both regions.
         self.store.server(self.col).set_migration(Some(MigrationCtx {

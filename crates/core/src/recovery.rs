@@ -201,7 +201,8 @@ fn too_many_lost(store: &AcesoStore) -> StoreError {
 }
 
 impl AcesoStore {
-    /// Starts recovering the failed column `col` onto a fresh memory node.
+    /// Starts recovering the failed column `col` onto a new memory node
+    /// (the standby region a [`AcesoStore::checkpoint_tick`] left, if any).
     /// Refused while the column is alive and when more columns are down
     /// than the coding group tolerates; nothing is restored until the first
     /// [`Recovery::step`].
@@ -212,7 +213,7 @@ impl AcesoStore {
         if self.lost_columns() > TOLERATED_LOSSES {
             return Err(too_many_lost(self));
         }
-        let node = self.cluster.add_node(self.map.region_len);
+        let node = self.cluster.add_node();
         Ok(Recovery {
             server: MnServer::new(
                 col,

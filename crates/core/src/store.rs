@@ -213,7 +213,9 @@ impl AcesoStore {
     }
 
     /// Runs one synchronized checkpoint round across all columns (the
-    /// paper's leading-server trigger), returning each column's report.
+    /// paper's leading-server trigger), returning each column's report,
+    /// then refills the cluster's standby region if a recovery or join
+    /// claimed it (see [`aceso_rdma::Cluster::refill_standby`]).
     pub fn checkpoint_tick(&self) -> Result<Vec<CkptReport>> {
         let n = self.dir.len();
         let mut reports = Vec::with_capacity(n);
@@ -229,6 +231,7 @@ impl AcesoStore {
                 reports.push(report);
             }
         }
+        self.cluster.refill_standby();
         let obs = self.obs();
         if obs.is_enabled() {
             obs.add("ckpt.rounds", 1);

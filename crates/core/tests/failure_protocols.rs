@@ -273,6 +273,24 @@ fn degraded_then_full_recovery() {
     store.shutdown();
 }
 
+/// Both ways a replacement gets its memory, in one store: the first
+/// recovery claims the standby region the checkpoint ticks left, the second
+/// (no tick in between) allocates a fresh one. Either way the column comes
+/// back whole, under the next dense node id.
+#[test]
+fn recovery_onto_the_standby_then_onto_a_fresh_region() {
+    let (store, keys, val) = aged("sb");
+    for (col, node) in [(1, 5), (3, 6)] {
+        assert!(store.kill_mn(col));
+        recover_mn(&store, col).unwrap();
+        assert_eq!(store.directory().node_of(col).0, node);
+        read_back(&store, &keys, &val);
+        assert!(scrub(&store).unwrap().is_clean(), "after recovering {col}");
+    }
+    assert_eq!((live_nodes(&store), store.cluster.len()), (5, 7));
+    store.shutdown();
+}
+
 /// `step()` visits the tiers in order, and the column answers RPCs and
 /// verbs exactly from the end of `Index`.
 #[test]

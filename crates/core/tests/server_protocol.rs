@@ -197,7 +197,7 @@ fn encode_delta_folds_in_place_like_fold_delta() {
         local.write(poff, &parity).unwrap();
         local.write(doff, &delta).unwrap();
         let target = parity_moved.map(|moved| {
-            let target = store.cluster.add_node(store.map.region_len);
+            let target = store.cluster.add_node();
             // Only the primary's parity counts; the other side is stale.
             let (primary, other) = if moved {
                 (&target.region, local)

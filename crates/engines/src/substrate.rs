@@ -369,7 +369,7 @@ impl<P: Protocol> ReplStore<P> {
             copies.push((source(&set.cols)?, off, self.cfg.block_size as usize));
         }
 
-        let replacement = self.cluster.add_node(self.layout.region_len());
+        let replacement = self.cluster.add_node();
         let dm = self.cluster.background_client();
         let mut rep = ReplRecovery::default();
         for (i, &(src, off, len)) in copies.iter().enumerate() {

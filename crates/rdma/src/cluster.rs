@@ -1,6 +1,6 @@
 //! The memory pool: a cluster of memory nodes.
 
-use crate::addr::NodeId;
+use crate::addr::{GlobalAddr, NodeId};
 use crate::cost::CostModel;
 use crate::error::{RdmaError, Result};
 use crate::fault::{FaultPlan, PlanSlot};
@@ -44,10 +44,10 @@ pub struct MemoryNode {
 }
 
 impl MemoryNode {
-    fn new(id: NodeId, region_len: usize) -> Self {
+    fn new(id: NodeId, region: Region) -> Self {
         MemoryNode {
             id,
-            region: Arc::new(Region::new(id, region_len)),
+            region: Arc::new(region),
             alive: AtomicBool::new(true),
             traffic: VerbCounters::new(),
             background: VerbCounters::new(),
@@ -213,9 +213,17 @@ impl NodeTable {
 /// The cluster is the root object of a simulation. Memory nodes are appended,
 /// never removed — a crashed node keeps its slot (so stale [`NodeId`]s fail
 /// loudly) and its replacement gets a fresh id, matching the paper's model of
-/// "start a new server on an idle MN".
+/// "start a new server on an idle MN". The idle MN is the *standby*: a
+/// zeroed region [`Cluster::refill_standby`] builds ahead of the failure and
+/// [`Cluster::add_node`] claims, so a replacement's memory is registered
+/// before it is needed.
 pub struct Cluster {
     nodes: NodeTable,
+    /// Length of every node's region.
+    region_len: usize,
+    /// The standby region: zeroed, pages touched, no node id yet, so no
+    /// verb can reach it.
+    standby: Mutex<Option<Region>>,
     /// The NIC cost model shared by all performance reports.
     pub cost: CostModel,
     /// Installed verb-trace sink, if any (see [`crate::TraceSink`]).
@@ -233,10 +241,12 @@ impl Cluster {
     pub fn new(config: ClusterConfig) -> Arc<Self> {
         let nodes = NodeTable::new();
         for _ in 0..config.num_mns {
-            nodes.push(|id| MemoryNode::new(id, config.region_len));
+            nodes.push(|id| MemoryNode::new(id, Region::new(id, config.region_len)));
         }
         Arc::new(Cluster {
             nodes,
+            region_len: config.region_len,
+            standby: Mutex::new(None),
             cost: config.cost,
             trace: RwLock::new(None),
             trace_on: AtomicBool::new(false),
@@ -346,9 +356,25 @@ impl Cluster {
         self.node_any(id).is_some_and(|n| n.kill())
     }
 
-    /// Adds a fresh memory node (the recovery target) and returns its handle.
-    pub fn add_node(&self, region_len: usize) -> Arc<MemoryNode> {
-        self.nodes.push(|id| MemoryNode::new(id, region_len))
+    /// Adds a memory node with the next fresh id (a recovery or join target)
+    /// and returns its handle. The node claims the standby region if there
+    /// is one, and allocates a zeroed region otherwise.
+    pub fn add_node(&self) -> Arc<MemoryNode> {
+        let standby = self.standby.lock().take();
+        self.nodes.push(|id| {
+            let mut region = standby.unwrap_or_else(|| Region::new(id, self.region_len));
+            region.claim(id);
+            MemoryNode::new(id, region)
+        })
+    }
+
+    /// Builds the standby region if there is none, so that zero-filling it
+    /// is paid here, by the caller's tick, rather than by the next
+    /// [`Cluster::add_node`].
+    pub fn refill_standby(&self) {
+        self.standby
+            .lock()
+            .get_or_insert_with(|| Region::new(GlobalAddr::NULL.node, self.region_len));
     }
 
     /// Creates a foreground client handle (a compute-node thread).
@@ -375,13 +401,17 @@ impl Cluster {
 mod tests {
     use super::*;
 
-    #[test]
-    fn build_and_kill() {
-        let c = Cluster::new(ClusterConfig {
-            num_mns: 3,
+    fn cluster(num_mns: usize) -> Arc<Cluster> {
+        Cluster::new(ClusterConfig {
+            num_mns,
             region_len: 4096,
             cost: CostModel::default(),
-        });
+        })
+    }
+
+    #[test]
+    fn build_and_kill() {
+        let c = cluster(3);
         assert_eq!(c.len(), 3);
         assert!(c.node(NodeId(2)).is_ok());
         assert!(c.kill_node(NodeId(2)));
@@ -398,30 +428,56 @@ mod tests {
 
     #[test]
     fn add_node_gets_fresh_id() {
-        let c = Cluster::new(ClusterConfig {
-            num_mns: 2,
-            region_len: 4096,
-            cost: CostModel::default(),
-        });
+        let c = cluster(2);
         c.kill_node(NodeId(0));
         c.kill_node(NodeId(0)); // Well-defined no-op.
-        let n = c.add_node(4096);
-        // Appended ids never reuse a crashed slot.
-        assert_eq!((n.id, c.add_node(4096).id), (NodeId(2), NodeId(3)));
-        assert_eq!(c.len(), 4);
+        let n = c.add_node();
+        // Appended ids never reuse a crashed slot, with or without a standby.
+        assert_eq!((n.id, c.add_node().id), (NodeId(2), NodeId(3)));
+        c.refill_standby();
+        assert_eq!((c.add_node().id, c.add_node().id), (NodeId(4), NodeId(5)));
+        assert_eq!(c.len(), 6);
         // The replacement accepts verbs; the dead node keeps failing.
         let cl = c.client();
-        cl.write(crate::GlobalAddr::new(NodeId(2), 0), &[1u8; 8]).unwrap();
-        assert!(cl.write(crate::GlobalAddr::new(NodeId(0), 0), &[1u8; 8]).is_err());
+        cl.write(GlobalAddr::new(NodeId(2), 0), &[1u8; 8]).unwrap();
+        assert!(cl.write(GlobalAddr::new(NodeId(0), 0), &[1u8; 8]).is_err());
+    }
+
+    /// What a fresh node looks like from outside: zeroed, and out of bounds
+    /// one byte past its region's end, naming itself.
+    fn assert_fresh(n: &MemoryNode) {
+        assert_eq!(n.region.read_vec(0, 4096).unwrap(), vec![0u8; 4096]);
+        let past_end = n.region.read_vec(4096, 1).unwrap_err();
+        assert!(
+            matches!(past_end, RdmaError::OutOfBounds { node, region: 4096, .. } if node == n.id),
+            "{past_end:?}"
+        );
+    }
+
+    #[test]
+    fn claimed_standby_is_a_fresh_node() {
+        let c = cluster(2);
+        c.refill_standby();
+        assert!(c.standby.lock().is_some());
+        let claimed = c.add_node();
+        assert!(c.standby.lock().is_none(), "add_node claims the standby");
+        assert_fresh(&claimed);
+        // No refill in between: the next node gets a region of its own.
+        assert_fresh(&c.add_node());
+    }
+
+    #[test]
+    fn refill_keeps_the_standby_it_has() {
+        let c = cluster(1);
+        c.refill_standby();
+        c.standby.lock().as_ref().unwrap().write(0, &[7]).unwrap();
+        c.refill_standby();
+        assert_eq!(c.add_node().region.read_vec(0, 1).unwrap(), [7]);
     }
 
     #[test]
     fn fences_report_strictest_overlap() {
-        let c = Cluster::new(ClusterConfig {
-            num_mns: 1,
-            region_len: 4096,
-            cost: CostModel::default(),
-        });
+        let c = cluster(1);
         let n = c.node(NodeId(0)).unwrap();
         assert_eq!(n.fence_required(0, 4096), None);
         n.install_fence(100, 100, 3);
@@ -437,11 +493,7 @@ mod tests {
 
     #[test]
     fn unknown_node_is_unreachable() {
-        let c = Cluster::new(ClusterConfig {
-            num_mns: 1,
-            region_len: 4096,
-            cost: CostModel::default(),
-        });
+        let c = cluster(1);
         assert!(c.node(NodeId(9)).is_err());
     }
 }

@@ -119,6 +119,12 @@ impl Region {
         }
     }
 
+    /// Takes `node` as the id its errors name: a standby region is built
+    /// before the node it becomes has an id.
+    pub(crate) fn claim(&mut self, node: NodeId) {
+        self.node = node;
+    }
+
     /// Size of the region in bytes.
     #[inline]
     pub fn len(&self) -> usize {
