@@ -93,22 +93,29 @@ impl DecodedKv<'_> {
     }
 }
 
+/// The one header parse behind [`decode`], [`classify`] and
+/// [`judge_lines`]: a slot's write version, key and value lengths, and the
+/// bytes of the size class those lengths pin — the Write Version trailer is
+/// the last of them. `None` if `head` is shorter than [`KV_HEADER`] or starts
+/// with a write version no writer uses (0 = never written).
+fn header(head: &[u8]) -> Option<(u8, usize, usize, usize)> {
+    let wv = *head.first()?;
+    if !(1..=2).contains(&wv) || head.len() < KV_HEADER {
+        return None;
+    }
+    let key_len = u16::from_le_bytes(head[2..4].try_into().unwrap()) as usize;
+    let val_len = u32::from_le_bytes(head[4..8].try_into().unwrap()) as usize;
+    let class_bytes = (KV_HEADER + key_len + val_len + 1).div_ceil(64) * 64;
+    Some((wv, key_len, val_len, class_bytes))
+}
+
 /// Decodes a slot buffer; `None` if the slot is empty, torn, or malformed.
 ///
 /// The buffer may be *longer* than the slot (readers over-fetch when the
 /// advisory length is unknown): the trailer position is derived from the
 /// header's own lengths, which pin the slot's size class.
 pub fn decode(buf: &[u8]) -> Option<DecodedKv<'_>> {
-    if buf.len() < KV_HEADER + 1 {
-        return None;
-    }
-    let wv = buf[0];
-    if wv == 0 || wv > 2 {
-        return None;
-    }
-    let key_len = u16::from_le_bytes(buf[2..4].try_into().unwrap()) as usize;
-    let val_len = u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize;
-    let class_bytes = (KV_HEADER + key_len + val_len + 1).div_ceil(64) * 64;
+    let (wv, key_len, val_len, class_bytes) = header(buf)?;
     if class_bytes > buf.len() || buf[class_bytes - 1] != wv {
         return None;
     }
@@ -119,6 +126,32 @@ pub fn decode(buf: &[u8]) -> Option<DecodedKv<'_>> {
         key: &buf[16..16 + key_len],
         value: &buf[16 + key_len..16 + key_len + val_len],
     })
+}
+
+/// Judges a slot from its 64 B lines, which `line(i, dst)` copies into the
+/// buffer `slot` (the slot's size, at least one line), reading only the
+/// lines the verdict depends on: line 0 (the header, and the key when it
+/// fits), the trailer's line once the header parses, and the key's other
+/// lines once the trailer matches (routing a KV takes its whole key). Then
+/// [`decode`] judges that buffer, so the verdict is `decode`'s on the whole
+/// slot — all but the value, whose lines are never read.
+pub fn judge_lines(
+    slot: &mut [u8],
+    mut line: impl FnMut(usize, &mut [u8]),
+) -> Option<DecodedKv<'_>> {
+    line(0, &mut slot[..64]);
+    let (wv, key_len, _, class_bytes) = header(slot).filter(|h| h.3 <= slot.len())?;
+    let trailer = (class_bytes - 1) / 64;
+    if trailer > 0 {
+        line(trailer, &mut slot[64 * trailer..64 * trailer + 64]);
+    }
+    if slot[class_bytes - 1] != wv {
+        return None;
+    }
+    for i in (1..(KV_HEADER + key_len).div_ceil(64)).filter(|&i| i != trailer) {
+        line(i, &mut slot[64 * i..64 * i + 64]);
+    }
+    decode(slot)
 }
 
 /// Whose KV a slot holds, as far as its first [`identity_len`] bytes tell.
@@ -207,9 +240,7 @@ pub fn classify(buf: &[u8]) -> KvRead<'_> {
     if buf.first().is_none_or(|&wv| wv == 0) {
         return KvRead::Unwritten;
     }
-    if buf.len() >= KV_HEADER && buf[0] <= 2 {
-        let key_len = u16::from_le_bytes(buf[2..4].try_into().unwrap()) as usize;
-        let val_len = u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize;
+    if let Some((_, key_len, val_len, _)) = header(buf) {
         if let Ok(class) = class_for(key_len, val_len) {
             if class as usize * 64 > buf.len() {
                 return KvRead::Truncated(class as usize * 64);
@@ -367,6 +398,58 @@ mod tests {
             let longer = [&key[..], &b"x"[..]].concat();
             prop_assert_eq!(identity(&slot[..identity_len(shorter)], shorter), Identity::Foreign);
             prop_assert_eq!(identity(&slot[..identity_len(&longer)], &longer), Identity::Foreign);
+        }
+
+        /// One slot judgement, two readers: over random key and value
+        /// lengths (keys that fit line 0 and keys that do not), both write
+        /// versions, tombstones, invalidated slots, torn trailers, all-zero
+        /// slots and lengths that overrun the slot, `judge_lines` — fed
+        /// only the lines it asks for, into a buffer full of junk — agrees
+        /// with `decode` on the whole slot on everything but the value, and
+        /// asks for line 0, then the trailer's line, then the key's other
+        /// lines, each once and no other.
+        #[test]
+        fn judge_lines_agrees_with_decode(
+            key in proptest::collection::vec(any::<u8>(), 1..140),
+            value in proptest::collection::vec(any::<u8>(), 0..400),
+            tombstone: bool,
+            wv in 1u8..3,
+            invalidated: bool,
+            spare in 0usize..3,
+            damage in 0u8..4,
+            junk: u8,
+        ) {
+            let sv = if invalidated { INVALID_SLOT_VERSION } else { 0x0123_4567 };
+            let class_bytes = class_for(key.len(), value.len()).unwrap() as usize * 64;
+            let mut slot = vec![0u8; class_bytes + spare * 64];
+            encode(&mut slot, wv, sv, &key, &value, tombstone);
+            let overrun = (slot.len() as u32).to_le_bytes();
+            match damage {
+                1 => slot[class_bytes - 1] = 3 - wv, // The other write's trailer.
+                2 => slot.fill(0),
+                3 => slot[4..8].copy_from_slice(&overrun), // Lengths past the slot.
+                _ => {}
+            }
+            let mut buf = vec![junk; slot.len()];
+            let mut asked = Vec::new();
+            let got = judge_lines(&mut buf, |i, dst| {
+                asked.push(i);
+                dst.copy_from_slice(&slot[64 * i..64 * i + 64]);
+            });
+            let judged = |d: DecodedKv| (d.write_version, d.tombstone, d.slot_version, d.key.to_vec());
+            let want = decode(&slot);
+            prop_assert_eq!(got.map(judged), want.map(judged));
+
+            let trailer = (class_bytes - 1) / 64;
+            let mut lines = vec![0];
+            if damage == 0 || damage == 1 {
+                lines.extend((trailer > 0).then_some(trailer));
+            }
+            if damage == 0 {
+                let key_lines = 1..(KV_HEADER + key.len()).div_ceil(64);
+                lines.extend(key_lines.filter(|&i| i != trailer));
+            }
+            prop_assert_eq!(asked, lines);
         }
     }
 

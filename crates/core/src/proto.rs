@@ -6,7 +6,9 @@
 //! runs purely over one-sided verbs.
 
 use crate::ckpt::CkptReport;
+use crate::kv::DecodedKv;
 use aceso_blockalloc::BlockId;
+use aceso_index::route_hash;
 
 /// Requests a client (or the recovery orchestrator) sends to an MN server.
 #[derive(Clone, Debug)]
@@ -67,8 +69,16 @@ pub enum ServerReq {
         /// Which block.
         block: BlockId,
     },
-    /// List this MN's DATA block records (recovery scans; CN recovery).
+    /// List this MN's DATA block records (scrub).
     ListDataBlocks,
+    /// Recovery's Index tier: scan this MN's new DATA blocks (Index Version
+    /// 0 or ≥ `since_iv`) for the KVs routed to `of_column`, line by line.
+    ScanNew {
+        /// The column being recovered.
+        of_column: usize,
+        /// The Index Version of its checkpoint.
+        since_iv: u64,
+    },
     /// Blocks currently owned (unfilled) by a client (CN recovery).
     QueryClientBlocks {
         /// The crashed client's id.
@@ -168,6 +178,14 @@ pub enum ServerResp {
         /// The records.
         list: Vec<(BlockId, Vec<u8>)>,
     },
+    /// What [`ServerReq::ScanNew`] found, one new DATA block at a time in
+    /// block order, and the 64 B lines of them the handler read.
+    Scanned {
+        /// `(block id, its scan)`.
+        blocks: Vec<(BlockId, ScannedBlock)>,
+        /// Lines read.
+        lines: u64,
+    },
     /// Checkpoint round finished.
     CkptDone {
         /// Per-step measurements.
@@ -199,10 +217,78 @@ impl ServerResp {
     pub fn expect_ok(self) -> crate::Result<()> {
         match self {
             ServerResp::Ok => Ok(()),
-            other => {
-                debug_assert!(false, "unexpected rpc response: {other:?}");
-                Err(crate::StoreError::Rdma(aceso_rdma::RdmaError::RpcClosed))
-            }
+            other => Err(unexpected(other)),
         }
+    }
+
+    /// Unwraps `Scanned`, surfacing any other answer as a store error.
+    pub fn expect_scanned(self) -> crate::Result<(Vec<(BlockId, ScannedBlock)>, u64)> {
+        match self {
+            ServerResp::Scanned { blocks, lines } => Ok((blocks, lines)),
+            other => Err(unexpected(other)),
+        }
+    }
+}
+
+fn unexpected(resp: ServerResp) -> crate::StoreError {
+    debug_assert!(false, "unexpected rpc response: {resp:?}");
+    crate::StoreError::Rdma(aceso_rdma::RdmaError::RpcClosed)
+}
+
+/// Wire bytes of a [`ServerReq::ScanNew`]: the column and the Index Version.
+pub const SCAN_NEW_REQ_BYTES: usize = 16;
+
+/// Whether a DATA block whose record carries `index_version` is *new* to a
+/// checkpoint of Index Version `since_iv` — still open (0), or filled since:
+/// the blocks recovery's Index tier scans.
+pub fn is_new(index_version: u64, since_iv: u64) -> bool {
+    index_version == 0 || index_version >= since_iv
+}
+
+/// One DATA block's slots as a KV scan judged them for one column: what
+/// [`ServerReq::ScanNew`] answers per block, and what recovery's Index tier
+/// makes of a block it decoded itself.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ScannedBlock {
+    /// Slot size in 64 B units.
+    pub slot_len64: u8,
+    /// KV pairs that decoded, invalidated ones included.
+    pub decoded: usize,
+    /// One bit per slot: a live KV routed to another column.
+    pub foreign: Vec<u8>,
+    /// `(slot, slot version, key)` of each live KV routed to the column.
+    pub routed: Vec<(usize, u64, Vec<u8>)>,
+}
+
+impl ScannedBlock {
+    /// Nothing found yet in `block_bytes` of slots of `slot_len64` units.
+    pub fn new(slot_len64: u8, block_bytes: usize) -> Self {
+        let slots = block_bytes.checked_div(slot_len64 as usize * 64);
+        ScannedBlock {
+            slot_len64,
+            foreign: vec![0; slots.unwrap_or(0).div_ceil(8)],
+            ..ScannedBlock::default()
+        }
+    }
+
+    /// Takes the KV that decoded in `slot`: unless it is invalidated, it is
+    /// routed to `of_column` of an `n`-column group (`route_hash % n`), or
+    /// foreign.
+    pub fn push(&mut self, slot: usize, kv: DecodedKv, n: usize, of_column: usize) {
+        self.decoded += 1;
+        let ours = route_hash(kv.key) % n as u64 == of_column as u64;
+        if !kv.is_invalidated() && ours {
+            self.routed.push((slot, kv.slot_version, kv.key.to_vec()));
+        } else if !kv.is_invalidated() {
+            self.foreign[slot / 8] |= 1 << (slot % 8);
+        }
+    }
+
+    /// Encoded size with its block id: id (4), class (1), decoded and
+    /// routed counts (2 + 2), the bitmap, and per routed KV its slot (2),
+    /// slot version (8), key length (2) and key.
+    pub fn wire_len(&self) -> usize {
+        let kvs: usize = self.routed.iter().map(|(_, _, key)| 12 + key.len()).sum();
+        9 + self.foreign.len() + kvs
     }
 }

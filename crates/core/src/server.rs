@@ -12,7 +12,8 @@
 
 use crate::ckpt::{CkptReceiver, CkptReport, CkptSender};
 use crate::config::{pack_col, unpack_col, MemoryMap};
-use crate::proto::{ServerReq, ServerResp};
+use crate::kv;
+use crate::proto::{self, ScannedBlock, ServerReq, ServerResp};
 use aceso_blockalloc::{Allocator, Bitmap, BlockId, BlockRecord, CellKind, Role};
 use aceso_index::RemoteIndex;
 use aceso_rdma::{Cluster, DmClient, GlobalAddr, MemoryNode, NodeId, RpcClient, RpcHandler};
@@ -360,6 +361,10 @@ impl MnServer {
                         .collect(),
                 }
             }
+            ServerReq::ScanNew {
+                of_column,
+                since_iv,
+            } => self.handle_scan_new(of_column, since_iv),
             ServerReq::QueryClientBlocks { cli_id } => {
                 let recs = self.records.lock();
                 ServerResp::Records {
@@ -648,6 +653,35 @@ impl MnServer {
         self.persist_record(dm, dir, pid);
         self.persist_record(dm, dir, delta_id);
         ServerResp::Ok
+    }
+
+    /// Recovery's scan of this MN's own new DATA blocks for column
+    /// `of_column`: each slot judged by [`kv::judge_lines`] from 64 B lines
+    /// of the region — never a whole block — and kept as a [`ScannedBlock`].
+    fn handle_scan_new(&self, of_column: usize, since_iv: u64) -> ServerResp {
+        let (layout, region) = (self.map.blocks, &self.node.region);
+        let bs = layout.block_size as usize;
+        let (mut lines, mut blocks) = (0, Vec::new());
+        for (id, rec) in self.records.lock().iter().enumerate() {
+            if rec.role != Role::Data || !proto::is_new(rec.index_version, since_iv) {
+                continue;
+            }
+            let base = layout.block_offset(id as BlockId);
+            let mut found = ScannedBlock::new(rec.slot_len64, bs);
+            let mut slot = vec![0; rec.slot_len64 as usize * 64];
+            for s in 0..bs.checked_div(slot.len()).unwrap_or(0) {
+                let at = base + (s * slot.len()) as u64;
+                let read = |i: usize, line: &mut [u8]| {
+                    lines += 1;
+                    region.read(at + 64 * i as u64, line).expect("line read");
+                };
+                if let Some(kv) = kv::judge_lines(&mut slot, read) {
+                    found.push(s, kv, layout.n, of_column);
+                }
+            }
+            blocks.push((id as BlockId, found));
+        }
+        ServerResp::Scanned { blocks, lines }
     }
 
     fn handle_bitmap_flush(

@@ -352,12 +352,15 @@ fn held_recovery_matches_one_shot_on_a_twin() {
                 r.lblock_net_bytes,
                 r.lblock_net_ops,
                 r.rblock_net_bytes,
+                r.scan_lines,
                 r.parity_net_bytes,
             ],
             [
                 r.lblock_count,
                 r.rblock_count,
                 r.kv_count,
+                r.kv_routed,
+                r.kv_won,
                 r.old_lblock_count,
             ],
             [

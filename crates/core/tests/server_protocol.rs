@@ -417,6 +417,99 @@ fn kill_between_rpcs_of_a_close_surfaces_as_node_unreachable() {
     store.shutdown();
 }
 
+/// `ScanNew` answers, block for block, what `kv::decode` says of every slot
+/// of the column's new DATA blocks, for every column asking: on a column
+/// holding a reused block (last round's KVs still in its unwritten slots),
+/// an invalidated KV and keys routed to every column. It reads line 0 of
+/// every slot and the trailer's line of every written one — never a block
+/// — and "new" is the recovery's rule: Index Version 0 or ≥ `since_iv`.
+#[test]
+fn scan_new_answers_what_decode_says() {
+    use aceso_core::kv;
+    use aceso_core::proto::ScannedBlock;
+
+    let cfg = AcesoConfig {
+        num_arrays: 2,
+        reclaim_free_ratio: 1.1, // Always allowed to reclaim.
+        ..AcesoConfig::small()
+    };
+    let store = AcesoStore::launch(cfg).unwrap();
+    let mut c = store.client().unwrap();
+    let key = |i: u32| format!("scan-new-{i}").into_bytes();
+    for i in 0..500 {
+        c.insert(&key(i), &[0; 180]).unwrap();
+    }
+    let reused = |store: &AcesoStore| {
+        (0..store.cfg.num_mns).find(|&col| !store.server(col).old_copies.lock().is_empty())
+    };
+    for v in 1..=20 {
+        if reused(&store).is_some() {
+            break;
+        }
+        for i in 0..500 {
+            c.update(&key(i), &[v; 180]).unwrap();
+        }
+        c.flush_bitmaps().unwrap();
+    }
+    let col = reused(&store).expect("the rounds must have reused a block");
+    let (server, blocks) = (store.server(col), store.map.blocks);
+    let bs = blocks.block_size as usize;
+    let data: Vec<(BlockId, BlockRecord)> = {
+        let recs = server.records.lock();
+        let data = recs
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.role == Role::Data);
+        data.map(|(id, r)| (id as BlockId, r.clone())).collect()
+    };
+    let content = |id: BlockId| server.node.region.read_vec(blocks.block_offset(id), bs);
+
+    // A client that lost its commit race invalidates its KV in place.
+    let (first, rec) = &data[0];
+    let slot_bytes = rec.slot_len64 as usize * 64;
+    let s = content(*first)
+        .unwrap()
+        .chunks_exact(slot_bytes)
+        .position(|slot| kv::decode(slot).is_some());
+    let at = blocks.block_offset(*first) + (s.unwrap() * slot_bytes + kv::SLOT_VER_OFF) as u64;
+    let invalid = kv::INVALID_SLOT_VERSION.to_le_bytes();
+    server.node.region.write(at, &invalid).unwrap();
+
+    for (since_iv, of_column) in [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (u64::MAX, col)] {
+        let req = ServerReq::ScanNew {
+            of_column,
+            since_iv,
+        };
+        let ServerResp::Scanned { blocks: got, lines } = rpc(&store, col, req) else {
+            panic!("ScanNew answered something else");
+        };
+        let (mut want, mut slots, mut written) = (Vec::new(), 0, 0);
+        let is_new = |r: &BlockRecord| r.index_version == 0 || r.index_version >= since_iv;
+        for (id, rec) in data.iter().filter(|(_, r)| is_new(r)) {
+            let mut found = ScannedBlock::new(rec.slot_len64, bs);
+            let bytes = content(*id).unwrap();
+            for (s, slot) in bytes.chunks_exact(rec.slot_len64 as usize * 64).enumerate() {
+                (slots, written) = (slots + 1, written + u64::from(slot[0] != 0));
+                if let Some(kv) = kv::decode(slot) {
+                    found.push(s, kv, 5, of_column);
+                }
+            }
+            want.push((*id, found));
+        }
+        assert!(!want.is_empty(), "an open block is always new");
+        assert_eq!(got, want, "of_column {of_column}, since_iv {since_iv}");
+        // Four-line slots: the header's line, and the trailer's if written.
+        assert_eq!(lines, slots + written);
+        if since_iv == 0 {
+            // Decoded, and neither routed nor foreign.
+            let foreign = |b: &ScannedBlock| b.foreign.iter().map(|x| x.count_ones()).sum::<u32>();
+            let dead = |b: &ScannedBlock| b.decoded - b.routed.len() - foreign(b) as usize;
+            assert_eq!(got.iter().map(|(_, b)| dead(b)).sum::<usize>(), 1);
+        }
+    }
+    store.shutdown();
+}
+
 /// Every column's Meta Area must carry the `(xor_map, delta_addr)` its
 /// server holds in memory: a degraded SEARCH reads a parity record's head
 /// out of the region with a one-sided READ and never asks the server.
