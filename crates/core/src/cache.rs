@@ -9,17 +9,23 @@
 //!
 //! Three properties this module enforces:
 //!
-//! * **Bounded.** The map holds at most `capacity` entries
-//!   ([`ClientTuning::cache_capacity`](crate::ClientTuning::cache_capacity)).
-//!   Eviction is CLOCK / second-chance: every hit sets a reference bit, the
-//!   clock hand sweeps keys in order giving each referenced entry one more
-//!   round before it goes. CLOCK approximates LRU without per-hit
-//!   reordering, which keeps hits O(log n) and — unlike an LRU list — keeps
-//!   the structure trivially deterministic.
-//! * **Deterministic.** Backed by a `BTreeMap`, so the eviction sweep and
-//!   every purge iterate in key order — never `HashMap` iteration order
-//!   (the PR 6 lesson: seed-stable benches and chaos schedules must not
-//!   depend on hasher state).
+//! * **Bounded.** The cache holds at most `capacity` entries
+//!   ([`ClientTuning::cache_capacity`](crate::ClientTuning::cache_capacity))
+//!   in a ring of positions. Eviction is CLOCK / second-chance: a fill
+//!   enters *unreferenced*, a hit or a refresh sets its reference bit, and
+//!   the hand walks the ring clearing set bits and evicting the first
+//!   clear one it meets. So a key earns a second lap by being used once
+//!   after its fill, and a key filled and never hit leaves on the hand's
+//!   next pass. A lookup is one hash probe, a miss at capacity adds a short
+//!   sweep of the ring, and a hit reorders nothing.
+//! * **Deterministic.** Which entry goes depends only on ring positions
+//!   and reference bits: fills take positions in order, `invalidate` and
+//!   `purge` hand theirs to a free list that the next fills reuse before
+//!   anything is evicted, the hand is a position, and `purge` walks
+//!   positions in ring order. The key → position map is lookup-only —
+//!   nothing iterates it — and hashes with a fixed hasher, so no behaviour
+//!   and no cost depends on per-process hasher state (seed-stable benches
+//!   and chaos schedules).
 //! * **Safely invalidated.** The cache never *serves* stale data on its
 //!   own authority — every hit is verified against fabric state (slot
 //!   re-read, or the commit CAS itself), and the client drops entries on
@@ -32,7 +38,9 @@
 use aceso_index::{SlotAtomic, SlotMeta};
 use aceso_obs::{Counter, Registry};
 use aceso_rdma::GlobalAddr;
-use std::collections::BTreeMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// One cached index resolution for a key.
 ///
@@ -77,10 +85,12 @@ impl CacheMetrics {
     }
 }
 
-struct Slot<E> {
+/// The occupant of one ring position.
+struct Pos<E> {
+    key: Vec<u8>,
     entry: E,
-    /// CLOCK reference bit: set on every hit, cleared (one second chance)
-    /// when the hand sweeps past.
+    /// CLOCK reference bit: set by a hit or a refresh, cleared (one second
+    /// chance) when the hand passes.
     referenced: bool,
 }
 
@@ -89,12 +99,16 @@ struct Slot<E> {
 /// and the counters do not look inside an entry: `E` is Aceso's
 /// [`CacheEntry`], or whatever another engine's client remembers per key.
 pub struct IndexCache<E = CacheEntry> {
-    map: BTreeMap<Vec<u8>, Slot<E>>,
+    /// The CLOCK ring, in fill order; `None` is a position `invalidate` or
+    /// `purge` emptied. Never longer than `capacity`.
+    ring: Vec<Option<Pos<E>>>,
+    /// Key → ring position. Lookup-only: nothing iterates it.
+    map: HashMap<Vec<u8>, usize, BuildHasherDefault<DefaultHasher>>,
+    /// The emptied positions of `ring`, reused before anything is evicted.
+    free: Vec<usize>,
+    /// The CLOCK hand: the position the next eviction sweep starts from.
+    hand: usize,
     capacity: usize,
-    /// The CLOCK hand: the key the next eviction sweep starts from.
-    /// `None` means "start from the first key". Keys removed out from
-    /// under the hand are harmless — the sweep is a range query.
-    hand: Option<Vec<u8>>,
     metrics: Option<CacheMetrics>,
 }
 
@@ -103,9 +117,11 @@ impl<E: Copy> IndexCache<E> {
     /// disables caching entirely (every insert is a no-op).
     pub fn new(capacity: usize, reg: Option<&Registry>) -> Self {
         IndexCache {
-            map: BTreeMap::new(),
+            ring: Vec::new(),
+            map: HashMap::default(),
+            free: Vec::new(),
+            hand: 0,
             capacity,
-            hand: None,
             metrics: reg.map(CacheMetrics::new),
         }
     }
@@ -130,12 +146,22 @@ impl<E: Copy> IndexCache<E> {
         self.map.contains_key(key)
     }
 
-    /// Re-bounds the cache (factor analysis / `set_tuning`), evicting down
-    /// to the new capacity if it shrank.
+    /// Re-bounds the cache (factor analysis / `set_tuning`). If it shrank,
+    /// the sweep evicts down to the new capacity, then the survivors move
+    /// to the front of the ring in the order the hand would meet them.
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        while self.map.len() > self.capacity {
+        if self.ring.len() <= capacity {
+            return;
+        }
+        while self.map.len() > capacity {
             self.evict_one();
+        }
+        self.ring.rotate_left(self.hand);
+        self.ring.retain(Option::is_some);
+        (self.hand, self.free) = (0, Vec::new());
+        for (p, pos) in self.ring.iter().flatten().enumerate() {
+            self.map.insert(pos.key.clone(), p);
         }
     }
 
@@ -143,21 +169,14 @@ impl<E: Copy> IndexCache<E> {
     /// bit on a hit. This is the op-entry lookup; use [`IndexCache::peek`]
     /// for a secondary probe inside the same logical operation.
     pub fn get(&mut self, key: &[u8]) -> Option<E> {
-        match self.map.get_mut(key) {
-            Some(slot) => {
-                slot.referenced = true;
-                if let Some(m) = &self.metrics {
-                    m.hits.inc();
-                }
-                Some(slot.entry)
-            }
-            None => {
-                if let Some(m) = &self.metrics {
-                    m.misses.inc();
-                }
-                None
+        let found = self.peek(key);
+        if let Some(m) = &self.metrics {
+            match found {
+                Some(_) => m.hits.inc(),
+                None => m.misses.inc(),
             }
         }
+        found
     }
 
     /// Looks `key` up and refreshes its recency **without** counting a hit
@@ -165,36 +184,43 @@ impl<E: Copy> IndexCache<E> {
     /// its lookup (e.g. the slow-path `locate_slot` after a rejected
     /// speculation), so `hits + misses` stays one-per-lookup.
     pub fn peek(&mut self, key: &[u8]) -> Option<E> {
-        self.map.get_mut(key).map(|slot| {
-            slot.referenced = true;
-            slot.entry
-        })
+        let pos = self.ring[*self.map.get(key)?].as_mut()?;
+        pos.referenced = true;
+        Some(pos.entry)
     }
 
     /// Inserts (or refreshes) `key`. Fills ride existing read batches, so
-    /// this never touches the fabric; it may evict one cold entry to stay
-    /// within capacity. With `capacity == 0` this is a no-op. The key is
-    /// copied only when it is not cached yet: refreshing a present key
-    /// (every committed UPDATE of a hot key) allocates nothing.
+    /// this never touches the fabric; a fill takes an emptied position,
+    /// then a new one, and only at capacity evicts one cold entry. With
+    /// `capacity == 0` this is a no-op. A refresh sets the reference bit; a
+    /// fill enters unreferenced. The key is copied only when it is not
+    /// cached yet: refreshing a present key (every committed UPDATE of a
+    /// hot key) allocates nothing.
     pub fn insert(&mut self, key: &[u8], entry: E) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(slot) = self.map.get_mut(key) {
-            slot.entry = entry;
-            slot.referenced = true;
+        if let Some(&p) = self.map.get(key) {
+            if let Some(pos) = &mut self.ring[p] {
+                pos.entry = entry;
+                pos.referenced = true;
+            }
             return;
         }
-        while self.map.len() >= self.capacity {
-            self.evict_one();
-        }
-        self.map.insert(
-            key.to_vec(),
-            Slot {
-                entry,
-                referenced: true,
-            },
-        );
+        let p = if self.map.len() >= self.capacity {
+            self.evict_one()
+        } else if let Some(p) = self.free.pop() {
+            p
+        } else {
+            self.ring.push(None);
+            self.ring.len() - 1
+        };
+        self.map.insert(key.to_vec(), p);
+        self.ring[p] = Some(Pos {
+            key: key.to_vec(),
+            entry,
+            referenced: false,
+        });
     }
 
     /// Drops `key`, counting an invalidation if it was present. Every
@@ -202,22 +228,29 @@ impl<E: Copy> IndexCache<E> {
     /// failure, fence bounce, verify mismatch) — capacity evictions go
     /// through the internal sweep instead.
     pub fn invalidate(&mut self, key: &[u8]) -> bool {
-        let hit = self.map.remove(key).is_some();
-        if hit {
-            if let Some(m) = &self.metrics {
-                m.invalidations.inc();
-            }
+        let Some(p) = self.map.remove(key) else {
+            return false;
+        };
+        self.ring[p] = None;
+        self.free.push(p);
+        if let Some(m) = &self.metrics {
+            m.invalidations.inc();
         }
-        hit
+        true
     }
 
     /// Drops every entry `stale` returns true for, counting each as an
-    /// invalidation. Iterates in key order (deterministic). Used by the
-    /// placement refresh (epoch / retirement purge) and recovery
+    /// invalidation. Walks the ring in position order (deterministic). Used
+    /// by the placement refresh (epoch / retirement purge) and recovery
     /// notifications.
     pub fn purge(&mut self, mut stale: impl FnMut(&[u8], &E) -> bool) {
         let before = self.map.len();
-        self.map.retain(|k, slot| !stale(k, &slot.entry));
+        for (p, slot) in self.ring.iter_mut().enumerate() {
+            if let Some(pos) = slot.take_if(|pos| stale(&pos.key, &pos.entry)) {
+                self.map.remove(&pos.key);
+                self.free.push(p);
+            }
+        }
         let dropped = (before - self.map.len()) as u64;
         if dropped > 0 {
             if let Some(m) = &self.metrics {
@@ -226,43 +259,27 @@ impl<E: Copy> IndexCache<E> {
         }
     }
 
-    /// Evicts exactly one entry by the CLOCK sweep: advance the hand in
-    /// key order (wrapping), clear reference bits as second chances, and
-    /// remove the first unreferenced entry met. Terminates within two laps
-    /// — after one full lap every bit is clear.
-    fn evict_one(&mut self) {
-        if self.map.is_empty() {
-            return;
-        }
+    /// Evicts exactly one entry by the CLOCK sweep and returns its emptied
+    /// position: from the hand, walk the ring (wrapping), clear reference
+    /// bits as second chances, and evict the first unreferenced entry met.
+    /// Terminates within two laps — after one full lap every bit is clear.
+    /// The caller guarantees at least one entry is cached.
+    fn evict_one(&mut self) -> usize {
         loop {
-            let key = match &self.hand {
-                Some(h) => self
-                    .map
-                    .range::<[u8], _>((
-                        std::ops::Bound::Included(h.as_slice()),
-                        std::ops::Bound::Unbounded,
-                    ))
-                    .next()
-                    .map(|(k, _)| k.clone()),
-                None => None,
+            let p = self.hand;
+            self.hand = (p + 1) % self.ring.len();
+            let Some(pos) = &mut self.ring[p] else {
+                continue;
+            };
+            if std::mem::take(&mut pos.referenced) {
+                continue;
             }
-            .or_else(|| self.map.keys().next().cloned())
-            .expect("map is non-empty");
-            // Position the hand just past the current key: its successor,
-            // expressed as the smallest key strictly greater (key + 0x00).
-            let mut next = key.clone();
-            next.push(0);
-            self.hand = Some(next);
-            let slot = self.map.get_mut(&key).expect("key just ranged");
-            if slot.referenced {
-                slot.referenced = false;
-            } else {
-                self.map.remove(&key);
-                if let Some(m) = &self.metrics {
-                    m.evictions.inc();
-                }
-                return;
+            self.map.remove(&pos.key);
+            self.ring[p] = None;
+            if let Some(m) = &self.metrics {
+                m.evictions.inc();
             }
+            return p;
         }
     }
 }
@@ -384,5 +401,247 @@ mod tests {
         assert_eq!(c.len(), 3);
         c.insert(&key(100), entry(100));
         assert_eq!(c.len(), 3);
+    }
+
+    /// The naive CLOCK the ring is checked against: one `Vec` of
+    /// `(key, entry, referenced)` positions searched linearly, under the
+    /// same hand and fill rules, with its own hit / miss / eviction /
+    /// invalidation counts.
+    #[derive(Default)]
+    struct RefClock {
+        slots: Vec<Option<(Vec<u8>, u64, bool)>>,
+        free: Vec<usize>,
+        hand: usize,
+        capacity: usize,
+        counts: [u64; 4],
+    }
+
+    impl RefClock {
+        fn find(&self, key: &[u8]) -> Option<usize> {
+            let holds = |s: &Option<(Vec<u8>, u64, bool)>| s.as_ref().is_some_and(|s| s.0 == key);
+            self.slots.iter().position(holds)
+        }
+
+        fn live(&self) -> usize {
+            self.slots.iter().flatten().count()
+        }
+
+        fn peek(&mut self, key: &[u8]) -> Option<u64> {
+            let p = self.find(key)?;
+            let slot = self.slots[p].as_mut().unwrap();
+            slot.2 = true;
+            Some(slot.1)
+        }
+
+        fn get(&mut self, key: &[u8]) -> Option<u64> {
+            let found = self.peek(key);
+            self.counts[if found.is_some() { 0 } else { 1 }] += 1;
+            found
+        }
+
+        fn evict(&mut self) -> usize {
+            loop {
+                let p = self.hand;
+                self.hand = (p + 1) % self.slots.len();
+                match &mut self.slots[p] {
+                    Some((_, _, referenced)) if *referenced => *referenced = false,
+                    Some(_) => {
+                        self.slots[p] = None;
+                        self.counts[2] += 1;
+                        return p;
+                    }
+                    None => {}
+                }
+            }
+        }
+
+        fn insert(&mut self, key: &[u8], entry: u64) {
+            if self.capacity == 0 {
+                return;
+            }
+            if let Some(p) = self.find(key) {
+                self.slots[p] = Some((key.to_vec(), entry, true));
+                return;
+            }
+            let p = if self.live() >= self.capacity {
+                self.evict()
+            } else if let Some(p) = self.free.pop() {
+                p
+            } else {
+                self.slots.push(None);
+                self.slots.len() - 1
+            };
+            self.slots[p] = Some((key.to_vec(), entry, false));
+        }
+
+        fn drop_at(&mut self, p: usize) {
+            self.slots[p] = None;
+            self.free.push(p);
+            self.counts[3] += 1;
+        }
+
+        fn invalidate(&mut self, key: &[u8]) -> bool {
+            self.find(key).map(|p| self.drop_at(p)).is_some()
+        }
+
+        fn purge(&mut self, stale: impl Fn(&u64) -> bool) {
+            for p in 0..self.slots.len() {
+                if self.slots[p].as_ref().is_some_and(|s| stale(&s.1)) {
+                    self.drop_at(p);
+                }
+            }
+        }
+
+        fn set_capacity(&mut self, capacity: usize) {
+            self.capacity = capacity;
+            if self.slots.len() <= capacity {
+                return;
+            }
+            while self.live() > capacity {
+                self.evict();
+            }
+            let n = self.slots.len();
+            let from_hand = (0..n).map(|i| self.slots[(self.hand + i) % n].clone());
+            self.slots = from_hand.filter(Option::is_some).collect();
+            (self.hand, self.free) = (0, Vec::new());
+        }
+    }
+
+    /// Same positions, bits, hand, free list and counters — and the map
+    /// points every cached key at its position.
+    fn assert_same(c: &IndexCache<u64>, r: &RefClock, reg: &Registry, at: &str) {
+        let as_tuple = |p: &Pos<u64>| (p.key.clone(), p.entry, p.referenced);
+        let ring: Vec<_> = c.ring.iter().map(|s| s.as_ref().map(as_tuple)).collect();
+        assert_eq!(ring, r.slots, "{at}");
+        assert_eq!((c.hand, &c.free), (r.hand, &r.free), "{at}");
+        assert_eq!(c.len(), r.live(), "{at}");
+        for (p, pos) in c.ring.iter().enumerate() {
+            if let Some(pos) = pos {
+                assert_eq!(c.map.get(&pos.key), Some(&p), "{at}");
+            }
+        }
+        let snap = reg.snapshot();
+        let counts = ["hits", "misses", "evictions", "invalidations"]
+            .map(|n| snap.counter(&format!("client.cache.{n}")).unwrap_or(0));
+        assert_eq!(counts, r.counts, "{at}");
+    }
+
+    /// Seeded random `get` / `peek` / `insert` / `invalidate` / `purge` /
+    /// `set_capacity` sequences leave the ring and the reference CLOCK
+    /// identical after every step.
+    #[test]
+    fn ring_matches_the_reference_clock() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for capacity in [0usize, 1, 8] {
+            for seed in 0..16u64 {
+                let reg = Registry::new();
+                let mut c = IndexCache::<u64>::new(capacity, Some(&reg));
+                let mut r = RefClock {
+                    capacity,
+                    ..RefClock::default()
+                };
+                let mut rng = StdRng::seed_from_u64(seed);
+                for step in 0..400 {
+                    let k = key(rng.gen_range(0..12));
+                    let op = match rng.gen_range(0..100u32) {
+                        0..=29 => {
+                            assert_eq!(c.get(&k), r.get(&k));
+                            "get"
+                        }
+                        30..=39 => {
+                            assert_eq!(c.peek(&k), r.peek(&k));
+                            "peek"
+                        }
+                        40..=79 => {
+                            let e = rng.gen_range(0..1_000u64);
+                            c.insert(&k, e);
+                            r.insert(&k, e);
+                            "insert"
+                        }
+                        80..=91 => {
+                            assert_eq!(c.invalidate(&k), r.invalidate(&k));
+                            "invalidate"
+                        }
+                        92..=96 => {
+                            let m = rng.gen_range(2..5u64);
+                            c.purge(|_, e| e % m == 0);
+                            r.purge(|e| e % m == 0);
+                            "purge"
+                        }
+                        _ => {
+                            let cap = rng.gen_range(0..capacity + 3);
+                            c.set_capacity(cap);
+                            r.set_capacity(cap);
+                            "set_capacity"
+                        }
+                    };
+                    assert_same(
+                        &c,
+                        &r,
+                        &reg,
+                        &format!("cap {capacity} seed {seed} step {step} {op}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// A fill enters unreferenced: the first sweep passes over an entry
+    /// hit since its fill and evicts the next fill that never was, although
+    /// that one was filled later.
+    #[test]
+    fn a_fill_never_hit_goes_before_a_hit_one() {
+        let mut c = IndexCache::new(4, None);
+        for i in 0..4 {
+            c.insert(&key(i), entry(i as u64));
+        }
+        assert!(c.get(&key(0)).is_some());
+        c.insert(&key(4), entry(4));
+        assert!(c.contains(&key(0)), "the hit entry keeps its second chance");
+        assert!(
+            !c.contains(&key(1)),
+            "the unhit fill after it is the victim"
+        );
+    }
+
+    /// An `insert` at capacity right after an `invalidate` takes the
+    /// emptied position and evicts nothing.
+    #[test]
+    fn a_fill_after_an_invalidate_evicts_nothing() {
+        let reg = Registry::new();
+        let mut c = IndexCache::new(4, Some(&reg));
+        for i in 0..4 {
+            c.insert(&key(i), entry(i as u64));
+        }
+        assert!(c.invalidate(&key(2)));
+        c.insert(&key(9), entry(9));
+        assert_eq!(reg.snapshot().counter("client.cache.evictions"), Some(0));
+        assert_eq!(c.len(), 4);
+        assert_eq!(
+            c.map.get(&key(9)[..]),
+            Some(&2),
+            "the emptied position is reused"
+        );
+    }
+
+    /// `purge` frees positions, and the next fills reuse them before the
+    /// ring grows or anything is evicted.
+    #[test]
+    fn purged_positions_are_reused_by_the_next_fills() {
+        let reg = Registry::new();
+        let mut c = IndexCache::new(4, Some(&reg));
+        for i in 0..4 {
+            c.insert(&key(i), entry(i as u64));
+        }
+        c.purge(|_, e| e.fill_epoch % 2 == 1);
+        assert_eq!(c.len(), 2);
+        c.insert(&key(8), entry(8));
+        c.insert(&key(9), entry(9));
+        assert_eq!(reg.snapshot().counter("client.cache.evictions"), Some(0));
+        assert_eq!(c.ring.len(), 4);
+        let mut reused = [key(8), key(9)].map(|k| c.map[&k[..]]);
+        reused.sort();
+        assert_eq!(reused, [1, 3], "the purged positions hold the new fills");
     }
 }

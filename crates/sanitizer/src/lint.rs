@@ -15,10 +15,12 @@
 //!   `ElasticStep` migrator boundary has kill coverage in the
 //!   `chaos elastic` axis, and every `.settle().await` suspension point
 //!   in the async client is inventoried in the model checker's step
-//!   table (so `chaos explore` never silently under-explores), and the
+//!   table (so `chaos explore` never silently under-explores), the
 //!   store, the fabric, the replication engines and the bench harness
 //!   start no thread beyond the two inventoried sites (MN servers run on
-//!   their callers' threads).
+//!   their callers' threads), and every std hash container in the store,
+//!   the fabric, the engines and the kernels is allow-listed with the
+//!   reason its iteration order cannot reach behaviour.
 //!
 //! The `#[test]`s at the bottom make `cargo test` the lint driver; `chaos
 //! analyze` runs [`run_all`] too so the CI line exercises them.
@@ -525,18 +527,19 @@ const THREAD_FREE_DIRS: &[&str] = &[
     "crates/bench/src/figs",
 ];
 
-/// Thread-starting calls outside comments in the non-test part of `src`
-/// (everything before its `#[cfg(test)]` module), as `(pattern, count)`.
-fn thread_starts(src: &str) -> Vec<(&'static str, usize)> {
+/// The lines outside comments in the non-test part of `src` (everything
+/// before its `#[cfg(test)]` module).
+fn code_lines(src: &str) -> impl Iterator<Item = &str> {
     let code = src.split("#[cfg(test)]").next().unwrap_or(src);
+    code.lines().filter(|l| !l.trim_start().starts_with("//"))
+}
+
+/// Thread-starting calls in [`code_lines`] of `src`, as `(pattern, count)`.
+fn thread_starts(src: &str) -> Vec<(&'static str, usize)> {
     ["thread::spawn", "thread::scope", "thread::Builder"]
         .into_iter()
         .map(|pat| {
-            let n = code
-                .lines()
-                .filter(|l| !l.trim_start().starts_with("//"))
-                .map(|l| l.matches(pat).count())
-                .sum();
+            let n = code_lines(src).map(|l| l.matches(pat).count()).sum();
             (pat, n)
         })
         .filter(|&(_, n)| n != 0)
@@ -573,6 +576,91 @@ pub fn lint_thread_free() -> Vec<String> {
     v
 }
 
+/// The only std hash containers non-test code of [`HASH_DIRS`] may name:
+/// `(file, occurrences of HashMap / HashSet in its code lines, reason)`.
+/// Each is lookup-only, or iterated only where the order cannot reach
+/// behaviour; every other map or set is a `BTreeMap` / `BTreeSet`.
+const HASH_SITES: &[(&str, usize, &str)] = &[
+    (
+        "crates/core/src/cache.rs",
+        3,
+        "`map`: key -> ring position, fixed hasher, lookup-only; the ring carries every order",
+    ),
+    (
+        "crates/core/src/recovery.rs",
+        6,
+        "`rank_of`: lookup by cell; `key_at`: lookup by address; `cells`: read-through by cell, \
+         then iterated into `Scan`, whose winner does not depend on arrival order \
+         (pinned by scan_winner_does_not_depend_on_arrival_order)",
+    ),
+    (
+        "crates/core/src/server.rs",
+        7,
+        "`old_copies`, `received`, `meta_replicas`: get / insert / remove by block or column; \
+         nothing iterates them (the `RecordReplicas` inside is a BTreeMap)",
+    ),
+    (
+        "crates/core/src/stripe.rs",
+        3,
+        "`parity`: built once per book, looked up by (array, parity row, parity col), never iterated",
+    ),
+    (
+        "crates/engines/src/substrate.rs",
+        5,
+        "`open`, `free`: get / insert / remove by (primary column, size class), never iterated",
+    ),
+];
+
+/// The directories [`lint_hash_containers`] walks: the store, the fabric,
+/// the replication engines and the kernels under them.
+const HASH_DIRS: &[&str] = &[
+    "crates/core/src",
+    CLIENT_DIR,
+    "crates/engines/src",
+    "crates/rdma/src",
+    "crates/index/src",
+    "crates/blockalloc/src",
+    "crates/erasure/src",
+];
+
+/// Judges `(workspace-relative path, source)` pairs against [`HASH_SITES`]:
+/// a file whose [`code_lines`] name `HashMap` / `HashSet` a different
+/// number of times than its row allows (0 without a row) is reported.
+fn check_hash_sites(files: impl IntoIterator<Item = (String, String)>) -> Vec<String> {
+    let mut v = Vec::new();
+    for (rel, src) in files {
+        let n: usize = code_lines(&src)
+            .map(|l| l.matches("HashMap").count() + l.matches("HashSet").count())
+            .sum();
+        let allowed = HASH_SITES.iter().find(|s| s.0 == rel).map_or(0, |s| s.1);
+        if n != allowed {
+            v.push(format!(
+                "{rel} names a std hash container {n} x in non-test code, HASH_SITES allows \
+                 {allowed} (iteration order follows hasher state: allow-list a lookup-only \
+                 site with its reason, or use a BTreeMap)"
+            ));
+        }
+    }
+    v
+}
+
+/// Source lint: no `HashMap` / `HashSet` order reaches behaviour. Twice a
+/// hash container's per-process iteration order leaked into what the store
+/// does (the client's block maps, `RecordReplicas`), and pinned baselines
+/// catch that only when one process's seed happens to expose it; so in the
+/// store, the fabric, the engines and the kernels every std hash container
+/// is a `HASH_SITES` row with a reason, and a new one fails `cargo test`
+/// and `chaos analyze --ci` until it has one or becomes a `BTreeMap`.
+pub fn lint_hash_containers() -> Vec<String> {
+    let mut v = Vec::new();
+    let files: Vec<_> = HASH_DIRS
+        .iter()
+        .flat_map(|d| read_sources(&mut v, d))
+        .collect();
+    v.extend(check_hash_sites(files));
+    v
+}
+
 /// Runs every lint; empty result = the protocol invariants hold.
 pub fn run_all() -> Vec<String> {
     let mut v = Vec::new();
@@ -586,6 +674,7 @@ pub fn run_all() -> Vec<String> {
     v.extend(lint_elastic_steps());
     v.extend(lint_settle_coverage());
     v.extend(lint_thread_free());
+    v.extend(lint_hash_containers());
     v
 }
 
@@ -641,6 +730,34 @@ mod tests {
     #[test]
     fn store_and_fabric_start_no_threads() {
         assert_eq!(lint_thread_free(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn hash_containers_are_allow_listed() {
+        assert_eq!(lint_hash_containers(), Vec::<String>::new());
+    }
+
+    /// An unlisted container is reported; comments and the test module do
+    /// not count, and a listed file passes at exactly its row's count.
+    #[test]
+    fn hash_scanner_reports_an_unlisted_container() {
+        let fixture = "// a HashMap in a comment\n\
+                       use std::collections::HashMap;\n\
+                       struct S { m: HashMap<u64, u64> }\n\
+                       #[cfg(test)]\n\
+                       mod tests { fn t() { let _ = std::collections::HashSet::<u8>::new(); } }\n";
+        let found = check_hash_sites([("crates/core/src/fixture.rs".to_string(), fixture.into())]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(
+            found[0].contains("fixture.rs names a std hash container 2 x"),
+            "{found:?}"
+        );
+        let (rel, n, _) = HASH_SITES[0];
+        let listed = "use std::collections::HashMap;\n".repeat(n);
+        assert_eq!(
+            check_hash_sites([(rel.to_string(), listed)]),
+            Vec::<String>::new()
+        );
     }
 
     /// The thread scanner skips comments and the test module.

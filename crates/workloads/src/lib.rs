@@ -57,6 +57,16 @@ pub fn key_bytes(id: u64) -> Vec<u8> {
     format!("user{id:012}").into_bytes()
 }
 
+/// The first key id `client` INSERTs over a `keys`-key preload; its next
+/// inserts count up from there. Each client owns a range of 10⁸ ids above
+/// the preload, so for every client below 9 000 and a preload below 10¹⁰
+/// an inserted id stays under 10¹², and [`key_bytes`] renders it in the
+/// preloaded keys' 16 B: an INSERTed pair lands in the same size class as
+/// the pairs it sits among.
+pub fn first_insert_id(keys: u64, client: u32) -> u64 {
+    keys + (client as u64 + 1) * 100_000_000
+}
+
 /// Renders a per-client-unique microbenchmark key: 16 B like
 /// [`key_bytes`], so a micro pair and a YCSB pair of one value length fall
 /// in the same size class in every engine.
@@ -195,7 +205,7 @@ impl MixedWorkload {
             zipf: Zipf::new(keys, theta),
             rng: StdRng::seed_from_u64(seed ^ ((client as u64) << 32)),
             value_len,
-            next_insert: keys + ((client as u64 + 1) << 40),
+            next_insert: first_insert_id(keys, client),
         }
     }
 }
@@ -293,5 +303,30 @@ mod tests {
             .collect();
         let unique: std::collections::HashSet<_> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len());
+    }
+
+    /// Every stream that INSERTs renders its new keys in the preloaded
+    /// keys' length, up to the largest client count a bench launches
+    /// (`bench clients` doubles to 1 024 tasks) over the paper's 1 M keys.
+    #[test]
+    fn inserted_keys_have_the_preloaded_length() {
+        let keys = 1_000_000;
+        let preloaded = key_bytes(keys - 1).len();
+        let insert_only = OpMix::only(Op::Insert);
+        for client in [0, 3, 1_023] {
+            let ycsb_d = YcsbWorkload::new(ycsb::YcsbKind::D, keys, 0.99, 64, client, 1);
+            let transient =
+                twitter::TwitterWorkload::new(TwitterCluster::Transient, keys, 0.99, 64, client, 1);
+            let mixed = MixedWorkload::new(insert_only, keys, 0.99, 64, client, 1);
+            let all = ycsb_d
+                .take(2_000)
+                .chain(transient.take(2_000))
+                .chain(mixed.take(100));
+            let inserted: Vec<_> = all.filter(|r| r.op == Op::Insert).collect();
+            assert!(inserted.len() > 100);
+            for r in inserted {
+                assert_eq!(r.key.len(), preloaded, "client {client}: {:?}", r.key);
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! the trace study. See `DESIGN.md` (substitutions table).
 
 use crate::zipf::Zipf;
-use crate::{key_bytes, Op, OpMix, Request};
+use crate::{first_insert_id, key_bytes, Op, OpMix, Request};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,7 +97,7 @@ impl TwitterWorkload {
             zipf: Zipf::new(keys, theta),
             rng: StdRng::seed_from_u64(seed ^ 0x7717 ^ ((client as u64) << 20)),
             value_len,
-            next_insert: keys + ((client as u64 + 1) << 40),
+            next_insert: first_insert_id(keys, client),
             live_inserted: Vec::new(),
         }
     }

@@ -8,7 +8,7 @@
 //! One million keys by default, Zipfian θ = 0.99, as in the paper.
 
 use crate::zipf::Zipf;
-use crate::{key_bytes, Op, OpMix, Request};
+use crate::{first_insert_id, key_bytes, Op, OpMix, Request};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -95,8 +95,7 @@ impl YcsbWorkload {
             zipf: Zipf::new(keys, theta),
             rng: StdRng::seed_from_u64(seed ^ 0xFACE ^ ((client as u64) << 24)),
             value_len,
-            // Inserted keys are fresh and partitioned per client.
-            next_insert: keys + ((client as u64 + 1) << 40),
+            next_insert: first_insert_id(keys, client),
         }
     }
 
