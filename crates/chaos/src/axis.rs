@@ -7,13 +7,15 @@
 //! sink-installing wrapper [`run_cell`], the seeded matrix runner
 //! [`run_matrix`] with its [`Report`] (`clean` / `render`, including the
 //! counterexample minimizer), id resolution for `chaos cell`
-//! ([`find_cell`]), and the small vocabulary the scripts share (store
-//! launch, fail-fast tuning, seeded values, key names, error context).
-//! The judging half lives in [`crate::invariants`]; the traced half in
+//! ([`find_cell`]), and the steps the scripts share: the seeded
+//! [`Script`] setup and recovery, fail-fast tuning, seeded values, key
+//! names, error context. The op fold and the judging tail
+//! ([`Script::judge`]) live in [`crate::invariants`]; the traced half in
 //! [`crate::analyze`].
 
-use aceso_core::{AcesoConfig, AcesoStore, ClientTuning, StoreError};
-use aceso_rdma::{RdmaError, TraceSink};
+use crate::invariants::{preload, IvWatch, Oracle};
+use aceso_core::{AcesoConfig, AcesoStore, ClientTuning};
+use aceso_rdma::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -279,6 +281,69 @@ pub(crate) fn launch_store(sink: Sink) -> Result<Arc<AcesoStore>, String> {
     Ok(store)
 }
 
+/// What an Aceso-store script carries from its setup to its tail.
+pub struct Script {
+    /// The store under test.
+    pub store: Arc<AcesoStore>,
+    /// The cell's seeded RNG: keys, values and probes draw from it.
+    pub rng: StdRng,
+    /// What the store should hold.
+    pub oracle: Oracle,
+    /// The Index-Version watch; empty until [`Script::checkpoint`].
+    pub iv: IvWatch,
+}
+
+impl Script {
+    /// Seeds the RNG and launches a chaos store with `sink` installed;
+    /// nothing is preloaded or checkpointed yet.
+    pub fn launch(seed: u64, sink: Sink) -> Result<Self, String> {
+        Ok(Script {
+            store: launch_store(sink)?,
+            rng: StdRng::seed_from_u64(seed),
+            oracle: Oracle::default(),
+            iv: IvWatch(Vec::new()),
+        })
+    }
+
+    /// The shared setup: launch, preload `keys` through a loader client,
+    /// close its open blocks, then [`checkpoint`](Self::checkpoint).
+    pub fn seeded(
+        seed: u64,
+        sink: Sink,
+        keys: impl IntoIterator<Item = Vec<u8>>,
+    ) -> Result<Self, String> {
+        let mut s = Self::launch(seed, sink)?;
+        let mut loader = s.store.client().ctx("loader")?;
+        preload(&mut loader, &mut s.oracle, &mut s.rng, keys)?;
+        loader.close_open_blocks().ctx("preload close")?;
+        s.checkpoint()?;
+        Ok(s)
+    }
+
+    /// Two checkpoint rounds between trace barriers (preload done,
+    /// checkpoints done), so every column has a restorable checkpoint and
+    /// a non-trivial Index Version to regress from; captures the watch.
+    pub fn checkpoint(&mut self) -> Result<(), String> {
+        self.store.cluster.trace_barrier();
+        for _ in 0..2 {
+            self.store.checkpoint_tick().ctx("ckpt")?;
+        }
+        self.store.cluster.trace_barrier();
+        self.iv = IvWatch::capture(&self.store);
+        Ok(())
+    }
+
+    /// §3.4's choreography: CN consistency for each of `crashed`, then MN
+    /// recovery of `col` if it is down.
+    pub fn recover(&self, crashed: &[u32], col: usize) -> Result<(), String> {
+        let dead = (!self.store.col_alive(col)).then_some(col);
+        self.store
+            .recover(crashed, dead.as_slice())
+            .ctx("recover")?;
+        Ok(())
+    }
+}
+
 /// Client tuning for the clients a fault may hit: they fail fast when a
 /// column dies so a blocked operation costs a cell milliseconds, not the
 /// production 10 s grace window. Budgets multiply — every commit retry
@@ -289,27 +354,6 @@ pub(crate) fn fail_fast() -> ClientTuning {
         max_retries: 40,
         index_wait_ms: 5,
         ..ClientTuning::default()
-    }
-}
-
-/// How a planned fault cuts an operation short.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Cut {
-    /// The client died mid-op (crash point or injected verb failure).
-    Crash,
-    /// A node the op needs is dead and nobody has recovered it yet: the
-    /// client is written off as crashed-while-blocked.
-    Blocked,
-}
-
-/// The [`Cut`] an error amounts to, if it is one a fault can cause.
-pub(crate) fn cut_of(e: &StoreError) -> Option<Cut> {
-    match e {
-        StoreError::Shutdown | StoreError::Rdma(RdmaError::Injected { .. }) => Some(Cut::Crash),
-        StoreError::Rdma(RdmaError::NodeUnreachable(_)) | StoreError::RetriesExhausted => {
-            Some(Cut::Blocked)
-        }
-        _ => None,
     }
 }
 

@@ -39,8 +39,8 @@
 //! replicated engines), and a populated space report.
 
 use crate::axis::{fail_fast, fmt_key, gen_value, key, launch_store, Axis, Ctx, Out, Sink};
-use crate::invariants::{oracle_agreement, preload, probe_liveness, Oracle};
-use aceso_core::{AcesoEngine, FtEngine, FtError};
+use crate::invariants::{oracle_agreement, preload, probe_liveness, Armed, Fold, Op, Oracle};
+use aceso_core::{AcesoEngine, FtEngine};
 use aceso_engines::{launch, EngineKind};
 use aceso_rdma::{FaultAction, FaultPlan, FaultRule};
 use rand::rngs::StdRng;
@@ -162,7 +162,139 @@ impl Axis for Backends {
     }
 
     fn run(cell: BackendCell, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
-        run(cell, seed, sink, out)
+        let mut rng = StdRng::seed_from_u64(seed);
+        let eng = launch_backend(cell.engine, sink)?;
+
+        // ---- Preload --------------------------------------------------------
+        let mut oracle = Oracle::default();
+        {
+            let mut loader = eng.client().ctx("loader")?;
+            let keys = (0..KEYS).map(|j| key("bk", j));
+            preload(loader.as_mut(), &mut oracle, &mut rng, keys)?;
+            loader.quiesce().ctx("preload quiesce")?;
+        }
+        for _ in 0..2 {
+            eng.tick().ctx("tick")?;
+        }
+        eng.cluster().trace_barrier();
+
+        // ---- Arm the fault and run the target op ----------------------------
+        let target = match cell.op {
+            BackendOp::Insert => b"bk-new".to_vec(),
+            _ => key("bk", rng.gen_range(0..KEYS)),
+        };
+        let home = eng.home_col(&target);
+        let victim_node = eng.node_of(home);
+
+        let mut victim = eng.client().ctx("victim")?;
+        let rule = match cell.fault {
+            BackendFault::CrashCn => FaultRule::new(FaultAction::Fail),
+            BackendFault::KillMn => FaultRule::new(FaultAction::KillNode).on_node(victim_node),
+        };
+        let plan = FaultPlan::with_rules(vec![rule.after(cell.skip)]);
+        victim.install_fault_plan(Arc::clone(&plan));
+
+        let val = gen_value(&mut rng, b'T');
+        let res = match cell.op {
+            BackendOp::Insert => victim.insert(&target, &val).map(|()| None),
+            BackendOp::Update => victim.update(&target, &val).map(|()| None),
+            BackendOp::Delete => victim.delete(&target).map(|existed| {
+                if !existed {
+                    let k = fmt_key(&target);
+                    out.violations
+                        .push(format!("delete of preloaded {k} found nothing"));
+                }
+                None
+            }),
+        };
+        out.facts.fired_at_verb = plan.fired_count() > 0;
+
+        // Under the MN kill the home node died under the op and nobody has
+        // recovered yet: written off as crashed-while-blocked.
+        let armed = match cell.fault {
+            BackendFault::CrashCn => Armed::Crash,
+            BackendFault::KillMn => Armed::Blocked,
+        };
+        let op = Op::Write((cell.op != BackendOp::Delete).then_some(val));
+        let fold = oracle.fold(&target, op, res, armed, &mut out.violations);
+        out.facts.written_off = matches!(fold, Fold::Cut(_));
+
+        // The skip can exceed the op's verb count to the victim node: fall
+        // back to a direct kill at the op boundary so the cell still tests
+        // column-loss recovery (now with no torn op).
+        if cell.fault == BackendFault::KillMn && eng.cluster().node(victim_node).is_ok() {
+            out.facts.fallback_kill = true;
+            if !eng.kill_column(home) {
+                out.violations.push(format!(
+                    "fallback kill of col {home} reported node already dead"
+                ));
+            }
+        }
+        let victim_id = victim.id();
+        drop(victim);
+        eng.cluster().trace_barrier();
+
+        // ---- Recovery -------------------------------------------------------
+        // Strategy-ordered, per the module docs: Aceso's CN consistency pass
+        // runs against the still-dead column; the replication engines
+        // reconcile after the rebuilt primary is back as agreement baseline.
+        // Each recovery stage is barrier-delimited: the real system quiesces
+        // between tiers, and the detector needs the handoff edge (the column
+        // copy is plain unpublished writes the next stage then reads).
+        let cn_first = cell.engine == EngineKind::Aceso;
+        if out.facts.written_off && cn_first {
+            eng.recover_client(victim_id).ctx("recover_client")?;
+            eng.cluster().trace_barrier();
+        }
+        for col in 0..eng.columns() {
+            if eng.cluster().node(eng.node_of(col)).is_err() {
+                let s = eng
+                    .recover_column(col)
+                    .ctx(&format!("recover_column {col}"))?;
+                out.facts.recovered_cols += 1;
+                out.facts.recovery_bytes += s.bytes;
+            }
+        }
+        if out.facts.recovered_cols > 0 {
+            eng.cluster().trace_barrier();
+        }
+        if out.facts.written_off && !cn_first {
+            eng.recover_client(victim_id).ctx("recover_client")?;
+        }
+        eng.cluster().trace_barrier();
+
+        // ---- Invariants -----------------------------------------------------
+        // No lost acks, no phantom key, no abandoned lock or wedged slot on
+        // the interrupted key.
+        let mut sweep = eng.client().ctx("sweep client")?;
+        let absent: [&[u8]; 2] = [&target, b"bk-phantom"];
+        oracle_agreement(sweep.as_mut(), &oracle, &absent, &mut out.violations);
+        probe_liveness(sweep.as_mut(), &target, &mut rng, &mut out.violations);
+
+        // The engine's own integrity check (parity scrub / replica
+        // agreement), after a quiesce so buffered client state is flushed.
+        sweep.quiesce().ctx("sweep quiesce")?;
+        drop(sweep);
+        eng.cluster().trace_barrier();
+        match eng.check() {
+            Ok(problems) => out.violations.extend(problems),
+            Err(e) => out.violations.push(format!("check: {e}")),
+        }
+
+        // Space accounting stays populated across the fault.
+        let sp = eng.space();
+        if sp.valid == 0 || sp.redundancy == 0 {
+            out.violations
+                .push(format!("space report degenerate after recovery: {sp:?}"));
+        }
+
+        // Accounting sanity on the injection machinery itself.
+        if out.facts.fired_at_verb && plan.fired().is_empty() {
+            out.violations.push("fired count and log disagree".into());
+        }
+
+        eng.shutdown();
+        Ok(())
     }
 
     fn summary(o: &[Out<Self>]) -> String {
@@ -197,165 +329,14 @@ impl Axis for Backends {
 /// uses; the replication engines fail fast by construction (verb errors
 /// propagate immediately).
 fn launch_backend(kind: EngineKind, sink: Sink) -> Result<Box<dyn FtEngine>, String> {
-    if kind == EngineKind::Aceso {
-        return Ok(Box::new(AcesoEngine::with_tuning(
-            launch_store(sink)?,
-            fail_fast(),
-        )));
-    }
-    let eng = launch(kind).ctx("launch")?;
+    let eng: Box<dyn FtEngine> = match kind {
+        EngineKind::Aceso => Box::new(AcesoEngine::with_tuning(launch_store(None)?, fail_fast())),
+        _ => launch(kind).ctx("launch")?,
+    };
     if let Some(s) = sink {
         eng.cluster().install_trace_sink(s);
     }
     Ok(eng)
-}
-
-fn run(cell: BackendCell, seed: u64, sink: Sink, out: &mut Out<Backends>) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let eng = launch_backend(cell.engine, sink)?;
-
-    // ---- Preload ---------------------------------------------------------
-    let mut oracle = Oracle::default();
-    {
-        let mut loader = eng.client().ctx("loader")?;
-        let keys = (0..KEYS).map(|j| key("bk", j));
-        preload(&mut loader, &mut oracle, &mut rng, keys)?;
-        loader.quiesce().ctx("preload quiesce")?;
-    }
-    for _ in 0..2 {
-        eng.tick().ctx("tick")?;
-    }
-    eng.cluster().trace_barrier();
-
-    // ---- Arm the fault and run the target op -----------------------------
-    let target = match cell.op {
-        BackendOp::Insert => b"bk-new".to_vec(),
-        _ => key("bk", rng.gen_range(0..KEYS)),
-    };
-    let home = eng.home_col(&target);
-    let victim_node = eng.node_of(home);
-
-    let mut victim = eng.client().ctx("victim")?;
-    let rule = match cell.fault {
-        BackendFault::CrashCn => FaultRule::new(FaultAction::Fail),
-        BackendFault::KillMn => FaultRule::new(FaultAction::KillNode).on_node(victim_node),
-    };
-    let plan = FaultPlan::with_rules(vec![rule.after(cell.skip)]);
-    victim.install_fault_plan(Arc::clone(&plan));
-
-    let val = gen_value(&mut rng, b'T');
-    let (res, intended) = match cell.op {
-        BackendOp::Insert => (victim.insert(&target, &val), Some(val)),
-        BackendOp::Update => (victim.update(&target, &val), Some(val)),
-        BackendOp::Delete => {
-            let res = victim.delete(&target).map(|existed| {
-                if !existed {
-                    out.violations.push(format!(
-                        "delete of preloaded {} found nothing",
-                        fmt_key(&target)
-                    ));
-                }
-            });
-            (res, None)
-        }
-    };
-    out.facts.fired_at_verb = plan.fired_count() > 0;
-
-    match (res, cell.fault) {
-        (Ok(()), _) => oracle.commit(&target, intended),
-        // Under the MN kill the home node died under the op and nobody
-        // has recovered yet: written off as crashed-while-blocked.
-        (Err(FtError::Crashed(_)), BackendFault::CrashCn)
-        | (Err(FtError::Unreachable(_)), BackendFault::KillMn) => {
-            oracle.interrupt(&target, intended);
-            out.facts.written_off = true;
-        }
-        (Err(e), _) => out.violations.push(format!(
-            "target op on {}: unexpected error: {e}",
-            fmt_key(&target)
-        )),
-    }
-
-    // The skip can exceed the op's verb count to the victim node: fall
-    // back to a direct kill at the op boundary so the cell still tests
-    // column-loss recovery (now with no torn op).
-    if cell.fault == BackendFault::KillMn && eng.cluster().node(victim_node).is_ok() {
-        out.facts.fallback_kill = true;
-        if !eng.kill_column(home) {
-            out.violations.push(format!(
-                "fallback kill of col {home} reported node already dead"
-            ));
-        }
-    }
-    let victim_id = victim.id();
-    drop(victim);
-    eng.cluster().trace_barrier();
-
-    // ---- Recovery --------------------------------------------------------
-    // Strategy-ordered, per the module docs: Aceso's CN consistency pass
-    // runs against the still-dead column; the replication engines
-    // reconcile after the rebuilt primary is back as agreement baseline.
-    // Each recovery stage is barrier-delimited: the real system quiesces
-    // between tiers, and the detector needs the handoff edge (the column
-    // copy is plain unpublished writes the next stage then reads).
-    let cn_first = cell.engine == EngineKind::Aceso;
-    if out.facts.written_off && cn_first {
-        eng.recover_client(victim_id).ctx("recover_client")?;
-        eng.cluster().trace_barrier();
-    }
-    for col in 0..eng.columns() {
-        if eng.cluster().node(eng.node_of(col)).is_err() {
-            let s = eng
-                .recover_column(col)
-                .ctx(&format!("recover_column {col}"))?;
-            out.facts.recovered_cols += 1;
-            out.facts.recovery_bytes += s.bytes;
-        }
-    }
-    if out.facts.recovered_cols > 0 {
-        eng.cluster().trace_barrier();
-    }
-    if out.facts.written_off && !cn_first {
-        eng.recover_client(victim_id).ctx("recover_client")?;
-    }
-    eng.cluster().trace_barrier();
-
-    // ---- Invariants ------------------------------------------------------
-    // No lost acks, no phantom key, no abandoned lock or wedged slot on
-    // the interrupted key.
-    let mut sweep = eng.client().ctx("sweep client")?;
-    oracle_agreement(
-        &mut sweep,
-        &oracle,
-        &[&target, b"bk-phantom"],
-        &mut out.violations,
-    );
-    probe_liveness(&mut sweep, &target, &mut rng, &mut out.violations);
-
-    // The engine's own integrity check (parity scrub / replica
-    // agreement), after a quiesce so buffered client state is flushed.
-    sweep.quiesce().ctx("sweep quiesce")?;
-    drop(sweep);
-    eng.cluster().trace_barrier();
-    match eng.check() {
-        Ok(problems) => out.violations.extend(problems),
-        Err(e) => out.violations.push(format!("check: {e}")),
-    }
-
-    // Space accounting stays populated across the fault.
-    let sp = eng.space();
-    if sp.valid == 0 || sp.redundancy == 0 {
-        out.violations
-            .push(format!("space report degenerate after recovery: {sp:?}"));
-    }
-
-    // Accounting sanity on the injection machinery itself.
-    if out.facts.fired_at_verb && plan.fired().is_empty() {
-        out.violations.push("fired count and log disagree".into());
-    }
-
-    eng.shutdown();
-    Ok(())
 }
 
 #[cfg(test)]

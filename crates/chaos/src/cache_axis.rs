@@ -19,7 +19,7 @@
 //!   [`CrashPoint::BeforeCommit`] mid-mutation and CN recovery repairs
 //!   its in-flight op.
 //!
-//! Post-conditions are [`crate::invariants::judge_store`] (with an
+//! Post-conditions are [`crate::axis::Script::judge`] (with an
 //! ambiguity window on the interrupted key) plus the axis-defining one:
 //!
 //! * **No stale read after recovery** — a *second* client whose cache
@@ -29,16 +29,13 @@
 //!   return exactly the oracle value (the entry must revalidate or
 //!   invalidate, never serve the pre-recovery image).
 
-use crate::axis::{
-    cut_of, fail_fast, fmt_key, gen_value, key, launch_store, Axis, Ctx, Cut, Out, Sink,
-};
-use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
+use crate::axis::{fail_fast, gen_value, key, Axis, Ctx, Out, Script, Sink};
+use crate::invariants::{Armed, Fold, Op};
 use aceso_core::client::CrashPoint;
-use aceso_core::StoreError;
 use aceso_index::route_hash;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::fmt;
+use std::sync::Arc;
 
 /// Preloaded keys (every one cached by both clients before the kill).
 const KEYS: usize = 24;
@@ -127,7 +124,99 @@ impl Axis for Cache {
     }
 
     fn run(cell: CacheCell, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
-        run(cell, seed, sink, out)
+        let keys: Vec<Vec<u8>> = (0..KEYS).map(|j| key("ck", j)).collect();
+        let mut s = Script::seeded(seed, sink, keys.iter().cloned())?;
+        let store = Arc::clone(&s.store);
+
+        // ---- Cache fill -----------------------------------------------------
+        // Two hot-cache clients. `victim` runs the op through its stale entry;
+        // `sweeper` stays idle across the kill and performs the no-stale-read
+        // sweep after recovery.
+        let mut victim = store.client_with(fail_fast()).ctx("victim client")?;
+        let mut sweeper = store.client_with(fail_fast()).ctx("sweeper client")?;
+        for k in &keys {
+            for (who, cli) in [("victim", &mut victim), ("sweeper", &mut sweeper)] {
+                let complaint = format!("{who} fill mismatch");
+                let (read, res) = (Op::Read(&complaint), cli.search(k));
+                s.oracle
+                    .fold(k, read, res, Armed::Nothing, &mut out.violations);
+            }
+        }
+        out.facts.warm_entries = sweeper.cache_len();
+        if out.facts.warm_entries == 0 {
+            out.violations.push("sweeper cache never filled".into());
+        }
+
+        // The target key's index column is the MN victim, so both clients
+        // hold a cached slot address that dies under them.
+        let target = keys[s.rng.gen_range(0..KEYS)].clone();
+        let col = (route_hash(&target) % store.cfg.num_mns as u64) as usize;
+        out.facts.col = col;
+
+        // ---- Kill between fill and use --------------------------------------
+        store.cluster.trace_barrier();
+        // Under the MN kill the victim dies under the op and nobody has
+        // recovered yet: written off as crashed-while-blocked, like the matrix.
+        let armed = match cell.kill {
+            CacheKill::Mn => {
+                if !store.kill_mn(col) {
+                    out.violations
+                        .push(format!("kill of col {col} found it already dead"));
+                }
+                Armed::Blocked
+            }
+            CacheKill::Cn => {
+                victim.crash_point = Some(CrashPoint::BeforeCommit);
+                Armed::Crash
+            }
+        };
+        store.cluster.trace_barrier();
+
+        // ---- The op through the stale entry ---------------------------------
+        let (res, op) = match cell.op {
+            // A successful read against the dead column (degraded path) must
+            // already be stale-free.
+            CacheOp::Search => (victim.search(&target), Op::Read("degraded search mismatch")),
+            CacheOp::Update => {
+                let v = gen_value(&mut s.rng, b'U');
+                (
+                    victim.update(&target, &v).map(|()| None),
+                    Op::Write(Some(v)),
+                )
+            }
+            CacheOp::Delete => (victim.delete(&target).map(|_| None), Op::Write(None)),
+        };
+        let fold = s.oracle.fold(&target, op, res, armed, &mut out.violations);
+        out.facts.interrupted = matches!(fold, Fold::Cut(_));
+        if fold == Fold::Done && cell.kill == CacheKill::Cn {
+            out.violations.push("CN crash point never fired".into());
+        }
+        let crashed = out.facts.interrupted.then_some(victim.id());
+        drop(victim);
+
+        // ---- Tiered recovery ------------------------------------------------
+        s.recover(crashed.as_slice(), col)?;
+
+        // ---- No stale read after recovery -----------------------------------
+        // The axis-defining check: the sweeper's cache was filled before the
+        // kill and is consulted for the first time now. Every entry on the
+        // recovered column points at pre-recovery memory; each read must
+        // revalidate or invalidate it — never serve the old image. A read of
+        // the interrupted key pins its collapsed state for the checks below.
+        for k in &keys {
+            let (read, res) = (Op::Read("stale read after recovery"), sweeper.search(k));
+            s.oracle
+                .fold(k, read, res, Armed::Nothing, &mut out.violations);
+        }
+        if sweeper.cache_len() == 0 {
+            out.violations
+                .push("sweeper cache empty after the sweep (caching disabled?)".into());
+        }
+
+        // ---- Matrix invariants (the cold-cache sweep double-checks the hot one)
+        let probes = Vec::from_iter(out.facts.interrupted.then(|| target.clone()));
+        s.judge(&[&target], &probes, &mut out.violations)?;
+        Ok(())
     }
 
     fn summary(o: &[Out<Self>]) -> String {
@@ -141,155 +230,6 @@ impl Axis for Cache {
     fn traced_note(out: &Out<Self>) -> String {
         format!("{} warm entries at kill, ", out.facts.warm_entries)
     }
-}
-
-fn run(cell: CacheCell, seed: u64, sink: Sink, out: &mut Out<Cache>) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let store = launch_store(sink)?;
-
-    // ---- Preload ---------------------------------------------------------
-    let keys: Vec<Vec<u8>> = (0..KEYS).map(|j| key("ck", j)).collect();
-    let mut oracle = Oracle::default();
-    {
-        let mut loader = store.client().ctx("loader")?;
-        preload(&mut loader, &mut oracle, &mut rng, keys.iter().cloned())?;
-        loader.close_open_blocks().ctx("preload close")?;
-    }
-    let iv = checkpoint_twice(&store)?;
-
-    // ---- Cache fill ------------------------------------------------------
-    // Two hot-cache clients. `victim` runs the op through its stale entry;
-    // `sweeper` stays idle across the kill and performs the no-stale-read
-    // sweep after recovery.
-    let mut victim = store.client_with(fail_fast()).ctx("victim client")?;
-    let mut sweeper = store.client_with(fail_fast()).ctx("sweeper client")?;
-    for k in &keys {
-        for (who, cli) in [("victim", &mut victim), ("sweeper", &mut sweeper)] {
-            match cli.search(k) {
-                Ok(got) => {
-                    oracle.observe(k, got, &format!("{who} fill mismatch"), &mut out.violations)
-                }
-                Err(e) => out
-                    .violations
-                    .push(format!("{who} fill search({}): {e}", fmt_key(k))),
-            }
-        }
-    }
-    out.facts.warm_entries = sweeper.cache_len();
-    if out.facts.warm_entries == 0 {
-        out.violations.push("sweeper cache never filled".into());
-    }
-
-    // The target key's index column is the MN victim, so both clients
-    // hold a cached slot address that dies under them.
-    let target = keys[rng.gen_range(0..KEYS)].clone();
-    let col = (route_hash(&target) % store.cfg.num_mns as u64) as usize;
-    out.facts.col = col;
-
-    // ---- Kill between fill and use ---------------------------------------
-    store.cluster.trace_barrier();
-    let expected = match cell.kill {
-        CacheKill::Mn => {
-            if !store.kill_mn(col) {
-                out.violations
-                    .push(format!("kill of col {col} found it already dead"));
-            }
-            Cut::Blocked
-        }
-        CacheKill::Cn => {
-            victim.crash_point = Some(CrashPoint::BeforeCommit);
-            Cut::Crash
-        }
-    };
-    store.cluster.trace_barrier();
-
-    // ---- The op through the stale entry ----------------------------------
-    let (res, intended): (Result<(), StoreError>, _) = match cell.op {
-        // A successful read against the dead column (degraded path) must
-        // already be stale-free.
-        CacheOp::Search => {
-            let res = victim.search(&target).map(|got| {
-                oracle.observe(
-                    &target,
-                    got,
-                    "degraded search mismatch",
-                    &mut out.violations,
-                );
-            });
-            (res, oracle.get(&target))
-        }
-        CacheOp::Update => {
-            let v = gen_value(&mut rng, b'U');
-            (victim.update(&target, &v), Some(v))
-        }
-        CacheOp::Delete => (victim.delete(&target).map(|_| ()), None),
-    };
-    match res {
-        Ok(()) => {
-            oracle.commit(&target, intended);
-            if cell.kill == CacheKill::Cn {
-                out.violations.push("CN crash point never fired".into());
-            }
-        }
-        // Under the MN kill the victim died under the op and nobody has
-        // recovered yet: written off as crashed-while-blocked, like the
-        // matrix does.
-        Err(e) if cut_of(&e) == Some(expected) => {
-            out.facts.interrupted = true;
-            oracle.interrupt(&target, intended);
-        }
-        Err(e) => out.violations.push(format!(
-            "op {:?} on {}: unexpected error: {e}",
-            cell.op,
-            fmt_key(&target)
-        )),
-    }
-    let victim_id = victim.id();
-    drop(victim);
-
-    // ---- Tiered recovery -------------------------------------------------
-    let crashed = out.facts.interrupted.then_some(victim_id);
-    let dead = (!store.col_alive(col)).then_some(col);
-    store
-        .recover(crashed.as_slice(), dead.as_slice())
-        .ctx("recover")?;
-
-    // ---- No stale read after recovery ------------------------------------
-    // The axis-defining check: the sweeper's cache was filled before the
-    // kill and is consulted for the first time now. Every entry on the
-    // recovered column points at pre-recovery memory; each read must
-    // revalidate or invalidate it — never serve the old image. A read of
-    // the interrupted key pins its collapsed state for the checks below.
-    for k in &keys {
-        match sweeper.search(k) {
-            Ok(got) => oracle.observe(k, got, "stale read after recovery", &mut out.violations),
-            Err(e) => out
-                .violations
-                .push(format!("post-recovery search {}: {e}", fmt_key(k))),
-        }
-    }
-    if sweeper.cache_len() == 0 {
-        out.violations
-            .push("sweeper cache empty after the sweep (caching disabled?)".into());
-    }
-
-    // ---- Matrix invariants (the cold-cache sweep double-checks the hot one)
-    let probes = if out.facts.interrupted {
-        vec![target.clone()]
-    } else {
-        Vec::new()
-    };
-    judge_store(
-        &store,
-        &oracle,
-        &[&target],
-        &probes,
-        &iv,
-        &mut rng,
-        &mut out.violations,
-    )?;
-    store.shutdown();
-    Ok(())
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 //! does not (a stale snapshot never writes the join target before its
 //! first fence bounce; nothing addresses a retired source post-publish).
 //!
-//! Post-conditions are [`crate::invariants::judge_store`] (with per-key
+//! Post-conditions are [`crate::axis::Script::judge`] (with per-key
 //! ambiguity windows, through a *fresh* client whose snapshot excludes
 //! retired nodes) plus two elastic ones:
 //!
@@ -43,15 +43,12 @@
 //!    serves one, and the fresh client's oracle sweep still reads
 //!    everything.
 
-use crate::axis::{
-    cut_of, fail_fast, fmt_key, gen_value, key, launch_store, Axis, Ctx, Cut, Out, Sink,
-};
-use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
+use crate::axis::{fail_fast, gen_value, key, Axis, Ctx, Out, Script, Sink};
+use crate::invariants::{Armed, Fold, Op};
 use aceso_core::client::CrashPoint;
 use aceso_core::{AcesoClient, ElasticStep};
 use aceso_rdma::{FaultAction, FaultPlan, FaultRule};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::fmt;
 use std::sync::Arc;
 
@@ -180,8 +177,202 @@ impl Axis for Elastic {
         ]
     }
 
+    #[allow(clippy::too_many_lines)]
     fn run(cell: ElasticCell, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
-        run(cell, seed, sink, out)
+        // The setup closes (= erasure-codes) the open blocks, so the copy
+        // batches and the parity re-encode have coded stripes to move.
+        let mut s = Script::seeded(seed, sink, (0..KEYS).map(|j| key("ek", j)))?;
+        let store = Arc::clone(&s.store);
+        let n = store.cfg.num_mns;
+
+        // ---- Start the migration --------------------------------------------
+        let col = s.rng.gen_range(0..n);
+        out.facts.col = col;
+        let mut mig = match cell.kill {
+            ElasticKill::DrainMn => store.begin_drain(col),
+            _ => store.begin_join(col),
+        }
+        .ctx("begin migration")?;
+        let from = mig.from_node();
+
+        // The client predates the announce, so it carries a pre-migration
+        // placement snapshot into the first windows (the stale-client path).
+        let mut client = store.client_with(fail_fast()).ctx("client")?;
+
+        let mut plan: Option<Arc<FaultPlan>> = None;
+        let mut victim = from;
+        let mut prev_epoch = store.placement().epoch();
+        let mut handled = false;
+        let mut copy_seen = false;
+
+        loop {
+            let step = match mig.step() {
+                Ok(s) => s,
+                Err(e) => {
+                    out.violations.push(format!("migrator step failed: {e}"));
+                    break;
+                }
+            };
+            if step == ElasticStep::Done {
+                break;
+            }
+
+            // Elastic invariant 1 (during): the placement epoch strictly
+            // advances at every migrator step.
+            let epoch = store.placement().epoch();
+            if epoch <= prev_epoch {
+                out.violations.push(format!(
+                    "placement epoch not monotone at {step}: {prev_epoch} -> {epoch}"
+                ));
+            }
+            prev_epoch = epoch;
+            out.facts.epochs.push(epoch);
+
+            // The MN kill is armed right after the announce (the join target's
+            // id exists from here on), phase-gated to the chosen boundary.
+            if step == ElasticStep::Announce && cell.kill != ElasticKill::Cn {
+                if cell.kill == ElasticKill::JoinMn {
+                    victim = mig.to_node().expect("announced");
+                }
+                let p = FaultPlan::with_rules(vec![FaultRule::new(FaultAction::KillNode)
+                    .on_node(victim)
+                    .in_phase(cell.boundary as u32)]);
+                client.dm.install_fault_plan(Arc::clone(&p));
+                plan = Some(p);
+            }
+            let window = ElasticBoundary::of(step);
+            if let Some(p) = &plan {
+                p.set_phase(window as u32);
+            }
+
+            // The kill lands in the first window of its boundary (for Copy:
+            // after the first batch, with groups split between the sides).
+            let first_of_window = window != ElasticBoundary::Copy || !copy_seen;
+            copy_seen |= window == ElasticBoundary::Copy;
+            let at_kill = !handled && window == cell.boundary && first_of_window;
+            let armed = match (at_kill, cell.kill) {
+                (false, _) => Armed::Nothing,
+                (true, ElasticKill::Cn) => Armed::Crash,
+                (true, _) => Armed::Blocked,
+            };
+            if armed == Armed::Crash {
+                client.crash_point = Some(CrashPoint::BeforeCommit);
+            }
+
+            let interrupted = run_window(&mut client, &mut s, out, armed);
+
+            if !at_kill {
+                continue;
+            }
+            handled = true;
+            if cell.kill == ElasticKill::Cn {
+                if !interrupted {
+                    out.violations.push("CN crash point never fired".into());
+                }
+            } else {
+                out.facts.kill_fired_at_verb = plan
+                    .as_ref()
+                    .is_some_and(|p| p.fired().iter().any(|f| f.action == FaultAction::KillNode));
+                // Post-publish the source holds nothing: a traffic verb
+                // addressed to it means a client resolved through a retired
+                // column.
+                let retired_source = cell.kill == ElasticKill::DrainMn
+                    && matches!(
+                        cell.boundary,
+                        ElasticBoundary::Publish | ElasticBoundary::Free
+                    );
+                if retired_source && out.facts.kill_fired_at_verb {
+                    out.violations
+                        .push("client verb reached the retired source post-publish".into());
+                }
+                if !out.facts.kill_fired_at_verb {
+                    // The client never addressed the victim in this window
+                    // (stale snapshot, or a retired source): kill directly at
+                    // the boundary. Killing through the directory keeps the
+                    // server's liveness flag in sync when the victim is the
+                    // column's serving node.
+                    let was_alive = if store.directory().node_of(col) == victim {
+                        store.kill_mn(col)
+                    } else {
+                        store.cluster.kill_node(victim)
+                    };
+                    // Only an already-drained source may ignore the kill.
+                    let drained_source =
+                        cell.kill == ElasticKill::DrainMn && cell.boundary == ElasticBoundary::Free;
+                    if !(was_alive || drained_source) {
+                        out.violations
+                            .push(format!("kill of {victim:?} reported node already dead"));
+                    }
+                }
+                // Pre-publish: abort first (placement reverts to the
+                // directory, the half-filled target retires, the fences drop)
+                // so CN repair does not dual-write into a dead mirror.
+                if !mig.published() {
+                    mig.abort();
+                    out.facts.aborted = true;
+                }
+            }
+            // ---- Tiered response: CN consistency, then MN recovery. A CN
+            // crash is repaired with the migration (and its dual-write
+            // mirror) still in flight.
+            s.recover(interrupted.then_some(client.id()).as_slice(), col)?;
+            client = store.client_with(fail_fast()).ctx("post-fault client")?;
+        }
+
+        // ---- Post-fault liveness --------------------------------------------
+        // One quiet window after the migration completed (or aborted): every
+        // op must succeed against the settled membership.
+        run_window(&mut client, &mut s, out, Armed::Nothing);
+        drop(client);
+        store.cluster.trace_barrier();
+
+        if out.facts.committed_ops == 0 {
+            out.violations
+                .push("no client op committed during the migration".into());
+        }
+
+        // ---- Invariants -----------------------------------------------------
+        // Elastic invariant 1 (after): no epoch regression across recovery.
+        let final_epoch = store.placement().epoch();
+        if final_epoch < prev_epoch {
+            out.violations.push(format!(
+                "placement epoch regressed after recovery: {prev_epoch} -> {final_epoch}"
+            ));
+        }
+
+        // Elastic invariant 2: every retired node is dead, no directory entry
+        // serves one, and the migration closed.
+        let snap = store.placement().snapshot();
+        if snap.migration.is_some() {
+            out.violations
+                .push("migration left open on the placement map".into());
+        }
+        for &r in &snap.retired {
+            if store.cluster.node(r).is_ok() {
+                out.violations
+                    .push(format!("retired node {r:?} still alive"));
+            }
+            for c in (0..n).filter(|&c| store.directory().node_of(c) == r) {
+                out.violations
+                    .push(format!("directory serves col {c} from retired node {r:?}"));
+            }
+        }
+        if out.facts.aborted {
+            if snap.retired.contains(&from) {
+                out.violations
+                    .push("aborted migration retired its source".into());
+            }
+        } else if !snap.retired.contains(&from) {
+            out.violations
+                .push("completed migration did not retire its source".into());
+        }
+
+        // The fresh client's oracle sweep doubles as the readability half of
+        // elastic invariant 2: a KV whose only copy sat on a retired column
+        // cannot read back.
+        let probes: Vec<Vec<u8>> = s.oracle.windows.keys().cloned().collect();
+        s.judge(&[], &probes, &mut out.violations)?;
+        Ok(())
     }
 
     fn summary(o: &[Out<Self>]) -> String {
@@ -198,283 +389,34 @@ impl Axis for Elastic {
     }
 }
 
-/// Shared traffic bookkeeping across the boundary windows.
-#[derive(Default)]
-struct Live {
-    /// Predicted store state, with a window per interrupted op.
-    oracle: Oracle,
-    /// Ops that committed while the migration was in flight.
-    committed: usize,
-}
-
 /// One traffic window: `OPS_PER_WINDOW` updates/searches against the
-/// preloaded keys. `armed` is the cut the window's fault (if any) may
-/// cause; returns `true` when it did (the caller writes the client off).
+/// preloaded keys, each that completes counted in `committed_ops`. `armed`
+/// is the cut the window's fault (if any) may cause; returns `true` when
+/// it did (the caller writes the client off).
 fn run_window(
     client: &mut AcesoClient,
-    rng: &mut StdRng,
-    live: &mut Live,
-    violations: &mut Vec<String>,
-    armed: Option<Cut>,
+    s: &mut Script,
+    out: &mut Out<Elastic>,
+    armed: Armed,
 ) -> bool {
     for opno in 0..OPS_PER_WINDOW {
-        let key = key("ek", rng.gen_range(0..KEYS));
+        let key = key("ek", s.rng.gen_range(0..KEYS));
         // Mutation-heavy mix: reads every third op exercise the
         // mid-migration (possibly degraded/mirrored) read path, and pin
         // the state of a key an earlier interrupted op left ambiguous.
-        let write = (opno % 3 != 2).then(|| gen_value(rng, b'T'));
+        let write = (opno % 3 != 2).then(|| gen_value(&mut s.rng, b'T'));
         let res = match &write {
-            Some(val) => client.update(&key, val),
-            None => client.search(&key).map(|got| {
-                live.oracle
-                    .observe(&key, got, "search mismatch", violations)
-            }),
+            Some(val) => client.update(&key, val).map(|()| None),
+            None => client.search(&key),
         };
-        match res {
-            Ok(()) => {
-                if write.is_some() {
-                    live.oracle.commit(&key, write);
-                }
-                live.committed += 1;
-            }
-            Err(e) if armed.is_some() && cut_of(&e) == armed => {
-                let intended = write.or_else(|| live.oracle.get(&key));
-                live.oracle.interrupt(&key, intended);
-                return true;
-            }
-            Err(e) => {
-                violations.push(format!(
-                    "op {opno} on {}: unexpected error: {e}",
-                    fmt_key(&key)
-                ));
-                return false;
-            }
+        let op = write.map_or(Op::Read("search mismatch"), |v| Op::Write(Some(v)));
+        match s.oracle.fold(&key, op, res, armed, &mut out.violations) {
+            Fold::Done => out.facts.committed_ops += 1,
+            Fold::Cut(_) => return true,
+            Fold::Unexpected => return false,
         }
     }
     false
-}
-
-#[allow(clippy::too_many_lines)]
-fn run(cell: ElasticCell, seed: u64, sink: Sink, out: &mut Out<Elastic>) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let store = launch_store(sink)?;
-    let n = store.cfg.num_mns;
-
-    // ---- Preload ---------------------------------------------------------
-    let mut live = Live::default();
-    {
-        let mut loader = store.client().ctx("loader")?;
-        let keys = (0..KEYS).map(|j| key("ek", j));
-        preload(&mut loader, &mut live.oracle, &mut rng, keys)?;
-        // Close (= erasure-code) the open blocks so the copy batches and
-        // the parity re-encode have coded stripes to move.
-        loader.close_open_blocks().ctx("preload close")?;
-    }
-    let iv = checkpoint_twice(&store)?;
-
-    // ---- Start the migration ---------------------------------------------
-    let col = rng.gen_range(0..n);
-    out.facts.col = col;
-    let mut mig = match cell.kill {
-        ElasticKill::DrainMn => store.begin_drain(col),
-        _ => store.begin_join(col),
-    }
-    .ctx("begin migration")?;
-    let from = mig.from_node();
-
-    // The client predates the announce, so it carries a pre-migration
-    // placement snapshot into the first windows (the stale-client path).
-    let mut client = store.client_with(fail_fast()).ctx("client")?;
-
-    let mut plan: Option<Arc<FaultPlan>> = None;
-    let mut victim = from;
-    let mut prev_epoch = store.placement().epoch();
-    let mut handled = false;
-    let mut copy_seen = false;
-
-    loop {
-        let step = match mig.step() {
-            Ok(s) => s,
-            Err(e) => {
-                out.violations.push(format!("migrator step failed: {e}"));
-                break;
-            }
-        };
-        if step == ElasticStep::Done {
-            break;
-        }
-
-        // Elastic invariant 1 (during): the placement epoch strictly
-        // advances at every migrator step.
-        let epoch = store.placement().epoch();
-        if epoch <= prev_epoch {
-            out.violations.push(format!(
-                "placement epoch not monotone at {step}: {prev_epoch} -> {epoch}"
-            ));
-        }
-        prev_epoch = epoch;
-        out.facts.epochs.push(epoch);
-
-        // The MN kill is armed right after the announce (the join target's
-        // id exists from here on), phase-gated to the chosen boundary.
-        if step == ElasticStep::Announce && cell.kill != ElasticKill::Cn {
-            if cell.kill == ElasticKill::JoinMn {
-                victim = mig.to_node().expect("announced");
-            }
-            let p = FaultPlan::with_rules(vec![FaultRule::new(FaultAction::KillNode)
-                .on_node(victim)
-                .in_phase(cell.boundary as u32)]);
-            client.dm.install_fault_plan(Arc::clone(&p));
-            plan = Some(p);
-        }
-        let window = ElasticBoundary::of(step);
-        if let Some(p) = &plan {
-            p.set_phase(window as u32);
-        }
-
-        // The kill lands in the first window of its boundary (for Copy:
-        // after the first batch, with groups split between the sides).
-        let first_of_window = window != ElasticBoundary::Copy || !copy_seen;
-        copy_seen |= window == ElasticBoundary::Copy;
-        let at_kill = !handled && window == cell.boundary && first_of_window;
-        let armed = match (at_kill, cell.kill) {
-            (false, _) => None,
-            (true, ElasticKill::Cn) => Some(Cut::Crash),
-            (true, _) => Some(Cut::Blocked),
-        };
-        if armed == Some(Cut::Crash) {
-            client.crash_point = Some(CrashPoint::BeforeCommit);
-        }
-
-        let interrupted = run_window(&mut client, &mut rng, &mut live, &mut out.violations, armed);
-
-        if !at_kill {
-            continue;
-        }
-        handled = true;
-        if cell.kill == ElasticKill::Cn {
-            if !interrupted {
-                out.violations.push("CN crash point never fired".into());
-            }
-        } else {
-            out.facts.kill_fired_at_verb = plan
-                .as_ref()
-                .is_some_and(|p| p.fired().iter().any(|f| f.action == FaultAction::KillNode));
-            // Post-publish the source holds nothing: a traffic verb
-            // addressed to it means a client resolved through a retired
-            // column.
-            let retired_source = cell.kill == ElasticKill::DrainMn
-                && matches!(
-                    cell.boundary,
-                    ElasticBoundary::Publish | ElasticBoundary::Free
-                );
-            if retired_source && out.facts.kill_fired_at_verb {
-                out.violations
-                    .push("client verb reached the retired source post-publish".into());
-            }
-            if !out.facts.kill_fired_at_verb {
-                // The client never addressed the victim in this window
-                // (stale snapshot, or a retired source): kill directly at
-                // the boundary. Killing through the directory keeps the
-                // server's liveness flag in sync when the victim is the
-                // column's serving node.
-                let was_alive = if store.directory().node_of(col) == victim {
-                    store.kill_mn(col)
-                } else {
-                    store.cluster.kill_node(victim)
-                };
-                // Only an already-drained source may ignore the kill.
-                let drained_source =
-                    cell.kill == ElasticKill::DrainMn && cell.boundary == ElasticBoundary::Free;
-                if !(was_alive || drained_source) {
-                    out.violations
-                        .push(format!("kill of {victim:?} reported node already dead"));
-                }
-            }
-            // Pre-publish: abort first (placement reverts to the
-            // directory, the half-filled target retires, the fences drop)
-            // so CN repair does not dual-write into a dead mirror.
-            if !mig.published() {
-                mig.abort();
-                out.facts.aborted = true;
-            }
-        }
-        // ---- Tiered response: CN consistency, then MN recovery. A CN
-        // crash is repaired with the migration (and its dual-write
-        // mirror) still in flight.
-        let crashed = interrupted.then_some(client.id());
-        let dead = (!store.col_alive(col)).then_some(col);
-        store
-            .recover(crashed.as_slice(), dead.as_slice())
-            .ctx("recover")?;
-        client = store.client_with(fail_fast()).ctx("post-fault client")?;
-    }
-
-    // ---- Post-fault liveness ---------------------------------------------
-    // One quiet window after the migration completed (or aborted): every
-    // op must succeed against the settled membership.
-    run_window(&mut client, &mut rng, &mut live, &mut out.violations, None);
-    drop(client);
-    store.cluster.trace_barrier();
-
-    out.facts.committed_ops = live.committed;
-    if live.committed == 0 {
-        out.violations
-            .push("no client op committed during the migration".into());
-    }
-
-    // ---- Invariants ------------------------------------------------------
-    // The fresh client's oracle sweep doubles as the readability half of
-    // elastic invariant 2: a KV whose only copy sat on a retired column
-    // cannot read back.
-    let probes: Vec<Vec<u8>> = live.oracle.windows.keys().cloned().collect();
-    judge_store(
-        &store,
-        &live.oracle,
-        &[],
-        &probes,
-        &iv,
-        &mut rng,
-        &mut out.violations,
-    )?;
-
-    // Elastic invariant 1 (after): no epoch regression across recovery.
-    let final_epoch = store.placement().epoch();
-    if final_epoch < prev_epoch {
-        out.violations.push(format!(
-            "placement epoch regressed after recovery: {prev_epoch} -> {final_epoch}"
-        ));
-    }
-
-    // Elastic invariant 2: every retired node is dead, no directory entry
-    // serves one, and the migration closed.
-    let snap = store.placement().snapshot();
-    if snap.migration.is_some() {
-        out.violations
-            .push("migration left open on the placement map".into());
-    }
-    for &r in &snap.retired {
-        if store.cluster.node(r).is_ok() {
-            out.violations
-                .push(format!("retired node {r:?} still alive"));
-        }
-        for c in (0..n).filter(|&c| store.directory().node_of(c) == r) {
-            out.violations
-                .push(format!("directory serves col {c} from retired node {r:?}"));
-        }
-    }
-    if out.facts.aborted {
-        if snap.retired.contains(&from) {
-            out.violations
-                .push("aborted migration retired its source".into());
-        }
-    } else if !snap.retired.contains(&from) {
-        out.violations
-            .push("completed migration did not retire its source".into());
-    }
-
-    store.shutdown();
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,23 +1,22 @@
 //! The named invariant library: what "the store survived" means, written
 //! once and judged identically by every axis.
 //!
-//! [`INVARIANT_CLASSES`] names the five invariants; [`judge_store`] checks
-//! all of them against a settled Aceso store. Engines behind the
+//! [`INVARIANT_CLASSES`] names the five invariants; [`Script::judge`]
+//! checks all of them against a settled Aceso store. Engines behind the
 //! [`aceso_core::FtEngine`] seam are judged through the same
-//! [`oracle_agreement`] and [`probe_liveness`] (the [`Kv`] trait erases the
-//! client type) plus their own `check()`. The violation strings are part
-//! of the interface: reports, DESIGN.md and the negative tests in
-//! `tests/invariants.rs` quote them.
+//! [`oracle_agreement`] and [`probe_liveness`] (both take any
+//! [`FtClient`], `AcesoClient` included) plus their own `check()`. The
+//! violation strings are part of the interface: reports, DESIGN.md and the
+//! negative tests in `tests/invariants.rs` quote them.
 
-use crate::axis::{fmt_key, fmt_state, gen_value, take_ms, Ctx};
-use aceso_core::{AcesoClient, AcesoStore, FtClient};
+use crate::axis::{fmt_key, fmt_state, gen_value, take_ms, Ctx, Script};
+use aceso_core::{AcesoStore, FtClient, FtError};
 pub use aceso_model::invariants::{parity_scrub, IvWatch};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// The invariants, in the order [`judge_store`] checks (and times) them:
+/// The invariants, in the order [`Script::judge`] checks (and times) them:
 ///
 /// 0. **oracle-agreement** — every key reads back exactly what the
 ///    [`Oracle`] predicts; a key whose mutation a fault interrupted may be
@@ -38,33 +37,6 @@ pub const INVARIANT_CLASSES: [&str; 5] = [
     "parity-scrub",
     "no-open-degraded-window",
 ];
-
-/// The read/write surface the oracle and probe checks need, so one
-/// implementation judges a native client and an engine client alike.
-pub trait Kv {
-    /// Reads `key` (`None` = absent).
-    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, String>;
-    /// Upserts `key`.
-    fn put(&mut self, key: &[u8], val: &[u8]) -> Result<(), String>;
-}
-
-impl Kv for AcesoClient {
-    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, String> {
-        self.search(key).map_err(|e| e.to_string())
-    }
-    fn put(&mut self, key: &[u8], val: &[u8]) -> Result<(), String> {
-        self.insert(key, val).map_err(|e| e.to_string())
-    }
-}
-
-impl Kv for Box<dyn FtClient> {
-    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, String> {
-        self.search(key).map_err(|e| e.to_string())
-    }
-    fn put(&mut self, key: &[u8], val: &[u8]) -> Result<(), String> {
-        self.insert(key, val).map_err(|e| e.to_string())
-    }
-}
 
 /// The commit ambiguity window of an interrupted mutation: (pre-op state,
 /// intended post-op state); either may legitimately survive recovery.
@@ -136,40 +108,111 @@ impl Oracle {
             None => {}
         }
     }
+
+    /// Folds one script op on `key` into the oracle. `Ok` commits a
+    /// write's post-state or [`observe`](Self::observe)s a read. An error
+    /// `armed` accepts opens the op's window — a cut read's at the current
+    /// state — and comes back as [`Fold::Cut`]. Any other error is one
+    /// `op on <key>: unexpected error: …` violation.
+    pub fn fold<E: Into<FtError>>(
+        &mut self,
+        key: &[u8],
+        op: Op<'_>,
+        res: Result<Option<Vec<u8>>, E>,
+        armed: Armed,
+        violations: &mut Vec<String>,
+    ) -> Fold {
+        let e = match res.map_err(Into::into) {
+            Err(e) => e,
+            Ok(got) => {
+                match op {
+                    Op::Write(post) => self.commit(key, post),
+                    Op::Read(complaint) => self.observe(key, got, complaint, violations),
+                }
+                return Fold::Done;
+            }
+        };
+        if !armed.accepts(&e) {
+            violations.push(format!("op on {}: unexpected error: {e}", fmt_key(key)));
+            return Fold::Unexpected;
+        }
+        let post = match op {
+            Op::Write(post) => post,
+            Op::Read(_) => self.get(key),
+        };
+        self.interrupt(key, post);
+        Fold::Cut(e)
+    }
+}
+
+/// One script op, as [`Oracle::fold`] records it.
+#[derive(Clone, Debug)]
+pub enum Op<'a> {
+    /// A mutation intending this post-state (`None`: deleted).
+    Write(Option<Vec<u8>>),
+    /// A read; a mismatch is reported as `<complaint> on <key>: …`.
+    Read(&'a str),
+}
+
+/// How [`Oracle::fold`] settled an op.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Fold {
+    /// It completed: committed (a write) or observed (a read).
+    Done,
+    /// An armed fault cut it short; its window is open.
+    Cut(FtError),
+    /// It failed in a way no armed fault explains (one violation).
+    Unexpected,
+}
+
+/// The fault classes a script accepts as the cause of a cut-short op,
+/// classified through [`FtError`]: a client crash — a crash point or an
+/// injected verb failure ([`FtError::Crashed`]) — and a node the op needs
+/// dying with nobody recovering it yet ([`FtError::Unreachable`]), which
+/// writes the client off as crashed-while-blocked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Armed {
+    /// No fault: every error is unexpected.
+    Nothing,
+    /// Only a client crash.
+    Crash,
+    /// Only a dead node.
+    Blocked,
+    /// Either.
+    Both,
+}
+
+impl Armed {
+    /// Whether `e` is a cut this script armed.
+    pub fn accepts(self, e: &FtError) -> bool {
+        match e {
+            FtError::Crashed(_) => matches!(self, Armed::Crash | Armed::Both),
+            FtError::Unreachable(_) => matches!(self, Armed::Blocked | Armed::Both),
+            _ => false,
+        }
+    }
 }
 
 /// Inserts `keys` with seeded values through `kv`, recording them in
 /// `oracle`.
 pub(crate) fn preload(
-    kv: &mut dyn Kv,
+    kv: &mut dyn FtClient,
     oracle: &mut Oracle,
     rng: &mut StdRng,
     keys: impl IntoIterator<Item = Vec<u8>>,
 ) -> Result<(), String> {
     for k in keys {
         let v = gen_value(rng, b'A');
-        kv.put(&k, &v).ctx(&format!("preload {}", fmt_key(&k)))?;
+        kv.insert(&k, &v).ctx(&format!("preload {}", fmt_key(&k)))?;
         oracle.state.insert(k, v);
     }
     Ok(())
 }
 
-/// Two checkpoint rounds between trace barriers (preload done,
-/// checkpoints done), so every column has a restorable checkpoint and a
-/// non-trivial Index Version to regress from; returns the watch on it.
-pub(crate) fn checkpoint_twice(store: &AcesoStore) -> Result<IvWatch, String> {
-    store.cluster.trace_barrier();
-    for _ in 0..2 {
-        store.checkpoint_tick().ctx("ckpt")?;
-    }
-    store.cluster.trace_barrier();
-    Ok(IvWatch::capture(store))
-}
-
 /// **oracle-agreement**: sweeps every key the oracle knows, plus `absent`
 /// (keys it may not know: a deleted target, a never-inserted phantom).
 pub fn oracle_agreement(
-    kv: &mut dyn Kv,
+    kv: &mut dyn FtClient,
     oracle: &Oracle,
     absent: &[&[u8]],
     violations: &mut Vec<String>,
@@ -180,7 +223,7 @@ pub fn oracle_agreement(
         .chain(absent.iter().copied())
         .collect();
     for k in keys {
-        match kv.get(k) {
+        match kv.search(k) {
             Ok(got) => violations.extend(oracle.judge(k, &got, "oracle mismatch")),
             Err(e) => violations.push(format!("oracle search {}: {e}", fmt_key(k))),
         }
@@ -188,11 +231,16 @@ pub fn oracle_agreement(
 }
 
 /// **meta-lock-liveness** on one key.
-pub fn probe_liveness(kv: &mut dyn Kv, key: &[u8], rng: &mut StdRng, violations: &mut Vec<String>) {
+pub fn probe_liveness(
+    kv: &mut dyn FtClient,
+    key: &[u8],
+    rng: &mut StdRng,
+    violations: &mut Vec<String>,
+) {
     let k = fmt_key(key);
     let probe = gen_value(rng, b'P');
-    match kv.put(key, &probe) {
-        Ok(()) => match kv.get(key) {
+    match kv.insert(key, &probe) {
+        Ok(()) => match kv.search(key) {
             Ok(Some(got)) if got == probe => {}
             Ok(got) => violations.push(format!(
                 "probe readback mismatch on {k}: got {}",
@@ -214,33 +262,124 @@ pub fn no_open_degraded_window(store: &AcesoStore, violations: &mut Vec<String>)
     }
 }
 
-/// Judges a settled store against all of [`INVARIANT_CLASSES`] through a
-/// fresh client (cold cache, current placement): the oracle sweep (with
-/// `absent`), a probe on each of `probes`, then the three store-level
-/// checks. Returns the wall-clock milliseconds each class took.
-pub fn judge_store(
-    store: &Arc<AcesoStore>,
-    oracle: &Oracle,
-    absent: &[&[u8]],
-    probes: &[Vec<u8>],
-    iv: &IvWatch,
-    rng: &mut StdRng,
-    violations: &mut Vec<String>,
-) -> Result<[f64; 5], String> {
-    let mut fresh = store.client().ctx("sweep client")?;
-    let mut clock = Instant::now();
-    let mut ms = [0.0; 5];
-    oracle_agreement(&mut fresh, oracle, absent, violations);
-    ms[0] = take_ms(&mut clock);
-    for k in probes {
-        probe_liveness(&mut fresh, k, rng, violations);
+impl Script {
+    /// The shared tail: judges the settled store against all of
+    /// [`INVARIANT_CLASSES`] through a fresh client (cold cache, current
+    /// placement) — the oracle sweep (with `absent`), a probe on each of
+    /// `probes`, then the three store-level checks — and shuts it down.
+    /// Returns the wall-clock milliseconds each class took.
+    pub fn judge(
+        mut self,
+        absent: &[&[u8]],
+        probes: &[Vec<u8>],
+        violations: &mut Vec<String>,
+    ) -> Result<[f64; 5], String> {
+        let mut fresh = self.store.client().ctx("sweep client")?;
+        let mut clock = Instant::now();
+        let mut ms = [0.0; 5];
+        oracle_agreement(&mut fresh, &self.oracle, absent, violations);
+        ms[0] = take_ms(&mut clock);
+        for k in probes {
+            probe_liveness(&mut fresh, k, &mut self.rng, violations);
+        }
+        ms[1] = take_ms(&mut clock);
+        self.iv.check(&self.store, violations);
+        ms[2] = take_ms(&mut clock);
+        parity_scrub(&self.store, &mut fresh, violations);
+        ms[3] = take_ms(&mut clock);
+        no_open_degraded_window(&self.store, violations);
+        ms[4] = take_ms(&mut clock);
+        self.store.shutdown();
+        Ok(ms)
     }
-    ms[1] = take_ms(&mut clock);
-    iv.check(store, violations);
-    ms[2] = take_ms(&mut clock);
-    parity_scrub(store, &mut fresh, violations);
-    ms[3] = take_ms(&mut clock);
-    no_open_degraded_window(store, violations);
-    ms[4] = take_ms(&mut clock);
-    Ok(ms)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `k` holds `pre`; nothing is ambiguous yet.
+    fn oracle() -> Oracle {
+        let mut o = Oracle::default();
+        o.commit(b"k", Some(b"pre".to_vec()));
+        o
+    }
+
+    /// Folds one op ending in `res` under `armed` into a fresh oracle.
+    fn folded(
+        op: Op<'_>,
+        res: Result<Option<Vec<u8>>, FtError>,
+        armed: Armed,
+    ) -> (Fold, Oracle, Vec<String>) {
+        let (mut o, mut violations) = (oracle(), Vec::new());
+        let fold = o.fold(b"k", op, res, armed, &mut violations);
+        (fold, o, violations)
+    }
+
+    /// The outcome table over every error class and every accept set the
+    /// axes pass. An error is a cut exactly when its class is armed — so
+    /// `Unreachable` with only a crash armed is a violation, not a window
+    /// — and any other error is one violation that leaves the oracle
+    /// untouched. A cut write may or may not have landed; a cut read
+    /// changed nothing, so its window opens at the current state.
+    #[test]
+    fn fold_cuts_only_what_is_armed() {
+        let (pre, post) = (Some(b"pre".to_vec()), Some(b"post".to_vec()));
+        let table = [
+            (
+                FtError::Crashed("injected".into()),
+                [false, true, false, true],
+            ),
+            (
+                FtError::Unreachable("node down".into()),
+                [false, false, true, true],
+            ),
+            (FtError::NotFound, [false; 4]),
+            (FtError::Other("out of blocks".into()), [false; 4]),
+        ];
+        let ops = [
+            (Op::Write(post.clone()), post.clone()),
+            (Op::Read("search mismatch"), pre.clone()),
+        ];
+        for (e, cut) in table {
+            let armed = [Armed::Nothing, Armed::Crash, Armed::Blocked, Armed::Both];
+            for (armed, cut) in armed.into_iter().zip(cut) {
+                for (op, window_post) in ops.clone() {
+                    let case = format!("{e:?} under {armed:?} on {op:?}");
+                    let (fold, o, violations) = folded(op, Err(e.clone()), armed);
+                    if cut {
+                        assert_eq!(fold, Fold::Cut(e.clone()), "{case}");
+                        assert_eq!(violations, Vec::<String>::new(), "{case}");
+                        let window = (pre.clone(), window_post);
+                        assert_eq!(o.windows.get(&b"k"[..]), Some(&window), "{case}");
+                    } else {
+                        assert_eq!(fold, Fold::Unexpected, "{case}");
+                        let v = format!("op on k: unexpected error: {e}");
+                        assert_eq!(violations, [v], "{case}");
+                        assert!(o.windows.is_empty() && o.get(b"k") == pre, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `Ok` commits a write, and judges (then pins) a read.
+    #[test]
+    fn completed_ops_commit_or_observe() {
+        let (fold, o, violations) = folded(Op::Write(None), Ok(None), Armed::Nothing);
+        assert_eq!((fold, o.get(b"k"), violations.len()), (Fold::Done, None, 0));
+
+        let read = Op::Read("search mismatch");
+        let (fold, _, violations) = folded(read.clone(), Ok(None), Armed::Nothing);
+        assert_eq!(fold, Fold::Done);
+        let v = "search mismatch on k: got absent want pre…[3]";
+        assert_eq!(violations, [v]);
+
+        let mut o = oracle();
+        o.interrupt(b"k", Some(b"post".to_vec()));
+        let (got, mut violations) = (Ok::<_, FtError>(Some(b"post".to_vec())), Vec::new());
+        o.fold(b"k", read, got, Armed::Nothing, &mut violations);
+        assert!(violations.is_empty() && o.windows.is_empty());
+        assert_eq!(o.get(b"k"), Some(b"post".to_vec()));
+    }
 }

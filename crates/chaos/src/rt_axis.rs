@@ -21,11 +21,12 @@
 //! Every task owns a disjoint key range, so the shared oracle stays
 //! exact under interleaving; tasks interrupted mid-op contribute a
 //! per-key commit ambiguity window instead. Post-conditions are
-//! [`crate::invariants::judge_store`], probing every interrupted key.
+//! [`crate::axis::Script::judge`], probing every interrupted key.
 
-use crate::axis::{cut_of, fail_fast, gen_value, key, launch_store, Axis, Ctx, Cut, Out, Sink};
-use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
+use crate::axis::{fail_fast, gen_value, key, Axis, Ctx, Out, Script, Sink};
+use crate::invariants::{Armed, Fold, Op, Oracle};
 use aceso_core::client::CrashPoint;
+use aceso_core::FtError;
 use aceso_rdma::SimCq;
 use aceso_rt::Executor;
 use rand::rngs::StdRng;
@@ -94,7 +95,117 @@ impl Axis for Rt {
     }
 
     fn run(kill: RtKill, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
-        run(kill, seed, sink, out)
+        let keys = (0..RT_TASKS)
+            .flat_map(|t| (0..KEYS_PER_TASK).map(move |j| key(format_args!("rt-{t}"), j)));
+        let mut s = Script::seeded(seed, sink, keys)?;
+        let store = Arc::clone(&s.store);
+        let shared = Rc::new(RefCell::new(SharedState {
+            oracle: std::mem::take(&mut s.oracle),
+            ..SharedState::default()
+        }));
+
+        // ---- Spawn the coroutine clients ------------------------------------
+        // Fail-fast tuning matters doubly here: the retry sleeps run inline on
+        // the executor thread, so they must stay short.
+        let kill_col = s.rng.gen_range(0..store.cfg.num_mns);
+        let mn_kill_planned = kill == RtKill::Mn;
+        // A crash is always a task's to suffer; a dead node only in the MN cell.
+        let armed = match kill {
+            RtKill::Mn => Armed::Both,
+            RtKill::Cn => Armed::Crash,
+        };
+
+        let cq = Arc::new(SimCq::new());
+        let mut exec = Executor::new();
+        for t in 0..RT_TASKS {
+            let mut client = store.client_with(fail_fast()).ctx(&format!("client {t}"))?;
+            client.dm.attach_cq(Arc::clone(&cq));
+            if kill == RtKill::Cn && t == 0 {
+                client.crash_point = Some(CrashPoint::BeforeCommit);
+            }
+            let shared = Rc::clone(&shared);
+            let mut task_rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9e37_79b9));
+            exec.spawn(async move {
+                for opno in 0..OPS_PER_TASK {
+                    let key = key(format_args!("rt-{t}"), task_rng.gen_range(0..KEYS_PER_TASK));
+                    // Even ops mutate (so the CN crash point fires early),
+                    // odd ops read back through the full search path.
+                    let write = (opno % 2 == 0).then(|| gen_value(&mut task_rng, b'0' + t as u8));
+                    let res = match &write {
+                        Some(val) => client.update_async(&key, val).await.map(|()| None),
+                        None => client.search_async(&key).await,
+                    };
+                    let complaint = format!("task {t}: search mismatch");
+                    let op = write.map_or(Op::Read(&complaint), |v| Op::Write(Some(v)));
+                    let st = &mut *shared.borrow_mut();
+                    match st.oracle.fold(&key, op, res, armed, &mut st.violations) {
+                        Fold::Done => continue,
+                        // The armed crash point fired mid-commit — or the MN
+                        // died under the op and nobody recovers it until the
+                        // executor drains: written off as crashed-while-
+                        // blocked, like the matrix runner.
+                        Fold::Cut(e) => {
+                            if matches!(e, FtError::Crashed(_)) {
+                                st.sample_inflight();
+                            }
+                            st.crashed.push(client.id());
+                        }
+                        Fold::Unexpected => {}
+                    }
+                    break;
+                }
+                client.dm.detach_cq();
+                shared.borrow_mut().finished += 1;
+            });
+        }
+
+        // ---- Drive to idle, killing mid-suspension --------------------------
+        // The drive closure only runs when the ready queue is empty, i.e.
+        // every live task is suspended at a fabric round trip — exactly the
+        // window the MN kill must land in.
+        let mut steps = 0u64;
+        let mut mn_killed = false;
+        let stuck = exec.run_until_idle(|| {
+            let advanced = cq.advance_next();
+            steps += u64::from(advanced);
+            if advanced && mn_kill_planned && steps == MN_KILL_STEP {
+                mn_killed = store.kill_mn(kill_col);
+                shared.borrow_mut().sample_inflight();
+            }
+            advanced
+        });
+        if stuck != 0 {
+            out.violations
+                .push(format!("executor wedged with {stuck} tasks in flight"));
+        }
+        if mn_kill_planned && !mn_killed {
+            out.violations.push(format!(
+                "MN kill never fired (run drained in {steps} < {MN_KILL_STEP} CQ steps)"
+            ));
+        }
+
+        let st = shared.take();
+        out.violations.extend(st.violations);
+        out.facts.inflight_at_fault = st.inflight_at_fault.unwrap_or(0);
+        out.facts.crashed_tasks = st.crashed.len();
+        if out.facts.inflight_at_fault < 2 {
+            out.violations.push(format!(
+                "fault fired with {} tasks in flight (need > 1 suspended mid-op)",
+                out.facts.inflight_at_fault
+            ));
+        }
+        if kill == RtKill::Cn && st.crashed.is_empty() {
+            out.violations.push("CN crash point never fired".into());
+        }
+
+        // ---- Tiered recovery (§3.4: CN consistency first, then MN) ----------
+        s.recover(&st.crashed, kill_col)?;
+
+        // ---- Invariants -----------------------------------------------------
+        let probes: Vec<Vec<u8>> = st.oracle.windows.keys().cloned().collect();
+        s.oracle = st.oracle;
+        s.judge(&[], &probes, &mut out.violations)?;
+        Ok(())
     }
 
     fn summary(o: &[Out<Self>]) -> String {
@@ -134,140 +245,6 @@ impl SharedState {
         let inflight = RT_TASKS - self.finished;
         self.inflight_at_fault.get_or_insert(inflight);
     }
-}
-
-fn run(kill: RtKill, seed: u64, sink: Sink, out: &mut Out<Rt>) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let store = launch_store(sink)?;
-
-    // ---- Preload ---------------------------------------------------------
-    let shared = Rc::new(RefCell::new(SharedState::default()));
-    {
-        let mut loader = store.client().ctx("loader")?;
-        let keys = (0..RT_TASKS)
-            .flat_map(|t| (0..KEYS_PER_TASK).map(move |j| key(format_args!("rt-{t}"), j)));
-        preload(&mut loader, &mut shared.borrow_mut().oracle, &mut rng, keys)?;
-        loader.close_open_blocks().ctx("preload close")?;
-    }
-    let iv = checkpoint_twice(&store)?;
-
-    // ---- Spawn the coroutine clients -------------------------------------
-    // Fail-fast tuning matters doubly here: the retry sleeps run inline on
-    // the executor thread, so they must stay short.
-    let kill_col = rng.gen_range(0..store.cfg.num_mns);
-    let mn_kill_planned = kill == RtKill::Mn;
-
-    let cq = Arc::new(SimCq::new());
-    let mut exec = Executor::new();
-    for t in 0..RT_TASKS {
-        let mut client = store.client_with(fail_fast()).ctx(&format!("client {t}"))?;
-        client.dm.attach_cq(Arc::clone(&cq));
-        if kill == RtKill::Cn && t == 0 {
-            client.crash_point = Some(CrashPoint::BeforeCommit);
-        }
-        let shared = Rc::clone(&shared);
-        let mut task_rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9e37_79b9));
-        exec.spawn(async move {
-            for opno in 0..OPS_PER_TASK {
-                let key = key(format_args!("rt-{t}"), task_rng.gen_range(0..KEYS_PER_TASK));
-                // Even ops mutate (so the CN crash point fires early),
-                // odd ops read back through the full search path.
-                let write = (opno % 2 == 0).then(|| gen_value(&mut task_rng, b'0' + t as u8));
-                let res = match &write {
-                    Some(val) => client.update_async(&key, val).await,
-                    None => client.search_async(&key).await.map(|got| {
-                        let st = &mut *shared.borrow_mut();
-                        let complaint = format!("task {t}: search mismatch");
-                        st.oracle.observe(&key, got, &complaint, &mut st.violations);
-                    }),
-                };
-                let st = &mut *shared.borrow_mut();
-                match res.map_err(|e| (cut_of(&e), e)) {
-                    Ok(()) => {
-                        if write.is_some() {
-                            st.oracle.commit(&key, write);
-                        }
-                        continue;
-                    }
-                    // The armed crash point fired mid-commit — or the MN
-                    // died under the op and nobody recovers it until the
-                    // executor drains: written off as crashed-while-
-                    // blocked, like the matrix runner.
-                    Err((Some(cut), _)) if cut == Cut::Crash || mn_kill_planned => {
-                        if cut == Cut::Crash {
-                            st.sample_inflight();
-                        }
-                        let intended = write.or_else(|| st.oracle.get(&key));
-                        st.oracle.interrupt(&key, intended);
-                        st.crashed.push(client.id());
-                    }
-                    Err((_, e)) => st
-                        .violations
-                        .push(format!("task {t} op {opno}: unexpected error: {e}")),
-                }
-                break;
-            }
-            client.dm.detach_cq();
-            shared.borrow_mut().finished += 1;
-        });
-    }
-
-    // ---- Drive to idle, killing mid-suspension ---------------------------
-    // The drive closure only runs when the ready queue is empty, i.e.
-    // every live task is suspended at a fabric round trip — exactly the
-    // window the MN kill must land in.
-    let mut steps = 0u64;
-    let mut mn_killed = false;
-    let stuck = exec.run_until_idle(|| {
-        let advanced = cq.advance_next();
-        steps += u64::from(advanced);
-        if advanced && mn_kill_planned && steps == MN_KILL_STEP {
-            mn_killed = store.kill_mn(kill_col);
-            shared.borrow_mut().sample_inflight();
-        }
-        advanced
-    });
-    if stuck != 0 {
-        out.violations
-            .push(format!("executor wedged with {stuck} tasks in flight"));
-    }
-    if mn_kill_planned && !mn_killed {
-        out.violations.push(format!(
-            "MN kill never fired (run drained in {steps} < {MN_KILL_STEP} CQ steps)"
-        ));
-    }
-
-    let st = shared.take();
-    out.violations.extend(st.violations);
-    out.facts.inflight_at_fault = st.inflight_at_fault.unwrap_or(0);
-    out.facts.crashed_tasks = st.crashed.len();
-    if out.facts.inflight_at_fault < 2 {
-        out.violations.push(format!(
-            "fault fired with {} tasks in flight (need > 1 suspended mid-op)",
-            out.facts.inflight_at_fault
-        ));
-    }
-    if kill == RtKill::Cn && st.crashed.is_empty() {
-        out.violations.push("CN crash point never fired".into());
-    }
-
-    // ---- Tiered recovery (§3.4: CN consistency first, then MN) -----------
-    let dead = mn_killed.then_some(kill_col);
-    store.recover(&st.crashed, dead.as_slice()).ctx("recover")?;
-
-    // ---- Invariants ------------------------------------------------------
-    let probes: Vec<Vec<u8>> = st.oracle.windows.keys().cloned().collect();
-    judge_store(
-        &store,
-        &st.oracle,
-        &[],
-        &probes,
-        &iv,
-        &mut rng,
-        &mut out.violations,
-    )?;
-    store.shutdown();
-    Ok(())
 }
 
 #[cfg(test)]

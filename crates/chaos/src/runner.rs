@@ -3,23 +3,20 @@
 //! Every cell runs the same script: launch a store, preload it
 //! (optionally ageing it into a reclamation-relevant state), arm the
 //! cell's injection and kill, run the operation, drive tiered recovery,
-//! then judge the store with [`crate::invariants::judge_store`]. The
+//! then judge the store with [`crate::axis::Script::judge`]. The
 //! injected key may be in either its pre-op or intended post-op state;
 //! it is always probed for meta-lock liveness.
 
-use crate::axis::{
-    cut_of, fail_fast, fmt_key, gen_value, launch_store, take_ms, Ctx, Cut, Out, Sink,
-};
+use crate::axis::{fail_fast, fmt_key, gen_value, take_ms, Ctx, Out, Script, Sink};
 use crate::cell::{Cell, InjectionSite, KillTiming, OpType, ReclaimState};
-use crate::invariants::{checkpoint_twice, judge_store, preload, Oracle};
+use crate::invariants::{preload, Armed, Fold, Op};
 use crate::sweep::Sweep;
 use aceso_core::client::CrashPoint;
 use aceso_core::config::unpack_col;
-use aceso_core::{AcesoStore, RecoveryTier, StoreError};
+use aceso_core::{AcesoStore, FtError, RecoveryTier};
 use aceso_index::{fingerprint, route_hash, RemoteIndex};
 use aceso_rdma::{FaultAction, FaultPlan, FaultRule};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -118,17 +115,17 @@ fn kv_col(store: &Arc<AcesoStore>, key: &[u8]) -> Result<usize, String> {
 #[allow(clippy::too_many_lines)]
 pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Result<(), String> {
     let mut clock = Instant::now();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let store = launch_store(sink)?;
+    let mut s = Script::launch(seed, sink)?;
+    let store = Arc::clone(&s.store);
     let n = store.cfg.num_mns;
     let mut client = store.client_with(fail_fast()).ctx("client")?;
 
     // ---- Preload ---------------------------------------------------------
-    let mut oracle = Oracle::default();
+    let (oracle, rng) = (&mut s.oracle, &mut s.rng);
     match cell.reclaim {
-        ReclaimState::Fresh => preload(&mut client, &mut oracle, &mut rng, numbered("key", 0..24))?,
+        ReclaimState::Fresh => preload(&mut client, oracle, rng, numbered("key", 0..24))?,
         ReclaimState::Aged => {
-            preload(&mut client, &mut oracle, &mut rng, numbered("key", 0..36))?;
+            preload(&mut client, oracle, rng, numbered("key", 0..36))?;
             client.close_open_blocks().ctx("preload close")?;
             for k in numbered("key", (0..36).step_by(3)) {
                 client
@@ -137,7 +134,7 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
                 oracle.commit(&k, None);
             }
             client.flush_bitmaps().ctx("preload flush")?;
-            preload(&mut client, &mut oracle, &mut rng, numbered("aged", 0..12))?;
+            preload(&mut client, oracle, rng, numbered("aged", 0..12))?;
         }
     }
     // Colliding-fingerprint cells plant the twin pair from a throwaway
@@ -146,7 +143,7 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     let twins = if cell.op == OpType::SearchCollide {
         let (a, b) = collision_twins(&store)?;
         let mut planter = store.client().ctx("planter")?;
-        preload(&mut planter, &mut oracle, &mut rng, [a.clone(), b.clone()])?;
+        preload(&mut planter, oracle, rng, [a.clone(), b.clone()])?;
         // Close (= erasure-code) every open block before the checkpoint
         // rounds: the index-tier-only window loses closed, checkpointed
         // blocks, while open blocks — and every closed block sharing a
@@ -166,8 +163,9 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     }
     out.facts.phases.setup_ms = take_ms(&mut clock);
 
-    let iv = checkpoint_twice(&store)?;
+    s.checkpoint()?;
     out.facts.phases.ckpt_ms = take_ms(&mut clock);
+    let (oracle, rng) = (&mut s.oracle, &mut s.rng);
 
     // ---- Arm the cell ----------------------------------------------------
     let op_key: Vec<u8> = match (cell.op, &twins) {
@@ -178,7 +176,7 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
             keys[rng.gen_range(0..keys.len())].clone()
         }
     };
-    let new_val = gen_value(&mut rng, b'N');
+    let new_val = gen_value(rng, b'N');
     // The kill axis normally aims at the op key's home column; for the
     // collision cells it aims at the column holding the *earlier* twin's
     // KV block, so degraded kills turn that candidate into a
@@ -242,43 +240,38 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     let needs_rollover = cell.site == InjectionSite::Client(CrashPoint::WhileMetaLocked)
         && !matches!(cell.op, OpType::Search | OpType::SearchCollide);
     let attempts = if needs_rollover { 300 } else { 1 };
+    // A crash is always the cell's to cause; a dead node only when it
+    // plans a kill.
+    let armed = match cell.kill {
+        KillTiming::None => Armed::Crash,
+        _ => Armed::Both,
+    };
     let mut cut = None;
     for _ in 0..attempts {
-        let prev = oracle.get(&op_key);
-        let (res, intended): (Result<(), StoreError>, _) = match cell.op {
-            OpType::Insert => (client.insert(&op_key, &new_val), Some(new_val.clone())),
-            OpType::Update | OpType::UpdateCold => {
-                (client.update(&op_key, &new_val), Some(new_val.clone()))
-            }
+        let write = |res: Result<(), _>| (res.map(|()| None), Op::Write(Some(new_val.clone())));
+        let (res, op) = match cell.op {
+            OpType::Insert => write(client.insert(&op_key, &new_val)),
+            OpType::Update | OpType::UpdateCold => write(client.update(&op_key, &new_val)),
             // Alternate with re-inserts so every delete has a live target
             // while the version climbs toward rollover.
-            OpType::Delete if needs_rollover && prev.is_none() => {
-                (client.insert(&op_key, &new_val), Some(new_val.clone()))
+            OpType::Delete if needs_rollover && oracle.get(&op_key).is_none() => {
+                write(client.insert(&op_key, &new_val))
             }
-            OpType::Delete => (client.delete(&op_key).map(|_| ()), None),
+            OpType::Delete => (client.delete(&op_key).map(|_| None), Op::Write(None)),
             OpType::Search | OpType::SearchCollide => {
-                let res = client.search(&op_key).map(|got| {
-                    oracle.observe(&op_key, got, "search mismatch", &mut out.violations);
-                });
-                (res, prev)
+                (client.search(&op_key), Op::Read("search mismatch"))
             }
         };
-        match res {
-            Ok(()) => {
-                oracle.commit(&op_key, intended);
+        match oracle.fold(&op_key, op, res, armed, &mut out.violations) {
+            Fold::Done => {
                 let ops = client.dm.take_ops();
                 out.facts.op_retries = ops.records.last().map_or(0, |r| r.retries);
             }
-            Err(e) => {
-                cut = cut_of(&e).filter(|c| *c == Cut::Crash || cell.kill != KillTiming::None);
-                match cut {
-                    Some(_) => oracle.interrupt(&op_key, intended),
-                    None => out
-                        .violations
-                        .push(format!("{} op: unexpected error: {e}", cell.op)),
-                }
+            Fold::Cut(e) => {
+                cut = Some(e);
                 break;
             }
+            Fold::Unexpected => break,
         }
     }
 
@@ -288,7 +281,7 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     out.facts.mn_killed |= kill_fired_at_verb;
     out.facts.injection_fired = match cell.site {
         InjectionSite::None => false,
-        InjectionSite::Client(_) => cut == Some(Cut::Crash),
+        InjectionSite::Client(_) => matches!(cut, Some(FtError::Crashed(_))),
         InjectionSite::Verb { .. } => fired(FaultAction::Fail),
     };
     // An op speculates on an unverified candidate at most once. Where no
@@ -310,11 +303,8 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     // fences the failed epoch), and recovery completes before the sweep:
     // both are barrier edges in the verb trace.
     let crashed = cut.map(|_| client.id());
-    let dead = kill_fired_at_verb.then_some(home_col);
     drop(client);
-    store
-        .recover(crashed.as_slice(), dead.as_slice())
-        .ctx("recover")?;
+    s.recover(crashed.as_slice(), home_col)?;
     if let Some(mut recovery) = held {
         // The op ran against an index-only replacement; finish the Block
         // and Parity tiers so the parity invariant is checkable.
@@ -324,16 +314,9 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     out.facts.phases.recovery_ms = take_ms(&mut clock);
 
     // ---- Invariants ------------------------------------------------------
-    out.facts.phases.invariants_ms = judge_store(
-        &store,
-        &oracle,
-        &[&op_key, b"never-inserted-key"],
-        std::slice::from_ref(&op_key),
-        &iv,
-        &mut rng,
-        &mut out.violations,
-    )?;
-    store.shutdown();
+    let absent: [&[u8]; 2] = [&op_key, b"never-inserted-key"];
+    let probes = std::slice::from_ref(&op_key);
+    out.facts.phases.invariants_ms = s.judge(&absent, probes, &mut out.violations)?;
     Ok(())
 }
 

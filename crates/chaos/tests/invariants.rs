@@ -2,9 +2,9 @@
 //! (or a read) that breaks it and must say so in the words the reports
 //! and DESIGN.md quote — and stay silent on the healthy store first.
 
-use aceso_chaos::axis::chaos_config;
+use aceso_chaos::axis::{chaos_config, Script};
 use aceso_chaos::invariants::{
-    judge_store, no_open_degraded_window, oracle_agreement, parity_scrub, IvWatch, Oracle,
+    no_open_degraded_window, oracle_agreement, parity_scrub, IvWatch, Oracle,
 };
 use aceso_core::{AcesoStore, RecoveryTier};
 use rand::rngs::StdRng;
@@ -40,19 +40,15 @@ fn healthy_store_holds_every_invariant() {
     let (store, oracle, iv) = settled();
     let mut violations = Vec::new();
     let probes = [b"k03".to_vec()];
-    let mut rng = StdRng::seed_from_u64(1);
-    judge_store(
-        &store,
-        &oracle,
-        &[b"never"],
-        &probes,
-        &iv,
-        &mut rng,
-        &mut violations,
-    )
-    .unwrap();
+    let rng = StdRng::seed_from_u64(1);
+    let script = Script {
+        store,
+        rng,
+        oracle,
+        iv,
+    };
+    script.judge(&[b"never"], &probes, &mut violations).unwrap();
     assert_eq!(violations, Vec::<String>::new());
-    store.shutdown();
 }
 
 #[test]

@@ -407,7 +407,7 @@ impl AcesoClient {
                 }
             }
             for (col, off, bytes) in &invals {
-                self.write_block_inline(dm, *col, *off, bytes)?;
+                self.write_block(dm, *col, *off, bytes)?;
             }
             self.write_block(dm, place.col, place.kv_off, &buf)?;
             if crash == Some(CrashPoint::AfterKvWrite) {
@@ -551,7 +551,7 @@ impl AcesoClient {
         let writes = std::mem::take(&mut self.pending_inval);
         let res = self.dm.batch(|dm| -> Result<()> {
             for (col, off, bytes) in &writes {
-                self.write_block_inline(dm, *col, *off, bytes)?;
+                self.write_block(dm, *col, *off, bytes)?;
             }
             Ok(())
         });

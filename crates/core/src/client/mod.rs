@@ -454,21 +454,6 @@ impl AcesoClient {
         Ok(())
     }
 
-    /// Inline (≤ 64 B) variant of [`AcesoClient::write_block`].
-    fn write_block_inline(
-        &self,
-        dm: &DmClient,
-        col: usize,
-        off: u64,
-        bytes: &[u8],
-    ) -> aceso_rdma::Result<()> {
-        dm.write_inline(GlobalAddr::new(self.node_of(col, off), off), bytes)?;
-        if let Some(node) = self.pl.mirror(col, off, &self.map) {
-            dm.write_inline(GlobalAddr::new(node, off), bytes)?;
-        }
-        Ok(())
-    }
-
     fn rpc(&self, col: usize, req: ServerReq, bytes: usize) -> Result<ServerResp> {
         Ok(self
             .dm

@@ -30,8 +30,6 @@ pub struct AcesoConfig {
     pub num_delta: u64,
     /// Index bucket groups per MN (24 usable slots each).
     pub index_groups: u64,
-    /// Obsolete-KV ratio that makes a DATA block a reclamation candidate.
-    pub reclaim_obsolete_ratio: f64,
     /// Free-block ratio *below* which reclamation actually triggers.
     pub reclaim_free_ratio: f64,
     /// How many obsolete marks a client buffers before a bitmap flush RPC.
@@ -60,7 +58,6 @@ impl AcesoConfig {
             num_arrays: 8,
             num_delta: 24,
             index_groups: 512,
-            reclaim_obsolete_ratio: 0.75,
             reclaim_free_ratio: 0.25,
             bitmap_flush_every: 64,
             ckpt_interval_ms: 500,
@@ -156,8 +153,9 @@ pub struct ClientTuning {
     /// validate-by-reread fast path (§3.5.1, the `+CACHE` step).
     pub cache_slot_addr: bool,
     /// Bound on the per-client index cache (entries). Eviction is CLOCK /
-    /// second-chance over a deterministic BTreeMap (see
-    /// [`crate::cache::IndexCache`]); 0 disables caching altogether.
+    /// second-chance over a ring of positions in fill order, with a
+    /// lookup-only key → position map (see [`crate::cache::IndexCache`]);
+    /// 0 disables caching altogether.
     pub cache_capacity: usize,
     /// Commit retry budget before reporting `RetriesExhausted`.
     pub max_retries: usize,

@@ -349,7 +349,6 @@ impl Migration {
             self.col,
             Arc::clone(&to),
             self.store.map,
-            self.store.cfg.reclaim_obsolete_ratio,
             self.store.cfg.reclaim_free_ratio,
         );
         // Whole-region fence at the publish epoch on *both* nodes. The

@@ -278,46 +278,43 @@ impl AcesoEngine {
     }
 }
 
-/// [`FtClient`] adapter over [`AcesoClient`].
-struct AcesoFtClient {
-    inner: AcesoClient,
-}
-
-impl FtClient for AcesoFtClient {
+/// Aceso's client is its own seam client: each op is the inherent one,
+/// named by path, with its error mapped onto the seam's classes.
+impl FtClient for AcesoClient {
     fn insert(&mut self, key: &[u8], value: &[u8]) -> FtResult<()> {
-        self.inner.insert(key, value).map_err(FtError::from)
+        AcesoClient::insert(self, key, value).map_err(FtError::from)
     }
 
     fn update(&mut self, key: &[u8], value: &[u8]) -> FtResult<()> {
-        self.inner.update(key, value).map_err(FtError::from)
+        AcesoClient::update(self, key, value).map_err(FtError::from)
     }
 
     fn search(&mut self, key: &[u8]) -> FtResult<Option<Vec<u8>>> {
-        self.inner.search(key).map_err(FtError::from)
+        AcesoClient::search(self, key).map_err(FtError::from)
     }
 
     fn delete(&mut self, key: &[u8]) -> FtResult<bool> {
-        self.inner.delete(key).map_err(FtError::from)
+        AcesoClient::delete(self, key).map_err(FtError::from)
     }
 
     fn id(&self) -> u32 {
-        self.inner.id()
+        AcesoClient::id(self)
     }
 
     fn quiesce(&mut self) -> FtResult<()> {
-        self.inner.flush_bitmaps().map_err(FtError::from)
+        self.flush_bitmaps().map_err(FtError::from)
     }
 
     fn install_fault_plan(&mut self, plan: Arc<FaultPlan>) {
-        self.inner.dm.install_fault_plan(plan);
+        self.dm.install_fault_plan(plan);
     }
 
     fn take_ops(&mut self) -> OpStats {
-        self.inner.dm.take_ops()
+        self.dm.take_ops()
     }
 
     fn reset_stats(&mut self) {
-        self.inner.dm.reset_stats();
+        self.dm.reset_stats();
     }
 }
 
@@ -327,12 +324,11 @@ impl FtEngine for AcesoEngine {
     }
 
     fn client(&self) -> FtResult<Box<dyn FtClient>> {
-        let inner = match self.tuning {
+        let client = match self.tuning {
             Some(t) => self.store.client_with(t),
             None => self.store.client(),
-        }
-        .map_err(FtError::from)?;
-        Ok(Box::new(AcesoFtClient { inner }))
+        };
+        Ok(Box::new(client.map_err(FtError::from)?))
     }
 
     fn columns(&self) -> usize {

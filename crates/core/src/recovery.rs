@@ -229,13 +229,7 @@ impl AcesoStore {
         }
         let node = self.cluster.add_node();
         Ok(Recovery {
-            server: MnServer::new(
-                col,
-                node,
-                self.map,
-                self.cfg.reclaim_obsolete_ratio,
-                self.cfg.reclaim_free_ratio,
-            ),
+            server: MnServer::new(col, node, self.map, self.cfg.reclaim_free_ratio),
             dm: self.cluster.background_client(),
             store: Arc::clone(self),
             col,

@@ -182,8 +182,6 @@ pub struct MnServer {
     pub meta_replicas: Mutex<HashMap<usize, RecordReplicas>>,
     /// Logical-core busy meters.
     pub meters: BusyMeters,
-    /// Reclamation trigger: obsolete ratio threshold.
-    pub reclaim_obsolete: f64,
     /// Reclamation trigger: free ratio threshold.
     pub reclaim_free: f64,
     /// Server liveness (cleared on kill/shutdown).
@@ -198,7 +196,6 @@ impl MnServer {
         column: usize,
         node: Arc<MemoryNode>,
         map: MemoryMap,
-        reclaim_obsolete: f64,
         reclaim_free: f64,
     ) -> Arc<Self> {
         let blocks = map.blocks.blocks_per_node() as usize;
@@ -215,7 +212,6 @@ impl MnServer {
             received: Mutex::new(HashMap::new()),
             meta_replicas: Mutex::new(HashMap::new()),
             meters: BusyMeters::default(),
-            reclaim_obsolete,
             reclaim_free,
             alive: Arc::new(AtomicBool::new(true)),
             migration: Mutex::new(None),
@@ -712,7 +708,9 @@ impl MnServer {
             }
         }
         // Reclamation trigger (§3.3.3): obsolete ratio over threshold AND
-        // free space below threshold.
+        // free space below threshold. The obsolete-KV ratio is fixed; the
+        // free ratio is `AcesoConfig::reclaim_free_ratio`.
+        const RECLAIM_OBSOLETE_RATIO: f64 = 0.75;
         let free_ratio = self.alloc.lock().free_data_ratio();
         for block in &touched {
             let (ratio_ok, filled, bytes) = {
@@ -720,7 +718,7 @@ impl MnServer {
                 let rec = &recs[*block as usize];
                 let slots = rec.slots(self.map.blocks.block_size).max(1);
                 (
-                    rec.bitmap.count_ones() as f64 / slots as f64 >= self.reclaim_obsolete,
+                    rec.bitmap.count_ones() as f64 / slots as f64 >= RECLAIM_OBSOLETE_RATIO,
                     rec.index_version != 0,
                     rec.encode().into(),
                 )

@@ -81,15 +81,7 @@ impl AcesoStore {
             .nodes()
             .into_iter()
             .enumerate()
-            .map(|(col, node)| {
-                MnServer::new(
-                    col,
-                    node,
-                    map,
-                    cfg.reclaim_obsolete_ratio,
-                    cfg.reclaim_free_ratio,
-                )
-            })
+            .map(|(col, node)| MnServer::new(col, node, map, cfg.reclaim_free_ratio))
             .collect();
         let dir = Directory::serving(&servers, &cluster);
         let store = Arc::new(AcesoStore {

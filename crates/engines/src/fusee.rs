@@ -279,10 +279,14 @@ mod tests {
             slot: decoy,
             ..scan.matches[0]
         });
-        let reads = c.dm.counters().snapshot().reads;
+        let reads = || -> u64 {
+            let nodes = s.cluster.nodes();
+            nodes.iter().map(|n| n.traffic.snapshot().reads).sum()
+        };
+        let before = reads();
         let found = c.resolve(cols[0], scan, b"gone").unwrap();
         assert!(found.slot.is_some() && found.live.is_none());
-        assert_eq!(c.dm.counters().snapshot().reads - reads, 1);
+        assert_eq!(reads() - before, 1);
         assert_eq!(c.search(b"gone").unwrap(), None);
     }
 

@@ -19,7 +19,8 @@ fn wide_slots_cost_more_bytes_same_semantics() {
         // A cache-cold client's search scans the buckets.
         let mut c = store.client();
         assert_eq!(c.search(b"wkey").unwrap().as_deref(), Some(&b"wvalue"[..]));
-        read_bytes[i] = c.dm.counters().snapshot().read_bytes;
+        let ops = c.dm.take_ops();
+        read_bytes[i] = ops.records.iter().map(|r| u64::from(r.read_bytes)).sum();
     }
     assert!(
         read_bytes[1] > read_bytes[0],

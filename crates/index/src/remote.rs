@@ -138,7 +138,7 @@ impl RemoteIndex {
     /// Overwrites a slot's Meta word with a plain 8 B write (used for the
     /// `len` refresh when a client detects a stale length, §3.2.2).
     pub fn write_meta(&self, dm: &DmClient, addr: GlobalAddr, meta: SlotMeta) -> Result<()> {
-        dm.write_inline(addr.add(8), &meta.encode().to_le_bytes())
+        dm.write(addr.add(8), &meta.encode().to_le_bytes())
     }
 
     /// Reads the partition's Index Version word.

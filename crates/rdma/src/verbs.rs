@@ -4,11 +4,11 @@
 //! of RC queue pairs. Every verb performs the real memory operation on the
 //! target node's region *and* records its cost:
 //!
-//! * into the client's own [`VerbCounters`] and the current operation's
-//!   profile (round trips, verbs, bytes, retries), and
-//! * into the target node's foreground or background counters, depending on
-//!   whether the client was created with [`crate::Cluster::client`] or
-//!   [`crate::Cluster::background_client`].
+//! * into the current operation's profile (round trips, verbs, bytes,
+//!   retries; drained by [`DmClient::take_ops`]), and
+//! * into the target node's foreground or background [`VerbCounters`],
+//!   depending on whether the client was created with
+//!   [`crate::Cluster::client`] or [`crate::Cluster::background_client`].
 //!
 //! Doorbell batching is modelled by [`DmClient::batch`]: verbs issued inside
 //! the closure count individually against NIC IOPS but share a single
@@ -87,7 +87,6 @@ struct Session {
 pub struct DmClient {
     cluster: Arc<Cluster>,
     background: bool,
-    counters: Arc<VerbCounters>,
     ops: Mutex<OpStats>,
     session: Mutex<Session>,
     fault: PlanSlot,
@@ -110,7 +109,6 @@ impl DmClient {
         DmClient {
             cluster,
             background,
-            counters: Arc::new(VerbCounters::new()),
             ops: Mutex::new(OpStats::new()),
             session: Mutex::new(Session::default()),
             fault: PlanSlot::default(),
@@ -243,11 +241,6 @@ impl DmClient {
         &self.cluster
     }
 
-    /// This client's cumulative verb counters.
-    pub fn counters(&self) -> &Arc<VerbCounters> {
-        &self.counters
-    }
-
     fn node(&self, id: NodeId) -> Result<&MemoryNode> {
         self.cluster.node_ref(id).map(Arc::as_ref)
     }
@@ -296,19 +289,18 @@ impl DmClient {
             }
             in_batch
         };
-        for ctr in [self.node_counters(node), self.counters.as_ref()] {
-            let verbs = match class {
-                VerbClass::Read => &ctr.reads,
-                VerbClass::Write => &ctr.writes,
-                VerbClass::Cas => &ctr.cas,
-                VerbClass::Faa => &ctr.faa,
-            };
-            verbs.fetch_add(1, Ordering::Relaxed);
-            add_nonzero(&ctr.read_bytes, rd);
-            add_nonzero(&ctr.write_bytes, wr);
-            if in_batch && batchable {
-                ctr.batched.fetch_add(1, Ordering::Relaxed);
-            }
+        let ctr = self.node_counters(node);
+        let verbs = match class {
+            VerbClass::Read => &ctr.reads,
+            VerbClass::Write => &ctr.writes,
+            VerbClass::Cas => &ctr.cas,
+            VerbClass::Faa => &ctr.faa,
+        };
+        verbs.fetch_add(1, Ordering::Relaxed);
+        add_nonzero(&ctr.read_bytes, rd);
+        add_nonzero(&ctr.write_bytes, wr);
+        if in_batch && batchable {
+            ctr.batched.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -336,15 +328,14 @@ impl DmClient {
         a.us += base + bytes as f64 / cost.node_bw * 1e6;
     }
 
-    /// Accounts one RPC of `req_bytes` out and `resp_bytes` back: node and
-    /// client counters, the op profile, and the round trip owed to the
-    /// completion queue.
+    /// Accounts one RPC of `req_bytes` out and `resp_bytes` back: node
+    /// counters, the op profile, and the round trip owed to the completion
+    /// queue.
     fn account_rpc(&self, node: &MemoryNode, req_bytes: usize, resp_bytes: usize) {
-        for ctr in [self.node_counters(node), self.counters.as_ref()] {
-            ctr.rpcs.fetch_add(1, Ordering::Relaxed);
-            add_nonzero(&ctr.write_bytes, req_bytes);
-            add_nonzero(&ctr.read_bytes, resp_bytes);
-        }
+        let ctr = self.node_counters(node);
+        ctr.rpcs.fetch_add(1, Ordering::Relaxed);
+        add_nonzero(&ctr.write_bytes, req_bytes);
+        add_nonzero(&ctr.read_bytes, resp_bytes);
         let mut s = self.session.lock();
         if s.op.active {
             s.op.rpcs += 1;
@@ -398,14 +389,6 @@ impl DmClient {
         self.trace(node.id, TraceOp::Write, addr.offset, src.len());
         self.kill_after(node, kill);
         Ok(())
-    }
-
-    /// Inline `RDMA_WRITE` for small payloads (≤ 64 B on real NICs). The
-    /// simulation treats it as a normal write; it exists so call sites read
-    /// like the paper's implementation notes.
-    pub fn write_inline(&self, addr: GlobalAddr, src: &[u8]) -> Result<()> {
-        debug_assert!(src.len() <= 64, "inline writes are limited to 64 B");
-        self.write(addr, src)
     }
 
     /// `RDMA_CAS` on the 8-byte word at `addr`.
@@ -666,9 +649,8 @@ impl DmClient {
         std::mem::take(&mut *self.ops.lock())
     }
 
-    /// Resets both counters and operation records.
+    /// Clears the operation records.
     pub fn reset_stats(&self) {
-        self.counters.reset();
         self.ops.lock().reset();
     }
 }
@@ -696,24 +678,30 @@ mod tests {
         })
     }
 
+    /// Foreground counters of node `n` (dead or alive).
+    fn traffic(c: &Cluster, n: u16) -> crate::stats::VerbSnapshot {
+        c.node_any(NodeId(n)).unwrap().traffic.snapshot()
+    }
+
     #[test]
     fn verbs_account_to_client_and_node() {
         let c = cluster();
         let cl = c.client();
         let a = GlobalAddr::new(NodeId(0), 128);
+        cl.begin_op();
         cl.write(a, &[1, 2, 3, 4]).unwrap();
         let _ = cl.read_vec(a, 4).unwrap();
         let _ = cl.cas(GlobalAddr::new(NodeId(0), 0), 0, 1).unwrap();
-
-        let s = cl.counters().snapshot();
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.reads, 1);
-        assert_eq!(s.cas, 1);
-        assert_eq!(s.write_bytes, 4 + 8);
-        assert_eq!(s.read_bytes, 4 + 8);
+        let r = cl.end_op(OpKind::Update).unwrap();
+        assert_eq!(
+            (r.verbs, r.cas, r.write_bytes, r.read_bytes),
+            (3, 1, 4 + 8, 4 + 8)
+        );
 
         let node = c.node(NodeId(0)).unwrap();
-        assert_eq!(node.traffic.snapshot(), s);
+        let s = node.traffic.snapshot();
+        assert_eq!((s.writes, s.reads, s.cas), (1, 1, 1));
+        assert_eq!((s.write_bytes, s.read_bytes), (4 + 8, 4 + 8));
         assert_eq!(node.background.snapshot().verbs(), 0);
     }
 
@@ -773,7 +761,7 @@ mod tests {
         assert_eq!(r.batch_max, 3, "second batch is deepest");
         assert_eq!(r.rtts, 2);
         assert_eq!((r.batches, r.batched_verbs), (2, 4));
-        assert_eq!(cl.counters().snapshot().batched, 4);
+        assert_eq!(traffic(&c, 0).batched, 4);
 
         // No batch at all → batch_max stays 0.
         cl.begin_op();
@@ -842,7 +830,7 @@ mod tests {
         assert_eq!(cl.cas(a, 0, 1), err.clone().map(|()| 0));
         assert_eq!(cl.faa(a, 1), err.map(|()| 0));
         // Fenced verbs never reached the NIC: memory and counters intact.
-        assert_eq!(cl.counters().snapshot().cas, 0);
+        assert_eq!(traffic(&c, 0).cas, 0);
 
         // Outside the fenced range, and after a refresh, verbs proceed.
         assert!(cl.write(a.add(64), &[3u8; 8]).is_ok());
@@ -877,7 +865,7 @@ mod tests {
         assert!(cl.write(a, &[0]).is_err());
         assert!(cl.cas(a, 0, 1).is_err());
         // And nothing was accounted.
-        assert_eq!(cl.counters().snapshot().verbs(), 0);
+        assert_eq!(traffic(&c, 0).verbs(), 0);
     }
 
     #[test]
@@ -975,8 +963,8 @@ mod tests {
             })
         );
         // Rejected verbs are not accounted (they never reached the NIC).
-        assert_eq!(cl.counters().snapshot().faa, 1);
-        assert_eq!(cl.counters().snapshot().cas, 0);
+        assert_eq!(traffic(&c, 0).faa, 1);
+        assert_eq!(traffic(&c, 0).cas, 0);
     }
 
     #[test]

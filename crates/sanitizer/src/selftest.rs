@@ -104,7 +104,7 @@ pub fn skip_commit_cas() -> SelftestOutcome {
         if mutate {
             // MUTATION: a plain 8-byte write is atomic on the fabric but is
             // not a release — readers get no happens-before edge.
-            writer.write_inline(slot, &1u64.to_le_bytes()).unwrap();
+            writer.write(slot, &1u64.to_le_bytes()).unwrap();
         } else {
             writer.cas(slot, 0, 1).unwrap();
         }
