@@ -96,7 +96,8 @@ impl Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     #[test]
     fn set_get_count() {
@@ -140,13 +141,19 @@ mod tests {
         Bitmap::new(8).get(8);
     }
 
-    proptest! {
-        #[test]
-        fn proptest_count_matches_sets(idx in proptest::collection::btree_set(0usize..200, 0..50)) {
+    #[test]
+    fn proptest_count_matches_sets() {
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..50);
+            let idx: BTreeSet<usize> = (0..n).map(|_| rng.gen_range(0..200)).collect();
             let mut b = Bitmap::new(200);
-            for &i in &idx { b.set(i, true); }
-            prop_assert_eq!(b.count_ones(), idx.len());
-            prop_assert_eq!(b.ones().collect::<Vec<_>>(), idx.into_iter().collect::<Vec<_>>());
+            for &i in &idx {
+                b.set(i, true);
+            }
+            assert_eq!(b.count_ones(), idx.len(), "seed {seed}");
+            let ones: Vec<usize> = b.ones().collect();
+            assert_eq!(ones, idx.into_iter().collect::<Vec<_>>(), "seed {seed}");
         }
     }
 }

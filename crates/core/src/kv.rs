@@ -366,60 +366,73 @@ mod tests {
         assert_eq!(classify(&huge), KvRead::Foreign);
     }
 
-    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    proptest! {
-        /// Over random pairs, `identity` on the prefix agrees with `decode`
-        /// on the whole slot on everything it reports, and tells the
-        /// stored key from its strict prefixes and extensions.
-        #[test]
-        fn identity_agrees_with_decode(
-            key in proptest::collection::vec(any::<u8>(), 1..40),
-            value in proptest::collection::vec(any::<u8>(), 0..300),
-            tombstone: bool,
-            wv in 1u8..3,
-            invalidated: bool,
-        ) {
-            let sv = if invalidated { INVALID_SLOT_VERSION } else { 0x0123_4567 };
+    /// Over random pairs, `identity` on the prefix agrees with `decode` on
+    /// the whole slot on everything it reports, and tells the stored key
+    /// from its strict prefixes and extensions.
+    #[test]
+    fn identity_agrees_with_decode() {
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut key = vec![0; rng.gen_range(1..40)];
+            rng.fill_bytes(&mut key);
+            let mut value = vec![0; rng.gen_range(0..300)];
+            rng.fill_bytes(&mut value);
+            let (tombstone, wv, invalidated) = (rng.gen(), rng.gen_range(1..3), rng.gen());
+            let sv = if invalidated {
+                INVALID_SLOT_VERSION
+            } else {
+                0x0123_4567
+            };
             let mut slot = vec![0u8; class_for(key.len(), value.len()).unwrap() as usize * 64];
             encode(&mut slot, wv, sv, &key, &value, tombstone);
             let d = decode(&slot).unwrap();
             let want = if d.key == key && !d.is_invalidated() {
-                Identity::Ours { tombstone: d.tombstone }
+                Identity::Ours {
+                    tombstone: d.tombstone,
+                }
             } else {
                 Identity::Foreign
             };
-            prop_assert_eq!(identity(&slot[..identity_len(&key)], &key), want);
-            // Over-fetched is fine, under-fetched is never ours.
-            prop_assert_eq!(identity(&slot, &key), want);
-            prop_assert_eq!(identity(&slot[..identity_len(&key) - 1], &key), Identity::Foreign);
-
             let shorter = &key[..key.len() - 1];
             let longer = [&key[..], &b"x"[..]].concat();
-            prop_assert_eq!(identity(&slot[..identity_len(shorter)], shorter), Identity::Foreign);
-            prop_assert_eq!(identity(&slot[..identity_len(&longer)], &longer), Identity::Foreign);
+            // Over-fetched is fine, under-fetched is never ours.
+            for (prefix, k, w) in [
+                (identity_len(&key), &key[..], want),
+                (slot.len(), &key[..], want),
+                (identity_len(&key) - 1, &key[..], Identity::Foreign),
+                (identity_len(shorter), shorter, Identity::Foreign),
+                (identity_len(&longer), &longer[..], Identity::Foreign),
+            ] {
+                assert_eq!(identity(&slot[..prefix], k), w, "seed {seed}, {prefix} B");
+            }
         }
+    }
 
-        /// One slot judgement, two readers: over random key and value
-        /// lengths (keys that fit line 0 and keys that do not), both write
-        /// versions, tombstones, invalidated slots, torn trailers, all-zero
-        /// slots and lengths that overrun the slot, `judge_lines` — fed
-        /// only the lines it asks for, into a buffer full of junk — agrees
-        /// with `decode` on the whole slot on everything but the value, and
-        /// asks for line 0, then the trailer's line, then the key's other
-        /// lines, each once and no other.
-        #[test]
-        fn judge_lines_agrees_with_decode(
-            key in proptest::collection::vec(any::<u8>(), 1..140),
-            value in proptest::collection::vec(any::<u8>(), 0..400),
-            tombstone: bool,
-            wv in 1u8..3,
-            invalidated: bool,
-            spare in 0usize..3,
-            damage in 0u8..4,
-            junk: u8,
-        ) {
-            let sv = if invalidated { INVALID_SLOT_VERSION } else { 0x0123_4567 };
+    /// One slot judgement, two readers: over random key and value lengths
+    /// (keys that fit line 0 and keys that do not), both write versions,
+    /// tombstones, invalidated slots, torn trailers, all-zero slots and
+    /// lengths that overrun the slot, `judge_lines` — fed only the lines it
+    /// asks for, into a buffer full of junk — agrees with `decode` on the
+    /// whole slot on everything but the value, and asks for line 0, then
+    /// the trailer's line, then the key's other lines, each once and no
+    /// other.
+    #[test]
+    fn judge_lines_agrees_with_decode() {
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut key = vec![0; rng.gen_range(1..140)];
+            rng.fill_bytes(&mut key);
+            let mut value = vec![0; rng.gen_range(0..400)];
+            rng.fill_bytes(&mut value);
+            let (tombstone, wv, invalidated) = (rng.gen(), rng.gen_range(1..3), rng.gen());
+            let (spare, damage, junk) = (rng.gen_range(0..3), rng.gen_range(0..4), rng.gen());
+            let sv = if invalidated {
+                INVALID_SLOT_VERSION
+            } else {
+                0x0123_4567
+            };
             let class_bytes = class_for(key.len(), value.len()).unwrap() as usize * 64;
             let mut slot = vec![0u8; class_bytes + spare * 64];
             encode(&mut slot, wv, sv, &key, &value, tombstone);
@@ -436,9 +449,10 @@ mod tests {
                 asked.push(i);
                 dst.copy_from_slice(&slot[64 * i..64 * i + 64]);
             });
-            let judged = |d: DecodedKv| (d.write_version, d.tombstone, d.slot_version, d.key.to_vec());
+            let judged =
+                |d: DecodedKv| (d.write_version, d.tombstone, d.slot_version, d.key.to_vec());
             let want = decode(&slot);
-            prop_assert_eq!(got.map(judged), want.map(judged));
+            assert_eq!(got.map(judged), want.map(judged), "seed {seed}");
 
             let trailer = (class_bytes - 1) / 64;
             let mut lines = vec![0];
@@ -449,7 +463,7 @@ mod tests {
                 let key_lines = 1..(KV_HEADER + key.len()).div_ceil(64);
                 lines.extend(key_lines.filter(|&i| i != trailer));
             }
-            prop_assert_eq!(asked, lines);
+            assert_eq!(asked, lines, "seed {seed}");
         }
     }
 

@@ -138,7 +138,7 @@ pub fn mul_slice(c: u8, src: &[u8], dst: &mut [u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn mul_identities() {
@@ -185,32 +185,48 @@ mod tests {
         assert_eq!(dst, expect);
     }
 
-    proptest! {
-        /// Distributivity: a·(b ⊕ c) = a·b ⊕ a·c.
-        #[test]
-        fn distributive(a: u8, b: u8, c: u8) {
-            prop_assert_eq!(mul(a, add(b, c)), add(mul(a, b), mul(a, c)));
+    /// Distributivity: a·(b ⊕ c) = a·b ⊕ a·c.
+    #[test]
+    fn distributive() {
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, b, c) = (rng.gen(), rng.gen(), rng.gen());
+            assert_eq!(mul(a, add(b, c)), add(mul(a, b), mul(a, c)), "seed {seed}");
         }
+    }
 
-        /// Associativity and commutativity of multiplication.
-        #[test]
-        fn mul_assoc_comm(a: u8, b: u8, c: u8) {
-            prop_assert_eq!(mul(a, mul(b, c)), mul(mul(a, b), c));
-            prop_assert_eq!(mul(a, b), mul(b, a));
+    /// Associativity and commutativity of multiplication.
+    #[test]
+    fn mul_assoc_comm() {
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, b, c) = (rng.gen(), rng.gen(), rng.gen());
+            assert_eq!(mul(a, mul(b, c)), mul(mul(a, b), c), "seed {seed}");
+            assert_eq!(mul(a, b), mul(b, a), "seed {seed}");
         }
+    }
 
-        /// pow agrees with repeated multiplication.
-        #[test]
-        fn pow_matches(a: u8, e in 0u32..600) {
+    /// pow agrees with repeated multiplication.
+    #[test]
+    fn pow_matches() {
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, e) = (rng.gen(), rng.gen_range(0..600));
             let mut acc = 1u8;
-            for _ in 0..e { acc = mul(acc, a); }
-            prop_assert_eq!(pow(a, e), acc);
+            for _ in 0..e {
+                acc = mul(acc, a);
+            }
+            assert_eq!(pow(a, e), acc, "seed {seed}");
         }
+    }
 
-        /// Division undoes multiplication.
-        #[test]
-        fn div_undoes_mul(a: u8, b in 1u8..) {
-            prop_assert_eq!(div(mul(a, b), b), a);
+    /// Division undoes multiplication.
+    #[test]
+    fn div_undoes_mul() {
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, b) = (rng.gen(), rng.gen_range(1..256) as u8);
+            assert_eq!(div(mul(a, b), b), a, "seed {seed}");
         }
     }
 }

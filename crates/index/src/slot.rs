@@ -96,7 +96,7 @@ pub fn slot_version(epoch: u64, ver: u8) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn atomic_roundtrip() {
@@ -144,29 +144,40 @@ mod tests {
         assert_eq!(after - before, 1);
     }
 
-    proptest! {
-        #[test]
-        fn proptest_atomic_roundtrip(fp: u8, addr in 0u64..(1 << 48), ver: u8) {
-            let a = SlotAtomic { fp, addr48: addr, ver };
-            prop_assert_eq!(SlotAtomic::decode(a.encode()), a);
+    #[test]
+    fn proptest_atomic_roundtrip() {
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (fp, addr48, ver) = (rng.gen(), rng.gen_range(0..1 << 48), rng.gen());
+            let a = SlotAtomic { fp, addr48, ver };
+            assert_eq!(SlotAtomic::decode(a.encode()), a, "seed {seed}");
         }
+    }
 
-        #[test]
-        fn proptest_meta_roundtrip(len64: u8, epoch in 0u64..(1 << 56)) {
-            let m = SlotMeta { len64, epoch };
-            prop_assert_eq!(SlotMeta::decode(m.encode()), m);
+    #[test]
+    fn proptest_meta_roundtrip() {
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = SlotMeta {
+                len64: rng.gen(),
+                epoch: rng.gen_range(0..1 << 56),
+            };
+            assert_eq!(SlotMeta::decode(m.encode()), m, "seed {seed}");
         }
+    }
 
-        /// Slot versions are monotone in (epoch/2, ver) lexicographic order.
-        #[test]
-        fn proptest_version_monotone(e1 in 0u64..(1 << 40), v1: u8, v2: u8) {
-            let e1 = e1 & !1; // Even (unlocked) epochs only.
+    /// Slot versions are monotone in (epoch/2, ver) lexicographic order.
+    #[test]
+    fn proptest_version_monotone() {
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let e1 = rng.gen_range(0..1 << 40) & !1; // Even (unlocked) epochs only.
+            let (v1, v2): (u8, u8) = (rng.gen(), rng.gen());
             let e2 = e1 + 2;
-            prop_assert!(slot_version(e2, v2) > slot_version(e1, v1)
-                || (v2 as u64) + 256 > 255 + (v1 as u64)); // Always true; guards the next line.
-            prop_assert!(slot_version(e2, 0) > slot_version(e1, 255));
+            assert!(slot_version(e2, v2) > slot_version(e1, v1), "seed {seed}");
+            assert!(slot_version(e2, 0) > slot_version(e1, 255), "seed {seed}");
             if v2 > v1 {
-                prop_assert!(slot_version(e1, v2) > slot_version(e1, v1));
+                assert!(slot_version(e1, v2) > slot_version(e1, v1), "seed {seed}");
             }
         }
     }

@@ -7,12 +7,10 @@
 //! table pins the full inventory, per client function, so the explored
 //! step space is an explicit reviewed artifact: adding or removing a
 //! suspension point without updating the table fails
-//! [`check_step_table`] (run by `chaos explore --ci`) *and* the
-//! sanitizer's lint (`aceso-san::lint::lint_settle_coverage`, run by
-//! `chaos analyze --ci`), which parses this file from source. Both go
-//! through the sanitizer's one scanner
-//! (`aceso_san::lint::check_settle_table`), which walks every module file
-//! of the client.
+//! [`check_step_table`], which `cargo test` (`step_table_matches_source`)
+//! and `chaos explore --ci` run. It goes through the sanitizer's one
+//! scanner (`aceso_san::lint::check_settle_table`), which walks every
+//! module file of the client.
 
 /// `(function, settle_sites, what suspends there)` for every function
 /// under `crates/core/src/client/` containing a `.settle().await`.

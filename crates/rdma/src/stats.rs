@@ -222,25 +222,6 @@ impl OpStats {
     pub fn reset(&mut self) {
         self.records.clear();
     }
-
-    /// Number of operations of `kind`.
-    pub fn count(&self, kind: OpKind) -> usize {
-        self.records.iter().filter(|r| r.kind == kind).count()
-    }
-
-    /// Mean CAS verbs per operation of `kind` (paper Figure 1a's right axis).
-    pub fn avg_cas(&self, kind: OpKind) -> f64 {
-        let (n, sum) = self
-            .records
-            .iter()
-            .filter(|r| r.kind == kind)
-            .fold((0u64, 0u64), |(n, s), r| (n + 1, s + r.cas as u64));
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -266,54 +247,6 @@ mod tests {
         c.cas.store(3, Ordering::Relaxed);
         c.reset();
         assert_eq!(c.snapshot(), VerbSnapshot::default());
-    }
-
-    #[test]
-    fn avg_cas_by_kind() {
-        let mut s = OpStats::new();
-        s.records.push(OpRecord {
-            kind: OpKind::Update,
-            rtts: 2,
-            verbs: 3,
-            cas: 1,
-            rpcs: 0,
-            read_bytes: 0,
-            write_bytes: 1024,
-            retries: 0,
-            batch_max: 2,
-            batches: 1,
-            batched_verbs: 2,
-        });
-        s.records.push(OpRecord {
-            kind: OpKind::Update,
-            rtts: 3,
-            verbs: 5,
-            cas: 3,
-            rpcs: 0,
-            read_bytes: 0,
-            write_bytes: 1024,
-            retries: 1,
-            batch_max: 2,
-            batches: 1,
-            batched_verbs: 2,
-        });
-        s.records.push(OpRecord {
-            kind: OpKind::Search,
-            rtts: 1,
-            verbs: 2,
-            cas: 0,
-            rpcs: 0,
-            read_bytes: 2048,
-            write_bytes: 0,
-            retries: 0,
-            batch_max: 0,
-            batches: 0,
-            batched_verbs: 0,
-        });
-        assert_eq!(s.count(OpKind::Update), 2);
-        assert!((s.avg_cas(OpKind::Update) - 2.0).abs() < 1e-9);
-        assert_eq!(s.avg_cas(OpKind::Search), 0.0);
-        assert_eq!(s.avg_cas(OpKind::Delete), 0.0);
     }
 
     // The cost model sums per-node counters across concurrent clients; these
@@ -415,7 +348,6 @@ mod tests {
                             assert_eq!(r.batch_max, 2, "two writes in the doorbell batch");
                             assert_eq!((r.batches, r.batched_verbs), (1, 2));
                         }
-                        assert!((ops.avg_cas(OpKind::Update) - 1.0).abs() < 1e-9);
                     });
                 }
             });

@@ -13,17 +13,17 @@
 //!   `CrashPoint` variant is wired into `maybe_crash` call sites,
 //!   hardcoded layout literals match the constants they mirror, every
 //!   `ElasticStep` migrator boundary has kill coverage in the
-//!   `chaos elastic` axis, and every `.settle().await` suspension point
-//!   in the async client is inventoried in the model checker's step
-//!   table (so `chaos explore` never silently under-explores), the
-//!   store, the fabric, the replication engines and the bench harness
-//!   start no thread beyond the two inventoried sites (MN servers run on
-//!   their callers' threads), and every std hash container in the store,
-//!   the fabric, the engines and the kernels is allow-listed with the
-//!   reason its iteration order cannot reach behaviour.
+//!   `chaos elastic` axis, the store, the fabric, the replication engines
+//!   and the bench harness start no thread beyond the two inventoried
+//!   sites (MN servers run on their callers' threads), and every std hash
+//!   container in the store, the fabric, the engines and the kernels is
+//!   allow-listed with the reason its iteration order cannot reach
+//!   behaviour.
 //!
 //! The `#[test]`s at the bottom make `cargo test` the lint driver; `chaos
-//! analyze` runs [`run_all`] too so the CI line exercises them.
+//! analyze` runs [`run_all`] too so the CI line exercises them. The
+//! `.settle().await` scanner [`check_settle_table`] is not in [`run_all`]:
+//! the model checker calls it with its own `STEP_TABLE`.
 
 use aceso_blockalloc::{BlockId, BlockLayout, CellKind};
 use aceso_core::client::CrashPoint;
@@ -400,8 +400,8 @@ fn settle_sites_per_fn(src: &str) -> Vec<(String, usize)> {
 /// `.settle().await` sites of the async client — every `.rs` file under
 /// `crates/core/src/client/` — and reports every drift: a function
 /// missing from the inventory, listed but gone, or whose exact site count
-/// differs. The one scanner behind both [`lint_settle_coverage`] and the
-/// model checker's `check_step_table`.
+/// differs. The scanner behind the model checker's `check_step_table`,
+/// which `cargo test` and `chaos explore --ci` run.
 pub fn check_settle_table<'a>(table: impl IntoIterator<Item = (&'a str, usize)>) -> Vec<String> {
     let mut v = Vec::new();
     let mut actual: Vec<(String, usize, String)> = Vec::new();
@@ -435,77 +435,6 @@ pub fn check_settle_table<'a>(table: impl IntoIterator<Item = (&'a str, usize)>)
             ));
         }
     }
-    v
-}
-
-/// Parses `(name, count)` rows out of the model crate's `STEP_TABLE`
-/// source text: quoted strings and integer literals appear in strict
-/// `(fn, sites, label)` order, so tokenizing and chunking by row is
-/// layout-insensitive. Comment lines between rows are skipped.
-fn parse_step_table(block: &str) -> Vec<(String, usize)> {
-    let mut strings: Vec<String> = Vec::new();
-    let mut ints: Vec<usize> = Vec::new();
-    let rows: String = block
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("//"))
-        .flat_map(|l| l.chars().chain(std::iter::once('\n')))
-        .collect();
-    let mut chars = rows.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == '"' {
-            let mut s = String::new();
-            for c in chars.by_ref() {
-                if c == '"' {
-                    break;
-                }
-                s.push(c);
-            }
-            strings.push(s);
-        } else if c.is_ascii_digit() {
-            let mut n = String::from(c);
-            while let Some(d) = chars.peek() {
-                if d.is_ascii_digit() {
-                    n.push(*d);
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            ints.push(n.parse().unwrap_or(0));
-        }
-    }
-    // Row i is (strings[2*i], ints[i], strings[2*i + 1]).
-    strings
-        .chunks(2)
-        .zip(ints)
-        .map(|(pair, n)| (pair[0].clone(), n))
-        .collect()
-}
-
-/// Source lint: every `.settle().await` suspension point in the async
-/// client must be inventoried in the model checker's step table
-/// (`crates/model/src/step_table.rs`), per function and with the exact
-/// site count — otherwise the explorer's step space silently lags the
-/// code. The same drift also fails `chaos explore --ci` from the model
-/// side; this lint makes `chaos analyze --ci` and `cargo test` catch it
-/// without building the explorer.
-pub fn lint_settle_coverage() -> Vec<String> {
-    let mut v = Vec::new();
-    let Some(model_src) = read_source(&mut v, "crates/model/src/step_table.rs") else {
-        return v;
-    };
-    let Some(block) = model_src
-        .split("pub const STEP_TABLE")
-        .nth(1)
-        .and_then(|rest| rest.split("];").next())
-    else {
-        v.push("cannot find STEP_TABLE in model/src/step_table.rs".into());
-        return v;
-    };
-    let table = parse_step_table(block);
-    v.extend(check_settle_table(
-        table.iter().map(|(name, sites)| (name.as_str(), *sites)),
-    ));
     v
 }
 
@@ -672,7 +601,6 @@ pub fn run_all() -> Vec<String> {
     v.extend(lint_crash_points());
     v.extend(lint_remote_index_literals());
     v.extend(lint_elastic_steps());
-    v.extend(lint_settle_coverage());
     v.extend(lint_thread_free());
     v.extend(lint_hash_containers());
     v
@@ -723,11 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn settle_sites_are_inventoried() {
-        assert_eq!(lint_settle_coverage(), Vec::<String>::new());
-    }
-
-    #[test]
     fn store_and_fabric_start_no_threads() {
         assert_eq!(lint_thread_free(), Vec::<String>::new());
     }
@@ -770,24 +693,6 @@ mod tests {
         assert_eq!(
             thread_starts(src),
             vec![("thread::spawn", 1), ("thread::scope", 1)]
-        );
-    }
-
-    /// The tokenizer handles both single-line and multi-line table rows.
-    #[test]
-    fn step_table_parser_reads_rows() {
-        let block = r#"
-            ("upsert", 1, "route"),
-            // file2.rs: "a comment" between rows
-            (
-                "commit",
-                9,
-                "long label, with commas",
-            ),
-        "#;
-        assert_eq!(
-            parse_step_table(block),
-            vec![("upsert".to_string(), 1), ("commit".to_string(), 9)]
         );
     }
 
