@@ -9,10 +9,18 @@
 //! [`crate::Migration`]: one owner, one cursor ([`RecoveryTier`]), every
 //! tier run on the caller's thread by [`Recovery::step`]. Holding the
 //! handle between `Index` and `Block` *is* the degraded window; stepping it
-//! again resumes on the published replacement. Stage timing combines
-//! *modeled* network transfer (the simulated NIC's bandwidth over the bytes
-//! actually moved) with *measured* compute (XOR decode, KV scanning), and
-//! the report mirrors the columns of the paper's Table 2.
+//! again resumes on the published replacement.
+//!
+//! Every tier runs on a [`SimCq`] the handle owns, driven by an `aceso-rt`
+//! executor, so a stage's modeled network time is the clock's advance over
+//! what the tier posts, and its host time (decode XOR, KV scanning, the RPC
+//! handlers) is measured beside it. Every byte that lands on the
+//! replacement is charged once, on its one link, in order: the Meta
+//! replica, the checkpoint, the decode reads (one doorbell per stripe
+//! array), then the `ScanNew` answers. Only round trips and the surviving
+//! columns' line reads overlap: each survivor's `ScanNew` is a task on a
+//! client of its own, posted at once and run beside the decode. The report
+//! mirrors the columns of the paper's Table 2.
 
 use crate::config::{pack_col, unpack_col};
 use crate::kv;
@@ -24,35 +32,44 @@ use crate::{Result, StoreError};
 use aceso_blockalloc::{Allocator, BlockId, BlockRecord, CellKind, Role};
 use aceso_erasure::xor::is_zero;
 use aceso_erasure::xor_into;
+use aceso_index::layout::GROUP_BYTES;
 use aceso_index::slot::slot_version;
 use aceso_index::{fingerprint, SlotAtomic, SlotMeta};
-use aceso_rdma::{CostModel, DmClient, GlobalAddr, NodeId};
+use aceso_rdma::cq::SimCq;
+use aceso_rdma::{DmClient, GlobalAddr, NodeId};
+use aceso_rt::Executor;
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Stage-by-stage MN recovery breakdown (paper Table 2).
 ///
-/// Each stage's headline `*_ms` column mixes *measured* compute with
-/// *modeled* network time and is therefore machine-dependent. The
-/// `*_bytes`/`*_ops` counters and the `*_net_ms` columns depend only on
-/// the bytes actually moved and the configured [`aceso_rdma::CostModel`],
-/// so they are bit-reproducible run to run — `bench quick --json` reports
-/// those.
+/// Each stage's headline `*_ms` column is its measured host time plus its
+/// `*_net_ms`, the recovery clock's share, and is therefore
+/// machine-dependent. The `*_bytes`/`*_ops` counters and the `*_net_ms`
+/// columns depend only on what the recovery posts and the configured
+/// [`aceso_rdma::CostModel`], so they are bit-reproducible run to run —
+/// `bench quick --json` reports those.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryReport {
-    /// Reading the Meta Area replica (ms).
+    /// Reading Meta Area replicas (ms): the recovering column's, and in the
+    /// Index tier every other dead column's.
     pub read_meta_ms: f64,
     /// Meta Area replica bytes transferred (deterministic).
     pub meta_bytes: u64,
-    /// Modeled network share of [`read_meta_ms`](Self::read_meta_ms).
+    /// Modeled network share of [`read_meta_ms`](Self::read_meta_ms): per
+    /// replica an RPC round trip, then its records landing.
     pub meta_net_ms: f64,
     /// Reading the latest index checkpoint (ms).
     pub read_ckpt_ms: f64,
-    /// Checkpoint bytes transferred (deterministic).
+    /// Checkpoint bytes received (deterministic): 0 when the right
+    /// neighbour is down too and the index starts from an empty checkpoint.
     pub ckpt_bytes: u64,
-    /// Modeled network share of [`read_ckpt_ms`](Self::read_ckpt_ms).
+    /// Modeled network share of [`read_ckpt_ms`](Self::read_ckpt_ms): the
+    /// RPC round trip, then what arrived.
     pub ckpt_net_ms: f64,
     /// Reconstructing *new* local blocks via erasure decoding (ms).
     pub recover_lblock_ms: f64,
@@ -62,7 +79,9 @@ pub struct RecoveryReport {
     pub lblock_net_bytes: u64,
     /// Network read ops issued while decoding new local blocks.
     pub lblock_net_ops: u64,
-    /// Modeled network share of [`recover_lblock_ms`](Self::recover_lblock_ms).
+    /// Modeled network share of [`recover_lblock_ms`](Self::recover_lblock_ms):
+    /// the decode's doorbells, one per stripe array, back to back on the
+    /// replacement's link from when the scan began.
     pub lblock_net_ms: f64,
     /// Having every surviving column scan its new blocks (`ScanNew`, ms):
     /// the handlers' host time and [`rblock_net_ms`](Self::rblock_net_ms).
@@ -72,14 +91,15 @@ pub struct RecoveryReport {
     /// Bytes of the `ScanNew` requests and their encoded answers
     /// (deterministic).
     pub rblock_net_bytes: u64,
-    /// `ScanNew` round trips: one per surviving column.
+    /// `ScanNew` round trips: one per surviving column, all posted at once.
     pub scan_rpcs: u64,
-    /// 64 B lines of new blocks the `ScanNew` handlers read.
+    /// 64 B lines of new blocks the `ScanNew` handlers read, each survivor
+    /// its own at line rate within its round trip.
     pub scan_lines: u64,
-    /// Modeled share of [`read_rblock_ms`](Self::read_rblock_ms): per
-    /// `ScanNew` one RPC round trip, then its request, answer and lines read
-    /// at line rate (`scan_rpcs · rpc_rtt_us + (rblock_net_bytes + 64 ·
-    /// scan_lines) / node_bw`).
+    /// Modeled share of [`read_rblock_ms`](Self::read_rblock_ms): what the
+    /// `ScanNew`s add to the clock beyond the decode — whatever of the
+    /// slowest survivor's round trip and line reads the decode does not
+    /// hide, then every answer landing on the replacement's link.
     pub rblock_net_ms: f64,
     /// Scanning KV pairs of new blocks and reapplying slots (ms). A decoded
     /// block is scanned as soon as it lands, and a `ScanNew` answer as it
@@ -103,7 +123,7 @@ pub struct RecoveryReport {
     pub old_lblock_net_bytes: u64,
     /// Network read ops issued while decoding old local blocks.
     pub old_lblock_net_ops: u64,
-    /// Block-tier modeled network component.
+    /// Block-tier modeled network component: one doorbell per array.
     pub old_lblock_net_ms: f64,
     /// Number of old local blocks reconstructed.
     pub old_lblock_count: usize,
@@ -111,12 +131,15 @@ pub struct RecoveryReport {
     pub parity_ms: f64,
     /// Network bytes read by the parity rebuild (deterministic).
     pub parity_net_bytes: u64,
-    /// Modeled network share of [`parity_ms`](Self::parity_ms).
+    /// Modeled network share of [`parity_ms`](Self::parity_ms): one
+    /// doorbell per rebuilt column.
     pub parity_net_ms: f64,
 }
 
 impl RecoveryReport {
-    /// Time until the Index Area is usable again (functionality recovery).
+    /// Time until the Index Area is usable again (functionality recovery):
+    /// the host time of every Meta and Index stage plus the clock's advance
+    /// over them, overlapped time counted once.
     pub fn index_tier_ms(&self) -> f64 {
         self.read_meta_ms
             + self.read_ckpt_ms
@@ -130,8 +153,9 @@ impl RecoveryReport {
         self.index_tier_ms() + self.recover_old_lblock_ms
     }
 
-    /// Modeled network time through the Index tier — the deterministic,
-    /// machine-independent analogue of [`index_tier_ms`](Self::index_tier_ms).
+    /// The recovery clock's advance over the Meta and Index tiers — the
+    /// deterministic, machine-independent analogue of
+    /// [`index_tier_ms`](Self::index_tier_ms).
     pub fn index_tier_net_ms(&self) -> f64 {
         self.meta_net_ms + self.ckpt_net_ms + self.lblock_net_ms + self.rblock_net_ms
     }
@@ -150,6 +174,11 @@ pub struct CnRecoveryReport {
 
 /// A new DATA block the Index tier scans: `(column, offset, slot_len64)`.
 type NewBlock = (usize, u64, u8);
+
+/// A new block's place in the scan's visiting order: `(group, column,
+/// block)`, the group 0 for a surviving column's, 1 for the recovering
+/// column's, 2 for another dead column's.
+type Rank = (u8, usize, BlockId);
 
 /// One tier of MN recovery (§3.4.1), in the order [`Recovery::step`] runs
 /// them.
@@ -189,7 +218,11 @@ pub struct Recovery {
     /// The replacement's server state; its node is unpublished until the
     /// end of the Index tier.
     server: Arc<MnServer>,
-    dm: DmClient,
+    /// The recovery's clock: every tier runs on it.
+    cq: Arc<SimCq>,
+    /// The replacement's link, attached to [`Recovery::cq`]: everything
+    /// that lands on the replacement is charged here.
+    dm: Arc<DmClient>,
     tier: RecoveryTier,
     report: RecoveryReport,
     /// Arrays the Index tier decoded (they hold a block newer than the
@@ -228,9 +261,12 @@ impl AcesoStore {
             return Err(too_many_lost(self));
         }
         let node = self.cluster.add_node();
+        let (cq, dm) = (Arc::new(SimCq::new()), self.cluster.background_client());
+        dm.attach_cq(Arc::clone(&cq));
         Ok(Recovery {
             server: MnServer::new(col, node, self.map, self.cfg.reclaim_free_ratio),
-            dm: self.cluster.background_client(),
+            cq,
+            dm: Arc::new(dm),
             store: Arc::clone(self),
             col,
             tier: RecoveryTier::Meta,
@@ -308,7 +344,9 @@ impl Recovery {
         let alive = self.store.cluster.node(self.server.node.id);
         let ran = alive.map_err(StoreError::from).and_then(|_| run(self));
         if ran.is_err() {
-            self.bufs.stage_reads(); // A failed tier's reads count nowhere.
+            // A failed tier's reads count nowhere, nor does their charge.
+            self.bufs.stage_reads();
+            self.dm.attach_cq(Arc::clone(&self.cq));
             self.retire_unpublished();
         }
         ran.map(|()| tier)
@@ -344,11 +382,10 @@ impl Recovery {
         let bs = map.blocks.block_size;
         let t = Instant::now();
         let records = fetch_meta_replica(&self.store, &self.dm, self.col)?;
-        let mut meta_bytes = 0u64;
         {
             let mut recs = self.server.records.lock();
             for (id, bytes) in &records {
-                meta_bytes += bytes.len() as u64;
+                self.report.meta_bytes += bytes.len() as u64;
                 let region = &self.server.node.region;
                 region.write(map.blocks.record_offset(*id), bytes)?;
                 let rec = &mut recs[*id as usize];
@@ -362,8 +399,7 @@ impl Recovery {
             *self.server.alloc.lock() = Allocator::rebuild(map.blocks, role_of);
         }
         let r = &mut self.report;
-        r.meta_bytes = meta_bytes;
-        r.meta_net_ms = self.store.cfg.cost.transfer_secs(meta_bytes) * 1e3;
+        r.meta_net_ms = settle(&self.dm, &self.cq);
         r.read_meta_ms = t.elapsed().as_secs_f64() * 1e3 + r.meta_net_ms;
         self.tier = RecoveryTier::Index;
         Ok(())
@@ -371,41 +407,42 @@ impl Recovery {
 
     // ---- Tier 2: Index Area, then publish ---------------------------------
     fn tier_index(&mut self) -> Result<()> {
-        let store = Arc::clone(&self.store);
-        let server = Arc::clone(&self.server);
-        let (dm, col) = (&self.dm, self.col);
-        let (map, cost, n) = (store.map, store.cfg.cost, store.cfg.num_mns);
-        let bs = map.blocks.block_size;
-        let dir = store.directory();
+        let (store, server, col) = (Arc::clone(&self.store), Arc::clone(&self.server), self.col);
+        let (dm, cq, ctl, dir) = (&self.dm, &self.cq, store.ctl_dm(), store.directory());
+        let (map, n, bs) = (store.map, store.cfg.num_mns, store.map.blocks.block_size);
+        let r = &mut self.report;
 
         // The checkpoint lives on the right neighbour only (paper Figure 3).
         // If that neighbour crashed too, fall back to an empty checkpoint
         // with Index Version 0 — every block then counts as "new" and the
-        // index is rebuilt from a full scan (slower, still correct).
+        // index is rebuilt from a full scan (slower, still correct). Only
+        // what arrives is charged.
         let t = Instant::now();
         let ncol = (col + 1) % n;
         let req = ServerReq::GetCheckpoint { of_column: col };
-        let (ckpt, ckpt_iv) = match dm.rpc(dir.node_of(ncol), &dir.rpc_of(ncol), req, 32) {
+        let (ckpt, ckpt_iv) = match dm.rpc_sized(dir.node_of(ncol), &dir.rpc_of(ncol), req, 32, 0) {
             Ok(ServerResp::Checkpoint {
                 data,
                 index_version,
-            }) => (data, index_version),
-            _ => (vec![0u8; (map.index.num_groups * 384) as usize], 0),
+            }) => {
+                r.ckpt_bytes = data.len() as u64;
+                (data, index_version)
+            }
+            _ => (vec![0u8; (map.index.num_groups * GROUP_BYTES) as usize], 0),
         };
+        dm.accrue_bytes(r.ckpt_bytes as usize);
         server.index.restore(&server.node.region, &ckpt);
         server
             .index
             .local_set_index_version(&server.node.region, ckpt_iv + 1);
-        let r = &mut self.report;
-        r.ckpt_bytes = ckpt.len() as u64;
-        r.ckpt_net_ms = cost.transfer_secs(r.ckpt_bytes) * 1e3;
         server.sender.lock().rebase(ckpt);
+        r.ckpt_net_ms = settle(dm, cq);
         r.read_ckpt_ms = t.elapsed().as_secs_f64() * 1e3 + r.ckpt_net_ms;
 
         // Classify data blocks everywhere: "new" = Index Version 0 or ≥ ckpt.
-        // New blocks of this column, then of other dead columns, are decoded
-        // to be scanned; each live column scans its own (`ScanNew`) and
-        // answers with the KVs routed here, which the scan ranks first.
+        // New blocks of this column, then of other dead columns — whose
+        // records come from their Meta replicas, read like ours — are decoded
+        // to be scanned; each live column scans its own (`ScanNew`).
         let is_new = |iv: u64| proto::is_new(iv, ckpt_iv);
         let mut decoded: Vec<(usize, BlockId, BlockRecord)> = Vec::new();
         for (id, rec) in server.records.lock().iter().enumerate() {
@@ -416,72 +453,100 @@ impl Recovery {
             }
         }
         r.lblock_count = decoded.len();
-        let mut scan = Scan::default();
-        (scan.n, scan.col) = (n, col);
         let t = Instant::now();
-        for c in (0..n).filter(|&c| c != col) {
-            if store.col_alive(c) {
-                let req = ServerReq::ScanNew {
-                    of_column: col,
-                    since_iv: ckpt_iv,
-                };
-                let resp = dm.rpc(dir.node_of(c), &dir.rpc_of(c), req, SCAN_NEW_REQ_BYTES)?;
-                let (blocks, lines) = resp.expect_scanned()?;
-                let answer: usize = blocks.iter().map(|(_, b)| b.wire_len()).sum();
-                // The answer: its line count (8 B), then each block's encoding.
-                r.rblock_net_bytes += (SCAN_NEW_REQ_BYTES + 8 + answer) as u64;
-                (r.scan_rpcs, r.scan_lines) = (r.scan_rpcs + 1, r.scan_lines + lines);
-                for (id, found) in blocks {
-                    let block = (c, map.blocks.block_offset(id), found.slot_len64);
-                    scan.add(r.rblock_count, block, found);
-                    r.rblock_count += 1;
-                }
-            } else {
-                // A second failed column: its records come from its replica
-                // and its new blocks must be reconstructed to be scanned.
-                for (id, bytes) in fetch_meta_replica(&store, dm, c)? {
-                    let rec = BlockRecord::decode(&bytes, bs);
-                    if rec.role == Role::Data && is_new(rec.index_version) {
-                        decoded.push((c, id, rec));
-                    }
+        let others = (0..n).filter(|&c| c != col);
+        let (survivors, dead): (Vec<_>, Vec<_>) = others.partition(|&c| store.col_alive(c));
+        for c in dead {
+            for (id, bytes) in fetch_meta_replica(&store, dm, c)? {
+                r.meta_bytes += bytes.len() as u64;
+                let rec = BlockRecord::decode(&bytes, bs);
+                if rec.role == Role::Data && is_new(rec.index_version) {
+                    decoded.push((c, id, rec));
                 }
             }
         }
-        // Per MN one round trip, request and answer, and the lines its
-        // handler read, at line rate; MNs one after another.
-        let wire = (r.rblock_net_bytes + r.scan_lines * 64) as f64 / cost.node_bw;
-        r.rblock_net_ms = (r.scan_rpcs as f64 * cost.rpc_rtt_us * 1e-6 + wire) * 1e3;
-        r.read_rblock_ms = (t.elapsed() - scan.busy).as_secs_f64() * 1e3 + r.rblock_net_ms;
+        let net = settle(dm, cq);
+        r.meta_net_ms += net;
+        r.read_meta_ms += t.elapsed().as_secs_f64() * 1e3 + net;
+
+        // Every survivor scans its own new blocks, all posted at once, each
+        // on a client of its own: its round trip and the lines its handler
+        // reads overlap the others' and the decode below. An answer is
+        // scanned when it is in, ranked by its block, not by its arrival,
+        // and lands on the replacement's link behind the decode.
+        let (phase, start, mut answers) = (Instant::now(), cq.now_us(), 0);
+        let mut scan = Scan::default();
+        (scan.n, scan.col) = (n, col);
+        let scan = Rc::new(RefCell::new(scan));
+        let mut ex = Executor::new();
+        for c in survivors {
+            let link = store.cluster.background_client();
+            link.attach_cq(Arc::clone(cq));
+            let req = ServerReq::ScanNew {
+                of_column: col,
+                since_iv: ckpt_iv,
+            };
+            let resp = link.rpc_sized(dir.node_of(c), &dir.rpc_of(c), req, SCAN_NEW_REQ_BYTES, 0);
+            let (blocks, lines) = resp?.expect_scanned()?;
+            link.accrue_bytes(64 * lines as usize);
+            // The answer: its line count (8 B), then each block's encoding.
+            answers += 8 + blocks.iter().map(|(_, b)| b.wire_len()).sum::<usize>();
+            (r.scan_rpcs, r.scan_lines) = (r.scan_rpcs + 1, r.scan_lines + lines);
+            r.rblock_count += blocks.len();
+            let scan = Rc::clone(&scan);
+            ex.spawn(async move {
+                link.settle().await;
+                for (id, found) in blocks {
+                    let block = (c, map.blocks.block_offset(id), found.slot_len64);
+                    scan.borrow_mut().add((0, c, id), block, found);
+                }
+            });
+        }
+        r.rblock_net_bytes = (answers + r.scan_rpcs as usize * SCAN_NEW_REQ_BYTES) as u64;
 
         // Reconstruct new local blocks, one planned decode per array, and
-        // scan the decoded cells, ranked after the remote blocks.
-        let (t, busy) = (Instant::now(), scan.busy);
-        let mut rank_of: HashMap<(u64, (usize, usize)), (usize, NewBlock)> = HashMap::new();
+        // scan each decoded cell once it is in hand.
+        let t = Instant::now();
+        let mut rank_of: HashMap<(u64, (usize, usize)), (Rank, NewBlock)> = HashMap::new();
         for (c, block, rec) in &decoded {
             if let CellKind::Data { array, row } = map.blocks.kind_of(*block) {
+                let rank = (1 + u8::from(*c != col), *c, *block);
                 let new = (*c, map.blocks.block_offset(*block), rec.slot_len64);
-                rank_of.insert((array, (row, *c)), (r.rblock_count + rank_of.len(), new));
+                rank_of.insert((array, (row, *c)), (rank, new));
             }
         }
         self.new_arrays = decoded.iter().map(|(_, _, r)| r.stripe_array).collect();
-        let book = StripeBook::fetch(&store, dm, self.new_arrays.iter().copied(), Some(&server));
+        let book = StripeBook::fetch(&store, ctl, self.new_arrays.clone(), Some(&server));
         for &array in &self.new_arrays {
             let bufs = &mut self.bufs;
-            let scan_decoded = |cell, bytes: &[u8]| {
+            let visit = |cell, bytes: &[u8]| {
                 if let Some(&(rank, block)) = rank_of.get(&(array, cell)) {
-                    scan.block(rank, block, bytes);
+                    scan.borrow_mut().block(rank, block, bytes);
                 }
             };
-            decode_column(&store, &server, dm, &book, array, true, bufs, scan_decoded)?;
+            dm.batch(|dm| decode_column(&store, &server, dm, &book, array, true, bufs, visit))?;
         }
         let net = self.bufs.stage_reads();
         (r.lblock_net_bytes, r.lblock_net_ops) = (net.bytes, net.ops);
-        r.lblock_net_ms = modeled_transfer_ms(&cost, net);
-        r.recover_lblock_ms =
-            (t.elapsed() + busy - scan.busy).as_secs_f64() * 1e3 + r.lblock_net_ms;
+        let (decoding, busy) = (t.elapsed(), scan.borrow().busy);
+
+        // The clock: the survivors' tasks post their round trips, the
+        // decode's doorbells settle beside them (the decode's share), then
+        // the survivors finish and their answers land (theirs).
+        ex.run_until_idle(|| false);
+        r.lblock_net_ms = settle(dm, cq);
+        ex.run_until_idle(|| cq.advance_next());
+        dm.accrue_bytes(answers);
+        settle(dm, cq);
+        r.rblock_net_ms = (cq.now_us() - start) / 1e3 - r.lblock_net_ms;
+        r.recover_lblock_ms = (decoding - busy).as_secs_f64() * 1e3 + r.lblock_net_ms;
+        // Everything else the phase did on the host, but scanning, is theirs.
+        let answered = phase.elapsed() - decoding - (scan.borrow().busy - busy);
+        r.read_rblock_ms = answered.as_secs_f64() * 1e3 + r.rblock_net_ms;
 
         // Reapply the freshest KV per key to the restored index.
         let t = Instant::now();
+        let mut scan = scan.borrow_mut();
         (r.kv_count, r.kv_routed, r.scan_bytes) = (scan.kv_count, scan.kv_routed, scan.blocks * bs);
         let busy = scan.busy;
         (self.deferred, r.kv_won) = scan.reapply(&store, &server)?;
@@ -494,7 +559,7 @@ impl Recovery {
         // everything (best effort — a dead neighbour resends when it is
         // recovered itself).
         let lcol = (col + n - 1) % n;
-        let _ = dm.rpc(
+        let _ = ctl.rpc(
             dir.node_of(lcol),
             &dir.rpc_of(lcol),
             ServerReq::ResetReplication,
@@ -519,18 +584,17 @@ impl Recovery {
         let old_arrays =
             &self.local_old.iter().copied().collect::<BTreeSet<_>>() - &self.new_arrays;
         let (store, server, dm) = (&self.store, &self.server, &self.dm);
-        let book = StripeBook::fetch(store, dm, old_arrays.iter().copied(), Some(server));
+        let book = StripeBook::fetch(store, store.ctl_dm(), old_arrays.clone(), Some(server));
         let bufs = &mut self.bufs;
         for &array in &old_arrays {
-            decode_column(store, server, dm, &book, array, false, bufs, |_, _| {})?;
+            dm.batch(|dm| decode_column(store, server, dm, &book, array, false, bufs, |_, _| {}))?;
         }
         let net = self.bufs.stage_reads();
         let r = &mut self.report;
         r.old_lblock_count = self.local_old.len();
-        r.old_lblock_net_bytes = net.bytes;
-        r.old_lblock_net_ops = net.ops;
+        (r.old_lblock_net_bytes, r.old_lblock_net_ops) = (net.bytes, net.ops);
         r.old_lblock_cpu_ms = t.elapsed().as_secs_f64() * 1e3;
-        r.old_lblock_net_ms = modeled_transfer_ms(&self.store.cfg.cost, net);
+        r.old_lblock_net_ms = settle(dm, &self.cq);
         r.recover_old_lblock_ms = r.old_lblock_cpu_ms + r.old_lblock_net_ms;
 
         // Resolve the fp-matches the index scan could not verify while old
@@ -575,13 +639,13 @@ impl Recovery {
             pending.clone()
         };
         if (0..store.cfg.num_mns).all(|c| store.col_alive(c)) {
+            let (dm, bufs) = (&self.dm, &mut self.bufs);
             for &pc in &cols {
-                rebuild_parity_and_deltas(store, &store.server(pc), &self.dm, &mut self.bufs)?;
+                dm.batch(|dm| rebuild_parity_and_deltas(store, &store.server(pc), dm, bufs))?;
             }
-            let net = self.bufs.stage_reads();
             let r = &mut self.report;
-            r.parity_net_bytes = net.bytes;
-            r.parity_net_ms = modeled_transfer_ms(&store.cfg.cost, net);
+            r.parity_net_bytes = self.bufs.stage_reads().bytes;
+            r.parity_net_ms = settle(&self.dm, &self.cq);
             r.parity_ms = t.elapsed().as_secs_f64() * 1e3 + r.parity_net_ms;
             // Exactly the columns whose parity and delta copies were rebuilt
             // above are whole again. Clearing the *whole* list here would
@@ -627,12 +691,22 @@ fn record_recovery_obs(obs: &aceso_obs::Obs, r: &RecoveryReport) {
     obs.observe("recovery.meta.us", r.read_meta_ms * 1e3);
     obs.observe(
         "recovery.index.us",
-        (r.read_ckpt_ms + r.recover_lblock_ms + r.read_rblock_ms + r.scan_kv_ms) * 1e3,
+        (r.index_tier_ms() - r.read_meta_ms) * 1e3,
     );
     obs.observe("recovery.block.us", r.recover_old_lblock_ms * 1e3);
     if r.parity_ms > 0.0 {
         obs.observe("recovery.parity.us", r.parity_ms * 1e3);
     }
+}
+
+/// Settles what `dm`'s link owes on its clock `cq`, as the task of an
+/// executor of its own: the clock's advance, in ms. Completions other
+/// executors posted on `cq` run on beside it.
+fn settle(dm: &Arc<DmClient>, cq: &SimCq) -> f64 {
+    let (mut ex, start, dm) = (Executor::new(), cq.now_us(), Arc::clone(dm));
+    ex.spawn(async move { dm.settle().await });
+    ex.run_until_idle(|| cq.advance_next());
+    (cq.now_us() - start) / 1e3
 }
 
 /// Block reads a recovery stage put on the wire.
@@ -684,16 +758,8 @@ impl BlockBufs {
     }
 }
 
-/// Modeled network time of a block-read stage: bytes at line rate plus one
-/// round trip per read, one reader. (The overlap the paper gets from
-/// reading stripes in parallel belongs on the CQ clock, where it would be
-/// measured instead of assumed.)
-fn modeled_transfer_ms(cost: &CostModel, net: Reads) -> f64 {
-    (net.bytes as f64 / cost.node_bw + net.ops as f64 * cost.rtt_us * 1e-6) * 1e3
-}
-
 /// Fetches the failed column's Meta Area replica from whichever of its two
-/// replica holders survives.
+/// replica holders survives, its records owed to `dm`'s link as they land.
 fn fetch_meta_replica(
     store: &AcesoStore,
     dm: &DmClient,
@@ -704,8 +770,9 @@ fn fetch_meta_replica(
     for ncol in [(col + 1) % n, (col + 2) % n] {
         let req = ServerReq::GetMetaReplica { of_column: col };
         if let Ok(ServerResp::MetaReplica { records }) =
-            dm.rpc(dir.node_of(ncol), &dir.rpc_of(ncol), req, 32)
+            dm.rpc_sized(dir.node_of(ncol), &dir.rpc_of(ncol), req, 32, 0)
         {
+            dm.accrue_bytes(records.iter().map(|(_, bytes)| bytes.len()).sum());
             return Ok(records);
         }
     }
@@ -726,7 +793,9 @@ fn fetch_meta_replica(
 /// has not folded in is its delta copy alone. Steps XOR into an accumulator
 /// of their own, so every DATA cell left in hand — survivors as landed, lost
 /// ones as decoded — is a block's current content: each goes to `visit` as
-/// `(row, col)` and its buffer back to `bufs`.
+/// `(row, col)` and its buffer back to `bufs`. The plan and the records name
+/// every read up front and none waits on another, so callers post the
+/// array's reads as one doorbell.
 #[allow(clippy::too_many_arguments)]
 fn decode_column(
     store: &AcesoStore,
@@ -799,7 +868,8 @@ fn decode_column(
 }
 
 /// Recomputes the PARITY cells of `server`'s column and re-materializes
-/// its DELTA blocks from the surviving copies, reading into `bufs`.
+/// its DELTA blocks from the surviving copies, reading into `bufs`. No read
+/// waits on another, so the caller posts the column's as one doorbell.
 fn rebuild_parity_and_deltas(
     store: &AcesoStore,
     server: &MnServer,
@@ -814,7 +884,7 @@ fn rebuild_parity_and_deltas(
         let parity = recs.iter().filter(|r| r.role == Role::Parity);
         parity.map(|r| r.stripe_array).collect()
     };
-    let book = StripeBook::fetch(store, dm, arrays.iter().copied(), None);
+    let book = StripeBook::fetch(store, store.ctl_dm(), arrays.iter().copied(), None);
     let xcode = &book.xcode;
 
     for &array in &arrays {
@@ -886,10 +956,10 @@ struct UnverifiedDup {
 /// `ScanNew` ([`Scan::add`]), a decoded cell's from its bytes
 /// ([`Scan::block`]) — then [`Scan::reapply`]'d to the restored index once.
 /// Per key the winner is the KV with the largest `(slot version, rank,
-/// slot)`, where `rank` is the block's place in the visiting order remote →
-/// local → other dead columns (within each, by column and block): the KV a
-/// walk in that order keeping the last of equal slot versions would pick,
-/// whatever order the blocks arrive in.
+/// slot)`, where the block's [`Rank`] is its place in the visiting order
+/// remote → local → other dead columns (within each, by column and block):
+/// the KV a walk in that order keeping the last of equal slot versions would
+/// pick, whatever order the blocks arrive in.
 #[derive(Default)]
 struct Scan {
     /// Only keys with `route_hash % n == col` are indexed on this column.
@@ -898,7 +968,7 @@ struct Scan {
     /// Per key, its freshest KV so far: `(slot version, rank, slot, packed
     /// address, slot_len64)` — the first three decide, and `(rank, slot)` is
     /// one KV's.
-    best: BTreeMap<Vec<u8>, (u64, usize, usize, u64, u8)>,
+    best: BTreeMap<Vec<u8>, (u64, Rank, usize, u64, u8)>,
     /// Each scanned live KV routed here: its address → its key.
     key_at: HashMap<u64, Vec<u8>>,
     /// Each scanned block, by packed address: its `slot_len64` and which of
@@ -913,8 +983,8 @@ struct Scan {
 }
 
 impl Scan {
-    /// Takes the scan of one new block, `rank`-th in the visiting order.
-    fn add(&mut self, rank: usize, (c, base, slot_len64): NewBlock, found: ScannedBlock) {
+    /// Takes the scan of one new block, at `rank` in the visiting order.
+    fn add(&mut self, rank: Rank, (c, base, slot_len64): NewBlock, found: ScannedBlock) {
         let t = Instant::now();
         (self.blocks, self.kv_count) = (self.blocks + 1, self.kv_count + found.decoded);
         self.kv_routed += found.routed.len();
@@ -924,18 +994,15 @@ impl Scan {
         for (s, sv, key) in found.routed {
             self.key_at.insert(at(s), key.clone());
             let kv = (sv, rank, s, at(s), slot_len64);
-            match self.best.get_mut(&key) {
-                Some(best) if *best > kv => {}
-                Some(best) => *best = kv,
-                None => drop(self.best.insert(key, kv)),
-            }
+            let best = self.best.entry(key).or_insert(kv);
+            *best = (*best).max(kv);
         }
         self.busy += t.elapsed();
     }
 
     /// Scans a new block whose bytes are in hand, slot by slot with
-    /// [`kv::decode`], `rank`-th in the visiting order.
-    fn block(&mut self, rank: usize, block: NewBlock, bytes: &[u8]) {
+    /// [`kv::decode`], at `rank` in the visiting order.
+    fn block(&mut self, rank: Rank, block: NewBlock, bytes: &[u8]) {
         let t = Instant::now();
         let (n, col, slot_bytes) = (self.n, self.col, block.2 as usize * 64);
         let mut found = ScannedBlock::new(block.2, bytes.len());
@@ -964,7 +1031,7 @@ impl Scan {
     /// (all local region writes), in key order. Returns the fp-matches that
     /// must be re-checked after the Block tier, and how many slots it wrote.
     fn reapply(
-        mut self,
+        &mut self,
         store: &AcesoStore,
         server: &MnServer,
     ) -> Result<(Vec<UnverifiedDup>, usize)> {
@@ -1293,8 +1360,9 @@ mod tests {
                 ..Scan::default()
             };
             let (mut bytes, mut answers) = (scan(), scan());
-            for rank in order {
-                let (block, content) = (set[rank].0, &set[rank].1);
+            for i in order {
+                let (block, content) = (set[i].0, &set[i].1);
+                let rank = (0, 0, i as BlockId);
                 bytes.block(rank, block, content);
                 answers.add(rank, block, scan_new(col, block, content));
             }

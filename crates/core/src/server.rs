@@ -199,7 +199,7 @@ impl MnServer {
         reclaim_free: f64,
     ) -> Arc<Self> {
         let blocks = map.blocks.blocks_per_node() as usize;
-        let index_bytes = (map.index.num_groups * 384) as usize;
+        let index_bytes = (map.index.num_groups * aceso_index::layout::GROUP_BYTES) as usize;
         let s = MnServer {
             column,
             index: RemoteIndex::new(node.id, map.index),

@@ -22,11 +22,12 @@
 use crate::layout::{Found, FuseeLayout, Scan, Slot8};
 use aceso_core::{ClientTuning, IndexCache};
 use aceso_index::{fingerprint, route_hash};
+use aceso_rdma::cq::{block_on, SimCq};
 use aceso_rdma::{
     Cluster, ClusterConfig, CostModel, DmClient, GlobalAddr, NodeId, OpKind, RdmaError,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -210,7 +211,8 @@ pub struct ReplRecovery {
     pub slots: usize,
     /// Copy verbs issued.
     pub verbs: u64,
-    /// Modeled network milliseconds (deterministic).
+    /// Modeled network milliseconds (deterministic): the rebuild's clock
+    /// (see [`ReplStore::recover_mn`]).
     pub net_ms: f64,
 }
 
@@ -332,9 +334,11 @@ impl<P: Protocol> ReplStore<P> {
     /// surviving copies: every index partition area the column hosted is
     /// copied from a live replica, every record block is copied from a
     /// live member of its recorded block set, and the column directory is
-    /// republished. The report's `net_ms` is *modeled* network time
-    /// (bytes over the cost model's bandwidth plus per-verb round trips),
-    /// so it is a pure function of the seed like Aceso's recovery columns.
+    /// republished. The report's `net_ms` is *modeled* network time, on a
+    /// clock of the rebuild's own by the rule Aceso's recovery runs on: per
+    /// source column one doorbell of reads, then one of writes to the
+    /// replacement, back to back on the rebuilder's link — so it is a pure
+    /// function of the seed like Aceso's recovery columns.
     ///
     /// A failed call leaves no live node behind: every copy's source is
     /// resolved before the replacement is added, and a replacement whose
@@ -370,20 +374,34 @@ impl<P: Protocol> ReplStore<P> {
         }
 
         let replacement = self.cluster.add_node();
-        let dm = self.cluster.background_client();
-        let mut rep = ReplRecovery::default();
-        for (i, &(src, off, len)) in copies.iter().enumerate() {
-            let bytes = dm
-                .read_vec(GlobalAddr::new(self.node_of(src), off), len)
-                .and_then(|bytes| {
-                    dm.write(GlobalAddr::new(replacement.id, off), &bytes)
-                        .map(|_| bytes)
-                })
-                .inspect_err(|_| {
-                    self.cluster.kill_node(replacement.id);
+        let (cq, dm) = (Arc::new(SimCq::new()), self.cluster.background_client());
+        dm.attach_cq(Arc::clone(&cq));
+        let mut got = vec![Vec::new(); copies.len()];
+        let filled = (|| -> Result<()> {
+            for src in copies.iter().map(|&(src, _, _)| src).collect::<BTreeSet<_>>() {
+                dm.batch(|dm| -> Result<()> {
+                    for (i, &(from, off, len)) in copies.iter().enumerate() {
+                        if from == src {
+                            got[i] = dm.read_vec(GlobalAddr::new(self.node_of(src), off), len)?;
+                        }
+                    }
+                    Ok(())
                 })?;
+            }
+            dm.batch(|dm| -> Result<()> {
+                for (&(_, off, _), bytes) in copies.iter().zip(&got) {
+                    dm.write(GlobalAddr::new(replacement.id, off), bytes)?;
+                }
+                Ok(())
+            })
+        })();
+        filled.inspect_err(|_| {
+            self.cluster.kill_node(replacement.id);
+        })?;
+        let mut rep = ReplRecovery::default();
+        for (i, (&(_, _, len), bytes)) in copies.iter().zip(&got).enumerate() {
             if i < index_copies {
-                rep.slots += live_slots(&bytes).count();
+                rep.slots += live_slots(bytes).count();
                 rep.index_bytes += 2 * len as u64;
             } else {
                 rep.block_bytes += 2 * len as u64;
@@ -393,8 +411,8 @@ impl<P: Protocol> ReplStore<P> {
         }
 
         self.nodes.write()[col] = replacement.id;
-        rep.net_ms = (rep.index_bytes + rep.block_bytes) as f64 / self.cfg.cost.node_bw * 1e3
-            + rep.verbs as f64 * self.cfg.cost.rtt_us * 1e-3;
+        block_on(Some(Arc::clone(&cq)), dm.settle());
+        rep.net_ms = cq.now_us() / 1e3;
         Ok(rep)
     }
 

@@ -318,12 +318,6 @@ impl CostModel {
         lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
         lat
     }
-
-    /// Time to move `bytes` over one NIC at full bandwidth, in seconds.
-    /// Used by recovery-stage timing (Table 2, Figures 16/18/20).
-    pub fn transfer_secs(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.node_bw + self.rtt_us * 1e-6
-    }
 }
 
 #[cfg(test)]

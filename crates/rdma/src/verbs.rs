@@ -485,7 +485,8 @@ impl DmClient {
     ///
     /// `req_bytes` approximates the request payload; responses are charged a
     /// flat 256 B (RPC is off Aceso's critical path, only its round trip and
-    /// existence matter).
+    /// existence matter — [`DmClient::rpc_sized`] where the answer's size
+    /// does).
     pub fn rpc<Req: Send, Resp: Send>(
         &self,
         node_id: NodeId,
@@ -493,14 +494,37 @@ impl DmClient {
         req: Req,
         req_bytes: usize,
     ) -> Result<Resp> {
-        const RESP_BYTES: usize = 256;
+        self.rpc_sized(node_id, rpc, req, req_bytes, 256)
+    }
+
+    /// [`DmClient::rpc`] with the answer charged as `resp_bytes`: zero when
+    /// its size is known only once it is in, and the caller charges what
+    /// arrived with [`DmClient::accrue_bytes`].
+    pub fn rpc_sized<Req: Send, Resp: Send>(
+        &self,
+        node_id: NodeId,
+        rpc: &RpcClient<Req, Resp>,
+        req: Req,
+        req_bytes: usize,
+        resp_bytes: usize,
+    ) -> Result<Resp> {
         let node = self.node(node_id)?;
         let kill = self.intercept(node, VerbKind::Rpc, 0, req_bytes)?;
         let resp = rpc.call(req)?;
         self.trace(node.id, TraceOp::Rpc, 0, req_bytes);
         self.kill_after(node, kill);
-        self.account_rpc(node, req_bytes, RESP_BYTES);
+        self.account_rpc(node, req_bytes, resp_bytes);
         Ok(resp)
+    }
+
+    /// Owes the wire time of `bytes` that cross this client's link without
+    /// a verb of their own — an RPC answer charged once its size is known,
+    /// the lines an RPC handler reads on the client's behalf — to the next
+    /// [`DmClient::settle`]. A no-op without a completion queue.
+    pub fn accrue_bytes(&self, bytes: usize) {
+        if self.cq_on.load(Ordering::Relaxed) {
+            self.session.lock().accr.us += bytes as f64 / self.cluster.cost.node_bw * 1e6;
+        }
     }
 
     /// Fire-and-forget RPC with the same cost accounting as [`DmClient::rpc`]
@@ -798,6 +822,12 @@ mod tests {
         block_on(Some(Arc::clone(&cq)), cl.settle());
         let batch_us = cost.rtt_us + 2.0 * cost.post_us + 3.0 * 8.0 / cost.node_bw * 1e6;
         assert!((cq.now_us() - before - batch_us).abs() < 1e-3);
+
+        // Bytes that cross without a verb pay their wire time alone.
+        let before = cq.now_us();
+        cl.accrue_bytes(69_000);
+        block_on(Some(Arc::clone(&cq)), cl.settle());
+        assert!((cq.now_us() - before - 69_000.0 / cost.node_bw * 1e6).abs() < 1e-3);
 
         // Settle with nothing accrued never suspends; detaching stops
         // accrual entirely.
