@@ -149,6 +149,13 @@ impl AcesoClient {
             // next writer 50 probes and a lock break. The one exception is
             // a simulated crash: a dead client releases nothing.
             if !matches!(published, Err(StoreError::Shutdown)) {
+                // A landed commit releases with its own size class: the
+                // length refresh below is skipped under a bracket.
+                let len64 = match published {
+                    Ok(ControlFlow::Continue(_)) => op.class,
+                    _ => unlocked.len64,
+                };
+                let unlocked = SlotMeta { len64, ..unlocked };
                 let unlock = att
                     .index
                     .cas_meta(&self.dm, att.slot.addr, locked, unlocked);

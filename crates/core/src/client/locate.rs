@@ -178,7 +178,7 @@ impl AcesoClient {
             Err(e) => return Err(e.into()),
         };
         if id == Identity::Unwritten {
-            id = kv::identity(&self.reconstruct(col, off, len).await?, key);
+            id = kv::identity(&self.reconstruct(col, off, len, None).await?, key);
         }
         Ok(match id {
             Identity::Ours { tombstone } => Some(tombstone),

@@ -44,6 +44,20 @@ fn whole(buf: &[u8], key: &[u8]) -> Candidate {
     kv::decode(buf).and_then(|d| candidate_of(d, key))
 }
 
+/// A lost cell to rebuild: where it sits in its stripe array, and the two
+/// parity chains through it in the order to try them.
+pub(super) struct Rebuild {
+    array: u64,
+    row: usize,
+    /// Byte offset of the range within its block.
+    within: u64,
+    chains: [(usize, usize); 2],
+}
+
+/// One chain's doorbell, landed: the XOR of the cells its record head says
+/// are encoded, and the DELTA blocks still to fold in.
+pub(super) type Chain = Result<(Vec<u8>, Vec<u64>)>;
+
 impl AcesoClient {
     pub(super) async fn search_inner(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let fp = fingerprint(key);
@@ -62,6 +76,9 @@ impl AcesoClient {
     }
 
     /// Full Aceso cache hit: batched `KV read + slot re-read` (§3.5.1).
+    /// A KV on a node this client has seen fail is not read — the verb could
+    /// only be flushed — but rebuilt: its first chain rides in the slot
+    /// re-read's doorbell, and its bytes are dropped if the slot moved.
     /// Outer `None` means the cache entry was unusable (fall back).
     async fn search_via_cache(
         &mut self,
@@ -71,12 +88,16 @@ impl AcesoClient {
     ) -> Result<Option<Option<Vec<u8>>>> {
         let len = (entry.meta.len64.max(1) as usize) * 64;
         let (kv_col, kv_off) = unpack_col(entry.atomic.addr48);
-        let mut kv_buf: Result<Vec<u8>> = Ok(Vec::new());
+        let kv = self.addr(kv_col, kv_off);
+        let down = self.dm.is_down(kv.node);
+        let rebuild = down.then(|| self.rebuild_of(kv_col, kv_off)).transpose()?;
+        let (mut kv_buf, mut chain) = (Ok(Vec::new()), None);
         let mut slot: Result<_> = Err(StoreError::NotFound);
         self.dm.batch(|dm| {
-            kv_buf = dm
-                .read_vec(self.addr(kv_col, kv_off), len)
-                .map_err(StoreError::from);
+            match &rebuild {
+                Some(rb) => chain = Some(self.read_chain(rb, rb.chains[0], len)),
+                None => kv_buf = dm.read_vec(kv, len),
+            }
             slot = RemoteIndex::new(entry.slot_addr.node, self.map.index)
                 .read_slot(dm, entry.slot_addr)
                 .map_err(StoreError::from);
@@ -88,20 +109,19 @@ impl AcesoClient {
             return Ok(None);
         };
         if slot.atomic == entry.atomic {
-            let value = match kv_buf.as_deref().ok().and_then(kv::decode) {
-                Some(d) if d.key == key => Some(value_of(d)),
-                _ => whole(&self.reconstruct(kv_col, kv_off, len).await?, key),
-            };
-            match value {
-                Some(v) => return Ok(Some(v)),
-                None => {
-                    // The slot still points here but the bytes are not this
-                    // key's KV (collision / unreconstructable): drop the
-                    // stale entry and fall back to a full query.
-                    self.cache.invalidate(key);
-                    return Ok(None);
-                }
+            let read = kv_buf.as_deref().ok().and_then(kv::decode);
+            if let Some(d) = read.filter(|d| d.key == key) {
+                return Ok(Some(value_of(d)));
             }
+            let posted = rebuild.zip(chain);
+            if let Some(v) = self.rebuilt(kv_col, kv_off, len, key, posted).await? {
+                return Ok(Some(v));
+            }
+            // The slot still points here but the bytes are not this key's KV
+            // (collision / unreconstructable): drop the stale entry and fall
+            // back to a full query.
+            self.cache.invalidate(key);
+            return Ok(None);
         }
         // Slot changed: chase the new pointer if it still matches this key.
         if !slot.atomic.is_empty() && slot.atomic.fp == fp {
@@ -151,14 +171,11 @@ impl AcesoClient {
         for cand in &scan.matches {
             if cand.atomic.addr48 == entry.atomic.addr48 {
                 // Cache still current.
-                if let Ok(buf) = &kv_buf {
-                    if let Some(d) = kv::decode(buf) {
-                        if d.key == key {
-                            return Ok(Some(value_of(d)));
-                        }
-                    }
+                let read = kv_buf.as_deref().ok().and_then(kv::decode);
+                if let Some(d) = read.filter(|d| d.key == key) {
+                    return Ok(Some(value_of(d)));
                 }
-                if let Some(v) = whole(&self.reconstruct(kv_col, kv_off, len).await?, key) {
+                if let Some(v) = self.rebuilt(kv_col, kv_off, len, key, None).await? {
                     return Ok(Some(v));
                 }
                 // Collision on the degraded fetch: the cached address holds
@@ -244,8 +261,9 @@ impl AcesoClient {
     /// batch) into SEARCH's [`Candidate`].
     ///
     /// Only two situations route to the X-Code degraded reconstruct: an
-    /// unreachable node, and a slot that reads back *unwritten* (write
-    /// version 0 — a zeroed, not-yet-recovered block on a replacement MN).
+    /// unreachable node (nothing read — the empty buffer classifies as
+    /// unwritten), and a slot that reads back *unwritten* (write version 0 —
+    /// a zeroed, not-yet-recovered block on a replacement MN).
     /// A read the stale advisory length truncated is retried at the size
     /// the KV's own header names. Every other decode failure on a healthy
     /// node is content that simply is not this key's live KV — a stale or
@@ -261,14 +279,12 @@ impl AcesoClient {
     ) -> Result<Candidate> {
         let buf = match read {
             Ok(buf) => buf,
-            Err(RdmaError::NodeUnreachable(_)) => {
-                return Ok(whole(&self.reconstruct(col, off, hint).await?, key))
-            }
+            Err(RdmaError::NodeUnreachable(_)) => Vec::new(),
             Err(e) => return Err(e.into()),
         };
         match kv::classify(&buf) {
             KvRead::Whole(d) => Ok(candidate_of(d, key)),
-            KvRead::Unwritten => Ok(whole(&self.reconstruct(col, off, hint).await?, key)),
+            KvRead::Unwritten => self.rebuilt(col, off, hint, key, None).await,
             KvRead::Truncated(len) => {
                 let full = self.dm.read_vec(self.addr(col, off), len);
                 self.dm.settle().await;
@@ -282,35 +298,38 @@ impl AcesoClient {
 
     /// Reconstructs `len` bytes at `off` of a block that is unavailable by
     /// XORing the same byte range of one X-Code parity chain,
-    /// `C_t = P ⊕ ⊕_{k≠t, encoded}(C_k ⊕ D_k) ⊕ D_t` — the diagonal chain,
-    /// or the anti-diagonal one if a cell the first needs is unreachable.
+    /// `C_t = P ⊕ ⊕_{k≠t, encoded}(C_k ⊕ D_k) ⊕ D_t`.
     ///
     /// All one-sided: [`Self::read_chain`] posts the chain as one doorbell,
     /// and only a chain with a DELTA block registered (the target's block is
     /// still open, or an encoded cell is being overwritten) costs a second
     /// one. The range is the caller's: SEARCH reconstructs a whole slot and
-    /// decodes it, the write path's `locate::verify_kv` reconstructs the
-    /// `kv::identity_len` prefix and judges that — same chain reader, cell
-    /// reads as short as the question.
+    /// judges it ([`Self::rebuilt`]), the write path's `locate::verify_kv`
+    /// reconstructs the `kv::identity_len` prefix and judges that — same
+    /// chain reader, cell reads as short as the question. The first chain
+    /// tried is [`Self::rebuild_of`]'s; `posted` is its doorbell when the
+    /// caller already rang it.
     pub(super) async fn reconstruct(
         &mut self,
         col: usize,
         off: u64,
         len: usize,
+        posted: Option<(Rebuild, Chain)>,
     ) -> Result<Vec<u8>> {
         if let Some(m) = &self.metrics {
             m.degraded_reads.inc();
         }
-        let (block, within) = self.map.blocks.locate(off).ok_or(StoreError::NotFound)?;
-        let CellKind::Data { array, row } = self.map.blocks.kind_of(block) else {
-            return Err(StoreError::NotFound);
+        let (rb, mut posted) = match posted {
+            Some((rb, chain)) => (rb, Some(chain)),
+            None => (self.rebuild_of(col, off)?, None),
         };
-        let (diag, anti) = self.xcode.parity_cells_for(row, col);
         let mut last_err = StoreError::NotFound;
-        for parity in [diag, anti] {
-            let chain = self.read_chain(array, row, parity, within, len);
+        for parity in rb.chains {
+            let chain = posted
+                .take()
+                .unwrap_or_else(|| self.read_chain(&rb, parity, len));
             self.dm.settle().await;
-            let folded = chain.and_then(|(acc, deltas)| self.fold_deltas(acc, &deltas, within));
+            let folded = chain.and_then(|(acc, deltas)| self.fold_deltas(acc, &deltas, rb.within));
             self.dm.settle().await; // Nothing to wait for unless DELTA reads were posted.
             match folded {
                 Ok(buf) => return Ok(buf),
@@ -318,6 +337,49 @@ impl AcesoClient {
             }
         }
         Err(last_err)
+    }
+
+    /// Where the bytes at `off` of column `col` sit in their stripe array,
+    /// and the two chains through that cell: the diagonal first, unless its
+    /// parity or another of its cells sits on a node this client knows is
+    /// down — a chain through a dead cell may fail, after its doorbell.
+    fn rebuild_of(&self, col: usize, off: u64) -> Result<Rebuild> {
+        let blocks = self.map.blocks;
+        let (block, within) = blocks.locate(off).ok_or(StoreError::NotFound)?;
+        let CellKind::Data { array, row } = blocks.kind_of(block) else {
+            return Err(StoreError::NotFound);
+        };
+        let mut chains: [(usize, usize); 2] = self.xcode.parity_cells_for(row, col).into();
+        let (pr, pc) = chains[0];
+        let cols = self.xcode.chain(pr, pc).data.iter().map(|&(_, c)| c);
+        let mut named = cols.chain([pc]).filter(|&c| c != col);
+        if named.any(|c| self.dm.is_down(self.dir.node_of(c))) {
+            chains.reverse();
+        }
+        Ok(Rebuild {
+            array,
+            row,
+            within,
+            chains,
+        })
+    }
+
+    /// SEARCH's judgement of a reconstructed slot, the healthy read's: a KV
+    /// the stale advisory length truncated is reconstructed again at the
+    /// size its header names.
+    async fn rebuilt(
+        &mut self,
+        col: usize,
+        off: u64,
+        len: usize,
+        key: &[u8],
+        posted: Option<(Rebuild, Chain)>,
+    ) -> Result<Candidate> {
+        let buf = self.reconstruct(col, off, len, posted).await?;
+        Ok(match kv::classify(&buf) {
+            KvRead::Truncated(len) => whole(&self.reconstruct(col, off, len, None).await?, key),
+            _ => whole(&buf, key),
+        })
     }
 
     /// Posts one chain's doorbell: the head of the parity block's record
@@ -331,12 +393,11 @@ impl AcesoClient {
     /// may have been unreachable.
     fn read_chain(
         &self,
-        array: u64,
-        row: usize,
+        rb: &Rebuild,
         (parity_row, parity_col): (usize, usize),
-        within: u64,
         len: usize,
-    ) -> Result<(Vec<u8>, Vec<u64>)> {
+    ) -> Chain {
+        let (array, row, within) = (rb.array, rb.row, rb.within);
         let blocks = self.map.blocks;
         let eq = self.xcode.chain(parity_row, parity_col);
         let pid = blocks.cell_block_id(array, parity_row);

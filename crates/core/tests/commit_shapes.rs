@@ -453,6 +453,34 @@ fn version_rollover() {
     store.shutdown();
 }
 
+/// A rollover UPDATE that changes the size class: the bracket skips the
+/// epilogue's Meta write, so the unlock CAS carries the new class — cold
+/// readers get the right length hint, and the next cached UPDATE's slot
+/// revalidation holds (a stale length refuted it once: the redo shape).
+#[test]
+fn rollover_with_size_class_change() {
+    let store = launch();
+    let big = vec![7u8; 950];
+    let mut a = primed(&store, "a", V);
+    a.insert(b"prime-big", &big).unwrap();
+    wind_to_rollover(&mut a, b"shape-key");
+    let (r, rec) = measure(&mut a, |c| c.update(b"shape-key", &big));
+    r.unwrap();
+    assert_eq!(shape(&rec), (5, 7, 3, 3, 40));
+    let index_col = (route_hash(b"shape-key") % store.cfg.num_mns as u64) as usize;
+    let index = RemoteIndex::new(store.directory().node_of(index_col), store.map.index);
+    let dm = store.cluster.background_client();
+    let slot = index
+        .scan(&dm, b"shape-key", fingerprint(b"shape-key"))
+        .unwrap()
+        .matches[0];
+    assert_eq!(slot.meta.len64, 16, "the Meta length names the 1 KB class");
+    let (r, rec) = measure(&mut a, |c| c.update(b"shape-key", &big));
+    r.unwrap();
+    assert_eq!(shape(&rec), (2, 5, 1, 4, 24));
+    store.shutdown();
+}
+
 /// A rollover commit that fails between its lock and unlock CAS must not
 /// leave the Meta lock held: the KV write is failed by a fault plan, the
 /// update surfaces the error, and the next update commits in the rollover

@@ -18,8 +18,9 @@
 //! the same value.
 
 use aceso_blockalloc::CellKind;
+use aceso_core::client::CrashPoint;
 use aceso_core::config::unpack_col;
-use aceso_core::{AcesoClient, AcesoConfig, AcesoStore, RecoveryTier, StoreError};
+use aceso_core::{recover_cn, AcesoClient, AcesoConfig, AcesoStore, RecoveryTier, StoreError};
 use aceso_erasure::XCode;
 use aceso_index::{fingerprint, route_hash, RemoteIndex, SlotRef};
 use aceso_rdma::{OpRecord, RdmaError};
@@ -188,8 +189,10 @@ fn degraded_cold_on_a_dead_column() {
     twin.shutdown();
 }
 
-/// A cache hit on a dead column: the batch's slot re-read comes back, its
-/// KV read does not; one chain doorbell.
+/// A cache hit on a dead column. First contact: the batch's slot re-read
+/// comes back, its KV read does not; one chain doorbell. From then on the
+/// client knows the node is down, and the chain rides in the slot
+/// re-read's doorbell instead of the KV read: one round trip.
 #[test]
 fn degraded_warm_hit_on_a_dead_column() {
     let (store, twin) = (populated(), populated());
@@ -199,8 +202,35 @@ fn degraded_warm_hit_on_a_dead_column() {
         assert_eq!(c.search(&key(t.i)).unwrap(), Some(value(t.i)));
     }
     assert!(store.kill_mn(t.kv_col));
-    let got = against_twin(&mut d, &mut h, t.i);
-    assert_eq!(got, (2, 5, 0, 2, 16 + CHAIN));
+    let first = against_twin(&mut d, &mut h, t.i);
+    assert_eq!(first, (2, 5, 0, 2, 16 + CHAIN));
+    assert!(d.dm.is_down(store.directory().node_of(t.kv_col)));
+    let next = against_twin(&mut d, &mut h, t.i);
+    assert_eq!(next, (1, 5, 0, 1, 16 + CHAIN));
+    store.shutdown();
+    twin.shutdown();
+}
+
+/// A hit on a known-down node whose slot moved since the cache fill: the
+/// chain that rode along is dropped, the new pointer is chased, and the
+/// entry follows it.
+#[test]
+fn degraded_warm_hit_on_a_moved_slot() {
+    let (store, twin) = (populated(), populated());
+    let t = targets(&store, 0..KEYS).next().unwrap();
+    let (mut d, mut h) = (store.client().unwrap(), twin.client().unwrap());
+    for c in [&mut d, &mut h] {
+        assert_eq!(c.search(&key(t.i)).unwrap(), Some(value(t.i)));
+    }
+    assert!(store.kill_mn(t.kv_col));
+    against_twin(&mut d, &mut h, t.i);
+    for s in [&store, &twin] {
+        let mut w = s.client().unwrap();
+        w.update(&key(t.i), &value(t.i + 1)).unwrap();
+    }
+    let (got, _) = search(&mut d, &key(t.i));
+    assert_eq!(got.unwrap(), Some(value(t.i + 1)));
+    assert_eq!(search(&mut h, &key(t.i)).0.unwrap(), Some(value(t.i + 1)));
     store.shutdown();
     twin.shutdown();
 }
@@ -310,32 +340,83 @@ fn degraded_target_in_a_reused_open_block() {
 }
 
 /// Two columns down, and the diagonal chain needs a cell of the second: the
-/// anti-diagonal chain serves the read. The failed chain's doorbell was
-/// posted (its live cells cost verbs and bytes) before the record head
-/// said the unreachable cell was needed.
+/// anti-diagonal chain serves the read. On first contact the failed chain's
+/// doorbell was posted (its live cells cost verbs and bytes) before the
+/// record head said the unreachable cell was needed. Once the client knows
+/// both columns are down it starts with the chain that names neither: a
+/// cold read of another such key is scan + one chain doorbell, and a cache
+/// hit one doorbell.
 #[test]
 fn degraded_second_dead_column_falls_back_to_the_other_chain() {
     let (store, twin) = (populated(), populated());
     let xcode = XCode::new(store.cfg.num_mns).unwrap();
+    let needing = |t: &Target| {
+        let (diag, anti) = xcode.parity_cells_for(t.row, t.kv_col);
+        let others = |p: (usize, usize)| {
+            let cells = xcode.chain(p.0, p.1).data.iter().copied();
+            cells.filter(|&(r, _)| r != t.row).collect::<Vec<_>>()
+        };
+        let (_, second) = (others(diag).into_iter()).find(|&(r, c)| {
+            c != t.index_col && parity_head(&store, t.array, diag).0 & (1 << r) != 0
+        })?;
+        let spared = anti.1 != second && others(anti).iter().all(|&(_, c)| c != second);
+        spared.then_some(second)
+    };
     let (t, second) = targets(&store, 0..KEYS)
-        .find_map(|t| {
-            let (diag, anti) = xcode.parity_cells_for(t.row, t.kv_col);
-            let others = |p: (usize, usize)| {
-                let cells = xcode.chain(p.0, p.1).data.iter().copied();
-                cells.filter(|&(r, _)| r != t.row).collect::<Vec<_>>()
-            };
-            let (_, second) = (others(diag).into_iter()).find(|&(r, c)| {
-                c != t.index_col && parity_head(&store, t.array, diag).0 & (1 << r) != 0
-            })?;
-            let spared = anti.1 != second && others(anti).iter().all(|&(_, c)| c != second);
-            spared.then_some((t, second))
-        })
+        .find_map(|t| needing(&t).map(|second| (t, second)))
+        .unwrap();
+    let u = targets(&store, t.i + 1..KEYS)
+        .find(|u| u.kv_col == t.kv_col && needing(u) == Some(second))
         .unwrap();
     assert!(store.kill_mn(t.kv_col));
     assert!(store.kill_mn(second));
     let (mut d, mut h) = (store.client().unwrap(), twin.client().unwrap());
     let got = against_twin(&mut d, &mut h, t.i);
     assert_eq!(got, (3, 9, 0, 3, SCAN + (CHAIN - KV) + CHAIN));
+    assert_eq!(
+        against_twin(&mut d, &mut h, u.i),
+        (2, 6, 0, 2, SCAN + CHAIN)
+    );
+    assert_eq!(against_twin(&mut d, &mut h, t.i), (1, 5, 0, 1, 16 + CHAIN));
+    store.shutdown();
+    twin.shutdown();
+}
+
+/// A KV that grew behind a stale advisory length — its writer died between
+/// the commit CAS and the Meta write — on a dead column: the chain read at
+/// the length hint comes back truncated, and, as a healthy read re-reads, a
+/// second chain read at the size the header names finds the value. (A
+/// truncated rebuild used to count as a collision: "absent".)
+#[test]
+fn degraded_read_behind_a_stale_length() {
+    let grown = |store: &Arc<AcesoStore>| {
+        let mut w = store.client().unwrap();
+        w.insert(b"prime-big", &value(0)).unwrap();
+        let (_, prime) = candidates(store, b"prime-big");
+        let (kv_col, _) = unpack_col(prime[0].atomic.addr48);
+        let n = store.cfg.num_mns as u64;
+        let i = (KEYS..).find(|&i| (route_hash(&key(i)) % n) as usize != kv_col);
+        let i = i.unwrap();
+        w.insert(&key(i), b"small").unwrap();
+        w.crash_point = Some(CrashPoint::AfterCommit);
+        assert!(w.update(&key(i), &value(i)).is_err());
+        recover_cn(store, w.id()).unwrap();
+        assert_eq!(candidates(store, &key(i)).1[0].meta.len64, 1);
+        (i, kv_col)
+    };
+    let (store, twin) = (populated(), populated());
+    let ((i, kv_col), _) = (grown(&store), grown(&twin));
+    assert!(store.kill_mn(kv_col));
+    let (got, rec) = search(&mut store.client().unwrap(), &key(i));
+    let (want, _) = search(&mut twin.client().unwrap(), &key(i));
+    assert_eq!(want.unwrap(), Some(value(i)));
+    assert_eq!(got.unwrap(), Some(value(i)));
+    // The writer's block is still open, so each chain reads its DELTA
+    // range too: chain + DELTA at the 256 B hint, then at the whole KV.
+    assert_eq!(
+        shape(&rec),
+        (5, 12, 0, 5, SCAN + (160 + 4 * 256) + CHAIN + KV)
+    );
     store.shutdown();
     twin.shutdown();
 }

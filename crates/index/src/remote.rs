@@ -7,7 +7,9 @@
 //! additionally gets zero-cost local accessors used by checkpointing and
 //! recovery.
 
-use crate::layout::{IndexLayout, BUCKET_SLOTS, COMBINED_BYTES, COMBINED_SLOTS};
+use crate::layout::{
+    IndexLayout, BUCKET_SLOTS, COMBINED_BYTES, COMBINED_SLOTS, GROUP_BUCKETS, GROUP_BYTES,
+};
 use crate::slot::{SlotAtomic, SlotMeta, SLOT_BYTES};
 use aceso_rdma::{DmClient, GlobalAddr, NodeId, Region, Result};
 
@@ -172,13 +174,16 @@ impl RemoteIndex {
     /// §3.2.1 derives from PCIe read-modify-write semantics.
     pub fn snapshot(&self, region: &Region) -> Vec<u8> {
         region
-            .read_vec(self.layout.base, (self.layout.num_groups * 384) as usize)
+            .read_vec(
+                self.layout.base,
+                (self.layout.num_groups * GROUP_BYTES) as usize,
+            )
             .expect("index area in range")
     }
 
     /// Writes raw bucket bytes back (recovery restoring a checkpoint).
     pub fn restore(&self, region: &Region, bytes: &[u8]) {
-        assert_eq!(bytes.len() as u64, self.layout.num_groups * 384);
+        assert_eq!(bytes.len() as u64, self.layout.num_groups * GROUP_BYTES);
         region
             .write(self.layout.base, bytes)
             .expect("index area in range");
@@ -192,8 +197,8 @@ impl RemoteIndex {
     ) -> impl Iterator<Item = (u64, u64, SlotAtomic, SlotMeta)> + 'a {
         let groups = self.layout.num_groups;
         (0..groups).flat_map(move |g| {
-            (0..24u64).map(move |s| {
-                let off = (g * 384 + s * SLOT_BYTES) as usize;
+            (0..GROUP_BUCKETS * BUCKET_SLOTS).map(move |s| {
+                let off = (g * GROUP_BYTES + s * SLOT_BYTES) as usize;
                 let a =
                     SlotAtomic::decode(u64::from_le_bytes(snap[off..off + 8].try_into().unwrap()));
                 let m = SlotMeta::decode(u64::from_le_bytes(
@@ -209,7 +214,7 @@ impl RemoteIndex {
     pub fn slot_addr(&self, group: u64, slot_in_group: u64) -> GlobalAddr {
         GlobalAddr::new(
             self.node,
-            self.layout.base + group * 384 + slot_in_group * SLOT_BYTES,
+            self.layout.base + group * GROUP_BYTES + slot_in_group * SLOT_BYTES,
         )
     }
 }

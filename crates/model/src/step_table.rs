@@ -50,7 +50,11 @@ pub const STEP_TABLE: &[(&str, usize, &str)] = &[
     ("flush_deferred_deltas", 1, "mutation-held delta write batch"),
     ("unwind_fenced_place", 1, "fence rollback write batch"),
     // search.rs — the read path.
-    ("search_via_cache", 1, "cached KV read + slot re-read batch"),
+    (
+        "search_via_cache",
+        1,
+        "cached KV read (a known-down node's: its first chain) + slot re-read batch",
+    ),
     ("search_value_cache", 1, "cached KV read + two-bucket scan batch"),
     ("search_query", 1, "two-bucket scan"),
     ("search_candidates", 1, "batched candidate KV reads"),

@@ -101,6 +101,9 @@ pub struct DmClient {
     /// passes every fence: clients that do not participate in placement
     /// (background, recovery, control plane) stay unaffected.
     placement_epoch: AtomicU64,
+    /// Nodes a verb of this client found unreachable (see
+    /// [`DmClient::is_down`]).
+    down: Mutex<Vec<NodeId>>,
 }
 
 impl DmClient {
@@ -116,7 +119,16 @@ impl DmClient {
             trace_id,
             trace_seq: AtomicU64::new(0),
             placement_epoch: AtomicU64::new(u64::MAX),
+            down: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Whether a verb of this client has found `node` unreachable. On RC
+    /// RDMA its queue pair has been in the error state since then, so a
+    /// verb posted to it could only be flushed. The view only grows: nodes
+    /// fail-stop, and a replacement always gets a fresh id.
+    pub fn is_down(&self, node: NodeId) -> bool {
+        self.down.lock().contains(&node)
     }
 
     /// Declares the placement epoch this client's address resolution is
@@ -242,7 +254,11 @@ impl DmClient {
     }
 
     fn node(&self, id: NodeId) -> Result<&MemoryNode> {
-        self.cluster.node_ref(id).map(Arc::as_ref)
+        let node = self.cluster.node_ref(id);
+        if node.is_err() && !self.is_down(id) {
+            self.down.lock().push(id);
+        }
+        node.map(Arc::as_ref)
     }
 
     /// The per-node counters this client's traffic is charged to.
@@ -891,7 +907,9 @@ mod tests {
         let cl = c.client();
         c.kill_node(NodeId(0));
         let a = GlobalAddr::new(NodeId(0), 0);
+        assert!(!cl.is_down(NodeId(0)), "known once a verb finds it");
         assert!(cl.read_vec(a, 8).is_err());
+        assert!(cl.is_down(NodeId(0)) && !c.client().is_down(NodeId(0)));
         assert!(cl.write(a, &[0]).is_err());
         assert!(cl.cas(a, 0, 1).is_err());
         // And nothing was accounted.
@@ -914,8 +932,9 @@ mod tests {
                 node: NodeId(0)
             })
         );
-        // One fire only: the retry goes through, and the failed write never
-        // reached memory.
+        // Transient: the node stays up in the client's view. One fire only:
+        // the retry goes through, and the failed write never reached memory.
+        assert!(!cl.is_down(NodeId(0)));
         assert_eq!(cl.read_vec(a, 8).unwrap(), vec![7u8; 8]);
         cl.write(a, &[9u8; 8]).unwrap();
         assert_eq!(cl.read_vec(a, 8).unwrap(), vec![9u8; 8]);

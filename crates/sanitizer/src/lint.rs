@@ -284,40 +284,6 @@ pub fn lint_crash_points() -> Vec<String> {
     v
 }
 
-/// Source lint: `index/remote.rs` hardcodes the group stride in its local
-/// snapshot helpers; it must match `GROUP_BYTES`, and `cas_meta` must keep
-/// the `+ 8` Meta-word offset in step with `SLOT_BYTES / 2`.
-pub fn lint_remote_index_literals() -> Vec<String> {
-    let mut v = Vec::new();
-    let Some(src) = read_source(&mut v, "crates/index/src/remote.rs") else {
-        return v;
-    };
-    if src.contains("384") && GROUP_BYTES != 384 {
-        v.push(format!(
-            "index/remote.rs hardcodes a 384-byte group stride but GROUP_BYTES = {GROUP_BYTES}"
-        ));
-    }
-    if src.contains("addr.add(8)") && SLOT_BYTES != 16 {
-        v.push(format!(
-            "index/remote.rs offsets the Meta word by 8 but SLOT_BYTES = {SLOT_BYTES}"
-        ));
-    }
-    // Runtime cross-check of the same invariant: slot_addr agrees with the
-    // layout's arithmetic.
-    let l = IndexLayout::new(256, 6);
-    let ri = aceso_index::RemoteIndex::new(NodeId(0), l);
-    for (g, s) in [(0u64, 0u64), (3, 7), (5, 23)] {
-        let got = ri.slot_addr(g, s).offset;
-        let want = l.group_offset(g) + s * SLOT_BYTES;
-        if got != want {
-            v.push(format!(
-                "RemoteIndex::slot_addr(g{g}, s{s}) = {got:#x} but layout says {want:#x}"
-            ));
-        }
-    }
-    v
-}
-
 /// Source lint: every `ElasticStep` variant the migrator declares in
 /// `core/elastic.rs` must be mapped in the `chaos elastic` axis
 /// (`chaos/src/elastic_axis.rs`), so a newly added migration step
@@ -599,7 +565,6 @@ pub fn run_all() -> Vec<String> {
     v.extend(lint_memory_maps());
     v.extend(lint_pack48());
     v.extend(lint_crash_points());
-    v.extend(lint_remote_index_literals());
     v.extend(lint_elastic_steps());
     v.extend(lint_thread_free());
     v.extend(lint_hash_containers());
@@ -638,11 +603,6 @@ mod tests {
     #[test]
     fn crash_points_are_wired() {
         assert_eq!(lint_crash_points(), Vec::<String>::new());
-    }
-
-    #[test]
-    fn remote_index_literals_match_layout() {
-        assert_eq!(lint_remote_index_literals(), Vec::<String>::new());
     }
 
     #[test]
