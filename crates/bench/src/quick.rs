@@ -252,14 +252,7 @@ impl Quick {
         w.u64_field("scan_rpcs", r.scan_rpcs);
         w.u64_field("scan_lines", r.scan_lines);
         w.u64_field("rblock_net_bytes", r.rblock_net_bytes);
-        w.u64_field(
-            "net_bytes",
-            r.meta_bytes
-                + r.ckpt_bytes
-                + r.lblock_net_bytes
-                + r.rblock_net_bytes
-                + r.parity_net_bytes,
-        );
+        w.u64_field("net_bytes", r.net_bytes());
         w.end_object();
         // Counters are exact event counts (never timings), so the whole
         // section is reproducible; histograms are wall-clock and stay out.

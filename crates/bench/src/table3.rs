@@ -117,7 +117,7 @@ fn run_engine(label: String, eng: Box<dyn FtEngine>, seed: u64) -> Table3Row {
     drop(c);
     let col = eng.home_col(&keys[0]);
     assert!(eng.kill_column(col), "victim column already dead");
-    let summary = eng.recover_column(col).expect("recover_column");
+    let summary = eng.recover(&[], &[col]).expect("recover");
     let check = eng.check().expect("check");
     assert!(check.is_empty(), "[{label}] post-recovery check: {check:?}");
 

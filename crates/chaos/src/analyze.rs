@@ -27,9 +27,10 @@
 //! detector violations, every self-test live, zero lint findings — and the
 //! traced cells still hold their invariants.
 
-use crate::axis::{cell_seeds, chaos_config, launch_store, run_cell, Axis, Ctx};
+use crate::axis::{cell_seeds, chaos_config, run_cell, Axis, Ctx};
 use crate::cell::Cell;
 use crate::sweep::Sweep;
+use aceso_core::AcesoStore;
 use aceso_index::IndexWord;
 use aceso_san::{lint, selftest, Annotator, Detector, SelftestOutcome};
 use aceso_workloads::ycsb::YcsbKind;
@@ -271,7 +272,8 @@ pub fn analyze_ycsb(seed: u64) -> Trace {
 /// The store errors the interleaving hit (a clean trace has none); `Err`
 /// is a setup failure.
 fn run_ycsb(det: &Arc<Detector>, seed: u64, ops: &mut usize) -> Result<Vec<String>, String> {
-    let store = launch_store(Some(det.clone()))?;
+    let store = AcesoStore::launch(chaos_config()).ctx("launch")?;
+    store.cluster.install_trace_sink(det.clone());
     let mut clients = (0..YCSB_CLIENTS)
         .map(|_| store.client().ctx("client"))
         .collect::<Result<Vec<_>, _>>()?;

@@ -8,13 +8,14 @@
 //! [`run_matrix`] with its [`Report`] (`clean` / `render`, including the
 //! counterexample minimizer), id resolution for `chaos cell`
 //! ([`find_cell`]), and the steps the scripts share: the seeded
-//! [`Script`] setup and recovery, fail-fast tuning, seeded values, key
-//! names, error context. The op fold and the judging tail
-//! ([`Script::judge`]) live in [`crate::invariants`]; the traced half in
-//! [`crate::analyze`].
+//! [`Script`] over any [`FtEngine`] — launch, checkpoint, recovery —,
+//! fail-fast tuning, seeded values, key names, error context. The op fold
+//! and the judging tail ([`Script::judge`]) live in [`crate::invariants`];
+//! the traced half in [`crate::analyze`].
 
-use crate::invariants::{preload, IvWatch, Oracle};
-use aceso_core::{AcesoConfig, AcesoStore, ClientTuning};
+use crate::invariants::{preload, Oracle};
+use aceso_core::{AcesoConfig, AcesoEngine, AcesoStore, ClientTuning, FtEngine, RecoverySummary};
+use aceso_engines::{launch, EngineKind};
 use aceso_rdma::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -272,75 +273,95 @@ pub fn chaos_config() -> AcesoConfig {
     }
 }
 
-/// Launches a chaos-geometry store with `sink` installed on its cluster.
-pub(crate) fn launch_store(sink: Sink) -> Result<Arc<AcesoStore>, String> {
-    let store = AcesoStore::launch(chaos_config()).ctx("launch")?;
-    if let Some(s) = sink {
-        store.cluster.install_trace_sink(s);
-    }
-    Ok(store)
-}
-
-/// What an Aceso-store script carries from its setup to its tail.
-pub struct Script {
-    /// The store under test.
-    pub store: Arc<AcesoStore>,
+/// What a cell script carries from its setup to its tail: the engine
+/// under test — an Aceso chaos store unless the axis names another
+/// [`FtEngine`] —, the cell's seeded RNG, and the oracle.
+pub struct Script<E: FtEngine + ?Sized = AcesoEngine> {
+    /// The engine under test; Aceso axes reach the store through
+    /// [`AcesoEngine::store`].
+    pub eng: Box<E>,
     /// The cell's seeded RNG: keys, values and probes draw from it.
     pub rng: StdRng,
-    /// What the store should hold.
+    /// What the engine should hold.
     pub oracle: Oracle,
-    /// The Index-Version watch; empty until [`Script::checkpoint`].
-    pub iv: IvWatch,
+}
+
+/// An Aceso engine on the chaos geometry whose clients fail fast.
+fn chaos_engine() -> Result<Box<AcesoEngine>, String> {
+    let store = AcesoStore::launch(chaos_config()).ctx("launch")?;
+    Ok(Box::new(AcesoEngine::with_tuning(store, fail_fast())))
+}
+
+impl Script<dyn FtEngine> {
+    /// Launches an engine of `kind`: Aceso on the chaos geometry, the
+    /// replication engines at their matched geometry (their verb errors
+    /// fail fast by construction).
+    pub fn launch_engine(kind: EngineKind, seed: u64, sink: Sink) -> Result<Self, String> {
+        let eng: Box<dyn FtEngine> = match kind {
+            EngineKind::Aceso => chaos_engine()?,
+            _ => launch(kind).ctx("launch")?,
+        };
+        Ok(Script::new(eng, seed, sink))
+    }
 }
 
 impl Script {
-    /// Seeds the RNG and launches a chaos store with `sink` installed;
-    /// nothing is preloaded or checkpointed yet.
+    /// Launches an Aceso chaos store; nothing is preloaded or
+    /// checkpointed yet.
     pub fn launch(seed: u64, sink: Sink) -> Result<Self, String> {
-        Ok(Script {
-            store: launch_store(sink)?,
-            rng: StdRng::seed_from_u64(seed),
-            oracle: Oracle::default(),
-            iv: IvWatch(Vec::new()),
-        })
+        Ok(Script::new(chaos_engine()?, seed, sink))
     }
 
-    /// The shared setup: launch, preload `keys` through a loader client,
-    /// close its open blocks, then [`checkpoint`](Self::checkpoint).
+    /// The shared Aceso setup: launch, preload `keys` through a loader
+    /// client, close its open blocks, then [`checkpoint`](Self::checkpoint).
     pub fn seeded(
         seed: u64,
         sink: Sink,
         keys: impl IntoIterator<Item = Vec<u8>>,
     ) -> Result<Self, String> {
         let mut s = Self::launch(seed, sink)?;
-        let mut loader = s.store.client().ctx("loader")?;
+        let mut loader = s.eng.store().client().ctx("loader")?;
         preload(&mut loader, &mut s.oracle, &mut s.rng, keys)?;
         loader.close_open_blocks().ctx("preload close")?;
         s.checkpoint()?;
         Ok(s)
     }
+}
 
-    /// Two checkpoint rounds between trace barriers (preload done,
-    /// checkpoints done), so every column has a restorable checkpoint and
-    /// a non-trivial Index Version to regress from; captures the watch.
-    pub fn checkpoint(&mut self) -> Result<(), String> {
-        self.store.cluster.trace_barrier();
-        for _ in 0..2 {
-            self.store.checkpoint_tick().ctx("ckpt")?;
+impl<E: FtEngine + ?Sized> Script<E> {
+    /// Seeds the RNG and installs `sink` (if any) before the first verb.
+    fn new(eng: Box<E>, seed: u64, sink: Sink) -> Self {
+        if let Some(s) = sink {
+            eng.cluster().install_trace_sink(s);
         }
-        self.store.cluster.trace_barrier();
-        self.iv = IvWatch::capture(&self.store);
+        Script {
+            eng,
+            rng: StdRng::seed_from_u64(seed),
+            oracle: Oracle::default(),
+        }
+    }
+
+    /// Two [`FtEngine::tick`]s between trace barriers (preload done,
+    /// checkpoints done), so every Aceso column has a restorable
+    /// checkpoint and a non-trivial Index Version to regress from.
+    pub fn checkpoint(&mut self) -> Result<(), String> {
+        self.eng.cluster().trace_barrier();
+        for _ in 0..2 {
+            self.eng.tick().ctx("ckpt")?;
+        }
+        self.eng.cluster().trace_barrier();
         Ok(())
     }
 
-    /// §3.4's choreography: CN consistency for each of `crashed`, then MN
-    /// recovery of `col` if it is down.
-    pub fn recover(&self, crashed: &[u32], col: usize) -> Result<(), String> {
-        let dead = (!self.store.col_alive(col)).then_some(col);
-        self.store
-            .recover(crashed, dead.as_slice())
-            .ctx("recover")?;
-        Ok(())
+    /// [`FtEngine::recover`]s the `crashed` clients and every column whose
+    /// node is down, in the engine's own order; returns how many columns
+    /// it rebuilt and what they cost.
+    pub fn recover(&self, crashed: &[u32]) -> Result<(usize, RecoverySummary), String> {
+        let eng = &self.eng;
+        let down = |&col: &usize| eng.cluster().node(eng.node_of(col)).is_err();
+        let dead: Vec<usize> = (0..eng.columns()).filter(down).collect();
+        let summary = eng.recover(crashed, &dead).ctx("recover")?;
+        Ok((dead.len(), summary))
     }
 }
 

@@ -2,15 +2,15 @@
 //! [`aceso_core::FtEngine`] seam.
 //!
 //! The main crash matrix ([`crate::runner`]) speaks Aceso's native
-//! protocol: its injection sites and invariants are phrased in terms of
-//! delta appends, parity stripes, and checkpoint epochs. That makes it
-//! useless as a harness for the *other* fault-tolerance strategies behind
-//! the seam. This axis is the engine-agnostic counterpart: every cell
-//! runs the identical script against a [`FtEngine`] trait object —
-//! preload, arm one fault on one victim client, run one target operation,
-//! recover, sweep — so Aceso, FUSEE-style full replication, and the
-//! SWARM-style 1-RTT engine face the same crashes and answer to the same
-//! oracle.
+//! protocol: its injection sites are phrased in terms of delta appends,
+//! crash points and recovery tiers. This axis is the engine-agnostic
+//! counterpart: every cell runs the shared [`Script`] over a `dyn
+//! FtEngine` — launch, preload, checkpoint, arm one fault on one victim
+//! client, run one target operation, recover, judge — so Aceso,
+//! FUSEE-style full replication, and the SWARM-style 1-RTT engine face the
+//! same crashes and answer to the same oracle. Only the preload, the fault,
+//! the target op, the fallback kill and the space and fired-count checks
+//! are this axis' own.
 //!
 //! A cell is (engine × op × fault × skip):
 //!
@@ -23,28 +23,21 @@
 //!   harness falls back to a direct kill at the op boundary and the cell
 //!   degenerates to pure column-loss recovery.
 //!
-//! Recovery runs through the seam's two entry points, in the order each
-//! strategy's commit-point argument requires: Aceso repairs the
-//! interrupted client first (`recover_client` is its CN consistency pass,
-//! designed to run against the still-dead column — the order the native
-//! matrix tests), then rebuilds dead columns; the replication engines
-//! rebuild the column first (the restored primary becomes the agreement
-//! baseline) and then reconcile, since their `recover_client` rolls
-//! run-ahead backups onto the primary's commit state.
+//! Recovery is one [`Script::recover`]: the written-off victim and every
+//! dead column go to the engine's `recover`, which repairs them in the
+//! order its commit-point argument requires.
 //!
-//! Post-conditions are strategy-blind: [`oracle_agreement`] with a commit
+//! Post-conditions are strategy-blind: [`Script::judge`] with a commit
 //! ambiguity window on the target key and a phantom key that must stay
-//! absent, [`probe_liveness`] on the target, the engine's own
-//! [`FtEngine::check`] (parity scrub for Aceso, replica agreement for the
-//! replicated engines), and a populated space report.
+//! absent, a probe on the target, and the engine's own `check` (Aceso's
+//! Index-Version, parity and degraded-window judge, replica agreement for
+//! the replicated engines); plus a populated space report.
 
-use crate::axis::{fail_fast, fmt_key, gen_value, key, launch_store, Axis, Ctx, Out, Sink};
-use crate::invariants::{oracle_agreement, preload, probe_liveness, Armed, Fold, Op, Oracle};
-use aceso_core::{AcesoEngine, FtEngine};
-use aceso_engines::{launch, EngineKind};
+use crate::axis::{fmt_key, gen_value, key, Axis, Ctx, Out, Script, Sink};
+use crate::invariants::{preload, Armed, Fold, Op};
+use aceso_engines::EngineKind;
 use aceso_rdma::{FaultAction, FaultPlan, FaultRule};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::fmt;
 use std::sync::Arc;
 
@@ -117,7 +110,7 @@ pub struct BackendFacts {
     pub fallback_kill: bool,
     /// Whether the victim client was written off mid-op.
     pub written_off: bool,
-    /// Columns rebuilt by [`FtEngine::recover_column`].
+    /// Columns rebuilt by [`Script::recover`].
     pub recovered_cols: usize,
     /// Bytes moved by column recovery (modeled).
     pub recovery_bytes: u64,
@@ -162,31 +155,26 @@ impl Axis for Backends {
     }
 
     fn run(cell: BackendCell, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let eng = launch_backend(cell.engine, sink)?;
+        let mut s = Script::launch_engine(cell.engine, seed, sink)?;
 
         // ---- Preload --------------------------------------------------------
-        let mut oracle = Oracle::default();
         {
-            let mut loader = eng.client().ctx("loader")?;
+            let mut loader = s.eng.client().ctx("loader")?;
             let keys = (0..KEYS).map(|j| key("bk", j));
-            preload(loader.as_mut(), &mut oracle, &mut rng, keys)?;
+            preload(loader.as_mut(), &mut s.oracle, &mut s.rng, keys)?;
             loader.quiesce().ctx("preload quiesce")?;
         }
-        for _ in 0..2 {
-            eng.tick().ctx("tick")?;
-        }
-        eng.cluster().trace_barrier();
+        s.checkpoint()?;
 
         // ---- Arm the fault and run the target op ----------------------------
         let target = match cell.op {
             BackendOp::Insert => b"bk-new".to_vec(),
-            _ => key("bk", rng.gen_range(0..KEYS)),
+            _ => key("bk", s.rng.gen_range(0..KEYS)),
         };
-        let home = eng.home_col(&target);
-        let victim_node = eng.node_of(home);
+        let home = s.eng.home_col(&target);
+        let victim_node = s.eng.node_of(home);
 
-        let mut victim = eng.client().ctx("victim")?;
+        let mut victim = s.eng.client().ctx("victim")?;
         let rule = match cell.fault {
             BackendFault::CrashCn => FaultRule::new(FaultAction::Fail),
             BackendFault::KillMn => FaultRule::new(FaultAction::KillNode).on_node(victim_node),
@@ -194,7 +182,7 @@ impl Axis for Backends {
         let plan = FaultPlan::with_rules(vec![rule.after(cell.skip)]);
         victim.install_fault_plan(Arc::clone(&plan));
 
-        let val = gen_value(&mut rng, b'T');
+        let val = gen_value(&mut s.rng, b'T');
         let res = match cell.op {
             BackendOp::Insert => victim.insert(&target, &val).map(|()| None),
             BackendOp::Update => victim.update(&target, &val).map(|()| None),
@@ -208,6 +196,9 @@ impl Axis for Backends {
             }),
         };
         out.facts.fired_at_verb = plan.fired_count() > 0;
+        if out.facts.fired_at_verb && plan.fired().is_empty() {
+            out.violations.push("fired count and log disagree".into());
+        }
 
         // Under the MN kill the home node died under the op and nobody has
         // recovered yet: written off as crashed-while-blocked.
@@ -216,84 +207,40 @@ impl Axis for Backends {
             BackendFault::KillMn => Armed::Blocked,
         };
         let op = Op::Write((cell.op != BackendOp::Delete).then_some(val));
-        let fold = oracle.fold(&target, op, res, armed, &mut out.violations);
+        let fold = s.oracle.fold(&target, op, res, armed, &mut out.violations);
         out.facts.written_off = matches!(fold, Fold::Cut(_));
 
         // The skip can exceed the op's verb count to the victim node: fall
         // back to a direct kill at the op boundary so the cell still tests
         // column-loss recovery (now with no torn op).
-        if cell.fault == BackendFault::KillMn && eng.cluster().node(victim_node).is_ok() {
+        if cell.fault == BackendFault::KillMn && s.eng.cluster().node(victim_node).is_ok() {
             out.facts.fallback_kill = true;
-            if !eng.kill_column(home) {
+            if !s.eng.kill_column(home) {
                 out.violations.push(format!(
                     "fallback kill of col {home} reported node already dead"
                 ));
             }
         }
-        let victim_id = victim.id();
+        let crashed = out.facts.written_off.then_some(victim.id());
         drop(victim);
-        eng.cluster().trace_barrier();
 
-        // ---- Recovery -------------------------------------------------------
-        // Strategy-ordered, per the module docs: Aceso's CN consistency pass
-        // runs against the still-dead column; the replication engines
-        // reconcile after the rebuilt primary is back as agreement baseline.
-        // Each recovery stage is barrier-delimited: the real system quiesces
-        // between tiers, and the detector needs the handoff edge (the column
-        // copy is plain unpublished writes the next stage then reads).
-        let cn_first = cell.engine == EngineKind::Aceso;
-        if out.facts.written_off && cn_first {
-            eng.recover_client(victim_id).ctx("recover_client")?;
-            eng.cluster().trace_barrier();
-        }
-        for col in 0..eng.columns() {
-            if eng.cluster().node(eng.node_of(col)).is_err() {
-                let s = eng
-                    .recover_column(col)
-                    .ctx(&format!("recover_column {col}"))?;
-                out.facts.recovered_cols += 1;
-                out.facts.recovery_bytes += s.bytes;
-            }
-        }
-        if out.facts.recovered_cols > 0 {
-            eng.cluster().trace_barrier();
-        }
-        if out.facts.written_off && !cn_first {
-            eng.recover_client(victim_id).ctx("recover_client")?;
-        }
-        eng.cluster().trace_barrier();
-
-        // ---- Invariants -----------------------------------------------------
-        // No lost acks, no phantom key, no abandoned lock or wedged slot on
-        // the interrupted key.
-        let mut sweep = eng.client().ctx("sweep client")?;
-        let absent: [&[u8]; 2] = [&target, b"bk-phantom"];
-        oracle_agreement(sweep.as_mut(), &oracle, &absent, &mut out.violations);
-        probe_liveness(sweep.as_mut(), &target, &mut rng, &mut out.violations);
-
-        // The engine's own integrity check (parity scrub / replica
-        // agreement), after a quiesce so buffered client state is flushed.
-        sweep.quiesce().ctx("sweep quiesce")?;
-        drop(sweep);
-        eng.cluster().trace_barrier();
-        match eng.check() {
-            Ok(problems) => out.violations.extend(problems),
-            Err(e) => out.violations.push(format!("check: {e}")),
-        }
+        // ---- Recovery, in the engine's own order ----------------------------
+        let (cols, summary) = s.recover(crashed.as_slice())?;
+        out.facts.recovered_cols = cols;
+        out.facts.recovery_bytes = summary.bytes;
 
         // Space accounting stays populated across the fault.
-        let sp = eng.space();
+        let sp = s.eng.space();
         if sp.valid == 0 || sp.redundancy == 0 {
             out.violations
                 .push(format!("space report degenerate after recovery: {sp:?}"));
         }
 
-        // Accounting sanity on the injection machinery itself.
-        if out.facts.fired_at_verb && plan.fired().is_empty() {
-            out.violations.push("fired count and log disagree".into());
-        }
-
-        eng.shutdown();
+        // ---- Invariants -----------------------------------------------------
+        // No lost acks, no phantom key, no abandoned lock or wedged slot on
+        // the interrupted key, and the engine's own integrity check.
+        let absent: [&[u8]; 2] = [&target, b"bk-phantom"];
+        s.judge(&absent, std::slice::from_ref(&target), &mut out.violations)?;
         Ok(())
     }
 
@@ -322,21 +269,6 @@ impl Axis for Backends {
     fn annotated(cell: BackendCell) -> bool {
         cell.engine == EngineKind::Aceso
     }
-}
-
-/// Launches the cell's engine with `sink` on its cluster. Aceso runs on
-/// the chaos geometry with the fail-fast client tuning every chaos axis
-/// uses; the replication engines fail fast by construction (verb errors
-/// propagate immediately).
-fn launch_backend(kind: EngineKind, sink: Sink) -> Result<Box<dyn FtEngine>, String> {
-    let eng: Box<dyn FtEngine> = match kind {
-        EngineKind::Aceso => Box::new(AcesoEngine::with_tuning(launch_store(None)?, fail_fast())),
-        _ => launch(kind).ctx("launch")?,
-    };
-    if let Some(s) = sink {
-        eng.cluster().install_trace_sink(s);
-    }
-    Ok(eng)
 }
 
 #[cfg(test)]

@@ -126,7 +126,7 @@ impl Axis for Cache {
     fn run(cell: CacheCell, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
         let keys: Vec<Vec<u8>> = (0..KEYS).map(|j| key("ck", j)).collect();
         let mut s = Script::seeded(seed, sink, keys.iter().cloned())?;
-        let store = Arc::clone(&s.store);
+        let store = Arc::clone(s.eng.store());
 
         // ---- Cache fill -----------------------------------------------------
         // Two hot-cache clients. `victim` runs the op through its stale entry;
@@ -195,7 +195,7 @@ impl Axis for Cache {
         drop(victim);
 
         // ---- Tiered recovery ------------------------------------------------
-        s.recover(crashed.as_slice(), col)?;
+        s.recover(crashed.as_slice())?;
 
         // ---- No stale read after recovery -----------------------------------
         // The axis-defining check: the sweeper's cache was filled before the

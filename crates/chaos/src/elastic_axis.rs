@@ -182,7 +182,7 @@ impl Axis for Elastic {
         // The setup closes (= erasure-codes) the open blocks, so the copy
         // batches and the parity re-encode have coded stripes to move.
         let mut s = Script::seeded(seed, sink, (0..KEYS).map(|j| key("ek", j)))?;
-        let store = Arc::clone(&s.store);
+        let store = Arc::clone(s.eng.store());
         let n = store.cfg.num_mns;
 
         // ---- Start the migration --------------------------------------------
@@ -232,7 +232,7 @@ impl Axis for Elastic {
             // id exists from here on), phase-gated to the chosen boundary.
             if step == ElasticStep::Announce && cell.kill != ElasticKill::Cn {
                 if cell.kill == ElasticKill::JoinMn {
-                    victim = mig.to_node().expect("announced");
+                    victim = mig.to_node().ok_or("join target not announced")?;
                 }
                 let p = FaultPlan::with_rules(vec![FaultRule::new(FaultAction::KillNode)
                     .on_node(victim)
@@ -315,7 +315,7 @@ impl Axis for Elastic {
             // ---- Tiered response: CN consistency, then MN recovery. A CN
             // crash is repaired with the migration (and its dual-write
             // mirror) still in flight.
-            s.recover(interrupted.then_some(client.id()).as_slice(), col)?;
+            s.recover(interrupted.then_some(client.id()).as_slice())?;
             client = store.client_with(fail_fast()).ctx("post-fault client")?;
         }
 

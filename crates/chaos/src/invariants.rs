@@ -2,21 +2,21 @@
 //! once and judged identically by every axis.
 //!
 //! [`INVARIANT_CLASSES`] names the five invariants; [`Script::judge`]
-//! checks all of them against a settled Aceso store. Engines behind the
-//! [`aceso_core::FtEngine`] seam are judged through the same
-//! [`oracle_agreement`] and [`probe_liveness`] (both take any
-//! [`FtClient`], `AcesoClient` included) plus their own `check()`. The
-//! violation strings are part of the interface: reports, DESIGN.md and the
-//! negative tests in `tests/invariants.rs` quote them.
+//! checks all of them against a settled engine: the first two through a
+//! fresh client ([`oracle_agreement`] and [`probe_liveness`] take any
+//! [`FtClient`]), the rest inside the engine's own
+//! [`FtEngine::check`] — [`aceso_core::AcesoEngine`]'s for Aceso,
+//! replica agreement for the replication engines. The violation strings
+//! are part of the interface: reports, DESIGN.md and the negative tests in
+//! `tests/invariants.rs` quote them.
 
 use crate::axis::{fmt_key, fmt_state, gen_value, take_ms, Ctx, Script};
-use aceso_core::{AcesoStore, FtClient, FtError};
-pub use aceso_model::invariants::{parity_scrub, IvWatch};
+use aceso_core::{FtClient, FtEngine, FtError};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-/// The invariants, in the order [`Script::judge`] checks (and times) them:
+/// The invariants, in the order [`Script::judge`] checks them:
 ///
 /// 0. **oracle-agreement** — every key reads back exactly what the
 ///    [`Oracle`] predicts; a key whose mutation a fault interrupted may be
@@ -26,10 +26,12 @@ use std::time::Instant;
 /// 1. **meta-lock-liveness** — a probe write on every interrupted key gets
 ///    through (breaking any lock the crashed client abandoned) and reads
 ///    back.
-/// 2. **iv-monotonicity** — [`IvWatch`].
-/// 3. **parity-scrub** — [`parity_scrub`].
+/// 2. **iv-monotonicity** — [`aceso_core::IvWatch`].
+/// 3. **parity-scrub** — [`aceso_core::parity_scrub`].
 /// 4. **no-open-degraded-window** — once recovery has completed no column
 ///    is left in the window between its Index tier and its Block tier.
+///
+/// Classes 2–4 are Aceso's [`FtEngine::check`], timed as one.
 pub const INVARIANT_CLASSES: [&str; 5] = [
     "oracle-agreement",
     "meta-lock-liveness",
@@ -254,42 +256,39 @@ pub fn probe_liveness(
     }
 }
 
-/// **no-open-degraded-window**.
-pub fn no_open_degraded_window(store: &AcesoStore, violations: &mut Vec<String>) {
-    let degraded = store.degraded_columns();
-    if !degraded.is_empty() {
-        violations.push(format!("degraded windows left open: {degraded:?}"));
-    }
-}
-
-impl Script {
-    /// The shared tail: judges the settled store against all of
+impl<E: FtEngine + ?Sized> Script<E> {
+    /// The shared tail: judges the settled engine against all of
     /// [`INVARIANT_CLASSES`] through a fresh client (cold cache, current
     /// placement) — the oracle sweep (with `absent`), a probe on each of
-    /// `probes`, then the three store-level checks — and shuts it down.
-    /// Returns the wall-clock milliseconds each class took.
+    /// `probes` — then flushes that client, fences the flush with a trace
+    /// barrier, runs the engine's own check, and shuts the engine down.
+    /// Returns the wall-clock milliseconds of the sweep, the probes and
+    /// the check.
     pub fn judge(
         mut self,
         absent: &[&[u8]],
         probes: &[Vec<u8>],
         violations: &mut Vec<String>,
-    ) -> Result<[f64; 5], String> {
-        let mut fresh = self.store.client().ctx("sweep client")?;
+    ) -> Result<[f64; 3], String> {
+        let mut fresh = self.eng.client().ctx("sweep client")?;
         let mut clock = Instant::now();
-        let mut ms = [0.0; 5];
-        oracle_agreement(&mut fresh, &self.oracle, absent, violations);
+        let mut ms = [0.0; 3];
+        oracle_agreement(fresh.as_mut(), &self.oracle, absent, violations);
         ms[0] = take_ms(&mut clock);
         for k in probes {
-            probe_liveness(&mut fresh, k, &mut self.rng, violations);
+            probe_liveness(fresh.as_mut(), k, &mut self.rng, violations);
         }
         ms[1] = take_ms(&mut clock);
-        self.iv.check(&self.store, violations);
+        if let Err(e) = fresh.quiesce() {
+            violations.push(format!("final flush: {e}"));
+        }
+        self.eng.cluster().trace_barrier();
+        match self.eng.check() {
+            Ok(problems) => violations.extend(problems),
+            Err(e) => violations.push(format!("check: {e}")),
+        }
         ms[2] = take_ms(&mut clock);
-        parity_scrub(&self.store, &mut fresh, violations);
-        ms[3] = take_ms(&mut clock);
-        no_open_degraded_window(&self.store, violations);
-        ms[4] = take_ms(&mut clock);
-        self.store.shutdown();
+        self.eng.shutdown();
         Ok(ms)
     }
 }

@@ -2,16 +2,20 @@
 //! one seam.
 //!
 //! An [`Axis`] is a matrix of crash scenarios plus the script that runs
-//! one cell of it against a live store: preload, arm the fault
+//! one cell of it against a live engine: preload, arm the fault
 //! ([`aceso_rdma::FaultPlan`] for verb-level faults,
 //! [`aceso_core::client::CrashPoint`] for client-protocol crashes), run
-//! the traffic, drive tiered recovery, then judge the store with the named
+//! the traffic, recover, then judge the engine with the named
 //! [`invariants`] (oracle agreement with ambiguity windows, meta-lock
 //! liveness, Index-Version monotonicity, parity scrub, no open degraded
-//! window). Everything else — the [`Outcome`], the sink-installing
-//! [`run_cell`], the seeded [`run_matrix`] and its [`Report`], the race
-//! detector's [`analyze::Trace`], the CLI — exists once, in [`axis`],
-//! [`analyze`] and `main.rs`.
+//! window). Every script runs on one [`axis::Script`] over an
+//! [`aceso_core::FtEngine`] — an Aceso store for four axes, any engine for
+//! [`Backends`] — whose launch, checkpoint, recovery and judging steps
+//! are the same for all; the engine decides the order it recovers in.
+//! Everything else — the [`Outcome`], the sink-installing [`run_cell`],
+//! the seeded [`run_matrix`] and its [`Report`], the race detector's
+//! [`analyze::Trace`], the CLI — exists once, in [`axis`], [`analyze`] and
+//! `main.rs`.
 //!
 //! The axes, each a `chaos <name> [--ci] [--seed N] [--limit N]
 //! [--verbose]` mode (`--ci` additionally rewrites

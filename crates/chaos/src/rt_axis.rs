@@ -98,7 +98,7 @@ impl Axis for Rt {
         let keys = (0..RT_TASKS)
             .flat_map(|t| (0..KEYS_PER_TASK).map(move |j| key(format_args!("rt-{t}"), j)));
         let mut s = Script::seeded(seed, sink, keys)?;
-        let store = Arc::clone(&s.store);
+        let store = Arc::clone(s.eng.store());
         let shared = Rc::new(RefCell::new(SharedState {
             oracle: std::mem::take(&mut s.oracle),
             ..SharedState::default()
@@ -199,7 +199,7 @@ impl Axis for Rt {
         }
 
         // ---- Tiered recovery (§3.4: CN consistency first, then MN) ----------
-        s.recover(&st.crashed, kill_col)?;
+        s.recover(&st.crashed)?;
 
         // ---- Invariants -----------------------------------------------------
         let probes: Vec<Vec<u8>> = st.oracle.windows.keys().cloned().collect();

@@ -34,9 +34,10 @@ pub struct CellPhases {
     pub op_ms: f64,
     /// Post-crash tiered recovery (CN consistency, then MN tiers).
     pub recovery_ms: f64,
-    /// Per-invariant check time, indexed like
-    /// [`crate::invariants::INVARIANT_CLASSES`].
-    pub invariants_ms: [f64; 5],
+    /// [`crate::axis::Script::judge`]'s time: the oracle sweep, the
+    /// probes, and the engine's check (classes 2–4 of
+    /// [`crate::invariants::INVARIANT_CLASSES`]).
+    pub invariants_ms: [f64; 3],
 }
 
 /// Wall-clock is never evidence that two runs diverged.
@@ -116,7 +117,7 @@ fn kv_col(store: &Arc<AcesoStore>, key: &[u8]) -> Result<usize, String> {
 pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Result<(), String> {
     let mut clock = Instant::now();
     let mut s = Script::launch(seed, sink)?;
-    let store = Arc::clone(&s.store);
+    let store = Arc::clone(s.eng.store());
     let n = store.cfg.num_mns;
     let mut client = store.client_with(fail_fast()).ctx("client")?;
 
@@ -304,7 +305,7 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
     // both are barrier edges in the verb trace.
     let crashed = cut.map(|_| client.id());
     drop(client);
-    s.recover(crashed.as_slice(), home_col)?;
+    s.recover(crashed.as_slice())?;
     if let Some(mut recovery) = held {
         // The op ran against an index-only replacement; finish the Block
         // and Parity tiers so the parity invariant is checkable.

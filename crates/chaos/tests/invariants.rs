@@ -1,33 +1,32 @@
 //! The invariant library can fail: each named invariant is handed a store
 //! (or a read) that breaks it and must say so in the words the reports
-//! and DESIGN.md quote — and stay silent on the healthy store first.
+//! and DESIGN.md quote — and stay silent on the healthy store first. The
+//! three store-level classes are Aceso's `FtEngine::check`.
 
 use aceso_chaos::axis::{chaos_config, Script};
-use aceso_chaos::invariants::{
-    no_open_degraded_window, oracle_agreement, parity_scrub, IvWatch, Oracle,
-};
-use aceso_core::{AcesoStore, RecoveryTier};
+use aceso_chaos::invariants::{oracle_agreement, Oracle};
+use aceso_core::{AcesoEngine, AcesoStore, FtEngine, RecoveryTier};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
-/// A settled store holding `k00..k11`, the oracle that predicts it, and
-/// the watch on its Index Versions.
-fn settled() -> (Arc<AcesoStore>, Oracle, IvWatch) {
-    let store = AcesoStore::launch(chaos_config()).expect("launch");
+/// A settled engine holding `k00..k11`, its bitmaps flushed and two ticks
+/// taken (so it has recorded every column's Index Version), and the oracle
+/// that predicts it.
+fn settled() -> (AcesoEngine, Oracle) {
+    let eng = AcesoEngine::new(AcesoStore::launch(chaos_config()).expect("launch"));
     let mut oracle = Oracle::default();
-    let mut loader = store.client().expect("client");
+    let mut loader = eng.store().client().expect("client");
     for j in 0..12u8 {
         let (k, v) = (format!("k{j:02}").into_bytes(), vec![b'v', j, j, j]);
         loader.insert(&k, &v).expect("insert");
         oracle.state.insert(k, v);
     }
     loader.close_open_blocks().expect("close");
+    loader.flush_bitmaps().expect("flush");
     for _ in 0..2 {
-        store.checkpoint_tick().expect("checkpoint");
+        eng.tick().expect("checkpoint");
     }
-    let iv = IvWatch::capture(&store);
-    (store, oracle, iv)
+    (eng, oracle)
 }
 
 fn only(violations: &[String], needle: &str) {
@@ -37,15 +36,14 @@ fn only(violations: &[String], needle: &str) {
 
 #[test]
 fn healthy_store_holds_every_invariant() {
-    let (store, oracle, iv) = settled();
+    let (eng, oracle) = settled();
     let mut violations = Vec::new();
     let probes = [b"k03".to_vec()];
     let rng = StdRng::seed_from_u64(1);
     let script = Script {
-        store,
+        eng: Box::new(eng),
         rng,
         oracle,
-        iv,
     };
     script.judge(&[b"never"], &probes, &mut violations).unwrap();
     assert_eq!(violations, Vec::<String>::new());
@@ -53,7 +51,8 @@ fn healthy_store_holds_every_invariant() {
 
 #[test]
 fn wrong_oracle_entry_is_an_oracle_mismatch() {
-    let (store, mut oracle, _) = settled();
+    let (eng, mut oracle) = settled();
+    let store = eng.store();
     oracle
         .state
         .insert(b"k05".to_vec(), b"not what was written".to_vec());
@@ -99,18 +98,22 @@ fn ambiguity_window_admits_both_sides_and_nothing_else() {
 }
 
 #[test]
-fn iv_watch_above_the_current_version_reports_a_regression() {
-    let (store, _, mut iv) = settled();
-    iv.0[1] += 1;
-    let mut violations = Vec::new();
-    iv.check(&store, &mut violations);
-    only(&violations, "index version regressed on col 1");
-    store.shutdown();
+fn index_version_below_the_last_tick_is_a_regression() {
+    let (eng, _) = settled();
+    let server = eng.store().server(1);
+    let (index, region) = (&server.index, &server.node.region);
+    let v = index.local_index_version(region);
+    index.local_set_index_version(region, v - 1);
+    let violations = eng.check().unwrap();
+    let regressed = format!("index version regressed on col 1: {v} -> {}", v - 1);
+    assert_eq!(violations, [regressed]);
+    eng.shutdown();
 }
 
 #[test]
 fn one_flipped_parity_word_is_a_dirty_scrub() {
-    let (store, _, _) = settled();
+    let (eng, _) = settled();
+    let store = eng.store();
     // The first written word of any PARITY cell (rows n-2 and n-1 of a
     // stripe array): an all-zero word belongs to a cell nothing encoded.
     let n = store.cfg.num_mns;
@@ -127,20 +130,18 @@ fn one_flipped_parity_word_is_a_dirty_scrub() {
         .expect("an encoded parity cell");
     let flipped = word.map(|b| !b);
     store.server(col).node.region.write(off, &flipped).unwrap();
-    let mut violations = Vec::new();
-    parity_scrub(&store, &mut store.client().unwrap(), &mut violations);
-    only(&violations, "scrub dirty");
-    store.shutdown();
+    only(&eng.check().unwrap(), "scrub dirty");
+    eng.shutdown();
 }
 
 #[test]
 fn index_tier_only_recovery_leaves_a_degraded_window_open() {
-    let (store, _, _) = settled();
-    assert!(store.kill_mn(2));
-    let mut held = store.begin_recovery(2).expect("replacement");
+    let (eng, _) = settled();
+    assert!(eng.kill_column(2));
+    let mut held = eng.store().begin_recovery(2).expect("replacement");
     held.run_to(RecoveryTier::Block).expect("index tier");
-    let mut violations = Vec::new();
-    no_open_degraded_window(&store, &mut violations);
-    only(&violations, "degraded windows left open: [2]");
-    store.shutdown();
+    let violations = eng.check().unwrap();
+    let open = "degraded windows left open: [2]".to_string();
+    assert!(violations.contains(&open), "{violations:?}");
+    eng.shutdown();
 }

@@ -7,8 +7,9 @@
 //! recovery path, and space accounting — are factored behind two
 //! object-safe traits:
 //!
-//! - [`FtEngine`] is the server side: launch/kill/recover columns, account
-//!   for space, verify strategy-specific integrity invariants.
+//! - [`FtEngine`] is the server side: kill columns, recover from crashed
+//!   clients and dead columns in the strategy's own order, account for
+//!   space, verify strategy-specific integrity invariants.
 //! - [`FtClient`] is the per-client op surface: `insert`/`update`/`search`/
 //!   `delete` plus the fabric hooks (fault plans, op records) the chaos
 //!   matrix and bench harness need.
@@ -27,10 +28,11 @@
 //! engine. Engine-specific surfaces (Aceso's elastic membership, the
 //! replication clients' retry budget) stay on the concrete types.
 
-use crate::recovery::recover_cn;
+use crate::scrub::{parity_scrub, IvWatch};
 use crate::store::AcesoStore;
 use crate::{AcesoClient, AcesoConfig, ClientTuning, StoreError};
 use aceso_rdma::{Cluster, FaultPlan, NodeId, OpStats};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Errors crossing the engine seam.
@@ -122,7 +124,8 @@ impl SpaceReport {
     }
 }
 
-/// What one column recovery cost, in strategy-agnostic terms.
+/// What one recovery cost, in strategy-agnostic terms, summed over the
+/// columns it rebuilt.
 ///
 /// Only *modeled* quantities appear here — bytes actually moved and the
 /// cost model's network milliseconds — so the summary is a pure function
@@ -147,7 +150,7 @@ pub struct RecoverySummary {
 /// - `search` of a deleted or never-inserted key returns `Ok(None)` —
 ///   engines whose delete leaves a tombstone normalize it away.
 /// - A client that returns [`FtError::Crashed`] is dead: the caller drops
-///   it and runs the engine's [`FtEngine::recover_client`].
+///   it and passes its [`id`](Self::id) to [`FtEngine::recover`].
 pub trait FtClient {
     /// Inserts `key` → `value` (upsert: an existing key is overwritten).
     fn insert(&mut self, key: &[u8], value: &[u8]) -> FtResult<()>;
@@ -191,7 +194,7 @@ pub trait FtClient {
 /// // Kill the key's home column, recover it, and the key survives.
 /// let col = eng.home_col(b"k");
 /// assert!(eng.kill_column(col));
-/// let summary = eng.recover_column(col).unwrap();
+/// let summary = eng.recover(&[], &[col]).unwrap();
 /// assert!(summary.bytes > 0);
 /// assert_eq!(client.search(b"k").unwrap().as_deref(), Some(&b"v2"[..]));
 /// assert!(eng.check().unwrap().is_empty());
@@ -213,14 +216,18 @@ pub trait FtEngine {
     }
     /// Fail-stops the node hosting `col`. `false` if it was already dead.
     fn kill_column(&self, col: usize) -> bool;
-    /// Restores `col` onto a replacement node and returns the modeled cost.
-    fn recover_column(&self, col: usize) -> FtResult<RecoverySummary>;
-    /// Recovers after a client crash (rolls back torn commits, reconciles
-    /// divergent replicas — whatever the strategy requires).
-    fn recover_client(&self, id: u32) -> FtResult<()>;
+    /// Recovers from a failure: repairs what the `crashed` clients left
+    /// torn (rolls back torn commits, reconciles divergent replicas —
+    /// whatever the strategy requires) and restores each `dead` column onto
+    /// a replacement node, in the order the strategy's commit-point
+    /// argument requires. The crash is quiesced first and each repair ends
+    /// in a trace barrier (its own membership epoch). Returns the modeled
+    /// cost of the column rebuilds.
+    fn recover(&self, crashed: &[u32], dead: &[usize]) -> FtResult<RecoverySummary>;
     /// Strategy-specific integrity check; returns violations (empty =
-    /// clean). Aceso scrubs parity equations and delta pairs; replication
-    /// engines check replica agreement.
+    /// clean). Aceso judges Index Versions, parity and degraded windows
+    /// ([`AcesoEngine`]'s `check`); replication engines check replica
+    /// agreement.
     fn check(&self) -> FtResult<Vec<String>>;
     /// Periodic maintenance (Aceso's checkpoint round; no-op elsewhere).
     fn tick(&self) -> FtResult<()> {
@@ -243,16 +250,14 @@ pub trait FtEngine {
 pub struct AcesoEngine {
     store: Arc<AcesoStore>,
     tuning: Option<ClientTuning>,
+    /// The Index Versions the last [`FtEngine::tick`] left.
+    iv: Mutex<IvWatch>,
 }
 
 impl AcesoEngine {
     /// Launches a store with `cfg` and wraps it in the engine seam.
     pub fn launch(cfg: AcesoConfig) -> FtResult<Self> {
-        let store = AcesoStore::launch(cfg).map_err(FtError::from)?;
-        Ok(AcesoEngine {
-            store,
-            tuning: None,
-        })
+        Ok(Self::new(AcesoStore::launch(cfg).map_err(FtError::from)?))
     }
 
     /// Wraps an already-launched store.
@@ -260,6 +265,7 @@ impl AcesoEngine {
         AcesoEngine {
             store,
             tuning: None,
+            iv: Mutex::default(),
         }
     }
 
@@ -267,8 +273,8 @@ impl AcesoEngine {
     /// use fail-fast retry budgets so a blocked op costs milliseconds).
     pub fn with_tuning(store: Arc<AcesoStore>, tuning: ClientTuning) -> Self {
         AcesoEngine {
-            store,
             tuning: Some(tuning),
+            ..Self::new(store)
         }
     }
 
@@ -343,35 +349,37 @@ impl FtEngine for AcesoEngine {
         self.store.kill_mn(col)
     }
 
-    fn recover_column(&self, col: usize) -> FtResult<RecoverySummary> {
-        let r = crate::recovery::recover_mn(&self.store, col).map_err(FtError::from)?;
-        Ok(RecoverySummary {
-            net_ms: r.index_tier_net_ms() + r.old_lblock_net_ms + r.parity_net_ms,
-            bytes: r.meta_bytes
-                + r.ckpt_bytes
-                + r.lblock_net_bytes
-                + r.rblock_net_bytes
-                + r.parity_net_bytes,
-            kvs: r.kv_count,
-        })
-    }
-
-    fn recover_client(&self, id: u32) -> FtResult<()> {
-        recover_cn(&self.store, id).map_err(FtError::from)?;
-        Ok(())
-    }
-
-    fn check(&self) -> FtResult<Vec<String>> {
-        let report = crate::scrub::scrub(&self.store).map_err(FtError::from)?;
-        if report.is_clean() {
-            Ok(Vec::new())
-        } else {
-            Ok(vec![format!("scrub dirty: {report:?}")])
+    /// [`AcesoStore::recover`]: every crashed client's consistency first,
+    /// then every dead column.
+    fn recover(&self, crashed: &[u32], dead: &[usize]) -> FtResult<RecoverySummary> {
+        let mut sum = RecoverySummary::default();
+        for r in self.store.recover(crashed, dead)? {
+            sum.net_ms += r.index_tier_net_ms() + r.old_lblock_net_ms + r.parity_net_ms;
+            sum.bytes += r.net_bytes();
+            sum.kvs += r.kv_count;
         }
+        Ok(sum)
+    }
+
+    /// Aceso's whole post-recovery judge: **iv-monotonicity** against the
+    /// Index Versions the last tick left ([`IvWatch`]), **parity-scrub**
+    /// (flush clients first: see [`parity_scrub`]) and
+    /// **no-open-degraded-window** — no column is left between its Index
+    /// tier and its Block tier.
+    fn check(&self) -> FtResult<Vec<String>> {
+        let mut violations = Vec::new();
+        self.iv.lock().check(&self.store, &mut violations);
+        parity_scrub(&self.store, &mut violations);
+        let degraded = self.store.degraded_columns();
+        if !degraded.is_empty() {
+            violations.push(format!("degraded windows left open: {degraded:?}"));
+        }
+        Ok(violations)
     }
 
     fn tick(&self) -> FtResult<()> {
-        self.store.checkpoint_tick().map_err(FtError::from)?;
+        self.store.checkpoint_tick()?;
+        *self.iv.lock() = IvWatch::capture(&self.store);
         Ok(())
     }
 
@@ -435,7 +443,7 @@ mod tests {
         let col = eng.home_col(b"seam-03");
         assert!(eng.kill_column(col));
         assert!(!eng.kill_column(col), "second kill must report dead");
-        let s = eng.recover_column(col).unwrap();
+        let s = eng.recover(&[], &[col]).unwrap();
         assert!(s.bytes > 0 && s.net_ms > 0.0);
         for i in 0..16 {
             let k = format!("seam-{i:02}");

@@ -50,7 +50,7 @@ pub use placement::{ElasticKind, MigrationView, PlacementMap, PlacementSnapshot}
 pub use recovery::{
     recover_cn, recover_mn, CnRecoveryReport, Recovery, RecoveryReport, RecoveryTier,
 };
-pub use scrub::{scrub, ScrubReport};
+pub use scrub::{parity_scrub, scrub, IvWatch, ScrubReport};
 pub use store::{AcesoStore, MemoryUsage};
 
 /// Errors surfaced by the store API.

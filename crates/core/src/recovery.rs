@@ -159,6 +159,12 @@ impl RecoveryReport {
     pub fn index_tier_net_ms(&self) -> f64 {
         self.meta_net_ms + self.ckpt_net_ms + self.lblock_net_ms + self.rblock_net_ms
     }
+
+    /// Every byte the recovery moved over the network, all four tiers.
+    pub fn net_bytes(&self) -> u64 {
+        let index_tier = self.meta_bytes + self.ckpt_bytes + self.lblock_net_bytes;
+        index_tier + self.rblock_net_bytes + self.old_lblock_net_bytes + self.parity_net_bytes
+    }
 }
 
 /// CN crash recovery outcome (§3.4.2).

@@ -15,7 +15,9 @@
 //!
 //! The same checker doubles as a test oracle: integration tests scrub
 //! after every workload and recovery to prove decodability without
-//! actually failing a node.
+//! actually failing a node. [`parity_scrub`] and [`IvWatch`] are the two
+//! store-level invariants the model checker (`aceso-model`) and
+//! [`crate::AcesoEngine`]'s `check` judge, one violation string each.
 
 use crate::config::unpack_col;
 use crate::proto::{ServerReq, ServerResp};
@@ -151,4 +153,52 @@ pub fn scrub(store: &Arc<AcesoStore>) -> Result<ScrubReport> {
         );
     }
     Ok(report)
+}
+
+/// **parity-scrub** — after full recovery [`scrub()`] finds every parity
+/// equation and delta pair clean. Flush the clients' buffered bitmaps
+/// first, fenced from the scrub's reads by a trace barrier, so the scrub
+/// sees the truth.
+pub fn parity_scrub(store: &Arc<AcesoStore>, violations: &mut Vec<String>) {
+    match scrub(store) {
+        Ok(r) if r.is_clean() => {}
+        Ok(r) => violations.push(format!("scrub dirty: {r:?}")),
+        Err(e) => violations.push(format!("scrub: {e}")),
+    }
+}
+
+/// **iv-monotonicity** — no column's Index Version moves backwards across
+/// a kill and its recovery. Captured once every column has a restorable
+/// checkpoint, checked after recovery completes; columns are stable across
+/// elastic migrations (the directory re-homes them), so the comparison is
+/// per column.
+#[derive(Clone, Debug, Default)]
+pub struct IvWatch(pub Vec<u64>);
+
+impl IvWatch {
+    fn read(store: &AcesoStore) -> Vec<u64> {
+        (0..store.cfg.num_mns)
+            .map(|col| {
+                let s = store.server(col);
+                s.index.local_index_version(&s.node.region)
+            })
+            .collect()
+    }
+
+    /// Records every column's current Index Version.
+    pub fn capture(store: &AcesoStore) -> Self {
+        IvWatch(Self::read(store))
+    }
+
+    /// Pushes one violation per column whose Index Version is now below
+    /// the captured one.
+    pub fn check(&self, store: &AcesoStore, violations: &mut Vec<String>) {
+        for (col, (pre, post)) in self.0.iter().zip(Self::read(store)).enumerate() {
+            if post < *pre {
+                violations.push(format!(
+                    "index version regressed on col {col}: {pre} -> {post}"
+                ));
+            }
+        }
+    }
 }

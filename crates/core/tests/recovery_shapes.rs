@@ -50,7 +50,8 @@
 use aceso_blockalloc::{CellKind, Role};
 use aceso_core::proto::SCAN_NEW_REQ_BYTES;
 use aceso_core::{
-    recover_mn, scrub, AcesoClient, AcesoConfig, AcesoStore, RecoveryReport, RecoveryTier,
+    recover_mn, scrub, AcesoClient, AcesoConfig, AcesoEngine, AcesoStore, FtEngine, RecoveryReport,
+    RecoveryTier,
 };
 use aceso_erasure::XCode;
 use std::collections::BTreeSet;
@@ -292,6 +293,31 @@ fn all_closed_and_checkpointed_n5() {
         store.checkpoint_tick().unwrap();
     }
     assert_eq!(lose(&pair, 3, keys), (0, 0, 0, 4, 8, 0, 0, 0, 0, 32, 0));
+}
+
+/// The engine seam's summary of the same loss counts every tier's bytes,
+/// the Block tier's eight old-block reads included (it left them out).
+#[test]
+fn seam_summary_counts_every_tier() {
+    let keys = array_keys(5);
+    let pair = [written(5, keys, true), written(5, keys, true)];
+    for (store, _) in &pair {
+        store.checkpoint_tick().unwrap();
+        store.checkpoint_tick().unwrap();
+        assert!(store.kill_mn(3));
+    }
+    let summary = AcesoEngine::new(Arc::clone(&pair[0].0))
+        .recover(&[], &[3])
+        .unwrap();
+    let r = recover_mn(&pair[1].0, 3).unwrap();
+    assert_eq!(r.old_lblock_net_bytes, 8 * pair[1].0.map.blocks.block_size);
+    let tiers = r.meta_bytes
+        + r.ckpt_bytes
+        + r.lblock_net_bytes
+        + r.rblock_net_bytes
+        + r.old_lblock_net_bytes
+        + r.parity_net_bytes;
+    assert_eq!((summary.bytes, r.net_bytes()), (tiers, tiers));
 }
 
 /// Seven columns, five data rows: 20 decode reads where the five diagonals

@@ -33,7 +33,7 @@
 //! assert_eq!(c.search(b"k").unwrap().as_deref(), Some(&b"v"[..]));
 //! let col = eng.home_col(b"k");
 //! assert!(eng.kill_column(col));
-//! eng.recover_column(col).unwrap();
+//! eng.recover(&[], &[col]).unwrap();
 //! assert_eq!(c.search(b"k").unwrap().as_deref(), Some(&b"v"[..]));
 //! assert!(eng.check().unwrap().is_empty());
 //! ```
@@ -85,12 +85,10 @@ impl core::str::FromStr for EngineKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "aceso" => Ok(EngineKind::Aceso),
-            "fusee" => Ok(EngineKind::Fusee),
-            "swarm" => Ok(EngineKind::Swarm),
-            other => Err(format!("unknown engine '{other}' (aceso|fusee|swarm)")),
-        }
+        Self::ALL
+            .into_iter()
+            .find(|k| k.as_str() == s)
+            .ok_or_else(|| format!("unknown engine '{s}' (aceso|fusee|swarm)"))
     }
 }
 
@@ -133,11 +131,12 @@ impl From<ReplError> for FtError {
 
 /// [`FtEngine`] adapter over a replicated store ([`substrate::ReplStore`]).
 ///
-/// Client-crash recovery maps to the protocol's own repair step
-/// ([`Protocol::repair`]): FUSEE rolls run-ahead backups back to the
-/// partition primary (its commit point), restoring CAS liveness for later
-/// writers; SWARM converges torn cells on the highest committed image and
-/// rolls back never-committed index slots.
+/// Recovery rebuilds the dead columns first — a restored primary is the
+/// agreement baseline — then runs the protocol's own repair step
+/// ([`Protocol::repair`]) once: FUSEE rolls
+/// run-ahead backups back to the partition primary (its commit point),
+/// restoring CAS liveness for later writers; SWARM converges torn cells on
+/// the highest committed image and rolls back never-committed index slots.
 pub struct ReplEngine<P: Protocol> {
     store: Arc<ReplStore<P>>,
     next_client: AtomicU32,
@@ -230,18 +229,21 @@ impl<P: Protocol> FtEngine for ReplEngine<P> {
         self.store.kill_mn(col)
     }
 
-    fn recover_column(&self, col: usize) -> FtResult<RecoverySummary> {
-        let r = self.store.recover_mn(col)?;
-        Ok(RecoverySummary {
-            net_ms: r.net_ms,
-            bytes: r.index_bytes + r.block_bytes,
-            kvs: r.slots,
-        })
-    }
-
-    fn recover_client(&self, _id: u32) -> FtResult<()> {
+    /// The repair needs no client ids: it finds whatever any crashed
+    /// writer left torn.
+    fn recover(&self, _crashed: &[u32], dead: &[usize]) -> FtResult<RecoverySummary> {
+        let mut sum = RecoverySummary::default();
+        self.store.cluster.trace_barrier();
+        for &col in dead {
+            let r = self.store.recover_mn(col)?;
+            self.store.cluster.trace_barrier();
+            sum.net_ms += r.net_ms;
+            sum.bytes += r.index_bytes + r.block_bytes;
+            sum.kvs += r.slots;
+        }
         self.store.repair()?;
-        Ok(())
+        self.store.cluster.trace_barrier();
+        Ok(sum)
     }
 
     fn check(&self) -> FtResult<Vec<String>> {

@@ -10,6 +10,7 @@
 
 use aceso_core::{FtEngine, FtError};
 use aceso_engines::{launch, EngineKind};
+use aceso_rdma::{FaultAction, FaultPlan, FaultRule};
 
 fn each_engine(mut f: impl FnMut(Box<dyn FtEngine>)) {
     for kind in EngineKind::ALL {
@@ -89,7 +90,7 @@ fn kill_and_recover_preserves_data() {
         assert!(col < eng.columns(), "[{kind}]");
         assert!(eng.kill_column(col), "[{kind}]");
         assert!(!eng.kill_column(col), "[{kind}] second kill must report dead");
-        let s = eng.recover_column(col).unwrap();
+        let s = eng.recover(&[], &[col]).unwrap();
         assert!(s.bytes > 0 && s.net_ms > 0.0, "[{kind}] empty recovery summary: {s:?}");
         for i in 0..100u32 {
             assert_eq!(
@@ -105,7 +106,7 @@ fn kill_and_recover_preserves_data() {
 }
 
 #[test]
-fn recover_client_is_safe_when_quiescent() {
+fn recovering_a_quiescent_client_is_safe() {
     each_engine(|eng| {
         let kind = eng.kind();
         let mut c = eng.client().unwrap();
@@ -115,7 +116,7 @@ fn recover_client_is_safe_when_quiescent() {
         c.quiesce().unwrap();
         let id = c.id();
         drop(c);
-        eng.recover_client(id).unwrap();
+        eng.recover(&[id], &[]).unwrap();
         assert!(eng.check().unwrap().is_empty(), "[{kind}]");
         let mut again = eng.client().unwrap();
         assert_eq!(
@@ -123,6 +124,39 @@ fn recover_client_is_safe_when_quiescent() {
             Some(&b"payload"[..]),
             "[{kind}]"
         );
+        eng.shutdown();
+    });
+}
+
+/// A client cut mid-UPDATE and its key's home column lost are recovered
+/// by one call, in the engine's own order: the key then reads its pre- or
+/// its post-state, and the engine's integrity check is clean.
+#[test]
+fn one_recover_call_heals_a_torn_update_and_a_dead_column() {
+    each_engine(|eng| {
+        let kind = eng.kind();
+        let mut c = eng.client().unwrap();
+        for i in 0..20u32 {
+            c.insert(format!("tu-{i:02}").as_bytes(), b"pre").unwrap();
+        }
+        c.quiesce().unwrap();
+        eng.tick().unwrap();
+        let mut victim = eng.client().unwrap();
+        let fail = FaultRule::new(FaultAction::Fail).after(1);
+        victim.install_fault_plan(FaultPlan::with_rules(vec![fail]));
+        let err = victim.update(b"tu-07", b"post").unwrap_err();
+        assert!(matches!(err, FtError::Crashed(_)), "[{kind}] {err:?}");
+        let id = victim.id();
+        drop(victim);
+        let col = eng.home_col(b"tu-07");
+        assert!(eng.kill_column(col), "[{kind}]");
+        eng.recover(&[id], &[col]).unwrap();
+        let got = eng.client().unwrap().search(b"tu-07").unwrap();
+        assert!(
+            matches!(got.as_deref(), Some(b"pre" | b"post")),
+            "[{kind}] torn key reads {got:?}"
+        );
+        assert_eq!(eng.check().unwrap(), Vec::<String>::new(), "[{kind}]");
         eng.shutdown();
     });
 }

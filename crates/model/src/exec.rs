@@ -17,8 +17,7 @@
 
 use crate::scenario::{client_letter, key_bytes, key_name, model_config, Scenario, ScriptOp};
 use crate::wgl::{check_key, render_history, KeyOp, KeyOpKind};
-use crate::invariants::{parity_scrub, IvWatch};
-use aceso_core::{AcesoStore, ClientTuning, StoreError};
+use aceso_core::{parity_scrub, AcesoStore, ClientTuning, IvWatch, StoreError};
 use aceso_index::route_hash;
 use aceso_rdma::{SimCq, TraceEvent, TraceSink};
 use aceso_rt::Executor;
@@ -482,7 +481,11 @@ fn run_inner(
 
     // ---- Oracles 3 and 4: iv-monotonicity, parity-scrub ------------------
     iv.check(&store, &mut out.violations);
-    parity_scrub(&store, &mut verifier, &mut out.violations);
+    if let Err(e) = verifier.flush_bitmaps() {
+        out.violations.push(format!("final flush: {e}"));
+    }
+    store.cluster.trace_barrier();
+    parity_scrub(&store, &mut out.violations);
 
     store.shutdown();
     Ok(())

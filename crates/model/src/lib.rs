@@ -20,8 +20,6 @@
 //! * [`mod@explore`] — the bounded DFS with sleep-set DPOR pruning driven by
 //!   the sanitizer's happens-before conflict relation
 //!   ([`aceso_san::footprints_conflict`]).
-//! * [`invariants`] — Index-Version monotonicity and the parity scrub,
-//!   shared with the `aceso-chaos` invariant library.
 //! * [`wgl`] — a Wing&Gong-style linearizability checker over the
 //!   committed INSERT/UPDATE/SEARCH/DELETE history.
 //! * [`step_table`] — the reviewed inventory of every suspension point
@@ -37,7 +35,6 @@
 
 pub mod exec;
 pub mod explore;
-pub mod invariants;
 pub mod scenario;
 pub mod step_table;
 pub mod wgl;
