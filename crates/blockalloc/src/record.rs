@@ -2,8 +2,9 @@
 //!
 //! Every block of the Block Area — DATA, PARITY or DELTA — has one
 //! fixed-size record in the Meta Area. The Meta Area is fault-tolerant by
-//! plain replication to the neighbouring MN (§3.1), so records must be
-//! serializable to raw bytes; this module defines that layout:
+//! plain replication to the next two MNs (§3.1), and readers fetch records
+//! from it one-sided, so records must be serializable to raw bytes; this
+//! module defines that layout:
 //!
 //! ```text
 //! offset  field
@@ -119,6 +120,17 @@ impl BlockRecord {
         }
     }
 
+    /// Width of the Free Bitmap: one bit per KV slot for a DATA block, none
+    /// for any other role (a DELTA record carries its block's size class,
+    /// but no bitmap). The allocating server and [`BlockRecord::decode`]
+    /// both size it here.
+    pub fn bitmap_bits(&self, block_size: u64) -> usize {
+        match self.role {
+            Role::Data => self.slots(block_size).min(MAX_SLOTS),
+            _ => 0,
+        }
+    }
+
     /// Serializes into `RECORD_BYTES` bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = vec![0u8; RECORD_BYTES as usize];
@@ -143,11 +155,11 @@ impl BlockRecord {
     /// [`RECORD_HEAD_BYTES`] of a serialized record — all a reader of one
     /// parity chain needs to know which cells to fold.
     ///
-    /// Clients read these bytes straight out of the Meta Area, so the
-    /// region's copy must agree with the server's in-memory record on both
-    /// fields after every handler; the only field of a record allowed to
-    /// differ between the two is `valid` (recovery clears and sets it in
-    /// memory without persisting).
+    /// Clients read these bytes straight out of the Meta Area, and the
+    /// stripe book, scrub and CN recovery read whole records there, so
+    /// after every handler the region's copy decodes to the server's
+    /// in-memory record in every field but `valid` (recovery clears and
+    /// sets it in memory without persisting).
     pub fn decode_head(bytes: &[u8]) -> (u16, [u64; MAX_POSITIONS]) {
         assert!(bytes.len() >= RECORD_HEAD_BYTES);
         let mut delta_addr = [0u64; MAX_POSITIONS];
@@ -160,25 +172,21 @@ impl BlockRecord {
     /// Deserializes from record bytes; `block_size` fixes the bitmap width.
     pub fn decode(bytes: &[u8], block_size: u64) -> Self {
         assert!(bytes.len() >= RECORD_BYTES as usize);
-        let slot_len64 = bytes[3];
-        let slots = if slot_len64 == 0 {
-            0
-        } else {
-            (block_size / (slot_len64 as u64 * 64)) as usize
-        };
         let (xor_map, delta_addr) = Self::decode_head(bytes);
-        BlockRecord {
+        let mut rec = BlockRecord {
             role: Role::from_u8(bytes[0]),
             valid: bytes[1] != 0,
             xor_id: bytes[2],
-            slot_len64,
+            slot_len64: bytes[3],
             cli_id: u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
             index_version: u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
             stripe_array: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
             xor_map,
             delta_addr,
-            bitmap: Bitmap::from_bytes(slots.min(MAX_SLOTS), &bytes[BITMAP_OFF..]),
-        }
+            bitmap: Bitmap::new(0),
+        };
+        rec.bitmap = Bitmap::from_bytes(rec.bitmap_bits(block_size), &bytes[BITMAP_OFF..]);
+        rec
     }
 }
 

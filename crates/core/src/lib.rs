@@ -52,6 +52,7 @@ pub use recovery::{
 };
 pub use scrub::{parity_scrub, scrub, IvWatch, ScrubReport};
 pub use store::{AcesoStore, MemoryUsage};
+pub use stripe::read_records;
 
 /// Errors surfaced by the store API.
 #[derive(Clone, PartialEq, Eq, Debug)]

@@ -3,7 +3,10 @@
 //! RPC is deliberately coarse-grained and off the critical path (§3.1):
 //! block management, free-bitmap flushes, checkpoint control, and the
 //! recovery-time bulk fetches of replicated state. Every KV request itself
-//! runs purely over one-sided verbs.
+//! runs purely over one-sided verbs, and so does every read of a block's
+//! record: the records live in each MN's Meta Area, where the stripe book,
+//! scrub and CN recovery read them as a degraded SEARCH reads a parity
+//! record's head ([`crate::read_records`]), so no request here fetches one.
 
 use crate::ckpt::CkptReport;
 use crate::kv::DecodedKv;
@@ -56,21 +59,12 @@ pub enum ServerReq {
         /// Per-block first units of obsolete KVs.
         updates: Vec<(BlockId, Vec<u32>)>,
     },
-    /// Fetch one block's metadata record bytes (the stripe book's read; a
-    /// degraded SEARCH reads a parity record's head from the Meta Area
-    /// one-sided instead).
-    GetRecord {
-        /// Which block.
-        block: BlockId,
-    },
     /// Fetch the server's local backup copy of a reused block (§3.3.3),
     /// used by CN crash recovery.
     GetOldCopy {
         /// Which block.
         block: BlockId,
     },
-    /// List this MN's DATA block records (scrub).
-    ListDataBlocks,
     /// Recovery's Index tier: scan this MN's new DATA blocks (Index Version
     /// 0 or ≥ `since_iv`) for the KVs routed to `of_column`, line by line.
     ScanNew {
@@ -90,11 +84,6 @@ pub enum ServerReq {
         /// The caller's recycled block buffer, handed back as the answer
         /// (endpoints are caller-runs: it moves, nothing is copied).
         buf: Vec<u8>,
-    },
-    /// Blocks currently owned (unfilled) by a client (CN recovery).
-    QueryClientBlocks {
-        /// The crashed client's id.
-        cli_id: u32,
     },
     /// Run one checkpoint round now (store-driven tick; also used by the
     /// background loop's leader).
@@ -175,20 +164,10 @@ pub enum ServerResp {
         /// The block.
         block: BlockId,
     },
-    /// One record's bytes.
-    Record {
-        /// Serialized [`aceso_blockalloc::BlockRecord`].
-        bytes: Vec<u8>,
-    },
     /// Backup copy of a reused block (None if already discarded).
     OldCopy {
         /// Raw block bytes.
         bytes: Option<Vec<u8>>,
-    },
-    /// Record list: `(block id, serialized record)`.
-    Records {
-        /// The records.
-        list: Vec<(BlockId, Vec<u8>)>,
     },
     /// What [`ServerReq::ScanNew`] found, one new DATA block at a time in
     /// block order, and the 64 B lines of them the handler read.
@@ -243,6 +222,23 @@ impl ServerResp {
     pub fn expect_scanned(self) -> crate::Result<(Vec<(BlockId, ScannedBlock)>, u64)> {
         match self {
             ServerResp::Scanned { blocks, lines } => Ok((blocks, lines)),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Unwraps `OldCopy`: the backup of a reused block, `None` for a fresh
+    /// one.
+    pub fn expect_old_copy(self) -> crate::Result<Option<Vec<u8>>> {
+        match self {
+            ServerResp::OldCopy { bytes } => Ok(bytes),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Unwraps `MetaReplica`: `(block id, serialized record)` per block.
+    pub fn expect_meta_replica(self) -> crate::Result<Vec<(BlockId, Vec<u8>)>> {
+        match self {
+            ServerResp::MetaReplica { records } => Ok(records),
             other => Err(unexpected(other)),
         }
     }

@@ -31,7 +31,7 @@ use crate::kv;
 use crate::proto::{self, ScannedBlock, ServerReq, ServerResp, SCAN_NEW_REQ_BYTES};
 use crate::server::MnServer;
 use crate::store::AcesoStore;
-use crate::stripe::StripeBook;
+use crate::stripe::{read_records, StripeBook};
 use crate::{Result, StoreError};
 use aceso_blockalloc::{Allocator, BlockId, BlockRecord, CellKind, Role};
 use aceso_erasure::xor::is_zero;
@@ -40,7 +40,7 @@ use aceso_index::layout::GROUP_BYTES;
 use aceso_index::slot::slot_version;
 use aceso_index::{fingerprint, SlotAtomic, SlotMeta};
 use aceso_rdma::cq::SimCq;
-use aceso_rdma::{DmClient, GlobalAddr, NodeId};
+use aceso_rdma::{DmClient, GlobalAddr, NodeId, RdmaError};
 use aceso_rt::Executor;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -540,7 +540,7 @@ impl Recovery {
             }
         }
         self.new_arrays = decoded.iter().map(|(_, _, r)| r.stripe_array).collect();
-        let book = StripeBook::fetch(&store, ctl, self.new_arrays.clone(), Some(&server));
+        let book = StripeBook::fetch(&store, ctl, self.new_arrays.clone(), Some(&server))?;
         for &array in &self.new_arrays {
             let bufs = &mut self.bufs;
             let visit = |cell, bytes: &[u8]| {
@@ -608,7 +608,7 @@ impl Recovery {
         let old_arrays =
             &self.local_old.iter().copied().collect::<BTreeSet<_>>() - &self.new_arrays;
         let (store, server, dm) = (&self.store, &self.server, &self.dm);
-        let book = StripeBook::fetch(store, store.ctl_dm(), old_arrays.clone(), Some(server));
+        let book = StripeBook::fetch(store, store.ctl_dm(), old_arrays.clone(), Some(server))?;
         let bufs = &mut self.bufs;
         for &array in &old_arrays {
             dm.batch(|dm| decode_column(store, server, dm, &book, array, false, bufs, |_, _| {}))?;
@@ -856,12 +856,12 @@ fn fetch_meta_replica(
     let dir = store.directory();
     for ncol in [(col + 1) % n, (col + 2) % n] {
         let req = ServerReq::GetMetaReplica { of_column: col };
-        if let Ok(ServerResp::MetaReplica { records }) =
-            dm.rpc_sized(dir.node_of(ncol), &dir.rpc_of(ncol), req, 32, 0)
-        {
-            dm.accrue_bytes(records.iter().map(|(_, bytes)| bytes.len()).sum());
-            return Ok(records);
-        }
+        let Ok(resp) = dm.rpc_sized(dir.node_of(ncol), &dir.rpc_of(ncol), req, 32, 0) else {
+            continue;
+        };
+        let records = resp.expect_meta_replica()?;
+        dm.accrue_bytes(records.iter().map(|(_, bytes)| bytes.len()).sum());
+        return Ok(records);
     }
     Err(too_many_lost(store))
 }
@@ -969,7 +969,7 @@ fn rebuild_parity_and_deltas(
         let parity = recs.iter().filter(|r| r.role == Role::Parity);
         parity.map(|r| r.stripe_array).collect()
     };
-    let book = StripeBook::fetch(store, store.ctl_dm(), arrays.iter().copied(), None);
+    let book = StripeBook::fetch(store, store.ctl_dm(), arrays.iter().copied(), None)?;
     let xcode = &book.xcode;
 
     for &array in &arrays {
@@ -1245,23 +1245,22 @@ pub fn recover_cn(store: &Arc<AcesoStore>, cli_id: u32) -> Result<CnRecoveryRepo
     // column's are handled by its MN recovery).
     let mut blocks: Vec<(usize, BlockId, u8, u64, usize)> = Vec::new();
     for col in 0..store.cfg.num_mns {
-        let req = ServerReq::QueryClientBlocks { cli_id };
-        let Ok(ServerResp::Records { list }) = dm.rpc(dir.node_of(col), &dir.rpc_of(col), req, 16)
-        else {
-            continue;
+        let ids = 0..map.blocks.blocks_per_node() as BlockId;
+        let recs = match read_records(store, &dm, col, ids.clone()) {
+            Err(RdmaError::NodeUnreachable(_)) => continue,
+            read => read?,
         };
-        for (id, bytes) in list {
-            let rec = BlockRecord::decode(&bytes, bs as u64);
-            if let (Role::Data, CellKind::Data { array, row }) = (rec.role, map.blocks.kind_of(id))
+        for (id, rec) in ids.zip(recs) {
+            let open = rec.cli_id == cli_id && rec.index_version == 0 && rec.slot_len64 != 0;
+            if let (true, Role::Data, CellKind::Data { array, row }) =
+                (open, rec.role, map.blocks.kind_of(id))
             {
-                if rec.slot_len64 != 0 {
-                    blocks.push((col, id, rec.slot_len64, array, row));
-                }
+                blocks.push((col, id, rec.slot_len64, array, row));
             }
         }
     }
     let arrays: BTreeSet<u64> = blocks.iter().map(|&(_, _, _, array, _)| array).collect();
-    let book = StripeBook::fetch(store, &dm, arrays, None);
+    let book = StripeBook::fetch(store, &dm, arrays, None)?;
 
     for (col, id, slot_len64, array, row) in blocks {
         report.blocks_checked += 1;
@@ -1271,10 +1270,8 @@ pub fn recover_cn(store: &Arc<AcesoStore>, cli_id: u32) -> Result<CnRecoveryRepo
         // Old contents: the server's backup for reused blocks, zeros for
         // fresh ones.
         let req = ServerReq::GetOldCopy { block: id };
-        let old = match dm.rpc(dir.node_of(col), &dir.rpc_of(col), req, 16)? {
-            ServerResp::OldCopy { bytes: Some(b) } => b,
-            _ => vec![0u8; bs],
-        };
+        let old = dm.rpc(dir.node_of(col), &dir.rpc_of(col), req, 16)?;
+        let old = old.expect_old_copy()?.unwrap_or_else(|| vec![0u8; bs]);
         // Fetch both delta blocks — the trustworthy ones. A copy hosted on
         // a column still in its degraded window reads back as zeros;
         // trusting it would classify every committed slot as torn and the

@@ -20,11 +20,10 @@
 //! [`crate::AcesoEngine`]'s `check` judge, one violation string each.
 
 use crate::config::unpack_col;
-use crate::proto::{ServerReq, ServerResp};
 use crate::store::AcesoStore;
-use crate::stripe::StripeBook;
+use crate::stripe::{read_records, StripeBook};
 use crate::Result;
-use aceso_blockalloc::BlockRecord;
+use aceso_blockalloc::{BlockId, Role};
 use aceso_erasure::xor_into;
 use aceso_rdma::GlobalAddr;
 use std::collections::BTreeSet;
@@ -70,18 +69,11 @@ pub fn scrub(store: &Arc<AcesoStore>) -> Result<ScrubReport> {
     // column lower than all of its data blocks.
     let mut arrays: BTreeSet<u64> = BTreeSet::new();
     for c in 0..n {
-        let resp = dm.rpc(
-            dir.node_of(c),
-            &dir.rpc_of(c),
-            ServerReq::ListDataBlocks,
-            16,
-        )?;
-        if let ServerResp::Records { list } = resp {
-            let recs = list.iter().map(|(_, b)| BlockRecord::decode(b, bs as u64));
-            arrays.extend(recs.map(|rec| rec.stripe_array));
-        }
+        let recs = read_records(store, &dm, c, 0..map.blocks.blocks_per_node() as BlockId)?;
+        let data = recs.into_iter().filter(|rec| rec.role == Role::Data);
+        arrays.extend(data.map(|rec| rec.stripe_array));
     }
-    let book = StripeBook::fetch(store, &dm, arrays.iter().copied(), None);
+    let book = StripeBook::fetch(store, &dm, arrays.iter().copied(), None)?;
 
     let read_block = |col: usize, off: u64| -> Result<Vec<u8>> {
         Ok(dm.read_vec(GlobalAddr::new(dir.node_of(col), off), bs)?)

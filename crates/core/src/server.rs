@@ -170,7 +170,7 @@ pub struct MnServer {
     /// This column's index partition handle.
     pub index: RemoteIndex,
     /// Authoritative in-memory metadata records (mirrored to the Meta Area
-    /// and replicated to the right neighbour).
+    /// and replicated to the next two columns).
     pub records: Mutex<Vec<BlockRecord>>,
     /// Free lists.
     pub alloc: Mutex<Allocator>,
@@ -346,23 +346,9 @@ impl MnServer {
                 r
             }
             ServerReq::BitmapFlush { updates } => self.handle_bitmap_flush(updates, dm, dir),
-            ServerReq::GetRecord { block } => ServerResp::Record {
-                bytes: self.records.lock()[block as usize].encode(),
-            },
             ServerReq::GetOldCopy { block } => ServerResp::OldCopy {
                 bytes: self.old_copies.lock().get(&block).cloned(),
             },
-            ServerReq::ListDataBlocks => {
-                let recs = self.records.lock();
-                ServerResp::Records {
-                    list: recs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.role == Role::Data)
-                        .map(|(i, r)| (i as BlockId, r.encode()))
-                        .collect(),
-                }
-            }
             ServerReq::ScanNew {
                 of_column,
                 since_iv,
@@ -373,21 +359,6 @@ impl MnServer {
                 role_time = t.elapsed();
                 self.meters.add(&self.meters.ec_ns, role_time);
                 ServerResp::Folded { block }
-            }
-            ServerReq::QueryClientBlocks { cli_id } => {
-                let recs = self.records.lock();
-                ServerResp::Records {
-                    list: recs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| {
-                            r.cli_id == cli_id
-                                && r.index_version == 0
-                                && matches!(r.role, Role::Data | Role::Delta)
-                        })
-                        .map(|(i, r)| (i as BlockId, r.encode()))
-                        .collect(),
-                }
             }
             ServerReq::CkptRound => {
                 let t = Instant::now();
@@ -545,7 +516,7 @@ impl MnServer {
             rec.cli_id = cli_id;
             rec.index_version = 0;
             rec.stripe_array = array;
-            rec.bitmap = Bitmap::new(slots);
+            rec.bitmap = Bitmap::new(rec.bitmap_bits(self.map.blocks.block_size));
             None
         };
         self.persist_record(dm, dir, d.id);

@@ -23,8 +23,8 @@
 //!
 //! A second shape moved with the read path, not the write path:
 //! `cold_update_with_unreadable_candidate` was 4 batches and one RPC — the
-//! retry's reconstruction asked the parity MN for its block record
-//! (`GetRecord`) and then read the parity chain one verb per round trip.
+//! retry's reconstruction asked the parity MN for its block record by RPC
+//! and then read the parity chain one verb per round trip.
 //! A degraded read is now one-sided: the record's head, the parity range
 //! and the chain's other cells go out as one doorbell, so the same op is
 //! 5 batches and `rpcs == 0`; that the retry reconstructed is read off

@@ -4,8 +4,8 @@
 
 use aceso_core::client::CrashPoint;
 use aceso_core::{
-    recover_cn, recover_mn, scrub, AcesoClient, AcesoConfig, AcesoStore, ClientTuning,
-    RecoveryTier, StoreError,
+    read_records, recover_cn, recover_mn, scrub, AcesoClient, AcesoConfig, AcesoStore,
+    ClientTuning, RecoveryTier, StoreError,
 };
 use std::sync::Arc;
 
@@ -304,8 +304,11 @@ fn tiers_run_in_order_and_publish_after_index() {
     let dm = store.cluster.background_client();
     let answers = || {
         let dir = store.directory();
-        let req = ServerReq::ListDataBlocks;
-        dm.rpc(dir.node_of(col), &dir.rpc_of(col), req, 16).is_ok()
+        let req = ServerReq::GetOldCopy { block: 0 };
+        let rpc = dm.rpc(dir.node_of(col), &dir.rpc_of(col), req, 16).is_ok();
+        let verb = read_records(&store, &dm, col, 0..1).is_ok();
+        assert_eq!(rpc, verb, "the RPC and the verb disagree");
+        rpc
     };
     let mut recovery = store.begin_recovery(col).unwrap();
     for (tier, next, serving) in [
@@ -1175,4 +1178,72 @@ fn two_failure_index_rebuild_is_the_same_in_every_store() {
         rebuilt() == rebuilt(),
         "two stores rebuilt different indexes"
     );
+}
+
+/// The bytes of every DATA block `col`'s server holds, by block id.
+fn data_blocks(store: &Arc<AcesoStore>, col: usize) -> Vec<(u32, Vec<u8>)> {
+    use aceso_blockalloc::Role;
+    let (blocks, server) = (store.map.blocks, store.server(col));
+    let (region, bs) = (&server.node.region, blocks.block_size as usize);
+    let recs = server.records.lock();
+    let data = (0..recs.len() as u32).filter(|&id| recs[id as usize].role == Role::Data);
+    let read = |id| region.read_vec(blocks.block_offset(id), bs).unwrap();
+    data.map(|id| (id, read(id))).collect()
+}
+
+/// The stripe book names one erasure: a column whose Meta Area the fabric
+/// reports unreachable contributes no PARITY record, its cells read as
+/// unencoded. Recovering a column while another one that holds parity of
+/// every array is dead lands each of its DATA blocks byte for byte.
+#[test]
+fn book_over_a_dead_parity_holder_decodes_every_block() {
+    let (store, keys, val) = aged("holder");
+    let (col, holder) = (1, 3);
+    let before = data_blocks(&store, col);
+    assert!(!before.is_empty());
+    assert!(store.kill_mn(col) && store.kill_mn(holder));
+    recover_mn(&store, col).unwrap();
+    let after = data_blocks(&store, col);
+    assert!(after == before, "a decoded block differs");
+    recover_mn(&store, holder).unwrap();
+    read_back(&store, &keys, &val);
+    assert!(scrub(&store).unwrap().is_clean());
+    store.shutdown();
+}
+
+/// A live column whose Meta Area READ fails is no erasure: scrub and CN
+/// recovery return the error, whether it hits the column-wide read of its
+/// record table or, past that, the stripe book's read of one record.
+#[test]
+fn failed_meta_area_read_on_a_live_column_is_an_error() {
+    use aceso_rdma::{FaultAction, FaultPlan, FaultRule, RdmaError, VerbKind};
+
+    let store = small();
+    let mut c = store.client().unwrap();
+    for i in 0..50u32 {
+        c.insert(format!("meta-read-{i}").as_bytes(), b"v").unwrap();
+    }
+    let id = c.id();
+    drop(c);
+    let blocks = store.map.blocks;
+    let node = store.cluster.node(store.directory().node_of(2)).unwrap();
+    let meta = (blocks.meta_base, blocks.meta_base + blocks.meta_size());
+    for skip in [0, 1] {
+        let fail = FaultRule::new(FaultAction::Fail).on_kind(VerbKind::Read);
+        let fail = fail.in_range(meta.0, meta.1).after(skip).fires(u64::MAX);
+        node.install_fault_plan(FaultPlan::with_rules(vec![fail]));
+        let scrubbed = scrub(&store).map(|_| ());
+        node.install_fault_plan(FaultPlan::with_rules(vec![fail]));
+        let recovered = recover_cn(&store, id).map(|_| ());
+        for err in [scrubbed.unwrap_err(), recovered.unwrap_err()] {
+            assert!(
+                matches!(err, StoreError::Rdma(RdmaError::Injected { .. })),
+                "skip {skip}: {err:?}"
+            );
+        }
+    }
+    node.clear_fault_plan();
+    assert!(scrub(&store).unwrap().is_clean());
+    assert_eq!(recover_cn(&store, id).unwrap().slots_repaired, 0);
+    store.shutdown();
 }

@@ -778,10 +778,10 @@ fn aggregator_killed_by_its_first_fold() {
     let mut recovery = store.begin_recovery(col).unwrap();
     assert_eq!(recovery.step().unwrap(), RecoveryTier::Meta);
     // Before its first fold the aggregator answers the checkpoint read if it
-    // is the right neighbour, its `ScanNew` and the stripe book's two record
-    // reads.
+    // is the right neighbour and its `ScanNew` (the stripe book reads its
+    // records one-sided).
     let node = store.directory().node_of(aggregator);
-    let skip = 3 + u64::from(aggregator == col + 1);
+    let skip = 1 + u64::from(aggregator == col + 1);
     let kill = FaultRule::new(FaultAction::KillNode)
         .on_kind(VerbKind::Rpc)
         .after(skip);
@@ -876,10 +876,13 @@ fn folds_restore_what_the_plan_xors() {
                 server.node.region.write(off(0, prow), &parity).unwrap();
             }
         }
-        // The Meta replicas the Meta tier restores those records from.
+        // Each record in its column's Meta Area, where the stripe book reads
+        // it, and in the Meta replicas the Meta tier restores it from.
         for c in 0..n {
             for r in 0..n {
                 let bytes: Arc<[u8]> = store.server(c).records.lock()[id(r)].encode().into();
+                let at = blocks.record_offset(id(r) as u32);
+                store.server(c).node.region.write(at, &bytes).unwrap();
                 for holder in [(c + 1) % n, (c + 2) % n].map(|h| store.server(h)) {
                     let mut replicas = holder.meta_replicas.lock();
                     replicas

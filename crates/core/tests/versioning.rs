@@ -3,7 +3,7 @@
 
 use aceso_blockalloc::{BlockRecord, Role};
 use aceso_core::proto::{ServerReq, ServerResp};
-use aceso_core::{AcesoConfig, AcesoStore};
+use aceso_core::{read_records, AcesoConfig, AcesoStore};
 use std::sync::Arc;
 
 fn store() -> Arc<AcesoStore> {
@@ -12,20 +12,10 @@ fn store() -> Arc<AcesoStore> {
 
 fn data_records(store: &Arc<AcesoStore>, col: usize) -> Vec<(u32, BlockRecord)> {
     let dm = store.cluster.background_client();
-    let ServerResp::Records { list } = dm
-        .rpc(
-            store.directory().node_of(col),
-            &store.directory().rpc_of(col),
-            ServerReq::ListDataBlocks,
-            16,
-        )
-        .unwrap()
-    else {
-        panic!()
-    };
-    list.into_iter()
-        .map(|(id, b)| (id, BlockRecord::decode(&b, store.map.blocks.block_size)))
-        .collect()
+    let ids = 0..store.map.blocks.blocks_per_node() as u32;
+    let recs = read_records(store, &dm, col, ids.clone()).unwrap();
+    let data = ids.zip(recs).filter(|(_, rec)| rec.role == Role::Data);
+    data.collect()
 }
 
 /// Index Versions start at 1, tick in lockstep across columns, and blocks
