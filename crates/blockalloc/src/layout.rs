@@ -1,6 +1,11 @@
 //! Geometry of one MN's Meta Area and Block Area.
 
-use crate::record::RECORD_BYTES;
+use crate::record::record_bytes;
+
+/// Record tables in one Meta Area: table 0 holds the MN's own records,
+/// table `d` ∈ {1, 2} a copy of the records of the column `d` to its left —
+/// the Meta Area's two replicas (§3.1), written one-sided by their owner.
+pub const RECORD_TABLES: usize = 3;
 
 /// Index of a block within one MN's Block Area.
 pub type BlockId = u32;
@@ -58,9 +63,20 @@ impl BlockLayout {
         self.num_arrays * (self.n as u64 - 2)
     }
 
-    /// Meta Area size in bytes.
+    /// One record's size in bytes ([`record_bytes`] of the block size):
+    /// the stride of every record table.
+    pub fn record_bytes(&self) -> u64 {
+        record_bytes(self.block_size)
+    }
+
+    /// One record table's size in bytes: a record per block.
+    pub fn table_size(&self) -> u64 {
+        self.blocks_per_node() * self.record_bytes()
+    }
+
+    /// Meta Area size in bytes: [`RECORD_TABLES`] tables back to back.
     pub fn meta_size(&self) -> u64 {
-        self.blocks_per_node() * RECORD_BYTES
+        RECORD_TABLES as u64 * self.table_size()
     }
 
     /// Block Area size in bytes.
@@ -107,8 +123,14 @@ impl BlockLayout {
 
     /// Byte offset (in the region) of block `id`'s metadata record.
     pub fn record_offset(&self, id: BlockId) -> u64 {
-        debug_assert!((id as u64) < self.blocks_per_node());
-        self.meta_base + id as u64 * RECORD_BYTES
+        self.record_offset_in(0, id)
+    }
+
+    /// Byte offset (in the region) of block `id`'s record in record table
+    /// `table` (see [`RECORD_TABLES`]).
+    pub fn record_offset_in(&self, table: usize, id: BlockId) -> u64 {
+        debug_assert!(table < RECORD_TABLES && (id as u64) < self.blocks_per_node());
+        self.meta_base + table as u64 * self.table_size() + id as u64 * self.record_bytes()
     }
 
     /// Which block (and byte within it) a Block Area offset falls into.
@@ -142,7 +164,9 @@ mod tests {
         assert_eq!(l.blocks_per_node(), 4 * 5 + 8);
         assert_eq!(l.data_blocks_per_node(), 12);
         assert_eq!(l.block_area_size(), 28 << 16);
-        assert_eq!(l.meta_size(), 28 * RECORD_BYTES);
+        assert_eq!(l.record_bytes(), 256 + 1024 / 8);
+        assert_eq!(l.table_size(), 28 * l.record_bytes());
+        assert_eq!(l.meta_size(), 3 * l.table_size());
     }
 
     #[test]
@@ -188,10 +212,15 @@ mod tests {
     }
 
     #[test]
-    fn record_offsets_within_meta() {
+    fn record_tables_tile_the_meta_area() {
         let l = layout();
-        let last = l.record_offset((l.blocks_per_node() - 1) as BlockId);
-        assert!(last + RECORD_BYTES <= l.meta_base + l.meta_size());
-        assert_eq!(l.record_offset(0), l.meta_base);
+        let last = (l.blocks_per_node() - 1) as BlockId;
+        let mut prev_end = l.meta_base;
+        for table in 0..RECORD_TABLES {
+            assert_eq!(l.record_offset_in(table, 0), prev_end);
+            prev_end = l.record_offset_in(table, last) + l.record_bytes();
+        }
+        assert_eq!(prev_end, l.meta_base + l.meta_size());
+        assert_eq!(l.record_offset(last), l.record_offset_in(0, last));
     }
 }

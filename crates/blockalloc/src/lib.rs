@@ -26,5 +26,5 @@ pub mod record;
 
 pub use allocator::Allocator;
 pub use bitmap::Bitmap;
-pub use layout::{BlockId, BlockLayout, CellKind};
-pub use record::{BlockRecord, Role, RECORD_BYTES, RECORD_HEAD_BYTES};
+pub use layout::{BlockId, BlockLayout, CellKind, RECORD_TABLES};
+pub use record::{BlockRecord, Role, RECORD_HEAD_BYTES};

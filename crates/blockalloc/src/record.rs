@@ -19,18 +19,18 @@
 //!         position of this parity's equation has been encoded
 //! 32..160 Delta Addr (16 × u64) — parity blocks: packed global address of
 //!         the DELTA block covering the k-th data position (0 = none)
-//! 256..   Free Bitmap (1024 B) — data blocks: obsolete-KV bits
+//! 256..   Free Bitmap (≤ 1024 B) — data blocks: obsolete-KV bits
 //! ```
 //!
-//! Record size is 1280 B, bounding KV slots per block at 8192 — i.e. the
-//! smallest supported size class is `block_size / 8192` (256 B at the
-//! default 2 MB block, matching the paper's footnote that extremely small
-//! KVs are out of scope).
+//! The Free Bitmap holds one bit per KV slot, and a slot is at least 64 B,
+//! so a record of a block of `block_size` is [`record_bytes`] long: 1280 B
+//! at the paper's 2 MB block, 768 B at 256 KB, 384 B at 64 KB. KV slots
+//! per block are bounded at 8192 — i.e. the smallest supported size class
+//! is `block_size / 8192` (256 B at the default 2 MB block, matching the
+//! paper's footnote that extremely small KVs are out of scope).
 
 use crate::bitmap::Bitmap;
 
-/// Serialized record size in bytes.
-pub const RECORD_BYTES: u64 = 1280;
 /// Length of the record *head*: everything up to and including Delta Addr.
 /// A degraded SEARCH reads exactly these bytes of a parity block's record
 /// with a one-sided READ (see [`BlockRecord::decode_head`]).
@@ -41,6 +41,14 @@ const BITMAP_OFF: usize = 256;
 pub const MAX_SLOTS: usize = 8192;
 /// Maximum data positions per parity equation (X-Code `n − 2 ≤ 16`).
 pub const MAX_POSITIONS: usize = 16;
+
+/// Serialized size in bytes of the record of a block of `block_size`: the
+/// head and its padding, then a Free Bitmap wide enough for the most
+/// slots such a block can have — one per 64 B, at most [`MAX_SLOTS`] — in
+/// whole 8 B words, so every record of a table stays word-aligned.
+pub fn record_bytes(block_size: u64) -> u64 {
+    BITMAP_OFF as u64 + (block_size / 64).min(MAX_SLOTS as u64).div_ceil(64) * 8
+}
 
 /// The Role field (paper Figure 5).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -131,9 +139,9 @@ impl BlockRecord {
         }
     }
 
-    /// Serializes into `RECORD_BYTES` bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = vec![0u8; RECORD_BYTES as usize];
+    /// Serializes into [`record_bytes`]`(block_size)` bytes.
+    pub fn encode(&self, block_size: u64) -> Vec<u8> {
+        let mut b = vec![0u8; record_bytes(block_size) as usize];
         b[0] = self.role as u8;
         b[1] = self.valid as u8;
         b[2] = self.xor_id;
@@ -146,7 +154,7 @@ impl BlockRecord {
             b[32 + k * 8..40 + k * 8].copy_from_slice(&a.to_le_bytes());
         }
         let bm = self.bitmap.as_bytes();
-        assert!(bm.len() <= RECORD_BYTES as usize - BITMAP_OFF);
+        assert!(bm.len() <= b.len() - BITMAP_OFF);
         b[BITMAP_OFF..BITMAP_OFF + bm.len()].copy_from_slice(bm);
         b
     }
@@ -171,7 +179,7 @@ impl BlockRecord {
 
     /// Deserializes from record bytes; `block_size` fixes the bitmap width.
     pub fn decode(bytes: &[u8], block_size: u64) -> Self {
-        assert!(bytes.len() >= RECORD_BYTES as usize);
+        assert!(bytes.len() >= record_bytes(block_size) as usize);
         let (xor_map, delta_addr) = Self::decode_head(bytes);
         let mut rec = BlockRecord {
             role: Role::from_u8(bytes[0]),
@@ -206,8 +214,8 @@ mod tests {
         r.bitmap = Bitmap::new(64);
         r.bitmap.set(5, true);
         r.bitmap.set(63, true);
-        let bytes = r.encode();
-        assert_eq!(bytes.len() as u64, RECORD_BYTES);
+        let bytes = r.encode(64 * 1024);
+        assert_eq!(bytes.len(), 256 + 1024 / 8);
         let d = BlockRecord::decode(&bytes, 64 * 1024);
         assert_eq!(d, r);
         assert_eq!(d.slots(64 * 1024), 64);
@@ -220,7 +228,7 @@ mod tests {
         r.xor_map = 0b101;
         r.delta_addr[0] = 0xABCD;
         r.delta_addr[2] = 0x1234;
-        let bytes = r.encode();
+        let bytes = r.encode(2 << 20);
         assert_eq!(
             BlockRecord::decode_head(&bytes[..RECORD_HEAD_BYTES]),
             (r.xor_map, r.delta_addr),
@@ -236,7 +244,7 @@ mod tests {
 
     #[test]
     fn free_record_is_all_default() {
-        let d = BlockRecord::decode(&BlockRecord::free().encode(), 2 << 20);
+        let d = BlockRecord::decode(&BlockRecord::free().encode(2 << 20), 2 << 20);
         assert_eq!(d.role, Role::Free);
         assert!(d.valid);
         assert_eq!(d.index_version, 0);
@@ -250,7 +258,19 @@ mod tests {
         r.slot_len64 = 4; // 256 B KVs.
         r.bitmap = Bitmap::new((2 << 20) / 256);
         assert_eq!(r.bitmap.len(), 8192);
-        let d = BlockRecord::decode(&r.encode(), 2 << 20);
+        let bytes = r.encode(2 << 20);
+        assert_eq!(bytes.len(), 1280, "the widest record");
+        let d = BlockRecord::decode(&bytes, 2 << 20);
         assert_eq!(d.bitmap.len(), 8192);
+    }
+
+    #[test]
+    fn record_bytes_follow_the_block_size() {
+        let sizes = [(16 << 10, 288), (64 << 10, 384), (256 << 10, 768)];
+        let sizes = sizes.into_iter().chain([(2 << 20, 1280), (4 << 20, 1280)]);
+        let sizes = sizes.chain([(1000 * 64, 256 + 128), (4096, 264)]);
+        for (block_size, bytes) in sizes {
+            assert_eq!(record_bytes(block_size), bytes, "{block_size} B blocks");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The named invariant library: what "the store survived" means, written
 //! once and judged identically by every axis.
 //!
-//! [`INVARIANT_CLASSES`] names the five invariants; [`Script::judge`]
+//! [`INVARIANT_CLASSES`] names the six invariants; [`Script::judge`]
 //! checks all of them against a settled engine: the first two through a
 //! fresh client ([`oracle_agreement`] and [`probe_liveness`] take any
 //! [`FtClient`]), the rest inside the engine's own
@@ -28,15 +28,17 @@ use std::time::Instant;
 ///    back.
 /// 2. **iv-monotonicity** — [`aceso_core::IvWatch`].
 /// 3. **parity-scrub** — [`aceso_core::parity_scrub`].
-/// 4. **no-open-degraded-window** — once recovery has completed no column
+/// 4. **meta-replica-agreement** — [`aceso_core::replica_agreement`].
+/// 5. **no-open-degraded-window** — once recovery has completed no column
 ///    is left in the window between its Index tier and its Block tier.
 ///
-/// Classes 2–4 are Aceso's [`FtEngine::check`], timed as one.
-pub const INVARIANT_CLASSES: [&str; 5] = [
+/// Classes 2–5 are Aceso's [`FtEngine::check`], timed as one.
+pub const INVARIANT_CLASSES: [&str; 6] = [
     "oracle-agreement",
     "meta-lock-liveness",
     "iv-monotonicity",
     "parity-scrub",
+    "meta-replica-agreement",
     "no-open-degraded-window",
 ];
 

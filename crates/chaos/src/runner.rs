@@ -35,7 +35,7 @@ pub struct CellPhases {
     /// Post-crash tiered recovery (CN consistency, then MN tiers).
     pub recovery_ms: f64,
     /// [`crate::axis::Script::judge`]'s time: the oracle sweep, the
-    /// probes, and the engine's check (classes 2–4 of
+    /// probes, and the engine's check (classes 2–5 of
     /// [`crate::invariants::INVARIANT_CLASSES`]).
     pub invariants_ms: [f64; 3],
 }

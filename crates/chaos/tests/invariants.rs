@@ -1,7 +1,7 @@
 //! The invariant library can fail: each named invariant is handed a store
 //! (or a read) that breaks it and must say so in the words the reports
 //! and DESIGN.md quote — and stay silent on the healthy store first. The
-//! three store-level classes are Aceso's `FtEngine::check`.
+//! four store-level classes are Aceso's `FtEngine::check`.
 
 use aceso_chaos::axis::{chaos_config, Script};
 use aceso_chaos::invariants::{oracle_agreement, Oracle};
@@ -131,6 +131,22 @@ fn one_flipped_parity_word_is_a_dirty_scrub() {
     let flipped = word.map(|b| !b);
     store.server(col).node.region.write(off, &flipped).unwrap();
     only(&eng.check().unwrap(), "scrub dirty");
+    eng.shutdown();
+}
+
+#[test]
+fn one_flipped_byte_of_a_meta_copy_is_a_replica_disagreement() {
+    let (eng, _) = settled();
+    let store = eng.store();
+    // A CLI ID byte of column 1's record of block 0, in its copy on
+    // column 3 (table 2).
+    let at = store.map.blocks.record_offset_in(2, 0) + 4;
+    let region = &store.server(3).node.region;
+    let mut byte = [0u8; 1];
+    region.read(at, &mut byte).unwrap();
+    region.write(at, &[!byte[0]]).unwrap();
+    let violations = eng.check().unwrap();
+    only(&violations, "col 1's record of block 0 differs on holder 3");
     eng.shutdown();
 }
 

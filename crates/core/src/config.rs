@@ -6,11 +6,17 @@
 //! 0              ┌──────────────┐
 //!                │ Index Area   │  RACE-style buckets + Index Version
 //! meta_base      ├──────────────┤
-//!                │ Meta Area    │  one BlockRecord per block
+//!                │ Meta Area    │  table 0: one BlockRecord per block
+//!                │              │  table 1: copy of column col−1's table 0
+//!                │              │  table 2: copy of column col−2's table 0
 //! block_base     ├──────────────┤
 //!                │ Block Area   │  stripe cells (DATA+PARITY) + DELTA pool
 //!                └──────────────┘
 //! ```
+//!
+//! A server WRITEs every record it changes into its own table and into the
+//! copies its two right neighbours hold (§3.1); MN recovery reads a dead
+//! column's table off one of them.
 
 use aceso_blockalloc::BlockLayout;
 use aceso_index::IndexLayout;

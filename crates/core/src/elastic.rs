@@ -369,16 +369,12 @@ impl Migration {
         // Copy Index + Meta areas and stop the old server.
         self.rpc(ServerReq::MigrateFinish, 16)?.expect_ok()?;
         // Hand the authoritative server state over (records, free lists,
-        // reuse backups, checkpoint state, replicas held for peers).
+        // reuse backups, checkpoint state).
         std::mem::swap(&mut *server.records.lock(), &mut *old.records.lock());
         std::mem::swap(&mut *server.alloc.lock(), &mut *old.alloc.lock());
         std::mem::swap(&mut *server.old_copies.lock(), &mut *old.old_copies.lock());
         std::mem::swap(&mut *server.sender.lock(), &mut *old.sender.lock());
         std::mem::swap(&mut *server.received.lock(), &mut *old.received.lock());
-        std::mem::swap(
-            &mut *server.meta_replicas.lock(),
-            &mut *old.meta_replicas.lock(),
-        );
         old.set_migration(None);
         // Republish the column on the target.
         self.store

@@ -28,7 +28,7 @@
 //! engine. Engine-specific surfaces (Aceso's elastic membership, the
 //! replication clients' retry budget) stay on the concrete types.
 
-use crate::scrub::{parity_scrub, IvWatch};
+use crate::scrub::{parity_scrub, replica_agreement, IvWatch};
 use crate::store::AcesoStore;
 use crate::{AcesoClient, AcesoConfig, ClientTuning, StoreError};
 use aceso_rdma::{Cluster, FaultPlan, NodeId, OpStats};
@@ -363,13 +363,15 @@ impl FtEngine for AcesoEngine {
 
     /// Aceso's whole post-recovery judge: **iv-monotonicity** against the
     /// Index Versions the last tick left ([`IvWatch`]), **parity-scrub**
-    /// (flush clients first: see [`parity_scrub`]) and
+    /// (flush clients first: see [`parity_scrub`]),
+    /// **meta-replica-agreement** ([`replica_agreement`]) and
     /// **no-open-degraded-window** — no column is left between its Index
     /// tier and its Block tier.
     fn check(&self) -> FtResult<Vec<String>> {
         let mut violations = Vec::new();
         self.iv.lock().check(&self.store, &mut violations);
         parity_scrub(&self.store, &mut violations);
+        replica_agreement(&self.store, &mut violations);
         let degraded = self.store.degraded_columns();
         if !degraded.is_empty() {
             violations.push(format!("degraded windows left open: {degraded:?}"));

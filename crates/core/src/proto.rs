@@ -2,11 +2,13 @@
 //!
 //! RPC is deliberately coarse-grained and off the critical path (§3.1):
 //! block management, free-bitmap flushes, checkpoint control, and the
-//! recovery-time bulk fetches of replicated state. Every KV request itself
-//! runs purely over one-sided verbs, and so does every read of a block's
-//! record: the records live in each MN's Meta Area, where the stripe book,
-//! scrub and CN recovery read them as a degraded SEARCH reads a parity
-//! record's head ([`crate::read_records`]), so no request here fetches one.
+//! recovery-time scans and fetches. Every KV request itself runs purely
+//! over one-sided verbs, and so does every write and read of a block's
+//! record: the records live in each MN's Meta Area, and in the two copies
+//! its server WRITEs into its right neighbours' Meta Areas, where the
+//! stripe book, scrub, CN recovery and MN recovery read them as a degraded
+//! SEARCH reads a parity record's head ([`crate::read_records`]), so no
+//! request here carries one.
 
 use crate::ckpt::CkptReport;
 use crate::kv::DecodedKv;
@@ -99,28 +101,19 @@ pub enum ServerReq {
         /// The Index Version this checkpoint represents.
         index_version: u64,
     },
-    /// Meta-Area replication: a record changed on the left neighbour.
-    ReplicateRecord {
-        /// Sender's column.
-        from_column: usize,
-        /// Which block.
-        block: BlockId,
-        /// Serialized record, shared with the sender's other replica.
-        bytes: std::sync::Arc<[u8]>,
-    },
-    /// Recovery: fetch everything this server replicates for `of_column`.
-    GetMetaReplica {
-        /// The failed column.
-        of_column: usize,
-    },
     /// Recovery: fetch the checkpoint this server holds for `of_column`.
     GetCheckpoint {
         /// The failed column.
         of_column: usize,
     },
-    /// Post-recovery: the right neighbour was replaced; re-send all records
-    /// and make the next checkpoint round a full one.
-    ResetReplication,
+    /// Post-recovery: `replaced`, one of the two columns holding a copy of
+    /// this server's records, is a fresh node. Re-write the whole record
+    /// table into it and, if it is the right neighbour, make the next
+    /// checkpoint round a full one.
+    ResetReplication {
+        /// The replaced column.
+        replaced: usize,
+    },
     /// Elastic migration: copy the given block-area byte ranges onto the
     /// migration target (installed out-of-band via
     /// [`MnServer::set_migration`](crate::server::MnServer::set_migration)).
@@ -195,11 +188,6 @@ pub enum ServerResp {
         /// XOR-apply time.
         xor_us: f64,
     },
-    /// Replicated meta for a column.
-    MetaReplica {
-        /// `(block id, serialized record)`.
-        records: Vec<(BlockId, Vec<u8>)>,
-    },
     /// The checkpoint held for a column.
     Checkpoint {
         /// Raw (uncompressed) index bytes.
@@ -231,14 +219,6 @@ impl ServerResp {
     pub fn expect_old_copy(self) -> crate::Result<Option<Vec<u8>>> {
         match self {
             ServerResp::OldCopy { bytes } => Ok(bytes),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Unwraps `MetaReplica`: `(block id, serialized record)` per block.
-    pub fn expect_meta_replica(self) -> crate::Result<Vec<(BlockId, Vec<u8>)>> {
-        match self {
-            ServerResp::MetaReplica { records } => Ok(records),
             other => Err(unexpected(other)),
         }
     }

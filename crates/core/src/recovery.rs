@@ -16,7 +16,7 @@
 //! what the tier posts, and its host time (decode XOR, KV scanning, the RPC
 //! handlers) is measured beside it. Every link on the clock carries one
 //! transfer at a time. Every byte that lands on the replacement is charged
-//! once, on its one link, in order: the Meta replica, the checkpoint, the
+//! once, on its one link, in order: the Meta table, the checkpoint, the
 //! decode — one block per lost cell: a chain of two or more sources is
 //! folded by the survivor holding its PARITY cell ([`ServerReq::Fold`]),
 //! whose reads of the other columns go on a link of its own, and a single
@@ -31,9 +31,9 @@ use crate::kv;
 use crate::proto::{self, ScannedBlock, ServerReq, ServerResp, SCAN_NEW_REQ_BYTES};
 use crate::server::MnServer;
 use crate::store::AcesoStore;
-use crate::stripe::{read_records, StripeBook};
+use crate::stripe::{read_records, record_addr, StripeBook};
 use crate::{Result, StoreError};
-use aceso_blockalloc::{Allocator, BlockId, BlockRecord, CellKind, Role};
+use aceso_blockalloc::{Allocator, BlockId, BlockRecord, CellKind, Role, RECORD_TABLES};
 use aceso_erasure::xor::is_zero;
 use aceso_erasure::xor_into;
 use aceso_index::layout::GROUP_BYTES;
@@ -58,13 +58,13 @@ use std::time::{Duration, Instant};
 /// `bench quick --json` reports those.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryReport {
-    /// Reading Meta Area replicas (ms): the recovering column's, and in the
-    /// Index tier every other dead column's.
+    /// Reading record tables off their Meta Area copies (ms): the
+    /// recovering column's, and in the Index tier every other dead column's.
     pub read_meta_ms: f64,
-    /// Meta Area replica bytes transferred (deterministic).
+    /// Record table bytes transferred (deterministic): a whole table each.
     pub meta_bytes: u64,
     /// Modeled network share of [`read_meta_ms`](Self::read_meta_ms): per
-    /// replica an RPC round trip, then its records landing.
+    /// table a READ round trip, then its bytes landing.
     pub meta_net_ms: f64,
     /// Reading the latest index checkpoint (ms).
     pub read_ckpt_ms: f64,
@@ -206,7 +206,7 @@ type Rank = (u8, usize, BlockId);
 /// them.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum RecoveryTier {
-    /// Restore the Meta Area from a surviving replica and rebuild the free
+    /// Restore the record table from a surviving copy and rebuild the free
     /// lists.
     Meta,
     /// Restore the checkpoint, decode and read the blocks newer than it and
@@ -259,7 +259,7 @@ pub struct Recovery {
     bufs: BlockBufs,
 }
 
-/// Column failures X-Code decodes through (and Meta replicas cover).
+/// Column failures X-Code decodes through (and Meta Area copies cover).
 const TOLERATED_LOSSES: usize = 2;
 
 /// The typed reason a recovery cannot decode: how many columns are down.
@@ -397,25 +397,21 @@ impl Recovery {
     }
 
     // ---- Tier 1: Meta Area ------------------------------------------------
-    // The Meta Area is replicated on the next two columns; use whichever
+    // The Meta Area is copied on the next two columns; read whichever
     // survives (two simultaneous failures leave at least one).
     fn tier_meta(&mut self) -> Result<()> {
-        let map = self.store.map;
-        let bs = map.blocks.block_size;
+        let (map, bs) = (self.store.map, self.store.map.blocks.block_size);
         let t = Instant::now();
-        let records = fetch_meta_replica(&self.store, &self.dm, self.col)?;
+        let records = read_meta_copy(&self.store, &self.dm, self.col)?;
+        self.report.meta_bytes += map.blocks.table_size();
         {
+            let region = &self.server.node.region;
             let mut recs = self.server.records.lock();
-            for (id, bytes) in &records {
-                self.report.meta_bytes += bytes.len() as u64;
-                let region = &self.server.node.region;
-                region.write(map.blocks.record_offset(*id), bytes)?;
-                let rec = &mut recs[*id as usize];
-                *rec = BlockRecord::decode(bytes, bs);
+            for (id, (rec, read)) in recs.iter_mut().zip(records).enumerate() {
+                region.write(map.blocks.record_offset(id as BlockId), &read.encode(bs))?;
+                *rec = read;
                 // Block contents are not restored yet.
-                if matches!(rec.role, Role::Data | Role::Parity) {
-                    rec.valid = false;
-                }
+                rec.valid &= !matches!(rec.role, Role::Data | Role::Parity);
             }
             let role_of = |id: BlockId| recs[id as usize].role as u8;
             *self.server.alloc.lock() = Allocator::rebuild(map.blocks, role_of);
@@ -463,7 +459,7 @@ impl Recovery {
 
         // Classify data blocks everywhere: "new" = Index Version 0 or ≥ ckpt.
         // New blocks of this column, then of other dead columns — whose
-        // records come from their Meta replicas, read like ours — are decoded
+        // records come from their Meta Area copies, read like ours — are decoded
         // to be scanned; each live column scans its own (`ScanNew`).
         let is_new = |iv: u64| proto::is_new(iv, ckpt_iv);
         let mut decoded: Vec<(usize, BlockId, BlockRecord)> = Vec::new();
@@ -479,11 +475,10 @@ impl Recovery {
         let others = (0..n).filter(|&c| c != col);
         let (survivors, dead): (Vec<_>, Vec<_>) = others.partition(|&c| store.col_alive(c));
         for c in dead {
-            for (id, bytes) in fetch_meta_replica(&store, dm, c)? {
-                r.meta_bytes += bytes.len() as u64;
-                let rec = BlockRecord::decode(&bytes, bs);
+            r.meta_bytes += map.blocks.table_size();
+            for (id, rec) in read_meta_copy(&store, dm, c)?.into_iter().enumerate() {
                 if rec.role == Role::Data && is_new(rec.index_version) {
-                    decoded.push((c, id, rec));
+                    decoded.push((c, id as BlockId, rec));
                 }
             }
         }
@@ -579,16 +574,21 @@ impl Recovery {
         // ---- Publish: functionality is back (degraded reads). ------------
         dir.publish(&server, store.cluster.background_client());
         store.set_server(col, server);
-        // Our left neighbour replicates into us: ask it to resend
-        // everything (best effort — a dead neighbour resends when it is
-        // recovered itself).
-        let lcol = (col + n - 1) % n;
-        let _ = ctl.rpc(
-            dir.node_of(lcol),
-            &dir.rpc_of(lcol),
-            ServerReq::ResetReplication,
-            16,
-        );
+        // Our tables 1 and 2 copy our two left neighbours' records: a live
+        // one rewrites its table into ours under its execution lock, a dead
+        // one's — which nothing writes any more — is copied from its other
+        // holder (best effort: no holder, nothing to copy).
+        for table in 1..RECORD_TABLES {
+            let lcol = (col + n - table) % n;
+            let req = ServerReq::ResetReplication { replaced: col };
+            if let Ok(ServerResp::Ok) = ctl.rpc(dir.node_of(lcol), &dir.rpc_of(lcol), req, 16) {
+                continue;
+            }
+            let other = record_addr(&store, lcol, RECORD_TABLES - table, 0);
+            if let Ok(copy) = ctl.read_vec(other, map.blocks.table_size() as usize) {
+                let _ = ctl.write(record_addr(&store, lcol, table, 0), &copy);
+            }
+        }
         // The replacement now serves reads, but parity cells and delta
         // copies hosted on this column are still zeroed until the Parity
         // tier runs. Flag the window so nobody trusts delta bytes here (a
@@ -845,23 +845,16 @@ impl BlockBufs {
     }
 }
 
-/// Fetches the failed column's Meta Area replica from whichever of its two
-/// replica holders survives, its records owed to `dm`'s link as they land.
-fn fetch_meta_replica(
-    store: &AcesoStore,
-    dm: &DmClient,
-    col: usize,
-) -> Result<Vec<(BlockId, Vec<u8>)>> {
-    let n = store.cfg.num_mns;
-    let dir = store.directory();
-    for ncol in [(col + 1) % n, (col + 2) % n] {
-        let req = ServerReq::GetMetaReplica { of_column: col };
-        let Ok(resp) = dm.rpc_sized(dir.node_of(ncol), &dir.rpc_of(ncol), req, 32, 0) else {
-            continue;
-        };
-        let records = resp.expect_meta_replica()?;
-        dm.accrue_bytes(records.iter().map(|(_, bytes)| bytes.len()).sum());
-        return Ok(records);
+/// The failed column's record table, read with one READ off the first of
+/// its two copies whose holder the fabric reaches, its bytes owed to `dm`'s
+/// link as they land.
+fn read_meta_copy(store: &AcesoStore, dm: &DmClient, col: usize) -> Result<Vec<BlockRecord>> {
+    let all = 0..store.map.blocks.blocks_per_node() as BlockId;
+    for copy in 1..RECORD_TABLES {
+        match read_records(store, dm, col, copy, all.clone()) {
+            Err(RdmaError::NodeUnreachable(_)) => continue,
+            read => return Ok(read?),
+        }
     }
     Err(too_many_lost(store))
 }
@@ -1246,7 +1239,7 @@ pub fn recover_cn(store: &Arc<AcesoStore>, cli_id: u32) -> Result<CnRecoveryRepo
     let mut blocks: Vec<(usize, BlockId, u8, u64, usize)> = Vec::new();
     for col in 0..store.cfg.num_mns {
         let ids = 0..map.blocks.blocks_per_node() as BlockId;
-        let recs = match read_records(store, &dm, col, ids.clone()) {
+        let recs = match read_records(store, &dm, col, 0, ids.clone()) {
             Err(RdmaError::NodeUnreachable(_)) => continue,
             read => read?,
         };

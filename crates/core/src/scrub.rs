@@ -15,15 +15,16 @@
 //!
 //! The same checker doubles as a test oracle: integration tests scrub
 //! after every workload and recovery to prove decodability without
-//! actually failing a node. [`parity_scrub`] and [`IvWatch`] are the two
-//! store-level invariants the model checker (`aceso-model`) and
-//! [`crate::AcesoEngine`]'s `check` judge, one violation string each.
+//! actually failing a node. [`parity_scrub`], [`replica_agreement`] and
+//! [`IvWatch`] are the store-level invariants the model checker
+//! (`aceso-model`) and [`crate::AcesoEngine`]'s `check` judge, one
+//! violation string each.
 
 use crate::config::unpack_col;
 use crate::store::AcesoStore;
 use crate::stripe::{read_records, StripeBook};
 use crate::Result;
-use aceso_blockalloc::{BlockId, Role};
+use aceso_blockalloc::{BlockId, Role, RECORD_TABLES};
 use aceso_erasure::xor_into;
 use aceso_rdma::GlobalAddr;
 use std::collections::BTreeSet;
@@ -69,7 +70,7 @@ pub fn scrub(store: &Arc<AcesoStore>) -> Result<ScrubReport> {
     // column lower than all of its data blocks.
     let mut arrays: BTreeSet<u64> = BTreeSet::new();
     for c in 0..n {
-        let recs = read_records(store, &dm, c, 0..map.blocks.blocks_per_node() as BlockId)?;
+        let recs = read_records(store, &dm, c, 0, 0..map.blocks.blocks_per_node() as BlockId)?;
         let data = recs.into_iter().filter(|rec| rec.role == Role::Data);
         arrays.extend(data.map(|rec| rec.stripe_array));
     }
@@ -156,6 +157,43 @@ pub fn parity_scrub(store: &Arc<AcesoStore>, violations: &mut Vec<String>) {
         Ok(r) if r.is_clean() => {}
         Ok(r) => violations.push(format!("scrub dirty: {r:?}")),
         Err(e) => violations.push(format!("scrub: {e}")),
+    }
+}
+
+/// **meta-replica-agreement** — every live column's record table equals both
+/// of its Meta Area copies on live holders (§3.1), in every field but
+/// `valid`: an MN recovery of the column would read its records back from
+/// either. One violation per column, holder and block that differ. Not
+/// part of [`scrub()`], which the benchmark times.
+pub fn replica_agreement(store: &Arc<AcesoStore>, violations: &mut Vec<String>) {
+    let n = store.cfg.num_mns;
+    let dm = store.cluster.background_client();
+    let all = 0..store.map.blocks.blocks_per_node() as BlockId;
+    let read = |col, copy| read_records(store, &dm, col, copy, all.clone());
+    let mut judge = || -> aceso_rdma::Result<()> {
+        for col in (0..n).filter(|&c| store.col_alive(c)) {
+            let own = read(col, 0)?;
+            for copy in 1..RECORD_TABLES {
+                let holder = (col + copy) % n;
+                if !store.col_alive(holder) {
+                    continue;
+                }
+                for (id, (want, mut got)) in own.iter().zip(read(col, copy)?).enumerate() {
+                    got.valid = want.valid;
+                    if got != *want {
+                        violations.push(format!(
+                            "col {col}'s record of block {id} differs on holder {holder}: \
+                             {:?} held, {:?} own",
+                            got.role, want.role
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    };
+    if let Err(e) = judge() {
+        violations.push(format!("meta replica agreement: {e}"));
     }
 }
 

@@ -14,13 +14,13 @@ use crate::ckpt::{CkptReceiver, CkptReport, CkptSender};
 use crate::config::{pack_col, unpack_col, MemoryMap};
 use crate::kv;
 use crate::proto::{self, ScannedBlock, ServerReq, ServerResp};
-use aceso_blockalloc::{Allocator, Bitmap, BlockId, BlockRecord, CellKind, Role};
+use aceso_blockalloc::{Allocator, Bitmap, BlockId, BlockRecord, CellKind, Role, RECORD_TABLES};
 use aceso_index::RemoteIndex;
 use aceso_rdma::{
     Cluster, DmClient, GlobalAddr, MemoryNode, NodeId, RdmaError, RpcClient, RpcHandler,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -99,11 +99,6 @@ impl RpcHandler<ServerReq, ServerResp> for Served {
     }
 }
 
-/// One column's replicated Meta Area records: block → serialized record,
-/// the buffer shared with the sender and its other replica holder. Ordered,
-/// so `GetMetaReplica` lists blocks in the same order in every process.
-pub type RecordReplicas = BTreeMap<BlockId, Arc<[u8]>>;
-
 /// Wall-clock busy time per logical MN core (paper Table 3).
 #[derive(Default)]
 pub struct BusyMeters {
@@ -170,7 +165,7 @@ pub struct MnServer {
     /// This column's index partition handle.
     pub index: RemoteIndex,
     /// Authoritative in-memory metadata records (mirrored to the Meta Area
-    /// and replicated to the next two columns).
+    /// and copied into the next two columns' Meta Areas).
     pub records: Mutex<Vec<BlockRecord>>,
     /// Free lists.
     pub alloc: Mutex<Allocator>,
@@ -180,8 +175,6 @@ pub struct MnServer {
     pub sender: Mutex<CkptSender>,
     /// Checkpoints held for other columns (receiver side).
     pub received: Mutex<HashMap<usize, CkptReceiver>>,
-    /// Meta-Area replicas held for other columns.
-    pub meta_replicas: Mutex<HashMap<usize, RecordReplicas>>,
     /// Logical-core busy meters.
     pub meters: BusyMeters,
     /// Reclamation trigger: free ratio threshold.
@@ -215,7 +208,6 @@ impl MnServer {
             old_copies: Mutex::new(HashMap::new()),
             sender: Mutex::new(CkptSender::new(index_bytes)),
             received: Mutex::new(HashMap::new()),
-            meta_replicas: Mutex::new(HashMap::new()),
             meters: BusyMeters::default(),
             reclaim_free,
             alive: Arc::new(AtomicBool::new(true)),
@@ -242,7 +234,7 @@ impl MnServer {
         })
     }
 
-    /// Right-neighbour column (checkpoint + meta replica target).
+    /// Right-neighbour column (checkpoint target, first Meta Area copy).
     pub fn neighbour(&self) -> usize {
         (self.column + 1) % self.map.blocks.n
     }
@@ -273,34 +265,26 @@ impl MnServer {
             .expect("migration copy");
     }
 
-    /// Persists a record to the local Meta Area and replicates it to the
-    /// next *two* neighbours (the Meta Area's fault tolerance, §3.1 — two
-    /// copies are required to match the coding group's two-failure
-    /// tolerance).
+    /// Persists a record to the local Meta Area and WRITEs it into the
+    /// copies the next *two* columns hold (the Meta Area's fault
+    /// tolerance, §3.1 — two copies are required to match the coding
+    /// group's two-failure tolerance).
     fn persist_record(&self, dm: &DmClient, dir: &Directory, id: BlockId) {
-        let bytes = self.records.lock()[id as usize].encode().into();
-        self.persist_encoded(dm, dir, id, bytes);
+        let bytes = self.records.lock()[id as usize].encode(self.map.blocks.block_size);
+        self.persist_encoded(dm, dir, id, &bytes);
     }
 
     /// [`MnServer::persist_record`] for a record the caller has already
-    /// serialized; the Meta Area and both replicas share the one buffer.
-    fn persist_encoded(&self, dm: &DmClient, dir: &Directory, id: BlockId, bytes: Arc<[u8]>) {
+    /// serialized. A dead holder's copy is refilled when it is replaced.
+    fn persist_encoded(&self, dm: &DmClient, dir: &Directory, id: BlockId, bytes: &[u8]) {
+        let blocks = self.map.blocks;
         self.node
             .region
-            .write(self.map.blocks.record_offset(id), &bytes)
+            .write(blocks.record_offset(id), bytes)
             .expect("meta area write");
-        let n = self.map.blocks.n;
-        for ncol in [(self.column + 1) % n, (self.column + 2) % n] {
-            let _ = dm.rpc_cast(
-                dir.node_of(ncol),
-                &dir.rpc_of(ncol),
-                ServerReq::ReplicateRecord {
-                    from_column: self.column,
-                    block: id,
-                    bytes: Arc::clone(&bytes),
-                },
-                aceso_blockalloc::RECORD_BYTES as usize,
-            );
+        for table in 1..RECORD_TABLES {
+            let holder = dir.node_of((self.column + table) % blocks.n);
+            let _ = dm.write(GlobalAddr::new(holder, blocks.record_offset_in(table, id)), bytes);
         }
     }
 
@@ -392,26 +376,6 @@ impl MnServer {
                     Err(e) => ServerResp::Err(format!("ckpt delta: {e}")),
                 }
             }
-            ServerReq::ReplicateRecord {
-                from_column,
-                block,
-                bytes,
-            } => {
-                self.meta_replicas
-                    .lock()
-                    .entry(from_column)
-                    .or_default()
-                    .insert(block, bytes);
-                ServerResp::Ok
-            }
-            ServerReq::GetMetaReplica { of_column } => ServerResp::MetaReplica {
-                records: self
-                    .meta_replicas
-                    .lock()
-                    .get(&of_column)
-                    .map(|m| m.iter().map(|(k, v)| (*k, v.to_vec())).collect())
-                    .unwrap_or_default(),
-            },
             ServerReq::GetCheckpoint { of_column } => {
                 let recv = self.received.lock();
                 match recv.get(&of_column) {
@@ -422,13 +386,23 @@ impl MnServer {
                     None => ServerResp::Err(format!("no checkpoint for column {of_column}")),
                 }
             }
-            ServerReq::ResetReplication => {
-                self.sender.lock().reset_to_full();
-                let ids: Vec<BlockId> = (0..self.records.lock().len() as BlockId).collect();
-                for id in ids {
-                    self.persist_record(dm, dir, id);
+            ServerReq::ResetReplication { replaced } => {
+                let blocks = self.map.blocks;
+                // `replaced` holds copy 1 (the right neighbour) or copy 2.
+                let copy = (replaced + blocks.n - self.column) % blocks.n;
+                if copy == 1 {
+                    self.sender.lock().reset_to_full();
                 }
-                ServerResp::Ok
+                // Every handler that changes a record persists it under this
+                // lock, so the own table is the records, `valid` aside: one
+                // WRITE re-persists them all.
+                let region = &self.node.region;
+                let own = region.read_vec(blocks.record_offset(0), blocks.table_size() as usize);
+                let at = GlobalAddr::new(dir.node_of(replaced), blocks.record_offset_in(copy, 0));
+                match own.and_then(|own| dm.write(at, &own)) {
+                    Ok(()) => ServerResp::Ok,
+                    Err(e) => ServerResp::Err(format!("reset replication: {e}")),
+                }
             }
             ServerReq::MigrateBatch { ranges } => self.handle_migrate_batch(&ranges),
             ServerReq::MigrateParity => {
@@ -735,7 +709,7 @@ impl MnServer {
                 (
                     rec.bitmap.count_ones() as f64 / slots as f64 >= RECLAIM_OBSOLETE_RATIO,
                     rec.index_version != 0,
-                    rec.encode().into(),
+                    rec.encode(self.map.blocks.block_size),
                 )
             };
             // Reuse is suppressed while the column migrates: reclamation
@@ -745,7 +719,7 @@ impl MnServer {
             {
                 self.alloc.lock().push_reuse_candidate(*block);
             }
-            self.persist_encoded(dm, dir, *block, bytes);
+            self.persist_encoded(dm, dir, *block, &bytes);
         }
         ServerResp::Ok
     }

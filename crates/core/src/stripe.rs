@@ -19,34 +19,45 @@
 //!
 //! Every record is read where it lives, in its column's Meta Area, with
 //! one-sided READs ([`read_records`]) — one per record for the book, one
-//! per column for scrub's and CN recovery's column-wide lists — as a
-//! degraded SEARCH reads a parity record's head (`client/search.rs`). The
-//! region's copy differs from the server's in-memory record only in
-//! `valid`, which no reader here asks about.
+//! per column for scrub's and CN recovery's column-wide lists, and for MN
+//! recovery one per dead column off one of the two copies its right
+//! neighbours hold — as a degraded SEARCH reads a parity record's head
+//! (`client/search.rs`). The region's copy differs from the server's
+//! in-memory record only in `valid`, which no reader here asks about.
 
 use crate::config::unpack_col;
 use crate::server::MnServer;
 use crate::store::AcesoStore;
-use aceso_blockalloc::{BlockId, BlockRecord, Role, RECORD_BYTES};
+use aceso_blockalloc::{BlockId, BlockRecord, Role};
 use aceso_erasure::XCode;
 use aceso_rdma::{DmClient, GlobalAddr, RdmaError};
 use std::collections::HashMap;
 use std::ops::Range;
 
-/// The records of blocks `ids` of column `col`, read out of its Meta Area
-/// with one READ: records of consecutive blocks lie back to back, so one
-/// block's record is `RECORD_BYTES` and the column's whole table one read
-/// of `ids = 0..blocks_per_node`.
+/// Where copy `copy` of column `col`'s record of block `id` lives (see
+/// [`read_records`]).
+pub(crate) fn record_addr(store: &AcesoStore, col: usize, copy: usize, id: BlockId) -> GlobalAddr {
+    let holder = store.directory().node_of((col + copy) % store.cfg.num_mns);
+    GlobalAddr::new(holder, store.map.blocks.record_offset_in(copy, id))
+}
+
+/// The records of blocks `ids` of column `col`, read with one READ out of
+/// copy `copy` of them: copy 0 is `col`'s own record table, copy `d` ∈
+/// {1, 2} table `d` of column `col + d`, which `col`'s server keeps in step
+/// one-sided. Records of consecutive blocks lie back to back, so one
+/// block's record is `record_bytes()` and a whole table one read of
+/// `ids = 0..blocks_per_node`.
 pub fn read_records(
     store: &AcesoStore,
     dm: &DmClient,
     col: usize,
+    copy: usize,
     ids: Range<BlockId>,
 ) -> aceso_rdma::Result<Vec<BlockRecord>> {
-    let (blocks, node) = (store.map.blocks, store.directory().node_of(col));
-    let at = GlobalAddr::new(node, blocks.record_offset(ids.start));
-    let bytes = dm.read_vec(at, ids.len() * RECORD_BYTES as usize)?;
-    let records = bytes.chunks_exact(RECORD_BYTES as usize);
+    let at = record_addr(store, col, copy, ids.start);
+    let (blocks, len) = (store.map.blocks, store.map.blocks.record_bytes() as usize);
+    let bytes = dm.read_vec(at, ids.len() * len)?;
+    let records = bytes.chunks_exact(len);
     let decode = |record| BlockRecord::decode(record, blocks.block_size);
     Ok(records.map(decode).collect())
 }
@@ -84,7 +95,7 @@ impl StripeBook {
                 let pid = blocks.cell_block_id(array, prow);
                 let rec = match local {
                     Some(s) if s.column == c => s.records.lock()[pid as usize].clone(),
-                    _ => match read_records(store, dm, c, pid..pid + 1) {
+                    _ => match read_records(store, dm, c, 0, pid..pid + 1) {
                         Err(RdmaError::NodeUnreachable(_)) => continue,
                         read => read?.remove(0),
                     },

@@ -4,8 +4,8 @@
 
 use aceso_core::client::CrashPoint;
 use aceso_core::{
-    read_records, recover_cn, recover_mn, scrub, AcesoClient, AcesoConfig, AcesoStore,
-    ClientTuning, RecoveryTier, StoreError,
+    read_records, recover_cn, recover_mn, replica_agreement, scrub, AcesoClient, AcesoConfig,
+    AcesoStore, ClientTuning, RecoveryTier, StoreError,
 };
 use std::sync::Arc;
 
@@ -306,7 +306,7 @@ fn tiers_run_in_order_and_publish_after_index() {
         let dir = store.directory();
         let req = ServerReq::GetOldCopy { block: 0 };
         let rpc = dm.rpc(dir.node_of(col), &dir.rpc_of(col), req, 16).is_ok();
-        let verb = read_records(&store, &dm, col, 0..1).is_ok();
+        let verb = read_records(&store, &dm, col, 0, 0..1).is_ok();
         assert_eq!(rpc, verb, "the RPC and the verb disagree");
         rpc
     };
@@ -1246,4 +1246,44 @@ fn failed_meta_area_read_on_a_live_column_is_an_error() {
     assert!(scrub(&store).unwrap().is_clean());
     assert_eq!(recover_cn(&store, id).unwrap().slots_repaired, 0);
     store.shutdown();
+}
+
+/// Two failures must leave every column's record table whole on both of
+/// its holders. (a) Columns 0 and 1 die together and 1 comes back first:
+/// column 0's Meta tier reads its copy off the replacement of 1, which its
+/// publish refilled from column 2's. (b) Column 2 is replaced, then 0 and 1
+/// die together: column 0's one copy left is the one on the replacement of
+/// 2, which column 0 rewrote when 2 was published. Every recovery reads
+/// whole tables, and every key reads back.
+#[test]
+fn two_failures_leave_both_meta_copies_whole() {
+    // Per step: the columns killed together, then those recovered, in order.
+    type Schedule = [(&'static [usize], &'static [usize])];
+    let schedules: [(&str, &Schedule); 2] = [
+        ("a", &[(&[0, 1], &[1, 0])]),
+        ("b", &[(&[2], &[2]), (&[0, 1], &[0, 1])]),
+    ];
+    for (tag, schedule) in schedules {
+        let (store, keys, val) = aged(&format!("copies-{tag}"));
+        for &(kill, recover) in schedule {
+            for &col in kill {
+                assert!(store.kill_mn(col));
+            }
+            for &col in recover {
+                // Its own table, and each other dead column's.
+                let dead = (0..5).filter(|&c| !store.col_alive(c)).count() as u64;
+                let report = recover_mn(&store, col).unwrap();
+                let tables = dead * store.map.blocks.table_size();
+                assert_eq!(report.meta_bytes, tables, "({tag}) column {col}");
+            }
+        }
+        let mut fresh = store.client().unwrap();
+        let lost = keys.iter().filter(|key| fresh.search(key).unwrap().as_deref() != Some(&val));
+        assert_eq!(lost.count(), 0, "({tag}) keys lost");
+        assert!(scrub(&store).unwrap().is_clean(), "({tag}) scrub");
+        let mut violations = Vec::new();
+        replica_agreement(&store, &mut violations);
+        assert!(violations.is_empty(), "({tag}) {violations:?}");
+        store.shutdown();
+    }
 }

@@ -1,8 +1,9 @@
 //! Direct tests of the MN server's RPC protocol: allocation, delta
-//! registration, offline encoding, bitmap flushes and replication, and of
-//! the Meta Area records its handlers leave for one-sided readers.
+//! registration, offline encoding and bitmap flushes, and of the Meta Area
+//! records — and their two copies — its handlers leave for one-sided
+//! readers.
 
-use aceso_blockalloc::{BlockId, BlockRecord, Role, RECORD_BYTES, RECORD_HEAD_BYTES};
+use aceso_blockalloc::{BlockId, BlockRecord, Role, RECORD_HEAD_BYTES, RECORD_TABLES};
 use aceso_core::config::unpack_col;
 use aceso_core::elastic::ElasticStep;
 use aceso_core::proto::{ServerReq, ServerResp};
@@ -17,7 +18,7 @@ fn store() -> Arc<AcesoStore> {
 /// Block `id`'s record, read out of `col`'s Meta Area.
 fn record(store: &Arc<AcesoStore>, col: usize, id: BlockId) -> BlockRecord {
     let dm = store.cluster.background_client();
-    read_records(store, &dm, col, id..id + 1).unwrap().remove(0)
+    read_records(store, &dm, col, 0, id..id + 1).unwrap().remove(0)
 }
 
 fn rpc(store: &Arc<AcesoStore>, col: usize, req: ServerReq) -> ServerResp {
@@ -293,27 +294,19 @@ fn meta_replication_lands_on_two_neighbours() {
     ) else {
         panic!()
     };
-    // Replication is a fire-and-forget cast, but an idle neighbour's
-    // endpoint handles it in place: the replicas are there by the time
-    // the `AllocData` call has returned. Looked up in the neighbours'
-    // state, not over RPC — a call would drain their inboxes first.
-    for neighbour in [4usize, 0] {
-        let server = store.server(neighbour);
-        let replicas = server.meta_replicas.lock();
-        let bytes = replicas.get(&3).and_then(|m| m.get(&block));
-        let bytes = bytes.unwrap_or_else(|| {
-            panic!("column {neighbour} should replicate column 3's record for block {block}")
-        });
-        let rec = BlockRecord::decode(bytes, store.map.blocks.block_size);
-        assert_eq!((rec.role, rec.cli_id), (Role::Data, 2));
+    // The server WRITEs each changed record into its copies one-sided, so
+    // both are in place by the time the `AllocData` call has returned:
+    // table 1 of column 4 and table 2 of column 0.
+    let dm = store.cluster.background_client();
+    for copy in [1, 2] {
+        let rec = read_records(&store, &dm, 3, copy, block..block + 1).unwrap().remove(0);
+        assert_eq!((rec.role, rec.cli_id), (Role::Data, 2), "copy {copy}");
+        let holder = store.server((3 + copy) % 5);
+        let mut bytes = vec![0; store.map.blocks.record_bytes() as usize];
+        let at = store.map.blocks.record_offset_in(copy, block);
+        holder.node.region.read(at, &mut bytes).unwrap();
+        assert_eq!(BlockRecord::decode(&bytes, store.map.blocks.block_size), rec);
     }
-    // And recovery's fetch serves the same bytes.
-    let ServerResp::MetaReplica { records } =
-        rpc(&store, 4, ServerReq::GetMetaReplica { of_column: 3 })
-    else {
-        panic!()
-    };
-    assert!(records.iter().any(|(id, _)| *id == block));
     store.shutdown();
 }
 
@@ -346,7 +339,7 @@ fn meta_area_names_a_clients_open_blocks() {
 
     let dm = store.cluster.background_client();
     let ids = 0..store.map.blocks.blocks_per_node() as BlockId;
-    let recs = read_records(&store, &dm, 0, ids.clone()).unwrap();
+    let recs = read_records(&store, &dm, 0, 0, ids.clone()).unwrap();
     let open = |cli_id: u32| -> Vec<BlockId> {
         let owned = ids.clone().zip(&recs).filter(|(_, r)| r.cli_id == cli_id);
         let open = owned.filter(|(_, r)| r.index_version == 0);
@@ -583,17 +576,22 @@ fn region_record_heads_track_the_servers_records() {
 /// Every live column's Meta Area must decode to the record its server
 /// holds in memory, `valid` aside: the stripe book, scrub and CN recovery
 /// read whole records out of the region one-sided and never ask the server.
+/// So must both copies of it on live holders, which MN recovery reads.
 fn assert_meta_area_matches_records(store: &Arc<AcesoStore>, when: &str) {
-    let blocks = store.map.blocks;
-    let mut bytes = vec![0u8; RECORD_BYTES as usize];
-    for col in (0..store.cfg.num_mns).filter(|&c| store.col_alive(c)) {
+    let (n, blocks) = (store.cfg.num_mns, store.map.blocks);
+    let mut bytes = vec![0u8; blocks.record_bytes() as usize];
+    for col in (0..n).filter(|&c| store.col_alive(c)) {
         let server = store.server(col);
-        for (id, rec) in server.records.lock().iter().enumerate() {
-            let off = blocks.record_offset(id as BlockId);
-            server.node.region.read(off, &mut bytes).unwrap();
-            let mut got = BlockRecord::decode(&bytes, blocks.block_size);
-            got.valid = rec.valid;
-            assert_eq!(&got, rec, "{when}: column {col} block {id}");
+        let holders = (0..RECORD_TABLES).map(|copy| (copy, (col + copy) % n));
+        for (copy, holder) in holders.filter(|&(_, h)| store.col_alive(h)) {
+            let region = &store.server(holder).node.region;
+            for (id, rec) in server.records.lock().iter().enumerate() {
+                let off = blocks.record_offset_in(copy, id as BlockId);
+                region.read(off, &mut bytes).unwrap();
+                let mut got = BlockRecord::decode(&bytes, blocks.block_size);
+                got.valid = rec.valid;
+                assert_eq!(&got, rec, "{when}: column {col} block {id} on {holder}");
+            }
         }
     }
 }

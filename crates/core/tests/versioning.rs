@@ -13,7 +13,7 @@ fn store() -> Arc<AcesoStore> {
 fn data_records(store: &Arc<AcesoStore>, col: usize) -> Vec<(u32, BlockRecord)> {
     let dm = store.cluster.background_client();
     let ids = 0..store.map.blocks.blocks_per_node() as u32;
-    let recs = read_records(store, &dm, col, ids.clone()).unwrap();
+    let recs = read_records(store, &dm, col, 0, ids.clone()).unwrap();
     let data = ids.zip(recs).filter(|(_, rec)| rec.role == Role::Data);
     data.collect()
 }

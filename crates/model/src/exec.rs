@@ -8,7 +8,7 @@
 //! order, then either crash at the frontier or drain deterministically.
 //! Every execution ends with the full oracle stack: linearizability of
 //! the recorded history ([`crate::wgl`]), a lock-liveness probe, Index
-//! Version monotonicity, and a parity scrub.
+//! Version monotonicity, a parity scrub and Meta Area replica agreement.
 //!
 //! Replay is exact because the whole run phase is single-threaded: the
 //! only sources of scheduling freedom are the completion deliveries the
@@ -17,7 +17,7 @@
 
 use crate::scenario::{client_letter, key_bytes, key_name, model_config, Scenario, ScriptOp};
 use crate::wgl::{check_key, render_history, KeyOp, KeyOpKind};
-use aceso_core::{parity_scrub, AcesoStore, ClientTuning, IvWatch, StoreError};
+use aceso_core::{parity_scrub, replica_agreement, AcesoStore, ClientTuning, IvWatch, StoreError};
 use aceso_index::route_hash;
 use aceso_rdma::{SimCq, TraceEvent, TraceSink};
 use aceso_rt::Executor;
@@ -479,13 +479,14 @@ fn run_inner(
         }
     }
 
-    // ---- Oracles 3 and 4: iv-monotonicity, parity-scrub ------------------
+    // ---- Oracles 3 to 5: iv-monotonicity, parity-scrub, replica agreement -
     iv.check(&store, &mut out.violations);
     if let Err(e) = verifier.flush_bitmaps() {
         out.violations.push(format!("final flush: {e}"));
     }
     store.cluster.trace_barrier();
     parity_scrub(&store, &mut out.violations);
+    replica_agreement(&store, &mut out.violations);
 
     store.shutdown();
     Ok(())

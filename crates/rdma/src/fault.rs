@@ -38,7 +38,7 @@ pub enum VerbKind {
     Cas,
     /// `RDMA_FAA`.
     Faa,
-    /// Two-sided RPC (send/recv), including casts.
+    /// Two-sided RPC (send/recv).
     Rpc,
 }
 

@@ -561,24 +561,6 @@ impl DmClient {
         }
     }
 
-    /// Fire-and-forget RPC with the same cost accounting as [`DmClient::rpc`]
-    /// minus the response bytes. Stands in for a one-sided replication write.
-    pub fn rpc_cast<Req: Send, Resp: Send>(
-        &self,
-        node_id: NodeId,
-        rpc: &RpcClient<Req, Resp>,
-        req: Req,
-        req_bytes: usize,
-    ) -> Result<()> {
-        let node = self.node(node_id)?;
-        let kill = self.intercept(node, VerbKind::Rpc, 0, req_bytes)?;
-        rpc.cast(req)?;
-        self.trace(node.id, TraceOp::Rpc, 0, req_bytes);
-        self.kill_after(node, kill);
-        self.account_rpc(node, req_bytes, 0);
-        Ok(())
-    }
-
     /// Attaches a completion queue, switching this client to async cost
     /// accounting: verbs keep their synchronous memory effects but their
     /// modeled latency accrues until the next [`DmClient::settle`] instead

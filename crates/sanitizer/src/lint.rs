@@ -25,7 +25,7 @@
 //! `.settle().await` scanner [`check_settle_table`] is not in [`run_all`]:
 //! the model checker calls it with its own `STEP_TABLE`.
 
-use aceso_blockalloc::{BlockId, BlockLayout, CellKind};
+use aceso_blockalloc::{BlockId, BlockLayout, CellKind, RECORD_TABLES};
 use aceso_core::client::CrashPoint;
 use aceso_core::config::AcesoConfig;
 use aceso_engines::layout::FuseeLayout;
@@ -162,16 +162,18 @@ pub fn lint_blockalloc_layout() -> Vec<String> {
     };
     for b in 0..l.blocks_per_node() as BlockId {
         let id = b;
-        let rec = l.record_offset(id);
         let blk = l.block_offset(id);
-        if !rec.is_multiple_of(8) {
-            v.push(format!("record offset {rec:#x} of block {b} unaligned"));
+        for table in 0..RECORD_TABLES {
+            let rec = l.record_offset_in(table, id);
+            if !rec.is_multiple_of(8) {
+                v.push(format!("record offset {rec:#x} of block {b} unaligned"));
+            }
+            if !(l.meta_base..l.meta_base + l.meta_size()).contains(&rec) {
+                v.push(format!("record {b} of table {table} outside the Meta Area"));
+            }
         }
         if !blk.is_multiple_of(64) {
             v.push(format!("block offset {blk:#x} of block {b} not 64-B aligned"));
-        }
-        if !(l.meta_base..l.meta_base + l.meta_size()).contains(&rec) {
-            v.push(format!("record {b} outside the Meta Area"));
         }
         if !(l.block_base..l.block_base + l.block_area_size()).contains(&blk) {
             v.push(format!("block {b} outside the Block Area"));
@@ -188,7 +190,8 @@ pub fn lint_blockalloc_layout() -> Vec<String> {
 }
 
 /// Per-MN memory maps of the stock configurations: index, meta, and block
-/// areas must not overlap and must fit the region.
+/// areas must not overlap and must fit the region, and the Meta Area must
+/// hold all [`RECORD_TABLES`] record tables.
 pub fn lint_memory_maps() -> Vec<String> {
     let mut v = Vec::new();
     for (name, cfg) in [
@@ -202,6 +205,13 @@ pub fn lint_memory_maps() -> Vec<String> {
         }
         if map.blocks.meta_base + map.blocks.meta_size() > map.blocks.block_base {
             v.push(format!("{name}: Meta Area overlaps Block Area"));
+        }
+        // The own table and both copies, each a record per block.
+        let last = (map.blocks.blocks_per_node() - 1) as BlockId;
+        let tables_end = map.blocks.record_offset_in(RECORD_TABLES - 1, last) + map.blocks.record_bytes();
+        if map.blocks.record_offset(0) < map.blocks.meta_base || tables_end > map.blocks.block_base
+        {
+            v.push(format!("{name}: the {RECORD_TABLES} record tables leave the Meta Area"));
         }
         let end = map.blocks.block_base + map.blocks.block_area_size();
         if end > map.region_len as u64 {
@@ -490,9 +500,8 @@ const HASH_SITES: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/core/src/server.rs",
-        7,
-        "`old_copies`, `received`, `meta_replicas`: get / insert / remove by block or column; \
-         nothing iterates them (the `RecordReplicas` inside is a BTreeMap)",
+        5,
+        "`old_copies`, `received`: get / insert / remove by block or column; nothing iterates them",
     ),
     (
         "crates/core/src/stripe.rs",
@@ -541,11 +550,12 @@ fn check_hash_sites(files: impl IntoIterator<Item = (String, String)>) -> Vec<St
 
 /// Source lint: no `HashMap` / `HashSet` order reaches behaviour. Twice a
 /// hash container's per-process iteration order leaked into what the store
-/// does (the client's block maps, `RecordReplicas`), and pinned baselines
-/// catch that only when one process's seed happens to expose it; so in the
-/// store, the fabric, the engines and the kernels every std hash container
-/// is a `HASH_SITES` row with a reason, and a new one fails `cargo test`
-/// and `chaos analyze --ci` until it has one or becomes a `BTreeMap`.
+/// does (the client's block maps, a server's list of Meta Area replicas),
+/// and pinned baselines catch that only when one process's seed happens to
+/// expose it; so in the store, the fabric, the engines and the kernels
+/// every std hash container is a `HASH_SITES` row with a reason, and a new
+/// one fails `cargo test` and `chaos analyze --ci` until it has one or
+/// becomes a `BTreeMap`.
 pub fn lint_hash_containers() -> Vec<String> {
     let mut v = Vec::new();
     let files: Vec<_> = HASH_DIRS
