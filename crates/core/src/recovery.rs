@@ -584,6 +584,7 @@ impl Recovery {
             if let Ok(ServerResp::Ok) = ctl.rpc(dir.node_of(lcol), &dir.rpc_of(lcol), req, 16) {
                 continue;
             }
+            // Its other holder keeps the other copy: 2 for table 1, 1 for 2.
             let other = record_addr(&store, lcol, RECORD_TABLES - table, 0);
             if let Ok(copy) = ctl.read_vec(other, map.blocks.table_size() as usize) {
                 let _ = ctl.write(record_addr(&store, lcol, table, 0), &copy);

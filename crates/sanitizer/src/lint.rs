@@ -208,10 +208,9 @@ pub fn lint_memory_maps() -> Vec<String> {
         }
         // The own table and both copies, each a record per block.
         let last = (map.blocks.blocks_per_node() - 1) as BlockId;
-        let tables_end = map.blocks.record_offset_in(RECORD_TABLES - 1, last) + map.blocks.record_bytes();
-        if map.blocks.record_offset(0) < map.blocks.meta_base || tables_end > map.blocks.block_base
-        {
-            v.push(format!("{name}: the {RECORD_TABLES} record tables leave the Meta Area"));
+        let tables_end = map.blocks.record_offset_in(RECORD_TABLES - 1, last);
+        if tables_end + map.blocks.record_bytes() > map.blocks.block_base {
+            v.push(format!("{name}: the {RECORD_TABLES} record tables overlap the Block Area"));
         }
         let end = map.blocks.block_base + map.blocks.block_area_size();
         if end > map.region_len as u64 {
