@@ -6,16 +6,21 @@
 //!    commits stay word-atomic, so no slot is ever torn),
 //! 2. XORs the snapshot with the previous one to obtain the delta,
 //! 3. LZ-compresses the delta (dominated by zero runs),
-//! 4. ships it to the neighbouring column, which
-//! 5. decompresses and XOR-applies it to its stored copy.
+//! 4. ships it to the neighbouring column, whose server
+//! 5. decompresses it and XOR-applies it to the copy in its Checkpoint Area
+//!    ([`apply_delta`]), stamping the copy's Index Version word beside it.
 //!
 //! After the round the sender bumps its **Index Version**; while the live
 //! index is at version `i`, the neighbour's checkpoint is at `i − 1`
 //! (§3.2.3). Rounds are synchronized across the coding group by the store's
 //! tick (the paper's "leading server trigger"), which keeps Index Versions
-//! comparable across MNs.
+//! comparable across MNs. The copy lives in MN memory, so MN recovery reads
+//! it one-sided, as it reads the Meta Area's record copies; version 0 —
+//! a Checkpoint Area no round has reached — is the empty checkpoint.
 
 use aceso_erasure::xor_into;
+use aceso_index::IndexLayout;
+use aceso_rdma::Region;
 use std::time::Instant;
 
 /// Per-step measurements of one checkpoint round (paper Figure 19).
@@ -57,6 +62,12 @@ impl CkptSender {
         self.last = snapshot;
     }
 
+    /// The snapshot the next delta is taken against: what the right
+    /// neighbour's Checkpoint Area holds once every round has landed.
+    pub fn baseline(&self) -> &[u8] {
+        &self.last
+    }
+
     /// Forces the next round to ship the full index (neighbour replaced).
     pub fn reset_to_full(&mut self) {
         self.last.fill(0);
@@ -82,50 +93,57 @@ impl CkptSender {
     }
 }
 
-/// Receiver-side state: the reconstructed checkpoint of one neighbour.
-pub struct CkptReceiver {
-    /// The neighbour's index bytes as of its last round.
-    pub data: Vec<u8>,
-    /// Index Version of the held checkpoint.
-    pub index_version: u64,
-}
-
-impl CkptReceiver {
-    /// Starts from zeros (matching the sender's zero baseline).
-    pub fn new(index_bytes: usize) -> Self {
-        CkptReceiver {
-            data: vec![0u8; index_bytes],
-            index_version: 0,
-        }
+/// Receiver side: decompresses one delta and XOR-applies it to the
+/// checkpoint copy in Checkpoint Area `area` of `region`, then stamps the
+/// Index Version it represents. Returns `(decompress_us, xor_us)`. A delta
+/// that does not decode to exactly the area's index bytes changes nothing.
+pub fn apply_delta(
+    region: &Region,
+    area: IndexLayout,
+    compressed: &[u8],
+    raw_len: usize,
+    index_version: u64,
+) -> Result<(f64, f64), String> {
+    let index_bytes = area.index_version_offset() - area.base;
+    if raw_len as u64 != index_bytes {
+        return Err(format!(
+            "ckpt delta of {raw_len} B for a {index_bytes} B area"
+        ));
     }
+    let t0 = Instant::now();
+    let delta =
+        aceso_codec::decompress(compressed, raw_len).map_err(|e| format!("ckpt delta: {e}"))?;
+    let decompress_us = t0.elapsed().as_secs_f64() * 1e6;
 
-    /// Applies one received delta. Returns `(decompress_us, xor_us)`.
-    pub fn apply(
-        &mut self,
-        compressed: &[u8],
-        raw_len: usize,
-        index_version: u64,
-    ) -> Result<(f64, f64), aceso_codec::CodecError> {
-        let t0 = Instant::now();
-        let delta = aceso_codec::decompress(compressed, raw_len)?;
-        let decompress_us = t0.elapsed().as_secs_f64() * 1e6;
-
-        let t1 = Instant::now();
-        if self.data.len() != delta.len() {
-            // Neighbour geometry changed: adopt the delta as a full image.
-            self.data = delta;
-        } else {
-            xor_into(&mut self.data, &delta);
-        }
-        let xor_us = t1.elapsed().as_secs_f64() * 1e6;
-        self.index_version = index_version;
-        Ok((decompress_us, xor_us))
-    }
+    let t1 = Instant::now();
+    let applied = region.xor_slice(area.base, &delta);
+    let stamped = applied.and_then(|()| region.store64(area.index_version_offset(), index_version));
+    stamped.map_err(|e| format!("ckpt apply: {e}"))?;
+    Ok((decompress_us, t1.elapsed().as_secs_f64() * 1e6))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aceso_index::layout::GROUP_BYTES;
+    use aceso_rdma::NodeId;
+
+    /// A region holding one Checkpoint Area of `len` index bytes, after 64
+    /// bytes of something else.
+    fn area(len: usize) -> (Region, IndexLayout) {
+        let area = IndexLayout::new(64, len as u64 / GROUP_BYTES);
+        (
+            Region::new(NodeId(0), 64 + area.size_bytes() as usize),
+            area,
+        )
+    }
+
+    /// The area's checkpoint copy and its Index Version.
+    fn held(region: &Region, area: IndexLayout) -> (Vec<u8>, u64) {
+        let len = (area.index_version_offset() - area.base) as usize;
+        let data = region.read_vec(area.base, len).unwrap();
+        (data, region.load64(area.index_version_offset()).unwrap())
+    }
 
     fn snap(len: usize, stamp: u8) -> Vec<u8> {
         let mut v = vec![0u8; len];
@@ -136,17 +154,19 @@ mod tests {
     }
 
     #[test]
-    fn sender_receiver_converge() {
-        let len = 4096;
+    fn sender_and_area_converge() {
+        let len = 16 * GROUP_BYTES as usize;
         let mut tx = CkptSender::new(len);
-        let mut rx = CkptReceiver::new(len);
+        let (region, rx) = area(len);
+        region.write(0, &[0xAB; 64]).unwrap();
         for round in 1..=5u8 {
             let s = snap(len, round);
             let (comp, raw, _, _) = tx.round(s.clone());
-            rx.apply(&comp, raw, round as u64).unwrap();
-            assert_eq!(rx.data, s, "round {round}");
-            assert_eq!(rx.index_version, round as u64);
+            apply_delta(&region, rx, &comp, raw, round as u64).unwrap();
+            assert_eq!(held(&region, rx), (s, round as u64), "round {round}");
         }
+        // Nothing outside the area moved.
+        assert_eq!(region.read_vec(0, 64).unwrap(), vec![0xAB; 64]);
     }
 
     #[test]
@@ -177,20 +197,20 @@ mod tests {
 
     #[test]
     fn reset_to_full_ships_everything() {
-        let len = 4096;
+        let len = 16 * GROUP_BYTES as usize;
         let mut tx = CkptSender::new(len);
-        let mut rx = CkptReceiver::new(len);
+        let (region, rx) = area(len);
         let s = snap(len, 3);
         let (c, r, _, _) = tx.round(s.clone());
-        rx.apply(&c, r, 1).unwrap();
+        apply_delta(&region, rx, &c, r, 1).unwrap();
 
-        // Fresh receiver (replacement neighbour) + full resend.
-        let mut rx2 = CkptReceiver::new(len);
+        // Fresh receiver (replacement neighbour, a zeroed area) + full resend.
+        let (region2, rx2) = area(len);
         tx.reset_to_full();
         let s2 = snap(len, 4);
         let (c2, r2, _, _) = tx.round(s2.clone());
-        rx2.apply(&c2, r2, 2).unwrap();
-        assert_eq!(rx2.data, s2);
+        apply_delta(&region2, rx2, &c2, r2, 2).unwrap();
+        assert_eq!(held(&region2, rx2), (s2, 2));
     }
 
     #[test]
@@ -206,8 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_delta_is_an_error() {
-        let mut rx = CkptReceiver::new(64);
-        assert!(rx.apply(&[1, 2, 3], 64, 1).is_err());
+    fn corrupt_or_missized_delta_is_an_error() {
+        let len = GROUP_BYTES as usize;
+        let (region, rx) = area(len);
+        assert!(apply_delta(&region, rx, &[1, 2, 3], len, 1).is_err());
+        let other = aceso_codec::compress(&snap(2 * len, 1));
+        assert!(apply_delta(&region, rx, &other, 2 * len, 1).is_err());
+        assert_eq!(held(&region, rx), (vec![0; len], 0), "nothing applied");
     }
 }

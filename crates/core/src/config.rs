@@ -11,12 +11,18 @@
 //!                │              │  table 2: copy of column col−2's table 0
 //! block_base     ├──────────────┤
 //!                │ Block Area   │  stripe cells (DATA+PARITY) + DELTA pool
+//! ckpt.base      ├──────────────┤
+//!                │ Checkpoint   │  column col−1's index checkpoint + the
+//!                │ Area         │  Index Version it represents
 //!                └──────────────┘
 //! ```
 //!
 //! A server WRITEs every record it changes into its own table and into the
 //! copies its two right neighbours hold (§3.1); MN recovery reads a dead
-//! column's table off one of them.
+//! column's table off one of them. A server's checkpoint round ships its
+//! index delta to its right neighbour, whose server XORs it into its
+//! Checkpoint Area (§3.2.1, Figure 3); MN recovery reads a dead column's
+//! checkpoint there one-sided.
 
 use aceso_blockalloc::BlockLayout;
 use aceso_index::IndexLayout;
@@ -115,11 +121,13 @@ impl AcesoConfig {
             block_base,
             ..block_layout_probe
         };
-        let region_len = block_base + blocks.block_area_size();
+        // Shaped like the Index Area it copies, version word included.
+        let ckpt = IndexLayout::new(block_base + blocks.block_area_size(), self.index_groups);
         MemoryMap {
             index,
             blocks,
-            region_len: region_len as usize,
+            ckpt,
+            region_len: (ckpt.base + ckpt.size_bytes()) as usize,
         }
     }
 }
@@ -131,6 +139,9 @@ pub struct MemoryMap {
     pub index: IndexLayout,
     /// Meta + Block area geometry.
     pub blocks: BlockLayout,
+    /// Checkpoint Area geometry: the left neighbour's index checkpoint, laid
+    /// out as its Index Area is, after the Block Area.
+    pub ckpt: IndexLayout,
     /// Total region bytes per MN.
     pub region_len: usize,
 }
@@ -193,9 +204,11 @@ mod tests {
         assert!(map.index.size_bytes() <= map.blocks.meta_base);
         assert!(map.blocks.meta_base + map.blocks.meta_size() <= map.blocks.block_base);
         assert_eq!(
-            map.region_len as u64,
+            map.ckpt.base,
             map.blocks.block_base + map.blocks.block_area_size()
         );
+        assert_eq!(map.ckpt.size_bytes(), map.index.size_bytes());
+        assert_eq!(map.region_len as u64, map.ckpt.base + map.ckpt.size_bytes());
         // Block base is block-aligned so cell offsets stay 64 B aligned.
         assert_eq!(map.blocks.block_base % 64, 0);
     }
@@ -217,6 +230,7 @@ mod tests {
         let blocks = map.blocks.blocks_per_node();
         assert_eq!(blocks, cfg.num_arrays * 5 + cfg.num_delta);
         let last_block_end = map.blocks.block_offset((blocks - 1) as u32) + cfg.block_size;
-        assert_eq!(last_block_end as usize, map.region_len);
+        assert_eq!(last_block_end, map.ckpt.base);
+        assert!(map.ckpt.index_version_offset() + 8 <= map.region_len as u64);
     }
 }

@@ -366,15 +366,14 @@ impl Migration {
         self.from
             .install_fence(0, self.store.map.region_len, fence_epoch);
         to.install_fence(0, self.store.map.region_len, fence_epoch);
-        // Copy Index + Meta areas and stop the old server.
+        // Copy the Index, Meta and Checkpoint areas and stop the old server.
         self.rpc(ServerReq::MigrateFinish, 16)?.expect_ok()?;
         // Hand the authoritative server state over (records, free lists,
-        // reuse backups, checkpoint state).
+        // reuse backups, the checkpoint sender).
         std::mem::swap(&mut *server.records.lock(), &mut *old.records.lock());
         std::mem::swap(&mut *server.alloc.lock(), &mut *old.alloc.lock());
         std::mem::swap(&mut *server.old_copies.lock(), &mut *old.old_copies.lock());
         std::mem::swap(&mut *server.sender.lock(), &mut *old.sender.lock());
-        std::mem::swap(&mut *server.received.lock(), &mut *old.received.lock());
         old.set_migration(None);
         // Republish the column on the target.
         self.store

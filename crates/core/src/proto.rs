@@ -90,7 +90,9 @@ pub enum ServerReq {
     /// Run one checkpoint round now (store-driven tick; also used by the
     /// background loop's leader).
     CkptRound,
-    /// Checkpoint delta arriving from the left-neighbour column.
+    /// Checkpoint delta arriving from the left-neighbour column: the
+    /// server XORs it into its Checkpoint Area, where MN recovery reads it
+    /// one-sided.
     CkptDelta {
         /// Sender's column.
         from_column: usize,
@@ -100,11 +102,6 @@ pub enum ServerReq {
         raw_len: usize,
         /// The Index Version this checkpoint represents.
         index_version: u64,
-    },
-    /// Recovery: fetch the checkpoint this server holds for `of_column`.
-    GetCheckpoint {
-        /// The failed column.
-        of_column: usize,
     },
     /// Post-recovery: `replaced`, one of the two columns holding a copy of
     /// this server's records, is a fresh node. Re-write the whole record
@@ -127,8 +124,8 @@ pub enum ServerReq {
     /// quiescent stripes are *re-encoded* from the live data cells, busy
     /// ones byte-copied — then flip parity primaries to the target.
     MigrateParity,
-    /// Elastic migration: copy the Index and Meta areas onto the target and
-    /// stop serving; the migrator republishes the column on the target.
+    /// Elastic migration: copy the Index, Meta and Checkpoint areas onto the
+    /// target and stop serving; the migrator republishes the column on the target.
     MigrateFinish,
 }
 
@@ -187,13 +184,6 @@ pub enum ServerResp {
         decompress_us: f64,
         /// XOR-apply time.
         xor_us: f64,
-    },
-    /// The checkpoint held for a column.
-    Checkpoint {
-        /// Raw (uncompressed) index bytes.
-        data: Vec<u8>,
-        /// Its Index Version.
-        index_version: u64,
     },
 }
 

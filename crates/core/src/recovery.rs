@@ -16,14 +16,16 @@
 //! what the tier posts, and its host time (decode XOR, KV scanning, the RPC
 //! handlers) is measured beside it. Every link on the clock carries one
 //! transfer at a time. Every byte that lands on the replacement is charged
-//! once, on its one link, in order: the Meta table, the checkpoint, the
-//! decode — one block per lost cell: a chain of two or more sources is
-//! folded by the survivor holding its PARITY cell ([`ServerReq::Fold`]),
-//! whose reads of the other columns go on a link of its own, and a single
-//! source is one read in its array's doorbell — then the `ScanNew` answers.
-//! Round trips, the folding survivors' reads and the surviving columns'
-//! line reads overlap: each survivor's `ScanNew` is a task on a client of
-//! its own, posted at once and run beside the decode. The report mirrors
+//! once, on its one link, in order: the Meta table with the checkpoint's
+//! Index Version word, the checkpoint, the decode — one block per lost
+//! cell: a chain of two or more sources is folded by the survivor holding
+//! its PARITY cell ([`ServerReq::Fold`]), whose reads of the other columns
+//! go on a link of its own, and a single source is one read in its array's
+//! doorbell — then the `ScanNew` answers. Round trips, the folding
+//! survivors' reads and the surviving columns' line reads overlap: the
+//! checkpoint's READ is posted without waiting for it, so the aggregators
+//! read while it lands, and each survivor's `ScanNew` is a task on a client
+//! of its own, posted at once and run beside the decode. The report mirrors
 //! the columns of the paper's Table 2.
 
 use crate::config::{pack_col, unpack_col};
@@ -66,13 +68,18 @@ pub struct RecoveryReport {
     /// Modeled network share of [`read_meta_ms`](Self::read_meta_ms): per
     /// table a READ round trip, then its bytes landing.
     pub meta_net_ms: f64,
-    /// Reading the latest index checkpoint (ms).
+    /// Reading the latest index checkpoint out of the right neighbour's
+    /// Checkpoint Area and restoring it (ms).
     pub read_ckpt_ms: f64,
-    /// Checkpoint bytes received (deterministic): 0 when the right
-    /// neighbour is down too and the index starts from an empty checkpoint.
+    /// Checkpoint bytes received (deterministic): its 8 B Index Version
+    /// word, read in the Meta tier's doorbell, and the checkpoint when that
+    /// word is not 0 — none when the right neighbour is down too and the
+    /// index starts from an empty checkpoint.
     pub ckpt_bytes: u64,
     /// Modeled network share of [`read_ckpt_ms`](Self::read_ckpt_ms): the
-    /// RPC round trip, then what arrived.
+    /// checkpoint's READ, the first transfer on the replacement's link once
+    /// the Index tier begins (its Index Version word rides in
+    /// [`meta_net_ms`](Self::meta_net_ms)).
     pub ckpt_net_ms: f64,
     /// Reconstructing *new* local blocks via erasure decoding (ms).
     pub recover_lblock_ms: f64,
@@ -86,8 +93,9 @@ pub struct RecoveryReport {
     pub lblock_net_ops: u64,
     /// Modeled network share of [`recover_lblock_ms`](Self::recover_lblock_ms):
     /// the fold answers and each stripe array's doorbell of single reads,
-    /// one transfer at a time on the replacement's link from when the scan
-    /// began, each answer no earlier than its aggregator's reads.
+    /// one transfer at a time on the replacement's link behind the
+    /// checkpoint's READ, each answer no earlier than its aggregator's reads
+    /// — which start with the tier, under the checkpoint.
     pub lblock_net_ms: f64,
     /// Having every surviving column scan its new blocks (`ScanNew`, ms):
     /// the handlers' host time and [`rblock_net_ms`](Self::rblock_net_ms).
@@ -247,6 +255,9 @@ pub struct Recovery {
     dm: DmClient,
     tier: RecoveryTier,
     report: RecoveryReport,
+    /// The Index Version of the checkpoint the right neighbour holds, as
+    /// the Meta tier read it: 0 for none.
+    ckpt_iv: u64,
     /// Arrays the Index tier decoded (they hold a block newer than the
     /// checkpoint); the Block tier decodes the rest.
     new_arrays: BTreeSet<u64>,
@@ -293,6 +304,7 @@ impl AcesoStore {
             col,
             tier: RecoveryTier::Meta,
             report: RecoveryReport::default(),
+            ckpt_iv: 0,
             new_arrays: BTreeSet::new(),
             local_old: Vec::new(),
             deferred: Vec::new(),
@@ -398,11 +410,23 @@ impl Recovery {
 
     // ---- Tier 1: Meta Area ------------------------------------------------
     // The Meta Area is copied on the next two columns; read whichever
-    // survives (two simultaneous failures leave at least one).
+    // survives (two simultaneous failures leave at least one). The first of
+    // them, the right neighbour, also holds the column's checkpoint: its
+    // Index Version word rides in the same doorbell.
     fn tier_meta(&mut self) -> Result<()> {
         let (map, bs) = (self.store.map, self.store.map.blocks.block_size);
         let t = Instant::now();
-        let records = read_meta_copy(&self.store, &self.dm, self.col)?;
+        let ncol = (self.col + 1) % self.store.cfg.num_mns;
+        let node = self.store.directory().node_of(ncol);
+        let iv_at = GlobalAddr::new(node, map.ckpt.index_version_offset());
+        let (records, ckpt_iv) = self.dm.batch(|dm| {
+            let records = read_meta_copy(&self.store, dm, self.col);
+            (records, dm.read_u64(iv_at).ok())
+        });
+        let records = records?;
+        // Unreachable, it holds no checkpoint: Index Version 0.
+        self.ckpt_iv = ckpt_iv.unwrap_or(0);
+        self.report.ckpt_bytes += 8 * u64::from(ckpt_iv.is_some());
         self.report.meta_bytes += map.blocks.table_size();
         {
             let region = &self.server.node.region;
@@ -430,36 +454,52 @@ impl Recovery {
         let (map, n, bs) = (store.map, store.cfg.num_mns, store.map.blocks.block_size);
         let r = &mut self.report;
 
-        // The checkpoint lives on the right neighbour only (paper Figure 3).
-        // If that neighbour crashed too, fall back to an empty checkpoint
-        // with Index Version 0 — every block then counts as "new" and the
-        // index is rebuilt from a full scan (slower, still correct). Only
-        // what arrives is charged.
+        // Every other dead column's records come from its Meta Area
+        // copies, read like ours.
         let t = Instant::now();
-        let ncol = (col + 1) % n;
-        let req = ServerReq::GetCheckpoint { of_column: col };
-        let (ckpt, ckpt_iv) = match dm.rpc_sized(dir.node_of(ncol), &dir.rpc_of(ncol), req, 32, 0) {
-            Ok(ServerResp::Checkpoint {
-                data,
-                index_version,
-            }) => {
-                r.ckpt_bytes = data.len() as u64;
-                (data, index_version)
-            }
-            _ => (vec![0u8; (map.index.num_groups * GROUP_BYTES) as usize], 0),
+        let others = (0..n).filter(|&c| c != col);
+        let (survivors, dead): (Vec<_>, Vec<_>) = others.partition(|&c| store.col_alive(c));
+        let mut tables = Vec::with_capacity(dead.len());
+        for c in dead {
+            r.meta_bytes += map.blocks.table_size();
+            tables.push((c, read_meta_copy(&store, dm, c)?));
+        }
+        let net = self.bufs.settle(dm, cq);
+        r.meta_net_ms += net;
+        r.read_meta_ms += t.elapsed().as_secs_f64() * 1e3 + net;
+
+        // The checkpoint lives in the right neighbour's Checkpoint Area
+        // (paper Figure 3). Index Version 0 — no round has reached it, or
+        // that neighbour is down too — is an empty checkpoint: every block
+        // then counts as "new" and the index is rebuilt from a full scan
+        // (slower, still correct). Otherwise one READ fetches it, posted
+        // without waiting: it lands first on the replacement's link while
+        // the decode's aggregators read beside it, and only what arrives is
+        // charged. A neighbour lost since the Meta tier leaves none.
+        let (t, start) = (Instant::now(), cq.now_us());
+        let index_bytes = (map.index.num_groups * GROUP_BYTES) as usize;
+        let at = GlobalAddr::new(dir.node_of((col + 1) % n), map.ckpt.base);
+        let ckpt = match self.ckpt_iv {
+            0 => None,
+            _ => dm.read_vec(at, index_bytes).ok(),
         };
-        dm.accrue_bytes(r.ckpt_bytes as usize);
-        server.index.restore(&server.node.region, &ckpt);
+        let ckpt_iv = if ckpt.is_some() { self.ckpt_iv } else { 0 };
+        let ckpt_end = dm.post(0).map_or(0, |(_, end)| end);
+        self.bufs.until_ns = self.bufs.until_ns.max(ckpt_end);
+        let ckpt_ns = ckpt_end.saturating_sub(cq.now_ns());
+        if let Some(ckpt) = ckpt {
+            r.ckpt_bytes += ckpt.len() as u64;
+            server.index.restore(&server.node.region, &ckpt);
+            server.sender.lock().rebase(ckpt);
+        }
         server
             .index
             .local_set_index_version(&server.node.region, ckpt_iv + 1);
-        server.sender.lock().rebase(ckpt);
-        r.ckpt_net_ms = self.bufs.settle(dm, cq);
+        r.ckpt_net_ms = ckpt_ns as f64 / 1e6;
         r.read_ckpt_ms = t.elapsed().as_secs_f64() * 1e3 + r.ckpt_net_ms;
 
         // Classify data blocks everywhere: "new" = Index Version 0 or ≥ ckpt.
-        // New blocks of this column, then of other dead columns — whose
-        // records come from their Meta Area copies, read like ours — are decoded
+        // New blocks of this column, then of other dead columns, are decoded
         // to be scanned; each live column scans its own (`ScanNew`).
         let is_new = |iv: u64| proto::is_new(iv, ckpt_iv);
         let mut decoded: Vec<(usize, BlockId, BlockRecord)> = Vec::new();
@@ -471,27 +511,20 @@ impl Recovery {
             }
         }
         r.lblock_count = decoded.len();
-        let t = Instant::now();
-        let others = (0..n).filter(|&c| c != col);
-        let (survivors, dead): (Vec<_>, Vec<_>) = others.partition(|&c| store.col_alive(c));
-        for c in dead {
-            r.meta_bytes += map.blocks.table_size();
-            for (id, rec) in read_meta_copy(&store, dm, c)?.into_iter().enumerate() {
+        for (c, records) in tables {
+            for (id, rec) in records.into_iter().enumerate() {
                 if rec.role == Role::Data && is_new(rec.index_version) {
                     decoded.push((c, id as BlockId, rec));
                 }
             }
         }
-        let net = self.bufs.settle(dm, cq);
-        r.meta_net_ms += net;
-        r.read_meta_ms += t.elapsed().as_secs_f64() * 1e3 + net;
 
         // Every survivor scans its own new blocks, all posted at once, each
         // on a client of its own: its round trip and the lines its handler
         // reads overlap the others' and the decode below. An answer is
         // scanned when it is in, ranked by its block, not by its arrival,
         // and lands on the replacement's link behind the decode.
-        let (phase, start, mut answers) = (Instant::now(), cq.now_us(), 0);
+        let (phase, mut answers) = (Instant::now(), 0);
         let mut scan = Scan::default();
         (scan.n, scan.col) = (n, col);
         let scan = Rc::new(RefCell::new(scan));
@@ -550,14 +583,15 @@ impl Recovery {
         let (decoding, busy) = (t.elapsed(), scan.borrow().busy);
 
         // The clock: the survivors' tasks post their round trips, the
-        // decode's transfers settle beside them (the decode's share), then
-        // the survivors finish and their answers land (theirs).
+        // checkpoint and the decode's transfers settle beside them (the
+        // decode's share is what follows the checkpoint), then the survivors
+        // finish and their answers land (theirs).
         ex.run_until_idle(|| false);
-        r.lblock_net_ms = self.bufs.settle(dm, cq);
+        r.lblock_net_ms = self.bufs.settle(dm, cq) - r.ckpt_net_ms;
         ex.run_until_idle(|| cq.advance_next());
         dm.accrue_bytes(answers);
         self.bufs.settle(dm, cq);
-        r.rblock_net_ms = (cq.now_us() - start) / 1e3 - r.lblock_net_ms;
+        r.rblock_net_ms = (cq.now_us() - start) / 1e3 - r.ckpt_net_ms - r.lblock_net_ms;
         r.recover_lblock_ms = (decoding - busy).as_secs_f64() * 1e3 + r.lblock_net_ms;
         // Everything else the phase did on the host, but scanning, is theirs.
         let answered = phase.elapsed() - decoding - (scan.borrow().busy - busy);

@@ -10,7 +10,7 @@
 //! overlap, and the four roles are *metered* separately ([`BusyMeters`]),
 //! which is what Table 3 reports.
 
-use crate::ckpt::{CkptReceiver, CkptReport, CkptSender};
+use crate::ckpt::{self, CkptReport, CkptSender};
 use crate::config::{pack_col, unpack_col, MemoryMap};
 use crate::kv;
 use crate::proto::{self, ScannedBlock, ServerReq, ServerResp};
@@ -171,10 +171,9 @@ pub struct MnServer {
     pub alloc: Mutex<Allocator>,
     /// Local backups of reused blocks, kept until they refill (§3.3.3).
     pub old_copies: Mutex<HashMap<BlockId, Vec<u8>>>,
-    /// Checkpoint sender state.
+    /// Checkpoint sender state. What this server receives, its left
+    /// neighbour's checkpoint, is in its region's Checkpoint Area.
     pub sender: Mutex<CkptSender>,
-    /// Checkpoints held for other columns (receiver side).
-    pub received: Mutex<HashMap<usize, CkptReceiver>>,
     /// Logical-core busy meters.
     pub meters: BusyMeters,
     /// Reclamation trigger: free ratio threshold.
@@ -207,7 +206,6 @@ impl MnServer {
             alloc: Mutex::new(Allocator::new(map.blocks)),
             old_copies: Mutex::new(HashMap::new()),
             sender: Mutex::new(CkptSender::new(index_bytes)),
-            received: Mutex::new(HashMap::new()),
             meters: BusyMeters::default(),
             reclaim_free,
             alive: Arc::new(AtomicBool::new(true)),
@@ -361,11 +359,14 @@ impl MnServer {
                 index_version,
             } => {
                 let t = Instant::now();
-                let mut recv = self.received.lock();
-                let rx = recv
-                    .entry(from_column)
-                    .or_insert_with(|| CkptReceiver::new(raw_len));
-                let r = rx.apply(&compressed, raw_len, index_version);
+                // The Checkpoint Area holds the left neighbour's only.
+                let left = (self.column + self.map.blocks.n - 1) % self.map.blocks.n;
+                let r = if from_column == left {
+                    let area = self.map.ckpt;
+                    ckpt::apply_delta(&self.node.region, area, &compressed, raw_len, index_version)
+                } else {
+                    Err(format!("ckpt delta from column {from_column}, not {left}"))
+                };
                 role_time = t.elapsed();
                 self.meters.add(&self.meters.ckpt_recv_ns, role_time);
                 match r {
@@ -373,17 +374,7 @@ impl MnServer {
                         decompress_us,
                         xor_us,
                     },
-                    Err(e) => ServerResp::Err(format!("ckpt delta: {e}")),
-                }
-            }
-            ServerReq::GetCheckpoint { of_column } => {
-                let recv = self.received.lock();
-                match recv.get(&of_column) {
-                    Some(rx) => ServerResp::Checkpoint {
-                        data: rx.data.clone(),
-                        index_version: rx.index_version,
-                    },
-                    None => ServerResp::Err(format!("no checkpoint for column {of_column}")),
+                    Err(e) => ServerResp::Err(e),
                 }
             }
             ServerReq::ResetReplication { replaced } => {
@@ -514,14 +505,12 @@ impl MnServer {
         dm: &DmClient,
         dir: &Directory,
     ) -> ServerResp {
+        // A free delta block is all zeros, as delta blocks must start (they
+        // accumulate XOR images): regions start zeroed and `EncodeDelta`
+        // zeroes a delta when it frees it.
         let Some(id) = self.alloc.lock().alloc_delta() else {
             return ServerResp::Err("out of delta blocks".into());
         };
-        // Delta blocks must start zeroed (they accumulate XOR images).
-        self.mig_zero(
-            self.map.blocks.block_offset(id),
-            self.map.blocks.block_size as usize,
-        );
         let pid = self.map.blocks.cell_block_id(array, parity_row);
         {
             let mut recs = self.records.lock();
@@ -601,7 +590,7 @@ impl MnServer {
             let drec = &mut recs[delta_id as usize];
             *drec = BlockRecord::free();
         }
-        // Physically free the delta (zero so a future reuse starts clean).
+        // Physically free the delta: zeroed here, it is granted as it is.
         self.mig_zero(doff, bs);
         self.alloc.lock().free_delta(delta_id);
         self.persist_record(dm, dir, pid);
@@ -796,8 +785,8 @@ impl MnServer {
         ServerResp::Ok
     }
 
-    /// Copies the Index + Meta areas onto the migration target and stops
-    /// serving. The migrator then clones the in-memory server state onto a
+    /// Copies the Index, Meta and Checkpoint areas onto the migration
+    /// target and stops serving. The migrator then clones the in-memory server state onto a
     /// fresh [`MnServer`] for the target and republishes the column; stale
     /// clients fail their next verb against the whole-region fence and
     /// re-resolve.
@@ -808,6 +797,8 @@ impl MnServer {
                 return ServerResp::Err("no migration in progress".into());
             };
             self.copy_to(&ctx.target, 0, self.map.blocks.block_base as usize);
+            let ckpt = self.map.ckpt;
+            self.copy_to(&ctx.target, ckpt.base, ckpt.size_bytes() as usize);
         }
         self.alive.store(false, Ordering::Release);
         ServerResp::Ok

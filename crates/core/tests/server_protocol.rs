@@ -1,7 +1,7 @@
 //! Direct tests of the MN server's RPC protocol: allocation, delta
-//! registration, offline encoding and bitmap flushes, and of the Meta Area
-//! records — and their two copies — its handlers leave for one-sided
-//! readers.
+//! registration, offline encoding and bitmap flushes, and of what its
+//! handlers leave in MN memory for one-sided readers — the Meta Area
+//! records and their two copies, and the Checkpoint Area.
 
 use aceso_blockalloc::{BlockId, BlockRecord, Role, RECORD_HEAD_BYTES, RECORD_TABLES};
 use aceso_core::config::unpack_col;
@@ -692,4 +692,227 @@ fn fold_xors_its_sources_and_types_an_unreachable_one() {
         panic!("{resp:?}");
     };
     assert_eq!(*err, RdmaError::NodeUnreachable(dead));
+}
+
+/// Column `col`'s Checkpoint Area: the index bytes it holds and the Index
+/// Version word beside them.
+fn checkpoint_area(store: &Arc<AcesoStore>, col: usize) -> (Vec<u8>, u64) {
+    let (region, area) = (&store.server(col).node.region, store.map.ckpt);
+    let len = (area.index_version_offset() - area.base) as usize;
+    let data = region.read_vec(area.base, len).unwrap();
+    (data, region.load64(area.index_version_offset()).unwrap())
+}
+
+/// Every column's Checkpoint Area holds, byte for byte, the baseline its
+/// left neighbour's sender takes the next delta against — after each tick,
+/// with the label one behind that neighbour's live Index Version — and so
+/// does a replaced column's: zeros, before the tick after `recover_mn`
+/// refills it, and the column it held the checkpoint of rebases on what it
+/// read there.
+#[test]
+fn checkpoint_area_holds_the_left_neighbours_baseline() {
+    let store = store();
+    let n = store.cfg.num_mns;
+    let left = |col: usize| store.server((col + n - 1) % n);
+    let agree = |when: &str, ticked: bool| {
+        for col in 0..n {
+            let (data, iv) = checkpoint_area(&store, col);
+            let sender = left(col);
+            assert!(
+                data == sender.sender.lock().baseline(),
+                "column {col} {when}"
+            );
+            if ticked {
+                let live = sender.index.local_index_version(&sender.node.region);
+                assert_eq!(iv + 1, live, "column {col} {when}");
+            }
+        }
+    };
+    let mut c = store.client().unwrap();
+    let key = |i: u32| format!("ckpt-area-{i}").into_bytes();
+    agree("at launch", false);
+    for round in 0..3u8 {
+        for i in 0..300 {
+            match round {
+                0 => c.insert(&key(i), &[round; 300]).unwrap(),
+                _ => c.update(&key(i), &[round; 300]).unwrap(),
+            }
+        }
+        store.checkpoint_tick().unwrap();
+        agree("after a tick", true);
+    }
+    assert!(store.kill_mn(2));
+    aceso_core::recover_mn(&store, 2).unwrap();
+    assert_eq!(
+        checkpoint_area(&store, 2),
+        (vec![0; store.map.index.size_bytes() as usize - 8], 0)
+    );
+    agree("after recover_mn", false);
+    store.checkpoint_tick().unwrap();
+    let (refilled, iv) = checkpoint_area(&store, 2);
+    assert!(iv != 0 && refilled.iter().any(|&b| b != 0), "not refilled");
+    agree("on the tick after recover_mn", true);
+    let mut join = store.begin_join(3).unwrap();
+    while join.step().unwrap() != ElasticStep::Done {
+        store.checkpoint_tick().unwrap();
+    }
+    store.checkpoint_tick().unwrap();
+    agree("after a join", true);
+    store.shutdown();
+}
+
+/// With its right neighbour down too, a column recovers from Index Version
+/// 0: nothing of a checkpoint crosses the wire — not even its version word
+/// — and every DATA block of the column is new, decoded and scanned; with
+/// the neighbour up, the word and the checkpoint arrive and the same blocks
+/// are old.
+#[test]
+fn recovery_without_the_right_neighbour_scans_everything() {
+    let pair = [store(), store()];
+    let index_bytes = pair[0].map.index.size_bytes() - 8;
+    for store in &pair {
+        let mut c = store.client().unwrap();
+        for i in 0..600u32 {
+            c.insert(format!("fallback-{i}").as_bytes(), &[7; 300])
+                .unwrap();
+        }
+        c.close_open_blocks().unwrap();
+        store.checkpoint_tick().unwrap();
+        store.checkpoint_tick().unwrap();
+    }
+    let data_blocks = |store: &Arc<AcesoStore>| {
+        let recs = store.server(1).records.lock().clone();
+        recs.iter().filter(|r| r.role == Role::Data).count()
+    };
+    let blocks = data_blocks(&pair[0]);
+    assert!(blocks > 0 && blocks == data_blocks(&pair[1]));
+
+    let (alone, healthy) = (&pair[0], &pair[1]);
+    assert!(alone.kill_mn(1) && alone.kill_mn(2));
+    let r = aceso_core::recover_mn(alone, 1).unwrap();
+    assert_eq!(
+        (r.ckpt_bytes, r.ckpt_net_ms, r.lblock_count),
+        (0, 0.0, blocks)
+    );
+    let server = alone.server(1);
+    assert_eq!(server.index.local_index_version(&server.node.region), 1);
+    aceso_core::recover_mn(alone, 2).unwrap();
+
+    assert!(healthy.kill_mn(1));
+    let r = aceso_core::recover_mn(healthy, 1).unwrap();
+    assert_eq!(
+        (r.ckpt_bytes, r.lblock_count, r.old_lblock_count),
+        (8 + index_bytes, 0, blocks)
+    );
+    assert!(r.ckpt_net_ms > 0.0);
+    let server = healthy.server(1);
+    assert_eq!(server.index.local_index_version(&server.node.region), 3);
+    for store in &pair {
+        let mut c = store.client().unwrap();
+        for i in (0..600u32).step_by(7) {
+            assert!(c
+                .search(format!("fallback-{i}").as_bytes())
+                .unwrap()
+                .is_some());
+        }
+    }
+}
+
+/// Every free DELTA block reads all zero, so the one `AllocDelta` grants
+/// next needs no zeroing: after folds freed blocks the pool had handed out
+/// before, after `recover_mn` rebuilt a column's free lists on a fresh
+/// region, and after an elastic join moved a column onto another node.
+#[test]
+fn granted_delta_blocks_read_all_zero() {
+    let cfg = AcesoConfig {
+        reclaim_free_ratio: 1.1, // Always allowed to reclaim.
+        ..AcesoConfig::small()
+    };
+    let store = AcesoStore::launch(cfg).unwrap();
+    let (blocks, n) = (store.map.blocks, store.cfg.num_mns);
+    let bs = blocks.block_size as usize;
+    let key = |i: u32| format!("zeroed-delta-{i}").into_bytes();
+    let mut c = store.client().unwrap();
+    for i in 0..200 {
+        c.insert(&key(i), &[0; 900]).unwrap();
+    }
+    // Each round opens and closes a block per column or so, two deltas
+    // each: the rounds cycle every column's pool more than once.
+    let churn = |c: &mut aceso_core::AcesoClient, rounds: u8| {
+        for v in 1..=rounds {
+            for i in 0..200 {
+                c.update(&key(i), &[v; 900]).unwrap();
+            }
+            c.close_open_blocks().unwrap();
+            c.flush_bitmaps().unwrap();
+        }
+    };
+    let zeroed = |when: &str| {
+        for col in 0..n {
+            let server = store.server(col);
+            let recs = server.records.lock().clone();
+            for id in 0..blocks.blocks_per_node() as BlockId {
+                let free_delta =
+                    matches!(blocks.kind_of(id), aceso_blockalloc::CellKind::Delta { .. })
+                        && recs[id as usize].role == Role::Free;
+                if free_delta {
+                    let bytes = server
+                        .node
+                        .region
+                        .read_vec(blocks.block_offset(id), bs)
+                        .unwrap();
+                    assert!(
+                        bytes.iter().all(|&b| b == 0),
+                        "free delta {id} of column {col} {when}"
+                    );
+                }
+            }
+            // And the one granted next, on a stripe no client touches.
+            let array = blocks.num_arrays - 1;
+            let alloc = ServerReq::AllocDelta {
+                cli_id: 99,
+                slot_len64: 16,
+                array,
+                row: 0,
+                parity_row: n - 2,
+            };
+            let ServerResp::DeltaAllocated { block } = rpc(&store, col, alloc) else {
+                panic!("no delta block on column {col} {when}")
+            };
+            let bytes = server
+                .node
+                .region
+                .read_vec(blocks.block_offset(block), bs)
+                .unwrap();
+            assert!(
+                bytes.iter().all(|&b| b == 0),
+                "granted delta {block} of column {col} {when}"
+            );
+            let encode = ServerReq::EncodeDelta {
+                array,
+                row: 0,
+                parity_row: n - 2,
+            };
+            assert!(matches!(rpc(&store, col, encode), ServerResp::Ok));
+        }
+    };
+    churn(&mut c, 30);
+    zeroed("after folds");
+    store.checkpoint_tick().unwrap();
+    assert!(store.kill_mn(1));
+    aceso_core::recover_mn(&store, 1).unwrap();
+    zeroed("after recover_mn");
+    churn(&mut c, 4);
+    let mut join = store.begin_join(3).unwrap();
+    while join.step().unwrap() != ElasticStep::Done {
+        churn(&mut c, 1);
+    }
+    zeroed("after an elastic join");
+    churn(&mut c, 4);
+    zeroed("after folds on the joined column");
+    for i in 0..200 {
+        assert_eq!(c.search(&key(i)).unwrap(), Some(vec![4; 900]), "key {i}");
+    }
+    assert!(aceso_core::scrub(&store).unwrap().is_clean());
+    store.shutdown();
 }

@@ -2,8 +2,8 @@
 //! checkpoint labels, and the old/new classification recovery relies on.
 
 use aceso_blockalloc::{BlockRecord, Role};
-use aceso_core::proto::{ServerReq, ServerResp};
 use aceso_core::{read_records, AcesoConfig, AcesoStore};
+use aceso_rdma::GlobalAddr;
 use std::sync::Arc;
 
 fn store() -> Arc<AcesoStore> {
@@ -103,19 +103,14 @@ fn checkpoint_label_lags_live_version_by_one() {
             assert_eq!(s.index.local_index_version(&s.node.region), round + 1);
         }
     }
-    // The neighbour's stored checkpoint carries the last label.
+    // Column 1's Checkpoint Area holds column 0's checkpoint, with the last
+    // label in its Index Version word.
     let dm = store.cluster.background_client();
-    let ServerResp::Checkpoint { index_version, .. } = dm
-        .rpc(
-            store.directory().node_of(1),
-            &store.directory().rpc_of(1),
-            ServerReq::GetCheckpoint { of_column: 0 },
-            16,
-        )
-        .unwrap()
-    else {
-        panic!()
-    };
+    let word = GlobalAddr::new(
+        store.directory().node_of(1),
+        store.map.ckpt.index_version_offset(),
+    );
+    let index_version = dm.read_u64(word).unwrap();
     assert_eq!(index_version, 4);
     store.shutdown();
 }

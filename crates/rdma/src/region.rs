@@ -11,7 +11,7 @@
 //! # Ordering contract
 //!
 //! The bulk kernels ([`Region::read`], [`Region::write`], [`Region::zero`],
-//! [`Region::xor_from`], [`Region::copy_from`]) touch every word with one
+//! [`Region::xor_from`], [`Region::xor_slice`], [`Region::copy_from`]) touch every word with one
 //! `Relaxed` atomic access — a word is never torn — and order the call as a
 //! whole with fences: one `Release` fence before a call's first store, one
 //! `Acquire` fence after its last load. A call that observes any word
@@ -334,6 +334,32 @@ impl Region {
         Ok(())
     }
 
+    /// XORs `src` into this region starting at `offset`, in place: an MN
+    /// server applying a received checkpoint delta to the Checkpoint Area
+    /// (paper §3.2.1) without reading the area out first.
+    ///
+    /// The concurrency contract is [`Region::xor_from`]'s: whole words are
+    /// updated by a load and a store, so the range must have no concurrent
+    /// writer; partial edge words are XORed atomically.
+    pub fn xor_slice(&self, offset: u64, src: &[u8]) -> Result<()> {
+        let span = self.span(offset, src.len())?;
+        let (head, body, tail) = span.split(src);
+        fence(Ordering::Release);
+        if let Some(e) = &span.head {
+            e.word.fetch_xor(e.place(head), Ordering::Relaxed);
+        }
+        if let Some(e) = &span.tail {
+            e.word.fetch_xor(e.place(tail), Ordering::Relaxed);
+        }
+        for (word, chunk) in span.body.iter().zip(body.chunks_exact(8)) {
+            let bytes: [u8; 8] = chunk.try_into().expect("chunks_exact(8)");
+            let folded = word.load(Ordering::Relaxed) ^ u64::from_le_bytes(bytes);
+            word.store(folded, Ordering::Relaxed);
+        }
+        fence(Ordering::Acquire);
+        Ok(())
+    }
+
     /// Copies `len` bytes of `src` starting at `src_offset` into this
     /// region starting at `offset`, word by word, without a staging
     /// buffer. `src` may be this region; the ranges must then not overlap.
@@ -425,6 +451,13 @@ mod tests {
         Ok(())
     }
 
+    fn ref_xor_slice(r: &Region, offset: u64, src: &[u8]) -> Result<()> {
+        let mut into = vec![0u8; src.len()];
+        ref_read(r, offset, &mut into)?;
+        into.iter_mut().zip(src).for_each(|(i, s)| *i ^= s);
+        ref_write(r, offset, &into)
+    }
+
     /// Region-to-region reference: stage through byte buffers.
     fn ref_combine(
         dst: &Region,
@@ -487,6 +520,10 @@ mod tests {
         ref_combine(&slow, offset, &src, src_offset, len, true).unwrap();
         assert_eq!(contents(&fast), contents(&slow), "xor_from {ctx}");
 
+        fast.xor_slice(offset, &data).unwrap();
+        ref_xor_slice(&slow, offset, &data).unwrap();
+        assert_eq!(contents(&fast), contents(&slow), "xor_slice {ctx}");
+
         fast.zero(offset, len).unwrap();
         ref_zero(&slow, offset, len).unwrap();
         assert_eq!(contents(&fast), contents(&slow), "zero {ctx}");
@@ -534,6 +571,7 @@ mod tests {
             assert_eq!(r.read(offset, &mut buf[..len]), Err(want.clone()));
             assert_eq!(r.write(offset, &buf[..len]), Err(want.clone()));
             assert_eq!(r.zero(offset, len), Err(want.clone()));
+            assert_eq!(r.xor_slice(offset, &buf[..len]), Err(want.clone()));
             assert_eq!(
                 r.xor_from(offset, &other, offset % 8, len),
                 Err(want.clone())

@@ -189,9 +189,10 @@ pub fn lint_blockalloc_layout() -> Vec<String> {
     v
 }
 
-/// Per-MN memory maps of the stock configurations: index, meta, and block
-/// areas must not overlap and must fit the region, and the Meta Area must
-/// hold all [`RECORD_TABLES`] record tables.
+/// Per-MN memory maps of the stock configurations: index, meta, block and
+/// checkpoint areas must not overlap and must fit the region, the Meta Area
+/// must hold all [`RECORD_TABLES`] record tables, and the Checkpoint Area
+/// must hold an index-sized copy with its Index Version word aligned.
 pub fn lint_memory_maps() -> Vec<String> {
     let mut v = Vec::new();
     for (name, cfg) in [
@@ -221,6 +222,19 @@ pub fn lint_memory_maps() -> Vec<String> {
         }
         if map.index.index_version_offset() % 8 != 0 {
             v.push(format!("{name}: Index Version word unaligned"));
+        }
+        let ckpt = map.ckpt;
+        if ckpt.base < end {
+            v.push(format!("{name}: Checkpoint Area overlaps the Block Area"));
+        }
+        if ckpt.base + ckpt.size_bytes() > map.region_len as u64 {
+            v.push(format!("{name}: Checkpoint Area exceeds the region"));
+        }
+        if ckpt.size_bytes() != map.index.size_bytes() {
+            v.push(format!("{name}: Checkpoint Area is not index-sized"));
+        }
+        if ckpt.index_version_offset() % 8 != 0 {
+            v.push(format!("{name}: checkpoint's Index Version word unaligned"));
         }
     }
     v
@@ -499,8 +513,8 @@ const HASH_SITES: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/core/src/server.rs",
-        5,
-        "`old_copies`, `received`: get / insert / remove by block or column; nothing iterates them",
+        3,
+        "`old_copies`: get / insert / remove by block; nothing iterates it",
     ),
     (
         "crates/core/src/stripe.rs",
