@@ -163,11 +163,9 @@ impl BlockRecord {
     /// [`RECORD_HEAD_BYTES`] of a serialized record — all a reader of one
     /// parity chain needs to know which cells to fold.
     ///
-    /// Clients read these bytes straight out of the Meta Area, and the
-    /// stripe book, scrub and CN recovery read whole records there, so
-    /// after every handler the region's copy decodes to the server's
-    /// in-memory record in every field but `valid` (recovery clears and
-    /// sets it in memory without persisting).
+    /// Clients read these bytes straight out of the Meta Area, where the
+    /// record lives: the owning server changes it there, in its own record
+    /// table, and keeps no other copy.
     pub fn decode_head(bytes: &[u8]) -> (u16, [u64; MAX_POSITIONS]) {
         assert!(bytes.len() >= RECORD_HEAD_BYTES);
         let mut delta_addr = [0u64; MAX_POSITIONS];

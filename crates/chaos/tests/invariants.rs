@@ -136,18 +136,20 @@ fn one_flipped_parity_word_is_a_dirty_scrub() {
 
 #[test]
 fn one_flipped_byte_of_a_meta_copy_is_a_replica_disagreement() {
-    let (eng, _) = settled();
-    let store = eng.store();
-    // A CLI ID byte of column 1's record of block 0, in its copy on
-    // column 3 (table 2).
-    let at = store.map.blocks.record_offset_in(2, 0) + 4;
-    let region = &store.server(3).node.region;
-    let mut byte = [0u8; 1];
-    region.read(at, &mut byte).unwrap();
-    region.write(at, &[!byte[0]]).unwrap();
-    let violations = eng.check().unwrap();
-    only(&violations, "col 1's record of block 0 differs on holder 3");
-    eng.shutdown();
+    // A CLI ID byte, then the Valid byte, of column 1's record of block 0,
+    // in its copy on column 3 (table 2), its low bit flipped.
+    for field in [4, 1] {
+        let (eng, _) = settled();
+        let store = eng.store();
+        let at = store.map.blocks.record_offset_in(2, 0) + field;
+        let region = &store.server(3).node.region;
+        let mut byte = [0u8; 1];
+        region.read(at, &mut byte).unwrap();
+        region.write(at, &[byte[0] ^ 1]).unwrap();
+        let violations = eng.check().unwrap();
+        only(&violations, "col 1's record of block 0 differs on holder 3");
+        eng.shutdown();
+    }
 }
 
 #[test]

@@ -368,9 +368,8 @@ impl Migration {
         to.install_fence(0, self.store.map.region_len, fence_epoch);
         // Copy the Index, Meta and Checkpoint areas and stop the old server.
         self.rpc(ServerReq::MigrateFinish, 16)?.expect_ok()?;
-        // Hand the authoritative server state over (records, free lists,
-        // reuse backups, the checkpoint sender).
-        std::mem::swap(&mut *server.records.lock(), &mut *old.records.lock());
+        // Hand the heap state over (free lists, reuse backups, the
+        // checkpoint sender); the records came with the Meta Area.
         std::mem::swap(&mut *server.alloc.lock(), &mut *old.alloc.lock());
         std::mem::swap(&mut *server.old_copies.lock(), &mut *old.old_copies.lock());
         std::mem::swap(&mut *server.sender.lock(), &mut *old.sender.lock());

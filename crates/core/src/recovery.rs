@@ -33,7 +33,7 @@ use crate::kv;
 use crate::proto::{self, ScannedBlock, ServerReq, ServerResp, SCAN_NEW_REQ_BYTES};
 use crate::server::MnServer;
 use crate::store::AcesoStore;
-use crate::stripe::{read_records, record_addr, StripeBook};
+use crate::stripe::{decode_records, read_records, record_addr, StripeBook};
 use crate::{Result, StoreError};
 use aceso_blockalloc::{Allocator, BlockId, BlockRecord, CellKind, Role, RECORD_TABLES};
 use aceso_erasure::xor::is_zero;
@@ -414,32 +414,23 @@ impl Recovery {
     // them, the right neighbour, also holds the column's checkpoint: its
     // Index Version word rides in the same doorbell.
     fn tier_meta(&mut self) -> Result<()> {
-        let (map, bs) = (self.store.map, self.store.map.blocks.block_size);
+        let map = self.store.map;
         let t = Instant::now();
         let ncol = (self.col + 1) % self.store.cfg.num_mns;
         let node = self.store.directory().node_of(ncol);
         let iv_at = GlobalAddr::new(node, map.ckpt.index_version_offset());
-        let (records, ckpt_iv) = self.dm.batch(|dm| {
-            let records = read_meta_copy(&self.store, dm, self.col);
-            (records, dm.read_u64(iv_at).ok())
+        let (table, ckpt_iv) = self.dm.batch(|dm| {
+            let table = read_meta_copy(&self.store, dm, self.col);
+            (table, dm.read_u64(iv_at).ok())
         });
-        let records = records?;
+        let table = table?;
         // Unreachable, it holds no checkpoint: Index Version 0.
         self.ckpt_iv = ckpt_iv.unwrap_or(0);
         self.report.ckpt_bytes += 8 * u64::from(ckpt_iv.is_some());
         self.report.meta_bytes += map.blocks.table_size();
-        {
-            let region = &self.server.node.region;
-            let mut recs = self.server.records.lock();
-            for (id, (rec, read)) in recs.iter_mut().zip(records).enumerate() {
-                region.write(map.blocks.record_offset(id as BlockId), &read.encode(bs))?;
-                *rec = read;
-                // Block contents are not restored yet.
-                rec.valid &= !matches!(rec.role, Role::Data | Role::Parity);
-            }
-            let role_of = |id: BlockId| recs[id as usize].role as u8;
-            *self.server.alloc.lock() = Allocator::rebuild(map.blocks, role_of);
-        }
+        self.server.node.region.write(map.blocks.record_offset(0), &table)?;
+        let roles: Vec<Role> = decode_records(&table, map.blocks).map(|r| r.role).collect();
+        *self.server.alloc.lock() = Allocator::rebuild(map.blocks, |id| roles[id as usize] as u8);
         let r = &mut self.report;
         r.meta_net_ms = self.bufs.settle(&self.dm, &self.cq);
         r.read_meta_ms = t.elapsed().as_secs_f64() * 1e3 + r.meta_net_ms;
@@ -505,14 +496,14 @@ impl Recovery {
         let mut decoded: Vec<(usize, BlockId, BlockRecord)> = Vec::new();
         for (id, rec) in server.records.lock().iter().enumerate() {
             match (rec.role, is_new(rec.index_version)) {
-                (Role::Data, true) => decoded.push((col, id as BlockId, rec.clone())),
+                (Role::Data, true) => decoded.push((col, id as BlockId, rec)),
                 (Role::Data, false) => self.local_old.push(rec.stripe_array),
                 _ => {}
             }
         }
         r.lblock_count = decoded.len();
-        for (c, records) in tables {
-            for (id, rec) in records.into_iter().enumerate() {
+        for (c, table) in tables {
+            for (id, rec) in decode_records(&table, map.blocks).enumerate() {
                 if rec.role == Role::Data && is_new(rec.index_version) {
                     decoded.push((c, id as BlockId, rec));
                 }
@@ -883,10 +874,10 @@ impl BlockBufs {
 /// The failed column's record table, read with one READ off the first of
 /// its two copies whose holder the fabric reaches, its bytes owed to `dm`'s
 /// link as they land.
-fn read_meta_copy(store: &AcesoStore, dm: &DmClient, col: usize) -> Result<Vec<BlockRecord>> {
-    let all = 0..store.map.blocks.blocks_per_node() as BlockId;
+fn read_meta_copy(store: &AcesoStore, dm: &DmClient, col: usize) -> Result<Vec<u8>> {
+    let len = store.map.blocks.table_size() as usize;
     for copy in 1..RECORD_TABLES {
-        match read_records(store, dm, col, copy, all.clone()) {
+        match dm.read_vec(record_addr(store, col, copy, 0), len) {
             Err(RdmaError::NodeUnreachable(_)) => continue,
             read => return Ok(read?),
         }
@@ -932,7 +923,7 @@ fn decode_column(
     let dead: Vec<bool> = (0..n).map(|c| c == col || !store.col_alive(c)).collect();
     let own: Vec<usize> = {
         let recs = server.records.lock();
-        let role_of = |r: usize| recs[blocks.cell_block_id(array, r) as usize].role;
+        let role_of = |r: usize| recs.get(blocks.cell_block_id(array, r)).role;
         (0..n - 2).filter(|&r| role_of(r) != Role::Free).collect()
     };
     let other_dead = (0..n).filter(|&c| others && c != col && dead[c]);
@@ -967,7 +958,6 @@ fn decode_column(
         let id = blocks.cell_block_id(array, r);
         let content = cells.get(&(r, col)).ok_or_else(|| too_many_lost(store))?;
         server.node.region.write(blocks.block_offset(id), content)?;
-        server.records.lock()[id as usize].valid = true;
     }
     for (cell, buf) in cells {
         visit(cell, &buf);
@@ -1033,15 +1023,11 @@ fn rebuild_parity_and_deltas(
                     }
                     region.write(own_off, &dbuf)?;
                     bufs.put(dbuf);
-                    if let Some((delta_id, _)) = map.blocks.locate(own_off) {
-                        server.records.lock()[delta_id as usize].valid = true;
-                    }
                 }
             }
             let pid = map.blocks.cell_block_id(array, eq.parity_row);
             region.write(map.blocks.block_offset(pid), &parity)?;
             bufs.put(parity);
-            server.records.lock()[pid as usize].valid = true;
         }
     }
     Ok(())

@@ -161,10 +161,10 @@ pub fn parity_scrub(store: &Arc<AcesoStore>, violations: &mut Vec<String>) {
 }
 
 /// **meta-replica-agreement** — every live column's record table equals both
-/// of its Meta Area copies on live holders (§3.1), in every field but
-/// `valid`: an MN recovery of the column would read its records back from
-/// either. One violation per column, holder and block that differ. Not
-/// part of [`scrub()`], which the benchmark times.
+/// of its Meta Area copies on live holders (§3.1), field for field: an MN
+/// recovery of the column would read its records back from either. One
+/// violation per column, holder and block that differ. Not part of
+/// [`scrub()`], which the benchmark times.
 pub fn replica_agreement(store: &Arc<AcesoStore>, violations: &mut Vec<String>) {
     let n = store.cfg.num_mns;
     let dm = store.cluster.background_client();
@@ -178,8 +178,7 @@ pub fn replica_agreement(store: &Arc<AcesoStore>, violations: &mut Vec<String>) 
                 if !store.col_alive(holder) {
                     continue;
                 }
-                for (id, (want, mut got)) in own.iter().zip(read(col, copy)?).enumerate() {
-                    got.valid = want.valid;
+                for (id, (want, got)) in own.iter().zip(read(col, copy)?).enumerate() {
                     if got != *want {
                         violations.push(format!(
                             "col {col}'s record of block {id} differs on holder {holder}: \

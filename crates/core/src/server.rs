@@ -14,7 +14,10 @@ use crate::ckpt::{self, CkptReport, CkptSender};
 use crate::config::{pack_col, unpack_col, MemoryMap};
 use crate::kv;
 use crate::proto::{self, ScannedBlock, ServerReq, ServerResp};
-use aceso_blockalloc::{Allocator, Bitmap, BlockId, BlockRecord, CellKind, Role, RECORD_TABLES};
+use crate::stripe::decode_records;
+use aceso_blockalloc::{
+    Allocator, Bitmap, BlockId, BlockLayout, BlockRecord, CellKind, Role, RECORD_TABLES,
+};
 use aceso_index::RemoteIndex;
 use aceso_rdma::{
     Cluster, DmClient, GlobalAddr, MemoryNode, NodeId, RdmaError, RpcClient, RpcHandler,
@@ -153,6 +156,32 @@ pub struct MigrationCtx {
     pub parity_moved: bool,
 }
 
+/// An MN's own record table, the first of its Meta Area's
+/// [`RECORD_TABLES`] (paper Figure 5), read where it lies: the server keeps
+/// no record between calls. [`MnServer::records`] holds it, and that lock
+/// is the table's read-modify-write lock.
+pub struct RecordTable {
+    node: Arc<MemoryNode>,
+    blocks: BlockLayout,
+}
+
+impl RecordTable {
+    /// Block `id`'s record, decoded out of the region.
+    pub fn get(&self, id: BlockId) -> BlockRecord {
+        let (at, len) = (self.blocks.record_offset(id), self.blocks.record_bytes());
+        let bytes = self.node.region.read_vec(at, len as usize);
+        BlockRecord::decode(&bytes.expect("meta area read"), self.blocks.block_size)
+    }
+
+    /// Every record, in block order, out of one read of the table.
+    pub fn iter(&self) -> std::vec::IntoIter<BlockRecord> {
+        let (at, len) = (self.blocks.record_offset(0), self.blocks.table_size());
+        let table = self.node.region.read_vec(at, len as usize).expect("meta area read");
+        let records: Vec<_> = decode_records(&table, self.blocks).collect();
+        records.into_iter()
+    }
+}
+
 /// State of one MN server, shared between its endpoint, the store and the
 /// recovery orchestrator.
 pub struct MnServer {
@@ -164,9 +193,9 @@ pub struct MnServer {
     pub map: MemoryMap,
     /// This column's index partition handle.
     pub index: RemoteIndex,
-    /// Authoritative in-memory metadata records (mirrored to the Meta Area
-    /// and copied into the next two columns' Meta Areas).
-    pub records: Mutex<Vec<BlockRecord>>,
+    /// This column's record table, copied into the next two columns' Meta
+    /// Areas; a handler changes a record through `MnServer::update` alone.
+    pub records: Mutex<RecordTable>,
     /// Free lists.
     pub alloc: Mutex<Allocator>,
     /// Local backups of reused blocks, kept until they refill (§3.3.3).
@@ -195,14 +224,17 @@ impl MnServer {
         map: MemoryMap,
         reclaim_free: f64,
     ) -> Arc<Self> {
-        let blocks = map.blocks.blocks_per_node() as usize;
         let index_bytes = (map.index.num_groups * aceso_index::layout::GROUP_BYTES) as usize;
+        let records = RecordTable {
+            node: Arc::clone(&node),
+            blocks: map.blocks,
+        };
         let s = MnServer {
             column,
             index: RemoteIndex::new(node.id, map.index),
             node,
             map,
-            records: Mutex::new(vec![BlockRecord::free(); blocks]),
+            records: Mutex::new(records),
             alloc: Mutex::new(Allocator::new(map.blocks)),
             old_copies: Mutex::new(HashMap::new()),
             sender: Mutex::new(CkptSender::new(index_bytes)),
@@ -263,27 +295,36 @@ impl MnServer {
             .expect("migration copy");
     }
 
-    /// Persists a record to the local Meta Area and WRITEs it into the
-    /// copies the next *two* columns hold (the Meta Area's fault
+    /// Changes block `id`'s record, the one way a handler does: decodes it
+    /// out of the own table, applies `f`, and unless `f` answers `None` —
+    /// nothing to change — encodes it back into the table and WRITEs it
+    /// into the copies the next *two* columns hold (the Meta Area's fault
     /// tolerance, §3.1 — two copies are required to match the coding
-    /// group's two-failure tolerance).
-    fn persist_record(&self, dm: &DmClient, dir: &Directory, id: BlockId) {
-        let bytes = self.records.lock()[id as usize].encode(self.map.blocks.block_size);
-        self.persist_encoded(dm, dir, id, &bytes);
-    }
-
-    /// [`MnServer::persist_record`] for a record the caller has already
-    /// serialized. A dead holder's copy is refilled when it is replaced.
-    fn persist_encoded(&self, dm: &DmClient, dir: &Directory, id: BlockId, bytes: &[u8]) {
-        let blocks = self.map.blocks;
+    /// group's two-failure tolerance). A dead holder's copy is refilled
+    /// when it is replaced. `None` for an `id` past the table too.
+    fn update<R>(
+        &self,
+        dm: &DmClient,
+        dir: &Directory,
+        id: BlockId,
+        f: impl FnOnce(&mut BlockRecord) -> Option<R>,
+    ) -> Option<R> {
+        let (blocks, table) = (self.map.blocks, self.records.lock());
+        if u64::from(id) >= blocks.blocks_per_node() {
+            return None;
+        }
+        let mut rec = table.get(id);
+        let out = f(&mut rec)?;
+        let bytes = rec.encode(blocks.block_size);
         self.node
             .region
-            .write(blocks.record_offset(id), bytes)
+            .write(blocks.record_offset(id), &bytes)
             .expect("meta area write");
         for table in 1..RECORD_TABLES {
             let holder = dir.node_of((self.column + table) % blocks.n);
-            let _ = dm.write(GlobalAddr::new(holder, blocks.record_offset_in(table, id)), bytes);
+            let _ = dm.write(GlobalAddr::new(holder, blocks.record_offset_in(table, id)), &bytes);
         }
+        Some(out)
     }
 
     /// Handles one request. `dm` is this server's background fabric client.
@@ -307,13 +348,11 @@ impl MnServer {
             } => self.handle_alloc_delta(cli_id, slot_len64, array, row, parity_row, dm, dir),
             ServerReq::DataFilled { block } => {
                 let iv = self.index.local_index_version(&self.node.region);
-                {
-                    let mut recs = self.records.lock();
-                    let rec = &mut recs[block as usize];
-                    rec.index_version = iv;
-                }
                 self.old_copies.lock().remove(&block);
-                self.persist_record(dm, dir, block);
+                self.update(dm, dir, block, |rec| {
+                    rec.index_version = iv;
+                    Some(())
+                });
                 ServerResp::Ok
             }
             ServerReq::EncodeDelta {
@@ -384,9 +423,7 @@ impl MnServer {
                 if copy == 1 {
                     self.sender.lock().reset_to_full();
                 }
-                // Every handler that changes a record persists it under this
-                // lock, so the own table is the records, `valid` aside: one
-                // WRITE re-persists them all.
+                // The own table is the records: one WRITE refills the copy.
                 let region = &self.node.region;
                 let own = region.read_vec(blocks.record_offset(0), blocks.table_size() as usize);
                 let at = GlobalAddr::new(dir.node_of(replaced), blocks.record_offset_in(copy, 0));
@@ -433,8 +470,7 @@ impl MnServer {
                     None => break None,
                     Some(d) if !d.reused => break Some(d),
                     Some(d) => {
-                        let recs = self.records.lock();
-                        if recs[d.id as usize].slot_len64 == slot_len64 {
+                        if self.records.lock().get(d.id).slot_len64 == slot_len64 {
                             break Some(d);
                         }
                         alloc.push_reuse_candidate(d.id);
@@ -452,7 +488,7 @@ impl MnServer {
         let CellKind::Data { array, row } = self.map.blocks.kind_of(d.id) else {
             unreachable!("allocator returned a non-data block");
         };
-        let old_bitmap = if d.reused {
+        if d.reused {
             // Back up the whole old block locally in case the client fails
             // mid-overwrite (§3.3.3 / §3.4.2).
             let bytes = self
@@ -464,33 +500,24 @@ impl MnServer {
                 )
                 .expect("block read");
             self.old_copies.lock().insert(d.id, bytes);
-            let mut recs = self.records.lock();
-            let rec = &mut recs[d.id as usize];
-            let old = rec.bitmap.as_bytes().to_vec();
+        }
+        let old_bitmap = self.update(dm, dir, d.id, |rec| {
+            if !d.reused {
+                (rec.role, rec.valid, rec.xor_id) = (Role::Data, true, row as u8);
+                (rec.slot_len64, rec.stripe_array) = (slot_len64, array);
+                rec.bitmap = Bitmap::new(rec.bitmap_bits(self.map.blocks.block_size));
+            }
+            let old = d.reused.then(|| rec.bitmap.as_bytes().to_vec());
             rec.bitmap.clear();
-            rec.index_version = 0;
-            rec.cli_id = cli_id;
+            (rec.cli_id, rec.index_version) = (cli_id, 0);
             Some(old)
-        } else {
-            let mut recs = self.records.lock();
-            let rec = &mut recs[d.id as usize];
-            rec.role = Role::Data;
-            rec.valid = true;
-            rec.xor_id = row as u8;
-            rec.slot_len64 = slot_len64;
-            rec.cli_id = cli_id;
-            rec.index_version = 0;
-            rec.stripe_array = array;
-            rec.bitmap = Bitmap::new(rec.bitmap_bits(self.map.blocks.block_size));
-            None
-        };
-        self.persist_record(dm, dir, d.id);
+        });
         ServerResp::DataAllocated {
             block: d.id,
             array,
             row,
             reused: d.reused,
-            old_bitmap,
+            old_bitmap: old_bitmap.flatten(),
         }
     }
 
@@ -512,26 +539,19 @@ impl MnServer {
             return ServerResp::Err("out of delta blocks".into());
         };
         let pid = self.map.blocks.cell_block_id(array, parity_row);
-        {
-            let mut recs = self.records.lock();
-            let rec = &mut recs[id as usize];
-            rec.role = Role::Delta;
-            rec.valid = true;
-            rec.xor_id = row as u8;
-            rec.slot_len64 = slot_len64;
-            rec.cli_id = cli_id;
-            rec.stripe_array = array;
-            let prec = &mut recs[pid as usize];
+        self.update(dm, dir, id, |rec| {
+            (rec.role, rec.valid, rec.xor_id) = (Role::Delta, true, row as u8);
+            (rec.slot_len64, rec.cli_id, rec.stripe_array) = (slot_len64, cli_id, array);
+            Some(())
+        });
+        self.update(dm, dir, pid, |prec| {
             if prec.role == Role::Free {
-                prec.role = Role::Parity;
-                prec.valid = true;
-                prec.xor_id = parity_row as u8;
+                (prec.role, prec.valid, prec.xor_id) = (Role::Parity, true, parity_row as u8);
                 prec.stripe_array = array;
             }
             prec.delta_addr[row] = pack_col(self.column, self.map.blocks.block_offset(id));
-        }
-        self.persist_record(dm, dir, id);
-        self.persist_record(dm, dir, pid);
+            Some(())
+        });
         ServerResp::DeltaAllocated { block: id }
     }
 
@@ -544,10 +564,7 @@ impl MnServer {
         dir: &Directory,
     ) -> ServerResp {
         let pid = self.map.blocks.cell_block_id(array, parity_row);
-        let daddr = {
-            let recs = self.records.lock();
-            recs[pid as usize].delta_addr[row]
-        };
+        let daddr = self.records.lock().get(pid).delta_addr[row];
         if daddr == 0 {
             return ServerResp::Ok; // Already encoded (idempotent under retries).
         }
@@ -581,20 +598,19 @@ impl MnServer {
             }
         }
 
-        let delta_id = self.map.blocks.locate(doff).expect("delta offset").0;
-        {
-            let mut recs = self.records.lock();
-            let prec = &mut recs[pid as usize];
-            prec.xor_map |= 1 << row;
-            prec.delta_addr[row] = 0;
-            let drec = &mut recs[delta_id as usize];
-            *drec = BlockRecord::free();
-        }
         // Physically free the delta: zeroed here, it is granted as it is.
+        let delta_id = self.map.blocks.locate(doff).expect("delta offset").0;
         self.mig_zero(doff, bs);
         self.alloc.lock().free_delta(delta_id);
-        self.persist_record(dm, dir, pid);
-        self.persist_record(dm, dir, delta_id);
+        self.update(dm, dir, pid, |prec| {
+            prec.xor_map |= 1 << row;
+            prec.delta_addr[row] = 0;
+            Some(())
+        });
+        self.update(dm, dir, delta_id, |drec| {
+            *drec = BlockRecord::free();
+            Some(())
+        });
         ServerResp::Ok
     }
 
@@ -664,15 +680,15 @@ impl MnServer {
         dm: &DmClient,
         dir: &Directory,
     ) -> ServerResp {
-        let mut touched = Vec::new();
-        {
-            let mut recs = self.records.lock();
-            for (block, units) in updates {
-                let Some(rec) = recs.get_mut(block as usize) else {
-                    continue;
-                };
+        // Reclamation trigger (§3.3.3): obsolete ratio over threshold AND
+        // free space below threshold. The obsolete-KV ratio is fixed; the
+        // free ratio is `AcesoConfig::reclaim_free_ratio`.
+        const RECLAIM_OBSOLETE_RATIO: f64 = 0.75;
+        let free_ratio = self.alloc.lock().free_data_ratio();
+        for (block, units) in updates {
+            let reclaimable = self.update(dm, dir, block, |rec| {
                 if rec.role != Role::Data || rec.slot_len64 == 0 {
-                    continue;
+                    return None;
                 }
                 // A unit is a bit by this record's slot size, never by the
                 // client's idea of the KV's length.
@@ -682,33 +698,19 @@ impl MnServer {
                         rec.bitmap.set(slot, true);
                     }
                 }
-                touched.push(block);
-            }
-        }
-        // Reclamation trigger (§3.3.3): obsolete ratio over threshold AND
-        // free space below threshold. The obsolete-KV ratio is fixed; the
-        // free ratio is `AcesoConfig::reclaim_free_ratio`.
-        const RECLAIM_OBSOLETE_RATIO: f64 = 0.75;
-        let free_ratio = self.alloc.lock().free_data_ratio();
-        for block in &touched {
-            let (ratio_ok, filled, bytes) = {
-                let recs = self.records.lock();
-                let rec = &recs[*block as usize];
                 let slots = rec.slots(self.map.blocks.block_size).max(1);
-                (
-                    rec.bitmap.count_ones() as f64 / slots as f64 >= RECLAIM_OBSOLETE_RATIO,
-                    rec.index_version != 0,
-                    rec.encode(self.map.blocks.block_size),
-                )
-            };
+                let ratio = rec.bitmap.count_ones() as f64 / slots as f64;
+                Some(ratio >= RECLAIM_OBSOLETE_RATIO && rec.index_version != 0)
+            });
             // Reuse is suppressed while the column migrates: reclamation
             // rewrites block contents behind the copier's back and the
             // target would resurrect the pre-reuse bytes.
-            if ratio_ok && filled && free_ratio < self.reclaim_free && self.migration.lock().is_none()
+            if reclaimable == Some(true)
+                && free_ratio < self.reclaim_free
+                && self.migration.lock().is_none()
             {
-                self.alloc.lock().push_reuse_candidate(*block);
+                self.alloc.lock().push_reuse_candidate(block);
             }
-            self.persist_encoded(dm, dir, *block, &bytes);
         }
         ServerResp::Ok
     }
@@ -754,15 +756,9 @@ impl MnServer {
             for prow in [n - 2, n - 1] {
                 let pid = self.map.blocks.cell_block_id(array, prow);
                 let poff = self.map.blocks.block_offset(pid);
-                let (allocated, quiescent) = {
-                    let recs = self.records.lock();
-                    let rec = &recs[pid as usize];
-                    (
-                        rec.role == Role::Parity,
-                        (0..n - 2).all(|r| rec.delta_addr[r] == 0),
-                    )
-                };
-                if allocated && quiescent {
+                let rec = self.records.lock().get(pid);
+                let quiescent = rec.delta_addr[..n - 2].iter().all(|&d| d == 0);
+                if rec.role == Role::Parity && quiescent {
                     let fetch = |r: usize, c: usize| -> Option<Vec<u8>> {
                         let off = self.map.blocks.block_offset(self.map.blocks.cell_block_id(array, r));
                         if c == self.column {
@@ -786,8 +782,8 @@ impl MnServer {
     }
 
     /// Copies the Index, Meta and Checkpoint areas onto the migration
-    /// target and stops serving. The migrator then clones the in-memory server state onto a
-    /// fresh [`MnServer`] for the target and republishes the column; stale
+    /// target and stops serving. The migrator then hands the heap state over
+    /// to a fresh [`MnServer`] for the target and republishes the column; stale
     /// clients fail their next verb against the whole-region fence and
     /// re-resolve.
     fn handle_migrate_finish(&self) -> ServerResp {

@@ -22,13 +22,13 @@
 //! per column for scrub's and CN recovery's column-wide lists, and for MN
 //! recovery one per dead column off one of the two copies its right
 //! neighbours hold — as a degraded SEARCH reads a parity record's head
-//! (`client/search.rs`). The region's copy differs from the server's
-//! in-memory record only in `valid`, which no reader here asks about.
+//! (`client/search.rs`). The owning server keeps no other copy: its
+//! handlers change records in that table ([`MnServer::records`]).
 
 use crate::config::unpack_col;
 use crate::server::MnServer;
 use crate::store::AcesoStore;
-use aceso_blockalloc::{BlockId, BlockRecord, Role};
+use aceso_blockalloc::{BlockId, BlockLayout, BlockRecord, Role};
 use aceso_erasure::XCode;
 use aceso_rdma::{DmClient, GlobalAddr, RdmaError};
 use std::collections::HashMap;
@@ -57,9 +57,16 @@ pub fn read_records(
     let at = record_addr(store, col, copy, ids.start);
     let (blocks, len) = (store.map.blocks, store.map.blocks.record_bytes() as usize);
     let bytes = dm.read_vec(at, ids.len() * len)?;
-    let records = bytes.chunks_exact(len);
-    let decode = |record| BlockRecord::decode(record, blocks.block_size);
-    Ok(records.map(decode).collect())
+    Ok(decode_records(&bytes, blocks).collect())
+}
+
+/// The records of a table's bytes, in block order.
+pub(crate) fn decode_records(
+    bytes: &[u8],
+    blocks: BlockLayout,
+) -> impl Iterator<Item = BlockRecord> + '_ {
+    let records = bytes.chunks_exact(blocks.record_bytes() as usize);
+    records.map(move |record| BlockRecord::decode(record, blocks.block_size))
 }
 
 /// The PARITY records of a set of stripe arrays, across all columns.
@@ -94,7 +101,7 @@ impl StripeBook {
             for (array, prow, c) in cells {
                 let pid = blocks.cell_block_id(array, prow);
                 let rec = match local {
-                    Some(s) if s.column == c => s.records.lock()[pid as usize].clone(),
+                    Some(s) if s.column == c => s.records.lock().get(pid),
                     _ => match read_records(store, dm, c, 0, pid..pid + 1) {
                         Err(RdmaError::NodeUnreachable(_)) => continue,
                         read => read?.remove(0),

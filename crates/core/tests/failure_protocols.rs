@@ -548,7 +548,7 @@ fn half_closed(churn: bool) -> HalfClosed {
     let xcode = aceso_erasure::XCode::new(store.cfg.num_mns).unwrap();
     let record_of = |col: usize, row: usize, array: u64| {
         let id = store.map.blocks.cell_block_id(array, row);
-        store.server(col).records.lock()[id as usize].clone()
+        store.server(col).records.lock().get(id)
     };
     let mut found = None;
     for col in 0..store.cfg.num_mns {
@@ -668,9 +668,12 @@ fn checkpoint_concurrent_with_writes_is_consistent() {
     store.shutdown();
 }
 
-/// The auto-checkpoint background loop runs and advances Index Versions.
+/// The auto-checkpoint background loop runs and advances Index Versions:
+/// two of its 20 ms rounds, waited for under a deadline of seconds, since
+/// a round also refills the standby region and a loaded host stretches it.
 #[test]
 fn auto_checkpoint_loop() {
+    use std::time::{Duration, Instant};
     let cfg = AcesoConfig {
         auto_checkpoint: true,
         ckpt_interval_ms: 20,
@@ -679,9 +682,13 @@ fn auto_checkpoint_loop() {
     let store = AcesoStore::launch(cfg).unwrap();
     let mut c = store.client().unwrap();
     c.insert(b"auto", b"v").unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(200));
     let server = store.server(0);
-    let iv = server.index.local_index_version(&server.node.region);
+    let iv = || server.index.local_index_version(&server.node.region);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while iv() <= 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let iv = iv();
     assert!(
         iv > 2,
         "background rounds should have advanced the IV: {iv}"
@@ -895,9 +902,8 @@ fn obsolete_bits(
     col: usize,
     block: aceso_blockalloc::BlockId,
 ) -> Vec<usize> {
-    let server = store.server(col);
-    let recs = server.records.lock();
-    recs[block as usize].bitmap.ones().collect()
+    let rec = store.server(col).records.lock().get(block);
+    rec.bitmap.ones().collect()
 }
 
 /// An INSERT of a class-16 pair died after its commit CAS (`len64` still
@@ -1021,7 +1027,7 @@ fn update_marks_the_slot_of_a_kv_whose_growing_update_never_wrote_len64() {
     }
     // The padder's next block is this one: 55 free slots, none of them a
     // live key's. (Strided, so no pad block turns reclaimable first.)
-    let owner = || store.server(col).records.lock()[block as usize].cli_id;
+    let owner = || store.server(col).records.lock().get(block).cli_id;
     let mut updates = (0..).map(|i| pad(i * 61 % pads));
     while owner() != padder.id() {
         padder.update(&updates.next().unwrap(), &big(7)).unwrap();
@@ -1186,9 +1192,9 @@ fn data_blocks(store: &Arc<AcesoStore>, col: usize) -> Vec<(u32, Vec<u8>)> {
     let (blocks, server) = (store.map.blocks, store.server(col));
     let (region, bs) = (&server.node.region, blocks.block_size as usize);
     let recs = server.records.lock();
-    let data = (0..recs.len() as u32).filter(|&id| recs[id as usize].role == Role::Data);
+    let data = recs.iter().enumerate().filter(|(_, r)| r.role == Role::Data);
     let read = |id| region.read_vec(blocks.block_offset(id), bs).unwrap();
-    data.map(|id| (id, read(id))).collect()
+    data.map(|(id, _)| (id as u32, read(id as u32))).collect()
 }
 
 /// The stripe book names one erasure: a column whose Meta Area the fabric

@@ -285,10 +285,9 @@ fn degraded_target_in_an_open_block() {
 /// XOR Map and Delta Addr of a parity cell's record, as its server holds
 /// them.
 fn parity_head(store: &Arc<AcesoStore>, array: u64, parity: (usize, usize)) -> (u16, [u64; 16]) {
-    let pid = store.map.blocks.cell_block_id(array, parity.0) as usize;
-    let server = store.server(parity.1);
-    let recs = server.records.lock();
-    (recs[pid].xor_map, recs[pid].delta_addr)
+    let pid = store.map.blocks.cell_block_id(array, parity.0);
+    let rec = store.server(parity.1).records.lock().get(pid);
+    (rec.xor_map, rec.delta_addr)
 }
 
 /// Keys rewritten by [`churned`].

@@ -368,8 +368,8 @@ impl Planned {
 
 /// The record of PARITY cell `(prow, pcol)` of `array`, if it is allocated.
 fn parity_record(store: &AcesoStore, array: u64, prow: usize, pcol: usize) -> Option<BlockRecord> {
-    let pid = store.map.blocks.cell_block_id(array, prow) as usize;
-    let prec = store.server(pcol).records.lock()[pid].clone();
+    let pid = store.map.blocks.cell_block_id(array, prow);
+    let prec = store.server(pcol).records.lock().get(pid);
     (prec.role == Role::Parity).then_some(prec)
 }
 
@@ -378,7 +378,7 @@ fn data_rows(store: &AcesoStore, col: usize, array: u64) -> Vec<usize> {
     let server = store.server(col);
     let recs = server.records.lock();
     let rows = 0..store.cfg.num_mns - 2;
-    rows.filter(|&r| recs[store.map.blocks.cell_block_id(array, r) as usize].role == Role::Data)
+    rows.filter(|&r| recs.get(store.map.blocks.cell_block_id(array, r)).role == Role::Data)
         .collect()
 }
 
@@ -627,8 +627,8 @@ fn lost_cell_in_a_reused_open_block() {
         (0..2u64).any(|array| {
             data_rows(store, col, array).into_iter().any(|row| {
                 let ((prow, pcol), _) = xcode.parity_cells_for(row, col);
-                let pid = store.map.blocks.cell_block_id(array, prow) as usize;
-                let prec = store.server(pcol).records.lock()[pid].clone();
+                let pid = store.map.blocks.cell_block_id(array, prow);
+                let prec = store.server(pcol).records.lock().get(pid);
                 prec.xor_map & (1 << row) != 0 && prec.delta_addr[row] != 0
             })
         })
@@ -857,19 +857,17 @@ fn folds_restore_what_the_plan_xors() {
         let (blocks, n, xcode) = (store.map.blocks, 5, XCode::new(5).unwrap());
         let bs = blocks.block_size as usize;
         let off = |array: u64, r: usize| blocks.block_offset(blocks.cell_block_id(array, r));
-        let id = |r: usize| blocks.cell_block_id(0, r) as usize;
         // Array 0's data cells, four in five written, each with its pending
         // delta: none (closed), the cell itself (open) or random (reused).
-        let (mut content, mut delta) = (BTreeMap::new(), BTreeMap::new());
+        let (mut content, mut delta, mut recs) = (BTreeMap::new(), BTreeMap::new(), BTreeMap::new());
         for (r, c) in (0..n - 2).flat_map(|r| (0..n).map(move |c| (r, c))) {
             let mut bytes = vec![0; bs];
             if rng.gen_bool(0.8) {
                 rng.fill_bytes(&mut bytes);
-                let server = store.server(c);
-                let mut recs = server.records.lock();
-                let rec = &mut recs[id(r)];
-                (rec.role, rec.valid, rec.index_version) = (Role::Data, true, 1);
-                server.node.region.write(off(0, r), &bytes).unwrap();
+                let mut rec = BlockRecord::free();
+                (rec.role, rec.index_version) = (Role::Data, 1);
+                recs.insert((r, c), rec);
+                store.server(c).node.region.write(off(0, r), &bytes).unwrap();
                 if rng.gen_bool(2.0 / 3.0) {
                     let mut pending = bytes.clone();
                     if rng.gen_bool(0.5) {
@@ -887,11 +885,10 @@ fn folds_restore_what_the_plan_xors() {
             for pcol in 0..n {
                 let server = store.server(pcol);
                 let mut parity = vec![0; bs];
-                let mut recs = server.records.lock();
-                let rec = &mut recs[id(prow)];
-                (rec.role, rec.valid) = (Role::Parity, true);
+                let mut rec = BlockRecord::free();
+                rec.role = Role::Parity;
                 for &(r, c) in &xcode.chain(prow, pcol).data {
-                    let written = store.server(c).records.lock()[id(r)].role == Role::Data;
+                    let written = recs.contains_key(&(r, c));
                     let pending = delta.get(&(r, c)).filter(|_| rng.gen_bool(0.7));
                     if written && pending.is_none_or(|d| *d != content[&(r, c)]) {
                         rec.xor_map |= 1 << r;
@@ -905,17 +902,17 @@ fn folds_restore_what_the_plan_xors() {
                     }
                 }
                 server.node.region.write(off(0, prow), &parity).unwrap();
+                recs.insert((prow, pcol), rec);
             }
         }
-        // Each record in its column's Meta Area, where the stripe book reads
-        // it, and in the two copies the Meta tier restores it from.
-        for c in 0..n {
-            for r in 0..n {
-                let bytes = store.server(c).records.lock()[id(r)].encode(blocks.block_size);
-                for copy in 0..RECORD_TABLES {
-                    let at = blocks.record_offset_in(copy, id(r) as u32);
-                    store.server((c + copy) % n).node.region.write(at, &bytes).unwrap();
-                }
+        // Each record in its column's Meta Area, where the servers and the
+        // stripe book read it, and in the two copies the Meta tier restores
+        // it from.
+        for ((r, c), rec) in recs {
+            let bytes = rec.encode(blocks.block_size);
+            for copy in 0..RECORD_TABLES {
+                let at = blocks.record_offset_in(copy, blocks.cell_block_id(0, r));
+                store.server((c + copy) % n).node.region.write(at, &bytes).unwrap();
             }
         }
 

@@ -3,7 +3,7 @@
 //! handlers leave in MN memory for one-sided readers — the Meta Area
 //! records and their two copies, and the Checkpoint Area.
 
-use aceso_blockalloc::{BlockId, BlockRecord, Role, RECORD_HEAD_BYTES, RECORD_TABLES};
+use aceso_blockalloc::{BlockId, BlockRecord, Role, RECORD_TABLES};
 use aceso_core::config::unpack_col;
 use aceso_core::elastic::ElasticStep;
 use aceso_core::proto::{ServerReq, ServerResp};
@@ -444,7 +444,7 @@ fn scan_new_answers_what_decode_says() {
             .iter()
             .enumerate()
             .filter(|(_, r)| r.role == Role::Data);
-        data.map(|(id, r)| (id as BlockId, r.clone())).collect()
+        data.map(|(id, r)| (id as BlockId, r)).collect()
     };
     let content = |id: BlockId| server.node.region.read_vec(blocks.block_offset(id), bs);
 
@@ -494,33 +494,77 @@ fn scan_new_answers_what_decode_says() {
     store.shutdown();
 }
 
-/// Every column's Meta Area must carry the `(xor_map, delta_addr)` its
-/// server holds in memory: a degraded SEARCH reads a parity record's head
-/// out of the region with a one-sided READ and never asks the server.
-fn assert_record_heads_agree(store: &Arc<AcesoStore>, when: &str) {
+/// `ScanNew` reads the records where they live: a DATA record rewritten in
+/// its column's own table — its Index Version, with a region write — moves
+/// the block out of the answer with no handler involved.
+#[test]
+fn scan_new_follows_the_record_table() {
+    let store = store();
+    let mut c = store.client().unwrap();
+    for i in 0..200u32 {
+        c.insert(format!("table-{i}").as_bytes(), &[1; 300]).unwrap();
+    }
     let blocks = store.map.blocks;
-    for col in 0..store.cfg.num_mns {
-        let server = store.server(col);
-        let mut head = [0u8; RECORD_HEAD_BYTES];
-        for (id, rec) in server.records.lock().iter().enumerate() {
-            let off = blocks.record_offset(id as BlockId);
-            server.node.region.read(off, &mut head).unwrap();
-            assert_eq!(
-                BlockRecord::decode_head(&head),
-                (rec.xor_map, rec.delta_addr),
-                "{when}: column {col} block {id} ({:?})",
-                rec.role
-            );
+    let scanned = |col: usize| {
+        let req = ServerReq::ScanNew {
+            of_column: col,
+            since_iv: u64::MAX,
+        };
+        let ServerResp::Scanned { blocks, .. } = rpc(&store, col, req) else {
+            panic!("ScanNew answered something else");
+        };
+        blocks.into_iter().map(|(id, _)| id).collect::<Vec<_>>()
+    };
+    // An open DATA block: Index Version 0, new to every checkpoint.
+    let ids = 0..blocks.blocks_per_node() as BlockId;
+    let cells = (0..store.cfg.num_mns).flat_map(|col| ids.clone().map(move |id| (col, id)));
+    let (col, id, mut rec) = cells
+        .map(|(col, id)| (col, id, record(&store, col, id)))
+        .find(|(_, _, r)| r.role == Role::Data && r.index_version == 0)
+        .expect("an open DATA block");
+    assert!(scanned(col).contains(&id));
+    rec.index_version = 1;
+    let region = &store.server(col).node.region;
+    let bytes = rec.encode(blocks.block_size);
+    region.write(blocks.record_offset(id), &bytes).unwrap();
+    assert!(!scanned(col).contains(&id), "ScanNew answers what the table says");
+    store.shutdown();
+}
+
+/// Every live column's record table is its records: each record in it
+/// decodes and re-encodes to its own bytes, so a one-sided reader — the
+/// stripe book, scrub, CN recovery, a degraded SEARCH's head read — loses
+/// nothing, and both copies on live holders hold the table byte for byte,
+/// which MN recovery reads back.
+fn assert_tables_hold_their_records(store: &Arc<AcesoStore>, when: &str) {
+    let (n, blocks) = (store.cfg.num_mns, store.map.blocks);
+    let table = |holder: usize, copy: usize| {
+        let at = blocks.record_offset_in(copy, 0);
+        let region = &store.server(holder).node.region;
+        region.read_vec(at, blocks.table_size() as usize).unwrap()
+    };
+    for col in (0..n).filter(|&c| store.col_alive(c)) {
+        let own = table(col, 0);
+        for (id, bytes) in own.chunks_exact(blocks.record_bytes() as usize).enumerate() {
+            let rec = BlockRecord::decode(bytes, blocks.block_size);
+            assert_eq!(rec.encode(blocks.block_size), bytes, "{when}: column {col} block {id}");
+        }
+        for copy in 1..RECORD_TABLES {
+            let holder = (col + copy) % n;
+            if store.col_alive(holder) {
+                assert!(table(holder, copy) == own, "{when}: column {col}'s copy on {holder}");
+            }
         }
     }
 }
 
-/// The invariant behind the one-sided head read, after every handler and
-/// state hand-over that touches a parity record: `AllocDelta`,
+/// The invariant behind the one-sided head read of a degraded SEARCH, after
+/// every handler and hand-over that touches a parity record: `AllocDelta`,
 /// `EncodeDelta`, a reused `AllocData` (a DELTA registered against an
-/// already-encoded row), recovery's Meta tier, and `MigrateFinish`.
+/// already-encoded row), recovery's Meta tier and `ResetReplication` with
+/// the replacement held in its degraded window, and `MigrateFinish`.
 #[test]
-fn region_record_heads_track_the_servers_records() {
+fn record_tables_hold_through_a_degraded_window_and_a_join() {
     let cfg = AcesoConfig {
         num_arrays: 2,
         reclaim_free_ratio: 1.1, // Always allowed to reclaim.
@@ -538,18 +582,15 @@ fn region_record_heads_track_the_servers_records() {
     for i in 0..500 {
         c.insert(&key(i), &[0; 180]).unwrap();
     }
-    assert_record_heads_agree(&store, "open blocks (AllocDelta)");
+    assert_tables_hold_their_records(&store, "open blocks (AllocDelta)");
     let mut reused = false;
     for v in 1..=20 {
         round(&mut c, v);
         reused |= (0..store.cfg.num_mns).any(|col| {
-            let server = store.server(col);
-            let recs = server.records.lock();
-            let open =
-                |r: &BlockRecord| (0..3).any(|k| r.xor_map & (1 << k) != 0 && r.delta_addr[k] != 0);
-            recs.iter().any(open)
+            let open = |r: BlockRecord| (0..3).any(|k| r.xor_map & (1 << k) != 0 && r.delta_addr[k] != 0);
+            store.server(col).records.lock().iter().any(open)
         });
-        assert_record_heads_agree(&store, "updates (EncodeDelta, reused AllocData)");
+        assert_tables_hold_their_records(&store, "updates (EncodeDelta, reused AllocData)");
     }
     assert!(reused, "the rounds must have caught a reused block open");
 
@@ -558,49 +599,26 @@ fn region_record_heads_track_the_servers_records() {
     assert!(store.kill_mn(1));
     let mut recovery = store.begin_recovery(1).unwrap();
     recovery.run_to(RecoveryTier::Block).unwrap();
-    assert_record_heads_agree(&store, "index-only replacement (Meta tier)");
+    assert_tables_hold_their_records(&store, "index-only replacement (Meta tier)");
     round(&mut c, 21);
     recovery.run().unwrap();
-    assert_record_heads_agree(&store, "recovered");
+    assert_tables_hold_their_records(&store, "recovered");
 
     let mut join = store.begin_join(3).unwrap();
     while join.step().unwrap() != ElasticStep::Done {
         round(&mut c, 22);
-        assert_record_heads_agree(&store, "mid-migration / MigrateFinish");
+        assert_tables_hold_their_records(&store, "mid-migration / MigrateFinish");
     }
     assert_eq!(c.search(&key(7)).unwrap().unwrap(), vec![22u8; 180]);
     assert!(aceso_core::scrub(&store).unwrap().is_clean());
     store.shutdown();
 }
 
-/// Every live column's Meta Area must decode to the record its server
-/// holds in memory, `valid` aside: the stripe book, scrub and CN recovery
-/// read whole records out of the region one-sided and never ask the server.
-/// So must both copies of it on live holders, which MN recovery reads.
-fn assert_meta_area_matches_records(store: &Arc<AcesoStore>, when: &str) {
-    let (n, blocks) = (store.cfg.num_mns, store.map.blocks);
-    let mut bytes = vec![0u8; blocks.record_bytes() as usize];
-    for col in (0..n).filter(|&c| store.col_alive(c)) {
-        let server = store.server(col);
-        let holders = (0..RECORD_TABLES).map(|copy| (copy, (col + copy) % n));
-        for (copy, holder) in holders.filter(|&(_, h)| store.col_alive(h)) {
-            let region = &store.server(holder).node.region;
-            for (id, rec) in server.records.lock().iter().enumerate() {
-                let off = blocks.record_offset_in(copy, id as BlockId);
-                region.read(off, &mut bytes).unwrap();
-                let mut got = BlockRecord::decode(&bytes, blocks.block_size);
-                got.valid = rec.valid;
-                assert_eq!(&got, rec, "{when}: column {col} block {id} on {holder}");
-            }
-        }
-    }
-}
-
 /// The whole-record contract behind the one-sided record reads, across
 /// reclaiming updates, block closes, an MN recovery, an elastic join and
 /// a CN recovery.
 #[test]
-fn meta_area_holds_every_record_but_valid() {
+fn meta_area_holds_every_record_and_its_copies() {
     use aceso_core::client::CrashPoint;
     let cfg = AcesoConfig {
         num_arrays: 4,
@@ -619,32 +637,32 @@ fn meta_area_holds_every_record_but_valid() {
     for i in 0..400 {
         c.insert(&key(i), &[0; 180]).unwrap();
     }
-    assert_meta_area_matches_records(&store, "open blocks");
+    assert_tables_hold_their_records(&store, "open blocks");
     for v in 1..=8 {
         round(&mut c, v);
-        assert_meta_area_matches_records(&store, "reclaiming updates");
+        assert_tables_hold_their_records(&store, "reclaiming updates");
     }
     c.close_open_blocks().unwrap();
-    assert_meta_area_matches_records(&store, "closed blocks");
+    assert_tables_hold_their_records(&store, "closed blocks");
     store.checkpoint_tick().unwrap();
     assert!(store.kill_mn(1));
     aceso_core::recover_mn(&store, 1).unwrap();
-    assert_meta_area_matches_records(&store, "recovered");
+    assert_tables_hold_their_records(&store, "recovered");
     round(&mut c, 9);
-    assert_meta_area_matches_records(&store, "updates after recovery");
+    assert_tables_hold_their_records(&store, "updates after recovery");
 
     let mut join = store.begin_join(3).unwrap();
     while join.step().unwrap() != ElasticStep::Done {
         round(&mut c, 10);
     }
-    assert_meta_area_matches_records(&store, "joined");
+    assert_tables_hold_their_records(&store, "joined");
 
     let id = c.id();
     c.crash_point = Some(CrashPoint::BeforeCommit);
     assert!(c.update(&key(7), &[11; 180]).is_err());
     drop(c);
     aceso_core::recover_cn(&store, id).unwrap();
-    assert_meta_area_matches_records(&store, "CN recovered");
+    assert_tables_hold_their_records(&store, "CN recovered");
     let mut revived = store.client_with_id(id);
     assert_eq!(revived.search(&key(7)).unwrap().unwrap(), vec![10u8; 180]);
     store.shutdown();
@@ -781,8 +799,8 @@ fn recovery_without_the_right_neighbour_scans_everything() {
         store.checkpoint_tick().unwrap();
     }
     let data_blocks = |store: &Arc<AcesoStore>| {
-        let recs = store.server(1).records.lock().clone();
-        recs.iter().filter(|r| r.role == Role::Data).count()
+        let recs = store.server(1).records.lock().iter();
+        recs.filter(|r| r.role == Role::Data).count()
     };
     let blocks = data_blocks(&pair[0]);
     assert!(blocks > 0 && blocks == data_blocks(&pair[1]));
@@ -850,7 +868,7 @@ fn granted_delta_blocks_read_all_zero() {
     let zeroed = |when: &str| {
         for col in 0..n {
             let server = store.server(col);
-            let recs = server.records.lock().clone();
+            let recs: Vec<_> = server.records.lock().iter().collect();
             for id in 0..blocks.blocks_per_node() as BlockId {
                 let free_delta =
                     matches!(blocks.kind_of(id), aceso_blockalloc::CellKind::Delta { .. })
