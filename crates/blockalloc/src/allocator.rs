@@ -9,6 +9,8 @@
 //! block.
 
 use crate::layout::{BlockId, BlockLayout, CellKind};
+use crate::record::{BlockRecord, Role};
+use aceso_rdma::GlobalAddr;
 use std::collections::VecDeque;
 
 /// Outcome of a DATA block allocation.
@@ -33,21 +35,7 @@ impl Allocator {
     /// Builds the initial free lists from the layout: every DATA cell of
     /// every stripe array, and the whole DELTA pool.
     pub fn new(layout: BlockLayout) -> Self {
-        let mut free_data = VecDeque::new();
-        let mut free_delta = VecDeque::new();
-        for id in 0..layout.blocks_per_node() as BlockId {
-            match layout.kind_of(id) {
-                CellKind::Data { .. } => free_data.push_back(id),
-                CellKind::Delta { .. } => free_delta.push_back(id),
-                CellKind::Parity { .. } => {}
-            }
-        }
-        Allocator {
-            layout,
-            free_data,
-            free_delta,
-            reuse: VecDeque::new(),
-        }
+        Self::free_where(layout, |_| true)
     }
 
     /// The layout this allocator serves.
@@ -55,23 +43,32 @@ impl Allocator {
         &self.layout
     }
 
-    /// Rebuilds free lists from restored metadata records (MN recovery):
-    /// a block is free iff its record's role byte says so.
-    ///
-    /// `role_of(id)` returns the record's role byte (0 free, 1 data,
-    /// 2 parity, 3 delta).
-    pub fn rebuild(layout: BlockLayout, role_of: impl Fn(BlockId) -> u8) -> Self {
-        let mut free_data = VecDeque::new();
-        let mut free_delta = VecDeque::new();
-        for id in 0..layout.blocks_per_node() as BlockId {
+    /// Rebuilds free lists from restored metadata records, in block order
+    /// (MN recovery): a DATA cell is free iff its record is FREE, and a
+    /// DELTA-pool block iff no PARITY record's Delta Addr names it — a pool
+    /// block's own record always reads FREE.
+    pub fn rebuild(layout: BlockLayout, records: impl IntoIterator<Item = BlockRecord>) -> Self {
+        let mut used = vec![false; layout.blocks_per_node() as usize];
+        for (id, rec) in records.into_iter().enumerate() {
+            used[id] |= rec.role != Role::Free;
+            let parity = rec.role == Role::Parity;
+            let named = rec.delta_addr.iter().filter(|&&a| parity && a != 0);
+            for (delta, _) in named.filter_map(|&a| layout.locate(GlobalAddr::unpack48(a).offset)) {
+                used[delta as usize] = true;
+            }
+        }
+        Self::free_where(layout, |id| !used[id as usize])
+    }
+
+    /// Free lists holding, in id order, every DATA cell and DELTA-pool block
+    /// `free` takes as free.
+    fn free_where(layout: BlockLayout, free: impl Fn(BlockId) -> bool) -> Self {
+        let (mut free_data, mut free_delta) = (VecDeque::new(), VecDeque::new());
+        for id in (0..layout.blocks_per_node() as BlockId).filter(|&id| free(id)) {
             match layout.kind_of(id) {
-                CellKind::Data { .. } if role_of(id) == 0 => free_data.push_back(id),
-                CellKind::Delta { .. } if role_of(id) == 0 || role_of(id) == 1 => {
-                    // Role 1 (data) is impossible for a pool block; treat
-                    // anything but an in-use delta as free.
-                    free_delta.push_back(id)
-                }
-                _ => {}
+                CellKind::Data { .. } => free_data.push_back(id),
+                CellKind::Delta { .. } => free_delta.push_back(id),
+                CellKind::Parity { .. } => {}
             }
         }
         Allocator {
@@ -129,9 +126,9 @@ impl Allocator {
         self.free_data.len()
     }
 
-    /// DELTA blocks remaining.
-    pub fn free_delta_count(&self) -> usize {
-        self.free_delta.len()
+    /// DELTA blocks remaining, in the order they are granted.
+    pub fn free_deltas(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.free_delta.iter().copied()
     }
 
     /// Reuse candidates queued.
@@ -166,7 +163,7 @@ mod tests {
     fn initial_lists() {
         let a = Allocator::new(layout());
         assert_eq!(a.free_data_count(), 6); // 2 arrays × 3 data rows.
-        assert_eq!(a.free_delta_count(), 3);
+        assert_eq!(a.free_deltas().count(), 3);
         assert_eq!(a.reuse_count(), 0);
         assert!((a.free_data_ratio() - 1.0).abs() < 1e-9);
     }
@@ -204,6 +201,21 @@ mod tests {
         assert_eq!(d4, d1); // Recycled.
         let _ = d3;
         assert!(a.alloc_delta().is_none());
+    }
+
+    #[test]
+    fn rebuild_frees_what_no_record_holds() {
+        let l = layout();
+        let mut recs = vec![BlockRecord::free(); l.blocks_per_node() as usize];
+        recs[1].role = Role::Data;
+        // Array 0's first PARITY cell names pool blocks 10 and 12.
+        recs[3].role = Role::Parity;
+        let named = |id| GlobalAddr::new(aceso_rdma::NodeId(4), l.block_offset(id)).pack48();
+        (recs[3].delta_addr[0], recs[3].delta_addr[2]) = (named(10), named(12));
+        let mut a = Allocator::rebuild(l, recs);
+        let data: Vec<_> = std::iter::from_fn(|| a.alloc_data()).map(|d| d.id).collect();
+        assert_eq!(data, [0, 2, 5, 6, 7]);
+        assert_eq!(a.free_deltas().collect::<Vec<_>>(), [11]);
     }
 
     #[test]

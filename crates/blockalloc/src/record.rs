@@ -1,14 +1,15 @@
 //! The per-block metadata record (paper Figure 5).
 //!
 //! Every block of the Block Area — DATA, PARITY or DELTA — has one
-//! fixed-size record in the Meta Area. The Meta Area is fault-tolerant by
-//! plain replication to the next two MNs (§3.1), and readers fetch records
-//! from it one-sided, so records must be serializable to raw bytes; this
-//! module defines that layout:
+//! fixed-size record in the Meta Area; a DELTA block's stays FREE, since
+//! the Delta Addr of the PARITY record it is folded into registers it. The
+//! Meta Area is fault-tolerant by plain replication to the next two MNs
+//! (§3.1), and readers fetch records from it one-sided, so records must be
+//! serializable to raw bytes; this module defines that layout:
 //!
 //! ```text
 //! offset  field
-//! 0       Role (u8: 0 free, 1 data, 2 parity, 3 delta)
+//! 0       Role (u8: 0 free, 1 data, 2 parity)
 //! 1       Valid (u8)
 //! 2       XOR ID (u8) — row of the cell within its column
 //! 3       slot len (u8, 64 B units) — the block's KV size class
@@ -60,8 +61,6 @@ pub enum Role {
     Data = 1,
     /// Holds erasure parity.
     Parity = 2,
-    /// Temporary delta placeholder for an unfilled DATA block.
-    Delta = 3,
 }
 
 impl Role {
@@ -69,7 +68,6 @@ impl Role {
         match v {
             1 => Role::Data,
             2 => Role::Parity,
-            3 => Role::Delta,
             _ => Role::Free,
         }
     }
@@ -129,8 +127,7 @@ impl BlockRecord {
     }
 
     /// Width of the Free Bitmap: one bit per KV slot for a DATA block, none
-    /// for any other role (a DELTA record carries its block's size class,
-    /// but no bitmap). The allocating server and [`BlockRecord::decode`]
+    /// for any other role. The allocating server and [`BlockRecord::decode`]
     /// both size it here.
     pub fn bitmap_bits(&self, block_size: u64) -> usize {
         match self.role {

@@ -121,8 +121,6 @@ impl AcesoClient {
             let resp = self.rpc(
                 pcol,
                 ServerReq::AllocDelta {
-                    cli_id: self.cli_id,
-                    slot_len64: class,
                     array,
                     row,
                     parity_row: prow,

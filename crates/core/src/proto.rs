@@ -26,12 +26,9 @@ pub enum ServerReq {
         slot_len64: u8,
     },
     /// Allocate a DELTA block on this MN (it holds a PARITY cell covering
-    /// the given data cell) and register it in the parity record.
+    /// the given data cell) and register it in the parity record's Delta
+    /// Addr, the block's only record: its own stays FREE.
     AllocDelta {
-        /// Requesting client.
-        cli_id: u32,
-        /// Size class (mirrors the data block).
-        slot_len64: u8,
         /// Stripe array of the covered data cell.
         array: u64,
         /// Row of the covered data cell.

@@ -429,8 +429,8 @@ impl Recovery {
         self.report.ckpt_bytes += 8 * u64::from(ckpt_iv.is_some());
         self.report.meta_bytes += map.blocks.table_size();
         self.server.node.region.write(map.blocks.record_offset(0), &table)?;
-        let roles: Vec<Role> = decode_records(&table, map.blocks).map(|r| r.role).collect();
-        *self.server.alloc.lock() = Allocator::rebuild(map.blocks, |id| roles[id as usize] as u8);
+        let records = decode_records(&table, map.blocks);
+        *self.server.alloc.lock() = Allocator::rebuild(map.blocks, records);
         let r = &mut self.report;
         r.meta_net_ms = self.bufs.settle(&self.dm, &self.cq);
         r.read_meta_ms = t.elapsed().as_secs_f64() * 1e3 + r.meta_net_ms;

@@ -340,12 +340,10 @@ impl MnServer {
                 self.handle_alloc_data(cli_id, slot_len64, dm, dir)
             }
             ServerReq::AllocDelta {
-                cli_id,
-                slot_len64,
                 array,
                 row,
                 parity_row,
-            } => self.handle_alloc_delta(cli_id, slot_len64, array, row, parity_row, dm, dir),
+            } => self.handle_alloc_delta(array, row, parity_row, dm, dir),
             ServerReq::DataFilled { block } => {
                 let iv = self.index.local_index_version(&self.node.region);
                 self.old_copies.lock().remove(&block);
@@ -521,11 +519,8 @@ impl MnServer {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn handle_alloc_delta(
         &self,
-        cli_id: u32,
-        slot_len64: u8,
         array: u64,
         row: usize,
         parity_row: usize,
@@ -534,16 +529,12 @@ impl MnServer {
     ) -> ServerResp {
         // A free delta block is all zeros, as delta blocks must start (they
         // accumulate XOR images): regions start zeroed and `EncodeDelta`
-        // zeroes a delta when it frees it.
+        // zeroes a delta when it frees it. The parity record's Delta Addr
+        // is the block's one registration; its own record stays FREE.
         let Some(id) = self.alloc.lock().alloc_delta() else {
             return ServerResp::Err("out of delta blocks".into());
         };
         let pid = self.map.blocks.cell_block_id(array, parity_row);
-        self.update(dm, dir, id, |rec| {
-            (rec.role, rec.valid, rec.xor_id) = (Role::Delta, true, row as u8);
-            (rec.slot_len64, rec.cli_id, rec.stripe_array) = (slot_len64, cli_id, array);
-            Some(())
-        });
         self.update(dm, dir, pid, |prec| {
             if prec.role == Role::Free {
                 (prec.role, prec.valid, prec.xor_id) = (Role::Parity, true, parity_row as u8);
@@ -564,53 +555,51 @@ impl MnServer {
         dir: &Directory,
     ) -> ServerResp {
         let pid = self.map.blocks.cell_block_id(array, parity_row);
-        let daddr = self.records.lock().get(pid).delta_addr[row];
-        if daddr == 0 {
-            return ServerResp::Ok; // Already encoded (idempotent under retries).
-        }
-        let (dcol, doff) = unpack_col(daddr);
-        debug_assert_eq!(
-            dcol, self.column,
-            "delta must be local to the parity holder"
-        );
         let bs = self.map.blocks.block_size as usize;
         let poff = self.map.blocks.block_offset(pid);
-        // Fold the DELTA block into the PARITY block where it lies. During
-        // a migration the parity primary may already live on the target
-        // node (post-`MigrateParity`): fold into the side clients
-        // currently read, then copy the result to the other, so neither
-        // goes stale before the publish.
-        let local = &self.node.region;
-        match self.migration.lock().as_ref() {
-            None => local.xor_from(poff, local, doff, bs).expect("parity fold"),
-            Some(ctx) => {
-                let (primary, other) = if ctx.parity_moved {
-                    (&ctx.target.region, local)
-                } else {
-                    (local, &ctx.target.region)
-                };
-                primary
-                    .xor_from(poff, local, doff, bs)
-                    .expect("parity fold");
-                other
-                    .copy_from(poff, primary, poff, bs)
-                    .expect("parity copy");
+        let folded = self.update(dm, dir, pid, |prec| {
+            let daddr = prec.delta_addr[row];
+            if daddr == 0 {
+                return None; // Already encoded (idempotent under retries).
             }
-        }
-
-        // Physically free the delta: zeroed here, it is granted as it is.
-        let delta_id = self.map.blocks.locate(doff).expect("delta offset").0;
-        self.mig_zero(doff, bs);
-        self.alloc.lock().free_delta(delta_id);
-        self.update(dm, dir, pid, |prec| {
+            let (dcol, doff) = unpack_col(daddr);
+            debug_assert_eq!(
+                dcol, self.column,
+                "delta must be local to the parity holder"
+            );
+            // Fold the DELTA block into the PARITY block where it lies.
+            // During a migration the parity primary may already live on
+            // the target node (post-`MigrateParity`): fold into the side
+            // clients currently read, then copy the result to the other,
+            // so neither goes stale before the publish.
+            let local = &self.node.region;
+            match self.migration.lock().as_ref() {
+                None => local.xor_from(poff, local, doff, bs).expect("parity fold"),
+                Some(ctx) => {
+                    let (primary, other) = if ctx.parity_moved {
+                        (&ctx.target.region, local)
+                    } else {
+                        (local, &ctx.target.region)
+                    };
+                    primary
+                        .xor_from(poff, local, doff, bs)
+                        .expect("parity fold");
+                    other
+                        .copy_from(poff, primary, poff, bs)
+                        .expect("parity copy");
+                }
+            }
+            // Zeroed here, the delta is granted as it is once freed.
+            self.mig_zero(doff, bs);
             prec.xor_map |= 1 << row;
             prec.delta_addr[row] = 0;
-            Some(())
+            Some(self.map.blocks.locate(doff).expect("delta offset").0)
         });
-        self.update(dm, dir, delta_id, |drec| {
-            *drec = BlockRecord::free();
-            Some(())
-        });
+        // Freed after `update` lets go of the records: `alloc` is taken
+        // before `records`, never inside it.
+        if let Some(delta_id) = folded {
+            self.alloc.lock().free_delta(delta_id);
+        }
         ServerResp::Ok
     }
 

@@ -285,8 +285,12 @@ impl AcesoStore {
                             }
                         }
                     }
-                    Role::Delta => usage.delta += bs,
-                    _ => {}
+                    // A DELTA block's record is its PARITY record's word.
+                    Role::Parity => {
+                        let named = rec.delta_addr.iter().filter(|&&a| a != 0).count();
+                        usage.delta += bs * named as u64;
+                    }
+                    Role::Free => {}
                 }
             }
         }

@@ -3,7 +3,7 @@
 //! handlers leave in MN memory for one-sided readers — the Meta Area
 //! records and their two copies, and the Checkpoint Area.
 
-use aceso_blockalloc::{BlockId, BlockRecord, Role, RECORD_TABLES};
+use aceso_blockalloc::{BlockId, BlockRecord, CellKind, Role, RECORD_TABLES};
 use aceso_core::config::unpack_col;
 use aceso_core::elastic::ElasticStep;
 use aceso_core::proto::{ServerReq, ServerResp};
@@ -73,8 +73,6 @@ fn alloc_data_then_delta_then_encode() {
         &store,
         pcol,
         ServerReq::AllocDelta {
-            cli_id: 9,
-            slot_len64: 4,
             array,
             row,
             parity_row: prow,
@@ -167,8 +165,6 @@ fn encode_delta_folds_in_place_like_fold_delta() {
             &store,
             pcol,
             ServerReq::AllocDelta {
-                cli_id: 7,
-                slot_len64: 16,
                 array,
                 row,
                 parity_row: prow,
@@ -343,7 +339,7 @@ fn meta_area_names_a_clients_open_blocks() {
     let open = |cli_id: u32| -> Vec<BlockId> {
         let owned = ids.clone().zip(&recs).filter(|(_, r)| r.cli_id == cli_id);
         let open = owned.filter(|(_, r)| r.index_version == 0);
-        let open = open.filter(|(_, r)| matches!(r.role, Role::Data | Role::Delta));
+        let open = open.filter(|(_, r)| r.role == Role::Data);
         open.map(|(id, _)| id).collect()
     };
     assert_eq!(open(7), vec![b1]);
@@ -535,7 +531,9 @@ fn scan_new_follows_the_record_table() {
 /// decodes and re-encodes to its own bytes, so a one-sided reader — the
 /// stripe book, scrub, CN recovery, a degraded SEARCH's head read — loses
 /// nothing, and both copies on live holders hold the table byte for byte,
-/// which MN recovery reads back.
+/// which MN recovery reads back. A DELTA block has no record of its own:
+/// the ones off the column's free list are exactly those its PARITY
+/// records' Delta Addr name, each once, and `memory_usage` counts them.
 fn assert_tables_hold_their_records(store: &Arc<AcesoStore>, when: &str) {
     let (n, blocks) = (store.cfg.num_mns, store.map.blocks);
     let table = |holder: usize, copy: usize| {
@@ -543,12 +541,26 @@ fn assert_tables_hold_their_records(store: &Arc<AcesoStore>, when: &str) {
         let region = &store.server(holder).node.region;
         region.read_vec(at, blocks.table_size() as usize).unwrap()
     };
+    let mut deltas = 0;
     for col in (0..n).filter(|&c| store.col_alive(c)) {
         let own = table(col, 0);
+        let mut named = Vec::new();
         for (id, bytes) in own.chunks_exact(blocks.record_bytes() as usize).enumerate() {
             let rec = BlockRecord::decode(bytes, blocks.block_size);
             assert_eq!(rec.encode(blocks.block_size), bytes, "{when}: column {col} block {id}");
+            let words = rec.delta_addr.into_iter().filter(|&a| a != 0 && rec.role == Role::Parity);
+            for (dcol, doff) in words.map(unpack_col) {
+                assert_eq!(dcol, col, "{when}: column {col} block {id} names a remote delta");
+                named.push(blocks.locate(doff).unwrap().0);
+            }
         }
+        let free: Vec<BlockId> = store.server(col).alloc.lock().free_deltas().collect();
+        let pool = (0..blocks.blocks_per_node() as BlockId)
+            .filter(|&id| matches!(blocks.kind_of(id), CellKind::Delta { .. }));
+        let in_use: Vec<BlockId> = pool.filter(|id| !free.contains(id)).collect();
+        named.sort_unstable();
+        assert_eq!(named, in_use, "{when}: column {col}'s DELTA blocks in use");
+        deltas += named.len() as u64;
         for copy in 1..RECORD_TABLES {
             let holder = (col + copy) % n;
             if store.col_alive(holder) {
@@ -556,6 +568,8 @@ fn assert_tables_hold_their_records(store: &Arc<AcesoStore>, when: &str) {
             }
         }
     }
+    let usage = store.memory_usage().delta;
+    assert_eq!(usage, deltas * blocks.block_size, "{when}: memory_usage().delta");
 }
 
 /// The invariant behind the one-sided head read of a degraded SEARCH, after
@@ -615,8 +629,8 @@ fn record_tables_hold_through_a_degraded_window_and_a_join() {
 }
 
 /// The whole-record contract behind the one-sided record reads, across
-/// reclaiming updates, block closes, an MN recovery, an elastic join and
-/// a CN recovery.
+/// reclaiming updates, block closes, two MN recoveries (the second with
+/// DELTA blocks in use), an elastic join and a CN recovery.
 #[test]
 fn meta_area_holds_every_record_and_its_copies() {
     use aceso_core::client::CrashPoint;
@@ -650,6 +664,15 @@ fn meta_area_holds_every_record_and_its_copies() {
     assert_tables_hold_their_records(&store, "recovered");
     round(&mut c, 9);
     assert_tables_hold_their_records(&store, "updates after recovery");
+    // Killed with DELTA blocks in use: the Meta tier keeps them off the
+    // free lists it rebuilds.
+    let pool = store.map.blocks.num_delta as usize;
+    let busy = (0..store.cfg.num_mns)
+        .find(|&col| store.server(col).alloc.lock().free_deltas().count() < pool)
+        .expect("the client's open blocks hold DELTA blocks");
+    assert!(store.kill_mn(busy));
+    aceso_core::recover_mn(&store, busy).unwrap();
+    assert_tables_hold_their_records(&store, "recovered with open blocks");
 
     let mut join = store.begin_join(3).unwrap();
     while join.step().unwrap() != ElasticStep::Done {
@@ -868,28 +891,21 @@ fn granted_delta_blocks_read_all_zero() {
     let zeroed = |when: &str| {
         for col in 0..n {
             let server = store.server(col);
-            let recs: Vec<_> = server.records.lock().iter().collect();
-            for id in 0..blocks.blocks_per_node() as BlockId {
-                let free_delta =
-                    matches!(blocks.kind_of(id), aceso_blockalloc::CellKind::Delta { .. })
-                        && recs[id as usize].role == Role::Free;
-                if free_delta {
-                    let bytes = server
-                        .node
-                        .region
-                        .read_vec(blocks.block_offset(id), bs)
-                        .unwrap();
-                    assert!(
-                        bytes.iter().all(|&b| b == 0),
-                        "free delta {id} of column {col} {when}"
-                    );
-                }
+            let free: Vec<BlockId> = server.alloc.lock().free_deltas().collect();
+            for id in free {
+                let bytes = server
+                    .node
+                    .region
+                    .read_vec(blocks.block_offset(id), bs)
+                    .unwrap();
+                assert!(
+                    bytes.iter().all(|&b| b == 0),
+                    "free delta {id} of column {col} {when}"
+                );
             }
             // And the one granted next, on a stripe no client touches.
             let array = blocks.num_arrays - 1;
             let alloc = ServerReq::AllocDelta {
-                cli_id: 99,
-                slot_len64: 16,
                 array,
                 row: 0,
                 parity_row: n - 2,
