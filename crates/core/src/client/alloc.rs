@@ -6,6 +6,11 @@
 //! handed out locally. Overwritten and lost-race slots are reported back
 //! through buffered obsolete-bit flushes, which is what delta-based
 //! reclamation feeds on (§3.3.3).
+//!
+//! A reused block is refilled only in the slots its old Free Bitmap marks
+//! obsolete, and each delta is new ⊕ old, so its open READs exactly those
+//! slots' old images: one READ per maximal run of obsolete slots, all in
+//! one doorbell. The live slots between the runs never cross the wire.
 
 use super::AcesoClient;
 use crate::config::{pack_col, unpack_col};
@@ -32,7 +37,9 @@ pub(super) struct OpenBlock {
     fill_order: Vec<u32>,
     next: usize,
     deltas: [DeltaRef; 2],
-    old_copy: Option<Vec<u8>>,
+    /// A reused block's old images of the slots it refills, packed in
+    /// `fill_order` order: slot `fill_order[i]`'s at `i * slot_bytes`.
+    old_images: Option<Vec<u8>>,
 }
 
 /// One reserved KV slot: where its bytes and its two delta copies go, and
@@ -66,20 +73,17 @@ impl AcesoClient {
             }
         }
         let ob = self.blocks.get_mut(&class).unwrap();
-        let slot = ob.fill_order[ob.next] as usize;
+        let (i, sb) = (ob.next, ob.slot_bytes);
         ob.next += 1;
-        let within = (slot * ob.slot_bytes) as u64;
+        let within = (ob.fill_order[i] as usize * sb) as u64;
         let kv_off = ob.block_off + within;
         Ok(SlotPlace {
             col: ob.col,
             kv_off,
-            slot_bytes: ob.slot_bytes,
+            slot_bytes: sb,
             packed: pack_col(ob.col, kv_off),
             deltas: ob.deltas.map(|d| (d.col, d.block_off + within)),
-            old_slot: ob
-                .old_copy
-                .as_ref()
-                .map(|old| old[slot * ob.slot_bytes..(slot + 1) * ob.slot_bytes].to_vec()),
+            old_slot: (ob.old_images.as_ref()).map(|old| old[i * sb..(i + 1) * sb].to_vec()),
             block: ob.block,
         })
     }
@@ -137,13 +141,26 @@ impl AcesoClient {
             };
         }
         let block_off = self.map.blocks.block_offset(block);
-        let (fill_order, old_copy) = if reused {
+        let (fill_order, old_images) = if reused {
             let bitmap_bytes = old_bitmap.unwrap_or_default();
             let bitmap = aceso_blockalloc::Bitmap::from_bytes(nslots, &bitmap_bytes);
-            // Read the whole reused block so overwrites can compute deltas
-            // against the old contents (§3.3.3).
-            let old = self.dm.read_vec(self.addr(col, block_off), bs as usize)?;
-            (bitmap.ones().map(|s| s as u32).collect(), Some(old))
+            let fill_order: Vec<u32> = bitmap.ones().map(|s| s as u32).collect();
+            // Only the obsolete slots are refilled, and a delta is new ⊕
+            // old, so read their old images and nothing else (§3.3.3): one
+            // READ per run of obsolete slots, one doorbell, each run landing
+            // right after the one before it — `fill_order` order.
+            let mut old = vec![0u8; fill_order.len() * slot_bytes];
+            self.dm.batch(|dm| -> Result<()> {
+                let mut at = 0;
+                for (first, len) in runs(&fill_order) {
+                    let off = block_off + (first as usize * slot_bytes) as u64;
+                    let dst = &mut old[at..at + len * slot_bytes];
+                    dm.read(self.addr(col, off), dst)?;
+                    at += dst.len();
+                }
+                Ok(())
+            })?;
+            (fill_order, Some(old))
         } else {
             ((0..nslots as u32).collect(), None)
         };
@@ -157,7 +174,7 @@ impl AcesoClient {
             fill_order,
             next: 0,
             deltas,
-            old_copy,
+            old_images,
         })
     }
 
@@ -266,5 +283,33 @@ impl AcesoClient {
                 .expect_ok()?;
         }
         Ok(())
+    }
+}
+
+/// The maximal runs of consecutive slots in `slots` (ascending), as
+/// `(first slot, run length)`.
+fn runs(slots: &[u32]) -> Vec<(u32, usize)> {
+    let mut out: Vec<(u32, usize)> = Vec::new();
+    for &s in slots {
+        match out.last_mut() {
+            Some((first, len)) if *first + *len as u32 == s => *len += 1,
+            _ => out.push((s, 1)),
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::runs;
+
+    #[test]
+    fn runs_are_maximal_and_in_order() {
+        assert_eq!(runs(&[]), []);
+        assert_eq!(runs(&[0, 1, 2, 3]), [(0, 4)]);
+        assert_eq!(
+            runs(&[1, 3, 4, 5, 9, 10, 255]),
+            [(1, 1), (3, 3), (9, 2), (255, 1)]
+        );
     }
 }

@@ -87,12 +87,22 @@ fn primed(store: &Arc<AcesoStore>, tag: &str, value: &[u8]) -> AcesoClient {
 /// Runs `op` as the only profiled operation of `c` and returns its record;
 /// no RPC may ride along.
 fn measure<T>(c: &mut AcesoClient, op: impl FnOnce(&mut AcesoClient) -> T) -> (T, OpRecord) {
+    let (out, rec) = measure_with_open(c, op);
+    assert_eq!(rec.rpcs, 0, "a shape must not include an MN RPC");
+    (out, rec)
+}
+
+/// [`measure`] for an op that opens a block: its allocation RPCs ride
+/// along.
+fn measure_with_open<T>(
+    c: &mut AcesoClient,
+    op: impl FnOnce(&mut AcesoClient) -> T,
+) -> (T, OpRecord) {
     c.flush_bitmaps().unwrap();
     c.dm.take_ops();
     let out = op(c);
     let recs = c.dm.take_ops().records;
     assert_eq!(recs.len(), 1, "exactly one op must have been recorded");
-    assert_eq!(recs[0].rpcs, 0, "a shape must not include an MN RPC");
     (out, recs[0])
 }
 
@@ -516,5 +526,78 @@ fn failed_rollover_commit_releases_the_meta_lock() {
         a.search(b"shape-key").unwrap().as_deref(),
         Some(&b"after"[..])
     );
+    store.shutdown();
+}
+
+/// A 1 KB-class value: a 16 B header, an 8 or 9 B key, 990 B and the
+/// trailing byte fit 1 024 B.
+fn kb(i: u32) -> Vec<u8> {
+    vec![i as u8; 990]
+}
+
+/// A store of one stripe array — 15 DATA blocks of 64 one-KB slots — whose
+/// first block had every key but each fourth rewritten elsewhere: 48
+/// obsolete slots in 16 runs (1–3, 5–7, …, 61–63), reclaimable. Every
+/// other fresh block is taken, so the next 1 KB open on its column reuses
+/// it. (`failure_protocols.rs` builds the same store to recover it.)
+fn scattered_reuse() -> Arc<AcesoStore> {
+    let store = AcesoStore::launch(AcesoConfig {
+        num_arrays: 1,
+        reclaim_free_ratio: 1.1, // Always allowed to reclaim.
+        ..AcesoConfig::small()
+    })
+    .unwrap();
+    let mut w = store.client().unwrap();
+    for i in 0..64 {
+        w.insert(format!("reuse-{i:02}").as_bytes(), &kb(i))
+            .unwrap();
+    }
+    w.close_open_blocks().unwrap();
+    let mut filler = store.client().unwrap();
+    for i in 0..13 * 64 {
+        filler
+            .insert(format!("fill-{i:03}").as_bytes(), &kb(i))
+            .unwrap();
+    }
+    for i in (0..64).filter(|i| i % 4 != 0) {
+        w.update(format!("reuse-{i:02}").as_bytes(), &kb(i + 1))
+            .unwrap();
+    }
+    w.flush_bitmaps().unwrap();
+    store
+}
+
+/// The INSERT that opens a reused block: the cold INSERT shape, the open's
+/// RPCs — three columns with nothing to grant refuse `AllocData` before
+/// the block's own grants it, then two `AllocDelta`s, 256 B of answer each
+/// — and one more doorbell: one READ per run of obsolete slots, exactly
+/// those slots' old images. It read the whole block — one 64 KB READ, 15
+/// live slots' worth unused: `(5, 8, 1, 3, 67 592)`.
+#[test]
+fn reused_open_reads_only_its_obsolete_slots() {
+    let (obsolete, runs) = (48, 16);
+    let store = scattered_reuse();
+    let mut r = store.client().unwrap();
+    let (res, rec) = measure_with_open(&mut r, |c| c.insert(b"shape-key", &kb(7)));
+    res.unwrap();
+    assert_eq!(rec.rpcs, 6);
+    let cold_insert: Shape = (4, 7, 1, 3, 520);
+    assert_eq!(
+        shape(&rec),
+        (
+            cold_insert.0 + 1,
+            cold_insert.1 + runs,
+            cold_insert.2,
+            runs,
+            cold_insert.4 + rec.rpcs * 256 + obsolete * 1024
+        )
+    );
+    // The next INSERT fills the next obsolete slot: the plain cold shape.
+    let (res, next) = measure(&mut r, |c| c.insert(b"shape-key-2", &kb(8)));
+    res.unwrap();
+    assert_eq!(shape(&next), cold_insert);
+    assert_eq!(rec.batches, next.batches + 1);
+    assert_eq!(r.search(b"shape-key").unwrap(), Some(kb(7)));
+    assert!(scrub(&store).unwrap().is_clean());
     store.shutdown();
 }

@@ -1293,3 +1293,127 @@ fn two_failures_leave_both_meta_copies_whole() {
         store.shutdown();
     }
 }
+
+/// A 1 KB-class value: a 16 B header, an 8 or 9 B key, 990 B and the
+/// trailing byte fit 1 024 B.
+fn kb(i: u32) -> Vec<u8> {
+    vec![i as u8; 990]
+}
+
+/// What every key holds.
+type Kvs = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// A store of one stripe array — 15 DATA blocks of 64 one-KB slots — whose
+/// first block had every key but each fourth rewritten elsewhere: 48
+/// obsolete slots in 16 runs (1–3, 5–7, …, 61–63), reclaimable. Every
+/// other fresh block is taken, so the next 1 KB open on its column reuses
+/// it. Returns the store and what every key holds. (The churn stores of
+/// `recovery_shapes.rs` and `read_shapes.rs` reuse wholly obsolete blocks:
+/// one run, where a run's bounds cannot be wrong.)
+fn scattered_reuse() -> (Arc<AcesoStore>, Kvs) {
+    let store = AcesoStore::launch(AcesoConfig {
+        num_arrays: 1,
+        reclaim_free_ratio: 1.1, // Always allowed to reclaim.
+        ..AcesoConfig::small()
+    })
+    .unwrap();
+    let mut kvs: Vec<_> = (0..64)
+        .map(|i| (format!("reuse-{i:02}").into_bytes(), kb(i)))
+        .collect();
+    let mut w = store.client().unwrap();
+    for (k, v) in &kvs {
+        w.insert(k, v).unwrap();
+    }
+    w.close_open_blocks().unwrap();
+    let mut filler = store.client().unwrap();
+    for i in 0..13 * 64 {
+        let kv = (format!("fill-{i:03}").into_bytes(), kb(i));
+        filler.insert(&kv.0, &kv.1).unwrap();
+        kvs.push(kv);
+    }
+    for (i, (k, v)) in kvs.iter_mut().enumerate().take(64) {
+        if i % 4 != 0 {
+            *v = kb(i as u32 + 1);
+            w.update(k, v).unwrap();
+        }
+    }
+    w.flush_bitmaps().unwrap();
+    (store, kvs)
+}
+
+/// Refills the reused block's first `count` obsolete slots through `r`
+/// (keys `refill-00…`) and returns its column, once each refilled KV sits
+/// in the obsolete slot the fill order names: the `n`th in slot
+/// `n + n / 3 + 1` of the block `reuse-00` is in.
+fn refill(store: &Arc<AcesoStore>, r: &mut AcesoClient, kvs: &mut Kvs, count: u32) -> usize {
+    let (col, block, _) = kv_place(store, b"reuse-00");
+    for n in 0..count {
+        let kv = (format!("refill-{n:02}").into_bytes(), kb(n + 2));
+        r.insert(&kv.0, &kv.1).unwrap();
+        let slot = (n + n / 3 + 1) as u64;
+        assert_eq!(kv_place(store, &kv.0), (col, block, slot * 1024));
+        kvs.push(kv);
+    }
+    col
+}
+
+/// Every key holds its latest value, parity and the delta copies agree,
+/// and both copies of every record equal their table.
+fn holds(store: &Arc<AcesoStore>, kvs: &[(Vec<u8>, Vec<u8>)], what: &str) {
+    let mut reader = store.client().unwrap();
+    for (k, v) in kvs {
+        let got = reader.search(k).unwrap();
+        let k = String::from_utf8_lossy(k);
+        assert_eq!(got.as_deref(), Some(&v[..]), "{what}: {k}");
+    }
+    let report = scrub(store).unwrap();
+    assert!(report.is_clean(), "{what}: {:?}", report.mismatches);
+    let mut violations = Vec::new();
+    replica_agreement(store, &mut violations);
+    assert!(violations.is_empty(), "{what}: {violations:?}");
+}
+
+/// The reused block is refilled between its live slots, every obsolete
+/// slot once, and lost with its column while still open: the Block tier
+/// decodes it from parity — which holds the old image — and the deltas,
+/// which hold old ⊕ new only if the open read each refilled slot's own old
+/// image. Neither the refilled keys nor the live ones between them may
+/// read back wrong.
+#[test]
+fn a_reused_block_refilled_between_live_slots_survives_its_column() {
+    let (store, mut kvs) = scattered_reuse();
+    let mut r = store.client().unwrap();
+    let col = refill(&store, &mut r, &mut kvs, 48);
+    assert!(store.kill_mn(col));
+    recover_mn(&store, col).unwrap();
+    holds(&store, &kvs, &format!("column {col} lost"));
+    store.shutdown();
+}
+
+/// The writer refilling the reused block dies on its last obsolete slot:
+/// `recover_cn` keeps a refilled slot only if its deltas equal old ⊕ new
+/// against the server's backup of the block, so a delta taken against any
+/// other slot's image would roll a committed KV back.
+#[test]
+fn a_writer_dying_in_a_scattered_refill_is_recovered() {
+    for point in [
+        CrashPoint::AfterKvWrite,
+        CrashPoint::BeforeCommit,
+        CrashPoint::AfterCommit,
+    ] {
+        let (store, mut kvs) = scattered_reuse();
+        let mut r = store.client().unwrap();
+        refill(&store, &mut r, &mut kvs, 47);
+        r.crash_point = Some(point);
+        let last = (b"refill-47".to_vec(), kb(49));
+        assert!(r.insert(&last.0, &last.1).is_err());
+        let id = r.id();
+        drop(r);
+        recover_cn(&store, id).unwrap();
+        let committed = point == CrashPoint::AfterCommit;
+        let got = store.client().unwrap().search(&last.0).unwrap();
+        assert_eq!(got, committed.then(|| last.1.clone()), "{point}");
+        holds(&store, &kvs, &format!("{point}"));
+        store.shutdown();
+    }
+}
