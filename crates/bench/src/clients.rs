@@ -197,7 +197,10 @@ mod tests {
         let b = sweep_point(0xace50, 16);
         assert_eq!(a.overlap.depth.to_bits(), b.overlap.depth.to_bits());
         assert_eq!(a.mops.to_bits(), b.mops.to_bits());
-        assert_eq!(a.overlap.virtual_us.to_bits(), b.overlap.virtual_us.to_bits());
+        assert_eq!(
+            a.overlap.virtual_us.to_bits(),
+            b.overlap.virtual_us.to_bits()
+        );
         assert_eq!(a.bottleneck, b.bottleneck);
     }
 }

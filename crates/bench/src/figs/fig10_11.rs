@@ -15,8 +15,8 @@ pub fn run_pair<W: Iterator<Item = Request>>(
     scale: BenchScale,
     make_stream: impl Fn(u32) -> W,
 ) -> (f64, f64) {
-    let [a, f] = System::pair()
-        .map(|sys| harness::ycsb_phase(&sys, scale, &make_stream).report().mops);
+    let [a, f] =
+        System::pair().map(|sys| harness::ycsb_phase(&sys, scale, &make_stream).report().mops);
     (a, f)
 }
 

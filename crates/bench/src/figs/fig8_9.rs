@@ -80,10 +80,7 @@ pub fn fig9(scale: BenchScale) -> FigureOutput {
         let (al, fl) = (a.latency_for(op_kind(op)), f.latency_for(op_kind(op)));
         text.push_str(&format!(
             "{label:12} | {:9.1} | {:9.1} | {:9.1} | {:9.1}\n",
-            al.p50_us,
-            al.p99_us,
-            fl.p50_us,
-            fl.p99_us
+            al.p50_us, al.p99_us, fl.p50_us, fl.p99_us
         ));
     }
     FigureOutput {

@@ -30,7 +30,10 @@ fn micro_and_ycsb_pairs_share_the_1024_byte_class() {
             .scan(&dm, store.node_of(col), col, &key, fingerprint(&key))
             .unwrap();
         let lens: Vec<_> = scan.matches.iter().map(|m| m.slot.record_len()).collect();
-        assert!(!lens.is_empty() && lens.iter().all(|&l| l == 1024), "{lens:?}");
+        assert!(
+            !lens.is_empty() && lens.iter().all(|&l| l == 1024),
+            "{lens:?}"
+        );
     }
 }
 
@@ -69,8 +72,14 @@ fn factor_analysis_and_search_rows_keep_their_shape() {
     let [origin, slot, ckpt, full] = mops[..] else {
         unreachable!()
     };
-    assert!(slot.1 < origin.1, "SEARCH: wider slots cost bandwidth {mops:?}");
-    assert!(full.1 > ckpt.1, "SEARCH: the slot-address cache pays {mops:?}");
+    assert!(
+        slot.1 < origin.1,
+        "SEARCH: wider slots cost bandwidth {mops:?}"
+    );
+    assert!(
+        full.1 > ckpt.1,
+        "SEARCH: the slot-address cache pays {mops:?}"
+    );
     assert!(ckpt.0 > slot.0, "UPDATE: one CAS beats r {mops:?}");
     // ORIGIN and +CACHE are FUSEE and Aceso as shipped — fig8's hot SEARCH
     // row. At equal hit rate (equal caches, one stream) Aceso validates a
@@ -90,5 +99,8 @@ fn factor_analysis_and_search_rows_keep_their_shape() {
         System::fusee(fusee),
     ];
     let cold = pair.map(|sys| micro_phase(&sys, scale, Op::Search, System::ckpt_bg));
-    assert_eq!(cold.map(|p| format!("{:.1}", per_op(&p, |r| r.rtts))), ["2.0", "2.0"]);
+    assert_eq!(
+        cold.map(|p| format!("{:.1}", per_op(&p, |r| r.rtts))),
+        ["2.0", "2.0"]
+    );
 }

@@ -213,7 +213,9 @@ mod tests {
         let named = |id| GlobalAddr::new(aceso_rdma::NodeId(4), l.block_offset(id)).pack48();
         (recs[3].delta_addr[0], recs[3].delta_addr[2]) = (named(10), named(12));
         let mut a = Allocator::rebuild(l, recs);
-        let data: Vec<_> = std::iter::from_fn(|| a.alloc_data()).map(|d| d.id).collect();
+        let data: Vec<_> = std::iter::from_fn(|| a.alloc_data())
+            .map(|d| d.id)
+            .collect();
         assert_eq!(data, [0, 2, 5, 6, 7]);
         assert_eq!(a.free_deltas().collect::<Vec<_>>(), [11]);
     }

@@ -71,7 +71,10 @@ impl ExploreCliReport {
         }
         push(&mut s, "== linearizability self-tests ==".to_string());
         if self.wgl_failures.is_empty() {
-            push(&mut s, "ok: accepts good, rejects stale and torn".to_string());
+            push(
+                &mut s,
+                "ok: accepts good, rejects stale and torn".to_string(),
+            );
         }
         for f in &self.wgl_failures {
             push(&mut s, format!("DEAD ORACLE: {f}"));
@@ -85,7 +88,10 @@ impl ExploreCliReport {
             render_scenario(&mut s, r, true);
         }
         let verdict = if self.clean() { "CLEAN" } else { "FAILED" };
-        push(&mut s, format!("explore: {verdict} (seed {:#x})", self.seed));
+        push(
+            &mut s,
+            format!("explore: {verdict} (seed {:#x})", self.seed),
+        );
         s
     }
 }

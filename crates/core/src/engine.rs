@@ -465,7 +465,8 @@ mod tests {
         let eng: &dyn FtEngine = &engine;
         let mut c = eng.client().unwrap();
         for i in 0..32 {
-            c.insert(format!("sp-{i:03}").as_bytes(), &[7u8; 64]).unwrap();
+            c.insert(format!("sp-{i:03}").as_bytes(), &[7u8; 64])
+                .unwrap();
         }
         c.quiesce().unwrap();
         let sp = eng.space();

@@ -45,7 +45,9 @@ pub use cache::{CacheEntry, IndexCache};
 pub use client::{AcesoClient, ModelMutation};
 pub use config::{AcesoConfig, ClientTuning, MemoryMap};
 pub use elastic::{ElasticReport, ElasticStep, Migration};
-pub use engine::{AcesoEngine, FtClient, FtEngine, FtError, FtResult, RecoverySummary, SpaceReport};
+pub use engine::{
+    AcesoEngine, FtClient, FtEngine, FtError, FtResult, RecoverySummary, SpaceReport,
+};
 pub use placement::{ElasticKind, MigrationView, PlacementMap, PlacementSnapshot};
 pub use recovery::{
     recover_cn, recover_mn, CnRecoveryReport, Recovery, RecoveryReport, RecoveryTier,

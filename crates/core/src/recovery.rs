@@ -428,7 +428,10 @@ impl Recovery {
         self.ckpt_iv = ckpt_iv.unwrap_or(0);
         self.report.ckpt_bytes += 8 * u64::from(ckpt_iv.is_some());
         self.report.meta_bytes += map.blocks.table_size();
-        self.server.node.region.write(map.blocks.record_offset(0), &table)?;
+        self.server
+            .node
+            .region
+            .write(map.blocks.record_offset(0), &table)?;
         let records = decode_records(&table, map.blocks);
         *self.server.alloc.lock() = Allocator::rebuild(map.blocks, records);
         let r = &mut self.report;

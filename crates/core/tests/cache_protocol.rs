@@ -103,8 +103,12 @@ fn failed_batches_do_not_drop_deferred_invalidations() {
     // observes the write rule 1 killed and trips on the drain's first
     // write instead.
     let plan = FaultPlan::with_rules(vec![
-        FaultRule::new(FaultAction::Fail).on_kind(VerbKind::Write).after(3),
-        FaultRule::new(FaultAction::Fail).on_kind(VerbKind::Write).after(3),
+        FaultRule::new(FaultAction::Fail)
+            .on_kind(VerbKind::Write)
+            .after(3),
+        FaultRule::new(FaultAction::Fail)
+            .on_kind(VerbKind::Write)
+            .after(3),
     ]);
     a.dm.install_fault_plan(Arc::clone(&plan));
     let r = a.update(k, b"v3");

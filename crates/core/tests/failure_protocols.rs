@@ -95,7 +95,10 @@ fn lock_break_after_holder_killed_while_locked() {
     assert!(a.update(key, b"torn").is_err());
     drop(a);
     let locked = index.read_slot(&dm, slot_addr).unwrap().meta;
-    assert!(locked.is_locked(), "holder died without the lock: {locked:?}");
+    assert!(
+        locked.is_locked(),
+        "holder died without the lock: {locked:?}"
+    );
     assert_eq!(locked.epoch % 2, 1);
 
     // The second client breaks the abandoned lock and commits.
@@ -145,7 +148,10 @@ fn broken_holder_torn_kv_not_resurrected() {
     let aid = a.id();
     drop(a);
     let locked = index.read_slot(&dm, slot_addr).unwrap().meta;
-    assert!(locked.is_locked(), "holder died without the lock: {locked:?}");
+    assert!(
+        locked.is_locked(),
+        "holder died without the lock: {locked:?}"
+    );
 
     let mut b = store.client().unwrap();
     b.update(key, b"vb").unwrap();
@@ -1192,7 +1198,10 @@ fn data_blocks(store: &Arc<AcesoStore>, col: usize) -> Vec<(u32, Vec<u8>)> {
     let (blocks, server) = (store.map.blocks, store.server(col));
     let (region, bs) = (&server.node.region, blocks.block_size as usize);
     let recs = server.records.lock();
-    let data = recs.iter().enumerate().filter(|(_, r)| r.role == Role::Data);
+    let data = recs
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.role == Role::Data);
     let read = |id| region.read_vec(blocks.block_offset(id), bs).unwrap();
     data.map(|(id, _)| (id as u32, read(id as u32))).collect()
 }
@@ -1284,7 +1293,9 @@ fn two_failures_leave_both_meta_copies_whole() {
             }
         }
         let mut fresh = store.client().unwrap();
-        let lost = keys.iter().filter(|key| fresh.search(key).unwrap().as_deref() != Some(&val));
+        let lost = keys
+            .iter()
+            .filter(|key| fresh.search(key).unwrap().as_deref() != Some(&val));
         assert_eq!(lost.count(), 0, "({tag}) keys lost");
         assert!(scrub(&store).unwrap().is_clean(), "({tag}) scrub");
         let mut violations = Vec::new();

@@ -859,7 +859,8 @@ fn folds_restore_what_the_plan_xors() {
         let off = |array: u64, r: usize| blocks.block_offset(blocks.cell_block_id(array, r));
         // Array 0's data cells, four in five written, each with its pending
         // delta: none (closed), the cell itself (open) or random (reused).
-        let (mut content, mut delta, mut recs) = (BTreeMap::new(), BTreeMap::new(), BTreeMap::new());
+        let (mut content, mut delta, mut recs) =
+            (BTreeMap::new(), BTreeMap::new(), BTreeMap::new());
         for (r, c) in (0..n - 2).flat_map(|r| (0..n).map(move |c| (r, c))) {
             let mut bytes = vec![0; bs];
             if rng.gen_bool(0.8) {
@@ -867,7 +868,12 @@ fn folds_restore_what_the_plan_xors() {
                 let mut rec = BlockRecord::free();
                 (rec.role, rec.index_version) = (Role::Data, 1);
                 recs.insert((r, c), rec);
-                store.server(c).node.region.write(off(0, r), &bytes).unwrap();
+                store
+                    .server(c)
+                    .node
+                    .region
+                    .write(off(0, r), &bytes)
+                    .unwrap();
                 if rng.gen_bool(2.0 / 3.0) {
                     let mut pending = bytes.clone();
                     if rng.gen_bool(0.5) {
@@ -912,7 +918,12 @@ fn folds_restore_what_the_plan_xors() {
             let bytes = rec.encode(blocks.block_size);
             for copy in 0..RECORD_TABLES {
                 let at = blocks.record_offset_in(copy, blocks.cell_block_id(0, r));
-                store.server((c + copy) % n).node.region.write(at, &bytes).unwrap();
+                store
+                    .server((c + copy) % n)
+                    .node
+                    .region
+                    .write(at, &bytes)
+                    .unwrap();
             }
         }
 

@@ -219,7 +219,14 @@ impl FuseeClient {
             if let Some(f) = found.slot {
                 self.free_slot(cols[0], f.slot, 0);
             }
-            self.cache.insert(key, Cell { offset: off, len: class, tag: 0 });
+            self.cache.insert(
+                key,
+                Cell {
+                    offset: off,
+                    len: class,
+                    tag: 0,
+                },
+            );
             return Ok(());
         }
         Err(ReplError::RetriesExhausted)
@@ -251,12 +258,19 @@ mod tests {
         let mut c = s.client();
         c.insert(b"hotkey", b"aaaaaaaa").unwrap();
         c.dm.take_ops();
-        assert_eq!(c.search(b"hotkey").unwrap().as_deref(), Some(&b"aaaaaaaa"[..]));
+        assert_eq!(
+            c.search(b"hotkey").unwrap().as_deref(),
+            Some(&b"aaaaaaaa"[..])
+        );
         let ops = c.dm.take_ops();
         let rec = ops.records.last().unwrap();
         assert_eq!(rec.rtts, 1, "cached search must be 1 RTT");
         assert_eq!(rec.verbs, 3, "KV read ∥ two bucket reads");
-        assert_eq!((rec.batches, rec.batch_max), (1, 3), "single doorbell batch");
+        assert_eq!(
+            (rec.batches, rec.batch_max),
+            (1, 3),
+            "single doorbell batch"
+        );
     }
 
     /// A tombstone is the key's own slot, so no later fingerprint match can

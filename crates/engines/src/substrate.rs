@@ -378,7 +378,11 @@ impl<P: Protocol> ReplStore<P> {
         dm.attach_cq(Arc::clone(&cq));
         let mut got = vec![Vec::new(); copies.len()];
         let filled = (|| -> Result<()> {
-            for src in copies.iter().map(|&(src, _, _)| src).collect::<BTreeSet<_>>() {
+            for src in copies
+                .iter()
+                .map(|&(src, _, _)| src)
+                .collect::<BTreeSet<_>>()
+            {
                 dm.batch(|dm| -> Result<()> {
                     for (i, &(from, off, len)) in copies.iter().enumerate() {
                         if from == src {
@@ -679,7 +683,14 @@ impl<P: Protocol> ReplClient<P> {
                 Judged::Tombstone => {}
                 Judged::Ours(value, tag) => {
                     let len = image.len() as u32;
-                    self.cache.insert(key, Cell { offset: s.slot.offset(), len, tag });
+                    self.cache.insert(
+                        key,
+                        Cell {
+                            offset: s.slot.offset(),
+                            len,
+                            tag,
+                        },
+                    );
                     live = Some((value.to_vec(), tag));
                 }
             }
@@ -874,7 +885,11 @@ mod tests {
     fn evicted_key_relocates<P: Protocol>() {
         let (s, mut c) = churned::<P>(80);
         assert_reads_back(&mut c, (0..80).step_by(7));
-        assert!(c.cache.len() <= 8, "[{}] reads must respect the bound", P::NAME);
+        assert!(
+            c.cache.len() <= 8,
+            "[{}] reads must respect the bound",
+            P::NAME
+        );
         let evicted = (0..80u32)
             .map(|i| format!("key-{i:04}").into_bytes())
             .filter(|k| !c.cache.contains(k))
@@ -889,10 +904,18 @@ mod tests {
         assert_eq!(c.search(searched).unwrap().as_deref(), Some(&b"latest"[..]));
         c.update(updated, b"mine").unwrap();
         for rec in c.dm.take_ops().records {
-            assert!(rec.rtts >= 2, "[{}] {:?} skipped the scan", P::NAME, rec.kind);
+            assert!(
+                rec.rtts >= 2,
+                "[{}] {:?} skipped the scan",
+                P::NAME,
+                rec.kind
+            );
         }
         assert!(c.cache.contains(searched) && c.cache.contains(updated));
-        assert_eq!(other.search(updated).unwrap().as_deref(), Some(&b"mine"[..]));
+        assert_eq!(
+            other.search(updated).unwrap().as_deref(),
+            Some(&b"mine"[..])
+        );
         assert!(s.replica_agreement().is_empty(), "[{}]", P::NAME);
     }
 

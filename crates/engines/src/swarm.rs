@@ -212,9 +212,7 @@ fn committed_version(cell: &[u8]) -> Option<u64> {
     if klen > total || end > cell.len() {
         return None;
     }
-    let trailer = u64::from_le_bytes(
-        cell[end - PAY_TRAILER..end].try_into().unwrap(),
-    );
+    let trailer = u64::from_le_bytes(cell[end - PAY_TRAILER..end].try_into().unwrap());
     (trailer == ver).then_some(ver)
 }
 
@@ -248,7 +246,10 @@ impl SwarmClient {
             let (pos, slot) = (f.pos, f.slot);
             // One doorbell batch: CAS the slot empty on every replica.
             let swap = (slot.raw(), Slot8::EMPTY.raw());
-            if self.dm.batch(|_| self.cas_replicas(&cols, pos.offset, swap))? {
+            if self
+                .dm
+                .batch(|_| self.cas_replicas(&cols, pos.offset, swap))?
+            {
                 self.cache.invalidate(key);
                 self.free_slot(cols[0], slot, ver);
                 return Ok(true);
@@ -290,7 +291,13 @@ impl SwarmClient {
             self.cas_replicas(cols, cell.offset, (cell.tag, cell.tag + 1))
         })?;
         if committed {
-            self.cache.insert(key, Cell { tag: cell.tag + 1, ..cell });
+            self.cache.insert(
+                key,
+                Cell {
+                    tag: cell.tag + 1,
+                    ..cell
+                },
+            );
         } else {
             // Lost a race (or stale cache): converge replicas on the
             // primary's committed image before anyone retries.
@@ -355,7 +362,14 @@ impl SwarmClient {
                     self.free_slot(cols[0], f.slot, ver);
                 }
                 let tag = base_ver + 1;
-                self.cache.insert(key, Cell { offset: off, len: class, tag });
+                self.cache.insert(
+                    key,
+                    Cell {
+                        offset: off,
+                        len: class,
+                        tag,
+                    },
+                );
                 return Ok(());
             }
             self.dm.note_retry();
@@ -432,7 +446,10 @@ mod tests {
         assert!(rec.rtts > 1, "and the retry pays the scan");
         let fresh = b.cache.peek(b"hotkey").unwrap();
         assert_eq!((fresh.offset, fresh.tag), (stale.offset, stale.tag + 2));
-        assert_eq!(a.search(b"hotkey").unwrap().as_deref(), Some(&b"cccccccc"[..]));
+        assert_eq!(
+            a.search(b"hotkey").unwrap().as_deref(),
+            Some(&b"cccccccc"[..])
+        );
         assert!(s.replica_agreement().is_empty());
     }
 

@@ -29,11 +29,22 @@ fn crud_semantics_conform() {
             FtError::NotFound,
             "[{kind}] update of a missing key"
         );
-        assert!(!c.delete(b"absent").unwrap(), "[{kind}] delete of a missing key");
+        assert!(
+            !c.delete(b"absent").unwrap(),
+            "[{kind}] delete of a missing key"
+        );
         c.insert(b"k", b"v1").unwrap();
-        assert_eq!(c.search(b"k").unwrap().as_deref(), Some(&b"v1"[..]), "[{kind}]");
+        assert_eq!(
+            c.search(b"k").unwrap().as_deref(),
+            Some(&b"v1"[..]),
+            "[{kind}]"
+        );
         c.insert(b"k", b"v2").unwrap(); // Upsert.
-        assert_eq!(c.search(b"k").unwrap().as_deref(), Some(&b"v2"[..]), "[{kind}]");
+        assert_eq!(
+            c.search(b"k").unwrap().as_deref(),
+            Some(&b"v2"[..]),
+            "[{kind}]"
+        );
         c.update(b"k", b"v3-longer-value").unwrap(); // Size-class change.
         assert_eq!(
             c.search(b"k").unwrap().as_deref(),
@@ -41,14 +52,22 @@ fn crud_semantics_conform() {
             "[{kind}]"
         );
         assert!(c.delete(b"k").unwrap(), "[{kind}]");
-        assert_eq!(c.search(b"k").unwrap(), None, "[{kind}] deleted key must read absent");
+        assert_eq!(
+            c.search(b"k").unwrap(),
+            None,
+            "[{kind}] deleted key must read absent"
+        );
         assert_eq!(
             c.update(b"k", b"x").unwrap_err(),
             FtError::NotFound,
             "[{kind}] update after delete"
         );
         c.insert(b"k", b"v4").unwrap(); // Reinsert after delete.
-        assert_eq!(c.search(b"k").unwrap().as_deref(), Some(&b"v4"[..]), "[{kind}]");
+        assert_eq!(
+            c.search(b"k").unwrap().as_deref(),
+            Some(&b"v4"[..]),
+            "[{kind}]"
+        );
         eng.shutdown();
     });
 }
@@ -66,7 +85,9 @@ fn fresh_client_sees_existing_data() {
         assert_ne!(w.id(), r.id(), "[{kind}] client ids must be distinct");
         for i in 0..50u32 {
             assert_eq!(
-                r.search(format!("cf-{i:02}").as_bytes()).unwrap().as_deref(),
+                r.search(format!("cf-{i:02}").as_bytes())
+                    .unwrap()
+                    .as_deref(),
                 Some(format!("v{i}").as_bytes()),
                 "[{kind}] cold client missed cf-{i:02}"
             );
@@ -81,26 +102,40 @@ fn kill_and_recover_preserves_data() {
         let kind = eng.kind();
         let mut c = eng.client().unwrap();
         for i in 0..100u32 {
-            c.insert(format!("kr-{i:03}").as_bytes(), format!("val-{i}").as_bytes())
-                .unwrap();
+            c.insert(
+                format!("kr-{i:03}").as_bytes(),
+                format!("val-{i}").as_bytes(),
+            )
+            .unwrap();
         }
         c.quiesce().unwrap();
         eng.tick().unwrap();
         let col = eng.home_col(b"kr-000");
         assert!(col < eng.columns(), "[{kind}]");
         assert!(eng.kill_column(col), "[{kind}]");
-        assert!(!eng.kill_column(col), "[{kind}] second kill must report dead");
+        assert!(
+            !eng.kill_column(col),
+            "[{kind}] second kill must report dead"
+        );
         let s = eng.recover(&[], &[col]).unwrap();
-        assert!(s.bytes > 0 && s.net_ms > 0.0, "[{kind}] empty recovery summary: {s:?}");
+        assert!(
+            s.bytes > 0 && s.net_ms > 0.0,
+            "[{kind}] empty recovery summary: {s:?}"
+        );
         for i in 0..100u32 {
             assert_eq!(
-                c.search(format!("kr-{i:03}").as_bytes()).unwrap().as_deref(),
+                c.search(format!("kr-{i:03}").as_bytes())
+                    .unwrap()
+                    .as_deref(),
                 Some(format!("val-{i}").as_bytes()),
                 "[{kind}] kr-{i:03} lost across kill/recover"
             );
         }
         c.update(b"kr-000", b"post-recovery").unwrap();
-        assert!(eng.check().unwrap().is_empty(), "[{kind}] integrity check dirty");
+        assert!(
+            eng.check().unwrap().is_empty(),
+            "[{kind}] integrity check dirty"
+        );
         eng.shutdown();
     });
 }
@@ -111,7 +146,8 @@ fn recovering_a_quiescent_client_is_safe() {
         let kind = eng.kind();
         let mut c = eng.client().unwrap();
         for i in 0..20u32 {
-            c.insert(format!("rc-{i:02}").as_bytes(), b"payload").unwrap();
+            c.insert(format!("rc-{i:02}").as_bytes(), b"payload")
+                .unwrap();
         }
         c.quiesce().unwrap();
         let id = c.id();
@@ -171,7 +207,8 @@ fn space_reports_populate_and_rank() {
         // overheads amortize (Table 3 compares loaded stores, not empty
         // ones).
         for i in 0..3000u32 {
-            c.insert(format!("sp-{i:04}").as_bytes(), &[5u8; 128]).unwrap();
+            c.insert(format!("sp-{i:04}").as_bytes(), &[5u8; 128])
+                .unwrap();
         }
         c.quiesce().unwrap();
         eng.tick().unwrap();
@@ -217,7 +254,10 @@ fn ops_are_recorded_per_operation() {
                 "[swarm] cached same-class update must be one round trip"
             );
         }
-        assert!(c.take_ops().records.is_empty(), "[{kind}] take_ops must drain");
+        assert!(
+            c.take_ops().records.is_empty(),
+            "[{kind}] take_ops must drain"
+        );
         eng.shutdown();
     });
 }

@@ -222,7 +222,8 @@ mod tests {
     #[test]
     fn first_twins_collide_and_avoid_taken_coordinates() {
         let l = IndexLayout::new(0, 32);
-        let keys = |prefix: &'static str| (0u32..).map(move |i| format!("{prefix}{i}").into_bytes());
+        let keys =
+            |prefix: &'static str| (0u32..).map(move |i| format!("{prefix}{i}").into_bytes());
         let coord = |k: &[u8]| (fingerprint(k), route_hash(k) % 3, l.buckets_for(k)[0].0);
         let (a, b) = l.first_twins(3, None, keys("t")).unwrap();
         assert_ne!(a, b);

@@ -185,7 +185,9 @@ fn run_inner(
 ) -> Result<(), String> {
     let store = AcesoStore::launch(model_config()).map_err(|e| format!("launch: {e}"))?;
     let sink = Arc::new(FootprintSink::default());
-    store.cluster.install_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+    store
+        .cluster
+        .install_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
     let n = store.cfg.num_mns;
     let victim_col = (route_hash(&key_bytes(0)) % n as u64) as usize;
 
@@ -409,9 +411,7 @@ fn run_inner(
             let idx = st.begin(k, None, "V".to_string());
             match verifier.search(&key_bytes(k)) {
                 Ok(got) => st.finish(idx, Some(got)),
-                Err(e) => st
-                    .violations
-                    .push(format!("verifier search k{k}: {e}")),
+                Err(e) => st.violations.push(format!("verifier search k{k}: {e}")),
             }
         }
         out.violations.append(&mut st.violations);

@@ -89,7 +89,12 @@ impl Dfs<'_> {
     }
 
     /// Expands the node `prefix`, whose own execution produced `res`.
-    fn visit(&mut self, prefix: &mut Vec<u32>, res: RunResult, sleep: Vec<(u32, Vec<Access>)>) -> Result<(), Found> {
+    fn visit(
+        &mut self,
+        prefix: &mut Vec<u32>,
+        res: RunResult,
+        sleep: Vec<(u32, Vec<Access>)>,
+    ) -> Result<(), Found> {
         self.stats.nodes += 1;
         self.stats.max_depth = self.stats.max_depth.max(prefix.len());
         if !res.ok() {

@@ -27,9 +27,10 @@ impl ScriptOp {
     /// The scenario key the op touches.
     pub fn key(&self) -> usize {
         match self {
-            ScriptOp::Insert(k) | ScriptOp::Update(k) | ScriptOp::Search(k) | ScriptOp::Delete(k) => {
-                *k
-            }
+            ScriptOp::Insert(k)
+            | ScriptOp::Update(k)
+            | ScriptOp::Search(k)
+            | ScriptOp::Delete(k) => *k,
         }
     }
 }

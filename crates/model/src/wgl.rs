@@ -112,10 +112,7 @@ pub fn check_key(initial: Option<&[u8]>, ops: &[KeyOp]) -> bool {
 /// Renders a single-key history for counterexample reports, in stamp
 /// order.
 pub fn render_history(key: &str, initial: Option<&[u8]>, ops: &[KeyOp]) -> Vec<String> {
-    let mut lines = vec![format!(
-        "history of {key} (initial {}):",
-        fmt_val(initial)
-    )];
+    let mut lines = vec![format!("history of {key} (initial {}):", fmt_val(initial))];
     let mut sorted: Vec<&KeyOp> = ops.iter().collect();
     sorted.sort_by_key(|o| o.inv);
     for o in sorted {

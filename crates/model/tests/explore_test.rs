@@ -32,7 +32,11 @@ fn skip_commit_cas_is_caught_and_minimized() {
         .unwrap();
     let r = explore(&s, SEED);
     let v = r.violation.expect("mutation must be caught");
-    assert!(v.prefix.is_empty(), "minimal counterexample: {:?}", v.prefix);
+    assert!(
+        v.prefix.is_empty(),
+        "minimal counterexample: {:?}",
+        v.prefix
+    );
     assert!(v.crash.is_none());
     assert!(
         v.messages.iter().any(|m| m.contains("non-linearizable")),
@@ -53,10 +57,7 @@ fn exploration_is_deterministic() {
     let a = explore(&s, SEED);
     let b = explore(&s, SEED);
     assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
-    assert_eq!(
-        format!("{:?}", a.violation),
-        format!("{:?}", b.violation)
-    );
+    assert_eq!(format!("{:?}", a.violation), format!("{:?}", b.violation));
 }
 
 /// The sleep set actually prunes commuting siblings somewhere in a

@@ -18,9 +18,9 @@ fn default_schedule_passes_cleanly() {
 fn root_frontier_exposes_enabled_set() {
     let scenarios = baseline_scenarios();
     let s = &scenarios[0]; // upd-upd: two writers
-    // With an empty prefix the run pauses at the first quiescent point
-    // (every task suspended at its first round trip) before draining, so
-    // `enabled` is the root frontier: both writers pending.
+                           // With an empty prefix the run pauses at the first quiescent point
+                           // (every task suspended at its first round trip) before draining, so
+                           // `enabled` is the root frontier: both writers pending.
     let r0 = run(s, SEED, &[], None);
     assert!(r0.ok(), "{:#?}", r0.violations);
     assert_eq!(r0.enabled.len(), 2, "{:?}", r0.enabled);

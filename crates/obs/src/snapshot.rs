@@ -44,10 +44,7 @@ impl Snapshot {
         if !self.gauges.is_empty() {
             out.push_str("gauges\n");
             for (name, v) in &self.gauges {
-                out.push_str(&format!(
-                    "  {name:<42} {:>14}\n",
-                    JsonWriter::fmt_f64(*v)
-                ));
+                out.push_str(&format!("  {name:<42} {:>14}\n", JsonWriter::fmt_f64(*v)));
             }
         }
         if !self.histograms.is_empty() {
@@ -138,7 +135,10 @@ mod tests {
     #[test]
     fn empty_snapshot_renders() {
         let snap = Registry::new().snapshot();
-        assert_eq!(snap.to_json(), r#"{"counters":{},"gauges":{},"histograms":{}}"#);
+        assert_eq!(
+            snap.to_json(),
+            r#"{"counters":{},"gauges":{},"histograms":{}}"#
+        );
         assert_eq!(snap.render_table(), "(no metrics recorded)\n");
     }
 }

@@ -509,7 +509,9 @@ mod tests {
             n_clients: 1,
             node_fg: vec![demand(100, 0, 0, 100_000, 0)],
             bg_bytes_per_sec: vec![0.0],
-            records: (0..100).map(|_| rec(OpKind::Search, 2, 0, 1024, 0)).collect(),
+            records: (0..100)
+                .map(|_| rec(OpKind::Search, 2, 0, 1024, 0))
+                .collect(),
             pipeline_depth: depth,
         };
         let legacy = model.report(&mk(None));

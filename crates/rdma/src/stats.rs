@@ -295,12 +295,9 @@ mod tests {
                 }
             });
 
-            let node_total = c
-                .nodes()
-                .iter()
-                .fold(VerbSnapshot::default(), |acc, n| {
-                    acc.plus(&n.traffic.snapshot())
-                });
+            let node_total = c.nodes().iter().fold(VerbSnapshot::default(), |acc, n| {
+                acc.plus(&n.traffic.snapshot())
+            });
             let verbs_per_client = 2 * ROUNDS; // writes per node
             assert_eq!(node_total.writes, CLIENTS as u64 * verbs_per_client);
             assert_eq!(node_total.reads, CLIENTS as u64 * verbs_per_client);

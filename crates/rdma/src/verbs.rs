@@ -226,7 +226,13 @@ impl DmClient {
     /// ([`FaultAction::KillNode`]); delays are served inline; `Fail`
     /// surfaces as [`RdmaError::Injected`] before the memory is touched.
     /// Two relaxed loads while neither plan is installed.
-    fn intercept(&self, node: &MemoryNode, kind: VerbKind, offset: u64, len: usize) -> Result<bool> {
+    fn intercept(
+        &self,
+        node: &MemoryNode,
+        kind: VerbKind,
+        offset: u64,
+        len: usize,
+    ) -> Result<bool> {
         let site = FaultSite {
             kind,
             node: node.id,
@@ -932,9 +938,11 @@ mod tests {
         let cl = c.client();
         let a = GlobalAddr::new(NodeId(0), 64);
         cl.write(a, &[7u8; 8]).unwrap();
-        cl.install_fault_plan(FaultPlan::with_rules(vec![FaultRule::new(FaultAction::Fail)
-            .on_kind(VerbKind::Write)
-            .on_node(NodeId(0))]));
+        cl.install_fault_plan(FaultPlan::with_rules(vec![FaultRule::new(
+            FaultAction::Fail,
+        )
+        .on_kind(VerbKind::Write)
+        .on_node(NodeId(0))]));
         assert_eq!(
             cl.write(a, &[9u8; 8]),
             Err(RdmaError::Injected {
@@ -979,9 +987,11 @@ mod tests {
     fn node_side_plan_hits_every_client() {
         let c = cluster();
         let node = c.node(NodeId(0)).unwrap();
-        node.install_fault_plan(FaultPlan::with_rules(vec![FaultRule::new(FaultAction::Fail)
-            .on_kind(VerbKind::Cas)
-            .fires(2)]));
+        node.install_fault_plan(FaultPlan::with_rules(vec![FaultRule::new(
+            FaultAction::Fail,
+        )
+        .on_kind(VerbKind::Cas)
+        .fires(2)]));
         let a = GlobalAddr::new(NodeId(0), 0);
         assert!(c.client().cas(a, 0, 1).is_err());
         assert!(c.background_client().cas(a, 0, 1).is_err());
@@ -1059,9 +1069,7 @@ mod tests {
         assert!(matches!(ops[5], TraceOp::Barrier));
         // Same client, strictly increasing seq, correct address metadata.
         assert!(evs[..5].iter().all(|e| e.client == cl.trace_id()));
-        assert!(evs[..5]
-            .windows(2)
-            .all(|w| w[1].seq == w[0].seq + 1));
+        assert!(evs[..5].windows(2).all(|w| w[1].seq == w[0].seq + 1));
         assert_eq!(evs[0].offset, 64);
         assert_eq!(evs[0].len, 16);
         assert_eq!(evs[5].client, crate::trace::TraceEvent::BARRIER_CLIENT);

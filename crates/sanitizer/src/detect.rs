@@ -119,7 +119,11 @@ pub struct Race {
 
 impl fmt::Display for Race {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unordered {}: {} vs {}", self.kind, self.first, self.second)?;
+        write!(
+            f,
+            "unordered {}: {} vs {}",
+            self.kind, self.first, self.second
+        )?;
         if let Some(n) = &self.note {
             write!(f, " ({n})")?;
         }

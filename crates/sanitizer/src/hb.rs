@@ -75,8 +75,7 @@ pub fn accesses_conflict(a: &Access, b: &Access) -> bool {
 /// footprint `b` — the segment-level dependence used for sleep-set
 /// pruning. Empty footprints conflict with nothing.
 pub fn footprints_conflict(a: &[Access], b: &[Access]) -> bool {
-    a.iter()
-        .any(|x| b.iter().any(|y| accesses_conflict(x, y)))
+    a.iter().any(|x| b.iter().any(|y| accesses_conflict(x, y)))
 }
 
 #[cfg(test)]

@@ -110,7 +110,9 @@ pub fn lint_index_layout() -> Vec<String> {
                 let meta = atomic + 8;
                 for (name, off) in [("Atomic", atomic), ("Meta", meta)] {
                     if off % 8 != 0 {
-                        v.push(format!("slot {name} word {off:#x} (g{g} c{c} s{s}) unaligned"));
+                        v.push(format!(
+                            "slot {name} word {off:#x} (g{g} c{c} s{s}) unaligned"
+                        ));
                     }
                 }
                 if !matches!(l.classify_word(atomic), IndexWord::Atomic { .. }) {
@@ -144,7 +146,9 @@ pub fn lint_fusee_geometry() -> Vec<String> {
         ));
     }
     if fusee_group != GROUP_BUCKETS * BUCKET_SLOTS * 8 {
-        v.push(format!("fusee group bytes {fusee_group} != 3 buckets x 8 slots x 8 B"));
+        v.push(format!(
+            "fusee group bytes {fusee_group} != 3 buckets x 8 slots x 8 B"
+        ));
     }
     v
 }
@@ -173,7 +177,9 @@ pub fn lint_blockalloc_layout() -> Vec<String> {
             }
         }
         if !blk.is_multiple_of(64) {
-            v.push(format!("block offset {blk:#x} of block {b} not 64-B aligned"));
+            v.push(format!(
+                "block offset {blk:#x} of block {b} not 64-B aligned"
+            ));
         }
         if !(l.block_base..l.block_base + l.block_area_size()).contains(&blk) {
             v.push(format!("block {b} outside the Block Area"));
@@ -211,7 +217,9 @@ pub fn lint_memory_maps() -> Vec<String> {
         let last = (map.blocks.blocks_per_node() - 1) as BlockId;
         let tables_end = map.blocks.record_offset_in(RECORD_TABLES - 1, last);
         if tables_end + map.blocks.record_bytes() > map.blocks.block_base {
-            v.push(format!("{name}: the {RECORD_TABLES} record tables overlap the Block Area"));
+            v.push(format!(
+                "{name}: the {RECORD_TABLES} record tables overlap the Block Area"
+            ));
         }
         let end = map.blocks.block_base + map.blocks.block_area_size();
         if end > map.region_len as u64 {
@@ -255,7 +263,9 @@ pub fn lint_pack48() -> Vec<String> {
             let a = GlobalAddr::new(NodeId(node), off);
             let rt = GlobalAddr::unpack48(a.pack48());
             if rt.node != a.node || rt.offset != a.offset {
-                v.push(format!("pack48 roundtrip failed for {node} offset {off:#x}"));
+                v.push(format!(
+                    "pack48 roundtrip failed for {node} offset {off:#x}"
+                ));
             }
         }
     }
@@ -278,7 +288,9 @@ pub fn lint_crash_points() -> Vec<String> {
         .nth(1)
         .and_then(|rest| rest.split('}').next())
     else {
-        v.push(format!("cannot find `pub enum CrashPoint` under {CLIENT_DIR}"));
+        v.push(format!(
+            "cannot find `pub enum CrashPoint` under {CLIENT_DIR}"
+        ));
         return v;
     };
     let variants: Vec<&str> = decl

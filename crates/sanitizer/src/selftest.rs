@@ -47,8 +47,8 @@ fn fresh() -> (Arc<Cluster>, Arc<Detector>) {
         cost: CostModel::default(),
     });
     let layout = IndexLayout::new(0, 8);
-    let detector = Arc::new(Detector::with_annotator(Box::new(move |_, off| {
-        match layout.classify_word(off) {
+    let detector = Arc::new(Detector::with_annotator(Box::new(
+        move |_, off| match layout.classify_word(off) {
             aceso_index::IndexWord::Atomic { group, slot } => {
                 Some(format!("slot Atomic word g{group}/s{slot}"))
             }
@@ -57,8 +57,8 @@ fn fresh() -> (Arc<Cluster>, Arc<Detector>) {
             }
             aceso_index::IndexWord::IndexVersion => Some("Index Version word".into()),
             aceso_index::IndexWord::OutsideIndex => Some("block area".into()),
-        }
-    })));
+        },
+    )));
     cluster.install_trace_sink(detector.clone());
     (cluster, detector)
 }
@@ -69,10 +69,7 @@ fn layout() -> IndexLayout {
     IndexLayout::new(0, 8)
 }
 
-fn run(
-    name: &'static str,
-    scenario: impl Fn(&Arc<Cluster>, bool),
-) -> SelftestOutcome {
+fn run(name: &'static str, scenario: impl Fn(&Arc<Cluster>, bool)) -> SelftestOutcome {
     let (cluster, detector) = fresh();
     scenario(&cluster, false);
     let baseline_clean = detector.is_clean();
