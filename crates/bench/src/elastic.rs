@@ -6,8 +6,8 @@
 //! the same interleaving the chaos elastic axis kills nodes inside, here
 //! measured instead of crashed. Each window reports the ops that
 //! committed and the modeled throughput over that window's verb records,
-//! so the table shows what live traffic costs while blocks are being
-//! re-placed and parity re-encoded under it.
+//! so the table shows what live traffic costs while blocks, parity cells
+//! included, are being re-placed under it.
 //!
 //! Every number is counted or modeled (wall-clock stays out), so the
 //! rendered table is a pure function of the seed.
@@ -54,7 +54,7 @@ pub struct ElasticPhase {
     pub rows: Vec<WindowRow>,
     /// `elastic.batches` — copy batches the migrator executed.
     pub batches: u64,
-    /// `elastic.blocks_moved` — data/delta blocks copied.
+    /// `elastic.blocks_moved` — blocks copied, parity cells included.
     pub blocks_moved: u64,
     /// Whether the post-migration scrub found every invariant intact.
     pub scrub_clean: bool,
@@ -207,7 +207,7 @@ mod tests {
         for p in &slice.phases {
             assert!(p.scrub_clean, "{} phase left the store dirty", p.kind);
             assert!(p.batches > 0 && p.blocks_moved > 0);
-            // baseline + announce + copy batches + reencode + publish + free.
+            // baseline + announce + copy batches + publish + free.
             assert!(p.rows.len() >= 5, "only {} windows", p.rows.len());
             for r in &p.rows {
                 assert!(

@@ -4,8 +4,9 @@
 //! membership. This axis kills them while an elastic migration
 //! ([`aceso_core::Migration`]) is re-homing a column onto a joining node
 //! (or off a draining one): live client traffic interleaves with the
-//! migrator, and at exactly one step boundary — announce, per-batch copy,
-//! parity re-encode, epoch publish, or old-column free — a node dies.
+//! migrator, and at exactly one step boundary — announce, the first copy
+//! batch, the last copy batch, epoch publish, or old-column free — a node
+//! dies.
 //!
 //! Three kills × five boundaries = fifteen cells:
 //!
@@ -72,16 +73,17 @@ pub enum ElasticKill {
 /// The migrator step boundary the fault lands on, in step order (the
 /// discriminant is the [`FaultPlan`] phase of the boundary's traffic
 /// window). The fault fires in the window immediately *after* the named
-/// step completes (for `Copy`, after the first copy batch — some
-/// placement groups moved, some not).
+/// step completes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ElasticBoundary {
     /// After the target joined and dual-write was armed.
     Announce,
-    /// After the first placement-group copy batch.
+    /// After the first placement-group copy batch: some groups moved,
+    /// some not.
     Copy,
-    /// After the parity re-encode.
-    Reencode,
+    /// After the last copy batch: every block, parity included, is on the
+    /// target and nothing is published yet.
+    LastCopy,
     /// After the column republished on the target.
     Publish,
     /// After the source node drained.
@@ -89,12 +91,13 @@ pub enum ElasticBoundary {
 }
 
 impl ElasticBoundary {
-    /// The boundary window a completed migrator step opens.
-    fn of(step: ElasticStep) -> Self {
+    /// The boundary window a completed migrator step opens, for a
+    /// migration of `groups` placement groups.
+    fn of(step: ElasticStep, groups: usize) -> Self {
         match step {
             ElasticStep::Announce => ElasticBoundary::Announce,
+            ElasticStep::CopyBatch(g) if g + 1 == groups => ElasticBoundary::LastCopy,
             ElasticStep::CopyBatch(_) => ElasticBoundary::Copy,
-            ElasticStep::Reencode => ElasticBoundary::Reencode,
             ElasticStep::Publish => ElasticBoundary::Publish,
             ElasticStep::Free | ElasticStep::Done => ElasticBoundary::Free,
         }
@@ -153,10 +156,10 @@ impl Axis for Elastic {
 
     /// Kill-major: 3 kills × 5 boundaries.
     fn cells() -> Vec<ElasticCell> {
-        use ElasticBoundary::{Announce, Copy, Free, Publish, Reencode};
+        use ElasticBoundary::{Announce, Copy, Free, LastCopy, Publish};
         let mut cells = Vec::new();
         for kill in [ElasticKill::JoinMn, ElasticKill::DrainMn, ElasticKill::Cn] {
-            for boundary in [Announce, Copy, Reencode, Publish, Free] {
+            for boundary in [Announce, Copy, LastCopy, Publish, Free] {
                 cells.push(ElasticCell { kill, boundary });
             }
         }
@@ -180,7 +183,7 @@ impl Axis for Elastic {
     #[allow(clippy::too_many_lines)]
     fn run(cell: ElasticCell, seed: u64, sink: Sink, out: &mut Out<Self>) -> Result<(), String> {
         // The setup closes (= erasure-codes) the open blocks, so the copy
-        // batches and the parity re-encode have coded stripes to move.
+        // batches have coded stripes, parity cells included, to move.
         let mut s = Script::seeded(seed, sink, (0..KEYS).map(|j| key("ek", j)))?;
         let store = Arc::clone(s.eng.store());
         let n = store.cfg.num_mns;
@@ -240,7 +243,7 @@ impl Axis for Elastic {
                 client.dm.install_fault_plan(Arc::clone(&p));
                 plan = Some(p);
             }
-            let window = ElasticBoundary::of(step);
+            let window = ElasticBoundary::of(step, store.cfg.elastic_groups);
             if let Some(p) = &plan {
                 p.set_phase(window as u32);
             }

@@ -1,13 +1,14 @@
 //! Placement groups: epoch-versioned column→node resolution for elastic
-//! membership (online MN add/drain with live re-encoding).
+//! membership (online MN add/drain).
 //!
 //! A column's blocks are partitioned into **placement groups**
-//! (`group = block_id % elastic_groups`). While a column migrates from one
-//! memory node to another, the migrator moves one group at a time and
-//! publishes a new [`PlacementSnapshot`] after every step; clients resolve
-//! each block-area access through their snapshot and fall back to the
-//! [`Directory`](crate::server::Directory) for everything that has not
-//! moved (index/meta areas, unmoved groups, non-migrating columns).
+//! (`group = block_id % elastic_groups`), whatever a block's kind: DATA,
+//! DELTA and PARITY cells move with their group alike. While a column
+//! migrates from one memory node to another, the migrator moves one group
+//! at a time and publishes a new [`PlacementSnapshot`] after every step;
+//! clients resolve each block-area access through their snapshot and fall
+//! back to the [`Directory`](crate::server::Directory) for everything that
+//! has not moved (index/meta areas, unmoved groups, non-migrating columns).
 //!
 //! Safety comes from two mechanisms working together:
 //!
@@ -17,15 +18,14 @@
 //!   snapshot gets [`aceso_rdma::RdmaError::EpochFenced`] instead of
 //!   silently writing bytes the copy will never see. The client refreshes
 //!   its snapshot and retries.
-//! - **Dual-write mirroring**: while the migration is in flight
-//!   (`mirror = true`, i.e. until the final publish), refreshed clients
-//!   write block-area bytes to *both* sides. The source therefore stays
+//! - **Dual-write mirroring**: while the migration is in flight (until
+//!   the final publish), refreshed clients write block-area bytes to
+//!   *both* sides, and so does the server. The source therefore stays
 //!   byte-fresh, which makes aborting a migration (target dies mid-copy)
 //!   trivially safe, and keeps recovery paths that resolve through the
 //!   directory correct before the publish.
 
 use crate::config::MemoryMap;
-use aceso_blockalloc::CellKind;
 use aceso_rdma::NodeId;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -62,12 +62,8 @@ pub struct MigrationView {
     pub to: NodeId,
     /// Number of placement groups (`group = block_id % groups`).
     pub groups: usize,
-    /// Per-group flag: data/delta blocks of group `g` are served by `to`.
+    /// Per-group flag: every block of group `g` is served by `to`.
     pub moved: Vec<bool>,
-    /// Parity cells are served by `to` (flipped by the re-encode step).
-    pub parity_moved: bool,
-    /// Dual-write window: block-area writes must land on both nodes.
-    pub mirror: bool,
 }
 
 /// An immutable point-in-time view of placement. Cheap to clone via `Arc`;
@@ -83,7 +79,7 @@ pub struct PlacementSnapshot {
     pub retired: Vec<NodeId>,
     /// Per-column last-placement-change epoch: the epoch of the most
     /// recent mutation that touched the column's placement (begin, group
-    /// move, re-encode, publish, abort). Clients compare this against the
+    /// move, publish, abort). Clients compare this against the
     /// epoch a cache entry was filled under — an entry is stale as soon as
     /// its column changed placement after the fill, *even if no node has
     /// been retired yet* (a mid-migration column already serves some
@@ -107,19 +103,15 @@ impl PlacementSnapshot {
             return None;
         }
         let (block, _) = map.blocks.locate(off)?;
-        let moved = match map.blocks.kind_of(block) {
-            CellKind::Parity { .. } => m.parity_moved,
-            _ => m.moved[block as usize % m.groups],
-        };
-        moved.then_some(m.to)
+        m.moved[block as usize % m.groups].then_some(m.to)
     }
 
     /// Mirror target for a block-area *write* to `(col, off)`: while the
-    /// dual-write window is open, the write must also land on the other
-    /// side of the migration so neither copy goes stale.
+    /// migration is open, the write must also land on the other side of
+    /// it so neither copy goes stale.
     pub fn mirror(&self, col: usize, off: u64, map: &MemoryMap) -> Option<NodeId> {
         let m = self.migration.as_ref()?;
-        if !m.mirror || col != m.col {
+        if col != m.col {
             return None;
         }
         map.blocks.locate(off)?;
@@ -195,8 +187,6 @@ impl PlacementMap {
                 to,
                 groups,
                 moved: vec![false; groups],
-                parity_moved: false,
-                mirror: true,
             });
             Self::stamp(s, col);
         })
@@ -207,17 +197,6 @@ impl PlacementMap {
         self.publish(|s| {
             if let Some(m) = s.migration.as_mut() {
                 m.moved[g] = true;
-                let col = m.col;
-                Self::stamp(s, col);
-            }
-        })
-    }
-
-    /// Marks the parity cells as moved (re-encode step done).
-    pub(crate) fn mark_parity_moved(&self) -> u64 {
-        self.publish(|s| {
-            if let Some(m) = s.migration.as_mut() {
-                m.parity_moved = true;
                 let col = m.col;
                 Self::stamp(s, col);
             }
@@ -268,7 +247,6 @@ mod tests {
             pm.begin(1, NodeId(1), NodeId(9), 4),
             pm.mark_moved(0),
             pm.mark_moved(3),
-            pm.mark_parity_moved(),
             pm.finish(),
             pm.bump(),
         ] {
@@ -292,8 +270,6 @@ mod tests {
 
         let e_moved = pm.mark_moved(2);
         assert_eq!(pm.snapshot().col_epoch(1), e_moved);
-        let e_parity = pm.mark_parity_moved();
-        assert_eq!(pm.snapshot().col_epoch(1), e_parity);
         let e_finish = pm.finish();
         assert_eq!(pm.snapshot().col_epoch(1), e_finish);
 
@@ -311,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn resolve_follows_group_and_parity_flips() {
+    fn resolve_follows_the_group_parity_cells_included() {
         let m = map();
         let pm = PlacementMap::new(0);
         pm.begin(2, NodeId(2), NodeId(8), 4);
@@ -334,13 +310,30 @@ mod tests {
         // Other columns are untouched.
         assert_eq!(s.resolve(3, data_off(1), &m), None);
 
-        // Parity cells follow the dedicated flip, not their group.
+        // A parity cell resolves to the target exactly when its group is
+        // marked moved: every parity cell of the column, group by group.
         let n = m.blocks.n;
-        let pid = m.blocks.cell_block_id(0, n - 2);
-        pm.mark_moved(pid as usize % 4); // Would cover pid's group...
-        assert_eq!(pm.snapshot().resolve(2, data_off(pid), &m), None);
-        pm.mark_parity_moved();
-        assert_eq!(pm.snapshot().resolve(2, data_off(pid), &m), Some(NodeId(8)));
+        let parity: Vec<u32> = (0..m.blocks.num_arrays)
+            .flat_map(|a| [n - 2, n - 1].map(|r| m.blocks.cell_block_id(a, r)))
+            .collect();
+        let groups: Vec<usize> = parity.iter().map(|&id| id as usize % 4).collect();
+        assert!(groups.contains(&1) && groups.iter().any(|&g| g != 1));
+        let mut moved = vec![1];
+        for g in [None, Some(0), Some(2), Some(3)] {
+            if let Some(g) = g {
+                pm.mark_moved(g);
+                moved.push(g);
+            }
+            let s = pm.snapshot();
+            for (&pid, group) in parity.iter().zip(&groups) {
+                let want = moved.contains(group).then_some(NodeId(8));
+                assert_eq!(
+                    s.resolve(2, data_off(pid), &m),
+                    want,
+                    "parity {pid}, moved {moved:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -108,7 +108,8 @@ pub enum ServerReq {
         /// The replaced column.
         replaced: usize,
     },
-    /// Elastic migration: copy the given block-area byte ranges onto the
+    /// Elastic migration: copy the given block-area byte ranges — one
+    /// placement group's blocks, PARITY cells included — onto the
     /// migration target (installed out-of-band via
     /// [`MnServer::set_migration`](crate::server::MnServer::set_migration)).
     /// Running inside the RPC loop serializes the copy against every other
@@ -117,10 +118,6 @@ pub enum ServerReq {
         /// `(region offset, length)` ranges to copy.
         ranges: Vec<(u64, usize)>,
     },
-    /// Elastic migration: move this column's PARITY cells onto the target —
-    /// quiescent stripes are *re-encoded* from the live data cells, busy
-    /// ones byte-copied — then flip parity primaries to the target.
-    MigrateParity,
     /// Elastic migration: copy the Index, Meta and Checkpoint areas onto the
     /// target and stop serving; the migrator republishes the column on the target.
     MigrateFinish,
