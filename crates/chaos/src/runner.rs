@@ -147,9 +147,8 @@ pub(crate) fn run(cell: Cell, seed: u64, sink: Sink, out: &mut Out<Sweep>) -> Re
         preload(&mut planter, oracle, rng, [a.clone(), b.clone()])?;
         // Close (= erasure-code) every open block before the checkpoint
         // rounds: the index-tier-only window loses closed, checkpointed
-        // blocks, while open blocks — and every closed block sharing a
-        // stripe array with one — are reconstructed during the Index
-        // tier, which would leave nothing degraded to read.
+        // blocks, while open blocks are new and reconstructed during the
+        // Index tier, which would leave nothing degraded to read.
         planter.close_open_blocks().ctx("plant close")?;
         client.close_open_blocks().ctx("preload close")?;
         Some((a, b))

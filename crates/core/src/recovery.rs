@@ -47,6 +47,7 @@ use aceso_rt::Executor;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,15 +82,18 @@ pub struct RecoveryReport {
     /// the Index tier begins (its Index Version word rides in
     /// [`meta_net_ms`](Self::meta_net_ms)).
     pub ckpt_net_ms: f64,
-    /// Reconstructing *new* local blocks via erasure decoding (ms).
+    /// Reconstructing the column's *new* cells — DATA blocks written since
+    /// the checkpoint — and every other dead column's via erasure decoding
+    /// (ms). An old cell is the Block tier's, also in a stripe array that
+    /// holds a new one.
     pub recover_lblock_ms: f64,
-    /// Number of new local blocks reconstructed.
+    /// Number of new cells of the column reconstructed.
     pub lblock_count: usize,
-    /// Network bytes landed on the replacement while decoding new local
-    /// blocks (deterministic): one block per lost cell with a source.
+    /// Network bytes landed on the replacement while decoding new cells
+    /// (deterministic): one block per lost cell with a source.
     pub lblock_net_bytes: u64,
-    /// Blocks landed on the replacement while decoding new local blocks:
-    /// a fold's answer, or the one read of a cell with a single source.
+    /// Blocks landed on the replacement while decoding new cells: a fold's
+    /// answer, or the one read of a cell with a single source.
     pub lblock_net_ops: u64,
     /// Modeled network share of [`recover_lblock_ms`](Self::recover_lblock_ms):
     /// the fold answers and each stripe array's doorbell of single reads,
@@ -129,18 +133,19 @@ pub struct RecoveryReport {
     pub kv_won: usize,
     /// Bytes of block content scanned for KVs (deterministic).
     pub scan_bytes: u64,
-    /// Reconstructing *old* local blocks (Block tier, ms).
+    /// Reconstructing the column's *old* cells — DATA blocks the
+    /// checkpoint covers, wherever they sit — (Block tier, ms).
     pub recover_old_lblock_ms: f64,
     /// Block-tier compute component (decode XOR; machine-dependent).
     pub old_lblock_cpu_ms: f64,
-    /// Network bytes landed on the replacement while decoding old local
-    /// blocks (deterministic).
+    /// Network bytes landed on the replacement while decoding old cells
+    /// (deterministic).
     pub old_lblock_net_bytes: u64,
-    /// Blocks landed on the replacement while decoding old local blocks.
+    /// Blocks landed on the replacement while decoding old cells.
     pub old_lblock_net_ops: u64,
     /// Block-tier modeled network component, on the Index tier's rule.
     pub old_lblock_net_ms: f64,
-    /// Number of old local blocks reconstructed.
+    /// Number of old cells reconstructed.
     pub old_lblock_count: usize,
     /// Background parity + delta reconstruction (ms, not part of Total).
     pub parity_ms: f64,
@@ -221,8 +226,9 @@ pub enum RecoveryTier {
     /// reapply their KVs to the index — then publish: from the end of this
     /// tier the column answers RPCs and verbs, reads of old blocks degraded.
     Index,
-    /// Decode the old local blocks and settle the duplicate checks the
-    /// Index scan had to defer.
+    /// Decode the old cells — every one, also those sharing a stripe array
+    /// with a new cell — and settle the duplicate checks the Index scan had
+    /// to defer; reuse on the column is suppressed until then.
     Block,
     /// Rebuild the PARITY cells and delta copies of every column waiting
     /// for it (deferred while any column is down), closing their degraded
@@ -258,11 +264,11 @@ pub struct Recovery {
     /// The Index Version of the checkpoint the right neighbour holds, as
     /// the Meta tier read it: 0 for none.
     ckpt_iv: u64,
-    /// Arrays the Index tier decoded (they hold a block newer than the
-    /// checkpoint); the Block tier decodes the rest.
-    new_arrays: BTreeSet<u64>,
-    /// The stripe array of each old local block: lost until the Block tier.
-    local_old: Vec<u64>,
+    /// The column's old cells — its DATA blocks the checkpoint covers, in
+    /// whatever stripe array, one holding a new cell too: lost until the
+    /// Block tier decodes exactly these. The Index tier decodes new cells
+    /// only.
+    local_old: Vec<BlockId>,
     /// fp-matches the Index scan could not verify, re-checked once the
     /// Block tier has made their targets readable.
     deferred: Vec<UnverifiedDup>,
@@ -296,8 +302,10 @@ impl AcesoStore {
         let node = self.cluster.add_node();
         let (cq, dm) = (Arc::new(SimCq::new()), self.cluster.background_client());
         dm.attach_cq(Arc::clone(&cq));
+        let server = MnServer::new(col, node, self.map, self.cfg.reclaim_free_ratio);
+        server.restoring.store(true, Ordering::Release);
         Ok(Recovery {
-            server: MnServer::new(col, node, self.map, self.cfg.reclaim_free_ratio),
+            server,
             cq,
             dm,
             store: Arc::clone(self),
@@ -305,7 +313,6 @@ impl AcesoStore {
             tier: RecoveryTier::Meta,
             report: RecoveryReport::default(),
             ckpt_iv: 0,
-            new_arrays: BTreeSet::new(),
             local_old: Vec::new(),
             deferred: Vec::new(),
             bufs: BlockBufs {
@@ -494,13 +501,15 @@ impl Recovery {
 
         // Classify data blocks everywhere: "new" = Index Version 0 or ≥ ckpt.
         // New blocks of this column, then of other dead columns, are decoded
-        // to be scanned; each live column scans its own (`ScanNew`).
+        // to be scanned; each live column scans its own (`ScanNew`). This
+        // column's old cells wait for the Block tier, also those that share
+        // a stripe array with a new one.
         let is_new = |iv: u64| proto::is_new(iv, ckpt_iv);
         let mut decoded: Vec<(usize, BlockId, BlockRecord)> = Vec::new();
         for (id, rec) in server.records.lock().iter().enumerate() {
             match (rec.role, is_new(rec.index_version)) {
                 (Role::Data, true) => decoded.push((col, id as BlockId, rec)),
-                (Role::Data, false) => self.local_old.push(rec.stripe_array),
+                (Role::Data, false) => self.local_old.push(id as BlockId),
                 _ => {}
             }
         }
@@ -561,16 +570,19 @@ impl Recovery {
                 rank_of.insert((array, (row, *c)), (rank, new));
             }
         }
-        self.new_arrays = decoded.iter().map(|(_, _, r)| r.stripe_array).collect();
-        let book = StripeBook::fetch(&store, ctl, self.new_arrays.clone(), Some(&server))?;
-        for &array in &self.new_arrays {
-            let bufs = &mut self.bufs;
+        let arrays: BTreeSet<u64> = decoded.iter().map(|(_, _, r)| r.stripe_array).collect();
+        let book = StripeBook::fetch(&store, ctl, arrays.iter().copied(), Some(&server))?;
+        for &array in &arrays {
+            let new = |&r: &usize| rank_of.contains_key(&(array, (r, col)));
+            let (own, bufs): (Vec<_>, _) = ((0..n - 2).filter(new).collect(), &mut self.bufs);
             let visit = |cell, bytes: &[u8]| {
                 if let Some(&(rank, block)) = rank_of.get(&(array, cell)) {
                     scan.borrow_mut().block(rank, block, bytes);
                 }
             };
-            dm.batch(|dm| decode_column(&store, &server, dm, &book, array, true, bufs, visit))?;
+            dm.batch(|dm| {
+                decode_column(&store, &server, dm, &book, array, &own, true, bufs, visit)
+            })?;
         }
         let net = self.bufs.stage_reads(r);
         (r.lblock_net_bytes, r.lblock_net_ops) = (net.bytes, net.ops);
@@ -605,7 +617,8 @@ impl Recovery {
         // Our tables 1 and 2 copy our two left neighbours' records: a live
         // one rewrites its table into ours under its execution lock, a dead
         // one's — which nothing writes any more — is copied from its other
-        // holder (best effort: no holder, nothing to copy).
+        // holder (no holder left, nothing to copy; a failed write into our
+        // own region is the tier's error).
         for table in 1..RECORD_TABLES {
             let lcol = (col + n - table) % n;
             let req = ServerReq::ResetReplication { replaced: col };
@@ -615,7 +628,7 @@ impl Recovery {
             // Its other holder keeps the other copy: 2 for table 1, 1 for 2.
             let other = record_addr(&store, lcol, RECORD_TABLES - table, 0);
             if let Ok(copy) = ctl.read_vec(other, map.blocks.table_size() as usize) {
-                let _ = ctl.write(record_addr(&store, lcol, table, 0), &copy);
+                ctl.write(record_addr(&store, lcol, table, 0), &copy)?;
             }
         }
         // The replacement now serves reads, but parity cells and delta
@@ -631,16 +644,21 @@ impl Recovery {
         Ok(())
     }
 
-    // ---- Tier 3: old local blocks -----------------------------------------
+    // ---- Tier 3: old cells ------------------------------------------------
     fn tier_block(&mut self) -> Result<()> {
         let t = Instant::now();
-        let old_arrays =
-            &self.local_old.iter().copied().collect::<BTreeSet<_>>() - &self.new_arrays;
         let (store, server, dm) = (&self.store, &self.server, &self.dm);
-        let book = StripeBook::fetch(store, store.ctl_dm(), old_arrays.clone(), Some(server))?;
+        let mut old: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for &id in &self.local_old {
+            if let CellKind::Data { array, row } = store.map.blocks.kind_of(id) {
+                old.entry(array).or_default().push(row);
+            }
+        }
+        let book = StripeBook::fetch(store, store.ctl_dm(), old.keys().copied(), Some(server))?;
         let bufs = &mut self.bufs;
-        for &array in &old_arrays {
-            dm.batch(|dm| decode_column(store, server, dm, &book, array, false, bufs, |_, _| {}))?;
+        for (&array, own) in &old {
+            let visit = |_, _: &[u8]| {};
+            dm.batch(|dm| decode_column(store, server, dm, &book, array, own, false, bufs, visit))?;
         }
         let r = &mut self.report;
         let net = self.bufs.stage_reads(r);
@@ -649,6 +667,7 @@ impl Recovery {
         r.old_lblock_cpu_ms = t.elapsed().as_secs_f64() * 1e3;
         r.old_lblock_net_ms = self.bufs.settle(dm, &self.cq);
         r.recover_old_lblock_ms = r.old_lblock_cpu_ms + r.old_lblock_net_ms;
+        self.server.restoring.store(false, Ordering::Release);
 
         // Resolve the fp-matches the index scan could not verify while old
         // block contents were missing. A checkpoint entry pointing into an
@@ -888,10 +907,13 @@ fn read_meta_copy(store: &AcesoStore, dm: &DmClient, col: usize) -> Result<Vec<u
     Err(too_many_lost(store))
 }
 
-/// Restores every allocated data cell of `server`'s column in stripe `array`
-/// onto its region by planned X-Code decode, and with `others` decodes the
-/// data cells of every other dead column too. With one column down a lost
-/// cell costs its one chain; with two the plan is the full peel.
+/// Restores the cells `own` names — rows of `server`'s column in stripe
+/// `array`, the Index tier's new cells or the Block tier's old ones — onto
+/// its region by planned X-Code decode, and with `others` decodes the data
+/// cells of every other dead column too. No other cell of the column is
+/// written: a new one the Index tier published may be an open block its
+/// clients keep writing. With one column down a lost cell costs its one
+/// chain; with two the plan is the full peel.
 ///
 /// Ruled out of the plan: dead columns, the column being recovered, and
 /// PARITY cells hosted where [`StripeBook::trusted`] says bytes are not to
@@ -915,6 +937,7 @@ fn decode_column(
     dm: &DmClient,
     book: &StripeBook,
     array: u64,
+    own: &[usize],
     others: bool,
     bufs: &mut BlockBufs,
     mut visit: impl FnMut((usize, usize), &[u8]),
@@ -924,11 +947,6 @@ fn decode_column(
     let col = server.column;
     let at = |r: usize, c: usize| pack_col(c, blocks.block_offset(blocks.cell_block_id(array, r)));
     let dead: Vec<bool> = (0..n).map(|c| c == col || !store.col_alive(c)).collect();
-    let own: Vec<usize> = {
-        let recs = server.records.lock();
-        let role_of = |r: usize| recs.get(blocks.cell_block_id(array, r)).role;
-        (0..n - 2).filter(|&r| role_of(r) != Role::Free).collect()
-    };
     let other_dead = (0..n).filter(|&c| others && c != col && dead[c]);
     let wanted = own.iter().map(|&r| (r, col));
     let wanted = wanted.chain(other_dead.flat_map(|c| (0..n - 2).map(move |r| (r, c))));
@@ -957,7 +975,7 @@ fn decode_column(
         cells.insert(step.target, acc);
     }
 
-    for r in own {
+    for &r in own {
         let id = blocks.cell_block_id(array, r);
         let content = cells.get(&(r, col)).ok_or_else(|| too_many_lost(store))?;
         server.node.region.write(blocks.block_offset(id), content)?;

@@ -218,6 +218,11 @@ pub struct MnServer {
     pub alive: Arc<AtomicBool>,
     /// In-flight elastic migration of this column, if any.
     pub migration: Mutex<Option<MigrationCtx>>,
+    /// Set while an MN recovery has old cells of this column left to
+    /// restore (until its Block tier): reuse is suppressed, as during a
+    /// migration. The Block tier clears it with `Release` after its decode
+    /// writes, which a flush's `Acquire` load orders before any reuse.
+    pub(crate) restoring: AtomicBool,
     /// The block a [`ServerReq::Fold`] reads each source after the first
     /// into, recycled from fold to fold.
     fold_scratch: Mutex<Vec<u8>>,
@@ -249,6 +254,7 @@ impl MnServer {
             reclaim_free,
             alive: Arc::new(AtomicBool::new(true)),
             migration: Mutex::new(None),
+            restoring: AtomicBool::new(false),
             fold_scratch: Mutex::new(Vec::new()),
         };
         // Launch starts every partition at Index Version 1 so that "0"
@@ -681,10 +687,14 @@ impl MnServer {
             });
             // Reuse is suppressed while the column migrates: reclamation
             // rewrites block contents behind the copier's back and the
-            // target would resurrect the pre-reuse bytes.
+            // target would resurrect the pre-reuse bytes. And while a
+            // recovery has old cells left to restore: an open would read
+            // zeros as the obsolete slots' old images, and the Block tier's
+            // decode would overwrite the refill.
             if reclaimable == Some(true)
                 && free_ratio < self.reclaim_free
                 && self.migration.lock().is_none()
+                && !self.restoring.load(Ordering::Acquire)
             {
                 self.alloc.lock().push_reuse_candidate(block);
             }

@@ -1316,12 +1316,21 @@ type Kvs = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// A store of one stripe array — 15 DATA blocks of 64 one-KB slots — whose
 /// first block had every key but each fourth rewritten elsewhere: 48
-/// obsolete slots in 16 runs (1–3, 5–7, …, 61–63), reclaimable. Every
-/// other fresh block is taken, so the next 1 KB open on its column reuses
-/// it. Returns the store and what every key holds. (The churn stores of
-/// `recovery_shapes.rs` and `read_shapes.rs` reuse wholly obsolete blocks:
-/// one run, where a run's bounds cannot be wrong.)
+/// obsolete slots in 16 runs (1–3, 5–7, …, 61–63), reclaimable once the
+/// bitmap flush lands. Every other fresh block is taken, so the next 1 KB
+/// open on its column reuses it. Returns the store and what every key
+/// holds. (The churn stores of `recovery_shapes.rs` and `read_shapes.rs`
+/// reuse wholly obsolete blocks: one run, where a run's bounds cannot be
+/// wrong.)
 fn scattered_reuse() -> (Arc<AcesoStore>, Kvs) {
+    let (store, kvs, mut w) = scattered_obsolete();
+    w.flush_bitmaps().unwrap();
+    (store, kvs)
+}
+
+/// [`scattered_reuse`] before its flush: the rewriter, its obsolete bits
+/// still unsent, comes back with the store.
+fn scattered_obsolete() -> (Arc<AcesoStore>, Kvs, AcesoClient) {
     let store = AcesoStore::launch(AcesoConfig {
         num_arrays: 1,
         reclaim_free_ratio: 1.1, // Always allowed to reclaim.
@@ -1348,8 +1357,7 @@ fn scattered_reuse() -> (Arc<AcesoStore>, Kvs) {
             w.update(k, v).unwrap();
         }
     }
-    w.flush_bitmaps().unwrap();
-    (store, kvs)
+    (store, kvs, w)
 }
 
 /// Refills the reused block's first `count` obsolete slots through `r`
@@ -1427,4 +1435,35 @@ fn a_writer_dying_in_a_scattered_refill_is_recovered() {
         holds(&store, &kvs, &format!("{point}"));
         store.shutdown();
     }
+}
+
+/// A block obsoleted before the checkpoint is old to its column's recovery:
+/// zeros on the replacement until the Block tier decodes it. A bitmap flush
+/// inside the index-only window must not make it reusable: a refill would
+/// take those zeros for its obsolete slots' old images, its deltas would no
+/// longer match the parity, and the Block tier's decode would overwrite the
+/// refilled KV. With every other block taken, the refill finds no block.
+#[test]
+fn no_block_is_reused_before_its_column_restores_it() {
+    let (store, mut kvs, mut w) = scattered_obsolete();
+    store.checkpoint_tick().unwrap();
+    store.checkpoint_tick().unwrap();
+    let (col, block, _) = kv_place(&store, b"reuse-00");
+    assert!(store.kill_mn(col));
+    let mut held = store.begin_recovery(col).unwrap();
+    held.run_to(RecoveryTier::Block).unwrap();
+    w.flush_bitmaps().unwrap();
+    let refill = (b"refill-00".to_vec(), kb(2));
+    let refilled = store.client().unwrap().insert(&refill.0, &refill.1);
+    if refilled.is_ok() {
+        kvs.push(refill);
+    }
+    held.run().unwrap();
+    holds(&store, &kvs, &format!("column {col} restored"));
+    assert_eq!(
+        refilled,
+        Err(StoreError::OutOfBlocks),
+        "block {block} of column {col} was reused before the Block tier"
+    );
+    store.shutdown();
 }

@@ -382,16 +382,19 @@ fn data_rows(store: &AcesoStore, col: usize, array: u64) -> Vec<usize> {
         .collect()
 }
 
-/// Where key `i`'s KV lives: `(column, array, row)`.
-fn home(store: &Arc<AcesoStore>, i: u32) -> (usize, u64, usize) {
+/// Key `i`'s fingerprint candidates, as its bucket scan sees them.
+fn candidates(store: &Arc<AcesoStore>, i: u32) -> Vec<aceso_index::SlotRef> {
     use aceso_index::{fingerprint, route_hash, RemoteIndex};
     let key = key(i);
     let index_col = (route_hash(&key) % store.cfg.num_mns as u64) as usize;
     let index = RemoteIndex::new(store.directory().node_of(index_col), store.map.index);
-    let scan = index
-        .scan(&store.cluster.background_client(), &key, fingerprint(&key))
-        .unwrap();
-    let (col, off) = aceso_core::config::unpack_col(scan.matches[0].atomic.addr48);
+    let dm = store.cluster.background_client();
+    index.scan(&dm, &key, fingerprint(&key)).unwrap().matches
+}
+
+/// Where key `i`'s KV lives: `(column, array, row)`.
+fn home(store: &Arc<AcesoStore>, i: u32) -> (usize, u64, usize) {
+    let (col, off) = aceso_core::config::unpack_col(candidates(store, i)[0].atomic.addr48);
     let (block, _) = store.map.blocks.locate(off).unwrap();
     let CellKind::Data { array, row } = store.map.blocks.kind_of(block) else {
         panic!("key {i} is not in a DATA block");
@@ -529,6 +532,65 @@ fn lost_cell_in_a_fresh_open_block() {
         lose(&pair, col, keys + 8),
         ((1, 1, 10, 0, 4, 3, 8, 1, 3, 3, 32, 0), (50710, 57742))
     );
+}
+
+/// The lost column's new block shares its stripe array with an old one:
+/// row 0 of array 0 was written and checkpointed on every column, then the
+/// writer opened a block in row 1. The Index tier decodes the new cell
+/// alone — its delta copy, one read — and the old cell waits for the Block
+/// tier: its chain's other cells are free, so its bare parity is one read.
+/// Between the two, a key of the old cell reads back unwritten on the
+/// replacement and is rebuilt from its chain (the shape `read_shapes.rs`
+/// pins for the index-only window). The Index tier used to decode every
+/// allocated cell of an array holding a new one, the old cell too: `(2, 2,
+/// 0, 0, 4, 0, …)`, clock `(60_358, 0)`, and the key read back cold, `(2,
+/// 3, 0, 1, 1_536)`.
+#[test]
+fn old_and_new_cell_in_one_stripe_array() {
+    let keys = 5 * 64;
+    let mut pair = [written(5, keys, true), written(5, keys, true)];
+    for (store, w) in &mut pair {
+        store.checkpoint_tick().unwrap();
+        store.checkpoint_tick().unwrap();
+        for i in keys..keys + 8 {
+            w.insert(&key(i), &value(i)).unwrap();
+        }
+    }
+    let (store, twin) = (&pair[0].0, &pair[1].0);
+    let (col, array, row) = home(store, keys);
+    assert_eq!((array, row, data_rows(store, col, 0)), (0, 1, vec![0, 1]));
+    let sole = |i: u32| candidates(store, i).len() == 1;
+    let old = (0..keys).find(|&i| home(store, i) == (col, 0, 0) && sole(i));
+    let old = old.expect("a key of the old cell with one fingerprint candidate");
+    let mut planned = Planned::default();
+    for tier in [1, 0] {
+        planned.decode(store, 0, [(tier, col)], |_, c| c == col);
+    }
+    planned.parity(store, col);
+    assert!(store.kill_mn(col));
+    let mut held = store.begin_recovery(col).unwrap();
+    let index = held.run_to(RecoveryTier::Block).unwrap();
+    assert_eq!((index.lblock_count, index.lblock_net_ops), (1, 1));
+    let mut reader = store.client().unwrap();
+    reader.dm.take_ops();
+    assert_eq!(reader.search(&key(old)).unwrap(), Some(value(old)));
+    let read = reader.dm.take_ops().records[0];
+    let unwritten_then_rebuilt = (3, 7, 0, 2, 512 + 1024 + 160 + 3 * 1024);
+    let got = (
+        read.rtts,
+        read.verbs,
+        read.rpcs,
+        read.batches,
+        read.read_bytes,
+    );
+    assert_eq!(got, unwritten_then_rebuilt, "key {old}");
+    let report = held.run().unwrap();
+    assert_eq!((report.old_lblock_count, report.old_lblock_net_ops), (1, 1));
+    assert_eq!(
+        shape(store, &report, &planned),
+        ((1, 1, 0, 0, 4, 1, 8, 1, 2, 2, 32, 0), (50710, 12498))
+    );
+    same_as_twin(store, twin, keys + 8);
 }
 
 /// A *surviving* member of a lost cell's chain is fresh and open: the
