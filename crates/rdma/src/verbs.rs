@@ -310,7 +310,8 @@ impl DmClient {
                 }
             }
             if self.cq_on.load(Ordering::Relaxed) {
-                self.accrue_verb(&mut s.accr, in_batch, batchable, rd + wr);
+                let rtt = self.cluster.cost.rtt_us;
+                self.accrue(&mut s.accr, in_batch, batchable, rtt, rd + wr);
             }
             in_batch
         };
@@ -329,33 +330,30 @@ impl DmClient {
         }
     }
 
-    /// Accrues one verb's modeled latency toward the next
+    /// Accrues one transfer's modeled latency toward the next
     /// [`DmClient::settle`], mirroring [`crate::CostModel`]'s base-latency
-    /// accounting: an unbatched verb (or the first of a doorbell batch)
-    /// costs a full round trip, a chained batchable verb costs only the
-    /// posting tax, and every verb pays its wire bytes.
-    fn accrue_verb(&self, a: &mut Accrual, in_batch: bool, batchable: bool, bytes: usize) {
+    /// accounting: a transfer outside a doorbell batch (or the first of one)
+    /// costs its full round trip `rtt_us` — a verb's or an RPC's —, a
+    /// chained one only the posting tax unless it cannot chain, and every
+    /// transfer pays its wire bytes.
+    fn accrue(&self, a: &mut Accrual, in_batch: bool, chains: bool, rtt_us: f64, bytes: usize) {
         let cost = &self.cluster.cost;
-        let base = if in_batch {
-            if a.batch_first {
-                a.batch_first = false;
-                cost.rtt_us
-            } else if batchable {
-                cost.post_us
-            } else {
-                // CAS inside a batch: the release edge is never chained, so
-                // it is charged like an unbatched verb.
-                cost.rtt_us
-            }
+        let base = if in_batch && std::mem::take(&mut a.batch_first) {
+            rtt_us
+        } else if in_batch && chains {
+            cost.post_us
         } else {
-            cost.rtt_us
+            // Unbatched, or a CAS inside a batch: the release edge is never
+            // chained, so it is charged like an unbatched verb.
+            rtt_us
         };
         a.us += base + bytes as f64 / cost.node_bw * 1e6;
     }
 
     /// Accounts one RPC of `req_bytes` out and `resp_bytes` back: node
-    /// counters, the op profile, and the round trip owed to the completion
-    /// queue.
+    /// counters, the op profile, and the latency owed to the completion
+    /// queue — on a verb's doorbell rule, with the RPC round trip
+    /// ([`crate::CostModel::rpc_rtt_us`]) where a verb pays its own.
     fn account_rpc(&self, node: &MemoryNode, req_bytes: usize, resp_bytes: usize) {
         let ctr = self.node_counters(node);
         ctr.rpcs.fetch_add(1, Ordering::Relaxed);
@@ -368,8 +366,8 @@ impl DmClient {
             s.op.read_bytes = s.op.read_bytes.saturating_add(resp_bytes as u32);
         }
         if self.cq_on.load(Ordering::Relaxed) {
-            let cost = &self.cluster.cost;
-            s.accr.us += cost.rpc_rtt_us + (req_bytes + resp_bytes) as f64 / cost.node_bw * 1e6;
+            let (rtt, in_batch) = (self.cluster.cost.rpc_rtt_us, s.op.batch_depth > 0);
+            self.accrue(&mut s.accr, in_batch, true, rtt, req_bytes + resp_bytes);
         }
     }
 
@@ -824,6 +822,64 @@ mod tests {
         cl.write(a, &[0u8; 8]).unwrap();
         let r = cl.end_op(OpKind::Update).unwrap();
         assert_eq!((r.batch_max, r.batches, r.batched_verbs), (0, 0, 0));
+    }
+
+    /// An RPC follows a verb's doorbell rule: outside a batch, and first
+    /// in one, it pays the RPC round trip; chained behind another transfer
+    /// of the batch, the posting tax. Its bytes always cross at line rate.
+    #[test]
+    fn rpc_accrual_follows_the_doorbell_rule() {
+        use crate::cq::{block_on, SimCq};
+        use crate::rpc::RpcHandler;
+        struct Echo;
+        impl RpcHandler<u32, u32> for Echo {
+            fn alive(&self) -> bool {
+                true
+            }
+            fn handle(&self, req: u32) -> u32 {
+                req
+            }
+        }
+        let c = cluster();
+        let (cl, echo) = (c.client(), RpcClient::serve(Echo));
+        let cq = Arc::new(SimCq::new());
+        cl.attach_cq(Arc::clone(&cq));
+        let cost = c.cost;
+        let wire = |bytes: f64| bytes / cost.node_bw * 1e6;
+        let accrued = |post: &dyn Fn()| {
+            let before = cq.now_us();
+            post();
+            block_on(Some(Arc::clone(&cq)), cl.settle());
+            cq.now_us() - before
+        };
+        let rpc = || assert_eq!(cl.rpc_sized(NodeId(0), &echo, 7, 16, 4096), Ok(7));
+
+        // Outside a batch: a full RPC round trip each.
+        let us = accrued(&|| (0..2).for_each(|_| rpc()));
+        let expect = 2.0 * (cost.rpc_rtt_us + wire(16.0 + 4096.0));
+        assert!((us - expect).abs() < 1e-3, "unbatched: {us} vs {expect}");
+
+        // First in a batch, then two chained: one round trip between them.
+        let us = accrued(&|| cl.batch(|_| (0..3).for_each(|_| rpc())));
+        let expect = cost.rpc_rtt_us + 2.0 * cost.post_us + 3.0 * wire(16.0 + 4096.0);
+        assert!(
+            (us - expect).abs() < 1e-3,
+            "first + chained: {us} vs {expect}"
+        );
+
+        // Chained behind a verb that opened the doorbell.
+        let a = GlobalAddr::new(NodeId(0), 0);
+        let us = accrued(&|| {
+            cl.batch(|cl| {
+                cl.write(a, &[0u8; 64]).unwrap();
+                rpc();
+            })
+        });
+        let expect = cost.rtt_us + cost.post_us + wire(64.0 + 16.0 + 4096.0);
+        assert!(
+            (us - expect).abs() < 1e-3,
+            "behind a verb: {us} vs {expect}"
+        );
     }
 
     #[test]
