@@ -335,9 +335,9 @@ impl<P: Protocol> ReplStore<P> {
     /// copied from a live replica, every record block is copied from a
     /// live member of its recorded block set, and the column directory is
     /// republished. The report's `net_ms` is *modeled* network time, on a
-    /// clock of the rebuild's own by the rule Aceso's recovery runs on: per
-    /// source column one doorbell of reads, then one of writes to the
-    /// replacement, back to back on the rebuilder's link — so it is a pure
+    /// clock of the rebuild's own by the rule Aceso's recovery runs on: one
+    /// doorbell of reads across every source column, then one of writes to
+    /// the replacement, back to back on the rebuilder's link — so it is a pure
     /// function of the seed like Aceso's recovery columns.
     ///
     /// A failed call leaves no live node behind: every copy's source is
@@ -378,20 +378,17 @@ impl<P: Protocol> ReplStore<P> {
         dm.attach_cq(Arc::clone(&cq));
         let mut got = vec![Vec::new(); copies.len()];
         let filled = (|| -> Result<()> {
-            for src in copies
-                .iter()
-                .map(|&(src, _, _)| src)
-                .collect::<BTreeSet<_>>()
-            {
-                dm.batch(|dm| -> Result<()> {
+            let sources: BTreeSet<usize> = copies.iter().map(|&(src, _, _)| src).collect();
+            dm.batch(|dm| -> Result<()> {
+                for src in sources {
                     for (i, &(from, off, len)) in copies.iter().enumerate() {
                         if from == src {
                             got[i] = dm.read_vec(GlobalAddr::new(self.node_of(src), off), len)?;
                         }
                     }
-                    Ok(())
-                })?;
-            }
+                }
+                Ok(())
+            })?;
             dm.batch(|dm| -> Result<()> {
                 for (&(_, off, _), bytes) in copies.iter().zip(&got) {
                     dm.write(GlobalAddr::new(replacement.id, off), bytes)?;
