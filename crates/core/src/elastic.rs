@@ -338,6 +338,7 @@ impl Migration {
         std::mem::swap(&mut *server.old_copies.lock(), &mut *old.old_copies.lock());
         std::mem::swap(&mut *server.sender.lock(), &mut *old.sender.lock());
         old.set_migration(None);
+        server.queue_reclaimable();
         // Republish the column on the target.
         self.store
             .directory()
@@ -373,7 +374,9 @@ impl Migration {
         }
         self.placement().abort();
         self.from.clear_fences();
-        self.store.server(self.col).set_migration(None);
+        let server = self.store.server(self.col);
+        server.set_migration(None);
+        server.queue_reclaimable();
         self.store.degraded.lock().retain(|c| *c != self.col);
         if let Some(to) = self.to.take() {
             // The half-filled target never served anything: retire it.

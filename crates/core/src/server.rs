@@ -663,10 +663,6 @@ impl MnServer {
         dm: &DmClient,
         dir: &Directory,
     ) -> ServerResp {
-        // Reclamation trigger (§3.3.3): obsolete ratio over threshold AND
-        // free space below threshold. The obsolete-KV ratio is fixed; the
-        // free ratio is `AcesoConfig::reclaim_free_ratio`.
-        const RECLAIM_OBSOLETE_RATIO: f64 = 0.75;
         let free_ratio = self.alloc.lock().free_data_ratio();
         for (block, units) in updates {
             let reclaimable = self.update(dm, dir, block, |rec| {
@@ -681,25 +677,57 @@ impl MnServer {
                         rec.bitmap.set(slot, true);
                     }
                 }
-                let slots = rec.slots(self.map.blocks.block_size).max(1);
-                let ratio = rec.bitmap.count_ones() as f64 / slots as f64;
-                Some(ratio >= RECLAIM_OBSOLETE_RATIO && rec.index_version != 0)
+                Some(self.reclaimable(rec, free_ratio))
             });
-            // Reuse is suppressed while the column migrates: reclamation
-            // rewrites block contents behind the copier's back and the
-            // target would resurrect the pre-reuse bytes. And while a
-            // recovery has old cells left to restore: an open would read
-            // zeros as the obsolete slots' old images, and the Block tier's
-            // decode would overwrite the refill.
-            if reclaimable == Some(true)
-                && free_ratio < self.reclaim_free
-                && self.migration.lock().is_none()
-                && !self.restoring.load(Ordering::Acquire)
-            {
+            if reclaimable == Some(true) && !self.reuse_suppressed() {
                 self.alloc.lock().push_reuse_candidate(block);
             }
         }
         ServerResp::Ok
+    }
+
+    /// The reclamation trigger (§3.3.3): a filled DATA block whose obsolete
+    /// ratio is at least 0.75, while the fresh free ratio is below
+    /// `AcesoConfig::reclaim_free_ratio`.
+    fn reclaimable(&self, rec: &BlockRecord, free_ratio: f64) -> bool {
+        const RECLAIM_OBSOLETE_RATIO: f64 = 0.75;
+        if rec.role != Role::Data || rec.slot_len64 == 0 {
+            return false;
+        }
+        let slots = rec.slots(self.map.blocks.block_size).max(1);
+        let ratio = rec.bitmap.count_ones() as f64 / slots as f64;
+        ratio >= RECLAIM_OBSOLETE_RATIO && rec.index_version != 0 && free_ratio < self.reclaim_free
+    }
+
+    /// Whether reuse is suppressed: while the column migrates, reclamation
+    /// would rewrite block contents behind the copier's back and the target
+    /// resurrect the pre-reuse bytes; while a recovery has old cells left to
+    /// restore, an open would read zeros as the obsolete slots' old images,
+    /// and the Block tier's decode would overwrite the refill. A candidate
+    /// a flush meets meanwhile is admitted by
+    /// [`MnServer::queue_reclaimable`] once the window closes.
+    fn reuse_suppressed(&self) -> bool {
+        self.migration.lock().is_some() || self.restoring.load(Ordering::Acquire)
+    }
+
+    /// Queues every block the reclamation trigger admits as a reuse
+    /// candidate: a flush suppressed while the column migrated or restored
+    /// its old cells dropped its candidates, and a recovery's rebuilt free
+    /// lists start with none. Called where such a window closes; a no-op
+    /// while another is open.
+    pub(crate) fn queue_reclaimable(&self) {
+        if self.reuse_suppressed() {
+            return;
+        }
+        let free_ratio = self.alloc.lock().free_data_ratio();
+        let admitted: Vec<BlockId> = (self.records.lock().iter().enumerate())
+            .filter(|(_, rec)| self.reclaimable(rec, free_ratio))
+            .map(|(id, _)| id as BlockId)
+            .collect();
+        let mut alloc = self.alloc.lock();
+        for id in admitted {
+            alloc.push_reuse_candidate(id);
+        }
     }
 
     /// Copies block-area byte ranges onto the migration target. Running

@@ -1442,7 +1442,8 @@ fn a_writer_dying_in_a_scattered_refill_is_recovered() {
 /// inside the index-only window must not make it reusable: a refill would
 /// take those zeros for its obsolete slots' old images, its deltas would no
 /// longer match the parity, and the Block tier's decode would overwrite the
-/// refilled KV. With every other block taken, the refill finds no block.
+/// refilled KV. With every other block taken, the refill finds no block —
+/// until the Block tier ends, which must not forget the candidate.
 #[test]
 fn no_block_is_reused_before_its_column_restores_it() {
     let (store, mut kvs, mut w) = scattered_obsolete();
@@ -1465,5 +1466,18 @@ fn no_block_is_reused_before_its_column_restores_it() {
         Err(StoreError::OutOfBlocks),
         "block {block} of column {col} was reused before the Block tier"
     );
+    // The Block tier over, the block the window's flush made reclaimable
+    // is a candidate again: the next insert that needs a block reuses it.
+    let refill = (b"refill-01".to_vec(), kb(2));
+    let reused = store.client().unwrap().insert(&refill.0, &refill.1);
+    assert_eq!(
+        reused,
+        Ok(()),
+        "block {block} of column {col} was forgotten"
+    );
+    let (at_col, at_block, _) = kv_place(&store, &refill.0);
+    assert_eq!((at_col, at_block), (col, block));
+    kvs.push(refill);
+    holds(&store, &kvs, "refilled after the Block tier");
     store.shutdown();
 }
