@@ -43,10 +43,10 @@ impl Allocator {
         &self.layout
     }
 
-    /// Rebuilds free lists from restored metadata records, in block order
+    /// Rebuilds free lists from a restored record table, in block order
     /// (MN recovery): a DATA cell is free iff its record is FREE, and a
-    /// DELTA-pool block iff no PARITY record's Delta Addr names it — a pool
-    /// block's own record always reads FREE.
+    /// DELTA-pool block, which has no record, iff no PARITY record's Delta
+    /// Addr names it.
     pub fn rebuild(layout: BlockLayout, records: impl IntoIterator<Item = BlockRecord>) -> Self {
         let mut used = vec![false; layout.blocks_per_node() as usize];
         for (id, rec) in records.into_iter().enumerate() {
@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn rebuild_frees_what_no_record_holds() {
         let l = layout();
-        let mut recs = vec![BlockRecord::free(); l.blocks_per_node() as usize];
+        let mut recs = vec![BlockRecord::free(); l.record_ids().len()];
         recs[1].role = Role::Data;
         // Array 0's first PARITY cell names pool blocks 10 and 12.
         recs[3].role = Role::Parity;

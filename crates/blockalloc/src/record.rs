@@ -1,8 +1,8 @@
 //! The per-block metadata record (paper Figure 5).
 //!
-//! Every block of the Block Area — DATA, PARITY or DELTA — has one
-//! fixed-size record in the Meta Area; a DELTA block's stays FREE, since
-//! the Delta Addr of the PARITY record it is folded into registers it. The
+//! Every stripe cell of the Block Area — DATA or PARITY — has one
+//! fixed-size record in the Meta Area. A DELTA-pool block has none: the
+//! Delta Addr of the PARITY record it is folded into registers it. The
 //! Meta Area is fault-tolerant by plain replication to the next two MNs
 //! (§3.1), and readers fetch records from it one-sided, so records must be
 //! serializable to raw bytes; this module defines that layout:

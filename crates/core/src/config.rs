@@ -6,7 +6,7 @@
 //! 0              ┌──────────────┐
 //!                │ Index Area   │  RACE-style buckets + Index Version
 //! meta_base      ├──────────────┤
-//!                │ Meta Area    │  table 0: one BlockRecord per block
+//!                │ Meta Area    │  table 0: a BlockRecord per stripe cell
 //!                │              │  table 1: copy of column col−1's table 0
 //!                │              │  table 2: copy of column col−2's table 0
 //! block_base     ├──────────────┤

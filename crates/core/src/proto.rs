@@ -27,7 +27,7 @@ pub enum ServerReq {
     },
     /// Allocate a DELTA block on this MN (it holds a PARITY cell covering
     /// the given data cell) and register it in the parity record's Delta
-    /// Addr, the block's only record: its own stays FREE.
+    /// Addr, the block's only record: the Meta Area has no row for it.
     AllocDelta {
         /// Stripe array of the covered data cell.
         array: u64,

@@ -1299,7 +1299,7 @@ pub fn recover_cn(store: &Arc<AcesoStore>, cli_id: u32) -> Result<CnRecoveryRepo
     // column's are handled by its MN recovery).
     let mut blocks: Vec<(usize, BlockId, u8, u64, usize)> = Vec::new();
     for col in 0..store.cfg.num_mns {
-        let ids = 0..map.blocks.blocks_per_node() as BlockId;
+        let ids = map.blocks.record_ids();
         let recs = match read_records(store, &dm, col, 0, ids.clone()) {
             Err(RdmaError::NodeUnreachable(_)) => continue,
             read => read?,

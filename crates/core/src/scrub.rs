@@ -24,7 +24,7 @@ use crate::config::unpack_col;
 use crate::store::AcesoStore;
 use crate::stripe::{read_records, StripeBook};
 use crate::Result;
-use aceso_blockalloc::{BlockId, Role, RECORD_TABLES};
+use aceso_blockalloc::{Role, RECORD_TABLES};
 use aceso_erasure::xor_into;
 use aceso_rdma::GlobalAddr;
 use std::collections::BTreeSet;
@@ -70,7 +70,7 @@ pub fn scrub(store: &Arc<AcesoStore>) -> Result<ScrubReport> {
     // column lower than all of its data blocks.
     let mut arrays: BTreeSet<u64> = BTreeSet::new();
     for c in 0..n {
-        let recs = read_records(store, &dm, c, 0, 0..map.blocks.blocks_per_node() as BlockId)?;
+        let recs = read_records(store, &dm, c, 0, map.blocks.record_ids())?;
         let data = recs.into_iter().filter(|rec| rec.role == Role::Data);
         arrays.extend(data.map(|rec| rec.stripe_array));
     }
@@ -168,8 +168,7 @@ pub fn parity_scrub(store: &Arc<AcesoStore>, violations: &mut Vec<String>) {
 pub fn replica_agreement(store: &Arc<AcesoStore>, violations: &mut Vec<String>) {
     let n = store.cfg.num_mns;
     let dm = store.cluster.background_client();
-    let all = 0..store.map.blocks.blocks_per_node() as BlockId;
-    let read = |col, copy| read_records(store, &dm, col, copy, all.clone());
+    let read = |col, copy| read_records(store, &dm, col, copy, store.map.blocks.record_ids());
     let mut judge = || -> aceso_rdma::Result<()> {
         for col in (0..n).filter(|&c| store.col_alive(c)) {
             let own = read(col, 0)?;

@@ -314,7 +314,7 @@ impl MnServer {
     /// into the copies the next *two* columns hold (the Meta Area's fault
     /// tolerance, §3.1 — two copies are required to match the coding
     /// group's two-failure tolerance). A dead holder's copy is refilled
-    /// when it is replaced. `None` for an `id` past the table too.
+    /// when it is replaced. `None` too for a client's `id` with no record.
     fn update<R>(
         &self,
         dm: &DmClient,
@@ -323,7 +323,7 @@ impl MnServer {
         f: impl FnOnce(&mut BlockRecord) -> Option<R>,
     ) -> Option<R> {
         let (blocks, table) = (self.map.blocks, self.records.lock());
-        if u64::from(id) >= blocks.blocks_per_node() {
+        if !blocks.record_ids().contains(&id) {
             return None;
         }
         let mut rec = table.get(id);
@@ -539,7 +539,7 @@ impl MnServer {
         // A free delta block is all zeros, as delta blocks must start (they
         // accumulate XOR images): regions start zeroed and `EncodeDelta`
         // zeroes a delta when it frees it. The parity record's Delta Addr
-        // is the block's one registration; its own record stays FREE.
+        // is the block's one registration: the Meta Area has no row for it.
         let Some(id) = self.alloc.lock().alloc_delta() else {
             return ServerResp::Err("out of delta blocks".into());
         };

@@ -285,7 +285,7 @@ impl AcesoStore {
                             }
                         }
                     }
-                    // A DELTA block's record is its PARITY record's word.
+                    // DELTA blocks have no row: their PARITY records name them.
                     Role::Parity => {
                         let named = rec.delta_addr.iter().filter(|&&a| a != 0).count();
                         usage.delta += bs * named as u64;

@@ -46,7 +46,7 @@ pub(crate) fn record_addr(store: &AcesoStore, col: usize, copy: usize, id: Block
 /// {1, 2} table `d` of column `col + d`, which `col`'s server keeps in step
 /// one-sided. Records of consecutive blocks lie back to back, so one
 /// block's record is `record_bytes()` and a whole table one read of
-/// `ids = 0..blocks_per_node`.
+/// `ids = record_ids()`; a range past the table is a caller's bug.
 pub fn read_records(
     store: &AcesoStore,
     dm: &DmClient,
@@ -54,8 +54,9 @@ pub fn read_records(
     copy: usize,
     ids: Range<BlockId>,
 ) -> aceso_rdma::Result<Vec<BlockRecord>> {
-    let at = record_addr(store, col, copy, ids.start);
     let (blocks, len) = (store.map.blocks, store.map.blocks.record_bytes() as usize);
+    debug_assert!(ids.start < ids.end && ids.end <= blocks.record_ids().end);
+    let at = record_addr(store, col, copy, ids.start);
     let bytes = dm.read_vec(at, ids.len() * len)?;
     Ok(decode_records(&bytes, blocks).collect())
 }

@@ -1285,10 +1285,13 @@ fn two_failures_leave_both_meta_copies_whole() {
                 assert!(store.kill_mn(col));
             }
             for &col in recover {
-                // Its own table, and each other dead column's.
+                // Its own table, and each other dead column's: a record
+                // per stripe cell, none for the DELTA pool.
                 let dead = (0..5).filter(|&c| !store.col_alive(c)).count() as u64;
                 let report = recover_mn(&store, col).unwrap();
-                let tables = dead * store.map.blocks.table_size();
+                let cfg = &store.cfg;
+                let rows = cfg.num_arrays * cfg.num_mns as u64;
+                let tables = dead * rows * store.map.blocks.record_bytes();
                 assert_eq!(report.meta_bytes, tables, "({tag}) column {col}");
             }
         }

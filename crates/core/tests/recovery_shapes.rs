@@ -68,7 +68,7 @@
 //! the clock, nor with the folds.
 //!
 //! The Meta tier reads the column's whole record table off one of its two
-//! copies with one READ: a 3 µs round trip and 384 B per block at these
+//! copies with one READ: a 3 µs round trip and 384 B per stripe cell at these
 //! 64 KB blocks, free ones too. It was an 8 µs RPC answered with the
 //! records the holder had been sent, 1 280 B each, and every Index-tier
 //! clock here was 3 483 – 8 678 ns higher for it: `all_closed_n5` 76 554,
@@ -108,6 +108,21 @@
 //! array's doorbell (`free_cells_cost_nothing`); each shape's old clock
 //! stands beside it. [`clock_bounds`] now holds the decode to that rule
 //! from above too.
+//!
+//! A record table holds the stripe cells only, 40 records here. It had a
+//! row for each of the 24 DELTA-pool blocks too, always FREE, and each
+//! table the Index-tier clock read — the column's own, and each other dead
+//! column's — cost 24 × 384 B = 9 216 B more, 1 336 ns at line rate
+//! (1 335 where the clock's rounding falls so): `all_closed_n5` 49 517,
+//! `all_closed_and_checkpointed_n5` 38 212, `all_closed_n7` 89 630,
+//! `lost_cell_in_a_fresh_open_block` and
+//! `old_and_new_cell_in_one_stripe_array` 50 710,
+//! `unfolded_cell_on_a_surviving_chain_member` 44 231,
+//! `free_cells_cost_nothing` 59 379, `lost_cell_in_a_reused_open_block`
+//! 77 388, `second_column_killed_in_the_first_ones_index_only_window`
+//! 61 975; two tables, 2 672 ns: `second_column_dead` 84 836 (its second
+//! recovery, one table, 61 975) and `right_neighbour_dead` 84 674. No
+//! Block-tier clock moved.
 //!
 //! Every shape is read back key by key against a healthy twin store built
 //! by the same script, and `scrub` must find every parity equation intact.
@@ -475,7 +490,7 @@ fn all_closed_n5() {
         lose(&pair, 1, keys),
         (
             (3, 3, 10, 12, 4, 0, 960, 15, 204, 204, 5260, 1536),
-            (49517, 0)
+            (48181, 0)
         )
     );
 }
@@ -497,7 +512,7 @@ fn all_closed_and_checkpointed_n5() {
     }
     assert_eq!(
         lose(&pair, 3, keys),
-        ((0, 0, 10, 0, 4, 3, 0, 0, 0, 0, 32, 0), (38212, 42042))
+        ((0, 0, 10, 0, 4, 3, 0, 0, 0, 0, 32, 0), (36876, 42042))
     );
 }
 
@@ -547,7 +562,7 @@ fn all_closed_n7() {
         lose(&pair, 4, keys),
         (
             (5, 5, 28, 30, 6, 0, 2240, 35, 327, 327, 9486, 3840),
-            (89630, 0)
+            (88295, 0)
         )
     );
 }
@@ -576,7 +591,7 @@ fn lost_cell_in_a_fresh_open_block() {
     assert_eq!(array, 1, "the open block starts a new array");
     assert_eq!(
         lose(&pair, col, keys + 8),
-        ((1, 1, 10, 0, 4, 3, 8, 1, 3, 3, 32, 0), (50710, 42042))
+        ((1, 1, 10, 0, 4, 3, 8, 1, 3, 3, 32, 0), (49374, 42042))
     );
 }
 
@@ -634,7 +649,7 @@ fn old_and_new_cell_in_one_stripe_array() {
     assert_eq!((report.old_lblock_count, report.old_lblock_net_ops), (1, 1));
     assert_eq!(
         shape(store, &report, &planned),
-        ((1, 1, 0, 0, 4, 1, 8, 1, 2, 2, 32, 0), (50710, 12498))
+        ((1, 1, 0, 0, 4, 1, 8, 1, 2, 2, 32, 0), (49374, 12498))
     );
     same_as_twin(store, twin, keys + 8);
 }
@@ -667,7 +682,7 @@ fn unfolded_cell_on_a_surviving_chain_member() {
         lose(&pair, lost, keys),
         (
             (3, 3, 9, 12, 4, 0, 952, 15, 185, 185, 4940, 1528),
-            (44231, 0)
+            (42895, 0)
         )
     );
 }
@@ -692,7 +707,7 @@ fn free_cells_cost_nothing() {
         lose(&pair, 2, keys),
         (
             (4, 4, 10, 16, 4, 0, 1280, 20, 245, 245, 6736, 2048),
-            (59379, 0)
+            (58043, 0)
         )
     );
 }
@@ -754,7 +769,7 @@ fn lost_cell_in_a_reused_open_block() {
         lose(&pair, col, CHURN_KEYS),
         (
             (6, 6, 20, 24, 4, 0, 1920, 30, 338, 53, 9304, 3072),
-            (77388, 0)
+            (76053, 0)
         )
     );
 }
@@ -797,7 +812,7 @@ fn second_column_dead() {
         shape(store, &first, &planned[0]),
         (
             (6, 6, 10, 9, 3, 0, 960, 15, 204, 204, 3921, 1152),
-            (84836, 0)
+            (82164, 0)
         )
     );
     assert_eq!(first.lblock_count, 3);
@@ -806,7 +821,7 @@ fn second_column_dead() {
         shape(store, &second, &planned[1]),
         (
             (3, 3, 14, 12, 4, 0, 960, 15, 187, 187, 5004, 1536),
-            (61975, 0)
+            (60639, 0)
         )
     );
     same_as_twin(store, twin, keys);
@@ -843,7 +858,7 @@ fn right_neighbour_dead() {
         shape(store, &first, &planned),
         (
             (6, 6, 8, 9, 3, 0, 960, 15, 204, 204, 3857, 1152),
-            (84674, 0)
+            (82002, 0)
         )
     );
     recover_mn(store, 2).unwrap();
@@ -880,7 +895,7 @@ fn second_column_killed_in_the_first_ones_index_only_window() {
         shape(store, &second, &planned),
         (
             (3, 3, 10, 12, 4, 0, 960, 15, 187, 187, 5004, 1536),
-            (61975, 0)
+            (60639, 0)
         )
     );
     held.run().unwrap();

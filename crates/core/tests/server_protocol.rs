@@ -3,7 +3,7 @@
 //! handlers leave in MN memory for one-sided readers — the Meta Area
 //! records and their two copies, and the Checkpoint Area.
 
-use aceso_blockalloc::{BlockId, BlockRecord, CellKind, Role, RECORD_TABLES};
+use aceso_blockalloc::{BlockId, BlockRecord, Role, RECORD_TABLES};
 use aceso_core::config::unpack_col;
 use aceso_core::elastic::ElasticStep;
 use aceso_core::proto::{ServerReq, ServerResp};
@@ -337,7 +337,7 @@ fn meta_area_names_a_clients_open_blocks() {
     rpc(&store, 0, ServerReq::DataFilled { block: b2 });
 
     let dm = store.cluster.background_client();
-    let ids = 0..store.map.blocks.blocks_per_node() as BlockId;
+    let ids = store.map.blocks.record_ids();
     let recs = read_records(&store, &dm, 0, 0, ids.clone()).unwrap();
     let open = |cli_id: u32| -> Vec<BlockId> {
         let owned = ids.clone().zip(&recs).filter(|(_, r)| r.cli_id == cli_id);
@@ -348,6 +348,41 @@ fn meta_area_names_a_clients_open_blocks() {
     assert_eq!(open(7), vec![b1]);
     // Client 8's block is filled, so it no longer appears.
     assert!(open(8).is_empty());
+    store.shutdown();
+}
+
+/// A client names the blocks of `DataFilled` and `BitmapFlush`; one with no
+/// record — a granted DELTA-pool block, or an id past the Block Area —
+/// leaves every MN's Meta Area, all three record tables, byte-identical.
+#[test]
+fn ids_without_a_record_change_no_table() {
+    let store = store();
+    let blocks = store.map.blocks;
+    let req = ServerReq::AllocDelta {
+        array: 0,
+        row: 0,
+        parity_row: 3,
+    };
+    let ServerResp::DeltaAllocated { block: delta } = rpc(&store, 1, req) else {
+        panic!("no delta granted")
+    };
+    let meta_areas = || {
+        let area = |col| {
+            let region = &store.server(col).node.region;
+            region.read_vec(blocks.meta_base, blocks.meta_size() as usize)
+        };
+        (0..store.cfg.num_mns)
+            .map(area)
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap()
+    };
+    let before = meta_areas();
+    for block in [delta, blocks.blocks_per_node() as BlockId] {
+        rpc(&store, 1, ServerReq::DataFilled { block });
+        let updates = vec![(block, vec![0, 4])];
+        rpc(&store, 1, ServerReq::BitmapFlush { updates });
+        assert!(meta_areas() == before, "block {block} changed a table");
+    }
     store.shutdown();
 }
 
@@ -516,7 +551,7 @@ fn scan_new_follows_the_record_table() {
         blocks.into_iter().map(|(id, _)| id).collect::<Vec<_>>()
     };
     // An open DATA block: Index Version 0, new to every checkpoint.
-    let ids = 0..blocks.blocks_per_node() as BlockId;
+    let ids = blocks.record_ids();
     let cells = (0..store.cfg.num_mns).flat_map(|col| ids.clone().map(move |id| (col, id)));
     let (col, id, mut rec) = cells
         .map(|(col, id)| (col, id, record(&store, col, id)))
@@ -552,7 +587,8 @@ fn assert_tables_hold_their_records(store: &Arc<AcesoStore>, when: &str) {
     for col in (0..n).filter(|&c| store.col_alive(c)) {
         let own = table(col, 0);
         let mut named = Vec::new();
-        for (id, bytes) in own.chunks_exact(blocks.record_bytes() as usize).enumerate() {
+        let rows = own.chunks_exact(blocks.record_bytes() as usize);
+        for (id, bytes) in blocks.record_ids().zip(rows) {
             let rec = BlockRecord::decode(bytes, blocks.block_size);
             assert_eq!(
                 rec.encode(blocks.block_size),
@@ -572,8 +608,7 @@ fn assert_tables_hold_their_records(store: &Arc<AcesoStore>, when: &str) {
             }
         }
         let free: Vec<BlockId> = store.server(col).alloc.lock().free_deltas().collect();
-        let pool = (0..blocks.blocks_per_node() as BlockId)
-            .filter(|&id| matches!(blocks.kind_of(id), CellKind::Delta { .. }));
+        let pool = (0..blocks.num_delta).map(|i| blocks.delta_block_id(i));
         let in_use: Vec<BlockId> = pool.filter(|id| !free.contains(id)).collect();
         named.sort_unstable();
         assert_eq!(named, in_use, "{when}: column {col}'s DELTA blocks in use");
