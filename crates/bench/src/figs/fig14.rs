@@ -58,7 +58,6 @@ pub fn reclaimed_update(scale: BenchScale) -> (Point, Point) {
     let arrays = (bytes_needed * 3 / 2 / (cfg.block_size * 3)).max(2);
     let reclaiming = AcesoConfig {
         num_arrays: arrays,
-        reclaim_free_ratio: 1.1, // Reclaim aggressively.
         ..cfg
     };
     let store = harness::preloaded_aceso(reclaiming, scale);

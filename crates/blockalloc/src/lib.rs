@@ -14,8 +14,8 @@
 //!   blocks the XOR Map plus per-position Delta Addr.
 //! * [`bitmap`] — the Free Bitmap utilities used by delta-based space
 //!   reclamation.
-//! * [`allocator`] — the MN server's free lists of DATA and DELTA blocks,
-//!   including reuse of reclamation candidates.
+//! * [`allocator`] — the MN server's DELTA pool. DATA cells need no free
+//!   list: the server grants them, fresh or reused, off its record table.
 
 #![forbid(unsafe_code)]
 

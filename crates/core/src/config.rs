@@ -42,8 +42,6 @@ pub struct AcesoConfig {
     pub num_delta: u64,
     /// Index bucket groups per MN (24 usable slots each).
     pub index_groups: u64,
-    /// Free-block ratio *below* which reclamation actually triggers.
-    pub reclaim_free_ratio: f64,
     /// How many obsolete marks a client buffers before a bitmap flush RPC.
     pub bitmap_flush_every: usize,
     /// Checkpoint interval in milliseconds when background checkpointing is
@@ -70,7 +68,6 @@ impl AcesoConfig {
             num_arrays: 8,
             num_delta: 24,
             index_groups: 512,
-            reclaim_free_ratio: 0.25,
             bitmap_flush_every: 64,
             ckpt_interval_ms: 500,
             auto_checkpoint: false,

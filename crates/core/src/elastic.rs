@@ -309,12 +309,7 @@ impl Migration {
         // constructor stamps a fresh Index Area (Index Version 1) into the
         // target region, which the copy below then overwrites with the
         // real one — never the other way around.
-        let server = MnServer::new(
-            self.col,
-            Arc::clone(&to),
-            self.store.map,
-            self.store.cfg.reclaim_free_ratio,
-        );
+        let server = MnServer::new(self.col, Arc::clone(&to), self.store.map);
         // Whole-region fence at the publish epoch on *both* nodes. The
         // source fence makes every placement client refresh before touching
         // it again (refreshed snapshots no longer address it — the node
@@ -332,13 +327,12 @@ impl Migration {
         to.install_fence(0, self.store.map.region_len, fence_epoch);
         // Copy the Index, Meta and Checkpoint areas and stop the old server.
         self.rpc(ServerReq::MigrateFinish, 16)?.expect_ok()?;
-        // Hand the heap state over (free lists, reuse backups, the
+        // Hand the heap state over (the DELTA free list, reuse backups, the
         // checkpoint sender); the records came with the Meta Area.
         std::mem::swap(&mut *server.alloc.lock(), &mut *old.alloc.lock());
         std::mem::swap(&mut *server.old_copies.lock(), &mut *old.old_copies.lock());
         std::mem::swap(&mut *server.sender.lock(), &mut *old.sender.lock());
         old.set_migration(None);
-        server.queue_reclaimable();
         // Republish the column on the target.
         self.store
             .directory()
@@ -376,7 +370,6 @@ impl Migration {
         self.from.clear_fences();
         let server = self.store.server(self.col);
         server.set_migration(None);
-        server.queue_reclaimable();
         self.store.degraded.lock().retain(|c| *c != self.col);
         if let Some(to) = self.to.take() {
             // The half-filled target never served anything: retire it.

@@ -306,7 +306,7 @@ impl AcesoStore {
         let node = self.cluster.add_node();
         let (cq, dm) = (Arc::new(SimCq::new()), self.cluster.background_client());
         dm.attach_cq(Arc::clone(&cq));
-        let server = MnServer::new(col, node, self.map, self.cfg.reclaim_free_ratio);
+        let server = MnServer::new(col, node, self.map);
         server.restoring.store(true, Ordering::Release);
         Ok(Recovery {
             server,
@@ -680,7 +680,6 @@ impl Recovery {
         r.old_lblock_net_ms = self.bufs.settle(dm, &self.cq);
         r.recover_old_lblock_ms = r.old_lblock_cpu_ms + r.old_lblock_net_ms;
         self.server.restoring.store(false, Ordering::Release);
-        self.server.queue_reclaimable();
 
         // Resolve the fp-matches the index scan could not verify while old
         // block contents were missing. A checkpoint entry pointing into an

@@ -81,7 +81,7 @@ impl AcesoStore {
             .nodes()
             .into_iter()
             .enumerate()
-            .map(|(col, node)| MnServer::new(col, node, map, cfg.reclaim_free_ratio))
+            .map(|(col, node)| MnServer::new(col, node, map))
             .collect();
         let dir = Directory::serving(&servers, &cluster);
         let store = Arc::new(AcesoStore {

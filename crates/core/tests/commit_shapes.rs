@@ -543,7 +543,6 @@ fn kb(i: u32) -> Vec<u8> {
 fn scattered_reuse() -> Arc<AcesoStore> {
     let store = AcesoStore::launch(AcesoConfig {
         num_arrays: 1,
-        reclaim_free_ratio: 1.1, // Always allowed to reclaim.
         ..AcesoConfig::small()
     })
     .unwrap();

@@ -521,7 +521,6 @@ fn half_closed(churn: bool) -> HalfClosed {
 
     let store = AcesoStore::launch(AcesoConfig {
         num_arrays: 2,
-        reclaim_free_ratio: 1.1, // Always allowed to reclaim.
         ..AcesoConfig::small()
     })
     .unwrap();
@@ -746,7 +745,6 @@ fn out_of_blocks_is_reported() {
     let cfg = AcesoConfig {
         num_arrays: 1, // 3 data blocks per MN, 15 total, 64 KiB each.
         num_delta: 8,
-        reclaim_free_ratio: 0.0, // Never reclaim.
         ..AcesoConfig::small()
     };
     let store = AcesoStore::launch(cfg).unwrap();
@@ -945,11 +943,11 @@ fn update_marks_the_slot_of_a_kv_whose_insert_never_wrote_len64() {
 /// bytes to a new writer.
 #[test]
 fn update_marks_the_slot_of_a_kv_whose_growing_update_never_wrote_len64() {
+    use aceso_blockalloc::{CellKind, Role};
     use aceso_core::proto::ServerReq;
 
     let store = AcesoStore::launch(AcesoConfig {
         num_arrays: 1,
-        reclaim_free_ratio: 1.1,
         ..AcesoConfig::small()
     })
     .unwrap();
@@ -977,8 +975,15 @@ fn update_marks_the_slot_of_a_kv_whose_growing_update_never_wrote_len64() {
     // Use up every fresh block, so the next class-16 block is that one.
     let mut padder = store.client().unwrap();
     let mut pads = 0;
-    let fresh = |c| store.server(c).alloc.lock().free_data_ratio();
-    while (0..store.cfg.num_mns).any(|c| fresh(c) > 0.0) {
+    let blocks = store.map.blocks;
+    let fresh = |c: usize| {
+        let server = store.server(c);
+        let table = server.records.lock();
+        let is_data = |id| matches!(blocks.kind_of(id), CellKind::Data { .. });
+        let data = blocks.record_ids().filter(|&id| is_data(id));
+        data.filter(|&id| table.get(id).role == Role::Free).count()
+    };
+    while (0..store.cfg.num_mns).any(|c| fresh(c) > 0) {
         padder.insert(&pad(pads), &big(3)).unwrap();
         pads += 1;
     }
@@ -1336,7 +1341,6 @@ fn scattered_reuse() -> (Arc<AcesoStore>, Kvs) {
 fn scattered_obsolete() -> (Arc<AcesoStore>, Kvs, AcesoClient) {
     let store = AcesoStore::launch(AcesoConfig {
         num_arrays: 1,
-        reclaim_free_ratio: 1.1, // Always allowed to reclaim.
         ..AcesoConfig::small()
     })
     .unwrap();

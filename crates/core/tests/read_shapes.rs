@@ -299,7 +299,6 @@ const CHURN_KEYS: u32 = 300;
 fn churned() -> (Arc<AcesoStore>, AcesoClient) {
     let cfg = AcesoConfig {
         num_arrays: 2,
-        reclaim_free_ratio: 1.1, // Always allowed to reclaim.
         ..AcesoConfig::small()
     };
     let store = AcesoStore::launch(cfg).unwrap();

@@ -58,7 +58,6 @@ fn scrub_clean_after_updates_and_deletes() {
 fn scrub_clean_after_reclamation() {
     let mut cfg = AcesoConfig::small();
     cfg.num_arrays = 2;
-    cfg.reclaim_free_ratio = 1.1;
     let store = AcesoStore::launch(cfg).unwrap();
     let mut c = store.client().unwrap();
     let val = vec![7u8; 180];

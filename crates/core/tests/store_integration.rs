@@ -386,7 +386,6 @@ fn space_reclamation_reuses_blocks() {
     // Overwrite heavily with a small pool so reclamation must trigger.
     let mut cfg = AcesoConfig::small();
     cfg.num_arrays = 2; // 6 data blocks per MN → 30 total of 64 KB.
-    cfg.reclaim_free_ratio = 1.1; // Always allowed to reclaim.
     let store = AcesoStore::launch(cfg).unwrap();
     let mut c = store.client().unwrap();
     let val = vec![3u8; 180]; // 256 B class → 256 slots per 64 KB block.
@@ -413,7 +412,6 @@ fn space_reclamation_reuses_blocks() {
 fn mn_recovery_after_reclamation_still_correct() {
     let mut cfg = AcesoConfig::small();
     cfg.num_arrays = 2;
-    cfg.reclaim_free_ratio = 1.1;
     let store = AcesoStore::launch(cfg).unwrap();
     let mut c = store.client().unwrap();
     let val = vec![9u8; 180];

@@ -29,7 +29,6 @@ fn main() {
         num_delta: 24,
         index_groups: 1024,
         block_size: 256 << 10,
-        reclaim_free_ratio: 1.1, // Demo: reclaim as soon as blocks qualify.
         ..AcesoConfig::small()
     })
     .expect("launch");
