@@ -193,6 +193,29 @@ impl BlockRecord {
     }
 }
 
+/// The Role of a record whose first 8 B word is `head`: Role is its low
+/// byte, so one load tells a FREE record from the rest.
+pub fn role_of(head: u64) -> Role {
+    Role::from_u8(head as u8)
+}
+
+/// How many of its `slots` KV slots a record marks obsolete, read through
+/// `word(i)`, its `i`-th 8 B word: the head's first two and the Free
+/// Bitmap's, and nothing decoded. `None` unless the record is a filled
+/// DATA block (Index Version ≠ 0) of size class `slot_len64`.
+pub fn obsolete_slots(word: impl Fn(usize) -> u64, slot_len64: u8, slots: usize) -> Option<usize> {
+    let head = word(0);
+    if role_of(head) != Role::Data || head.to_le_bytes()[3] != slot_len64 || word(1) == 0 {
+        return None;
+    }
+    let words = slots.min(MAX_SLOTS).div_ceil(64);
+    Some(
+        (0..words)
+            .map(|i| word(BITMAP_OFF / 8 + i).count_ones() as usize)
+            .sum(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,6 +237,26 @@ mod tests {
         let d = BlockRecord::decode(&bytes, 64 * 1024);
         assert_eq!(d, r);
         assert_eq!(d.slots(64 * 1024), 64);
+    }
+
+    #[test]
+    fn words_read_what_decode_reads() {
+        let mut r = BlockRecord::free();
+        (r.role, r.slot_len64, r.index_version) = (Role::Data, 16, 7);
+        r.bitmap = Bitmap::new(64);
+        for slot in [0, 5, 63] {
+            r.bitmap.set(slot, true);
+        }
+        let read = |r: &BlockRecord| {
+            let bytes = r.encode(64 * 1024);
+            move |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap())
+        };
+        assert_eq!(role_of(read(&r)(0)), Role::Data);
+        assert_eq!(obsolete_slots(read(&r), 16, 64), Some(3));
+        assert_eq!(obsolete_slots(read(&r), 8, 128), None, "another class");
+        r.index_version = 0;
+        assert_eq!(obsolete_slots(read(&r), 16, 64), None, "not filled");
+        assert_eq!(role_of(read(&BlockRecord::free())(0)), Role::Free);
     }
 
     #[test]
