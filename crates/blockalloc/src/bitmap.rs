@@ -70,18 +70,6 @@ impl Bitmap {
         self.bytes.iter().map(|b| b.count_ones() as usize).sum()
     }
 
-    /// ORs another bitmap of the same width into this one (bulk flush).
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn or_with(&mut self, other: &Bitmap) {
-        assert_eq!(self.bits, other.bits);
-        for (a, b) in self.bytes.iter_mut().zip(&other.bytes) {
-            *a |= b;
-        }
-    }
-
     /// Clears every bit (block reuse resets the bitmap, §3.3.3).
     pub fn clear(&mut self) {
         self.bytes.fill(0);
@@ -113,17 +101,6 @@ mod tests {
         b.set(19, false);
         assert_eq!(b.count_ones(), 3);
         assert_eq!(b.ones().collect::<Vec<_>>(), vec![0, 7, 8]);
-    }
-
-    #[test]
-    fn or_accumulates() {
-        let mut a = Bitmap::new(16);
-        let mut b = Bitmap::new(16);
-        a.set(1, true);
-        b.set(2, true);
-        b.set(1, true);
-        a.or_with(&b);
-        assert_eq!(a.ones().collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]

@@ -102,18 +102,17 @@ impl AcesoClient {
                     block,
                     array,
                     row,
-                    reused,
                     old_bitmap,
                 } => {
                     self.alloc_rr = (col + 1) % n;
-                    granted = Some((col, block, array, row, reused, old_bitmap));
+                    granted = Some((col, block, array, row, old_bitmap));
                     break;
                 }
                 ServerResp::Err(_) => continue,
                 _ => break,
             }
         }
-        let Some((col, block, array, row, reused, old_bitmap)) = granted else {
+        let Some((col, block, array, row, old_bitmap)) = granted else {
             return Err(StoreError::OutOfBlocks);
         };
         let bs = self.map.blocks.block_size;
@@ -141,9 +140,8 @@ impl AcesoClient {
             };
         }
         let block_off = self.map.blocks.block_offset(block);
-        let (fill_order, old_images) = if reused {
-            let bitmap_bytes = old_bitmap.unwrap_or_default();
-            let bitmap = aceso_blockalloc::Bitmap::from_bytes(nslots, &bitmap_bytes);
+        let (fill_order, old_images) = if let Some(bitmap) = old_bitmap {
+            let bitmap = aceso_blockalloc::Bitmap::from_bytes(nslots, &bitmap);
             let fill_order: Vec<u32> = bitmap.ones().map(|s| s as u32).collect();
             // Only the obsolete slots are refilled, and a delta is new ⊕
             // old, so read their old images and nothing else (§3.3.3): one

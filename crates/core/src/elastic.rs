@@ -9,10 +9,11 @@
 //! The migrator is an explicit step machine so chaos harnesses can kill
 //! nodes at every step boundary:
 //!
-//! 1. **Announce** — add the target node (membership epoch bump), open the
-//!    migration in the [`PlacementMap`], mark the column degraded (clients
-//!    must not trust delta bytes mid-move), and install the server-side
-//!    dual-write context ([`MnServer::set_migration`]).
+//! 1. **Announce** — add the target node (membership epoch bump) and open
+//!    the migration in the [`PlacementMap`]. The map is its one record:
+//!    from here to the publish or the abort, the source's server reads the
+//!    target off it, dual-writes every block-area byte it changes there and
+//!    grants no reused block.
 //! 2. **Copy batch** (× `elastic_groups`) — fence one placement group's
 //!    blocks (`block_id % elastic_groups`, DATA, DELTA and PARITY cells
 //!    alike) on the source at the *next* placement epoch, copy the bytes
@@ -38,7 +39,7 @@
 use crate::client::RetryPolicy;
 use crate::placement::{ElasticKind, PlacementMap};
 use crate::proto::{ServerReq, ServerResp};
-use crate::server::{MigrationCtx, MnServer};
+use crate::server::MnServer;
 use crate::store::AcesoStore;
 use crate::{Result, StoreError};
 use aceso_rdma::{MemoryNode, NodeId};
@@ -260,18 +261,10 @@ impl Migration {
         // Membership first: the join is visible (and epoch-bumped) before
         // any placement change references the new node.
         let to = self.store.cluster.add_node();
-        // Server-side dual-write from here on: allocation zeroing, delta
-        // encoding and reclamation all land on both regions.
-        self.store
-            .server(self.col)
-            .set_migration(Some(MigrationCtx {
-                target: Arc::clone(&to),
-            }));
+        // Server-side dual-write from here on: delta encoding lands on both
+        // regions, and no grant reuses a block.
         self.placement()
             .begin(self.col, self.from.id, to.id, self.groups);
-        // Mid-migration blocks are degraded-readable: recovery paths must
-        // not trust delta copies hosted on a half-moved column.
-        self.store.degraded.lock().push(self.col);
         self.to = Some(to);
         Ok(())
     }
@@ -309,7 +302,8 @@ impl Migration {
         // constructor stamps a fresh Index Area (Index Version 1) into the
         // target region, which the copy below then overwrites with the
         // real one — never the other way around.
-        let server = MnServer::new(self.col, Arc::clone(&to), self.store.map);
+        let placement = Arc::clone(self.placement());
+        let server = MnServer::new(self.col, Arc::clone(&to), self.store.map, placement);
         // Whole-region fence at the publish epoch on *both* nodes. The
         // source fence makes every placement client refresh before touching
         // it again (refreshed snapshots no longer address it — the node
@@ -332,14 +326,11 @@ impl Migration {
         std::mem::swap(&mut *server.alloc.lock(), &mut *old.alloc.lock());
         std::mem::swap(&mut *server.old_copies.lock(), &mut *old.old_copies.lock());
         std::mem::swap(&mut *server.sender.lock(), &mut *old.sender.lock());
-        old.set_migration(None);
-        // Republish the column on the target.
+        // Republish the column on the target, then close the migration.
         self.store
             .directory()
             .publish(&server, self.store.cluster.background_client());
-        self.store.set_server(self.col, server);
         self.placement().finish();
-        self.store.degraded.lock().retain(|c| *c != self.col);
         Ok(())
     }
 
@@ -368,9 +359,6 @@ impl Migration {
         }
         self.placement().abort();
         self.from.clear_fences();
-        let server = self.store.server(self.col);
-        server.set_migration(None);
-        self.store.degraded.lock().retain(|c| *c != self.col);
         if let Some(to) = self.to.take() {
             // The half-filled target never served anything: retire it.
             self.store.cluster.kill_node(to.id);
@@ -382,8 +370,8 @@ impl Migration {
 
 impl Drop for Migration {
     fn drop(&mut self) {
-        // A dropped in-flight migration must not leave fences or a
-        // dual-write context behind.
+        // A dropped in-flight migration must not leave fences or an open
+        // migration behind.
         if !matches!(self.state, State::Done) {
             self.abort();
         }

@@ -110,8 +110,9 @@ pub enum ServerReq {
     },
     /// Elastic migration: copy the given block-area byte ranges — one
     /// placement group's blocks, PARITY cells included — onto the
-    /// migration target (installed out-of-band via
-    /// [`MnServer::set_migration`](crate::server::MnServer::set_migration)).
+    /// migration target, the node the
+    /// [`PlacementMap`](crate::placement::PlacementMap)'s migration off this
+    /// server's node moves onto.
     /// Running inside the RPC loop serializes the copy against every other
     /// server-side mutation of those ranges.
     MigrateBatch {
@@ -138,9 +139,8 @@ pub enum ServerResp {
         array: u64,
         /// Row of the cell.
         row: usize,
-        /// Reused (reclaimed) block? If so the old Free Bitmap follows.
-        reused: bool,
-        /// Old obsolete bits for a reused block.
+        /// The old Free Bitmap of a reused (reclaimed) block; `None` for a
+        /// fresh one.
         old_bitmap: Option<Vec<u8>>,
     },
     /// DELTA block allocated.

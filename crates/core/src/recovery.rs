@@ -306,7 +306,7 @@ impl AcesoStore {
         let node = self.cluster.add_node();
         let (cq, dm) = (Arc::new(SimCq::new()), self.cluster.background_client());
         dm.attach_cq(Arc::clone(&cq));
-        let server = MnServer::new(col, node, self.map);
+        let server = MnServer::new(col, node, self.map, Arc::clone(self.placement()));
         server.restoring.store(true, Ordering::Release);
         Ok(Recovery {
             server,
@@ -622,7 +622,6 @@ impl Recovery {
 
         // ---- Publish: functionality is back (degraded reads). ------------
         dir.publish(&server, store.cluster.background_client());
-        store.set_server(col, server);
         // Our tables 1 and 2 copy our two left neighbours' records: a live
         // one rewrites its table into ours under its execution lock, a dead
         // one's — which nothing writes any more — is copied from its other
@@ -736,9 +735,8 @@ impl Recovery {
             // Exactly the columns whose parity and delta copies were rebuilt
             // above are whole again. Clearing the *whole* list here would
             // also drop columns degraded by someone else — a recovery held
-            // between its Index and Block tiers, or an in-flight elastic
-            // migration — and make recovery trust their delta bytes too
-            // early.
+            // between its Index and Block tiers — and make recovery trust
+            // their delta bytes too early.
             store.pending_parity.lock().retain(|c| !cols.contains(c));
             store.degraded.lock().retain(|c| !cols.contains(c));
         }
@@ -1328,10 +1326,10 @@ pub fn recover_cn(store: &Arc<AcesoStore>, cli_id: u32) -> Result<CnRecoveryRepo
         // Fetch both delta blocks — the trustworthy ones. A copy hosted on
         // a column still in its degraded window reads back as zeros;
         // trusting it would classify every committed slot as torn and the
-        // "repair" would zero the surviving copy too. (A column degraded
-        // only because it is mid-migration is byte-fresh, and its copy
-        // must take part in the repair — skipping it would zero one copy
-        // of a torn delta but not the other; the book knows.)
+        // "repair" would zero the surviving copy too. (A mid-migration
+        // column is not degraded: the dual-write mirror keeps it
+        // byte-fresh, and its copy must take part in the repair — skipping
+        // it would zero one copy of a torn delta but not the other.)
         let mut dinfo: Vec<(usize, u64, Vec<u8>)> = Vec::new();
         let mut skipped_degraded = false;
         for (dc, doff) in book.delta_copies(array, row, col) {

@@ -45,7 +45,6 @@ pub struct AcesoStore {
     /// The derived memory map (identical on every MN).
     pub map: MemoryMap,
     dir: Arc<Directory>,
-    servers: Mutex<Vec<Arc<MnServer>>>,
     /// The optional auto-checkpoint loop: the only thread a store starts.
     ckpt_thread: Mutex<Option<JoinHandle<()>>>,
     next_cli: AtomicU32,
@@ -77,21 +76,21 @@ impl AcesoStore {
             region_len: map.region_len,
             cost: cfg.cost,
         });
+        let placement = Arc::new(PlacementMap::new(cluster.len() as u64));
         let servers: Vec<_> = cluster
             .nodes()
             .into_iter()
             .enumerate()
-            .map(|(col, node)| MnServer::new(col, node, map))
+            .map(|(col, node)| MnServer::new(col, node, map, Arc::clone(&placement)))
             .collect();
         let dir = Directory::serving(&servers, &cluster);
         let store = Arc::new(AcesoStore {
             ctl: cluster.background_client(),
-            placement: Arc::new(PlacementMap::new(cluster.len() as u64)),
+            placement,
             cluster,
             cfg: cfg.clone(),
             map,
             dir,
-            servers: Mutex::new(servers),
             ckpt_thread: Mutex::new(None),
             next_cli: AtomicU32::new(1),
             running: Arc::new(AtomicBool::new(true)),
@@ -158,8 +157,8 @@ impl AcesoStore {
     }
 
     /// Columns currently in a degraded window — their hosted parity/delta
-    /// copies are not trustworthy yet (mid-recovery, or an in-flight
-    /// elastic migration). Exposed for tests and chaos invariants.
+    /// copies are not trustworthy yet (a recovery before its Parity tier).
+    /// Exposed for tests and chaos invariants.
     pub fn degraded_columns(&self) -> Vec<usize> {
         self.degraded.lock().clone()
     }
@@ -193,11 +192,7 @@ impl AcesoStore {
 
     /// The server state of `col` (stats, recovery orchestration).
     pub fn server(&self, col: usize) -> Arc<MnServer> {
-        Arc::clone(&self.servers.lock()[col])
-    }
-
-    pub(crate) fn set_server(&self, col: usize, server: Arc<MnServer>) {
-        self.servers.lock()[col] = server;
+        self.dir.server_of(col)
     }
 
     pub(crate) fn ctl_dm(&self) -> &DmClient {
@@ -254,7 +249,7 @@ impl AcesoStore {
     pub fn memory_usage(&self) -> MemoryUsage {
         let mut usage = MemoryUsage::default();
         let bs = self.map.blocks.block_size;
-        for server in self.servers.lock().iter() {
+        for server in (0..self.dir.len()).map(|col| self.server(col)) {
             if !server.node.is_alive() {
                 continue;
             }
@@ -303,8 +298,8 @@ impl AcesoStore {
     /// itself remains readable for post-mortem inspection.
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::Release);
-        for s in self.servers.lock().iter() {
-            s.alive.store(false, Ordering::Release);
+        for col in 0..self.dir.len() {
+            self.server(col).alive.store(false, Ordering::Release);
         }
         let ckpt_thread = self.ckpt_thread.lock().take();
         if let Some(t) = ckpt_thread {

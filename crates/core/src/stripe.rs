@@ -115,17 +115,9 @@ impl StripeBook {
             Ok::<_, RdmaError>(())
         })?;
         // A column in a degraded window serves zeros where its delta copies
-        // were (the parity rebuild re-materializes them) — except one that
-        // is degraded only because it is mid-migration: the dual-write
-        // mirror keeps the source byte-fresh.
-        let migrating = store
-            .placement()
-            .snapshot()
-            .migration
-            .as_ref()
-            .map(|m| m.col);
+        // were (the parity rebuild re-materializes them). A migrating column
+        // is not one: the dual-write mirror keeps the source byte-fresh.
         let mut untrusted = store.degraded_columns();
-        untrusted.retain(|c| Some(*c) != migrating);
         untrusted.extend(local.map(|s| s.column));
         Ok(StripeBook {
             // `AcesoConfig::memory_map` validated the geometry at launch.

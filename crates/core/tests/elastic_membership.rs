@@ -332,6 +332,27 @@ fn abort_mid_copy_is_clean() {
     store.shutdown();
 }
 
+/// A migration lives in the placement map alone: no step of a join, from
+/// its announce through its publish, marks the column degraded — the
+/// dual-write mirror keeps the source byte-fresh, so the bytes it hosts
+/// stay trusted.
+#[test]
+fn a_join_opens_no_degraded_window() {
+    let store = launch();
+    let _kvs = preload(&store, 30);
+    let mut mig = store.begin_join(3).unwrap();
+    loop {
+        let step = mig.step().unwrap();
+        let degraded = store.degraded_columns();
+        assert!(degraded.is_empty(), "after {step}: {degraded:?}");
+        if step == ElasticStep::Publish {
+            break;
+        }
+    }
+    mig.run().unwrap();
+    store.shutdown();
+}
+
 /// Satellite regression: finishing one recovery must not clear *other*
 /// columns' degraded windows. A recovery of column 1 held after its Index
 /// tier is still degraded while a full recovery of column 2 completes.

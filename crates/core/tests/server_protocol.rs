@@ -43,7 +43,6 @@ fn alloc_data_then_delta_then_encode() {
         block,
         array,
         row,
-        reused,
         old_bitmap,
     } = rpc(
         &store,
@@ -56,8 +55,7 @@ fn alloc_data_then_delta_then_encode() {
     else {
         panic!("alloc failed")
     };
-    assert!(!reused);
-    assert!(old_bitmap.is_none());
+    assert!(old_bitmap.is_none(), "a fresh grant has no old bitmap");
 
     // The record reflects the allocation.
     let rec = record(&store, 0, block);
@@ -141,11 +139,11 @@ fn alloc_data_then_delta_then_encode() {
 
 /// The in-place fold must leave exactly what `XCode::fold_delta` computes
 /// on a copy of the source's parity, free the DELTA block zeroed, and stay
-/// idempotent — alone, and mid-migration with stale parity on the target,
-/// where the fold must bring the target to the source's bytes.
+/// idempotent — alone, and mid-migration (a join announced, as the
+/// migrator opens one) with stale parity on the target, where the fold
+/// must bring the target to the source's bytes.
 #[test]
 fn encode_delta_folds_in_place_like_fold_delta() {
-    use aceso_core::server::MigrationCtx;
     use aceso_rdma::GlobalAddr;
 
     for migrating in [false, true] {
@@ -188,15 +186,14 @@ fn encode_delta_folds_in_place_like_fold_delta() {
         let local = &server.node.region;
         local.write(poff, &parity).unwrap();
         local.write(doff, &delta).unwrap();
-        let target = migrating.then(|| {
+        let mut migration = migrating.then(|| store.begin_join(pcol).unwrap());
+        let target = migration.as_mut().map(|mig| {
+            assert_eq!(mig.step().unwrap(), ElasticStep::Announce);
+            let target = store.cluster.node(mig.to_node().unwrap()).unwrap();
             // Dual writes put the delta on the target too; its parity is
             // stale, as before the parity cell's group is copied.
-            let target = store.cluster.add_node();
             target.region.write(doff, &delta).unwrap();
             target.region.write(poff, &vec![0x5A; bs]).unwrap();
-            server.set_migration(Some(MigrationCtx {
-                target: Arc::clone(&target),
-            }));
             target
         });
 
@@ -225,7 +222,9 @@ fn encode_delta_folds_in_place_like_fold_delta() {
         let dm = store.cluster.background_client();
         let addr = GlobalAddr::new(store.directory().node_of(pcol), poff);
         assert_eq!(dm.read_vec(addr, bs).unwrap(), want);
-        server.set_migration(None);
+        if let Some(mig) = migration.as_mut() {
+            mig.abort();
+        }
         store.shutdown();
     }
 }
@@ -265,7 +264,9 @@ fn first_grant_past_fresh(store: &Arc<AcesoStore>) -> (ServerResp, usize) {
     };
     for fresh in 0.. {
         match rpc(store, 2, req.clone()) {
-            ServerResp::DataAllocated { reused: false, .. } => {}
+            ServerResp::DataAllocated {
+                old_bitmap: None, ..
+            } => {}
             other => return (other, fresh),
         }
     }
@@ -286,7 +287,6 @@ fn a_block_obsoleted_while_fresh_cells_remain_is_reused() {
     assert_eq!(fresh as u64, store.map.blocks.data_blocks_per_node() - 1);
     let ServerResp::DataAllocated {
         block: got,
-        reused: true,
         old_bitmap: Some(old),
         ..
     } = grant
@@ -313,7 +313,7 @@ fn the_most_obsolete_candidate_is_reused_first() {
     let reused = |grant| match grant {
         ServerResp::DataAllocated {
             block,
-            reused: true,
+            old_bitmap: Some(_),
             ..
         } => block,
         other => panic!("{other:?}"),
@@ -322,6 +322,55 @@ fn the_most_obsolete_candidate_is_reused_first() {
     assert_eq!(reused(first_grant_past_fresh(&store).0), less);
     let (last, _) = first_grant_past_fresh(&store);
     assert!(matches!(last, ServerResp::Err(_)), "{last:?}");
+    store.shutdown();
+}
+
+/// While its column migrates, a grant reuses no block: reclamation would
+/// rewrite a block behind the copier's back. Once no FREE DATA cell is
+/// left, a join's announce turns the grant a reclaimable block would get
+/// into a refusal, and its abort gives the block back to the next grant.
+#[test]
+fn no_block_is_reused_while_its_column_migrates() {
+    let store = store();
+    let slots = (store.map.blocks.block_size / 64) as u32;
+    let block = filled_block(&store);
+    let updates = vec![(block, (0..slots).collect())];
+    rpc(&store, 2, ServerReq::BitmapFlush { updates });
+    let req = ServerReq::AllocData {
+        cli_id: 6,
+        slot_len64: 1,
+    };
+    for _ in 1..store.map.blocks.data_blocks_per_node() {
+        let grant = rpc(&store, 2, req.clone());
+        assert!(
+            matches!(
+                grant,
+                ServerResp::DataAllocated {
+                    old_bitmap: None,
+                    ..
+                }
+            ),
+            "{grant:?}"
+        );
+    }
+    let mut mig = store.begin_join(2).unwrap();
+    assert_eq!(mig.step().unwrap(), ElasticStep::Announce);
+    let refused = rpc(&store, 2, req.clone());
+    assert!(
+        matches!(&refused, ServerResp::Err(e) if e == "out of data blocks"),
+        "{refused:?}"
+    );
+    mig.abort();
+    let grant = rpc(&store, 2, req);
+    let ServerResp::DataAllocated {
+        block: got,
+        old_bitmap: Some(_),
+        ..
+    } = grant
+    else {
+        panic!("{grant:?}")
+    };
+    assert_eq!(got, block);
     store.shutdown();
 }
 
@@ -395,7 +444,6 @@ fn bitmap_flush_accumulates_and_triggers_reuse() {
     let (grant, _) = first_grant_past_fresh(&store);
     let ServerResp::DataAllocated {
         block: got,
-        reused: true,
         old_bitmap: Some(old),
         ..
     } = grant
