@@ -52,10 +52,13 @@ pub fn reclaimed_update(scale: BenchScale) -> (Point, Point) {
     let normal = micro(&store, scale, Op::Update);
     store.shutdown();
 
-    // Special: a pool small enough that updates run on reclaimed blocks.
-    let bytes_needed = scale.keys * harness::slot_bytes(scale.value_len);
+    // Special: a pool small enough that updates run on reclaimed blocks —
+    // every client's preload with half as much again as headroom, over the
+    // (n − 2) × n DATA cells of a stripe array.
     let cfg = harness::bench_aceso_config();
-    let arrays = (bytes_needed * 3 / 2 / (cfg.block_size * 3)).max(2);
+    let bytes_needed = scale.threads as u64 * scale.keys * harness::slot_bytes(scale.value_len);
+    let n = cfg.num_mns as u64;
+    let arrays = (bytes_needed * 3 / 2 / ((n - 2) * n * cfg.block_size)).max(2);
     let reclaiming = AcesoConfig {
         num_arrays: arrays,
         ..cfg
