@@ -11,7 +11,7 @@
 use crate::figs::FigureOutput;
 use crate::fmt_bytes;
 use crate::harness::BenchScale;
-use aceso_core::ckpt::CkptSender;
+use aceso_core::ckpt;
 
 fn synth_index(bytes: usize, seed: u64) -> Vec<u8> {
     // 75% of 16 B slots populated with plausible slot words.
@@ -61,13 +61,12 @@ pub fn fig19(scale: BenchScale) -> FigureOutput {
     );
     for &mb in sizes_mb {
         let bytes = mb << 20;
+        // The last round shipped the full index: the baseline…
         let mut index = synth_index(bytes, 7);
-        let mut tx = CkptSender::new(bytes);
-        // Round 1 establishes the baseline (full index).
-        tx.round(index.clone());
-        // Round 2 is the measured differential round.
+        let mut baseline = index.clone();
+        // …and the measured round's delta is taken against it.
         dirty_slots(&mut index, dirty, 99);
-        let (compressed, ..) = tx.round(index.clone());
+        let (compressed, _) = ckpt::delta(&index, &mut baseline);
         text.push_str(&format!(
             "{:4} MB | {:>9}\n",
             mb,

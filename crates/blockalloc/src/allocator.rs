@@ -1,50 +1,28 @@
-//! The MN server's DELTA pool.
+//! A DELTA-pool free list, kept for the repo benchmark's
+//! `blockalloc.alloc_free_ns` probe alone.
 //!
-//! Clients manage their own coarse-grained memory blocks, allocated from
-//! MN servers by RPC when space runs out (§3.2.3). A DATA cell is granted
-//! off its column's record table, which alone says which cells are FREE
-//! and which filled ones are reclamation candidates (§3.3.3). DELTA blocks
-//! come from a separate pool with no records, kept here, and are
-//! physically freed as soon as they are encoded into their PARITY block.
+//! The MN server keeps no free list: it grants the lowest DELTA-pool block
+//! that no Delta Addr word of its record table names, and `EncodeDelta`
+//! clearing the word frees it (§3.3.3).
 
 use crate::layout::{BlockId, BlockLayout, CellKind};
-use crate::record::{BlockRecord, Role};
-use aceso_rdma::GlobalAddr;
 use std::collections::VecDeque;
 
-/// The free list of one MN's DELTA pool.
+/// The free list of one MN's DELTA pool; serves the benchmark's probe
+/// alone.
 pub struct Allocator {
     layout: BlockLayout,
     free_delta: VecDeque<BlockId>,
 }
 
 impl Allocator {
-    /// Builds the initial free list from the layout: the whole DELTA pool.
+    /// A free list holding the whole DELTA pool, in id order.
     pub fn new(layout: BlockLayout) -> Self {
-        Self::free_where(layout, |_| true)
-    }
-
-    /// Rebuilds the free list from a restored record table, in block order
-    /// (MN recovery): a DELTA-pool block, which has no record, is free iff
-    /// no PARITY record's Delta Addr names it.
-    pub fn rebuild(layout: BlockLayout, records: impl IntoIterator<Item = BlockRecord>) -> Self {
-        let mut used = vec![false; layout.blocks_per_node() as usize];
-        for rec in records.into_iter().filter(|rec| rec.role == Role::Parity) {
-            let named = rec.delta_addr.iter().filter(|&&a| a != 0);
-            for (delta, _) in named.filter_map(|&a| layout.locate(GlobalAddr::unpack48(a).offset)) {
-                used[delta as usize] = true;
-            }
-        }
-        Self::free_where(layout, |id| !used[id as usize])
-    }
-
-    /// A free list holding, in id order, every DELTA-pool block `free`
-    /// takes as free.
-    fn free_where(layout: BlockLayout, free: impl Fn(BlockId) -> bool) -> Self {
-        let pool = (0..layout.num_delta).map(|i| layout.delta_block_id(i));
         Allocator {
             layout,
-            free_delta: pool.filter(|&id| free(id)).collect(),
+            free_delta: (0..layout.num_delta)
+                .map(|i| layout.delta_block_id(i))
+                .collect(),
         }
     }
 
@@ -53,24 +31,17 @@ impl Allocator {
         self.free_delta.pop_front()
     }
 
-    /// Returns a DELTA block to the pool (after encoding into parity).
+    /// Returns a DELTA block to the pool.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a delta-pool block — freeing a stripe cell into
-    /// the delta pool would corrupt the geometry.
+    /// Panics if `id` is not a delta-pool block.
     pub fn free_delta(&mut self, id: BlockId) {
         assert!(
             matches!(self.layout.kind_of(id), CellKind::Delta { .. }),
             "block {id} is not a delta block"
         );
-        debug_assert!(!self.free_delta.contains(&id), "double free of delta {id}");
         self.free_delta.push_back(id);
-    }
-
-    /// DELTA blocks remaining, in the order they are granted.
-    pub fn free_deltas(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.free_delta.iter().copied()
     }
 }
 
@@ -90,12 +61,6 @@ mod tests {
     }
 
     #[test]
-    fn initial_list_is_the_pool() {
-        let a = Allocator::new(layout());
-        assert_eq!(a.free_deltas().collect::<Vec<_>>(), [10, 11, 12]);
-    }
-
-    #[test]
     fn delta_pool_cycles() {
         let mut a = Allocator::new(layout());
         let d1 = a.alloc_delta().unwrap();
@@ -107,19 +72,6 @@ mod tests {
         assert_eq!(d4, d1); // Recycled.
         let _ = d3;
         assert!(a.alloc_delta().is_none());
-    }
-
-    #[test]
-    fn rebuild_frees_what_no_record_holds() {
-        let l = layout();
-        let mut recs = vec![BlockRecord::free(); l.record_ids().len()];
-        recs[1].role = Role::Data;
-        // Array 0's first PARITY cell names pool blocks 10 and 12.
-        recs[3].role = Role::Parity;
-        let named = |id| GlobalAddr::new(aceso_rdma::NodeId(4), l.block_offset(id)).pack48();
-        (recs[3].delta_addr[0], recs[3].delta_addr[2]) = (named(10), named(12));
-        let a = Allocator::rebuild(l, recs);
-        assert_eq!(a.free_deltas().collect::<Vec<_>>(), [11]);
     }
 
     #[test]

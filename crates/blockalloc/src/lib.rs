@@ -14,8 +14,9 @@
 //!   blocks the XOR Map plus per-position Delta Addr.
 //! * [`bitmap`] — the Free Bitmap utilities used by delta-based space
 //!   reclamation.
-//! * [`allocator`] — the MN server's DELTA pool. DATA cells need no free
-//!   list: the server grants them, fresh or reused, off its record table.
+//! * [`allocator`] — a DELTA-pool free list the repo benchmark probes. The
+//!   server keeps none: it grants DATA cells, fresh or reused, and DELTA
+//!   blocks off its record table.
 
 #![forbid(unsafe_code)]
 

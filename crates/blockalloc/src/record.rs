@@ -38,6 +38,9 @@ use crate::bitmap::Bitmap;
 pub const RECORD_HEAD_BYTES: usize = 160;
 /// Byte offset of the Free Bitmap inside a record.
 const BITMAP_OFF: usize = 256;
+/// The 8 B word of a record holding Delta Addr 0: Delta Addr `k` is word
+/// `DELTA_ADDR_WORD + k`.
+pub const DELTA_ADDR_WORD: usize = 4;
 /// Maximum KV slots per block (bitmap width).
 pub const MAX_SLOTS: usize = 8192;
 /// Maximum data positions per parity equation (X-Code `n − 2 ≤ 16`).
@@ -148,7 +151,8 @@ impl BlockRecord {
         b[16..24].copy_from_slice(&self.stripe_array.to_le_bytes());
         b[24..26].copy_from_slice(&self.xor_map.to_le_bytes());
         for (k, a) in self.delta_addr.iter().enumerate() {
-            b[32 + k * 8..40 + k * 8].copy_from_slice(&a.to_le_bytes());
+            let at = 8 * (DELTA_ADDR_WORD + k);
+            b[at..at + 8].copy_from_slice(&a.to_le_bytes());
         }
         let bm = self.bitmap.as_bytes();
         assert!(bm.len() <= b.len() - BITMAP_OFF);
@@ -166,7 +170,8 @@ impl BlockRecord {
     pub fn decode_head(bytes: &[u8]) -> (u16, [u64; MAX_POSITIONS]) {
         assert!(bytes.len() >= RECORD_HEAD_BYTES);
         let mut delta_addr = [0u64; MAX_POSITIONS];
-        for (a, word) in delta_addr.iter_mut().zip(bytes[32..].chunks_exact(8)) {
+        let words = bytes[8 * DELTA_ADDR_WORD..].chunks_exact(8);
+        for (a, word) in delta_addr.iter_mut().zip(words) {
             *a = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
         }
         (u16::from_le_bytes([bytes[24], bytes[25]]), delta_addr)
@@ -257,6 +262,8 @@ mod tests {
         r.index_version = 0;
         assert_eq!(obsolete_slots(read(&r), 16, 64), None, "not filled");
         assert_eq!(role_of(read(&BlockRecord::free())(0)), Role::Free);
+        r.delta_addr[2] = 0x1234;
+        assert_eq!(read(&r)(DELTA_ADDR_WORD + 2), 0x1234);
     }
 
     #[test]

@@ -1,14 +1,22 @@
 //! Differential checkpointing of the index (paper §3.2.1, Figure 3).
 //!
-//! Each round, an MN server:
+//! Each round, an MN server's sender ([`send`]):
 //!
-//! 1. snapshots its local index (server CPU read; concurrent `RDMA_CAS`
+//! 1. snapshots its Index Area (server CPU read; concurrent `RDMA_CAS`
 //!    commits stay word-atomic, so no slot is ever torn),
-//! 2. XORs the snapshot with the previous one to obtain the delta,
-//! 3. LZ-compresses the delta (dominated by zero runs),
+//! 2. XORs the snapshot with its baseline, the snapshot the last round
+//!    shipped, to obtain the delta, and writes the snapshot over it,
+//! 3. LZ-compresses the delta (dominated by zero runs) — steps 2–3 are
+//!    [`delta`] —,
 //! 4. ships it to the neighbouring column, whose server
 //! 5. decompresses it and XOR-applies it to the copy in its Checkpoint Area
 //!    ([`apply_delta`]), stamping the copy's Index Version word beside it.
+//!
+//! The baseline lives in the sender's region, in its baseline area
+//! ([`crate::config::MemoryMap::baseline`]): once a round has landed it
+//! holds what the right neighbour's Checkpoint Area holds. It is zeroed
+//! when that neighbour is replaced, so the next round ships the whole
+//! index, and MN recovery writes the restored checkpoint into it.
 //!
 //! After the round the sender bumps its **Index Version**; while the live
 //! index is at version `i`, the neighbour's checkpoint is at `i − 1`
@@ -20,7 +28,7 @@
 
 use aceso_erasure::xor_into;
 use aceso_index::IndexLayout;
-use aceso_rdma::Region;
+use aceso_rdma::{RdmaError, Region};
 use std::time::Instant;
 
 /// Per-step measurements of one checkpoint round (paper Figure 19).
@@ -30,7 +38,7 @@ pub struct CkptReport {
     pub raw_len: usize,
     /// Compressed delta size in bytes.
     pub compressed_len: usize,
-    /// Snapshot copy + XOR-with-last time (µs) — "Copy&XOR".
+    /// Snapshot and baseline copies + XOR time (µs) — "Copy&XOR".
     pub copy_xor_us: f64,
     /// LZ compression time (µs).
     pub compress_us: f64,
@@ -42,55 +50,39 @@ pub struct CkptReport {
     pub index_version: u64,
 }
 
-/// Sender-side state: the snapshot shipped last round.
-pub struct CkptSender {
-    last: Vec<u8>,
+/// Steps 2–3 of a round: XORs `snapshot` into `last`, the snapshot the
+/// previous round shipped, and LZ-compresses the delta left there. Returns
+/// the compressed delta and the µs its compression took.
+pub fn delta(snapshot: &[u8], last: &mut [u8]) -> (Vec<u8>, f64) {
+    xor_into(last, snapshot);
+    let t = Instant::now();
+    let compressed = aceso_codec::compress(last);
+    (compressed, t.elapsed().as_secs_f64() * 1e6)
 }
 
-impl CkptSender {
-    /// Starts from an all-zero baseline (the first round ships the full
-    /// index, compressed).
-    pub fn new(index_bytes: usize) -> Self {
-        CkptSender {
-            last: vec![0u8; index_bytes],
-        }
-    }
-
-    /// Re-bases the sender on a known snapshot (recovery: the restored
-    /// index), so the next delta is incremental again.
-    pub fn rebase(&mut self, snapshot: Vec<u8>) {
-        self.last = snapshot;
-    }
-
-    /// The snapshot the next delta is taken against: what the right
-    /// neighbour's Checkpoint Area holds once every round has landed.
-    pub fn baseline(&self) -> &[u8] {
-        &self.last
-    }
-
-    /// Forces the next round to ship the full index (neighbour replaced).
-    pub fn reset_to_full(&mut self) {
-        self.last.fill(0);
-    }
-
-    /// Computes this round's compressed delta from a fresh snapshot.
-    ///
-    /// Returns `(compressed, raw_len, copy_xor_us, compress_us)` and
-    /// retains the snapshot for the next round.
-    pub fn round(&mut self, snapshot: Vec<u8>) -> (Vec<u8>, usize, f64, f64) {
-        let t0 = Instant::now();
-        let mut delta = snapshot.clone();
-        xor_into(&mut delta, &self.last);
-        let copy_xor_us = t0.elapsed().as_secs_f64() * 1e6;
-
-        let t1 = Instant::now();
-        let compressed = aceso_codec::compress(&delta);
-        let compress_us = t1.elapsed().as_secs_f64() * 1e6;
-
-        let raw_len = snapshot.len();
-        self.last = snapshot;
-        (compressed, raw_len, copy_xor_us, compress_us)
-    }
+/// The sender's half of a round (steps 1–3) over `region`: [`delta`]
+/// between Index Area `index` and baseline area `baseline`, which then
+/// holds the snapshot, and the report's sender fields.
+pub fn send(
+    region: &Region,
+    index: IndexLayout,
+    baseline: IndexLayout,
+) -> Result<(Vec<u8>, CkptReport), RdmaError> {
+    let raw_len = (index.index_version_offset() - index.base) as usize;
+    let t = Instant::now();
+    let snapshot = region.read_vec(index.base, raw_len)?;
+    let mut last = region.read_vec(baseline.base, raw_len)?;
+    let (compressed, compress_us) = delta(&snapshot, &mut last);
+    let copy_xor_us = t.elapsed().as_secs_f64() * 1e6 - compress_us;
+    region.write(baseline.base, &snapshot)?;
+    let report = CkptReport {
+        raw_len,
+        compressed_len: compressed.len(),
+        copy_xor_us,
+        compress_us,
+        ..CkptReport::default()
+    };
+    Ok((compressed, report))
 }
 
 /// Receiver side: decompresses one delta and XOR-applies it to the
@@ -128,21 +120,28 @@ mod tests {
     use aceso_index::layout::GROUP_BYTES;
     use aceso_rdma::NodeId;
 
-    /// A region holding one Checkpoint Area of `len` index bytes, after 64
-    /// bytes of something else.
-    fn area(len: usize) -> (Region, IndexLayout) {
-        let area = IndexLayout::new(64, len as u64 / GROUP_BYTES);
-        (
-            Region::new(NodeId(0), 64 + area.size_bytes() as usize),
-            area,
-        )
+    /// A region holding, after 64 bytes of something else, an Index Area of
+    /// `len` index bytes (whole groups), its baseline area and a Checkpoint
+    /// Area: a sender and its right neighbour's receiver in one region.
+    fn areas(len: usize) -> (Region, [IndexLayout; 3]) {
+        let groups = len as u64 / GROUP_BYTES;
+        let size = IndexLayout::new(0, groups).size_bytes();
+        let at = |i: u64| IndexLayout::new(64 + i * size, groups);
+        let end = at(3).base as usize;
+        (Region::new(NodeId(0), end), [at(0), at(1), at(2)])
     }
 
-    /// The area's checkpoint copy and its Index Version.
+    /// What area `area` holds: its index bytes and its Index Version.
     fn held(region: &Region, area: IndexLayout) -> (Vec<u8>, u64) {
         let len = (area.index_version_offset() - area.base) as usize;
         let data = region.read_vec(area.base, len).unwrap();
         (data, region.load64(area.index_version_offset()).unwrap())
+    }
+
+    /// Puts `snapshot` in the Index Area and sends it.
+    fn round(region: &Region, [index, baseline, _]: [IndexLayout; 3], snapshot: &[u8]) -> Vec<u8> {
+        region.write(index.base, snapshot).unwrap();
+        send(region, index, baseline).unwrap().0
     }
 
     fn snap(len: usize, stamp: u8) -> Vec<u8> {
@@ -154,26 +153,26 @@ mod tests {
     }
 
     #[test]
-    fn sender_and_area_converge() {
+    fn baseline_and_area_converge() {
         let len = 16 * GROUP_BYTES as usize;
-        let mut tx = CkptSender::new(len);
-        let (region, rx) = area(len);
+        let (region, a) = areas(len);
         region.write(0, &[0xAB; 64]).unwrap();
-        for round in 1..=5u8 {
-            let s = snap(len, round);
-            let (comp, raw, _, _) = tx.round(s.clone());
-            apply_delta(&region, rx, &comp, raw, round as u64).unwrap();
-            assert_eq!(held(&region, rx), (s, round as u64), "round {round}");
+        for r in 1..=5u8 {
+            let s = snap(len, r);
+            let comp = round(&region, a, &s);
+            apply_delta(&region, a[2], &comp, len, r as u64).unwrap();
+            assert_eq!(held(&region, a[2]), (s.clone(), r as u64), "round {r}");
+            assert_eq!(held(&region, a[1]).0, s, "round {r}'s baseline");
         }
-        // Nothing outside the area moved.
+        // Nothing outside the areas moved.
         assert_eq!(region.read_vec(0, 64).unwrap(), vec![0xAB; 64]);
     }
 
     #[test]
     fn deltas_shrink_when_index_is_stable() {
         // A dense (poorly compressible) first snapshot…
-        let len = 1 << 16;
-        let mut tx = CkptSender::new(len);
+        let len = 171 * GROUP_BYTES as usize;
+        let (region, a) = areas(len);
         let mut x = 1u64;
         let s1: Vec<u8> = (0..len)
             .map(|_| {
@@ -181,12 +180,12 @@ mod tests {
                 (x >> 33) as u8
             })
             .collect();
-        let (full, _, _, _) = tx.round(s1.clone());
+        let full = round(&region, a, &s1);
         assert!(full.len() > len / 2, "dense snapshot should not collapse");
         // …then a round where only one byte changed: tiny delta.
         let mut s2 = s1;
         s2[1234] ^= 0xFF;
-        let (delta, _, _, _) = tx.round(s2);
+        let delta = round(&region, a, &s2);
         assert!(delta.len() < full.len() / 100);
         assert!(
             delta.len() < 1024,
@@ -196,39 +195,38 @@ mod tests {
     }
 
     #[test]
-    fn reset_to_full_ships_everything() {
+    fn a_zeroed_baseline_ships_everything() {
         let len = 16 * GROUP_BYTES as usize;
-        let mut tx = CkptSender::new(len);
-        let (region, rx) = area(len);
-        let s = snap(len, 3);
-        let (c, r, _, _) = tx.round(s.clone());
-        apply_delta(&region, rx, &c, r, 1).unwrap();
+        let (region, a) = areas(len);
+        let comp = round(&region, a, &snap(len, 3));
+        apply_delta(&region, a[2], &comp, len, 1).unwrap();
 
-        // Fresh receiver (replacement neighbour, a zeroed area) + full resend.
-        let (region2, rx2) = area(len);
-        tx.reset_to_full();
+        // A replacement neighbour's area is zeroed, and so is the baseline.
+        for area in [a[1], a[2]] {
+            region.zero(area.base, area.size_bytes() as usize).unwrap();
+        }
         let s2 = snap(len, 4);
-        let (c2, r2, _, _) = tx.round(s2.clone());
-        apply_delta(&region2, rx2, &c2, r2, 2).unwrap();
-        assert_eq!(held(&region2, rx2), (s2, 2));
+        let comp = round(&region, a, &s2);
+        apply_delta(&region, a[2], &comp, len, 2).unwrap();
+        assert_eq!(held(&region, a[2]), (s2, 2));
     }
 
     #[test]
-    fn rebase_keeps_deltas_small_after_recovery() {
-        let len = 4096;
-        let mut tx = CkptSender::new(len);
+    fn a_restored_baseline_keeps_deltas_small() {
+        let len = 11 * GROUP_BYTES as usize;
+        let (region, a) = areas(len);
+        // Recovery writes the restored checkpoint into the baseline.
         let restored = snap(len, 9);
-        tx.rebase(restored.clone());
+        region.write(a[1].base, &restored).unwrap();
         let mut next = restored;
         next[7] ^= 1;
-        let (c, _, _, _) = tx.round(next);
-        assert!(c.len() < 256);
+        assert!(round(&region, a, &next).len() < 256);
     }
 
     #[test]
     fn corrupt_or_missized_delta_is_an_error() {
         let len = GROUP_BYTES as usize;
-        let (region, rx) = area(len);
+        let (region, [.., rx]) = areas(len);
         assert!(apply_delta(&region, rx, &[1, 2, 3], len, 1).is_err());
         let other = aceso_codec::compress(&snap(2 * len, 1));
         assert!(apply_delta(&region, rx, &other, 2 * len, 1).is_err());

@@ -352,19 +352,6 @@ impl AcesoClient {
         self.cache.len()
     }
 
-    /// Whether the index cache currently holds `key` (tests).
-    pub fn cache_contains(&self, key: &[u8]) -> bool {
-        self.cache.contains(key)
-    }
-
-    /// Adopts the latest placement snapshot immediately, as an epoch fence
-    /// bounce would (tests exercising the cache-purge protocol without
-    /// having to provoke a fence).
-    #[doc(hidden)]
-    pub fn force_refresh_placement(&mut self) {
-        self.refresh_placement();
-    }
-
     #[inline]
     fn n(&self) -> usize {
         self.map.blocks.n
@@ -707,5 +694,91 @@ impl AcesoClient {
     /// The directory (recovery helpers).
     pub fn directory(&self) -> &Arc<Directory> {
         &self.dir
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::elastic::ElasticStep;
+    use crate::{AcesoConfig, AcesoStore};
+
+    /// `refresh_placement` purges cached index entries by *placement
+    /// epoch*, not just by retired node. A client that refreshes
+    /// mid-migration sees an empty `retired` list — the source node is only
+    /// retired at `Free` — yet its cached entries for the migrating column
+    /// already name physical locations that may move under it. Once the
+    /// client's session epoch catches up to the published epoch, the fences
+    /// (which reject only *older* epochs) no longer protect those entries; a
+    /// retired-only purge would keep every one of them.
+    #[test]
+    fn mid_migration_refresh_purges_migrating_column_entries() {
+        let store = AcesoStore::launch(AcesoConfig::small()).unwrap();
+        let key = |i: u8| format!("elastic-key-{i}").into_bytes();
+        let kvs: Vec<_> = (0..40u8)
+            .map(|i| (key(i), vec![i; 1 + i as usize]))
+            .collect();
+        let mut loader = store.client().unwrap();
+        for (k, v) in &kvs {
+            loader.insert(k, v).unwrap();
+        }
+
+        // Warm a dedicated client's cache over every key.
+        let mut warm = store.client().unwrap();
+        for (k, v) in &kvs {
+            assert_eq!(warm.search(k).unwrap().as_deref(), Some(v.as_slice()));
+            assert!(warm.cache.contains(k), "search must fill the cache");
+        }
+
+        let col = 2;
+        let n = store.cfg.num_mns as u64;
+        let routed: Vec<&Vec<u8>> = kvs
+            .iter()
+            .map(|(k, _)| k)
+            .filter(|k| (aceso_index::route_hash(k) % n) as usize == col)
+            .collect();
+        assert!(
+            !routed.is_empty(),
+            "test needs at least one key indexed on the migrating column"
+        );
+
+        // Advance the placement mid-migration: announce + all copy batches.
+        // Nothing is retired yet — that is the whole point.
+        let mut mig = store.begin_join(col).unwrap();
+        assert_eq!(mig.step().unwrap(), ElasticStep::Announce);
+        for _ in 0..store.cfg.elastic_groups {
+            assert!(matches!(mig.step().unwrap(), ElasticStep::CopyBatch(_)));
+        }
+        assert!(
+            store.placement().snapshot().retired.is_empty(),
+            "mid-migration there must be no retired node — a \
+             purge-by-retirement would keep every stale entry"
+        );
+
+        let before = warm.cache_len();
+        warm.refresh_placement();
+        let after = warm.cache_len();
+        assert!(
+            after < before,
+            "epoch purge dropped nothing ({before} -> {after})"
+        );
+        for k in &routed {
+            assert!(
+                !warm.cache.contains(k),
+                "entry indexed on migrating column {col} survived the refresh: {:?}",
+                String::from_utf8_lossy(k)
+            );
+        }
+        assert!(
+            warm.cache_len() > 0,
+            "entries untouched by the migration must survive the purge"
+        );
+
+        // Finish the migration; the purged client re-resolves on the slow
+        // path and every key stays readable through it.
+        while mig.step().unwrap() != ElasticStep::Done {}
+        for (k, v) in &kvs {
+            assert_eq!(warm.search(k).unwrap().as_deref(), Some(v.as_slice()));
+        }
+        store.shutdown();
     }
 }

@@ -14,15 +14,20 @@
 //! ckpt.base      ├──────────────┤
 //!                │ Checkpoint   │  column col−1's index checkpoint + the
 //!                │ Area         │  Index Version it represents
+//! baseline.base  ├──────────────┤
+//!                │ Baseline     │  the index snapshot this column's last
+//!                │ Area         │  round shipped to column col+1
 //!                └──────────────┘
 //! ```
 //!
 //! A server WRITEs every record it changes into its own table and into the
 //! copies its two right neighbours hold (§3.1); MN recovery reads a dead
-//! column's table off one of them. A server's checkpoint round ships its
-//! index delta to its right neighbour, whose server XORs it into its
-//! Checkpoint Area (§3.2.1, Figure 3); MN recovery reads a dead column's
-//! checkpoint there one-sided.
+//! column's table off one of them. A server's checkpoint round XORs its
+//! Index Area against its Baseline Area and ships the delta to its right
+//! neighbour, whose server XORs it into its Checkpoint Area (§3.2.1,
+//! Figure 3); MN recovery reads a dead column's checkpoint there one-sided.
+//! A server's state is its region: its free DELTA blocks are the pool
+//! blocks no Delta Addr word of its own table names.
 
 use aceso_blockalloc::BlockLayout;
 use aceso_index::IndexLayout;
@@ -118,13 +123,15 @@ impl AcesoConfig {
             block_base,
             ..block_layout_probe
         };
-        // Shaped like the Index Area it copies, version word included.
+        // Both shaped like the Index Area they copy, version word included.
         let ckpt = IndexLayout::new(block_base + blocks.block_area_size(), self.index_groups);
+        let baseline = IndexLayout::new(ckpt.base + ckpt.size_bytes(), self.index_groups);
         MemoryMap {
             index,
             blocks,
             ckpt,
-            region_len: (ckpt.base + ckpt.size_bytes()) as usize,
+            baseline,
+            region_len: (baseline.base + baseline.size_bytes()) as usize,
         }
     }
 }
@@ -139,6 +146,11 @@ pub struct MemoryMap {
     /// Checkpoint Area geometry: the left neighbour's index checkpoint, laid
     /// out as its Index Area is, after the Block Area.
     pub ckpt: IndexLayout,
+    /// Baseline Area geometry: the snapshot this column's last checkpoint
+    /// round shipped, which its right neighbour's Checkpoint Area holds
+    /// once that round landed, laid out as the Index Area is, after the
+    /// Checkpoint Area. Its Index Version word is unused.
+    pub baseline: IndexLayout,
     /// Total region bytes per MN.
     pub region_len: usize,
 }
@@ -205,7 +217,9 @@ mod tests {
             map.blocks.block_base + map.blocks.block_area_size()
         );
         assert_eq!(map.ckpt.size_bytes(), map.index.size_bytes());
-        assert_eq!(map.region_len as u64, map.ckpt.base + map.ckpt.size_bytes());
+        assert_eq!(map.baseline.base, map.ckpt.base + map.ckpt.size_bytes());
+        let end = map.baseline.base + map.baseline.size_bytes();
+        assert_eq!(map.region_len as u64, end);
         // Block base is block-aligned so cell offsets stay 64 B aligned.
         assert_eq!(map.blocks.block_base % 64, 0);
     }
@@ -228,6 +242,6 @@ mod tests {
         assert_eq!(blocks, cfg.num_arrays * 5 + cfg.num_delta);
         let last_block_end = map.blocks.block_offset((blocks - 1) as u32) + cfg.block_size;
         assert_eq!(last_block_end, map.ckpt.base);
-        assert!(map.ckpt.index_version_offset() + 8 <= map.region_len as u64);
+        assert!(map.baseline.index_version_offset() + 8 <= map.region_len as u64);
     }
 }

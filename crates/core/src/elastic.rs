@@ -24,10 +24,10 @@
 //!    `EncodeDelta` folds into the source's copy and copies the result to
 //!    the target, so both sides hold the same current parity.
 //! 3. **Publish** — build the replacement server on the target, fence the
-//!    whole source region, copy the Index/Meta areas
-//!    ([`ServerReq::MigrateFinish`]), hand the server state over, replace
-//!    the directory entry and close the migration (the source node joins
-//!    the snapshot's `retired` list, purging stale client caches).
+//!    whole source region, copy the Index, Meta, Checkpoint and Baseline
+//!    areas ([`ServerReq::MigrateFinish`]), hand the reuse backups over,
+//!    replace the directory entry and close the migration (the source node
+//!    joins the snapshot's `retired` list, purging stale client caches).
 //! 4. **Free** — retire the source node (its address goes dead; not a
 //!    failure: nothing references it any more), drop its fences and bump
 //!    the placement epoch.
@@ -319,13 +319,11 @@ impl Migration {
         self.from
             .install_fence(0, self.store.map.region_len, fence_epoch);
         to.install_fence(0, self.store.map.region_len, fence_epoch);
-        // Copy the Index, Meta and Checkpoint areas and stop the old server.
+        // Copy the Index, Meta, Checkpoint and Baseline areas and stop the
+        // old server.
         self.rpc(ServerReq::MigrateFinish, 16)?.expect_ok()?;
-        // Hand the heap state over (the DELTA free list, reuse backups, the
-        // checkpoint sender); the records came with the Meta Area.
-        std::mem::swap(&mut *server.alloc.lock(), &mut *old.alloc.lock());
+        // Hand the reuse backups over, the one state outside the region.
         std::mem::swap(&mut *server.old_copies.lock(), &mut *old.old_copies.lock());
-        std::mem::swap(&mut *server.sender.lock(), &mut *old.sender.lock());
         // Republish the column on the target, then close the migration.
         self.store
             .directory()

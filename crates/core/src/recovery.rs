@@ -38,7 +38,7 @@ use crate::server::MnServer;
 use crate::store::AcesoStore;
 use crate::stripe::{decode_records, read_records, record_addr, StripeBook};
 use crate::{Result, StoreError};
-use aceso_blockalloc::{Allocator, BlockId, BlockRecord, CellKind, Role, RECORD_TABLES};
+use aceso_blockalloc::{BlockId, BlockRecord, CellKind, Role, RECORD_TABLES};
 use aceso_erasure::xor::is_zero;
 use aceso_erasure::xor_into;
 use aceso_index::layout::GROUP_BYTES;
@@ -223,8 +223,8 @@ type Rank = (u8, usize, BlockId);
 /// them.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum RecoveryTier {
-    /// Restore the record table from a surviving copy and rebuild the free
-    /// lists.
+    /// Restore the record table from a surviving copy: it names which
+    /// blocks are free.
     Meta,
     /// Restore the checkpoint, decode and read the blocks newer than it and
     /// reapply their KVs to the index — then publish: from the end of this
@@ -443,8 +443,6 @@ impl Recovery {
             .node
             .region
             .write(map.blocks.record_offset(0), &table)?;
-        let records = decode_records(&table, map.blocks);
-        *self.server.alloc.lock() = Allocator::rebuild(map.blocks, records);
         let r = &mut self.report;
         r.meta_net_ms = self.bufs.settle(&self.dm, &self.cq);
         r.read_meta_ms = t.elapsed().as_secs_f64() * 1e3 + r.meta_net_ms;
@@ -497,7 +495,8 @@ impl Recovery {
         if let Some(ckpt) = ckpt {
             r.ckpt_bytes += ckpt.len() as u64;
             server.index.restore(&server.node.region, &ckpt);
-            server.sender.lock().rebase(ckpt);
+            // The next round's delta is taken against it, as col+1 holds it.
+            server.node.region.write(map.baseline.base, &ckpt)?;
         }
         server
             .index

@@ -16,16 +16,14 @@
 //! migration target, so handlers never ask which side clients currently
 //! read.
 
-use crate::ckpt::{self, CkptReport, CkptSender};
+use crate::ckpt::{self, CkptReport};
 use crate::config::{pack_col, unpack_col, MemoryMap};
 use crate::kv;
 use crate::placement::PlacementMap;
 use crate::proto::{self, ScannedBlock, ServerReq, ServerResp};
 use crate::stripe::decode_records;
-use aceso_blockalloc::record::{obsolete_slots, role_of};
-use aceso_blockalloc::{
-    Allocator, Bitmap, BlockId, BlockLayout, BlockRecord, CellKind, Role, RECORD_TABLES,
-};
+use aceso_blockalloc::record::{obsolete_slots, role_of, DELTA_ADDR_WORD};
+use aceso_blockalloc::{Bitmap, BlockId, BlockLayout, BlockRecord, CellKind, Role, RECORD_TABLES};
 use aceso_index::RemoteIndex;
 use aceso_rdma::{
     Cluster, DmClient, GlobalAddr, MemoryNode, NodeId, RdmaError, RpcClient, RpcHandler,
@@ -199,7 +197,9 @@ impl RecordTable {
 }
 
 /// State of one MN server, shared between its endpoint, the store and the
-/// recovery orchestrator.
+/// recovery orchestrator. What it serves lives in its node's region: the
+/// records, the free DATA and DELTA blocks they name none of, the received
+/// checkpoint and the sender's baseline.
 pub struct MnServer {
     /// The column this server serves.
     pub column: usize,
@@ -211,16 +211,13 @@ pub struct MnServer {
     pub index: RemoteIndex,
     /// This column's record table, copied into the next two columns' Meta
     /// Areas; a handler changes a record through `MnServer::update` alone.
-    /// It is also the DATA allocator: which cells are FREE, and which
-    /// filled ones may be reused, is read off it at each grant.
+    /// It is also the allocator: which DATA cells are FREE, which filled
+    /// ones may be reused, and which DELTA blocks no Delta Addr word names,
+    /// is read off it at each grant.
     pub records: Mutex<RecordTable>,
-    /// The DELTA pool's free list.
-    pub alloc: Mutex<Allocator>,
-    /// Local backups of reused blocks, kept until they refill (§3.3.3).
+    /// Local backups of reused blocks, kept until they refill (§3.3.3):
+    /// the one state a migration hands over.
     pub old_copies: Mutex<HashMap<BlockId, Vec<u8>>>,
-    /// Checkpoint sender state. What this server receives, its left
-    /// neighbour's checkpoint, is in its region's Checkpoint Area.
-    pub sender: Mutex<CkptSender>,
     /// Logical-core busy meters.
     pub meters: BusyMeters,
     /// Server liveness (cleared on kill/shutdown).
@@ -247,7 +244,6 @@ impl MnServer {
         map: MemoryMap,
         placement: Arc<PlacementMap>,
     ) -> Arc<Self> {
-        let index_bytes = (map.index.num_groups * aceso_index::layout::GROUP_BYTES) as usize;
         let records = RecordTable {
             node: Arc::clone(&node),
             blocks: map.blocks,
@@ -258,9 +254,7 @@ impl MnServer {
             node,
             map,
             records: Mutex::new(records),
-            alloc: Mutex::new(Allocator::new(map.blocks)),
             old_copies: Mutex::new(HashMap::new()),
-            sender: Mutex::new(CkptSender::new(index_bytes)),
             meters: BusyMeters::default(),
             alive: Arc::new(AtomicBool::new(true)),
             placement,
@@ -313,20 +307,21 @@ impl MnServer {
     }
 
     /// Changes block `id`'s record, the one way a handler does: decodes it
-    /// out of the own table, applies `f`, and unless `f` answers `None` —
-    /// nothing to change — encodes it back into the table and WRITEs it
-    /// into the copies the next *two* columns hold (the Meta Area's fault
-    /// tolerance, §3.1 — two copies are required to match the coding
-    /// group's two-failure tolerance). A dead holder's copy is refilled
+    /// out of the own `table`, which the caller holds, applies `f`, and
+    /// unless `f` answers `None` — nothing to change — encodes it back into
+    /// the table and WRITEs it into the copies the next *two* columns hold
+    /// (the Meta Area's fault tolerance, §3.1 — two copies are required to
+    /// match the coding group's two-failure tolerance). A dead holder's copy is refilled
     /// when it is replaced. `None` too for a client's `id` with no record.
     fn update<R>(
         &self,
+        table: &RecordTable,
         dm: &DmClient,
         dir: &Directory,
         id: BlockId,
         f: impl FnOnce(&mut BlockRecord) -> Option<R>,
     ) -> Option<R> {
-        let (blocks, table) = (self.map.blocks, self.records.lock());
+        let blocks = self.map.blocks;
         if !blocks.record_ids().contains(&id) {
             return None;
         }
@@ -367,7 +362,7 @@ impl MnServer {
             ServerReq::DataFilled { block } => {
                 let iv = self.index.local_index_version(&self.node.region);
                 self.old_copies.lock().remove(&block);
-                self.update(dm, dir, block, |rec| {
+                self.update(&self.records.lock(), dm, dir, block, |rec| {
                     rec.index_version = iv;
                     Some(())
                 });
@@ -438,11 +433,14 @@ impl MnServer {
                 let blocks = self.map.blocks;
                 // `replaced` holds copy 1 (the right neighbour) or copy 2.
                 let copy = (replaced + blocks.n - self.column) % blocks.n;
+                let region = &self.node.region;
                 if copy == 1 {
-                    self.sender.lock().reset_to_full();
+                    // Its Checkpoint Area is empty: the next round ships
+                    // the whole index.
+                    let (at, len) = (self.map.baseline.base, self.map.baseline.size_bytes());
+                    region.zero(at, len as usize).expect("baseline zero");
                 }
                 // The own table is the records: one WRITE refills the copy.
-                let region = &self.node.region;
                 let own = region.read_vec(blocks.record_offset(0), blocks.table_size() as usize);
                 let at = GlobalAddr::new(dir.node_of(replaced), blocks.record_offset_in(copy, 0));
                 match own.and_then(|own| dm.write(at, &own)) {
@@ -491,7 +489,7 @@ impl MnServer {
                 .expect("block read");
             self.old_copies.lock().insert(id, bytes);
         }
-        let old_bitmap = self.update(dm, dir, id, |rec| {
+        let old_bitmap = self.update(&self.records.lock(), dm, dir, id, |rec| {
             if !reused {
                 (rec.role, rec.valid, rec.xor_id) = (Role::Data, true, row as u8);
                 (rec.slot_len64, rec.stripe_array) = (slot_len64, array);
@@ -537,8 +535,8 @@ impl MnServer {
 
     /// The PARITY cell a delta request names, or `None` unless `array` is a
     /// stripe array, `parity_row` one of the column's parity rows and `row`
-    /// a data position of its equation: checked before a DELTA block leaves
-    /// the pool or a record changes.
+    /// a data position of its equation: checked before a DELTA block is
+    /// granted or a record changes.
     fn parity_cell(&self, array: u64, row: usize, parity_row: usize) -> Option<BlockId> {
         let (blocks, n) = (self.map.blocks, self.map.blocks.n);
         let named = array < blocks.num_arrays && row < n - 2 && (n - 2..n).contains(&parity_row);
@@ -556,14 +554,19 @@ impl MnServer {
         // A free delta block is all zeros, as delta blocks must start (they
         // accumulate XOR images): regions start zeroed and `EncodeDelta`
         // zeroes a delta when it frees it. The parity record's Delta Addr
-        // is the block's one registration: the Meta Area has no row for it.
+        // is the block's one registration: the Meta Area has no row for it,
+        // and a word still set keeps its block and its unfolded delta.
         let Some(pid) = self.parity_cell(array, row, parity_row) else {
             return ServerResp::Err(format!("no delta ({array}, {row}, {parity_row})"));
         };
-        let Some(id) = self.alloc.lock().alloc_delta() else {
+        let table = self.records.lock();
+        if table.word(pid, DELTA_ADDR_WORD + row) != 0 {
+            return ServerResp::Err(format!("delta ({array}, {row}, {parity_row}) is set"));
+        }
+        let Some(id) = self.unnamed_delta(&table) else {
             return ServerResp::Err("out of delta blocks".into());
         };
-        self.update(dm, dir, pid, |prec| {
+        self.update(&table, dm, dir, pid, |prec| {
             if prec.role == Role::Free {
                 (prec.role, prec.valid, prec.xor_id) = (Role::Parity, true, parity_row as u8);
                 prec.stripe_array = array;
@@ -572,6 +575,24 @@ impl MnServer {
             Some(())
         });
         ServerResp::DeltaAllocated { block: id }
+    }
+
+    /// The lowest DELTA-pool block no Delta Addr word of `table` names: a
+    /// DELTA block is freed when its word is cleared (§3.3.3), so these are
+    /// the free ones. Read off each PARITY row's Role and Delta Addr words,
+    /// nothing decoded.
+    fn unnamed_delta(&self, table: &RecordTable) -> Option<BlockId> {
+        let (blocks, n) = (self.map.blocks, self.map.blocks.n);
+        let parity = blocks
+            .record_ids()
+            .filter(|&id| role_of(table.word(id, 0)) == Role::Parity);
+        let words =
+            parity.flat_map(|id| (0..n - 2).map(move |k| table.word(id, DELTA_ADDR_WORD + k)));
+        let named: Vec<_> = words
+            .filter_map(|w| blocks.locate(unpack_col(w).1))
+            .collect();
+        let mut pool = (0..blocks.num_delta).map(|i| blocks.delta_block_id(i));
+        pool.find(|&id| !named.iter().any(|&(d, _)| d == id))
     }
 
     fn handle_encode_delta(
@@ -587,7 +608,7 @@ impl MnServer {
         };
         let bs = self.map.blocks.block_size as usize;
         let poff = self.map.blocks.block_offset(pid);
-        let folded = self.update(dm, dir, pid, |prec| {
+        self.update(&self.records.lock(), dm, dir, pid, |prec| {
             let daddr = prec.delta_addr[row];
             if daddr == 0 {
                 return None; // Already encoded (idempotent under retries).
@@ -598,10 +619,10 @@ impl MnServer {
                 "delta must be local to the parity holder"
             );
             // Fold the DELTA block into the PARITY block where it lies and
-            // zero the delta, so it is granted as it is once freed. A
-            // migration target gets both results (dual-write: neither side
-            // may go stale before the publish), as the parity cell's group
-            // may already be served from there.
+            // zero the delta, so it is granted as it is once clearing its
+            // word below frees it. A migration target gets both results
+            // (dual-write: neither side may go stale before the publish),
+            // as the parity cell's group may already be served from there.
             let local = &self.node.region;
             local.xor_from(poff, local, doff, bs).expect("parity fold");
             local.zero(doff, bs).expect("block zero");
@@ -611,14 +632,8 @@ impl MnServer {
             }
             prec.xor_map |= 1 << row;
             prec.delta_addr[row] = 0;
-            Some(self.map.blocks.locate(doff).expect("delta offset").0)
+            Some(())
         });
-        // Freed after `update` lets go of the records: the DELTA pool's
-        // `alloc` is taken before `records`, never inside it; a DATA grant
-        // takes `records` alone.
-        if let Some(delta_id) = folded {
-            self.alloc.lock().free_delta(delta_id);
-        }
         ServerResp::Ok
     }
 
@@ -687,8 +702,9 @@ impl MnServer {
         dm: &DmClient,
         dir: &Directory,
     ) -> ServerResp {
+        let table = self.records.lock();
         for (block, units) in updates {
-            self.update(dm, dir, block, |rec| {
+            self.update(&table, dm, dir, block, |rec| {
                 if rec.role != Role::Data || rec.slot_len64 == 0 {
                     return None;
                 }
@@ -739,58 +755,47 @@ impl MnServer {
         ServerResp::Ok
     }
 
-    /// Copies the Index, Meta and Checkpoint areas onto the migration
-    /// target and stops serving. The migrator then hands the heap state over
-    /// to a fresh [`MnServer`] for the target and republishes the column; stale
-    /// clients fail their next verb against the whole-region fence and
-    /// re-resolve.
+    /// Copies the Index, Meta, Checkpoint and Baseline areas onto the
+    /// migration target and stops serving. The migrator then hands the
+    /// reuse backups over to a fresh [`MnServer`] for the target and
+    /// republishes the column; stale clients fail their next verb against
+    /// the whole-region fence and re-resolve.
     fn handle_migrate_finish(&self, dm: &DmClient) -> ServerResp {
         let Some(target) = self.migration_target(dm) else {
             return ServerResp::Err("no migration in progress".into());
         };
         self.copy_to(&target, 0, self.map.blocks.block_base as usize);
-        let ckpt = self.map.ckpt;
-        self.copy_to(&target, ckpt.base, ckpt.size_bytes() as usize);
+        // The Checkpoint and Baseline areas: the region past the blocks.
+        let tail = self.map.ckpt.base;
+        self.copy_to(&target, tail, self.map.region_len - tail as usize);
         self.alive.store(false, Ordering::Release);
         ServerResp::Ok
     }
 
     fn checkpoint_round(&self, dm: &DmClient, dir: &Directory) -> Result<CkptReport, String> {
-        let snapshot = self.index.snapshot(&self.node.region);
-        let iv = self.index.local_index_version(&self.node.region);
-        let (compressed, raw_len, copy_xor_us, compress_us) = self.sender.lock().round(snapshot);
-        let compressed_len = compressed.len();
-        let ncol = self.neighbour();
-        let resp = dm
-            .rpc(
-                dir.node_of(ncol),
-                &dir.rpc_of(ncol),
-                ServerReq::CkptDelta {
-                    from_column: self.column,
-                    compressed,
-                    raw_len,
-                    index_version: iv,
-                },
-                compressed_len,
-            )
-            .map_err(|e| format!("ckpt send: {e}"))?;
-        let (decompress_us, apply_xor_us) = match resp {
-            ServerResp::CkptApplied {
-                decompress_us,
-                xor_us,
-            } => (decompress_us, xor_us),
-            other => return Err(format!("ckpt send: unexpected {other:?}")),
-        };
-        self.index
-            .local_set_index_version(&self.node.region, iv + 1);
-        Ok(CkptReport {
-            raw_len,
-            compressed_len,
-            copy_xor_us,
-            compress_us,
-            decompress_us,
-            apply_xor_us,
+        let region = &self.node.region;
+        let iv = self.index.local_index_version(region);
+        let sent = ckpt::send(region, self.map.index, self.map.baseline);
+        let (compressed, mut report) = sent.map_err(|e| format!("ckpt send: {e}"))?;
+        let req = ServerReq::CkptDelta {
+            from_column: self.column,
+            compressed,
+            raw_len: report.raw_len,
             index_version: iv,
-        })
+        };
+        let (node, rpc) = (dir.node_of(self.neighbour()), dir.rpc_of(self.neighbour()));
+        let resp = dm.rpc(node, &rpc, req, report.compressed_len);
+        let resp = resp.map_err(|e| format!("ckpt send: {e}"))?;
+        let ServerResp::CkptApplied {
+            decompress_us,
+            xor_us,
+        } = resp
+        else {
+            return Err(format!("ckpt send: unexpected {resp:?}"));
+        };
+        (report.decompress_us, report.apply_xor_us) = (decompress_us, xor_us);
+        report.index_version = iv;
+        self.index.local_set_index_version(region, iv + 1);
+        Ok(report)
     }
 }

@@ -526,76 +526,3 @@ fn fence_abort_mid_batch_rolls_back_the_abandoned_slot() {
     );
     store.shutdown();
 }
-
-/// Regression test (PR 10): `refresh_placement` must purge cached index
-/// entries by *placement epoch*, not just by retired node. A client that
-/// refreshes mid-migration sees an empty `retired` list — the source node
-/// is only retired at `Free` — yet its cached entries for the migrating
-/// column already name physical locations that may move under it. Once
-/// the client's session epoch catches up to the published epoch, the
-/// fences (which reject only *older* epochs) no longer protect those
-/// entries; the old retired-only purge would have kept every one of them.
-#[test]
-fn mid_migration_refresh_purges_migrating_column_entries() {
-    let store = launch();
-    let kvs = preload(&store, 40);
-
-    // Warm a dedicated client's cache over every key.
-    let mut warm = store.client().unwrap();
-    for (k, v) in &kvs {
-        assert_eq!(warm.search(k).unwrap().as_deref(), Some(v.as_slice()));
-        assert!(warm.cache_contains(k), "search must fill the cache");
-    }
-
-    let col = 2;
-    let n = store.cfg.num_mns as u64;
-    let routed: Vec<&Vec<u8>> = kvs
-        .iter()
-        .map(|(k, _)| k)
-        .filter(|k| (aceso_index::route_hash(k) % n) as usize == col)
-        .collect();
-    assert!(
-        !routed.is_empty(),
-        "test needs at least one key indexed on the migrating column"
-    );
-
-    // Advance the placement mid-migration: announce + all copy batches.
-    // Nothing is retired yet — that is the whole point of the regression.
-    let mut mig = store.begin_join(col).unwrap();
-    assert_eq!(mig.step().unwrap(), ElasticStep::Announce);
-    for _ in 0..store.cfg.elastic_groups {
-        assert!(matches!(mig.step().unwrap(), ElasticStep::CopyBatch(_)));
-    }
-    assert!(
-        store.placement().snapshot().retired.is_empty(),
-        "mid-migration there must be no retired node — the old \
-         purge-by-retirement would have kept every stale entry"
-    );
-
-    let before = warm.cache_len();
-    warm.force_refresh_placement();
-    let after = warm.cache_len();
-    assert!(
-        after < before,
-        "epoch purge dropped nothing ({before} -> {after})"
-    );
-    for k in &routed {
-        assert!(
-            !warm.cache_contains(k),
-            "entry indexed on migrating column {col} survived the refresh: {:?}",
-            String::from_utf8_lossy(k)
-        );
-    }
-    assert!(
-        warm.cache_len() > 0,
-        "entries untouched by the migration must survive the purge"
-    );
-
-    // Finish the migration; the purged client re-resolves on the slow
-    // path and every key stays readable through it.
-    while mig.step().unwrap() != ElasticStep::Done {}
-    for (k, v) in &kvs {
-        assert_eq!(warm.search(k).unwrap().as_deref(), Some(v.as_slice()));
-    }
-    store.shutdown();
-}

@@ -8,6 +8,7 @@ use aceso_core::config::unpack_col;
 use aceso_core::elastic::ElasticStep;
 use aceso_core::proto::{ServerReq, ServerResp};
 use aceso_core::{read_records, AcesoConfig, AcesoStore, RecoveryTier, StoreError};
+use aceso_index::IndexLayout;
 use aceso_rdma::{FaultAction, FaultPlan, FaultRule, RdmaError, VerbKind};
 use std::sync::Arc;
 
@@ -21,6 +22,22 @@ fn record(store: &Arc<AcesoStore>, col: usize, id: BlockId) -> BlockRecord {
     read_records(store, &dm, col, 0, id..id + 1)
         .unwrap()
         .remove(0)
+}
+
+/// The DELTA-pool blocks column `col`'s own record table names: a block
+/// per set Delta Addr word of a PARITY record, in table order.
+fn named_deltas(store: &Arc<AcesoStore>, col: usize) -> Vec<BlockId> {
+    let blocks = store.map.blocks;
+    let records = store.server(col).records.lock().iter();
+    let words = records
+        .filter(|r| r.role == Role::Parity)
+        .flat_map(|r| r.delta_addr);
+    let named = words
+        .filter(|&a| a != 0)
+        .map(|a| blocks.locate(unpack_col(a).1));
+    named
+        .map(|at| at.expect("a Block Area address").0)
+        .collect()
 }
 
 fn rpc(store: &Arc<AcesoStore>, col: usize, req: ServerReq) -> ServerResp {
@@ -376,13 +393,12 @@ fn no_block_is_reused_while_its_column_migrates() {
 
 /// `AllocDelta` and `EncodeDelta` name a PARITY cell and a data position of
 /// its equation; a request naming anything else is refused before a DELTA
-/// block leaves the pool or a record changes.
+/// block is granted or a record changes.
 #[test]
 fn delta_requests_off_the_stripe_geometry_are_refused() {
     let store = store();
     let blocks = store.map.blocks;
-    let free_deltas = || store.server(1).alloc.lock().free_deltas().count();
-    let (before, pool) = (meta_areas(&store), free_deltas());
+    let (before, named) = (meta_areas(&store), named_deltas(&store, 1));
     let bad = [
         (0, 1, 0),                 // A DATA cell's row as the parity row.
         (blocks.num_arrays, 0, 3), // No such stripe array.
@@ -410,7 +426,37 @@ fn delta_requests_off_the_stripe_geometry_are_refused() {
         meta_areas(&store) == before,
         "a refused request changed a table"
     );
-    assert_eq!(free_deltas(), pool);
+    assert_eq!(named_deltas(&store, 1), named);
+    store.shutdown();
+}
+
+/// A cell's Delta Addr word is its DELTA block's one registration: while
+/// it is set — the block granted and not yet folded — a second
+/// `AllocDelta` for the cell is refused and changes no table. A second
+/// grant would overwrite the word and strand the first block, named by
+/// nothing and holding an unfolded delta.
+#[test]
+fn a_delta_still_named_is_not_granted_again() {
+    let store = store();
+    let n = store.cfg.num_mns;
+    let req = ServerReq::AllocDelta {
+        array: 0,
+        row: 1,
+        parity_row: n - 1,
+    };
+    let first = rpc(&store, 2, req.clone());
+    assert!(
+        matches!(first, ServerResp::DeltaAllocated { .. }),
+        "{first:?}"
+    );
+    let (before, named) = (meta_areas(&store), named_deltas(&store, 2));
+    let again = rpc(&store, 2, req);
+    assert!(matches!(again, ServerResp::Err(_)), "{again:?}");
+    assert!(
+        meta_areas(&store) == before,
+        "a refused grant changed a table"
+    );
+    assert_eq!(named_deltas(&store, 2), named);
     store.shutdown();
 }
 
@@ -788,14 +834,22 @@ fn assert_tables_hold_their_records(store: &Arc<AcesoStore>, when: &str) {
                     dcol, col,
                     "{when}: column {col} block {id} names a remote delta"
                 );
-                named.push(blocks.locate(doff).unwrap().0);
+                let delta = blocks.locate(doff).unwrap().0;
+                assert!(
+                    matches!(blocks.kind_of(delta), CellKind::Delta { .. }),
+                    "{when}: column {col} block {id} names block {delta}"
+                );
+                named.push(delta);
             }
         }
-        let free: Vec<BlockId> = store.server(col).alloc.lock().free_deltas().collect();
-        let pool = (0..blocks.num_delta).map(|i| blocks.delta_block_id(i));
-        let in_use: Vec<BlockId> = pool.filter(|id| !free.contains(id)).collect();
         named.sort_unstable();
-        assert_eq!(named, in_use, "{when}: column {col}'s DELTA blocks in use");
+        let words = named.len();
+        named.dedup();
+        assert_eq!(
+            named.len(),
+            words,
+            "{when}: column {col} names a DELTA block twice"
+        );
         deltas += named.len() as u64;
         for copy in 1..RECORD_TABLES {
             let holder = (col + copy) % n;
@@ -906,11 +960,10 @@ fn meta_area_holds_every_record_and_its_copies() {
     assert_tables_hold_their_records(&store, "recovered");
     round(&mut c, 9);
     assert_tables_hold_their_records(&store, "updates after recovery");
-    // Killed with DELTA blocks in use: the Meta tier keeps them off the
-    // free list it rebuilds.
-    let pool = store.map.blocks.num_delta as usize;
+    // Killed with DELTA blocks in use: the Meta tier restores the words
+    // that name them.
     let busy = (0..store.cfg.num_mns)
-        .find(|&col| store.server(col).alloc.lock().free_deltas().count() < pool)
+        .find(|&col| !named_deltas(&store, col).is_empty())
         .expect("the client's open blocks hold DELTA blocks");
     assert!(store.kill_mn(busy));
     aceso_core::recover_mn(&store, busy).unwrap();
@@ -980,18 +1033,23 @@ fn fold_xors_its_sources_and_types_an_unreachable_one() {
 /// Column `col`'s Checkpoint Area: the index bytes it holds and the Index
 /// Version word beside them.
 fn checkpoint_area(store: &Arc<AcesoStore>, col: usize) -> (Vec<u8>, u64) {
-    let (region, area) = (&store.server(col).node.region, store.map.ckpt);
+    area(store, col, store.map.ckpt)
+}
+
+/// What index-shaped area `area` of column `col`'s region holds.
+fn area(store: &Arc<AcesoStore>, col: usize, area: IndexLayout) -> (Vec<u8>, u64) {
+    let region = &store.server(col).node.region;
     let len = (area.index_version_offset() - area.base) as usize;
     let data = region.read_vec(area.base, len).unwrap();
     (data, region.load64(area.index_version_offset()).unwrap())
 }
 
-/// Every column's Checkpoint Area holds, byte for byte, the baseline its
-/// left neighbour's sender takes the next delta against — after each tick,
-/// with the label one behind that neighbour's live Index Version — and so
-/// does a replaced column's: zeros, before the tick after `recover_mn`
-/// refills it, and the column it held the checkpoint of rebases on what it
-/// read there.
+/// Every column's Checkpoint Area holds, byte for byte, its left
+/// neighbour's Baseline Area, which that neighbour's next delta is taken
+/// against — after each tick, with the label one behind that neighbour's
+/// live Index Version — and so does a replaced column's: zeros, before the
+/// tick after `recover_mn` refills it, and the column it held the
+/// checkpoint of writes what it read there into its own baseline.
 #[test]
 fn checkpoint_area_holds_the_left_neighbours_baseline() {
     let store = store();
@@ -1001,10 +1059,8 @@ fn checkpoint_area_holds_the_left_neighbours_baseline() {
         for col in 0..n {
             let (data, iv) = checkpoint_area(&store, col);
             let sender = left(col);
-            assert!(
-                data == sender.sender.lock().baseline(),
-                "column {col} {when}"
-            );
+            let baseline = area(&store, sender.column, store.map.baseline).0;
+            assert!(data == baseline, "column {col} {when}");
             if ticked {
                 let live = sender.index.local_index_version(&sender.node.region);
                 assert_eq!(iv + 1, live, "column {col} {when}");
@@ -1101,10 +1157,11 @@ fn recovery_without_the_right_neighbour_scans_everything() {
     }
 }
 
-/// Every free DELTA block reads all zero, so the one `AllocDelta` grants
-/// next needs no zeroing: after folds freed blocks the pool had handed out
-/// before, after `recover_mn` rebuilt a column's free list on a fresh
-/// region, and after an elastic join moved a column onto another node.
+/// Every DELTA-pool block no Delta Addr word names reads all zero, so the
+/// one `AllocDelta` grants next needs no zeroing: after folds freed blocks
+/// the pool had handed out before, after `recover_mn` restored a column's
+/// records on a fresh region, and after an elastic join moved a column
+/// onto another node.
 #[test]
 fn granted_delta_blocks_read_all_zero() {
     let store = store();
@@ -1128,9 +1185,9 @@ fn granted_delta_blocks_read_all_zero() {
     };
     let zeroed = |when: &str| {
         for col in 0..n {
-            let server = store.server(col);
-            let free: Vec<BlockId> = server.alloc.lock().free_deltas().collect();
-            for id in free {
+            let (server, named) = (store.server(col), named_deltas(&store, col));
+            let pool = (0..blocks.num_delta).map(|i| blocks.delta_block_id(i));
+            for id in pool.filter(|id| !named.contains(id)) {
                 let bytes = server
                     .node
                     .region

@@ -190,7 +190,7 @@ pub struct ReplStore<P: Protocol> {
     pub cfg: ReplConfig,
     /// Per-MN index/block geometry.
     pub layout: FuseeLayout,
-    alloc: Mutex<CentralAlloc>,
+    central: Mutex<CentralAlloc>,
     /// Column → node directory. Columns outlive nodes: recovery replaces a
     /// dead column's node with a fresh one and republishes the mapping here.
     nodes: RwLock<Vec<NodeId>>,
@@ -253,7 +253,7 @@ impl<P: Protocol> ReplStore<P> {
         });
         Arc::new(ReplStore {
             cluster,
-            alloc: Mutex::new(CentralAlloc {
+            central: Mutex::new(CentralAlloc {
                 next_block: vec![0; cfg.num_mns],
                 sets: Vec::new(),
             }),
@@ -314,7 +314,7 @@ impl<P: Protocol> ReplStore<P> {
     /// replicated at identical offsets on the replica MNs, so one
     /// allocation claims the same block id on all of them.
     fn alloc_block_set(&self, cols: &[usize]) -> Result<u64> {
-        let mut a = self.alloc.lock();
+        let mut a = self.central.lock();
         // The same block id must be free on every requested column.
         let id = cols.iter().map(|&c| a.next_block[c]).max().unwrap_or(0);
         if id >= self.cfg.blocks_per_mn {
@@ -367,7 +367,7 @@ impl<P: Protocol> ReplStore<P> {
             }
         }
         let index_copies = copies.len();
-        let sets: Vec<BlockSet> = self.alloc.lock().sets.clone();
+        let sets: Vec<BlockSet> = self.central.lock().sets.clone();
         for set in sets.iter().filter(|s| s.cols.contains(&col)) {
             let off = self.layout.block_offset(set.id);
             copies.push((source(&set.cols)?, off, self.cfg.block_size as usize));
@@ -530,7 +530,7 @@ impl<P: Protocol> ReplStore<P> {
             }
         }
         u.redundancy = u.valid * (r - 1) + records * r * P::CELL_OVERHEAD;
-        u.allocated = self.alloc.lock().sets.len() as u64 * self.cfg.block_size;
+        u.allocated = self.central.lock().sets.len() as u64 * self.cfg.block_size;
         u
     }
 }

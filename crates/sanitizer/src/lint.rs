@@ -200,10 +200,11 @@ pub fn lint_blockalloc_layout() -> Vec<String> {
     v
 }
 
-/// Per-MN memory maps of the stock configurations: index, meta, block and
-/// checkpoint areas must not overlap and must fit the region, the Meta Area
-/// must hold all [`RECORD_TABLES`] record tables, and the Checkpoint Area
-/// must hold an index-sized copy with its Index Version word aligned.
+/// Per-MN memory maps of the stock configurations: index, meta, block,
+/// checkpoint and baseline areas must not overlap and must fit the region,
+/// the Meta Area must hold all [`RECORD_TABLES`] record tables, and the
+/// Checkpoint and Baseline areas must each hold an index-sized copy with
+/// its Index Version word aligned.
 pub fn lint_memory_maps() -> Vec<String> {
     let mut v = Vec::new();
     for (name, cfg) in [
@@ -234,18 +235,24 @@ pub fn lint_memory_maps() -> Vec<String> {
         if map.index.index_version_offset() % 8 != 0 {
             v.push(format!("{name}: Index Version word unaligned"));
         }
-        let ckpt = map.ckpt;
-        if ckpt.base < end {
-            v.push(format!("{name}: Checkpoint Area overlaps the Block Area"));
-        }
-        if ckpt.base + ckpt.size_bytes() > map.region_len as u64 {
-            v.push(format!("{name}: Checkpoint Area exceeds the region"));
-        }
-        if ckpt.size_bytes() != map.index.size_bytes() {
-            v.push(format!("{name}: Checkpoint Area is not index-sized"));
-        }
-        if ckpt.index_version_offset() % 8 != 0 {
-            v.push(format!("{name}: checkpoint's Index Version word unaligned"));
+        // The two index copies, each after the area before it.
+        let mut end = end;
+        for (area, copy) in [("Checkpoint", map.ckpt), ("Baseline", map.baseline)] {
+            if copy.base < end {
+                v.push(format!("{name}: {area} Area overlaps the area before it"));
+            }
+            end = copy.base + copy.size_bytes();
+            if end > map.region_len as u64 {
+                v.push(format!("{name}: {area} Area exceeds the region"));
+            }
+            if copy.size_bytes() != map.index.size_bytes() {
+                v.push(format!("{name}: {area} Area is not index-sized"));
+            }
+            if copy.index_version_offset() % 8 != 0 {
+                v.push(format!(
+                    "{name}: {area} Area's Index Version word unaligned"
+                ));
+            }
         }
     }
     v
