@@ -5,14 +5,14 @@
 //! 1. snapshots its Index Area (server CPU read; concurrent `RDMA_CAS`
 //!    commits stay word-atomic, so no slot is ever torn),
 //! 2. XORs the snapshot with its baseline, the snapshot the last round
-//!    shipped, to obtain the delta, and writes the snapshot over it,
-//! 3. LZ-compresses the delta (dominated by zero runs) — steps 2–3 are
-//!    [`delta`] —,
+//!    shipped, to obtain the delta ([`delta`] is this step and the next),
+//! 3. LZ-compresses the delta (dominated by zero runs) and keeps the
+//!    snapshot as the next round's baseline,
 //! 4. ships it to the neighbouring column, whose server
 //! 5. decompresses it and XOR-applies it to the copy in its Checkpoint Area
 //!    ([`apply_delta`]), stamping the copy's Index Version word beside it.
 //!
-//! The baseline lives in the sender's region, in its baseline area
+//! The baseline lives in the sender's region, in its Baseline Area
 //! ([`crate::config::MemoryMap::baseline`]): once a round has landed it
 //! holds what the right neighbour's Checkpoint Area holds. It is zeroed
 //! when that neighbour is replaced, so the next round ships the whole
@@ -61,7 +61,7 @@ pub fn delta(snapshot: &[u8], last: &mut [u8]) -> (Vec<u8>, f64) {
 }
 
 /// The sender's half of a round (steps 1–3) over `region`: [`delta`]
-/// between Index Area `index` and baseline area `baseline`, which then
+/// between Index Area `index` and Baseline Area `baseline`, which then
 /// holds the snapshot, and the report's sender fields.
 pub fn send(
     region: &Region,
