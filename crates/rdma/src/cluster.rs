@@ -214,15 +214,16 @@ impl NodeTable {
 /// never removed — a crashed node keeps its slot (so stale [`NodeId`]s fail
 /// loudly) and its replacement gets a fresh id, matching the paper's model of
 /// "start a new server on an idle MN". The idle MN is the *standby*: a
-/// zeroed region [`Cluster::refill_standby`] builds ahead of the failure and
-/// [`Cluster::add_node`] claims, so a replacement's memory is registered
-/// before it is needed.
+/// zeroed, fully allocated region [`Cluster::refill_standby`] builds ahead
+/// of the failure and [`Cluster::add_node`] claims, so a replacement's
+/// memory is ready before it is needed. The launch nodes' regions allocate
+/// their chunks as they are first written (see [`Region`]).
 pub struct Cluster {
     nodes: NodeTable,
     /// Length of every node's region.
     region_len: usize,
-    /// The standby region: zeroed, pages touched, no node id yet, so no
-    /// verb can reach it.
+    /// The standby region: zeroed, every chunk allocated, no node id yet,
+    /// so no verb can reach it.
     standby: Mutex<Option<Region>>,
     /// The NIC cost model shared by all performance reports.
     pub cost: CostModel,
@@ -234,6 +235,13 @@ pub struct Cluster {
     trace_on: AtomicBool,
     /// Next dense trace client id handed to a new [`DmClient`].
     next_trace_client: AtomicU32,
+}
+
+/// A region of `len` bytes with every chunk allocated.
+fn populated(node: NodeId, len: usize) -> Region {
+    let region = Region::new(node, len);
+    region.populate();
+    region
 }
 
 impl Cluster {
@@ -358,23 +366,26 @@ impl Cluster {
 
     /// Adds a memory node with the next fresh id (a recovery or join target)
     /// and returns its handle. The node claims the standby region if there
-    /// is one, and allocates a zeroed region otherwise.
+    /// is one, and otherwise allocates a zeroed region in full, as the
+    /// standby is: either way every chunk of the node's region is allocated
+    /// before its id is handed out, so recovery's writes into it allocate
+    /// nothing.
     pub fn add_node(&self) -> Arc<MemoryNode> {
         let standby = self.standby.lock().take();
         self.nodes.push(|id| {
-            let mut region = standby.unwrap_or_else(|| Region::new(id, self.region_len));
+            let mut region = standby.unwrap_or_else(|| populated(id, self.region_len));
             region.claim(id);
             MemoryNode::new(id, region)
         })
     }
 
-    /// Builds the standby region if there is none, so that zero-filling it
+    /// Builds the standby region if there is none, so that allocating it
     /// is paid here, by the caller's tick, rather than by the next
     /// [`Cluster::add_node`].
     pub fn refill_standby(&self) {
         self.standby
             .lock()
-            .get_or_insert_with(|| Region::new(GlobalAddr::NULL.node, self.region_len));
+            .get_or_insert_with(|| populated(GlobalAddr::NULL.node, self.region_len));
     }
 
     /// Creates a foreground client handle (a compute-node thread).
@@ -401,10 +412,13 @@ impl Cluster {
 mod tests {
     use super::*;
 
+    /// Region length of the test clusters: three chunks and a word.
+    const LEN: usize = 3 * crate::region::CHUNK + 8;
+
     fn cluster(num_mns: usize) -> Arc<Cluster> {
         Cluster::new(ClusterConfig {
             num_mns,
-            region_len: 4096,
+            region_len: LEN,
             cost: CostModel::default(),
         })
     }
@@ -444,19 +458,23 @@ mod tests {
     }
 
     /// What a fresh node looks like from outside: zeroed, and out of bounds
-    /// one byte past its region's end, naming itself.
+    /// one byte past its region's end, naming itself. Inside, every chunk
+    /// of its region is allocated already.
     fn assert_fresh(n: &MemoryNode) {
-        assert_eq!(n.region.read_vec(0, 4096).unwrap(), vec![0u8; 4096]);
-        let past_end = n.region.read_vec(4096, 1).unwrap_err();
+        assert_eq!(n.region.read_vec(0, LEN).unwrap(), vec![0u8; LEN]);
+        let past_end = n.region.read_vec(LEN as u64, 1).unwrap_err();
         assert!(
-            matches!(past_end, RdmaError::OutOfBounds { node, region: 4096, .. } if node == n.id),
+            matches!(past_end, RdmaError::OutOfBounds { node, region: LEN, .. } if node == n.id),
             "{past_end:?}"
         );
+        assert_eq!(n.region.chunks_allocated(), 4, "node {}", n.id);
     }
 
     #[test]
     fn claimed_standby_is_a_fresh_node() {
         let c = cluster(2);
+        // Launch nodes allocate a chunk when it is first written.
+        assert_eq!(c.node(NodeId(0)).unwrap().region.chunks_allocated(), 0);
         c.refill_standby();
         assert!(c.standby.lock().is_some());
         let claimed = c.add_node();
@@ -479,7 +497,7 @@ mod tests {
     fn fences_report_strictest_overlap() {
         let c = cluster(1);
         let n = c.node(NodeId(0)).unwrap();
-        assert_eq!(n.fence_required(0, 4096), None);
+        assert_eq!(n.fence_required(0, LEN), None);
         n.install_fence(100, 100, 3);
         n.install_fence(150, 100, 7);
         assert_eq!(n.fence_required(0, 100), None); // ends at fence start

@@ -8,6 +8,18 @@
 //! (the KV pair `Write Version` pairs, checkpoint snapshots of 8 B slot
 //! halves) get exactly the guarantees they would get from real hardware.
 //!
+//! # Chunks
+//!
+//! The words live in a fixed table of equal 64 KiB chunks (`CHUNK`), and a
+//! chunk is allocated zeroed by the first verb that writes into it:
+//! [`Region::write`], [`Region::store64`], [`Region::cas64`],
+//! [`Region::faa64`], [`Region::xor_slice`], and the destination side of
+//! [`Region::xor_from`] and [`Region::copy_from`]. An absent chunk reads as
+//! zeros. [`Region::zero`], and a copy or XOR whose source chunk is absent,
+//! allocate nothing. So a region costs the memory its store wrote to, as a
+//! page of an OS mapping costs nothing until first touched;
+//! [`Region::populate`] allocates every chunk up front.
+//!
 //! # Ordering contract
 //!
 //! The bulk kernels ([`Region::read`], [`Region::write`], [`Region::zero`],
@@ -23,14 +35,36 @@
 //! reads it after an acquiring load of the published word. Words of one
 //! call are *not* ordered among themselves, exactly like the payload of one
 //! DMA transfer.
+//!
+//! A chunk is published through its `OnceLock`: the zeroing that allocates
+//! it happens-before every access that finds it present, so an access sees
+//! either the absent chunk's zeros — the value every word holds before its
+//! first store — or the chunk's words, never uninitialized memory. A range
+//! inside one chunk is one lookup followed by the contiguous-array kernel;
+//! a longer range runs that kernel once per chunk it crosses, between the
+//! call's two fences.
 
 use crate::error::{RdmaError, Result};
 use crate::NodeId;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-/// A registered memory region: `len` bytes backed by 8-byte atomic words.
+/// Bytes per chunk: sixteen pages. Page-sized chunks cost the store's
+/// append-heavy write paths a zeroed allocation per 4 KiB first written,
+/// and a table sixteen times as large; 64 KiB stays below glibc's default
+/// mmap threshold, so every chunk is carved from the heap alike.
+pub(crate) const CHUNK: usize = 64 << 10;
+
+/// Words per chunk.
+const CHUNK_WORDS: usize = CHUNK / 8;
+
+/// One chunk's words.
+type Chunk = [AtomicU64; CHUNK_WORDS];
+
+/// A registered memory region: `len` bytes backed by 8-byte atomic words,
+/// held in chunks allocated on first write.
 pub struct Region {
-    words: Box<[AtomicU64]>,
+    chunks: Box<[OnceLock<Box<Chunk>>]>,
     len: usize,
     node: NodeId,
 }
@@ -74,15 +108,37 @@ impl Edge<'_> {
     }
 }
 
-/// A checked byte range as the kernels walk it: an optional partial first
-/// word, a run of whole words, an optional partial last word.
+/// A byte range inside one chunk as the kernels walk it: an optional
+/// partial first word, a run of whole words, an optional partial last word.
 struct Span<'a> {
     head: Option<Edge<'a>>,
     body: &'a [AtomicU64],
     tail: Option<Edge<'a>>,
 }
 
-impl Span<'_> {
+impl<'a> Span<'a> {
+    /// Splits bytes `[at, at + len)` of `words` at word boundaries.
+    fn new(words: &'a Chunk, at: usize, len: usize) -> Self {
+        let shift = at % 8;
+        let head_len = if shift == 0 { 0 } else { (8 - shift).min(len) };
+        let body_words = (len - head_len) / 8;
+        let tail_len = (len - head_len) % 8;
+        let first = at / 8 + usize::from(head_len > 0);
+        Span {
+            head: (head_len > 0).then(|| Edge {
+                word: &words[at / 8],
+                shift,
+                len: head_len,
+            }),
+            body: &words[first..first + body_words],
+            tail: (tail_len > 0).then(|| Edge {
+                word: &words[first + body_words],
+                shift: 0,
+                len: tail_len,
+            }),
+        }
+    }
+
     /// The partial words, first then last.
     fn edges(&self) -> impl Iterator<Item = &Edge<'_>> {
         self.head.iter().chain(&self.tail)
@@ -102,20 +158,153 @@ impl Span<'_> {
         let (body, tail) = rest.split_at_mut(self.body.len() * 8);
         (head, body, tail)
     }
+
+    fn read(&self, dst: &mut [u8]) {
+        let (head, body, tail) = self.split_mut(dst);
+        if let Some(e) = &self.head {
+            e.load_into(head);
+        }
+        for (word, out) in self.body.iter().zip(body.chunks_exact_mut(8)) {
+            out.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+        }
+        if let Some(e) = &self.tail {
+            e.load_into(tail);
+        }
+    }
+
+    fn write(&self, src: &[u8]) {
+        let (head, body, tail) = self.split(src);
+        if let Some(e) = &self.head {
+            e.merge(e.place(head));
+        }
+        for (word, chunk) in self.body.iter().zip(body.chunks_exact(8)) {
+            let bytes: [u8; 8] = chunk.try_into().expect("chunks_exact(8)");
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+        }
+        if let Some(e) = &self.tail {
+            e.merge(e.place(tail));
+        }
+    }
+
+    fn zero(&self) {
+        for e in self.edges() {
+            e.merge(0);
+        }
+        for word in self.body {
+            word.store(0, Ordering::Relaxed);
+        }
+    }
+
+    fn xor_slice(&self, src: &[u8]) {
+        let (head, body, tail) = self.split(src);
+        if let Some(e) = &self.head {
+            e.word.fetch_xor(e.place(head), Ordering::Relaxed);
+        }
+        if let Some(e) = &self.tail {
+            e.word.fetch_xor(e.place(tail), Ordering::Relaxed);
+        }
+        for (word, chunk) in self.body.iter().zip(body.chunks_exact(8)) {
+            let bytes: [u8; 8] = chunk.try_into().expect("chunks_exact(8)");
+            let folded = word.load(Ordering::Relaxed) ^ u64::from_le_bytes(bytes);
+            word.store(folded, Ordering::Relaxed);
+        }
+    }
+
+    /// XORs `src`, a span split alike, into this one.
+    fn xor_from(&self, src: &Span<'_>) {
+        for (d, s) in self.edges().zip(src.edges()) {
+            d.word
+                .fetch_xor(s.word.load(Ordering::Relaxed) & s.mask(), Ordering::Relaxed);
+        }
+        for (d, s) in self.body.iter().zip(src.body) {
+            let folded = d.load(Ordering::Relaxed) ^ s.load(Ordering::Relaxed);
+            d.store(folded, Ordering::Relaxed);
+        }
+    }
+
+    /// Copies `src`, a span split alike, into this one.
+    fn copy_from(&self, src: &Span<'_>) {
+        for (d, s) in self.edges().zip(src.edges()) {
+            d.merge(s.word.load(Ordering::Relaxed));
+        }
+        for (d, s) in self.body.iter().zip(src.body) {
+            d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
+}
+
+/// One step of a walk over a byte range: `len` bytes that start `pos`
+/// bytes into the range, at byte `at` of chunk `chunk` on the destination
+/// side and at byte `src_at` of chunk `src_chunk` on the source side.
+struct Piece {
+    pos: usize,
+    len: usize,
+    chunk: usize,
+    at: usize,
+    src_chunk: usize,
+    src_at: usize,
+}
+
+/// Calls `f` on each piece of a transfer of `len` bytes from byte
+/// `src_off` to byte `off`, cut at every chunk boundary of either side; a
+/// one-sided kernel passes its offset twice. A range inside one chunk on
+/// both sides is one piece, found without a loop. Chunks are whole words,
+/// so when the offsets are congruent modulo 8 every cut falls on a word
+/// boundary of both sides: only the first piece can start inside a word
+/// and only the last can end inside one.
+#[inline(always)]
+fn for_each_piece(off: usize, src_off: usize, len: usize, mut f: impl FnMut(Piece)) {
+    let piece = |pos: usize, len: usize| {
+        let (d, s) = (off + pos, src_off + pos);
+        Piece {
+            pos,
+            len,
+            chunk: d / CHUNK,
+            at: d % CHUNK,
+            src_chunk: s / CHUNK,
+            src_at: s % CHUNK,
+        }
+    };
+    if len == 0 {
+        return;
+    }
+    if off % CHUNK + len <= CHUNK && src_off % CHUNK + len <= CHUNK {
+        return f(piece(0, len));
+    }
+    let mut pos = 0;
+    while pos < len {
+        let (d, s) = (off + pos, src_off + pos);
+        let n = (CHUNK - d % CHUNK).min(CHUNK - s % CHUNK).min(len - pos);
+        f(piece(pos, n));
+        pos += n;
+    }
+}
+
+/// A freshly allocated chunk of zero words.
+fn zeroed() -> Box<Chunk> {
+    Box::new([const { AtomicU64::new(0) }; CHUNK_WORDS])
 }
 
 impl Region {
-    /// Allocates a zeroed region of `len` bytes on behalf of `node`.
+    /// A zeroed region of `len` bytes on behalf of `node`: a table of
+    /// absent chunks, each allocated by the first verb that writes into it.
     ///
     /// `len` is rounded up to a multiple of 8.
     pub fn new(node: NodeId, len: usize) -> Self {
-        let words = len.div_ceil(8);
-        let mut v = Vec::with_capacity(words);
-        v.resize_with(words, || AtomicU64::new(0));
+        let len = len.div_ceil(8) * 8;
         Region {
-            words: v.into_boxed_slice(),
-            len: words * 8,
+            chunks: (0..len.div_ceil(CHUNK)).map(|_| OnceLock::new()).collect(),
+            len,
             node,
+        }
+    }
+
+    /// Allocates every chunk not yet allocated, so that no later verb pays
+    /// for a first touch: what a standby or joining node's memory costs
+    /// before the node is handed out.
+    pub fn populate(&self) {
+        for chunk in &self.chunks {
+            chunk.get_or_init(zeroed);
         }
     }
 
@@ -137,6 +326,18 @@ impl Region {
         self.len == 0
     }
 
+    /// Chunk `i`, if a write has allocated it.
+    #[inline]
+    fn chunk(&self, i: usize) -> Option<&Chunk> {
+        self.chunks[i].get().map(|c| &**c)
+    }
+
+    /// Chunk `i`, allocated zeroed if no write has yet.
+    #[inline]
+    fn chunk_or_alloc(&self, i: usize) -> &Chunk {
+        self.chunks[i].get_or_init(zeroed)
+    }
+
     fn check(&self, offset: u64, len: usize) -> Result<usize> {
         let off = offset as usize;
         if off.checked_add(len).is_none_or(|end| end > self.len) {
@@ -150,28 +351,17 @@ impl Region {
         Ok(off)
     }
 
-    /// Bounds-checks `[offset, offset + len)` and splits it at word
-    /// boundaries.
-    fn span(&self, offset: u64, len: usize) -> Result<Span<'_>> {
-        let off = self.check(offset, len)?;
-        let shift = off % 8;
-        let head_len = if shift == 0 { 0 } else { (8 - shift).min(len) };
-        let body_words = (len - head_len) / 8;
-        let tail_len = (len - head_len) % 8;
-        let first = off / 8 + usize::from(head_len > 0);
-        Ok(Span {
-            head: (head_len > 0).then(|| Edge {
-                word: &self.words[off / 8],
-                shift,
-                len: head_len,
-            }),
-            body: &self.words[first..first + body_words],
-            tail: (tail_len > 0).then(|| Edge {
-                word: &self.words[first + body_words],
-                shift: 0,
-                len: tail_len,
-            }),
-        })
+    /// Checks an 8-byte atomic's offset: aligned and in bounds.
+    fn check_word(&self, offset: u64) -> Result<usize> {
+        if !offset.is_multiple_of(8) {
+            return Err(RdmaError::Unaligned(offset));
+        }
+        self.check(offset, 8)
+    }
+
+    /// The word at byte `off`, its chunk allocated if need be.
+    fn word(&self, off: usize) -> &AtomicU64 {
+        &self.chunk_or_alloc(off / CHUNK)[off % CHUNK / 8]
     }
 
     /// Reads `dst.len()` bytes starting at `offset` into `dst`.
@@ -181,17 +371,14 @@ impl Region {
     /// concurrent writes may observe a mix of old and new words but never a
     /// torn word (see the module docs for the ordering contract).
     pub fn read(&self, offset: u64, dst: &mut [u8]) -> Result<()> {
-        let span = self.span(offset, dst.len())?;
-        let (head, body, tail) = span.split_mut(dst);
-        if let Some(e) = &span.head {
-            e.load_into(head);
-        }
-        for (word, out) in span.body.iter().zip(body.chunks_exact_mut(8)) {
-            out.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
-        }
-        if let Some(e) = &span.tail {
-            e.load_into(tail);
-        }
+        let off = self.check(offset, dst.len())?;
+        for_each_piece(off, off, dst.len(), |p| {
+            let out = &mut dst[p.pos..p.pos + p.len];
+            match self.chunk(p.chunk) {
+                Some(words) => Span::new(words, p.at, p.len).read(out),
+                None => out.fill(0),
+            }
+        });
         fence(Ordering::Acquire);
         Ok(())
     }
@@ -202,19 +389,11 @@ impl Region {
     /// with an atomic read-modify-write so concurrent atomics on
     /// neighbouring bytes are not clobbered.
     pub fn write(&self, offset: u64, src: &[u8]) -> Result<()> {
-        let span = self.span(offset, src.len())?;
-        let (head, body, tail) = span.split(src);
+        let off = self.check(offset, src.len())?;
         fence(Ordering::Release);
-        if let Some(e) = &span.head {
-            e.merge(e.place(head));
-        }
-        for (word, chunk) in span.body.iter().zip(body.chunks_exact(8)) {
-            let bytes: [u8; 8] = chunk.try_into().expect("chunks_exact(8)");
-            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
-        }
-        if let Some(e) = &span.tail {
-            e.merge(e.place(tail));
-        }
+        for_each_piece(off, off, src.len(), |p| {
+            Span::new(self.chunk_or_alloc(p.chunk), p.at, p.len).write(&src[p.pos..p.pos + p.len]);
+        });
         Ok(())
     }
 
@@ -223,16 +402,11 @@ impl Region {
     /// Returns the value observed before the operation; the swap succeeded
     /// iff the returned value equals `expected`, exactly like `RDMA_CAS`.
     pub fn cas64(&self, offset: u64, expected: u64, new: u64) -> Result<u64> {
-        if !offset.is_multiple_of(8) {
-            return Err(RdmaError::Unaligned(offset));
-        }
-        let off = self.check(offset, 8)?;
-        match self.words[off / 8].compare_exchange(
-            expected,
-            new,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
+        let off = self.check_word(offset)?;
+        match self
+            .word(off)
+            .compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire)
+        {
             Ok(prev) => Ok(prev),
             Err(prev) => Ok(prev),
         }
@@ -242,29 +416,22 @@ impl Region {
     ///
     /// Returns the pre-add value, like `RDMA_FAA`.
     pub fn faa64(&self, offset: u64, delta: u64) -> Result<u64> {
-        if !offset.is_multiple_of(8) {
-            return Err(RdmaError::Unaligned(offset));
-        }
-        let off = self.check(offset, 8)?;
-        Ok(self.words[off / 8].fetch_add(delta, Ordering::AcqRel))
+        let off = self.check_word(offset)?;
+        Ok(self.word(off).fetch_add(delta, Ordering::AcqRel))
     }
 
     /// Atomically loads the 8-byte word at `offset`.
     pub fn load64(&self, offset: u64) -> Result<u64> {
-        if !offset.is_multiple_of(8) {
-            return Err(RdmaError::Unaligned(offset));
-        }
-        let off = self.check(offset, 8)?;
-        Ok(self.words[off / 8].load(Ordering::Acquire))
+        let off = self.check_word(offset)?;
+        Ok(self
+            .chunk(off / CHUNK)
+            .map_or(0, |words| words[off % CHUNK / 8].load(Ordering::Acquire)))
     }
 
     /// Atomically stores the 8-byte word at `offset`.
     pub fn store64(&self, offset: u64, value: u64) -> Result<()> {
-        if !offset.is_multiple_of(8) {
-            return Err(RdmaError::Unaligned(offset));
-        }
-        let off = self.check(offset, 8)?;
-        self.words[off / 8].store(value, Ordering::Release);
+        let off = self.check_word(offset)?;
+        self.word(off).store(value, Ordering::Release);
         Ok(())
     }
 
@@ -276,42 +443,40 @@ impl Region {
     }
 
     /// Zeroes `len` bytes starting at `offset` (used when blocks are freed).
+    /// An absent chunk is zero already and stays absent.
     pub fn zero(&self, offset: u64, len: usize) -> Result<()> {
-        let span = self.span(offset, len)?;
+        let off = self.check(offset, len)?;
         fence(Ordering::Release);
-        if let Some(e) = &span.head {
-            e.merge(0);
-        }
-        for word in span.body {
-            word.store(0, Ordering::Relaxed);
-        }
-        if let Some(e) = &span.tail {
-            e.merge(0);
-        }
+        for_each_piece(off, off, len, |p| {
+            if let Some(words) = self.chunk(p.chunk) {
+                Span::new(words, p.at, p.len).zero();
+            }
+        });
         Ok(())
     }
 
     /// Bounds-checks a region-to-region transfer of `len` bytes from
-    /// `src[src_offset..]` to `self[offset..]` and splits both ranges.
-    /// The two offsets must be congruent modulo 8 (every block, slot and
-    /// area offset of the store is), so the ranges split identically and
-    /// words map to words; otherwise [`RdmaError::Unaligned`].
-    fn span_pair<'a>(
-        &'a self,
+    /// `src[src_offset..]` to `self[offset..]`. The two offsets must be
+    /// congruent modulo 8 (every block, slot and area offset of the store
+    /// is), so the ranges split identically and words map to words;
+    /// otherwise [`RdmaError::Unaligned`].
+    fn check_pair(
+        &self,
         offset: u64,
-        src: &'a Region,
+        src: &Region,
         src_offset: u64,
         len: usize,
-    ) -> Result<(Span<'a>, Span<'a>)> {
+    ) -> Result<(usize, usize)> {
         if offset % 8 != src_offset % 8 {
             return Err(RdmaError::Unaligned(src_offset));
         }
-        Ok((self.span(offset, len)?, src.span(src_offset, len)?))
+        Ok((self.check(offset, len)?, src.check(src_offset, len)?))
     }
 
     /// XORs `len` bytes of `src` starting at `src_offset` into this region
     /// starting at `offset`, in place: the MN server's DELTA → PARITY fold
-    /// (paper §3.3.2) without a staging copy.
+    /// (paper §3.3.2) without a staging copy. Where the source chunk is
+    /// absent, XOR with its zeros changes nothing and nothing is touched.
     ///
     /// Whole destination words are updated by a load and a store, not one
     /// atomic read-modify-write: the destination range must have no
@@ -320,16 +485,14 @@ impl Region {
     /// torn one. `src` may be this region; the ranges must then not
     /// overlap.
     pub fn xor_from(&self, offset: u64, src: &Region, src_offset: u64, len: usize) -> Result<()> {
-        let (dst, src) = self.span_pair(offset, src, src_offset, len)?;
+        let (off, src_off) = self.check_pair(offset, src, src_offset, len)?;
         fence(Ordering::Release);
-        for (d, s) in dst.edges().zip(src.edges()) {
-            d.word
-                .fetch_xor(s.word.load(Ordering::Relaxed) & s.mask(), Ordering::Relaxed);
-        }
-        for (d, s) in dst.body.iter().zip(src.body) {
-            let folded = d.load(Ordering::Relaxed) ^ s.load(Ordering::Relaxed);
-            d.store(folded, Ordering::Relaxed);
-        }
+        for_each_piece(off, src_off, len, |p| {
+            if let Some(from) = src.chunk(p.src_chunk) {
+                Span::new(self.chunk_or_alloc(p.chunk), p.at, p.len)
+                    .xor_from(&Span::new(from, p.src_at, p.len));
+            }
+        });
         fence(Ordering::Acquire);
         Ok(())
     }
@@ -342,38 +505,40 @@ impl Region {
     /// updated by a load and a store, so the range must have no concurrent
     /// writer; partial edge words are XORed atomically.
     pub fn xor_slice(&self, offset: u64, src: &[u8]) -> Result<()> {
-        let span = self.span(offset, src.len())?;
-        let (head, body, tail) = span.split(src);
+        let off = self.check(offset, src.len())?;
         fence(Ordering::Release);
-        if let Some(e) = &span.head {
-            e.word.fetch_xor(e.place(head), Ordering::Relaxed);
-        }
-        if let Some(e) = &span.tail {
-            e.word.fetch_xor(e.place(tail), Ordering::Relaxed);
-        }
-        for (word, chunk) in span.body.iter().zip(body.chunks_exact(8)) {
-            let bytes: [u8; 8] = chunk.try_into().expect("chunks_exact(8)");
-            let folded = word.load(Ordering::Relaxed) ^ u64::from_le_bytes(bytes);
-            word.store(folded, Ordering::Relaxed);
-        }
+        for_each_piece(off, off, src.len(), |p| {
+            Span::new(self.chunk_or_alloc(p.chunk), p.at, p.len)
+                .xor_slice(&src[p.pos..p.pos + p.len]);
+        });
         fence(Ordering::Acquire);
         Ok(())
     }
 
     /// Copies `len` bytes of `src` starting at `src_offset` into this
     /// region starting at `offset`, word by word, without a staging
-    /// buffer. `src` may be this region; the ranges must then not overlap.
+    /// buffer. Where the source chunk is absent this is [`Region::zero`].
+    /// `src` may be this region; the ranges must then not overlap.
     pub fn copy_from(&self, offset: u64, src: &Region, src_offset: u64, len: usize) -> Result<()> {
-        let (dst, src) = self.span_pair(offset, src, src_offset, len)?;
+        let (off, src_off) = self.check_pair(offset, src, src_offset, len)?;
         fence(Ordering::Release);
-        for (d, s) in dst.edges().zip(src.edges()) {
-            d.merge(s.word.load(Ordering::Relaxed));
-        }
-        for (d, s) in dst.body.iter().zip(src.body) {
-            d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
+        for_each_piece(off, src_off, len, |p| match src.chunk(p.src_chunk) {
+            Some(from) => Span::new(self.chunk_or_alloc(p.chunk), p.at, p.len)
+                .copy_from(&Span::new(from, p.src_at, p.len)),
+            None => {
+                if let Some(words) = self.chunk(p.chunk) {
+                    Span::new(words, p.at, p.len).zero();
+                }
+            }
+        });
         fence(Ordering::Acquire);
         Ok(())
+    }
+
+    /// Number of chunks allocated so far.
+    #[cfg(test)]
+    pub(crate) fn chunks_allocated(&self) -> usize {
+        self.chunks.iter().filter(|c| c.get().is_some()).count()
     }
 }
 
@@ -387,7 +552,19 @@ mod tests {
     }
 
     // The byte-wise loops the word-bulk kernels replaced, kept as the
-    // reference the kernels are checked against.
+    // reference the kernels are checked against. They reach word `i`
+    // through `load` (zero where the chunk is absent, allocating nothing)
+    // and `word_mut` (allocating), so the kernels' cuts at word and chunk
+    // boundaries are what is checked.
+
+    fn load(r: &Region, i: usize) -> u64 {
+        r.chunk(i / CHUNK_WORDS)
+            .map_or(0, |words| words[i % CHUNK_WORDS].load(Ordering::Acquire))
+    }
+
+    fn word_mut(r: &Region, i: usize) -> &AtomicU64 {
+        &r.chunk_or_alloc(i / CHUNK_WORDS)[i % CHUNK_WORDS]
+    }
 
     fn ref_read(r: &Region, offset: u64, dst: &mut [u8]) -> Result<()> {
         let off = r.check(offset, dst.len())?;
@@ -397,7 +574,7 @@ mod tests {
             let widx = byte / 8;
             let shift = byte % 8;
             let take = (8 - shift).min(dst.len() - pos);
-            let word = r.words[widx].load(Ordering::Acquire).to_le_bytes();
+            let word = load(r, widx).to_le_bytes();
             dst[pos..pos + take].copy_from_slice(&word[shift..shift + take]);
             pos += take;
         }
@@ -415,7 +592,7 @@ mod tests {
             if take == 8 {
                 let mut w = [0u8; 8];
                 w.copy_from_slice(&src[pos..pos + 8]);
-                r.words[widx].store(u64::from_le_bytes(w), Ordering::Release);
+                word_mut(r, widx).store(u64::from_le_bytes(w), Ordering::Release);
             } else {
                 let mut mask = [0u8; 8];
                 let mut val = [0u8; 8];
@@ -425,9 +602,10 @@ mod tests {
                 }
                 let mask = u64::from_le_bytes(mask);
                 let val = u64::from_le_bytes(val);
-                let _ = r.words[widx].fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
-                    Some((old & !mask) | val)
-                });
+                let _ =
+                    word_mut(r, widx).fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
+                        Some((old & !mask) | val)
+                    });
             }
             pos += take;
         }
@@ -440,7 +618,7 @@ mod tests {
         while pos < len {
             let byte = off + pos;
             if byte.is_multiple_of(8) && len - pos >= 8 {
-                r.words[byte / 8].store(0, Ordering::Release);
+                word_mut(r, byte / 8).store(0, Ordering::Release);
                 pos += 8;
             } else {
                 let take = (8 - byte % 8).min(len - pos);
@@ -478,13 +656,18 @@ mod tests {
     }
 
     /// A region of `len` bytes holding a position-dependent pattern with no
-    /// zero and no repeated neighbouring byte.
-    fn patterned(len: usize, salt: usize) -> Region {
+    /// zero and no repeated neighbouring byte: in every chunk, or with
+    /// `sparse` in the even chunks only, the odd ones left absent.
+    fn patterned(len: usize, salt: usize, sparse: bool) -> Region {
         let r = region(len);
         let bytes: Vec<u8> = (0..len)
             .map(|i| ((i * 37 + salt) % 251 + 1) as u8)
             .collect();
-        ref_write(&r, 0, &bytes).unwrap();
+        for (i, piece) in bytes.chunks(CHUNK).enumerate() {
+            if !sparse || i % 2 == 0 {
+                ref_write(&r, (i * CHUNK) as u64, piece).unwrap();
+            }
+        }
         r
     }
 
@@ -495,22 +678,40 @@ mod tests {
     }
 
     /// Runs every kernel and its reference on equal regions over
-    /// `[offset, offset + len)` and compares the whole regions afterwards,
-    /// so bytes next to the range are checked as well as those inside.
-    fn check_against_reference(region_len: usize, offset: usize, len: usize) {
-        let ctx = format!("offset {offset} len {len}");
-        let src = patterned(region_len, 3);
+    /// `[offset, offset + len)`, the region-to-region ones from
+    /// `[src_offset, src_offset + len)` of a third region, and compares the
+    /// whole regions afterwards, so bytes next to the range are checked as
+    /// well as those inside. With `sparse`, the odd chunks of all three
+    /// regions start absent.
+    fn check_against_reference(
+        region_len: usize,
+        offset: usize,
+        src_offset: usize,
+        len: usize,
+        sparse: bool,
+    ) {
+        let ctx = format!("offset {offset} src {src_offset} len {len} sparse {sparse}");
+        let src = patterned(region_len, 3, sparse);
         let data: Vec<u8> = (0..len).map(|i| (i * 13 + 7) as u8).collect();
-        // The source range starts 16 bytes further in: same alignment,
-        // different words.
-        let src_offset = offset as u64 + 16;
-        let offset = offset as u64;
+        let (offset, src_offset) = (offset as u64, src_offset as u64);
 
-        let (fast, slow) = (patterned(region_len, 0), patterned(region_len, 0));
+        let (fast, slow) = (
+            patterned(region_len, 0, sparse),
+            patterned(region_len, 0, sparse),
+        );
         let (mut a, mut b) = (vec![0u8; len], vec![0xEEu8; len]);
         fast.read(offset, &mut a).unwrap();
         ref_read(&slow, offset, &mut b).unwrap();
         assert_eq!(a, b, "read {ctx}");
+
+        // Zero before the first write, so a zeroed absent chunk is checked.
+        fast.zero(offset, len).unwrap();
+        ref_zero(&slow, offset, len).unwrap();
+        assert_eq!(contents(&fast), contents(&slow), "zero {ctx}");
+
+        fast.copy_from(offset, &src, src_offset, len).unwrap();
+        ref_combine(&slow, offset, &src, src_offset, len, false).unwrap();
+        assert_eq!(contents(&fast), contents(&slow), "copy_from {ctx}");
 
         fast.write(offset, &data).unwrap();
         ref_write(&slow, offset, &data).unwrap();
@@ -537,7 +738,9 @@ mod tests {
     fn kernels_match_bytewise_reference_at_every_alignment() {
         for offset in 8..24 {
             for len in 0..=80 {
-                check_against_reference(128, offset, len);
+                // The source range starts 16 bytes further in: same
+                // alignment, different words.
+                check_against_reference(128, offset, offset + 16, len, false);
             }
         }
     }
@@ -545,14 +748,85 @@ mod tests {
     #[test]
     fn kernels_match_bytewise_reference_on_a_block() {
         const BLOCK: usize = 256 << 10;
-        check_against_reference(BLOCK + 64, 16, BLOCK);
-        check_against_reference(BLOCK + 64, 13, BLOCK - 3);
+        check_against_reference(BLOCK + 64, 16, 32, BLOCK, false);
+        check_against_reference(BLOCK + 64, 13, 29, BLOCK - 3, false);
+    }
+
+    #[test]
+    fn kernels_match_bytewise_reference_across_a_chunk_boundary() {
+        for sparse in [false, true] {
+            for offset in CHUNK - 20..CHUNK + 4 {
+                for len in [0, 1, 7, 8, 9, 20, 21, 40, 79] {
+                    check_against_reference(CHUNK + 128, offset, offset + 16, len, sparse);
+                }
+            }
+            // Two boundaries inside one range.
+            check_against_reference(3 * CHUNK, CHUNK - 5, CHUNK + 11, CHUNK + 10, sparse);
+        }
+    }
+
+    #[test]
+    fn kernels_match_bytewise_reference_on_absent_chunks() {
+        const BLOCK: usize = 256 << 10;
+        check_against_reference(BLOCK + 2 * CHUNK, 16, 32, BLOCK, true);
+        check_against_reference(BLOCK + 2 * CHUNK, 13, 29, BLOCK - 3, true);
+    }
+
+    #[test]
+    fn region_to_region_kernels_at_different_chunk_phases() {
+        // Offsets congruent modulo 8 but not modulo the chunk, so the
+        // destination and the source cross chunk boundaries at different
+        // points of the range.
+        for gap in [8, CHUNK / 2 + 8, CHUNK - 8, CHUNK + 24] {
+            for sparse in [false, true] {
+                check_against_reference(4 * CHUNK, 1005, 1005 + gap, 2 * CHUNK + 50, sparse);
+                check_against_reference(4 * CHUNK, 1005 + gap, 1005, 2 * CHUNK + 50, sparse);
+            }
+        }
+    }
+
+    #[test]
+    fn only_writes_allocate_chunks() {
+        let r = region(8 * CHUNK);
+        let absent = region(8 * CHUNK);
+        // Reads see zeros; zeroing, and copying or XORing absent source
+        // chunks, leave the chunks absent.
+        assert_eq!(r.read_vec(0, 8 * CHUNK).unwrap(), vec![0u8; 8 * CHUNK]);
+        assert_eq!(r.load64(CHUNK as u64).unwrap(), 0);
+        r.zero(3, 8 * CHUNK - 3).unwrap();
+        r.copy_from(8, &absent, 16, 8 * CHUNK - 16).unwrap();
+        r.xor_from(8, &absent, 16, 8 * CHUNK - 16).unwrap();
+        r.copy_from(0, &r, 4 * CHUNK as u64, 4 * CHUNK).unwrap();
+        assert_eq!((r.chunks_allocated(), absent.chunks_allocated()), (0, 0));
+        // Each writing verb allocates exactly the chunks it covers: a write
+        // across a boundary two, each single-word verb one.
+        r.write(CHUNK as u64 - 4, &[1; 8]).unwrap();
+        assert_eq!(r.chunks_allocated(), 2);
+        r.store64(2 * CHUNK as u64, 1).unwrap();
+        r.cas64(3 * CHUNK as u64, 1, 2).unwrap();
+        r.faa64(4 * CHUNK as u64 + 8, 1).unwrap();
+        r.xor_slice(5 * CHUNK as u64, &[0; 3]).unwrap();
+        assert_eq!(r.chunks_allocated(), 6);
+        // A copy or XOR allocates the destination chunks whose source is
+        // present; where the source is absent, a copy zeroes a present
+        // destination and allocates nothing.
+        let c = CHUNK as u64;
+        r.copy_from(6 * c, &r, 0, CHUNK).unwrap();
+        assert_eq!(r.chunks_allocated(), 7);
+        assert_eq!(r.read_vec(7 * c - 4, 4).unwrap(), [1; 4]);
+        r.copy_from(7 * c - 8, &r, 7 * c, 8).unwrap();
+        assert_eq!(r.read_vec(7 * c - 8, 8).unwrap(), [0; 8]);
+        r.xor_from(7 * c - 8, &r, c - 8, 8).unwrap();
+        assert_eq!(r.read_vec(7 * c - 8, 8).unwrap(), [0, 0, 0, 0, 1, 1, 1, 1]);
+        assert_eq!(r.chunks_allocated(), 7);
+        r.populate();
+        assert_eq!(r.chunks_allocated(), 8);
     }
 
     #[test]
     fn region_to_region_kernels_within_one_region() {
-        let r = patterned(256, 0);
-        let slow = patterned(256, 0);
+        let r = patterned(256, 0, false);
+        let slow = patterned(256, 0, false);
         r.xor_from(8, &r, 128, 40).unwrap();
         ref_combine(&slow, 8, &slow, 128, 40, true).unwrap();
         r.copy_from(64, &r, 200, 19).unwrap();
@@ -591,34 +865,54 @@ mod tests {
         r.zero(64, 0).unwrap();
     }
 
-    #[test]
-    fn racing_reader_never_sees_a_torn_word() {
+    /// A writer alternates two images over one range while a reader polls
+    /// it; every word the reader sees is one the writer stored, or zero
+    /// before the first store. With `fresh`, the range lies in a chunk the
+    /// writer's first store allocates while the reader polls it.
+    fn race_reader_against_writer(fresh: bool) {
         const WORDS: usize = 64;
         const PATTERNS: [u64; 2] = [0x1111_1111_1111_1111, 0xEEEE_EEEE_EEEE_EEEE];
         const ROUNDS: usize = 2_000;
-        let r = region(WORDS * 8 + 16);
+        let r = region(2 * CHUNK);
+        let at = if fresh { CHUNK as u64 + 8 } else { 8 };
         let images = PATTERNS.map(|p| p.to_le_bytes().repeat(WORDS));
-        r.write(8, &images[0]).unwrap();
+        if !fresh {
+            r.write(at, &images[0]).unwrap();
+        }
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
                 start.wait();
                 for round in 0..ROUNDS {
-                    r.write(8, &images[(round + 1) % 2]).unwrap();
+                    r.write(at, &images[(round + 1) % 2]).unwrap();
                 }
             });
             s.spawn(|| {
                 let mut buf = vec![0u8; WORDS * 8];
                 start.wait();
                 for _ in 0..ROUNDS {
-                    r.read(8, &mut buf).unwrap();
+                    r.read(at, &mut buf).unwrap();
                     for word in buf.chunks_exact(8) {
                         let word = u64::from_le_bytes(word.try_into().unwrap());
-                        assert!(PATTERNS.contains(&word), "torn word {word:#018x}");
+                        assert!(
+                            PATTERNS.contains(&word) || (fresh && word == 0),
+                            "torn word {word:#018x}"
+                        );
                     }
                 }
             });
         });
+        assert_eq!(r.chunks_allocated(), 1);
+    }
+
+    #[test]
+    fn racing_reader_never_sees_a_torn_word() {
+        race_reader_against_writer(false);
+    }
+
+    #[test]
+    fn racing_reader_never_sees_a_torn_word_in_a_fresh_chunk() {
+        race_reader_against_writer(true);
     }
 
     #[test]
