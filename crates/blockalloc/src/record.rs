@@ -4,24 +4,35 @@
 //! fixed-size record in the Meta Area. A DELTA-pool block has none: the
 //! Delta Addr of the PARITY record it is folded into registers it. The
 //! Meta Area is fault-tolerant by plain replication to the next two MNs
-//! (§3.1), and readers fetch records from it one-sided, so records must be
-//! serializable to raw bytes; this module defines that layout:
+//! (§3.1), and readers fetch records from it one-sided, so a record is a
+//! run of little-endian 8 B words, each field in a word this module names
+//! once:
 //!
 //! ```text
-//! offset  field
-//! 0       Role (u8: 0 free, 1 data, 2 parity)
-//! 1       Valid (u8)
-//! 2       XOR ID (u8) — row of the cell within its column
-//! 3       slot len (u8, 64 B units) — the block's KV size class
-//! 4..8    CLI ID (u32) — owning client
-//! 8..16   Index Version (u64), stamped when the block fills (§3.2.3)
-//! 16..24  stripe array index (u64)
-//! 24..26  XOR Map (u16) — parity blocks: bit k set ⇔ the k-th data
-//!         position of this parity's equation has been encoded
-//! 32..160 Delta Addr (16 × u64) — parity blocks: packed global address of
-//!         the DELTA block covering the k-th data position (0 = none)
-//! 256..   Free Bitmap (≤ 1024 B) — data blocks: obsolete-KV bits
+//! word    field
+//! 0       the head word (`head_word`): byte 0 Role (0 free, 1 data,
+//!         2 parity), byte 1 Valid, byte 2 XOR ID — row of the cell within
+//!         its column —, byte 3 slot len (64 B units) — the block's KV size
+//!         class —, bytes 4..8 CLI ID (u32) — owning client
+//! 1       Index Version, stamped when the block fills (§3.2.3)
+//!           (`INDEX_VERSION_WORD`)
+//! 2       stripe array index (`STRIPE_ARRAY_WORD`)
+//! 3       XOR Map, low 16 bits (`XOR_MAP_WORD`) — parity blocks: bit k
+//!         set ⇔ the k-th data position of this parity's equation has been
+//!         encoded
+//! 4..20   Delta Addr (16 words, `DELTA_ADDR_WORD + k`) — parity blocks:
+//!         packed global address of the DELTA block covering the k-th data
+//!         position (0 = none); the head ends here, at RECORD_HEAD_BYTES
+//! 32..    Free Bitmap (≤ 128 words, `BITMAP_WORD + s / 64`) — data
+//!         blocks: obsolete-KV bits, slot s at bit s % 64
 //! ```
+//!
+//! The MN server changes a record by writing only the span of words a
+//! change touches, into its own table and the same span into both copies;
+//! every field outside the head word has a word to itself, and only a
+//! grant writes the head word. [`BlockRecord`] is the decoded form for
+//! readers: [`BlockRecord::encode`] and [`BlockRecord::decode`] go through
+//! the same word names.
 //!
 //! The Free Bitmap holds one bit per KV slot, and a slot is at least 64 B,
 //! so a record of a block of `block_size` is [`record_bytes`] long: 1280 B
@@ -32,26 +43,35 @@
 
 use crate::bitmap::Bitmap;
 
-/// Length of the record *head*: everything up to and including Delta Addr.
-/// A degraded SEARCH reads exactly these bytes of a parity block's record
-/// with a one-sided READ (see [`BlockRecord::decode_head`]).
-pub const RECORD_HEAD_BYTES: usize = 160;
-/// Byte offset of the Free Bitmap inside a record.
-const BITMAP_OFF: usize = 256;
+/// The record's word 0 holds Role, Valid, XOR ID, slot len and CLI ID
+/// ([`head_word`] packs it, [`role_of`] and [`slot_len_of`] read it); the
+/// other fields each have a word of their own, named here once.
+pub const INDEX_VERSION_WORD: usize = 1;
+/// The stripe array index's word.
+pub const STRIPE_ARRAY_WORD: usize = 2;
+/// The XOR Map's word (its low 16 bits).
+pub const XOR_MAP_WORD: usize = 3;
 /// The 8 B word of a record holding Delta Addr 0: Delta Addr `k` is word
 /// `DELTA_ADDR_WORD + k`.
 pub const DELTA_ADDR_WORD: usize = 4;
+/// The Free Bitmap's first word: slot `s` is bit `s % 64` of word
+/// `BITMAP_WORD + s / 64`.
+pub const BITMAP_WORD: usize = 32;
 /// Maximum KV slots per block (bitmap width).
 pub const MAX_SLOTS: usize = 8192;
 /// Maximum data positions per parity equation (X-Code `n − 2 ≤ 16`).
 pub const MAX_POSITIONS: usize = 16;
+/// Length of the record *head*: everything up to and including Delta Addr.
+/// A degraded SEARCH reads exactly these bytes of a parity block's record
+/// with a one-sided READ (see [`BlockRecord::decode_head`]).
+pub const RECORD_HEAD_BYTES: usize = 8 * (DELTA_ADDR_WORD + MAX_POSITIONS);
 
 /// Serialized size in bytes of the record of a block of `block_size`: the
 /// head and its padding, then a Free Bitmap wide enough for the most
 /// slots such a block can have — one per 64 B, at most [`MAX_SLOTS`] — in
 /// whole 8 B words, so every record of a table stays word-aligned.
 pub fn record_bytes(block_size: u64) -> u64 {
-    BITMAP_OFF as u64 + (block_size / 64).min(MAX_SLOTS as u64).div_ceil(64) * 8
+    8 * (BITMAP_WORD as u64 + (block_size / 64).min(MAX_SLOTS as u64).div_ceil(64))
 }
 
 /// The Role field (paper Figure 5).
@@ -64,16 +84,6 @@ pub enum Role {
     Data = 1,
     /// Holds erasure parity.
     Parity = 2,
-}
-
-impl Role {
-    fn from_u8(v: u8) -> Role {
-        match v {
-            1 => Role::Data,
-            2 => Role::Parity,
-            _ => Role::Free,
-        }
-    }
 }
 
 /// Decoded form of one block's metadata record.
@@ -139,24 +149,17 @@ impl BlockRecord {
         }
     }
 
-    /// Serializes into [`record_bytes`]`(block_size)` bytes.
+    /// Serializes into [`record_bytes`]`(block_size)` bytes, word by word.
     pub fn encode(&self, block_size: u64) -> Vec<u8> {
-        let mut b = vec![0u8; record_bytes(block_size) as usize];
-        b[0] = self.role as u8;
-        b[1] = self.valid as u8;
-        b[2] = self.xor_id;
-        b[3] = self.slot_len64;
-        b[4..8].copy_from_slice(&self.cli_id.to_le_bytes());
-        b[8..16].copy_from_slice(&self.index_version.to_le_bytes());
-        b[16..24].copy_from_slice(&self.stripe_array.to_le_bytes());
-        b[24..26].copy_from_slice(&self.xor_map.to_le_bytes());
-        for (k, a) in self.delta_addr.iter().enumerate() {
-            let at = 8 * (DELTA_ADDR_WORD + k);
-            b[at..at + 8].copy_from_slice(&a.to_le_bytes());
-        }
+        let (r, mut words) = (self, vec![0; record_bytes(block_size) as usize / 8]);
+        words[0] = head_word(r.role, r.valid, r.xor_id, r.slot_len64, r.cli_id);
+        words[INDEX_VERSION_WORD] = self.index_version;
+        words[STRIPE_ARRAY_WORD] = self.stripe_array;
+        words[XOR_MAP_WORD] = self.xor_map as u64;
+        words[DELTA_ADDR_WORD..][..MAX_POSITIONS].copy_from_slice(&self.delta_addr);
+        let mut b: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let bm = self.bitmap.as_bytes();
-        assert!(bm.len() <= b.len() - BITMAP_OFF);
-        b[BITMAP_OFF..BITMAP_OFF + bm.len()].copy_from_slice(bm);
+        b[8 * BITMAP_WORD..][..bm.len()].copy_from_slice(bm);
         b
     }
 
@@ -169,39 +172,59 @@ impl BlockRecord {
     /// table, and keeps no other copy.
     pub fn decode_head(bytes: &[u8]) -> (u16, [u64; MAX_POSITIONS]) {
         assert!(bytes.len() >= RECORD_HEAD_BYTES);
-        let mut delta_addr = [0u64; MAX_POSITIONS];
-        let words = bytes[8 * DELTA_ADDR_WORD..].chunks_exact(8);
-        for (a, word) in delta_addr.iter_mut().zip(words) {
-            *a = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-        }
-        (u16::from_le_bytes([bytes[24], bytes[25]]), delta_addr)
+        let delta_addr = std::array::from_fn(|k| word_of(bytes, DELTA_ADDR_WORD + k));
+        (word_of(bytes, XOR_MAP_WORD) as u16, delta_addr)
     }
 
     /// Deserializes from record bytes; `block_size` fixes the bitmap width.
     pub fn decode(bytes: &[u8], block_size: u64) -> Self {
         assert!(bytes.len() >= record_bytes(block_size) as usize);
         let (xor_map, delta_addr) = Self::decode_head(bytes);
+        let head = word_of(bytes, 0);
+        let [_, valid, xor_id, ..] = head.to_le_bytes();
         let mut rec = BlockRecord {
-            role: Role::from_u8(bytes[0]),
-            valid: bytes[1] != 0,
-            xor_id: bytes[2],
-            slot_len64: bytes[3],
-            cli_id: u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-            index_version: u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-            stripe_array: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
+            role: role_of(head),
+            valid: valid != 0,
+            xor_id,
+            slot_len64: slot_len_of(head),
+            cli_id: (head >> 32) as u32,
+            index_version: word_of(bytes, INDEX_VERSION_WORD),
+            stripe_array: word_of(bytes, STRIPE_ARRAY_WORD),
             xor_map,
             delta_addr,
             bitmap: Bitmap::new(0),
         };
-        rec.bitmap = Bitmap::from_bytes(rec.bitmap_bits(block_size), &bytes[BITMAP_OFF..]);
+        rec.bitmap = Bitmap::from_bytes(rec.bitmap_bits(block_size), &bytes[8 * BITMAP_WORD..]);
         rec
     }
 }
 
-/// The Role of a record whose first 8 B word is `head`: Role is its low
-/// byte, so one load tells a FREE record from the rest.
+/// Word `i` of the serialized record `bytes`.
+fn word_of(bytes: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("an 8 B word"))
+}
+
+/// A record's word 0: Role, Valid, XOR ID and slot len in its low four
+/// bytes, CLI ID in its high four.
+pub fn head_word(role: Role, valid: bool, xor_id: u8, slot_len64: u8, cli_id: u32) -> u64 {
+    let low = [role as u8, valid as u8, xor_id, slot_len64];
+    u32::from_le_bytes(low) as u64 | (cli_id as u64) << 32
+}
+
+/// The Role of a record whose word 0 is `head`: Role is its low byte, so
+/// one load tells a FREE record from the rest.
 pub fn role_of(head: u64) -> Role {
-    Role::from_u8(head as u8)
+    match head as u8 {
+        1 => Role::Data,
+        2 => Role::Parity,
+        _ => Role::Free,
+    }
+}
+
+/// The slot len (size class, 64 B units) of a record whose word 0 is
+/// `head`.
+pub fn slot_len_of(head: u64) -> u8 {
+    (head >> 24) as u8
 }
 
 /// How many of its `slots` KV slots a record marks obsolete, read through
@@ -209,16 +232,12 @@ pub fn role_of(head: u64) -> Role {
 /// Bitmap's, and nothing decoded. `None` unless the record is a filled
 /// DATA block (Index Version ≠ 0) of size class `slot_len64`.
 pub fn obsolete_slots(word: impl Fn(usize) -> u64, slot_len64: u8, slots: usize) -> Option<usize> {
-    let head = word(0);
-    if role_of(head) != Role::Data || head.to_le_bytes()[3] != slot_len64 || word(1) == 0 {
+    let (head, filled) = (word(0), word(INDEX_VERSION_WORD) != 0);
+    if role_of(head) != Role::Data || slot_len_of(head) != slot_len64 || !filled {
         return None;
     }
-    let words = slots.min(MAX_SLOTS).div_ceil(64);
-    Some(
-        (0..words)
-            .map(|i| word(BITMAP_OFF / 8 + i).count_ones() as usize)
-            .sum(),
-    )
+    let words = BITMAP_WORD..BITMAP_WORD + slots.min(MAX_SLOTS).div_ceil(64);
+    Some(words.map(|i| word(i).count_ones() as usize).sum())
 }
 
 #[cfg(test)]
@@ -247,18 +266,28 @@ mod tests {
     #[test]
     fn words_read_what_decode_reads() {
         let mut r = BlockRecord::free();
-        (r.role, r.slot_len64, r.index_version) = (Role::Data, 16, 7);
+        (r.role, r.xor_id, r.slot_len64, r.cli_id) = (Role::Data, 2, 16, 0xdead_beef);
+        (r.index_version, r.stripe_array, r.xor_map) = (7, 3, 0b1010);
         r.bitmap = Bitmap::new(64);
         for slot in [0, 5, 63] {
             r.bitmap.set(slot, true);
         }
         let read = |r: &BlockRecord| {
             let bytes = r.encode(64 * 1024);
-            move |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap())
+            move |i: usize| word_of(&bytes, i)
         };
         assert_eq!(role_of(read(&r)(0)), Role::Data);
         assert_eq!(obsolete_slots(read(&r), 16, 64), Some(3));
         assert_eq!(obsolete_slots(read(&r), 8, 128), None, "another class");
+        let d = BlockRecord::decode(&r.encode(64 * 1024), 64 * 1024);
+        let head = head_word(d.role, d.valid, d.xor_id, d.slot_len64, d.cli_id);
+        assert_eq!(read(&r)(0), head, "the head word");
+        assert_eq!(slot_len_of(read(&r)(0)), d.slot_len64);
+        assert_eq!(read(&r)(INDEX_VERSION_WORD), d.index_version);
+        assert_eq!(read(&r)(STRIPE_ARRAY_WORD), d.stripe_array);
+        assert_eq!(read(&r)(XOR_MAP_WORD), d.xor_map as u64);
+        let bitmap = read(&r)(BITMAP_WORD).to_le_bytes();
+        assert_eq!(&bitmap[..], d.bitmap.as_bytes(), "the Bitmap's first word");
         r.index_version = 0;
         assert_eq!(obsolete_slots(read(&r), 16, 64), None, "not filled");
         assert_eq!(role_of(read(&BlockRecord::free())(0)), Role::Free);

@@ -10,20 +10,27 @@
 //! overlap, and the four roles are *metered* separately ([`BusyMeters`]),
 //! which is what Table 3 reports.
 //!
+//! A record is its words (paper Figure 5, the word map in
+//! [`aceso_blockalloc::record`]). A handler changes one contiguous span of
+//! one record's words through `MnServer::update`, which writes that span
+//! into the own table and WRITEs it into each of the two copies the next
+//! columns hold (§3.1), and a grant or a scan reads the words it needs with
+//! 8 B loads: no handler decodes or encodes a whole record.
+//!
 //! While its column migrates — the [`PlacementMap`]'s migration names its
 //! node as the source — a server keeps working on its own region alone:
 //! every block-area write it makes lands there and is then applied to the
 //! migration target, so handlers never ask which side clients currently
-//! read.
+//! read. A record copy it WRITEs into a migrating neighbour's Meta Area
+//! goes to both sides of that migration.
 
 use crate::ckpt::{self, CkptReport};
 use crate::config::{pack_col, unpack_col, MemoryMap};
 use crate::kv;
 use crate::placement::PlacementMap;
 use crate::proto::{self, ScannedBlock, ServerReq, ServerResp};
-use crate::stripe::decode_records;
-use aceso_blockalloc::record::{obsolete_slots, role_of, DELTA_ADDR_WORD};
-use aceso_blockalloc::{Bitmap, BlockId, BlockLayout, BlockRecord, CellKind, Role, RECORD_TABLES};
+use aceso_blockalloc::record::*;
+use aceso_blockalloc::{BlockId, BlockLayout, CellKind, RECORD_TABLES};
 use aceso_index::RemoteIndex;
 use aceso_rdma::{
     Cluster, DmClient, GlobalAddr, MemoryNode, NodeId, RdmaError, RpcClient, RpcHandler,
@@ -31,12 +38,16 @@ use aceso_rdma::{
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// A column's server and its RPC endpoint.
 type Row = (Arc<MnServer>, RpcClient<ServerReq, ServerResp>);
+
+/// A handler's answer: `Err` is sent as [`ServerResp::Err`].
+type Answer = Result<ServerResp, String>;
 
 /// Column → (server, RPC endpoint) map, shared by clients, servers and the
 /// recovery orchestrator. Updated when a failed MN is replaced or a column
@@ -162,7 +173,9 @@ impl BusyMeters {
 /// An MN's own record table, the first of its Meta Area's
 /// [`RECORD_TABLES`] (paper Figure 5), read where it lies: the server keeps
 /// no record between calls. [`MnServer::records`] holds it, and that lock
-/// is the table's read-modify-write lock.
+/// is the table's read-modify-write lock. The server reads it word by word;
+/// [`RecordTable::get`] and [`RecordTable::iter`] decode whole records for
+/// the readers that want them (recovery, the stripe book, tests).
 pub struct RecordTable {
     node: Arc<MemoryNode>,
     blocks: BlockLayout,
@@ -191,7 +204,7 @@ impl RecordTable {
             .region
             .read_vec(at, len as usize)
             .expect("meta area read");
-        let records: Vec<_> = decode_records(&table, self.blocks).collect();
+        let records: Vec<_> = crate::stripe::decode_records(&table, self.blocks).collect();
         records.into_iter()
     }
 }
@@ -210,8 +223,8 @@ pub struct MnServer {
     /// This column's index partition handle.
     pub index: RemoteIndex,
     /// This column's record table, copied into the next two columns' Meta
-    /// Areas; a handler changes a record through `MnServer::update` alone.
-    /// It is also the allocator: which DATA cells are FREE, which filled
+    /// Areas; a handler changes a record's words through `MnServer::update`
+    /// alone, one span per call. It is also the allocator: which DATA cells are FREE, which filled
     /// ones may be reused, and which DELTA blocks no Delta Addr word names,
     /// is read off it at each grant.
     pub records: Mutex<RecordTable>,
@@ -306,40 +319,61 @@ impl MnServer {
             .expect("migration copy");
     }
 
-    /// Changes block `id`'s record, the one way a handler does: decodes it
-    /// out of the own `table`, which the caller holds, applies `f`, and
-    /// unless `f` answers `None` — nothing to change — encodes it back into
-    /// the table and WRITEs it into the copies the next *two* columns hold
-    /// (the Meta Area's fault tolerance, §3.1 — two copies are required to
-    /// match the coding group's two-failure tolerance). A dead holder's copy is refilled
-    /// when it is replaced. `None` too for a client's `id` with no record.
+    /// Changes words `span` of block `id`'s record, the one way a handler
+    /// does: reads those words out of the own `table`, which the caller
+    /// holds, lets `f` change them in place (`f` sees word `span.start` as
+    /// its word 0), writes them back into the table and WRITEs them, one
+    /// verb per copy, into the copies the next *two* columns hold (the Meta
+    /// Area's fault tolerance, §3.1 — two copies are required to match the
+    /// coding group's two-failure tolerance). While a holder's column
+    /// migrates the copy goes to both sides of the migration, so the target
+    /// published after `MigrateFinish` copied its Meta Area holds it too.
+    /// An unreachable holder's copy is refilled when it is replaced
+    /// (`ResetReplication`); any other failed copy WRITE is the answer,
+    /// `Err`, once every other copy is written. `Ok(None)` for a client's
+    /// `id` with no record: nothing is read or written.
     fn update<R>(
         &self,
         table: &RecordTable,
         dm: &DmClient,
         dir: &Directory,
         id: BlockId,
-        f: impl FnOnce(&mut BlockRecord) -> Option<R>,
-    ) -> Option<R> {
+        span: Range<usize>,
+        f: impl FnOnce(&mut [u64]) -> R,
+    ) -> Result<Option<R>, String> {
         let blocks = self.map.blocks;
         if !blocks.record_ids().contains(&id) {
-            return None;
+            return Ok(None);
         }
-        let mut rec = table.get(id);
-        let out = f(&mut rec)?;
-        let bytes = rec.encode(blocks.block_size);
-        self.node
-            .region
-            .write(blocks.record_offset(id), &bytes)
-            .expect("meta area write");
+        let mut words: Vec<u64> = span.clone().map(|i| table.word(id, i)).collect();
+        let out = f(&mut words);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let at = |table| blocks.record_offset_in(table, id) + 8 * span.start as u64;
+        let (region, snap) = (&self.node.region, self.placement.snapshot());
+        region.write(at(0), &bytes).expect("meta area write");
+        let mut failed = Ok(Some(out));
         for table in 1..RECORD_TABLES {
-            let holder = dir.node_of((self.column + table) % blocks.n);
-            let _ = dm.write(
-                GlobalAddr::new(holder, blocks.record_offset_in(table, id)),
-                &bytes,
-            );
+            let col = (self.column + table) % blocks.n;
+            let holder = dir.node_of(col);
+            let moving = snap.migration.as_ref().filter(|m| m.col == col);
+            let side = moving.map(|m| if m.from == holder { m.to } else { m.from });
+            for node in std::iter::once(holder).chain(side.filter(|&s| s != holder)) {
+                match dm.write(GlobalAddr::new(node, at(table)), &bytes) {
+                    Ok(()) | Err(RdmaError::NodeUnreachable(_)) => {}
+                    Err(e) => failed = failed.and(Err(format!("record copy on {node}: {e}"))),
+                }
+            }
         }
-        Some(out)
+        failed
+    }
+
+    /// Runs `f`, its time metered to the role `meter` and left in `spent`.
+    fn metered<T>(&self, meter: &AtomicU64, spent: &mut Duration, f: impl FnOnce() -> T) -> T {
+        let t = Instant::now();
+        let out = f();
+        *spent = t.elapsed();
+        self.meters.add(meter, *spent);
+        out
     }
 
     /// Handles one request. `dm` is this server's background fabric client.
@@ -362,47 +396,34 @@ impl MnServer {
             ServerReq::DataFilled { block } => {
                 let iv = self.index.local_index_version(&self.node.region);
                 self.old_copies.lock().remove(&block);
-                self.update(&self.records.lock(), dm, dir, block, |rec| {
-                    rec.index_version = iv;
-                    Some(())
-                });
-                ServerResp::Ok
+                let span = INDEX_VERSION_WORD..INDEX_VERSION_WORD + 1;
+                self.update(&self.records.lock(), dm, dir, block, span, |w| w[0] = iv)
+                    .map(|_| ServerResp::Ok)
             }
             ServerReq::EncodeDelta {
                 array,
                 row,
                 parity_row,
-            } => {
-                let t = Instant::now();
-                let r = self.handle_encode_delta(array, row, parity_row, dm, dir);
-                role_time = t.elapsed();
-                self.meters.add(&self.meters.ec_ns, role_time);
-                r
-            }
+            } => self.metered(&self.meters.ec_ns, &mut role_time, || {
+                self.handle_encode_delta(array, row, parity_row, dm, dir)
+            }),
             ServerReq::BitmapFlush { updates } => self.handle_bitmap_flush(updates, dm, dir),
-            ServerReq::GetOldCopy { block } => ServerResp::OldCopy {
+            ServerReq::GetOldCopy { block } => Ok(ServerResp::OldCopy {
                 bytes: self.old_copies.lock().get(&block).cloned(),
-            },
+            }),
             ServerReq::ScanNew {
                 of_column,
                 since_iv,
-            } => self.handle_scan_new(of_column, since_iv),
+            } => Ok(self.handle_scan_new(of_column, since_iv)),
             ServerReq::Fold { sources, buf } => {
-                let t = Instant::now();
-                let block = self.handle_fold(&sources, buf, dm, dir);
-                role_time = t.elapsed();
-                self.meters.add(&self.meters.ec_ns, role_time);
-                ServerResp::Folded { block }
+                let fold = || self.handle_fold(&sources, buf, dm, dir);
+                let block = self.metered(&self.meters.ec_ns, &mut role_time, fold);
+                Ok(ServerResp::Folded { block })
             }
             ServerReq::CkptRound => {
-                let t = Instant::now();
-                let r = self.checkpoint_round(dm, dir);
-                role_time = t.elapsed();
-                self.meters.add(&self.meters.ckpt_send_ns, role_time);
-                match r {
-                    Ok(report) => ServerResp::CkptDone { report },
-                    Err(e) => ServerResp::Err(e),
-                }
+                let round = || self.checkpoint_round(dm, dir);
+                let r = self.metered(&self.meters.ckpt_send_ns, &mut role_time, round);
+                r.map(|report| ServerResp::CkptDone { report })
             }
             ServerReq::CkptDelta {
                 from_column,
@@ -410,24 +431,19 @@ impl MnServer {
                 raw_len,
                 index_version,
             } => {
-                let t = Instant::now();
                 // The Checkpoint Area holds the left neighbour's only.
                 let left = (self.column + self.map.blocks.n - 1) % self.map.blocks.n;
-                let r = if from_column == left {
+                let r = self.metered(&self.meters.ckpt_recv_ns, &mut role_time, || {
+                    if from_column != left {
+                        return Err(format!("ckpt delta from column {from_column}, not {left}"));
+                    }
                     let area = self.map.ckpt;
                     ckpt::apply_delta(&self.node.region, area, &compressed, raw_len, index_version)
-                } else {
-                    Err(format!("ckpt delta from column {from_column}, not {left}"))
-                };
-                role_time = t.elapsed();
-                self.meters.add(&self.meters.ckpt_recv_ns, role_time);
-                match r {
-                    Ok((decompress_us, xor_us)) => ServerResp::CkptApplied {
-                        decompress_us,
-                        xor_us,
-                    },
-                    Err(e) => ServerResp::Err(e),
-                }
+                });
+                r.map(|(decompress_us, xor_us)| ServerResp::CkptApplied {
+                    decompress_us,
+                    xor_us,
+                })
             }
             ServerReq::ResetReplication { replaced } => {
                 let blocks = self.map.blocks;
@@ -443,17 +459,16 @@ impl MnServer {
                 // The own table is the records: one WRITE refills the copy.
                 let own = region.read_vec(blocks.record_offset(0), blocks.table_size() as usize);
                 let at = GlobalAddr::new(dir.node_of(replaced), blocks.record_offset_in(copy, 0));
-                match own.and_then(|own| dm.write(at, &own)) {
-                    Ok(()) => ServerResp::Ok,
-                    Err(e) => ServerResp::Err(format!("reset replication: {e}")),
-                }
+                own.and_then(|own| dm.write(at, &own))
+                    .map(|()| ServerResp::Ok)
+                    .map_err(|e| format!("reset replication: {e}"))
             }
             ServerReq::MigrateBatch { ranges } => self.handle_migrate_batch(&ranges, dm),
             ServerReq::MigrateFinish => self.handle_migrate_finish(dm),
         };
         self.meters
             .add(&self.meters.rpc_ns, t0.elapsed().saturating_sub(role_time));
-        resp
+        resp.unwrap_or_else(ServerResp::Err)
     }
 
     fn handle_alloc_data(
@@ -462,50 +477,49 @@ impl MnServer {
         slot_len64: u8,
         dm: &DmClient,
         dir: &Directory,
-    ) -> ServerResp {
+    ) -> Answer {
         if slot_len64 == 0 {
-            return ServerResp::Err("size class 0".into());
+            return Err("size class 0".into());
         }
         let slots = (self.map.blocks.block_size / (slot_len64 as u64 * 64)) as usize;
-        if slots == 0 || slots > aceso_blockalloc::record::MAX_SLOTS {
-            return ServerResp::Err(format!("unsupported size class {slot_len64}"));
+        if slots == 0 || slots > MAX_SLOTS {
+            return Err(format!("unsupported size class {slot_len64}"));
         }
-        let Some((id, reused)) = self.pick_data(slot_len64, slots, dm) else {
-            return ServerResp::Err("out of data blocks".into());
-        };
+        let picked = self.pick_data(slot_len64, slots, dm);
+        let (id, reused) = picked.ok_or("out of data blocks")?;
         let CellKind::Data { array, row } = self.map.blocks.kind_of(id) else {
             unreachable!("picked a non-data block");
         };
         if reused {
             // Back up the whole old block locally in case the client fails
             // mid-overwrite (§3.3.3 / §3.4.2).
+            let (at, len) = (self.map.blocks.block_offset(id), self.map.blocks.block_size);
             let bytes = self
                 .node
                 .region
-                .read_vec(
-                    self.map.blocks.block_offset(id),
-                    self.map.blocks.block_size as usize,
-                )
+                .read_vec(at, len as usize)
                 .expect("block read");
             self.old_copies.lock().insert(id, bytes);
         }
-        let old_bitmap = self.update(&self.records.lock(), dm, dir, id, |rec| {
-            if !reused {
-                (rec.role, rec.valid, rec.xor_id) = (Role::Data, true, row as u8);
-                (rec.slot_len64, rec.stripe_array) = (slot_len64, array);
-                rec.bitmap = Bitmap::new(rec.bitmap_bits(self.map.blocks.block_size));
-            }
-            let old = reused.then(|| rec.bitmap.as_bytes().to_vec());
-            rec.bitmap.clear();
-            (rec.cli_id, rec.index_version) = (cli_id, 0);
-            Some(old)
-        });
-        ServerResp::DataAllocated {
+        // The head words; a reuse also clears the bitmap words, a fresh
+        // cell's are clear.
+        let (head_end, bitmap_end) = (STRIPE_ARRAY_WORD + 1, BITMAP_WORD + slots.div_ceil(64));
+        let span = 0..if reused { bitmap_end } else { head_end };
+        let head = head_word(Role::Data, true, row as u8, slot_len64, cli_id);
+        let old_bitmap = self.update(&self.records.lock(), dm, dir, id, span, |w| {
+            (w[0], w[INDEX_VERSION_WORD], w[STRIPE_ARRAY_WORD]) = (head, 0, array);
+            let bitmap = w.get_mut(BITMAP_WORD..).unwrap_or_default();
+            let old = bitmap.iter().flat_map(|b| b.to_le_bytes());
+            let old = reused.then(|| old.take(slots.div_ceil(8)).collect());
+            bitmap.fill(0);
+            old
+        })?;
+        Ok(ServerResp::DataAllocated {
             block: id,
             array,
             row,
             old_bitmap: old_bitmap.flatten(),
-        }
+        })
     }
 
     /// The DATA cell an `AllocData` of `slots` slots of `slot_len64` is
@@ -550,31 +564,29 @@ impl MnServer {
         parity_row: usize,
         dm: &DmClient,
         dir: &Directory,
-    ) -> ServerResp {
+    ) -> Answer {
         // A free delta block is all zeros, as delta blocks must start (they
         // accumulate XOR images): regions start zeroed and `EncodeDelta`
         // zeroes a delta when it frees it. The parity record's Delta Addr
         // is the block's one registration: the Meta Area has no row for it,
         // and a word still set keeps its block and its unfolded delta.
-        let Some(pid) = self.parity_cell(array, row, parity_row) else {
-            return ServerResp::Err(format!("no delta ({array}, {row}, {parity_row})"));
-        };
+        let pid = self.parity_cell(array, row, parity_row);
+        let pid = pid.ok_or_else(|| format!("no delta ({array}, {row}, {parity_row})"))?;
         let table = self.records.lock();
         if table.word(pid, DELTA_ADDR_WORD + row) != 0 {
-            return ServerResp::Err(format!("delta ({array}, {row}, {parity_row}) is set"));
+            return Err(format!("delta ({array}, {row}, {parity_row}) is set"));
         }
-        let Some(id) = self.unnamed_delta(&table) else {
-            return ServerResp::Err("out of delta blocks".into());
-        };
-        self.update(&table, dm, dir, pid, |prec| {
-            if prec.role == Role::Free {
-                (prec.role, prec.valid, prec.xor_id) = (Role::Parity, true, parity_row as u8);
-                prec.stripe_array = array;
+        let id = self.unnamed_delta(&table).ok_or("out of delta blocks")?;
+        let addr = pack_col(self.column, self.map.blocks.block_offset(id));
+        let span = 0..DELTA_ADDR_WORD + row + 1;
+        self.update(&table, dm, dir, pid, span, |w| {
+            if role_of(w[0]) == Role::Free {
+                let head = head_word(Role::Parity, true, parity_row as u8, 0, 0);
+                (w[0], w[STRIPE_ARRAY_WORD]) = (head, array);
             }
-            prec.delta_addr[row] = pack_col(self.column, self.map.blocks.block_offset(id));
-            Some(())
-        });
-        ServerResp::DeltaAllocated { block: id }
+            w[DELTA_ADDR_WORD + row] = addr;
+        })?;
+        Ok(ServerResp::DeltaAllocated { block: id })
     }
 
     /// The lowest DELTA-pool block no Delta Addr word of `table` names: a
@@ -602,39 +614,42 @@ impl MnServer {
         parity_row: usize,
         dm: &DmClient,
         dir: &Directory,
-    ) -> ServerResp {
-        let Some(pid) = self.parity_cell(array, row, parity_row) else {
-            return ServerResp::Err(format!("no delta ({array}, {row}, {parity_row})"));
-        };
-        let bs = self.map.blocks.block_size as usize;
-        let poff = self.map.blocks.block_offset(pid);
-        self.update(&self.records.lock(), dm, dir, pid, |prec| {
-            let daddr = prec.delta_addr[row];
-            if daddr == 0 {
-                return None; // Already encoded (idempotent under retries).
-            }
-            let (dcol, doff) = unpack_col(daddr);
-            debug_assert_eq!(
-                dcol, self.column,
-                "delta must be local to the parity holder"
-            );
-            // Fold the DELTA block into the PARITY block where it lies and
-            // zero the delta, so it is granted as it is once clearing its
-            // word below frees it. A migration target gets both results
-            // (dual-write: neither side may go stale before the publish),
-            // as the parity cell's group may already be served from there.
-            let local = &self.node.region;
-            local.xor_from(poff, local, doff, bs).expect("parity fold");
-            local.zero(doff, bs).expect("block zero");
-            if let Some(target) = self.migration_target(dm) {
-                self.copy_to(&target, poff, bs);
-                target.region.zero(doff, bs).expect("target zero");
-            }
-            prec.xor_map |= 1 << row;
-            prec.delta_addr[row] = 0;
-            Some(())
-        });
-        ServerResp::Ok
+    ) -> Answer {
+        let pid = self.parity_cell(array, row, parity_row);
+        let pid = pid.ok_or_else(|| format!("no delta ({array}, {row}, {parity_row})"))?;
+        let (bs, poff) = (
+            self.map.blocks.block_size as usize,
+            self.map.blocks.block_offset(pid),
+        );
+        let table = self.records.lock();
+        let daddr = table.word(pid, DELTA_ADDR_WORD + row);
+        if daddr == 0 {
+            return Ok(ServerResp::Ok); // Already encoded (idempotent under retries).
+        }
+        let (dcol, doff) = unpack_col(daddr);
+        debug_assert_eq!(
+            dcol, self.column,
+            "delta must be local to the parity holder"
+        );
+        // Fold the DELTA block into the PARITY block where it lies and zero
+        // the delta, so it is granted as it is once clearing its word below
+        // frees it. A migration target gets both results (dual-write:
+        // neither side may go stale before the publish), as the parity
+        // cell's group may already be served from there.
+        let local = &self.node.region;
+        local.xor_from(poff, local, doff, bs).expect("parity fold");
+        local.zero(doff, bs).expect("block zero");
+        if let Some(target) = self.migration_target(dm) {
+            self.copy_to(&target, poff, bs);
+            target.region.zero(doff, bs).expect("target zero");
+        }
+        // The span's first word is the XOR Map, its last this Delta Addr.
+        let span = XOR_MAP_WORD..DELTA_ADDR_WORD + row + 1;
+        self.update(&table, dm, dir, pid, span, |w| {
+            w[0] |= 1 << row;
+            w[w.len() - 1] = 0;
+        })?;
+        Ok(ServerResp::Ok)
     }
 
     /// Recovery's scan of this MN's own new DATA blocks for column
@@ -643,14 +658,15 @@ impl MnServer {
     fn handle_scan_new(&self, of_column: usize, since_iv: u64) -> ServerResp {
         let (layout, region) = (self.map.blocks, &self.node.region);
         let bs = layout.block_size as usize;
-        let (mut lines, mut blocks) = (0, Vec::new());
-        for (id, rec) in self.records.lock().iter().enumerate() {
-            if rec.role != Role::Data || !proto::is_new(rec.index_version, since_iv) {
+        let (mut lines, mut blocks, table) = (0, Vec::new(), self.records.lock());
+        for id in layout.record_ids() {
+            let (head, iv) = (table.word(id, 0), table.word(id, INDEX_VERSION_WORD));
+            if role_of(head) != Role::Data || !proto::is_new(iv, since_iv) {
                 continue;
             }
-            let base = layout.block_offset(id as BlockId);
-            let mut found = ScannedBlock::new(rec.slot_len64, bs);
-            let mut slot = vec![0; rec.slot_len64 as usize * 64];
+            let base = layout.block_offset(id);
+            let mut found = ScannedBlock::new(slot_len_of(head), bs);
+            let mut slot = vec![0; slot_len_of(head) as usize * 64];
             for s in 0..bs.checked_div(slot.len()).unwrap_or(0) {
                 let at = base + (s * slot.len()) as u64;
                 let read = |i: usize, line: &mut [u8]| {
@@ -661,7 +677,7 @@ impl MnServer {
                     found.push(s, kv, layout.n, of_column);
                 }
             }
-            blocks.push((id as BlockId, found));
+            blocks.push((id, found));
         }
         ServerResp::Scanned { blocks, lines }
     }
@@ -701,25 +717,35 @@ impl MnServer {
         updates: Vec<(BlockId, Vec<u32>)>,
         dm: &DmClient,
         dir: &Directory,
-    ) -> ServerResp {
-        let table = self.records.lock();
+    ) -> Answer {
+        let (blocks, table, mut answer) =
+            (self.map.blocks, self.records.lock(), Ok(ServerResp::Ok));
         for (block, units) in updates {
-            self.update(&table, dm, dir, block, |rec| {
-                if rec.role != Role::Data || rec.slot_len64 == 0 {
-                    return None;
+            if !blocks.record_ids().contains(&block) {
+                continue;
+            }
+            let head = table.word(block, 0);
+            let class = slot_len_of(head) as u32;
+            if role_of(head) != Role::Data || class == 0 {
+                continue;
+            }
+            // A unit is a bit by this record's slot size, never by the
+            // client's idea of the KV's length.
+            let bits = ((blocks.block_size / (class as u64 * 64)) as usize).min(MAX_SLOTS);
+            let slots = units.iter().map(|&u| (u / class) as usize);
+            let slots: Vec<usize> = slots.filter(|&s| s < bits).collect();
+            let (Some(&lo), Some(&hi)) = (slots.iter().min(), slots.iter().max()) else {
+                continue;
+            };
+            let span = BITMAP_WORD + lo / 64..BITMAP_WORD + hi / 64 + 1;
+            let flushed = self.update(&table, dm, dir, block, span, |w| {
+                for s in slots {
+                    w[s / 64 - lo / 64] |= 1 << (s % 64);
                 }
-                // A unit is a bit by this record's slot size, never by the
-                // client's idea of the KV's length.
-                for unit in units {
-                    let slot = (unit / rec.slot_len64 as u32) as usize;
-                    if slot < rec.bitmap.len() {
-                        rec.bitmap.set(slot, true);
-                    }
-                }
-                Some(())
             });
+            answer = answer.and(flushed.map(|_| ServerResp::Ok));
         }
-        ServerResp::Ok
+        answer
     }
 
     /// The reclamation trigger (§3.3.3), met at a grant once no FREE DATA
@@ -745,14 +771,14 @@ impl MnServer {
     /// under the endpoint's execution lock serializes the copy against
     /// every other server-side mutation; concurrent *client* writes are
     /// excluded by the epoch fences the migrator installs first.
-    fn handle_migrate_batch(&self, ranges: &[(u64, usize)], dm: &DmClient) -> ServerResp {
-        let Some(target) = self.migration_target(dm) else {
-            return ServerResp::Err("no migration in progress".into());
-        };
+    fn handle_migrate_batch(&self, ranges: &[(u64, usize)], dm: &DmClient) -> Answer {
+        let target = self
+            .migration_target(dm)
+            .ok_or("no migration in progress")?;
         for &(off, len) in ranges {
             self.copy_to(&target, off, len);
         }
-        ServerResp::Ok
+        Ok(ServerResp::Ok)
     }
 
     /// Copies the Index, Meta, Checkpoint and Baseline areas onto the
@@ -760,16 +786,16 @@ impl MnServer {
     /// reuse backups over to a fresh [`MnServer`] for the target and
     /// republishes the column; stale clients fail their next verb against
     /// the whole-region fence and re-resolve.
-    fn handle_migrate_finish(&self, dm: &DmClient) -> ServerResp {
-        let Some(target) = self.migration_target(dm) else {
-            return ServerResp::Err("no migration in progress".into());
-        };
+    fn handle_migrate_finish(&self, dm: &DmClient) -> Answer {
+        let target = self
+            .migration_target(dm)
+            .ok_or("no migration in progress")?;
         self.copy_to(&target, 0, self.map.blocks.block_base as usize);
         // The Checkpoint and Baseline areas: the region past the blocks.
         let tail = self.map.ckpt.base;
         self.copy_to(&target, tail, self.map.region_len - tail as usize);
         self.alive.store(false, Ordering::Release);
-        ServerResp::Ok
+        Ok(ServerResp::Ok)
     }
 
     fn checkpoint_round(&self, dm: &DmClient, dir: &Directory) -> Result<CkptReport, String> {

@@ -526,3 +526,54 @@ fn fence_abort_mid_batch_rolls_back_the_abandoned_slot() {
     );
     store.shutdown();
 }
+
+/// A left neighbour's record change that lands between `MigrateFinish`'s
+/// copy of the Meta Area and the publish reaches the published target too:
+/// while the holder's column migrates, the neighbour's server WRITEs its
+/// record copy to both sides. The publish step runs by hand here, with the
+/// change inside it, and the copies are judged once the target serves.
+#[test]
+fn a_neighbours_record_copy_reaches_the_published_target() {
+    use aceso_core::proto::{ServerReq, ServerResp};
+    use aceso_core::server::MnServer;
+
+    let store = launch();
+    let col = 2;
+    let mut mig = store.begin_join(col).unwrap();
+    // The announce and every copy batch: the publish is the next step.
+    for _ in 0..=store.cfg.elastic_groups {
+        assert_ne!(mig.step().unwrap(), ElasticStep::Publish);
+    }
+    let to = store.cluster.node(mig.to_node().unwrap()).unwrap();
+    let placement = Arc::clone(store.placement());
+    let server = MnServer::new(col, to, store.map, placement);
+    let dm = store.cluster.background_client();
+    let call = |c: usize, req| {
+        let dir = store.directory();
+        dm.rpc(dir.node_of(c), &dir.rpc_of(c), req, 64).unwrap()
+    };
+    assert!(matches!(
+        call(col, ServerReq::MigrateFinish),
+        ServerResp::Ok
+    ));
+    // Column 1's record copy 1 lives in column 2's Meta Area.
+    let req = ServerReq::AllocData {
+        cli_id: 3,
+        slot_len64: 16,
+    };
+    let grant = call(col - 1, req);
+    assert!(
+        matches!(grant, ServerResp::DataAllocated { .. }),
+        "{grant:?}"
+    );
+    store
+        .directory()
+        .publish(&server, store.cluster.background_client());
+    let mut violations = Vec::new();
+    aceso_core::replica_agreement(&store, &mut violations);
+    assert!(violations.is_empty(), "{violations:?}");
+    // Dropping the unfinished migration retires the target; the judgement
+    // above is what this test is about.
+    drop(mig);
+    store.shutdown();
+}

@@ -536,6 +536,133 @@ fn meta_replication_lands_on_two_neighbours() {
     store.shutdown();
 }
 
+/// The WRITEs and bytes each holder of `col`'s two record copies saw from
+/// servers since the last `Cluster::reset_traffic`, copy 1's holder first.
+fn copy_traffic(store: &Arc<AcesoStore>, col: usize) -> Vec<(u64, u64)> {
+    let holder = |copy| store.server((col + copy) % store.cfg.num_mns);
+    let seen = (1..RECORD_TABLES).map(|copy| holder(copy).node.background.snapshot());
+    seen.map(|s| (s.writes, s.write_bytes)).collect()
+}
+
+/// Each record change is one WRITE into each copy, of the words it changes
+/// and nothing more: the Index Version word for `DataFilled`, the head
+/// words for a fresh `AllocData` and the head through the Free Bitmap for a
+/// reused one, the head through the Delta Addr word for `AllocDelta`, the
+/// XOR Map word through it for `EncodeDelta`, and the first through the
+/// last touched bitmap word for `BitmapFlush`. A record is 384 B here.
+#[test]
+fn a_record_change_writes_only_its_words_into_each_copy() {
+    let store = store();
+    let blocks = store.map.blocks;
+    let change = |col: usize, req: ServerReq| {
+        store.cluster.reset_traffic();
+        let resp = rpc(&store, col, req);
+        assert!(!matches!(resp, ServerResp::Err(_)), "{resp:?}");
+        (resp, copy_traffic(&store, col))
+    };
+    let words = |n: u64| vec![(1, 8 * n); RECORD_TABLES - 1];
+    let alloc = |slot_len64| ServerReq::AllocData {
+        cli_id: 5,
+        slot_len64,
+    };
+    // A 1 KB class block: 64 slots, one bitmap word.
+    let (grant, copies) = change(2, alloc(16));
+    assert_eq!(copies, words(3), "a fresh AllocData");
+    let ServerResp::DataAllocated {
+        block, array, row, ..
+    } = grant
+    else {
+        panic!("{grant:?}")
+    };
+    let (_, copies) = change(2, ServerReq::DataFilled { block });
+    assert_eq!(copies, words(1), "DataFilled");
+    let updates = vec![(block, (0..64 * 16).collect())];
+    let (_, copies) = change(2, ServerReq::BitmapFlush { updates });
+    assert_eq!(copies, words(1), "BitmapFlush of one bitmap word");
+    // A 64 B class block: 1 024 slots; slots 5 and 700 lie ten words apart.
+    let (grant, _) = change(2, alloc(1));
+    let ServerResp::DataAllocated { block: small, .. } = grant else {
+        panic!("{grant:?}")
+    };
+    let updates = vec![(small, vec![5, 700])];
+    let (_, copies) = change(2, ServerReq::BitmapFlush { updates });
+    assert_eq!(copies, words(11), "BitmapFlush of words 0 through 10");
+
+    let ((parity_row, pcol), _) = aceso_erasure::XCode::new(5)
+        .unwrap()
+        .parity_cells_for(row, 2);
+    let delta = ServerReq::AllocDelta {
+        array,
+        row,
+        parity_row,
+    };
+    let (_, copies) = change(pcol, delta);
+    assert_eq!(copies, words(5 + row as u64), "AllocDelta, row {row}");
+    let encode = ServerReq::EncodeDelta {
+        array,
+        row,
+        parity_row,
+    };
+    let (_, copies) = change(pcol, encode);
+    assert_eq!(copies, words(2 + row as u64), "EncodeDelta, row {row}");
+
+    for _ in 2..blocks.data_blocks_per_node() {
+        rpc(&store, 2, alloc(16));
+    }
+    let (grant, copies) = change(2, alloc(16));
+    assert!(
+        matches!(grant, ServerResp::DataAllocated { block: b, old_bitmap: Some(_), .. } if b == block),
+        "{grant:?}"
+    );
+    assert_eq!(copies, words(32 + 1), "a reused AllocData");
+    store.shutdown();
+}
+
+/// A copy WRITE that fails on a live holder answers the request `Err`; the
+/// own table and the other copy still take the change, so the failed copy
+/// is the one `replica_agreement` names. (An unreachable holder's copy is
+/// refilled by `ResetReplication` when the holder is replaced.)
+#[test]
+fn a_failed_copy_write_answers_the_request() {
+    let store = store();
+    let blocks = store.map.blocks;
+    let req = ServerReq::AllocData {
+        cli_id: 5,
+        slot_len64: 16,
+    };
+    let ServerResp::DataAllocated { block, .. } = rpc(&store, 2, req) else {
+        panic!("no block granted")
+    };
+    // Column 3 holds copy 1 of column 2's table; its NIC fails every WRITE
+    // into that copy.
+    let holder = Arc::clone(&store.server(3).node);
+    let copy = blocks.record_offset_in(1, 0);
+    let fail = FaultRule::new(FaultAction::Fail)
+        .on_kind(VerbKind::Write)
+        .in_range(copy, copy + blocks.table_size());
+    holder.install_fault_plan(FaultPlan::with_rules(vec![fail]));
+    let resp = rpc(&store, 2, ServerReq::DataFilled { block });
+    holder.clear_fault_plan();
+    assert!(
+        matches!(&resp, ServerResp::Err(e) if e.contains("record copy on")),
+        "{resp:?}"
+    );
+    let dm = store.cluster.background_client();
+    let iv = |copy| {
+        let rec = read_records(&store, &dm, 2, copy, block..block + 1).unwrap();
+        rec[0].index_version
+    };
+    assert_eq!(
+        (iv(0), iv(1), iv(2)),
+        (1, 0, 1),
+        "own table, copy 1, copy 2"
+    );
+    let mut violations = Vec::new();
+    aceso_core::replica_agreement(&store, &mut violations);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    store.shutdown();
+}
+
 /// CN recovery finds a crashed client's open blocks in the Meta Area: the
 /// records there carry the owner and the fill stamp.
 #[test]

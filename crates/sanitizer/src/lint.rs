@@ -25,6 +25,10 @@
 //! `.settle().await` scanner [`check_settle_table`] is not in [`run_all`]:
 //! the model checker calls it with its own `STEP_TABLE`.
 
+use aceso_blockalloc::record::{
+    record_bytes, BITMAP_WORD, DELTA_ADDR_WORD, INDEX_VERSION_WORD, MAX_POSITIONS, MAX_SLOTS,
+    RECORD_HEAD_BYTES, STRIPE_ARRAY_WORD, XOR_MAP_WORD,
+};
 use aceso_blockalloc::{BlockId, BlockLayout, CellKind, RECORD_TABLES};
 use aceso_core::client::CrashPoint;
 use aceso_core::config::AcesoConfig;
@@ -156,9 +160,36 @@ pub fn lint_fusee_geometry() -> Vec<String> {
 /// Block/Meta area layout: block offsets aligned and in the Block Area,
 /// every id's kind naming the id back, records for exactly the stripe
 /// cells, aligned and back to back, table after table, filling the Meta
-/// Area, which ends before the Block Area.
+/// Area, which ends before the Block Area; and the record's word map: the
+/// named words in order inside the head, the head ending before the Free
+/// Bitmap's first word, and the widest record's last bitmap word ending
+/// the record.
 pub fn lint_blockalloc_layout() -> Vec<String> {
     let mut v = Vec::new();
+    let last_delta = DELTA_ADDR_WORD + MAX_POSITIONS - 1;
+    let named = [
+        0,
+        INDEX_VERSION_WORD,
+        STRIPE_ARRAY_WORD,
+        XOR_MAP_WORD,
+        DELTA_ADDR_WORD,
+        last_delta,
+    ];
+    if named.windows(2).any(|w| w[0] >= w[1]) || 8 * (last_delta + 1) > RECORD_HEAD_BYTES {
+        v.push(format!(
+            "record words {named:?} out of order or past the {RECORD_HEAD_BYTES} B head"
+        ));
+    }
+    if RECORD_HEAD_BYTES > 8 * BITMAP_WORD {
+        v.push(format!("record head overlaps bitmap word {BITMAP_WORD}"));
+    }
+    let widest = 8 * (BITMAP_WORD + MAX_SLOTS.div_ceil(64)) as u64;
+    if widest != record_bytes(64 * MAX_SLOTS as u64) {
+        v.push(format!(
+            "the widest bitmap ends at {widest}, the record at {}",
+            record_bytes(64 * MAX_SLOTS as u64)
+        ));
+    }
     let l = BlockLayout {
         n: 5,
         block_size: 16 << 10,
