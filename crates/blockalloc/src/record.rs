@@ -43,9 +43,10 @@
 
 use crate::bitmap::Bitmap;
 
-/// The record's word 0 holds Role, Valid, XOR ID, slot len and CLI ID
-/// ([`head_word`] packs it, [`role_of`] and [`slot_len_of`] read it); the
-/// other fields each have a word of their own, named here once.
+/// The Index Version's word. Word 0, the head word, holds Role, Valid,
+/// XOR ID, slot len and CLI ID ([`head_word`] packs it, [`role_of`] and
+/// [`slot_len_of`] read it); every other field has a word of its own,
+/// named here once.
 pub const INDEX_VERSION_WORD: usize = 1;
 /// The stripe array index's word.
 pub const STRIPE_ARRAY_WORD: usize = 2;
@@ -153,12 +154,12 @@ impl BlockRecord {
     pub fn encode(&self, block_size: u64) -> Vec<u8> {
         let (r, mut words) = (self, vec![0; record_bytes(block_size) as usize / 8]);
         words[0] = head_word(r.role, r.valid, r.xor_id, r.slot_len64, r.cli_id);
-        words[INDEX_VERSION_WORD] = self.index_version;
-        words[STRIPE_ARRAY_WORD] = self.stripe_array;
-        words[XOR_MAP_WORD] = self.xor_map as u64;
-        words[DELTA_ADDR_WORD..][..MAX_POSITIONS].copy_from_slice(&self.delta_addr);
+        words[INDEX_VERSION_WORD] = r.index_version;
+        words[STRIPE_ARRAY_WORD] = r.stripe_array;
+        words[XOR_MAP_WORD] = r.xor_map as u64;
+        words[DELTA_ADDR_WORD..][..MAX_POSITIONS].copy_from_slice(&r.delta_addr);
         let mut b: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let bm = self.bitmap.as_bytes();
+        let bm = r.bitmap.as_bytes();
         b[8 * BITMAP_WORD..][..bm.len()].copy_from_slice(bm);
         b
     }
